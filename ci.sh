@@ -34,6 +34,10 @@ FLIX_BUILD_THREADS=1 cargo test -q --workspace
 echo "== cargo test (workspace, parallel builds: FLIX_BUILD_THREADS=0)"
 FLIX_BUILD_THREADS=0 cargo test -q --workspace
 
+echo "== flixbench (the benchmark package builds against crates/, passes its tests, and smoke-runs)"
+cargo test --offline --manifest-path flixbench/Cargo.toml
+bash flixbench/run.sh --smoke
+
 echo "== cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace
 

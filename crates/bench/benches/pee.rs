@@ -50,6 +50,7 @@ fn bench_pee(c: &mut Criterion) {
                     .iter()
                     .filter(|p| {
                         flix.connection_test(p.from, p.to, &QueryOptions::default())
+                            .distance
                             .is_some()
                     })
                     .count()

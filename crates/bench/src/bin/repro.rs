@@ -1486,11 +1486,10 @@ fn query_bench(cg: &Arc<CollectionGraph>, built: &[(FlixConfig, Arc<Flix>, Durat
     let mut monitor = LoadMonitor::new();
     for &(start, tag) in &dblp_queries {
         let mut results = 0usize;
-        let stats =
-            deployed.for_each_descendant_traced(start, tag, &QueryOptions::default(), |_, _| {
-                results += 1;
-                ControlFlow::Continue(())
-            });
+        let stats = deployed.for_each_descendant(start, tag, &QueryOptions::default(), |_, _| {
+            results += 1;
+            ControlFlow::Continue(())
+        });
         monitor.record(stats, results);
     }
     monitor.publish(&registry);
@@ -1760,7 +1759,7 @@ fn connect(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
         let (_, total) = time_once(|| {
             for p in &pairs {
                 let got = flix.connection_test(p.from, p.to, &QueryOptions::default());
-                if got.is_some() == p.reachable {
+                if got.distance.is_some() == p.reachable {
                     correct += 1;
                 }
             }
@@ -2058,9 +2057,11 @@ fn ablation_bidir(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duratio
         for p in &pairs {
             let a = flix
                 .connection_test(p.from, p.to, &QueryOptions::default())
+                .distance
                 .is_some();
             let b = flix
                 .connection_test_bidirectional(p.from, p.to, &QueryOptions::default())
+                .distance
                 .is_some();
             if a == b && a == p.reachable {
                 agree += 1;

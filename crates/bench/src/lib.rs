@@ -111,7 +111,7 @@ pub fn time_to_k_results(
 ) -> Vec<(usize, Duration)> {
     let mut stamps: Vec<Duration> = Vec::new();
     let t0 = Stopwatch::start();
-    flix.for_each_descendant(start, tag, &QueryOptions::default(), |_| {
+    flix.for_each_descendant(start, tag, &QueryOptions::default(), |_, _| {
         stamps.push(t0.elapsed());
         ControlFlow::Continue(())
     });
@@ -223,8 +223,8 @@ pub fn emulated_time_to_k(
     model: DbCostModel,
 ) -> Vec<(usize, Duration)> {
     let mut snapshots: Vec<PeeStats> = Vec::new();
-    let total = flix.for_each_descendant_traced(start, tag, &QueryOptions::default(), |_, st| {
-        snapshots.push(st);
+    let total = flix.for_each_descendant(start, tag, &QueryOptions::default(), |_, st| {
+        snapshots.push(*st);
         ControlFlow::Continue(())
     });
     ks.iter()

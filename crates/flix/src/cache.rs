@@ -1,8 +1,12 @@
 //! Result caching for frequent (sub-)queries — the paper's §7 sketch
 //! "caching results of frequent (sub-)queries".
 //!
-//! [`CachedFlix`] wraps a framework with an LRU cache keyed on the query
-//! semantics (start element, target tag, distance bound, ordering flags).
+//! [`ResultCache`] is an LRU cache keyed on the query semantics (start
+//! element, target tag, distance bound, ordering flags) whose single entry
+//! point, [`ResultCache::get_or_evaluate`], owns the whole
+//! lookup → evaluate-uncapped → admit sequence; [`CachedFlix`] pairs one
+//! with a framework slot, and [`crate::shard::ShardedFlix`] holds one per
+//! shard.
 //! `max_results` is deliberately *not* part of the key: evaluation with a
 //! result cap returns a prefix of the unrestricted run (results stream in
 //! block order), so the cache stores the full result vector once and serves
@@ -16,9 +20,10 @@
 //! The cache is latch-protected and safe to share across the client threads
 //! of the paper's multithreaded architecture.
 
+use crate::backend::{Answer, QueryBackend};
 use crate::framework::Flix;
-use crate::pee::{QueryOptions, QueryResult};
-use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
+use crate::pee::{Axis, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
+use flixobs::journal::{EventKind, SHARD_NONE};
 use flixobs::{Counter, MetricId, MetricsRegistry};
 use graphcore::{Distance, NodeId};
 use parking_lot::Mutex;
@@ -132,10 +137,10 @@ struct CacheInner {
     sketch: FrequencySketch,
 }
 
-/// A FliX framework with an LRU descendants-query cache that survives
-/// framework rebuilds (see [`CachedFlix::attach`]).
-pub struct CachedFlix {
-    flix: Mutex<Arc<Flix>>,
+/// An LRU descendants-result cache with TinyLFU admission and a generation
+/// counter that invalidates everything computed before the last
+/// [`CachedFlix::attach`].
+pub struct ResultCache {
     generation: AtomicU64,
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -170,28 +175,22 @@ pub struct CacheStats {
 }
 
 /// Serves `opts.max_results` from the full cached vector: a capped run
-/// returns exactly the first `k` results of the uncapped one. Shared with
-/// the sharded serving path ([`crate::shard`]), which clips per-shard
-/// cache entries the same way.
-pub(crate) fn clip(
-    full: Arc<Vec<QueryResult>>,
-    max_results: Option<usize>,
-) -> Arc<Vec<QueryResult>> {
+/// returns exactly the first `k` results of the uncapped one.
+fn clip(full: Arc<Vec<QueryResult>>, max_results: Option<usize>) -> Arc<Vec<QueryResult>> {
     match max_results {
         Some(k) if k < full.len() => Arc::new(full[..k].to_vec()),
         _ => full,
     }
 }
 
-impl CachedFlix {
-    /// Wraps `flix` with a cache of at most `capacity` query results.
+impl ResultCache {
+    /// A cache of at most `capacity` query results.
     ///
     /// # Panics
     /// If `capacity` is zero.
-    pub fn new(flix: Arc<Flix>, capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache needs capacity");
         Self {
-            flix: Mutex::new(flix),
             generation: AtomicU64::new(0),
             capacity,
             inner: Mutex::new(CacheInner {
@@ -208,130 +207,39 @@ impl CachedFlix {
         }
     }
 
-    /// The currently attached framework.
-    pub fn framework(&self) -> Arc<Flix> {
-        Arc::clone(&self.flix.lock())
-    }
-
     /// The cache's entry capacity (fixed at construction).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Swaps in a rebuilt (or extended) framework. All entries cached for
-    /// the previous framework become unservable immediately: the generation
-    /// bump outlives them, and lookups drop stale-generation entries.
-    pub fn attach(&self, flix: Arc<Flix>) {
-        // Order matters: swap the framework first, then bump. A racing
-        // query can then at worst insert results from the *old* framework
-        // under the *old* generation — already unservable — never results
-        // from the old framework under the new generation.
-        *self.flix.lock() = flix;
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// The current framework generation (bumped by [`Self::attach`]).
+    /// The current framework generation (bumped by [`CachedFlix::attach`]).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Cached `a//B` evaluation. Any deadline in `opts` is stripped: this
-    /// entry point always returns (and caches) the complete answer.
-    pub fn find_descendants(
+    /// The cached `start // target`: a hit serves the complete stored
+    /// answer clipped to `opts.max_results` (`stats: None` — no evaluator
+    /// ran). A miss calls `evaluate` with `opts` minus the result cap, so
+    /// one entry serves every `max_results`, and stores the answer subject
+    /// to the TinyLFU gate — unless the deadline cut it: a partial answer
+    /// is returned with `timed_out` but never cached, or it would be
+    /// served as complete later. The verdict and the admission outcome
+    /// are journaled with `shard_tag` as payload when `ctx` carries a
+    /// handle.
+    pub(crate) fn get_or_evaluate(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-    ) -> Arc<Vec<QueryResult>> {
-        let full_opts = QueryOptions {
-            deadline: None,
-            ..*opts
-        };
-        self.find_descendants_deadline(start, target, &full_opts).0
-    }
-
-    /// Deadline-aware cached `a//B` evaluation for the serving path.
-    ///
-    /// A hit serves the complete cached answer (second element `false`). A
-    /// miss evaluates under the deadline in `opts`; if the budget expires
-    /// the partial prefix is returned with `true` and is *not* cached —
-    /// partial answers must never be served as complete ones later.
-    pub fn find_descendants_deadline(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> (Arc<Vec<QueryResult>>, bool) {
-        self.find_descendants_deadline_journaled(start, target, opts, None)
-    }
-
-    /// [`Self::find_descendants_deadline`] with flight-recorder events:
-    /// the cache verdict (`cache_hit`/`cache_miss` under the
-    /// [`SHARD_NONE`] sentinel), TinyLFU admission outcome, evaluator
-    /// spans, and deadline expiry are journaled under the handle's
-    /// request. The journal is write-only — results stay byte-identical
-    /// to the unjournaled call.
-    pub fn find_descendants_deadline_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> (Arc<Vec<QueryResult>>, bool) {
-        let generation = match self.lookup_for(start, target, opts) {
-            Ok(hit) => {
-                if let Some(j) = journal {
-                    j.event(EventKind::CacheHit { shard: SHARD_NONE });
-                }
-                return (hit, false);
-            }
-            Err(generation) => generation,
-        };
-        if let Some(j) = journal {
-            j.event(EventKind::CacheMiss { shard: SHARD_NONE });
-        }
-        let flix = self.framework();
-        // Evaluate uncapped so one entry serves every `max_results`.
-        let full_opts = QueryOptions {
-            max_results: None,
-            ..*opts
-        };
-        if let Some(j) = journal {
-            j.event(EventKind::EvalStart { shard: SHARD_NONE });
-        }
-        let outcome = flix.find_descendants_outcome_journaled(start, target, &full_opts, journal);
-        if let Some(j) = journal {
-            j.event(EventKind::EvalEnd {
-                results: outcome.results.len() as u64,
-            });
-        }
-        let fresh = Arc::new(outcome.results);
-        if outcome.timed_out {
-            return (clip(fresh, opts.max_results), true);
-        }
-        self.insert_full(start, target, opts, generation, Arc::clone(&fresh), journal);
-        (clip(fresh, opts.max_results), false)
-    }
-
-    /// The lookup half of [`Self::find_descendants_deadline`]: a hit
-    /// returns the clipped cached answer, a miss returns the generation
-    /// the caller must pass back to [`Self::insert_full`] so that a
-    /// racing [`Self::attach`] can never tag old-framework results with
-    /// the new generation. Counts hits/misses/invalidations.
-    ///
-    /// Split out so [`crate::shard::ShardedFlix`] can drive per-shard
-    /// caches while evaluating through its own local-attempt/fan-out
-    /// path instead of the attached framework.
-    pub(crate) fn lookup_for(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Result<Arc<Vec<QueryResult>>, u64> {
-        // Read the generation before the framework: if an `attach` lands in
-        // between, the fresh results are tagged with the older generation
-        // and correctly discarded on the next lookup.
-        let generation = self.generation.load(Ordering::Acquire);
+        shard_tag: u64,
+        ctx: &mut QueryCtx<'_>,
+        evaluate: impl FnOnce(&QueryOptions, &mut QueryCtx<'_>) -> QueryOutcome,
+    ) -> Answer {
+        // Capture the generation before `evaluate` reads the framework: if
+        // an `attach` lands in between, the fresh results are tagged with
+        // the older generation and correctly discarded on the next lookup —
+        // never old-framework results under the new generation.
+        let generation = self.generation();
         let key: Key = (start, target, OptsKey::from(opts));
         {
             let mut inner = self.inner.lock();
@@ -344,7 +252,12 @@ impl CachedFlix {
                 Some(entry) if entry.generation == generation => {
                     entry.stamp = tick;
                     self.hits.inc();
-                    return Ok(clip(Arc::clone(&entry.results), opts.max_results));
+                    ctx.event(EventKind::CacheHit { shard: shard_tag });
+                    return Answer {
+                        results: clip(Arc::clone(&entry.results), opts.max_results),
+                        timed_out: false,
+                        stats: None,
+                    };
                 }
                 Some(_) => {
                     // Computed under an older framework: never serve it.
@@ -355,26 +268,21 @@ impl CachedFlix {
             }
         }
         self.misses.inc();
-        Err(generation)
-    }
-
-    /// The insert half of [`Self::find_descendants_deadline`]: stores the
-    /// *uncapped* result vector for the keyed query under `generation`
-    /// (as returned by the preceding [`Self::lookup_for`] miss), subject
-    /// to the TinyLFU admission gate at capacity. Counts
-    /// evictions/admitted/rejected (journaling the same outcomes when a
-    /// handle is given). Callers must never insert partial (timed-out)
-    /// answers.
-    pub(crate) fn insert_full(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        generation: u64,
-        fresh: Arc<Vec<QueryResult>>,
-        journal: Option<&JournalHandle<'_>>,
-    ) {
-        let key: Key = (start, target, OptsKey::from(opts));
+        ctx.event(EventKind::CacheMiss { shard: shard_tag });
+        let uncapped = QueryOptions {
+            max_results: None,
+            ..*opts
+        };
+        let outcome = evaluate(&uncapped, ctx);
+        let fresh = Arc::new(outcome.results);
+        let answer = Answer {
+            results: clip(Arc::clone(&fresh), opts.max_results),
+            timed_out: outcome.timed_out,
+            stats: Some(outcome.stats),
+        };
+        if outcome.timed_out {
+            return answer;
+        }
         let mut inner = self.inner.lock();
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
             if let Some(victim) = inner
@@ -389,28 +297,25 @@ impl CachedFlix {
                     inner.map.remove(&victim);
                     self.evictions.inc();
                     self.admitted.inc();
-                    if let Some(j) = journal {
-                        j.event(EventKind::CacheEvict);
-                        j.event(EventKind::CacheAdmit);
-                    }
+                    ctx.event(EventKind::CacheEvict);
+                    ctx.event(EventKind::CacheAdmit);
                 } else {
                     self.rejected.inc();
-                    if let Some(j) = journal {
-                        j.event(EventKind::CacheReject);
-                    }
-                    return;
+                    ctx.event(EventKind::CacheReject);
+                    return answer;
                 }
             }
         }
-        let tick = inner.tick;
+        let stamp = inner.tick;
         inner.map.insert(
             key,
             Entry {
-                results: Arc::clone(&fresh),
+                results: fresh,
                 generation,
-                stamp: tick,
+                stamp,
             },
         );
+        answer
     }
 
     /// Drops every cached result immediately (entries from superseded
@@ -419,8 +324,7 @@ impl CachedFlix {
         self.inner.lock().map.clear();
     }
 
-    /// `(hits, misses)` counters (kept for callers that predate
-    /// [`Self::cache_stats`]).
+    /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
     }
@@ -489,6 +393,119 @@ impl CachedFlix {
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A FliX framework behind a [`ResultCache`] (whose counters and
+/// inspection methods it derefs to) that survives framework rebuilds (see
+/// [`CachedFlix::attach`]). The cache keys the descendants axis only;
+/// ancestors queries evaluate on the framework directly.
+pub struct CachedFlix {
+    flix: Mutex<Arc<Flix>>,
+    cache: ResultCache,
+}
+
+impl std::ops::Deref for CachedFlix {
+    type Target = ResultCache;
+
+    fn deref(&self) -> &ResultCache {
+        &self.cache
+    }
+}
+
+impl CachedFlix {
+    /// Wraps `flix` with a cache of at most `capacity` query results.
+    ///
+    /// # Panics
+    /// If `capacity` is zero.
+    pub fn new(flix: Arc<Flix>, capacity: usize) -> Self {
+        Self {
+            flix: Mutex::new(flix),
+            cache: ResultCache::new(capacity),
+        }
+    }
+
+    /// The currently attached framework.
+    pub fn framework(&self) -> Arc<Flix> {
+        Arc::clone(&self.flix.lock())
+    }
+
+    /// Swaps in a rebuilt (or extended) framework. All entries cached for
+    /// the previous framework become unservable immediately: the generation
+    /// bump outlives them, and lookups drop stale-generation entries.
+    pub fn attach(&self, flix: Arc<Flix>) {
+        // Order matters: swap the framework first, then bump. A racing
+        // query can then at worst insert results from the *old* framework
+        // under the *old* generation — already unservable — never results
+        // from the old framework under the new generation.
+        *self.flix.lock() = flix;
+        self.cache.generation.fetch_add(1, Ordering::Release);
+    }
+
+    /// Cached `a//B` evaluation. Any deadline in `opts` is stripped: this
+    /// entry point always returns (and caches) the complete answer.
+    pub fn find_descendants(
+        &self,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+    ) -> Arc<Vec<QueryResult>> {
+        let full_opts = QueryOptions {
+            deadline: None,
+            ..*opts
+        };
+        self.find_descendants_deadline(start, target, &full_opts).0
+    }
+
+    /// Deadline-aware cached `a//B` evaluation: the results and the
+    /// `timed_out` marker of [`QueryBackend::evaluate`] on the descendants
+    /// axis, observing nothing.
+    pub fn find_descendants_deadline(
+        &self,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+    ) -> (Arc<Vec<QueryResult>>, bool) {
+        let mut ctx = QueryCtx::default();
+        let answer = QueryBackend::evaluate(self, Axis::Descendants, start, target, opts, &mut ctx);
+        (answer.results, answer.timed_out)
+    }
+}
+
+impl QueryBackend for CachedFlix {
+    fn evaluate(
+        &self,
+        axis: Axis,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+        ctx: &mut QueryCtx<'_>,
+    ) -> Answer {
+        if axis == Axis::Ancestors {
+            return self
+                .framework()
+                .evaluate(axis, start, target, opts, ctx)
+                .into();
+        }
+        self.cache
+            .get_or_evaluate(start, target, opts, SHARD_NONE, ctx, |opts, ctx| {
+                self.framework().evaluate(axis, start, target, opts, ctx)
+            })
+    }
+
+    fn framework(self: Arc<Self>) -> Arc<Flix> {
+        CachedFlix::framework(&self)
+    }
+
+    /// The same cache object, re-attached: hit/miss history survives and
+    /// stale entries fall to the generation check.
+    fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
+        self.attach(rebuilt);
+        self
+    }
+
+    fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+        self.cache.publish_metrics(registry, labels);
     }
 }
 

@@ -10,26 +10,19 @@
 //! through the buffer pool, so the experiment harness can report true I/O
 //! counts instead of a cost model.
 
-use crate::framework::Flix;
+use crate::framework::{links_of, reversed_links, Flix};
 use crate::meta::MetaDocument;
-use crate::pee::{QueryOptions, QueryResult};
-use graphcore::{Distance, NodeId};
+use crate::pee::{
+    collect_axis_space, connection_test_space, Axis, ConnectionOutcome, MetaSpace, QueryCtx,
+    QueryOptions, QueryOutcome, QueryResult,
+};
+use crate::persist;
+use graphcore::NodeId;
 use pagestore::BlobStore;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use xmlgraph::TagId;
-
-#[derive(Serialize, Deserialize)]
-struct DiskManifest {
-    meta_count: usize,
-    meta_of: Vec<u32>,
-    local_of: Vec<u32>,
-    meta_nodes_base: Vec<NodeId>, // unused placeholder for format evolution
-    runtime_links: Vec<(NodeId, NodeId)>,
-}
 
 /// I/O-level counters of a [`DiskFlix`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -40,13 +33,18 @@ pub struct DiskExecStats {
     pub cache_misses: u64,
 }
 
-/// A query engine over indexes resident in a blob store.
+/// A query engine over indexes resident in a blob store: a
+/// [`MetaSpace`] whose `meta` faults the index in, so the shared evaluator
+/// loops run on it unchanged.
 pub struct DiskFlix {
     store: BlobStore,
     name: String,
     meta_of: Vec<u32>,
     local_of: Vec<u32>,
+    /// `(source, target)`, sorted by source.
     runtime_links: Vec<(NodeId, NodeId)>,
+    /// `(target, source)`, sorted by target.
+    runtime_links_rev: Vec<(NodeId, NodeId)>,
     meta_count: usize,
     cache: Mutex<LruCache>,
     hits: flixobs::Counter,
@@ -60,50 +58,36 @@ struct LruCache {
 }
 
 impl DiskFlix {
-    /// Persists `flix` into `store` under `name` and opens a disk-resident
-    /// engine over it with an index cache of `cache_capacity` meta
-    /// documents.
+    /// Persists `flix` into `store` under `name` ([`persist::save_flix`])
+    /// and opens a disk-resident engine over it with an index cache of
+    /// `cache_capacity` meta documents.
     pub fn save_and_open(
         flix: &Flix,
         mut store: BlobStore,
         name: &str,
         cache_capacity: usize,
     ) -> Result<Self, String> {
-        assert!(cache_capacity >= 1, "cache needs at least one slot");
-        let n = flix.collection().node_count();
-        let manifest = DiskManifest {
-            meta_count: flix.meta_count(),
-            meta_of: (0..n).map(|u| flix.meta_of(u as NodeId)).collect(),
-            local_of: (0..n).map(|u| flix.local_of(u as NodeId)).collect(),
-            meta_nodes_base: Vec::new(),
-            runtime_links: flix.runtime_links().to_vec(),
-        };
-        let bytes = pagestore::to_bytes(&manifest).map_err(|e| e.to_string())?;
-        store
-            .put(&format!("{name}/disk-manifest"), &bytes)
-            .map_err(|e| e.to_string())?;
-        for mi in 0..flix.meta_count() as u32 {
-            let bytes = pagestore::to_bytes(flix.meta(mi)).map_err(|e| e.to_string())?;
-            store
-                .put(&format!("{name}/meta-{mi}"), &bytes)
-                .map_err(|e| e.to_string())?;
-        }
+        persist::save_flix(flix, &mut store, name)?;
         Self::open(store, name, cache_capacity)
     }
 
-    /// Opens a previously saved disk-resident engine.
+    /// Opens a disk-resident engine over a framework saved with
+    /// [`persist::save_flix`]. Only the manifest is read; indexes are
+    /// loaded on demand.
+    ///
+    /// # Panics
+    /// If `cache_capacity` is zero.
     pub fn open(store: BlobStore, name: &str, cache_capacity: usize) -> Result<Self, String> {
-        let bytes = store
-            .get(&format!("{name}/disk-manifest"))
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| format!("no disk framework named {name:?}"))?;
-        let manifest: DiskManifest = pagestore::from_bytes(&bytes).map_err(|e| e.to_string())?;
+        assert!(cache_capacity >= 1, "cache needs at least one slot");
+        let manifest = persist::load_manifest(&store, name)?;
+        let runtime_links_rev = reversed_links(&manifest.runtime_links);
         Ok(Self {
             store,
             name: name.to_string(),
             meta_of: manifest.meta_of,
             local_of: manifest.local_of,
             runtime_links: manifest.runtime_links,
+            runtime_links_rev,
             meta_count: manifest.meta_count,
             cache: Mutex::new(LruCache {
                 capacity: cache_capacity,
@@ -132,14 +116,7 @@ impl DiskFlix {
             }
         }
         self.misses.inc();
-        let bytes = self
-            .store
-            .get(&format!("{}/meta-{id}", self.name))
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| format!("meta document {id} missing from store"))?;
-        let md: MetaDocument = pagestore::from_bytes(&bytes)
-            .map_err(|e| format!("meta document {id} does not decode: {e}"))?;
-        let md = Arc::new(md);
+        let md = Arc::new(persist::load_meta(&self.store, &self.name, id as usize)?);
         let mut cache = self.cache.lock();
         if cache.map.len() >= cache.capacity {
             if let Some(victim) = cache
@@ -156,17 +133,6 @@ impl DiskFlix {
         Ok(md)
     }
 
-    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        let start = self.runtime_links.partition_point(|&(s, _)| s < u);
-        let end = self.runtime_links.partition_point(|&(s, _)| s <= u);
-        &self.runtime_links[start..end]
-    }
-
-    /// Number of meta documents.
-    pub fn meta_count(&self) -> usize {
-        self.meta_count
-    }
-
     /// Cache counters.
     pub fn stats(&self) -> DiskExecStats {
         DiskExecStats {
@@ -175,72 +141,44 @@ impl DiskFlix {
         }
     }
 
-    /// `a//B` over disk-resident indexes: the Fig. 4 loop with each entry
-    /// pop loading its meta document through the cache.
+    /// The collected entry point over disk-resident indexes — the same
+    /// evaluation as [`Flix::evaluate`], every option included, with each
+    /// entry pop loading its meta document through the cache.
     ///
     /// # Errors
-    /// If a meta-document blob is missing or corrupt.
+    /// If a meta-document blob is missing or corrupt, or `start` is not an
+    /// element of the stored collection. A failure mid-query discards the
+    /// partial answer.
+    pub fn evaluate(
+        &self,
+        axis: Axis,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+        ctx: &mut QueryCtx<'_>,
+    ) -> Result<QueryOutcome, String> {
+        match collect_axis_space(self, axis, &[(start, 0)], target, opts, ctx)? {
+            (outcome, false) => Ok(outcome),
+            (_, true) => Err(format!(
+                "element {start} leads outside the stored collection"
+            )),
+        }
+    }
+
+    /// `a//B` over disk-resident indexes.
     ///
-    /// # Panics
-    /// If `opts.exact_order` is set: the disk engine implements only the
-    /// approximate (block-streamed) ordering. Use the in-memory engine for
-    /// exactly sorted results rather than silently degrading.
+    /// # Errors
+    /// See [`Self::evaluate`].
     pub fn find_descendants(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> Result<Vec<QueryResult>, String> {
-        assert!(
-            !opts.exact_order,
-            "DiskFlix implements approximate ordering only; use Flix for exact_order"
-        );
-        let mut out = Vec::new();
-        let mut queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>> = BinaryHeap::new();
-        let mut entries: Vec<Vec<u32>> = vec![Vec::new(); self.meta_count];
-        queue.push(Reverse((0, start, true)));
-        while let Some(Reverse((d, e, is_seed))) = queue.pop() {
-            if opts.max_distance.is_some_and(|m| d > m) {
-                break;
-            }
-            let meta = self.meta_of[e as usize];
-            let local = self.local_of[e as usize];
-            let md = self.load_meta(meta)?;
-            if entries[meta as usize]
-                .iter()
-                .any(|&p| md.index.is_reachable(p, local))
-            {
-                continue;
-            }
-            let include_self = if is_seed { opts.include_start } else { true };
-            for (r, dr) in md.index.descendants_by_label(local, target, include_self) {
-                let seen = entries[meta as usize]
-                    .iter()
-                    .any(|&p| md.index.is_reachable(p, r));
-                if seen {
-                    continue;
-                }
-                let total = d + dr;
-                if opts.max_distance.is_some_and(|m| total > m) {
-                    continue;
-                }
-                out.push(QueryResult {
-                    distance: total,
-                    node: md.nodes[r as usize],
-                });
-                if opts.max_results.is_some_and(|k| out.len() >= k) {
-                    return Ok(out);
-                }
-            }
-            for (ls, dls) in md.reachable_link_sources(local) {
-                let src = md.nodes[ls as usize];
-                for &(_, tgt) in self.links_out_of(src) {
-                    queue.push(Reverse((d + dls + 1, tgt, false)));
-                }
-            }
-            entries[meta as usize].push(local);
-        }
-        Ok(out)
+        let mut ctx = QueryCtx::default();
+        Ok(self
+            .evaluate(Axis::Descendants, start, target, opts, &mut ctx)?
+            .results)
     }
 
     /// Connection test over disk-resident indexes.
@@ -252,98 +190,174 @@ impl DiskFlix {
         from: NodeId,
         to: NodeId,
         opts: &QueryOptions,
-    ) -> Result<Option<Distance>, String> {
-        if from == to {
-            return Ok(Some(0));
-        }
-        let to_meta = self.meta_of[to as usize];
-        let to_local = self.local_of[to as usize];
-        let mut best: Option<Distance> = None;
-        let mut queue: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
-        let mut entries: Vec<Vec<u32>> = vec![Vec::new(); self.meta_count];
-        queue.push(Reverse((0, from)));
-        while let Some(Reverse((d, e))) = queue.pop() {
-            if best.is_some_and(|b| d >= b) {
-                break;
-            }
-            if opts.max_distance.is_some_and(|m| d > m) {
-                break;
-            }
-            let meta = self.meta_of[e as usize];
-            let local = self.local_of[e as usize];
-            let md = self.load_meta(meta)?;
-            if entries[meta as usize]
-                .iter()
-                .any(|&p| md.index.is_reachable(p, local))
-            {
-                continue;
-            }
-            if meta == to_meta {
-                if let Some(dd) = md.index.distance(local, to_local) {
-                    let cand = d + dd;
-                    if best.map_or(true, |b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            for (ls, dls) in md.reachable_link_sources(local) {
-                let src = md.nodes[ls as usize];
-                for &(_, tgt) in self.links_out_of(src) {
-                    queue.push(Reverse((d + dls + 1, tgt)));
-                }
-            }
-            entries[meta as usize].push(local);
-        }
-        Ok(best.filter(|&b| opts.max_distance.map_or(true, |m| b <= m)))
+    ) -> Result<ConnectionOutcome, String> {
+        connection_test_space(self, from, to, opts, false)
+    }
+}
+
+impl MetaSpace for DiskFlix {
+    type Meta<'a> = Arc<MetaDocument>;
+    type Error = String;
+
+    fn meta_count(&self) -> usize {
+        self.meta_count
+    }
+
+    fn resolve(&self, node: NodeId) -> Option<(u32, u32)> {
+        let meta = *self.meta_of.get(node as usize)?;
+        Some((meta, self.local_of[node as usize]))
+    }
+
+    fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
+        self.load_meta(id)
+    }
+
+    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
+        links_of(&self.runtime_links, u)
+    }
+
+    fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
+        links_of(&self.runtime_links_rev, v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FlixConfig;
+    use crate::config::{FlixConfig, StrategyKind};
+    use flixobs::Deadline;
     use pagestore::{BufferPool, DiskManager, MemDisk};
     use workloads::{descendant_queries, generate_dblp, DblpConfig};
 
-    fn setup(cache: usize) -> (Arc<xmlgraph::CollectionGraph>, Flix, DiskFlix, Arc<MemDisk>) {
-        let cg = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
-        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+    fn graph() -> Arc<xmlgraph::CollectionGraph> {
+        Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal())
+    }
+
+    /// A store over a deliberately tiny pool, so blob reloads must touch
+    /// the disk.
+    fn store() -> (BlobStore, Arc<MemDisk>) {
         let disk = Arc::new(MemDisk::new());
-        // a deliberately tiny pool so blob reloads must touch the disk
         let pool = Arc::new(BufferPool::new(disk.clone(), 4));
-        let store = BlobStore::new(pool);
+        (BlobStore::new(pool), disk)
+    }
+
+    fn setup(config: FlixConfig, cache: usize) -> (Flix, DiskFlix, Arc<MemDisk>) {
+        let flix = Flix::build(graph(), config);
+        let (store, disk) = store();
         let dflix = DiskFlix::save_and_open(&flix, store, "fw", cache).unwrap();
-        (cg, flix, dflix, disk)
+        (flix, dflix, disk)
+    }
+
+    /// The disk == memory oracle: same loop, same data, so results,
+    /// termination marker and counters all agree — for every strategy,
+    /// both axes, every option, and with a one-slot index cache.
+    #[test]
+    fn disk_answers_match_in_memory_byte_for_byte() {
+        let cg = graph();
+        for (config, cache) in [
+            (FlixConfig::Naive, 16),
+            (FlixConfig::Naive, 1),
+            (FlixConfig::MaximalPpo, 16),
+            (FlixConfig::UnconnectedHopi { partition_size: 40 }, 16),
+            (FlixConfig::Monolithic(StrategyKind::Apex), 16),
+        ] {
+            let (flix, dflix, _) = setup(config, cache);
+            for q in descendant_queries(&cg, 8, 44) {
+                for axis in [Axis::Descendants, Axis::Ancestors] {
+                    for opts in [
+                        QueryOptions::default(),
+                        QueryOptions::top_k(3),
+                        QueryOptions::within(4),
+                        QueryOptions::exact(),
+                    ] {
+                        let mut ctx = QueryCtx::default();
+                        let mem = flix.evaluate(axis, q.start, q.target_tag, &opts, &mut ctx);
+                        let dsk = dflix
+                            .evaluate(axis, q.start, q.target_tag, &opts, &mut ctx)
+                            .unwrap();
+                        let case = format!("{config} cache={cache} {axis:?} {opts:?}");
+                        assert_eq!(mem.results, dsk.results, "{case}");
+                        assert_eq!(mem.timed_out, dsk.timed_out, "{case}");
+                        assert_eq!(mem.stats, dsk.stats, "{case}");
+                    }
+                }
+            }
+            for p in workloads::connection_pairs(&cg, 12, 9) {
+                for opts in [QueryOptions::default(), QueryOptions::within(3)] {
+                    assert_eq!(
+                        flix.connection_test(p.from, p.to, &opts),
+                        dflix.connection_test(p.from, p.to, &opts).unwrap(),
+                        "{config} cache={cache} {}->{}",
+                        p.from,
+                        p.to
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn disk_answers_match_in_memory() {
-        let (cg, flix, dflix, _) = setup(16);
-        for q in descendant_queries(&cg, 8, 44) {
-            let mem = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-            let dsk = dflix
-                .find_descendants(q.start, q.target_tag, &QueryOptions::default())
+    fn zero_budget_deadline_times_out_with_empty_prefix() {
+        let (_, dflix, _) = setup(FlixConfig::Naive, 4);
+        let q = descendant_queries(&graph(), 1, 44)[0];
+        for opts in [QueryOptions::default(), QueryOptions::exact()] {
+            let opts = opts.with_deadline(Deadline::within_micros(0));
+            let mut ctx = QueryCtx::default();
+            let out = dflix
+                .evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx)
                 .unwrap();
-            assert_eq!(mem, dsk);
+            assert!(out.timed_out);
+            assert!(out.results.is_empty());
+        }
+    }
+
+    /// A blob that goes missing or stops decoding after `open` is only
+    /// discovered when a query pops into it: that query must fail as a
+    /// whole, whatever it had already collected.
+    #[test]
+    fn corrupt_meta_blob_mid_query_is_an_error_not_a_partial_answer() {
+        let cg = graph();
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        // A query that crosses meta documents, and the last one it enters.
+        let (q, victim) = descendant_queries(&cg, 8, 44)
+            .into_iter()
+            .find_map(|q| {
+                let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+                let last = flix.meta_of(res.last()?.node);
+                (last != flix.meta_of(q.start)).then_some((q, last))
+            })
+            .expect("some query leaves its start document");
+        let damage: [fn(&mut BlobStore, &str); 2] = [
+            |store, blob| assert!(store.remove(blob)),
+            |store, blob| store.put(blob, b"not a meta document").unwrap(),
+        ];
+        for damage in damage {
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            damage(&mut store, &format!("fw/meta-{victim}"));
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+            assert!(got.is_err(), "partial answer returned: {got:?}");
+            let to = flix.meta(victim).nodes[0];
+            assert!(dflix
+                .connection_test(q.start, to, &QueryOptions::default())
+                .is_err());
         }
     }
 
     #[test]
-    fn connection_tests_match() {
-        let (cg, flix, dflix, _) = setup(16);
-        for p in workloads::connection_pairs(&cg, 12, 9) {
-            assert_eq!(
-                flix.connection_test(p.from, p.to, &QueryOptions::default()),
-                dflix
-                    .connection_test(p.from, p.to, &QueryOptions::default())
-                    .unwrap()
-            );
-        }
+    fn start_outside_the_collection_is_an_error() {
+        let (flix, dflix, _) = setup(FlixConfig::Naive, 4);
+        let beyond = flix.collection().node_count() as NodeId;
+        assert!(dflix
+            .find_descendants(beyond, 0, &QueryOptions::default())
+            .is_err());
     }
 
     #[test]
     fn small_cache_causes_reloads() {
-        let (cg, _, dflix, disk) = setup(2);
+        let cg = graph();
+        let (_, dflix, disk) = setup(FlixConfig::Naive, 2);
         let before = disk.stats().reads;
         for q in descendant_queries(&cg, 6, 45) {
             let _ = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
@@ -355,8 +369,8 @@ mod tests {
             "misses must hit the disk through the pool"
         );
         // a larger cache over the same workload misses less
-        let (cg2, _, dflix2, _) = setup(64);
-        for q in descendant_queries(&cg2, 6, 45) {
+        let (_, dflix2, _) = setup(FlixConfig::Naive, 64);
+        for q in descendant_queries(&cg, 6, 45) {
             let _ = dflix2.find_descendants(q.start, q.target_tag, &QueryOptions::default());
         }
         let st2 = dflix2.stats();
@@ -365,8 +379,6 @@ mod tests {
 
     #[test]
     fn open_missing_name_errors() {
-        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 8));
-        let store = BlobStore::new(pool);
-        assert!(DiskFlix::open(store, "nope", 4).is_err());
+        assert!(DiskFlix::open(store().0, "nope", 4).is_err());
     }
 }

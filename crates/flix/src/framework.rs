@@ -59,6 +59,21 @@ fn build_one(
     }
 }
 
+/// The slice of a link table (sorted by first component) keyed by `key`.
+pub(crate) fn links_of(links: &[(NodeId, NodeId)], key: NodeId) -> &[(NodeId, NodeId)] {
+    let start = links.partition_point(|&(k, _)| k < key);
+    let end = links.partition_point(|&(k, _)| k <= key);
+    &links[start..end]
+}
+
+/// The reverse of a `(source, target)` link table: `(target, source)`
+/// pairs sorted by target.
+pub(crate) fn reversed_links(links: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
+    let mut reversed: Vec<(NodeId, NodeId)> = links.iter().map(|&(u, v)| (v, u)).collect();
+    reversed.sort_unstable();
+    reversed
+}
+
 /// A built FliX framework: meta documents, their indexes, and the runtime
 /// link table the query evaluator chases.
 #[derive(Debug, Clone)]
@@ -157,9 +172,7 @@ impl Flix {
         }
         runtime_links.sort_unstable();
         runtime_links.dedup();
-        let mut runtime_links_rev: Vec<(NodeId, NodeId)> =
-            runtime_links.iter().map(|&(u, v)| (v, u)).collect();
-        runtime_links_rev.sort_unstable();
+        let runtime_links_rev = reversed_links(&runtime_links);
 
         // The per-meta L_i sets (§4.2) and their ancestor-query mirrors.
         for &(u, v) in &runtime_links {
@@ -209,9 +222,7 @@ impl Flix {
         runtime_links: Vec<(NodeId, NodeId)>,
         report: BuildReport,
     ) -> Self {
-        let mut runtime_links_rev: Vec<(NodeId, NodeId)> =
-            runtime_links.iter().map(|&(u, v)| (v, u)).collect();
-        runtime_links_rev.sort_unstable();
+        let runtime_links_rev = reversed_links(&runtime_links);
         Self {
             graph,
             config,
@@ -352,9 +363,7 @@ impl Flix {
         }
         runtime_links.sort_unstable();
         runtime_links.dedup();
-        let mut runtime_links_rev: Vec<(NodeId, NodeId)> =
-            runtime_links.iter().map(|&(u, v)| (v, u)).collect();
-        runtime_links_rev.sort_unstable();
+        let runtime_links_rev = reversed_links(&runtime_links);
 
         for m in &mut metas {
             m.link_sources.clear();
@@ -460,16 +469,12 @@ impl Flix {
 
     /// Runtime links out of `u` (global ids).
     pub fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        let start = self.runtime_links.partition_point(|&(s, _)| s < u);
-        let end = self.runtime_links.partition_point(|&(s, _)| s <= u);
-        &self.runtime_links[start..end]
+        links_of(&self.runtime_links, u)
     }
 
     /// Runtime links into `v`, as `(target, source)` pairs.
     pub fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
-        let start = self.runtime_links_rev.partition_point(|&(t, _)| t < v);
-        let end = self.runtime_links_rev.partition_point(|&(t, _)| t <= v);
-        &self.runtime_links_rev[start..end]
+        links_of(&self.runtime_links_rev, v)
     }
 
     /// All runtime links, sorted by source.
@@ -584,9 +589,7 @@ impl flixcheck::IntegrityCheck for Flix {
             !unsorted,
             || "duplicate or out-of-order entry in runtime_links".to_string(),
         );
-        let mut want_rev: Vec<(NodeId, NodeId)> =
-            self.runtime_links.iter().map(|&(u, v)| (v, u)).collect();
-        want_rev.sort_unstable();
+        let want_rev = reversed_links(&self.runtime_links);
         audit.check(
             "reverse link table mirrors the forward one",
             self.runtime_links_rev == want_rev,

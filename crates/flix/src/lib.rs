@@ -61,6 +61,8 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
+/// The `QueryBackend` trait: one interface over the three evaluation stacks.
+pub mod backend;
 /// Query-result caching layered over a built framework.
 pub mod cache;
 /// Framework configuration and per-meta-document strategy selection.
@@ -85,23 +87,24 @@ pub mod query;
 pub mod report;
 /// Sharded serving: per-shard index views with cross-shard merge.
 pub mod shard;
-/// Top-k aggregation (NRA) over scored result streams.
-pub mod topk;
 /// Workload monitoring and reconfiguration recommendations.
 pub mod tuning;
 /// Vague queries: tag similarity and distance-decayed scoring (§1).
 pub mod vague;
 
-pub use cache::{CacheStats, CachedFlix};
+pub use backend::{Answer, QueryBackend};
+pub use cache::{CacheStats, CachedFlix, ResultCache};
 pub use config::{BuildOptions, FlixConfig, StrategyKind, StrategySelector};
 pub use diskexec::{DiskExecStats, DiskFlix};
 pub use framework::{Flix, FlixStats, MetaDocStats};
 pub use meta::{MetaDocument, MetaIndex};
 pub use obs::QueryPathMetrics;
-pub use pee::{PeeStats, QueryOptions, QueryOutcome, QueryResult, ResultStream};
+pub use pee::{
+    Axis, ConnectionOutcome, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult,
+    ResultStream,
+};
 pub use query::{PathQuery, QueryBinding, QueryEngine};
 pub use report::{BuildReport, MetaBuildReport};
 pub use shard::{ShardPlan, ShardStats, ShardedFlix, ShardedStats};
-pub use topk::{top_k_nra, Aggregation, TopKResult};
 pub use tuning::{LoadMonitor, Recommendation, SharedLoadMonitor};
 pub use vague::{ScoredResult, TagSimilarity, VagueEvaluator, VagueQuery};

@@ -13,11 +13,11 @@
 //! with and without it.
 
 use crate::framework::Flix;
-use crate::pee::{PeeStats, QueryOptions, QueryResult};
+use crate::pee::{ConnectionOutcome, PeeStats, QueryOptions, QueryResult};
 use flixobs::{
     Counter, Histogram, MetricsRegistry, QueryTrace, SlowQuery, SlowQueryLog, SpanStage, Stopwatch,
 };
-use graphcore::{Distance, NodeId};
+use graphcore::NodeId;
 use xmlgraph::TagId;
 
 /// Default number of worst traces the slow-query log retains.
@@ -105,14 +105,15 @@ impl QueryPathMetrics {
         to: NodeId,
         opts: &QueryOptions,
         label: &str,
-    ) -> (Option<Distance>, PeeStats) {
+    ) -> ConnectionOutcome {
         let sw = Stopwatch::start();
-        let (dist, stats) = flix.connection_test_traced(from, to, opts);
+        let outcome = flix.connection_test(from, to, opts);
         let mut trace = QueryTrace::new(label);
         trace.finish(sw.elapsed_micros());
-        self.record(trace.total_micros(), &stats, usize::from(dist.is_some()));
+        let found = usize::from(outcome.distance.is_some());
+        self.record(trace.total_micros(), &outcome.stats, found);
         self.slow_log.offer(trace);
-        (dist, stats)
+        outcome
     }
 
     /// Records one finished query into the aggregate metrics (used by the
@@ -209,8 +210,11 @@ mod tests {
         let (flix, _) = tiny();
         let registry = MetricsRegistry::new();
         let obs = QueryPathMetrics::register(&registry, &[]);
-        let (dist, _) = obs.connection_test(&flix, 0, 2, &QueryOptions::default(), "0->2");
-        assert_eq!(dist, flix.connection_test(0, 2, &QueryOptions::default()));
+        let observed = obs.connection_test(&flix, 0, 2, &QueryOptions::default(), "0->2");
+        assert_eq!(
+            observed,
+            flix.connection_test(0, 2, &QueryOptions::default())
+        );
         assert_eq!(obs.queries(), 1);
         assert_eq!(registry.counter("flix_results_total").get(), 1);
     }

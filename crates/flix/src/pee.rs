@@ -14,14 +14,21 @@
 //! entry reachable from an earlier entry of the same meta document is
 //! subsumed and dropped; a result reachable from an earlier entry has
 //! already been returned and is skipped.
+//!
+//! There is exactly one copy of each loop: [`evaluate_axis_space`] for the
+//! axis queries and [`ConnectionSearch`] for connection tests, both generic
+//! over the [`MetaSpace`] they run on — the in-memory framework, one
+//! shard's view, the cross-shard merge, or the disk-resident engine.
 
 use crate::framework::Flix;
-use flixobs::journal::{EventKind, JournalHandle};
+use crate::meta::MetaDocument;
+use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
 use flixobs::{Deadline, QueryTrace, SpanCounters, SpanStage, Stopwatch};
 use graphcore::{Distance, NodeId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::ops::ControlFlow;
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::convert::Infallible;
+use std::ops::{ControlFlow, Deref};
 use xmlgraph::TagId;
 
 /// One query answer: a node and its (approximate) distance from the start.
@@ -54,7 +61,7 @@ pub struct QueryOptions {
     /// Per-request time budget, checked once per queue pop (no clock reads
     /// when unset). On expiry the evaluation stops and the results emitted
     /// so far stand as a partial prefix of the full answer; the outcome
-    /// variants report the cut via their `timed_out` marker.
+    /// reports the cut via its `timed_out` marker.
     pub deadline: Option<Deadline>,
 }
 
@@ -92,9 +99,41 @@ impl QueryOptions {
     }
 }
 
-/// A collected query answer plus its termination status, for callers that
-/// need to distinguish a complete answer from a deadline-cut prefix (the
-/// serving path does; plain [`Flix::find_descendants`] ignores deadlines).
+/// Direction of an axis evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Axis {
+    /// Forward reachability (`a//B`).
+    Descendants,
+    /// Backward reachability: elements from which the start is reachable.
+    Ancestors,
+}
+
+/// Who, besides the caller, observes an evaluation. Both observers are
+/// write-only — no branch of the evaluator consults them, so the result
+/// stream is byte-identical with and without them — and the default
+/// observes nothing: no clock is read, no journal touched. (The deadline
+/// is not here: it is part of the request, see [`QueryOptions::deadline`].)
+#[derive(Default)]
+pub struct QueryCtx<'a> {
+    /// Receives one timed span per queue pop, block fetch and link
+    /// expansion, and the evaluation's total time.
+    pub trace: Option<&'a mut QueryTrace>,
+    /// Flight-recorder handle bound to the request: routing, cache and
+    /// evaluator events are journaled under it.
+    pub journal: Option<&'a JournalHandle<'a>>,
+}
+
+impl QueryCtx<'_> {
+    /// Journals `kind` if a recorder is attached.
+    pub(crate) fn event(&self, kind: EventKind) {
+        if let Some(j) = self.journal {
+            j.event(kind);
+        }
+    }
+}
+
+/// A collected query answer plus its termination status and the work it
+/// took.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// The (possibly partial) results, in the evaluator's streamed order.
@@ -104,6 +143,18 @@ pub struct QueryOutcome {
     /// first — still distance-ordered under `exact_order`.
     pub timed_out: bool,
     /// Evaluation counters.
+    pub stats: PeeStats,
+}
+
+/// The verdict of a connection test `a//b` plus the work it took, so the
+/// §7 load monitor can account connection workloads like axis queries
+/// (every pop is an index lookup, every distance probe a row fetch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConnectionOutcome {
+    /// The (approximate) distance, or `None` when not connected within
+    /// `max_distance` (or the deadline).
+    pub distance: Option<Distance>,
+    /// Evaluation counters, both directions combined.
     pub stats: PeeStats,
 }
 
@@ -137,17 +188,6 @@ impl PeeStats {
     }
 }
 
-impl From<PeeStats> for SpanCounters {
-    fn from(s: PeeStats) -> Self {
-        SpanCounters {
-            entries_popped: s.entries_popped as u64,
-            entries_subsumed: s.entries_subsumed as u64,
-            rows_scanned: s.block_results_scanned as u64,
-            links_expanded: s.links_expanded as u64,
-        }
-    }
-}
-
 /// Counter delta between two evaluator snapshots, for span attribution.
 fn counters_since(before: &PeeStats, after: &PeeStats) -> SpanCounters {
     SpanCounters {
@@ -158,30 +198,29 @@ fn counters_since(before: &PeeStats, after: &PeeStats) -> SpanCounters {
     }
 }
 
-/// Direction of an axis evaluation.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Axis {
-    /// Forward reachability (`a//B`).
-    Descendants,
-    /// Backward reachability.
-    Ancestors,
-}
-
-/// The node universe an evaluation runs over: the full framework, or one
-/// shard's view of it (see [`crate::shard`]). The evaluator in
-/// [`evaluate_axis_space`] is generic over this trait, so the sharded and
-/// unsharded paths execute the *same* loop over the same meta-document
-/// data — which is what makes their result streams byte-identical.
+/// The node universe an evaluation runs over: the full framework, one
+/// shard's view of it, the cross-shard merge (see [`crate::shard`]), or
+/// indexes resident in a blob store ([`crate::diskexec`]). Both evaluator
+/// loops are generic over this trait, so every path executes the *same*
+/// loop over the same meta-document data — which is what makes their
+/// result streams byte-identical.
 pub(crate) trait MetaSpace {
+    /// How the space hands out a meta document: a plain borrow in memory,
+    /// a shared handle when the index was just faulted in from disk.
+    type Meta<'a>: Deref<Target = MetaDocument>
+    where
+        Self: 'a;
+    /// Why a meta document could not be produced ([`Infallible`] in
+    /// memory). An evaluation that hits one ends with this error — never
+    /// with a partial answer.
+    type Error;
     /// Number of meta documents in this space.
     fn meta_count(&self) -> usize;
     /// `(meta, local)` of a global node, or `None` when the node lies
     /// outside this space (a shard view popped a cross-shard link target).
     fn resolve(&self, node: NodeId) -> Option<(u32, u32)>;
-    /// Meta document accessor (ids are space-local).
-    fn meta(&self, id: u32) -> &crate::meta::MetaDocument;
-    /// Global id of `(meta, local)`.
-    fn global_of(&self, meta: u32, local: u32) -> NodeId;
+    /// Meta document accessor (ids are space-local); called once per pop.
+    fn meta(&self, id: u32) -> Result<Self::Meta<'_>, Self::Error>;
     /// Runtime links out of `u` (global ids) known to this space.
     fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)];
     /// Runtime links into `v`, as `(target, source)` pairs.
@@ -189,6 +228,9 @@ pub(crate) trait MetaSpace {
 }
 
 impl MetaSpace for Flix {
+    type Meta<'a> = &'a MetaDocument;
+    type Error = Infallible;
+
     fn meta_count(&self) -> usize {
         Flix::meta_count(self)
     }
@@ -200,12 +242,8 @@ impl MetaSpace for Flix {
         (meta != u32::MAX).then(|| (meta, Flix::local_of(self, node)))
     }
 
-    fn meta(&self, id: u32) -> &crate::meta::MetaDocument {
-        Flix::meta(self, id)
-    }
-
-    fn global_of(&self, meta: u32, local: u32) -> NodeId {
-        Flix::global_of(self, meta, local)
+    fn meta(&self, id: u32) -> Result<&MetaDocument, Infallible> {
+        Ok(Flix::meta(self, id))
     }
 
     fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
@@ -217,11 +255,55 @@ impl MetaSpace for Flix {
     }
 }
 
+/// Unwraps the result of an evaluation over an in-memory space.
+pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}
+
+/// §5.1's duplicate test: does the earlier entry `seen` cover `later`
+/// (reach it going down, or get reached by it going up)?
+fn covers(md: &MetaDocument, axis: Axis, seen: u32, later: u32) -> bool {
+    match axis {
+        Axis::Descendants => md.index.is_reachable(seen, later),
+        Axis::Ancestors => md.index.is_reachable(later, seen),
+    }
+}
+
+/// Fig. 4's `findReachableLinks`: visits the far end of every runtime link
+/// leaving `md` that the entry `local` reaches along `axis`, with the
+/// distance from the entry to that far end.
+fn for_each_link<S: MetaSpace + ?Sized>(
+    space: &S,
+    md: &MetaDocument,
+    axis: Axis,
+    local: u32,
+    mut visit: impl FnMut(Distance, NodeId),
+) {
+    match axis {
+        Axis::Descendants => {
+            for (ls, dls) in md.reachable_link_sources(local) {
+                for &(_, tgt) in space.links_out_of(md.nodes[ls as usize]) {
+                    visit(dls + 1, tgt);
+                }
+            }
+        }
+        Axis::Ancestors => {
+            for (lt, dlt) in md.reaching_link_targets(local) {
+                for &(_, src) in space.links_into(md.nodes[lt as usize]) {
+                    visit(dlt + 1, src);
+                }
+            }
+        }
+    }
+}
+
 /// How a space-generic evaluation ended.
 pub(crate) enum EvalEnd {
     /// The evaluation ran to completion (or was cut by its deadline /
-    /// result cap / distance bound — the same exits the unsharded
-    /// evaluator has).
+    /// result cap / distance bound / the emit callback).
     Done {
         /// True when the deadline expired before the evaluation finished.
         timed_out: bool,
@@ -234,70 +316,77 @@ pub(crate) enum EvalEnd {
 }
 
 impl Flix {
+    /// The collected entry point: evaluates `start // target` along `axis`
+    /// (for [`Axis::Ancestors`]: all elements with tag `target` from which
+    /// `start` is reachable) and returns the results with the `timed_out`
+    /// marker and the evaluation counters. With a journal in `ctx` the
+    /// evaluation is bracketed by `eval_start`/`eval_end` events.
+    pub fn evaluate(
+        &self,
+        axis: Axis,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+        ctx: &mut QueryCtx<'_>,
+    ) -> QueryOutcome {
+        ctx.event(EventKind::EvalStart { shard: SHARD_NONE });
+        // A full framework resolves every node, so the evaluation cannot
+        // escape; shard views are only evaluated through `crate::shard`.
+        let seeds = [(start, 0)];
+        let (outcome, _) = never(collect_axis_space(self, axis, &seeds, target, opts, ctx));
+        ctx.event(EventKind::EvalEnd {
+            results: outcome.results.len() as u64,
+        });
+        outcome
+    }
+
     /// `a//B`: all descendants of `start` with tag `target`, streamed to
-    /// `emit` in approximately ascending distance order. `emit` may stop
-    /// the evaluation early by returning [`ControlFlow::Break`].
+    /// `emit` in approximately ascending distance order together with the
+    /// evaluation counters at emission time (the paper's deployment paid
+    /// one database round trip per entry pop, so the harness attributes
+    /// per-result costs from them). `emit` may stop the evaluation early
+    /// by returning [`ControlFlow::Break`]. Returns the final counters.
     pub fn for_each_descendant(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-        emit: impl FnMut(QueryResult) -> ControlFlow<()>,
-    ) {
-        self.evaluate_axis(&[(start, 0)], target, opts, Axis::Descendants, emit);
+        emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
+    ) -> PeeStats {
+        let seeds = [(start, 0)];
+        let mut ctx = QueryCtx::default();
+        never(evaluate_axis_space(
+            self,
+            &seeds,
+            target,
+            opts,
+            Axis::Descendants,
+            &mut ctx,
+            emit,
+        ))
+        .1
     }
 
-    /// Like [`Self::for_each_descendant`], but the callback also receives a
-    /// snapshot of the evaluation counters at emission time, and the final
-    /// counters are returned. Used by the benchmark harness to attribute
-    /// per-result costs (the paper's deployment paid one database round
-    /// trip per entry pop).
-    pub fn for_each_descendant_traced(
+    /// `a//B` collected into a vector.
+    pub fn find_descendants(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-        emit: impl FnMut(QueryResult, PeeStats) -> ControlFlow<()>,
-    ) -> PeeStats {
-        let mut stats = PeeStats::default();
-        self.evaluate_axis_traced(
-            &[(start, 0)],
-            target,
-            opts,
-            Axis::Descendants,
-            &mut stats,
-            None,
-            emit,
-        );
-        stats
+    ) -> Vec<QueryResult> {
+        self.find_descendants_outcome(start, target, opts).results
     }
 
-    /// Like [`Self::for_each_descendant_traced`], but additionally records
-    /// timed spans (queue pop → block fetch → link expansion) into `trace`
-    /// and stamps the query's end-to-end latency via
-    /// [`QueryTrace::finish`]. Tracing only observes the evaluation: the
-    /// result stream is identical with and without it (proven by test).
-    pub fn for_each_descendant_with_trace(
+    /// `a//B` collected into a vector along with the `timed_out` marker and
+    /// the evaluation counters.
+    pub fn find_descendants_outcome(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-        trace: &mut QueryTrace,
-        emit: impl FnMut(QueryResult, PeeStats) -> ControlFlow<()>,
-    ) -> PeeStats {
-        let sw = Stopwatch::start();
-        let mut stats = PeeStats::default();
-        self.evaluate_axis_traced(
-            &[(start, 0)],
-            target,
-            opts,
-            Axis::Descendants,
-            &mut stats,
-            Some(trace),
-            emit,
-        );
-        trace.finish(sw.elapsed_micros());
-        stats
+    ) -> QueryOutcome {
+        let mut ctx = QueryCtx::default();
+        self.evaluate(Axis::Descendants, start, target, opts, &mut ctx)
     }
 
     /// `a//B` collected into a vector, with a full per-query trace and the
@@ -309,112 +398,12 @@ impl Flix {
         opts: &QueryOptions,
         trace: &mut QueryTrace,
     ) -> (Vec<QueryResult>, PeeStats) {
-        let mut out = Vec::new();
-        let stats = self.for_each_descendant_with_trace(start, target, opts, trace, |r, _| {
-            out.push(r);
-            ControlFlow::Continue(())
-        });
-        (out, stats)
-    }
-
-    /// `a//B` collected into a vector.
-    pub fn find_descendants(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Vec<QueryResult> {
-        let mut out = Vec::new();
-        self.for_each_descendant(start, target, opts, |r| {
-            out.push(r);
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// `a//B` collected into a vector along with the `timed_out` marker and
-    /// the evaluation counters — the deadline-aware entry point used by the
-    /// serving path.
-    pub fn find_descendants_outcome(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
-        self.axis_outcome_journaled(start, target, opts, Axis::Descendants, None)
-    }
-
-    /// [`Self::find_descendants_outcome`] with flight-recorder events:
-    /// evaluator span boundaries and deadline expiry are journaled under
-    /// the handle's request. The journal is write-only — the result
-    /// stream is byte-identical to the unjournaled call.
-    pub fn find_descendants_outcome_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> QueryOutcome {
-        self.axis_outcome_journaled(start, target, opts, Axis::Descendants, journal)
-    }
-
-    /// Ancestors variant of [`Self::find_descendants_outcome`].
-    pub fn find_ancestors_outcome(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
-        self.axis_outcome_journaled(start, target, opts, Axis::Ancestors, None)
-    }
-
-    /// Ancestors variant of [`Self::find_descendants_outcome_journaled`].
-    pub fn find_ancestors_outcome_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> QueryOutcome {
-        self.axis_outcome_journaled(start, target, opts, Axis::Ancestors, journal)
-    }
-
-    /// Shared body of the outcome entry points.
-    fn axis_outcome_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        axis: Axis,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> QueryOutcome {
-        let mut stats = PeeStats::default();
-        let mut results = Vec::new();
-        let end = evaluate_axis_space(
-            self,
-            &[(start, 0)],
-            target,
-            opts,
-            axis,
-            &mut stats,
-            None,
-            journal,
-            |r, _| {
-                results.push(r);
-                ControlFlow::Continue(())
-            },
-        );
-        let timed_out = match end {
-            EvalEnd::Done { timed_out } => timed_out,
-            // A full framework resolves every node; see
-            // `evaluate_axis_traced`.
-            EvalEnd::Escaped => false,
+        let mut ctx = QueryCtx {
+            trace: Some(trace),
+            journal: None,
         };
-        QueryOutcome {
-            results,
-            timed_out,
-            stats,
-        }
+        let outcome = self.evaluate(Axis::Descendants, start, target, opts, &mut ctx);
+        (outcome.results, outcome.stats)
     }
 
     /// Ancestors variant: all elements with tag `target` from which `start`
@@ -425,17 +414,16 @@ impl Flix {
         target: TagId,
         opts: &QueryOptions,
     ) -> Vec<QueryResult> {
-        let mut out = Vec::new();
-        self.evaluate_axis(&[(start, 0)], target, opts, Axis::Ancestors, |r| {
-            out.push(r);
-            ControlFlow::Continue(())
-        });
-        out
+        let mut ctx = QueryCtx::default();
+        self.evaluate(Axis::Ancestors, start, target, opts, &mut ctx)
+            .results
     }
 
     /// `A//B` (§5.2): descendants with tag `target` of *any* element with
     /// tag `source`. Every source element seeds the queue at priority 0;
-    /// distances are minima over the seeds.
+    /// distances are minima over the seeds. A match may be a (non-strict)
+    /// descendant of a *different* source element; whether a source matches
+    /// itself is governed by `include_start` like any seed.
     pub fn find_descendants_of_type(
         &self,
         source: TagId,
@@ -448,19 +436,9 @@ impl Flix {
             .iter()
             .map(|&u| (u, 0))
             .collect();
-        let mut out = Vec::new();
-        // A//B includes matches that are (non-strict) descendants of a
-        // *different* source element, so self-matching is handled by the
-        // multi-seed include-self semantics below.
-        let opts = QueryOptions {
-            include_start: opts.include_start,
-            ..*opts
-        };
-        self.evaluate_axis(&seeds, target, &opts, Axis::Descendants, |r| {
-            out.push(r);
-            ControlFlow::Continue(())
-        });
-        out
+        let mut ctx = QueryCtx::default();
+        let collected = collect_axis_space(self, Axis::Descendants, &seeds, target, opts, &mut ctx);
+        never(collected).0.results
     }
 
     /// Connection test `a//b` (§5.2): is `to` reachable from `from`, and at
@@ -472,207 +450,81 @@ impl Flix {
         from: NodeId,
         to: NodeId,
         opts: &QueryOptions,
-    ) -> Option<Distance> {
-        self.connection_test_traced(from, to, opts).0
-    }
-
-    /// [`Self::connection_test`] plus the evaluation counters, so the §7
-    /// load monitor can account connection workloads like axis queries
-    /// (every pop is an index lookup, every distance probe a row fetch).
-    pub fn connection_test_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        opts: &QueryOptions,
-    ) -> (Option<Distance>, PeeStats) {
-        let mut stats = PeeStats::default();
-        if from == to {
-            return (Some(0), stats);
-        }
-        let to_meta = self.meta_of(to);
-        let to_local = self.local_of(to);
-        let mut best: Option<Distance> = None;
-        let mut queue: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
-        let mut entries: Vec<Vec<u32>> = vec![Vec::new(); self.meta_count()];
-        queue.push(Reverse((0, from)));
-        while let Some(Reverse((d, e))) = queue.pop() {
-            if opts.deadline.is_some_and(|dl| dl.expired()) {
-                break; // budget spent: the best candidate so far stands
-            }
-            if let Some(b) = best {
-                if d >= b {
-                    break; // no remaining entry can improve the answer
-                }
-            }
-            if let Some(limit) = opts.max_distance {
-                if d > limit {
-                    break;
-                }
-            }
-            let meta = self.meta_of(e);
-            let local = self.local_of(e);
-            let md = self.meta(meta);
-            if entries[meta as usize]
-                .iter()
-                .any(|&p| md.index.is_reachable(p, local))
-            {
-                stats.entries_subsumed += 1;
-                continue; // subsumed by an earlier entry
-            }
-            stats.entries_popped += 1;
-            if meta == to_meta {
-                // one in-meta distance probe = one row fetch
-                stats.block_results_scanned += 1;
-                if let Some(dd) = md.index.distance(local, to_local) {
-                    let cand = d + dd;
-                    if best.map_or(true, |b| cand < b) {
-                        best = Some(cand);
-                    }
-                }
-            }
-            for (ls, dls) in md.reachable_link_sources(local) {
-                let global_src = self.global_of(meta, ls);
-                for &(_, tgt) in self.links_out_of(global_src) {
-                    stats.links_expanded += 1;
-                    queue.push(Reverse((d + dls + 1, tgt)));
-                }
-            }
-            entries[meta as usize].push(local);
-        }
-        (
-            best.filter(|&b| opts.max_distance.map_or(true, |m| b <= m)),
-            stats,
-        )
+    ) -> ConnectionOutcome {
+        never(connection_test_space(self, from, to, opts, false))
     }
 
     /// Bidirectional connection test (§5.2's sketched optimisation): one
     /// search walks forward from `from` over descendants, a second walks
     /// backward from `to` over ancestors, popping entries alternately. The
     /// first side to *confirm* a connection (its queue lower bound can no
-    /// longer improve its best candidate) answers; if both exhaust without
-    /// finding one, the elements are not connected. Depending on the fan-in
-    /// and fan-out around the endpoints either side may finish orders of
-    /// magnitude earlier than a one-sided search.
+    /// longer improve its best candidate) answers; if either exhausts
+    /// without finding one, the elements are not connected. Depending on
+    /// the fan-in and fan-out around the endpoints either side may finish
+    /// orders of magnitude earlier than a one-sided search.
     pub fn connection_test_bidirectional(
         &self,
         from: NodeId,
         to: NodeId,
         opts: &QueryOptions,
-    ) -> Option<Distance> {
-        self.connection_test_bidirectional_traced(from, to, opts).0
-    }
-
-    /// [`Self::connection_test_bidirectional`] plus the combined counters
-    /// of both search directions.
-    pub fn connection_test_bidirectional_traced(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        opts: &QueryOptions,
-    ) -> (Option<Distance>, PeeStats) {
-        if from == to {
-            return (Some(0), PeeStats::default());
-        }
-        let mut fwd = ConnectionSearch::new(self, from, to, Axis::Descendants, opts.max_distance);
-        let mut bwd = ConnectionSearch::new(self, to, from, Axis::Ancestors, opts.max_distance);
-        let combined = |fwd: &ConnectionSearch<'_>, bwd: &ConnectionSearch<'_>| {
-            let mut s = fwd.stats;
-            s.absorb(bwd.stats);
-            s
-        };
-        loop {
-            if opts.deadline.is_some_and(|dl| dl.expired()) {
-                // Budget spent: report the better unconfirmed candidate.
-                let best = fwd.best.into_iter().chain(bwd.best).min();
-                return (best, combined(&fwd, &bwd));
-            }
-            match fwd.step() {
-                SearchStep::Confirmed(d) => return (Some(d), combined(&fwd, &bwd)),
-                SearchStep::Exhausted => {
-                    // forward saw everything reachable: its verdict is final
-                    return (fwd.best, combined(&fwd, &bwd));
-                }
-                SearchStep::Progress => {}
-            }
-            match bwd.step() {
-                SearchStep::Confirmed(d) => return (Some(d), combined(&fwd, &bwd)),
-                SearchStep::Exhausted => {
-                    return (bwd.best, combined(&fwd, &bwd));
-                }
-                SearchStep::Progress => {}
-            }
-        }
-    }
-
-    /// Shared axis evaluator (Fig. 4 generalised over direction and
-    /// multiple seeds).
-    fn evaluate_axis(
-        &self,
-        seeds: &[(NodeId, Distance)],
-        target: TagId,
-        opts: &QueryOptions,
-        axis: Axis,
-        mut emit: impl FnMut(QueryResult) -> ControlFlow<()>,
-    ) {
-        let mut stats = PeeStats::default();
-        self.evaluate_axis_traced(seeds, target, opts, axis, &mut stats, None, |r, _| emit(r));
-    }
-
-    /// The instrumented core of the evaluator, for the full framework.
-    /// Returns whether the evaluation was cut by the deadline in `opts`.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_axis_traced(
-        &self,
-        seeds: &[(NodeId, Distance)],
-        target: TagId,
-        opts: &QueryOptions,
-        axis: Axis,
-        stats: &mut PeeStats,
-        trace: Option<&mut QueryTrace>,
-        emit: impl FnMut(QueryResult, PeeStats) -> ControlFlow<()>,
-    ) -> bool {
-        match evaluate_axis_space(self, seeds, target, opts, axis, stats, trace, None, emit) {
-            EvalEnd::Done { timed_out } => timed_out,
-            // A full framework resolves every node, so the evaluation can
-            // never escape; shard views only evaluate through
-            // `crate::shard`, which handles the escape itself.
-            EvalEnd::Escaped => false,
-        }
+    ) -> ConnectionOutcome {
+        never(connection_test_space(self, from, to, opts, true))
     }
 }
 
-/// The instrumented core of the evaluator (Fig. 4 generalised over
-/// direction, multiple seeds, and the node universe).
+/// Runs one evaluation from `seeds` and collects it. The flag is true
+/// when the evaluation escaped the space (see [`EvalEnd::Escaped`]): the
+/// caller must then discard the outcome.
+pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
+    space: &S,
+    axis: Axis,
+    seeds: &[(NodeId, Distance)],
+    target: TagId,
+    opts: &QueryOptions,
+    ctx: &mut QueryCtx<'_>,
+) -> Result<(QueryOutcome, bool), S::Error> {
+    let mut results = Vec::new();
+    let (end, stats) = evaluate_axis_space(space, seeds, target, opts, axis, ctx, |r, _| {
+        results.push(r);
+        ControlFlow::Continue(())
+    })?;
+    let outcome = QueryOutcome {
+        results,
+        timed_out: matches!(end, EvalEnd::Done { timed_out: true }),
+        stats,
+    };
+    Ok((outcome, matches!(end, EvalEnd::Escaped)))
+}
+
+/// The one Fig. 4 loop, generalised over direction, multiple seeds, and
+/// the node universe. Returns how the evaluation ended and its counters.
 ///
-/// With `trace` set, every queue pop (including the §5.1 subsumption
+/// With `ctx.trace` set, every queue pop (including the §5.1 subsumption
 /// check), meta-index block materialisation, and link-expansion step is
 /// recorded as a timed span carrying the counter deltas charged during
-/// it. The trace is write-only from the evaluator's point of view — no
-/// branch of the algorithm consults it — so the emitted result stream
-/// is bit-identical with tracing on and off.
+/// it, and the trace is stamped with the evaluation's total time. With
+/// `ctx.journal` set, a deadline cut is recorded as a flight-recorder
+/// event. Both are write-only from the evaluator's point of view — no
+/// branch of the algorithm consults them — so the emitted result stream
+/// is bit-identical with them on and off, and with neither set no clock
+/// is read and no journal touched.
 ///
 /// The priority queue orders entries by `(distance, node)` — the heap is a
 /// *set* of keyed entries, so any space presenting the same meta documents
 /// and link tables drives the loop through the same pop sequence. A shard
 /// view presents exactly the full framework's data for its own metas, which
 /// is why a run that never escapes is byte-identical to the unsharded one.
-///
-/// `journal` follows the same write-only discipline as `trace`: with it
-/// set, a deadline cut is recorded as a flight-recorder event; with it
-/// unset no journal (and no extra clock read) is touched.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     space: &S,
     seeds: &[(NodeId, Distance)],
     target: TagId,
     opts: &QueryOptions,
     axis: Axis,
-    stats: &mut PeeStats,
-    mut trace: Option<&mut QueryTrace>,
-    journal: Option<&JournalHandle<'_>>,
-    mut emit: impl FnMut(QueryResult, PeeStats) -> ControlFlow<()>,
-) -> EvalEnd {
-    let trace_clock = trace.as_ref().map(|_| Stopwatch::start());
+    ctx: &mut QueryCtx<'_>,
+    mut emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
+) -> Result<(EvalEnd, PeeStats), S::Error> {
+    let mut stats = PeeStats::default();
+    let trace_clock = ctx.trace.as_ref().map(|_| Stopwatch::start());
     let mut queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>> = BinaryHeap::new();
     let mut entries: Vec<Vec<u32>> = vec![Vec::new(); space.meta_count()];
     let mut returned = 0usize;
@@ -681,93 +533,96 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     // `best` deduplicates by node with the minimum distance; stale heap
     // entries are dropped lazily.
     let mut hold: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
-    let mut best: std::collections::HashMap<NodeId, Distance> = std::collections::HashMap::new();
-    let mut emitted: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+    let mut best: HashMap<NodeId, Distance> = HashMap::new();
+    let mut emitted: HashSet<NodeId> = HashSet::new();
     // Exact mode replaces §5.1 subsumption with Dijkstra-style entry
     // settling: every entry node is processed once, at its minimal
     // queue distance — reachability subsumption could hide shorter
     // paths that enter a meta document through a different element.
-    let mut settled: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+    let mut settled: HashSet<NodeId> = HashSet::new();
     for &(s, d) in seeds {
         // the bool marks seed entries, whose self-match behaviour is
         // governed by `include_start`
         queue.push(Reverse((d, s, true)));
     }
-    let mut timed_out = false;
-    while let Some(Reverse((d, e, is_seed))) = queue.pop() {
-        // Deadline check: one clock read per pop, none when unset. The
-        // emitted prefix stands; nothing buffered is released.
-        if opts.deadline.is_some_and(|dl| dl.expired()) {
-            if let Some(j) = journal {
-                j.event(EventKind::DeadlineExpired {
-                    budget_micros: opts.deadline.map(|dl| dl.budget_micros()).unwrap_or(0),
-                });
-            }
-            timed_out = true;
-            break;
+    // Hands one result to the caller; true when the evaluation must stop
+    // (the callback broke off, or the result cap is reached).
+    let mut deliver = |result: QueryResult, stats: &PeeStats| {
+        if emit(result, stats).is_break() {
+            return true;
         }
+        returned += 1;
+        opts.max_results.is_some_and(|k| returned >= k)
+    };
+    let end = 'eval: loop {
+        let next = queue.pop();
+        // Deadline check: one clock read per pop, none when unset. The
+        // emitted prefix stands; nothing buffered is released — a shorter
+        // result could still have appeared.
+        if next.is_some() && opts.deadline.is_some_and(|dl| dl.expired()) {
+            ctx.event(EventKind::DeadlineExpired {
+                budget_micros: opts.deadline.map(|dl| dl.budget_micros()).unwrap_or(0),
+            });
+            break EvalEnd::Done { timed_out: true };
+        }
+        // An entry past the distance bound ends the evaluation exactly like
+        // a drained queue.
+        let next = next.filter(|&Reverse((d, ..))| !opts.max_distance.is_some_and(|m| d > m));
         // Release buffered results that no future entry can beat: every
-        // path through a remaining entry costs at least `d`.
+        // path through a remaining entry costs at least its `d`; with no
+        // entry remaining, everything still buffered is final.
         if opts.exact_order {
+            let bound = next.map_or(Distance::MAX, |Reverse((d, ..))| d);
             while let Some(&Reverse((bd, bn))) = hold.peek() {
-                if bd > d {
+                if bd > bound {
                     break;
                 }
                 hold.pop();
                 if best.get(&bn) != Some(&bd) || !emitted.insert(bn) {
                     continue; // stale or already emitted
                 }
-                if let ControlFlow::Break(()) = emit(
-                    QueryResult {
-                        distance: bd,
-                        node: bn,
-                    },
-                    *stats,
-                ) {
-                    return EvalEnd::Done { timed_out: false };
-                }
-                returned += 1;
-                if opts.max_results.is_some_and(|k| returned >= k) {
-                    return EvalEnd::Done { timed_out: false };
+                let result = QueryResult {
+                    distance: bd,
+                    node: bn,
+                };
+                if deliver(result, &stats) {
+                    break 'eval EvalEnd::Done { timed_out: false };
                 }
             }
         }
-        if let Some(limit) = opts.max_distance {
-            if d > limit {
-                break;
-            }
-        }
+        let Some(Reverse((d, e, is_seed))) = next else {
+            break EvalEnd::Done { timed_out: false };
+        };
         let pop_t0 = trace_clock.map(|c| c.elapsed_micros());
-        let pop_before = *stats;
+        let pop_before = stats;
         let Some((meta, local)) = space.resolve(e) else {
             // The node lives outside this space: a shard view chased a
             // cross-shard link. The caller falls back to a space that
             // covers it; nothing emitted so far may be kept.
-            return EvalEnd::Escaped;
+            break 'eval EvalEnd::Escaped;
         };
-        let md = space.meta(meta);
+        let md = space.meta(meta)?;
 
         // §5.1 duplicate elimination, step 1: drop subsumed entries.
         // (Exact mode settles per entry node instead — see above.)
         let subsumed = if opts.exact_order {
             !settled.insert(e)
         } else {
-            entries[meta as usize].iter().any(|&p| match axis {
-                Axis::Descendants => md.index.is_reachable(p, local),
-                Axis::Ancestors => md.index.is_reachable(local, p),
-            })
+            entries[meta as usize]
+                .iter()
+                .any(|&p| covers(&md, axis, p, local))
         };
         if subsumed {
             stats.entries_subsumed += 1;
         } else {
             stats.entries_popped += 1;
         }
-        if let (Some(tr), Some(c), Some(t0)) = (trace.as_deref_mut(), trace_clock, pop_t0) {
+        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, pop_t0) {
             tr.record(
                 SpanStage::QueuePop,
                 t0,
                 c.elapsed_micros().saturating_sub(t0),
-                counters_since(&pop_before, stats),
+                counters_since(&pop_before, &stats),
             );
         }
         if subsumed {
@@ -779,41 +634,33 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         // work is charged up front.
         let include_self = if is_seed { opts.include_start } else { true };
         let fetch_t0 = trace_clock.map(|c| c.elapsed_micros());
-        let fetch_before = *stats;
-        let block = match axis {
-            Axis::Descendants => {
-                let (block, work) =
-                    md.index
-                        .descendants_by_label_counted(local, target, include_self);
-                stats.block_results_scanned += work;
-                block
-            }
-            Axis::Ancestors => {
-                let (block, work) =
-                    md.index
-                        .ancestors_by_label_counted(local, target, include_self);
-                stats.block_results_scanned += work;
-                block
-            }
+        let fetch_before = stats;
+        let (block, work) = match axis {
+            Axis::Descendants => md
+                .index
+                .descendants_by_label_counted(local, target, include_self),
+            Axis::Ancestors => md
+                .index
+                .ancestors_by_label_counted(local, target, include_self),
         };
+        stats.block_results_scanned += work;
         // The span covers only the block materialisation, not the emit
         // callbacks below — client time is not evaluator time.
-        if let (Some(tr), Some(c), Some(t0)) = (trace.as_deref_mut(), trace_clock, fetch_t0) {
+        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, fetch_t0) {
             tr.record(
                 SpanStage::BlockFetch,
                 t0,
                 c.elapsed_micros().saturating_sub(t0),
-                counters_since(&fetch_before, stats),
+                counters_since(&fetch_before, &stats),
             );
         }
         for (r, dr) in block {
             // §5.1 step 2: skip results an earlier entry already
             // returned. (Exact mode dedups through the best map.)
             let seen = !opts.exact_order
-                && entries[meta as usize].iter().any(|&p| match axis {
-                    Axis::Descendants => md.index.is_reachable(p, r),
-                    Axis::Ancestors => md.index.is_reachable(r, p),
-                });
+                && entries[meta as usize]
+                    .iter()
+                    .any(|&p| covers(&md, axis, p, r));
             if seen {
                 continue;
             }
@@ -821,7 +668,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             if opts.max_distance.is_some_and(|m| total > m) {
                 continue;
             }
-            let node = space.global_of(meta, r);
+            let node = md.nodes[r as usize];
             if opts.exact_order {
                 if emitted.contains(&node) {
                     continue;
@@ -837,72 +684,32 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
                 distance: total,
                 node,
             };
-            if let ControlFlow::Break(()) = emit(result, *stats) {
-                return EvalEnd::Done { timed_out: false };
-            }
-            returned += 1;
-            if opts.max_results.is_some_and(|k| returned >= k) {
-                return EvalEnd::Done { timed_out: false };
+            if deliver(result, &stats) {
+                break 'eval EvalEnd::Done { timed_out: false };
             }
         }
 
         // Expand runtime links (Fig. 4's `findReachableLinks`).
         let link_t0 = trace_clock.map(|c| c.elapsed_micros());
-        let link_before = *stats;
-        match axis {
-            Axis::Descendants => {
-                for (ls, dls) in md.reachable_link_sources(local) {
-                    let global_src = space.global_of(meta, ls);
-                    for &(_, tgt) in space.links_out_of(global_src) {
-                        stats.links_expanded += 1;
-                        queue.push(Reverse((d + dls + 1, tgt, false)));
-                    }
-                }
-            }
-            Axis::Ancestors => {
-                for (lt, dlt) in md.reaching_link_targets(local) {
-                    let global_tgt = space.global_of(meta, lt);
-                    for &(_, src) in space.links_into(global_tgt) {
-                        stats.links_expanded += 1;
-                        queue.push(Reverse((d + dlt + 1, src, false)));
-                    }
-                }
-            }
-        }
-        if let (Some(tr), Some(c), Some(t0)) = (trace.as_deref_mut(), trace_clock, link_t0) {
+        let link_before = stats;
+        for_each_link(space, &md, axis, local, |hop, far| {
+            stats.links_expanded += 1;
+            queue.push(Reverse((d + hop, far, false)));
+        });
+        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, link_t0) {
             tr.record(
                 SpanStage::LinkExpand,
                 t0,
                 c.elapsed_micros().saturating_sub(t0),
-                counters_since(&link_before, stats),
+                counters_since(&link_before, &stats),
             );
         }
         entries[meta as usize].push(local);
+    };
+    if let (Some(tr), Some(c)) = (ctx.trace.as_deref_mut(), trace_clock) {
+        tr.finish(c.elapsed_micros());
     }
-    // Queue drained: everything still buffered is final; drain in order.
-    // Not so on a deadline cut — a shorter result could still have
-    // appeared — so the buffer is dropped and the emitted prefix stands.
-    if opts.exact_order && !timed_out {
-        while let Some(Reverse((bd, bn))) = hold.pop() {
-            if best.get(&bn) != Some(&bd) || !emitted.insert(bn) {
-                continue;
-            }
-            if let ControlFlow::Break(()) = emit(
-                QueryResult {
-                    distance: bd,
-                    node: bn,
-                },
-                *stats,
-            ) {
-                return EvalEnd::Done { timed_out: false };
-            }
-            returned += 1;
-            if opts.max_results.is_some_and(|k| returned >= k) {
-                return EvalEnd::Done { timed_out: false };
-            }
-        }
-    }
-    EvalEnd::Done { timed_out }
+    Ok((end, stats))
 }
 
 /// Outcome of one step of a [`ConnectionSearch`].
@@ -916,10 +723,12 @@ enum SearchStep {
 }
 
 /// One direction of a (possibly bidirectional) connection test, advanced
-/// one entry pop at a time.
-struct ConnectionSearch<'f> {
-    flix: &'f Flix,
-    target: NodeId,
+/// one entry pop at a time: the Fig. 4 loop with the block lookup replaced
+/// by a single in-meta distance probe against the target.
+struct ConnectionSearch<'s, S: MetaSpace + ?Sized> {
+    space: &'s S,
+    /// `(meta, local)` of the element searched for.
+    target: Option<(u32, u32)>,
     axis: Axis,
     max_distance: Option<Distance>,
     queue: BinaryHeap<Reverse<(Distance, NodeId)>>,
@@ -928,57 +737,53 @@ struct ConnectionSearch<'f> {
     stats: PeeStats,
 }
 
-impl<'f> ConnectionSearch<'f> {
+impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
     fn new(
-        flix: &'f Flix,
+        space: &'s S,
         start: NodeId,
         target: NodeId,
         axis: Axis,
         max_distance: Option<Distance>,
     ) -> Self {
-        let mut queue = BinaryHeap::new();
-        queue.push(Reverse((0, start)));
         Self {
-            flix,
-            target,
+            space,
+            target: space.resolve(target),
             axis,
             max_distance,
-            queue,
-            entries: vec![Vec::new(); flix.meta_count()],
+            queue: BinaryHeap::from([Reverse((0, start))]),
+            entries: vec![Vec::new(); space.meta_count()],
             best: None,
             stats: PeeStats::default(),
         }
     }
 
-    fn step(&mut self) -> SearchStep {
+    fn step(&mut self) -> Result<SearchStep, S::Error> {
         let Some(Reverse((d, e))) = self.queue.pop() else {
-            return SearchStep::Exhausted;
+            return Ok(SearchStep::Exhausted);
         };
         if let Some(b) = self.best {
             if d >= b {
-                return SearchStep::Confirmed(b);
+                return Ok(SearchStep::Confirmed(b));
             }
         }
         if self.max_distance.is_some_and(|m| d > m) {
-            return SearchStep::Exhausted;
+            return Ok(SearchStep::Exhausted);
         }
-        let meta = self.flix.meta_of(e);
-        let local = self.flix.local_of(e);
-        let md = self.flix.meta(meta);
+        let Some((meta, local)) = self.space.resolve(e) else {
+            return Ok(SearchStep::Progress); // outside the space: nothing to search
+        };
+        let md = self.space.meta(meta)?;
         let subsumed = self.entries[meta as usize]
             .iter()
-            .any(|&p| match self.axis {
-                Axis::Descendants => md.index.is_reachable(p, local),
-                Axis::Ancestors => md.index.is_reachable(local, p),
-            });
+            .any(|&p| covers(&md, self.axis, p, local));
         if subsumed {
             self.stats.entries_subsumed += 1;
-            return SearchStep::Progress;
+            return Ok(SearchStep::Progress);
         }
         self.stats.entries_popped += 1;
-        if meta == self.flix.meta_of(self.target) {
+        if let Some((_, t_local)) = self.target.filter(|&(t_meta, _)| t_meta == meta) {
+            // one in-meta distance probe = one row fetch
             self.stats.block_results_scanned += 1;
-            let t_local = self.flix.local_of(self.target);
             let found = match self.axis {
                 Axis::Descendants => md.index.distance(local, t_local),
                 Axis::Ancestors => md.index.distance(t_local, local),
@@ -992,29 +797,57 @@ impl<'f> ConnectionSearch<'f> {
                 }
             }
         }
-        match self.axis {
-            Axis::Descendants => {
-                for (ls, dls) in md.reachable_link_sources(local) {
-                    let src = self.flix.global_of(meta, ls);
-                    for &(_, tgt) in self.flix.links_out_of(src) {
-                        self.stats.links_expanded += 1;
-                        self.queue.push(Reverse((d + dls + 1, tgt)));
-                    }
-                }
+        for_each_link(self.space, &md, self.axis, local, |hop, far| {
+            self.stats.links_expanded += 1;
+            self.queue.push(Reverse((d + hop, far)));
+        });
+        self.entries[meta as usize].push(local);
+        Ok(SearchStep::Progress)
+    }
+}
+
+/// Connection test over any space: one forward search from `from`, plus —
+/// when `both_ways` — a backward search from `to`, stepped alternately
+/// until one side delivers a verdict. A spent deadline (checked before
+/// every step, no clock read when unset) reports the best unconfirmed
+/// candidate.
+pub(crate) fn connection_test_space<S: MetaSpace + ?Sized>(
+    space: &S,
+    from: NodeId,
+    to: NodeId,
+    opts: &QueryOptions,
+    both_ways: bool,
+) -> Result<ConnectionOutcome, S::Error> {
+    if from == to {
+        return Ok(ConnectionOutcome {
+            distance: Some(0),
+            stats: PeeStats::default(),
+        });
+    }
+    let side =
+        |start, target, axis| ConnectionSearch::new(space, start, target, axis, opts.max_distance);
+    let mut sides = vec![side(from, to, Axis::Descendants)];
+    if both_ways {
+        sides.push(side(to, from, Axis::Ancestors));
+    }
+    let distance = 'search: loop {
+        for side in 0..sides.len() {
+            if opts.deadline.is_some_and(|dl| dl.expired()) {
+                break 'search sides.iter().filter_map(|s| s.best).min();
             }
-            Axis::Ancestors => {
-                for (lt, dlt) in md.reaching_link_targets(local) {
-                    let tgt = self.flix.global_of(meta, lt);
-                    for &(_, src) in self.flix.links_into(tgt) {
-                        self.stats.links_expanded += 1;
-                        self.queue.push(Reverse((d + dlt + 1, src)));
-                    }
-                }
+            match sides[side].step()? {
+                SearchStep::Confirmed(d) => break 'search Some(d),
+                // this side saw everything reachable: its verdict is final
+                SearchStep::Exhausted => break 'search sides[side].best,
+                SearchStep::Progress => {}
             }
         }
-        self.entries[meta as usize].push(local);
-        SearchStep::Progress
+    };
+    let mut stats = PeeStats::default();
+    for side in &sides {
+        stats.absorb(side.stats);
     }
+    Ok(ConnectionOutcome { distance, stats })
 }
 
 /// A streamed result list, fed by a background evaluator thread.
@@ -1039,7 +872,7 @@ impl ResultStream {
         // instead of buffering an arbitrarily large result list.
         let (tx, rx) = crossbeam::channel::bounded(1024);
         let handle = std::thread::spawn(move || {
-            flix.for_each_descendant(start, target, &opts, |r| {
+            flix.for_each_descendant(start, target, &opts, |r, _| {
                 if tx.send(r).is_err() {
                     ControlFlow::Break(()) // client hung up: cancel
                 } else {
@@ -1051,11 +884,6 @@ impl ResultStream {
             receiver: rx,
             handle: Some(handle),
         }
-    }
-
-    /// Non-blocking poll for the next result.
-    pub fn try_next(&self) -> Option<QueryResult> {
-        self.receiver.try_recv().ok()
     }
 }
 
@@ -1232,22 +1060,21 @@ mod tests {
         let cg = chain3();
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
+            let test =
+                |from, to, opts: &QueryOptions| flix.connection_test(from, to, opts).distance;
             assert_eq!(
-                flix.connection_test(0, 6, &QueryOptions::default()),
+                test(0, 6, &QueryOptions::default()),
                 Some(6),
                 "0 -> 6 via two links, config {config}"
             );
+            assert_eq!(test(0, 0, &QueryOptions::default()), Some(0));
             assert_eq!(
-                flix.connection_test(0, 0, &QueryOptions::default()),
-                Some(0)
-            );
-            assert_eq!(
-                flix.connection_test(6, 0, &QueryOptions::default()),
+                test(6, 0, &QueryOptions::default()),
                 None,
                 "no backward path, config {config}"
             );
             assert_eq!(
-                flix.connection_test(0, 6, &QueryOptions::within(3)),
+                test(0, 6, &QueryOptions::within(3)),
                 None,
                 "threshold cuts off, config {config}"
             );
@@ -1411,8 +1238,9 @@ mod tests {
             let flix = Flix::build(cg.clone(), config);
             for from in 0..7u32 {
                 for to in 0..7u32 {
-                    let uni = flix.connection_test(from, to, &QueryOptions::default());
-                    let bi = flix.connection_test_bidirectional(from, to, &QueryOptions::default());
+                    let opts = QueryOptions::default();
+                    let uni = flix.connection_test(from, to, &opts).distance;
+                    let bi = flix.connection_test_bidirectional(from, to, &opts).distance;
                     assert_eq!(uni.is_some(), bi.is_some(), "{from}->{to} under {config}");
                     if let (Some(a), Some(b)) = (uni, bi) {
                         // both are approximate; they must agree on the
@@ -1436,42 +1264,27 @@ mod tests {
             }
             let mut monitor = LoadMonitor::new();
 
-            let (dist, stats) = flix.connection_test_traced(0, 6, &QueryOptions::default());
-            assert_eq!(dist, Some(6), "config {config}");
+            let ConnectionOutcome { distance, stats } =
+                flix.connection_test(0, 6, &QueryOptions::default());
+            assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
             assert!(
                 stats.block_results_scanned > 0,
                 "config {config}: {stats:?}"
             );
-            monitor.record(stats, usize::from(dist.is_some()));
+            monitor.record(stats, usize::from(distance.is_some()));
 
-            let (dist, stats) =
-                flix.connection_test_bidirectional_traced(0, 6, &QueryOptions::default());
-            assert_eq!(dist, Some(6), "config {config}");
+            let ConnectionOutcome { distance, stats } =
+                flix.connection_test_bidirectional(0, 6, &QueryOptions::default());
+            assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
-            monitor.record(stats, usize::from(dist.is_some()));
+            monitor.record(stats, usize::from(distance.is_some()));
 
             assert_eq!(monitor.queries(), 2);
             assert!(monitor.avg_lookups() > 0.0, "config {config}");
             assert!(monitor.avg_links() > 0.0, "config {config}");
-        }
-    }
-
-    #[test]
-    fn traced_connection_tests_agree_with_untraced() {
-        let cg = chain3();
-        for config in all_configs() {
-            let flix = Flix::build(cg.clone(), config);
-            for from in 0..7u32 {
-                for to in 0..7u32 {
-                    let plain = flix.connection_test(from, to, &QueryOptions::default());
-                    let (traced, _) =
-                        flix.connection_test_traced(from, to, &QueryOptions::default());
-                    assert_eq!(plain, traced, "{from}->{to} under {config}");
-                }
-            }
         }
     }
 
@@ -1481,20 +1294,12 @@ mod tests {
         let a = cg.collection.tags.get("a").unwrap();
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
-            let mut stats = PeeStats::default();
-            let mut out = Vec::new();
-            flix.evaluate_axis_traced(
-                &[(5, 0)],
-                a,
-                &QueryOptions::default(),
-                Axis::Ancestors,
-                &mut stats,
-                None,
-                |r, _| {
-                    out.push(r);
-                    ControlFlow::Continue(())
-                },
-            );
+            let mut ctx = QueryCtx::default();
+            let QueryOutcome {
+                results: out,
+                stats,
+                ..
+            } = flix.evaluate(Axis::Ancestors, 5, a, &QueryOptions::default(), &mut ctx);
             assert_eq!(out.len(), 2, "config {config}");
             // counted symmetry: the work charged covers at least the rows
             // returned, exactly like the descendants direction
@@ -1515,9 +1320,8 @@ mod tests {
             let flix = Flix::build(cg.clone(), config);
             // Full evaluation, for reference.
             let mut full = PeeStats::default();
-            flix.for_each_descendant_traced(0, b, &QueryOptions::default(), |r, s| {
-                full = s;
-                let _ = r;
+            flix.for_each_descendant(0, b, &QueryOptions::default(), |_, s| {
+                full = *s;
                 ControlFlow::Continue(())
             });
             // Break after the first result: counters must reflect the work
@@ -1526,8 +1330,8 @@ mod tests {
             // full run, and critically *not* zero.
             let mut early = PeeStats::default();
             let mut seen = 0usize;
-            flix.for_each_descendant_traced(0, b, &QueryOptions::default(), |_, s| {
-                early = s;
+            flix.for_each_descendant(0, b, &QueryOptions::default(), |_, s| {
+                early = *s;
                 seen += 1;
                 ControlFlow::Break(())
             });
@@ -1564,8 +1368,8 @@ mod tests {
             };
             let mut stats = PeeStats::default();
             let mut results = Vec::new();
-            flix.for_each_descendant_traced(0, b, &opts, |r, s| {
-                stats = s;
+            flix.for_each_descendant(0, b, &opts, |r, s| {
+                stats = *s;
                 results.push(r);
                 ControlFlow::Continue(())
             });
@@ -1643,7 +1447,7 @@ mod tests {
 
         let a = cg.collection.tags.get("a").unwrap();
         let anc = flix.find_ancestors(5, a, &QueryOptions::default());
-        let out = flix.find_ancestors_outcome(5, a, &opts);
+        let out = flix.evaluate(Axis::Ancestors, 5, a, &opts, &mut QueryCtx::default());
         assert!(!out.timed_out);
         assert_eq!(out.results, anc);
     }
@@ -1653,14 +1457,16 @@ mod tests {
         let cg = chain3();
         let flix = Flix::build(cg, FlixConfig::Naive);
         let expired = QueryOptions::default().with_deadline(Deadline::within_micros(0));
+        let uni = |from, to, opts: &QueryOptions| flix.connection_test(from, to, opts).distance;
+        let bi = |opts: &QueryOptions| flix.connection_test_bidirectional(0, 6, opts).distance;
         // from == to answers before the evaluation loop even starts
-        assert_eq!(flix.connection_test(0, 0, &expired), Some(0));
+        assert_eq!(uni(0, 0, &expired), Some(0));
         // an expired budget yields no confirmed connection
-        assert_eq!(flix.connection_test(0, 6, &expired), None);
-        assert_eq!(flix.connection_test_bidirectional(0, 6, &expired), None);
+        assert_eq!(uni(0, 6, &expired), None);
+        assert_eq!(bi(&expired), None);
         let generous = QueryOptions::default().with_deadline(Deadline::within_micros(60_000_000));
-        assert_eq!(flix.connection_test(0, 6, &generous), Some(6));
-        assert_eq!(flix.connection_test_bidirectional(0, 6, &generous), Some(6));
+        assert_eq!(uni(0, 6, &generous), Some(6));
+        assert_eq!(bi(&generous), Some(6));
     }
 
     #[test]

@@ -18,14 +18,36 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
+/// The in-memory "catalogue" of a stored framework. The one on-disk
+/// framework layout: [`load_flix`] reads every index behind it eagerly,
+/// [`crate::diskexec::DiskFlix`] faults them in per lookup.
 #[derive(Serialize, Deserialize)]
-struct Manifest {
-    config: FlixConfig,
-    node_count: usize,
-    meta_count: usize,
-    meta_of: Vec<u32>,
-    local_of: Vec<u32>,
-    runtime_links: Vec<(NodeId, NodeId)>,
+pub(crate) struct Manifest {
+    pub(crate) config: FlixConfig,
+    pub(crate) node_count: usize,
+    pub(crate) meta_count: usize,
+    pub(crate) meta_of: Vec<u32>,
+    pub(crate) local_of: Vec<u32>,
+    pub(crate) runtime_links: Vec<(NodeId, NodeId)>,
+}
+
+/// Reads the manifest of the framework saved under `name`.
+pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, String> {
+    let bytes = store
+        .get(&format!("{name}/manifest"))
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| format!("no framework named {name:?} in store"))?;
+    pagestore::from_bytes(&bytes).map_err(|e| e.to_string())
+}
+
+/// Reads and decodes the index of meta document `id` of the framework
+/// saved under `name`.
+pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
+    let bytes = store
+        .get(&format!("{name}/meta-{id}"))
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| format!("missing blob for meta document {id}"))?;
+    pagestore::from_bytes(&bytes).map_err(|e| format!("meta document {id} does not decode: {e}"))
 }
 
 /// Saves a built framework under `name`.
@@ -72,11 +94,7 @@ pub fn load_flix(
     name: &str,
     graph: Arc<CollectionGraph>,
 ) -> Result<Flix, String> {
-    let bytes = store
-        .get(&format!("{name}/manifest"))
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| format!("no framework named {name:?} in store"))?;
-    let manifest: Manifest = pagestore::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    let manifest = load_manifest(store, name)?;
     if manifest.node_count != graph.node_count() {
         return Err(format!(
             "collection mismatch: framework built over {} nodes, graph has {}",
@@ -84,15 +102,9 @@ pub fn load_flix(
             graph.node_count()
         ));
     }
-    let mut metas = Vec::with_capacity(manifest.meta_count);
-    for mi in 0..manifest.meta_count {
-        let bytes = store
-            .get(&format!("{name}/meta-{mi}"))
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| format!("missing blob for meta document {mi}"))?;
-        let md: MetaDocument = pagestore::from_bytes(&bytes).map_err(|e| e.to_string())?;
-        metas.push(md);
-    }
+    let metas = (0..manifest.meta_count)
+        .map(|mi| load_meta(store, name, mi))
+        .collect::<Result<Vec<_>, _>>()?;
     // Stores written before reports existed simply lack the blob; a zeroed
     // report keeps them loadable.
     let report = match store

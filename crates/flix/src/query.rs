@@ -394,7 +394,7 @@ impl<'f> QueryEngine<'f> {
                                 max_distance,
                                 ..QueryOptions::default()
                             };
-                            self.flix.for_each_descendant(node, tag, &opts, |r| {
+                            self.flix.for_each_descendant(node, tag, &opts, |r, _| {
                                 let s = score
                                     * sim
                                     * self

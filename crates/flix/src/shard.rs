@@ -44,15 +44,16 @@
 //! diverges. The equivalence test in `tests/serve.rs` proves it per
 //! shard count.
 
-use crate::cache::{clip, CacheStats, CachedFlix};
+use crate::backend::{Answer, QueryBackend};
+use crate::cache::{CacheStats, ResultCache};
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
-use crate::pee::{evaluate_axis_space, Axis, EvalEnd, MetaSpace, PeeStats};
+use crate::pee::{collect_axis_space, never, Axis, MetaSpace, QueryCtx};
 use crate::pee::{QueryOptions, QueryOutcome, QueryResult};
-use flixobs::journal::{EventKind, JournalHandle, SHARD_MERGE};
+use flixobs::journal::{EventKind, SHARD_MERGE};
 use flixobs::{Counter, MetricId, MetricsRegistry};
 use graphcore::{partition_greedy, Digraph, NodeId};
-use std::ops::ControlFlow;
+use std::convert::Infallible;
 use std::sync::Arc;
 use xmlgraph::TagId;
 
@@ -296,7 +297,7 @@ pub struct ShardedFlix {
     shards: Vec<Arc<Flix>>,
     /// Per-shard result caches (optional). Each key's start element pins
     /// it to exactly one shard, so entries are never duplicated.
-    caches: Option<Vec<CachedFlix>>,
+    caches: Option<Vec<ResultCache>>,
     cells: Vec<ShardCell>,
 }
 
@@ -364,10 +365,11 @@ impl ShardedFlix {
         }
     }
 
-    /// Adds one result cache of `per_shard_capacity` entries per shard.
-    /// The cached entry point is [`Self::find_descendants_deadline`];
-    /// each cache carries its own generation counter, so the invalidation
-    /// discipline of [`CachedFlix`] holds per shard (see DESIGN.md §10).
+    /// Adds one result cache of `per_shard_capacity` entries per shard,
+    /// consulted by the descendants axis of [`QueryBackend::evaluate`]
+    /// (and so by [`Self::find_descendants_deadline`]). A sharded backend
+    /// is immutable — a rebuild makes a new one with fresh caches — so
+    /// their generation never moves (see DESIGN.md §10).
     ///
     /// # Panics
     /// If `per_shard_capacity` is zero.
@@ -375,7 +377,7 @@ impl ShardedFlix {
         self.caches = Some(
             self.shards
                 .iter()
-                .map(|_| CachedFlix::new(Arc::clone(&self.parent), per_shard_capacity))
+                .map(|_| ResultCache::new(per_shard_capacity))
                 .collect(),
         );
         self
@@ -395,16 +397,6 @@ impl ShardedFlix {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Per-shard result-cache capacity, or `None` when caching is off —
-    /// enough to rebuild a sharded backend of the same shape (see
-    /// [`Self::with_caches`]).
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.caches
-            .as_ref()
-            .and_then(|caches| caches.first())
-            .map(CachedFlix::capacity)
     }
 
     /// Shard owning a global node (its start-element route).
@@ -431,44 +423,21 @@ impl ShardedFlix {
     /// `eval_start`/`eval_end` events under the [`SHARD_MERGE`] sentinel.
     fn fanout_outcome(
         &self,
+        axis: Axis,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-        axis: Axis,
-        journal: Option<&JournalHandle<'_>>,
+        ctx: &mut QueryCtx<'_>,
     ) -> QueryOutcome {
-        let mut stats = PeeStats::default();
-        let mut results = Vec::new();
-        if let Some(j) = journal {
-            j.event(EventKind::EvalStart { shard: SHARD_MERGE });
-        }
-        let end = evaluate_axis_space(
-            &FanoutSpace { sharded: self },
-            &[(start, 0)],
-            target,
-            opts,
-            axis,
-            &mut stats,
-            None,
-            journal,
-            |r, _| {
-                results.push(r);
-                ControlFlow::Continue(())
-            },
-        );
-        if let Some(j) = journal {
-            j.event(EventKind::EvalEnd {
-                results: results.len() as u64,
-            });
-        }
-        // The fan-out space resolves every node, so it can only end in
-        // `Done`.
-        let timed_out = matches!(end, EvalEnd::Done { timed_out: true });
-        QueryOutcome {
-            results,
-            timed_out,
-            stats,
-        }
+        ctx.event(EventKind::EvalStart { shard: SHARD_MERGE });
+        // The fan-out space resolves every node: it cannot escape.
+        let space = FanoutSpace { sharded: self };
+        let seeds = [(start, 0)];
+        let (outcome, _) = never(collect_axis_space(&space, axis, &seeds, target, opts, ctx));
+        ctx.event(EventKind::EvalEnd {
+            results: outcome.results.len() as u64,
+        });
+        outcome
     }
 
     /// The routed axis evaluation. Uncapped queries whose start can reach
@@ -479,14 +448,16 @@ impl ShardedFlix {
     /// the plan can prove shard-locality ([`Self::proven_local`]) the
     /// attempt is guaranteed to complete. An attempt that does pop a
     /// foreign node *escapes* and re-runs over the merge. Byte-identical
-    /// to the parent in every case (module docs).
+    /// to the parent in every case (module docs). The routing verdict
+    /// (`route_direct`/`route_fanout`/`route_escaped`) and the evaluator
+    /// pass boundaries are journaled when `ctx` carries a handle.
     fn axis_outcome(
         &self,
+        axis: Axis,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
-        axis: Axis,
-        journal: Option<&JournalHandle<'_>>,
+        ctx: &mut QueryCtx<'_>,
     ) -> QueryOutcome {
         let s = self.shard_of(start) as usize;
         let shard = s as u64;
@@ -496,108 +467,43 @@ impl ShardedFlix {
         let uncapped = opts.max_results.is_none() && opts.max_distance.is_none();
         if uncapped && !self.proven_local(start, opts, axis) {
             self.cells[s].fanout.inc();
-            if let Some(j) = journal {
-                j.event(EventKind::RouteFanout { shard });
-            }
-            return self.fanout_outcome(start, target, opts, axis, journal);
+            ctx.event(EventKind::RouteFanout { shard });
+            return self.fanout_outcome(axis, start, target, opts, ctx);
         }
-        let mut stats = PeeStats::default();
-        let mut results = Vec::new();
-        if let Some(j) = journal {
-            j.event(EventKind::EvalStart { shard });
+        ctx.event(EventKind::EvalStart { shard });
+        let seeds = [(start, 0)];
+        let local = collect_axis_space(&*self.shards[s], axis, &seeds, target, opts, ctx);
+        let (outcome, escaped) = never(local);
+        if !escaped {
+            self.cells[s].direct.inc();
+            ctx.event(EventKind::EvalEnd {
+                results: outcome.results.len() as u64,
+            });
+            ctx.event(EventKind::RouteDirect { shard });
+            return outcome;
         }
-        let end = evaluate_axis_space(
-            &*self.shards[s],
-            &[(start, 0)],
-            target,
-            opts,
-            axis,
-            &mut stats,
-            None,
-            journal,
-            |r, _| {
-                results.push(r);
-                ControlFlow::Continue(())
-            },
-        );
-        match end {
-            EvalEnd::Done { timed_out } => {
-                self.cells[s].direct.inc();
-                if let Some(j) = journal {
-                    j.event(EventKind::EvalEnd {
-                        results: results.len() as u64,
-                    });
-                    j.event(EventKind::RouteDirect { shard });
-                }
-                QueryOutcome {
-                    results,
-                    timed_out,
-                    stats,
-                }
-            }
-            EvalEnd::Escaped => {
-                // Nothing emitted by the aborted local attempt is kept;
-                // the fan-out re-run starts clean. A deadline in `opts`
-                // is a running stopwatch (`Deadline` is `Copy`), so the
-                // re-run spends only the remaining budget — the wasted
-                // attempt costs latency, never correctness.
-                self.cells[s].escaped.inc();
-                if let Some(j) = journal {
-                    // The aborted attempt's results are discarded.
-                    j.event(EventKind::EvalEnd { results: 0 });
-                    j.event(EventKind::RouteEscaped { shard });
-                }
-                self.fanout_outcome(start, target, opts, axis, journal)
-            }
-        }
+        // Nothing emitted by the aborted local attempt is kept; the
+        // fan-out re-run starts clean. A deadline in `opts` is a running
+        // stopwatch (`Deadline` is `Copy`), so the re-run spends only the
+        // remaining budget — the wasted attempt costs latency, never
+        // correctness.
+        self.cells[s].escaped.inc();
+        ctx.event(EventKind::EvalEnd { results: 0 });
+        ctx.event(EventKind::RouteEscaped { shard });
+        self.fanout_outcome(axis, start, target, opts, ctx)
     }
 
-    /// `a//B` with outcome, routed through the shards. Byte-identical to
-    /// [`Flix::find_descendants_outcome`] on the parent.
+    /// `a//B` with outcome, routed through the shards (never through the
+    /// caches). Byte-identical to [`Flix::find_descendants_outcome`] on
+    /// the parent.
     pub fn find_descendants_outcome(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> QueryOutcome {
-        self.axis_outcome(start, target, opts, Axis::Descendants, None)
-    }
-
-    /// [`Self::find_descendants_outcome`] with flight-recorder events:
-    /// the routing verdict (`route_direct`/`route_fanout`/
-    /// `route_escaped`), evaluator pass boundaries, and deadline expiry
-    /// are journaled under the handle's request. The journal is
-    /// write-only — results stay byte-identical to the unjournaled call.
-    pub fn find_descendants_outcome_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> QueryOutcome {
-        self.axis_outcome(start, target, opts, Axis::Descendants, journal)
-    }
-
-    /// Ancestors variant of [`Self::find_descendants_outcome`].
-    /// Byte-identical to [`Flix::find_ancestors_outcome`] on the parent.
-    pub fn find_ancestors_outcome(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> QueryOutcome {
-        self.axis_outcome(start, target, opts, Axis::Ancestors, None)
-    }
-
-    /// Ancestors variant of [`Self::find_descendants_outcome_journaled`].
-    pub fn find_ancestors_outcome_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> QueryOutcome {
-        self.axis_outcome(start, target, opts, Axis::Ancestors, journal)
+        let mut ctx = QueryCtx::default();
+        self.axis_outcome(Axis::Descendants, start, target, opts, &mut ctx)
     }
 
     /// `a//B` collected into a vector, routed through the shards.
@@ -610,69 +516,20 @@ impl ShardedFlix {
         self.find_descendants_outcome(start, target, opts).results
     }
 
-    /// Deadline-aware `a//B` for the serving path, mirroring
-    /// [`CachedFlix::find_descendants_deadline`]: with caches enabled the
-    /// owning shard's cache is consulted first and complete answers are
-    /// stored uncapped (partial answers never are); without caches this
-    /// is [`Self::find_descendants_outcome`] with the result vector
-    /// shared.
+    /// Deadline-aware `a//B`: the results and the `timed_out` marker of
+    /// [`QueryBackend::evaluate`] on the descendants axis, observing
+    /// nothing. With caches enabled the owning shard's cache is consulted
+    /// first and complete answers are stored uncapped (partial answers
+    /// never are).
     pub fn find_descendants_deadline(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> (Arc<Vec<QueryResult>>, bool) {
-        self.find_descendants_deadline_journaled(start, target, opts, None)
-    }
-
-    /// [`Self::find_descendants_deadline`] with flight-recorder events:
-    /// the owning shard's cache verdict (`cache_hit`/`cache_miss` with
-    /// the shard as payload), TinyLFU admission outcome, routing verdict,
-    /// evaluator spans, and deadline expiry are journaled under the
-    /// handle's request. The journal is write-only — results stay
-    /// byte-identical to the unjournaled call.
-    pub fn find_descendants_deadline_journaled(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        journal: Option<&JournalHandle<'_>>,
-    ) -> (Arc<Vec<QueryResult>>, bool) {
-        let Some(caches) = &self.caches else {
-            let o = self.axis_outcome(start, target, opts, Axis::Descendants, journal);
-            return (Arc::new(o.results), o.timed_out);
-        };
-        let shard = self.shard_of(start);
-        let cache = &caches[shard as usize];
-        let generation = match cache.lookup_for(start, target, opts) {
-            Ok(hit) => {
-                if let Some(j) = journal {
-                    j.event(EventKind::CacheHit {
-                        shard: u64::from(shard),
-                    });
-                }
-                return (hit, false);
-            }
-            Err(generation) => generation,
-        };
-        if let Some(j) = journal {
-            j.event(EventKind::CacheMiss {
-                shard: u64::from(shard),
-            });
-        }
-        // Evaluate uncapped so one entry serves every `max_results`,
-        // exactly like the unsharded cache.
-        let full_opts = QueryOptions {
-            max_results: None,
-            ..*opts
-        };
-        let o = self.axis_outcome(start, target, &full_opts, Axis::Descendants, journal);
-        let fresh = Arc::new(o.results);
-        if o.timed_out {
-            return (clip(fresh, opts.max_results), true);
-        }
-        cache.insert_full(start, target, opts, generation, Arc::clone(&fresh), journal);
-        (clip(fresh, opts.max_results), false)
+        let mut ctx = QueryCtx::default();
+        let answer = self.evaluate(Axis::Descendants, start, target, opts, &mut ctx);
+        (answer.results, answer.timed_out)
     }
 
     /// Point-in-time routing statistics.
@@ -716,12 +573,62 @@ impl ShardedFlix {
         }
         Some(total)
     }
+}
+
+impl QueryBackend for ShardedFlix {
+    fn evaluate(
+        &self,
+        axis: Axis,
+        start: NodeId,
+        target: TagId,
+        opts: &QueryOptions,
+        ctx: &mut QueryCtx<'_>,
+    ) -> Answer {
+        match (&self.caches, axis) {
+            (Some(caches), Axis::Descendants) => {
+                let shard = self.shard_of(start);
+                let tag = u64::from(shard);
+                caches[shard as usize].get_or_evaluate(
+                    start,
+                    target,
+                    opts,
+                    tag,
+                    ctx,
+                    |opts, ctx| self.axis_outcome(axis, start, target, opts, ctx),
+                )
+            }
+            _ => self.axis_outcome(axis, start, target, opts, ctx).into(),
+        }
+    }
+
+    fn framework(self: Arc<Self>) -> Arc<Flix> {
+        Arc::clone(&self.parent)
+    }
+
+    /// Re-shards `rebuilt` to the same shard count and per-shard cache
+    /// capacity.
+    fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
+        let next = ShardedFlix::new(rebuilt, self.shard_count());
+        Arc::new(match &self.caches {
+            // every plan has at least one shard, so at least one cache
+            Some(caches) => next.with_caches(caches[0].capacity()),
+            None => next,
+        })
+    }
+
+    fn partitions(&self) -> usize {
+        self.shard_count()
+    }
+
+    fn partition_of(&self, start: NodeId) -> usize {
+        self.shard_of(start) as usize
+    }
 
     /// Binds the per-shard routing counters (and cache counters, when
     /// enabled) into `registry` as
-    /// `flix_shard_{direct,fanout,escaped}_total` plus the [`CachedFlix`]
+    /// `flix_shard_{direct,fanout,escaped}_total` plus the [`ResultCache`]
     /// names, each tagged with a `shard` label on top of `labels`.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
+    fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.describe(
             "flix_shard_direct_total",
             "Queries answered entirely inside one shard's view.",
@@ -781,6 +688,12 @@ struct FanoutSpace<'a> {
 }
 
 impl MetaSpace for FanoutSpace<'_> {
+    type Meta<'a>
+        = &'a MetaDocument
+    where
+        Self: 'a;
+    type Error = Infallible;
+
     fn meta_count(&self) -> usize {
         self.sharded.parent.meta_count()
     }
@@ -797,14 +710,10 @@ impl MetaSpace for FanoutSpace<'_> {
         ))
     }
 
-    fn meta(&self, id: u32) -> &MetaDocument {
+    fn meta(&self, id: u32) -> Result<&MetaDocument, Infallible> {
         let s = self.sharded.plan.shard_of_meta[id as usize];
         let k = self.sharded.plan.local_meta[id as usize];
-        self.sharded.shards[s as usize].meta(k)
-    }
-
-    fn global_of(&self, meta: u32, local: u32) -> NodeId {
-        self.meta(meta).nodes[local as usize]
+        Ok(self.sharded.shards[s as usize].meta(k))
     }
 
     fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
@@ -896,10 +805,11 @@ mod tests {
                     let want = flix.find_descendants_outcome(start, target, &opts);
                     let got = sharded.find_descendants_outcome(start, target, &opts);
                     assert_eq!(got.results, want.results, "shards={shards} start={start}");
-                    let want = flix.find_ancestors_outcome(start, a, &opts);
-                    let got = sharded.find_ancestors_outcome(start, a, &opts);
+                    let mut ctx = QueryCtx::default();
+                    let want = flix.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
+                    let got = sharded.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
                     assert_eq!(
-                        got.results, want.results,
+                        *got.results, want.results,
                         "ancestors shards={shards} start={start}"
                     );
                 }

@@ -138,7 +138,7 @@ impl VagueEvaluator {
                 max_distance,
                 ..QueryOptions::default()
             };
-            flix.for_each_descendant(q.start, tag_id, &opts, |r| {
+            flix.for_each_descendant(q.start, tag_id, &opts, |r, _| {
                 let score = self.score(sim, r.distance);
                 if score >= q.min_score {
                     let entry = best.entry(r.node);

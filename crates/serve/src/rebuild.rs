@@ -21,7 +21,7 @@
 //! `swap` journal events.
 
 use crate::server::{Backend, FlixServer};
-use flix::{BuildOptions, Flix, FlixConfig, Recommendation, ShardedFlix};
+use flix::{BuildOptions, Flix, FlixConfig, Recommendation};
 use flixobs::{EventKind, Stopwatch};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::Arc;
@@ -90,22 +90,13 @@ fn config_code(config: FlixConfig) -> u64 {
     }
 }
 
-/// The framework a backend evaluates on (the cached and sharded wrappers
-/// both expose their inner [`Flix`]).
-fn framework_of(backend: &Backend) -> Arc<Flix> {
-    match backend {
-        Backend::Plain(flix) => Arc::clone(flix),
-        Backend::Cached(cached) => cached.framework(),
-        Backend::Sharded(sharded) => Arc::clone(sharded.parent()),
-    }
-}
-
 impl FlixServer {
     /// One tick of the self-tuning loop: judge the traffic observed since
     /// the last swap, and rebuild + hot-swap if the monitor recommends a
     /// different configuration.
     ///
-    /// The replacement backend keeps the current one's shape: a plain
+    /// The replacement backend keeps the current one's shape
+    /// ([`flix::QueryBackend::over`]): a plain
     /// framework stays plain; a cached backend keeps its cache *object*
     /// (hit/miss history included) and re-attaches the rebuilt framework,
     /// so every stale entry is invalidated by the cache's generation
@@ -126,7 +117,7 @@ impl FlixServer {
             };
         }
         let backend = self.backend();
-        let framework = framework_of(&backend);
+        let framework = Arc::clone(&backend.0).framework();
         let verdict = window.recommend_with_report(
             framework.config(),
             config.min_queries,
@@ -153,20 +144,7 @@ impl FlixServer {
         self.journal_control(EventKind::RebuildFinish {
             micros: build_micros,
         });
-        let generation = match &backend {
-            Backend::Plain(_) => self.swap_backend(rebuilt),
-            Backend::Cached(cached) => {
-                cached.attach(rebuilt);
-                self.swap_backend(Backend::Cached(Arc::clone(cached)))
-            }
-            Backend::Sharded(sharded) => {
-                let mut next = ShardedFlix::new(rebuilt, sharded.shard_count());
-                if let Some(capacity) = sharded.cache_capacity() {
-                    next = next.with_caches(capacity);
-                }
-                self.swap_backend(Arc::new(next))
-            }
-        };
+        let generation = self.swap_backend(Backend(backend.0.over(rebuilt)));
         self.serve_metrics().rebuilds_completed.inc();
         // New baseline: the monitor judged everything up to `snapshot`;
         // the next window starts from here (queries answered on the old
@@ -245,7 +223,7 @@ impl Drop for Rebuilder {
 mod tests {
     use super::*;
     use crate::server::{Request, ServeConfig};
-    use flix::{CachedFlix, QueryOptions};
+    use flix::{CachedFlix, QueryOptions, ShardedFlix};
     use std::sync::Arc;
     use xmlgraph::TagId;
     use xmlgraph::{Collection, Document, LinkTarget};
@@ -346,12 +324,11 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        // Cache hits do no evaluator work, so only ancestors queries feed
-        // the monitor on a cached backend — drive those.
-        let last = flix.collection().node_count() as u32 - 1;
-        for _ in 0..16 {
+        // Distinct starts: every query is a cache miss, and misses feed
+        // the monitor the evaluator work they did.
+        for start in 0..16 {
             server
-                .query(Request::ancestors(last, t, QueryOptions::default()))
+                .query(Request::descendants(start, t, QueryOptions::default()))
                 .unwrap();
         }
         let before_generation = cached.generation();
@@ -362,16 +339,64 @@ mod tests {
         });
         assert!(
             matches!(outcome, RebuildOutcome::Rebuilt { .. }),
-            "deep ancestor chains must trigger a rebuild, got {outcome:?}"
+            "deep descendant chains must trigger a rebuild, got {outcome:?}"
         );
         // Same cache object, bumped generation: stale entries are
         // invalidated lazily, history survives.
-        let Backend::Cached(after) = server.backend() else {
-            panic!("cached backend must stay cached across a rebuild");
-        };
-        assert!(Arc::ptr_eq(&after, &cached));
+        assert!(std::ptr::addr_eq(
+            Arc::as_ptr(&server.backend().0),
+            Arc::as_ptr(&cached)
+        ));
         assert_eq!(cached.generation(), before_generation + 1);
         server.shutdown();
+    }
+
+    #[test]
+    fn cache_misses_feed_the_load_monitor_and_hits_do_not() {
+        let (flix, t) = chain(24);
+        let backends: [(&str, Backend); 2] = [
+            (
+                "cached",
+                Arc::new(CachedFlix::new(Arc::clone(&flix), 32)).into(),
+            ),
+            (
+                "sharded",
+                Arc::new(ShardedFlix::new(Arc::clone(&flix), 3).with_caches(32)).into(),
+            ),
+        ];
+        let policy = RebuildConfig {
+            min_queries: 8,
+            build_threads: 1,
+            ..RebuildConfig::default()
+        };
+        for (name, backend) in backends {
+            let config = ServeConfig {
+                single_flight: false,
+                ..ServeConfig::default()
+            };
+            let server = FlixServer::start(backend, config);
+            // One miss, then pure hits: only the miss did evaluator work.
+            drive(&server, t, 12);
+            assert_eq!(server.load().queries(), 1, "{name}: hits record nothing");
+            assert_eq!(
+                server.maybe_rebuild(&policy),
+                RebuildOutcome::Quiet { queries: 1 },
+                "{name}"
+            );
+            // Descendants misses only (distinct starts) cross the window.
+            for start in 1..12 {
+                server
+                    .query(Request::descendants(start, t, QueryOptions::default()))
+                    .unwrap();
+            }
+            assert_eq!(server.load().queries(), 12, "{name}: every miss records");
+            let outcome = server.maybe_rebuild(&policy);
+            assert!(
+                matches!(outcome, RebuildOutcome::Rebuilt { .. }),
+                "{name}: got {outcome:?}"
+            );
+            server.shutdown();
+        }
     }
 
     #[test]

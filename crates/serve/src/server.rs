@@ -10,26 +10,29 @@
 //! instead of growing with offered load, which is the whole point of
 //! bounding the queues (see DESIGN.md §8).
 //!
-//! With a [`Backend::Sharded`] backend the workers *own shards*: they are
-//! partitioned into one group per shard (DESIGN.md §10), a request is
-//! routed to the group owning its start element's shard, and each group
-//! runs its own queue rotation, depth accounting, and
+//! With a partitioned backend ([`flix::ShardedFlix`]) the workers *own
+//! shards*: they are split into one group per shard (DESIGN.md §10), a
+//! request is routed to the group owning its start element's shard, and
+//! each group runs its own queue rotation, depth accounting, and
 //! `flixserve_shard_*` metrics. A group's queues filling up sheds only
 //! that shard's traffic — shards are independently admitted, exactly like
 //! their indexes are independently evaluated.
 
-use flix::{CachedFlix, Flix, PeeStats, QueryOptions, QueryResult, ShardedFlix, SharedLoadMonitor};
+use flix::{QueryBackend, QueryCtx, QueryOptions, QueryResult, SharedLoadMonitor};
 use flixobs::{
-    Counter, Deadline, EventKind, FlightRecorder, Gauge, Histogram, JournalHandle, JournalSnapshot,
-    MetricId, MetricsRegistry, QueryTrace, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
-    SHARD_NONE,
+    Counter, Deadline, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricId,
+    MetricsRegistry, QueryTrace, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
 };
 use graphcore::{Distance, NodeId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use xmlgraph::TagId;
+
+/// Which axis a request evaluates — the evaluator's own [`flix::Axis`].
+pub use flix::Axis as AxisKind;
 
 /// The submit path records its journal events on lane 0; worker `w`
 /// records on lane `w + 1` (see [`FlightRecorder::for_workers`]).
@@ -105,15 +108,6 @@ impl ServeConfig {
     }
 }
 
-/// Which axis a request evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AxisKind {
-    /// `start // target` (descendants).
-    Descendants,
-    /// Elements with tag `target` from which `start` is reachable.
-    Ancestors,
-}
-
 /// One query request.
 #[derive(Debug, Clone, Copy)]
 pub struct Request {
@@ -180,8 +174,12 @@ pub enum ServeError {
     /// The server is draining: admitted work finishes, new work is refused.
     ShuttingDown,
     /// The serving side went away before answering (shutdown raced the
-    /// request, or a worker panicked).
+    /// request).
     Disconnected,
+    /// The evaluation panicked. The worker contained it and keeps
+    /// serving; this request (and any single-flight followers) has no
+    /// answer.
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for ServeError {
@@ -192,14 +190,18 @@ impl std::fmt::Display for ServeError {
             }
             Self::ShuttingDown => write!(f, "server is shutting down"),
             Self::Disconnected => write!(f, "server disconnected before answering"),
+            Self::WorkerPanicked => write!(f, "the evaluation panicked"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-/// The query engine behind a server: a plain framework, a cached one, or
-/// a sharded one.
+/// The query engine behind a server: any [`QueryBackend`] — a plain
+/// [`flix::Flix`], a [`flix::CachedFlix`] (descendants queries go through the
+/// result cache), or a [`flix::ShardedFlix`] (every query is routed to the
+/// shard owning its start element, and workers are partitioned into
+/// per-shard groups so shards share neither queues nor admission).
 ///
 /// Cloning is an `Arc` clone — the handle is copied, the engine is
 /// shared. The server leans on this for hot swaps: each worker clones
@@ -208,35 +210,11 @@ impl std::error::Error for ServeError {}
 /// while every in-flight evaluation finishes on the backend it started
 /// on.
 #[derive(Clone)]
-pub enum Backend {
-    /// Evaluate every query on the framework.
-    Plain(Arc<Flix>),
-    /// Serve descendants queries through the result cache (ancestors
-    /// queries go to the underlying framework; the cache only keys the
-    /// descendants axis).
-    Cached(Arc<CachedFlix>),
-    /// Route every query to the shard owning its start element; workers
-    /// are partitioned into per-shard groups so shards neither share
-    /// queues nor admission (ancestors queries route the same way — the
-    /// sharded ancestors path is escape-aware too).
-    Sharded(Arc<ShardedFlix>),
-}
+pub struct Backend(pub Arc<dyn QueryBackend>);
 
-impl From<Arc<Flix>> for Backend {
-    fn from(flix: Arc<Flix>) -> Self {
-        Self::Plain(flix)
-    }
-}
-
-impl From<Arc<CachedFlix>> for Backend {
-    fn from(cached: Arc<CachedFlix>) -> Self {
-        Self::Cached(cached)
-    }
-}
-
-impl From<Arc<ShardedFlix>> for Backend {
-    fn from(sharded: Arc<ShardedFlix>) -> Self {
-        Self::Sharded(sharded)
+impl<B: QueryBackend + 'static> From<Arc<B>> for Backend {
+    fn from(backend: Arc<B>) -> Self {
+        Self(backend)
     }
 }
 
@@ -292,6 +270,7 @@ struct Job {
 /// Component-owned metric cells for the serving path. End-to-end latency
 /// (`flixserve_latency_micros`) is distinct from the evaluator-only
 /// `flix_query_latency_micros`: it includes queue wait and fan-out.
+#[derive(Default)]
 pub(crate) struct ServeMetrics {
     latency: Histogram,
     queue_wait: Histogram,
@@ -302,6 +281,7 @@ pub(crate) struct ServeMetrics {
     shed: Counter,
     timeouts: Counter,
     collapsed: Counter,
+    worker_panics: Counter,
     admission_limit: Gauge,
     /// Mirrors [`Shared::generation`] (`flixserve_generation`).
     generation: Gauge,
@@ -311,27 +291,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) rebuilds_started: Counter,
     pub(crate) rebuilds_completed: Counter,
     pub(crate) rebuilds_kept: Counter,
-}
-
-impl ServeMetrics {
-    fn new() -> Self {
-        Self {
-            latency: Histogram::new(),
-            queue_wait: Histogram::new(),
-            queue_depth: Gauge::new(),
-            in_flight: Gauge::new(),
-            submitted: Counter::new(),
-            completed: Counter::new(),
-            shed: Counter::new(),
-            timeouts: Counter::new(),
-            collapsed: Counter::new(),
-            admission_limit: Gauge::new(),
-            generation: Gauge::new(),
-            rebuilds_started: Counter::new(),
-            rebuilds_completed: Counter::new(),
-            rebuilds_kept: Counter::new(),
-        }
-    }
 }
 
 /// Point-in-time serving counters.
@@ -392,8 +351,8 @@ struct Shared {
     draining: AtomicBool,
     in_flight: AtomicUsize,
     queued: AtomicUsize,
-    /// One group per shard ([`Backend::Sharded`]) — capped at the worker
-    /// count — or a single group otherwise.
+    /// One group per backend partition (shard), capped at the worker
+    /// count; a single group for an unpartitioned backend.
     groups: Vec<Group>,
     /// Per-worker-queue assignment counters (admission audit; see
     /// [`FlixServer::queue_assignments`]).
@@ -430,16 +389,19 @@ impl Shared {
         }
     }
 
-    /// The group a request for `start` is routed to. For an unsharded
-    /// backend the modulo spreads requests over however many groups exist
-    /// (one, unless a swap replaced a sharded backend with an unsharded
-    /// one — the group topology is fixed at start, and any group answers
-    /// correctly either way).
+    /// The group a request for `start` is routed to: its backend
+    /// partition, modulo however many groups exist (the group topology is
+    /// fixed at start; after a swap to a backend of another shape any
+    /// group still answers correctly).
     fn group_of(&self, start: NodeId) -> usize {
-        match &*self.backend.read() {
-            Backend::Sharded(sharded) => sharded.shard_of(start) as usize % self.groups.len(),
-            _ => start as usize % self.groups.len(),
-        }
+        self.backend.read().0.partition_of(start) % self.groups.len()
+    }
+
+    /// Steps a finished (or failed) request out of the in-flight count.
+    fn release_slot(&self) {
+        self.metrics
+            .in_flight
+            .set(self.in_flight.fetch_sub(1, SeqCst) as f64 - 1.0);
     }
 
     /// Removes a single-flight registration and fails any followers that
@@ -536,10 +498,7 @@ impl FlixServer {
         recorder: Option<Arc<FlightRecorder>>,
     ) -> Self {
         let workers = config.effective_workers();
-        let group_count = match &backend {
-            Backend::Sharded(sharded) => sharded.shard_count().min(workers),
-            _ => 1,
-        };
+        let group_count = backend.0.partitions().clamp(1, workers);
         // Contiguous worker spans, remainder workers on the first groups.
         let (base, extra) = (workers / group_count, workers % group_count);
         let mut groups = Vec::with_capacity(group_count);
@@ -567,7 +526,7 @@ impl FlixServer {
             groups,
             assigned: (0..workers).map(|_| Counter::new()).collect(),
             single_flight: Mutex::new(HashMap::new()),
-            metrics: ServeMetrics::new(),
+            metrics: ServeMetrics::default(),
             slow_log: SlowQueryLog::new(config.slow_log_capacity.max(1)),
             load: SharedLoadMonitor::new(),
             recorder,
@@ -852,9 +811,9 @@ impl FlixServer {
         self.shared.slow_log.worst()
     }
 
-    /// Snapshot of the load monitor the workers feed (queries answered by
-    /// the in-process evaluator; cache hits do no evaluator work and
-    /// cached-miss internals are owned by the cache, so neither records).
+    /// Snapshot of the load monitor the workers feed: every query an
+    /// evaluator ran for, cache misses included (a cache hit does no
+    /// evaluator work and records nothing).
     pub fn load(&self) -> flix::LoadMonitor {
         self.shared.load.snapshot()
     }
@@ -879,7 +838,7 @@ impl FlixServer {
     /// new backend; evaluations already running hold their own clone and
     /// finish — correctly — on the generation they started on. No request
     /// is dropped, paused, or re-queued. The worker-group topology is
-    /// fixed at start, which stays correct across swaps (a [`ShardedFlix`]
+    /// fixed at start, which stays correct across swaps (a [`flix::ShardedFlix`]
     /// evaluates shards internally, so routing to any group only affects
     /// locality, never answers). The `flixserve_generation` gauge moves
     /// with the swap, and a traced server journals it as
@@ -946,6 +905,11 @@ impl FlixServer {
                 "flixserve_collapsed_total",
                 "Follower responses served by single-flight fan-out.",
                 &m.collapsed,
+            ),
+            (
+                "flixserve_worker_panics_total",
+                "Evaluations that panicked; the worker answered with an error and kept serving.",
+                &m.worker_panics,
             ),
         ] {
             registry.describe(name, help);
@@ -1044,85 +1008,15 @@ impl FlixServer {
         }
         // Bind the *current* backend's cells. The binding captures the
         // backend live at publish time — after a hot swap, publish again
-        // to bind the new generation's shard metrics.
+        // to bind the new generation's shard and cache metrics.
         let backend = self.shared.backend.read().clone();
-        if let Backend::Sharded(sharded) = &backend {
-            sharded.publish_metrics(registry, labels);
-        }
+        backend.0.publish_metrics(registry, labels);
     }
 }
 
 impl Drop for FlixServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Evaluates one request on the backend. Returns the (possibly partial)
-/// results, the timeout marker, and — when the evaluator ran in-process —
-/// its counters for the load monitor.
-///
-/// `journal` is the write-only flight-recorder handle for this request's
-/// worker lane (`None` when the recorder is off — no clock reads, no
-/// events, bit-identical results). The sharded and cached backends journal
-/// their own routing/cache/eval events inside the flix crate; the plain
-/// backend and the cached-ancestors bypass have no interior decision
-/// points, so this function brackets them with one eval span itself.
-fn compute(
-    backend: &Backend,
-    req: &Request,
-    journal: Option<&JournalHandle<'_>>,
-) -> (Arc<Vec<QueryResult>>, bool, Option<PeeStats>) {
-    let span_open = |shard: u64| {
-        if let Some(j) = journal {
-            j.event(EventKind::EvalStart { shard });
-        }
-    };
-    let span_close = |results: usize| {
-        if let Some(j) = journal {
-            j.event(EventKind::EvalEnd {
-                results: results as u64,
-            });
-        }
-    };
-    match (backend, req.axis) {
-        (Backend::Cached(cached), AxisKind::Descendants) => {
-            let (results, timed_out) = cached
-                .find_descendants_deadline_journaled(req.start, req.target, &req.opts, journal);
-            (results, timed_out, None)
-        }
-        (Backend::Cached(cached), AxisKind::Ancestors) => {
-            span_open(SHARD_NONE);
-            let out = cached
-                .framework()
-                .find_ancestors_outcome_journaled(req.start, req.target, &req.opts, journal);
-            span_close(out.results.len());
-            (Arc::new(out.results), out.timed_out, Some(out.stats))
-        }
-        (Backend::Plain(flix), AxisKind::Descendants) => {
-            span_open(SHARD_NONE);
-            let out =
-                flix.find_descendants_outcome_journaled(req.start, req.target, &req.opts, journal);
-            span_close(out.results.len());
-            (Arc::new(out.results), out.timed_out, Some(out.stats))
-        }
-        (Backend::Plain(flix), AxisKind::Ancestors) => {
-            span_open(SHARD_NONE);
-            let out =
-                flix.find_ancestors_outcome_journaled(req.start, req.target, &req.opts, journal);
-            span_close(out.results.len());
-            (Arc::new(out.results), out.timed_out, Some(out.stats))
-        }
-        (Backend::Sharded(sharded), AxisKind::Descendants) => {
-            let (results, timed_out) = sharded
-                .find_descendants_deadline_journaled(req.start, req.target, &req.opts, journal);
-            (results, timed_out, None)
-        }
-        (Backend::Sharded(sharded), AxisKind::Ancestors) => {
-            let out =
-                sharded.find_ancestors_outcome_journaled(req.start, req.target, &req.opts, journal);
-            (Arc::new(out.results), out.timed_out, Some(out.stats))
-        }
     }
 }
 
@@ -1151,23 +1045,44 @@ fn worker_loop(
         );
         let queue_micros = job.admitted.elapsed_micros();
         // The handle pins (lane, request) so every event the evaluator
-        // journals below stitches into this request's causal trace.
+        // journals below stitches into this request's causal trace (`None`
+        // when the recorder is off — no clock reads, no events).
         let handle = shared.recorder.as_ref().map(|r| r.handle(lane, job.id));
+        let mut ctx = QueryCtx {
+            trace: None,
+            journal: handle.as_ref(),
+        };
         // Clone the live backend out of a brief read lock: the job runs
         // entirely on the generation it picked up here, so a concurrent
         // swap never changes an evaluation mid-flight.
         let backend = shared.backend.read().clone();
-        let (results, timed_out, stats) = compute(&backend, &job.request, handle.as_ref());
+        let req = &job.request;
+        // A panicking evaluation must cost one answer, not one worker.
+        // Nothing is left half-updated: indexes are immutable, and a result
+        // cache runs the evaluation outside its (non-poisoning) lock.
+        let evaluated = catch_unwind(AssertUnwindSafe(|| {
+            backend
+                .0
+                .evaluate(req.axis, req.start, req.target, &req.opts, &mut ctx)
+        }));
+        let Ok(answer) = evaluated else {
+            shared.metrics.worker_panics.inc();
+            shared.abort_single_flight(job.sf_key, &ServeError::WorkerPanicked);
+            // flixcheck: allow(swallowed-result): the client may have hung up; dropping the reply is correct
+            let _ = job.reply.send(Err(ServeError::WorkerPanicked));
+            shared.release_slot();
+            continue;
+        };
         let total_micros = job.admitted.elapsed_micros();
 
         shared.metrics.queue_wait.record(queue_micros);
         shared.metrics.latency.record(total_micros);
         shared.metrics.completed.inc();
-        if timed_out {
+        if answer.timed_out {
             shared.metrics.timeouts.inc();
         }
-        if let Some(stats) = stats {
-            shared.load.record(stats, results.len());
+        if let Some(stats) = answer.stats {
+            shared.load.record(stats, answer.results.len());
         }
         // Only pay for trace construction (a format! per query) when the
         // latency could actually displace a slow-log entry.
@@ -1182,8 +1097,8 @@ fn worker_loop(
         }
 
         let response = Response {
-            results,
-            timed_out,
+            results: answer.results,
+            timed_out: answer.timed_out,
             collapsed: false,
             queue_micros,
             total_micros,
@@ -1217,10 +1132,7 @@ fn worker_loop(
         }
         // flixcheck: allow(swallowed-result): the client may have hung up after its deadline; dropping the reply is correct
         let _ = job.reply.send(Ok(response));
-        shared
-            .metrics
-            .in_flight
-            .set(shared.in_flight.fetch_sub(1, SeqCst) as f64 - 1.0);
+        shared.release_slot();
         adapt_limit(shared, lane);
     }
 }
@@ -1264,7 +1176,7 @@ fn adapt_limit(shared: &Shared, lane: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flix::FlixConfig;
+    use flix::{Answer, CachedFlix, Flix, FlixConfig, ShardedFlix};
     use xmlgraph::{Collection, Document, LinkTarget};
 
     fn tiny() -> (Arc<Flix>, TagId) {
@@ -1418,6 +1330,89 @@ mod tests {
         let assigned: u64 = server.queue_assignments().iter().sum();
         assert_eq!(assigned, u64::from(nodes) * 2, "every request was assigned");
         server.shutdown();
+    }
+
+    /// A fake backend: answers like its inner framework, except that a
+    /// query starting at `poison` reports in, waits to be released, and
+    /// panics.
+    struct Panicky {
+        inner: Arc<Flix>,
+        poison: NodeId,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl QueryBackend for Panicky {
+        fn evaluate(
+            &self,
+            axis: AxisKind,
+            start: NodeId,
+            target: TagId,
+            opts: &QueryOptions,
+            ctx: &mut QueryCtx<'_>,
+        ) -> Answer {
+            if start == self.poison {
+                self.entered.wait();
+                self.release.wait();
+                panic!("poisoned start {start}");
+            }
+            self.inner.evaluate(axis, start, target, opts, ctx).into()
+        }
+
+        fn framework(self: Arc<Self>) -> Arc<Flix> {
+            Arc::clone(&self.inner)
+        }
+
+        fn over(self: Arc<Self>, _rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
+            self
+        }
+    }
+
+    #[test]
+    fn panicking_evaluation_is_contained_and_the_worker_keeps_serving() {
+        let (flix, t) = tiny();
+        let backend = Arc::new(Panicky {
+            inner: Arc::clone(&flix),
+            poison: 1,
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let server = FlixServer::start(Arc::clone(&backend), config);
+        let registry = MetricsRegistry::new();
+        server.publish_metrics(&registry, &[]);
+        let poisoned = Request::descendants(1, t, QueryOptions::default());
+        let leader = server.submit(poisoned).unwrap();
+        // The leader is inside the backend: an identical request now
+        // attaches as its single-flight follower.
+        backend.entered.wait();
+        let follower = server.submit(poisoned).unwrap();
+        backend.release.wait();
+        assert_eq!(leader.wait().unwrap_err(), ServeError::WorkerPanicked);
+        assert_eq!(follower.wait().unwrap_err(), ServeError::WorkerPanicked);
+        // The only worker survived and answers the next request.
+        let next = server
+            .query(Request::descendants(0, t, QueryOptions::default()))
+            .unwrap();
+        assert_eq!(
+            *next.results,
+            flix.find_descendants(0, t, &QueryOptions::default())
+        );
+        server.shutdown();
+        assert_eq!(
+            server.stats().in_flight,
+            0,
+            "the panicked slot was released"
+        );
+        let text = registry.snapshot().to_prometheus();
+        assert!(text.contains("flixserve_worker_panics_total 1"), "{text}");
+        assert!(
+            text.contains("# HELP flixserve_worker_panics_total"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -92,13 +92,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .anchor("ch2")
             .ok_or("anchor ch2 missing")?,
     );
-    match flix.connection_test(thesis_root, ch2, &QueryOptions::default()) {
+    let forward = flix.connection_test(thesis_root, ch2, &QueryOptions::default());
+    match forward.distance {
         Some(d) => println!("\nthesis //=> book#ch2: connected at distance {d}"),
         None => println!("\nthesis //=> book#ch2: not connected"),
     }
     // ...and the reverse direction is not:
     assert!(flix
         .connection_test(ch2, thesis_root, &QueryOptions::default())
+        .distance
         .is_none());
     println!("book#ch2 //=> thesis: not connected (as expected)");
     Ok(())

@@ -70,11 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for d in (0..graph.collection.doc_count() as u32).rev().take(30) {
         let start = graph.doc_root(d);
         let mut results = 0usize;
-        let stats =
-            flix.for_each_descendant_traced(start, title, &QueryOptions::default(), |_, _| {
-                results += 1;
-                ControlFlow::Continue(())
-            });
+        let stats = flix.for_each_descendant(start, title, &QueryOptions::default(), |_, _| {
+            results += 1;
+            ControlFlow::Continue(())
+        });
         monitor.record(stats, results);
     }
     println!(

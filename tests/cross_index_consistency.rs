@@ -138,7 +138,9 @@ fn connection_tests_match_oracle_reachability() {
         for config in configs() {
             let flix = Flix::build(cg.clone(), config);
             for p in &pairs {
-                let got = flix.connection_test(p.from, p.to, &QueryOptions::default());
+                let got = flix
+                    .connection_test(p.from, p.to, &QueryOptions::default())
+                    .distance;
                 assert_eq!(
                     got.is_some(),
                     p.reachable,

@@ -98,8 +98,9 @@ fn observed_pipeline_matches_plain_evaluation() {
     assert!(snap.to_json().contains("\"p99\""));
 }
 
-/// Early termination through the streaming interface sees the same prefix
-/// with and without a trace attached.
+/// Early termination sees the same prefix with and without a trace
+/// attached: breaking off the untraced stream after `cutoff` results and
+/// capping the traced evaluation at `cutoff` stop at the same place.
 #[test]
 fn early_break_prefix_identical() {
     let cg = corpus(11, 8);
@@ -109,29 +110,25 @@ fn early_break_prefix_identical() {
         for q in &queries {
             for cutoff in [1usize, 2, 5] {
                 let mut plain = Vec::new();
-                flix.for_each_descendant(q.start, q.target_tag, &QueryOptions::default(), |r| {
-                    plain.push(r);
-                    if plain.len() >= cutoff {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                let mut traced = Vec::new();
-                let mut trace = QueryTrace::new("t");
-                flix.for_each_descendant_with_trace(
+                flix.for_each_descendant(
                     q.start,
                     q.target_tag,
                     &QueryOptions::default(),
-                    &mut trace,
                     |r, _| {
-                        traced.push(r);
-                        if traced.len() >= cutoff {
+                        plain.push(r);
+                        if plain.len() >= cutoff {
                             ControlFlow::Break(())
                         } else {
                             ControlFlow::Continue(())
                         }
                     },
+                );
+                let mut trace = QueryTrace::new("t");
+                let (traced, _) = flix.find_descendants_with_trace(
+                    q.start,
+                    q.target_tag,
+                    &QueryOptions::top_k(cutoff),
+                    &mut trace,
                 );
                 assert_eq!(plain, traced, "{config} diverged at cutoff {cutoff}");
             }

@@ -143,7 +143,7 @@ fn tuning_workflow_improves_lookup_count() {
         .collect();
     for &s in &starts {
         let mut n = 0usize;
-        let st = flix.for_each_descendant_traced(s, title, &QueryOptions::default(), |_, _| {
+        let st = flix.for_each_descendant(s, title, &QueryOptions::default(), |_, _| {
             n += 1;
             ControlFlow::Continue(())
         });
@@ -157,7 +157,7 @@ fn tuning_workflow_improves_lookup_count() {
     let mut monitor2 = LoadMonitor::new();
     for &s in &starts {
         let mut n = 0usize;
-        let st = rebuilt.for_each_descendant_traced(s, title, &QueryOptions::default(), |_, _| {
+        let st = rebuilt.for_each_descendant(s, title, &QueryOptions::default(), |_, _| {
             n += 1;
             ControlFlow::Continue(())
         });
