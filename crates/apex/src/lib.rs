@@ -16,22 +16,15 @@
 //!
 //! * [`summary`]: partition refinement and the summary graph.
 //! * [`index::ApexIndex`]: the queryable index.
-//! * [`dataguide::DataGuide`]: the strong-DataGuide summary the paper
-//!   reviews alongside APEX ([9]) — linear on trees, exact label-path
-//!   lookups, included to demonstrate that FliX's strategy set extends
-//!   beyond the three built-in indexes.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
-/// Strong DataGuides: deterministic path summaries of a document graph.
-pub mod dataguide;
 /// The queryable APEX index built over a structural summary.
 pub mod index;
 /// Structural summaries via backward partition refinement.
 pub mod summary;
 
-pub use dataguide::DataGuide;
 pub use index::ApexIndex;
 pub use summary::StructuralSummary;

@@ -75,8 +75,6 @@ pub mod framework;
 pub mod mdb;
 /// Per-meta-document index wrappers and the link catalogs.
 pub mod meta;
-/// Query-path observability: registered metrics and the slow-query log.
-pub mod obs;
 /// The priority-queue query evaluator chasing runtime links (§5).
 pub mod pee;
 /// Persistence of built frameworks into a `pagestore` blob store.
@@ -98,7 +96,6 @@ pub use config::{BuildOptions, FlixConfig, StrategyKind, StrategySelector};
 pub use diskexec::{DiskExecStats, DiskFlix};
 pub use framework::{Flix, FlixStats, MetaDocStats};
 pub use meta::{MetaDocument, MetaIndex};
-pub use obs::QueryPathMetrics;
 pub use pee::{
     Axis, ConnectionOutcome, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult,
     ResultStream,

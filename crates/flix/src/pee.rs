@@ -593,7 +593,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let Some(Reverse((d, e, is_seed))) = next else {
             break EvalEnd::Done { timed_out: false };
         };
-        let pop_t0 = trace_clock.map(|c| c.elapsed_micros());
+        let pop_t0 = trace_clock.map(|c| c.elapsed_nanos());
         let pop_before = stats;
         let Some((meta, local)) = space.resolve(e) else {
             // The node lives outside this space: a shard view chased a
@@ -621,7 +621,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             tr.record(
                 SpanStage::QueuePop,
                 t0,
-                c.elapsed_micros().saturating_sub(t0),
+                c.elapsed_nanos().saturating_sub(t0),
                 counters_since(&pop_before, &stats),
             );
         }
@@ -633,7 +633,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         // is materialised before any result is emitted, so its lookup
         // work is charged up front.
         let include_self = if is_seed { opts.include_start } else { true };
-        let fetch_t0 = trace_clock.map(|c| c.elapsed_micros());
+        let fetch_t0 = trace_clock.map(|c| c.elapsed_nanos());
         let fetch_before = stats;
         let (block, work) = match axis {
             Axis::Descendants => md
@@ -650,7 +650,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             tr.record(
                 SpanStage::BlockFetch,
                 t0,
-                c.elapsed_micros().saturating_sub(t0),
+                c.elapsed_nanos().saturating_sub(t0),
                 counters_since(&fetch_before, &stats),
             );
         }
@@ -690,7 +690,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         }
 
         // Expand runtime links (Fig. 4's `findReachableLinks`).
-        let link_t0 = trace_clock.map(|c| c.elapsed_micros());
+        let link_t0 = trace_clock.map(|c| c.elapsed_nanos());
         let link_before = stats;
         for_each_link(space, &md, axis, local, |hop, far| {
             stats.links_expanded += 1;
@@ -700,7 +700,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             tr.record(
                 SpanStage::LinkExpand,
                 t0,
-                c.elapsed_micros().saturating_sub(t0),
+                c.elapsed_nanos().saturating_sub(t0),
                 counters_since(&link_before, &stats),
             );
         }

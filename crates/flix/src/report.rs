@@ -4,9 +4,9 @@
 //! [`BuildReport`] is produced by every [`crate::framework::Flix`] build. It
 //! records the strategy chosen for each meta document, its size, its index
 //! build cost and footprint, plus stage timings and the parallelism the
-//! scoped worker pool achieved. The bench harness renders it as the human
-//! build table and as `BENCH_build.json`; the §7 self-tuning loop uses it to
-//! justify rebuild recommendations with real per-meta costs.
+//! scoped worker pool achieved. `flixbench` reads its stage timings for the
+//! `build.*` layer metrics; the §7 self-tuning loop uses it to justify
+//! rebuild recommendations with real per-meta costs.
 
 use crate::config::{FlixConfig, StrategyKind};
 use serde::{Deserialize, Serialize};
@@ -95,16 +95,6 @@ impl BuildReport {
             .unwrap_or(0)
     }
 
-    /// Ratio of summed per-meta build time to the indexing stage's wall
-    /// clock — the speedup the worker pool realised (1.0 when sequential).
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.indexing_micros == 0 {
-            1.0
-        } else {
-            self.cpu_micros() as f64 / self.indexing_micros as f64
-        }
-    }
-
     /// Index of and record for the costliest meta document, if any.
     pub fn costliest_meta(&self) -> Option<(usize, &MetaBuildReport)> {
         self.per_meta
@@ -145,65 +135,6 @@ impl BuildReport {
         }
         counts
     }
-
-    /// JSON image of the report (hand-rolled: the workspace vendors no JSON
-    /// serializer). Per-meta entries are kept in meta-document order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.per_meta.len() * 128);
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"config\": \"{}\",\n  \"threads\": {},\n",
-            self.config, self.threads
-        ));
-        out.push_str(&format!(
-            "  \"planning_micros\": {},\n  \"indexing_micros\": {},\n  \"wiring_micros\": {},\n  \"total_micros\": {},\n",
-            self.planning_micros, self.indexing_micros, self.wiring_micros, self.total_micros
-        ));
-        out.push_str(&format!(
-            "  \"cpu_micros\": {},\n  \"critical_path_micros\": {},\n  \"parallel_speedup\": {:.3},\n",
-            self.cpu_micros(),
-            self.critical_path_micros(),
-            self.parallel_speedup()
-        ));
-        out.push_str(&format!(
-            "  \"runtime_links\": {},\n  \"index_bytes\": {},\n  \"meta_docs\": {},\n",
-            self.runtime_links,
-            self.index_bytes(),
-            self.per_meta.len()
-        ));
-        if let Some(s) = self.hopi_stage_totals() {
-            out.push_str(&format!("  \"hopi_stages\": {},\n", stage_json(&s)));
-        }
-        out.push_str("  \"per_meta\": [\n");
-        for (i, m) in self.per_meta.iter().enumerate() {
-            let stages = m
-                .stages
-                .map(|s| format!(", \"stages\": {}", stage_json(&s)))
-                .unwrap_or_default();
-            out.push_str(&format!(
-                "    {{\"strategy\": \"{}\", \"nodes\": {}, \"edges\": {}, \"build_micros\": {}, \"index_bytes\": {}, \"dropped_links\": {}{}}}{}\n",
-                m.strategy,
-                m.nodes,
-                m.edges,
-                m.build_micros,
-                m.index_bytes,
-                m.dropped_links,
-                stages,
-                if i + 1 < self.per_meta.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}");
-        out
-    }
-}
-
-/// JSON object for one [`hopi::StageReport`] (shared by the aggregate and
-/// per-meta renderings).
-fn stage_json(s: &hopi::StageReport) -> String {
-    format!(
-        "{{\"rank_micros\": {}, \"merge_micros\": {}, \"cover_micros\": {}, \"partitions\": {}, \"border_centers\": {}, \"threads\": {}}}",
-        s.rank_micros, s.merge_micros, s.cover_micros, s.partitions, s.border_centers, s.threads
-    )
 }
 
 #[cfg(test)]
@@ -251,7 +182,6 @@ mod tests {
         let r = sample();
         assert_eq!(r.cpu_micros(), 120);
         assert_eq!(r.critical_path_micros(), 70);
-        assert!((r.parallel_speedup() - 3.0).abs() < 1e-9);
         assert_eq!(r.index_bytes(), 300);
         assert_eq!(r.strategy_counts(), (1, 1, 1));
         let (idx, costliest) = r.costliest_meta().unwrap();
@@ -265,23 +195,7 @@ mod tests {
         let r = BuildReport::empty(FlixConfig::MaximalPpo);
         assert_eq!(r.cpu_micros(), 0);
         assert_eq!(r.critical_path_micros(), 0);
-        assert!((r.parallel_speedup() - 1.0).abs() < 1e-9);
         assert!(r.costliest_meta().is_none());
-    }
-
-    #[test]
-    fn json_shape() {
-        let j = sample().to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
-        assert!(j.contains("\"config\": \"PPO-naive\""), "{j}");
-        assert!(j.contains("\"parallel_speedup\": 3.000"), "{j}");
-        assert!(j.contains("\"per_meta\": ["), "{j}");
-        assert_eq!(j.matches("\"strategy\":").count(), 3, "{j}");
-        // the one HOPI meta carries stages; the aggregate mirrors it
-        assert!(j.contains("\"hopi_stages\": {\"rank_micros\": 3"), "{j}");
-        assert_eq!(j.matches("\"stages\":").count(), 1, "{j}");
-        // commas separate entries but never trail
-        assert!(!j.contains("},\n  ]"), "{j}");
     }
 
     #[test]
@@ -305,7 +219,6 @@ mod tests {
         assert_eq!(total.threads, 2, "threads are maxed, not summed");
         r.per_meta.retain(|m| m.strategy != StrategyKind::Hopi);
         assert_eq!(r.hopi_stage_totals(), None);
-        assert!(!r.to_json().contains("hopi_stages"));
     }
 
     #[test]

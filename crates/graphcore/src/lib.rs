@@ -3,8 +3,8 @@
 //! The crate provides:
 //!
 //! * a compact [`Digraph`] (CSR adjacency with forward and reverse edges),
-//! * classic traversals ([`traversal`]): BFS layers, unit-weight shortest
-//!   paths, multi-source searches, and a general Dijkstra,
+//! * classic traversals ([`traversal`]): BFS order, unit-weight shortest
+//!   paths, and the plain reachability baseline,
 //! * [`scc`]: Tarjan strongly-connected components and graph condensation,
 //! * [`topo`]: topological ordering of DAGs,
 //! * [`spanning`]: spanning forests, tree/forest detection, and the
@@ -33,7 +33,7 @@ pub mod bitset;
 pub mod closure;
 /// The compact CSR digraph and its builder.
 pub mod digraph;
-/// Cheap estimators for closure size and descendant counts.
+/// Cheap estimators for descendant and ancestor counts.
 pub mod estimate;
 /// Greedy size-capped edge-cut graph partitioning.
 pub mod partition;
@@ -45,19 +45,16 @@ pub mod scc;
 pub mod spanning;
 /// Topological ordering of DAGs.
 pub mod topo;
-/// BFS/DFS traversals, shortest paths, and Dijkstra.
+/// BFS traversals and unit-weight shortest paths.
 pub mod traversal;
 
 pub use bitset::BitSet;
 pub use closure::{DistanceOracle, TransitiveClosure};
 pub use digraph::{Digraph, DigraphBuilder, NodeId};
-pub use estimate::{estimate_ancestor_counts, estimate_closure_size, estimate_descendant_counts};
+pub use estimate::{estimate_ancestor_counts, estimate_descendant_counts};
 pub use partition::{partition_condensation, partition_greedy, Partitioning};
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use spanning::is_forest;
 pub use spanning::{spanning_forest, tree_violations, ForestCheck};
 pub use topo::topological_order;
-pub use traversal::{
-    bfs_distances, bfs_from, dfs_preorder, dijkstra, is_reachable, multi_source_bfs, Distance,
-    INFINITE_DISTANCE,
-};
+pub use traversal::{bfs_distances, bfs_from, is_reachable, Distance, INFINITE_DISTANCE};

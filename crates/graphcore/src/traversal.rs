@@ -1,12 +1,9 @@
 //! Breadth-first and shortest-path traversals over [`Digraph`]s.
 //!
 //! Distances in the FliX data model are unweighted hop counts, so BFS is the
-//! workhorse; a binary-heap Dijkstra is provided for the cross-partition
-//! searches where virtual link hops carry an extra cost.
+//! workhorse.
 
 use crate::digraph::{Digraph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Hop-count distance type used across the workspace.
 pub type Distance = u32;
@@ -50,84 +47,6 @@ pub fn bfs_distances(g: &Digraph, start: NodeId) -> Vec<Distance> {
         }
     }
     dist
-}
-
-/// Multi-source BFS: distances to the nearest of the given sources.
-pub fn multi_source_bfs(g: &Digraph, sources: &[NodeId]) -> Vec<Distance> {
-    let mut dist = vec![INFINITE_DISTANCE; g.node_count()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in sources {
-        if dist[s as usize] == INFINITE_DISTANCE {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.successors(u) {
-            if dist[v as usize] == INFINITE_DISTANCE {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// General Dijkstra with a per-edge weight callback.
-///
-/// Edge weights must be non-negative. Used by the error-rate oracle, which
-/// charges link edges an extra hop exactly like the FliX path-expression
-/// evaluator does.
-pub fn dijkstra(
-    g: &Digraph,
-    start: NodeId,
-    mut weight: impl FnMut(NodeId, NodeId) -> Distance,
-) -> Vec<Distance> {
-    let mut dist = vec![INFINITE_DISTANCE; g.node_count()];
-    let mut heap = BinaryHeap::new();
-    dist[start as usize] = 0;
-    heap.push(Reverse((0 as Distance, start)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u as usize] {
-            continue; // stale entry
-        }
-        for &v in g.successors(u) {
-            let nd = d.saturating_add(weight(u, v));
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                heap.push(Reverse((nd, v)));
-            }
-        }
-    }
-    dist
-}
-
-/// Depth-first pre-order over the whole graph, restarting at unvisited nodes
-/// in ascending id order. Returns the visit order.
-pub fn dfs_preorder(g: &Digraph) -> Vec<NodeId> {
-    let n = g.node_count();
-    let mut seen = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack = Vec::new();
-    for root in 0..n as NodeId {
-        if seen[root as usize] {
-            continue;
-        }
-        stack.push(root);
-        seen[root as usize] = true;
-        while let Some(u) = stack.pop() {
-            order.push(u);
-            // Push in reverse so lowest-id successor is visited first.
-            for &v in g.successors(u).iter().rev() {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    stack.push(v);
-                }
-            }
-        }
-    }
-    order
 }
 
 /// True if `target` is reachable from `start` (plain BFS; the slow baseline
@@ -181,38 +100,6 @@ mod tests {
         let d4 = bfs_distances(&g, 4);
         assert_eq!(d4[0], INFINITE_DISTANCE);
         assert_eq!(d4[4], 0);
-    }
-
-    #[test]
-    fn multi_source_takes_nearest() {
-        let g = chain_with_shortcut();
-        let d = multi_source_bfs(&g, &[1, 3]);
-        assert_eq!(d, vec![INFINITE_DISTANCE, 0, 1, 0, 1]);
-    }
-
-    #[test]
-    fn dijkstra_unit_matches_bfs() {
-        let g = chain_with_shortcut();
-        assert_eq!(dijkstra(&g, 0, |_, _| 1), bfs_distances(&g, 0));
-    }
-
-    #[test]
-    fn dijkstra_weighted_avoids_expensive_shortcut() {
-        let g = chain_with_shortcut();
-        // Make the shortcut 0->3 cost 10: path through the chain wins.
-        let d = dijkstra(&g, 0, |u, v| if (u, v) == (0, 3) { 10 } else { 1 });
-        assert_eq!(d[3], 3);
-        assert_eq!(d[4], 4);
-    }
-
-    #[test]
-    fn dfs_preorder_visits_everything_once() {
-        let g = chain_with_shortcut();
-        let order = dfs_preorder(&g);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-        assert_eq!(order[0], 0);
     }
 
     #[test]

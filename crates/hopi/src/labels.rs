@@ -241,19 +241,6 @@ impl HopiIndex {
         (out, work)
     }
 
-    /// Descendants of `u` that satisfy `keep`, ascending by distance (used
-    /// by FliX for "reachable elements with outgoing links").
-    pub fn descendants_filtered(
-        &self,
-        u: NodeId,
-        include_self: bool,
-        mut keep: impl FnMut(NodeId) -> bool,
-    ) -> Vec<(NodeId, Distance)> {
-        let mut out = self.descendants(u, include_self);
-        out.retain(|&(v, _)| keep(v));
-        out
-    }
-
     /// Total label entries (the paper's size measure for HOPI).
     pub fn label_entries(&self) -> usize {
         self.stats.total_entries()
@@ -511,14 +498,6 @@ mod tests {
         // include_self respects the node's own label
         let r = idx.descendants_by_label(0, 9, true);
         assert_eq!(r[0], (0, 0));
-    }
-
-    #[test]
-    fn filtered_enumeration() {
-        let g = Digraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let idx = HopiIndex::build(&g, &[0; 4]);
-        let r = idx.descendants_filtered(0, false, |v| v % 2 == 1);
-        assert_eq!(r, vec![(1, 1), (3, 3)]);
     }
 
     #[test]

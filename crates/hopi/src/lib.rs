@@ -25,9 +25,11 @@
 //! * [`cover`] — the staged (rank / partition / merge / parallel cover)
 //!   construction pipeline and its [`StageReport`].
 //! * [`labels::HopiIndex`] — the index: build, query, enumerate, size.
-//! * [`partitioned::UnconnectedHopi`] — the paper's §4.3 *Unconnected
-//!   HOPI*: partition the graph, index each partition separately, and leave
-//!   partition-crossing edges to the caller's run-time link chasing.
+//!
+//! The paper's §4.3 *Unconnected HOPI* (one index per partition,
+//! partition-crossing edges chased at run time) is a framework
+//! configuration, not a second index: `flix::mdb` partitions the collection
+//! and builds one [`HopiIndex`] per meta document.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -37,9 +39,6 @@
 pub mod cover;
 /// The 2-hop label index: construction, queries, enumeration.
 pub mod labels;
-/// Unconnected HOPI: independent per-partition 2-hop indexes.
-pub mod partitioned;
 
 pub use cover::{CoverOptions, StageReport};
 pub use labels::{BuildStats, HopiIndex};
-pub use partitioned::UnconnectedHopi;

@@ -31,6 +31,12 @@ impl Stopwatch {
     pub fn elapsed_micros(&self) -> u64 {
         u64::try_from(self.0.elapsed().as_micros()).unwrap_or(u64::MAX)
     }
+
+    /// Elapsed whole nanoseconds (saturating at `u64::MAX`), for spans too
+    /// short to survive truncation to microseconds.
+    pub fn elapsed_nanos(&self) -> u64 {
+        u64::try_from(self.0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// A per-request time budget anchored at a [`Stopwatch`].

@@ -26,7 +26,7 @@
 //!   thread ids, evaluator spans as duration events, sheds and escapes as
 //!   instants), and [`JournalSnapshot::timeline`] renders a plain-text
 //!   causal timeline for one request, joinable against the
-//!   [`SlowQuery`] log via the recorded id.
+//!   [`SlowQuery`](crate::slowlog::SlowQuery) log via the recorded id.
 //!
 //! Memory is strictly bounded: `lanes * capacity` slots of five `u64`s
 //! each, allocated once. When a ring wraps, the oldest events are
@@ -35,7 +35,6 @@
 
 use crate::clock::Stopwatch;
 use crate::registry::json_escape;
-use crate::slowlog::SlowQuery;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -806,26 +805,6 @@ impl JournalSnapshot {
                 }
             }
             out.push('\n');
-        }
-        out
-    }
-
-    /// Joins the slow-query log against the journal: for each slow query
-    /// that carries a request id, renders its full causal timeline.
-    pub fn worst_timelines(&self, slow: &[SlowQuery]) -> String {
-        let mut out = String::new();
-        for entry in slow {
-            if entry.request.is_none() {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "== {} · {}us · {}",
-                entry.request,
-                entry.trace.total_micros(),
-                entry.trace.label
-            );
-            out.push_str(&self.timeline(entry.request));
         }
         out
     }

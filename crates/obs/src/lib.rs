@@ -26,8 +26,7 @@
 //!   timing cannot bypass this layer. [`Deadline`] builds per-request time
 //!   budgets on top of it for the serving path.
 //!
-//! Snapshots export two ways: [`MetricsSnapshot::to_json`] for the bench
-//! trajectory files and [`MetricsSnapshot::to_prometheus`] for a
+//! Snapshots export through [`MetricsSnapshot::to_prometheus`], a
 //! Prometheus-style text exposition.
 
 #![forbid(unsafe_code)]

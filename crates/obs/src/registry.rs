@@ -423,45 +423,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Serializes the snapshot as one JSON object: counters and gauges as
-    /// scalar maps, histograms with count/sum/max and derived percentiles.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (id, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {v}", json_escape(&id.render(&[])));
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (id, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {v:.3}", json_escape(&id.render(&[])));
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (id, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                json_escape(&id.render(&[])),
-                h.count,
-                h.sum,
-                h.max,
-                h.p50(),
-                h.p95(),
-                h.p99()
-            );
-        }
-        out.push_str("\n  }\n}");
-        out
-    }
-
     /// The registered description for a metric name, if any.
     fn help_for(&self, name: &str) -> Option<&str> {
         self.help
@@ -723,20 +684,6 @@ mod tests {
         assert!(text.contains("# TYPE plain_total counter"), "{text}");
         assert!(!text.contains("# HELP plain_total"), "{text}");
         assert_eq!(text.matches("# HELP hits_total").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn json_snapshot_contains_percentiles() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a_total").inc();
-        let h = reg.histogram("lat");
-        h.record(10);
-        h.record(20);
-        let json = reg.snapshot().to_json();
-        assert!(json.contains("\"a_total\": 1"), "{json}");
-        assert!(json.contains("\"count\": 2"), "{json}");
-        assert!(json.contains("\"p50\""), "{json}");
-        assert!(json.contains("\"p99\""), "{json}");
     }
 
     #[test]

@@ -96,7 +96,11 @@ pub struct Span {
 pub struct StageTotals {
     /// Number of spans recorded for the stage.
     pub spans: u64,
-    /// Total microseconds spent in the stage.
+    /// Total nanoseconds spent in the stage. Spans are summed at this
+    /// resolution, so one shorter than a microsecond still counts.
+    pub nanos: u64,
+    /// Total microseconds spent in the stage: `nanos / 1000`, truncated
+    /// once on the total.
     pub micros: u64,
     /// Sum of all counters charged in the stage.
     pub counters: SpanCounters,
@@ -150,24 +154,26 @@ impl QueryTrace {
         self.request
     }
 
-    /// Records one span. Past capacity the span itself is dropped (the
-    /// dropped count grows), but the stage totals always absorb it.
+    /// Records one span, timed in nanoseconds relative to the trace's
+    /// start. Past capacity the span itself is dropped (the dropped count
+    /// grows), but the stage totals always absorb it.
     pub fn record(
         &mut self,
         stage: SpanStage,
-        start_micros: u64,
-        duration_micros: u64,
+        start_nanos: u64,
+        duration_nanos: u64,
         counters: SpanCounters,
     ) {
         let t = &mut self.totals[stage.index()];
         t.spans += 1;
-        t.micros += duration_micros;
+        t.nanos += duration_nanos;
+        t.micros = t.nanos / 1_000;
         t.counters.absorb(&counters);
         if self.spans.len() < self.capacity {
             self.spans.push(Span {
                 stage,
-                start_micros,
-                duration_micros,
+                start_micros: start_nanos / 1_000,
+                duration_micros: duration_nanos / 1_000,
                 counters,
             });
         } else {
@@ -241,9 +247,9 @@ mod tests {
     #[test]
     fn spans_and_totals_accumulate() {
         let mut trace = QueryTrace::new("q");
-        trace.record(SpanStage::QueuePop, 0, 5, counters(1, 0));
-        trace.record(SpanStage::BlockFetch, 5, 20, counters(0, 40));
-        trace.record(SpanStage::BlockFetch, 30, 10, counters(0, 2));
+        trace.record(SpanStage::QueuePop, 0, 5_000, counters(1, 0));
+        trace.record(SpanStage::BlockFetch, 5_000, 20_000, counters(0, 40));
+        trace.record(SpanStage::BlockFetch, 30_000, 10_000, counters(0, 2));
         trace.finish(42);
         assert_eq!(trace.spans().len(), 3);
         assert_eq!(trace.total_micros(), 42);
@@ -259,7 +265,7 @@ mod tests {
     fn capacity_drops_spans_but_not_totals() {
         let mut trace = QueryTrace::with_capacity("q", 2);
         for i in 0..5 {
-            trace.record(SpanStage::QueuePop, i, 1, counters(1, 0));
+            trace.record(SpanStage::QueuePop, i * 1_000, 1_000, counters(1, 0));
         }
         assert_eq!(trace.spans().len(), 2);
         assert_eq!(trace.dropped_spans(), 3);
@@ -271,9 +277,21 @@ mod tests {
     }
 
     #[test]
+    fn sub_microsecond_spans_add_up_instead_of_vanishing() {
+        let mut trace = QueryTrace::with_capacity("linkchase", 0);
+        for i in 0..1_000 {
+            trace.record(SpanStage::LinkExpand, i * 400, 400, counters(0, 0));
+        }
+        let links = trace.stage_totals(SpanStage::LinkExpand);
+        assert_eq!(links.spans, 1_000);
+        assert_eq!(links.nanos, 400_000);
+        assert_eq!(links.micros, 400);
+    }
+
+    #[test]
     fn summary_mentions_active_stages_only() {
         let mut trace = QueryTrace::new("find//sec");
-        trace.record(SpanStage::QueuePop, 0, 3, counters(1, 0));
+        trace.record(SpanStage::QueuePop, 0, 3_000, counters(1, 0));
         trace.finish(9);
         let s = trace.summary();
         assert!(s.contains("find//sec"), "{s}");

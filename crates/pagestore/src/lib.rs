@@ -3,8 +3,8 @@
 //! The paper's prototype stored every index in Oracle tables; this crate is
 //! the equivalent substrate: slotted pages ([`page`]), a disk abstraction
 //! with I/O accounting ([`disk`]), a latching buffer pool with LRU eviction
-//! ([`buffer`]), heap tables of variable-length records ([`table`]), and a
-//! named blob store for serialised index images ([`blob`]).
+//! ([`buffer`]), and a named blob store for serialised index images
+//! ([`blob`]).
 //!
 //! Everything is synchronous and latch-based (`parking_lot`). Durability
 //! is layered on top rather than woven through: a write-ahead log with
@@ -34,8 +34,6 @@ pub mod page;
 pub mod recovery;
 /// Checkpoint manifests with generations and atomic install.
 pub mod snapshot;
-/// Heap tables of variable-length records.
-pub mod table;
 /// Write-ahead log: CRC-framed records with commit markers.
 pub mod wal;
 
@@ -46,7 +44,6 @@ pub use disk::{DiskManager, DiskStats, FileDisk, MemDisk};
 pub use page::{Page, PageId, SlotId, PAGE_SIZE};
 pub use recovery::{CommitReceipt, DurableStore, RecoveryReport};
 pub use snapshot::{FileManifests, ManifestStore, MemManifests, SnapshotManifest};
-pub use table::{HeapTable, RecordId};
 pub use wal::{
     parse_log, FileLog, LogDevice, LogTail, MemLog, ParsedLog, Wal, WalBatch, WalRecord,
 };

@@ -290,21 +290,6 @@ impl PpoIndex {
             .is_some_and(|l| l.binary_search(&(self.pre[u as usize], u)).is_ok())
     }
 
-    /// Nodes in the *following* axis of `u`: preorder after `u`'s subtree.
-    pub fn following(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let end = (self.pre[u as usize] + self.size[u as usize]) as usize;
-        self.pre_to_node[end..].iter().copied()
-    }
-
-    /// Nodes in the *preceding* axis of `u`: preorder before `u`, excluding
-    /// ancestors.
-    pub fn preceding(&self, u: NodeId) -> Vec<NodeId> {
-        (0..self.pre[u as usize] as usize)
-            .map(|r| self.pre_to_node[r])
-            .filter(|&x| !self.is_ancestor(x, u))
-            .collect()
-    }
-
     /// Approximate in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
         let n = self.pre.len();
@@ -581,22 +566,6 @@ mod tests {
         // B-labelled ancestors of 6: node 1 at distance 2 (+ self at 0)
         assert_eq!(idx.ancestors_by_label(6, 1, true), vec![(6, 0), (1, 2)]);
         assert_eq!(idx.ancestors_by_label(6, 1, false), vec![(1, 2)]);
-    }
-
-    #[test]
-    fn following_preceding_partition() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        for u in 0..7u32 {
-            let mut all: Vec<NodeId> = idx.following(u).collect();
-            all.extend(idx.preceding(u));
-            all.extend(idx.descendants(u));
-            all.extend(idx.ancestors(u).into_iter().map(|(a, _)| a));
-            all.push(u);
-            all.sort_unstable();
-            all.dedup();
-            assert_eq!(all, (0..7).collect::<Vec<_>>(), "axes partition for {u}");
-        }
     }
 
     #[test]

@@ -54,14 +54,11 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
-/// Closed- and open-loop load generators for driving a server.
-pub mod loadgen;
 /// Online rebuild: background self-tuning with hot backend swaps.
 pub mod rebuild;
 /// The worker-pool server: admission, deadlines, single-flight, drain.
 pub mod server;
 
-pub use loadgen::{closed_loop, closed_loop_windowed, open_loop, ClosedLoopReport, OpenLoopReport};
 pub use rebuild::{RebuildConfig, RebuildOutcome, Rebuilder};
 pub use server::{
     AxisKind, Backend, FlixServer, Request, Response, ServeConfig, ServeError, ServeStats, Ticket,

@@ -51,7 +51,7 @@ fn assert_thread_invariant(
     };
     let (base, report) = HopiIndex::build_staged(g, labels, &opts(1));
     let base_image = pagestore::to_bytes(&base).unwrap();
-    for threads in [2usize, 8] {
+    for threads in [2usize, 4, 8] {
         let (idx, other_report) = HopiIndex::build_staged(g, labels, &opts(threads));
         let image = pagestore::to_bytes(&idx).unwrap();
         assert!(

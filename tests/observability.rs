@@ -7,8 +7,8 @@
 //! check that the trace's counters reconcile exactly with the evaluator's
 //! own [`flix::PeeStats`].
 
-use flix::{Flix, FlixConfig, QueryOptions, QueryPathMetrics, StrategyKind};
-use flixobs::{MetricsRegistry, QueryTrace};
+use flix::{Flix, FlixConfig, QueryOptions, StrategyKind};
+use flixobs::QueryTrace;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -67,35 +67,6 @@ fn traced_results_identical_across_strategies() {
             }
         }
     }
-}
-
-/// The full observability pipeline (registry, histogram, slow-query log)
-/// around the evaluator also leaves the results untouched.
-#[test]
-fn observed_pipeline_matches_plain_evaluation() {
-    let cg = corpus(9, 8);
-    let queries = descendant_queries(&cg, 6, 7);
-    let registry = MetricsRegistry::new();
-    for config in strategies() {
-        let name = config.to_string();
-        let flix = Flix::build(cg.clone(), config);
-        let obs = QueryPathMetrics::register(&registry, &[("config", &name)]);
-        for q in &queries {
-            let opts = QueryOptions::default();
-            let (observed, _) = obs.find_descendants(&flix, q.start, q.target_tag, &opts, "q");
-            assert_eq!(
-                observed,
-                flix.find_descendants(q.start, q.target_tag, &opts)
-            );
-        }
-        assert_eq!(obs.queries(), queries.len() as u64);
-    }
-    // The snapshot both exports must be well-formed after real traffic.
-    let snap = registry.snapshot();
-    assert!(snap
-        .to_prometheus()
-        .contains("# TYPE flix_query_latency_micros histogram"));
-    assert!(snap.to_json().contains("\"p99\""));
 }
 
 /// Early termination sees the same prefix with and without a trace

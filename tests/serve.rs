@@ -43,17 +43,24 @@ fn web_corpus() -> Arc<CollectionGraph> {
     Arc::new(generate_web(&cfg).seal())
 }
 
-/// A randomized mix of descendants and ancestors requests under the three
-/// standard option shapes, paired with the single-threaded oracle answer.
+/// A randomized mix of descendants and ancestors requests under the four
+/// standard option shapes (the last one — top-k within a distance — is what
+/// shard routing can prove local), paired with the single-threaded oracle
+/// answer.
 fn oracle_mix(flix: &Flix, cg: &CollectionGraph) -> Vec<(Request, Vec<flix::QueryResult>)> {
     let mut mix = Vec::new();
-    for (i, q) in descendant_queries(cg, 30, 7).into_iter().enumerate() {
-        let opts = match i % 3 {
+    for (i, q) in descendant_queries(cg, 40, 7).into_iter().enumerate() {
+        let opts = match i % 4 {
             0 => QueryOptions::default(),
             1 => QueryOptions::top_k(5),
-            _ => QueryOptions::exact(),
+            2 => QueryOptions::exact(),
+            _ => QueryOptions {
+                max_distance: Some(2),
+                ..QueryOptions::top_k(10)
+            },
         };
-        if i % 2 == 0 {
+        // Each shape alternates between the two axes.
+        if (i / 4) % 2 == 0 {
             let oracle = flix.find_descendants(q.start, q.target_tag, &opts);
             mix.push((Request::descendants(q.start, q.target_tag, opts), oracle));
         } else {
@@ -285,7 +292,7 @@ fn dblp_corpus() -> Arc<CollectionGraph> {
 /// [`ShardedFlix`] returns byte-for-byte the unsharded oracle's results —
 /// single-shard queries served shard-locally and multi-shard queries
 /// through the cross-shard fan-out alike. Runs over both a DBLP-like
-/// citation corpus and a random cyclic web, under the three standard
+/// citation corpus and a random cyclic web, under the four standard
 /// option shapes including `exact()`.
 #[test]
 fn sharded_serving_matches_the_unsharded_oracle_at_every_shard_count() {
