@@ -38,6 +38,11 @@ echo "== flixbench (the benchmark package builds against crates/, passes its tes
 cargo test --offline --manifest-path flixbench/Cargo.toml
 bash flixbench/run.sh --smoke
 
+echo "== perf ledger (every committed result document parses and compares clean against itself)"
+for entry in bench/ledger/*.json; do
+    bash flixbench/run.sh compare "$entry" "$entry" > /dev/null
+done
+
 echo "== repro smoke test (the §6 tables at 1/50 scale, then the integrity audit)"
 cargo run -q -p bench --bin repro -- table1 errors connect --scale 0.02
 cargo run -q -p bench --bin repro -- --check --scale 0.02

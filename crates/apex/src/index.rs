@@ -1,9 +1,19 @@
 //! The queryable APEX index.
 
 use crate::summary::StructuralSummary;
-use graphcore::{BitSet, Digraph, Distance, NodeId, TransitiveClosure};
+use graphcore::{BitSet, Digraph, DistScratch, Distance, NodeId, TransitiveClosure};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::ops::ControlFlow;
+
+thread_local! {
+    /// This thread's BFS scratch (visited set, distances and queue in one),
+    /// shared by every [`ApexIndex`] the thread queries. Borrowed only
+    /// inside [`ApexIndex::bfs`], whose callbacks are closures of this
+    /// module that read the index's own tables, so a traversal can never
+    /// re-enter it.
+    static SCRATCH: RefCell<DistScratch> = const { RefCell::new(DistScratch::new()) };
+}
 
 /// APEX index: a structural summary over a retained element graph.
 ///
@@ -125,6 +135,63 @@ impl ApexIndex {
         out
     }
 
+    /// The one traversal: BFS from `u` over successors (`forward`) or
+    /// predecessors, entering only the neighbours `enter` admits. `visit`
+    /// sees every reached element with its distance, `u` first, in BFS
+    /// order (ascending distance), and may end the walk.
+    fn bfs(
+        &self,
+        u: NodeId,
+        forward: bool,
+        enter: impl Fn(NodeId) -> bool,
+        mut visit: impl FnMut(NodeId, Distance) -> ControlFlow<()>,
+    ) {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.begin(self.graph.node_count());
+            scratch.relax(u, 0);
+            // The first-touch list doubles as the BFS queue.
+            let mut head = 0;
+            while let Some((x, d)) = scratch.nth(head) {
+                head += 1;
+                if visit(x, d).is_break() {
+                    return;
+                }
+                let next = if forward {
+                    self.graph.successors(x)
+                } else {
+                    self.graph.predecessors(x)
+                };
+                for &v in next {
+                    if scratch.get(v).is_none() && enter(v) {
+                        scratch.relax(v, d + 1);
+                    }
+                }
+            }
+        });
+    }
+
+    /// [`Self::bfs`] collecting the elements `keep` admits, plus the number
+    /// of elements visited.
+    fn collect(
+        &self,
+        u: NodeId,
+        forward: bool,
+        enter: impl Fn(NodeId) -> bool,
+        keep: impl Fn(NodeId) -> bool,
+    ) -> (Vec<(NodeId, Distance)>, usize) {
+        let mut out = Vec::new();
+        let mut visited = 0usize;
+        self.bfs(u, forward, enter, |x, d| {
+            visited += 1;
+            if keep(x) {
+                out.push((x, d));
+            }
+            ControlFlow::Continue(())
+        });
+        (out, visited)
+    }
+
     /// Descendants of `u` carrying `label`, ascending by distance.
     ///
     /// Summary-pruned BFS over the element graph: a branch is only expanded
@@ -150,50 +217,33 @@ impl ApexIndex {
         if label > self.max_label {
             return (Vec::new(), 0);
         }
-        let mut out = Vec::new();
-        let mut visited = 0usize;
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut queue = VecDeque::new();
-        seen[u as usize] = true;
-        queue.push_back((u, 0 as Distance));
-        while let Some((x, d)) = queue.pop_front() {
-            visited += 1;
-            if self.labels[x as usize] == label && (include_self || x != u) {
-                out.push((x, d));
-            }
-            for &v in self.graph.successors(x) {
-                if seen[v as usize] {
-                    continue;
-                }
-                let class = self.summary.class_of[v as usize];
-                if !self.label_reach[class as usize].contains(label as usize) {
-                    continue; // prune: nothing with this label down there
-                }
-                seen[v as usize] = true;
-                queue.push_back((v, d + 1));
-            }
-        }
-        (out, visited)
+        // prune: enter a branch only while something with this label is
+        // still reachable down there
+        let can_reach = |v: NodeId| {
+            let class = self.summary.class_of[v as usize];
+            self.label_reach[class as usize].contains(label as usize)
+        };
+        let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
+        self.collect(u, true, can_reach, matches)
     }
 
-    /// All descendants of `u`, ascending by distance (plain BFS).
-    pub fn descendants(&self, u: NodeId, include_self: bool) -> Vec<(NodeId, Distance)> {
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut queue = VecDeque::new();
-        seen[u as usize] = true;
-        queue.push_back((u, 0 as Distance));
-        while let Some((x, d)) = queue.pop_front() {
-            if include_self || x != u {
-                out.push((x, d));
-            }
-            for &v in self.graph.successors(x) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back((v, d + 1));
-                }
-            }
-        }
+    /// The members of `anchors` (ascending ids) among `u`'s descendants,
+    /// `u` included, ascending by `(distance, element)` — a plain BFS: the
+    /// anchors carry any label, so there is nothing to prune by.
+    pub fn descendants_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        self.among(u, true, anchors)
+    }
+
+    /// The members of `anchors` (ascending ids) among `u`'s ancestors, `u`
+    /// included, ascending by `(distance, element)`.
+    pub fn ancestors_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        self.among(u, false, anchors)
+    }
+
+    fn among(&self, u: NodeId, forward: bool, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        let is_anchor = |x: NodeId| anchors.binary_search(&x).is_ok();
+        let (mut out, _) = self.collect(u, forward, |_| true, is_anchor);
+        out.sort_unstable_by_key(|&(v, d)| (d, v));
         out
     }
 
@@ -201,53 +251,24 @@ impl ApexIndex {
     /// (exact, but paid per query).
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
         let target_class = self.summary.class_of[v as usize];
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut queue = VecDeque::new();
-        seen[u as usize] = true;
-        queue.push_back((u, 0 as Distance));
-        while let Some((x, d)) = queue.pop_front() {
+        let can_reach = |w: NodeId| {
+            self.summary_closure
+                .reaches(self.summary.class_of[w as usize], target_class)
+        };
+        let mut found = None;
+        self.bfs(u, true, can_reach, |x, d| {
             if x == v {
-                return Some(d);
+                found = Some(d);
+                return ControlFlow::Break(());
             }
-            for &w in self.graph.successors(x) {
-                if seen[w as usize] {
-                    continue;
-                }
-                let c = self.summary.class_of[w as usize];
-                if !self.summary_closure.reaches(c, target_class) {
-                    continue;
-                }
-                seen[w as usize] = true;
-                queue.push_back((w, d + 1));
-            }
-        }
-        None
+            ControlFlow::Continue(())
+        });
+        found
     }
 
     /// Reachability test.
     pub fn is_reachable(&self, u: NodeId, v: NodeId) -> bool {
         self.distance(u, v).is_some()
-    }
-
-    /// All ancestors of `u`, ascending by distance (reverse BFS).
-    pub fn ancestors_all(&self, u: NodeId, include_self: bool) -> Vec<(NodeId, Distance)> {
-        let mut out = Vec::new();
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut queue = VecDeque::new();
-        seen[u as usize] = true;
-        queue.push_back((u, 0 as Distance));
-        while let Some((x, d)) = queue.pop_front() {
-            if include_self || x != u {
-                out.push((x, d));
-            }
-            for &v in self.graph.predecessors(x) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back((v, d + 1));
-                }
-            }
-        }
-        out
     }
 
     /// Ancestors of `u` carrying `label` (reverse BFS), ascending distance.
@@ -269,25 +290,8 @@ impl ApexIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(NodeId, Distance)>, usize) {
-        let mut out = Vec::new();
-        let mut visited = 0usize;
-        let mut seen = vec![false; self.graph.node_count()];
-        let mut queue = VecDeque::new();
-        seen[u as usize] = true;
-        queue.push_back((u, 0 as Distance));
-        while let Some((x, d)) = queue.pop_front() {
-            visited += 1;
-            if self.labels[x as usize] == label && (include_self || x != u) {
-                out.push((x, d));
-            }
-            for &v in self.graph.predecessors(x) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back((v, d + 1));
-                }
-            }
-        }
-        (out, visited)
+        let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
+        self.collect(u, false, |_| true, matches)
     }
 
     /// Approximate in-memory footprint: extents, summary edges, the

@@ -345,6 +345,35 @@ mod tests {
         }
     }
 
+    /// Same for a meta document that decodes but whose link anchors are
+    /// not in its index's lookup order (a store saved before PPO anchors
+    /// were rank-ordered): answering from it would silently miss links.
+    #[test]
+    fn stale_anchor_order_mid_query_is_an_error_not_a_partial_answer() {
+        let cg = graph();
+        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+        // A query that pops into such a meta document after its first.
+        let (q, victim, md) = descendant_queries(&cg, 40, 44)
+            .into_iter()
+            .find_map(|q| {
+                let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+                let first = flix.meta_of(q.start);
+                res.iter()
+                    .map(|r| flix.meta_of(r.node))
+                    .filter(|&mi| mi != first)
+                    .find_map(|mi| Some((q, mi, flix.meta(mi).with_id_ordered_sources()?)))
+            })
+            .expect("some query enters a PPO meta whose preorder is not its id order");
+        let (mut store, _) = store();
+        persist::save_flix(&flix, &mut store, "fw").unwrap();
+        let bytes = pagestore::to_bytes(&md).unwrap();
+        store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+        let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+        let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+        let err = got.expect_err("a partial answer was returned");
+        assert!(err.contains("index order"), "{err}");
+    }
+
     #[test]
     fn start_outside_the_collection_is_an_error() {
         let (flix, dflix, _) = setup(FlixConfig::Naive, 4);

@@ -74,6 +74,25 @@ pub(crate) fn reversed_links(links: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)
     reversed
 }
 
+/// Derives every meta document's anchor sets — the per-meta `L_i` of §4.2
+/// and their ancestor-query mirrors — from the runtime link table.
+fn wire_anchors(
+    metas: &mut [MetaDocument],
+    runtime_links: &[(NodeId, NodeId)],
+    meta_of: &[u32],
+    local_of: &[u32],
+) {
+    let mut anchors: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); metas.len()];
+    for &(u, v) in runtime_links {
+        let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
+        anchors[mu as usize].0.push(local_of[u as usize]);
+        anchors[mv as usize].1.push(local_of[v as usize]);
+    }
+    for (m, (sources, targets)) in metas.iter_mut().zip(anchors) {
+        m.set_anchors(sources, targets);
+    }
+}
+
 /// A built FliX framework: meta documents, their indexes, and the runtime
 /// link table the query evaluator chases.
 #[derive(Debug, Clone)]
@@ -155,13 +174,8 @@ impl Flix {
             // PPO-removed edges become runtime links (already global ids).
             runtime_links.extend(job.extra_links);
             per_meta.push(job.report);
-            metas.push(MetaDocument {
-                nodes: job.mapping,
-                index: job.index,
-                link_sources: Vec::new(),
-                link_targets: Vec::new(),
-            });
             // Arcs are applied after link wiring below.
+            metas.push(MetaDocument::new(job.mapping, job.index));
         }
 
         // Every edge crossing meta documents is a runtime link.
@@ -174,18 +188,7 @@ impl Flix {
         runtime_links.dedup();
         let runtime_links_rev = reversed_links(&runtime_links);
 
-        // The per-meta L_i sets (§4.2) and their ancestor-query mirrors.
-        for &(u, v) in &runtime_links {
-            let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
-            metas[mu as usize].link_sources.push(local_of[u as usize]);
-            metas[mv as usize].link_targets.push(local_of[v as usize]);
-        }
-        for m in &mut metas {
-            m.link_sources.sort_unstable();
-            m.link_sources.dedup();
-            m.link_targets.sort_unstable();
-            m.link_targets.dedup();
-        }
+        wire_anchors(&mut metas, &runtime_links, &meta_of, &local_of);
         let wiring_micros = wiring_started.elapsed_micros();
 
         let build_time = started.elapsed();
@@ -348,12 +351,7 @@ impl Flix {
             }
             runtime_links.extend(job.extra_links);
             per_meta.push(job.report);
-            metas.push(MetaDocument {
-                nodes: job.mapping,
-                index: job.index,
-                link_sources: Vec::new(),
-                link_targets: Vec::new(),
-            });
+            metas.push(MetaDocument::new(job.mapping, job.index));
         }
 
         for (u, v) in new_graph.graph.edges() {
@@ -365,38 +363,24 @@ impl Flix {
         runtime_links.dedup();
         let runtime_links_rev = reversed_links(&runtime_links);
 
-        for m in &mut metas {
-            m.link_sources.clear();
-            m.link_targets.clear();
-        }
-        for &(u, v) in &runtime_links {
-            let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
-            metas[mu as usize].link_sources.push(local_of[u as usize]);
-            metas[mv as usize].link_targets.push(local_of[v as usize]);
-        }
-        let mut arcs = Vec::with_capacity(metas.len());
-        for (i, mut m) in metas.into_iter().enumerate() {
-            m.link_sources.sort_unstable();
-            m.link_sources.dedup();
-            m.link_targets.sort_unstable();
-            m.link_targets.dedup();
-            // Reuse the existing Arc when nothing about the meta changed
-            // (the common case: untouched region of the collection).
-            if let Some(old) = self.metas.get(i) {
-                if old.link_sources == m.link_sources && old.link_targets == m.link_targets {
-                    arcs.push(Arc::clone(old));
-                    continue;
+        wire_anchors(&mut metas, &runtime_links, &meta_of, &local_of);
+        let arcs: Vec<Arc<MetaDocument>> = metas
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| match self.metas.get(i) {
+                // Reuse the existing Arc when nothing about the meta changed
+                // (the common case: untouched region of the collection).
+                // Anchor order is canonical, so equal sets are equal lists.
+                Some(old)
+                    if old.link_sources == m.link_sources && old.link_targets == m.link_targets =>
+                {
+                    Arc::clone(old)
                 }
-                // anchor sets changed: keep the old (expensive) index, swap
-                // the cheap lists
-                let mut refreshed = (**old).clone();
-                refreshed.link_sources = m.link_sources;
-                refreshed.link_targets = m.link_targets;
-                arcs.push(Arc::new(refreshed));
-                continue;
-            }
-            arcs.push(Arc::new(m));
-        }
+                // Otherwise `m` is the old (expensive) index, cloned above,
+                // with refreshed anchor lists — or a new meta document.
+                _ => Arc::new(m),
+            })
+            .collect();
 
         let build_time = started.elapsed();
         let report = BuildReport {
@@ -664,9 +648,12 @@ impl flixcheck::IntegrityCheck for Flix {
                 ("link_sources", &md.link_sources, &mut want_sources[mi]),
                 ("link_targets", &md.link_targets, &mut want_targets[mi]),
             ] {
+                // Compared as sets; each meta's own audit checks the order.
                 want.sort_unstable();
                 want.dedup();
-                if have != want && bad_anchor.is_none() {
+                let mut have = have.clone();
+                have.sort_unstable();
+                if have != *want && bad_anchor.is_none() {
                     bad_anchor = Some(format!(
                         "meta {mi} {what}: {} anchors recorded, link table implies {}",
                         have.len(),

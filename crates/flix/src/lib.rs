@@ -95,7 +95,7 @@ pub use cache::{CacheStats, CachedFlix, ResultCache};
 pub use config::{BuildOptions, FlixConfig, StrategyKind, StrategySelector};
 pub use diskexec::{DiskExecStats, DiskFlix};
 pub use framework::{Flix, FlixStats, MetaDocStats};
-pub use meta::{MetaDocument, MetaIndex};
+pub use meta::{MetaDocument, MetaIndex, PopAnswer};
 pub use pee::{
     Axis, ConnectionOutcome, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult,
     ResultStream,

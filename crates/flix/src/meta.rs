@@ -1,6 +1,7 @@
 //! Meta documents and their per-strategy indexes.
 
 use crate::config::StrategyKind;
+use crate::pee::Axis;
 use apex::ApexIndex;
 use graphcore::{Digraph, Distance, NodeId};
 use hopi::HopiIndex;
@@ -180,14 +181,74 @@ pub struct MetaDocument {
     pub nodes: Vec<NodeId>,
     /// The index built for this meta document.
     pub index: MetaIndex,
-    /// Locals with outgoing runtime links (the set `L_i` of §4.2), sorted.
-    pub link_sources: Vec<u32>,
+    /// Locals with outgoing runtime links (the set `L_i` of §4.2), each
+    /// once, in the order the index looks them up in: ascending *preorder
+    /// rank* under PPO — the link sources below an element are then one
+    /// contiguous run of this list — and ascending local id under HOPI and
+    /// APEX. [`Self::set_anchors`] establishes the order.
+    pub(crate) link_sources: Vec<u32>,
     /// Locals that are targets of runtime links (for ancestor queries),
-    /// sorted.
-    pub link_targets: Vec<u32>,
+    /// each once, ascending by local id under every strategy.
+    pub(crate) link_targets: Vec<u32>,
+}
+
+/// What one queue pop takes from a meta document — Fig. 4's per-entry
+/// step, see [`MetaDocument::answer_pop`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PopAnswer {
+    /// Elements carrying the label, as `(local, in-meta distance)`
+    /// ascending by distance.
+    pub block: Vec<(u32, Distance)>,
+    /// Index rows (elements, for APEX) the block cost.
+    pub work: usize,
+    /// Link anchors the entry reaches, as [`MetaDocument::link_anchors`]
+    /// returns them.
+    pub links: Vec<(u32, Distance)>,
 }
 
 impl MetaDocument {
+    /// A meta document without runtime-link anchors (yet).
+    pub fn new(nodes: Vec<NodeId>, index: MetaIndex) -> Self {
+        Self {
+            nodes,
+            index,
+            link_sources: Vec::new(),
+            link_targets: Vec::new(),
+        }
+    }
+
+    /// Replaces the anchor sets, putting them into the index's lookup
+    /// order (see [`Self::link_sources`]); the input may be in any order
+    /// and hold duplicates. The order is a function of the set and the
+    /// index alone, so equal anchor sets compare equal as lists.
+    pub fn set_anchors(&mut self, mut sources: Vec<u32>, mut targets: Vec<u32>) {
+        sources.sort_unstable_by_key(|&s| self.source_rank(s));
+        sources.dedup();
+        targets.sort_unstable();
+        targets.dedup();
+        self.link_sources = sources;
+        self.link_targets = targets;
+    }
+
+    /// Position of link source `s` in the index's lookup order: its
+    /// preorder rank under PPO, its local id otherwise.
+    fn source_rank(&self, s: u32) -> u32 {
+        match &self.index {
+            MetaIndex::Ppo(i) => i.forest_index().pre(s),
+            _ => s,
+        }
+    }
+
+    /// Locals with outgoing runtime links, in the index's lookup order.
+    pub fn link_sources(&self) -> &[u32] {
+        &self.link_sources
+    }
+
+    /// Locals that runtime links point at, ascending.
+    pub fn link_targets(&self) -> &[u32] {
+        &self.link_targets
+    }
+
     /// Number of elements in this meta document.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -200,64 +261,124 @@ impl MetaDocument {
 
     /// `IND.findReachableLinks(e)` from the paper's Fig. 4: descendants of
     /// local `e` (including `e`) that have outgoing runtime links, with
-    /// their in-meta distances, ascending (conceptually the intersection of
-    /// `e`'s descendants with the set `L_i`, §4.2).
+    /// their in-meta distances, ascending by `(distance, local)`
+    /// (conceptually the intersection of `e`'s descendants with the set
+    /// `L_i`, §4.2).
     ///
-    /// The access path depends on the strategy: PPO answers a distance
-    /// probe in O(1), so probing each link source wins; HOPI and APEX pay
-    /// a label merge / traversal per probe, so enumerating the descendant
-    /// set once and filtering it against `L_i` is far cheaper.
+    /// The access path is the strategy's own `descendants_among`. Under
+    /// PPO `e`'s subtree is an interval of preorder ranks and
+    /// `link_sources` is in rank order, so the answer is a slice found by
+    /// two binary searches; HOPI runs one label join and APEX one BFS,
+    /// keeping the members of `L_i` they reach.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
         if self.link_sources.is_empty() {
             return Vec::new();
         }
-        let mut out: Vec<(u32, Distance)> = match &self.index {
-            MetaIndex::Ppo(i) => self
-                .link_sources
-                .iter()
-                .filter_map(|&s| i.distance(e, s).map(|d| (s, d)))
-                .collect(),
-            MetaIndex::Hopi(i) => i
-                .descendants(e, true)
-                .into_iter()
-                .filter(|(v, _)| self.link_sources.binary_search(v).is_ok())
-                .collect(),
-            MetaIndex::Apex(i) => i
-                .descendants(e, true)
-                .into_iter()
-                .filter(|(v, _)| self.link_sources.binary_search(v).is_ok())
-                .collect(),
-        };
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out
+        match &self.index {
+            MetaIndex::Ppo(i) => i.descendants_among(e, &self.link_sources),
+            MetaIndex::Hopi(i) => i.descendants_among(e, &self.link_sources),
+            MetaIndex::Apex(i) => i.descendants_among(e, &self.link_sources),
+        }
     }
 
     /// Mirror of [`Self::reachable_link_sources`] for ancestor queries:
     /// link *targets* that can reach local `e`, with their distances to
-    /// `e`, ascending.
+    /// `e`, ascending by `(distance, local)`. Under PPO this walks `e`'s
+    /// parent chain, looking each step up in the id-sorted target list.
     pub fn reaching_link_targets(&self, e: u32) -> Vec<(u32, Distance)> {
         if self.link_targets.is_empty() {
             return Vec::new();
         }
-        let mut out: Vec<(u32, Distance)> = match &self.index {
-            MetaIndex::Ppo(i) => self
-                .link_targets
-                .iter()
-                .filter_map(|&t| i.distance(t, e).map(|d| (t, d)))
-                .collect(),
-            MetaIndex::Hopi(i) => i
-                .ancestors(e, true)
-                .into_iter()
-                .filter(|(v, _)| self.link_targets.binary_search(v).is_ok())
-                .collect(),
-            MetaIndex::Apex(i) => i
-                .ancestors_all(e, true)
-                .into_iter()
-                .filter(|(v, _)| self.link_targets.binary_search(v).is_ok())
-                .collect(),
+        match &self.index {
+            MetaIndex::Ppo(i) => i.ancestors_among(e, &self.link_targets),
+            MetaIndex::Hopi(i) => i.ancestors_among(e, &self.link_targets),
+            MetaIndex::Apex(i) => i.ancestors_among(e, &self.link_targets),
+        }
+    }
+
+    /// The anchors of runtime links leaving this meta document along
+    /// `axis` that entry `e` reaches: [`Self::reachable_link_sources`]
+    /// going down, [`Self::reaching_link_targets`] going up.
+    pub fn link_anchors(&self, axis: Axis, e: u32) -> Vec<(u32, Distance)> {
+        match axis {
+            Axis::Descendants => self.reachable_link_sources(e),
+            Axis::Ancestors => self.reaching_link_targets(e),
+        }
+    }
+
+    /// Everything one queue pop of the evaluator needs from this meta
+    /// document: the block of elements with `label` along `axis` from
+    /// entry `e`, what the block cost, and the link anchors `e` reaches
+    /// (`e` itself counts as an anchor whatever `include_self` says).
+    ///
+    /// Equal to `descendants_by_label_counted` (or its ancestors mirror)
+    /// plus [`Self::link_anchors`]. Under HOPI both are filters over the
+    /// same label join, which therefore runs once; PPO and APEX have
+    /// nothing to share (an interval lookup beside a rank-list scan; a
+    /// plain BFS beside a label-pruned one).
+    pub fn answer_pop(&self, axis: Axis, e: u32, label: u32, include_self: bool) -> PopAnswer {
+        let (block, work, links) = match (&self.index, axis) {
+            (MetaIndex::Hopi(i), Axis::Descendants) => {
+                i.descendants_by_label_and_anchors(e, label, include_self, &self.link_sources)
+            }
+            (MetaIndex::Hopi(i), Axis::Ancestors) => {
+                i.ancestors_by_label_and_anchors(e, label, include_self, &self.link_targets)
+            }
+            (index, Axis::Descendants) => {
+                let (block, work) = index.descendants_by_label_counted(e, label, include_self);
+                (block, work, self.reachable_link_sources(e))
+            }
+            (index, Axis::Ancestors) => {
+                let (block, work) = index.ancestors_by_label_counted(e, label, include_self);
+                (block, work, self.reaching_link_targets(e))
+            }
         };
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out
+        PopAnswer { block, work, links }
+    }
+
+    /// Number of elements the index was built over.
+    fn indexed_nodes(&self) -> usize {
+        match &self.index {
+            MetaIndex::Ppo(i) => i.forest_index().node_count(),
+            MetaIndex::Hopi(i) => i.node_count(),
+            MetaIndex::Apex(i) => i.summary().class_of.len(),
+        }
+    }
+
+    /// The first way the anchor sets break their contract — valid locals,
+    /// each once, in the index's lookup order — if they do; one pass over
+    /// both lists. The lookups above silently miss links on lists in any
+    /// other order (a framework persisted before PPO anchors were kept in
+    /// rank order has exactly that), so [`crate::persist`] runs this on
+    /// every meta document it decodes.
+    pub(crate) fn anchor_fault(&self) -> Option<String> {
+        let n = self.nodes.len().min(self.indexed_nodes());
+        let fault = |what: &str, anchors: &[u32], rank: &dyn Fn(u32) -> u32| {
+            if let Some(&a) = anchors.iter().find(|&&a| a as usize >= n) {
+                return Some(format!("{what} names local {a}, meta document holds {n}"));
+            }
+            let at = anchors.windows(2).position(|w| rank(w[0]) >= rank(w[1]))?;
+            Some(format!(
+                "{what} is not in index order at position {}: {} before {}",
+                at + 1,
+                anchors[at],
+                anchors[at + 1]
+            ))
+        };
+        fault("link_sources", &self.link_sources, &|s| self.source_rank(s))
+            .or_else(|| fault("link_targets", &self.link_targets, &|t| t))
+    }
+}
+
+#[cfg(test)]
+impl MetaDocument {
+    /// This meta document as a build from before the index-order rule
+    /// persisted it — link sources in id order — if that is a different
+    /// list (the stale-store tests need one where it is).
+    pub(crate) fn with_id_ordered_sources(&self) -> Option<Self> {
+        let mut stale = self.clone();
+        stale.link_sources.sort_unstable();
+        (stale.link_sources != self.link_sources).then_some(stale)
     }
 }
 
@@ -279,37 +400,18 @@ impl flixcheck::IntegrityCheck for MetaDocument {
                     .unwrap_or_default()
             },
         );
-        let index_n = match &self.index {
-            MetaIndex::Ppo(i) => i.forest_index().node_count(),
-            MetaIndex::Hopi(i) => i.node_count(),
-            MetaIndex::Apex(i) => i.summary().class_of.len(),
-        };
+        let index_n = self.indexed_nodes();
         audit.check(
             "index covers exactly the meta document's nodes",
             index_n == n,
             || format!("index built over {index_n} nodes, meta document holds {n}"),
         );
-        for (what, anchors) in [
-            ("link_sources", &self.link_sources),
-            ("link_targets", &self.link_targets),
-        ] {
-            let unsorted = anchors.windows(2).any(|w| w[0] >= w[1]);
-            audit.check(
-                "runtime-link anchor sets are strictly ascending",
-                !unsorted,
-                || format!("{what} is not strictly sorted"),
-            );
-            let stray = anchors.iter().copied().find(|&a| a as usize >= n);
-            audit.check(
-                "runtime-link anchors are valid local ids",
-                stray.is_none(),
-                || {
-                    stray
-                        .map(|a| format!("{what} names local {a}, meta document holds {n}"))
-                        .unwrap_or_default()
-                },
-            );
-        }
+        let fault = self.anchor_fault();
+        audit.check(
+            "runtime-link anchors are valid local ids in index order",
+            fault.is_none(),
+            || fault.unwrap_or_default(),
+        );
         let inner = match &self.index {
             MetaIndex::Ppo(i) => i.integrity_check(),
             MetaIndex::Hopi(i) => i.integrity_check(),
@@ -373,19 +475,61 @@ mod tests {
     fn meta_document_link_source_scan() {
         let (g, labels) = diamond();
         let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
-        let link_sources: Vec<u32> = extra.iter().map(|&(u, _)| u).collect();
-        let md = MetaDocument {
-            nodes: vec![10, 11, 12, 13], // globals
-            index,
-            link_sources,
-            link_targets: extra.iter().map(|&(_, v)| v).collect(),
-        };
+        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index); // globals
+        md.set_anchors(
+            extra.iter().map(|&(u, _)| u).collect(),
+            extra.iter().map(|&(_, v)| v).collect(),
+        );
         let ls = md.reachable_link_sources(0);
         assert_eq!(ls.len(), 1, "one dropped edge, one source");
         let lt = md.reaching_link_targets(3);
         assert_eq!(lt.len(), 1);
         assert!(!md.is_empty());
         assert_eq!(md.len(), 4);
+    }
+
+    /// A tree whose preorder (0, 2, 1, 3) is not its id order.
+    fn crossed_tree() -> (Digraph, Vec<u32>) {
+        let g = Digraph::from_edges(4, [(0, 2), (2, 1), (0, 3)]);
+        (g, vec![0, 1, 1, 2])
+    }
+
+    #[test]
+    fn anchors_are_kept_in_index_order_and_pops_agree_with_the_parts() {
+        let (g, labels) = crossed_tree();
+        for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
+            let (index, _) = MetaIndex::build(kind, &g, &labels, 1);
+            let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+            md.set_anchors(vec![3, 1, 2, 1], vec![2, 0, 2]);
+            let want: &[u32] = match kind {
+                StrategyKind::Ppo => &[2, 1, 3],
+                _ => &[1, 2, 3],
+            };
+            assert_eq!(md.link_sources(), want, "{kind}");
+            assert_eq!(md.link_targets(), &[0, 2], "{kind}");
+            assert_eq!(md.reachable_link_sources(0), vec![(2, 1), (3, 1), (1, 2)]);
+            assert_eq!(md.reachable_link_sources(2), vec![(2, 0), (1, 1)]);
+            assert_eq!(md.reachable_link_sources(3), vec![(3, 0)]);
+            assert_eq!(md.reaching_link_targets(1), vec![(2, 1), (0, 2)]);
+            assert_eq!(md.reaching_link_targets(3), vec![(0, 1)]);
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                for e in 0..4 {
+                    for include_self in [false, true] {
+                        let pop = md.answer_pop(axis, e, 1, include_self);
+                        let (block, work) = match axis {
+                            Axis::Descendants => {
+                                md.index.descendants_by_label_counted(e, 1, include_self)
+                            }
+                            Axis::Ancestors => {
+                                md.index.ancestors_by_label_counted(e, 1, include_self)
+                            }
+                        };
+                        let links = md.link_anchors(axis, e);
+                        assert_eq!(pop, PopAnswer { block, work, links }, "{kind} {axis:?} {e}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -406,15 +550,8 @@ mod tests {
         let (g, labels) = diamond();
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             let (index, extra) = MetaIndex::build(kind, &g, &labels, 2);
-            let mut sources: Vec<u32> = extra.iter().map(|&(u, _)| u).collect();
-            sources.sort_unstable();
-            sources.dedup();
-            let md = MetaDocument {
-                nodes: vec![10, 11, 12, 13],
-                index,
-                link_sources: sources,
-                link_targets: Vec::new(),
-            };
+            let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+            md.set_anchors(extra.iter().map(|&(u, _)| u).collect(), Vec::new());
             md.integrity_check().unwrap();
 
             // Global node map out of order.
@@ -431,6 +568,22 @@ mod tests {
             let mut bad = md.clone();
             bad.link_targets = vec![99];
             assert!(bad.integrity_check().is_err(), "{kind:?}: stray anchor");
+
+            // An anchor listed twice.
+            let mut bad = md.clone();
+            bad.link_targets = vec![1, 1];
+            assert!(bad.integrity_check().is_err(), "{kind:?}: repeated anchor");
         }
+
+        // PPO anchors in id order — what a framework persisted before the
+        // interval lookup holds — are out of *index* order.
+        let (g, labels) = crossed_tree();
+        let (index, _) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
+        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+        md.set_anchors(vec![1, 2, 3], Vec::new());
+        md.integrity_check().unwrap();
+        md.link_sources.sort_unstable();
+        let err = md.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("index order"), "{err}");
     }
 }

@@ -21,7 +21,7 @@
 //! shard's view, the cross-shard merge, or the disk-resident engine.
 
 use crate::framework::Flix;
-use crate::meta::MetaDocument;
+use crate::meta::{MetaDocument, PopAnswer};
 use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
 use flixobs::{Deadline, QueryTrace, SpanCounters, SpanStage, Stopwatch};
 use graphcore::{Distance, NodeId};
@@ -272,30 +272,25 @@ fn covers(md: &MetaDocument, axis: Axis, seen: u32, later: u32) -> bool {
     }
 }
 
-/// Fig. 4's `findReachableLinks`: visits the far end of every runtime link
-/// leaving `md` that the entry `local` reaches along `axis`, with the
-/// distance from the entry to that far end.
+/// Visits the far end of every runtime link hanging off `anchors` — what
+/// [`MetaDocument::link_anchors`] found reachable from an entry of `md`
+/// along `axis` (Fig. 4's `findReachableLinks`) — with the distance from
+/// the entry to that far end.
 fn for_each_link<S: MetaSpace + ?Sized>(
     space: &S,
     md: &MetaDocument,
     axis: Axis,
-    local: u32,
+    anchors: &[(u32, Distance)],
     mut visit: impl FnMut(Distance, NodeId),
 ) {
-    match axis {
-        Axis::Descendants => {
-            for (ls, dls) in md.reachable_link_sources(local) {
-                for &(_, tgt) in space.links_out_of(md.nodes[ls as usize]) {
-                    visit(dls + 1, tgt);
-                }
-            }
-        }
-        Axis::Ancestors => {
-            for (lt, dlt) in md.reaching_link_targets(local) {
-                for &(_, src) in space.links_into(md.nodes[lt as usize]) {
-                    visit(dlt + 1, src);
-                }
-            }
+    for &(anchor, d) in anchors {
+        let node = md.nodes[anchor as usize];
+        let links = match axis {
+            Axis::Descendants => space.links_out_of(node),
+            Axis::Ancestors => space.links_into(node),
+        };
+        for &(_, far) in links {
+            visit(d + 1, far);
         }
     }
 }
@@ -500,9 +495,10 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
 /// the node universe. Returns how the evaluation ended and its counters.
 ///
 /// With `ctx.trace` set, every queue pop (including the §5.1 subsumption
-/// check), meta-index block materialisation, and link-expansion step is
-/// recorded as a timed span carrying the counter deltas charged during
-/// it, and the trace is stamped with the evaluation's total time. With
+/// check), meta-index lookup (the block and the reachable link anchors,
+/// one [`MetaDocument::answer_pop`]), and link-expansion step (the queue
+/// pushes) is recorded as a timed span carrying the counter deltas charged
+/// during it, and the trace is stamped with the evaluation's total time. With
 /// `ctx.journal` set, a deadline cut is recorded as a flight-recorder
 /// event. Both are write-only from the evaluator's point of view — no
 /// branch of the algorithm consults them — so the emitted result stream
@@ -635,17 +631,12 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let include_self = if is_seed { opts.include_start } else { true };
         let fetch_t0 = trace_clock.map(|c| c.elapsed_nanos());
         let fetch_before = stats;
-        let (block, work) = match axis {
-            Axis::Descendants => md
-                .index
-                .descendants_by_label_counted(local, target, include_self),
-            Axis::Ancestors => md
-                .index
-                .ancestors_by_label_counted(local, target, include_self),
-        };
+        // One request per pop: the block and the reachable link anchors
+        // come out of the same index lookup where the strategy can share it.
+        let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
         stats.block_results_scanned += work;
-        // The span covers only the block materialisation, not the emit
-        // callbacks below — client time is not evaluator time.
+        // The span covers only that lookup, not the emit callbacks below —
+        // client time is not evaluator time.
         if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, fetch_t0) {
             tr.record(
                 SpanStage::BlockFetch,
@@ -689,10 +680,11 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             }
         }
 
-        // Expand runtime links (Fig. 4's `findReachableLinks`).
+        // Expand runtime links: queue the far end of every link hanging off
+        // the anchors the lookup above found (Fig. 4's `findReachableLinks`).
         let link_t0 = trace_clock.map(|c| c.elapsed_nanos());
         let link_before = stats;
-        for_each_link(space, &md, axis, local, |hop, far| {
+        for_each_link(space, &md, axis, &links, |hop, far| {
             stats.links_expanded += 1;
             queue.push(Reverse((d + hop, far, false)));
         });
@@ -797,7 +789,8 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
                 }
             }
         }
-        for_each_link(self.space, &md, self.axis, local, |hop, far| {
+        let links = md.link_anchors(self.axis, local);
+        for_each_link(self.space, &md, self.axis, &links, |hop, far| {
             self.stats.links_expanded += 1;
             self.queue.push(Reverse((d + hop, far)));
         });

@@ -41,13 +41,28 @@ pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, S
 }
 
 /// Reads and decodes the index of meta document `id` of the framework
-/// saved under `name`.
+/// saved under `name` — the one decode site behind [`load_flix`] and
+/// [`crate::diskexec::DiskFlix`].
+///
+/// # Errors
+/// If the blob is missing, does not decode, or holds link anchors that are
+/// out of range or not in the order the index looks them up in: the
+/// evaluator would silently miss links on such a meta document, and a
+/// store saved before PPO anchors were kept in preorder-rank order looks
+/// exactly like that.
 pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
     let bytes = store
         .get(&format!("{name}/meta-{id}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
-    pagestore::from_bytes(&bytes).map_err(|e| format!("meta document {id} does not decode: {e}"))
+    let md: MetaDocument = pagestore::from_bytes(&bytes)
+        .map_err(|e| format!("meta document {id} does not decode: {e}"))?;
+    match md.anchor_fault() {
+        Some(fault) => Err(format!(
+            "meta document {id} is stale or corrupt ({fault}); rebuild and save the framework"
+        )),
+        None => Ok(md),
+    }
 }
 
 /// Saves a built framework under `name`.
@@ -201,6 +216,25 @@ mod tests {
             loaded.build_report(),
             &BuildReport::empty(FlixConfig::Naive)
         );
+    }
+
+    /// A store written before PPO anchors were kept in preorder-rank order
+    /// holds them in id order; the interval lookup would miss links on it,
+    /// so loading must fail instead.
+    #[test]
+    fn stale_anchor_order_is_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+        let (victim, stale) = (0..flix.meta_count() as u32)
+            .find_map(|mi| Some((mi, flix.meta(mi).with_id_ordered_sources()?)))
+            .expect("some PPO meta document's preorder differs from its id order");
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        load_flix(&st, "fw", cg.clone()).unwrap();
+        let bytes = pagestore::to_bytes(&stale).unwrap();
+        st.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+        let err = load_flix(&st, "fw", cg).unwrap_err();
+        assert!(err.contains("index order"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   whole build,
 //! * [`closure`]: exact transitive closure and all-pairs distances, used as
 //!   a correctness oracle by tests and by the error-rate experiment,
-//! * [`bitset`]: a small fixed-size bitset backing the closure computation.
+//! * [`bitset`]: a small fixed-size bitset backing the closure computation,
+//! * [`scratch`]: an epoch-stamped dense distance map the index crates
+//!   reuse across lookups instead of allocating visited sets.
 //!
 //! Nodes are dense `u32` indices (see [`NodeId`]); all algorithms are
 //! allocation-conscious and deterministic.
@@ -41,6 +43,8 @@ pub mod partition;
 pub mod pool;
 /// Tarjan strongly-connected components and condensation.
 pub mod scc;
+/// Reusable epoch-stamped traversal scratch.
+pub mod scratch;
 /// Spanning forests and "almost a tree" edge-removal analysis.
 pub mod spanning;
 /// Topological ordering of DAGs.
@@ -54,6 +58,7 @@ pub use digraph::{Digraph, DigraphBuilder, NodeId};
 pub use estimate::{estimate_ancestor_counts, estimate_descendant_counts};
 pub use partition::{partition_condensation, partition_greedy, Partitioning};
 pub use scc::{condensation, tarjan_scc, Condensation};
+pub use scratch::DistScratch;
 pub use spanning::is_forest;
 pub use spanning::{spanning_forest, tree_violations, ForestCheck};
 pub use topo::topological_order;

@@ -6,9 +6,17 @@
 //! the inverted center indexes, and computing [`BuildStats`].
 
 use crate::cover::{self, CoverOptions, StageReport};
-use graphcore::{Digraph, Distance, NodeId, INFINITE_DISTANCE};
+use graphcore::{Digraph, DistScratch, Distance, NodeId, INFINITE_DISTANCE};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's label-join scratch, shared by every [`HopiIndex`] the
+    /// thread queries. Borrowed only inside [`HopiIndex::join`], which runs
+    /// nothing but this module's own filters while it holds the borrow, so
+    /// a lookup can never re-enter it.
+    static SCRATCH: RefCell<DistScratch> = const { RefCell::new(DistScratch::new()) };
+}
 
 /// Construction statistics (reported by the bench harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,6 +43,14 @@ impl BuildStats {
         self.visits += other.visits;
     }
 }
+
+/// Nodes reached by an enumeration, as `(node, exact distance)` ascending
+/// by `(distance, node)`.
+pub type Reached = Vec<(NodeId, Distance)>;
+
+/// One direction of a label join: a node's own `(center, distance)` set and
+/// the inverted lists to merge for those centers.
+type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a [Vec<(NodeId, Distance)>]);
 
 /// A distance-augmented 2-hop connection index.
 ///
@@ -155,50 +171,100 @@ impl HopiIndex {
     /// All descendants of `u` with exact distances, ascending by distance.
     ///
     /// `include_self` selects descendant-or-self vs. strict semantics.
-    pub fn descendants(&self, u: NodeId, include_self: bool) -> Vec<(NodeId, Distance)> {
-        self.collect_closure(&self.l_out[u as usize], &self.in_index, u, include_self)
+    pub fn descendants(&self, u: NodeId, include_self: bool) -> Reached {
+        self.join(self.down(u), |v| include_self || v != u, |_| false)
             .0
     }
 
     /// All ancestors of `u` with exact distances, ascending by distance.
-    pub fn ancestors(&self, u: NodeId, include_self: bool) -> Vec<(NodeId, Distance)> {
-        self.collect_closure(&self.l_in[u as usize], &self.out_index, u, include_self)
+    pub fn ancestors(&self, u: NodeId, include_self: bool) -> Reached {
+        self.join(self.up(u), |v| include_self || v != u, |_| false)
             .0
     }
 
-    fn collect_closure(
+    /// The members of `anchors` (ascending ids) among `u`'s descendants,
+    /// `u` included, ascending by `(distance, node)`.
+    pub fn descendants_among(&self, u: NodeId, anchors: &[NodeId]) -> Reached {
+        self.among(self.down(u), anchors)
+    }
+
+    /// The members of `anchors` (ascending ids) among `u`'s ancestors, `u`
+    /// included, ascending by `(distance, node)`.
+    pub fn ancestors_among(&self, u: NodeId, anchors: &[NodeId]) -> Reached {
+        self.among(self.up(u), anchors)
+    }
+
+    /// The two halves of a label join going down from `u`: its own centers
+    /// and the inverted lists to merge for them.
+    fn down(&self, u: NodeId) -> JoinSide<'_> {
+        (&self.l_out[u as usize], &self.in_index)
+    }
+
+    /// [`Self::down`] for the ancestors direction.
+    fn up(&self, u: NodeId) -> JoinSide<'_> {
+        (&self.l_in[u as usize], &self.out_index)
+    }
+
+    /// The label join behind every enumeration: merges the inverted list
+    /// of each of `own`'s centers into this thread's scratch, keeping the
+    /// minimum distance per reached node (the node `own` belongs to is
+    /// always among them, at distance 0). Returns the reached nodes `first`
+    /// admits, the inverted-list rows merged, and the reached nodes
+    /// `second` admits: one join can be read two ways.
+    fn join(
         &self,
-        own: &[(NodeId, Distance)],
-        inverted: &[Vec<(NodeId, Distance)>],
-        u: NodeId,
-        include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        let mut best: HashMap<NodeId, Distance> = HashMap::new();
-        let mut work = 0usize;
-        for &(w, d1) in own {
-            work += inverted[w as usize].len();
-            for &(v, d2) in &inverted[w as usize] {
-                let d = d1 + d2;
-                best.entry(v)
-                    .and_modify(|cur| *cur = (*cur).min(d))
-                    .or_insert(d);
+        (own, inverted): JoinSide<'_>,
+        first: impl Fn(NodeId) -> bool,
+        second: impl Fn(NodeId) -> bool,
+    ) -> (Reached, usize, Reached) {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.begin(self.node_count());
+            let mut work = 0usize;
+            for &(w, d1) in own {
+                let row = &inverted[w as usize];
+                work += row.len();
+                for &(v, d2) in row {
+                    scratch.relax(v, d1 + d2);
+                }
             }
-        }
-        if !include_self {
-            best.remove(&u);
-        }
-        let mut out: Vec<(NodeId, Distance)> = best.into_iter().collect();
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
-        (out, work)
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for (v, d) in scratch.entries() {
+                if first(v) {
+                    a.push((v, d));
+                }
+                if second(v) {
+                    b.push((v, d));
+                }
+            }
+            a.sort_unstable_by_key(|&(v, d)| (d, v));
+            b.sort_unstable_by_key(|&(v, d)| (d, v));
+            (a, work, b)
+        })
+    }
+
+    /// [`Self::join`] keeping only the reached members of `anchors`.
+    fn among(&self, side: JoinSide<'_>, anchors: &[NodeId]) -> Reached {
+        self.join(side, |v| anchors.binary_search(&v).is_ok(), |_| false)
+            .0
+    }
+
+    /// [`Self::join`] read as one queue pop of FliX's evaluator: the nodes
+    /// carrying `label` (`u` itself only if `include_self`), the rows that
+    /// cost, and the members of `anchors` (ascending ids; `u` counts
+    /// whatever `include_self` says).
+    fn block_and_anchors(
+        &self,
+        side: JoinSide<'_>,
+        (u, label, include_self): (NodeId, u32, bool),
+        anchors: &[NodeId],
+    ) -> (Reached, usize, Reached) {
+        let in_block = |v| self.node_labels[v as usize] == label && (include_self || v != u);
+        self.join(side, in_block, |v| anchors.binary_search(&v).is_ok())
     }
 
     /// Descendants of `u` carrying `label`, ascending by distance.
-    pub fn descendants_by_label(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
+    pub fn descendants_by_label(&self, u: NodeId, label: u32, include_self: bool) -> Reached {
         self.descendants_by_label_counted(u, label, include_self).0
     }
 
@@ -209,20 +275,25 @@ impl HopiIndex {
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        let (mut out, work) =
-            self.collect_closure(&self.l_out[u as usize], &self.in_index, u, include_self);
-        out.retain(|&(v, _)| self.node_labels[v as usize] == label);
-        (out, work)
+    ) -> (Reached, usize) {
+        let (block, work, _) = self.descendants_by_label_and_anchors(u, label, include_self, &[]);
+        (block, work)
     }
 
-    /// Ancestors of `u` carrying `label`, ascending by distance.
-    pub fn ancestors_by_label(
+    /// [`Self::descendants_by_label_counted`] and, out of the same label
+    /// join, [`Self::descendants_among`] `anchors`.
+    pub fn descendants_by_label_and_anchors(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
+        anchors: &[NodeId],
+    ) -> (Reached, usize, Reached) {
+        self.block_and_anchors(self.down(u), (u, label, include_self), anchors)
+    }
+
+    /// Ancestors of `u` carrying `label`, ascending by distance.
+    pub fn ancestors_by_label(&self, u: NodeId, label: u32, include_self: bool) -> Reached {
         self.ancestors_by_label_counted(u, label, include_self).0
     }
 
@@ -234,11 +305,21 @@ impl HopiIndex {
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        let (mut out, work) =
-            self.collect_closure(&self.l_in[u as usize], &self.out_index, u, include_self);
-        out.retain(|&(v, _)| self.node_labels[v as usize] == label);
-        (out, work)
+    ) -> (Reached, usize) {
+        let (block, work, _) = self.ancestors_by_label_and_anchors(u, label, include_self, &[]);
+        (block, work)
+    }
+
+    /// [`Self::ancestors_by_label_counted`] and, out of the same label
+    /// join, [`Self::ancestors_among`] `anchors`.
+    pub fn ancestors_by_label_and_anchors(
+        &self,
+        u: NodeId,
+        label: u32,
+        include_self: bool,
+        anchors: &[NodeId],
+    ) -> (Reached, usize, Reached) {
+        self.block_and_anchors(self.up(u), (u, label, include_self), anchors)
     }
 
     /// Total label entries (the paper's size measure for HOPI).

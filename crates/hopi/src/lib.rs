@@ -41,4 +41,4 @@ pub mod cover;
 pub mod labels;
 
 pub use cover::{CoverOptions, StageReport};
-pub use labels::{BuildStats, HopiIndex};
+pub use labels::{BuildStats, HopiIndex, Reached};

@@ -20,9 +20,6 @@ pub struct ExtendedPpo {
     index: PpoIndex,
     /// Edges removed to make the graph a forest, sorted by source.
     removed: Vec<(NodeId, NodeId)>,
-    /// Sources of removed edges, deduplicated and sorted (the set `L_i` of
-    /// elements with outgoing unindexed links, paper §4.2).
-    link_sources: Vec<NodeId>,
 }
 
 impl ExtendedPpo {
@@ -40,14 +37,7 @@ impl ExtendedPpo {
             PpoIndex::build(&forest, labels).expect("spanning forest is a forest by construction");
         let mut removed = check.removed_edges;
         removed.sort_unstable();
-        let mut link_sources: Vec<NodeId> = removed.iter().map(|&(u, _)| u).collect();
-        link_sources.sort_unstable();
-        link_sources.dedup();
-        Self {
-            index,
-            removed,
-            link_sources,
-        }
+        Self { index, removed }
     }
 
     /// The underlying forest index.
@@ -58,32 +48,6 @@ impl ExtendedPpo {
     /// Edges that are *not* represented in the forest index.
     pub fn removed_edges(&self) -> &[(NodeId, NodeId)] {
         &self.removed
-    }
-
-    /// Targets of removed edges out of `u`.
-    pub fn removed_targets(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        let start = self.removed.partition_point(|&(s, _)| s < u);
-        let end = self.removed.partition_point(|&(s, _)| s <= u);
-        &self.removed[start..end]
-    }
-
-    /// True if `u` has at least one removed outgoing edge.
-    pub fn has_removed_link(&self, u: NodeId) -> bool {
-        self.link_sources.binary_search(&u).is_ok()
-    }
-
-    /// Descendants of `u` *within the forest* that carry removed outgoing
-    /// links, as `(node, distance)` sorted by distance. This is
-    /// `IND.findReachableLinks(e)` from the paper's Fig. 4, with
-    /// `include_self` always true: a link out of `u` itself also counts.
-    pub fn reachable_link_sources(&self, u: NodeId) -> Vec<(NodeId, Distance)> {
-        let mut out: Vec<(NodeId, Distance)> = self
-            .link_sources
-            .iter()
-            .filter_map(|&s| self.index.distance(u, s).map(|d| (s, d)))
-            .collect();
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out
     }
 
     /// Forest-only descendant test (may answer `false` for pairs connected
@@ -139,22 +103,27 @@ impl ExtendedPpo {
             .ancestors_by_label_counted(u, label, include_self)
     }
 
-    /// Number of removed edges (quality signal for the strategy selector:
-    /// high counts mean PPO is a bad fit for this partition).
-    pub fn removed_count(&self) -> usize {
-        self.removed.len()
+    /// Forest-only [`PpoIndex::descendants_among`]: the members of
+    /// `ranked` (ascending preorder rank) in `u`'s subtree.
+    pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        self.index.descendants_among(u, ranked)
+    }
+
+    /// Forest-only [`PpoIndex::ancestors_among`]: the members of `sorted`
+    /// (ascending ids) on `u`'s parent chain.
+    pub fn ancestors_among(&self, u: NodeId, sorted: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        self.index.ancestors_among(u, sorted)
     }
 
     /// Approximate in-memory footprint in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.index.size_bytes() + self.removed.len() * 8 + self.link_sources.len() * 4
+        self.index.size_bytes() + self.removed.len() * 8
     }
 }
 
 impl flixcheck::IntegrityCheck for ExtendedPpo {
     /// Audits the residual-edge accounting on top of the forest index:
-    /// removed edges must be sorted, must not duplicate forest edges, and
-    /// `link_sources` must be exactly the deduplicated removed sources.
+    /// removed edges must be sorted and must not duplicate forest edges.
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("ExtendedPpo");
         match self.index.integrity_check() {
@@ -190,21 +159,6 @@ impl flixcheck::IntegrityCheck for ExtendedPpo {
             || first.unwrap_or_default(),
         );
 
-        let mut expect: Vec<NodeId> = self.removed.iter().map(|&(u, _)| u).collect();
-        expect.sort_unstable();
-        expect.dedup();
-        audit.check(
-            "link_sources = sorted deduplicated removed sources",
-            self.link_sources == expect,
-            || {
-                format!(
-                    "link_sources has {} entries, removed sources dedup to {}",
-                    self.link_sources.len(),
-                    expect.len()
-                )
-            },
-        );
-
         audit.finish()
     }
 }
@@ -222,9 +176,8 @@ mod tests {
     fn forest_input_removes_nothing() {
         let g = Digraph::from_edges(4, [(0, 1), (0, 2), (1, 3)]);
         let x = ExtendedPpo::build(&g, &[0; 4]);
-        assert_eq!(x.removed_count(), 0);
+        assert!(x.removed_edges().is_empty());
         assert!(x.is_descendant_or_self(0, 3));
-        assert!(x.reachable_link_sources(0).is_empty());
     }
 
     #[test]
@@ -233,35 +186,12 @@ mod tests {
         let x = ExtendedPpo::build(&g, &[0; 4]);
         // 2 and 3 both have in-degree 2 in the full graph... node 1: parents
         // {0, 2}; node 2: parents {0, 3}. Exactly two edges must go.
-        assert_eq!(x.removed_count(), 2);
+        assert_eq!(x.removed_edges().len(), 2);
         for &(u, v) in x.removed_edges() {
             assert!(g.has_edge(u, v));
             // removed edges are not answered by the forest test
             assert_ne!(x.index.parent(v), Some(u));
         }
-    }
-
-    #[test]
-    fn reachable_link_sources_sorted_by_distance() {
-        let g = linked_graph();
-        let x = ExtendedPpo::build(&g, &[0; 4]);
-        let ls = x.reachable_link_sources(0);
-        // both removed-edge sources are under the root
-        assert_eq!(ls.len(), 2);
-        assert!(ls.windows(2).all(|w| w[0].1 <= w[1].1));
-        for &(s, _) in &ls {
-            assert!(x.has_removed_link(s));
-        }
-    }
-
-    #[test]
-    fn removed_targets_lookup() {
-        let g = linked_graph();
-        let x = ExtendedPpo::build(&g, &[0; 4]);
-        for &(u, v) in x.removed_edges() {
-            assert!(x.removed_targets(u).contains(&(u, v)));
-        }
-        assert!(x.removed_targets(0).is_empty());
     }
 
     #[test]
@@ -286,11 +216,11 @@ mod tests {
     fn cycle_only_graph() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
         let x = ExtendedPpo::build(&g, &[0; 3]);
-        assert_eq!(x.removed_count(), 1);
+        // the back edge is the one that goes
+        assert_eq!(x.removed_edges(), &[(2, 0)]);
         // the spanning chain still answers within-forest queries
         assert!(x.is_descendant_or_self(0, 2));
         assert!(!x.is_descendant_or_self(2, 0));
-        assert!(x.has_removed_link(2));
     }
 
     #[test]
@@ -306,17 +236,12 @@ mod tests {
             assert!(bad.integrity_check().is_err());
         }
         // a forest edge smuggled into the removed list breaks residency
-        let mut bad = ext.clone();
+        let mut bad = ext;
         if let Some(v) = (0..g.node_count() as NodeId).find(|&v| bad.index.parent(v).is_some()) {
             let u = bad.index.parent(v).unwrap();
             bad.removed.push((u, v));
             bad.removed.sort_unstable();
             assert!(bad.integrity_check().is_err());
         }
-        // a phantom link source breaks the dedup invariant
-        let mut bad = ext;
-        bad.link_sources.push(0);
-        bad.link_sources.sort_unstable();
-        assert!(bad.integrity_check().is_err());
     }
 }

@@ -284,6 +284,40 @@ impl PpoIndex {
         (out, probed)
     }
 
+    /// The members of `ranked` — node ids in ascending *preorder rank* —
+    /// inside `u`'s subtree (`u` included), with their depth below `u`,
+    /// ascending by `(distance, node)`. A subtree is the rank interval
+    /// `[pre(u), pre(u) + size(u))`, so this is two binary searches plus
+    /// the answer, whatever the length of `ranked`.
+    pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        let lo = self.pre[u as usize];
+        let hi = lo + self.size[u as usize];
+        let start = ranked.partition_point(|&v| self.pre[v as usize] < lo);
+        let end = ranked.partition_point(|&v| self.pre[v as usize] < hi);
+        let mut out: Vec<(NodeId, Distance)> = ranked[start..end]
+            .iter()
+            .map(|&v| (v, self.depth[v as usize] - self.depth[u as usize]))
+            .collect();
+        out.sort_unstable_by_key(|&(v, d)| (d, v));
+        out
+    }
+
+    /// The members of `sorted` — node ids in ascending order — on the path
+    /// from `u` (included) up to its root, nearest first: one binary search
+    /// per step of the parent chain.
+    pub fn ancestors_among(&self, u: NodeId, sorted: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        let mut out = Vec::new();
+        let (mut cur, mut d) = (Some(u), 0);
+        while let Some(a) = cur {
+            if sorted.binary_search(&a).is_ok() {
+                out.push((a, d));
+            }
+            cur = self.parent(a);
+            d += 1;
+        }
+        out
+    }
+
     fn node_label_matches(&self, u: NodeId, label: u32) -> bool {
         self.by_label
             .get(&label)
@@ -566,6 +600,33 @@ mod tests {
         // B-labelled ancestors of 6: node 1 at distance 2 (+ self at 0)
         assert_eq!(idx.ancestors_by_label(6, 1, true), vec![(6, 0), (1, 2)]);
         assert_eq!(idx.ancestors_by_label(6, 1, false), vec![(1, 2)]);
+    }
+
+    #[test]
+    fn anchored_lookups_match_the_distance_scan() {
+        let (g, labels) = tree();
+        let idx = PpoIndex::build(&g, &labels).unwrap();
+        for anchors in [
+            vec![],
+            vec![6],
+            vec![0, 2, 3, 6],
+            (0..7).collect::<Vec<_>>(),
+        ] {
+            let mut ranked: Vec<NodeId> = anchors.clone();
+            ranked.sort_unstable_by_key(|&v| idx.pre(v));
+            for u in 0..7u32 {
+                let scan = |pairs: &mut dyn Iterator<Item = (NodeId, Option<Distance>)>| {
+                    let mut out: Vec<(NodeId, Distance)> =
+                        pairs.filter_map(|(v, d)| d.map(|d| (v, d))).collect();
+                    out.sort_unstable_by_key(|&(v, d)| (d, v));
+                    out
+                };
+                let below = scan(&mut anchors.iter().map(|&a| (a, idx.distance(u, a))));
+                assert_eq!(idx.descendants_among(u, &ranked), below, "{u} {anchors:?}");
+                let above = scan(&mut anchors.iter().map(|&a| (a, idx.distance(a, u))));
+                assert_eq!(idx.ancestors_among(u, &anchors), above, "{u} {anchors:?}");
+            }
+        }
     }
 
     #[test]

@@ -137,6 +137,37 @@ fn untouched_meta_documents_are_shared_not_rebuilt() {
     );
 }
 
+/// PPO meta documents keep their link sources in preorder-rank order, not
+/// id order. The order is canonical — a function of the anchor set and the
+/// index — so `extend`, which recomputes every anchor list from the grown
+/// link table, still recognises an untouched PPO meta document and hands
+/// back the very same `Arc`.
+#[test]
+fn untouched_ppo_meta_documents_keep_their_arc() {
+    let cg = base_corpus();
+    let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+    let grown = Arc::new(cg.extend(new_docs(&cg, 3)).unwrap());
+    let extended = flix.extend(grown, &BuildOptions::default()).unwrap();
+    let mut kept_out_of_id_order = 0usize;
+    for i in 0..flix.meta_count() as u32 {
+        let (old, new) = (flix.meta_arc(i), extended.meta_arc(i));
+        let untouched =
+            old.link_sources() == new.link_sources() && old.link_targets() == new.link_targets();
+        assert_eq!(
+            Arc::ptr_eq(&old, &new),
+            untouched,
+            "meta {i}: shared iff its anchor sets did not change"
+        );
+        if untouched && old.link_sources().windows(2).any(|w| w[0] > w[1]) {
+            kept_out_of_id_order += 1;
+        }
+    }
+    assert!(
+        kept_out_of_id_order > 0,
+        "no shared PPO meta has rank order != id order: the test shows nothing"
+    );
+}
+
 #[test]
 fn dangling_links_resolve_on_extension() {
     let mut c = Collection::new();

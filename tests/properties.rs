@@ -236,6 +236,157 @@ proptest! {
     }
 
     #[test]
+    fn link_anchor_lookups_match_the_distance_scan(
+        g in arb_graph(30, 80),
+        picks in proptest::collection::vec(any::<bool>(), 60),
+    ) {
+        // Every access path behind Fig. 4's per-pop step, both axes, against
+        // the brute-force reference: probe every anchor with `distance`.
+        use flix::{Axis, MetaDocument, MetaIndex, PopAnswer, StrategyKind};
+        let labels = arb_labels(&g, 4);
+        let n = g.node_count() as u32;
+        let subset = |offset: usize| -> Vec<u32> {
+            (0..n).filter(|&v| picks[v as usize + offset]).collect()
+        };
+        for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
+            let (index, _extra) = MetaIndex::build(kind, &g, &labels, 1);
+            let mut md = MetaDocument::new((0..n).collect(), index);
+            md.set_anchors(subset(0), subset(30));
+            prop_assert_eq!(md.link_sources().len(), subset(0).len());
+            let scan = |anchors: &[u32], dist: &dyn Fn(u32) -> Option<u32>| {
+                let mut out: Vec<(u32, u32)> =
+                    anchors.iter().filter_map(|&a| dist(a).map(|d| (a, d))).collect();
+                out.sort_unstable_by_key(|&(v, d)| (d, v));
+                out
+            };
+            for e in 0..n {
+                let below = scan(md.link_sources(), &|s| md.index.distance(e, s));
+                let above = scan(md.link_targets(), &|t| md.index.distance(t, e));
+                prop_assert_eq!(&md.reachable_link_sources(e), &below, "{:?} below {}", kind, e);
+                prop_assert_eq!(&md.reaching_link_targets(e), &above, "{:?} above {}", kind, e);
+                for label in 0..4u32 {
+                    for include_self in [false, true] {
+                        let (block, work) =
+                            md.index.descendants_by_label_counted(e, label, include_self);
+                        let links = below.clone();
+                        prop_assert_eq!(
+                            md.answer_pop(Axis::Descendants, e, label, include_self),
+                            PopAnswer { block, work, links },
+                            "{:?} down from {} label {}", kind, e, label
+                        );
+                        let (block, work) =
+                            md.index.ancestors_by_label_counted(e, label, include_self);
+                        let links = above.clone();
+                        prop_assert_eq!(
+                            md.answer_pop(Axis::Ancestors, e, label, include_self),
+                            PopAnswer { block, work, links },
+                            "{:?} up from {} label {}", kind, e, label
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_indexes_matches_fresh_threads(
+        small in arb_graph(12, 30),
+        large in arb_graph(40, 120),
+    ) {
+        // HOPI and APEX keep one traversal scratch per thread, shared by all
+        // their indexes. Alternating between two indexes of different sizes
+        // on this thread must answer like a thread that only ever saw one.
+        use apex::ApexIndex;
+        use std::sync::Arc;
+        type Pairs = Vec<(u32, u32)>;
+        fn hopi_answers(i: &HopiIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize, Pairs)) {
+            let anchors: Vec<u32> = (0..i.node_count() as u32).step_by(2).collect();
+            (
+                i.descendants(u, true),
+                i.ancestors(u, false),
+                i.descendants_by_label_and_anchors(u, 1, false, &anchors),
+            )
+        }
+        fn apex_answers(i: &ApexIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize), Option<u32>) {
+            let anchors: Vec<u32> = (0..i.summary().class_of.len() as u32).step_by(2).collect();
+            (
+                i.descendants_among(u, &anchors),
+                i.ancestors_among(u, &anchors),
+                i.descendants_by_label_counted(u, 1, true),
+                i.distance(u, 0),
+            )
+        }
+        fn on_a_fresh_thread<I: Send + Sync + 'static, A: Send + 'static>(
+            index: &Arc<I>,
+            n: usize,
+            answers: fn(&I, u32) -> A,
+        ) -> Vec<A> {
+            let index = Arc::clone(index);
+            std::thread::spawn(move || (0..n as u32).map(|u| answers(&index, u)).collect())
+                .join()
+                .expect("reference thread")
+        }
+        let graphs = [&small, &large];
+        let sizes = graphs.map(Digraph::node_count);
+        let hopi = graphs.map(|g| Arc::new(HopiIndex::build(g, &arb_labels(g, 3))));
+        let apex = graphs.map(|g| Arc::new(ApexIndex::build(g, &arb_labels(g, 3), 1)));
+        let hopi_fresh = [0, 1].map(|k| on_a_fresh_thread(&hopi[k], sizes[k], hopi_answers));
+        let apex_fresh = [0, 1].map(|k| on_a_fresh_thread(&apex[k], sizes[k], apex_answers));
+        for step in 0..sizes[1] {
+            for k in [1, 0] {
+                let u = (step % sizes[k]) as u32;
+                prop_assert_eq!(&hopi_answers(&hopi[k], u), &hopi_fresh[k][u as usize]);
+                prop_assert_eq!(&apex_answers(&apex[k], u), &apex_fresh[k][u as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn label_blocks_match_the_distance_scan(g in arb_graph(30, 80)) {
+        // The counted block lookups of every strategy against the same
+        // reference: every element carrying the label, probed by `distance`.
+        use flix::{MetaIndex, StrategyKind};
+        let labels = arb_labels(&g, 4);
+        let n = g.node_count() as u32;
+        for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
+            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, 1);
+            for e in 0..n {
+                for label in 0..4u32 {
+                    for include_self in [false, true] {
+                        let scan = |dist: &dyn Fn(u32) -> Option<u32>| {
+                            let mut out: Vec<(u32, u32)> = (0..n)
+                                .filter(|&v| labels[v as usize] == label && (include_self || v != e))
+                                .filter_map(|v| dist(v).map(|d| (v, d)))
+                                .collect();
+                            out.sort_unstable_by_key(|&(v, d)| (d, v));
+                            out
+                        };
+                        let by_distance = |mut block: Vec<(u32, u32)>| {
+                            // every strategy promises ascending distance; only
+                            // the order inside one distance is its own
+                            assert!(block.windows(2).all(|w| w[0].1 <= w[1].1));
+                            block.sort_unstable_by_key(|&(v, d)| (d, v));
+                            block
+                        };
+                        let (down, work) = idx.descendants_by_label_counted(e, label, include_self);
+                        prop_assert!(work >= down.len());
+                        prop_assert_eq!(
+                            by_distance(down), scan(&|v| idx.distance(e, v)),
+                            "{:?} down from {} label {}", kind, e, label
+                        );
+                        let (up, work) = idx.ancestors_by_label_counted(e, label, include_self);
+                        prop_assert!(work >= up.len());
+                        prop_assert_eq!(
+                            by_distance(up), scan(&|v| idx.distance(v, e)),
+                            "{:?} up from {} label {}", kind, e, label
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn codec_round_trips_nested_values(
         v in proptest::collection::vec(
             (any::<u32>(), proptest::collection::vec(any::<u16>(), 0..8), any::<Option<String>>()),
