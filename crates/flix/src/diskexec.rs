@@ -57,6 +57,26 @@ struct LruCache {
     tick: u64,
 }
 
+impl LruCache {
+    /// Caches `md` under `id`, stamped with the current tick, and returns
+    /// what left the cache for it. A slot is freed — the least recently
+    /// used entry evicted — only if `id` is not cached: another thread may
+    /// have loaded it since the caller missed, and replacing an entry takes
+    /// no room. Dropping an index frees every array it holds, so the caller
+    /// drops the returned one after releasing the cache lock.
+    #[must_use]
+    fn admit(&mut self, id: u32, md: Arc<MetaDocument>) -> Option<Arc<MetaDocument>> {
+        let evicted = if self.map.len() >= self.capacity && !self.map.contains_key(&id) {
+            let lru = self.map.iter().min_by_key(|(_, (_, stamp))| *stamp);
+            lru.map(|(&k, _)| k).and_then(|k| self.map.remove(&k))
+        } else {
+            None
+        };
+        let replaced = self.map.insert(id, (md, self.tick));
+        evicted.or(replaced).map(|(md, _)| md)
+    }
+}
+
 impl DiskFlix {
     /// Persists `flix` into `store` under `name` ([`persist::save_flix`])
     /// and opens a disk-resident engine over it with an index cache of
@@ -102,8 +122,9 @@ impl DiskFlix {
     /// Loads (or fetches from cache) one meta document's index.
     ///
     /// # Errors
-    /// If the blob is missing from the store or fails to decode — either
-    /// means the persisted framework is corrupt.
+    /// If the blob is missing from the store, fails to decode, or decodes
+    /// to an index a lookup cannot trust ([`persist::load_meta`]) — each
+    /// means the persisted framework is stale or corrupt.
     fn load_meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
         {
             let mut cache = self.cache.lock();
@@ -117,19 +138,10 @@ impl DiskFlix {
         }
         self.misses.inc();
         let md = Arc::new(persist::load_meta(&self.store, &self.name, id as usize)?);
-        let mut cache = self.cache.lock();
-        if cache.map.len() >= cache.capacity {
-            if let Some(victim) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&k, _)| k)
-            {
-                cache.map.remove(&victim);
-            }
-        }
-        let tick = cache.tick;
-        cache.map.insert(id, (Arc::clone(&md), tick));
+        // The guard is gone at the end of this statement; the victim is
+        // freed after it.
+        let evicted = self.cache.lock().admit(id, Arc::clone(&md));
+        drop(evicted);
         Ok(md)
     }
 
@@ -248,6 +260,18 @@ mod tests {
         (flix, dflix, disk)
     }
 
+    /// A query that crosses meta documents, and the last one it enters.
+    fn crossing_query(flix: &Flix) -> (workloads::DescendantQuery, u32) {
+        descendant_queries(flix.collection(), 8, 44)
+            .into_iter()
+            .find_map(|q| {
+                let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+                let last = flix.meta_of(res.last()?.node);
+                (last != flix.meta_of(q.start)).then_some((q, last))
+            })
+            .expect("some query leaves its start document")
+    }
+
     /// The disk == memory oracle: same loop, same data, so results,
     /// termination marker and counters all agree — for every strategy,
     /// both axes, every option, and with a one-slot index cache.
@@ -316,17 +340,8 @@ mod tests {
     /// whole, whatever it had already collected.
     #[test]
     fn corrupt_meta_blob_mid_query_is_an_error_not_a_partial_answer() {
-        let cg = graph();
-        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
-        // A query that crosses meta documents, and the last one it enters.
-        let (q, victim) = descendant_queries(&cg, 8, 44)
-            .into_iter()
-            .find_map(|q| {
-                let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-                let last = flix.meta_of(res.last()?.node);
-                (last != flix.meta_of(q.start)).then_some((q, last))
-            })
-            .expect("some query leaves its start document");
+        let flix = Flix::build(graph(), FlixConfig::Naive);
+        let (q, victim) = crossing_query(&flix);
         let damage: [fn(&mut BlobStore, &str); 2] = [
             |store, blob| assert!(store.remove(blob)),
             |store, blob| store.put(blob, b"not a meta document").unwrap(),
@@ -372,6 +387,69 @@ mod tests {
         let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
         let err = got.expect_err("a partial answer was returned");
         assert!(err.contains("index order"), "{err}");
+    }
+
+    /// Same for a HOPI meta document whose label-table offsets are not
+    /// well-formed: a lookup would slice its entries out of bounds (a
+    /// panic, not an answer), so the load must refuse it.
+    #[test]
+    fn malformed_label_offsets_mid_query_is_an_error_not_a_partial_answer() {
+        let flix = Flix::build(graph(), FlixConfig::UnconnectedHopi { partition_size: 40 });
+        let (q, victim) = crossing_query(&flix);
+        let damage: [fn(&mut persist::mirror::Hopi); 2] = [
+            |hopi| {
+                let off = &mut hopi.l_out.offsets;
+                let at = off.windows(2).position(|w| w[0] < w[1]).unwrap();
+                off.swap(at, at + 1);
+            },
+            |hopi| *hopi.in_index.offsets.last_mut().unwrap() += 1,
+        ];
+        for damage in damage {
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            let bytes = persist::mirror::damaged_image(flix.meta(victim), damage);
+            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+            let err = got.expect_err("a partial answer was returned");
+            assert!(err.contains("label table"), "{err}");
+            let to = flix.meta(victim).nodes[0];
+            assert!(dflix
+                .connection_test(q.start, to, &QueryOptions::default())
+                .is_err());
+        }
+    }
+
+    /// Two threads can miss on the same id at once; the second to finish
+    /// loading finds it cached and must not cost another entry its slot.
+    #[test]
+    fn admitting_a_cached_id_evicts_nothing() {
+        let flix = Flix::build(graph(), FlixConfig::Naive);
+        let md = |id: u32| Arc::new(flix.meta(id).clone());
+        let mut cache = LruCache {
+            capacity: 2,
+            map: HashMap::new(),
+            tick: 0,
+        };
+        for id in [0, 1] {
+            cache.tick += 1;
+            assert!(cache.admit(id, md(id)).is_none());
+        }
+        cache.tick += 1;
+        let (again, first) = (md(1), Arc::clone(&cache.map[&1].0));
+        let replaced = cache
+            .admit(1, Arc::clone(&again))
+            .expect("the earlier copy");
+        assert!(Arc::ptr_eq(&replaced, &first));
+        assert!(Arc::ptr_eq(&cache.map[&1].0, &again));
+        assert_eq!(cache.map.len(), 2, "full, and meta 0 kept its slot");
+        assert!(cache.map.contains_key(&0));
+        // A new id at capacity does evict: the least recently used.
+        cache.tick += 1;
+        let evicted = cache.admit(2, md(2)).expect("a victim");
+        assert_eq!(evicted.nodes, flix.meta(0).nodes);
+        assert_eq!(cache.map.len(), 2);
+        assert!(cache.map.contains_key(&1) && cache.map.contains_key(&2));
     }
 
     #[test]

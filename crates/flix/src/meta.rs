@@ -172,6 +172,18 @@ impl MetaIndex {
             MetaIndex::Apex(i) => i.size_bytes(),
         }
     }
+
+    /// The first way a decoded index is laid out so that a lookup would
+    /// index out of bounds, if it is: HOPI's flat label tables are sliced
+    /// by stored offsets ([`HopiIndex::layout_fault`]); PPO and APEX hold
+    /// nothing of the kind. [`crate::persist`] runs this on every meta
+    /// document it decodes, before [`MetaDocument::anchor_fault`].
+    pub(crate) fn layout_fault(&self) -> Option<String> {
+        match self {
+            MetaIndex::Hopi(i) => i.layout_fault(),
+            MetaIndex::Ppo(_) | MetaIndex::Apex(_) => None,
+        }
+    }
 }
 
 /// One meta document: a node set, its index, and its runtime-link anchors.

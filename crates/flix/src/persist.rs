@@ -45,11 +45,13 @@ pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, S
 /// [`crate::diskexec::DiskFlix`].
 ///
 /// # Errors
-/// If the blob is missing, does not decode, or holds link anchors that are
-/// out of range or not in the order the index looks them up in: the
-/// evaluator would silently miss links on such a meta document, and a
-/// store saved before PPO anchors were kept in preorder-rank order looks
-/// exactly like that.
+/// If the blob is missing or does not decode; if it holds HOPI label tables
+/// whose row offsets are not well-formed — a lookup would slice out of
+/// bounds, and a store saved before the tables were flat decodes, if at
+/// all, to exactly that; or if it holds link anchors that are out of range
+/// or not in the order the index looks them up in — the evaluator would
+/// silently miss links, and a store saved before PPO anchors were kept in
+/// preorder-rank order looks exactly like that.
 pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
     let bytes = store
         .get(&format!("{name}/meta-{id}"))
@@ -57,7 +59,7 @@ pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<Meta
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
     let md: MetaDocument = pagestore::from_bytes(&bytes)
         .map_err(|e| format!("meta document {id} does not decode: {e}"))?;
-    match md.anchor_fault() {
+    match md.index.layout_fault().or_else(|| md.anchor_fault()) {
         Some(fault) => Err(format!(
             "meta document {id} is stale or corrupt ({fault}); rebuild and save the framework"
         )),
@@ -138,6 +140,94 @@ pub fn load_flix(
         manifest.runtime_links,
         report,
     ))
+}
+
+/// Mirrors of a persisted `HopiIndex` for the stale- and corrupt-store
+/// tests: its tables are private to `hopi`, so a test reaches them the way
+/// a damaged store does — through the codec, which writes a struct as its
+/// fields in order and nothing else.
+#[cfg(test)]
+pub(crate) mod mirror {
+    use super::*;
+    use crate::meta::MetaIndex;
+
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Table {
+        pub(crate) offsets: Vec<u32>,
+        entries: Vec<(u32, u32)>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Hopi {
+        pub(crate) l_in: Table,
+        pub(crate) l_out: Table,
+        pub(crate) in_index: Table,
+        pub(crate) out_index: Table,
+        node_labels: Vec<u32>,
+        stats: hopi::BuildStats,
+    }
+
+    /// `HopiIndex` as builds before the flat label tables persisted it:
+    /// one length-prefixed `Vec` per row.
+    #[derive(Serialize)]
+    struct OldHopi {
+        l_in: Vec<Vec<(u32, u32)>>,
+        l_out: Vec<Vec<(u32, u32)>>,
+        in_index: Vec<Vec<(u32, u32)>>,
+        out_index: Vec<Vec<(u32, u32)>>,
+        node_labels: Vec<u32>,
+        stats: hopi::BuildStats,
+    }
+
+    /// The image of HOPI-backed `md` with its index's bytes replaced by
+    /// `reencode`'s: a meta document's image is its node map, the `u32`
+    /// variant of its index, the index, and the anchor lists, end to end.
+    fn respliced(md: &MetaDocument, reencode: impl FnOnce(Hopi) -> Vec<u8>) -> Vec<u8> {
+        let MetaIndex::Hopi(index) = &md.index else {
+            panic!("not a HOPI meta document");
+        };
+        let (whole, inner) = (
+            pagestore::to_bytes(md).unwrap(),
+            pagestore::to_bytes(index).unwrap(),
+        );
+        let start = pagestore::to_bytes(&md.nodes).unwrap().len() + 4;
+        let end = start + inner.len();
+        assert!(
+            whole[start..end] == inner,
+            "the index is not where expected"
+        );
+        let hopi = reencode(pagestore::from_bytes(&inner).unwrap());
+        [&whole[..start], &hopi, &whole[end..]].concat()
+    }
+
+    /// The image of HOPI-backed `md` after `damage` edited its tables.
+    pub(crate) fn damaged_image(md: &MetaDocument, damage: impl FnOnce(&mut Hopi)) -> Vec<u8> {
+        respliced(md, |mut hopi| {
+            damage(&mut hopi);
+            pagestore::to_bytes(&hopi).unwrap()
+        })
+    }
+
+    /// The image of HOPI-backed `md` in the old row-per-`Vec` layout.
+    pub(crate) fn old_layout_image(md: &MetaDocument) -> Vec<u8> {
+        let rows = |t: Table| -> Vec<Vec<(u32, u32)>> {
+            let bounds = t.offsets.windows(2);
+            bounds
+                .map(|w| t.entries[w[0] as usize..w[1] as usize].to_vec())
+                .collect()
+        };
+        respliced(md, |hopi| {
+            let old = OldHopi {
+                l_in: rows(hopi.l_in),
+                l_out: rows(hopi.l_out),
+                in_index: rows(hopi.in_index),
+                out_index: rows(hopi.out_index),
+                node_labels: hopi.node_labels,
+                stats: hopi.stats,
+            };
+            pagestore::to_bytes(&old).unwrap()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -235,6 +325,29 @@ mod tests {
         st.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
         let err = load_flix(&st, "fw", cg).unwrap_err();
         assert!(err.contains("index order"), "{err}");
+    }
+
+    /// A store written before HOPI's label tables were flat holds one
+    /// length-prefixed `Vec` per row. Read as the flat layout those bytes
+    /// either run out or put row 0's length (every node has its self-entry,
+    /// so at least 1) where the first offset, 0, belongs.
+    #[test]
+    fn old_hopi_layout_is_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(
+            cg.clone(),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        );
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        load_flix(&st, "fw", cg.clone()).unwrap();
+        let victim = flix.meta_count() as u32 - 1;
+        let old = mirror::old_layout_image(flix.meta(victim));
+        let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+        assert!(old.len() > new.len(), "one u64 per row against one u32");
+        st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+        let err = load_flix(&st, "fw", cg).unwrap_err();
+        assert!(err.contains(&format!("meta document {victim}")), "{err}");
     }
 
     #[test]

@@ -48,25 +48,128 @@ impl BuildStats {
 /// by `(distance, node)`.
 pub type Reached = Vec<(NodeId, Distance)>;
 
+/// An entry count as a row offset. A table past 2³² entries is 32 GiB and
+/// out of scope, but it must fail loudly at build, not wrap.
+fn offset(entries: usize) -> u32 {
+    u32::try_from(entries).expect("a label table holds fewer than 2^32 entries")
+}
+
+/// One label table in compressed-sparse-row form, the layout
+/// [`graphcore::Digraph`] uses for adjacency: row `i` is
+/// `entries[offsets[i]..offsets[i + 1]]`. One allocation per array however
+/// many rows there are, in memory and — through the `serde` derive — in the
+/// persisted image. A decoded table is only sliced after [`Self::fault`]
+/// cleared it.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+struct LabelTable {
+    /// Row boundaries: `rows + 1` non-decreasing values, from 0 to
+    /// `entries.len()`.
+    offsets: Vec<u32>,
+    /// Every row's `(node, distance)` entries, row after row.
+    entries: Vec<(NodeId, Distance)>,
+}
+
+impl LabelTable {
+    /// Flattens `rows`, keeping row and entry order.
+    fn from_rows(rows: &[Vec<(NodeId, Distance)>]) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut entries = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for row in rows {
+            entries.extend_from_slice(row);
+            offsets.push(offset(entries.len()));
+        }
+        Self { offsets, entries }
+    }
+
+    fn rows(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    fn row(&self, i: NodeId) -> &[(NodeId, Distance)] {
+        let i = i as usize;
+        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The table turned around: entry `(w, d)` of row `v` becomes entry
+    /// `(v, d)` of row `w`, by one counting sort — every row of the result
+    /// is ascending by `v`, whatever order this table's rows are in.
+    fn inverted(&self) -> Self {
+        let n = self.rows();
+        let mut offsets = vec![0u32; n + 1];
+        for &(w, _) in &self.entries {
+            offsets[w as usize + 1] += 1;
+        }
+        let mut total = 0usize;
+        for slot in &mut offsets[1..] {
+            total += *slot as usize;
+            *slot = offset(total);
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut entries = vec![(0, 0); self.entries.len()];
+        for v in 0..n as NodeId {
+            for &(w, d) in self.row(v) {
+                let at = &mut cursor[w as usize];
+                entries[*at as usize] = (v, d);
+                *at += 1;
+            }
+        }
+        Self { offsets, entries }
+    }
+
+    /// The first way the offsets fail to describe `rows` rows over
+    /// `entries`, if they do: O(rows), no pass over the entries.
+    fn fault(&self, rows: usize) -> Option<String> {
+        let off = &self.offsets;
+        if off.len() != rows + 1 {
+            return Some(format!("{} offsets for {rows} rows", off.len()));
+        }
+        if off[0] != 0 {
+            return Some(format!("first offset is {}", off[0]));
+        }
+        if let Some(i) = off.windows(2).position(|w| w[0] > w[1]) {
+            return Some(format!(
+                "offsets decrease at row {i}: {} then {}",
+                off[i],
+                off[i + 1]
+            ));
+        }
+        (off[rows] as usize != self.entries.len()).then(|| {
+            format!(
+                "last offset is {}, table holds {} entries",
+                off[rows],
+                self.entries.len()
+            )
+        })
+    }
+}
+
 /// One direction of a label join: a node's own `(center, distance)` set and
-/// the inverted lists to merge for those centers.
-type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a [Vec<(NodeId, Distance)>]);
+/// the inverted table to merge rows of for those centers.
+type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable);
 
 /// A distance-augmented 2-hop connection index.
 ///
 /// `labels[u]` (passed at build time) is an opaque per-node label (FliX
 /// passes interned tag ids); per-label candidate lists accelerate
 /// `descendants_by_label`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The label sets and their inversions are four [`LabelTable`]s — flat
+/// arrays with `u32` row offsets, so an index is nine allocations whatever
+/// its node count, and loading or evicting a persisted one costs what its
+/// bytes cost.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopiIndex {
-    /// `l_in[v]` = (center, d(center, v)), sorted by center id.
-    l_in: Vec<Vec<(NodeId, Distance)>>,
-    /// `l_out[u]` = (center, d(u, center)), sorted by center id.
-    l_out: Vec<Vec<(NodeId, Distance)>>,
-    /// Inverted: `in_index[w]` = nodes v with w ∈ L_in(v), as (v, d(w,v)).
-    in_index: Vec<Vec<(NodeId, Distance)>>,
-    /// Inverted: `out_index[w]` = nodes u with w ∈ L_out(u), as (u, d(u,w)).
-    out_index: Vec<Vec<(NodeId, Distance)>>,
+    /// Row `v` = (center, d(center, v)), sorted by center id.
+    l_in: LabelTable,
+    /// Row `u` = (center, d(u, center)), sorted by center id.
+    l_out: LabelTable,
+    /// `l_in` inverted: row `w` = nodes v with w ∈ L_in(v), as (v, d(w,v)),
+    /// ascending by v.
+    in_index: LabelTable,
+    /// `l_out` inverted: row `w` = nodes u with w ∈ L_out(u), as
+    /// (u, d(u,w)), ascending by u.
+    out_index: LabelTable,
     /// Per-node opaque label.
     node_labels: Vec<u32>,
     stats: BuildStats,
@@ -96,38 +199,28 @@ impl HopiIndex {
         opts: &CoverOptions,
     ) -> (Self, StageReport) {
         assert_eq!(node_labels.len(), g.node_count(), "one label per node");
-        let n = g.node_count();
         let cover = cover::build_cover(g, opts);
         let report = cover.report;
-        let (mut l_in, mut l_out, visits) = (cover.l_in, cover.l_out, cover.visits);
 
         // Label lists were appended in center-rank order; queries need them
-        // sorted by center id for the merge intersection.
-        for list in l_in.iter_mut().chain(l_out.iter_mut()) {
-            list.sort_unstable();
-        }
-
-        let mut in_index: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-        let mut out_index: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for &(w, d) in &l_in[v] {
-                in_index[w as usize].push((v as NodeId, d));
-            }
-            for &(w, d) in &l_out[v] {
-                out_index[w as usize].push((v as NodeId, d));
-            }
-        }
+        // sorted by center id for the merge intersection. The cover's rows
+        // go as soon as they are flat.
+        let sorted_flat = |mut rows: Vec<Vec<_>>| {
+            rows.iter_mut().for_each(|list| list.sort_unstable());
+            LabelTable::from_rows(&rows)
+        };
+        let (l_in, l_out) = (sorted_flat(cover.l_in), sorted_flat(cover.l_out));
 
         let stats = BuildStats {
-            in_entries: l_in.iter().map(Vec::len).sum(),
-            out_entries: l_out.iter().map(Vec::len).sum(),
-            visits,
+            in_entries: l_in.entries.len(),
+            out_entries: l_out.entries.len(),
+            visits: cover.visits,
         };
         let index = Self {
+            in_index: l_in.inverted(),
+            out_index: l_out.inverted(),
             l_in,
             l_out,
-            in_index,
-            out_index,
             node_labels: node_labels.to_vec(),
             stats,
         };
@@ -136,7 +229,24 @@ impl HopiIndex {
 
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
-        self.l_in.len()
+        self.node_labels.len()
+    }
+
+    /// The first way the four label tables fail to be well-formed rows
+    /// over [`Self::node_count`] nodes, if they do — what slicing a row
+    /// relies on. A built index never has one; a decoded image can (a
+    /// store in an older layout, a damaged blob), so whoever decodes one
+    /// checks before the first lookup. O(nodes).
+    pub fn layout_fault(&self) -> Option<String> {
+        let n = self.node_count();
+        [
+            ("l_in", &self.l_in),
+            ("l_out", &self.l_out),
+            ("in_index", &self.in_index),
+            ("out_index", &self.out_index),
+        ]
+        .into_iter()
+        .find_map(|(name, table)| Some(format!("label table {name}: {}", table.fault(n)?)))
     }
 
     /// Construction statistics.
@@ -146,7 +256,7 @@ impl HopiIndex {
 
     /// Exact hop distance from `u` to `v`, or `None` if unreachable.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
-        let (a, b) = (&self.l_out[u as usize], &self.l_in[v as usize]);
+        let (a, b) = (self.l_out.row(u), self.l_in.row(v));
         let (mut i, mut j) = (0, 0);
         let mut best = INFINITE_DISTANCE;
         while i < a.len() && j < b.len() {
@@ -195,17 +305,17 @@ impl HopiIndex {
     }
 
     /// The two halves of a label join going down from `u`: its own centers
-    /// and the inverted lists to merge for them.
+    /// and the inverted table to merge rows of for them.
     fn down(&self, u: NodeId) -> JoinSide<'_> {
-        (&self.l_out[u as usize], &self.in_index)
+        (self.l_out.row(u), &self.in_index)
     }
 
     /// [`Self::down`] for the ancestors direction.
     fn up(&self, u: NodeId) -> JoinSide<'_> {
-        (&self.l_in[u as usize], &self.out_index)
+        (self.l_in.row(u), &self.out_index)
     }
 
-    /// The label join behind every enumeration: merges the inverted list
+    /// The label join behind every enumeration: merges the inverted row
     /// of each of `own`'s centers into this thread's scratch, keeping the
     /// minimum distance per reached node (the node `own` belongs to is
     /// always among them, at distance 0). Returns the reached nodes `first`
@@ -222,7 +332,7 @@ impl HopiIndex {
             scratch.begin(self.node_count());
             let mut work = 0usize;
             for &(w, d1) in own {
-                let row = &inverted[w as usize];
+                let row = inverted.row(w);
                 work += row.len();
                 for &(v, d2) in row {
                     scratch.relax(v, d1 + d2);
@@ -366,9 +476,12 @@ impl HopiIndex {
         Ok(())
     }
 
-    /// Approximate in-memory footprint in bytes: label sets plus the
-    /// inverted center indexes (both are materialised in the database in
-    /// the paper's implementation).
+    /// Approximate in-memory footprint in bytes: the label entries, once in
+    /// the label sets and once inverted (both are materialised in the
+    /// database in the paper's implementation), plus the node labels. It
+    /// counts entries, not row bookkeeping: the `u32` row offsets are left
+    /// out, so the figure is the paper's size measure in bytes and does not
+    /// depend on how rows are laid out.
     pub fn size_bytes(&self) -> usize {
         // every entry appears once in l_in/l_out and once inverted
         2 * self.stats.total_entries() * 8 + self.node_labels.len() * 4
@@ -376,57 +489,45 @@ impl HopiIndex {
 }
 
 impl flixcheck::IntegrityCheck for HopiIndex {
-    /// Audits the 2-hop cover's internal shape: every node carries its
-    /// zero-distance self-entry in both label sets, center lists are
-    /// strictly sorted, the inverted indexes mirror the label sets exactly,
-    /// and the build statistics match the stored entry counts.
+    /// Audits the 2-hop cover's internal shape: the label tables' offsets
+    /// are well-formed ([`HopiIndex::layout_fault`]; nothing else is looked
+    /// at if not), every node carries its zero-distance self-entry in both
+    /// label sets, center lists are strictly sorted, the inverted tables
+    /// are exactly the label sets inverted, and the build statistics match
+    /// the stored entry counts.
     ///
     /// Soundness/completeness against the indexed graph needs the graph
     /// itself (not stored here) — see [`HopiIndex::verify_against_graph`].
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("HopiIndex");
-        let n = self.l_in.len();
+        let fault = self.layout_fault();
         audit.check(
-            "parallel arrays same length",
-            self.l_out.len() == n
-                && self.in_index.len() == n
-                && self.out_index.len() == n
-                && self.node_labels.len() == n,
-            || {
-                format!(
-                    "l_in={n} l_out={} in_index={} out_index={} node_labels={}",
-                    self.l_out.len(),
-                    self.in_index.len(),
-                    self.out_index.len(),
-                    self.node_labels.len()
-                )
-            },
+            "label tables are well-formed rows over the indexed nodes",
+            fault.is_none(),
+            || fault.unwrap_or_default(),
         );
         if audit.violation_count() > 0 {
             return audit.finish();
         }
+        let n = self.node_count() as NodeId;
 
-        let mut first = None;
-        for w in 0..n as NodeId {
-            let self_in = self.l_in[w as usize].iter().any(|&(c, d)| c == w && d == 0);
-            let self_out = self.l_out[w as usize]
-                .iter()
-                .any(|&(c, d)| c == w && d == 0);
-            if !(self_in && self_out) {
-                first = Some(format!("node {w} lacks its (w, 0) self-entry"));
-                break;
-            }
-        }
+        let holds_self = |table: &LabelTable, w| table.row(w).contains(&(w, 0));
+        let first = (0..n).find(|&w| !(holds_self(&self.l_in, w) && holds_self(&self.l_out, w)));
         audit.check(
             "every node holds its zero-distance self-entry",
             first.is_none(),
-            || first.unwrap_or_default(),
+            || {
+                format!(
+                    "node {} lacks its (w, 0) self-entry",
+                    first.unwrap_or_default()
+                )
+            },
         );
 
         let mut first = None;
         'sorted: for (side, sets) in [("L_in", &self.l_in), ("L_out", &self.l_out)] {
-            for (u, set) in sets.iter().enumerate() {
-                for w in set.windows(2) {
+            for u in 0..n {
+                for w in sets.row(u).windows(2) {
                     if w[0].0 >= w[1].0 {
                         first = Some(format!(
                             "{side}[{u}] not strictly sorted by center at {}",
@@ -443,40 +544,22 @@ impl flixcheck::IntegrityCheck for HopiIndex {
             || first.unwrap_or_default(),
         );
 
-        // The inverted indexes must be an exact mirror of the label sets.
-        let mut want_in: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-        let mut want_out: Vec<Vec<(NodeId, Distance)>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for &(c, d) in &self.l_in[v] {
-                want_in[c as usize].push((v as NodeId, d));
-            }
-            for &(c, d) in &self.l_out[v] {
-                want_out[c as usize].push((v as NodeId, d));
-            }
-        }
-        let mut first = None;
-        for (w, (want_in, want_out)) in want_in.iter_mut().zip(&mut want_out).enumerate() {
-            let mut got_in = self.in_index[w].clone();
-            got_in.sort_unstable();
-            let mut got_out = self.out_index[w].clone();
-            got_out.sort_unstable();
-            want_in.sort_unstable();
-            want_out.sort_unstable();
-            if got_in != *want_in || got_out != *want_out {
-                first = Some(format!(
-                    "inverted index of center {w} disagrees with the label sets"
-                ));
-                break;
-            }
-        }
+        let first = [
+            ("in_index", &self.in_index, &self.l_in),
+            ("out_index", &self.out_index, &self.l_out),
+        ]
+        .into_iter()
+        .find(|(_, inverted, labels)| **inverted != labels.inverted());
         audit.check(
-            "inverted indexes mirror the label sets",
+            "inverted tables mirror the label sets",
             first.is_none(),
-            || first.unwrap_or_default(),
+            || {
+                let name = first.map(|(name, ..)| name).unwrap_or_default();
+                format!("{name} is not its label table inverted")
+            },
         );
 
-        let in_total: usize = self.l_in.iter().map(Vec::len).sum();
-        let out_total: usize = self.l_out.iter().map(Vec::len).sum();
+        let (in_total, out_total) = (self.l_in.entries.len(), self.l_out.entries.len());
         audit.check(
             "build stats match stored entry counts",
             self.stats.in_entries == in_total && self.stats.out_entries == out_total,
@@ -496,6 +579,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
 mod tests {
     use super::*;
     use graphcore::{DistanceOracle, TransitiveClosure};
+    use proptest::prelude::*;
 
     fn check_exact(g: &Digraph, labels: &[u32]) {
         let idx = HopiIndex::build(g, labels);
@@ -606,6 +690,12 @@ mod tests {
         assert!(idx.stats().visits > 0);
     }
 
+    fn rows_of(table: &LabelTable) -> Vec<Vec<(NodeId, Distance)>> {
+        (0..table.rows() as NodeId)
+            .map(|i| table.row(i).to_vec())
+            .collect()
+    }
+
     #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
@@ -615,34 +705,115 @@ mod tests {
         idx.verify_against_graph(&g, 4).unwrap();
         // dropping a self-entry breaks cover admissibility
         let mut bad = idx.clone();
-        bad.l_out[0].retain(|&(c, _)| c != 0);
+        let mut rows = rows_of(&bad.l_out);
+        rows[0].retain(|&(c, _)| c != 0);
+        bad.l_out = LabelTable::from_rows(&rows);
         assert!(bad.integrity_check().is_err());
         // an entry missing from the inverted index breaks the mirror
         let mut bad = idx.clone();
-        for w in 0..bad.in_index.len() {
-            if !bad.in_index[w].is_empty() {
-                bad.in_index[w].pop();
-                break;
-            }
-        }
+        let mut rows = rows_of(&bad.in_index);
+        let row = rows.iter_mut().find(|row| !row.is_empty()).unwrap();
+        row.pop();
+        bad.in_index = LabelTable::from_rows(&rows);
         assert!(bad.integrity_check().is_err());
         // wrong stats are caught
         let mut bad = idx.clone();
         bad.stats.in_entries += 1;
         assert!(bad.integrity_check().is_err());
+        // offsets out of order, or past the entries, are caught before any
+        // row is sliced
+        let mut bad = idx.clone();
+        let at = (bad.l_in.offsets.windows(2))
+            .position(|w| w[0] < w[1])
+            .unwrap();
+        bad.l_in.offsets.swap(at, at + 1);
+        assert!(bad.layout_fault().unwrap().contains("l_in"));
+        assert!(bad.integrity_check().is_err());
+        let mut bad = idx.clone();
+        *bad.out_index.offsets.last_mut().unwrap() += 1;
+        assert!(bad.layout_fault().unwrap().contains("out_index"));
+        assert!(bad.integrity_check().is_err());
         // a corrupted distance passes the shape checks but fails the oracle
         let mut bad = idx;
-        let mut bumped = false;
-        'bump: for set in bad.l_out.iter_mut().chain(bad.l_in.iter_mut()) {
-            for e in set.iter_mut() {
-                if e.1 > 0 {
-                    e.1 += 1;
-                    bumped = true;
-                    break 'bump;
-                }
+        let e = (bad.l_out.entries.iter_mut())
+            .chain(bad.l_in.entries.iter_mut())
+            .find(|e| e.1 > 0)
+            .expect("cover has at least one non-self entry");
+        e.1 += 1;
+        assert!(bad.verify_against_graph(&g, 4).is_err());
+    }
+
+    #[test]
+    fn layout_fault_names_every_way_offsets_can_be_wrong() {
+        let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
+        let idx = HopiIndex::build(&g, &[0; 3]);
+        assert_eq!(idx.layout_fault(), None);
+        let damage: [fn(&mut HopiIndex); 6] = [
+            |i| i.l_out.offsets.clear(),
+            |i| i.in_index.offsets.push(0),
+            |i| i.l_in.offsets[0] = 1,
+            |i| i.l_in.offsets[1] = u32::MAX,
+            |i| i.out_index.entries.truncate(1),
+            |i| i.node_labels.push(0),
+        ];
+        for damage in damage {
+            let mut bad = idx.clone();
+            damage(&mut bad);
+            assert!(bad.layout_fault().is_some());
+        }
+        let empty = HopiIndex::build(&Digraph::from_edges(0, []), &[]);
+        assert_eq!(empty.layout_fault(), None);
+        assert_eq!(empty.node_count(), 0);
+    }
+
+    /// The inversion `build_staged` ran before the tables were flat: push
+    /// `(v, d)` onto row `w`, rows visited ascending.
+    fn pushed_inversion(rows: &[Vec<(NodeId, Distance)>]) -> Vec<Vec<(NodeId, Distance)>> {
+        let mut inverted = vec![Vec::new(); rows.len()];
+        for (v, row) in rows.iter().enumerate() {
+            for &(w, d) in row {
+                inverted[w as usize].push((v as NodeId, d));
             }
         }
-        assert!(bumped, "cover has at least one non-self entry");
-        assert!(bad.verify_against_graph(&g, 4).is_err());
+        inverted
+    }
+
+    fn check_table(rows: &[Vec<(NodeId, Distance)>]) {
+        let table = LabelTable::from_rows(rows);
+        assert_eq!(table.fault(rows.len()), None);
+        assert_eq!(rows_of(&table), rows);
+        let inverted = table.inverted();
+        assert_eq!(inverted.fault(rows.len()), None);
+        assert_eq!(inverted, LabelTable::from_rows(&pushed_inversion(rows)));
+    }
+
+    #[test]
+    fn table_keeps_rows_where_empty_ones_sit_first_middle_and_last() {
+        check_table(&[]);
+        check_table(&[vec![]]);
+        check_table(&[vec![], vec![(2, 1), (0, 3)], vec![], vec![(1, 0)], vec![]]);
+        check_table(&[vec![(0, 0)], vec![(0, 1), (1, 0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "2^32")]
+    fn an_entry_count_past_u32_panics_instead_of_wrapping() {
+        offset(u32::MAX as usize + 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Rows of any shape — unsorted, repeated centers, empty — come
+        /// back as they went in, and invert as pushing did.
+        #[test]
+        fn table_matches_its_rows_and_the_pushed_inversion(
+            rows in (0usize..12).prop_flat_map(|n| {
+                let entry = (0..n.max(1) as NodeId, 0..9 as Distance);
+                proptest::collection::vec(proptest::collection::vec(entry, 0..5), n)
+            })
+        ) {
+            check_table(&rows);
+        }
     }
 }

@@ -1265,6 +1265,9 @@ mod tests {
         server
             .query(Request::descendants(0, t, QueryOptions::default()))
             .unwrap();
+        // A worker replies before it steps out of the in-flight count;
+        // joining the workers is what makes the gauge's 0 observable.
+        server.shutdown();
         let text = registry.snapshot().to_prometheus();
         assert!(
             text.contains("flixserve_completed_total{pool=\"test\"} 1"),
@@ -1278,7 +1281,6 @@ mod tests {
             text.contains("flixserve_in_flight{pool=\"test\"} 0"),
             "{text}"
         );
-        server.shutdown();
     }
 
     #[test]
