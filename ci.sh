@@ -50,4 +50,7 @@ cargo run -q -p bench --bin repro -- --check --scale 0.02
 echo "== the benchmark package is untouched (a rewritten flixbench/Cargo.lock shows here)"
 git diff --exit-code -- flixbench BENCHMARK.json
 
+echo "== net line count (ROADMAP ground rules: reported per PR)"
+find crates src tests examples vendor -name '*.rs' | xargs cat | wc -l
+
 echo "CI green."

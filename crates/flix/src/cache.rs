@@ -24,7 +24,7 @@ use crate::backend::{Answer, QueryBackend};
 use crate::framework::Flix;
 use crate::pee::{Axis, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
 use flixobs::journal::{EventKind, SHARD_NONE};
-use flixobs::{Counter, MetricId, MetricsRegistry};
+use flixobs::{Counter, MetricCell, MetricsRegistry};
 use graphcore::{Distance, NodeId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -346,43 +346,43 @@ impl ResultCache {
     /// with the given labels. The counters keep accumulating in place —
     /// later snapshots see later values without re-binding.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        for (name, help, counter) in [
-            (
-                "flix_cache_hits_total",
-                "Query-cache lookups served from a stored result.",
-                &self.hits,
-            ),
-            (
-                "flix_cache_misses_total",
-                "Query-cache lookups that had to evaluate the query.",
-                &self.misses,
-            ),
-            (
-                "flix_cache_evictions_total",
-                "Cache entries displaced by LRU pressure at capacity.",
-                &self.evictions,
-            ),
-            (
-                "flix_cache_invalidations_total",
-                "Cache entries dropped on lookup for being computed under an \
-                 older framework generation.",
-                &self.invalidations,
-            ),
-            (
-                "flix_cache_admitted_total",
-                "At-capacity insertions the TinyLFU gate admitted.",
-                &self.admitted,
-            ),
-            (
-                "flix_cache_rejected_total",
-                "At-capacity insertions the TinyLFU gate rejected in favour \
-                 of the incumbent victim.",
-                &self.rejected,
-            ),
-        ] {
-            registry.describe(name, help);
-            registry.bind_counter(MetricId::with_labels(name, labels), counter);
-        }
+        registry.publish(
+            labels,
+            &[
+                (
+                    "flix_cache_hits_total",
+                    "Query-cache lookups served from a stored result.",
+                    MetricCell::Counter(&self.hits),
+                ),
+                (
+                    "flix_cache_misses_total",
+                    "Query-cache lookups that had to evaluate the query.",
+                    MetricCell::Counter(&self.misses),
+                ),
+                (
+                    "flix_cache_evictions_total",
+                    "Cache entries displaced by LRU pressure at capacity.",
+                    MetricCell::Counter(&self.evictions),
+                ),
+                (
+                    "flix_cache_invalidations_total",
+                    "Cache entries dropped on lookup for being computed under an \
+                     older framework generation.",
+                    MetricCell::Counter(&self.invalidations),
+                ),
+                (
+                    "flix_cache_admitted_total",
+                    "At-capacity insertions the TinyLFU gate admitted.",
+                    MetricCell::Counter(&self.admitted),
+                ),
+                (
+                    "flix_cache_rejected_total",
+                    "At-capacity insertions the TinyLFU gate rejected in favour \
+                     of the incumbent victim.",
+                    MetricCell::Counter(&self.rejected),
+                ),
+            ],
+        );
     }
 
     /// Number of cached queries.

@@ -23,7 +23,7 @@
 use crate::framework::Flix;
 use crate::meta::{MetaDocument, PopAnswer};
 use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
-use flixobs::{Deadline, QueryTrace, SpanCounters, SpanStage, Stopwatch};
+use flixobs::{Deadline, QueryTrace, SpanStage, Stopwatch};
 use graphcore::{Distance, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -116,7 +116,7 @@ pub enum Axis {
 #[derive(Default)]
 pub struct QueryCtx<'a> {
     /// Receives one timed span per queue pop, block fetch and link
-    /// expansion, and the evaluation's total time.
+    /// expansion; together they tile the evaluation.
     pub trace: Option<&'a mut QueryTrace>,
     /// Flight-recorder handle bound to the request: routing, cache and
     /// evaluator events are journaled under it.
@@ -185,16 +185,6 @@ impl PeeStats {
         self.entries_subsumed += other.entries_subsumed;
         self.block_results_scanned += other.block_results_scanned;
         self.links_expanded += other.links_expanded;
-    }
-}
-
-/// Counter delta between two evaluator snapshots, for span attribution.
-fn counters_since(before: &PeeStats, after: &PeeStats) -> SpanCounters {
-    SpanCounters {
-        entries_popped: (after.entries_popped - before.entries_popped) as u64,
-        entries_subsumed: (after.entries_subsumed - before.entries_subsumed) as u64,
-        rows_scanned: (after.block_results_scanned - before.block_results_scanned) as u64,
-        links_expanded: (after.links_expanded - before.links_expanded) as u64,
     }
 }
 
@@ -292,6 +282,17 @@ fn for_each_link<S: MetaSpace + ?Sized>(
         for &(_, far) in links {
             visit(d + 1, far);
         }
+    }
+}
+
+/// One lap of a traced evaluation's clock: a single read, and everything
+/// since the previous read (`charged`, nanoseconds) goes to `stage`, which
+/// just ran. Untraced, `clock` is `None` and nothing is read.
+fn lap(ctx: &mut QueryCtx<'_>, clock: &mut Option<(Stopwatch, u64)>, stage: SpanStage) {
+    if let (Some(trace), Some((watch, charged))) = (ctx.trace.as_deref_mut(), clock) {
+        let now = watch.elapsed_nanos();
+        trace.record(stage, now.saturating_sub(*charged));
+        *charged = now;
     }
 }
 
@@ -494,11 +495,14 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
 /// The one Fig. 4 loop, generalised over direction, multiple seeds, and
 /// the node universe. Returns how the evaluation ended and its counters.
 ///
-/// With `ctx.trace` set, every queue pop (including the §5.1 subsumption
-/// check), meta-index lookup (the block and the reachable link anchors,
-/// one [`MetaDocument::answer_pop`]), and link-expansion step (the queue
-/// pushes) is recorded as a timed span carrying the counter deltas charged
-/// during it, and the trace is stamped with the evaluation's total time. With
+/// With `ctx.trace` set, one clock is read at each stage boundary and the
+/// time since the previous read is recorded as a span of the stage that
+/// just ran — queue pop (the heap pop, the deadline and bound checks, the
+/// exact-order release, the §5.1 subsumption verdict), block fetch (the
+/// one [`MetaDocument::answer_pop`] lookup, the per-row §5.1 filter and
+/// handing the results to `emit`), link expansion (the queue pushes) — so
+/// the spans tile the evaluation from its first instruction to its last
+/// and their sum is its time. With
 /// `ctx.journal` set, a deadline cut is recorded as a flight-recorder
 /// event. Both are write-only from the evaluator's point of view — no
 /// branch of the algorithm consults them — so the emitted result stream
@@ -520,7 +524,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     mut emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
 ) -> Result<(EvalEnd, PeeStats), S::Error> {
     let mut stats = PeeStats::default();
-    let trace_clock = ctx.trace.as_ref().map(|_| Stopwatch::start());
+    let mut clock = ctx.trace.is_some().then(|| (Stopwatch::start(), 0));
     let mut queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>> = BinaryHeap::new();
     let mut entries: Vec<Vec<u32>> = vec![Vec::new(); space.meta_count()];
     let mut returned = 0usize;
@@ -589,8 +593,6 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let Some(Reverse((d, e, is_seed))) = next else {
             break EvalEnd::Done { timed_out: false };
         };
-        let pop_t0 = trace_clock.map(|c| c.elapsed_nanos());
-        let pop_before = stats;
         let Some((meta, local)) = space.resolve(e) else {
             // The node lives outside this space: a shard view chased a
             // cross-shard link. The caller falls back to a space that
@@ -613,14 +615,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         } else {
             stats.entries_popped += 1;
         }
-        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, pop_t0) {
-            tr.record(
-                SpanStage::QueuePop,
-                t0,
-                c.elapsed_nanos().saturating_sub(t0),
-                counters_since(&pop_before, &stats),
-            );
-        }
+        lap(ctx, &mut clock, SpanStage::QueuePop);
         if subsumed {
             continue;
         }
@@ -629,22 +624,11 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         // is materialised before any result is emitted, so its lookup
         // work is charged up front.
         let include_self = if is_seed { opts.include_start } else { true };
-        let fetch_t0 = trace_clock.map(|c| c.elapsed_nanos());
-        let fetch_before = stats;
         // One request per pop: the block and the reachable link anchors
         // come out of the same index lookup where the strategy can share it.
         let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
         stats.block_results_scanned += work;
-        // The span covers only that lookup, not the emit callbacks below —
-        // client time is not evaluator time.
-        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, fetch_t0) {
-            tr.record(
-                SpanStage::BlockFetch,
-                t0,
-                c.elapsed_nanos().saturating_sub(t0),
-                counters_since(&fetch_before, &stats),
-            );
-        }
+        let mut capped = false;
         for (r, dr) in block {
             // §5.1 step 2: skip results an earlier entry already
             // returned. (Exact mode dedups through the best map.)
@@ -676,31 +660,28 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
                 node,
             };
             if deliver(result, &stats) {
-                break 'eval EvalEnd::Done { timed_out: false };
+                capped = true;
+                break;
             }
+        }
+        lap(ctx, &mut clock, SpanStage::BlockFetch);
+        if capped {
+            break EvalEnd::Done { timed_out: false };
         }
 
         // Expand runtime links: queue the far end of every link hanging off
         // the anchors the lookup above found (Fig. 4's `findReachableLinks`).
-        let link_t0 = trace_clock.map(|c| c.elapsed_nanos());
-        let link_before = stats;
         for_each_link(space, &md, axis, &links, |hop, far| {
             stats.links_expanded += 1;
             queue.push(Reverse((d + hop, far, false)));
         });
-        if let (Some(tr), Some(c), Some(t0)) = (ctx.trace.as_deref_mut(), trace_clock, link_t0) {
-            tr.record(
-                SpanStage::LinkExpand,
-                t0,
-                c.elapsed_nanos().saturating_sub(t0),
-                counters_since(&link_before, &stats),
-            );
-        }
         entries[meta as usize].push(local);
+        lap(ctx, &mut clock, SpanStage::LinkExpand);
     };
-    if let (Some(tr), Some(c)) = (ctx.trace.as_deref_mut(), trace_clock) {
-        tr.finish(c.elapsed_micros());
-    }
+    // The closing lap: whatever ended the evaluation — a drained queue, the
+    // deadline, the distance bound, a result cap reached while releasing
+    // buffered results, an escape — ended it inside a queue pop.
+    lap(ctx, &mut clock, SpanStage::QueuePop);
     Ok((end, stats))
 }
 
@@ -1387,23 +1368,20 @@ mod tests {
             let (traced, stats) =
                 flix.find_descendants_with_trace(0, b, &QueryOptions::default(), &mut trace);
             assert_eq!(plain, traced, "config {config}");
-            // Span counters reconcile exactly with the evaluator counters.
-            let c = trace.counters();
-            assert_eq!(c.entries_popped, stats.entries_popped as u64, "{config}");
+            // One pop span per queue entry processed and the closing lap;
+            // one fetch and one expansion span per answered entry.
+            let spans = |stage| trace.stage_totals(stage).spans as usize;
+            let processed = stats.entries_popped + stats.entries_subsumed;
+            assert_eq!(spans(SpanStage::QueuePop), processed + 1, "{config}");
             assert_eq!(
-                c.rows_scanned, stats.block_results_scanned as u64,
+                spans(SpanStage::BlockFetch),
+                stats.entries_popped,
                 "{config}"
             );
-            assert_eq!(c.links_expanded, stats.links_expanded as u64, "{config}");
             assert_eq!(
-                trace.stage_totals(SpanStage::QueuePop).spans,
-                (stats.entries_popped + stats.entries_subsumed) as u64,
-                "one pop span per queue entry processed, config {config}"
-            );
-            assert_eq!(
-                trace.stage_totals(SpanStage::BlockFetch).spans,
-                stats.entries_popped as u64,
-                "one fetch span per answered entry, config {config}"
+                spans(SpanStage::LinkExpand),
+                stats.entries_popped,
+                "{config}"
             );
         }
     }

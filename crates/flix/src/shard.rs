@@ -51,7 +51,7 @@ use crate::meta::MetaDocument;
 use crate::pee::{collect_axis_space, never, Axis, MetaSpace, QueryCtx};
 use crate::pee::{QueryOptions, QueryOutcome, QueryResult};
 use flixobs::journal::{EventKind, SHARD_MERGE};
-use flixobs::{Counter, MetricId, MetricsRegistry};
+use flixobs::{Counter, MetricCell, MetricsRegistry};
 use graphcore::{partition_greedy, Digraph, NodeId};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -629,34 +629,30 @@ impl QueryBackend for ShardedFlix {
     /// `flix_shard_{direct,fanout,escaped}_total` plus the [`ResultCache`]
     /// names, each tagged with a `shard` label on top of `labels`.
     fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        registry.describe(
-            "flix_shard_direct_total",
-            "Queries answered entirely inside one shard's view.",
-        );
-        registry.describe(
-            "flix_shard_fanout_total",
-            "Queries routed straight to the cross-shard fan-out merge.",
-        );
-        registry.describe(
-            "flix_shard_escaped_total",
-            "Optimistic local attempts that popped a foreign node and re-ran \
-             over the cross-shard merge.",
-        );
         for (s, cell) in self.cells.iter().enumerate() {
             let shard = s.to_string();
             let mut with_shard: Vec<(&str, &str)> = labels.to_vec();
             with_shard.push(("shard", &shard));
-            registry.bind_counter(
-                MetricId::with_labels("flix_shard_direct_total", &with_shard),
-                &cell.direct,
-            );
-            registry.bind_counter(
-                MetricId::with_labels("flix_shard_fanout_total", &with_shard),
-                &cell.fanout,
-            );
-            registry.bind_counter(
-                MetricId::with_labels("flix_shard_escaped_total", &with_shard),
-                &cell.escaped,
+            registry.publish(
+                &with_shard,
+                &[
+                    (
+                        "flix_shard_direct_total",
+                        "Queries answered entirely inside one shard's view.",
+                        MetricCell::Counter(&cell.direct),
+                    ),
+                    (
+                        "flix_shard_fanout_total",
+                        "Queries routed straight to the cross-shard fan-out merge.",
+                        MetricCell::Counter(&cell.fanout),
+                    ),
+                    (
+                        "flix_shard_escaped_total",
+                        "Optimistic local attempts that popped a foreign node and re-ran \
+                         over the cross-shard merge.",
+                        MetricCell::Counter(&cell.escaped),
+                    ),
+                ],
             );
             if let Some(caches) = &self.caches {
                 caches[s].publish_metrics(registry, &with_shard);

@@ -15,7 +15,7 @@
 use crate::config::{FlixConfig, StrategyKind};
 use crate::pee::PeeStats;
 use crate::report::BuildReport;
-use flixobs::MetricsRegistry;
+use flixobs::{MetricCell, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated query-load statistics.
@@ -131,17 +131,36 @@ impl LoadMonitor {
     /// metrics snapshot carries the same signals [`Self::recommend`] acts
     /// on.
     pub fn publish(&self, registry: &MetricsRegistry) {
-        registry.gauge("flix_load_queries").set(self.queries as f64);
-        registry
-            .gauge("flix_load_avg_lookups")
-            .set(self.avg_lookups());
-        registry.gauge("flix_load_avg_links").set(self.avg_links());
-        registry
-            .gauge("flix_load_avg_rows_scanned")
-            .set(self.avg_rows_scanned());
-        registry
-            .gauge("flix_load_rows_per_result")
-            .set(self.rows_per_result());
+        registry.publish(
+            &[],
+            &[
+                (
+                    "flix_load_queries",
+                    "Queries the load monitor has recorded.",
+                    MetricCell::Value(self.queries as f64),
+                ),
+                (
+                    "flix_load_avg_lookups",
+                    "Mean meta-document index lookups (entries popped) per query.",
+                    MetricCell::Value(self.avg_lookups()),
+                ),
+                (
+                    "flix_load_avg_links",
+                    "Mean runtime links followed per query.",
+                    MetricCell::Value(self.avg_links()),
+                ),
+                (
+                    "flix_load_avg_rows_scanned",
+                    "Mean index rows scanned per query.",
+                    MetricCell::Value(self.avg_rows_scanned()),
+                ),
+                (
+                    "flix_load_rows_per_result",
+                    "Index rows scanned per returned result (per query when nothing was returned).",
+                    MetricCell::Value(self.rows_per_result()),
+                ),
+            ],
+        );
     }
 
     /// Verdict for the current configuration.

@@ -9,18 +9,19 @@
 //!   and log2-bucketed latency [`Histogram`]s. Handles are `Arc`-backed
 //!   atomics: updating a metric is a single wait-free atomic operation;
 //!   the registry mutex is touched only at registration and snapshot time.
-//! * [`QueryTrace`] — per-query timed spans (queue pop → meta-index block
-//!   fetch → link expansion) with the evaluator's counters attached to
-//!   each span.
-//! * [`SlowQueryLog`] — a fixed-capacity buffer that retains the N worst
-//!   traces by latency, so the outliers that matter for tuning survive
-//!   aggregation.
+//! * [`QueryTrace`] — per-query stage clocks (queue pop → meta-index block
+//!   fetch → link expansion) whose spans tile the evaluation.
+//! * [`SlowQueryLog`] — a fixed-capacity buffer that retains the ids of
+//!   the N worst requests by latency, so the outliers that matter for
+//!   tuning survive aggregation.
 //! * [`FlightRecorder`] — a per-lane bounded event journal (the "flight
 //!   recorder") capturing every per-request serve-path decision —
-//!   admit/shed, queueing, shard routing, evaluator spans, cache
-//!   outcomes, single-flight roles, deadline expiry — tagged with a
-//!   [`RequestId`] so one request's events reconstruct into a causal
-//!   trace, exportable as Chrome trace-event JSON or a text timeline.
+//!   admit/shed, queueing, shard routing, evaluator passes and stage
+//!   times, cache outcomes, single-flight roles, deadline expiry, a
+//!   contained panic — tagged with a [`RequestId`] so one request's events
+//!   reconstruct into a causal trace, exportable as Chrome trace-event
+//!   JSON or a text timeline. On the serve path it is the only
+//!   per-request record.
 //! * [`Stopwatch`] — the one sanctioned wall-clock source. The `flixcheck`
 //!   lint flags `Instant::now()` anywhere else in the workspace, so ad-hoc
 //!   timing cannot bypass this layer. [`Deadline`] builds per-request time
@@ -42,7 +43,7 @@ pub mod journal;
 pub mod registry;
 /// The fixed-capacity worst-N slow-query log.
 pub mod slowlog;
-/// Per-query timed spans with evaluator counters attached.
+/// Per-query stage clocks: spans that tile one evaluation.
 pub mod trace;
 
 pub use clock::{Deadline, Stopwatch};
@@ -51,7 +52,8 @@ pub use journal::{
     RequestId, SHARD_MERGE, SHARD_NONE,
 };
 pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricCell, MetricId, MetricsRegistry,
+    MetricsSnapshot,
 };
 pub use slowlog::{SlowQuery, SlowQueryLog};
-pub use trace::{QueryTrace, Span, SpanCounters, SpanStage, StageTotals};
+pub use trace::{QueryTrace, Span, SpanStage, StageTotals};

@@ -5,7 +5,8 @@
 //! hot path — bumping a counter, setting a gauge, recording a histogram
 //! sample — is a single wait-free atomic operation with no lock in sight.
 //! The registry's own mutex is only taken on the cold paths: registering a
-//! metric, binding a component-owned handle, and taking a snapshot.
+//! metric, publishing a component's cells ([`MetricsRegistry::publish`]),
+//! and taking a snapshot.
 //!
 //! Histograms use log2 buckets (`le` bounds 1, 2, 4, … 2^38, +Inf): wide
 //! enough dynamic range for microsecond latencies at 40 fixed `u64` cells
@@ -32,14 +33,6 @@ pub struct MetricId {
 }
 
 impl MetricId {
-    /// An unlabelled metric id.
-    pub fn new(name: &str) -> Self {
-        Self {
-            name: name.to_string(),
-            labels: Vec::new(),
-        }
-    }
-
     /// A labelled metric id.
     pub fn with_labels(name: &str, labels: &[(&str, &str)]) -> Self {
         Self {
@@ -109,8 +102,8 @@ pub fn json_escape(v: &str) -> String {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A fresh, unregistered counter (bind it later with
-    /// [`MetricsRegistry::bind_counter`] to export it).
+    /// A fresh, unregistered counter (export it later with
+    /// [`MetricsRegistry::publish`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -298,6 +291,22 @@ impl HistogramSnapshot {
     }
 }
 
+/// What a published metric reads: a live cell owned by the publishing
+/// component — its accumulated value is preserved and later snapshots see
+/// later values — or a value copied at publish time.
+#[derive(Debug, Clone, Copy)]
+pub enum MetricCell<'a> {
+    /// A component-owned counter.
+    Counter(&'a Counter),
+    /// A component-owned gauge.
+    Gauge(&'a Gauge),
+    /// A component-owned histogram.
+    Histogram(&'a Histogram),
+    /// A point-in-time value, exported as a gauge; publishing again
+    /// overwrites it.
+    Value(f64),
+}
+
 #[derive(Default)]
 struct RegistryInner {
     counters: BTreeMap<MetricId, Counter>,
@@ -329,22 +338,30 @@ impl MetricsRegistry {
         self.inner.lock().counters.entry(id).or_default().clone()
     }
 
-    /// Binds a component-owned counter handle under `id`, preserving its
-    /// accumulated value. Replaces any handle previously bound to the id.
-    pub fn bind_counter(&self, id: MetricId, counter: &Counter) {
-        self.inner.lock().counters.insert(id, counter.clone());
-    }
-
-    /// Binds a component-owned gauge handle under `id`, preserving its
-    /// current value. Replaces any handle previously bound to the id.
-    pub fn bind_gauge(&self, id: MetricId, gauge: &Gauge) {
-        self.inner.lock().gauges.insert(id, gauge.clone());
-    }
-
-    /// Binds a component-owned histogram handle under `id`, preserving its
-    /// accumulated samples. Replaces any handle previously bound to the id.
-    pub fn bind_histogram(&self, id: MetricId, histogram: &Histogram) {
-        self.inner.lock().histograms.insert(id, histogram.clone());
+    /// The one way a component exports metrics: each `(name, help, cell)`
+    /// row is registered under `labels` together with its description, so
+    /// a metric cannot be published undescribed. A live cell replaces any
+    /// handle previously bound to the same name and labels. Descriptions
+    /// surface as `# HELP` lines in [`MetricsSnapshot::to_prometheus`]; all
+    /// label variants of a name share one, and the last one published wins.
+    pub fn publish(&self, labels: &[(&str, &str)], rows: &[(&str, &str, MetricCell<'_>)]) {
+        let mut inner = self.inner.lock();
+        for &(name, help, cell) in rows {
+            inner.help.insert(name.to_string(), help.to_string());
+            let id = MetricId::with_labels(name, labels);
+            match cell {
+                MetricCell::Counter(counter) => {
+                    inner.counters.insert(id, counter.clone());
+                }
+                MetricCell::Gauge(gauge) => {
+                    inner.gauges.insert(id, gauge.clone());
+                }
+                MetricCell::Histogram(histogram) => {
+                    inner.histograms.insert(id, histogram.clone());
+                }
+                MetricCell::Value(v) => inner.gauges.entry(id).or_default().set(v),
+            }
+        }
     }
 
     /// Get-or-create the gauge `name` (no labels).
@@ -367,17 +384,6 @@ impl MetricsRegistry {
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let id = MetricId::with_labels(name, labels);
         self.inner.lock().histograms.entry(id).or_default().clone()
-    }
-
-    /// Attaches a one-line description to the metric *name* (all label
-    /// variants share it). Descriptions surface as `# HELP` lines in
-    /// [`MetricsSnapshot::to_prometheus`]; re-describing a name replaces
-    /// the previous text.
-    pub fn describe(&self, name: &str, help: &str) {
-        self.inner
-            .lock()
-            .help
-            .insert(name.to_string(), help.to_string());
     }
 
     /// A point-in-time copy of every registered metric, sorted by id.
@@ -417,7 +423,7 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(MetricId, f64)>,
     /// Histogram snapshots, sorted by id.
     pub histograms: Vec<(MetricId, HistogramSnapshot)>,
-    /// Per-name descriptions registered via [`MetricsRegistry::describe`],
+    /// Per-name descriptions registered via [`MetricsRegistry::publish`],
     /// sorted by name.
     pub help: Vec<(String, String)>,
 }
@@ -525,7 +531,8 @@ mod tests {
         let owned = Counter::new();
         owned.add(7);
         let reg = MetricsRegistry::new();
-        reg.bind_counter(MetricId::new("pool_hits_total"), &owned);
+        let row = ("pool_hits_total", "Pool hits.", MetricCell::Counter(&owned));
+        reg.publish(&[], &[row]);
         owned.inc();
         assert_eq!(reg.counter("pool_hits_total").get(), 8);
     }
@@ -535,13 +542,16 @@ mod tests {
         let reg = MetricsRegistry::new();
         let g = Gauge::new();
         g.set(3.0);
-        reg.bind_gauge(MetricId::new("depth"), &g);
+        reg.publish(&[], &[("depth", "Queue depth.", MetricCell::Gauge(&g))]);
         g.set(5.0);
         assert_eq!(reg.gauge("depth").get(), 5.0);
 
         let h = Histogram::new();
         h.record(42);
-        reg.bind_histogram(MetricId::new("lat_micros"), &h);
+        reg.publish(
+            &[],
+            &[("lat_micros", "Latency.", MetricCell::Histogram(&h))],
+        );
         h.record(7);
         assert_eq!(reg.histogram("lat_micros").count(), 2);
     }
@@ -661,10 +671,14 @@ mod tests {
     #[test]
     fn describe_emits_help_lines_before_type() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("hits_total", &[("cache", "query")]).add(3);
-        reg.gauge("depth").set(2.0);
-        reg.describe("hits_total", "Cache lookups answered from a stored result.");
-        reg.describe("depth", "Current queue \\ depth\nacross workers.");
+        let hits = Counter::new();
+        let help = "Cache lookups answered from a stored result.";
+        reg.publish(
+            &[("cache", "query")],
+            &[("hits_total", help, MetricCell::Counter(&hits))],
+        );
+        let help = "Current queue \\ depth\nacross workers.";
+        reg.publish(&[], &[("depth", help, MetricCell::Value(2.0))]);
         let text = reg.snapshot().to_prometheus();
         assert!(
             text.contains("# HELP hits_total Cache lookups answered from a stored result."),

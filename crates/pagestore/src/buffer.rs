@@ -15,7 +15,7 @@
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
-use flixobs::{Counter, MetricId, MetricsRegistry};
+use flixobs::{Counter, MetricCell, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -253,14 +253,31 @@ impl BufferPool {
     /// [`crate::disk::DiskStats::publish`]. The counters keep accumulating
     /// in place, so later snapshots see later values.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        for (name, counter) in [
-            ("pagestore_pool_hits_total", &self.hits),
-            ("pagestore_pool_misses_total", &self.misses),
-            ("pagestore_pool_evictions_total", &self.evictions),
-            ("pagestore_pool_write_errors_total", &self.write_errors),
-        ] {
-            registry.bind_counter(MetricId::with_labels(name, labels), counter);
-        }
+        registry.publish(
+            labels,
+            &[
+                (
+                    "pagestore_pool_hits_total",
+                    "Page requests answered from a resident frame.",
+                    MetricCell::Counter(&self.hits),
+                ),
+                (
+                    "pagestore_pool_misses_total",
+                    "Page requests that read the page from the backing store.",
+                    MetricCell::Counter(&self.misses),
+                ),
+                (
+                    "pagestore_pool_evictions_total",
+                    "Resident frames displaced by LRU pressure at capacity.",
+                    MetricCell::Counter(&self.evictions),
+                ),
+                (
+                    "pagestore_pool_write_errors_total",
+                    "Dirty-frame write-backs the backing store refused.",
+                    MetricCell::Counter(&self.write_errors),
+                ),
+            ],
+        );
         self.disk.stats().publish(registry, labels);
     }
 }

@@ -14,7 +14,7 @@
 //! data file has been fsynced.
 
 use crate::page::{Page, PageId, PAGE_SIZE};
-use flixobs::{Counter, MetricsRegistry};
+use flixobs::{Counter, MetricCell, MetricsRegistry};
 use parking_lot::Mutex;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,21 +47,37 @@ impl DiskStats {
     /// sync granularity) under `labels`. Gauges, not counters: `DiskStats`
     /// is a point-in-time copy, so each publish overwrites the previous one.
     pub fn publish(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        registry
-            .gauge_with("pagestore_disk_read_pages", labels)
-            .set(self.reads as f64);
-        registry
-            .gauge_with("pagestore_disk_write_pages", labels)
-            .set(self.writes as f64);
-        registry
-            .gauge_with("pagestore_disk_read_bytes", labels)
-            .set(self.read_bytes() as f64);
-        registry
-            .gauge_with("pagestore_disk_write_bytes", labels)
-            .set(self.write_bytes() as f64);
-        registry
-            .gauge_with("pagestore_disk_syncs", labels)
-            .set(self.syncs as f64);
+        let value = |v: u64| MetricCell::Value(v as f64);
+        registry.publish(
+            labels,
+            &[
+                (
+                    "pagestore_disk_read_pages",
+                    "Pages read from the backing store.",
+                    value(self.reads),
+                ),
+                (
+                    "pagestore_disk_write_pages",
+                    "Pages written to the backing store.",
+                    value(self.writes),
+                ),
+                (
+                    "pagestore_disk_read_bytes",
+                    "Bytes read from the backing store (pages x page size).",
+                    value(self.read_bytes()),
+                ),
+                (
+                    "pagestore_disk_write_bytes",
+                    "Bytes written to the backing store (pages x page size).",
+                    value(self.write_bytes()),
+                ),
+                (
+                    "pagestore_disk_syncs",
+                    "Durability barriers (fsync) issued to the backing store.",
+                    value(self.syncs),
+                ),
+            ],
+        );
     }
 }
 

@@ -29,7 +29,7 @@ use crate::disk::DiskManager;
 use crate::page::Page;
 use crate::snapshot::{latest_valid, prune_older, ManifestStore, SnapshotManifest};
 use crate::wal::{parse_log, LogDevice, LogTail, Wal, WalRecord};
-use flixobs::MetricsRegistry;
+use flixobs::{MetricCell, MetricsRegistry};
 use std::io;
 use std::sync::Arc;
 
@@ -298,20 +298,21 @@ impl DurableStore {
     /// `pagestore_wal_bytes` gauges under `labels`, with `# HELP` text.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         self.pool.publish_metrics(registry, labels);
-        registry.describe(
-            "pagestore_generation",
-            "Checkpoint generation of the durable store",
+        registry.publish(
+            labels,
+            &[
+                (
+                    "pagestore_generation",
+                    "Checkpoint generation of the durable store",
+                    MetricCell::Value(self.generation as f64),
+                ),
+                (
+                    "pagestore_wal_bytes",
+                    "Current write-ahead log length in bytes",
+                    MetricCell::Value(self.wal.device().len().unwrap_or(0) as f64),
+                ),
+            ],
         );
-        registry.describe(
-            "pagestore_wal_bytes",
-            "Current write-ahead log length in bytes",
-        );
-        registry
-            .gauge_with("pagestore_generation", labels)
-            .set(self.generation as f64);
-        registry
-            .gauge_with("pagestore_wal_bytes", labels)
-            .set(self.wal.device().len().unwrap_or(0) as f64);
     }
 }
 

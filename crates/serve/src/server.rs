@@ -20,8 +20,8 @@
 
 use flix::{QueryBackend, QueryCtx, QueryOptions, QueryResult, SharedLoadMonitor};
 use flixobs::{
-    Counter, Deadline, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricId,
-    MetricsRegistry, QueryTrace, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
+    Counter, Deadline, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricCell,
+    MetricsRegistry, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
 };
 use graphcore::{Distance, NodeId};
 use parking_lot::{Mutex, RwLock};
@@ -61,7 +61,7 @@ pub struct ServeConfig {
     pub default_deadline_micros: Option<u64>,
     /// Collapse identical in-flight queries onto one evaluation.
     pub single_flight: bool,
-    /// Worst-trace capacity of the server's slow-query log.
+    /// Worst-request capacity of the server's slow-query log.
     pub slow_log_capacity: usize,
     /// End-to-end p99 latency target for the adaptive admission
     /// controller. `None` (the default) disables adaptation: the in-flight
@@ -474,8 +474,8 @@ impl FlixServer {
     }
 
     /// [`Self::start`] with the flight recorder on: every admission
-    /// decision, queue handoff, routing verdict, evaluator span, cache
-    /// verdict, and deadline cut is journaled into per-lane ring buffers
+    /// decision, queue handoff, routing verdict, evaluator pass and stage
+    /// time, cache verdict, and deadline cut is journaled into per-lane ring buffers
     /// holding the last `journal_capacity` events per lane (lane 0 is the
     /// submit path, lane `w + 1` is worker `w`). Read the journal back
     /// with [`Self::journal_snapshot`]. Result streams are bit-identical
@@ -806,7 +806,8 @@ impl FlixServer {
         &self.shared.metrics.queue_wait
     }
 
-    /// The worst retained request traces, slowest first.
+    /// The worst retained requests, slowest first. On a traced server
+    /// `journal_snapshot()?.timeline(slow.request)` is each one's trace.
     pub fn slow_queries(&self) -> Vec<SlowQuery> {
         self.shared.slow_log.worst()
     }
@@ -880,131 +881,115 @@ impl FlixServer {
     /// end-to-end latency and queue-wait histograms.
     pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         let m = &self.shared.metrics;
-        for (name, help, counter) in [
-            (
-                "flixserve_submitted_total",
-                "Requests admitted past the controller and handed to a worker queue.",
-                &m.submitted,
-            ),
-            (
-                "flixserve_completed_total",
-                "Requests a worker finished answering (leaders only).",
-                &m.completed,
-            ),
-            (
-                "flixserve_shed_total",
-                "Requests rejected by admission control (ceiling or full queues).",
-                &m.shed,
-            ),
-            (
-                "flixserve_timeout_total",
-                "Answers cut short by their deadline (distance-ordered prefixes).",
-                &m.timeouts,
-            ),
-            (
-                "flixserve_collapsed_total",
-                "Follower responses served by single-flight fan-out.",
-                &m.collapsed,
-            ),
-            (
-                "flixserve_worker_panics_total",
-                "Evaluations that panicked; the worker answered with an error and kept serving.",
-                &m.worker_panics,
-            ),
-        ] {
-            registry.describe(name, help);
-            registry.bind_counter(MetricId::with_labels(name, labels), counter);
-        }
-        for (name, help, gauge) in [
-            (
-                "flixserve_queue_depth",
-                "Requests sitting in worker queues right now.",
-                &m.queue_depth,
-            ),
-            (
-                "flixserve_in_flight",
-                "Admitted-but-unfinished requests right now.",
-                &m.in_flight,
-            ),
-            (
-                "flixserve_admission_limit",
-                "Live in-flight ceiling; moves only when adaptive admission is on.",
-                &m.admission_limit,
-            ),
-            (
-                "flixserve_generation",
-                "Backend generation: 1 at start, bumped by every hot swap.",
-                &m.generation,
-            ),
-        ] {
-            registry.describe(name, help);
-            registry.bind_gauge(MetricId::with_labels(name, labels), gauge);
-        }
-        for (name, help, histogram) in [
-            (
-                "flixserve_latency_micros",
-                "End-to-end request latency: admission to completion, queue wait included.",
-                &m.latency,
-            ),
-            (
-                "flixserve_queue_micros",
-                "Queue wait: admission to worker pickup.",
-                &m.queue_wait,
-            ),
-        ] {
-            registry.describe(name, help);
-            registry.bind_histogram(MetricId::with_labels(name, labels), histogram);
-        }
+        use MetricCell as Cell;
+        registry.publish(
+            labels,
+            &[
+                (
+                    "flixserve_submitted_total",
+                    "Requests admitted past the controller and handed to a worker queue.",
+                    Cell::Counter(&m.submitted),
+                ),
+                (
+                    "flixserve_completed_total",
+                    "Requests a worker finished answering (leaders only).",
+                    Cell::Counter(&m.completed),
+                ),
+                (
+                    "flixserve_shed_total",
+                    "Requests rejected by admission control (ceiling or full queues).",
+                    Cell::Counter(&m.shed),
+                ),
+                (
+                    "flixserve_timeout_total",
+                    "Answers cut short by their deadline (distance-ordered prefixes).",
+                    Cell::Counter(&m.timeouts),
+                ),
+                (
+                    "flixserve_collapsed_total",
+                    "Follower responses served by single-flight fan-out.",
+                    Cell::Counter(&m.collapsed),
+                ),
+                (
+                    "flixserve_worker_panics_total",
+                    "Evaluations that panicked; the worker answered with an error and kept serving.",
+                    Cell::Counter(&m.worker_panics),
+                ),
+                (
+                    "flixserve_queue_depth",
+                    "Requests sitting in worker queues right now.",
+                    Cell::Gauge(&m.queue_depth),
+                ),
+                (
+                    "flixserve_in_flight",
+                    "Admitted-but-unfinished requests right now.",
+                    Cell::Gauge(&m.in_flight),
+                ),
+                (
+                    "flixserve_admission_limit",
+                    "Live in-flight ceiling; moves only when adaptive admission is on.",
+                    Cell::Gauge(&m.admission_limit),
+                ),
+                (
+                    "flixserve_generation",
+                    "Backend generation: 1 at start, bumped by every hot swap.",
+                    Cell::Gauge(&m.generation),
+                ),
+                (
+                    "flixserve_latency_micros",
+                    "End-to-end request latency: admission to completion, queue wait included.",
+                    Cell::Histogram(&m.latency),
+                ),
+                (
+                    "flixserve_queue_micros",
+                    "Queue wait: admission to worker pickup.",
+                    Cell::Histogram(&m.queue_wait),
+                ),
+                (
+                    "flix_rebuild_started_total",
+                    "Rebuild recommendations the online rebuilder acted on.",
+                    Cell::Counter(&m.rebuilds_started),
+                ),
+                (
+                    "flix_rebuild_completed_total",
+                    "Rebuilds that finished and hot-swapped into the server.",
+                    Cell::Counter(&m.rebuilds_completed),
+                ),
+                (
+                    "flix_rebuild_kept_total",
+                    "Rebuild checks that kept the current configuration.",
+                    Cell::Counter(&m.rebuilds_kept),
+                ),
+            ],
+        );
         // Per-shard admission cells, one series per group, tagged with a
         // `shard` label on top of the caller's.
         if self.shared.groups.len() > 1 {
-            registry.describe(
-                "flixserve_shard_submitted_total",
-                "Requests admitted into this shard group's queues.",
-            );
-            registry.describe(
-                "flixserve_shard_shed_total",
-                "Requests shed because this shard group's queues were full.",
-            );
-            registry.describe(
-                "flixserve_shard_queue_depth",
-                "Requests queued in this shard group right now.",
-            );
             for (g, group) in self.shared.groups.iter().enumerate() {
                 let shard = g.to_string();
                 let mut shard_labels: Vec<(&str, &str)> = labels.to_vec();
                 shard_labels.push(("shard", &shard));
-                for (name, counter) in [
-                    ("flixserve_shard_submitted_total", &group.submitted),
-                    ("flixserve_shard_shed_total", &group.shed),
-                ] {
-                    registry.bind_counter(MetricId::with_labels(name, &shard_labels), counter);
-                }
-                registry.bind_gauge(
-                    MetricId::with_labels("flixserve_shard_queue_depth", &shard_labels),
-                    &group.depth,
+                registry.publish(
+                    &shard_labels,
+                    &[
+                        (
+                            "flixserve_shard_submitted_total",
+                            "Requests admitted into this shard group's queues.",
+                            Cell::Counter(&group.submitted),
+                        ),
+                        (
+                            "flixserve_shard_shed_total",
+                            "Requests shed because this shard group's queues were full.",
+                            Cell::Counter(&group.shed),
+                        ),
+                        (
+                            "flixserve_shard_queue_depth",
+                            "Requests queued in this shard group right now.",
+                            Cell::Gauge(&group.depth),
+                        ),
+                    ],
                 );
             }
-        }
-        for (name, help, counter) in [
-            (
-                "flix_rebuild_started_total",
-                "Rebuild recommendations the online rebuilder acted on.",
-                &m.rebuilds_started,
-            ),
-            (
-                "flix_rebuild_completed_total",
-                "Rebuilds that finished and hot-swapped into the server.",
-                &m.rebuilds_completed,
-            ),
-            (
-                "flix_rebuild_kept_total",
-                "Rebuild checks that kept the current configuration.",
-                &m.rebuilds_kept,
-            ),
-        ] {
-            registry.describe(name, help);
-            registry.bind_counter(MetricId::with_labels(name, labels), counter);
         }
         // Bind the *current* backend's cells. The binding captures the
         // backend live at publish time — after a hot swap, publish again
@@ -1048,8 +1033,11 @@ fn worker_loop(
         // journals below stitches into this request's causal trace (`None`
         // when the recorder is off — no clock reads, no events).
         let handle = shared.recorder.as_ref().map(|r| r.handle(lane, job.id));
+        // Traced, the evaluator's stage clocks run too: a span-less trace
+        // on this stack, journaled below as the request's `stage_*` events.
+        let mut stages = handle.map(|_| flixobs::QueryTrace::with_capacity("", 0));
         let mut ctx = QueryCtx {
-            trace: None,
+            trace: stages.as_mut(),
             journal: handle.as_ref(),
         };
         // Clone the live backend out of a brief read lock: the job runs
@@ -1066,6 +1054,7 @@ fn worker_loop(
                 .evaluate(req.axis, req.start, req.target, &req.opts, &mut ctx)
         }));
         let Ok(answer) = evaluated else {
+            shared.journal(lane, job.id, EventKind::WorkerPanicked);
             shared.metrics.worker_panics.inc();
             shared.abort_single_flight(job.sf_key, &ServeError::WorkerPanicked);
             // flixcheck: allow(swallowed-result): the client may have hung up; dropping the reply is correct
@@ -1074,6 +1063,9 @@ fn worker_loop(
             continue;
         };
         let total_micros = job.admitted.elapsed_micros();
+        if let (Some(stages), Some(handle)) = (&stages, &handle) {
+            stages.stage_events().for_each(|kind| handle.event(kind));
+        }
 
         shared.metrics.queue_wait.record(queue_micros);
         shared.metrics.latency.record(total_micros);
@@ -1084,16 +1076,11 @@ fn worker_loop(
         if let Some(stats) = answer.stats {
             shared.load.record(stats, answer.results.len());
         }
-        // Only pay for trace construction (a format! per query) when the
-        // latency could actually displace a slow-log entry.
+        // Only pay for the label (a format! per query) when the latency
+        // could actually displace a slow-log entry.
         if shared.slow_log.would_retain(total_micros) {
-            let mut trace = QueryTrace::new(&format!(
-                "{}//{:?} ({:?})",
-                job.request.start, job.request.target, job.request.axis
-            ));
-            trace.tag_request(job.id);
-            trace.finish(total_micros);
-            shared.slow_log.offer(trace);
+            let label = format!("{}//{:?} ({:?})", req.start, req.target, req.axis);
+            shared.slow_log.offer(job.id, label, total_micros);
         }
 
         let response = Response {
@@ -1373,48 +1360,68 @@ mod tests {
     #[test]
     fn panicking_evaluation_is_contained_and_the_worker_keeps_serving() {
         let (flix, t) = tiny();
-        let backend = Arc::new(Panicky {
-            inner: Arc::clone(&flix),
-            poison: 1,
-            entered: std::sync::Barrier::new(2),
-            release: std::sync::Barrier::new(2),
-        });
-        let config = ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let server = FlixServer::start(Arc::clone(&backend), config);
-        let registry = MetricsRegistry::new();
-        server.publish_metrics(&registry, &[]);
-        let poisoned = Request::descendants(1, t, QueryOptions::default());
-        let leader = server.submit(poisoned).unwrap();
-        // The leader is inside the backend: an identical request now
-        // attaches as its single-flight follower.
-        backend.entered.wait();
-        let follower = server.submit(poisoned).unwrap();
-        backend.release.wait();
-        assert_eq!(leader.wait().unwrap_err(), ServeError::WorkerPanicked);
-        assert_eq!(follower.wait().unwrap_err(), ServeError::WorkerPanicked);
-        // The only worker survived and answers the next request.
-        let next = server
-            .query(Request::descendants(0, t, QueryOptions::default()))
-            .unwrap();
-        assert_eq!(
-            *next.results,
-            flix.find_descendants(0, t, &QueryOptions::default())
-        );
-        server.shutdown();
-        assert_eq!(
-            server.stats().in_flight,
-            0,
-            "the panicked slot was released"
-        );
-        let text = registry.snapshot().to_prometheus();
-        assert!(text.contains("flixserve_worker_panics_total 1"), "{text}");
-        assert!(
-            text.contains("# HELP flixserve_worker_panics_total"),
-            "{text}"
-        );
+        for traced in [false, true] {
+            let backend = Arc::new(Panicky {
+                inner: Arc::clone(&flix),
+                poison: 1,
+                entered: std::sync::Barrier::new(2),
+                release: std::sync::Barrier::new(2),
+            });
+            let config = ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            };
+            let server = if traced {
+                FlixServer::start_traced(Arc::clone(&backend), config, 64)
+            } else {
+                FlixServer::start(Arc::clone(&backend), config)
+            };
+            let registry = MetricsRegistry::new();
+            server.publish_metrics(&registry, &[]);
+            let poisoned = Request::descendants(1, t, QueryOptions::default());
+            let leader = server.submit(poisoned).unwrap();
+            // The leader is inside the backend: an identical request now
+            // attaches as its single-flight follower.
+            backend.entered.wait();
+            let follower = server.submit(poisoned).unwrap();
+            backend.release.wait();
+            assert_eq!(leader.wait().unwrap_err(), ServeError::WorkerPanicked);
+            assert_eq!(follower.wait().unwrap_err(), ServeError::WorkerPanicked);
+            // The only worker survived and answers the next request.
+            let next = server
+                .query(Request::descendants(0, t, QueryOptions::default()))
+                .unwrap();
+            assert_eq!(
+                *next.results,
+                flix.find_descendants(0, t, &QueryOptions::default())
+            );
+            server.shutdown();
+            assert_eq!(
+                server.stats().in_flight,
+                0,
+                "the panicked slot was released"
+            );
+            let text = registry.snapshot().to_prometheus();
+            assert!(text.contains("flixserve_worker_panics_total 1"), "{text}");
+            assert!(
+                text.contains("# HELP flixserve_worker_panics_total"),
+                "{text}"
+            );
+            // Traced, the panic is on the leader's timeline — the last thing
+            // that happened to it — and the follower's says whom it followed.
+            let Some(journal) = server.journal_snapshot() else {
+                assert!(!traced);
+                continue;
+            };
+            let ids = journal.request_ids();
+            let (leader, follower) = (journal.timeline(ids[0]), journal.timeline(ids[1]));
+            let last = leader.lines().last().unwrap_or_default();
+            assert!(last.contains("worker_panicked"), "{leader}");
+            assert!(
+                follower.contains("sf_follower") && follower.contains("leader=1"),
+                "{follower}"
+            );
+        }
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! no branch of the algorithm consults it. These tests pin that guarantee
 //! down — the result stream is identical with tracing on and off, across
 //! every strategy, under early termination, and under exact ordering — and
-//! check that the trace's counters reconcile exactly with the evaluator's
-//! own [`flix::PeeStats`].
+//! check that the trace's three stages tile the evaluation: their spans are
+//! the pops [`flix::PeeStats`] counts and their sum is the total, over one
+//! pass or several. The last test is the metric catalog: everything the
+//! `publish*` functions export has HELP text and a row in DESIGN.md §7.
 
-use flix::{Flix, FlixConfig, QueryOptions, StrategyKind};
-use flixobs::QueryTrace;
+use flix::{Axis, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions, StrategyKind};
+use flixobs::{Deadline, QueryTrace, SpanStage};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -35,8 +37,21 @@ fn strategies() -> Vec<FlixConfig> {
     ]
 }
 
+/// `Σ stage nanos / 1000 == total_micros()`: the total is derived from the
+/// stages, so no pass can make the two disagree.
+fn assert_total_is_the_stage_sum(trace: &QueryTrace, what: &str) {
+    let nanos: u64 = SpanStage::ALL
+        .iter()
+        .map(|&stage| trace.stage_totals(stage).nanos)
+        .sum();
+    assert_eq!(trace.total_micros(), nanos / 1_000, "{what}");
+}
+
 /// Traced evaluation returns the same bytes as untraced evaluation, for
-/// every strategy, and the trace's counters reconcile with the stats.
+/// every strategy, and the trace's three stages tile it however it ends:
+/// each queue entry processed closes one `queue_pop` span, each answered
+/// one a `block_fetch` and a `link_expand` span, and one closing lap
+/// charges whatever ended the evaluation to the pop it interrupted.
 #[test]
 fn traced_results_identical_across_strategies() {
     let cg = corpus(5, 10);
@@ -47,7 +62,9 @@ fn traced_results_identical_across_strategies() {
             for opts in [
                 QueryOptions::default(),
                 QueryOptions::top_k(3),
+                QueryOptions::within(4),
                 QueryOptions::exact(),
+                QueryOptions::default().with_deadline(Deadline::within_micros(0)),
             ] {
                 let plain = flix.find_descendants(q.start, q.target_tag, &opts);
                 let mut trace = QueryTrace::new("t");
@@ -59,11 +76,18 @@ fn traced_results_identical_across_strategies() {
                     format!("{traced:?}"),
                     "debug renderings must be byte-identical"
                 );
-                let c = trace.counters();
-                assert_eq!(c.entries_popped, stats.entries_popped as u64);
-                assert_eq!(c.entries_subsumed, stats.entries_subsumed as u64);
-                assert_eq!(c.rows_scanned, stats.block_results_scanned as u64);
-                assert_eq!(c.links_expanded, stats.links_expanded as u64);
+                let what = format!("{config} start {} {opts:?}", q.start);
+                assert_total_is_the_stage_sum(&trace, &what);
+                let spans = |stage| trace.stage_totals(stage).spans;
+                let (popped, subsumed) =
+                    (stats.entries_popped as u64, stats.entries_subsumed as u64);
+                assert_eq!(spans(SpanStage::QueuePop), popped + subsumed + 1, "{what}");
+                assert_eq!(spans(SpanStage::BlockFetch), popped, "{what}");
+                // A result cap reached while a block was being handed out
+                // ends the evaluation before that pop's links are expanded.
+                let cut_in_fetch = !opts.exact_order && opts.max_results == Some(traced.len());
+                let links = popped - u64::from(cut_in_fetch);
+                assert_eq!(spans(SpanStage::LinkExpand), links, "{what}");
             }
         }
     }
@@ -139,16 +163,57 @@ proptest! {
             let flix = Flix::build(cg.clone(), config);
             let plain = flix.find_descendants(q.start, q.target_tag, &opts);
             let mut trace = QueryTrace::new("prop");
-            let (traced, stats) =
+            let (traced, _) =
                 flix.find_descendants_with_trace(q.start, q.target_tag, &opts, &mut trace);
             prop_assert_eq!(&plain, &traced, "{} diverged", config);
-            let c = trace.counters();
-            prop_assert_eq!(c.entries_popped, stats.entries_popped as u64);
-            prop_assert_eq!(c.entries_subsumed, stats.entries_subsumed as u64);
-            prop_assert_eq!(c.rows_scanned, stats.block_results_scanned as u64);
-            prop_assert_eq!(c.links_expanded, stats.links_expanded as u64);
         }
     }
+}
+
+/// A shard-local attempt that escapes re-runs as a fan-out under the same
+/// trace: the stages keep counting across both passes — the pass that was
+/// thrown away took time too — and the total still is their sum.
+#[test]
+fn an_escaped_query_is_one_trace_over_both_passes() {
+    let cg = corpus(5, 10);
+    let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
+    let sharded = flix::ShardedFlix::new(flix.clone(), 4);
+    let opts = QueryOptions::top_k(50);
+    let mut escapes = 0;
+    for q in descendant_queries(&cg, 10, 3) {
+        let before = sharded.stats().escaped;
+        let mut trace = QueryTrace::new("escape");
+        let mut ctx = QueryCtx {
+            trace: Some(&mut trace),
+            journal: None,
+        };
+        let answer = sharded.evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx);
+        assert_eq!(
+            *answer.results,
+            flix.find_descendants(q.start, q.target_tag, &opts),
+            "start {}",
+            q.start
+        );
+        assert_total_is_the_stage_sum(&trace, "sharded");
+        if sharded.stats().escaped == before {
+            continue;
+        }
+        escapes += 1;
+        // The answer's counters are the fan-out pass's; the trace also
+        // holds the escaped attempt: at least its escaping pop.
+        let stats = answer.stats.expect("an evaluator ran");
+        let processed = (stats.entries_popped + stats.entries_subsumed) as u64;
+        assert!(trace.stage_totals(SpanStage::QueuePop).spans > processed + 1);
+        // Retained spans tile across the pass boundary: none starts before
+        // the one recorded ahead of it ended.
+        for pair in trace.spans().windows(2) {
+            assert!(pair[1].start_micros >= pair[0].start_micros + pair[0].duration_micros);
+        }
+    }
+    assert!(
+        escapes > 0,
+        "a capped query over a linked web must escape its shard"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -393,5 +458,50 @@ proptest! {
         let exported_spans = chrome.matches("\"ph\":\"X\",\"pid\"").count()
             - chrome.matches("\"name\":\"queued\"").count();
         prop_assert_eq!(exported_spans, expected_spans);
+    }
+}
+
+/// The metric catalog: every name the `publish*` functions register — a
+/// traced server over cached shards, a durable store (which publishes its
+/// pool and disk) and a load monitor, into one registry — has HELP text and
+/// a row in DESIGN.md §7's metric table.
+#[test]
+fn every_published_metric_has_help_and_a_documented_row() {
+    use pagestore::{DurableStore, MemDisk, MemLog, MemManifests};
+    let flix = Arc::new(Flix::build(corpus(5, 10), FlixConfig::Naive));
+    let sharded = Arc::new(flix::ShardedFlix::new(flix, 2).with_caches(8));
+    let server = flixserve::FlixServer::start_traced(sharded, Default::default(), 64);
+    let (store, _) = DurableStore::open(
+        Arc::new(MemDisk::new()),
+        Arc::new(MemLog::new()),
+        Arc::new(MemManifests::new()),
+        8,
+    )
+    .expect("a fresh in-memory store opens");
+    let registry = flixobs::MetricsRegistry::new();
+    server.publish_metrics(&registry, &[("pool", "catalog")]);
+    store.publish_metrics(&registry, &[("store", "catalog")]);
+    server.load().publish(&registry);
+    server.shutdown();
+
+    let snapshot = registry.snapshot();
+    let names: std::collections::BTreeSet<&str> =
+        (snapshot.counters.iter().map(|(id, _)| &id.name))
+            .chain(snapshot.gauges.iter().map(|(id, _)| &id.name))
+            .chain(snapshot.histograms.iter().map(|(id, _)| &id.name))
+            .map(String::as_str)
+            .collect();
+    assert!(names.len() >= 43, "the catalog shrank: {names:?}");
+    let design = include_str!("../DESIGN.md");
+    for name in names {
+        let help = snapshot.help.iter().find(|(n, _)| n == name);
+        assert!(
+            help.is_some_and(|(_, text)| !text.is_empty()),
+            "{name} has no HELP text"
+        );
+        assert!(
+            design.contains(&format!("| `{name}` |")),
+            "{name} has no row in DESIGN.md §7's metric table"
+        );
     }
 }

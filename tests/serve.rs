@@ -539,6 +539,57 @@ fn fanout_request_events_stitch_into_one_causal_trace() {
     server.shutdown();
 }
 
+/// The journal is the serve path's only per-request record: the slow-query
+/// log hands out ids, and a slow request's timeline is its trace — down to
+/// where its evaluation's time went (`stage_*`, one line per evaluator
+/// stage that ran). A request answered from the result cache ran no
+/// evaluator and shows none.
+#[test]
+fn a_slow_requests_timeline_holds_its_stage_times() {
+    use flixobs::EventKind;
+    let cg = dblp_corpus();
+    let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
+    let cached = Arc::new(flix::CachedFlix::new(flix, 64));
+    let server = FlixServer::start_traced(cached, ServeConfig::default(), 4096);
+    let queries = descendant_queries(&cg, 8, 13);
+    // Every query is cached after its first evaluation: the last is a hit.
+    for q in queries.iter().chain(&queries[..1]) {
+        let request = Request::descendants(q.start, q.target_tag, QueryOptions::default());
+        server.query(request).unwrap();
+    }
+    let journal = server.journal_snapshot().unwrap();
+    assert_eq!(journal.dropped, 0, "capacity was sized for the run");
+
+    let slow = server
+        .slow_queries()
+        .into_iter()
+        .find(|s| journal.timeline(s.request).contains("cache_miss"))
+        .expect("the slow-query log retains an evaluated request");
+    let timeline = journal.timeline(slow.request);
+    assert!(timeline.contains("stage_queue_pop"), "{timeline}");
+    let stage_micros: u64 = journal
+        .request_events(slow.request)
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::StageQueuePop { micros }
+            | EventKind::StageBlockFetch { micros }
+            | EventKind::StageLinkExpand { micros } => Some(micros),
+            _ => None,
+        })
+        .sum();
+    let (label, total) = (&slow.label, slow.total_micros);
+    assert!(
+        stage_micros <= total,
+        "{label} evaluated for {stage_micros}us of {total}us:\n{timeline}"
+    );
+
+    let hit = *journal.request_ids().last().unwrap();
+    let timeline = journal.timeline(hit);
+    assert!(timeline.contains("cache_hit"), "{timeline}");
+    assert!(!timeline.contains("stage_"), "{timeline}");
+    server.shutdown();
+}
+
 /// The adaptive admission controller (ISSUE 9 satellite, ROADMAP carry-
 /// over): an impossible latency target walks the live ceiling down to the
 /// per-worker floor — visible in [`flixserve::ServeStats::max_in_flight`]
