@@ -50,7 +50,15 @@ cargo run -q -p bench --bin repro -- --check --scale 0.02
 echo "== the benchmark package is untouched (a rewritten flixbench/Cargo.lock shows here)"
 git diff --exit-code -- flixbench BENCHMARK.json
 
-echo "== net line count (ROADMAP ground rules: reported per PR)"
-find crates src tests examples vendor -name '*.rs' | xargs cat | wc -l
+echo "== net line count (ROADMAP ground rules: reported per PR; test = everything under a tests/ directory, and a file's lines from its first #[cfg(test)] on)"
+count_lines() {
+    find "$@" -name '*.rs' | xargs awk '
+        FNR == 1 { in_test = (FILENAME ~ /(^|\/)tests\//) }
+        /#\[cfg\(test\)\]/ { in_test = 1 }
+        { if (in_test) test++; else code++ }
+        END { printf "%d lines = %d non-test + %d test\n", code + test, code, test }'
+}
+echo "workspace:   $(count_lines crates src tests examples vendor)"
+echo "crates/flix: $(count_lines crates/flix)"
 
 echo "CI green."

@@ -553,6 +553,18 @@ mod tests {
     }
 
     #[test]
+    fn start_outside_the_collection_answers_empty() {
+        let (flix, t) = small();
+        let beyond = flix.collection().node_count() as NodeId + 5;
+        let cached = CachedFlix::new(flix, 8);
+        for axis in [Axis::Descendants, Axis::Ancestors] {
+            let opts = QueryOptions::default();
+            let got = cached.evaluate(axis, beyond, t, &opts, &mut QueryCtx::default());
+            assert!(got.results.is_empty() && !got.timed_out, "{axis:?}");
+        }
+    }
+
+    #[test]
     fn different_options_are_different_entries() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix, 8);

@@ -10,7 +10,8 @@
 //! through the buffer pool, so the experiment harness can report true I/O
 //! counts instead of a cost model.
 
-use crate::framework::{links_of, reversed_links, Flix};
+use crate::catalogue::Catalogue;
+use crate::framework::Flix;
 use crate::meta::MetaDocument;
 use crate::pee::{
     collect_axis_space, connection_test_space, Axis, ConnectionOutcome, MetaSpace, QueryCtx,
@@ -39,12 +40,7 @@ pub struct DiskExecStats {
 pub struct DiskFlix {
     store: BlobStore,
     name: String,
-    meta_of: Vec<u32>,
-    local_of: Vec<u32>,
-    /// `(source, target)`, sorted by source.
-    runtime_links: Vec<(NodeId, NodeId)>,
-    /// `(target, source)`, sorted by target.
-    runtime_links_rev: Vec<(NodeId, NodeId)>,
+    catalogue: Catalogue,
     meta_count: usize,
     cache: Mutex<LruCache>,
     hits: flixobs::Counter,
@@ -100,15 +96,11 @@ impl DiskFlix {
     pub fn open(store: BlobStore, name: &str, cache_capacity: usize) -> Result<Self, String> {
         assert!(cache_capacity >= 1, "cache needs at least one slot");
         let manifest = persist::load_manifest(&store, name)?;
-        let runtime_links_rev = reversed_links(&manifest.runtime_links);
         Ok(Self {
             store,
             name: name.to_string(),
-            meta_of: manifest.meta_of,
-            local_of: manifest.local_of,
-            runtime_links: manifest.runtime_links,
-            runtime_links_rev,
             meta_count: manifest.meta_count,
+            catalogue: manifest.into_catalogue(),
             cache: Mutex::new(LruCache {
                 capacity: cache_capacity,
                 map: HashMap::new(),
@@ -211,25 +203,16 @@ impl MetaSpace for DiskFlix {
     type Meta<'a> = Arc<MetaDocument>;
     type Error = String;
 
+    fn catalogue(&self) -> &Catalogue {
+        &self.catalogue
+    }
+
     fn meta_count(&self) -> usize {
         self.meta_count
     }
 
-    fn resolve(&self, node: NodeId) -> Option<(u32, u32)> {
-        let meta = *self.meta_of.get(node as usize)?;
-        Some((meta, self.local_of[node as usize]))
-    }
-
     fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
         self.load_meta(id)
-    }
-
-    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        links_of(&self.runtime_links, u)
-    }
-
-    fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
-        links_of(&self.runtime_links_rev, v)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The build phase: from a sealed collection to a queryable framework.
 
+use crate::catalogue::Catalogue;
 use crate::config::{BuildOptions, FlixConfig, StrategyKind};
 use crate::mdb::{build_meta_documents, plan_build_order};
 use crate::meta::{MetaDocument, MetaIndex};
@@ -59,40 +60,6 @@ fn build_one(
     }
 }
 
-/// The slice of a link table (sorted by first component) keyed by `key`.
-pub(crate) fn links_of(links: &[(NodeId, NodeId)], key: NodeId) -> &[(NodeId, NodeId)] {
-    let start = links.partition_point(|&(k, _)| k < key);
-    let end = links.partition_point(|&(k, _)| k <= key);
-    &links[start..end]
-}
-
-/// The reverse of a `(source, target)` link table: `(target, source)`
-/// pairs sorted by target.
-pub(crate) fn reversed_links(links: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
-    let mut reversed: Vec<(NodeId, NodeId)> = links.iter().map(|&(u, v)| (v, u)).collect();
-    reversed.sort_unstable();
-    reversed
-}
-
-/// Derives every meta document's anchor sets — the per-meta `L_i` of §4.2
-/// and their ancestor-query mirrors — from the runtime link table.
-fn wire_anchors(
-    metas: &mut [MetaDocument],
-    runtime_links: &[(NodeId, NodeId)],
-    meta_of: &[u32],
-    local_of: &[u32],
-) {
-    let mut anchors: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); metas.len()];
-    for &(u, v) in runtime_links {
-        let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
-        anchors[mu as usize].0.push(local_of[u as usize]);
-        anchors[mv as usize].1.push(local_of[v as usize]);
-    }
-    for (m, (sources, targets)) in metas.iter_mut().zip(anchors) {
-        m.set_anchors(sources, targets);
-    }
-}
-
 /// A built FliX framework: meta documents, their indexes, and the runtime
 /// link table the query evaluator chases.
 #[derive(Debug, Clone)]
@@ -100,15 +67,8 @@ pub struct Flix {
     graph: Arc<CollectionGraph>,
     config: FlixConfig,
     metas: Vec<Arc<MetaDocument>>,
-    /// Meta document of each global node.
-    meta_of: Vec<u32>,
-    /// Local id of each global node within its meta document.
-    local_of: Vec<u32>,
-    /// Links no index covers, `(source, target)` sorted by source:
-    /// cross-meta edges plus PPO-removed in-meta edges.
-    runtime_links: Vec<(NodeId, NodeId)>,
-    /// The same links as `(target, source)`, sorted by target.
-    runtime_links_rev: Vec<(NodeId, NodeId)>,
+    /// Node→meta maps and the runtime link table.
+    catalogue: Catalogue,
     build_time: Duration,
     /// Observability record of the build that produced this framework.
     report: BuildReport,
@@ -143,7 +103,6 @@ impl Flix {
         opts: &BuildOptions,
     ) -> Self {
         let started = Stopwatch::start();
-        let n = graph.node_count();
         let plans = build_meta_documents(&graph, config);
         let planning_micros = started.elapsed_micros();
 
@@ -161,34 +120,16 @@ impl Flix {
         let indexing_micros = indexing_started.elapsed_micros();
 
         let wiring_started = Stopwatch::start();
-        let mut meta_of = vec![u32::MAX; n];
-        let mut local_of = vec![u32::MAX; n];
         let mut metas = Vec::with_capacity(built.len());
         let mut per_meta = Vec::with_capacity(built.len());
-        let mut runtime_links: Vec<(NodeId, NodeId)> = Vec::new();
-        for (mi, job) in built.into_iter().enumerate() {
-            for (local, &global) in job.mapping.iter().enumerate() {
-                meta_of[global as usize] = mi as u32;
-                local_of[global as usize] = local as u32;
-            }
-            // PPO-removed edges become runtime links (already global ids).
-            runtime_links.extend(job.extra_links);
+        // PPO-removed edges become runtime links (already global ids).
+        let mut in_meta_links: Vec<(NodeId, NodeId)> = Vec::new();
+        for job in built {
+            in_meta_links.extend(job.extra_links);
             per_meta.push(job.report);
-            // Arcs are applied after link wiring below.
             metas.push(MetaDocument::new(job.mapping, job.index));
         }
-
-        // Every edge crossing meta documents is a runtime link.
-        for (u, v) in graph.graph.edges() {
-            if meta_of[u as usize] != meta_of[v as usize] {
-                runtime_links.push((u, v));
-            }
-        }
-        runtime_links.sort_unstable();
-        runtime_links.dedup();
-        let runtime_links_rev = reversed_links(&runtime_links);
-
-        wire_anchors(&mut metas, &runtime_links, &meta_of, &local_of);
+        let catalogue = Catalogue::wire(&graph, &mut metas, in_meta_links);
         let wiring_micros = wiring_started.elapsed_micros();
 
         let build_time = started.elapsed();
@@ -199,17 +140,14 @@ impl Flix {
             indexing_micros,
             wiring_micros,
             total_micros: build_time.as_micros() as u64,
-            runtime_links: runtime_links.len(),
+            runtime_links: catalogue.links().len(),
             per_meta,
         };
         Self {
             graph,
             config,
             metas: metas.into_iter().map(Arc::new).collect(),
-            meta_of,
-            local_of,
-            runtime_links,
-            runtime_links_rev,
+            catalogue,
             build_time,
             report,
         }
@@ -220,62 +158,14 @@ impl Flix {
         graph: Arc<CollectionGraph>,
         config: FlixConfig,
         metas: Vec<MetaDocument>,
-        meta_of: Vec<u32>,
-        local_of: Vec<u32>,
-        runtime_links: Vec<(NodeId, NodeId)>,
+        catalogue: Catalogue,
         report: BuildReport,
     ) -> Self {
-        let runtime_links_rev = reversed_links(&runtime_links);
         Self {
             graph,
             config,
             metas: metas.into_iter().map(Arc::new).collect(),
-            meta_of,
-            local_of,
-            runtime_links,
-            runtime_links_rev,
-            build_time: Duration::ZERO,
-            report,
-        }
-    }
-
-    /// Assembles one shard's view of a built framework (see
-    /// [`crate::shard`]). The view shares the parent's meta-document
-    /// `Arc`s, so per-shard indexes cost no extra index memory; `metas`
-    /// is renumbered to shard-local ids so the evaluator's per-meta
-    /// scratch scales with the shard, not the collection.
-    ///
-    /// `meta_of`/`local_of` are full collection-size maps with
-    /// `u32::MAX` holes for foreign nodes: the generic evaluator reports
-    /// a foreign pop as an escape instead of indexing out of bounds. The
-    /// link tables are asymmetric — `runtime_links` holds every link
-    /// whose *source* lies in the shard (targets may be foreign), sorted
-    /// by source; `runtime_links_rev` holds every link whose *target*
-    /// lies in the shard as `(target, source)`, sorted by target — so
-    /// in-shard expansion sees exactly the slices the full framework
-    /// would serve.
-    ///
-    /// A view must never be driven through the public query API: public
-    /// methods assume every node resolves and would silently swallow an
-    /// escape. Only [`crate::shard::ShardedFlix`] evaluates on one.
-    pub(crate) fn shard_view(
-        graph: Arc<CollectionGraph>,
-        config: FlixConfig,
-        metas: Vec<Arc<MetaDocument>>,
-        meta_of: Vec<u32>,
-        local_of: Vec<u32>,
-        runtime_links: Vec<(NodeId, NodeId)>,
-        runtime_links_rev: Vec<(NodeId, NodeId)>,
-    ) -> Self {
-        let report = BuildReport::empty(config);
-        Self {
-            graph,
-            config,
-            metas,
-            meta_of,
-            local_of,
-            runtime_links,
-            runtime_links_rev,
+            catalogue,
             build_time: Duration::ZERO,
             report,
         }
@@ -308,18 +198,15 @@ impl Flix {
             return Err("new graph is not an extension of the indexed collection".into());
         }
         let started = Stopwatch::start();
-        let mut meta_of = self.meta_of.clone();
-        let mut local_of = self.local_of.clone();
-        meta_of.resize(new_n, u32::MAX);
-        local_of.resize(new_n, u32::MAX);
         let mut metas: Vec<MetaDocument> = self.metas.iter().map(|m| (**m).clone()).collect();
         // PPO-removed edges of existing metas stay runtime links; the rest
-        // of the table is recomputed from the extended graph below.
-        let mut runtime_links: Vec<(NodeId, NodeId)> = self
-            .runtime_links
+        // of the table is recomputed from the extended graph.
+        let in_meta = |&(u, v): &(NodeId, NodeId)| self.meta_of(u) == self.meta_of(v);
+        let mut in_meta_links: Vec<(NodeId, NodeId)> = self
+            .runtime_links()
             .iter()
             .copied()
-            .filter(|&(u, v)| meta_of[u as usize] == meta_of[v as usize])
+            .filter(in_meta)
             .collect();
 
         // Carry the per-meta records of the kept metas forward so report
@@ -343,27 +230,12 @@ impl Flix {
         for d in old_docs..new_graph.collection.doc_count() as u32 {
             let nodes: Vec<NodeId> =
                 (new_graph.node_base[d as usize]..new_graph.node_base[d as usize + 1]).collect();
-            let mi = metas.len() as u32;
             let job = build_one(&new_graph, &nodes, None, opts, 1);
-            for (local, &global) in job.mapping.iter().enumerate() {
-                meta_of[global as usize] = mi;
-                local_of[global as usize] = local as u32;
-            }
-            runtime_links.extend(job.extra_links);
+            in_meta_links.extend(job.extra_links);
             per_meta.push(job.report);
             metas.push(MetaDocument::new(job.mapping, job.index));
         }
-
-        for (u, v) in new_graph.graph.edges() {
-            if meta_of[u as usize] != meta_of[v as usize] {
-                runtime_links.push((u, v));
-            }
-        }
-        runtime_links.sort_unstable();
-        runtime_links.dedup();
-        let runtime_links_rev = reversed_links(&runtime_links);
-
-        wire_anchors(&mut metas, &runtime_links, &meta_of, &local_of);
+        let catalogue = Catalogue::wire(&new_graph, &mut metas, in_meta_links);
         let arcs: Vec<Arc<MetaDocument>> = metas
             .into_iter()
             .enumerate()
@@ -390,17 +262,14 @@ impl Flix {
             indexing_micros: build_time.as_micros() as u64,
             wiring_micros: 0,
             total_micros: build_time.as_micros() as u64,
-            runtime_links: runtime_links.len(),
+            runtime_links: catalogue.links().len(),
             per_meta,
         };
         Ok(Flix {
             graph: new_graph,
             config: self.config,
             metas: arcs,
-            meta_of,
-            local_of,
-            runtime_links,
-            runtime_links_rev,
+            catalogue,
             build_time,
             report,
         })
@@ -431,19 +300,31 @@ impl Flix {
         &self.metas[id as usize]
     }
 
-    /// Shared handle to a meta document (used by the generic evaluator).
+    /// Shared handle to a meta document.
     pub fn meta_arc(&self, id: u32) -> Arc<MetaDocument> {
         Arc::clone(&self.metas[id as usize])
     }
 
+    /// The node→meta maps and the runtime link table.
+    pub(crate) fn catalogue(&self) -> &Catalogue {
+        &self.catalogue
+    }
+
     /// Meta document containing a global node.
+    ///
+    /// # Panics
+    /// If `node` is not an element of the collection (the evaluators ask
+    /// the catalogue's bounds-checked `resolve` instead).
     pub fn meta_of(&self, node: NodeId) -> u32 {
-        self.meta_of[node as usize]
+        self.catalogue.meta_of[node as usize]
     }
 
     /// Local id of a global node within its meta document.
+    ///
+    /// # Panics
+    /// If `node` is not an element of the collection.
     pub fn local_of(&self, node: NodeId) -> u32 {
-        self.local_of[node as usize]
+        self.catalogue.local_of[node as usize]
     }
 
     /// Global id of `(meta, local)`.
@@ -453,17 +334,17 @@ impl Flix {
 
     /// Runtime links out of `u` (global ids).
     pub fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        links_of(&self.runtime_links, u)
+        self.catalogue.links_out_of(u)
     }
 
     /// Runtime links into `v`, as `(target, source)` pairs.
     pub fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
-        links_of(&self.runtime_links_rev, v)
+        self.catalogue.links_into(v)
     }
 
     /// All runtime links, sorted by source.
     pub fn runtime_links(&self) -> &[(NodeId, NodeId)] {
-        &self.runtime_links
+        self.catalogue.links()
     }
 
     /// The observability record of the build that produced this framework
@@ -501,8 +382,8 @@ impl Flix {
             hopi_metas: hopi,
             apex_metas: apex,
             index_bytes: per_meta.iter().map(|m| m.index_bytes).sum::<usize>()
-                + self.runtime_links.len() * 16,
-            runtime_links: self.runtime_links.len(),
+                + self.runtime_links().len() * 16,
+            runtime_links: self.runtime_links().len(),
             build_time: self.build_time,
             per_meta,
         }
@@ -513,18 +394,20 @@ impl flixcheck::IntegrityCheck for Flix {
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("Flix");
         let n = self.graph.node_count();
+        let (meta_of, local_of) = (&self.catalogue.meta_of, &self.catalogue.local_of);
+        let links = self.runtime_links();
         audit.check(
             "node->meta maps cover the collection",
-            self.meta_of.len() == n && self.local_of.len() == n,
+            meta_of.len() == n && local_of.len() == n,
             || {
                 format!(
                     "collection has {n} nodes, meta_of holds {}, local_of holds {}",
-                    self.meta_of.len(),
-                    self.local_of.len()
+                    meta_of.len(),
+                    local_of.len()
                 )
             },
         );
-        if self.meta_of.len() != n || self.local_of.len() != n {
+        if meta_of.len() != n || local_of.len() != n {
             return audit.finish();
         }
 
@@ -536,22 +419,11 @@ impl flixcheck::IntegrityCheck for Flix {
         for (mi, md) in self.metas.iter().enumerate() {
             for (local, &global) in md.nodes.iter().enumerate() {
                 covered += 1;
-                if mismatch.is_none()
-                    && ((global as usize) >= n
-                        || self.meta_of[global as usize] != mi as u32
-                        || self.local_of[global as usize] != local as u32)
-                {
+                let found = self.catalogue.resolve(global);
+                if mismatch.is_none() && found != Some((mi as u32, local as u32)) {
                     mismatch = Some(format!(
                         "meta {mi} local {local} maps to global {global}, but the \
-                         global maps say meta {} local {}",
-                        self.meta_of
-                            .get(global as usize)
-                            .copied()
-                            .unwrap_or(u32::MAX),
-                        self.local_of
-                            .get(global as usize)
-                            .copied()
-                            .unwrap_or(u32::MAX),
+                         global maps say {found:?}"
                     ));
                 }
             }
@@ -567,29 +439,15 @@ impl flixcheck::IntegrityCheck for Flix {
             || format!("meta documents hold {covered} nodes in total, collection has {n}"),
         );
 
-        let unsorted = self.runtime_links.windows(2).any(|w| w[0] >= w[1]);
+        let unsorted = links.windows(2).any(|w| w[0] >= w[1]);
         audit.check(
             "runtime link table is strictly sorted by (source, target)",
             !unsorted,
             || "duplicate or out-of-order entry in runtime_links".to_string(),
         );
-        let want_rev = reversed_links(&self.runtime_links);
-        audit.check(
-            "reverse link table mirrors the forward one",
-            self.runtime_links_rev == want_rev,
-            || {
-                format!(
-                    "runtime_links_rev holds {} entries, forward table implies {}",
-                    self.runtime_links_rev.len(),
-                    want_rev.len()
-                )
-            },
-        );
-
         // Soundness: every runtime link is a real edge of the collection
         // graph (cross-meta edges and PPO-dropped in-meta edges both are).
-        let phantom = self
-            .runtime_links
+        let phantom = links
             .iter()
             .copied()
             .find(|&(u, v)| !self.graph.graph.has_edge(u, v));
@@ -607,10 +465,10 @@ impl flixcheck::IntegrityCheck for Flix {
         // meta document's index or catalogued as a runtime link.
         let mut lost = None;
         for (u, v) in self.graph.graph.edges() {
-            if self.runtime_links.binary_search(&(u, v)).is_ok() {
+            if links.binary_search(&(u, v)).is_ok() {
                 continue;
             }
-            let (mu, mv) = (self.meta_of[u as usize], self.meta_of[v as usize]);
+            let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
             if mu != mv {
                 lost = Some(format!(
                     "cross-meta edge ({u}, {v}) missing from the runtime link table"
@@ -620,7 +478,7 @@ impl flixcheck::IntegrityCheck for Flix {
             let md = &self.metas[mu as usize];
             if !md
                 .index
-                .is_reachable(self.local_of[u as usize], self.local_of[v as usize])
+                .is_reachable(local_of[u as usize], local_of[v as usize])
             {
                 lost = Some(format!(
                     "in-meta edge ({u}, {v}) neither indexed nor a runtime link"
@@ -638,9 +496,9 @@ impl flixcheck::IntegrityCheck for Flix {
         // translated to local ids.
         let mut want_sources: Vec<Vec<u32>> = vec![Vec::new(); self.metas.len()];
         let mut want_targets: Vec<Vec<u32>> = vec![Vec::new(); self.metas.len()];
-        for &(u, v) in &self.runtime_links {
-            want_sources[self.meta_of[u as usize] as usize].push(self.local_of[u as usize]);
-            want_targets[self.meta_of[v as usize] as usize].push(self.local_of[v as usize]);
+        for &(u, v) in links {
+            want_sources[meta_of[u as usize] as usize].push(local_of[u as usize]);
+            want_targets[meta_of[v as usize] as usize].push(local_of[v as usize]);
         }
         let mut bad_anchor = None;
         for (mi, md) in self.metas.iter().enumerate() {
@@ -865,10 +723,7 @@ mod tests {
             };
             let a = Flix::build_with(cg.clone(), config, &seq);
             let b = Flix::build_with(cg.clone(), config, &par);
-            assert_eq!(a.meta_of, b.meta_of, "{config}");
-            assert_eq!(a.local_of, b.local_of, "{config}");
-            assert_eq!(a.runtime_links, b.runtime_links, "{config}");
-            assert_eq!(a.runtime_links_rev, b.runtime_links_rev, "{config}");
+            assert_eq!(a.catalogue, b.catalogue, "{config}");
             assert_eq!(a.meta_count(), b.meta_count(), "{config}");
             for mi in 0..a.meta_count() as u32 {
                 let (ma, mb) = (a.meta(mi), b.meta(mi));
@@ -934,15 +789,17 @@ mod tests {
 
         // Global maps pointing at the wrong meta document.
         let mut bad = flix.clone();
-        bad.meta_of[0] = bad.meta_of[0].wrapping_add(1);
+        bad.catalogue.meta_of[0] = bad.catalogue.meta_of[0].wrapping_add(1);
         let err = bad.integrity_check().unwrap_err();
         assert!(err.to_string().contains("mutually inverse"), "{err}");
 
-        // A runtime link that is not a graph edge.
-        let mut bad = flix.clone();
-        bad.runtime_links.clear();
-        bad.runtime_links_rev.clear();
-        let err = bad.integrity_check().unwrap_err();
+        // A cross-meta edge the link table lost.
+        let maps = &flix.catalogue;
+        let with_links = |links| Flix {
+            catalogue: Catalogue::new(maps.meta_of.clone(), maps.local_of.clone(), links),
+            ..flix.clone()
+        };
+        let err = with_links(Vec::new()).integrity_check().unwrap_err();
         assert!(
             err.to_string()
                 .contains("missing from the runtime link table"),
@@ -950,18 +807,16 @@ mod tests {
         );
 
         // A phantom link no graph edge backs.
-        let mut bad = flix.clone();
-        let n = bad.graph.node_count() as NodeId;
-        bad.runtime_links.push((n - 1, n - 1));
-        bad.runtime_links.sort_unstable();
-        bad.runtime_links_rev = bad.runtime_links.iter().map(|&(u, v)| (v, u)).collect();
-        bad.runtime_links_rev.sort_unstable();
-        let err = bad.integrity_check().unwrap_err();
+        let n = flix.graph.node_count() as NodeId;
+        let mut links = flix.runtime_links().to_vec();
+        links.push((n - 1, n - 1));
+        links.sort_unstable();
+        let err = with_links(links).integrity_check().unwrap_err();
         assert!(err.to_string().contains("not a graph edge"), "{err}");
 
         // An anchor set that forgot a link source.
         let mut bad = flix.clone();
-        let mi = bad.meta_of[bad.runtime_links[0].0 as usize] as usize;
+        let mi = bad.meta_of(bad.runtime_links()[0].0) as usize;
         let mut md = (*bad.metas[mi]).clone();
         md.link_sources.clear();
         bad.metas[mi] = Arc::new(md);

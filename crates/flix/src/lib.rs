@@ -17,10 +17,10 @@
 //!    the remaining links at run time and streams results in approximately
 //!    ascending distance order (§5, [`pee`]).
 //!
-//! The crate also includes the paper's §1 motivation layer: vague queries
-//! with tag-similarity and distance-decayed relevance scoring ([`vague`]),
-//! and persistence of built frameworks into a [`pagestore`] blob store
-//! ([`persist`]).
+//! The crate also includes the paper's §1 motivation layer — vague path
+//! expressions with tag-similarity and distance-decayed relevance scoring
+//! ([`query`]) — and persistence of built frameworks into a [`pagestore`]
+//! blob store ([`persist`]).
 //!
 //! # Quick start
 //!
@@ -65,6 +65,8 @@
 pub mod backend;
 /// Query-result caching layered over a built framework.
 pub mod cache;
+/// Node→meta maps and the runtime link table: the one catalogue.
+mod catalogue;
 /// Framework configuration and per-meta-document strategy selection.
 pub mod config;
 /// Disk-resident query execution over a persisted framework.
@@ -79,16 +81,15 @@ pub mod meta;
 pub mod pee;
 /// Persistence of built frameworks into a `pagestore` blob store.
 pub mod persist;
-/// Multi-step path query plans over the framework.
+/// Vague path-expression queries: tag similarity and distance-decayed
+/// scoring (§1) over multi-step plans.
 pub mod query;
 /// Build observability: per-meta and aggregate build reports.
 pub mod report;
-/// Sharded serving: per-shard index views with cross-shard merge.
+/// Sharded serving: shard routing over one framework, cross-shard merge.
 pub mod shard;
 /// Workload monitoring and reconfiguration recommendations.
 pub mod tuning;
-/// Vague queries: tag similarity and distance-decayed scoring (§1).
-pub mod vague;
 
 pub use backend::{Answer, QueryBackend};
 pub use cache::{CacheStats, CachedFlix, ResultCache};
@@ -100,8 +101,7 @@ pub use pee::{
     Axis, ConnectionOutcome, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult,
     ResultStream,
 };
-pub use query::{PathQuery, QueryBinding, QueryEngine};
+pub use query::{PathQuery, QueryBinding, QueryEngine, TagSimilarity};
 pub use report::{BuildReport, MetaBuildReport};
 pub use shard::{ShardPlan, ShardStats, ShardedFlix, ShardedStats};
 pub use tuning::{LoadMonitor, Recommendation, SharedLoadMonitor};
-pub use vague::{ScoredResult, TagSimilarity, VagueEvaluator, VagueQuery};

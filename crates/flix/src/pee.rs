@@ -17,9 +17,10 @@
 //!
 //! There is exactly one copy of each loop: [`evaluate_axis_space`] for the
 //! axis queries and [`ConnectionSearch`] for connection tests, both generic
-//! over the [`MetaSpace`] they run on — the in-memory framework, one
-//! shard's view, the cross-shard merge, or the disk-resident engine.
+//! over the [`MetaSpace`] they run on — the in-memory framework, one shard
+//! of it, or the disk-resident engine.
 
+use crate::catalogue::Catalogue;
 use crate::framework::Flix;
 use crate::meta::{MetaDocument, PopAnswer};
 use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
@@ -189,11 +190,11 @@ impl PeeStats {
 }
 
 /// The node universe an evaluation runs over: the full framework, one
-/// shard's view of it, the cross-shard merge (see [`crate::shard`]), or
-/// indexes resident in a blob store ([`crate::diskexec`]). Both evaluator
-/// loops are generic over this trait, so every path executes the *same*
-/// loop over the same meta-document data — which is what makes their
-/// result streams byte-identical.
+/// shard of it ([`crate::shard`]), or indexes resident in a blob store
+/// ([`crate::diskexec`]). Both evaluator loops are generic over this trait,
+/// so every path executes the *same* loop over the same meta-document data
+/// and the same [`Catalogue`] — which is what makes their result streams
+/// byte-identical.
 pub(crate) trait MetaSpace {
     /// How the space hands out a meta document: a plain borrow in memory,
     /// a shared handle when the index was just faulted in from disk.
@@ -204,44 +205,34 @@ pub(crate) trait MetaSpace {
     /// memory). An evaluation that hits one ends with this error — never
     /// with a partial answer.
     type Error;
+    /// The catalogue the space's nodes and runtime links are looked up in.
+    fn catalogue(&self) -> &Catalogue;
     /// Number of meta documents in this space.
     fn meta_count(&self) -> usize;
     /// `(meta, local)` of a global node, or `None` when the node lies
-    /// outside this space (a shard view popped a cross-shard link target).
-    fn resolve(&self, node: NodeId) -> Option<(u32, u32)>;
+    /// outside this space (not an element of the collection, or a shard
+    /// popped a cross-shard link target).
+    fn resolve(&self, node: NodeId) -> Option<(u32, u32)> {
+        self.catalogue().resolve(node)
+    }
     /// Meta document accessor (ids are space-local); called once per pop.
     fn meta(&self, id: u32) -> Result<Self::Meta<'_>, Self::Error>;
-    /// Runtime links out of `u` (global ids) known to this space.
-    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)];
-    /// Runtime links into `v`, as `(target, source)` pairs.
-    fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)];
 }
 
 impl MetaSpace for Flix {
     type Meta<'a> = &'a MetaDocument;
     type Error = Infallible;
 
+    fn catalogue(&self) -> &Catalogue {
+        Flix::catalogue(self)
+    }
+
     fn meta_count(&self) -> usize {
         Flix::meta_count(self)
     }
 
-    fn resolve(&self, node: NodeId) -> Option<(u32, u32)> {
-        // A full framework maps every node; shard views built by
-        // `Flix::shard_view` leave `u32::MAX` holes for foreign nodes.
-        let meta = Flix::meta_of(self, node);
-        (meta != u32::MAX).then(|| (meta, Flix::local_of(self, node)))
-    }
-
     fn meta(&self, id: u32) -> Result<&MetaDocument, Infallible> {
         Ok(Flix::meta(self, id))
-    }
-
-    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        Flix::links_out_of(self, u)
-    }
-
-    fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
-        Flix::links_into(self, v)
     }
 }
 
@@ -253,12 +244,28 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
     }
 }
 
-/// §5.1's duplicate test: does the earlier entry `seen` cover `later`
-/// (reach it going down, or get reached by it going up)?
-fn covers(md: &MetaDocument, axis: Axis, seen: u32, later: u32) -> bool {
-    match axis {
-        Axis::Descendants => md.index.is_reachable(seen, later),
-        Axis::Ancestors => md.index.is_reachable(later, seen),
+/// §5.1's memory: per meta document of a space, the entries answered so
+/// far. Duplicate elimination is one test against it, for entries and for
+/// block rows alike.
+struct Entries(Vec<Vec<u32>>);
+
+impl Entries {
+    fn new(meta_count: usize) -> Self {
+        Self(vec![Vec::new(); meta_count])
+    }
+
+    /// §5.1's duplicate test: does an earlier entry of `meta` cover `later`
+    /// (reach it going down, or get reached by it going up)?
+    fn covered(&self, md: &MetaDocument, axis: Axis, meta: u32, later: u32) -> bool {
+        self.0[meta as usize].iter().any(|&seen| match axis {
+            Axis::Descendants => md.index.is_reachable(seen, later),
+            Axis::Ancestors => md.index.is_reachable(later, seen),
+        })
+    }
+
+    /// Records `local` as an answered entry of `meta`.
+    fn push(&mut self, meta: u32, local: u32) {
+        self.0[meta as usize].push(local);
     }
 }
 
@@ -276,8 +283,8 @@ fn for_each_link<S: MetaSpace + ?Sized>(
     for &(anchor, d) in anchors {
         let node = md.nodes[anchor as usize];
         let links = match axis {
-            Axis::Descendants => space.links_out_of(node),
-            Axis::Ancestors => space.links_into(node),
+            Axis::Descendants => space.catalogue().links_out_of(node),
+            Axis::Ancestors => space.catalogue().links_into(node),
         };
         for &(_, far) in links {
             visit(d + 1, far);
@@ -304,10 +311,10 @@ pub(crate) enum EvalEnd {
         /// True when the deadline expired before the evaluation finished.
         timed_out: bool,
     },
-    /// The queue surfaced a node the space cannot resolve: a shard view
-    /// popped a cross-shard link target. Everything emitted so far must be
-    /// discarded and the query re-run over a space that covers the node
-    /// (the sharded fan-out path does exactly that).
+    /// The queue surfaced a node the space cannot resolve: a shard popped a
+    /// cross-shard link target (everything emitted so far must be discarded
+    /// and the query re-run over the whole framework, as the sharded path
+    /// does), or the start is not an element of the collection.
     Escaped,
 }
 
@@ -315,8 +322,10 @@ impl Flix {
     /// The collected entry point: evaluates `start // target` along `axis`
     /// (for [`Axis::Ancestors`]: all elements with tag `target` from which
     /// `start` is reachable) and returns the results with the `timed_out`
-    /// marker and the evaluation counters. With a journal in `ctx` the
-    /// evaluation is bracketed by `eval_start`/`eval_end` events.
+    /// marker and the evaluation counters. A `start` that is not an element
+    /// of the collection reaches nothing: the answer is empty and not timed
+    /// out. With a journal in `ctx` the evaluation is bracketed by
+    /// `eval_start`/`eval_end` events.
     pub fn evaluate(
         &self,
         axis: Axis,
@@ -326,8 +335,8 @@ impl Flix {
         ctx: &mut QueryCtx<'_>,
     ) -> QueryOutcome {
         ctx.event(EventKind::EvalStart { shard: SHARD_NONE });
-        // A full framework resolves every node, so the evaluation cannot
-        // escape; shard views are only evaluated through `crate::shard`.
+        // A full framework resolves every element, so only a start outside
+        // the collection escapes — with nothing emitted.
         let seeds = [(start, 0)];
         let (outcome, _) = never(collect_axis_space(self, axis, &seeds, target, opts, ctx));
         ctx.event(EventKind::EvalEnd {
@@ -512,8 +521,8 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
 /// The priority queue orders entries by `(distance, node)` — the heap is a
 /// *set* of keyed entries, so any space presenting the same meta documents
 /// and link tables drives the loop through the same pop sequence. A shard
-/// view presents exactly the full framework's data for its own metas, which
-/// is why a run that never escapes is byte-identical to the unsharded one.
+/// presents exactly the full framework's data for its own metas, which is
+/// why a run that never escapes is byte-identical to the unsharded one.
 pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     space: &S,
     seeds: &[(NodeId, Distance)],
@@ -526,7 +535,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     let mut stats = PeeStats::default();
     let mut clock = ctx.trace.is_some().then(|| (Stopwatch::start(), 0));
     let mut queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>> = BinaryHeap::new();
-    let mut entries: Vec<Vec<u32>> = vec![Vec::new(); space.meta_count()];
+    let mut entries = Entries::new(space.meta_count());
     let mut returned = 0usize;
     // Exact-order machinery (§7 optimisation): results are buffered and
     // released only once the queue's lower bound proves them final.
@@ -594,7 +603,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             break EvalEnd::Done { timed_out: false };
         };
         let Some((meta, local)) = space.resolve(e) else {
-            // The node lives outside this space: a shard view chased a
+            // The node lives outside this space: a shard chased a
             // cross-shard link. The caller falls back to a space that
             // covers it; nothing emitted so far may be kept.
             break 'eval EvalEnd::Escaped;
@@ -606,9 +615,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let subsumed = if opts.exact_order {
             !settled.insert(e)
         } else {
-            entries[meta as usize]
-                .iter()
-                .any(|&p| covers(&md, axis, p, local))
+            entries.covered(&md, axis, meta, local)
         };
         if subsumed {
             stats.entries_subsumed += 1;
@@ -632,10 +639,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         for (r, dr) in block {
             // §5.1 step 2: skip results an earlier entry already
             // returned. (Exact mode dedups through the best map.)
-            let seen = !opts.exact_order
-                && entries[meta as usize]
-                    .iter()
-                    .any(|&p| covers(&md, axis, p, r));
+            let seen = !opts.exact_order && entries.covered(&md, axis, meta, r);
             if seen {
                 continue;
             }
@@ -675,7 +679,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
             stats.links_expanded += 1;
             queue.push(Reverse((d + hop, far, false)));
         });
-        entries[meta as usize].push(local);
+        entries.push(meta, local);
         lap(ctx, &mut clock, SpanStage::LinkExpand);
     };
     // The closing lap: whatever ended the evaluation — a drained queue, the
@@ -705,7 +709,7 @@ struct ConnectionSearch<'s, S: MetaSpace + ?Sized> {
     axis: Axis,
     max_distance: Option<Distance>,
     queue: BinaryHeap<Reverse<(Distance, NodeId)>>,
-    entries: Vec<Vec<u32>>,
+    entries: Entries,
     best: Option<Distance>,
     stats: PeeStats,
 }
@@ -724,7 +728,7 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
             axis,
             max_distance,
             queue: BinaryHeap::from([Reverse((0, start))]),
-            entries: vec![Vec::new(); space.meta_count()],
+            entries: Entries::new(space.meta_count()),
             best: None,
             stats: PeeStats::default(),
         }
@@ -746,10 +750,7 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
             return Ok(SearchStep::Progress); // outside the space: nothing to search
         };
         let md = self.space.meta(meta)?;
-        let subsumed = self.entries[meta as usize]
-            .iter()
-            .any(|&p| covers(&md, self.axis, p, local));
-        if subsumed {
+        if self.entries.covered(&md, self.axis, meta, local) {
             self.stats.entries_subsumed += 1;
             return Ok(SearchStep::Progress);
         }
@@ -775,7 +776,7 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
             self.stats.links_expanded += 1;
             self.queue.push(Reverse((d + hop, far)));
         });
-        self.entries[meta as usize].push(local);
+        self.entries.push(meta, local);
         Ok(SearchStep::Progress)
     }
 }
@@ -1438,6 +1439,28 @@ mod tests {
         let generous = QueryOptions::default().with_deadline(Deadline::within_micros(60_000_000));
         assert_eq!(uni(0, 6, &generous), Some(6));
         assert_eq!(bi(&generous), Some(6));
+    }
+
+    /// DiskFlix answers this with a typed error; in memory the element
+    /// reaches nothing and nothing reaches it.
+    #[test]
+    fn start_outside_the_collection_answers_empty() {
+        let cg = chain3();
+        let b = cg.collection.tags.get("b").unwrap();
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        let beyond = cg.node_count() as NodeId + 5;
+        for axis in [Axis::Descendants, Axis::Ancestors] {
+            for opts in [QueryOptions::default(), QueryOptions::exact()] {
+                let out = flix.evaluate(axis, beyond, b, &opts, &mut QueryCtx::default());
+                assert!(out.results.is_empty() && !out.timed_out, "{axis:?}");
+                assert_eq!(out.stats, PeeStats::default(), "{axis:?}");
+            }
+        }
+        let opts = QueryOptions::default();
+        assert_eq!(flix.connection_test(beyond, 0, &opts).distance, None);
+        assert_eq!(flix.connection_test(0, beyond, &opts).distance, None);
+        let both = flix.connection_test_bidirectional(0, beyond, &opts);
+        assert_eq!(both.distance, None);
     }
 
     #[test]

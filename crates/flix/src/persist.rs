@@ -8,6 +8,7 @@
 //! not documents, exactly like the paper's setup where the XML data and the
 //! index tables live side by side.
 
+use crate::catalogue::Catalogue;
 use crate::config::FlixConfig;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
@@ -18,7 +19,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The in-memory "catalogue" of a stored framework. The one on-disk
+/// The stored form of a framework's [`Catalogue`] (the reverse link table
+/// is derived on load) behind a three-field header. The one on-disk
 /// framework layout: [`load_flix`] reads every index behind it eagerly,
 /// [`crate::diskexec::DiskFlix`] faults them in per lookup.
 #[derive(Serialize, Deserialize)]
@@ -26,9 +28,27 @@ pub(crate) struct Manifest {
     pub(crate) config: FlixConfig,
     pub(crate) node_count: usize,
     pub(crate) meta_count: usize,
-    pub(crate) meta_of: Vec<u32>,
-    pub(crate) local_of: Vec<u32>,
-    pub(crate) runtime_links: Vec<(NodeId, NodeId)>,
+    meta_of: Vec<u32>,
+    local_of: Vec<u32>,
+    runtime_links: Vec<(NodeId, NodeId)>,
+}
+
+impl Manifest {
+    fn of(flix: &Flix) -> Self {
+        let catalogue = flix.catalogue();
+        Self {
+            config: flix.config(),
+            node_count: flix.collection().node_count(),
+            meta_count: flix.meta_count(),
+            meta_of: catalogue.meta_of.clone(),
+            local_of: catalogue.local_of.clone(),
+            runtime_links: catalogue.links().to_vec(),
+        }
+    }
+
+    pub(crate) fn into_catalogue(self) -> Catalogue {
+        Catalogue::new(self.meta_of, self.local_of, self.runtime_links)
+    }
 }
 
 /// Reads the manifest of the framework saved under `name`.
@@ -69,19 +89,7 @@ pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<Meta
 
 /// Saves a built framework under `name`.
 pub fn save_flix(flix: &Flix, store: &mut BlobStore, name: &str) -> Result<(), String> {
-    let manifest = Manifest {
-        config: flix.config(),
-        node_count: flix.collection().node_count(),
-        meta_count: flix.meta_count(),
-        meta_of: (0..flix.collection().node_count())
-            .map(|u| flix.meta_of(u as NodeId))
-            .collect(),
-        local_of: (0..flix.collection().node_count())
-            .map(|u| flix.local_of(u as NodeId))
-            .collect(),
-        runtime_links: flix.runtime_links().to_vec(),
-    };
-    let bytes = pagestore::to_bytes(&manifest).map_err(|e| e.to_string())?;
+    let bytes = pagestore::to_bytes(&Manifest::of(flix)).map_err(|e| e.to_string())?;
     store
         .put(&format!("{name}/manifest"), &bytes)
         .map_err(|e| e.to_string())?;
@@ -135,9 +143,7 @@ pub fn load_flix(
         graph,
         manifest.config,
         metas,
-        manifest.meta_of,
-        manifest.local_of,
-        manifest.runtime_links,
+        manifest.into_catalogue(),
         report,
     ))
 }
@@ -348,6 +354,40 @@ mod tests {
         st.put(&format!("fw/meta-{victim}"), &old).unwrap();
         let err = load_flix(&st, "fw", cg).unwrap_err();
         assert!(err.contains(&format!("meta document {victim}")), "{err}");
+    }
+
+    /// Pins the manifest's on-disk layout: six fields, flat, in this order
+    /// (the codec writes a struct as its fields and nothing else).
+    #[test]
+    fn manifest_keeps_the_flat_field_order() {
+        #[derive(Serialize)]
+        struct FlatManifest {
+            config: FlixConfig,
+            node_count: usize,
+            meta_count: usize,
+            meta_of: Vec<u32>,
+            local_of: Vec<u32>,
+            runtime_links: Vec<(NodeId, NodeId)>,
+        }
+        let cg = sample();
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        let nodes = 0..cg.node_count() as NodeId;
+        let flat = FlatManifest {
+            config: flix.config(),
+            node_count: cg.node_count(),
+            meta_count: flix.meta_count(),
+            meta_of: nodes.clone().map(|u| flix.meta_of(u)).collect(),
+            local_of: nodes.map(|u| flix.local_of(u)).collect(),
+            runtime_links: flix.runtime_links().to_vec(),
+        };
+        let bytes = pagestore::to_bytes(&flat).unwrap();
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
+        st.put("old/manifest", &bytes).unwrap();
+        let manifest = load_manifest(&st, "old").unwrap();
+        assert_eq!(manifest.meta_count, flix.meta_count());
+        assert_eq!(manifest.into_catalogue(), *flix.catalogue());
     }
 
     #[test]

@@ -24,10 +24,53 @@
 
 use crate::framework::Flix;
 use crate::pee::QueryOptions;
-use crate::vague::TagSimilarity;
 use graphcore::NodeId;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+
+/// A similarity table: for a query tag name, the data tag names that may
+/// match it and their scores in `(0, 1]` — the pluggable ontology behind
+/// `~name` tests.
+///
+/// The identity similarity (`tag` matches itself at 1.0) is implicit.
+#[derive(Debug, Clone, Default)]
+pub struct TagSimilarity {
+    table: HashMap<String, Vec<(String, f64)>>,
+}
+
+impl TagSimilarity {
+    /// Empty table: only exact tag matches.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Declares that query tag `query` also matches data tag `data` with
+    /// similarity `sim`.
+    ///
+    /// # Panics
+    /// If `sim` is not in `(0, 1]`.
+    pub fn add(&mut self, query: &str, data: &str, sim: f64) -> &mut Self {
+        assert!(sim > 0.0 && sim <= 1.0, "similarity must be in (0, 1]");
+        self.table
+            .entry(query.to_string())
+            .or_default()
+            .push((data.to_string(), sim));
+        self
+    }
+
+    /// All data tags matching `query`, including the identity match.
+    pub fn expansions(&self, query: &str) -> Vec<(String, f64)> {
+        let mut out = vec![(query.to_string(), 1.0)];
+        if let Some(list) = self.table.get(query) {
+            for (data, sim) in list {
+                if data != query {
+                    out.push((data.clone(), *sim));
+                }
+            }
+        }
+        out
+    }
+}
 
 /// Axis of a step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,11 +371,12 @@ impl<'f> QueryEngine<'f> {
         best
     }
 
-    /// Evaluates `q`, returning bindings of the final step sorted by
-    /// descending score (ties by node id).
+    /// Evaluates `q` over the whole collection — its first step is anchored
+    /// at the document roots (`/name`) or matches any element (`//name`) —
+    /// returning bindings of the final step sorted by descending score
+    /// (ties by node id).
     pub fn evaluate(&self, q: &PathQuery) -> Vec<QueryBinding> {
         let cg = self.flix.collection();
-        // Initial bindings from the first step, anchored at document roots.
         let mut current: HashMap<NodeId, f64> = HashMap::new();
         let first = &q.steps[0];
         for (tag, sim) in self.admitted_tags(&first.name) {
@@ -355,8 +399,25 @@ impl<'f> QueryEngine<'f> {
             }
         }
         apply_predicate(self, &mut current, first.predicate.as_ref());
+        self.advance(current, &q.steps[1..])
+    }
 
-        for step in &q.steps[1..] {
+    /// Evaluates `q` relative to one element: every step, the first
+    /// included, is taken from `start` (which binds at score 1), so
+    /// `//~actor` is the vague descendants query `start//~actor` of §1.1.
+    /// A `start` outside the collection binds nothing.
+    pub fn evaluate_from(&self, start: NodeId, q: &PathQuery) -> Vec<QueryBinding> {
+        if start as usize >= self.flix.collection().node_count() {
+            return Vec::new();
+        }
+        self.advance(HashMap::from([(start, 1.0)]), &q.steps)
+    }
+
+    /// Takes the binding set `current` through `steps` and ranks what the
+    /// last one binds.
+    fn advance(&self, mut current: HashMap<NodeId, f64>, steps: &[Step]) -> Vec<QueryBinding> {
+        let cg = self.flix.collection();
+        for step in steps {
             let admitted = self.admitted_tags(&step.name);
             let mut next: HashMap<NodeId, f64> = HashMap::new();
             for (&node, &score) in &current {
@@ -594,5 +655,80 @@ mod tests {
         // title reached through the actor link chain scores 0.5^3 < 0.6
         assert_eq!(res.len(), 2);
         assert!(res.iter().all(|r| (r.score - 1.0).abs() < 1e-9));
+    }
+
+    /// movie(0) -> cast(1) -> actor(2)
+    ///          -> follows(3) -> science-fiction(4) -> cast(5) -> actor(6)
+    fn movies() -> Flix {
+        let mut c = Collection::new();
+        let tag = |c: &mut Collection, name| c.tags.intern(name);
+        let mut d = xmlgraph::Document::new("m.xml");
+        let m = d.add_element(tag(&mut c, "movie"), None);
+        let c1 = d.add_element(tag(&mut c, "cast"), Some(m));
+        d.add_element(tag(&mut c, "actor"), Some(c1));
+        let f = d.add_element(tag(&mut c, "follows"), Some(m));
+        let s = d.add_element(tag(&mut c, "science-fiction"), Some(f));
+        let c2 = d.add_element(tag(&mut c, "cast"), Some(s));
+        d.add_element(tag(&mut c, "actor"), Some(c2));
+        c.add_document(d).unwrap();
+        Flix::build(Arc::new(c.seal()), FlixConfig::Naive)
+    }
+
+    #[test]
+    fn expansion_includes_identity() {
+        let mut sims = TagSimilarity::new();
+        sims.add("movie", "science-fiction", 0.9);
+        let e = sims.expansions("movie");
+        assert_eq!(e[0], ("movie".to_string(), 1.0));
+        assert_eq!(e[1], ("science-fiction".to_string(), 0.9));
+        assert_eq!(sims.expansions("actor").len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "similarity must be")]
+    fn invalid_similarity_rejected() {
+        TagSimilarity::new().add("a", "b", 1.5);
+    }
+
+    #[test]
+    fn decay_ranks_near_matches_higher() {
+        let flix = movies();
+        let engine = QueryEngine::new(&flix, TagSimilarity::new(), 0.8, 0.0);
+        let res = engine.evaluate_from(0, &PathQuery::parse("//~actor").unwrap());
+        assert_eq!(res.len(), 2);
+        assert_eq!(res[0].node, 2, "direct cast actor first");
+        // distance 2 => decay^1, distance 4 => decay^3
+        assert!((res[0].score - 0.8).abs() < 1e-9);
+        assert!((res[1].score - 0.8f64.powi(3)).abs() < 1e-9);
+        // the anchor is the start, not the document roots
+        let below = engine.evaluate_from(4, &PathQuery::parse("//actor").unwrap());
+        assert_eq!(below.iter().map(|b| b.node).collect::<Vec<_>>(), vec![6]);
+        let beyond = flix.collection().node_count() as NodeId + 5;
+        assert!(engine
+            .evaluate_from(beyond, &PathQuery::parse("//actor").unwrap())
+            .is_empty());
+    }
+
+    #[test]
+    fn tag_similarity_finds_scifi_as_movie() {
+        let flix = movies();
+        let mut sims = TagSimilarity::new();
+        sims.add("movie", "science-fiction", 0.9);
+        let engine = QueryEngine::new(&flix, sims, 0.8, 0.0);
+        let res = engine.evaluate_from(0, &PathQuery::parse("//~movie").unwrap());
+        assert_eq!(res.len(), 1);
+        assert_eq!(res[0].node, 4);
+        // sim 0.9 at distance 2: 0.9 * 0.8
+        assert!((res[0].score - 0.72).abs() < 1e-9);
+    }
+
+    #[test]
+    fn min_score_prunes_and_bounds_depth() {
+        let flix = movies();
+        let engine = QueryEngine::new(&flix, TagSimilarity::new(), 0.5, 0.3);
+        let res = engine.evaluate_from(0, &PathQuery::parse("//actor").unwrap());
+        // far actor scores 0.5^3 = 0.125 < 0.3 -> dropped
+        assert_eq!(res.len(), 1);
+        assert_eq!(res[0].node, 2);
     }
 }

@@ -1,51 +1,49 @@
-//! Sharded serving: independent per-shard index views with
-//! distance-ordered cross-shard merge.
+//! Sharded serving: a shard is a filter over the parent framework, and
+//! the cross-shard merge is the parent framework itself.
 //!
-//! The serve path used to contend on one shared [`Flix`]: every worker
-//! evaluated every query over the whole collection, paying per-query
-//! costs proportional to the full meta-document count. FliX's own
-//! architecture points at the fix — the collection is already
-//! partitioned into meta documents, and the evaluator already merges
-//! distance-ordered streams across cross-partition links — so the
-//! scale-out step is to cut the *meta documents* into shards:
+//! FliX's collection is already partitioned into meta documents, and the
+//! evaluator already merges distance-ordered streams across
+//! cross-partition links — so the scale-out step cuts the *meta documents*
+//! into shards, and sharding is routing and nothing else:
 //!
 //! 1. [`ShardPlan`] partitions the meta-document link graph with
 //!    [`graphcore::partition_greedy`] and packs the blocks into exactly
 //!    `N` shards by balanced prefix splitting in meta order, keeping
 //!    link-connected and link-adjacent meta documents together so most
 //!    link chases stay shard-local.
-//! 2. Each shard gets its own [`Flix`] *view* ([`Flix::shard_view`]):
-//!    the parent's meta-document `Arc`s renumbered to shard-local ids,
-//!    plus the slices of the runtime link table anchored in the shard.
-//!    Cross-shard links are simply the existing cross-partition link
-//!    case — they sit in the owning shard's forward table with a
-//!    foreign target.
+//! 2. A shard is a borrowed [`ShardSpace`] `{ parent, plan, shard }`: the
+//!    parent's meta documents and its one catalogue (node→meta maps,
+//!    runtime link table — [`crate::catalogue`]), with `resolve` filtered
+//!    by [`ShardPlan::shard_of_meta`] and renumbered to the shard's member
+//!    list, so the evaluator's per-query entries table scales with the
+//!    shard's meta count. Nothing is copied per shard. A cross-shard link
+//!    is the existing cross-partition link case: its target does not
+//!    resolve in the shard.
 //! 3. [`ShardedFlix`] routes queries with help from a boundary-distance
 //!    table: the plan records, per meta document, the minimum number of
 //!    link traversals before an evaluation can reach another shard
 //!    ([`ShardPlan::boundary_hops_out`]). Every link traversal costs at
 //!    least 1 distance, so a shard-closed start — or a `max_distance`
 //!    below the boundary budget — *proves* the query completes inside
-//!    the shard's view. Uncapped queries that can reach the boundary go
-//!    straight to the fan-out space, which stitches all shard views back
-//!    together; capped ones attempt the shard first and *escape* to the
-//!    fan-out space only if they actually pop a foreign node (everything
-//!    from the aborted attempt is discarded). In the fan-out space the
-//!    evaluator's priority queue **is** the cross-shard merge — every
-//!    pop consults the owning shard's view, and entries from different
-//!    shards interleave in ascending distance order, exactly the
-//!    discipline `pee.rs` applies to meta documents.
+//!    the shard. Uncapped queries that can reach the boundary go straight
+//!    to the merge, which is an evaluation on the parent [`Flix`]; capped
+//!    ones attempt the shard first and *escape* to the merge only if they
+//!    actually pop a foreign node (everything from the aborted attempt is
+//!    discarded). In the merge the evaluator's priority queue **is** the
+//!    cross-shard merge — entries from different shards interleave in
+//!    ascending distance order, exactly the discipline `pee.rs` applies to
+//!    meta documents.
 //!
-//! Results are byte-identical to the unsharded oracle in every case:
-//! the heap is a set of `(distance, node)`-keyed entries, a shard view
-//! presents exactly the parent's data for its own metas, and the
-//! fan-out space presents exactly the parent's data for all of them —
-//! so the pop sequence (and therefore the emitted stream) never
-//! diverges. The equivalence test in `tests/serve.rs` proves it per
-//! shard count.
+//! Results are byte-identical to the unsharded oracle in every case: the
+//! heap is a set of `(distance, node)`-keyed entries and a shard presents
+//! exactly the parent's data for its own metas, so the pop sequence (and
+//! therefore the emitted stream) never diverges until an escape — and the
+//! merge *is* the oracle. The equivalence test in `tests/serve.rs` proves
+//! it per shard count.
 
 use crate::backend::{Answer, QueryBackend};
 use crate::cache::{CacheStats, ResultCache};
+use crate::catalogue::Catalogue;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
 use crate::pee::{collect_axis_space, never, Axis, MetaSpace, QueryCtx};
@@ -241,7 +239,7 @@ impl ShardPlan {
 /// Per-shard routing counters (live cells, shared with the registry when
 /// published).
 struct ShardCell {
-    /// Queries answered entirely inside this shard's view.
+    /// Queries answered entirely inside this shard.
     direct: Counter,
     /// Uncapped queries routed straight to the cross-shard fan-out merge
     /// because their start can reach the shard boundary.
@@ -281,20 +279,17 @@ pub struct ShardedStats {
     pub escaped: u64,
 }
 
-/// A framework cut into `N` independent per-shard views, routing
-/// single-shard queries directly and merging multi-shard queries through
-/// the evaluator's distance-ordered priority queue (see the module docs).
+/// A framework cut into `N` shards, routing single-shard queries directly
+/// and merging multi-shard queries through the evaluator's
+/// distance-ordered priority queue (see the module docs).
 ///
 /// Results are byte-identical to evaluating on the parent [`Flix`]; the
-/// win is that a query answered inside its shard touches only the
-/// shard's structures — in particular the evaluator's per-meta scratch
-/// scales with the shard's meta count instead of the collection's.
+/// win is that a query answered inside its shard keeps per-query state
+/// for the shard only — the evaluator's per-meta scratch scales with the
+/// shard's meta count instead of the collection's.
 pub struct ShardedFlix {
     parent: Arc<Flix>,
     plan: ShardPlan,
-    /// Shard views, never exposed: the public [`Flix`] query API assumes
-    /// every node resolves and would silently swallow an escape.
-    shards: Vec<Arc<Flix>>,
     /// Per-shard result caches (optional). Each key's start element pins
     /// it to exactly one shard, so entries are never duplicated.
     caches: Option<Vec<ResultCache>>,
@@ -302,53 +297,10 @@ pub struct ShardedFlix {
 }
 
 impl ShardedFlix {
-    /// Cuts `parent` into `shards` independent views (clamped to the
-    /// meta-document count), without result caches.
+    /// Cuts `parent` into `shards` shards (clamped to the meta-document
+    /// count), without result caches.
     pub fn new(parent: Arc<Flix>, shards: usize) -> Self {
         let plan = ShardPlan::new(&parent, shards);
-        let n = parent.collection().node_count();
-        let views = (0..plan.shard_count())
-            .map(|s| {
-                let mut meta_of = vec![u32::MAX; n];
-                let mut local_of = vec![u32::MAX; n];
-                let mut metas = Vec::with_capacity(plan.members[s].len());
-                for (k, &mi) in plan.members[s].iter().enumerate() {
-                    let md = parent.meta_arc(mi);
-                    for (local, &global) in md.nodes.iter().enumerate() {
-                        meta_of[global as usize] = k as u32;
-                        local_of[global as usize] = local as u32;
-                    }
-                    metas.push(md);
-                }
-                // Forward links anchored in the shard (targets may be
-                // foreign); the parent's table is source-sorted, so the
-                // filtered copy is too.
-                let fwd: Vec<(NodeId, NodeId)> = parent
-                    .runtime_links()
-                    .iter()
-                    .copied()
-                    .filter(|&(u, _)| meta_of[u as usize] != u32::MAX)
-                    .collect();
-                // Reverse links anchored in the shard (sources may be
-                // foreign), re-sorted by target.
-                let mut rev: Vec<(NodeId, NodeId)> = parent
-                    .runtime_links()
-                    .iter()
-                    .filter(|&&(_, v)| meta_of[v as usize] != u32::MAX)
-                    .map(|&(u, v)| (v, u))
-                    .collect();
-                rev.sort_unstable();
-                Arc::new(Flix::shard_view(
-                    parent.collection_arc(),
-                    parent.config(),
-                    metas,
-                    meta_of,
-                    local_of,
-                    fwd,
-                    rev,
-                ))
-            })
-            .collect();
         let cells = (0..plan.shard_count())
             .map(|_| ShardCell {
                 direct: Counter::new(),
@@ -359,7 +311,6 @@ impl ShardedFlix {
         Self {
             parent,
             plan,
-            shards: views,
             caches: None,
             cells,
         }
@@ -375,8 +326,7 @@ impl ShardedFlix {
     /// If `per_shard_capacity` is zero.
     pub fn with_caches(mut self, per_shard_capacity: usize) -> Self {
         self.caches = Some(
-            self.shards
-                .iter()
+            (0..self.shard_count())
                 .map(|_| ResultCache::new(per_shard_capacity))
                 .collect(),
         );
@@ -396,20 +346,26 @@ impl ShardedFlix {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.plan.shard_count()
     }
 
-    /// Shard owning a global node (its start-element route).
+    /// Shard owning a global node (its start-element route). A node that
+    /// is not an element of the collection routes to shard 0, where its
+    /// evaluation reaches nothing.
     pub fn shard_of(&self, node: NodeId) -> u32 {
-        self.plan.shard_of_meta[self.parent.meta_of(node) as usize]
+        let located = self.parent.catalogue().resolve(node);
+        located.map_or(0, |(meta, _)| self.plan.shard_of_meta(meta))
     }
 
     /// Whether the plan proves that an evaluation along `axis` starting
     /// at `start` cannot leave the start's shard: either the start meta
     /// is shard-closed for the axis, or the query's `max_distance` is too
-    /// small to pay for the link traversals that reach the boundary.
+    /// small to pay for the link traversals that reach the boundary. (A
+    /// start outside the collection reaches nothing at all.)
     fn proven_local(&self, start: NodeId, opts: &QueryOptions, axis: Axis) -> bool {
-        let meta = self.parent.meta_of(start);
+        let Some((meta, _)) = self.parent.catalogue().resolve(start) else {
+            return true;
+        };
         let hops = match axis {
             Axis::Descendants => self.plan.boundary_hops_out[meta as usize],
             Axis::Ancestors => self.plan.boundary_hops_in[meta as usize],
@@ -417,8 +373,8 @@ impl ShardedFlix {
         hops == u32::MAX || opts.max_distance.is_some_and(|limit| limit < hops)
     }
 
-    /// The distance-ordered cross-shard merge: evaluate over the fan-out
-    /// space, which stitches every shard view together (module docs).
+    /// The distance-ordered cross-shard merge: evaluate on the parent
+    /// framework, which holds every shard (module docs).
     /// With a journal, the merge pass is bracketed by
     /// `eval_start`/`eval_end` events under the [`SHARD_MERGE`] sentinel.
     fn fanout_outcome(
@@ -430,10 +386,10 @@ impl ShardedFlix {
         ctx: &mut QueryCtx<'_>,
     ) -> QueryOutcome {
         ctx.event(EventKind::EvalStart { shard: SHARD_MERGE });
-        // The fan-out space resolves every node: it cannot escape.
-        let space = FanoutSpace { sharded: self };
+        // The parent resolves every element: the merge cannot escape.
         let seeds = [(start, 0)];
-        let (outcome, _) = never(collect_axis_space(&space, axis, &seeds, target, opts, ctx));
+        let merged = collect_axis_space(&*self.parent, axis, &seeds, target, opts, ctx);
+        let (outcome, _) = never(merged);
         ctx.event(EventKind::EvalEnd {
             results: outcome.results.len() as u64,
         });
@@ -443,7 +399,7 @@ impl ShardedFlix {
     /// The routed axis evaluation. Uncapped queries whose start can reach
     /// the shard boundary go straight to the cross-shard merge (the local
     /// attempt would be futile). Everything else runs *optimistically*
-    /// inside the start element's shard view — capped queries usually
+    /// inside the start element's shard — capped queries usually
     /// exhaust their budget before chasing a cross-shard link, and when
     /// the plan can prove shard-locality ([`Self::proven_local`]) the
     /// attempt is guaranteed to complete. An attempt that does pop a
@@ -471,8 +427,13 @@ impl ShardedFlix {
             return self.fanout_outcome(axis, start, target, opts, ctx);
         }
         ctx.event(EventKind::EvalStart { shard });
+        let space = ShardSpace {
+            parent: &self.parent,
+            plan: &self.plan,
+            shard: s as u32,
+        };
         let seeds = [(start, 0)];
-        let local = collect_axis_space(&*self.shards[s], axis, &seeds, target, opts, ctx);
+        let local = collect_axis_space(&space, axis, &seeds, target, opts, ctx);
         let (outcome, escaped) = never(local);
         if !escaped {
             self.cells[s].direct.inc();
@@ -638,7 +599,7 @@ impl QueryBackend for ShardedFlix {
                 &[
                     (
                         "flix_shard_direct_total",
-                        "Queries answered entirely inside one shard's view.",
+                        "Queries answered entirely inside one shard.",
                         MetricCell::Counter(&cell.direct),
                     ),
                     (
@@ -664,60 +625,46 @@ impl QueryBackend for ShardedFlix {
 impl std::fmt::Debug for ShardedFlix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedFlix")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count())
             .field("cached", &self.caches.is_some())
             .finish()
     }
 }
 
-/// The cross-shard merge space: all shard views stitched back together
-/// under the parent's meta numbering. Every access routes through the
-/// *owning shard's* structures — `resolve` answers from the shard maps,
-/// `meta` from the shard's member list, link slices from the shard's
-/// tables — so a fan-out evaluation reads per-shard data only, and the
-/// evaluator's priority queue merges the shards' distance-ordered
-/// streams. Observationally identical to the parent framework (each
-/// shard presents exactly the parent's data for its own metas), hence
-/// byte-identical results.
-struct FanoutSpace<'a> {
-    sharded: &'a ShardedFlix,
+/// One shard of a framework as an evaluation space: the parent's meta
+/// documents and catalogue, filtered to the metas the plan gives `shard`
+/// and renumbered to their position in the shard's member list. A node of
+/// another shard does not resolve — the evaluator reports it as an escape.
+struct ShardSpace<'a> {
+    parent: &'a Flix,
+    plan: &'a ShardPlan,
+    shard: u32,
 }
 
-impl MetaSpace for FanoutSpace<'_> {
+impl MetaSpace for ShardSpace<'_> {
     type Meta<'a>
         = &'a MetaDocument
     where
         Self: 'a;
     type Error = Infallible;
 
+    fn catalogue(&self) -> &Catalogue {
+        self.parent.catalogue()
+    }
+
     fn meta_count(&self) -> usize {
-        self.sharded.parent.meta_count()
+        self.plan.members[self.shard as usize].len()
     }
 
     fn resolve(&self, node: NodeId) -> Option<(u32, u32)> {
-        let s = self.sharded.shard_of(node);
-        let view = &self.sharded.shards[s as usize];
-        // Translate the shard-local meta id back to the parent numbering
-        // so the subsumption scratch is shared across shards.
-        let (local_meta, local) = MetaSpace::resolve(&**view, node)?;
-        Some((
-            self.sharded.plan.members[s as usize][local_meta as usize],
-            local,
-        ))
+        let (meta, local) = self.catalogue().resolve(node)?;
+        let owned = self.plan.shard_of_meta[meta as usize] == self.shard;
+        owned.then(|| (self.plan.local_meta[meta as usize], local))
     }
 
     fn meta(&self, id: u32) -> Result<&MetaDocument, Infallible> {
-        let s = self.sharded.plan.shard_of_meta[id as usize];
-        let k = self.sharded.plan.local_meta[id as usize];
-        Ok(self.sharded.shards[s as usize].meta(k))
-    }
-
-    fn links_out_of(&self, u: NodeId) -> &[(NodeId, NodeId)] {
-        self.sharded.shards[self.sharded.shard_of(u) as usize].links_out_of(u)
-    }
-
-    fn links_into(&self, v: NodeId) -> &[(NodeId, NodeId)] {
-        self.sharded.shards[self.sharded.shard_of(v) as usize].links_into(v)
+        let parent_id = self.plan.members[self.shard as usize][id as usize];
+        Ok(self.parent.meta(parent_id))
     }
 }
 
@@ -788,7 +735,14 @@ mod tests {
         let cg = chain(6);
         let (a, b) = tags(&cg);
         let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
-        for shards in [1, 2, 3, 7] {
+        // The routes the plan takes for this corpus, per shard count.
+        let routes = [
+            (1, 200, 0, 0),
+            (2, 137, 54, 9),
+            (3, 111, 72, 17),
+            (7, 70, 90, 40),
+        ];
+        for (shards, direct, fanout, escaped) in routes {
             let sharded = ShardedFlix::new(Arc::clone(&flix), shards);
             for start in 0..cg.node_count() as NodeId {
                 for (target, opts) in [
@@ -798,16 +752,43 @@ mod tests {
                     (b, QueryOptions::within(2)),
                     (b, QueryOptions::exact()),
                 ] {
+                    let case = format!("shards={shards} start={start} {opts:?}");
                     let want = flix.find_descendants_outcome(start, target, &opts);
                     let got = sharded.find_descendants_outcome(start, target, &opts);
-                    assert_eq!(got.results, want.results, "shards={shards} start={start}");
+                    assert_eq!(got.results, want.results, "{case}");
+                    assert_eq!(got.stats, want.stats, "{case}");
                     let mut ctx = QueryCtx::default();
                     let want = flix.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
                     let got = sharded.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
-                    assert_eq!(
-                        *got.results, want.results,
-                        "ancestors shards={shards} start={start}"
-                    );
+                    assert_eq!(*got.results, want.results, "ancestors {case}");
+                    assert_eq!(got.stats, Some(want.stats), "ancestors {case}");
+                }
+            }
+            let stats = sharded.stats();
+            assert_eq!(
+                (stats.direct, stats.fanout, stats.escaped),
+                (direct, fanout, escaped),
+                "shards={shards}"
+            );
+        }
+    }
+
+    #[test]
+    fn start_outside_the_collection_answers_empty() {
+        let cg = chain(6);
+        let (_, b) = tags(&cg);
+        let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
+        let beyond = cg.node_count() as NodeId + 5;
+        for sharded in [
+            ShardedFlix::new(Arc::clone(&flix), 3),
+            ShardedFlix::new(Arc::clone(&flix), 3).with_caches(8),
+        ] {
+            assert_eq!(sharded.partition_of(beyond), 0);
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                for opts in [QueryOptions::default(), QueryOptions::top_k(2)] {
+                    let mut ctx = QueryCtx::default();
+                    let got = sharded.evaluate(axis, beyond, b, &opts, &mut ctx);
+                    assert!(got.results.is_empty() && !got.timed_out, "{axis:?}");
                 }
             }
         }

@@ -1321,6 +1321,30 @@ mod tests {
         server.shutdown();
     }
 
+    /// Routing runs on the caller's thread under the backend read lock and
+    /// evaluation on a worker: neither may index the node maps with it.
+    #[test]
+    fn start_outside_the_collection_is_an_empty_answer_from_every_backend() {
+        let (flix, t) = tiny();
+        let beyond = flix.collection().node_count() as NodeId + 5;
+        let backends: [Backend; 3] = [
+            Arc::clone(&flix).into(),
+            Arc::new(CachedFlix::new(Arc::clone(&flix), 8)).into(),
+            Arc::new(ShardedFlix::new(Arc::clone(&flix), 2).with_caches(8)).into(),
+        ];
+        for backend in backends {
+            let server = FlixServer::start(backend, ServeConfig::default());
+            for req in [
+                Request::descendants(beyond, t, QueryOptions::default()),
+                Request::ancestors(beyond, t, QueryOptions::top_k(1)),
+            ] {
+                let got = server.query(req).expect("an answer, not WorkerPanicked");
+                assert!(got.results.is_empty() && !got.timed_out, "{:?}", req.axis);
+            }
+            server.shutdown();
+        }
+    }
+
     /// A fake backend: answers like its inner framework, except that a
     /// query starting at `poison` reports in, waits to be released, and
     /// panics.

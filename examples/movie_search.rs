@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example movie_search`
 
-use flix::{Flix, FlixConfig, TagSimilarity, VagueEvaluator, VagueQuery};
+use flix::{Flix, FlixConfig, PathQuery, QueryEngine, TagSimilarity};
 use std::sync::Arc;
 use xmlgraph::{parse_document, Collection, LinkSpec};
 
@@ -53,26 +53,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     sims.add("movie", "science-fiction", 0.9)
         .add("movie", "documentary", 0.3)
         .add("actor", "starring", 0.7);
-    let eval = VagueEvaluator::new(sims, 0.8);
+    let engine = QueryEngine::new(&flix, sims, 0.8, 0.1);
+    // The data tag a binding matched (may differ from the query tag).
+    let matched_tag = |node| graph.collection.tags.name(graph.tag_of(node));
 
     // Step 1 of //~movie//~actor//~movie: find the actors under the movie.
     let movie_root = graph.doc_root(0);
     println!("~actor descendants of the Matrix movie:");
-    let actors = eval.evaluate(
-        &flix,
-        &VagueQuery {
-            start: movie_root,
-            target: "actor".into(),
-            min_score: 0.1,
-            top_k: 10,
-        },
-    );
+    let actors = engine.evaluate_from(movie_root, &PathQuery::parse("//~actor")?);
     for r in &actors {
         println!(
-            "  score {:.2}  dist {}  <{}> {:?}",
+            "  score {:.2}  <{}> {:?}",
             r.score,
-            r.distance,
-            r.matched_tag,
+            matched_tag(r.node),
             graph.element(r.node).text
         );
     }
@@ -84,15 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|r| graph.element(r.node).text.contains("Keanu"))
         .ok_or("Keanu not found")?;
     println!("\n~movie descendants of that actor (films via links):");
-    let movies = eval.evaluate(
-        &flix,
-        &VagueQuery {
-            start: keanu.node,
-            target: "movie".into(),
-            min_score: 0.1,
-            top_k: 10,
-        },
-    );
+    let movies = engine.evaluate_from(keanu.node, &PathQuery::parse("//~movie")?);
     for r in &movies {
         let title_tag = graph
             .collection
@@ -106,12 +91,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|t| graph.element(t.node).text.clone())
             .unwrap_or_default();
         println!(
-            "  score {:.2}  dist {}  <{}> {}",
-            r.score, r.distance, r.matched_tag, title
+            "  score {:.2}  <{}> {}",
+            r.score,
+            matched_tag(r.node),
+            title
         );
     }
     assert!(
-        movies.iter().any(|r| r.matched_tag == "science-fiction"),
+        movies
+            .iter()
+            .any(|r| matched_tag(r.node) == "science-fiction"),
         "the relaxed query must find the science-fiction films"
     );
     println!("\nThe strict query /movie/actor/movie would have returned nothing.");
