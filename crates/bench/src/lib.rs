@@ -199,13 +199,16 @@ pub fn error_rate(flix: &Flix, cg: &CollectionGraph, queries: &[(NodeId, u32)]) 
     error_rates(flix, cg, queries).adjacent
 }
 
-/// A cost model for the paper's database-backed deployment: every entry pop
-/// is one index lookup (a database round trip) and every block row scanned
-/// is one row fetch. The paper's absolute numbers are dominated by exactly
-/// these costs, which in-memory wall-clock does not show.
+/// A cost model for the paper's database-backed deployment: every heap pop
+/// — an entry answered (`entries_popped`) or dropped as subsumed
+/// (`entries_subsumed`) — is one index lookup (a database round trip) and
+/// every block row scanned is one row fetch. A link push refused before the
+/// heap (`entries_refused`) touches no index and costs nothing. The paper's
+/// absolute numbers are dominated by exactly these costs, which in-memory
+/// wall-clock does not show.
 #[derive(Debug, Clone, Copy)]
 pub struct DbCostModel {
-    /// Cost per meta-document index lookup (entry pop).
+    /// Cost per meta-document index lookup (heap pop).
     pub per_lookup: Duration,
     /// Cost per result row scanned in a block.
     pub per_row: Duration,

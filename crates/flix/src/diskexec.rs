@@ -276,9 +276,12 @@ mod tests {
                         QueryOptions::top_k(3),
                         QueryOptions::within(4),
                         QueryOptions::exact(),
+                        QueryOptions::default().with_deadline(Deadline::within_micros(0)),
                     ] {
                         let mut ctx = QueryCtx::default();
                         let mem = flix.evaluate(axis, q.start, q.target_tag, &opts, &mut ctx);
+                        let loads = |s: DiskExecStats| s.cache_hits + s.cache_misses;
+                        let before = loads(dflix.stats());
                         let dsk = dflix
                             .evaluate(axis, q.start, q.target_tag, &opts, &mut ctx)
                             .unwrap();
@@ -286,6 +289,24 @@ mod tests {
                         assert_eq!(mem.results, dsk.results, "{case}");
                         assert_eq!(mem.timed_out, dsk.timed_out, "{case}");
                         assert_eq!(mem.stats, dsk.stats, "{case}");
+                        // Every queued entry — the seed and one per link —
+                        // ends popped, subsumed or refused once the queue
+                        // drains; a cap, a bound or a deadline leaves some
+                        // queued. Only a heap pop asks for an index.
+                        let stats = dsk.stats;
+                        let heap_pops = stats.entries_popped + stats.entries_subsumed;
+                        let (left, queued) =
+                            (heap_pops + stats.entries_refused, 1 + stats.links_expanded);
+                        let cut = opts.max_results.is_some()
+                            || opts.max_distance.is_some()
+                            || opts.deadline.is_some();
+                        if cut {
+                            assert!(left <= queued, "{case}: {stats:?}");
+                        } else {
+                            assert_eq!(left, queued, "{case}: {stats:?}");
+                        }
+                        let loaded = loads(dflix.stats()) - before;
+                        assert_eq!(loaded, heap_pops as u64, "{case}");
                     }
                 }
             }

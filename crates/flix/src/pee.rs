@@ -13,7 +13,11 @@
 //! the evaluator remembers only the *entry points* per meta document. An
 //! entry reachable from an earlier entry of the same meta document is
 //! subsumed and dropped; a result reachable from an earlier entry has
-//! already been returned and is skipped.
+//! already been returned and is skipped. Under PPO an entry's reach is a
+//! preorder interval, so that memory ([`Entries`]) is a union of intervals
+//! and the test one binary search; and a link push of a node the
+//! evaluation already queued no farther away is refused before it reaches
+//! the heap — it could only ever be subsumed.
 //!
 //! There is exactly one copy of each loop: [`evaluate_axis_space`] for the
 //! axis queries and [`ConnectionSearch`] for connection tests, both generic
@@ -22,10 +26,11 @@
 
 use crate::catalogue::Catalogue;
 use crate::framework::Flix;
-use crate::meta::{MetaDocument, PopAnswer};
+use crate::meta::{MetaDocument, MetaIndex, PopAnswer};
 use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
 use flixobs::{Deadline, QueryTrace, SpanStage, Stopwatch};
-use graphcore::{Distance, NodeId};
+use graphcore::{DistScratch, Distance, NodeId};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::convert::Infallible;
@@ -160,16 +165,26 @@ pub struct ConnectionOutcome {
 }
 
 /// Evaluation counters, exposed for the benchmark harness and for cost
-/// models that emulate the paper's database-backed deployment (every entry
-/// pop is one index lookup — a database round trip in the original
-/// implementation).
+/// models that emulate the paper's database-backed deployment (every heap
+/// pop — `entries_popped + entries_subsumed` — is one index lookup, a
+/// database round trip in the original implementation). Every entry an
+/// axis evaluation queues ends in exactly one of the three `entries_*`
+/// counts once the queue has drained: `entries_popped + entries_subsumed +
+/// entries_refused == seeds + links_expanded`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeeStats {
     /// Entries popped from the priority queue and answered (meta-document
     /// index lookups).
     pub entries_popped: usize,
-    /// Entries dropped by the §5.1 subsumption check.
+    /// Entries popped from the priority queue, then dropped by the §5.1
+    /// subsumption check.
     pub entries_subsumed: usize,
+    /// Link pushes refused before they reached the priority queue: the
+    /// evaluation had already queued the same node at an equal or smaller
+    /// distance (within the query's distance bound, if it has one), so the
+    /// entry could only have been popped to be subsumed. Costs no index
+    /// lookup. Connection tests refuse nothing.
+    pub entries_refused: usize,
     /// Index rows touched (or elements traversed, for APEX) while
     /// materialising meta-document blocks — row fetches in the paper's
     /// database-backed deployment, charged when the block is built.
@@ -184,6 +199,7 @@ impl PeeStats {
     pub fn absorb(&mut self, other: PeeStats) {
         self.entries_popped += other.entries_popped;
         self.entries_subsumed += other.entries_subsumed;
+        self.entries_refused += other.entries_refused;
         self.block_results_scanned += other.block_results_scanned;
         self.links_expanded += other.links_expanded;
     }
@@ -246,26 +262,152 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 
 /// §5.1's memory: per meta document of a space, the entries answered so
 /// far. Duplicate elimination is one test against it, for entries and for
-/// block rows alike.
-struct Entries(Vec<Vec<u32>>);
+/// block rows alike. Each meta document's list is kept in the form its
+/// index tests fastest (the strategy is read off [`MetaDocument::index`],
+/// the axis is the evaluation's):
+///
+/// * PPO going down — an entry reaches its subtree, an interval of preorder
+///   ranks, so the list holds the union of the answered entries' intervals
+///   as its boundaries `lo₀ < hi₀ < lo₁ < hi₁ < …` (half-open, disjoint,
+///   touching ones merged): a rank is covered iff an odd number of
+///   boundaries lie at or below it;
+/// * PPO going up — an entry is reached from its ancestors, so the list
+///   holds the answered entries' ranks, ascending: an element is covered
+///   iff one of them falls inside its subtree's interval;
+/// * HOPI and APEX — the answered entries in the order they came, scanned
+///   with an index probe each.
+#[derive(Default)]
+struct Entries {
+    metas: Vec<Vec<u32>>,
+    /// The meta documents with a non-empty list: what [`Self::begin`]
+    /// clears, so a query costs the metas it entered, not the space's.
+    touched: Vec<u32>,
+}
 
 impl Entries {
-    fn new(meta_count: usize) -> Self {
-        Self(vec![Vec::new(); meta_count])
+    /// Forgets every entry and makes room for `meta_count` meta documents.
+    fn begin(&mut self, meta_count: usize) {
+        for meta in self.touched.drain(..) {
+            self.metas[meta as usize].clear();
+        }
+        if self.metas.len() < meta_count {
+            self.metas.resize_with(meta_count, Vec::new);
+        }
     }
 
     /// §5.1's duplicate test: does an earlier entry of `meta` cover `later`
     /// (reach it going down, or get reached by it going up)?
     fn covered(&self, md: &MetaDocument, axis: Axis, meta: u32, later: u32) -> bool {
-        self.0[meta as usize].iter().any(|&seen| match axis {
-            Axis::Descendants => md.index.is_reachable(seen, later),
-            Axis::Ancestors => md.index.is_reachable(later, seen),
-        })
+        let seen = &self.metas[meta as usize];
+        match (&md.index, axis) {
+            (MetaIndex::Ppo(ppo), Axis::Descendants) => {
+                let rank = ppo.forest_index().pre(later);
+                seen.partition_point(|&bound| bound <= rank) % 2 == 1
+            }
+            (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
+                let (lo, hi) = ppo.forest_index().subtree(later);
+                let next = seen.partition_point(|&rank| rank < lo);
+                seen.get(next).is_some_and(|&rank| rank < hi)
+            }
+            (index, _) => covered_by_scan(index, axis, seen, later),
+        }
     }
 
     /// Records `local` as an answered entry of `meta`.
-    fn push(&mut self, meta: u32, local: u32) {
-        self.0[meta as usize].push(local);
+    fn push(&mut self, md: &MetaDocument, axis: Axis, meta: u32, local: u32) {
+        let seen = &mut self.metas[meta as usize];
+        if seen.is_empty() {
+            self.touched.push(meta);
+        }
+        match (&md.index, axis) {
+            (MetaIndex::Ppo(ppo), Axis::Descendants) => {
+                // Interval union: the boundaries inside `[lo, hi]` go, and
+                // each end stays a boundary iff it lies outside the others.
+                let (lo, hi) = ppo.forest_index().subtree(local);
+                let start = seen.partition_point(|&bound| bound < lo);
+                let end = seen.partition_point(|&bound| bound <= hi);
+                let ends = [(start % 2 == 0).then_some(lo), (end % 2 == 0).then_some(hi)];
+                seen.splice(start..end, ends.into_iter().flatten());
+            }
+            (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
+                let rank = ppo.forest_index().pre(local);
+                seen.insert(seen.partition_point(|&earlier| earlier < rank), rank);
+            }
+            _ => seen.push(local),
+        }
+    }
+}
+
+/// §5.1's duplicate test as the paper states it — one reachability probe
+/// per earlier entry — over `seen`, the locals of the answered entries. The
+/// strategies without a rank order answer [`Entries::covered`] with it, and
+/// it is the oracle the interval forms are tested against.
+fn covered_by_scan(index: &MetaIndex, axis: Axis, seen: &[u32], later: u32) -> bool {
+    seen.iter().any(|&seen| match axis {
+        Axis::Descendants => index.is_reachable(seen, later),
+        Axis::Ancestors => index.is_reachable(later, seen),
+    })
+}
+
+/// What an axis evaluation keeps from pop to pop, and a thread keeps from
+/// evaluation to evaluation: an evaluation allocates nothing once the
+/// scratch has grown to the largest framework the thread has queried.
+#[derive(Default)]
+struct EvalScratch {
+    /// Fig. 4's `IE`, ordered by `(distance, node, is a seed)`.
+    queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>>,
+    entries: Entries,
+    /// Per global node, the smallest distance at which this evaluation
+    /// queued it through a link (seeds are not recorded).
+    queued: DistScratch,
+    /// Number of nodes in the collection being evaluated over.
+    nodes: usize,
+}
+
+thread_local! {
+    /// This thread's scratch. An evaluation takes it out of the cell for
+    /// its whole run and puts it back after, so an `emit` callback that
+    /// evaluates another query finds the cell empty and gets a fresh one.
+    static SCRATCH: Cell<EvalScratch> = Cell::default();
+}
+
+impl EvalScratch {
+    /// This thread's scratch, emptied for an evaluation over `space`.
+    fn take<S: MetaSpace + ?Sized>(space: &S) -> Self {
+        let mut scratch = SCRATCH.take();
+        scratch.queue.clear();
+        scratch.entries.begin(space.meta_count());
+        scratch.nodes = space.catalogue().meta_of.len();
+        scratch.queued.begin(scratch.nodes);
+        scratch
+    }
+
+    /// Queues the far end of a link at distance `at` — unless this
+    /// evaluation already queued `far` through a link at that distance or a
+    /// smaller one, in which case the push is refused (`false`). The
+    /// earlier entry pops first, and answered or subsumed it leaves `far`
+    /// covered (§5.1's set only grows; under exact order it settles `far`),
+    /// so the repeat could only be popped to be dropped. The refusal needs
+    /// no index — [`crate::DiskFlix`] faults nothing in for it.
+    ///
+    /// Two kinds of push are queued without a look at the table, as they
+    /// always were. One past `bound`, the query's distance bound: its pop
+    /// ends the evaluation, so nothing is ever popped to be dropped after
+    /// it, and a bounded top-k query (most of whose pushes are these) does
+    /// not pay a table access per link. And a node outside the collection,
+    /// which the table does not cover: its first pop ends the evaluation as
+    /// [`EvalEnd::Escaped`].
+    fn push_link(&mut self, far: NodeId, at: Distance, bound: Option<Distance>) -> bool {
+        if !bound.is_some_and(|m| at > m) {
+            if self.queued.get(far).is_some_and(|earlier| earlier <= at) {
+                return false;
+            }
+            if (far as usize) < self.nodes {
+                self.queued.relax(far, at);
+            }
+        }
+        self.queue.push(Reverse((at, far, false)));
+        true
     }
 }
 
@@ -534,8 +676,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
 ) -> Result<(EvalEnd, PeeStats), S::Error> {
     let mut stats = PeeStats::default();
     let mut clock = ctx.trace.is_some().then(|| (Stopwatch::start(), 0));
-    let mut queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>> = BinaryHeap::new();
-    let mut entries = Entries::new(space.meta_count());
+    let mut scratch = EvalScratch::take(space);
     let mut returned = 0usize;
     // Exact-order machinery (§7 optimisation): results are buffered and
     // released only once the queue's lower bound proves them final.
@@ -552,7 +693,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     for &(s, d) in seeds {
         // the bool marks seed entries, whose self-match behaviour is
         // governed by `include_start`
-        queue.push(Reverse((d, s, true)));
+        scratch.queue.push(Reverse((d, s, true)));
     }
     // Hands one result to the caller; true when the evaluation must stop
     // (the callback broke off, or the result cap is reached).
@@ -564,7 +705,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         opts.max_results.is_some_and(|k| returned >= k)
     };
     let end = 'eval: loop {
-        let next = queue.pop();
+        let next = scratch.queue.pop();
         // Deadline check: one clock read per pop, none when unset. The
         // emitted prefix stands; nothing buffered is released — a shorter
         // result could still have appeared.
@@ -615,7 +756,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let subsumed = if opts.exact_order {
             !settled.insert(e)
         } else {
-            entries.covered(&md, axis, meta, local)
+            scratch.entries.covered(&md, axis, meta, local)
         };
         if subsumed {
             stats.entries_subsumed += 1;
@@ -639,7 +780,7 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         for (r, dr) in block {
             // §5.1 step 2: skip results an earlier entry already
             // returned. (Exact mode dedups through the best map.)
-            let seen = !opts.exact_order && entries.covered(&md, axis, meta, r);
+            let seen = !opts.exact_order && scratch.entries.covered(&md, axis, meta, r);
             if seen {
                 continue;
             }
@@ -674,18 +815,22 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         }
 
         // Expand runtime links: queue the far end of every link hanging off
-        // the anchors the lookup above found (Fig. 4's `findReachableLinks`).
+        // the anchors the lookup above found (Fig. 4's `findReachableLinks`),
+        // repeats excepted.
         for_each_link(space, &md, axis, &links, |hop, far| {
             stats.links_expanded += 1;
-            queue.push(Reverse((d + hop, far, false)));
+            if !scratch.push_link(far, d + hop, opts.max_distance) {
+                stats.entries_refused += 1;
+            }
         });
-        entries.push(meta, local);
+        scratch.entries.push(&md, axis, meta, local);
         lap(ctx, &mut clock, SpanStage::LinkExpand);
     };
     // The closing lap: whatever ended the evaluation — a drained queue, the
     // deadline, the distance bound, a result cap reached while releasing
     // buffered results, an escape — ended it inside a queue pop.
     lap(ctx, &mut clock, SpanStage::QueuePop);
+    SCRATCH.set(scratch);
     Ok((end, stats))
 }
 
@@ -722,13 +867,15 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
         axis: Axis,
         max_distance: Option<Distance>,
     ) -> Self {
+        let mut entries = Entries::default();
+        entries.begin(space.meta_count());
         Self {
             space,
             target: space.resolve(target),
             axis,
             max_distance,
             queue: BinaryHeap::from([Reverse((0, start))]),
-            entries: Entries::new(space.meta_count()),
+            entries,
             best: None,
             stats: PeeStats::default(),
         }
@@ -776,7 +923,7 @@ impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
             self.stats.links_expanded += 1;
             self.queue.push(Reverse((d + hop, far)));
         });
-        self.entries.push(meta, local);
+        self.entries.push(&md, self.axis, meta, local);
         Ok(SearchStep::Progress)
     }
 }
@@ -887,6 +1034,7 @@ impl Drop for ResultStream {
 mod tests {
     use super::*;
     use crate::config::{FlixConfig, StrategyKind};
+    use proptest::prelude::*;
     use std::sync::Arc;
     use xmlgraph::{Collection, CollectionGraph, Document, LinkTarget};
 
@@ -1461,6 +1609,256 @@ mod tests {
         assert_eq!(flix.connection_test(0, beyond, &opts).distance, None);
         let both = flix.connection_test_bidirectional(0, beyond, &opts);
         assert_eq!(both.distance, None);
+    }
+
+    /// A forest over `parents.len() + 1` nodes as one PPO meta document:
+    /// node `i + 1` hangs under `parents[i]` folded onto a smaller id, or
+    /// is a root.
+    fn ppo_forest(parents: &[Option<u32>]) -> MetaDocument {
+        let n = parents.len() + 1;
+        let edges = parents
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.map(|p| (p % (i as u32 + 1), i as u32 + 1)));
+        let g = graphcore::Digraph::from_edges(n, edges);
+        let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], 1);
+        assert!(extra.is_empty(), "a forest loses no edge");
+        MetaDocument::new((0..n as NodeId).collect(), index)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Whatever is pushed — covered entries, repeats, nested and
+        /// touching subtrees, not only what the evaluator would push — the
+        /// interval union (going down) and the rank list (going up) answer
+        /// `covered` as the scan over the raw entry list does, and the
+        /// interval list stays sorted, disjoint and minimal.
+        #[test]
+        fn ppo_entries_answer_as_the_scan_on_random_forests(
+            (parents, pushes) in (2usize..40).prop_flat_map(|n| (
+                proptest::collection::vec(proptest::option::of(0..u32::MAX), n - 1),
+                proptest::collection::vec(0..n as u32, 0..24),
+            ))
+        ) {
+            let md = ppo_forest(&parents);
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                let mut entries = Entries::default();
+                entries.begin(1);
+                let mut raw = Vec::new();
+                for &local in &pushes {
+                    entries.push(&md, axis, 0, local);
+                    raw.push(local);
+                    let list = &entries.metas[0];
+                    prop_assert!(list.windows(2).all(|w| match axis {
+                        // strictly: no empty interval, no two that touch
+                        Axis::Descendants => w[0] < w[1],
+                        Axis::Ancestors => w[0] <= w[1],
+                    }), "{:?} {:?}", axis, list);
+                    if axis == Axis::Descendants {
+                        prop_assert_eq!(list.len() % 2, 0, "every interval has both ends");
+                    }
+                    for later in 0..md.len() as u32 {
+                        prop_assert_eq!(
+                            entries.covered(&md, axis, 0, later),
+                            covered_by_scan(&md.index, axis, &raw, later),
+                            "{:?} entries {:?} later {}", axis, &raw, later
+                        );
+                    }
+                }
+                entries.begin(1);
+                prop_assert!((0..md.len() as u32).all(|v| !entries.covered(&md, axis, 0, v)));
+            }
+        }
+    }
+
+    /// `begin` clears exactly the lists that were written, for a space of
+    /// any size after one of any other size.
+    #[test]
+    fn entries_are_forgotten_between_spaces_of_different_sizes() {
+        let md = ppo_forest(&[Some(0), Some(0), Some(1)]);
+        let mut entries = Entries::default();
+        entries.begin(9);
+        entries.push(&md, Axis::Descendants, 7, 1);
+        entries.push(&md, Axis::Descendants, 2, 0);
+        assert!(entries.covered(&md, Axis::Descendants, 7, 3));
+        assert!(!entries.covered(&md, Axis::Descendants, 7, 2));
+        entries.begin(3);
+        assert!(entries.touched.is_empty());
+        assert!(entries.metas.iter().all(Vec::is_empty));
+        entries.push(&md, Axis::Ancestors, 2, 3);
+        assert!(entries.covered(&md, Axis::Ancestors, 2, 1));
+        entries.begin(12);
+        assert_eq!(entries.metas.len(), 12);
+        assert!(!entries.covered(&md, Axis::Ancestors, 2, 1));
+    }
+
+    /// Runs `job` on a thread of its own: fresh thread-locals, so neither
+    /// the evaluator's scratch nor HOPI's and APEX's carry anything over.
+    fn on_a_fresh_thread<T: Send>(job: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| scope.spawn(job).join().unwrap())
+    }
+
+    #[test]
+    fn an_emit_callback_may_evaluate_on_the_same_thread() {
+        let cg = chain3();
+        let (a, b) = (
+            cg.collection.tags.get("a").unwrap(),
+            cg.collection.tags.get("b").unwrap(),
+        );
+        for config in all_configs() {
+            let flix = Flix::build(cg.clone(), config);
+            let opts = QueryOptions::default();
+            let outer_alone = flix.find_descendants_outcome(0, b, &opts);
+            let inner_alone = flix.find_descendants(0, a, &opts);
+            let mut outer = Vec::new();
+            let stats = flix.for_each_descendant(0, b, &opts, |r, _| {
+                assert_eq!(flix.find_descendants(0, a, &opts), inner_alone, "{config}");
+                outer.push(r);
+                ControlFlow::Continue(())
+            });
+            assert_eq!(outer.len(), 3, "the callback ran");
+            assert_eq!(outer, outer_alone.results, "{config}");
+            assert_eq!(stats, outer_alone.stats, "{config}");
+        }
+    }
+
+    /// One thread's scratch — the evaluator's, and HOPI's and APEX's
+    /// `DistScratch` under it — serves frameworks of different sizes in
+    /// turn, alone and with three more threads doing the same, and every
+    /// answer equals the one a thread that never evaluated anything gives.
+    #[test]
+    fn scratch_serves_frameworks_of_different_sizes_on_concurrent_threads() {
+        use workloads::{descendant_queries, generate_dblp, DblpConfig};
+        let small = chain3();
+        let large = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
+        assert!(large.node_count() > 10 * small.node_count());
+        let b = small.collection.tags.get("b").unwrap();
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::Monolithic(StrategyKind::Apex),
+        ] {
+            let frameworks = [
+                Flix::build(small.clone(), config),
+                Flix::build(large.clone(), config),
+            ];
+            // Alternating: small, large, small, large, ...
+            let mut jobs: Vec<(usize, NodeId, TagId)> = Vec::new();
+            for q in descendant_queries(&large, 6, 44) {
+                jobs.push((0, q.start % small.node_count() as NodeId, b));
+                jobs.push((1, q.start, q.target_tag));
+            }
+            let answer = |&(which, start, tag): &(usize, NodeId, TagId)| {
+                let flix: &Flix = &frameworks[which];
+                [Axis::Descendants, Axis::Ancestors].map(|axis| {
+                    let opts = QueryOptions::default();
+                    let out = flix.evaluate(axis, start, tag, &opts, &mut QueryCtx::default());
+                    (out.results, out.stats)
+                })
+            };
+            let fresh: Vec<_> = jobs
+                .iter()
+                .map(|job| on_a_fresh_thread(|| answer(job)))
+                .collect();
+            let reused = || jobs.iter().map(answer).collect::<Vec<_>>();
+            assert_eq!(reused(), fresh, "{config}: one thread");
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4).map(|_| scope.spawn(reused)).collect();
+                for worker in workers {
+                    assert_eq!(worker.join().unwrap(), fresh, "{config}: four threads");
+                }
+            });
+        }
+    }
+
+    /// When the stamp epoch wraps, a slot stamped 2³² evaluations ago must
+    /// not read as "queued at distance 0" and refuse every link push.
+    #[test]
+    fn epoch_wrap_leaves_no_stale_stamp_to_refuse_a_push() {
+        let cg = chain3();
+        let b = cg.collection.tags.get("b").unwrap();
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        let opts = QueryOptions::default();
+        let want = on_a_fresh_thread(|| flix.find_descendants_outcome(0, b, &opts));
+        assert_eq!(want.results.len(), 3);
+        on_a_fresh_thread(|| {
+            // Every node stamped in epoch 1 at distance 0, the counter at
+            // its last value: the next evaluation wraps it back to 1.
+            let mut scratch = EvalScratch::take(&flix);
+            for v in 0..cg.node_count() as NodeId {
+                assert!(scratch.push_link(v, 0, None));
+                assert!(!scratch.push_link(v, 0, None));
+            }
+            scratch.queued.force_epoch(u32::MAX);
+            SCRATCH.set(scratch);
+            for _ in 0..3 {
+                let got = flix.find_descendants_outcome(0, b, &opts);
+                assert_eq!((got.results, got.stats), (want.results.clone(), want.stats));
+            }
+        });
+    }
+
+    /// A push past the query's distance bound is never popped for work, so
+    /// it is queued as it always was — every time, unrecorded — and only
+    /// pushes within the bound are recorded and their repeats refused.
+    #[test]
+    fn pushes_past_the_distance_bound_are_queued_unrecorded() {
+        let flix = Flix::build(chain3(), FlixConfig::Naive);
+        let mut scratch = EvalScratch::take(&flix);
+        assert!(scratch.push_link(3, 5, Some(4)));
+        assert!(scratch.push_link(3, 5, Some(4)));
+        assert!(scratch.push_link(3, 4, Some(4)));
+        assert!(!scratch.push_link(3, 4, Some(4)));
+        assert!(!scratch.push_link(3, 9, None));
+        assert!(scratch.push_link(3, 3, None), "a shorter path is queued");
+        assert_eq!(scratch.queue.len(), 4);
+    }
+
+    /// A catalogue naming a link end that is no element of the collection
+    /// (two links, so the push repeats): the stamp table does not cover the
+    /// node, both pushes are queued, and the first to pop escapes.
+    #[test]
+    fn a_link_end_outside_the_collection_escapes() {
+        let cg = chain3();
+        let b = cg.collection.tags.get("b").unwrap();
+        let built = Flix::build(cg.clone(), FlixConfig::Naive);
+        let beyond = cg.node_count() as NodeId + 92;
+        let mut links = built.runtime_links().to_vec();
+        links.extend([(2, beyond), (4, beyond)]);
+        links.sort_unstable();
+        let catalogue = Catalogue::new(
+            built.catalogue().meta_of.clone(),
+            built.catalogue().local_of.clone(),
+            links,
+        );
+        let metas = (0..built.meta_count() as u32).map(|m| built.meta(m).clone());
+        let flix = Flix::from_raw_parts(
+            cg,
+            built.config(),
+            metas.collect(),
+            catalogue,
+            built.build_report().clone(),
+        );
+        for opts in [QueryOptions::default(), QueryOptions::exact()] {
+            let mut ctx = QueryCtx::default();
+            let (out, escaped) = never(collect_axis_space(
+                &flix,
+                Axis::Descendants,
+                &[(0, 0)],
+                b,
+                &opts,
+                &mut ctx,
+            ));
+            assert!(escaped, "{opts:?}");
+            // d0 and d1 were answered (3 and 4 links pushed, none refused)
+            // before the stray end, queued at distance 3, popped.
+            assert_eq!(out.stats.entries_popped, 2, "{opts:?}");
+            assert_eq!(out.stats.links_expanded, 4, "{opts:?}");
+            assert_eq!(out.stats.entries_refused, 0, "{opts:?}");
+        }
+        let opts = QueryOptions::default();
+        assert_eq!(flix.connection_test(0, 6, &opts).distance, Some(6));
     }
 
     #[test]

@@ -86,7 +86,10 @@ impl LoadMonitor {
         }
     }
 
-    /// Mean meta-document lookups per query.
+    /// Mean meta-document lookups per query: heap pops, answered
+    /// (`entries_popped`) or dropped as subsumed (`entries_subsumed`) — each
+    /// resolved its meta document and probed its index. Link pushes refused
+    /// before the heap (`entries_refused`) cost no lookup and are not in it.
     pub fn avg_lookups(&self) -> f64 {
         if self.queries == 0 {
             0.0
@@ -327,18 +330,16 @@ mod tests {
     fn stats(popped: usize, links: usize) -> PeeStats {
         PeeStats {
             entries_popped: popped,
-            entries_subsumed: 0,
-            block_results_scanned: 0,
             links_expanded: links,
+            ..PeeStats::default()
         }
     }
 
     fn stats_rows(popped: usize, rows: usize) -> PeeStats {
         PeeStats {
             entries_popped: popped,
-            entries_subsumed: 0,
             block_results_scanned: rows,
-            links_expanded: 0,
+            ..PeeStats::default()
         }
     }
 

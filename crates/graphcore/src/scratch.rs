@@ -52,6 +52,14 @@ impl DistScratch {
         };
     }
 
+    /// Moves the epoch counter to `epoch`, so a test — of this type or of a
+    /// scratch built on it — reaches the wrap without 2³² traversals.
+    /// Entries written so far keep their stamps.
+    #[doc(hidden)]
+    pub fn force_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
+    }
+
     /// Records `d` for `v` if `v` has no entry yet or `d` is smaller than
     /// the recorded distance. Returns true when `v` was new.
     pub fn relax(&mut self, v: NodeId, d: Distance) -> bool {
@@ -136,7 +144,7 @@ mod tests {
         // after wrapping, then force the wrap.
         s.stamp[2] = 1;
         s.dist[2] = 42;
-        s.epoch = u32::MAX - 1;
+        s.force_epoch(u32::MAX - 1);
         s.begin(4); // epoch u32::MAX
         s.relax(1, 6);
         assert_eq!(s.get(1), Some(6));

@@ -153,11 +153,19 @@ impl PpoIndex {
         (p != u32::MAX).then_some(p)
     }
 
+    /// `u`'s subtree (`u` included) as the half-open interval of preorder
+    /// ranks `[pre(u), pre(u) + size(u))` — every subtree test and subtree
+    /// scan of this index is a comparison against it.
+    pub fn subtree(&self, u: NodeId) -> (u32, u32) {
+        let lo = self.pre[u as usize];
+        (lo, lo + self.size[u as usize])
+    }
+
     /// True if `v` is a descendant of `u` (descendant-or-self: `u == v`
     /// also answers true).
     pub fn is_descendant_or_self(&self, u: NodeId, v: NodeId) -> bool {
-        let (pu, pv) = (self.pre[u as usize], self.pre[v as usize]);
-        pv >= pu && pv < pu + self.size[u as usize]
+        let (lo, hi) = self.subtree(u);
+        (lo..hi).contains(&self.pre[v as usize])
     }
 
     /// Classic pre/post formulation of the ancestor test (equivalent to the
@@ -174,9 +182,10 @@ impl PpoIndex {
 
     /// All descendants of `u` (excluding `u`), in preorder.
     pub fn descendants(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let start = self.pre[u as usize] as usize + 1;
-        let end = (self.pre[u as usize] + self.size[u as usize]) as usize;
-        self.pre_to_node[start..end].iter().copied()
+        let (lo, hi) = self.subtree(u);
+        self.pre_to_node[lo as usize + 1..hi as usize]
+            .iter()
+            .copied()
     }
 
     /// Descendants of `u` carrying `label`, as `(node, distance)` sorted by
@@ -206,8 +215,8 @@ impl PpoIndex {
         let Some(list) = label_nodes else {
             return (Vec::new(), 0);
         };
-        let lo = self.pre[u as usize] + if include_self { 0 } else { 1 };
-        let hi = self.pre[u as usize] + self.size[u as usize];
+        let (lo, hi) = self.subtree(u);
+        let lo = lo + u32::from(!include_self);
         let start = list.partition_point(|&(p, _)| p < lo);
         let end = list.partition_point(|&(p, _)| p < hi);
         let mut out: Vec<(NodeId, Distance)> = list[start..end]
@@ -290,8 +299,7 @@ impl PpoIndex {
     /// `[pre(u), pre(u) + size(u))`, so this is two binary searches plus
     /// the answer, whatever the length of `ranked`.
     pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        let lo = self.pre[u as usize];
-        let hi = lo + self.size[u as usize];
+        let (lo, hi) = self.subtree(u);
         let start = ranked.partition_point(|&v| self.pre[v as usize] < lo);
         let end = ranked.partition_point(|&v| self.pre[v as usize] < hi);
         let mut out: Vec<(NodeId, Distance)> = ranked[start..end]
@@ -590,6 +598,8 @@ mod tests {
         d.sort_unstable();
         assert_eq!(d, vec![3, 4, 6]);
         assert_eq!(idx.descendants(5).count(), 0);
+        assert_eq!(idx.subtree(1), (idx.pre(1), idx.pre(1) + 4));
+        assert_eq!(idx.subtree(5), (idx.pre(5), idx.pre(5) + 1));
     }
 
     #[test]

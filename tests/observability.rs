@@ -6,7 +6,7 @@
 //! every strategy, under early termination, and under exact ordering — and
 //! check that the trace's three stages tile the evaluation: their spans are
 //! the pops [`flix::PeeStats`] counts and their sum is the total, over one
-//! pass or several. The last test is the metric catalog: everything the
+//! pass or several; the counts in turn account for every entry queued. The last test is the metric catalog: everything the
 //! `publish*` functions export has HELP text and a row in DESIGN.md §7.
 
 use flix::{Axis, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions, StrategyKind};
@@ -91,6 +91,52 @@ fn traced_results_identical_across_strategies() {
             }
         }
     }
+}
+
+/// The counters tile the queue as the spans tile the time: every entry an
+/// evaluation queues — its seed, and one per link expanded — is accounted
+/// for exactly once when the queue drains, as answered (`entries_popped`),
+/// popped and dropped (`entries_subsumed`), or refused before it reached
+/// the heap (`entries_refused`). Whatever stops an evaluation early leaves
+/// entries queued: the left side only gets smaller.
+#[test]
+fn every_queued_entry_is_popped_subsumed_or_refused() {
+    let cg = corpus(5, 10);
+    let queries = descendant_queries(&cg, 10, 3);
+    let ends = |stats: flix::PeeStats| {
+        let left = stats.entries_popped + stats.entries_subsumed + stats.entries_refused;
+        (left, 1 + stats.links_expanded)
+    };
+    let mut refused = 0;
+    for config in strategies() {
+        let flix = Flix::build(cg.clone(), config);
+        for q in &queries {
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                let run = |opts: QueryOptions| {
+                    let mut ctx = QueryCtx::default();
+                    flix.evaluate(axis, q.start, q.target_tag, &opts, &mut ctx)
+                        .stats
+                };
+                let what = format!("{config} {axis:?} start {}", q.start);
+                for drained in [QueryOptions::default(), QueryOptions::exact()] {
+                    let stats = run(drained);
+                    let (left, queued) = ends(stats);
+                    assert_eq!(left, queued, "{what} {drained:?}: {stats:?}");
+                    refused += stats.entries_refused;
+                }
+                for cut in [
+                    QueryOptions::top_k(3),
+                    QueryOptions::within(4),
+                    QueryOptions::default().with_deadline(Deadline::within_micros(0)),
+                ] {
+                    let stats = run(cut);
+                    let (left, queued) = ends(stats);
+                    assert!(left <= queued, "{what} {cut:?}: {stats:?}");
+                }
+            }
+        }
+    }
+    assert!(refused > 0, "a linked web repeats link pushes");
 }
 
 /// Early termination sees the same prefix with and without a trace
