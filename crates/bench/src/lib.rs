@@ -202,15 +202,21 @@ pub fn error_rate(flix: &Flix, cg: &CollectionGraph, queries: &[(NodeId, u32)]) 
 /// A cost model for the paper's database-backed deployment: every heap pop
 /// — an entry answered (`entries_popped`) or dropped as subsumed
 /// (`entries_subsumed`) — is one index lookup (a database round trip) and
-/// every block row scanned is one row fetch. A link push refused before the
-/// heap (`entries_refused`) touches no index and costs nothing. The paper's
+/// every index row read for a block is one row fetch. What a row is depends
+/// on the index: under HOPI a lookup joins `L_out(e)` with the inverted
+/// `L_in` table *under the tag predicate*, so it fetches, per center, the
+/// rows of link sources (Fig. 4's `findReachableLinks` is the same join)
+/// and the rows carrying the tag — not the center's whole reach set; under
+/// PPO the elements of the interval carrying the tag; under APEX the
+/// elements traversed. A link push refused before the heap
+/// (`entries_refused`) touches no index and costs nothing. The paper's
 /// absolute numbers are dominated by exactly these costs, which in-memory
 /// wall-clock does not show.
 #[derive(Debug, Clone, Copy)]
 pub struct DbCostModel {
     /// Cost per meta-document index lookup (heap pop).
     pub per_lookup: Duration,
-    /// Cost per result row scanned in a block.
+    /// Cost per index row fetched while answering a block.
     pub per_row: Duration,
 }
 

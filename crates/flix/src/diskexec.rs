@@ -424,6 +424,28 @@ mod tests {
         }
     }
 
+    /// Same for a HOPI meta document whose inverted rows are in id order
+    /// (a store saved before they were ordered anchors first, then by
+    /// label): it decodes and slices cleanly, and answering from it would
+    /// silently miss links and results.
+    #[test]
+    fn id_ordered_hopi_rows_mid_query_is_an_error_not_a_partial_answer() {
+        let flix = Flix::build(graph(), FlixConfig::UnconnectedHopi { partition_size: 40 });
+        let (q, victim) = crossing_query(&flix);
+        let (mut store, _) = store();
+        persist::save_flix(&flix, &mut store, "fw").unwrap();
+        let bytes = persist::mirror::id_ordered_image(flix.meta(victim));
+        store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+        let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+        let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+        let err = got.expect_err("a partial answer was returned");
+        assert!(err.contains("stale or corrupt"), "{err}");
+        let to = flix.meta(victim).nodes[0];
+        assert!(dflix
+            .connection_test(q.start, to, &QueryOptions::default())
+            .is_err());
+    }
+
     /// Two threads can miss on the same id at once; the second to finish
     /// loading finds it cached and must not cost another entry its slot.
     #[test]

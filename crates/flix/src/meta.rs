@@ -174,10 +174,11 @@ impl MetaIndex {
     }
 
     /// The first way a decoded index is laid out so that a lookup would
-    /// index out of bounds, if it is: HOPI's flat label tables are sliced
-    /// by stored offsets ([`HopiIndex::layout_fault`]); PPO and APEX hold
-    /// nothing of the kind. [`crate::persist`] runs this on every meta
-    /// document it decodes, before [`MetaDocument::anchor_fault`].
+    /// index out of bounds or search rows that are not in its order, if it
+    /// is: HOPI's flat label tables are sliced by stored offsets and their
+    /// inverted rows binary-searched ([`HopiIndex::layout_fault`]); PPO and
+    /// APEX hold nothing of the kind. [`crate::persist`] runs this on every
+    /// meta document it decodes, before [`MetaDocument::anchor_fault`].
     pub(crate) fn layout_fault(&self) -> Option<String> {
         match self {
             MetaIndex::Hopi(i) => i.layout_fault(),
@@ -197,7 +198,9 @@ pub struct MetaDocument {
     /// once, in the order the index looks them up in: ascending *preorder
     /// rank* under PPO — the link sources below an element are then one
     /// contiguous run of this list — and ascending local id under HOPI and
-    /// APEX. [`Self::set_anchors`] establishes the order.
+    /// APEX. [`Self::set_anchors`] establishes the order. A HOPI index does
+    /// not read the list: it carries both anchor sets as flags, and its
+    /// inverted rows begin with the anchors.
     pub(crate) link_sources: Vec<u32>,
     /// Locals that are targets of runtime links (for ancestor queries),
     /// each once, ascending by local id under every strategy.
@@ -232,12 +235,18 @@ impl MetaDocument {
     /// Replaces the anchor sets, putting them into the index's lookup
     /// order (see [`Self::link_sources`]); the input may be in any order
     /// and hold duplicates. The order is a function of the set and the
-    /// index alone, so equal anchor sets compare equal as lists.
+    /// index alone, so equal anchor sets compare equal as lists. A HOPI
+    /// index is handed the sets ([`HopiIndex::set_anchors`]) and re-inverts
+    /// the tables whose anchors changed — none, if the sets are the ones it
+    /// already had.
     pub fn set_anchors(&mut self, mut sources: Vec<u32>, mut targets: Vec<u32>) {
         sources.sort_unstable_by_key(|&s| self.source_rank(s));
         sources.dedup();
         targets.sort_unstable();
         targets.dedup();
+        if let MetaIndex::Hopi(i) = &mut self.index {
+            i.set_anchors(&sources, &targets);
+        }
         self.link_sources = sources;
         self.link_targets = targets;
     }
@@ -277,18 +286,18 @@ impl MetaDocument {
     /// (conceptually the intersection of `e`'s descendants with the set
     /// `L_i`, §4.2).
     ///
-    /// The access path is the strategy's own `descendants_among`. Under
-    /// PPO `e`'s subtree is an interval of preorder ranks and
-    /// `link_sources` is in rank order, so the answer is a slice found by
-    /// two binary searches; HOPI runs one label join and APEX one BFS,
-    /// keeping the members of `L_i` they reach.
+    /// The access path is the strategy's own. Under PPO `e`'s subtree is an
+    /// interval of preorder ranks and `link_sources` is in rank order, so
+    /// the answer is a slice found by two binary searches; HOPI joins the
+    /// anchor prefixes of its inverted rows and nothing else of them; APEX
+    /// runs one BFS, keeping the members of `L_i` it reaches.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
         if self.link_sources.is_empty() {
             return Vec::new();
         }
         match &self.index {
             MetaIndex::Ppo(i) => i.descendants_among(e, &self.link_sources),
-            MetaIndex::Hopi(i) => i.descendants_among(e, &self.link_sources),
+            MetaIndex::Hopi(i) => i.link_sources_below(e),
             MetaIndex::Apex(i) => i.descendants_among(e, &self.link_sources),
         }
     }
@@ -303,7 +312,7 @@ impl MetaDocument {
         }
         match &self.index {
             MetaIndex::Ppo(i) => i.ancestors_among(e, &self.link_targets),
-            MetaIndex::Hopi(i) => i.ancestors_among(e, &self.link_targets),
+            MetaIndex::Hopi(i) => i.link_targets_above(e),
             MetaIndex::Apex(i) => i.ancestors_among(e, &self.link_targets),
         }
     }
@@ -324,17 +333,17 @@ impl MetaDocument {
     /// (`e` itself counts as an anchor whatever `include_self` says).
     ///
     /// Equal to `descendants_by_label_counted` (or its ancestors mirror)
-    /// plus [`Self::link_anchors`]. Under HOPI both are filters over the
-    /// same label join, which therefore runs once; PPO and APEX have
-    /// nothing to share (an interval lookup beside a rank-list scan; a
+    /// plus [`Self::link_anchors`]. Under HOPI both come out of one label
+    /// join over each center's anchor prefix and label run; PPO and APEX
+    /// have nothing to share (an interval lookup beside a rank-list scan; a
     /// plain BFS beside a label-pruned one).
     pub fn answer_pop(&self, axis: Axis, e: u32, label: u32, include_self: bool) -> PopAnswer {
         let (block, work, links) = match (&self.index, axis) {
             (MetaIndex::Hopi(i), Axis::Descendants) => {
-                i.descendants_by_label_and_anchors(e, label, include_self, &self.link_sources)
+                i.descendants_by_label_and_anchors(e, label, include_self)
             }
             (MetaIndex::Hopi(i), Axis::Ancestors) => {
-                i.ancestors_by_label_and_anchors(e, label, include_self, &self.link_targets)
+                i.ancestors_by_label_and_anchors(e, label, include_self)
             }
             (index, Axis::Descendants) => {
                 let (block, work) = index.descendants_by_label_counted(e, label, include_self);
@@ -358,11 +367,13 @@ impl MetaDocument {
     }
 
     /// The first way the anchor sets break their contract — valid locals,
-    /// each once, in the index's lookup order — if they do; one pass over
-    /// both lists. The lookups above silently miss links on lists in any
-    /// other order (a framework persisted before PPO anchors were kept in
-    /// rank order has exactly that), so [`crate::persist`] runs this on
-    /// every meta document it decodes.
+    /// each once, in the index's lookup order, and under HOPI the very
+    /// nodes its index has flagged — if they do; one pass over both lists
+    /// (and the flags). The lookups above silently miss links on lists in
+    /// any other order (a framework persisted before PPO anchors were kept
+    /// in rank order has exactly that) and on an index that flags other
+    /// nodes (one persisted before HOPI carried flags flags none), so
+    /// [`crate::persist`] runs this on every meta document it decodes.
     pub(crate) fn anchor_fault(&self) -> Option<String> {
         let n = self.nodes.len().min(self.indexed_nodes());
         let fault = |what: &str, anchors: &[u32], rank: &dyn Fn(u32) -> u32| {
@@ -379,6 +390,14 @@ impl MetaDocument {
         };
         fault("link_sources", &self.link_sources, &|s| self.source_rank(s))
             .or_else(|| fault("link_targets", &self.link_targets, &|t| t))
+            .or_else(|| {
+                let MetaIndex::Hopi(i) = &self.index else {
+                    return None;
+                };
+                let (sources, targets) = i.anchors();
+                (sources != self.link_sources || targets != self.link_targets)
+                    .then(|| "the HOPI index's anchor flags are not the anchor lists".to_string())
+            })
     }
 }
 
@@ -585,6 +604,27 @@ mod tests {
             let mut bad = md.clone();
             bad.link_targets = vec![1, 1];
             assert!(bad.integrity_check().is_err(), "{kind:?}: repeated anchor");
+        }
+
+        // HOPI reads its anchors off the index's flags, not off the lists:
+        // the two must name the same nodes.
+        let (index, _) = MetaIndex::build(StrategyKind::Hopi, &g, &labels, 1);
+        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+        md.set_anchors(vec![3, 1], vec![2]);
+        md.integrity_check().unwrap();
+        let MetaIndex::Hopi(hopi) = &md.index else {
+            panic!("built as HOPI");
+        };
+        assert_eq!(hopi.anchors(), (vec![1, 3], vec![2]));
+        for forget in [
+            (|md| md.link_sources.truncate(1)) as fn(&mut MetaDocument),
+            |md| md.link_targets.clear(),
+            |md| md.link_targets = vec![1],
+        ] {
+            let mut bad = md.clone();
+            forget(&mut bad);
+            let err = bad.integrity_check().unwrap_err();
+            assert!(err.to_string().contains("anchor flags"), "{err}");
         }
 
         // PPO anchors in id order — what a framework persisted before the

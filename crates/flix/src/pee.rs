@@ -15,9 +15,12 @@
 //! subsumed and dropped; a result reachable from an earlier entry has
 //! already been returned and is skipped. Under PPO an entry's reach is a
 //! preorder interval, so that memory ([`Entries`]) is a union of intervals
-//! and the test one binary search; and a link push of a node the
-//! evaluation already queued no farther away is refused before it reaches
-//! the heap — it could only ever be subsumed.
+//! and the entry test one binary search. The result test runs once per
+//! block row, so it is kept by its consequence instead: a row is reachable
+//! from an earlier entry exactly when an answered block held it, and one
+//! bit per element ([`RowMarks`]) says so without an index probe. And a
+//! link push of a node the evaluation already queued no farther away is
+//! refused before it reaches the heap — it could only ever be subsumed.
 //!
 //! There is exactly one copy of each loop: [`evaluate_axis_space`] for the
 //! axis queries and [`ConnectionSearch`] for connection tests, both generic
@@ -187,7 +190,10 @@ pub struct PeeStats {
     pub entries_refused: usize,
     /// Index rows touched (or elements traversed, for APEX) while
     /// materialising meta-document blocks — row fetches in the paper's
-    /// database-backed deployment, charged when the block is built.
+    /// database-backed deployment, charged when the block is built. Under
+    /// HOPI these are the label rows the pop's one join reads: per center
+    /// of the entry, the link-anchor prefix of the inverted row (so link
+    /// enumeration is charged here too) and the run carrying the tag.
     pub block_results_scanned: usize,
     /// Runtime links pushed into the queue.
     pub links_expanded: usize,
@@ -261,10 +267,11 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 }
 
 /// §5.1's memory: per meta document of a space, the entries answered so
-/// far. Duplicate elimination is one test against it, for entries and for
-/// block rows alike. Each meta document's list is kept in the form its
-/// index tests fastest (the strategy is read off [`MetaDocument::index`],
-/// the axis is the evaluation's):
+/// far. Whether a popped entry (or a connection search's) is subsumed is
+/// one test against it; block rows are tested against [`RowMarks`]. Each
+/// meta document's list is kept in the form its index tests fastest (the
+/// strategy is read off [`MetaDocument::index`], the axis is the
+/// evaluation's):
 ///
 /// * PPO going down — an entry reaches its subtree, an interval of preorder
 ///   ranks, so the list holds the union of the answered entries' intervals
@@ -349,6 +356,54 @@ fn covered_by_scan(index: &MetaIndex, axis: Axis, seen: &[u32], later: u32) -> b
     })
 }
 
+/// §5.1 step 2's memory: the block rows an evaluation has gone over, as a
+/// bitset over global node ids, emptied through the list of the words it
+/// wrote — a query costs the rows it saw, not the collection's size.
+///
+/// A row is a duplicate iff an answered entry of its meta document covers
+/// it ([`Entries::covered`]), and that is the same as "it was a row of an
+/// answered block": a row carries the query's label, so the block of an
+/// entry that reaches it held it, and every row of an answered block is
+/// gone over. The one element an entry reaches without its block holding
+/// it is a seed left out by `include_start == false`; the evaluator marks
+/// that seed when it answers it. The test needs no index.
+#[derive(Default)]
+struct RowMarks {
+    bits: Vec<u64>,
+    /// Indexes of the non-zero words of `bits`.
+    touched: Vec<u32>,
+}
+
+impl RowMarks {
+    /// Forgets every mark and makes room for nodes `0..n`.
+    fn begin(&mut self, n: usize) {
+        for word in self.touched.drain(..) {
+            self.bits[word as usize] = 0;
+        }
+        let words = n.div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+    }
+
+    /// Marks `node`; false if it was marked already. A node outside the
+    /// range (no element of the collection) is never a repeat.
+    fn insert(&mut self, node: NodeId) -> bool {
+        let (at, bit) = (node / 64, 1u64 << (node % 64));
+        let Some(word) = self.bits.get_mut(at as usize) else {
+            return true;
+        };
+        if *word & bit != 0 {
+            return false;
+        }
+        if *word == 0 {
+            self.touched.push(at);
+        }
+        *word |= bit;
+        true
+    }
+}
+
 /// What an axis evaluation keeps from pop to pop, and a thread keeps from
 /// evaluation to evaluation: an evaluation allocates nothing once the
 /// scratch has grown to the largest framework the thread has queried.
@@ -357,6 +412,7 @@ struct EvalScratch {
     /// Fig. 4's `IE`, ordered by `(distance, node, is a seed)`.
     queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>>,
     entries: Entries,
+    rows: RowMarks,
     /// Per global node, the smallest distance at which this evaluation
     /// queued it through a link (seeds are not recorded).
     queued: DistScratch,
@@ -379,6 +435,7 @@ impl EvalScratch {
         scratch.entries.begin(space.meta_count());
         scratch.nodes = space.catalogue().meta_of.len();
         scratch.queued.begin(scratch.nodes);
+        scratch.rows.begin(scratch.nodes);
         scratch
     }
 
@@ -650,7 +707,7 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
 /// time since the previous read is recorded as a span of the stage that
 /// just ran — queue pop (the heap pop, the deadline and bound checks, the
 /// exact-order release, the §5.1 subsumption verdict), block fetch (the
-/// one [`MetaDocument::answer_pop`] lookup, the per-row §5.1 filter and
+/// one [`MetaDocument::answer_pop`] lookup, the per-row §5.1 stamp test and
 /// handing the results to `emit`), link expansion (the queue pushes) — so
 /// the spans tile the evaluation from its first instruction to its last
 /// and their sum is its time. With
@@ -777,18 +834,22 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
         stats.block_results_scanned += work;
         let mut capped = false;
+        if !include_self && !opts.exact_order {
+            // The one element this entry covers that its block leaves out.
+            scratch.rows.insert(e);
+        }
         for (r, dr) in block {
-            // §5.1 step 2: skip results an earlier entry already
-            // returned. (Exact mode dedups through the best map.)
-            let seen = !opts.exact_order && scratch.entries.covered(&md, axis, meta, r);
-            if seen {
+            let node = md.nodes[r as usize];
+            // §5.1 step 2: skip results an earlier entry already returned —
+            // the rows of an answered block, kept or not. (Exact mode
+            // dedups through the best map.)
+            if !opts.exact_order && !scratch.rows.insert(node) {
                 continue;
             }
             let total = d + dr;
             if opts.max_distance.is_some_and(|m| total > m) {
                 continue;
             }
-            let node = md.nodes[r as usize];
             if opts.exact_order {
                 if emitted.contains(&node) {
                     continue;
@@ -1697,6 +1758,228 @@ mod tests {
     /// the evaluator's scratch nor HOPI's and APEX's carry anything over.
     fn on_a_fresh_thread<T: Send>(job: impl FnOnce() -> T + Send) -> T {
         std::thread::scope(|scope| scope.spawn(job).join().unwrap())
+    }
+
+    /// d0: a(0) -> t(1) -> t(2) -> b(3)     3 --link--> d1, 2 --link--> d2
+    /// d1: t(4) -> t(5), t(4) -> b(6)       5 --link--> d0, 6 --link--> d2
+    /// d2: t(7) -> t(8) -> b(9), t(7) -> t(10)   9 --link--> d1
+    /// Links point at document roots, so every document is on a link cycle
+    /// and d2 is entered twice.
+    fn ring() -> Arc<CollectionGraph> {
+        let mut c = Collection::new();
+        let (a, t, b) = (c.tags.intern("a"), c.tags.intern("t"), c.tags.intern("b"));
+        let to = |doc: &str| LinkTarget {
+            document: Some(doc.into()),
+            fragment: None,
+        };
+        let mut d0 = Document::new("d0.xml");
+        let n0 = d0.add_element(a, None);
+        let n1 = d0.add_element(t, Some(n0));
+        let n2 = d0.add_element(t, Some(n1));
+        let n3 = d0.add_element(b, Some(n2));
+        d0.add_link(n3, to("d1.xml"));
+        d0.add_link(n2, to("d2.xml"));
+        let mut d1 = Document::new("d1.xml");
+        let n4 = d1.add_element(t, None);
+        let n5 = d1.add_element(t, Some(n4));
+        let n6 = d1.add_element(b, Some(n4));
+        d1.add_link(n5, to("d0.xml"));
+        d1.add_link(n6, to("d2.xml"));
+        let mut d2 = Document::new("d2.xml");
+        let n7 = d2.add_element(t, None);
+        let n8 = d2.add_element(t, Some(n7));
+        let n9 = d2.add_element(b, Some(n8));
+        d2.add_element(t, Some(n7));
+        d2.add_link(n9, to("d1.xml"));
+        for d in [d0, d1, d2] {
+            c.add_document(d).unwrap();
+        }
+        Arc::new(c.seal())
+    }
+
+    /// What the row-side oracle saw that the stamp has to get right.
+    #[derive(Default)]
+    struct RowScanWitness {
+        /// Rows skipped that are a seed answered with its own match left out.
+        seeds_met_again: usize,
+        /// Rows skipped that an earlier block had dropped past the bound.
+        dropped_then_met_again: usize,
+    }
+
+    /// Fig. 4's loop in approximate order with §5.1 exactly as the paper
+    /// states it: the popped entry *and every block row* are probed against
+    /// the answered entries of their meta document, one reachability test
+    /// each ([`covered_by_scan`]). The pushes go through a scratch of their
+    /// own, so refusals are counted as the evaluator counts them.
+    fn evaluate_with_row_scan(
+        flix: &Flix,
+        axis: Axis,
+        seeds: &[(NodeId, Distance)],
+        target: TagId,
+        opts: &QueryOptions,
+        witness: &mut RowScanWitness,
+    ) -> (Vec<QueryResult>, PeeStats) {
+        let (mut results, mut stats) = (Vec::new(), PeeStats::default());
+        let mut scratch = EvalScratch {
+            nodes: flix.collection().node_count(),
+            ..EvalScratch::default()
+        };
+        scratch.queued.begin(scratch.nodes);
+        let mut answered: Vec<Vec<u32>> = vec![Vec::new(); flix.meta_count()];
+        let (mut silent_seeds, mut dropped) = (HashSet::new(), HashSet::new());
+        for &(s, d) in seeds {
+            scratch.queue.push(Reverse((d, s, true)));
+        }
+        while let Some(Reverse((d, e, is_seed))) = scratch.queue.pop() {
+            if opts.max_distance.is_some_and(|m| d > m) {
+                break;
+            }
+            let (meta, local) = MetaSpace::resolve(flix, e).unwrap();
+            let md = flix.meta(meta);
+            let seen = &mut answered[meta as usize];
+            if covered_by_scan(&md.index, axis, seen, local) {
+                stats.entries_subsumed += 1;
+                continue;
+            }
+            stats.entries_popped += 1;
+            let include_self = !is_seed || opts.include_start;
+            if !include_self {
+                silent_seeds.insert(e);
+            }
+            let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
+            stats.block_results_scanned += work;
+            for (r, dr) in block {
+                let node = md.nodes[r as usize];
+                if covered_by_scan(&md.index, axis, seen, r) {
+                    witness.seeds_met_again += usize::from(silent_seeds.contains(&node));
+                    witness.dropped_then_met_again += usize::from(dropped.contains(&node));
+                    continue;
+                }
+                if opts.max_distance.is_some_and(|m| d + dr > m) {
+                    dropped.insert(node);
+                    continue;
+                }
+                results.push(QueryResult {
+                    distance: d + dr,
+                    node,
+                });
+                if opts.max_results.is_some_and(|k| results.len() >= k) {
+                    return (results, stats);
+                }
+            }
+            for_each_link(flix, md, axis, &links, |hop, far| {
+                stats.links_expanded += 1;
+                if !scratch.push_link(far, d + hop, opts.max_distance) {
+                    stats.entries_refused += 1;
+                }
+            });
+            seen.push(local);
+        }
+        (results, stats)
+    }
+
+    /// §5.1 step 2 by stamp answers as the paper's per-row probe does:
+    /// results, their order and every counter, for one seed and for two at
+    /// any distances, bounded and capped, both axes, with and without the
+    /// seeds' own match — the cases where "was a row of an answered block"
+    /// and "is reachable from an answered entry" could part included.
+    #[test]
+    fn row_stamps_answer_as_the_per_row_scan() {
+        let cg = ring();
+        let n = cg.node_count() as NodeId;
+        let tags = ["t", "b"].map(|tag| cg.collection.tags.get(tag).unwrap());
+        let mut bounds = vec![QueryOptions::default(), QueryOptions::top_k(3)];
+        bounds.extend((1..6).map(QueryOptions::within));
+        for config in all_configs() {
+            let flix = Flix::build(cg.clone(), config);
+            let mut witness = RowScanWitness::default();
+            let mut check = |axis, seeds: &[(NodeId, Distance)], tag, opts: &QueryOptions| {
+                let want = evaluate_with_row_scan(&flix, axis, seeds, tag, opts, &mut witness);
+                let mut ctx = QueryCtx::default();
+                let (got, escaped) =
+                    never(collect_axis_space(&flix, axis, seeds, tag, opts, &mut ctx));
+                assert!(!escaped);
+                let case = format!("{config} {axis:?} {seeds:?} tag {tag} {opts:?}");
+                assert_eq!((got.results, got.stats), want, "{case}");
+            };
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                for include_start in [false, true] {
+                    for bound in &bounds {
+                        let opts = QueryOptions {
+                            include_start,
+                            ..*bound
+                        };
+                        for tag in tags {
+                            for s in 0..n {
+                                check(axis, &[(s, 0)], tag, &opts);
+                                for (other, at) in (0..n).flat_map(|o| [(o, 0), (o, 2)]) {
+                                    check(axis, &[(s, 0), (other, at)], tag, &opts);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            if flix.meta_count() > 1 {
+                assert!(witness.seeds_met_again > 0, "{config}");
+            }
+            assert!(witness.dropped_then_met_again > 0, "{config}");
+
+            // The cases by name. A seed on a link cycle, its own match left
+            // out, met again in the block of a later entry of its document:
+            // 1 -> 2 -> 3 -> d1 -> 5 -> d0's root, whose block holds 1 and 2.
+            let opts = QueryOptions::default();
+            let out = flix.find_descendants_outcome(1, tags[0], &opts);
+            let mut nodes: Vec<NodeId> = out.results.iter().map(|r| r.node).collect();
+            nodes.sort_unstable();
+            assert_eq!(nodes, [2, 4, 5, 7, 8, 10], "{config}");
+            // Two seeds, the later one covering the earlier: 1 is answered
+            // first, then 0, whose block holds 1.
+            let seeds = [(0, 1), (1, 0)];
+            let mut ctx = QueryCtx::default();
+            let (out, _) = never(collect_axis_space(
+                &flix,
+                Axis::Descendants,
+                &seeds,
+                tags[0],
+                &opts,
+                &mut ctx,
+            ));
+            assert!(out.results.iter().all(|r| r.node != 1), "{config}");
+            // A row dropped past the bound is not returned when a later
+            // entry reaches it within the bound: going up within 1 of 9 and
+            // of 10, d2's root lies 2 above 9 — dropped — and 1 above 10.
+            let up = |seeds: &[(NodeId, Distance)]| {
+                let (opts, mut ctx) = (QueryOptions::within(1), QueryCtx::default());
+                let collected =
+                    collect_axis_space(&flix, Axis::Ancestors, seeds, tags[0], &opts, &mut ctx);
+                never(collected).0.results
+            };
+            // (Where a partition cuts d2 apart the root is a link away.)
+            if [9, 10].iter().all(|&v| flix.meta_of(v) == flix.meta_of(7)) {
+                assert!(up(&[(10, 0)]).iter().any(|r| r.node == 7), "{config}");
+                let both = up(&[(9, 0), (10, 0)]);
+                assert!(both.iter().all(|r| r.node != 7), "{config}");
+            }
+
+            // An `emit` that evaluates on this thread leaves the outer
+            // evaluation's stamps alone.
+            let want = evaluate_with_row_scan(
+                &flix,
+                Axis::Descendants,
+                &[(1, 0)],
+                tags[0],
+                &opts,
+                &mut witness,
+            );
+            let mut outer = Vec::new();
+            let stats = flix.for_each_descendant(1, tags[0], &opts, |r, _| {
+                flix.find_descendants(0, tags[0], &opts);
+                outer.push(r);
+                ControlFlow::Continue(())
+            });
+            assert_eq!((outer, stats), want, "{config}");
+        }
     }
 
     #[test]

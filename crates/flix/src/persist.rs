@@ -65,24 +65,29 @@ pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, S
 /// [`crate::diskexec::DiskFlix`].
 ///
 /// # Errors
-/// If the blob is missing or does not decode; if it holds HOPI label tables
-/// whose row offsets are not well-formed — a lookup would slice out of
-/// bounds, and a store saved before the tables were flat decodes, if at
-/// all, to exactly that; or if it holds link anchors that are out of range
-/// or not in the order the index looks them up in — the evaluator would
-/// silently miss links, and a store saved before PPO anchors were kept in
-/// preorder-rank order looks exactly like that.
+/// If the blob is missing; and, each as "stale or corrupt": if it does not
+/// decode — a store saved before HOPI's inverted rows were ordered has no
+/// layout word and is four bytes short of one that does, one saved before
+/// the label tables were flat is longer; if it holds a HOPI index in
+/// another layout than this build's or with row offsets that are not
+/// well-formed — a lookup would search rows in another order or slice out
+/// of bounds; or if it holds link anchors that a HOPI index has not flagged,
+/// that are out of range or that are not in the order the index looks them
+/// up in — the evaluator would silently miss links, and a store saved
+/// before PPO anchors were kept in preorder-rank order looks exactly like
+/// that.
 pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
     let bytes = store
         .get(&format!("{name}/meta-{id}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
-    let md: MetaDocument = pagestore::from_bytes(&bytes)
-        .map_err(|e| format!("meta document {id} does not decode: {e}"))?;
+    let stale = |fault: String| {
+        format!("meta document {id} is stale or corrupt ({fault}); rebuild and save the framework")
+    };
+    let md: MetaDocument =
+        pagestore::from_bytes(&bytes).map_err(|e| stale(format!("does not decode: {e}")))?;
     match md.index.layout_fault().or_else(|| md.anchor_fault()) {
-        Some(fault) => Err(format!(
-            "meta document {id} is stale or corrupt ({fault}); rebuild and save the framework"
-        )),
+        Some(fault) => Err(stale(fault)),
         None => Ok(md),
     }
 }
@@ -165,6 +170,7 @@ pub(crate) mod mirror {
 
     #[derive(Serialize, Deserialize)]
     pub(crate) struct Hopi {
+        layout: u32,
         pub(crate) l_in: Table,
         pub(crate) l_out: Table,
         pub(crate) in_index: Table,
@@ -211,6 +217,44 @@ pub(crate) mod mirror {
         respliced(md, |mut hopi| {
             damage(&mut hopi);
             pagestore::to_bytes(&hopi).unwrap()
+        })
+    }
+
+    /// `HopiIndex` as builds before the row order persisted it: no layout
+    /// word, every inverted row ascending by node id, no anchor flags in the
+    /// label words.
+    #[derive(Serialize)]
+    struct IdOrderedHopi {
+        l_in: Table,
+        l_out: Table,
+        in_index: Table,
+        out_index: Table,
+        node_labels: Vec<u32>,
+        stats: hopi::BuildStats,
+    }
+
+    /// The image of HOPI-backed `md` as such a build persisted it.
+    pub(crate) fn id_ordered_image(md: &MetaDocument) -> Vec<u8> {
+        let by_id = |mut table: Table| {
+            for row in table.offsets.windows(2) {
+                table.entries[row[0] as usize..row[1] as usize].sort_unstable();
+            }
+            table
+        };
+        respliced(md, |hopi| {
+            let old = IdOrderedHopi {
+                l_in: hopi.l_in,
+                l_out: hopi.l_out,
+                in_index: by_id(hopi.in_index),
+                out_index: by_id(hopi.out_index),
+                node_labels: hopi
+                    .node_labels
+                    .iter()
+                    .map(|w| w & ((1 << 30) - 1))
+                    .collect(),
+                stats: hopi.stats,
+            };
+            pagestore::to_bytes(&old).unwrap()
         })
     }
 
@@ -354,6 +398,33 @@ mod tests {
         st.put(&format!("fw/meta-{victim}"), &old).unwrap();
         let err = load_flix(&st, "fw", cg).unwrap_err();
         assert!(err.contains(&format!("meta document {victim}")), "{err}");
+    }
+
+    /// A store written before HOPI's inverted rows were ordered anchors
+    /// first, then by label, holds them in id order, flags no anchor and
+    /// has no layout word: the same arrays, which the binary searches of a
+    /// lookup would miss links and results on, so loading must fail.
+    #[test]
+    fn id_ordered_hopi_rows_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(
+            cg.clone(),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        );
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        load_flix(&st, "fw", cg.clone()).unwrap();
+        for victim in 0..flix.meta_count() as u32 {
+            let old = mirror::id_ordered_image(flix.meta(victim));
+            let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+            assert_eq!(old.len() + 4, new.len(), "the layout word is all it costs");
+            st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = format!("meta document {victim} is stale or corrupt");
+            assert!(err.contains(&named), "{err}");
+            st.put(&format!("fw/meta-{victim}"), &new).unwrap();
+        }
+        load_flix(&st, "fw", cg).unwrap();
     }
 
     /// Pins the manifest's on-disk layout: six fields, flat, in this order

@@ -120,8 +120,14 @@ impl LoadMonitor {
     /// Index rows scanned per returned result — the selectivity of the
     /// current meta-document layout. This is the load monitor's proxy for
     /// the paper's DB round-trip cost: a high ratio means each lookup
-    /// fetches many rows that never become answers. Result-less loads are
-    /// normalised per query instead, so wasted scans still register.
+    /// fetches many rows that never become answers. A row is what
+    /// [`PeeStats::block_results_scanned`] charges: under HOPI the label
+    /// rows a pop's join reads — per center the link-source rows and the
+    /// rows carrying the tag, so the ratio there is mostly link enumeration
+    /// (rows that become queue entries, not answers) — under PPO the tagged
+    /// elements of the subtree, under APEX the elements traversed.
+    /// Result-less loads are normalised per query instead, so wasted scans
+    /// still register.
     pub fn rows_per_result(&self) -> f64 {
         if self.results > 0 {
             self.block_results_scanned as f64 / self.results as f64

@@ -92,9 +92,11 @@ impl LabelTable {
     }
 
     /// The table turned around: entry `(w, d)` of row `v` becomes entry
-    /// `(v, d)` of row `w`, by one counting sort — every row of the result
-    /// is ascending by `v`, whatever order this table's rows are in.
-    fn inverted(&self) -> Self {
+    /// `(v, d)` of row `w`, by one counting sort that visits this table's
+    /// rows in `order` (every row index once) — so every row of the result
+    /// lists its `v`s in the order `order` does, whatever order this
+    /// table's rows are in.
+    fn inverted(&self, order: &[NodeId]) -> Self {
         let n = self.rows();
         let mut offsets = vec![0u32; n + 1];
         for &(w, _) in &self.entries {
@@ -107,7 +109,7 @@ impl LabelTable {
         }
         let mut cursor = offsets[..n].to_vec();
         let mut entries = vec![(0, 0); self.entries.len()];
-        for v in 0..n as NodeId {
+        for &v in order {
             for &(w, d) in self.row(v) {
                 let at = &mut cursor[w as usize];
                 entries[*at as usize] = (v, d);
@@ -144,15 +146,37 @@ impl LabelTable {
     }
 }
 
-/// One direction of a label join: a node's own `(center, distance)` set and
-/// the inverted table to merge rows of for those centers.
-type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable);
+/// A `node_labels` word is the node's label in its low 30 bits and the two
+/// anchor flags above them: the node is a link source (the descendants
+/// direction stops there to leave the index), a link target (the ancestors
+/// direction does). A row lookup reads label and flag in one load, and the
+/// persisted image carries them in bytes it already had.
+const SOURCE: u32 = 1 << 31;
+const TARGET: u32 = 1 << 30;
+const LABEL: u32 = TARGET - 1;
+
+/// The layout word of an index whose inverted rows are in anchor-then-label
+/// order ("ROW2"). An image saved when they were in id order has the same
+/// arrays and would decode into them cleanly — to rows a lookup's binary
+/// searches silently miss links and results on. It has no such word; and
+/// a word costs a load nothing, where checking every row's order was
+/// measured at 7 % of it (DESIGN.md).
+const LAYOUT: u32 = u32::from_le_bytes(*b"ROW2");
+
+/// One direction of a label join: a node's own `(center, distance)` set,
+/// the inverted table to merge rows of for those centers, and the flag of
+/// the anchors that table's rows begin with.
+type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable, u32);
 
 /// A distance-augmented 2-hop connection index.
 ///
-/// `labels[u]` (passed at build time) is an opaque per-node label (FliX
-/// passes interned tag ids); per-label candidate lists accelerate
-/// `descendants_by_label`.
+/// `labels[u]` (passed at build time) is an opaque per-node label below
+/// 2³⁰ (FliX passes interned tag ids). Every row of the two inverted tables
+/// is ordered *anchors first, then by label, then by node id*, so a lookup
+/// for one label reads a row's anchor prefix and that label's run — found
+/// by two binary searches — and nothing else of it. Which nodes are
+/// anchors is declared with [`Self::set_anchors`]; an index nobody declared
+/// any for is simply label-ordered.
 ///
 /// The label sets and their inversions are four [`LabelTable`]s — flat
 /// arrays with `u32` row offsets, so an index is nine allocations whatever
@@ -160,19 +184,35 @@ type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable);
 /// bytes cost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopiIndex {
+    /// [`LAYOUT`], first in the image: what is behind it is read as.
+    layout: u32,
     /// Row `v` = (center, d(center, v)), sorted by center id.
     l_in: LabelTable,
     /// Row `u` = (center, d(u, center)), sorted by center id.
     l_out: LabelTable,
     /// `l_in` inverted: row `w` = nodes v with w ∈ L_in(v), as (v, d(w,v)),
-    /// ascending by v.
+    /// ascending by (v is not a link source, label(v), v).
     in_index: LabelTable,
     /// `l_out` inverted: row `w` = nodes u with w ∈ L_out(u), as
-    /// (u, d(u,w)), ascending by u.
+    /// (u, d(u,w)), ascending by (u is not a link target, label(u), u).
     out_index: LabelTable,
-    /// Per-node opaque label.
+    /// Per node, its label and anchor flags (see [`SOURCE`]).
     node_labels: Vec<u32>,
     stats: BuildStats,
+}
+
+/// Sort key of node `v`, whose `node_labels` word is `word`, in a row of the
+/// inverted table whose anchors carry `flag`: (not an anchor, label, id).
+fn row_key(word: u32, flag: u32, v: NodeId) -> u64 {
+    u64::from(word & flag == 0) << 62 | u64::from(word & LABEL) << 32 | u64::from(v)
+}
+
+/// The nodes of `words` (one `node_labels` word each) in the order a row of
+/// the inverted table whose anchors carry `flag` lists them.
+fn row_order(words: &[u32], flag: u32) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = (0..words.len() as NodeId).collect();
+    order.sort_unstable_by_key(|&v| row_key(words[v as usize], flag, v));
+    order
 }
 
 impl HopiIndex {
@@ -199,6 +239,10 @@ impl HopiIndex {
         opts: &CoverOptions,
     ) -> (Self, StageReport) {
         assert_eq!(node_labels.len(), g.node_count(), "one label per node");
+        assert!(
+            node_labels.iter().all(|&label| label <= LABEL),
+            "a node label must lie below 2^30: the two bits above it hold the anchor flags"
+        );
         let cover = cover::build_cover(g, opts);
         let report = cover.report;
 
@@ -217,8 +261,9 @@ impl HopiIndex {
             visits: cover.visits,
         };
         let index = Self {
-            in_index: l_in.inverted(),
-            out_index: l_out.inverted(),
+            layout: LAYOUT,
+            in_index: l_in.inverted(&row_order(node_labels, SOURCE)),
+            out_index: l_out.inverted(&row_order(node_labels, TARGET)),
             l_in,
             l_out,
             node_labels: node_labels.to_vec(),
@@ -227,17 +272,69 @@ impl HopiIndex {
         (index, report)
     }
 
+    /// Declares the index's anchors — `sources`, the nodes runtime links
+    /// leave from, and `targets`, the nodes they arrive at (any order,
+    /// repeats allowed) — replacing whatever was declared before: sets the
+    /// flags and re-inverts the table of each direction whose set changed,
+    /// so its rows list the new anchors first. The result is a function of
+    /// the built index and the two sets alone. Returns whether anything
+    /// changed; an unchanged set costs O(nodes), not O(entries).
+    ///
+    /// # Panics
+    /// If an anchor is not a node of the index.
+    pub fn set_anchors(&mut self, sources: &[NodeId], targets: &[NodeId]) -> bool {
+        let mut words: Vec<u32> = self.node_labels.iter().map(|word| word & LABEL).collect();
+        for (flag, anchors) in [(SOURCE, sources), (TARGET, targets)] {
+            for &a in anchors {
+                words[a as usize] |= flag;
+            }
+        }
+        let differs =
+            |flag| (words.iter().zip(&self.node_labels)).any(|(a, b)| (a ^ b) & flag != 0);
+        let (down, up) = (differs(SOURCE), differs(TARGET));
+        self.node_labels = words;
+        if down {
+            self.in_index = self.l_in.inverted(&row_order(&self.node_labels, SOURCE));
+        }
+        if up {
+            self.out_index = self.l_out.inverted(&row_order(&self.node_labels, TARGET));
+        }
+        down || up
+    }
+
+    /// The declared anchors, `(sources, targets)`, each ascending by id.
+    pub fn anchors(&self) -> (Vec<NodeId>, Vec<NodeId>) {
+        let flagged = |flag| {
+            let nodes = 0..self.node_labels.len() as NodeId;
+            nodes
+                .filter(|&v| self.node_labels[v as usize] & flag != 0)
+                .collect()
+        };
+        (flagged(SOURCE), flagged(TARGET))
+    }
+
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
         self.node_labels.len()
     }
 
-    /// The first way the four label tables fail to be well-formed rows
-    /// over [`Self::node_count`] nodes, if they do — what slicing a row
-    /// relies on. A built index never has one; a decoded image can (a
-    /// store in an older layout, a damaged blob), so whoever decodes one
-    /// checks before the first lookup. O(nodes).
+    /// The first way the index fails to be laid out as a lookup relies on,
+    /// if it does: the layout word is this build's — inverted rows in row
+    /// order, which the binary searches of a lookup need and no image
+    /// saved before that order existed has — and the four label tables are
+    /// well-formed rows over [`Self::node_count`] nodes, which slicing a
+    /// row needs. A built index never has one; a decoded image can (a store
+    /// in an older layout, a damaged blob), so whoever decodes one checks
+    /// before the first lookup. O(nodes); that every row *is* in row order
+    /// is [`flixcheck::IntegrityCheck`]'s to audit (the inverted tables
+    /// must equal the label sets inverted in row order).
     pub fn layout_fault(&self) -> Option<String> {
+        if self.layout != LAYOUT {
+            let found = self.layout;
+            return Some(format!(
+                "label tables in layout {found:#010x}, this build reads {LAYOUT:#010x}"
+            ));
+        }
         let n = self.node_count();
         [
             ("l_in", &self.l_in),
@@ -282,95 +379,107 @@ impl HopiIndex {
     ///
     /// `include_self` selects descendant-or-self vs. strict semantics.
     pub fn descendants(&self, u: NodeId, include_self: bool) -> Reached {
-        self.join(self.down(u), |v| include_self || v != u, |_| false)
-            .0
+        self.join(self.down(u), |v| include_self || v != u)
     }
 
     /// All ancestors of `u` with exact distances, ascending by distance.
     pub fn ancestors(&self, u: NodeId, include_self: bool) -> Reached {
-        self.join(self.up(u), |v| include_self || v != u, |_| false)
-            .0
-    }
-
-    /// The members of `anchors` (ascending ids) among `u`'s descendants,
-    /// `u` included, ascending by `(distance, node)`.
-    pub fn descendants_among(&self, u: NodeId, anchors: &[NodeId]) -> Reached {
-        self.among(self.down(u), anchors)
-    }
-
-    /// The members of `anchors` (ascending ids) among `u`'s ancestors, `u`
-    /// included, ascending by `(distance, node)`.
-    pub fn ancestors_among(&self, u: NodeId, anchors: &[NodeId]) -> Reached {
-        self.among(self.up(u), anchors)
+        self.join(self.up(u), |v| include_self || v != u)
     }
 
     /// The two halves of a label join going down from `u`: its own centers
     /// and the inverted table to merge rows of for them.
     fn down(&self, u: NodeId) -> JoinSide<'_> {
-        (self.l_out.row(u), &self.in_index)
+        (self.l_out.row(u), &self.in_index, SOURCE)
     }
 
     /// [`Self::down`] for the ancestors direction.
     fn up(&self, u: NodeId) -> JoinSide<'_> {
-        (self.l_in.row(u), &self.out_index)
+        (self.l_in.row(u), &self.out_index, TARGET)
     }
 
-    /// The label join behind every enumeration: merges the inverted row
-    /// of each of `own`'s centers into this thread's scratch, keeping the
-    /// minimum distance per reached node (the node `own` belongs to is
-    /// always among them, at distance 0). Returns the reached nodes `first`
-    /// admits, the inverted-list rows merged, and the reached nodes
-    /// `second` admits: one join can be read two ways.
-    fn join(
+    /// The whole-row label join behind the unfiltered enumerations: merges
+    /// the inverted row of each of `own`'s centers into this thread's
+    /// scratch, keeping the minimum distance per reached node (the node
+    /// `own` belongs to is always among them, at distance 0), and returns
+    /// the reached nodes `admits` lets through.
+    fn join(&self, (own, inverted, _): JoinSide<'_>, admits: impl Fn(NodeId) -> bool) -> Reached {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.begin(self.node_count());
+            for &(w, d1) in own {
+                for &(v, d2) in inverted.row(w) {
+                    scratch.relax(v, d1 + d2);
+                }
+            }
+            let mut reached: Reached = scratch.entries().filter(|&(v, _)| admits(v)).collect();
+            reached.sort_unstable_by_key(|&(v, d)| (d, v));
+            reached
+        })
+    }
+
+    /// The label join read as one queue pop of FliX's evaluator, over the
+    /// rows that can answer it. Of each center's inverted row it merges the
+    /// anchor prefix — one binary search on the flag ends it; every anchor
+    /// the node reaches is a link to follow, whatever its label — and, when
+    /// `block` asks for a `(label, include_self)`, the run of that label in
+    /// the remainder, found by one binary search and left at the first
+    /// other label. Returns the reached nodes carrying the label (`u`
+    /// itself only if `include_self`), the rows merged, and the reached
+    /// anchors (`u` counts whatever `include_self` says).
+    fn block_and_anchors(
         &self,
-        (own, inverted): JoinSide<'_>,
-        first: impl Fn(NodeId) -> bool,
-        second: impl Fn(NodeId) -> bool,
+        u: NodeId,
+        (own, inverted, flag): JoinSide<'_>,
+        block: Option<(u32, bool)>,
     ) -> (Reached, usize, Reached) {
+        let words = &self.node_labels;
+        let word = |v: NodeId| words[v as usize];
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.begin(self.node_count());
             let mut work = 0usize;
             for &(w, d1) in own {
                 let row = inverted.row(w);
-                work += row.len();
-                for &(v, d2) in row {
+                let (anchors, rest) =
+                    row.split_at(row.partition_point(|&(v, _)| word(v) & flag != 0));
+                let run = block.map_or(&[][..], |(label, _)| {
+                    let run = &rest[rest.partition_point(|&(v, _)| word(v) & LABEL < label)..];
+                    let carrying = run.iter().take_while(|&&(v, _)| word(v) & LABEL == label);
+                    &run[..carrying.count()]
+                });
+                work += anchors.len() + run.len();
+                for &(v, d2) in anchors.iter().chain(run) {
                     scratch.relax(v, d1 + d2);
                 }
             }
-            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let (mut carrying, mut links) = (Vec::new(), Vec::new());
             for (v, d) in scratch.entries() {
-                if first(v) {
-                    a.push((v, d));
+                if word(v) & flag != 0 {
+                    links.push((v, d));
                 }
-                if second(v) {
-                    b.push((v, d));
+                if block.is_some_and(|(label, include_self)| {
+                    word(v) & LABEL == label && (include_self || v != u)
+                }) {
+                    carrying.push((v, d));
                 }
             }
-            a.sort_unstable_by_key(|&(v, d)| (d, v));
-            b.sort_unstable_by_key(|&(v, d)| (d, v));
-            (a, work, b)
+            carrying.sort_unstable_by_key(|&(v, d)| (d, v));
+            links.sort_unstable_by_key(|&(v, d)| (d, v));
+            (carrying, work, links)
         })
     }
 
-    /// [`Self::join`] keeping only the reached members of `anchors`.
-    fn among(&self, side: JoinSide<'_>, anchors: &[NodeId]) -> Reached {
-        self.join(side, |v| anchors.binary_search(&v).is_ok(), |_| false)
-            .0
+    /// The link sources among `u`'s descendants, `u` included, ascending by
+    /// `(distance, node)` — read off the anchor prefixes alone.
+    pub fn link_sources_below(&self, u: NodeId) -> Reached {
+        self.block_and_anchors(u, self.down(u), None).2
     }
 
-    /// [`Self::join`] read as one queue pop of FliX's evaluator: the nodes
-    /// carrying `label` (`u` itself only if `include_self`), the rows that
-    /// cost, and the members of `anchors` (ascending ids; `u` counts
-    /// whatever `include_self` says).
-    fn block_and_anchors(
-        &self,
-        side: JoinSide<'_>,
-        (u, label, include_self): (NodeId, u32, bool),
-        anchors: &[NodeId],
-    ) -> (Reached, usize, Reached) {
-        let in_block = |v| self.node_labels[v as usize] == label && (include_self || v != u);
-        self.join(side, in_block, |v| anchors.binary_search(&v).is_ok())
+    /// The link targets among `u`'s ancestors, `u` included, ascending by
+    /// `(distance, node)` — read off the anchor prefixes alone.
+    pub fn link_targets_above(&self, u: NodeId) -> Reached {
+        self.block_and_anchors(u, self.up(u), None).2
     }
 
     /// Descendants of `u` carrying `label`, ascending by distance.
@@ -379,27 +488,27 @@ impl HopiIndex {
     }
 
     /// [`Self::descendants_by_label`] plus the label-table rows merged to
-    /// answer it — the joins a database-backed HOPI pays per query.
+    /// answer it — the joins a database-backed HOPI pays per query: per
+    /// center, the anchor prefix and the run of `label`.
     pub fn descendants_by_label_counted(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
     ) -> (Reached, usize) {
-        let (block, work, _) = self.descendants_by_label_and_anchors(u, label, include_self, &[]);
+        let (block, work, _) = self.descendants_by_label_and_anchors(u, label, include_self);
         (block, work)
     }
 
     /// [`Self::descendants_by_label_counted`] and, out of the same label
-    /// join, [`Self::descendants_among`] `anchors`.
+    /// join, [`Self::link_sources_below`].
     pub fn descendants_by_label_and_anchors(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-        anchors: &[NodeId],
     ) -> (Reached, usize, Reached) {
-        self.block_and_anchors(self.down(u), (u, label, include_self), anchors)
+        self.block_and_anchors(u, self.down(u), Some((label, include_self)))
     }
 
     /// Ancestors of `u` carrying `label`, ascending by distance.
@@ -416,20 +525,19 @@ impl HopiIndex {
         label: u32,
         include_self: bool,
     ) -> (Reached, usize) {
-        let (block, work, _) = self.ancestors_by_label_and_anchors(u, label, include_self, &[]);
+        let (block, work, _) = self.ancestors_by_label_and_anchors(u, label, include_self);
         (block, work)
     }
 
     /// [`Self::ancestors_by_label_counted`] and, out of the same label
-    /// join, [`Self::ancestors_among`] `anchors`.
+    /// join, [`Self::link_targets_above`].
     pub fn ancestors_by_label_and_anchors(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-        anchors: &[NodeId],
     ) -> (Reached, usize, Reached) {
-        self.block_and_anchors(self.up(u), (u, label, include_self), anchors)
+        self.block_and_anchors(u, self.up(u), Some((label, include_self)))
     }
 
     /// Total label entries (the paper's size measure for HOPI).
@@ -489,12 +597,14 @@ impl HopiIndex {
 }
 
 impl flixcheck::IntegrityCheck for HopiIndex {
-    /// Audits the 2-hop cover's internal shape: the label tables' offsets
-    /// are well-formed ([`HopiIndex::layout_fault`]; nothing else is looked
-    /// at if not), every node carries its zero-distance self-entry in both
-    /// label sets, center lists are strictly sorted, the inverted tables
-    /// are exactly the label sets inverted, and the build statistics match
-    /// the stored entry counts.
+    /// Audits the 2-hop cover's internal shape: the layout word is this
+    /// build's and the label tables' offsets are well-formed
+    /// ([`HopiIndex::layout_fault`]; nothing else is looked at if not),
+    /// every node carries its zero-distance self-entry in both label sets,
+    /// center lists are strictly sorted, the inverted tables are exactly
+    /// the label sets inverted in row order — so every inverted row lists
+    /// anchors first, then by label, then by id — and the build statistics
+    /// match the stored entry counts.
     ///
     /// Soundness/completeness against the indexed graph needs the graph
     /// itself (not stored here) — see [`HopiIndex::verify_against_graph`].
@@ -502,7 +612,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         let mut audit = flixcheck::IntegrityChecker::new("HopiIndex");
         let fault = self.layout_fault();
         audit.check(
-            "label tables are well-formed rows over the indexed nodes",
+            "label tables are in this build's layout, well-formed rows over the indexed nodes",
             fault.is_none(),
             || fault.unwrap_or_default(),
         );
@@ -545,13 +655,15 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         );
 
         let first = [
-            ("in_index", &self.in_index, &self.l_in),
-            ("out_index", &self.out_index, &self.l_out),
+            ("in_index", &self.in_index, &self.l_in, SOURCE),
+            ("out_index", &self.out_index, &self.l_out, TARGET),
         ]
         .into_iter()
-        .find(|(_, inverted, labels)| **inverted != labels.inverted());
+        .find(|(_, inverted, labels, flag)| {
+            **inverted != labels.inverted(&row_order(&self.node_labels, *flag))
+        });
         audit.check(
-            "inverted tables mirror the label sets",
+            "inverted tables mirror the label sets, in row order",
             first.is_none(),
             || {
                 let name = first.map(|(name, ..)| name).unwrap_or_default();
@@ -572,6 +684,38 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         );
 
         audit.finish()
+    }
+}
+
+#[cfg(test)]
+impl HopiIndex {
+    /// [`Self::block_and_anchors`] as it was before rows were ordered: the
+    /// whole-row join, filtered by label and by membership in `anchors` —
+    /// the oracle the partitioned join is tested against.
+    fn block_and_anchors_of_whole_rows(
+        &self,
+        u: NodeId,
+        side: JoinSide<'_>,
+        (label, include_self): (u32, bool),
+        anchors: &[NodeId],
+    ) -> (Reached, Reached) {
+        let carries = |v: NodeId| self.node_labels[v as usize] & LABEL == label;
+        (
+            self.join(side, |v| carries(v) && (include_self || v != u)),
+            self.join(side, |v| anchors.contains(&v)),
+        )
+    }
+
+    /// This index as a build from before rows were ordered persisted it:
+    /// inverted rows ascending by node id, no flags.
+    fn with_id_ordered_rows(&self) -> Self {
+        let ids: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
+        Self {
+            in_index: self.l_in.inverted(&ids),
+            out_index: self.l_out.inverted(&ids),
+            node_labels: self.node_labels.iter().map(|word| word & LABEL).collect(),
+            ..self.clone()
+        }
     }
 }
 
@@ -696,13 +840,36 @@ mod tests {
             .collect()
     }
 
+    /// Every row of both inverted tables lists anchors first, then by
+    /// label, then by id.
+    fn assert_rows_in_key_order(idx: &HopiIndex) {
+        for (table, flag) in [(&idx.in_index, SOURCE), (&idx.out_index, TARGET)] {
+            for w in 0..idx.node_count() as NodeId {
+                let keys: Vec<_> = (table.row(w).iter())
+                    .map(|&(v, _)| {
+                        let word = idx.node_labels[v as usize];
+                        (word & flag == 0, word & LABEL, v)
+                    })
+                    .collect();
+                assert!(keys.windows(2).all(|k| k[0] < k[1]), "row {w}: {keys:?}");
+            }
+        }
+    }
+
     #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
-        let g = Digraph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let idx = HopiIndex::build(&g, &[0; 4]);
+        let g = Digraph::from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+        // labels descend with the id and the last node is an anchor, so row
+        // order is nowhere id order
+        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 0]);
+        assert_rows_in_key_order(&idx);
         idx.integrity_check().unwrap();
-        idx.verify_against_graph(&g, 4).unwrap();
+        assert!(idx.set_anchors(&[4, 3], &[2]));
+        assert_eq!(idx.anchors(), (vec![3, 4], vec![2]));
+        assert_rows_in_key_order(&idx);
+        idx.integrity_check().unwrap();
+        idx.verify_against_graph(&g, 5).unwrap();
         // dropping a self-entry breaks cover admissibility
         let mut bad = idx.clone();
         let mut rows = rows_of(&bad.l_out);
@@ -715,6 +882,35 @@ mod tests {
         let row = rows.iter_mut().find(|row| !row.is_empty()).unwrap();
         row.pop();
         bad.in_index = LabelTable::from_rows(&rows);
+        assert_eq!(bad.layout_fault(), None);
+        assert!(bad.integrity_check().is_err());
+        // rows in id order — what a build before the row order held — a
+        // row naming a node twice or one outside the index, and a flag the
+        // rows were not ordered by all break the mirror
+        let order_fault = |bad: &HopiIndex| {
+            assert_eq!(bad.layout_fault(), None);
+            let err = bad.integrity_check().unwrap_err().to_string();
+            assert!(err.contains("in row order"), "{err}");
+            err
+        };
+        assert!(order_fault(&idx.with_id_ordered_rows()).contains("in_index"));
+        let mut stale = idx.clone();
+        stale.out_index = idx.with_id_ordered_rows().out_index;
+        assert!(order_fault(&stale).contains("out_index"));
+        let long = |t: &LabelTable| (0..5).find(|&w| t.row(w).len() > 1).unwrap();
+        let mut bad = idx.clone();
+        let at = bad.out_index.offsets[long(&bad.out_index) as usize] as usize;
+        bad.out_index.entries[at + 1] = bad.out_index.entries[at];
+        assert!(order_fault(&bad).contains("out_index"));
+        bad.out_index.entries[at + 1].0 = 5;
+        assert!(order_fault(&bad).contains("out_index"));
+        let mut bad = idx.clone();
+        bad.node_labels[0] |= SOURCE;
+        assert!(order_fault(&bad).contains("in_index"));
+        // an index in any other layout is not looked at further
+        let mut bad = idx.clone();
+        bad.layout = u32::from_le_bytes(*b"ROW1");
+        assert!(bad.layout_fault().unwrap().contains("layout"));
         assert!(bad.integrity_check().is_err());
         // wrong stats are caught
         let mut bad = idx.clone();
@@ -740,7 +936,7 @@ mod tests {
             .find(|e| e.1 > 0)
             .expect("cover has at least one non-self entry");
         e.1 += 1;
-        assert!(bad.verify_against_graph(&g, 4).is_err());
+        assert!(bad.verify_against_graph(&g, 5).is_err());
     }
 
     #[test]
@@ -748,7 +944,8 @@ mod tests {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
         let idx = HopiIndex::build(&g, &[0; 3]);
         assert_eq!(idx.layout_fault(), None);
-        let damage: [fn(&mut HopiIndex); 6] = [
+        let damage: [fn(&mut HopiIndex); 7] = [
+            |i| i.layout = 0,
             |i| i.l_out.offsets.clear(),
             |i| i.in_index.offsets.push(0),
             |i| i.l_in.offsets[0] = 1,
@@ -767,24 +964,36 @@ mod tests {
     }
 
     /// The inversion `build_staged` ran before the tables were flat: push
-    /// `(v, d)` onto row `w`, rows visited ascending.
-    fn pushed_inversion(rows: &[Vec<(NodeId, Distance)>]) -> Vec<Vec<(NodeId, Distance)>> {
+    /// `(v, d)` onto row `w`, rows visited in `order`.
+    fn pushed_inversion(
+        rows: &[Vec<(NodeId, Distance)>],
+        order: &[NodeId],
+    ) -> Vec<Vec<(NodeId, Distance)>> {
         let mut inverted = vec![Vec::new(); rows.len()];
-        for (v, row) in rows.iter().enumerate() {
-            for &(w, d) in row {
-                inverted[w as usize].push((v as NodeId, d));
+        for &v in order {
+            for &(w, d) in &rows[v as usize] {
+                inverted[w as usize].push((v, d));
             }
         }
         inverted
     }
 
+    /// `rows` flattened and inverted, visiting them ascending, descending
+    /// and odd ids first.
     fn check_table(rows: &[Vec<(NodeId, Distance)>]) {
         let table = LabelTable::from_rows(rows);
         assert_eq!(table.fault(rows.len()), None);
         assert_eq!(rows_of(&table), rows);
-        let inverted = table.inverted();
-        assert_eq!(inverted.fault(rows.len()), None);
-        assert_eq!(inverted, LabelTable::from_rows(&pushed_inversion(rows)));
+        let ascending: Vec<NodeId> = (0..rows.len() as NodeId).collect();
+        let mut odd_first = ascending.clone();
+        odd_first.sort_by_key(|v| v % 2 == 0);
+        let descending = ascending.iter().rev().copied().collect();
+        for order in [ascending, descending, odd_first] {
+            let inverted = table.inverted(&order);
+            assert_eq!(inverted.fault(rows.len()), None);
+            let pushed = pushed_inversion(rows, &order);
+            assert_eq!(inverted, LabelTable::from_rows(&pushed), "{order:?}");
+        }
     }
 
     #[test]
@@ -801,8 +1010,100 @@ mod tests {
         offset(u32::MAX as usize + 1);
     }
 
+    #[test]
+    #[should_panic(expected = "2^30")]
+    fn a_label_that_reaches_the_flag_bits_panics_at_build() {
+        let g = Digraph::from_edges(2, [(0, 1)]);
+        HopiIndex::build(&g, &[LABEL, LABEL + 1]);
+    }
+
+    /// `flags[v]` bit 0 makes `v` a link source, bit 1 a link target.
+    fn anchor_sets(flags: &[u8]) -> (Vec<NodeId>, Vec<NodeId>) {
+        let picked = |bit: u8| {
+            let nodes = 0..flags.len() as NodeId;
+            nodes.filter(|&v| flags[v as usize] & bit != 0).collect()
+        };
+        (picked(1), picked(2))
+    }
+
+    /// A digraph over `n` nodes (cycles and self-loops welcome) with a
+    /// label below 3 and two anchor-flag draws per node.
+    fn arb_labelled_graph() -> impl Strategy<Value = (Digraph, Vec<u32>, Vec<u8>, Vec<u8>)> {
+        (1usize..14).prop_flat_map(|n| {
+            let edges = proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..3 * n);
+            let per_node = |top: u8| proptest::collection::vec(0..top, n);
+            (edges, per_node(3), per_node(4), per_node(4)).prop_map(move |(e, labels, a, b)| {
+                let labels = labels.into_iter().map(u32::from).collect();
+                (Digraph::from_edges(n, e), labels, a, b)
+            })
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Reading the anchor prefix and the label run of each row gives
+        /// what reading whole rows and filtering gives, in the same order,
+        /// and charges exactly those rows — both directions, with and
+        /// without the start.
+        #[test]
+        fn the_partitioned_join_equals_the_filtered_whole_row_join(
+            (g, labels, flags, _) in arb_labelled_graph()
+        ) {
+            let mut idx = HopiIndex::build(&g, &labels);
+            let (sources, targets) = anchor_sets(&flags);
+            idx.set_anchors(&sources, &targets);
+            prop_assert_eq!(idx.layout_fault(), None);
+            for u in 0..g.node_count() as NodeId {
+                for (side, anchors) in [(idx.down(u), &sources), (idx.up(u), &targets)] {
+                    // the rows a lookup may read: anchors, and `label`'s
+                    let rows = |label: Option<u32>| {
+                        let rows = side.0.iter().flat_map(|&(w, _)| side.1.row(w));
+                        rows.filter(|&&(v, _)| {
+                            anchors.contains(&v) || Some(labels[v as usize]) == label
+                        })
+                        .count()
+                    };
+                    let (block, work, links) = idx.block_and_anchors(u, side, None);
+                    prop_assert_eq!((block, work), (Vec::new(), rows(None)));
+                    for label in 0..3 {
+                        for include_self in [false, true] {
+                            let block = (label, include_self);
+                            let want = idx.block_and_anchors_of_whole_rows(u, side, block, anchors);
+                            let (block, work, anchors) =
+                                idx.block_and_anchors(u, side, Some(block));
+                            prop_assert_eq!(&anchors, &links);
+                            prop_assert_eq!((block, anchors), want, "{} label {}", u, label);
+                            prop_assert_eq!(work, rows(Some(label)));
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Declaring anchors is a function of the built index and the sets:
+        /// declaring `a` and then `b` leaves what a fresh build declared `b`
+        /// has, and declaring `b` again re-inverts nothing.
+        #[test]
+        fn redeclared_anchors_equal_a_fresh_build_with_them(
+            (g, labels, a, b) in arb_labelled_graph()
+        ) {
+            let fresh = HopiIndex::build(&g, &labels);
+            let (a, b) = (anchor_sets(&a), anchor_sets(&b));
+            let mut want = fresh.clone();
+            prop_assert_eq!(want.set_anchors(&b.0, &b.1), !(b.0.is_empty() && b.1.is_empty()));
+            let mut idx = fresh.clone();
+            idx.set_anchors(&a.0, &a.1);
+            prop_assert_eq!(idx.set_anchors(&b.0, &b.1), a != b);
+            prop_assert_eq!(&idx, &want);
+            prop_assert_eq!(idx.anchors(), b.clone());
+            // repeats and any order declare the same sets
+            let twice = |set: &[NodeId]| set.iter().rev().chain(set).copied().collect::<Vec<_>>();
+            prop_assert!(!idx.set_anchors(&twice(&b.0), &twice(&b.1)));
+            prop_assert_eq!(&idx, &want);
+            prop_assert_eq!(idx.set_anchors(&[], &[]), b != (Vec::new(), Vec::new()));
+            prop_assert_eq!(&idx, &fresh);
+        }
 
         /// Rows of any shape — unsorted, repeated centers, empty — come
         /// back as they went in, and invert as pushing did.
