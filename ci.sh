@@ -34,6 +34,11 @@ FLIX_BUILD_THREADS=1 cargo test -q --workspace
 echo "== cargo test (workspace, parallel builds: FLIX_BUILD_THREADS=0)"
 FLIX_BUILD_THREADS=0 cargo test -q --workspace
 
+echo "== tests/serve.rs ten times over (a test that races its worker shows here, not once a week)"
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+    cargo test -q --test serve
+done
+
 echo "== flixbench (the benchmark package builds against crates/, passes its tests, and smoke-runs)"
 cargo test --offline --manifest-path flixbench/Cargo.toml
 bash flixbench/run.sh --smoke

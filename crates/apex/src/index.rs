@@ -24,6 +24,7 @@ thread_local! {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ApexIndex {
     graph: Digraph,
+    #[serde(with = "graphcore::flat")]
     labels: Vec<u32>,
     summary: StructuralSummary,
     /// Summary-level transitive closure (small).

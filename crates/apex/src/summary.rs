@@ -9,10 +9,12 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StructuralSummary {
     /// `class_of[u]` = summary class of element `u`.
+    #[serde(with = "graphcore::flat")]
     pub class_of: Vec<u32>,
     /// `extents[c]` = elements of class `c`, ascending.
     pub extents: Vec<Vec<NodeId>>,
     /// `class_label[c]` = the common element label of class `c`.
+    #[serde(with = "graphcore::flat")]
     pub class_label: Vec<u32>,
     /// Quotient graph over classes.
     pub graph: Digraph,

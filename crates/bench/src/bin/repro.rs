@@ -454,7 +454,11 @@ fn ablation_dedup(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duratio
 }
 
 /// Figure 5 over disk-resident indexes: the Fig. 4 loop loading meta
-/// documents from the page store on demand, reporting real page I/O.
+/// documents from the page store on demand, reporting real page I/O. An
+/// index load is one blob get (a page read per page of the image), one
+/// decode and the two fault checks of `persist::load_meta`; the times
+/// printed are wall clock around the whole query, so they hold all three,
+/// where flixbench's `diskexec.load_us` probe holds the first two.
 fn figure5_disk(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
     use flix::DiskFlix;
     use pagestore::{BlobStore, BufferPool, DiskManager, MemDisk};

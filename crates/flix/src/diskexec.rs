@@ -113,6 +113,18 @@ impl DiskFlix {
 
     /// Loads (or fetches from cache) one meta document's index.
     ///
+    /// A miss is [`persist::load_meta`]: one blob get, the format-word
+    /// check, one decode, then the two fault checks, then admitting the
+    /// index and dropping the cache's victim. Measured in situ on
+    /// flixbench's `rebuild` workload (128 frames, 8 slots, a 488 kB HOPI
+    /// image) a miss was 1,020 µs — get 273, decode 701, the fault checks
+    /// 46, admit and drop 3 — of a query's mean 1,085 µs; with the arrays
+    /// decoded as byte strings ([`graphcore::flat`]) the decode is 57–83 µs
+    /// and the get ≈ 60 % of what is left. The stand-alone probe behind
+    /// `diskexec.load_us` times the same get and decode back to back and
+    /// leaves the fault checks out; between evaluations, with colder
+    /// caches, the same load is ≈ 1.4–1.9× that.
+    ///
     /// # Errors
     /// If the blob is missing from the store, fails to decode, or decodes
     /// to an index a lookup cannot trust ([`persist::load_meta`]) — each
@@ -221,7 +233,8 @@ mod tests {
     use super::*;
     use crate::config::{FlixConfig, StrategyKind};
     use flixobs::Deadline;
-    use pagestore::{BufferPool, DiskManager, MemDisk};
+    use pagestore::{BufferPool, DiskManager, DiskStats, MemDisk, Page, PageId};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use workloads::{descendant_queries, generate_dblp, DblpConfig};
 
     fn graph() -> Arc<xmlgraph::CollectionGraph> {
@@ -245,7 +258,7 @@ mod tests {
 
     /// A query that crosses meta documents, and the last one it enters.
     fn crossing_query(flix: &Flix) -> (workloads::DescendantQuery, u32) {
-        descendant_queries(flix.collection(), 8, 44)
+        descendant_queries(flix.collection(), 40, 44)
             .into_iter()
             .find_map(|q| {
                 let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
@@ -385,12 +398,144 @@ mod tests {
             .expect("some query enters a PPO meta whose preorder is not its id order");
         let (mut store, _) = store();
         persist::save_flix(&flix, &mut store, "fw").unwrap();
-        let bytes = pagestore::to_bytes(&md).unwrap();
+        let bytes = persist::image(&md).unwrap();
         store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
         let dflix = DiskFlix::open(store, "fw", 4).unwrap();
         let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
         let err = got.expect_err("a partial answer was returned");
         assert!(err.contains("index order"), "{err}");
+    }
+
+    /// Same for a meta document as the parent build saved it — every array
+    /// behind an element count, no format word — under each strategy, and
+    /// for such a manifest at `open`.
+    #[test]
+    fn count_prefixed_image_mid_query_is_an_error_not_a_partial_answer() {
+        use persist::mirror::{count_prefixed, CountedManifest, CountedMeta};
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::Monolithic(StrategyKind::Apex),
+        ] {
+            let flix = Flix::build(graph(), config);
+            // The one meta document of a monolithic framework is the last
+            // any query enters.
+            let (q, victim) = match flix.meta_count() {
+                1 => (descendant_queries(flix.collection(), 1, 44)[0], 0),
+                _ => crossing_query(&flix),
+            };
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            let swap = |store: &mut BlobStore, blob: &str, twin: fn(&[u8]) -> Vec<u8>| {
+                let new = store.get(blob).unwrap().unwrap();
+                store.put(blob, &twin(&new)).unwrap();
+                new
+            };
+            let manifest = swap(&mut store, "fw/manifest", count_prefixed::<CountedManifest>);
+            let Err(err) = DiskFlix::open(store, "fw", 4) else {
+                panic!("{config}: opened over a count-prefixed manifest");
+            };
+            assert!(err.contains("stale or corrupt (image format"), "{err}");
+
+            let (mut store, _) = self::store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            assert_eq!(store.get("fw/manifest").unwrap().unwrap(), manifest);
+            let blob = format!("fw/meta-{victim}");
+            swap(&mut store, &blob, count_prefixed::<CountedMeta>);
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+            let err = got.expect_err("a partial answer was returned");
+            let named = format!("meta document {victim} is stale or corrupt (image format");
+            assert!(err.contains(&named), "{config}: {err}");
+            let to = flix.meta(victim).nodes[0];
+            assert!(dflix
+                .connection_test(q.start, to, &QueryOptions::default())
+                .is_err());
+        }
+    }
+
+    /// A disk that hands back empty pages while `failing` is set: what a
+    /// lost page looks like to a pool whose `read_page` has no error to
+    /// pass on.
+    struct FlakyDisk {
+        disk: MemDisk,
+        failing: AtomicBool,
+    }
+
+    impl DiskManager for FlakyDisk {
+        fn read_page(&self, id: PageId) -> Page {
+            if self.failing.load(Ordering::SeqCst) {
+                return Page::new();
+            }
+            self.disk.read_page(id)
+        }
+
+        fn write_page(&self, id: PageId, page: &Page) -> std::io::Result<()> {
+            self.disk.write_page(id, page)
+        }
+
+        fn allocate(&self) -> PageId {
+            self.disk.allocate()
+        }
+
+        fn page_count(&self) -> u64 {
+            self.disk.page_count()
+        }
+
+        fn stats(&self) -> DiskStats {
+            self.disk.stats()
+        }
+
+        fn sync(&self) -> std::io::Result<()> {
+            self.disk.sync()
+        }
+    }
+
+    /// Page reads that start failing between two pops of a query fail the
+    /// query as a whole, with the blob store's error; and nothing of the
+    /// failed load stays behind in the index cache — once reads work again
+    /// the same engine answers like memory.
+    #[test]
+    fn failed_page_read_mid_query_is_an_error_not_a_partial_answer() {
+        let flix = Flix::build(graph(), FlixConfig::Naive);
+        let (q, victim) = crossing_query(&flix);
+        let disk = Arc::new(FlakyDisk {
+            disk: MemDisk::new(),
+            failing: AtomicBool::new(false),
+        });
+        let store = BlobStore::new(Arc::new(BufferPool::new(disk.clone(), 4)));
+        let dflix = DiskFlix::save_and_open(&flix, store, "fw", 4).unwrap();
+        let opts = QueryOptions::default();
+        let to = flix.meta(victim).nodes[0];
+
+        // The first pop's index is in the cache when reads start to fail;
+        // the pop into the next meta document is the one that reads.
+        dflix.meta(flix.meta_of(q.start)).unwrap();
+        disk.failing.store(true, Ordering::SeqCst);
+        let got = dflix.find_descendants(q.start, q.target_tag, &opts);
+        let err = got.expect_err("a partial answer was returned");
+        assert!(err.contains("holds no chunk record"), "{err}");
+        let err = dflix.connection_test(q.start, to, &opts).unwrap_err();
+        assert!(err.contains("holds no chunk record"), "{err}");
+
+        // The pool cannot tell an empty page it was handed from a page
+        // that is empty, and keeps it until other reads push it out of
+        // its four frames.
+        disk.failing.store(false, Ordering::SeqCst);
+        for other in (0..flix.meta_count() as u32).filter(|&id| id != victim) {
+            dflix.meta(other).unwrap();
+        }
+        let mut ctx = QueryCtx::default();
+        let mem = flix.evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx);
+        let dsk = dflix
+            .evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx)
+            .unwrap();
+        assert_eq!(mem.results, dsk.results);
+        assert_eq!(mem.stats, dsk.stats);
+        assert_eq!(
+            flix.connection_test(q.start, to, &opts),
+            dflix.connection_test(q.start, to, &opts).unwrap()
+        );
     }
 
     /// Same for a HOPI meta document whose label-table offsets are not

@@ -191,6 +191,7 @@ impl MetaIndex {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetaDocument {
     /// Local id -> global node id (ascending).
+    #[serde(with = "graphcore::flat")]
     pub nodes: Vec<NodeId>,
     /// The index built for this meta document.
     pub index: MetaIndex,
@@ -201,9 +202,11 @@ pub struct MetaDocument {
     /// APEX. [`Self::set_anchors`] establishes the order. A HOPI index does
     /// not read the list: it carries both anchor sets as flags, and its
     /// inverted rows begin with the anchors.
+    #[serde(with = "graphcore::flat")]
     pub(crate) link_sources: Vec<u32>,
     /// Locals that are targets of runtime links (for ancestor queries),
     /// each once, ascending by local id under every strategy.
+    #[serde(with = "graphcore::flat")]
     pub(crate) link_targets: Vec<u32>,
 }
 

@@ -3,7 +3,8 @@
 //! The paper's implementation keeps all index structures in database
 //! tables; this module plays that role. A framework is stored as one
 //! manifest blob (configuration, node→meta maps, runtime link table) plus
-//! one blob per meta document (its index image). Loading needs the sealed
+//! one blob per meta document (its index image) and one for the build
+//! report, each behind the [`FORMAT`] word. Loading needs the sealed
 //! collection graph the framework was built over — the store holds indexes,
 //! not documents, exactly like the paper's setup where the XML data and the
 //! index tables live side by side.
@@ -15,9 +16,47 @@ use crate::meta::MetaDocument;
 use crate::report::BuildReport;
 use graphcore::NodeId;
 use pagestore::BlobStore;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
+
+/// The format word every blob of a framework begins with ("FLT1"): behind
+/// it, `pagestore::codec` bytes whose `u32`-shaped arrays are byte-prefixed
+/// ([`graphcore::flat`]). An image saved when they were count-prefixed is
+/// exactly as long and has no such word; read as this format it would take
+/// an element count for a byte length and derail from there — usually into
+/// a decode error, not provably. The word is checked before anything is
+/// decoded, so such an image fails typed whatever its bytes would have
+/// misparsed as. What [`hopi::HopiIndex`] keeps behind its own layout word
+/// is narrower: the *order* of its rows, which this word says nothing of.
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT1");
+
+/// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
+/// (a tuple is its fields in order and nothing else).
+pub(crate) fn image<T: Serialize>(value: &T) -> Result<Vec<u8>, String> {
+    pagestore::to_bytes(&(FORMAT, value)).map_err(|e| e.to_string())
+}
+
+/// Decodes a blob written by [`image`], or says why not: another format
+/// word (or none), then whatever the codec finds.
+fn decode<T: DeserializeOwned>(blob: &[u8]) -> Result<T, String> {
+    let [a, b, c, d, bytes @ ..] = blob else {
+        return Err(format!("{} bytes hold no format word", blob.len()));
+    };
+    let found = u32::from_le_bytes([*a, *b, *c, *d]);
+    if found != FORMAT {
+        return Err(format!(
+            "image format {found:#010x}, this build reads {FORMAT:#010x}"
+        ));
+    }
+    pagestore::from_bytes(bytes).map_err(|e| format!("does not decode: {e}"))
+}
+
+/// What a blob [`decode`] refused is reported as.
+fn stale(what: std::fmt::Arguments<'_>, fault: String) -> String {
+    format!("{what} is stale or corrupt ({fault}); rebuild and save the framework")
+}
 
 /// The stored form of a framework's [`Catalogue`] (the reverse link table
 /// is derived on load) behind a three-field header. The one on-disk
@@ -28,8 +67,11 @@ pub(crate) struct Manifest {
     pub(crate) config: FlixConfig,
     pub(crate) node_count: usize,
     pub(crate) meta_count: usize,
+    #[serde(with = "graphcore::flat")]
     meta_of: Vec<u32>,
+    #[serde(with = "graphcore::flat")]
     local_of: Vec<u32>,
+    #[serde(with = "graphcore::flat")]
     runtime_links: Vec<(NodeId, NodeId)>,
 }
 
@@ -52,12 +94,16 @@ impl Manifest {
 }
 
 /// Reads the manifest of the framework saved under `name`.
+///
+/// # Errors
+/// If there is none; as "stale or corrupt" if it is in another format than
+/// this build's or does not decode.
 pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, String> {
-    let bytes = store
+    let blob = store
         .get(&format!("{name}/manifest"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no framework named {name:?} in store"))?;
-    pagestore::from_bytes(&bytes).map_err(|e| e.to_string())
+    decode(&blob).map_err(|fault| stale(format_args!("the manifest of {name:?}"), fault))
 }
 
 /// Reads and decodes the index of meta document `id` of the framework
@@ -66,50 +112,43 @@ pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, S
 ///
 /// # Errors
 /// If the blob is missing; and, each as "stale or corrupt": if it does not
-/// decode — a store saved before HOPI's inverted rows were ordered has no
-/// layout word and is four bytes short of one that does, one saved before
-/// the label tables were flat is longer; if it holds a HOPI index in
-/// another layout than this build's or with row offsets that are not
-/// well-formed — a lookup would search rows in another order or slice out
-/// of bounds; or if it holds link anchors that a HOPI index has not flagged,
-/// that are out of range or that are not in the order the index looks them
-/// up in — the evaluator would silently miss links, and a store saved
-/// before PPO anchors were kept in preorder-rank order looks exactly like
-/// that.
+/// begin with this build's [`FORMAT`] word — no store saved before the
+/// arrays were byte-prefixed does; if it does not decode; if it holds a
+/// HOPI index in another layout than this build's or with row offsets that
+/// are not well-formed — a lookup would search rows in another order or
+/// slice out of bounds; or if it holds link anchors that a HOPI index has
+/// not flagged, that are out of range or that are not in the order the
+/// index looks them up in — the evaluator would silently miss links, and a
+/// store saved before PPO anchors were kept in preorder-rank order looks
+/// exactly like that.
 pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
-    let bytes = store
+    let blob = store
         .get(&format!("{name}/meta-{id}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
-    let stale = |fault: String| {
-        format!("meta document {id} is stale or corrupt ({fault}); rebuild and save the framework")
-    };
-    let md: MetaDocument =
-        pagestore::from_bytes(&bytes).map_err(|e| stale(format!("does not decode: {e}")))?;
+    let refused = |fault| stale(format_args!("meta document {id}"), fault);
+    let md: MetaDocument = decode(&blob).map_err(refused)?;
     match md.index.layout_fault().or_else(|| md.anchor_fault()) {
-        Some(fault) => Err(stale(fault)),
+        Some(fault) => Err(refused(fault)),
         None => Ok(md),
     }
 }
 
 /// Saves a built framework under `name`.
 pub fn save_flix(flix: &Flix, store: &mut BlobStore, name: &str) -> Result<(), String> {
-    let bytes = pagestore::to_bytes(&Manifest::of(flix)).map_err(|e| e.to_string())?;
     store
-        .put(&format!("{name}/manifest"), &bytes)
+        .put(&format!("{name}/manifest"), &image(&Manifest::of(flix))?)
         .map_err(|e| e.to_string())?;
     for mi in 0..flix.meta_count() as u32 {
-        let bytes = pagestore::to_bytes(flix.meta(mi)).map_err(|e| e.to_string())?;
         store
-            .put(&format!("{name}/meta-{mi}"), &bytes)
+            .put(&format!("{name}/meta-{mi}"), &image(flix.meta(mi))?)
             .map_err(|e| e.to_string())?;
     }
     // The build report lives in its own blob: it carries wall-clock timings
     // that differ between otherwise identical builds, and keeping it out of
     // the manifest keeps persisted index images byte-comparable.
-    let bytes = pagestore::to_bytes(flix.build_report()).map_err(|e| e.to_string())?;
     store
-        .put(&format!("{name}/report"), &bytes)
+        .put(&format!("{name}/report"), &image(flix.build_report())?)
         .map_err(|e| e.to_string())?;
     Ok(())
 }
@@ -135,13 +174,15 @@ pub fn load_flix(
     let metas = (0..manifest.meta_count)
         .map(|mi| load_meta(store, name, mi))
         .collect::<Result<Vec<_>, _>>()?;
-    // Stores written before reports existed simply lack the blob; a zeroed
-    // report keeps them loadable.
+    // The report is a record of the build, not an index: no answer reads
+    // it, so a store that lost the blob loads with a zeroed one. One that
+    // is there goes through the format check like every other blob.
     let report = match store
         .get(&format!("{name}/report"))
         .map_err(|e| e.to_string())?
     {
-        Some(bytes) => pagestore::from_bytes(&bytes).map_err(|e| e.to_string())?,
+        Some(blob) => decode(&blob)
+            .map_err(|fault| stale(format_args!("the build report of {name:?}"), fault))?,
         None => BuildReport::empty(manifest.config),
     };
     Ok(Flix::from_raw_parts(
@@ -153,18 +194,22 @@ pub fn load_flix(
     ))
 }
 
-/// Mirrors of a persisted `HopiIndex` for the stale- and corrupt-store
-/// tests: its tables are private to `hopi`, so a test reaches them the way
-/// a damaged store does — through the codec, which writes a struct as its
-/// fields in order and nothing else.
+/// Mirrors of persisted structures for the stale- and corrupt-store tests:
+/// the tables of an index are private to its crate, so a test reaches them
+/// the way a damaged store does — through the codec, which writes a struct
+/// as its fields in order and nothing else.
 #[cfg(test)]
 pub(crate) mod mirror {
     use super::*;
     use crate::meta::MetaIndex;
+    use graphcore::{BitSet, TransitiveClosure};
+    use std::collections::BTreeMap;
 
     #[derive(Serialize, Deserialize)]
     pub(crate) struct Table {
+        #[serde(with = "graphcore::flat")]
         pub(crate) offsets: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
         entries: Vec<(u32, u32)>,
     }
 
@@ -175,8 +220,144 @@ pub(crate) mod mirror {
         pub(crate) l_out: Table,
         pub(crate) in_index: Table,
         pub(crate) out_index: Table,
+        #[serde(with = "graphcore::flat")]
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
+    }
+
+    /// The `with` module of the `Counted*` mirrors below: an array is read
+    /// as this build writes it and written as every build before did, one
+    /// element at a time behind an element count. Decoding an image into
+    /// such a mirror and encoding the mirror again is that image as the
+    /// parent build would have saved it.
+    mod counted {
+        pub(super) use graphcore::flat::deserialize;
+
+        pub(super) fn serialize<T: serde::Serialize, S: serde::Serializer>(
+            array: &T,
+            serializer: S,
+        ) -> Result<S::Ok, S::Error> {
+            array.serialize(serializer)
+        }
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedTable {
+        #[serde(with = "counted")]
+        offsets: Vec<u32>,
+        #[serde(with = "counted")]
+        entries: Vec<(u32, u32)>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedHopi {
+        layout: u32,
+        l_in: CountedTable,
+        l_out: CountedTable,
+        in_index: CountedTable,
+        out_index: CountedTable,
+        #[serde(with = "counted")]
+        node_labels: Vec<u32>,
+        stats: hopi::BuildStats,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedForest {
+        #[serde(with = "counted")]
+        pre: Vec<u32>,
+        #[serde(with = "counted")]
+        post: Vec<u32>,
+        #[serde(with = "counted")]
+        depth: Vec<u32>,
+        #[serde(with = "counted")]
+        parent: Vec<u32>,
+        #[serde(with = "counted")]
+        size: Vec<u32>,
+        #[serde(with = "counted")]
+        pre_to_node: Vec<u32>,
+        by_label: BTreeMap<u32, Vec<(u32, u32)>>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedPpo {
+        index: CountedForest,
+        #[serde(with = "counted")]
+        removed: Vec<(u32, u32)>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedGraph {
+        #[serde(with = "counted")]
+        fwd_off: Vec<u32>,
+        #[serde(with = "counted")]
+        fwd: Vec<u32>,
+        #[serde(with = "counted")]
+        rev_off: Vec<u32>,
+        #[serde(with = "counted")]
+        rev: Vec<u32>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedSummary {
+        #[serde(with = "counted")]
+        class_of: Vec<u32>,
+        extents: Vec<Vec<u32>>,
+        #[serde(with = "counted")]
+        class_label: Vec<u32>,
+        graph: CountedGraph,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct CountedApex {
+        graph: CountedGraph,
+        #[serde(with = "counted")]
+        labels: Vec<u32>,
+        summary: CountedSummary,
+        summary_closure: TransitiveClosure,
+        label_reach: Vec<BitSet>,
+        max_label: u32,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    enum CountedIndex {
+        Ppo(CountedPpo),
+        Hopi(CountedHopi),
+        Apex(CountedApex),
+    }
+
+    /// A [`MetaDocument`] of any strategy.
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct CountedMeta {
+        #[serde(with = "counted")]
+        nodes: Vec<u32>,
+        index: CountedIndex,
+        #[serde(with = "counted")]
+        link_sources: Vec<u32>,
+        #[serde(with = "counted")]
+        link_targets: Vec<u32>,
+    }
+
+    /// A [`Manifest`].
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct CountedManifest {
+        config: FlixConfig,
+        node_count: usize,
+        meta_count: usize,
+        #[serde(with = "counted")]
+        meta_of: Vec<u32>,
+        #[serde(with = "counted")]
+        local_of: Vec<u32>,
+        #[serde(with = "counted")]
+        runtime_links: Vec<(u32, u32)>,
+    }
+
+    /// The stored `blob` — a [`CountedMeta`] or a [`CountedManifest`] — as
+    /// the parent of the build that made arrays byte-prefixed saved it:
+    /// every array behind an element count, and no format word.
+    pub(crate) fn count_prefixed<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
+        let twin = pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap();
+        assert_eq!(twin.len() + 4, blob.len(), "a prefix is a u64 either way");
+        twin
     }
 
     /// `HopiIndex` as builds before the flat label tables persisted it:
@@ -191,18 +372,20 @@ pub(crate) mod mirror {
         stats: hopi::BuildStats,
     }
 
-    /// The image of HOPI-backed `md` with its index's bytes replaced by
-    /// `reencode`'s: a meta document's image is its node map, the `u32`
-    /// variant of its index, the index, and the anchor lists, end to end.
-    fn respliced(md: &MetaDocument, reencode: impl FnOnce(Hopi) -> Vec<u8>) -> Vec<u8> {
+    /// The stored image of HOPI-backed `md` with its index's bytes replaced
+    /// by `reencode`'s: a meta document's image is the format word, its
+    /// node map, the `u32` variant of its index, the index, and the anchor
+    /// lists, end to end. Everything around the index stays as this build
+    /// writes it, so what refuses the result is a check on the index.
+    fn respliced<M: DeserializeOwned>(
+        md: &MetaDocument,
+        reencode: impl FnOnce(M) -> Vec<u8>,
+    ) -> Vec<u8> {
         let MetaIndex::Hopi(index) = &md.index else {
             panic!("not a HOPI meta document");
         };
-        let (whole, inner) = (
-            pagestore::to_bytes(md).unwrap(),
-            pagestore::to_bytes(index).unwrap(),
-        );
-        let start = pagestore::to_bytes(&md.nodes).unwrap().len() + 4;
+        let (whole, inner) = (image(md).unwrap(), pagestore::to_bytes(index).unwrap());
+        let start = 4 + (8 + 4 * md.nodes.len()) + 4;
         let end = start + inner.len();
         assert!(
             whole[start..end] == inner,
@@ -214,7 +397,7 @@ pub(crate) mod mirror {
 
     /// The image of HOPI-backed `md` after `damage` edited its tables.
     pub(crate) fn damaged_image(md: &MetaDocument, damage: impl FnOnce(&mut Hopi)) -> Vec<u8> {
-        respliced(md, |mut hopi| {
+        respliced(md, |mut hopi: Hopi| {
             damage(&mut hopi);
             pagestore::to_bytes(&hopi).unwrap()
         })
@@ -222,26 +405,27 @@ pub(crate) mod mirror {
 
     /// `HopiIndex` as builds before the row order persisted it: no layout
     /// word, every inverted row ascending by node id, no anchor flags in the
-    /// label words.
+    /// label words, every array behind an element count.
     #[derive(Serialize)]
     struct IdOrderedHopi {
-        l_in: Table,
-        l_out: Table,
-        in_index: Table,
-        out_index: Table,
+        l_in: CountedTable,
+        l_out: CountedTable,
+        in_index: CountedTable,
+        out_index: CountedTable,
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
     }
 
-    /// The image of HOPI-backed `md` as such a build persisted it.
+    /// The image of HOPI-backed `md` with its index as such a build
+    /// persisted it.
     pub(crate) fn id_ordered_image(md: &MetaDocument) -> Vec<u8> {
-        let by_id = |mut table: Table| {
+        let by_id = |mut table: CountedTable| {
             for row in table.offsets.windows(2) {
                 table.entries[row[0] as usize..row[1] as usize].sort_unstable();
             }
             table
         };
-        respliced(md, |hopi| {
+        respliced(md, |hopi: CountedHopi| {
             let old = IdOrderedHopi {
                 l_in: hopi.l_in,
                 l_out: hopi.l_out,
@@ -258,15 +442,16 @@ pub(crate) mod mirror {
         })
     }
 
-    /// The image of HOPI-backed `md` in the old row-per-`Vec` layout.
+    /// The image of HOPI-backed `md` with its index in the old
+    /// row-per-`Vec` layout.
     pub(crate) fn old_layout_image(md: &MetaDocument) -> Vec<u8> {
-        let rows = |t: Table| -> Vec<Vec<(u32, u32)>> {
+        let rows = |t: CountedTable| -> Vec<Vec<(u32, u32)>> {
             let bounds = t.offsets.windows(2);
             bounds
                 .map(|w| t.entries[w[0] as usize..w[1] as usize].to_vec())
                 .collect()
         };
-        respliced(md, |hopi| {
+        respliced(md, |hopi: CountedHopi| {
             let old = OldHopi {
                 l_in: rows(hopi.l_in),
                 l_out: rows(hopi.l_out),
@@ -344,18 +529,71 @@ mod tests {
         assert_eq!(loaded.build_report(), flix.build_report());
     }
 
+    /// A lost report costs the report; one in another format than this
+    /// build's is a stale store like any other blob.
     #[test]
     fn store_without_report_blob_still_loads() {
         let cg = sample();
         let flix = Flix::build(cg.clone(), FlixConfig::Naive);
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
+        let wordless = pagestore::to_bytes(flix.build_report()).unwrap();
+        st.put("fw/report", &wordless).unwrap();
+        let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+        assert!(err.contains("build report"), "{err}");
+        assert!(err.contains("stale or corrupt (image format"), "{err}");
         assert!(st.remove("fw/report"), "report blob should exist");
         let loaded = load_flix(&st, "fw", cg).unwrap();
         assert_eq!(
             loaded.build_report(),
             &BuildReport::empty(FlixConfig::Naive)
         );
+    }
+
+    /// A store the parent build saved holds every array behind an element
+    /// count and no format word. Its images are exactly as long as this
+    /// build's behind the word, and read as them an element count would
+    /// pass for a byte length; the word is checked first, so each fails as
+    /// stale, by name, whatever the bytes behind it would have decoded to.
+    #[test]
+    fn count_prefixed_images_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::Monolithic(crate::config::StrategyKind::Apex),
+        ] {
+            let flix = Flix::build(cg.clone(), config);
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let mut swap = |blob: &str, twin: fn(&[u8]) -> Vec<u8>| {
+                let new = st.get(blob).unwrap().unwrap();
+                st.put(blob, &twin(&new)).unwrap();
+                let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+                st.put(blob, &new).unwrap();
+                assert!(
+                    err.contains("is stale or corrupt (image format"),
+                    "{config}: {err}"
+                );
+                err
+            };
+            for victim in 0..flix.meta_count() {
+                let err = swap(
+                    &format!("fw/meta-{victim}"),
+                    mirror::count_prefixed::<mirror::CountedMeta>,
+                );
+                assert!(
+                    err.starts_with(&format!("meta document {victim} is")),
+                    "{err}"
+                );
+            }
+            let err = swap(
+                "fw/manifest",
+                mirror::count_prefixed::<mirror::CountedManifest>,
+            );
+            assert!(err.starts_with("the manifest of \"fw\" is"), "{err}");
+            load_flix(&st, "fw", cg.clone()).unwrap();
+        }
     }
 
     /// A store written before PPO anchors were kept in preorder-rank order
@@ -371,8 +609,8 @@ mod tests {
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
         load_flix(&st, "fw", cg.clone()).unwrap();
-        let bytes = pagestore::to_bytes(&stale).unwrap();
-        st.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+        st.put(&format!("fw/meta-{victim}"), &image(&stale).unwrap())
+            .unwrap();
         let err = load_flix(&st, "fw", cg).unwrap_err();
         assert!(err.contains("index order"), "{err}");
     }
@@ -427,8 +665,9 @@ mod tests {
         load_flix(&st, "fw", cg).unwrap();
     }
 
-    /// Pins the manifest's on-disk layout: six fields, flat, in this order
-    /// (the codec writes a struct as its fields and nothing else).
+    /// Pins the manifest's on-disk layout: the format word, then six
+    /// fields, flat, in this order (the codec writes a struct as its fields
+    /// and nothing else), the three arrays byte-prefixed.
     #[test]
     fn manifest_keeps_the_flat_field_order() {
         #[derive(Serialize)]
@@ -436,8 +675,11 @@ mod tests {
             config: FlixConfig,
             node_count: usize,
             meta_count: usize,
+            #[serde(with = "graphcore::flat")]
             meta_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
             local_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
             runtime_links: Vec<(NodeId, NodeId)>,
         }
         let cg = sample();
@@ -451,12 +693,12 @@ mod tests {
             local_of: nodes.map(|u| flix.local_of(u)).collect(),
             runtime_links: flix.runtime_links().to_vec(),
         };
-        let bytes = pagestore::to_bytes(&flat).unwrap();
+        let bytes = [b"FLT1".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
         assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
-        st.put("old/manifest", &bytes).unwrap();
-        let manifest = load_manifest(&st, "old").unwrap();
+        st.put("twin/manifest", &bytes).unwrap();
+        let manifest = load_manifest(&st, "twin").unwrap();
         assert_eq!(manifest.meta_count, flix.meta_count());
         assert_eq!(manifest.into_catalogue(), *flix.catalogue());
     }

@@ -108,9 +108,13 @@ impl DigraphBuilder {
 /// Immutable CSR digraph with forward and reverse adjacency.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 pub struct Digraph {
+    #[serde(with = "crate::flat")]
     fwd_off: Vec<u32>,
+    #[serde(with = "crate::flat")]
     fwd: Vec<NodeId>,
+    #[serde(with = "crate::flat")]
     rev_off: Vec<u32>,
+    #[serde(with = "crate::flat")]
     rev: Vec<NodeId>,
 }
 

@@ -20,7 +20,10 @@
 //!   a correctness oracle by tests and by the error-rate experiment,
 //! * [`bitset`]: a small fixed-size bitset backing the closure computation,
 //! * [`scratch`]: an epoch-stamped dense distance map the index crates
-//!   reuse across lookups instead of allocating visited sets.
+//!   reuse across lookups instead of allocating visited sets,
+//! * [`flat`]: the `#[serde(with = "graphcore::flat")]` module that writes
+//!   a `Vec<u32>`-shaped field of a persisted index as one little-endian
+//!   byte string instead of element by element.
 //!
 //! Nodes are dense `u32` indices (see [`NodeId`]); all algorithms are
 //! allocation-conscious and deterministic.
@@ -37,6 +40,8 @@ pub mod closure;
 pub mod digraph;
 /// Cheap estimators for descendant and ancestor counts.
 pub mod estimate;
+/// Flat little-endian `serde` form of `u32` and `(u32, u32)` arrays.
+pub mod flat;
 /// Greedy size-capped edge-cut graph partitioning.
 pub mod partition;
 /// Scoped worker pool with deterministic, job-ordered results.

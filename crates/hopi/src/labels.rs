@@ -64,8 +64,10 @@ fn offset(entries: usize) -> u32 {
 struct LabelTable {
     /// Row boundaries: `rows + 1` non-decreasing values, from 0 to
     /// `entries.len()`.
+    #[serde(with = "graphcore::flat")]
     offsets: Vec<u32>,
     /// Every row's `(node, distance)` entries, row after row.
+    #[serde(with = "graphcore::flat")]
     entries: Vec<(NodeId, Distance)>,
 }
 
@@ -197,6 +199,7 @@ pub struct HopiIndex {
     /// (u, d(u,w)), ascending by (u is not a link target, label(u), u).
     out_index: LabelTable,
     /// Per node, its label and anchor flags (see [`SOURCE`]).
+    #[serde(with = "graphcore::flat")]
     node_labels: Vec<u32>,
     stats: BuildStats,
 }

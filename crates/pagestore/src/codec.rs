@@ -5,7 +5,11 @@
 //! bincode-like: fixed little-endian primitives, `u64` lengths for
 //! sequences/strings/maps, one tag byte for `Option`, and a `u32` variant
 //! index for enums. It is intentionally not self-describing — readers must
-//! know the type, exactly like a database row codec.
+//! know the type, exactly like a database row codec. A byte string
+//! (`serialize_bytes`) is its length in bytes and then the bytes, which is
+//! how the `u32`-shaped arrays of an index image travel: a field marked
+//! `#[serde(with = "graphcore::flat")]` is one byte string of little-endian
+//! elements, not a sequence of them, so its prefix counts bytes.
 
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 use serde::ser::{self, Serialize};
@@ -659,8 +663,9 @@ mod tests {
         assert_eq!(g, back);
     }
 
-    // Minimal stand-in mirroring graphcore::Digraph's serde shape to keep
-    // this crate decoupled from graphcore.
+    // Minimal stand-in for a CSR graph, to keep this crate decoupled from
+    // graphcore (whose own arrays go through `graphcore::flat`; the
+    // per-element sequences here are what every other `Vec` still is).
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct TestDigraph {
         fwd_off: Vec<u32>,

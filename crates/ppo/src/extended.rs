@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 pub struct ExtendedPpo {
     index: PpoIndex,
     /// Edges removed to make the graph a forest, sorted by source.
+    #[serde(with = "graphcore::flat")]
     removed: Vec<(NodeId, NodeId)>,
 }
 

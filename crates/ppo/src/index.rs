@@ -33,16 +33,22 @@ impl std::error::Error for PpoError {}
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PpoIndex {
     /// Preorder rank per node.
+    #[serde(with = "graphcore::flat")]
     pre: Vec<u32>,
     /// Postorder rank per node.
+    #[serde(with = "graphcore::flat")]
     post: Vec<u32>,
     /// Depth per node (roots have depth 0).
+    #[serde(with = "graphcore::flat")]
     depth: Vec<u32>,
     /// Parent per node (`u32::MAX` for roots).
+    #[serde(with = "graphcore::flat")]
     parent: Vec<NodeId>,
     /// Subtree size per node (including the node).
+    #[serde(with = "graphcore::flat")]
     size: Vec<u32>,
     /// `pre_to_node[r]` = node with preorder rank `r`.
+    #[serde(with = "graphcore::flat")]
     pre_to_node: Vec<NodeId>,
     /// label -> sorted `(pre, node)` pairs. A `BTreeMap` so the serialized
     /// image is deterministic (persisted frameworks must be byte-identical

@@ -7,6 +7,7 @@ use graphcore::{
 use hopi::HopiIndex;
 use ppo::{ExtendedPpo, PpoIndex};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// An arbitrary sparse digraph: node count and an edge list.
 fn arb_graph(max_nodes: usize, max_edges: usize) -> impl Strategy<Value = Digraph> {
@@ -416,5 +417,151 @@ proptest! {
         for (slot, rec) in &stored {
             prop_assert_eq!(page.get(*slot), Some(rec.as_slice()));
         }
+    }
+}
+
+/// Two arrays as a persisted index holds them — one byte string each
+/// ([`graphcore::flat`]) — and a field behind them, so an array that ate
+/// too much or too little shows.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct FlatArrays {
+    #[serde(with = "graphcore::flat")]
+    singles: Vec<u32>,
+    #[serde(with = "graphcore::flat")]
+    pairs: Vec<(u32, u32)>,
+    tail: u8,
+}
+
+/// The same fields through the derive alone, element by element: the
+/// oracle, and what every build before the flat arrays wrote.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct PerElementArrays {
+    singles: Vec<u32>,
+    pairs: Vec<(u32, u32)>,
+    tail: u8,
+}
+
+/// The flat image round-trips, decodes to what the per-element image of the
+/// same values decodes to, and is that image with each element count
+/// turned into a byte count: same length, same payload bytes.
+fn check_flat_against_per_element(singles: Vec<u32>, pairs: Vec<(u32, u32)>) {
+    let (s, p) = (singles.len(), pairs.len());
+    let twin = PerElementArrays {
+        singles: singles.clone(),
+        pairs: pairs.clone(),
+        tail: 0xA5,
+    };
+    let flat = FlatArrays {
+        singles,
+        pairs,
+        tail: 0xA5,
+    };
+    let bytes = pagestore::to_bytes(&flat).unwrap();
+    let back: FlatArrays = pagestore::from_bytes(&bytes).unwrap();
+    assert_eq!(back, flat);
+    let twin_bytes = pagestore::to_bytes(&twin).unwrap();
+    let twin_back: PerElementArrays = pagestore::from_bytes(&twin_bytes).unwrap();
+    assert_eq!(
+        (&back.singles, &back.pairs, back.tail),
+        (&twin_back.singles, &twin_back.pairs, twin_back.tail)
+    );
+    assert_eq!(bytes.len(), twin_bytes.len());
+    let prefix = |n: usize| (n as u64).to_le_bytes();
+    let (second, end) = (8 + 4 * s, 16 + 4 * s + 8 * p);
+    assert_eq!(bytes[..8], prefix(4 * s));
+    assert_eq!(twin_bytes[..8], prefix(s));
+    assert_eq!(bytes[8..second], twin_bytes[8..second]);
+    assert_eq!(bytes[second..second + 8], prefix(8 * p));
+    assert_eq!(twin_bytes[second..second + 8], prefix(p));
+    assert_eq!(bytes[second + 8..], twin_bytes[second + 8..]);
+    assert_eq!(bytes.len(), end + 1);
+}
+
+#[test]
+fn flat_arrays_at_the_edges_of_their_range() {
+    let ramp = |n: u32| {
+        (0..n)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect::<Vec<_>>()
+    };
+    let zip = |a: Vec<u32>| a.iter().map(|&x| (x, !x)).collect::<Vec<_>>();
+    check_flat_against_per_element(vec![], vec![]);
+    check_flat_against_per_element(vec![7], vec![]);
+    check_flat_against_per_element(vec![], vec![(7, 9)]);
+    check_flat_against_per_element(
+        vec![u32::MAX, 0, u32::MAX],
+        vec![(u32::MAX, 0), (0, u32::MAX)],
+    );
+    check_flat_against_per_element(ramp(100_000), zip(ramp(100_000)));
+}
+
+/// One flat `u32` array and nothing else: `prefix` as its byte count, then
+/// `payload`.
+fn lone_flat_array(prefix: u64, payload: &[u8]) -> Result<Vec<u32>, pagestore::CodecError> {
+    #[derive(Debug, Deserialize)]
+    struct Lone {
+        #[serde(with = "graphcore::flat")]
+        array: Vec<u32>,
+    }
+    let image = [&prefix.to_le_bytes()[..], payload].concat();
+    pagestore::from_bytes::<Lone>(&image).map(|lone| lone.array)
+}
+
+/// A byte count that is no whole number of elements, one that no input
+/// could hold, and one that is a byte more than the input holds are each an
+/// error — raised from the count and the input's length, before the claimed
+/// length could be allocated (`u64::MAX` bytes cannot be).
+#[test]
+fn malformed_flat_arrays_are_decode_errors() {
+    assert_eq!(
+        lone_flat_array(8, &[1, 0, 0, 0, 2, 0, 0, 0]).unwrap(),
+        [1, 2]
+    );
+    let err = lone_flat_array(6, &[1, 0, 0, 0, 2, 0]).unwrap_err();
+    assert!(
+        err.to_string().contains("not whole 4-byte elements"),
+        "{err}"
+    );
+    for prefix in [u64::MAX, u64::MAX - 3, 9, 12] {
+        let err = lone_flat_array(prefix, &[1, 0, 0, 0, 2, 0, 0, 0]).unwrap_err();
+        assert!(err.to_string().contains("unexpected end of input"), "{err}");
+    }
+}
+
+/// Every proper prefix of a real meta-document image — one per strategy —
+/// is a decode error, never a panic and never a value.
+#[test]
+fn truncated_meta_document_images_are_decode_errors() {
+    use flix::{MetaDocument, MetaIndex, StrategyKind};
+    let g = Digraph::from_edges(
+        24,
+        (1..24u32)
+            .map(|i| (i / 2, i))
+            .chain([(20, 3), (17, 5), (9, 22)]),
+    );
+    let labels = arb_labels(&g, 4);
+    for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
+        let (index, _) = MetaIndex::build(kind, &g, &labels, 1);
+        let mut md = MetaDocument::new((100..124).collect(), index);
+        md.set_anchors(vec![3, 11, 20], vec![5, 22]);
+        let image = pagestore::to_bytes(&md).unwrap();
+        let back: MetaDocument = pagestore::from_bytes(&image).unwrap();
+        assert_eq!(pagestore::to_bytes(&back).unwrap(), image, "{kind}");
+        for cut in 0..image.len() {
+            let cut_short = pagestore::from_bytes::<MetaDocument>(&image[..cut]);
+            assert!(cut_short.is_err(), "{kind}: {cut} of {} bytes", image.len());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn flat_arrays_round_trip_and_match_the_per_element_codec(
+        singles in proptest::collection::vec(any::<u32>(), 0..200),
+        pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..200),
+    ) {
+        check_flat_against_per_element(singles, pairs);
     }
 }

@@ -4,10 +4,10 @@
 //! prefixes of the oracle's distance-ordered result — and a drain must
 //! finish admitted work while refusing new work with typed errors.
 
-use flix::{Flix, FlixConfig, QueryOptions, ShardedFlix};
+use flix::{Answer, Axis, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions, ShardedFlix};
 use flixobs::Deadline;
 use flixserve::{FlixServer, Request, ServeConfig, ServeError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use workloads::{
     descendant_queries, generate_dblp, generate_mixed, generate_web, DblpConfig, MixedConfig,
     WebConfig,
@@ -32,8 +32,7 @@ fn mixed_corpus() -> Arc<CollectionGraph> {
     Arc::new(generate_mixed(&cfg).seal())
 }
 
-/// A larger cyclic corpus whose exact-order queries take real time, so a
-/// single worker can be reliably kept busy while submissions race it.
+/// A larger cyclic corpus.
 fn web_corpus() -> Arc<CollectionGraph> {
     let cfg = WebConfig {
         documents: 40,
@@ -186,12 +185,60 @@ fn drain_finishes_admitted_work_and_refuses_new() {
     server.shutdown();
 }
 
+/// A backend whose every evaluation waits at a latch until the test opens
+/// it, then answers as the framework behind it does: a worker that has
+/// taken a request stays busy for exactly as long as the test says,
+/// whatever the host's speed.
+struct Latched {
+    inner: Arc<Flix>,
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Latched {
+    fn over(inner: Arc<Flix>) -> Arc<Self> {
+        Arc::new(Self {
+            inner,
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        })
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl QueryBackend for Latched {
+    fn evaluate(
+        &self,
+        axis: Axis,
+        start: graphcore::NodeId,
+        target: xmlgraph::TagId,
+        opts: &QueryOptions,
+        ctx: &mut QueryCtx<'_>,
+    ) -> Answer {
+        let open = self.open.lock().unwrap();
+        drop(self.opened.wait_while(open, |open| !*open).unwrap());
+        self.inner.evaluate(axis, start, target, opts, ctx).into()
+    }
+
+    fn framework(self: Arc<Self>) -> Arc<Flix> {
+        Arc::clone(&self.inner)
+    }
+
+    fn over(self: Arc<Self>, _rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
+        self
+    }
+}
+
 #[test]
 fn overload_sheds_with_typed_errors() {
     let cg = web_corpus();
-    let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
+    let backend = Latched::over(Arc::new(Flix::build(cg.clone(), FlixConfig::Naive)));
     let server = FlixServer::start(
-        flix,
+        Arc::clone(&backend),
         ServeConfig {
             workers: 1,
             queue_capacity: 1,
@@ -216,6 +263,7 @@ fn overload_sheds_with_typed_errors() {
         }
     }
     assert!(sheds >= 1, "a full server must shed rather than buffer");
+    backend.open();
     for ticket in tickets {
         ticket.wait().expect("admitted work still completes");
     }
@@ -227,27 +275,19 @@ fn overload_sheds_with_typed_errors() {
 fn identical_in_flight_queries_collapse() {
     let cg = web_corpus();
     let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
+    let backend = Latched::over(flix.clone());
     let server = FlixServer::start(
-        flix.clone(),
+        Arc::clone(&backend),
         ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         },
     );
     let queries = descendant_queries(&cg, 2, 5);
-    // Occupy the single worker with a queue of mutually-distinct requests
-    // (different `max_results`, so they cannot collapse with each other)
-    // so the identical burst that follows is provably in flight together:
-    // its leader cannot complete before every follower has attached.
-    let blockers: Vec<_> = (0..16)
-        .map(|i| {
-            server.submit(Request::descendants(
-                queries[0].start,
-                queries[0].target_tag,
-                QueryOptions::top_k(i + 1),
-            ))
-        })
-        .collect();
+    // The latch holds the single worker inside the leader's evaluation (or
+    // the leader in the queue behind nothing) until the whole identical
+    // burst is submitted: the leader cannot complete before every follower
+    // has attached.
     let shared = Request::descendants(
         queries[1].start,
         queries[1].target_tag,
@@ -259,6 +299,7 @@ fn identical_in_flight_queries_collapse() {
         &QueryOptions::exact(),
     );
     let tickets: Vec<_> = (0..4).map(|_| server.submit(shared).unwrap()).collect();
+    backend.open();
     let responses: Vec<_> = tickets
         .into_iter()
         .map(|t| t.wait().expect("collapsed queries all get the answer"))
@@ -271,9 +312,6 @@ fn identical_in_flight_queries_collapse() {
         "followers ride the leader's evaluation"
     );
     assert!(server.stats().collapsed >= 3);
-    for blocker in blockers {
-        blocker.unwrap().wait().unwrap();
-    }
     server.shutdown();
 }
 
