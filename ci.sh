@@ -12,14 +12,14 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== flixcheck (static analysis: text, token, and concurrency rules)"
+echo "== flixcheck (static analysis: token rules and the concurrency model)"
 # SARIF artifact first: --format sarif exits non-zero on findings too, so
 # this both produces flixcheck.sarif and gates the build.
 cargo run -q -p flixcheck -- --format sarif > flixcheck.sarif
 grep -q '"version": "2.1.0"' flixcheck.sarif
 grep -q '"runs"' flixcheck.sarif
 # Human-readable pass for the log (also fails on any diagnostic,
-# including allowlist-stale).
+# including an unused suppression).
 cargo run -q -p flixcheck
 
 echo "== flixcheck negative smoke (seeded AB-BA deadlock must be caught)"
@@ -55,15 +55,16 @@ cargo run -q -p bench --bin repro -- --check --scale 0.02
 echo "== the benchmark package is untouched (a rewritten flixbench/Cargo.lock shows here)"
 git diff --exit-code -- flixbench BENCHMARK.json
 
-echo "== net line count (ROADMAP ground rules: reported per PR; test = everything under a tests/ directory, and a file's lines from its first #[cfg(test)] on)"
+echo "== net line count (ROADMAP ground rules: reported per PR; test = everything under a tests/ directory, and a file's lines from the first line that begins with #[cfg(test)] on)"
 count_lines() {
     find "$@" -name '*.rs' | xargs awk '
         FNR == 1 { in_test = (FILENAME ~ /(^|\/)tests\//) }
-        /#\[cfg\(test\)\]/ { in_test = 1 }
+        /^[ \t]*#\[cfg\(test\)\]/ { in_test = 1 }
         { if (in_test) test++; else code++ }
         END { printf "%d lines = %d non-test + %d test\n", code + test, code, test }'
 }
 echo "workspace:   $(count_lines crates src tests examples vendor)"
 echo "crates/flix: $(count_lines crates/flix)"
+echo "crates/flixcheck: $(count_lines crates/flixcheck)"
 
 echo "CI green."

@@ -19,7 +19,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// The queryable APEX index built over a structural summary.
 pub mod index;

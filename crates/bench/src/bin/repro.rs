@@ -339,6 +339,7 @@ fn hybrid(scale: f64) {
         "config", "size [MB]", "PPO", "HOPI", "APEX", "query"
     );
     rule(70);
+    // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
     let tag = cg.collection.tags.get("t0").unwrap();
     let start = cg.doc_root(0);
     for config in [

@@ -4,7 +4,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 use flix::{Flix, FlixConfig, PeeStats, QueryOptions, StrategyKind};
 use flixobs::Stopwatch;
@@ -68,6 +68,7 @@ pub fn figure5_start(cg: &CollectionGraph) -> NodeId {
         .max_by_key(|&&(_, reach)| reach)
         .or_else(|| candidates.iter().max_by_key(|&&(_, reach)| reach))
         .map(|&(d, _)| d)
+        // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
         .expect("non-empty corpus");
     cg.doc_root(doc)
 }
@@ -77,6 +78,7 @@ pub fn figure5_start(cg: &CollectionGraph) -> NodeId {
 /// every publication carries exactly once — same result cardinality, same
 /// access pattern.
 pub fn figure5_tag(cg: &CollectionGraph) -> u32 {
+    // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
     cg.collection.tags.get("title").expect("corpus has titles")
 }
 

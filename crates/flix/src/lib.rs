@@ -59,7 +59,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// The `QueryBackend` trait: one interface over the three evaluation stacks.
 pub mod backend;

@@ -935,29 +935,20 @@ mod tests {
         sharded.publish_metrics(&registry, &[("backend", "test")]);
         sharded.find_descendants(cg.doc_root(0), b, &QueryOptions::top_k(1));
         let s = sharded.stats();
-        let total: u64 = (0..sharded.shard_count())
-            .map(|i| {
-                let shard = i.to_string();
-                registry
-                    .counter_with(
-                        "flix_shard_direct_total",
-                        &[("backend", "test"), ("shard", &shard)],
-                    )
-                    .get()
-                    + registry
-                        .counter_with(
-                            "flix_shard_fanout_total",
-                            &[("backend", "test"), ("shard", &shard)],
-                        )
-                        .get()
-                    + registry
-                        .counter_with(
-                            "flix_shard_escaped_total",
-                            &[("backend", "test"), ("shard", &shard)],
-                        )
-                        .get()
-            })
-            .sum();
+        let routed = [
+            "flix_shard_direct_total",
+            "flix_shard_fanout_total",
+            "flix_shard_escaped_total",
+        ];
+        let snapshot = registry.snapshot();
+        let per_shard: Vec<u64> = snapshot
+            .counters
+            .iter()
+            .filter(|(id, _)| routed.contains(&id.name.as_str()))
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(per_shard.len(), routed.len() * sharded.shard_count());
+        let total: u64 = per_shard.iter().sum();
         assert_eq!(total, s.direct + s.fanout + s.escaped);
         assert_eq!(total, 1);
     }

@@ -33,10 +33,9 @@
 //! as same-thread straight-line code, a conservative over-approximation)
 //! and test code is exempt, consistent with the other lint rules.
 
-use crate::lex::Token;
+use crate::lex::{line_of, Token};
 use crate::lint::{Diagnostic, Rule};
 use crate::parse::{LockKind, ParsedFile};
-use crate::scanner::line_of;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One analyzed source file, as fed to [`analyze`].

@@ -2,12 +2,9 @@
 //!
 //! [`lex`] splits a source file into a complete token stream: every byte of
 //! the input belongs to exactly one token, so concatenating the token texts
-//! reproduces the file. The lint rules that need structure (the parser in
-//! [`crate::parse`], the concurrency extractor in [`crate::conc`], and the
-//! token-pattern rules in [`crate::lint`]) all work on this stream; the
-//! legacy [`crate::scanner`] strip-and-scan view is kept for the simple
-//! substring rules and is proven equivalent to [`stripped_view`] by a
-//! property suite in `tests/static_analysis.rs`.
+//! reproduces the file. It is flixcheck's only view of a source file: the
+//! parser in [`crate::parse`], the concurrency extractor in [`crate::conc`]
+//! and every rule in [`crate::lint`] work on this stream.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,37 +189,13 @@ pub fn lex(src: &str) -> Vec<Token> {
     tokens
 }
 
-/// The stripped view of `src` built from its token stream: comments and
-/// string/char/byte literals become spaces (newlines preserved), all other
-/// tokens are copied through. Byte-for-byte identical layout to the input,
-/// and — for the well-formed sources the lint walks — identical to the
-/// legacy [`crate::scanner::strip_source`] output.
-pub fn stripped_view(src: &str, tokens: &[Token]) -> String {
-    let bytes = src.as_bytes();
-    let mut out = vec![b' '; bytes.len()];
-    for tok in tokens {
-        let blank = matches!(
-            tok.kind,
-            TokKind::Str
-                | TokKind::RawStr
-                | TokKind::ByteStr
-                | TokKind::RawByteStr
-                | TokKind::Char
-                | TokKind::Byte
-                | TokKind::LineComment { .. }
-                | TokKind::BlockComment { .. }
-        );
-        for idx in tok.start..tok.end {
-            out[idx] = if blank && bytes[idx] != b'\n' {
-                b' '
-            } else {
-                bytes[idx]
-            };
-        }
-    }
-    // Token boundaries are always UTF-8 char boundaries and blanked bytes
-    // are ASCII, so the output is valid UTF-8.
-    String::from_utf8(out).unwrap_or_default()
+/// 1-indexed line number of byte offset `pos`.
+pub fn line_of(src: &str, pos: usize) -> usize {
+    src.as_bytes()[..pos.min(src.len())]
+        .iter()
+        .filter(|&&b| b == b'\n')
+        .count()
+        + 1
 }
 
 /// How a `'` at some position should be read.
@@ -532,14 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn stripped_view_blanks_literals_and_comments() {
-        let src = "let s = \".unwrap()\"; // panic!\nlet c = 'x'; let r = r#\"todo!\"#;";
-        let view = stripped_view(src, &lex(src));
-        assert_eq!(view.len(), src.len());
-        assert!(!view.contains("unwrap"));
-        assert!(!view.contains("panic"));
-        assert!(!view.contains("todo"));
-        assert!(view.contains("let s ="));
-        assert!(view.contains('\n'));
+    fn line_numbers() {
+        let src = "a\nb\nc\n";
+        assert_eq!(line_of(src, 0), 1);
+        assert_eq!(line_of(src, 2), 2);
+        assert_eq!(line_of(src, 4), 3);
     }
 }

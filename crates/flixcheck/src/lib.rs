@@ -4,17 +4,19 @@
 //!
 //! 1. A from-scratch, dependency-free **static-analysis pass** over every
 //!    `crates/*/src/**/*.rs` file (plus the root `src/` and `examples/`
-//!    trees): a real lexer ([`lex`]) and lightweight parser ([`parse`])
-//!    feed a cross-file concurrency extractor ([`conc`]) that builds the
-//!    workspace lock-order graph and reports deadlock cycles and blocking
-//!    calls under held guards, alongside token rules (cast truncation,
-//!    swallowed `Result`s, relaxed atomics) and the original text rules
-//!    (no `unwrap`/`expect`/`panic!` in library paths, no un-allowlisted
-//!    `unsafe`, doc comments on public items in the core crates). Findings
-//!    print as `path:line: rule: message`, or as JSON / SARIF 2.1.0
-//!    ([`sarif`]); site-level `// flixcheck: allow(<rule>): <reason>`
-//!    suppressions require a reason. Run it with `cargo run -p flixcheck`;
-//!    it also runs under `cargo test` via a root integration test.
+//!    trees), in four stages over one token stream: the lexer ([`lex`]),
+//!    a lightweight item parser ([`parse`]) that also says which bytes are
+//!    test code, the per-file rules ([`lint`]: a table of forbidden token
+//!    sequences — `unwrap`/`expect`/`panic!`, `unsafe`, raw clocks,
+//!    unbounded channels, unsynced writes — plus cast truncation,
+//!    swallowed `Result`s and relaxed atomics), and a cross-file
+//!    concurrency extractor ([`conc`]) that builds the workspace lock-order
+//!    graph and reports deadlock cycles and blocking calls under held
+//!    guards. Findings print as `path:line: rule: message` or as SARIF
+//!    2.1.0 ([`sarif`]); the one way to excuse one is a site-level
+//!    `// flixcheck: allow(<rule>): <reason>`, and the reason is required.
+//!    Run it with `cargo run -p flixcheck`; it also runs under
+//!    `cargo test` via a root integration test.
 //!
 //! 2. The [`IntegrityCheck`] trait ([`integrity`]) implemented by every
 //!    index/storage structure in the workspace, so a built index can be
@@ -26,7 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod conc;
 pub mod integrity;
@@ -34,7 +36,6 @@ pub mod lex;
 pub mod lint;
 pub mod parse;
 pub mod sarif;
-pub mod scanner;
 
 pub use integrity::{
     IntegrityCheck, IntegrityChecker, IntegrityError, IntegrityReport, IntegrityViolation,

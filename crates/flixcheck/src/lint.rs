@@ -1,35 +1,30 @@
 //! The workspace lint pass.
 //!
 //! [`run`] walks every production source tree — `crates/*/src/**/*.rs`,
-//! the workspace root `src/`, and `examples/` — and applies two families
-//! of rules:
+//! the workspace root `src/`, and `examples/` — lexes ([`crate::lex`]) and
+//! parses ([`crate::parse`]) each file once, and runs every rule over that
+//! one token stream. Test code — whatever [`ParsedFile::in_test`] says is
+//! under `#[cfg(test)]` or `#[test]` — is exempt from all of them.
 //!
-//! **Text rules** over the comment/literal-stripped view of each file
-//! (see [`crate::scanner`]), with `#[cfg(test)]` items masked:
+//! Forbidden token sequences (the [`FORBIDDEN`] table):
 //!
 //! * `unwrap-expect` — no `.unwrap()` / `.expect(` outside tests.
-//!   Grandfathered occurrences live in `crates/flixcheck/allowlist.txt`
-//!   as per-file ceilings that may shrink but never grow.
 //! * `panic` — no `panic!` / `todo!` / `unimplemented!` in library code.
-//!   There is deliberately no allowlist for this rule.
-//! * `unsafe` — `unsafe` only where the allowlist explicitly permits it.
-//! * `missing-docs` — public items in the core crates (see [`DOC_CRATES`])
-//!   must carry a doc comment.
+//! * `unsafe` — no `unsafe` (the crate roots `forbid(unsafe_code)`;
+//!   examples and `repro` are roots without one).
 //! * `instant-now` — `Instant::now()` and `SystemTime::now()` only inside
 //!   the `obs` crate: all other code must time through
 //!   `flixobs::Stopwatch`, so measurements cannot bypass the
 //!   observability layer (and wall-clock steps cannot corrupt durations).
 //! * `unbounded-channel` — no `unbounded()` / `mpsc::channel()` channel
-//!   construction outside the allowlist: the serving path must use bounded
-//!   queues so overload sheds instead of buffering without limit.
+//!   construction: the serving path must use bounded queues so overload
+//!   sheds instead of buffering without limit.
 //! * `unsynced-write` — no raw `fs::write(` / `File::create(` outside
 //!   pagestore's durability layer ([`DURABILITY_FILES`]): durable state
 //!   must go through the disk/WAL/manifest protocol, which pairs every
-//!   write with its fsync or atomic rename; non-durable artifacts carry
-//!   an inline suppression saying so.
+//!   write with its fsync or atomic rename.
 //!
-//! **Token rules** over the real token stream ([`crate::lex`]) and parse
-//! ([`crate::parse`]):
+//! Shaped patterns:
 //!
 //! * `cast-truncation` — a narrowing `as {u8,u16,i8,i16}` cast applied to
 //!   a length/index-shaped value (`.len()`, `*_count`, `*_idx`, ...).
@@ -42,7 +37,10 @@
 //!   model of [`crate::conc`]: lock-order-graph cycles and blocking
 //!   operations performed while a lock guard is live.
 //!
-//! New-rule findings are silenced only by an **inline suppression** on the
+//! Undocumented public items are the compiler's business: every crate root
+//! carries `#![deny(missing_docs)]`.
+//!
+//! A finding is excused in one way, an **inline suppression** on the
 //! offending line or the line above:
 //!
 //! ```text
@@ -50,34 +48,19 @@
 //! ```
 //!
 //! The reason is mandatory, and a suppression that matches no diagnostic
-//! is itself a `suppression` diagnostic, so stale ones cannot linger. The
-//! legacy per-file allowlist remains shrink-only for grandfathered rules.
+//! is itself a `suppression` diagnostic, so stale ones cannot linger.
 //!
 //! Diagnostics are machine readable: `path:line: rule: message` (see also
-//! [`crate::sarif`] for JSON and SARIF 2.1.0 output).
+//! [`crate::sarif`] for SARIF 2.1.0 output).
 
 use crate::conc;
-use crate::lex::{lex, TokKind, Token};
+use crate::lex::{lex, line_of, TokKind, Token};
 use crate::parse::{parse, ParsedFile};
-use crate::scanner::{excluded_regions, line_of, strip_source, Region};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// Crates whose public items must be documented.
-const DOC_CRATES: &[&str] = &[
-    "apex",
-    "graphcore",
-    "hopi",
-    "pagestore",
-    "obs",
-    "flix",
-    "ppo",
-    "serve",
-    "xmlgraph",
-];
 
 /// The one crate allowed to call `Instant::now()` directly (it hosts
 /// `flixobs::Stopwatch`, the sanctioned clock).
@@ -93,6 +76,57 @@ const DURABILITY_FILES: &[&str] = &[
     "crates/pagestore/src/wal.rs",
     "crates/pagestore/src/snapshot.rs",
 ];
+
+/// The forbidden token sequences. A row fires where its tokens are
+/// consecutive non-trivia tokens (`::` lexes as two `:`), and the message
+/// shows them concatenated. Comparing token texts is enough to stay out of
+/// literals: a string, char or lifetime token's text contains its quote.
+const FORBIDDEN: &[(Rule, &[&str])] = &[
+    (Rule::UnwrapExpect, &[".", "unwrap", "(", ")"]),
+    (Rule::UnwrapExpect, &[".", "expect", "("]),
+    (Rule::Panic, &["panic", "!"]),
+    (Rule::Panic, &["todo", "!"]),
+    (Rule::Panic, &["unimplemented", "!"]),
+    (Rule::Unsafe, &["unsafe"]),
+    // Both raw clocks bypass the obs layer: `Instant::now()` dodges
+    // `Stopwatch` (so the measurement is invisible to traces and the
+    // flight recorder), and `SystemTime::now()` additionally isn't
+    // monotonic — wall-clock steps corrupt any duration computed from it.
+    (Rule::InstantNow, &["Instant", ":", ":", "now"]),
+    (Rule::InstantNow, &["SystemTime", ":", ":", "now"]),
+    (Rule::UnboundedChannel, &["unbounded", "("]),
+    (
+        Rule::UnboundedChannel,
+        &["mpsc", ":", ":", "channel", "(", ")"],
+    ),
+    (Rule::UnsyncedWrite, &["fs", ":", ":", "write", "("]),
+    (Rule::UnsyncedWrite, &["File", ":", ":", "create", "("]),
+];
+
+/// The message of a [`FORBIDDEN`] row, given its concatenated tokens.
+fn forbidden_message(rule: Rule, pat: &str) -> String {
+    match rule {
+        Rule::UnwrapExpect => {
+            format!("`{pat}` in non-test library code; propagate a Result instead")
+        }
+        Rule::Panic => format!("`{pat}` in library code; return an error instead"),
+        Rule::InstantNow => format!(
+            "`{pat}()` outside the obs crate; time through `flixobs::Stopwatch` so \
+             measurements stay observable"
+        ),
+        Rule::UnboundedChannel => format!(
+            "`{pat}` builds an unbounded channel; use a bounded queue so overload sheds \
+             instead of buffering without limit"
+        ),
+        Rule::UnsyncedWrite => format!(
+            "`{pat}..)` writes a file with no fsync or atomic-rename behind it; durable \
+             state belongs in pagestore's disk/WAL/manifest layer — suppress with a \
+             reason if this is a non-durable artifact"
+        ),
+        // `Rule::Unsafe`, the one table rule left.
+        _ => format!("`{pat}` in a workspace whose crates forbid unsafe code"),
+    }
+}
 
 /// Final callees whose `Result` must not be discarded via `let _ =`.
 const FALLIBLE_BUILTINS: &[&str] = &[
@@ -114,15 +148,13 @@ pub enum Rule {
     UnwrapExpect,
     /// `panic!` / `todo!` / `unimplemented!` in library code.
     Panic,
-    /// `unsafe` outside the allowlist.
+    /// The `unsafe` keyword.
     Unsafe,
-    /// Undocumented public item in a documented crate.
-    MissingDocs,
     /// `Instant::now()` or `SystemTime::now()` outside the `obs` crate
     /// (use `flixobs::Stopwatch`).
     InstantNow,
-    /// `unbounded()` / `mpsc::channel()` channel construction outside the
-    /// allowlist (bounded queues only on hot paths).
+    /// `unbounded()` / `mpsc::channel()` channel construction (bounded
+    /// queues only on hot paths).
     UnboundedChannel,
     /// Cycle in the workspace lock-order graph (potential deadlock).
     LockOrder,
@@ -139,9 +171,6 @@ pub enum Rule {
     UnsyncedWrite,
     /// Malformed, reason-less, or unused inline suppression.
     Suppression,
-    /// Allowlist entry whose ceiling is higher than reality (or whose
-    /// file no longer exists): the ceiling must be lowered.
-    AllowlistStale,
 }
 
 impl Rule {
@@ -150,7 +179,6 @@ impl Rule {
         Rule::UnwrapExpect,
         Rule::Panic,
         Rule::Unsafe,
-        Rule::MissingDocs,
         Rule::InstantNow,
         Rule::UnboundedChannel,
         Rule::LockOrder,
@@ -160,16 +188,14 @@ impl Rule {
         Rule::AtomicOrdering,
         Rule::UnsyncedWrite,
         Rule::Suppression,
-        Rule::AllowlistStale,
     ];
 
-    /// The rule's stable name, as used in diagnostics and the allowlist.
+    /// The rule's stable name, as used in diagnostics and suppressions.
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnwrapExpect => "unwrap-expect",
             Rule::Panic => "panic",
             Rule::Unsafe => "unsafe",
-            Rule::MissingDocs => "missing-docs",
             Rule::InstantNow => "instant-now",
             Rule::UnboundedChannel => "unbounded-channel",
             Rule::LockOrder => "lock-order",
@@ -179,34 +205,16 @@ impl Rule {
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::UnsyncedWrite => "unsynced-write",
             Rule::Suppression => "suppression",
-            Rule::AllowlistStale => "allowlist-stale",
-        }
-    }
-
-    /// Rules the legacy per-file allowlist may grandfather. New rules are
-    /// deliberately absent: their only escape hatch is an inline
-    /// suppression with a reason.
-    fn from_allowlist_name(name: &str) -> Option<Rule> {
-        match name {
-            "unwrap-expect" => Some(Rule::UnwrapExpect),
-            "panic" => Some(Rule::Panic),
-            "unsafe" => Some(Rule::Unsafe),
-            "missing-docs" => Some(Rule::MissingDocs),
-            "instant-now" => Some(Rule::InstantNow),
-            "unbounded-channel" => Some(Rule::UnboundedChannel),
-            _ => None,
         }
     }
 
     /// Rules an inline suppression may name (everything a source line can
-    /// cause; `suppression` and `allowlist-stale` cannot suppress
-    /// themselves).
+    /// cause; `suppression` cannot suppress itself).
     fn from_suppress_name(name: &str) -> Option<Rule> {
         Rule::ALL
             .iter()
             .copied()
-            .filter(|r| !matches!(r, Rule::Suppression | Rule::AllowlistStale))
-            .find(|r| r.name() == name)
+            .find(|r| *r != Rule::Suppression && r.name() == name)
     }
 }
 
@@ -259,16 +267,6 @@ impl LintReport {
     }
 }
 
-/// One parsed allowlist entry: at most `max` findings of `rule` in `path`.
-#[derive(Debug, Clone)]
-struct AllowEntry {
-    rule: Rule,
-    path: String,
-    max: usize,
-    /// Line in the allowlist file, for stale-entry diagnostics.
-    source_line: usize,
-}
-
 /// One inline `// flixcheck: allow(<rule>): <reason>` comment.
 struct Suppression {
     /// Line the comment sits on (covers trailing diagnostics on it).
@@ -316,64 +314,13 @@ pub fn run_default() -> Result<LintReport, io::Error> {
 /// Runs the lint pass over the workspace rooted at `root`.
 pub fn run(root: &Path) -> Result<LintReport, io::Error> {
     let files = collect_workspace_sources(root)?;
-    let allowlist = load_allowlist(&root.join("crates/flixcheck/allowlist.txt"))?;
-
     let mut sources = Vec::with_capacity(files.len());
     for file in &files {
         let rel = relative_path(root, file);
         let src = fs::read_to_string(file)?;
         sources.push((rel, src));
     }
-    let (mut raw, cyclic, edges) = analyze_sources(&sources);
-
-    // Apply the legacy allowlist: (rule, path) ceilings on what remains.
-    let mut found: BTreeMap<(Rule, String), Vec<Diagnostic>> = BTreeMap::new();
-    let mut diagnostics = Vec::new();
-    for diag in raw.drain(..) {
-        if Rule::from_allowlist_name(diag.rule.name()).is_some() {
-            found
-                .entry((diag.rule, diag.path.clone()))
-                .or_default()
-                .push(diag);
-        } else {
-            diagnostics.push(diag);
-        }
-    }
-    for entry in &allowlist {
-        let occurrences = found
-            .get(&(entry.rule, entry.path.clone()))
-            .map_or(0, Vec::len);
-        if occurrences < entry.max {
-            diagnostics.push(Diagnostic {
-                path: "crates/flixcheck/allowlist.txt".to_string(),
-                line: entry.source_line,
-                rule: Rule::AllowlistStale,
-                message: format!(
-                    "{} allows {} `{}` findings but only {} remain; lower the ceiling",
-                    entry.path, entry.max, entry.rule, occurrences
-                ),
-            });
-        }
-    }
-    for ((rule, path), occurrences) in found {
-        let max = allowlist
-            .iter()
-            .find(|e| e.rule == rule && e.path == path)
-            .map_or(0, |e| e.max);
-        let count = occurrences.len();
-        if count > max {
-            for mut diag in occurrences {
-                if max > 0 {
-                    diag.message = format!(
-                        "{} ({count} found in {path}, {max} grandfathered in allowlist)",
-                        diag.message
-                    );
-                }
-                diagnostics.push(diag);
-            }
-        }
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    let (diagnostics, cyclic, edges) = analyze_sources(&sources);
     Ok(LintReport {
         diagnostics,
         files_scanned: files.len(),
@@ -382,18 +329,15 @@ pub fn run(root: &Path) -> Result<LintReport, io::Error> {
     })
 }
 
-/// Lints a single file given its workspace-relative path and raw source.
-/// Runs the full pipeline (text rules, token rules, concurrency model,
-/// suppressions) but not the workspace allowlist.
+/// Lints a single file given its workspace-relative path and raw source:
+/// the full pipeline of [`run`] over a workspace of one file.
 pub fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    let (mut diags, _, _) = analyze_sources(&[(rel_path.to_string(), src.to_string())]);
-    diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    diags
+    analyze_sources(&[(rel_path.to_string(), src.to_string())]).0
 }
 
-/// The allowlist-free analysis core: every rule over every source, with
-/// inline suppressions applied. Returns raw diagnostics plus the
-/// lock-order graph verdict.
+/// The analysis core: every rule over every source, with inline
+/// suppressions applied. Returns the diagnostics, sorted by path then
+/// line, plus the lock-order graph verdict.
 fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<conc::LockEdge>) {
     struct Prepared {
         tokens: Vec<Token>,
@@ -426,7 +370,6 @@ fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<
             rel,
             collect_suppressions(rel, src, &p.tokens, &p.parsed, &mut diagnostics),
         );
-        text_rules(rel, src, &mut diagnostics);
         token_rules(
             rel,
             src,
@@ -480,6 +423,7 @@ fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<
         }
     }
 
+    diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     (diagnostics, conc_report.cyclic, conc_report.edges)
 }
 
@@ -556,127 +500,7 @@ fn collect_suppressions(
     out
 }
 
-/// The legacy strip-and-scan rules over one file.
-fn text_rules(rel_path: &str, src: &str, diags: &mut Vec<Diagnostic>) {
-    let stripped = strip_source(src);
-    let excluded = excluded_regions(&stripped);
-
-    let in_tests = |pos: usize| excluded.iter().any(|r| r.contains(pos));
-
-    for pat in [".unwrap()", ".expect("] {
-        for pos in find_all(&stripped, pat) {
-            if in_tests(pos) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: line_of(&stripped, pos),
-                rule: Rule::UnwrapExpect,
-                message: format!("`{pat}` in non-test library code; propagate a Result instead"),
-            });
-        }
-    }
-
-    for pat in ["panic!", "todo!", "unimplemented!"] {
-        for pos in find_all(&stripped, pat) {
-            if in_tests(pos) || !word_boundary_before(&stripped, pos) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: line_of(&stripped, pos),
-                rule: Rule::Panic,
-                message: format!("`{pat}` in library code; return an error instead"),
-            });
-        }
-    }
-
-    for pos in find_all(&stripped, "unsafe") {
-        let after = stripped.as_bytes().get(pos + "unsafe".len());
-        let word_end = after.map_or(true, |&b| !b.is_ascii_alphanumeric() && b != b'_');
-        if in_tests(pos) || !word_boundary_before(&stripped, pos) || !word_end {
-            continue;
-        }
-        // `forbid(unsafe_code)` / `deny(unsafe_code)` mentions are handled
-        // by the word-end check; this is a real `unsafe` keyword.
-        diags.push(Diagnostic {
-            path: rel_path.to_string(),
-            line: line_of(&stripped, pos),
-            rule: Rule::Unsafe,
-            message: "`unsafe` outside the allowlist".to_string(),
-        });
-    }
-
-    if !rel_path.starts_with(CLOCK_CRATE_PREFIX) {
-        // Both raw clocks bypass the obs layer: `Instant::now()` dodges
-        // `Stopwatch` (so the measurement is invisible to traces and the
-        // flight recorder), and `SystemTime::now()` additionally isn't
-        // monotonic — wall-clock steps corrupt any duration computed
-        // from it.
-        for clock in ["Instant::now", "SystemTime::now"] {
-            for pos in find_all(&stripped, clock) {
-                if in_tests(pos) {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    path: rel_path.to_string(),
-                    line: line_of(&stripped, pos),
-                    rule: Rule::InstantNow,
-                    message: format!(
-                        "`{clock}()` outside the obs crate; time through \
-                         `flixobs::Stopwatch` so measurements stay observable"
-                    ),
-                });
-            }
-        }
-    }
-
-    for pat in ["unbounded(", "mpsc::channel()"] {
-        for pos in find_all(&stripped, pat) {
-            if in_tests(pos) || !word_boundary_before(&stripped, pos) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: line_of(&stripped, pos),
-                rule: Rule::UnboundedChannel,
-                message: format!(
-                    "`{pat}` builds an unbounded channel; use a bounded queue so \
-                     overload sheds instead of buffering without limit"
-                ),
-            });
-        }
-    }
-
-    if !DURABILITY_FILES.contains(&rel_path) {
-        for pat in ["fs::write(", "File::create("] {
-            for pos in find_all(&stripped, pat) {
-                if in_tests(pos) {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    path: rel_path.to_string(),
-                    line: line_of(&stripped, pos),
-                    rule: Rule::UnsyncedWrite,
-                    message: format!(
-                        "`{pat}..)` writes a file with no fsync or atomic-rename behind \
-                         it; durable state belongs in pagestore's disk/WAL/manifest \
-                         layer — suppress with a reason if this is a non-durable artifact"
-                    ),
-                });
-            }
-        }
-    }
-
-    let crate_name = rel_path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next());
-    if crate_name.is_some_and(|c| DOC_CRATES.contains(&c)) {
-        missing_docs(rel_path, src, &stripped, &excluded, diags);
-    }
-}
-
-/// The lexer-backed rules over one file: `cast-truncation`,
+/// The per-file rules: the [`FORBIDDEN`] table, `cast-truncation`,
 /// `swallowed-result`, `atomic-ordering`.
 fn token_rules(
     rel_path: &str,
@@ -691,12 +515,32 @@ fn token_rules(
         .collect();
     let text = |si: usize| tokens[sig[si]].text(src);
     let start = |si: usize| tokens[sig[si]].start;
+    // The rows this file is not exempt from.
+    let forbidden: Vec<_> = FORBIDDEN
+        .iter()
+        .filter(|(rule, _)| match rule {
+            Rule::InstantNow => !rel_path.starts_with(CLOCK_CRATE_PREFIX),
+            Rule::UnsyncedWrite => !DURABILITY_FILES.contains(&rel_path),
+            _ => true,
+        })
+        .collect();
 
     for si in 0..sig.len() {
         if parsed.in_test(start(si)) {
             continue;
         }
         let t = text(si);
+
+        for &&(rule, pattern) in &forbidden {
+            if (0..pattern.len()).all(|k| si + k < sig.len() && text(si + k) == pattern[k]) {
+                diags.push(Diagnostic {
+                    path: rel_path.to_string(),
+                    line: line_of(src, start(si)),
+                    rule,
+                    message: forbidden_message(rule, &pattern.concat()),
+                });
+            }
+        }
 
         // cast-truncation: `<lengthish> as {u8,u16,i8,i16}`.
         if t == "as"
@@ -809,170 +653,6 @@ fn token_rules(
     }
 }
 
-/// Flags `pub` items in `src` not preceded by a doc comment.
-fn missing_docs(
-    rel_path: &str,
-    src: &str,
-    stripped: &str,
-    excluded: &[Region],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let macro_bodies = macro_rules_regions(stripped);
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let stripped_lines: Vec<&str> = stripped.lines().collect();
-    let mut offset = 0usize;
-    for (idx, sline) in stripped_lines.iter().enumerate() {
-        let line_start = offset;
-        offset += sline.len() + 1;
-        let trimmed = sline.trim_start();
-        let Some(kind) = public_item_kind(trimmed) else {
-            continue;
-        };
-        let pos = line_start + (sline.len() - trimmed.len());
-        if excluded.iter().any(|r| r.contains(pos)) || macro_bodies.iter().any(|r| r.contains(pos))
-        {
-            continue;
-        }
-        if !has_doc_above(&raw_lines, idx) {
-            let name = trimmed
-                .split_whitespace()
-                .find(|tok| {
-                    !matches!(
-                        *tok,
-                        "pub"
-                            | "fn"
-                            | "struct"
-                            | "enum"
-                            | "trait"
-                            | "const"
-                            | "static"
-                            | "type"
-                            | "mod"
-                            | "async"
-                            | "unsafe"
-                            | "union"
-                            | "mut"
-                    )
-                })
-                .unwrap_or("item")
-                .trim_end_matches(|c: char| !c.is_alphanumeric() && c != '_');
-            diags.push(Diagnostic {
-                path: rel_path.to_string(),
-                line: idx + 1,
-                rule: Rule::MissingDocs,
-                message: format!("public {kind} `{name}` has no doc comment"),
-            });
-        }
-    }
-}
-
-/// If `trimmed` begins a public item declaration, returns its kind.
-fn public_item_kind(trimmed: &str) -> Option<&'static str> {
-    let rest = trimmed.strip_prefix("pub ")?;
-    let mut toks = rest.split_whitespace();
-    let mut kw = toks.next()?;
-    if kw == "async" || kw == "unsafe" {
-        kw = toks.next()?;
-    }
-    match kw {
-        "fn" => Some("function"),
-        "struct" => Some("struct"),
-        "enum" => Some("enum"),
-        "trait" => Some("trait"),
-        "const" => Some("constant"),
-        "static" => Some("static"),
-        "type" => Some("type alias"),
-        "mod" => Some("module"),
-        "union" => Some("union"),
-        _ => None,
-    }
-}
-
-/// True if the lines above `idx` attach a doc comment to the item,
-/// looking through attributes and blank lines.
-fn has_doc_above(raw_lines: &[&str], idx: usize) -> bool {
-    let mut j = idx;
-    while j > 0 {
-        j -= 1;
-        let t = raw_lines[j].trim();
-        if t.is_empty() {
-            continue;
-        }
-        if t.starts_with("///") || t.starts_with("#[doc") || t.starts_with("/**") {
-            return true;
-        }
-        // Attribute line, or the tail of a multi-line attribute.
-        if t.starts_with("#[") || t.ends_with(']') || t.ends_with(',') {
-            continue;
-        }
-        if t.ends_with("*/") {
-            // Tail of a block doc comment: scan back to its opening.
-            while j > 0 {
-                let o = raw_lines[j].trim_start();
-                if o.starts_with("/**") {
-                    return true;
-                }
-                if o.starts_with("/*") {
-                    return false;
-                }
-                j -= 1;
-            }
-            return false;
-        }
-        return false;
-    }
-    false
-}
-
-/// Byte ranges of `macro_rules!` bodies (exempt from missing-docs: the
-/// tokens inside are patterns, not items).
-fn macro_rules_regions(stripped: &str) -> Vec<Region> {
-    let bytes = stripped.as_bytes();
-    let mut regions = Vec::new();
-    for start in find_all(stripped, "macro_rules!") {
-        let mut i = start;
-        let mut depth = 0i32;
-        let mut end = bytes.len();
-        while i < bytes.len() {
-            match bytes[i] {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        regions.push(Region { start, end });
-    }
-    regions
-}
-
-/// All byte offsets where `pat` occurs in `text`.
-fn find_all(text: &str, pat: &str) -> Vec<usize> {
-    let mut positions = Vec::new();
-    let mut search = 0;
-    while let Some(found) = text[search..].find(pat) {
-        positions.push(search + found);
-        search += found + pat.len();
-    }
-    positions
-}
-
-/// True if the char before `pos` cannot extend an identifier (so `pos`
-/// starts a fresh word — `debug_assert!` never matches `assert!` etc.).
-fn word_boundary_before(text: &str, pos: usize) -> bool {
-    if pos == 0 {
-        return true;
-    }
-    let b = text.as_bytes()[pos - 1];
-    !b.is_ascii_alphanumeric() && b != b'_'
-}
-
 /// True if `t` begins like an identifier.
 fn is_ident_text(t: &str) -> bool {
     t.chars()
@@ -1041,49 +721,6 @@ fn relative_path(root: &Path, file: &Path) -> String {
         .join("/")
 }
 
-/// Parses `allowlist.txt`: `<rule> <path> <max>` per line, `#` comments.
-fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, io::Error> {
-    let mut entries = Vec::new();
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(entries),
-        Err(e) => return Err(e),
-    };
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (rule, path, max) = (parts.next(), parts.next(), parts.next());
-        let parsed = rule.and_then(Rule::from_allowlist_name).and_then(|r| {
-            let p = path?.to_string();
-            let m = max?.parse::<usize>().ok()?;
-            Some((r, p, m))
-        });
-        match parsed {
-            Some((rule, path, max)) if rule != Rule::Panic => entries.push(AllowEntry {
-                rule,
-                path,
-                max,
-                source_line: i + 1,
-            }),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "allowlist.txt:{}: malformed entry (want `<rule> <path> <max>`; \
-                         `panic` cannot be allowlisted; new rules take inline \
-                         suppressions only): {line}",
-                        i + 1
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1091,19 +728,80 @@ mod tests {
     #[test]
     fn flags_unwrap_and_expect_outside_tests() {
         let src = "fn f() { x.unwrap(); y.expect(\"msg\"); }\n\
-                   #[cfg(test)]\nmod t { fn g() { z.unwrap(); } }\n";
+                   #[cfg(test)]\nmod t { fn g() { z.unwrap(); } }\n\
+                   fn h() { x . unwrap ( ); z.unwrap_or(0); y\n.expect(\n\"msg\"); }\n";
         let diags = lint_file("crates/demo/src/lib.rs", src);
-        let unwraps: Vec<_> = diags
+        let lines: Vec<_> = diags
             .iter()
             .filter(|d| d.rule == Rule::UnwrapExpect)
+            .map(|d| d.line)
             .collect();
-        assert_eq!(unwraps.len(), 2);
-        assert_eq!(unwraps[0].line, 1);
+        // Spaced out and broken over lines still fires, on the `.`'s line.
+        assert_eq!(lines, vec![1, 1, 4, 5]);
+    }
+
+    #[test]
+    fn every_forbidden_row_fires_on_code_and_never_inside_a_literal_or_comment() {
+        for &(rule, pattern) in FORBIDDEN {
+            let (plain, spaced) = (pattern.concat(), pattern.join(" "));
+            for code in [&plain, &spaced] {
+                let diags = lint_file("crates/demo/src/lib.rs", &format!("fn f() {{ {code} }}\n"));
+                assert_eq!(diags.len(), 1, "{code}: {diags:?}");
+                assert_eq!(diags[0].rule, rule, "{code}");
+                assert!(diags[0].message.contains(&plain), "{diags:?}");
+            }
+            let quiet = format!(
+                "/// doc {plain}\nfn f() {{\n\
+                 let a = \"{plain}\"; let b = r#\"{plain}\"#; let c = b\"{plain}\";\n\
+                 // line {plain}\n/* block /* nested {plain} */ {plain} */\n}}\n"
+            );
+            let diags = lint_file("crates/demo/src/lib.rs", &quiet);
+            assert!(diags.is_empty(), "{plain}: {diags:?}");
+        }
+        // A char literal's punctuation is not a token of a row.
+        let diags = lint_file(
+            "crates/demo/src/lib.rs",
+            "fn f() { m!('.' unwrap() panic '!'); }\n",
+        );
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn a_bare_test_fn_is_test_code_for_every_rule() {
+        let body = "{ x.unwrap(); panic!(); let t = Instant::now(); let _ = tx.send(1);\n\
+                    c.load(Ordering::Relaxed); v.len() as u8; std::fs::write(p, b); }\n";
+        let fired = lint_file("crates/demo/src/lib.rs", &format!("fn prod() {body}"));
+        assert_eq!(fired.len(), 7, "{fired:?}");
+        let exempt = lint_file("crates/demo/src/lib.rs", &format!("#[test]\nfn t() {body}"));
+        assert!(exempt.is_empty(), "{exempt:?}");
+    }
+
+    #[test]
+    fn cfg_test_item_behind_restricted_visibility_is_test_code() {
+        let body = "pub struct S { a: Mutex<u32>, b: Mutex<u32>, tx: Sender<u32> }\n\
+                    impl S {\n\
+                    fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n\
+                    fn ba(&self) { let gb = self.b.lock(); let ga = self.a.lock(); }\n\
+                    fn f(&self, x: R) { x.unwrap(); let _ = self.tx.send(1); }\n\
+                    }\n";
+        let fired = lint_file("crates/demo/src/lib.rs", body);
+        for rule in [Rule::UnwrapExpect, Rule::SwallowedResult, Rule::LockOrder] {
+            assert!(fired.iter().any(|d| d.rule == rule), "{rule}: {fired:?}");
+        }
+        // Inside the module nothing fires, and a suppression there is
+        // ignored (in production code an unused one is a diagnostic).
+        let module = format!(
+            "#[cfg(test)]\npub(crate) mod mirror {{\n{body}\
+             // flixcheck: allow(unwrap-expect): matches nothing\n}}\n"
+        );
+        let diags = lint_file("crates/demo/src/lib.rs", &module);
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]
     fn flags_panic_family_with_word_boundaries() {
-        let src = "fn f() { panic!(\"x\"); todo!(); unimplemented!(); debug_assert!(true); }\n";
+        let src = "fn f() { panic!(\"x\"); todo!(); unimplemented!(); debug_assert!(true); \
+                   debug_panic!(); }\n";
         let diags = lint_file("crates/demo/src/lib.rs", src);
         let panics: Vec<_> = diags.iter().filter(|d| d.rule == Rule::Panic).collect();
         assert_eq!(panics.len(), 3);
@@ -1126,35 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_docs_only_in_doc_crates() {
-        let src = "pub fn naked() {}\n";
-        assert!(lint_file("crates/workloads/src/lib.rs", src)
-            .iter()
-            .all(|d| d.rule != Rule::MissingDocs));
-        let diags = lint_file("crates/flix/src/lib.rs", src);
-        assert!(diags.iter().any(|d| d.rule == Rule::MissingDocs));
-    }
-
-    #[test]
-    fn doc_comment_and_doc_attr_satisfy_missing_docs() {
-        let src = "/// Documented.\npub fn a() {}\n\
-                   #[doc = \"also documented\"]\npub fn b() {}\n\
-                   /// Documented through attributes.\n#[derive(Debug)]\npub struct C;\n";
-        let diags = lint_file("crates/flix/src/lib.rs", src);
-        assert!(
-            diags.iter().all(|d| d.rule != Rule::MissingDocs),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn pub_use_is_not_an_item_declaration() {
-        let src = "pub use inner::Thing;\npub(crate) fn helper() {}\n";
-        let diags = lint_file("crates/flix/src/lib.rs", src);
-        assert!(diags.iter().all(|d| d.rule != Rule::MissingDocs));
-    }
-
-    #[test]
     fn instant_now_flagged_outside_the_obs_crate() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         let diags = lint_file("crates/flix/src/pee.rs", src);
@@ -1173,8 +842,8 @@ mod tests {
         assert!(lint_file("crates/flix/src/pee.rs", test_src)
             .iter()
             .all(|d| d.rule != Rule::InstantNow));
-        // Comments and strings never fire.
-        let doc_src = "// Instant::now is banned here\n";
+        // Comments and strings never fire, nor does a longer identifier.
+        let doc_src = "// Instant::now is banned here\nfn f() { MyInstant::now(); }\n";
         assert!(lint_file("crates/flix/src/pee.rs", doc_src)
             .iter()
             .all(|d| d.rule != Rule::InstantNow));
@@ -1252,7 +921,7 @@ mod tests {
                 lint_file(allowed, src)
                     .iter()
                     .all(|d| d.rule != Rule::UnsyncedWrite),
-                "{allowed} is allowlisted"
+                "{allowed} is the durability layer"
             );
         }
         // Test code writes scratch files freely.
@@ -1286,7 +955,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // New token rules.
+    // Shaped patterns.
 
     #[test]
     fn cast_truncation_fires_on_lengthish_narrowing() {
@@ -1419,14 +1088,19 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_suppression_is_a_diagnostic() {
-        let src = "// flixcheck: allow(no-such-rule): whatever\nfn f() {}\n";
-        let diags = lint_file("crates/demo/src/lib.rs", src);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == Rule::Suppression && d.message.contains("unknown rule")),
-            "{diags:?}"
-        );
+        // Twelve rules stay; a retired name is unknown like any other.
+        assert_eq!(Rule::ALL.len(), 12);
+        for name in ["no-such-rule", "missing-docs"] {
+            assert!(Rule::ALL.iter().all(|r| r.name() != name));
+            let src = format!("// flixcheck: allow({name}): whatever\nfn f() {{}}\n");
+            let diags = lint_file("crates/demo/src/lib.rs", &src);
+            assert!(
+                diags
+                    .iter()
+                    .any(|d| d.rule == Rule::Suppression && d.message.contains("unknown rule")),
+                "{diags:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! CLI entry point: lint the workspace and exit non-zero on violations.
 //!
 //! ```text
-//! flixcheck [--root <path>] [--format text|json|sarif]
+//! flixcheck [--root <path>] [--format text|sarif]
 //! ```
 //!
-//! `text` (default) prints `path:line: rule: message` lines plus a
-//! summary; `json` and `sarif` print machine-readable reports on stdout
-//! (the summary moves to stderr). The exit code is 0 when clean, 1 on
-//! violations, 2 on usage or I/O errors.
+//! `text` (default) prints `path:line: rule: message` lines on stdout;
+//! `sarif` prints a SARIF 2.1.0 report there. The summary goes to stderr.
+//! The exit code is 0 when clean, 1 on violations, 2 on usage or I/O
+//! errors.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -17,12 +17,11 @@ use std::process::ExitCode;
 
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: flixcheck [--root <path>] [--format text|json|sarif]");
+    eprintln!("usage: flixcheck [--root <path>] [--format text|sarif]");
     ExitCode::from(2)
 }
 
@@ -34,7 +33,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--format" => match args.next().as_deref() {
                 Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
                 Some("sarif") => format = Format::Sarif,
                 _ => return usage(),
             },
@@ -64,7 +62,6 @@ fn main() -> ExitCode {
                 println!("{diag}");
             }
         }
-        Format::Json => print!("{}", flixcheck::sarif::to_json(&report.diagnostics)),
         Format::Sarif => print!("{}", flixcheck::sarif::to_sarif(&report.diagnostics)),
     }
     if report.is_clean() {

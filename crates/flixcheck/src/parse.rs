@@ -8,8 +8,8 @@
 //! for an item. Everything it cannot classify is skipped, never an error:
 //! the linter must degrade gracefully on code it does not understand.
 
-use crate::lex::{lex, Token};
-use crate::scanner::Region;
+use crate::lex::{lex, line_of, Token};
+use std::ops::Range;
 
 /// A `Mutex`/`RwLock` kind, for lock-class bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,14 +71,15 @@ pub struct ParsedFile {
     pub lock_statics: Vec<LockStatic>,
     /// Every `fn` item found.
     pub fns: Vec<FnItem>,
-    /// Byte regions covered by `#[cfg(test)]` items or `#[test]` fns.
-    pub test_regions: Vec<Region>,
+    /// Byte ranges covered by `#[cfg(test)]` items or `#[test]` fns.
+    pub test_regions: Vec<Range<usize>>,
 }
 
 impl ParsedFile {
-    /// True if byte offset `pos` falls in test-only code.
+    /// True if byte offset `pos` falls in test-only code. This is the one
+    /// definition of "test code" every rule asks.
     pub fn in_test(&self, pos: usize) -> bool {
-        self.test_regions.iter().any(|r| r.contains(pos))
+        self.test_regions.iter().any(|r| r.contains(&pos))
     }
 }
 
@@ -143,7 +144,7 @@ impl<'s> Parser<'s> {
     }
 
     fn line(&self, sig_idx: usize) -> usize {
-        crate::scanner::line_of(self.src, self.start(sig_idx))
+        line_of(self.src, self.start(sig_idx))
     }
 
     /// Parses a run of items until `end` (significant-token index),
@@ -206,7 +207,12 @@ impl<'s> Parser<'s> {
                 }
                 _ => {
                     *cursor += 1;
-                    if !matches!(t, "pub" | "async" | "unsafe" | "extern" | "default") {
+                    if t == "pub" && *cursor < end && self.text(*cursor) == "(" {
+                        // `pub(crate)` / `pub(super)` / `pub(in path)`: the
+                        // restriction belongs to the visibility, and the
+                        // pending attributes to the item behind it.
+                        *cursor = (self.matching(*cursor, end, "(", ")") + 1).min(end);
+                    } else if !matches!(t, "pub" | "async" | "unsafe" | "extern" | "default") {
                         attrs.clear();
                     }
                 }
@@ -234,7 +240,7 @@ impl<'s> Parser<'s> {
             } else {
                 self.src.len()
             };
-            self.out.test_regions.push(Region { start, end });
+            self.out.test_regions.push(start..end);
         }
     }
 
@@ -691,6 +697,32 @@ mod tests {
         assert!(parsed.in_test(pos));
         let lib_pos = src.find("fn lib").expect("present");
         assert!(!parsed.in_test(lib_pos));
+    }
+
+    #[test]
+    fn restricted_visibility_keeps_the_test_attribute() {
+        let items = [
+            "mod m { fn inner() {} }",
+            "fn helper() { body(); }",
+            "struct S { field: u32 }",
+            "impl S { fn method(&self) {} }",
+            "trait T { fn sig(&self); }",
+        ];
+        for vis in ["pub(crate)", "pub(super)", "pub(in crate::a)"] {
+            for item in items {
+                let src =
+                    format!("fn before() {{}}\n#[cfg(test)]\n{vis} {item}\nfn after() {{}}\n");
+                let (_, parsed) = parse_source(&src);
+                let start = src.find("#[cfg").expect("present");
+                let end = src.find("\nfn after").expect("present");
+                assert_eq!(parsed.test_regions, vec![start..end], "{src}");
+                assert!(!parsed.in_test(0) && !parsed.in_test(end + 1), "{src}");
+                for f in &parsed.fns {
+                    let inside = !matches!(f.name.as_str(), "before" | "after");
+                    assert_eq!(f.in_test, inside, "{} in {src}", f.name);
+                }
+            }
+        }
     }
 
     #[test]

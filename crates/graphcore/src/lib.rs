@@ -30,7 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Fixed-size bitsets backing the closure computation.
 pub mod bitset;
@@ -65,6 +65,6 @@ pub use partition::{partition_condensation, partition_greedy, Partitioning};
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use scratch::DistScratch;
 pub use spanning::is_forest;
-pub use spanning::{spanning_forest, tree_violations, ForestCheck};
+pub use spanning::{spanning_forest, ForestCheck};
 pub use topo::topological_order;
 pub use traversal::{bfs_distances, bfs_from, is_reachable, Distance, INFINITE_DISTANCE};

@@ -86,6 +86,7 @@ where
         }
     } else {
         let cursor = AtomicUsize::new(0);
+        // flixcheck: allow(unbounded-channel): build-time pipeline: filled by a fixed fan-out and drained before the builder returns, never on a serving path
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
             for &share in shares {

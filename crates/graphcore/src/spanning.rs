@@ -91,11 +91,6 @@ pub fn spanning_forest(g: &Digraph) -> ForestCheck {
     }
 }
 
-/// Convenience wrapper returning only the edges that violate forest shape.
-pub fn tree_violations(g: &Digraph) -> Vec<(NodeId, NodeId)> {
-    spanning_forest(g).removed_edges
-}
-
 /// True if `g` is a forest of rooted trees: every node has in-degree at most
 /// one and there is no cycle.
 pub fn is_forest(g: &Digraph) -> bool {

@@ -51,6 +51,7 @@ pub type Reached = Vec<(NodeId, Distance)>;
 /// An entry count as a row offset. A table past 2³² entries is 32 GiB and
 /// out of scope, but it must fail loudly at build, not wrap.
 fn offset(entries: usize) -> u32 {
+    // flixcheck: allow(unwrap-expect): a table past 2^32 entries must stop the build with a message instead of wrapping its u32 offsets; the build signatures carry no Result
     u32::try_from(entries).expect("a label table holds fewer than 2^32 entries")
 }
 

@@ -33,7 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Staged divide-and-conquer construction of the 2-hop cover.
 pub mod cover;

@@ -32,7 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Wall-clock measurement: the workspace's only `Instant::now` call site.
 pub mod clock;

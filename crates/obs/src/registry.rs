@@ -1,12 +1,12 @@
 //! The unified metrics registry.
 //!
-//! A [`MetricsRegistry`] maps [`MetricId`]s (name + label pairs) to metric
-//! handles. Handles are cheap clones around an `Arc`'d atomic cell, so the
-//! hot path — bumping a counter, setting a gauge, recording a histogram
-//! sample — is a single wait-free atomic operation with no lock in sight.
-//! The registry's own mutex is only taken on the cold paths: registering a
-//! metric, publishing a component's cells ([`MetricsRegistry::publish`]),
-//! and taking a snapshot.
+//! A [`MetricsRegistry`] maps [`MetricId`]s (name + label pairs) to the
+//! metric handles components publish. Handles are cheap clones around an
+//! `Arc`'d atomic cell, so the hot path — bumping a counter, setting a
+//! gauge, recording a histogram sample — is a single wait-free atomic
+//! operation with no lock in sight. The registry's own mutex is only taken
+//! on the cold paths: publishing a component's cells
+//! ([`MetricsRegistry::publish`]) and taking a snapshot.
 //!
 //! Histograms use log2 buckets (`le` bounds 1, 2, 4, … 2^38, +Inf): wide
 //! enough dynamic range for microsecond latencies at 40 fixed `u64` cells
@@ -315,7 +315,7 @@ struct RegistryInner {
     help: BTreeMap<String, String>,
 }
 
-/// The metric registry: get-or-create handles by id, snapshot on demand.
+/// The metric registry: components publish their cells, snapshot on demand.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<RegistryInner>,
@@ -325,17 +325,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Get-or-create the counter `name` (no labels).
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counter_with(name, &[])
-    }
-
-    /// Get-or-create a labelled counter.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let id = MetricId::with_labels(name, labels);
-        self.inner.lock().counters.entry(id).or_default().clone()
     }
 
     /// The one way a component exports metrics: each `(name, help, cell)`
@@ -362,28 +351,6 @@ impl MetricsRegistry {
                 MetricCell::Value(v) => inner.gauges.entry(id).or_default().set(v),
             }
         }
-    }
-
-    /// Get-or-create the gauge `name` (no labels).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with(name, &[])
-    }
-
-    /// Get-or-create a labelled gauge.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let id = MetricId::with_labels(name, labels);
-        self.inner.lock().gauges.entry(id).or_default().clone()
-    }
-
-    /// Get-or-create the histogram `name` (no labels).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with(name, &[])
-    }
-
-    /// Get-or-create a labelled histogram.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        let id = MetricId::with_labels(name, labels);
-        self.inner.lock().histograms.entry(id).or_default().clone()
     }
 
     /// A point-in-time copy of every registered metric, sorted by id.
@@ -511,19 +478,31 @@ mod tests {
     #[test]
     fn counters_and_gauges_round_trip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("requests_total");
+        let c = Counter::new();
+        reg.publish(
+            &[],
+            &[("requests_total", "Requests.", MetricCell::Counter(&c))],
+        );
         c.inc();
         c.add(4);
-        // Same name returns the same underlying cell.
-        assert_eq!(reg.counter("requests_total").get(), 5);
-        let g = reg.gauge_with("load", &[("kind", "avg")]);
-        g.set(2.5);
-        assert_eq!(reg.gauge_with("load", &[("kind", "avg")]).get(), 2.5);
-        // Different labels are different metrics.
-        reg.gauge_with("load", &[("kind", "max")]).set(9.0);
+        // Different labels are different metrics; the same labels, the same.
+        reg.publish(
+            &[("kind", "avg")],
+            &[("load", "Load.", MetricCell::Value(1.0))],
+        );
+        reg.publish(
+            &[("kind", "avg")],
+            &[("load", "Load.", MetricCell::Value(2.5))],
+        );
+        reg.publish(
+            &[("kind", "max")],
+            &[("load", "Load.", MetricCell::Value(9.0))],
+        );
         let snap = reg.snapshot();
         assert_eq!(snap.counters.len(), 1);
-        assert_eq!(snap.gauges.len(), 2);
+        assert_eq!(snap.counters[0].1, 5);
+        let loads: Vec<f64> = snap.gauges.iter().map(|(_, v)| *v).collect();
+        assert_eq!(loads, vec![2.5, 9.0]);
     }
 
     #[test]
@@ -534,7 +513,7 @@ mod tests {
         let row = ("pool_hits_total", "Pool hits.", MetricCell::Counter(&owned));
         reg.publish(&[], &[row]);
         owned.inc();
-        assert_eq!(reg.counter("pool_hits_total").get(), 8);
+        assert_eq!(reg.snapshot().counters[0].1, 8);
     }
 
     #[test]
@@ -544,7 +523,7 @@ mod tests {
         g.set(3.0);
         reg.publish(&[], &[("depth", "Queue depth.", MetricCell::Gauge(&g))]);
         g.set(5.0);
-        assert_eq!(reg.gauge("depth").get(), 5.0);
+        assert_eq!(reg.snapshot().gauges[0].1, 5.0);
 
         let h = Histogram::new();
         h.record(42);
@@ -553,7 +532,7 @@ mod tests {
             &[("lat_micros", "Latency.", MetricCell::Histogram(&h))],
         );
         h.record(7);
-        assert_eq!(reg.histogram("lat_micros").count(), 2);
+        assert_eq!(reg.snapshot().histograms[0].1.count, 2);
     }
 
     #[test]
@@ -608,12 +587,21 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let reg = MetricsRegistry::new();
-        reg.counter_with("hits_total", &[("cache", "query")]).add(3);
-        reg.gauge("temperature").set(1.5);
-        let h = reg.histogram_with("latency_micros", &[("config", "naive")]);
+        let hits = Counter::new();
+        hits.add(3);
+        let h = Histogram::new();
         for v in [1u64, 2, 100, 5000] {
             h.record(v);
         }
+        reg.publish(
+            &[("cache", "query")],
+            &[("hits_total", "Hits.", MetricCell::Counter(&hits))],
+        );
+        reg.publish(&[], &[("temperature", "Heat.", MetricCell::Value(1.5))]);
+        reg.publish(
+            &[("config", "naive")],
+            &[("latency_micros", "Latency.", MetricCell::Histogram(&h))],
+        );
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("# TYPE hits_total counter"), "{text}");
         assert!(text.contains("hits_total{cache=\"query\"} 3"), "{text}");
@@ -672,10 +660,10 @@ mod tests {
     fn describe_emits_help_lines_before_type() {
         let reg = MetricsRegistry::new();
         let hits = Counter::new();
-        let help = "Cache lookups answered from a stored result.";
+        let help_hits = "Cache lookups answered from a stored result.";
         reg.publish(
             &[("cache", "query")],
-            &[("hits_total", help, MetricCell::Counter(&hits))],
+            &[("hits_total", help_hits, MetricCell::Counter(&hits))],
         );
         let help = "Current queue \\ depth\nacross workers.";
         reg.publish(&[], &[("depth", help, MetricCell::Value(2.0))]);
@@ -692,12 +680,14 @@ mod tests {
         let help_pos = text.find("# HELP hits_total").unwrap();
         let type_pos = text.find("# TYPE hits_total").unwrap();
         assert!(help_pos < type_pos, "{text}");
-        // Undescribed metrics still get TYPE lines and only one HELP each.
-        reg.counter("plain_total").inc();
+        // All label variants of a name share one HELP line.
+        reg.publish(
+            &[("cache", "plan")],
+            &[("hits_total", help_hits, MetricCell::Counter(&hits))],
+        );
         let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE plain_total counter"), "{text}");
-        assert!(!text.contains("# HELP plain_total"), "{text}");
         assert_eq!(text.matches("# HELP hits_total").count(), 1, "{text}");
+        assert_eq!(text.matches("# TYPE hits_total").count(), 1, "{text}");
     }
 
     #[test]

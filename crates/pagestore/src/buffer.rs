@@ -565,28 +565,23 @@ mod tests {
         }
         // Bound counters share cells with the pool: no re-publish needed
         // for the counter side.
-        assert_eq!(
-            registry
-                .counter_with("pagestore_pool_misses_total", &[("store", "test")])
-                .get(),
-            3
-        );
-        assert_eq!(
-            registry
-                .counter_with("pagestore_pool_evictions_total", &[("store", "test")])
-                .get(),
-            1
-        );
+        let text = registry.snapshot().to_prometheus();
+        for sample in [
+            "pagestore_pool_misses_total{store=\"test\"} 3",
+            "pagestore_pool_evictions_total{store=\"test\"} 1",
+        ] {
+            assert!(text.lines().any(|line| line == sample), "{sample}: {text}");
+        }
         // Disk gauges are snapshots: publish again to refresh.
         p.publish_metrics(&registry, &[("store", "test")]);
-        let reads = registry
-            .gauge_with("pagestore_disk_read_pages", &[("store", "test")])
-            .get();
-        assert_eq!(reads, 3.0, "one physical read per miss");
-        let bytes = registry
-            .gauge_with("pagestore_disk_read_bytes", &[("store", "test")])
-            .get();
-        assert_eq!(bytes, 3.0 * crate::page::PAGE_SIZE as f64);
+        let text = registry.snapshot().to_prometheus();
+        let bytes = 3 * crate::page::PAGE_SIZE;
+        for sample in [
+            "pagestore_disk_read_pages{store=\"test\"} 3".to_string(),
+            format!("pagestore_disk_read_bytes{{store=\"test\"}} {bytes}"),
+        ] {
+            assert!(text.lines().any(|line| line == sample), "{sample}: {text}");
+        }
     }
 
     #[test]

@@ -297,6 +297,7 @@ impl<'de> BinDeserializer<'de> {
 
     fn read_len(&mut self) -> Result<usize, CodecError> {
         let b = self.take(8)?;
+        // flixcheck: allow(unwrap-expect): take(8) returned exactly 8 bytes
         let len = u64::from_le_bytes(b.try_into().expect("8 bytes"));
         usize::try_from(len).map_err(|_| CodecError("length overflows usize".into()))
     }
@@ -306,6 +307,7 @@ macro_rules! de_num {
     ($fn:ident, $visit:ident, $ty:ty, $n:expr) => {
         fn $fn<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
             let b = self.take($n)?;
+            // flixcheck: allow(unwrap-expect): take($n) returned exactly the bytes the type holds
             visitor.$visit(<$ty>::from_le_bytes(b.try_into().expect("sized")))
         }
     };
@@ -339,6 +341,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
 
     fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
         let b = self.take(4)?;
+        // flixcheck: allow(unwrap-expect): take(4) returned exactly 4 bytes
         let code = u32::from_le_bytes(b.try_into().expect("4 bytes"));
         visitor.visit_char(
             char::from_u32(code)
@@ -526,6 +529,7 @@ impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
         seed: V,
     ) -> Result<(V::Value, Self), CodecError> {
         let b = self.de.take(4)?;
+        // flixcheck: allow(unwrap-expect): take(4) returned exactly 4 bytes
         let idx = u32::from_le_bytes(b.try_into().expect("4 bytes"));
         let value = seed.deserialize(idx.into_deserializer())?;
         Ok((value, self))

@@ -309,11 +309,10 @@ mod tests {
         disk.sync().unwrap();
         let registry = MetricsRegistry::new();
         disk.stats().publish(&registry, &[("store", "t")]);
-        assert_eq!(
-            registry
-                .gauge_with("pagestore_disk_syncs", &[("store", "t")])
-                .get(),
-            2.0
+        let text = registry.snapshot().to_prometheus();
+        assert!(
+            text.contains("pagestore_disk_syncs{store=\"t\"} 2\n"),
+            "{text}"
         );
     }
 

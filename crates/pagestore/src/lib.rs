@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Named blob store for serialised index images.
 pub mod blob;

@@ -198,16 +198,6 @@ impl DurableStore {
             || self.blobs.export_directory() != self.committed_directory
     }
 
-    /// The manifest describing the current committed state (what the next
-    /// checkpoint would publish, at the current generation).
-    pub fn current_manifest(&self) -> SnapshotManifest {
-        SnapshotManifest {
-            generation: self.generation,
-            page_count: self.pool.disk().page_count(),
-            directory: self.committed_directory.clone(),
-        }
-    }
-
     /// Writes (or overwrites) blob `name`. Durable at the next commit.
     pub fn put_blob(&mut self, name: &str, data: &[u8]) -> Result<(), BlobError> {
         self.blobs.put(name, data)
@@ -533,17 +523,14 @@ mod tests {
         store.commit().unwrap();
         let registry = MetricsRegistry::new();
         store.publish_metrics(&registry, &[("store", "t")]);
-        assert_eq!(
-            registry
-                .gauge_with("pagestore_generation", &[("store", "t")])
-                .get(),
-            1.0
-        );
+        let snapshot = registry.snapshot();
+        let text = snapshot.to_prometheus();
         assert!(
-            registry
-                .gauge_with("pagestore_wal_bytes", &[("store", "t")])
-                .get()
-                > 0.0
+            text.contains("pagestore_generation{store=\"t\"} 1\n"),
+            "{text}"
         );
+        let mut gauges = snapshot.gauges.iter();
+        let wal = gauges.find(|(id, _)| id.name == "pagestore_wal_bytes");
+        assert!(wal.is_some_and(|(_, v)| *v > 0.0), "{text}");
     }
 }

@@ -35,6 +35,7 @@ impl ExtendedPpo {
         }
         let forest = kept.build();
         let index =
+            // flixcheck: allow(unwrap-expect): PpoIndex::build over a spanning forest cannot fail: forest by construction
             PpoIndex::build(&forest, labels).expect("spanning forest is a forest by construction");
         let mut removed = check.removed_edges;
         removed.sort_unstable();

@@ -15,7 +15,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Extended PPO: pre/postorder adapted to graphs with links.
 pub mod extended;

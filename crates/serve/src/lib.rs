@@ -52,7 +52,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Online rebuild: background self-tuning with hot backend swaps.
 pub mod rebuild;

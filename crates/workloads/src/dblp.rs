@@ -274,6 +274,7 @@ pub fn generate_dblp(cfg: &DblpConfig) -> Collection {
         }
 
         d.extract_links(&spec);
+        // flixcheck: allow(unwrap-expect): the generator adds documents to a collection it just created
         c.add_document(d).expect("unique generated names");
     }
     c

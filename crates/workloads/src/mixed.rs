@@ -65,6 +65,7 @@ pub fn generate_mixed(cfg: &MixedConfig) -> Collection {
             if !d.is_empty() && d.anchor("top").is_none() {
                 nd.add_anchor("top", d.root());
             }
+            // flixcheck: allow(unwrap-expect): the generator adds documents to a collection it just created
             c.add_document(nd).expect("unique names across regions");
         }
     };

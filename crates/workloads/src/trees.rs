@@ -61,6 +61,7 @@ pub fn generate_trees(cfg: &TreeConfig) -> Collection {
             open.push(el);
             child_count.push(0);
         }
+        // flixcheck: allow(unwrap-expect): the generator adds documents to a collection it just created
         c.add_document(d).expect("unique names");
     }
     c

@@ -94,6 +94,7 @@ pub fn generate_web(cfg: &WebConfig) -> Collection {
                 },
             );
         }
+        // flixcheck: allow(unwrap-expect): the generator adds documents to a collection it just created
         c.add_document(d).expect("unique names");
     }
     c

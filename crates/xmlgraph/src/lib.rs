@@ -20,7 +20,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// Link-recognition conventions (IDREF, XLink, key-based joins).
 pub mod links;

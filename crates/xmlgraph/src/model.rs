@@ -294,19 +294,9 @@ impl Collection {
         &mut self.docs[id as usize]
     }
 
-    /// Lookup by document name.
-    pub fn doc_by_name(&self, name: &str) -> Option<u32> {
-        self.doc_index.get(name).copied()
-    }
-
     /// Iterates over `(doc_id, document)`.
     pub fn docs(&self) -> impl Iterator<Item = (u32, &Document)> {
         self.docs.iter().enumerate().map(|(i, d)| (i as u32, d))
-    }
-
-    /// Total element count across all documents.
-    pub fn element_count(&self) -> usize {
-        self.docs.iter().map(Document::len).sum()
     }
 
     /// Resolves all links and freezes the collection into a

@@ -250,6 +250,7 @@ pub fn parse_document(
         } else if sc.eat("</") {
             let tag = sc.name()?.to_string();
             sc.skip_ws();
+            // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
             sc.expect(">")?;
             match stack.pop() {
                 Some((_, open)) if open == tag => {}
@@ -280,12 +281,14 @@ pub fn parse_document(
                     }
                     Some(b'/') => {
                         sc.pos += 1;
+                        // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
                         sc.expect(">")?;
                         break;
                     }
                     Some(b) if is_name_start(b) => {
                         let attr = sc.name()?.to_string();
                         sc.skip_ws();
+                        // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
                         sc.expect("=")?;
                         sc.skip_ws();
                         let quote = match sc.bump() {

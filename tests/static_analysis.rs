@@ -1,13 +1,13 @@
 //! Tier-1 gate: the flixcheck static-analysis pass must be clean.
 //!
 //! This runs the same pass as `cargo run -p flixcheck`, so a freshly
-//! introduced `unwrap()` in library code (or a stale allowlist ceiling)
-//! fails `cargo test` with the exact `path:line: rule: message`
-//! diagnostics printed below. On top of the cleanliness gate it checks the
-//! concurrency analysis end to end (acyclic lock-order graph over the real
-//! workspace, a seeded AB-BA fixture that must fire), the SARIF emitter's
-//! shape, and — by property test — that the new lexer's stripped view
-//! agrees with the legacy strip-and-scan pass on adversarial sources.
+//! introduced `unwrap()` in library code (or a suppression that no longer
+//! matches anything) fails `cargo test` with the exact
+//! `path:line: rule: message` diagnostics printed below. On top of the
+//! cleanliness gate it checks the concurrency analysis end to end (acyclic
+//! lock-order graph over the real workspace, a seeded AB-BA fixture that
+//! must fire), the SARIF emitter's shape, and — by property test — that the
+//! lexer's tokens partition adversarial sources exactly.
 
 use std::path::Path;
 
@@ -101,10 +101,9 @@ fn sarif_output_has_2_1_0_shape() {
     }
 }
 
-/// Source fragments that exercise every corner the two stripping
-/// implementations historically disagreed on: escaped-quote char literals,
-/// byte chars, raw strings with varying hash depth, literal prefixes glued
-/// to identifiers, nested block comments, lifetimes.
+/// Source fragments that exercise the lexer's corners: escaped-quote char
+/// literals, byte chars, raw strings with varying hash depth, literal
+/// prefixes glued to identifiers, nested block comments, lifetimes.
 const FRAGMENTS: &[&str] = &[
     "let x = 1;",
     "fn f<'a, 'de>(s: &'a str) -> &'de str { s }",
@@ -154,7 +153,7 @@ fn arb_source() -> impl Strategy<Value = String> {
         })
 }
 
-/// Strategy: short strings over an alphabet chosen to stress the lexers'
+/// Strategy: short strings over an alphabet chosen to stress the lexer's
 /// quote/prefix/comment state machines, including pathological
 /// (unterminated) inputs.
 fn arb_hostile() -> impl Strategy<Value = String> {
@@ -182,9 +181,10 @@ fn arb_hostile() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// The token stream partitions the input exactly.
+    /// The token stream partitions the input exactly, on structured sources
+    /// and on hostile character soup alike.
     #[test]
-    fn lexer_tokens_cover_every_byte(src in arb_source()) {
+    fn lexer_tokens_cover_every_byte(src in prop_oneof![arb_source(), arb_hostile()]) {
         let toks = flixcheck::lex::lex(&src);
         let mut pos = 0;
         for t in &toks {
@@ -194,32 +194,5 @@ proptest! {
         prop_assert_eq!(pos, src.len());
         let rebuilt: String = toks.iter().map(|t| t.text(&src)).collect();
         prop_assert_eq!(rebuilt, src);
-    }
-
-    /// The lexer's stripped view and the legacy strip-and-scan pass agree
-    /// byte for byte on structured adversarial sources.
-    #[test]
-    fn stripped_views_agree_on_fragments(src in arb_source()) {
-        let legacy = flixcheck::scanner::strip_source(&src);
-        let lexed = flixcheck::lex::stripped_view(&src, &flixcheck::lex::lex(&src));
-        prop_assert_eq!(legacy, lexed, "input: {:?}", src);
-    }
-
-    /// ... and on unstructured hostile character soup, where neither side
-    /// may panic, diverge, or change the line structure.
-    #[test]
-    fn stripped_views_agree_on_hostile_soup(src in arb_hostile()) {
-        let legacy = flixcheck::scanner::strip_source(&src);
-        let lexed = flixcheck::lex::stripped_view(&src, &flixcheck::lex::lex(&src));
-        prop_assert_eq!(&legacy, &lexed, "input: {:?}", src);
-        prop_assert_eq!(legacy.len(), src.len());
-        let newlines = |s: &str| {
-            s.bytes()
-                .enumerate()
-                .filter(|(_, b)| *b == b'\n')
-                .map(|(i, _)| i)
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(newlines(&legacy), newlines(&src), "line structure moved");
     }
 }
