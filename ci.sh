@@ -48,9 +48,10 @@ for entry in bench/ledger/*.json; do
     bash flixbench/run.sh compare "$entry" "$entry" > /dev/null
 done
 
-echo "== repro smoke test (the §6 tables at 1/50 scale, then the integrity audit)"
-cargo run -q -p bench --bin repro -- table1 errors connect --scale 0.02
+echo "== repro (the integrity audit at 1/50 scale, then the recorded full-scale run: bench/repro.txt must not move)"
 cargo run -q -p bench --bin repro -- --check --scale 0.02
+cargo run -q --release -p bench --bin repro -- all > bench/repro.txt
+git diff --exit-code -- bench/repro.txt
 
 echo "== the benchmark package is untouched (a rewritten flixbench/Cargo.lock shows here)"
 git diff --exit-code -- flixbench BENCHMARK.json

@@ -1,7 +1,7 @@
 //! Reproduces every table and figure of the FliX paper's evaluation (§6).
 //!
 //! ```text
-//! cargo run -p bench --bin repro --release -- all
+//! cargo run -p bench --bin repro --release -- all > bench/repro.txt
 //! cargo run -p bench --bin repro --release -- table1 [--scale 0.25]
 //! ```
 //!
@@ -14,41 +14,20 @@
 //! built framework (alone or alongside experiments) and exits non-zero if
 //! any invariant is violated.
 //!
-//! Performance is measured elsewhere: `flixbench/run.sh` is the
-//! repository's one measurement path.
+//! Every number printed is a count, or the emulated database price of one,
+//! so the output is the same on every run and at every build thread count:
+//! `bench/repro.txt` is the full-scale run, and each `shape` line says
+//! whether one of the paper's relations holds on the rows above it. Timing
+//! is `flixbench/`'s job.
 
-use bench::{
-    connection_test_pairs, emulated_time_to_k, error_rate_queries, error_rates, figure5_start,
-    figure5_tag, mb, paper_configs, paper_corpus, rule, time_median, time_once, time_to_k_results,
-    DbCostModel,
-};
-use flix::{Flix, FlixConfig, QueryOptions};
+use bench::{Paper, EXPERIMENTS};
 use flixcheck::IntegrityCheck;
-use graphcore::NodeId;
-use std::collections::HashSet;
-use std::sync::Arc;
-use std::time::Duration;
-use workloads::{connection_pairs, generate_mixed, MixedConfig};
-use xmlgraph::CollectionGraph;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
     let mut check = false;
     let mut commands: Vec<String> = Vec::new();
-    const KNOWN: [&str; 11] = [
-        "all",
-        "table1",
-        "figure5",
-        "errors",
-        "connect",
-        "hybrid",
-        "ablation-partition",
-        "ablation-dedup",
-        "ablation-exact",
-        "ablation-bidir",
-        "figure5-disk",
-    ];
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -61,10 +40,11 @@ fn main() {
                 }
             },
             other => {
-                if !KNOWN.contains(&other) {
+                if other != "all" && EXPERIMENTS.iter().all(|(name, _)| *name != other) {
+                    let known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
                     eprintln!(
-                        "error: unknown experiment {other:?}; known: {}",
-                        KNOWN.join(", ")
+                        "error: unknown experiment {other:?}; known: all, {}",
+                        known.join(", ")
                     );
                     std::process::exit(2);
                 }
@@ -76,14 +56,10 @@ fn main() {
         commands.push("all".into());
     }
 
-    let run_all = commands.iter().any(|c| c == "all");
-    let wants = |name: &str| run_all || commands.iter().any(|c| c == name);
-
-    println!("building corpus (scale {scale}) ...");
-    let (cg, gen_time) = time_once(|| paper_corpus(scale));
-    let s = cg.stats();
+    let paper = Paper::new(scale);
+    let s = paper.cg.stats();
     println!(
-        "corpus: {} documents, {} elements, {} inter-document links, {:.1} MB payload (generated in {gen_time:.1?})",
+        "corpus (scale {scale}): {} documents, {} elements, {} inter-document links, {:.1} MB payload",
         s.documents,
         s.elements,
         s.links,
@@ -91,24 +67,16 @@ fn main() {
     );
     println!("paper's corpus: 6,210 documents, 168,991 elements, 25,368 links, 27 MB\n");
 
-    let mut built: Vec<(FlixConfig, Arc<Flix>, Duration)> = Vec::new();
-    for config in paper_configs() {
-        let (flix, dt) = time_once(|| Flix::build(cg.clone(), config));
-        println!("built {:<12} in {dt:>8.1?}", config.to_string());
-        built.push((config, Arc::new(flix), dt));
-    }
-    println!();
-
     if check {
         let mut failed = false;
         println!("== integrity audit ==");
-        for (config, flix, _) in &built {
+        for flix in &paper.built {
+            let config = flix.config().to_string();
             match flix.integrity_check() {
-                Ok(report) => println!("{:<12} OK ({report})", config.to_string()),
+                Ok(report) => println!("{config:<12} OK ({report})"),
                 Err(err) => {
                     failed = true;
-                    println!("{:<12} FAILED", config.to_string());
-                    println!("{err}");
+                    println!("{config:<12} FAILED\n{err}");
                 }
             }
         }
@@ -118,544 +86,9 @@ fn main() {
         }
     }
 
-    if wants("table1") {
-        table1(&built);
-    }
-    if wants("figure5") {
-        figure5(&cg, &built);
-    }
-    if wants("errors") {
-        errors(&cg, &built);
-    }
-    if wants("connect") {
-        connect(&cg, &built);
-    }
-    if wants("hybrid") {
-        hybrid(scale);
-    }
-    if wants("ablation-partition") {
-        ablation_partition(&cg);
-    }
-    if wants("ablation-dedup") {
-        ablation_dedup(&cg, &built);
-    }
-    if wants("ablation-exact") {
-        ablation_exact(&cg, &built);
-    }
-    if wants("ablation-bidir") {
-        ablation_bidir(&cg, &built);
-    }
-    if wants("figure5-disk") {
-        figure5_disk(&cg, &built);
-    }
-}
-
-/// Table 1: index sizes per strategy.
-fn table1(built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Table 1: index sizes ==");
-    println!(
-        "paper (qualitative): HOPI huge >> HOPI-20000 > HOPI-5000 ≈ 2×APEX > PPO-naive ≈ MaximalPPO"
-    );
-    rule(78);
-    println!(
-        "{:<12} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8}",
-        "index", "size [MB]", "build", "metas", "PPO", "HOPI", "APEX"
-    );
-    rule(78);
-    for (config, flix, dt) in built {
-        let st = flix.stats();
-        println!(
-            "{:<12} {:>10} {:>12.1?} {:>10} {:>8} {:>8} {:>8}",
-            config.to_string(),
-            mb(st.index_bytes),
-            *dt,
-            st.meta_docs,
-            st.ppo_metas,
-            st.hopi_metas,
-            st.apex_metas
-        );
-    }
-    rule(78);
-    println!();
-}
-
-/// Figure 5: time to return the first k results of the a//article query.
-fn figure5(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Figure 5: time to first k results of a//article ==");
-    let start = figure5_start(cg);
-    let tag = figure5_tag(cg);
-    let (doc, _) = cg.local_of(start);
-    let total = built[0]
-        .1
-        .find_descendants(start, tag, &QueryOptions::default())
-        .len();
-    println!(
-        "start element: root of {:?}; {} total results",
-        cg.collection.doc(doc).name,
-        total
-    );
-    let ks = [1usize, 2, 5, 10, 20, 50, 100];
-    rule(100);
-    print!("{:<12}", "k");
-    for k in ks {
-        print!("{k:>12}");
-    }
-    println!();
-    rule(100);
-    for (config, flix, _) in built {
-        // median over several runs to smooth the first-touch effects
-        let mut rows: Vec<Vec<Duration>> = Vec::new();
-        for _ in 0..5 {
-            let series = time_to_k_results(flix, start, tag, &ks);
-            rows.push(series.into_iter().map(|(_, d)| d).collect());
-        }
-        print!("{:<12}", config.to_string());
-        for i in 0..ks.len() {
-            let mut col: Vec<Duration> = rows.iter().map(|r| r[i]).collect();
-            col.sort_unstable();
-            print!("{:>12.1?}", col[col.len() / 2]);
-        }
-        println!();
-    }
-    rule(100);
-    // The paper's absolute times are dominated by database round trips (one
-    // per meta-document index lookup) and row fetches; replay the same
-    // evaluations through that cost model.
-    println!("DB-emulated (2 ms per index lookup, 40 µs per row — the paper's deployment):");
-    rule(100);
-    let model = DbCostModel::default();
-    for (config, flix, _) in built {
-        let series = emulated_time_to_k(flix, start, tag, &ks, model);
-        print!("{:<12}", config.to_string());
-        for (_, d) in series {
-            print!("{d:>12.1?}");
-        }
-        println!();
-    }
-    rule(100);
-    println!(
-        "paper: HOPI flat (~0.6 s); HOPI-5000/20000 faster to first results; MaximalPPO fastest\n\
-         first, degrading later; PPO-naive slowest throughout (absolute numbers were DB-bound).\n"
-    );
-}
-
-/// §6 error rates: fraction of results returned out of distance order.
-fn errors(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Error rates (fraction of results out of ascending-distance order) ==");
-    println!("paper: HOPI-5000 8.2%, HOPI-20000 10.4%, MaximalPPO 13.3%, exact indexes 0%");
-    let queries = error_rate_queries(cg);
-    rule(56);
-    println!("{:<12} {:>16} {:>16}", "index", "order breaks", "displaced");
-    rule(56);
-    for (config, flix, _) in built {
-        let e = error_rates(flix, cg, &queries);
-        println!(
-            "{:<12} {:>15.1}% {:>15.1}%",
-            config.to_string(),
-            e.adjacent * 100.0,
-            e.displaced * 100.0
-        );
-    }
-    rule(56);
-    println!(
-        "\"order breaks\" counts stream positions where distance drops (the literal reading of\n\
-         \"returned in wrong order\" for a block-streamed evaluator); \"displaced\" counts every\n\
-         result that any later result should have preceded.\n"
-    );
-}
-
-/// §6 connection tests: same ranking trend, lower absolute numbers.
-fn connect(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Connection tests a//b ==");
-    let pairs = connection_test_pairs(cg);
-    let reachable = pairs.iter().filter(|p| p.reachable).count();
-    println!(
-        "{} pairs ({} reachable, {} unreachable)",
-        pairs.len(),
-        reachable,
-        pairs.len() - reachable
-    );
-    rule(60);
-    println!(
-        "{:<12} {:>14} {:>14} {:>10}",
-        "index", "median/query", "total", "correct"
-    );
-    rule(60);
-    for (config, flix, _) in built {
-        let mut correct = 0usize;
-        let (_, total) = time_once(|| {
-            for p in &pairs {
-                let got = flix.connection_test(p.from, p.to, &QueryOptions::default());
-                if got.distance.is_some() == p.reachable {
-                    correct += 1;
-                }
-            }
-        });
-        let median = time_median(3, || {
-            for p in pairs.iter().take(8) {
-                let _warm = flix.connection_test(p.from, p.to, &QueryOptions::default());
-            }
-        }) / 8;
-        println!(
-            "{:<12} {:>14.1?} {:>14.1?} {:>7}/{}",
-            config.to_string(),
-            median,
-            total,
-            correct,
-            pairs.len()
-        );
-    }
-    rule(60);
-    println!("paper: same performance trend as Figure 5, lower absolute numbers\n");
-}
-
-/// Figure 1/3 qualitative check: on a mixed collection the Hybrid
-/// configuration uses PPO for the tree region and HOPI for the dense one.
-fn hybrid(scale: f64) {
-    println!("== Hybrid partitioning on a mixed collection (paper Fig. 1) ==");
-    let cfg = MixedConfig {
-        trees: workloads::TreeConfig {
-            documents: ((200.0 * scale) as usize).max(20),
-            elements_per_doc: 80,
-            ..workloads::TreeConfig::default()
-        },
-        web: workloads::WebConfig {
-            documents: ((120.0 * scale) as usize).max(12),
-            elements_per_doc: 60,
-            ..workloads::WebConfig::default()
-        },
-        bridge_links: 10,
-        seed: 3,
-    };
-    let cg = Arc::new(generate_mixed(&cfg).seal());
-    let s = cg.stats();
-    println!(
-        "mixed corpus: {} docs, {} elements, {} links",
-        s.documents, s.elements, s.links
-    );
-    rule(70);
-    println!(
-        "{:<14} {:>10} {:>8} {:>8} {:>8} {:>12}",
-        "config", "size [MB]", "PPO", "HOPI", "APEX", "query"
-    );
-    rule(70);
-    // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
-    let tag = cg.collection.tags.get("t0").unwrap();
-    let start = cg.doc_root(0);
-    for config in [
-        FlixConfig::Hybrid {
-            partition_size: 5_000,
-        },
-        FlixConfig::MaximalPpo,
-        FlixConfig::UnconnectedHopi {
-            partition_size: 5_000,
-        },
-        FlixConfig::Naive,
-    ] {
-        let flix = Flix::build(cg.clone(), config);
-        let st = flix.stats();
-        let q = time_median(5, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::default());
-        });
-        println!(
-            "{:<14} {:>10} {:>8} {:>8} {:>8} {:>12.1?}",
-            config.to_string(),
-            mb(st.index_bytes),
-            st.ppo_metas,
-            st.hopi_metas,
-            st.apex_metas,
-            q
-        );
-    }
-    rule(70);
-    println!("expected: Hybrid mixes PPO metas (tree region) with HOPI metas (web region)\n");
-}
-
-/// Ablation A: Unconnected-HOPI partition-size sweep.
-fn ablation_partition(cg: &Arc<CollectionGraph>) {
-    println!("== Ablation A: partition size vs build/size/query (Unconnected HOPI) ==");
-    let start = figure5_start(cg);
-    let tag = figure5_tag(cg);
-    rule(86);
-    println!(
-        "{:<10} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "cap", "metas", "size [MB]", "build", "full query", "top-10", "runtime links"
-    );
-    rule(86);
-    for cap in [1_000usize, 2_000, 5_000, 10_000, 20_000, 50_000] {
-        let (flix, build) = time_once(|| {
-            Flix::build(
-                cg.clone(),
-                FlixConfig::UnconnectedHopi {
-                    partition_size: cap,
-                },
-            )
-        });
-        let st = flix.stats();
-        let full = time_median(3, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::default());
-        });
-        let topk = time_median(3, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::top_k(10));
-        });
-        println!(
-            "{:<10} {:>8} {:>10} {:>12.1?} {:>12.1?} {:>12.1?} {:>12}",
-            cap,
-            st.meta_docs,
-            mb(st.index_bytes),
-            build,
-            full,
-            topk,
-            st.runtime_links
-        );
-    }
-    rule(86);
-    println!("expected: bigger partitions -> fewer runtime links, bigger labels, slower build\n");
-}
-
-/// Ablation B: entry-point duplicate elimination (§5.1) vs remembering
-/// every returned result.
-fn ablation_dedup(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Ablation B: §5.1 entry-point dedup vs naive full-result dedup ==");
-    let start = figure5_start(cg);
-    let tag = figure5_tag(cg);
-    rule(78);
-    println!(
-        "{:<12} {:>14} {:>14} {:>16} {:>16}",
-        "config", "entry-point", "naive dedup", "dedup-set size", "results"
-    );
-    rule(78);
-    for (config, flix, _) in built {
-        if matches!(config, FlixConfig::Monolithic(_)) {
-            continue; // no cross-meta traversal, nothing to deduplicate
-        }
-        let fast = time_median(3, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::default());
-        });
-        let mut set_size = 0usize;
-        let mut results = 0usize;
-        let naive = time_median(3, || {
-            let (r, s) = naive_dedup_descendants(flix, start, tag);
-            results = r;
-            set_size = s;
-        });
-        println!(
-            "{:<12} {:>14.1?} {:>14.1?} {:>16} {:>16}",
-            config.to_string(),
-            fast,
-            naive,
-            set_size,
-            results
-        );
-    }
-    rule(78);
-    println!(
-        "the naive variant keeps every returned node in memory; §5.1 keeps entry points only\n"
-    );
-}
-
-/// Figure 5 over disk-resident indexes: the Fig. 4 loop loading meta
-/// documents from the page store on demand, reporting real page I/O. An
-/// index load is one blob get (a page read per page of the image), one
-/// decode and the two fault checks of `persist::load_meta`; the times
-/// printed are wall clock around the whole query, so they hold all three,
-/// where flixbench's `diskexec.load_us` probe holds the first two.
-fn figure5_disk(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    use flix::DiskFlix;
-    use pagestore::{BlobStore, BufferPool, DiskManager, MemDisk};
-
-    println!("== Figure 5 (disk-resident): a//article with on-demand index loads ==");
-    let start = figure5_start(cg);
-    let tag = figure5_tag(cg);
-    rule(96);
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>14} {:>14} {:>12}",
-        "config", "full query", "top-10", "page reads", "idx loads", "idx cache hit", "results"
-    );
-    rule(96);
-    for (config, flix, _) in built {
-        let disk = Arc::new(MemDisk::new());
-        // pool sized well below the full index set; index cache of 8 metas
-        let pool = Arc::new(BufferPool::new(disk.clone(), 128));
-        let store = BlobStore::new(pool);
-        let dflix = match DiskFlix::save_and_open(flix, store, "fw", 8) {
-            Ok(d) => d,
-            Err(e) => {
-                println!("{:<12} persist failed: {e}", config.to_string());
-                continue;
-            }
-        };
-        let writes_done = disk.stats().reads;
-        let (results, full) = time_once(|| {
-            dflix
-                .find_descendants(start, tag, &QueryOptions::default())
-                .map_or(0, |r| r.len())
-        });
-        let (_, topk) = time_once(|| {
-            dflix
-                .find_descendants(start, tag, &QueryOptions::top_k(10))
-                .map_or(0, |r| r.len())
-        });
-        let st = dflix.stats();
-        let reads = disk.stats().reads - writes_done;
-        let hit_rate = if st.cache_hits + st.cache_misses > 0 {
-            100.0 * st.cache_hits as f64 / (st.cache_hits + st.cache_misses) as f64
-        } else {
-            0.0
-        };
-        println!(
-            "{:<12} {:>12.1?} {:>12.1?} {:>12} {:>14} {:>13.1}% {:>12}",
-            config.to_string(),
-            full,
-            topk,
-            reads,
-            st.cache_misses,
-            hit_rate,
-            results
-        );
-    }
-    rule(96);
-    println!(
-        "page reads are true buffer-pool misses; the paper's absolute times were exactly this I/O
-"
-    );
-}
-
-/// Ablation C: the §7 exact-ordering option vs the default approximate
-/// block streaming — what perfect order costs in time-to-first-result.
-fn ablation_exact(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Ablation C: approximate (default) vs exact result ordering (§7 option) ==");
-    let start = figure5_start(cg);
-    let tag = figure5_tag(cg);
-    rule(86);
-    println!(
-        "{:<12} {:>14} {:>14} {:>14} {:>14} {:>12}",
-        "config", "approx first", "exact first", "approx full", "exact full", "breaks->0"
-    );
-    rule(86);
-    for (config, flix, _) in built {
-        if matches!(config, FlixConfig::Monolithic(_)) {
-            continue; // already exact
-        }
-        let approx_first = time_median(5, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::top_k(1));
-        });
-        let exact_first = time_median(5, || {
-            let opts = QueryOptions {
-                exact_order: true,
-                max_results: Some(1),
-                ..QueryOptions::default()
-            };
-            let _warm = flix.find_descendants(start, tag, &opts);
-        });
-        let approx_full = time_median(3, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::default());
-        });
-        let exact_full = time_median(3, || {
-            let _warm = flix.find_descendants(start, tag, &QueryOptions::exact());
-        });
-        // verify the sorted-order claim while we are here
-        let res = flix.find_descendants(start, tag, &QueryOptions::exact());
-        let sorted = res.windows(2).all(|w| w[0].distance <= w[1].distance);
-        println!(
-            "{:<12} {:>14.1?} {:>14.1?} {:>14.1?} {:>14.1?} {:>12}",
-            config.to_string(),
-            approx_first,
-            exact_first,
-            approx_full,
-            exact_full,
-            if sorted { "yes" } else { "NO" }
-        );
-    }
-    rule(86);
-    println!(
-        "exact ordering trades time-to-first-result (and memory) for a 0% error rate
-"
-    );
-}
-
-/// Ablation D: unidirectional vs bidirectional connection tests (§5.2).
-fn ablation_bidir(cg: &CollectionGraph, built: &[(FlixConfig, Arc<Flix>, Duration)]) {
-    println!("== Ablation D: unidirectional vs bidirectional connection tests (§5.2) ==");
-    let pairs = connection_pairs(cg, 24, 23);
-    rule(64);
-    println!(
-        "{:<12} {:>16} {:>16} {:>10}",
-        "config", "unidirectional", "bidirectional", "agree"
-    );
-    rule(64);
-    for (config, flix, _) in built {
-        let mut agree = 0usize;
-        for p in &pairs {
-            let a = flix
-                .connection_test(p.from, p.to, &QueryOptions::default())
-                .distance
-                .is_some();
-            let b = flix
-                .connection_test_bidirectional(p.from, p.to, &QueryOptions::default())
-                .distance
-                .is_some();
-            if a == b && a == p.reachable {
-                agree += 1;
-            }
-        }
-        let uni = time_median(3, || {
-            for p in pairs.iter().take(8) {
-                let _warm = flix.connection_test(p.from, p.to, &QueryOptions::default());
-            }
-        }) / 8;
-        let bi = time_median(3, || {
-            for p in pairs.iter().take(8) {
-                let _warm =
-                    flix.connection_test_bidirectional(p.from, p.to, &QueryOptions::default());
-            }
-        }) / 8;
-        println!(
-            "{:<12} {:>16.1?} {:>16.1?} {:>7}/{}",
-            config.to_string(),
-            uni,
-            bi,
-            agree,
-            pairs.len()
-        );
-    }
-    rule(64);
-    println!(
-        "the backward search wins when the target has a small ancestor cone
-"
-    );
-}
-
-/// The strawman the paper argues against in §5.1: chase links without
-/// entry-point subsumption and deduplicate by remembering every result.
-/// Returns (result count, dedup-set size).
-fn naive_dedup_descendants(flix: &Flix, start: NodeId, tag: u32) -> (usize, usize) {
-    let mut seen_results: HashSet<NodeId> = HashSet::new();
-    let mut visited_entries: HashSet<NodeId> = HashSet::new();
-    let mut heap = std::collections::BinaryHeap::new();
-    heap.push(std::cmp::Reverse((0u32, start)));
-    let mut results = 0usize;
-    while let Some(std::cmp::Reverse((d, e))) = heap.pop() {
-        if !visited_entries.insert(e) {
-            continue;
-        }
-        let meta = flix.meta_of(e);
-        let md = flix.meta(meta);
-        let local = flix.local_of(e);
-        for (r, dr) in md.index.descendants_by_label(local, tag, e != start) {
-            let global = flix.global_of(meta, r);
-            let _ = dr;
-            if seen_results.insert(global) {
-                results += 1;
-            }
-        }
-        for (ls, dls) in md.reachable_link_sources(local) {
-            let src = flix.global_of(meta, ls);
-            for &(_, tgt) in flix.links_out_of(src) {
-                heap.push(std::cmp::Reverse((d + dls + 1, tgt)));
-            }
+    for (name, experiment) in EXPERIMENTS {
+        if commands.iter().any(|c| c == "all" || c == name) {
+            experiment(&paper);
         }
     }
-    // every result plus every entry point is retained in memory
-    (results, seen_results.len() + visited_entries.len())
 }
