@@ -116,14 +116,14 @@ impl DiskFlix {
     /// A miss is [`persist::load_meta`]: one blob get, the format-word
     /// check, one decode, then the two fault checks, then admitting the
     /// index and dropping the cache's victim. Measured in situ on
-    /// flixbench's `rebuild` workload (128 frames, 8 slots, a 488 kB HOPI
-    /// image) a miss was 1,020 µs — get 273, decode 701, the fault checks
-    /// 46, admit and drop 3 — of a query's mean 1,085 µs; with the arrays
-    /// decoded as byte strings ([`graphcore::flat`]) the decode is 57–83 µs
-    /// and the get ≈ 60 % of what is left. The stand-alone probe behind
+    /// flixbench's `rebuild` workload (128 frames, 8 slots; a 2-vCPU Xeon
+    /// at 2.1 GHz), a miss reads a HOPI image of 266 kB on average — the
+    /// descendants pair; the ancestors pair is derived only if a lookup
+    /// asks for it — in ≈ 144 µs: get 89, decode 22, the fault checks 33.
+    /// With all four label tables stored (488 kB) it was 243 µs: get 165,
+    /// decode 41, fault checks 37. The stand-alone probe behind
     /// `diskexec.load_us` times the same get and decode back to back and
-    /// leaves the fault checks out; between evaluations, with colder
-    /// caches, the same load is ≈ 1.4–1.9× that.
+    /// leaves the fault checks out.
     ///
     /// # Errors
     /// If the blob is missing from the store, fails to decode, or decodes
@@ -571,15 +571,27 @@ mod tests {
 
     /// Same for a HOPI meta document whose inverted rows are in id order
     /// (a store saved before they were ordered anchors first, then by
-    /// label): it decodes and slices cleanly, and answering from it would
-    /// silently miss links and results.
+    /// label): answering from it would silently miss links and results.
     #[test]
     fn id_ordered_hopi_rows_mid_query_is_an_error_not_a_partial_answer() {
+        hopi_twin_mid_query_is_an_error(persist::mirror::id_ordered_image);
+    }
+
+    /// Same for a HOPI meta document saved with all four label tables (a
+    /// store saved before the ancestors pair was derived, "ROW2").
+    #[test]
+    fn four_table_hopi_image_mid_query_is_an_error_not_a_partial_answer() {
+        hopi_twin_mid_query_is_an_error(persist::mirror::four_table_image);
+    }
+
+    /// A query that pops into a HOPI meta document stored as `twin` makes
+    /// it fails as a whole, and so does a connection test into it.
+    fn hopi_twin_mid_query_is_an_error(twin: fn(&MetaDocument) -> Vec<u8>) {
         let flix = Flix::build(graph(), FlixConfig::UnconnectedHopi { partition_size: 40 });
         let (q, victim) = crossing_query(&flix);
         let (mut store, _) = store();
         persist::save_flix(&flix, &mut store, "fw").unwrap();
-        let bytes = persist::mirror::id_ordered_image(flix.meta(victim));
+        let bytes = twin(flix.meta(victim));
         store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
         let dflix = DiskFlix::open(store, "fw", 4).unwrap();
         let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
@@ -589,6 +601,41 @@ mod tests {
         assert!(dflix
             .connection_test(q.start, to, &QueryOptions::default())
             .is_err());
+    }
+
+    /// Four threads first-use the ancestors pair of one freshly loaded HOPI
+    /// index at once — the label joins going up and `distance` read the
+    /// derived tables — and every answer equals memory's.
+    #[test]
+    fn threads_first_using_the_ancestors_pair_of_a_loaded_index_agree_with_memory() {
+        let (flix, dflix, _) = setup(FlixConfig::UnconnectedHopi { partition_size: 40 }, 4);
+        let id = (0..flix.meta_count() as u32)
+            .max_by_key(|&id| flix.meta(id).len())
+            .unwrap();
+        let locals = 0..flix.meta(id).len() as u32;
+        let answers = |md: &MetaDocument| {
+            let up = |e| (0..4).map(move |label| md.answer_pop(Axis::Ancestors, e, label, true));
+            let ups: Vec<_> = locals.clone().flat_map(up).collect();
+            let distances: Vec<_> = locals.clone().map(|e| md.index.distance(e, 0)).collect();
+            (ups, distances)
+        };
+        let want = answers(flix.meta(id));
+        let md = dflix.meta(id).unwrap();
+        assert_eq!(dflix.stats().cache_misses, 1, "loaded by this call");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        answers(&md)
+                    })
+                })
+                .collect();
+            for thread in threads {
+                assert!(thread.join().unwrap() == want);
+            }
+        });
     }
 
     /// Two threads can miss on the same id at once; the second to finish

@@ -164,7 +164,11 @@ impl MetaIndex {
         self.distance(u, v).is_some()
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// The index's size in the paper's Table 1 measure, in bytes — not
+    /// what the struct holds: for HOPI every label entry twice, as the
+    /// paper's label set and inverted tables hold it, where this build
+    /// stores one pair and derives the other
+    /// ([`HopiIndex::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         match self {
             MetaIndex::Ppo(i) => i.size_bytes(),
@@ -175,10 +179,11 @@ impl MetaIndex {
 
     /// The first way a decoded index is laid out so that a lookup would
     /// index out of bounds or search rows that are not in its order, if it
-    /// is: HOPI's flat label tables are sliced by stored offsets and their
-    /// inverted rows binary-searched ([`HopiIndex::layout_fault`]); PPO and
-    /// APEX hold nothing of the kind. [`crate::persist`] runs this on every
-    /// meta document it decodes, before [`MetaDocument::anchor_fault`].
+    /// is: HOPI's flat label tables are sliced by stored offsets, their
+    /// entries index by node and their inverted rows are binary-searched
+    /// ([`HopiIndex::layout_fault`]); PPO and APEX hold nothing of the
+    /// kind. [`crate::persist`] runs this on every meta document it
+    /// decodes, before [`MetaDocument::anchor_fault`].
     pub(crate) fn layout_fault(&self) -> Option<String> {
         match self {
             MetaIndex::Hopi(i) => i.layout_fault(),

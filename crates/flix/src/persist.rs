@@ -210,26 +210,73 @@ pub(crate) mod mirror {
         #[serde(with = "graphcore::flat")]
         pub(crate) offsets: Vec<u32>,
         #[serde(with = "graphcore::flat")]
-        entries: Vec<(u32, u32)>,
+        pub(crate) entries: Vec<(u32, u32)>,
     }
 
+    /// A `HopiIndex` image: the layout word, the descendants pair, the
+    /// label words and the build counters.
     #[derive(Serialize, Deserialize)]
     pub(crate) struct Hopi {
         layout: u32,
-        pub(crate) l_in: Table,
         pub(crate) l_out: Table,
         pub(crate) in_index: Table,
-        pub(crate) out_index: Table,
         #[serde(with = "graphcore::flat")]
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
     }
 
+    type Rows = Vec<Vec<(u32, u32)>>;
+
+    impl Table {
+        fn rows(&self) -> Rows {
+            let bounds = self.offsets.windows(2);
+            bounds
+                .map(|w| self.entries[w[0] as usize..w[1] as usize].to_vec())
+                .collect()
+        }
+
+        fn from_rows(rows: &[Vec<(u32, u32)>]) -> Self {
+            let mut offsets = vec![0];
+            for row in rows {
+                offsets.push(offsets.last().unwrap() + row.len() as u32);
+            }
+            Self {
+                offsets,
+                entries: rows.concat(),
+            }
+        }
+    }
+
+    /// `rows` turned around — entry `(w, d)` of row `v` becomes `(v, d)` of
+    /// row `w` — each row ascending by `key` of its node.
+    fn inverted(rows: &[Vec<(u32, u32)>], key: impl Fn(u32) -> u64) -> Rows {
+        let mut inverted = vec![Vec::new(); rows.len()];
+        for (v, row) in (0u32..).zip(rows) {
+            for &(w, d) in row {
+                inverted[w as usize].push((v, d));
+            }
+        }
+        for row in &mut inverted {
+            row.sort_unstable_by_key(|&(v, _)| key(v));
+        }
+        inverted
+    }
+
+    /// The four tables of `hopi` as a build from before the ancestors pair
+    /// was derived stored them — `l_in`, `l_out`, `in_index`, `out_index` —
+    /// with `out_index`'s rows ascending by `out_key` of their node.
+    fn four_tables(hopi: &Hopi, out_key: impl Fn(u32) -> u64) -> [Rows; 4] {
+        let (l_out, in_index) = (hopi.l_out.rows(), hopi.in_index.rows());
+        let l_in = inverted(&in_index, u64::from);
+        let out_index = inverted(&l_out, out_key);
+        [l_in, l_out, in_index, out_index]
+    }
+
     /// The `with` module of the `Counted*` mirrors below: an array is read
     /// as this build writes it and written as every build before did, one
     /// element at a time behind an element count. Decoding an image into
-    /// such a mirror and encoding the mirror again is that image as the
-    /// parent build would have saved it.
+    /// such a mirror and encoding the mirror again is that image in the
+    /// encoding builds before byte-prefixed arrays wrote.
     mod counted {
         pub(super) use graphcore::flat::deserialize;
 
@@ -249,13 +296,18 @@ pub(crate) mod mirror {
         entries: Vec<(u32, u32)>,
     }
 
+    impl From<&Rows> for CountedTable {
+        fn from(rows: &Rows) -> Self {
+            let Table { offsets, entries } = Table::from_rows(rows);
+            Self { offsets, entries }
+        }
+    }
+
     #[derive(Serialize, Deserialize)]
     struct CountedHopi {
         layout: u32,
-        l_in: CountedTable,
         l_out: CountedTable,
         in_index: CountedTable,
-        out_index: CountedTable,
         #[serde(with = "counted")]
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
@@ -351,9 +403,9 @@ pub(crate) mod mirror {
         runtime_links: Vec<(u32, u32)>,
     }
 
-    /// The stored `blob` — a [`CountedMeta`] or a [`CountedManifest`] — as
-    /// the parent of the build that made arrays byte-prefixed saved it:
-    /// every array behind an element count, and no format word.
+    /// The stored `blob` — a [`CountedMeta`] or a [`CountedManifest`] — in
+    /// the encoding of the builds before arrays were byte-prefixed: every
+    /// array behind an element count, and no format word.
     pub(crate) fn count_prefixed<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
         let twin = pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap();
         assert_eq!(twin.len() + 4, blob.len(), "a prefix is a u64 either way");
@@ -404,8 +456,8 @@ pub(crate) mod mirror {
     }
 
     /// `HopiIndex` as builds before the row order persisted it: no layout
-    /// word, every inverted row ascending by node id, no anchor flags in the
-    /// label words, every array behind an element count.
+    /// word, four tables, every inverted row ascending by node id, no
+    /// anchor flags in the label words, every array behind an element count.
     #[derive(Serialize)]
     struct IdOrderedHopi {
         l_in: CountedTable,
@@ -419,18 +471,14 @@ pub(crate) mod mirror {
     /// The image of HOPI-backed `md` with its index as such a build
     /// persisted it.
     pub(crate) fn id_ordered_image(md: &MetaDocument) -> Vec<u8> {
-        let by_id = |mut table: CountedTable| {
-            for row in table.offsets.windows(2) {
-                table.entries[row[0] as usize..row[1] as usize].sort_unstable();
-            }
-            table
-        };
-        respliced(md, |hopi: CountedHopi| {
+        respliced(md, |hopi: Hopi| {
+            let [l_in, l_out, mut in_index, out_index] = four_tables(&hopi, u64::from);
+            in_index.iter_mut().for_each(|row| row.sort_unstable());
             let old = IdOrderedHopi {
-                l_in: hopi.l_in,
-                l_out: hopi.l_out,
-                in_index: by_id(hopi.in_index),
-                out_index: by_id(hopi.out_index),
+                l_in: (&l_in).into(),
+                in_index: (&in_index).into(),
+                l_out: (&l_out).into(),
+                out_index: (&out_index).into(),
                 node_labels: hopi
                     .node_labels
                     .iter()
@@ -445,18 +493,53 @@ pub(crate) mod mirror {
     /// The image of HOPI-backed `md` with its index in the old
     /// row-per-`Vec` layout.
     pub(crate) fn old_layout_image(md: &MetaDocument) -> Vec<u8> {
-        let rows = |t: CountedTable| -> Vec<Vec<(u32, u32)>> {
-            let bounds = t.offsets.windows(2);
-            bounds
-                .map(|w| t.entries[w[0] as usize..w[1] as usize].to_vec())
-                .collect()
-        };
-        respliced(md, |hopi: CountedHopi| {
+        respliced(md, |hopi: Hopi| {
+            let [l_in, l_out, in_index, out_index] = four_tables(&hopi, u64::from);
             let old = OldHopi {
-                l_in: rows(hopi.l_in),
-                l_out: rows(hopi.l_out),
-                in_index: rows(hopi.in_index),
-                out_index: rows(hopi.out_index),
+                l_in,
+                l_out,
+                in_index,
+                out_index,
+                node_labels: hopi.node_labels,
+                stats: hopi.stats,
+            };
+            pagestore::to_bytes(&old).unwrap()
+        })
+    }
+
+    /// `HopiIndex` as the build before the ancestors pair was derived
+    /// persisted it: layout word "ROW2", all four tables — the inverted
+    /// ones in row order, anchors first, then by label, then by id — and
+    /// every array byte-prefixed.
+    #[derive(Serialize)]
+    struct FourTableHopi {
+        layout: u32,
+        l_in: Table,
+        l_out: Table,
+        in_index: Table,
+        out_index: Table,
+        #[serde(with = "graphcore::flat")]
+        node_labels: Vec<u32>,
+        stats: hopi::BuildStats,
+    }
+
+    /// The image of HOPI-backed `md` with its index as such a build
+    /// persisted it.
+    pub(crate) fn four_table_image(md: &MetaDocument) -> Vec<u8> {
+        respliced(md, |hopi: Hopi| {
+            const TARGET: u32 = 1 << 30;
+            let word = |v: u32| hopi.node_labels[v as usize];
+            let row_key = |v: u32| {
+                let (not_target, label) = (word(v) & TARGET == 0, word(v) & (TARGET - 1));
+                u64::from(not_target) << 62 | u64::from(label) << 32 | u64::from(v)
+            };
+            let [l_in, l_out, in_index, out_index] = four_tables(&hopi, row_key);
+            let old = FourTableHopi {
+                layout: u32::from_le_bytes(*b"ROW2"),
+                l_in: Table::from_rows(&l_in),
+                l_out: Table::from_rows(&l_out),
+                in_index: Table::from_rows(&in_index),
+                out_index: Table::from_rows(&out_index),
                 node_labels: hopi.node_labels,
                 stats: hopi.stats,
             };
@@ -638,12 +721,19 @@ mod tests {
         assert!(err.contains(&format!("meta document {victim}")), "{err}");
     }
 
-    /// A store written before HOPI's inverted rows were ordered anchors
-    /// first, then by label, holds them in id order, flags no anchor and
-    /// has no layout word: the same arrays, which the binary searches of a
-    /// lookup would miss links and results on, so loading must fail.
-    #[test]
-    fn id_ordered_hopi_rows_are_rejected_on_load() {
+    /// The bytes the ancestors pair of HOPI-backed `md` takes in an image
+    /// that stores it: two tables of `n + 1` offsets, every label entry
+    /// once more, and four array prefixes.
+    fn ancestors_pair_bytes(md: &MetaDocument) -> usize {
+        let crate::meta::MetaIndex::Hopi(index) = &md.index else {
+            panic!("not a HOPI meta document");
+        };
+        2 * (16 + 4 * (index.node_count() + 1)) + 8 * index.label_entries()
+    }
+
+    /// Puts each meta document's image as `twin` makes it into a stored
+    /// HOPI framework in turn: loading must fail on it, by name.
+    fn each_twin_is_refused(twin: fn(&MetaDocument) -> Vec<u8>, extra_bytes: isize) {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
         let flix = Flix::build(
             cg.clone(),
@@ -653,9 +743,11 @@ mod tests {
         save_flix(&flix, &mut st, "fw").unwrap();
         load_flix(&st, "fw", cg.clone()).unwrap();
         for victim in 0..flix.meta_count() as u32 {
-            let old = mirror::id_ordered_image(flix.meta(victim));
+            let md = flix.meta(victim);
+            let old = twin(md);
             let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
-            assert_eq!(old.len() + 4, new.len(), "the layout word is all it costs");
+            let grown = ancestors_pair_bytes(md) as isize + extra_bytes;
+            assert_eq!(old.len() as isize, new.len() as isize + grown);
             st.put(&format!("fw/meta-{victim}"), &old).unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt");
@@ -663,6 +755,52 @@ mod tests {
             st.put(&format!("fw/meta-{victim}"), &new).unwrap();
         }
         load_flix(&st, "fw", cg).unwrap();
+    }
+
+    /// A store written before HOPI's inverted rows were ordered anchors
+    /// first, then by label, holds them in id order, flags no anchor and
+    /// has no layout word: the same arrays, which the binary searches of a
+    /// lookup would miss links and results on, so loading must fail.
+    #[test]
+    fn id_ordered_hopi_rows_are_rejected_on_load() {
+        each_twin_is_refused(mirror::id_ordered_image, -4);
+    }
+
+    /// A store written before the ancestors pair was derived holds all four
+    /// label tables behind the "ROW2" layout word: read as this layout, its
+    /// `l_in` would be taken for `l_out`, so loading must fail.
+    #[test]
+    fn four_table_hopi_images_are_rejected_on_load() {
+        each_twin_is_refused(mirror::four_table_image, 0);
+    }
+
+    /// A HOPI image whose label entries name a node the index does not hold
+    /// would index out of bounds at the first lookup, or when the ancestors
+    /// pair is derived from it; loading must fail instead, in either stored
+    /// table.
+    #[test]
+    fn label_entries_naming_no_node_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(
+            cg.clone(),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        );
+        let damage: [fn(&mut mirror::Hopi); 2] = [
+            |hopi| hopi.l_out.entries[0].0 = hopi.l_out.offsets.len() as u32 - 1,
+            |hopi| hopi.in_index.entries.last_mut().unwrap().0 = u32::MAX,
+        ];
+        for (damage, table) in damage.into_iter().zip(["l_out", "in_index"]) {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let bytes = mirror::damaged_image(flix.meta(0), damage);
+            st.put("fw/meta-0", &bytes).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            assert!(err.contains("meta document 0 is stale or corrupt"), "{err}");
+            assert!(
+                err.contains(&format!("label table {table}: entry")),
+                "{err}"
+            );
+        }
     }
 
     /// Pins the manifest's on-disk layout: the format word, then six

@@ -2,13 +2,16 @@
 //!
 //! Construction runs the staged pipeline in [`crate::cover`] (rank →
 //! partition → merge → parallel per-partition cover) and finishes the raw
-//! label sets into a queryable index here: sorting by center id, building
-//! the inverted center indexes, and computing [`BuildStats`].
+//! label sets into a queryable index here: flattening them, inverting
+//! `L_in` into the one stored inverted table, and computing [`BuildStats`].
+//! The ancestors direction's two tables are derived from the stored two on
+//! first use.
 
 use crate::cover::{self, CoverOptions, StageReport};
 use graphcore::{Digraph, DistScratch, Distance, NodeId, INFINITE_DISTANCE};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// This thread's label-join scratch, shared by every [`HopiIndex`] the
@@ -59,8 +62,8 @@ fn offset(entries: usize) -> u32 {
 /// [`graphcore::Digraph`] uses for adjacency: row `i` is
 /// `entries[offsets[i]..offsets[i + 1]]`. One allocation per array however
 /// many rows there are, in memory and — through the `serde` derive — in the
-/// persisted image. A decoded table is only sliced after [`Self::fault`]
-/// cleared it.
+/// persisted image. A decoded table is only sliced or inverted after
+/// [`Self::fault`] cleared it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct LabelTable {
     /// Row boundaries: `rows + 1` non-decreasing values, from 0 to
@@ -122,8 +125,18 @@ impl LabelTable {
         Self { offsets, entries }
     }
 
-    /// The first way the offsets fail to describe `rows` rows over
-    /// `entries`, if they do: O(rows), no pass over the entries.
+    /// Sorts the entries of every row, in place, by `key` of their node.
+    fn sort_rows_by_key(&mut self, key: impl Fn(NodeId) -> u64) {
+        for row in self.offsets.windows(2) {
+            let row = &mut self.entries[row[0] as usize..row[1] as usize];
+            row.sort_unstable_by_key(|&(v, _)| key(v));
+        }
+    }
+
+    /// The first way the table fails to be `rows` rows of entries that name
+    /// nodes below `rows`, if it does — the offsets in O(rows), then one
+    /// pass over the entries' node ids, so that neither slicing a row nor
+    /// indexing by an entry's node goes out of bounds.
     fn fault(&self, rows: usize) -> Option<String> {
         let off = &self.offsets;
         if off.len() != rows + 1 {
@@ -139,13 +152,25 @@ impl LabelTable {
                 off[i + 1]
             ));
         }
-        (off[rows] as usize != self.entries.len()).then(|| {
-            format!(
+        if off[rows] as usize != self.entries.len() {
+            return Some(format!(
                 "last offset is {}, table holds {} entries",
                 off[rows],
                 self.entries.len()
-            )
-        })
+            ));
+        }
+        // A branch-free maximum, which vectorises (an early-exit search
+        // measured 2.5× slower), then the search only to name a node that
+        // is out of range.
+        let top = self.entries.iter().fold(0, |top, &(v, _)| top.max(v));
+        if (top as usize) < rows {
+            return None;
+        }
+        let at = self.entries.iter().position(|&(v, _)| v as usize >= rows)?;
+        Some(format!(
+            "entry {at} names node {}, the table has {rows}",
+            self.entries[at].0
+        ))
     }
 }
 
@@ -158,13 +183,15 @@ const SOURCE: u32 = 1 << 31;
 const TARGET: u32 = 1 << 30;
 const LABEL: u32 = TARGET - 1;
 
-/// The layout word of an index whose inverted rows are in anchor-then-label
-/// order ("ROW2"). An image saved when they were in id order has the same
-/// arrays and would decode into them cleanly — to rows a lookup's binary
-/// searches silently miss links and results on. It has no such word; and
-/// a word costs a load nothing, where checking every row's order was
-/// measured at 7 % of it (DESIGN.md).
-const LAYOUT: u32 = u32::from_le_bytes(*b"ROW2");
+/// The layout word of an image that holds the descendants pair alone, its
+/// inverted rows in anchor-then-label order ("ROW3"). An image saved when
+/// they were in id order has the same arrays and would decode into them
+/// cleanly — to rows a lookup's binary searches silently miss links and
+/// results on; it has no such word. One saved with all four tables
+/// ("ROW2") carries `l_in` where `l_out` belongs. A word costs a load
+/// nothing, where checking every row's order was measured at 7 % of it
+/// (DESIGN.md).
+const LAYOUT: u32 = u32::from_le_bytes(*b"ROW3");
 
 /// One direction of a label join: a node's own `(center, distance)` set,
 /// the inverted table to merge rows of for those centers, and the flag of
@@ -181,29 +208,48 @@ type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable, u32);
 /// anchors is declared with [`Self::set_anchors`]; an index nobody declared
 /// any for is simply label-ordered.
 ///
-/// The label sets and their inversions are four [`LabelTable`]s — flat
-/// arrays with `u32` row offsets, so an index is nine allocations whatever
-/// its node count, and loading or evicting a persisted one costs what its
-/// bytes cost.
+/// The label sets and their inversions are [`LabelTable`]s — flat arrays
+/// with `u32` row offsets. Only the *descendants pair* is stored: `l_out`
+/// and `in_index`, what every descendants-axis join reads. The *ancestors
+/// pair*, `l_in` and `out_index`, is a function of it, derived on first use
+/// ([`Self::l_in`], [`Self::out_index`]) and never persisted, so an image
+/// is five arrays whatever the node count and holds every label entry
+/// once, and loading or evicting one costs what its bytes cost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HopiIndex {
     /// [`LAYOUT`], first in the image: what is behind it is read as.
     layout: u32,
-    /// Row `v` = (center, d(center, v)), sorted by center id.
-    l_in: LabelTable,
     /// Row `u` = (center, d(u, center)), sorted by center id.
     l_out: LabelTable,
-    /// `l_in` inverted: row `w` = nodes v with w ∈ L_in(v), as (v, d(w,v)),
+    /// `L_in` inverted: row `w` = nodes v with w ∈ L_in(v), as (v, d(w,v)),
     /// ascending by (v is not a link source, label(v), v).
     in_index: LabelTable,
-    /// `l_out` inverted: row `w` = nodes u with w ∈ L_out(u), as
-    /// (u, d(u,w)), ascending by (u is not a link target, label(u), u).
-    out_index: LabelTable,
     /// Per node, its label and anchor flags (see [`SOURCE`]).
     #[serde(with = "graphcore::flat")]
     node_labels: Vec<u32>,
     stats: BuildStats,
+    /// `L_in`: row `v` = (center, d(center, v)), sorted by center id.
+    #[serde(skip)]
+    l_in: Derived,
+    /// `l_out` inverted: row `w` = nodes u with w ∈ L_out(u), as
+    /// (u, d(u,w)), ascending by (u is not a link target, label(u), u).
+    #[serde(skip)]
+    out_index: Derived,
 }
+
+/// A table derived from the stored ones on first use and kept. It takes no
+/// part in comparing indexes: the stored tables determine it, whether or
+/// not either side has derived it yet.
+#[derive(Debug, Clone, Default)]
+struct Derived(OnceLock<LabelTable>);
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Derived {}
 
 /// Sort key of node `v`, whose `node_labels` word is `word`, in a row of the
 /// inverted table whose anchors carry `flag`: (not an anchor, label, id).
@@ -250,28 +296,27 @@ impl HopiIndex {
         let cover = cover::build_cover(g, opts);
         let report = cover.report;
 
-        // Label lists were appended in center-rank order; queries need them
-        // sorted by center id for the merge intersection. The cover's rows
-        // go as soon as they are flat.
-        let sorted_flat = |mut rows: Vec<Vec<_>>| {
-            rows.iter_mut().for_each(|list| list.sort_unstable());
-            LabelTable::from_rows(&rows)
-        };
-        let (l_in, l_out) = (sorted_flat(cover.l_in), sorted_flat(cover.l_out));
+        // Label lists were appended in center-rank order; the merge
+        // intersection of `distance` needs `L_out` sorted by center id.
+        // `L_in` is only inverted, which orders rows by itself.
+        let mut l_out = cover.l_out;
+        l_out.iter_mut().for_each(|list| list.sort_unstable());
+        let l_out = LabelTable::from_rows(&l_out);
+        let in_index = LabelTable::from_rows(&cover.l_in).inverted(&row_order(node_labels, SOURCE));
 
         let stats = BuildStats {
-            in_entries: l_in.entries.len(),
+            in_entries: in_index.entries.len(),
             out_entries: l_out.entries.len(),
             visits: cover.visits,
         };
         let index = Self {
             layout: LAYOUT,
-            in_index: l_in.inverted(&row_order(node_labels, SOURCE)),
-            out_index: l_out.inverted(&row_order(node_labels, TARGET)),
-            l_in,
             l_out,
+            in_index,
             node_labels: node_labels.to_vec(),
             stats,
+            l_in: Derived::default(),
+            out_index: Derived::default(),
         };
         (index, report)
     }
@@ -279,9 +324,10 @@ impl HopiIndex {
     /// Declares the index's anchors — `sources`, the nodes runtime links
     /// leave from, and `targets`, the nodes they arrive at (any order,
     /// repeats allowed) — replacing whatever was declared before: sets the
-    /// flags and re-inverts the table of each direction whose set changed,
-    /// so its rows list the new anchors first. The result is a function of
-    /// the built index and the two sets alone. Returns whether anything
+    /// flags, re-sorts every `in_index` row in place if the sources changed,
+    /// so its rows list the new anchors first, and drops the derived
+    /// `out_index` if the targets did. The result is a function of the
+    /// built index and the two sets alone. Returns whether anything
     /// changed; an unchanged set costs O(nodes), not O(entries).
     ///
     /// # Panics
@@ -296,13 +342,14 @@ impl HopiIndex {
         let differs =
             |flag| (words.iter().zip(&self.node_labels)).any(|(a, b)| (a ^ b) & flag != 0);
         let (down, up) = (differs(SOURCE), differs(TARGET));
-        self.node_labels = words;
         if down {
-            self.in_index = self.l_in.inverted(&row_order(&self.node_labels, SOURCE));
+            let key = |v: NodeId| row_key(words[v as usize], SOURCE, v);
+            self.in_index.sort_rows_by_key(key);
         }
         if up {
-            self.out_index = self.l_out.inverted(&row_order(&self.node_labels, TARGET));
+            self.out_index = Derived::default();
         }
+        self.node_labels = words;
         down || up
     }
 
@@ -323,15 +370,16 @@ impl HopiIndex {
     }
 
     /// The first way the index fails to be laid out as a lookup relies on,
-    /// if it does: the layout word is this build's — inverted rows in row
-    /// order, which the binary searches of a lookup need and no image
-    /// saved before that order existed has — and the four label tables are
-    /// well-formed rows over [`Self::node_count`] nodes, which slicing a
-    /// row needs. A built index never has one; a decoded image can (a store
-    /// in an older layout, a damaged blob), so whoever decodes one checks
-    /// before the first lookup. O(nodes); that every row *is* in row order
-    /// is [`flixcheck::IntegrityCheck`]'s to audit (the inverted tables
-    /// must equal the label sets inverted in row order).
+    /// if it does: the layout word is this build's — the descendants pair
+    /// alone, inverted rows in row order, which the binary searches of a
+    /// lookup need and no image saved before that order existed has — and
+    /// the two stored tables are well-formed rows over [`Self::node_count`]
+    /// nodes whose entries name nodes of the index, which slicing a row,
+    /// reading an entry's label word and deriving the ancestors pair need.
+    /// A built index never has one; a decoded image can (a store in an
+    /// older layout, a damaged blob), so whoever decodes one checks before
+    /// the first lookup. O(nodes + entries); that every row *is* in row
+    /// order is [`flixcheck::IntegrityCheck`]'s to audit.
     pub fn layout_fault(&self) -> Option<String> {
         if self.layout != LAYOUT {
             let found = self.layout;
@@ -340,14 +388,28 @@ impl HopiIndex {
             ));
         }
         let n = self.node_count();
-        [
-            ("l_in", &self.l_in),
-            ("l_out", &self.l_out),
-            ("in_index", &self.in_index),
-            ("out_index", &self.out_index),
-        ]
-        .into_iter()
-        .find_map(|(name, table)| Some(format!("label table {name}: {}", table.fault(n)?)))
+        [("l_out", &self.l_out), ("in_index", &self.in_index)]
+            .into_iter()
+            .find_map(|(name, table)| Some(format!("label table {name}: {}", table.fault(n)?)))
+    }
+
+    /// `L_in`: `in_index` turned around, visiting its rows in id order, so
+    /// each row lists its centers ascending — derived on first use and
+    /// kept. `distance` reads it, and so does every ancestors-axis join.
+    fn l_in(&self) -> &LabelTable {
+        self.l_in.0.get_or_init(|| {
+            let ids: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
+            self.in_index.inverted(&ids)
+        })
+    }
+
+    /// `out_index`: `l_out` inverted in the row order of the link targets —
+    /// derived on first use and kept until [`Self::set_anchors`] changes
+    /// the targets. Every ancestors-axis join reads it.
+    fn out_index(&self) -> &LabelTable {
+        self.out_index
+            .0
+            .get_or_init(|| self.l_out.inverted(&row_order(&self.node_labels, TARGET)))
     }
 
     /// Construction statistics.
@@ -357,7 +419,7 @@ impl HopiIndex {
 
     /// Exact hop distance from `u` to `v`, or `None` if unreachable.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
-        let (a, b) = (self.l_out.row(u), self.l_in.row(v));
+        let (a, b) = (self.l_out.row(u), self.l_in().row(v));
         let (mut i, mut j) = (0, 0);
         let mut best = INFINITE_DISTANCE;
         while i < a.len() && j < b.len() {
@@ -399,7 +461,7 @@ impl HopiIndex {
 
     /// [`Self::down`] for the ancestors direction.
     fn up(&self, u: NodeId) -> JoinSide<'_> {
-        (self.l_in.row(u), &self.out_index, TARGET)
+        (self.l_in().row(u), self.out_index(), TARGET)
     }
 
     /// The whole-row label join behind the unfiltered enumerations: merges
@@ -588,12 +650,13 @@ impl HopiIndex {
         Ok(())
     }
 
-    /// Approximate in-memory footprint in bytes: the label entries, once in
-    /// the label sets and once inverted (both are materialised in the
-    /// database in the paper's implementation), plus the node labels. It
-    /// counts entries, not row bookkeeping: the `u32` row offsets are left
-    /// out, so the figure is the paper's size measure in bytes and does not
-    /// depend on how rows are laid out.
+    /// The paper's Table 1 size of the index in bytes: every label entry
+    /// twice, once in a label set and once inverted (the paper's database
+    /// holds both), plus the node labels. It is not what this struct holds
+    /// or persists — only the descendants pair is stored, and the ancestors
+    /// pair exists once something derived it — and it counts entries, not
+    /// row bookkeeping, so the figure does not depend on how rows are laid
+    /// out or which of them are stored.
     pub fn size_bytes(&self) -> usize {
         // every entry appears once in l_in/l_out and once inverted
         2 * self.stats.total_entries() * 8 + self.node_labels.len() * 4
@@ -602,13 +665,15 @@ impl HopiIndex {
 
 impl flixcheck::IntegrityCheck for HopiIndex {
     /// Audits the 2-hop cover's internal shape: the layout word is this
-    /// build's and the label tables' offsets are well-formed
+    /// build's and the stored tables are well-formed
     /// ([`HopiIndex::layout_fault`]; nothing else is looked at if not),
     /// every node carries its zero-distance self-entry in both label sets,
     /// center lists are strictly sorted, the inverted tables are exactly
     /// the label sets inverted in row order — so every inverted row lists
-    /// anchors first, then by label, then by id — and the build statistics
-    /// match the stored entry counts.
+    /// anchors first, then by label, then by id; for the stored `in_index`
+    /// that checks its rows (`L_in` is derived from them), for `out_index`
+    /// the table this index derived, which a stale one fails — and the
+    /// build statistics match the stored entry counts.
     ///
     /// Soundness/completeness against the indexed graph needs the graph
     /// itself (not stored here) — see [`HopiIndex::verify_against_graph`].
@@ -626,7 +691,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         let n = self.node_count() as NodeId;
 
         let holds_self = |table: &LabelTable, w| table.row(w).contains(&(w, 0));
-        let first = (0..n).find(|&w| !(holds_self(&self.l_in, w) && holds_self(&self.l_out, w)));
+        let first = (0..n).find(|&w| !(holds_self(self.l_in(), w) && holds_self(&self.l_out, w)));
         audit.check(
             "every node holds its zero-distance self-entry",
             first.is_none(),
@@ -639,7 +704,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         );
 
         let mut first = None;
-        'sorted: for (side, sets) in [("L_in", &self.l_in), ("L_out", &self.l_out)] {
+        'sorted: for (side, sets) in [("L_in", self.l_in()), ("L_out", &self.l_out)] {
             for u in 0..n {
                 for w in sets.row(u).windows(2) {
                     if w[0].0 >= w[1].0 {
@@ -659,8 +724,8 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         );
 
         let first = [
-            ("in_index", &self.in_index, &self.l_in, SOURCE),
-            ("out_index", &self.out_index, &self.l_out, TARGET),
+            ("in_index", &self.in_index, self.l_in(), SOURCE),
+            ("out_index", self.out_index(), &self.l_out, TARGET),
         ]
         .into_iter()
         .find(|(_, inverted, labels, flag)| {
@@ -675,7 +740,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
             },
         );
 
-        let (in_total, out_total) = (self.l_in.entries.len(), self.l_out.entries.len());
+        let (in_total, out_total) = (self.in_index.entries.len(), self.l_out.entries.len());
         audit.check(
             "build stats match stored entry counts",
             self.stats.in_entries == in_total && self.stats.out_entries == out_total,
@@ -710,16 +775,24 @@ impl HopiIndex {
         )
     }
 
-    /// This index as a build from before rows were ordered persisted it:
-    /// inverted rows ascending by node id, no flags.
-    fn with_id_ordered_rows(&self) -> Self {
-        let ids: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
+    /// The stored fields alone, nothing derived — what this index's image
+    /// decodes to. A test that damages a stored table starts from this, so
+    /// that no table derived from the undamaged one is left behind.
+    fn stored(&self) -> Self {
         Self {
-            in_index: self.l_in.inverted(&ids),
-            out_index: self.l_out.inverted(&ids),
-            node_labels: self.node_labels.iter().map(|word| word & LABEL).collect(),
+            l_in: Derived::default(),
+            out_index: Derived::default(),
             ..self.clone()
         }
+    }
+
+    /// This index's stored fields as a build from before rows were ordered
+    /// held them: `in_index` rows ascending by node id, no flags.
+    fn with_id_ordered_rows(&self) -> Self {
+        let mut stale = self.stored();
+        stale.in_index.sort_rows_by_key(u64::from);
+        stale.node_labels.iter_mut().for_each(|word| *word &= LABEL);
+        stale
     }
 }
 
@@ -847,7 +920,7 @@ mod tests {
     /// Every row of both inverted tables lists anchors first, then by
     /// label, then by id.
     fn assert_rows_in_key_order(idx: &HopiIndex) {
-        for (table, flag) in [(&idx.in_index, SOURCE), (&idx.out_index, TARGET)] {
+        for (table, flag) in [(&idx.in_index, SOURCE), (idx.out_index(), TARGET)] {
             for w in 0..idx.node_count() as NodeId {
                 let keys: Vec<_> = (table.row(w).iter())
                     .map(|&(v, _)| {
@@ -875,22 +948,23 @@ mod tests {
         idx.integrity_check().unwrap();
         idx.verify_against_graph(&g, 5).unwrap();
         // dropping a self-entry breaks cover admissibility
-        let mut bad = idx.clone();
+        let mut bad = idx.stored();
         let mut rows = rows_of(&bad.l_out);
         rows[0].retain(|&(c, _)| c != 0);
         bad.l_out = LabelTable::from_rows(&rows);
         assert!(bad.integrity_check().is_err());
-        // an entry missing from the inverted index breaks the mirror
-        let mut bad = idx.clone();
+        // an entry missing from the inverted index is off the build counts
+        let mut bad = idx.stored();
         let mut rows = rows_of(&bad.in_index);
         let row = rows.iter_mut().find(|row| !row.is_empty()).unwrap();
         row.pop();
         bad.in_index = LabelTable::from_rows(&rows);
         assert_eq!(bad.layout_fault(), None);
-        assert!(bad.integrity_check().is_err());
-        // rows in id order — what a build before the row order held — a
-        // row naming a node twice or one outside the index, and a flag the
-        // rows were not ordered by all break the mirror
+        let err = bad.integrity_check().unwrap_err().to_string();
+        assert!(err.contains("build stats"), "{err}");
+        // stored rows in id order — what a build before the row order held
+        // — a flag the rows were not ordered by, and a derived table left
+        // from other anchors (what `set_anchors` drops) break the mirror
         let order_fault = |bad: &HopiIndex| {
             assert_eq!(bad.layout_fault(), None);
             let err = bad.integrity_check().unwrap_err().to_string();
@@ -898,64 +972,82 @@ mod tests {
             err
         };
         assert!(order_fault(&idx.with_id_ordered_rows()).contains("in_index"));
-        let mut stale = idx.clone();
-        stale.out_index = idx.with_id_ordered_rows().out_index;
-        assert!(order_fault(&stale).contains("out_index"));
-        let long = |t: &LabelTable| (0..5).find(|&w| t.row(w).len() > 1).unwrap();
-        let mut bad = idx.clone();
-        let at = bad.out_index.offsets[long(&bad.out_index) as usize] as usize;
-        bad.out_index.entries[at + 1] = bad.out_index.entries[at];
-        assert!(order_fault(&bad).contains("out_index"));
-        bad.out_index.entries[at + 1].0 = 5;
-        assert!(order_fault(&bad).contains("out_index"));
-        let mut bad = idx.clone();
+        let mut bad = idx.stored();
         bad.node_labels[0] |= SOURCE;
         assert!(order_fault(&bad).contains("in_index"));
-        // an index in any other layout is not looked at further
-        let mut bad = idx.clone();
-        bad.layout = u32::from_le_bytes(*b"ROW1");
-        assert!(bad.layout_fault().unwrap().contains("layout"));
+        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 0]);
+        let mut stale = idx.stored();
+        stale.out_index = Derived(OnceLock::from(undeclared.out_index().clone()));
+        assert!(order_fault(&stale).contains("out_index"));
+        // a row naming a node twice turns into a label set naming a center
+        // twice; one naming a node outside the index is refused before any
+        // lookup could index by it
+        let long = |t: &LabelTable| (0..5).find(|&w| t.row(w).len() > 1).unwrap();
+        let mut bad = idx.stored();
+        let at = bad.in_index.offsets[long(&bad.in_index) as usize] as usize;
+        bad.in_index.entries[at + 1] = bad.in_index.entries[at];
+        assert_eq!(bad.layout_fault(), None);
+        let err = bad.integrity_check().unwrap_err().to_string();
+        assert!(err.contains("strictly sorted"), "{err}");
+        bad.in_index.entries[at + 1].0 = 5;
+        let fault = bad.layout_fault().unwrap();
+        assert!(
+            fault.contains("in_index") && fault.contains("names node 5"),
+            "{fault}"
+        );
         assert!(bad.integrity_check().is_err());
+        // an index in any other layout — the parent's four tables included —
+        // is not looked at further
+        for word in [*b"ROW1", *b"ROW2"] {
+            let mut bad = idx.stored();
+            bad.layout = u32::from_le_bytes(word);
+            assert!(bad.layout_fault().unwrap().contains("layout"));
+            assert!(bad.integrity_check().is_err());
+        }
         // wrong stats are caught
-        let mut bad = idx.clone();
+        let mut bad = idx.stored();
         bad.stats.in_entries += 1;
         assert!(bad.integrity_check().is_err());
         // offsets out of order, or past the entries, are caught before any
         // row is sliced
-        let mut bad = idx.clone();
-        let at = (bad.l_in.offsets.windows(2))
+        let mut bad = idx.stored();
+        let at = (bad.l_out.offsets.windows(2))
             .position(|w| w[0] < w[1])
             .unwrap();
-        bad.l_in.offsets.swap(at, at + 1);
-        assert!(bad.layout_fault().unwrap().contains("l_in"));
+        bad.l_out.offsets.swap(at, at + 1);
+        assert!(bad.layout_fault().unwrap().contains("l_out"));
         assert!(bad.integrity_check().is_err());
-        let mut bad = idx.clone();
-        *bad.out_index.offsets.last_mut().unwrap() += 1;
-        assert!(bad.layout_fault().unwrap().contains("out_index"));
+        let mut bad = idx.stored();
+        *bad.in_index.offsets.last_mut().unwrap() += 1;
+        assert!(bad.layout_fault().unwrap().contains("in_index"));
         assert!(bad.integrity_check().is_err());
         // a corrupted distance passes the shape checks but fails the oracle
-        let mut bad = idx;
+        let mut bad = idx.stored();
         let e = (bad.l_out.entries.iter_mut())
-            .chain(bad.l_in.entries.iter_mut())
+            .chain(bad.in_index.entries.iter_mut())
             .find(|e| e.1 > 0)
             .expect("cover has at least one non-self entry");
         e.1 += 1;
         assert!(bad.verify_against_graph(&g, 5).is_err());
     }
 
+    /// Offsets that do not describe the rows, and entries that name no
+    /// node of the index, in either stored table.
     #[test]
     fn layout_fault_names_every_way_offsets_can_be_wrong() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
         let idx = HopiIndex::build(&g, &[0; 3]);
         assert_eq!(idx.layout_fault(), None);
-        let damage: [fn(&mut HopiIndex); 7] = [
+        let damage: [fn(&mut HopiIndex); 9] = [
             |i| i.layout = 0,
             |i| i.l_out.offsets.clear(),
             |i| i.in_index.offsets.push(0),
-            |i| i.l_in.offsets[0] = 1,
-            |i| i.l_in.offsets[1] = u32::MAX,
-            |i| i.out_index.entries.truncate(1),
+            |i| i.l_out.offsets[0] = 1,
+            |i| i.in_index.offsets[1] = u32::MAX,
+            |i| i.in_index.entries.truncate(1),
             |i| i.node_labels.push(0),
+            |i| i.l_out.entries[0].0 = 3,
+            |i| i.in_index.entries[2].0 = u32::MAX,
         ];
         for damage in damage {
             let mut bad = idx.clone();
@@ -1043,42 +1135,112 @@ mod tests {
         })
     }
 
+    /// The four tables a build from before the ancestors pair was derived
+    /// held, built as it built them — both label sets off the cover, each
+    /// inverted in the row order of its anchors — the oracle the stored and
+    /// the derived tables are tested against.
+    struct FourTables {
+        l_in: LabelTable,
+        l_out: LabelTable,
+        in_index: LabelTable,
+        out_index: LabelTable,
+    }
+
+    impl FourTables {
+        fn build(
+            g: &Digraph,
+            labels: &[u32],
+            (sources, targets): &(Vec<NodeId>, Vec<NodeId>),
+        ) -> Self {
+            let cover = cover::build_cover(g, &CoverOptions::default());
+            let sorted_flat = |mut rows: Vec<Vec<_>>| {
+                rows.iter_mut().for_each(|list| list.sort_unstable());
+                LabelTable::from_rows(&rows)
+            };
+            let (l_in, l_out) = (sorted_flat(cover.l_in), sorted_flat(cover.l_out));
+            let mut words = labels.to_vec();
+            for (flag, anchors) in [(SOURCE, sources), (TARGET, targets)] {
+                for &a in anchors {
+                    words[a as usize] |= flag;
+                }
+            }
+            Self {
+                in_index: l_in.inverted(&row_order(&words, SOURCE)),
+                out_index: l_out.inverted(&row_order(&words, TARGET)),
+                l_in,
+                l_out,
+            }
+        }
+
+        fn tables(&self) -> [&LabelTable; 4] {
+            [&self.l_in, &self.l_out, &self.in_index, &self.out_index]
+        }
+
+        /// [`HopiIndex::down`] and [`HopiIndex::up`] over these tables.
+        fn sides(&self, u: NodeId) -> [JoinSide<'_>; 2] {
+            [
+                (self.l_out.row(u), &self.in_index, SOURCE),
+                (self.l_in.row(u), &self.out_index, TARGET),
+            ]
+        }
+    }
+
+    /// `idx`'s tables in [`FourTables::tables`] order, deriving what it has
+    /// not derived yet.
+    fn tables(idx: &HopiIndex) -> [&LabelTable; 4] {
+        [idx.l_in(), &idx.l_out, &idx.in_index, idx.out_index()]
+    }
+
+    /// `idx` through its persisted image: what a store hands back.
+    fn decoded(idx: &HopiIndex) -> HopiIndex {
+        pagestore::from_bytes(&pagestore::to_bytes(idx).unwrap()).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Reading the anchor prefix and the label run of each row gives
-        /// what reading whole rows and filtering gives, in the same order,
-        /// and charges exactly those rows — both directions, with and
-        /// without the start.
+        /// what reading whole rows of the four-table build and filtering
+        /// gives, in the same order, and charges exactly those rows — both
+        /// directions, with and without the start, on the built index and
+        /// on its decoded image, each deriving its ancestors pair on first
+        /// use.
         #[test]
         fn the_partitioned_join_equals_the_filtered_whole_row_join(
             (g, labels, flags, _) in arb_labelled_graph()
         ) {
-            let mut idx = HopiIndex::build(&g, &labels);
-            let (sources, targets) = anchor_sets(&flags);
-            idx.set_anchors(&sources, &targets);
-            prop_assert_eq!(idx.layout_fault(), None);
-            for u in 0..g.node_count() as NodeId {
-                for (side, anchors) in [(idx.down(u), &sources), (idx.up(u), &targets)] {
-                    // the rows a lookup may read: anchors, and `label`'s
-                    let rows = |label: Option<u32>| {
-                        let rows = side.0.iter().flat_map(|&(w, _)| side.1.row(w));
-                        rows.filter(|&&(v, _)| {
-                            anchors.contains(&v) || Some(labels[v as usize]) == label
-                        })
-                        .count()
-                    };
-                    let (block, work, links) = idx.block_and_anchors(u, side, None);
-                    prop_assert_eq!((block, work), (Vec::new(), rows(None)));
-                    for label in 0..3 {
-                        for include_self in [false, true] {
-                            let block = (label, include_self);
-                            let want = idx.block_and_anchors_of_whole_rows(u, side, block, anchors);
-                            let (block, work, anchors) =
-                                idx.block_and_anchors(u, side, Some(block));
-                            prop_assert_eq!(&anchors, &links);
-                            prop_assert_eq!((block, anchors), want, "{} label {}", u, label);
-                            prop_assert_eq!(work, rows(Some(label)));
+            let declared = anchor_sets(&flags);
+            let (sources, targets) = &declared;
+            let oracle = FourTables::build(&g, &labels, &declared);
+            let mut built = HopiIndex::build(&g, &labels);
+            built.set_anchors(sources, targets);
+            for idx in [decoded(&built), built] {
+                prop_assert_eq!(idx.layout_fault(), None);
+                prop_assert_eq!(tables(&idx), oracle.tables());
+                for u in 0..g.node_count() as NodeId {
+                    let sides = [(idx.down(u), sources), (idx.up(u), targets)];
+                    for ((side, anchors), whole) in sides.into_iter().zip(oracle.sides(u)) {
+                        // the rows a lookup may read: anchors, and `label`'s
+                        let rows = |label: Option<u32>| {
+                            let rows = side.0.iter().flat_map(|&(w, _)| side.1.row(w));
+                            rows.filter(|&&(v, _)| {
+                                anchors.contains(&v) || Some(labels[v as usize]) == label
+                            })
+                            .count()
+                        };
+                        let (block, work, links) = idx.block_and_anchors(u, side, None);
+                        prop_assert_eq!((block, work), (Vec::new(), rows(None)));
+                        for label in 0..3 {
+                            for include_self in [false, true] {
+                                let block = (label, include_self);
+                                let want =
+                                    idx.block_and_anchors_of_whole_rows(u, whole, block, anchors);
+                                let (block, work, anchors) =
+                                    idx.block_and_anchors(u, side, Some(block));
+                                prop_assert_eq!(&anchors, &links);
+                                prop_assert_eq!((block, anchors), want, "{} label {}", u, label);
+                                prop_assert_eq!(work, rows(Some(label)));
+                            }
                         }
                     }
                 }
@@ -1087,7 +1249,10 @@ mod tests {
 
         /// Declaring anchors is a function of the built index and the sets:
         /// declaring `a` and then `b` leaves what a fresh build declared `b`
-        /// has, and declaring `b` again re-inverts nothing.
+        /// has — stored tables, and derived ones equal to the four-table
+        /// build's under `b` whatever was derived under `a` — and declaring
+        /// `b` again re-inverts nothing; from the built index and from its
+        /// decoded image alike.
         #[test]
         fn redeclared_anchors_equal_a_fresh_build_with_them(
             (g, labels, a, b) in arb_labelled_graph()
@@ -1096,17 +1261,25 @@ mod tests {
             let (a, b) = (anchor_sets(&a), anchor_sets(&b));
             let mut want = fresh.clone();
             prop_assert_eq!(want.set_anchors(&b.0, &b.1), !(b.0.is_empty() && b.1.is_empty()));
-            let mut idx = fresh.clone();
-            idx.set_anchors(&a.0, &a.1);
-            prop_assert_eq!(idx.set_anchors(&b.0, &b.1), a != b);
-            prop_assert_eq!(&idx, &want);
-            prop_assert_eq!(idx.anchors(), b.clone());
-            // repeats and any order declare the same sets
-            let twice = |set: &[NodeId]| set.iter().rev().chain(set).copied().collect::<Vec<_>>();
-            prop_assert!(!idx.set_anchors(&twice(&b.0), &twice(&b.1)));
-            prop_assert_eq!(&idx, &want);
-            prop_assert_eq!(idx.set_anchors(&[], &[]), b != (Vec::new(), Vec::new()));
-            prop_assert_eq!(&idx, &fresh);
+            let (under_b, bare) = (
+                FourTables::build(&g, &labels, &b),
+                FourTables::build(&g, &labels, &Default::default()),
+            );
+            for mut idx in [decoded(&fresh), fresh.clone()] {
+                idx.set_anchors(&a.0, &a.1);
+                tables(&idx);
+                prop_assert_eq!(idx.set_anchors(&b.0, &b.1), a != b);
+                prop_assert_eq!(&idx, &want);
+                prop_assert_eq!(tables(&idx), under_b.tables());
+                prop_assert_eq!(idx.anchors(), b.clone());
+                // repeats and any order declare the same sets
+                let twice = |set: &[NodeId]| set.iter().rev().chain(set).copied().collect::<Vec<_>>();
+                prop_assert!(!idx.set_anchors(&twice(&b.0), &twice(&b.1)));
+                prop_assert_eq!(&idx, &want);
+                prop_assert_eq!(idx.set_anchors(&[], &[]), b != (Vec::new(), Vec::new()));
+                prop_assert_eq!(&idx, &fresh);
+                prop_assert_eq!(tables(&idx), bare.tables());
+            }
         }
 
         /// Rows of any shape — unsorted, repeated centers, empty — come

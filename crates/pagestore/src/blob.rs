@@ -36,6 +36,16 @@ pub enum BlobError {
         /// The directory page whose record is gone.
         page: PageId,
     },
+    /// The pages listed in the directory hold another number of bytes
+    /// than it records for the blob — the store is corrupt.
+    LengthMismatch {
+        /// Blob being read.
+        name: String,
+        /// Bytes the directory records.
+        expected: u64,
+        /// Bytes its pages hold.
+        found: u64,
+    },
 }
 
 impl fmt::Display for BlobError {
@@ -52,6 +62,14 @@ impl fmt::Display for BlobError {
             BlobError::MissingChunk { name, page } => write!(
                 f,
                 "blob {name:?}: page {page} holds no chunk record (store corrupt)"
+            ),
+            BlobError::LengthMismatch {
+                name,
+                expected,
+                found,
+            } => write!(
+                f,
+                "blob {name:?}: directory records {expected} bytes, its pages hold {found} (store corrupt)"
             ),
         }
     }
@@ -113,12 +131,16 @@ impl BlobStore {
     /// Reads blob `name`; `Ok(None)` if no such blob exists.
     ///
     /// # Errors
-    /// [`BlobError::MissingChunk`] if a directory page lost its record.
+    /// [`BlobError::MissingChunk`] if a directory page lost its record;
+    /// [`BlobError::LengthMismatch`] if the pages hold another number of
+    /// bytes than the directory records.
     pub fn get(&self, name: &str) -> Result<Option<Vec<u8>>, BlobError> {
         let Some(entry) = self.directory.get(name) else {
             return Ok(None);
         };
-        let mut out = Vec::with_capacity(entry.len as usize);
+        // A directory read back from disk is not trusted to size the buffer.
+        let most = entry.pages.len() * CHUNK;
+        let mut out = Vec::with_capacity(most.min(entry.len as usize));
         for &page in &entry.pages {
             let present = self.pool.with_page(page, |pg| match pg.get(0) {
                 Some(chunk) => {
@@ -134,7 +156,13 @@ impl BlobStore {
                 });
             }
         }
-        debug_assert_eq!(out.len() as u64, entry.len);
+        if out.len() as u64 != entry.len {
+            return Err(BlobError::LengthMismatch {
+                name: name.to_string(),
+                expected: entry.len,
+                found: out.len() as u64,
+            });
+        }
         Ok(Some(out))
     }
 
@@ -335,6 +363,38 @@ mod tests {
         // valid count but truncated entry
         let bad = 1u32.to_le_bytes().to_vec();
         assert!(BlobStore::import_directory(pool, &bad).is_err());
+    }
+
+    /// A directory read back from disk that records more bytes for a blob
+    /// than its pages hold — or fewer — makes a read of that blob fail,
+    /// typed, in release builds too, whatever the length claims.
+    #[test]
+    fn a_directory_length_its_pages_do_not_hold_is_an_error() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 16));
+        let mut s = BlobStore::new(pool.clone());
+        let data = vec![7u8; CHUNK + 10];
+        s.put("two-pages", &data).unwrap();
+        let dir = s.export_directory();
+        // count, name length, name, then the recorded length
+        let at = 4 + 4 + "two-pages".len();
+        let stored = CHUNK as u64 + 10;
+        for claimed in [stored + 1, stored - 1, 2 * CHUNK as u64 + 1, u64::MAX] {
+            let mut forged = dir.clone();
+            forged[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            let s = BlobStore::import_directory(pool.clone(), &forged).unwrap();
+            let err = s.get("two-pages").unwrap_err();
+            assert_eq!(
+                err,
+                BlobError::LengthMismatch {
+                    name: "two-pages".into(),
+                    expected: claimed,
+                    found: stored,
+                }
+            );
+            assert!(err.to_string().contains("store corrupt"), "{err}");
+        }
+        let s = BlobStore::import_directory(pool, &dir).unwrap();
+        assert_eq!(s.get("two-pages").unwrap().unwrap(), data);
     }
 
     #[test]

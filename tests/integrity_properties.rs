@@ -78,9 +78,10 @@ proptest! {
 
     /// A persisted HOPI image decodes to an equal index that passes the
     /// load-time layout check, and costs what the flat tables say: the
-    /// layout word, nine length-prefixed arrays — four tables of `n + 1`
-    /// `u32` offsets and 8-byte entries (every entry once in a label set,
-    /// once inverted) and the node labels — plus the three build counters.
+    /// layout word, five length-prefixed arrays — the descendants pair, two
+    /// tables of `n + 1` `u32` offsets and 8-byte entries (every entry
+    /// once: `l_out` holds the out-entries, `in_index` the in-entries), and
+    /// the node labels — plus the three build counters.
     #[test]
     fn hopi_image_round_trips_to_an_equal_index(g in arb_graph(40, 110)) {
         let n = g.node_count();
@@ -88,7 +89,7 @@ proptest! {
         let image = pagestore::to_bytes(&idx).unwrap();
         prop_assert_eq!(
             image.len(),
-            4 + 9 * 8 + 4 * 4 * (n + 1) + 2 * 8 * idx.label_entries() + 4 * n + 3 * 8
+            4 + 5 * 8 + 2 * 4 * (n + 1) + 8 * idx.label_entries() + 4 * n + 3 * 8
         );
         let back: HopiIndex = pagestore::from_bytes(&image).unwrap();
         prop_assert!(back == idx, "decoded index differs");
