@@ -66,17 +66,15 @@ fn doc_is_tree(cg: &CollectionGraph, d: u32) -> bool {
     // forest shape, and those appear as link edges with both ends in `d`.
     let base = cg.node_base[d as usize];
     let end = cg.node_base[d as usize + 1];
-    let has_intra = cg
-        .link_edges
+    let first = cg.link_edges.partition_point(|&(u, _)| u < base);
+    let has_intra = cg.link_edges[first..]
         .iter()
-        .skip_while(|&&(u, _)| u < base)
         .take_while(|&&(u, _)| u < end)
         .any(|&(_, v)| v >= base && v < end);
     if !has_intra {
         return true;
     }
-    let nodes: Vec<NodeId> = (base..end).collect();
-    let (sub, _) = cg.graph.induced_subgraph(&nodes);
+    let (sub, _) = cg.graph.induced_subgraph(&doc_nodes(cg, d));
     is_forest(&sub)
 }
 
@@ -291,6 +289,41 @@ mod tests {
         let cg = sample();
         assert!(doc_is_tree(&cg, 0));
         assert!(!doc_is_tree(&cg, 3));
+    }
+
+    #[test]
+    fn doc_is_tree_is_the_forest_test_of_the_induced_subgraph() {
+        use workloads::{generate_mixed, generate_web, MixedConfig, WebConfig};
+        let mut answers = [false; 2];
+        let mut link_free_between_linked = false;
+        for c in [
+            generate_web(&WebConfig::default()),
+            generate_mixed(&MixedConfig::default()),
+        ] {
+            let cg = c.seal();
+            let docs = cg.collection.doc_count() as u32;
+            // Every document, the first and the last included.
+            for d in 0..docs {
+                let (sub, _) = cg.graph.induced_subgraph(&doc_nodes(&cg, d));
+                let tree = doc_is_tree(&cg, d);
+                assert_eq!(tree, is_forest(&sub), "document {d} of {docs}");
+                answers[tree as usize] = true;
+            }
+            let linked: Vec<bool> = (0..docs as usize)
+                .map(|d| {
+                    let (base, end) = (cg.node_base[d], cg.node_base[d + 1]);
+                    cg.link_edges.iter().any(|&(u, _)| base <= u && u < end)
+                })
+                .collect();
+            link_free_between_linked |= (1..linked.len()).any(|d| {
+                !linked[d] && linked[..d].contains(&true) && linked[d + 1..].contains(&true)
+            });
+        }
+        assert_eq!(answers, [true, true], "both answers occur");
+        assert!(
+            link_free_between_linked,
+            "a link-free document sits between linked ones"
+        );
     }
 
     #[test]

@@ -22,26 +22,21 @@ pub struct TransitiveClosure {
 }
 
 impl TransitiveClosure {
-    /// Computes the closure by propagating successor sets in reverse
-    /// topological order of the condensation (cycle-safe).
+    /// Computes the closure by propagating successor sets over the
+    /// condensation in ascending component id — successors first, since
+    /// every condensation edge runs to a smaller id (cycle-safe).
     pub fn build(g: &Digraph) -> Self {
         let n = g.node_count();
         let cond = crate::scc::condensation(g);
         let c = cond.component_count();
         // Closure on the component DAG first.
         let mut comp_rows: Vec<BitSet> = (0..c).map(|_| BitSet::new(c)).collect();
-        // The condensation is acyclic by construction, so an order always
-        // exists; the identity fallback keeps this total without panicking.
-        let order =
-            crate::topo::topological_order(&cond.dag).unwrap_or_else(|| (0..c as NodeId).collect());
-        for &u in order.iter().rev() {
-            comp_rows[u as usize].insert(u as usize);
-            let succs: Vec<NodeId> = cond.dag.successors(u).to_vec();
-            for v in succs {
-                // Split borrow: take the successor row out, merge, put back.
-                let row = std::mem::replace(&mut comp_rows[v as usize], BitSet::new(0));
-                comp_rows[u as usize].union_with(&row);
-                comp_rows[v as usize] = row;
+        for u in 0..c {
+            let (settled, rest) = comp_rows.split_at_mut(u);
+            let row = &mut rest[0];
+            row.insert(u);
+            for &v in cond.dag.successors(u as NodeId) {
+                row.union_with(&settled[v as usize]);
             }
         }
         // Expand to node granularity.

@@ -60,7 +60,7 @@ pub mod traversal;
 pub use bitset::BitSet;
 pub use closure::{DistanceOracle, TransitiveClosure};
 pub use digraph::{Digraph, DigraphBuilder, NodeId};
-pub use estimate::{estimate_ancestor_counts, estimate_descendant_counts};
+pub use estimate::{estimate_reach_counts, Reach};
 pub use partition::{partition_condensation, partition_greedy, Partitioning};
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use scratch::DistScratch;
@@ -68,3 +68,19 @@ pub use spanning::is_forest;
 pub use spanning::{spanning_forest, ForestCheck};
 pub use topo::topological_order;
 pub use traversal::{bfs_distances, bfs_from, is_reachable, Distance, INFINITE_DISTANCE};
+
+/// Random graphs shared by the crate's property tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::Digraph;
+    use proptest::prelude::*;
+
+    /// A digraph of `1..max_nodes` nodes and up to three edges a node:
+    /// cycles, isolated nodes, self loops and duplicate edges all occur.
+    pub(crate) fn arb_graph(max_nodes: usize) -> impl Strategy<Value = Digraph> {
+        (1..max_nodes).prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n)
+                .prop_map(move |edges| Digraph::from_edges(n, edges))
+        })
+    }
+}

@@ -80,7 +80,8 @@ pub fn partition_greedy(g: &Digraph, max_size: usize) -> Partitioning {
                 }
             }
         }
-        block.sort_unstable();
+        // Member order does not matter until `refine_boundary` rebuilds
+        // every block from `part_of`, ascending.
         parts.push(block);
     }
 
@@ -89,8 +90,9 @@ pub fn partition_greedy(g: &Digraph, max_size: usize) -> Partitioning {
         parts,
         cut_edges: 0,
     };
-    consolidate_small_blocks(g, &mut p, max_size);
-    refine_boundary(g, &mut p, max_size);
+    let mut tally = Tally::new(p.parts.len());
+    consolidate_small_blocks(g, &mut p, max_size, &mut tally);
+    refine_boundary(g, &mut p, max_size, &mut tally);
     p.recount_cut(g);
     p
 }
@@ -145,30 +147,24 @@ pub fn partition_condensation(g: &Digraph, cond: &Condensation, max_size: usize)
 
     // Fold small blocks into the neighbouring block with the most DAG
     // adjacencies that still has room (same policy as the element-level
-    // consolidation above, but weighted by member counts).
+    // consolidation below, but weighted by member counts).
     let small_bar = (max_size / 4).max(1);
     let mut order: Vec<usize> = (0..comp_blocks.len()).collect();
     order.sort_by_key(|&b| (block_weight[b], b));
+    let mut tally = Tally::new(comp_blocks.len());
     for &b in &order {
         let wb = block_weight[b];
         if wb == 0 || wb > small_bar {
             continue;
         }
-        let mut tally: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
         for &c in &comp_blocks[b] {
             for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
-                let t = block_of[nb as usize];
-                if t as usize != b {
-                    *tally.entry(t).or_insert(0) += 1;
-                }
+                tally.add(block_of[nb as usize]);
             }
         }
-        let target = tally
-            .iter()
-            .filter(|&(&t, _)| block_weight[t as usize] + wb <= max_size)
-            .max_by_key(|&(&t, &c)| (c, std::cmp::Reverse(t)))
-            .map(|(&t, _)| t);
-        if let Some(t) = target {
+        let target =
+            tally.take_best(|t| t as usize != b && block_weight[t as usize] + wb <= max_size);
+        if let Some((t, _)) = target {
             let moved = std::mem::take(&mut comp_blocks[b]);
             block_weight[t as usize] += wb;
             block_weight[b] = 0;
@@ -204,114 +200,124 @@ pub fn partition_condensation(g: &Digraph, cond: &Condensation, max_size: usize)
     p
 }
 
+/// A dense `block -> count` tally over a fixed number of block ids, emptied
+/// in O(blocks touched) — what a fold or a boundary move asks of a node's
+/// neighbourhood, without a hash table per question. A count is a number
+/// of edges, which a `Digraph`'s `u32` offsets bound.
+struct Tally {
+    count: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl Tally {
+    fn new(blocks: usize) -> Self {
+        Self {
+            count: vec![0; blocks],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, block: u32) {
+        let c = &mut self.count[block as usize];
+        if *c == 0 {
+            self.touched.push(block);
+        }
+        *c += 1;
+    }
+
+    fn get(&self, block: u32) -> u32 {
+        self.count[block as usize]
+    }
+
+    /// The admitted block with the most tallies, the smaller id on a tie,
+    /// with its count; empties the tally either way.
+    fn take_best(&mut self, admit: impl Fn(u32) -> bool) -> Option<(u32, u32)> {
+        let best = self
+            .touched
+            .iter()
+            .filter(|&&b| admit(b))
+            .map(|&b| (b, self.count[b as usize]))
+            .max_by_key(|&(b, c)| (c, std::cmp::Reverse(b)));
+        for &b in &self.touched {
+            self.count[b as usize] = 0;
+        }
+        self.touched.clear();
+        best
+    }
+}
+
 /// Region growing leaves stragglers behind: once the early regions hit the
 /// cap, nodes whose neighbours are all claimed end up as tiny blocks. Fold
 /// each small block into the neighbouring partition with the most
 /// connections that still has room; blocks with no such neighbour are
 /// first-fit bin-packed together (they carry no internal edges worth
-/// preserving).
-fn consolidate_small_blocks(g: &Digraph, p: &mut Partitioning, max_size: usize) {
+/// preserving). Emptied blocks stay behind, empty, for `refine_boundary`
+/// to drop.
+fn consolidate_small_blocks(g: &Digraph, p: &mut Partitioning, max_size: usize, tally: &mut Tally) {
     let small_bar = (max_size / 4).max(1);
-    let mut sizes: Vec<usize> = p.parts.iter().map(Vec::len).collect();
     // Process ascending by size so the smallest fragments merge first.
     let mut order: Vec<usize> = (0..p.parts.len()).collect();
-    order.sort_by_key(|&b| sizes[b]);
+    order.sort_by_key(|&b| p.parts[b].len());
     let mut orphans: Vec<usize> = Vec::new();
     for &b in &order {
         let size = p.parts[b].len();
-        if size == 0 || size > small_bar || sizes[b] != size {
-            continue; // grown since, emptied, or big enough
+        if size > small_bar {
+            continue;
         }
-        let mut tally: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
         for &u in &p.parts[b] {
             for &v in g.successors(u).iter().chain(g.predecessors(u)) {
-                let pv = p.part_of[v as usize];
-                if pv as usize != b {
-                    *tally.entry(pv).or_insert(0) += 1;
-                }
+                tally.add(p.part_of[v as usize]);
             }
         }
-        let target = tally
-            .iter()
-            .filter(|&(&t, _)| sizes[t as usize] + size <= max_size)
-            .max_by_key(|&(&t, &c)| (c, std::cmp::Reverse(t)))
-            .map(|(&t, _)| t);
-        match target {
-            Some(t) => {
+        match tally.take_best(|t| t as usize != b && p.parts[t as usize].len() + size <= max_size) {
+            Some((t, _)) => {
                 let moved = std::mem::take(&mut p.parts[b]);
-                sizes[t as usize] += moved.len();
-                sizes[b] = 0;
                 for &u in &moved {
                     p.part_of[u as usize] = t;
                 }
                 p.parts[t as usize].extend(moved);
-                p.parts[t as usize].sort_unstable();
             }
             None => orphans.push(b),
         }
     }
-    // First-fit bin packing of the orphan blocks among themselves.
+    // First-fit bin packing of the orphan blocks among themselves. A block
+    // is only ever emptied on its own turn above, so no orphan is empty.
     let mut bins: Vec<(usize, usize)> = Vec::new(); // (target block, size)
     for b in orphans {
         let size = p.parts[b].len();
-        if size == 0 {
-            continue;
-        }
-        match bins
-            .iter_mut()
-            .find(|(t, s)| *t != b && s + size <= max_size)
-        {
+        match bins.iter_mut().find(|(_, s)| *s + size <= max_size) {
             Some((t, s)) => {
                 let moved = std::mem::take(&mut p.parts[b]);
                 for &u in &moved {
                     p.part_of[u as usize] = *t as u32;
                 }
-                let tb = *t;
-                p.parts[tb].extend(moved);
-                p.parts[tb].sort_unstable();
+                p.parts[*t].extend(moved);
                 *s += size;
             }
             None => bins.push((b, size)),
         }
     }
-    // Drop emptied blocks and compact partition ids.
-    let mut remap = vec![u32::MAX; p.parts.len()];
-    let mut new_parts = Vec::new();
-    for (old, block) in std::mem::take(&mut p.parts).into_iter().enumerate() {
-        if !block.is_empty() {
-            remap[old] = new_parts.len() as u32;
-            new_parts.push(block);
-        }
-    }
-    for pid in p.part_of.iter_mut() {
-        *pid = remap[*pid as usize];
-    }
-    p.parts = new_parts;
 }
 
 /// One sweep of boundary refinement: move a node to the neighbouring
 /// partition that holds strictly more of its neighbours, when the target has
 /// room. This is a light-weight stand-in for the paper's (unspecified)
-/// partition post-processing.
-fn refine_boundary(g: &Digraph, p: &mut Partitioning, max_size: usize) {
+/// partition post-processing. Then rebuilds every block from `part_of` in
+/// node order, dropping empty blocks and numbering the rest by first
+/// member.
+fn refine_boundary(g: &Digraph, p: &mut Partitioning, max_size: usize, tally: &mut Tally) {
     let n = g.node_count();
     let mut sizes: Vec<usize> = p.parts.iter().map(Vec::len).collect();
-    let mut tally: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
     for u in 0..n as NodeId {
         let home = p.part_of[u as usize];
         if sizes[home as usize] <= 1 {
             continue; // never empty a partition
         }
-        tally.clear();
         for &v in g.successors(u).iter().chain(g.predecessors(u)) {
-            *tally.entry(p.part_of[v as usize]).or_insert(0) += 1;
+            tally.add(p.part_of[v as usize]);
         }
-        let home_links = tally.get(&home).copied().unwrap_or(0);
-        let best = tally
-            .iter()
-            .filter(|&(&pid, _)| pid != home && sizes[pid as usize] < max_size)
-            .max_by_key(|&(&pid, &c)| (c, std::cmp::Reverse(pid)))
-            .map(|(&pid, &c)| (pid, c));
+        let home_links = tally.get(home);
+        let best = tally.take_best(|pid| pid != home && sizes[pid as usize] < max_size);
         if let Some((target, c)) = best {
             if c > home_links {
                 p.part_of[u as usize] = target;
@@ -320,8 +326,6 @@ fn refine_boundary(g: &Digraph, p: &mut Partitioning, max_size: usize) {
             }
         }
     }
-    // Rebuild member lists from part_of, dropping empty blocks and
-    // compacting ids.
     let mut remap = vec![u32::MAX; p.parts.len()];
     let mut new_parts: Vec<Vec<NodeId>> = Vec::new();
     for u in 0..n as NodeId {
@@ -340,6 +344,7 @@ fn refine_boundary(g: &Digraph, p: &mut Partitioning, max_size: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn assert_valid(g: &Digraph, p: &Partitioning, max_size: usize) {
         // every node assigned exactly once
@@ -539,6 +544,349 @@ mod tests {
             let cond = condensation(&g);
             let p = partition_condensation(&g, &cond, 4);
             assert!(p.is_empty());
+        }
+    }
+
+    /// The partitioners as they were before the dense tally: a `HashMap`
+    /// tally per fold and per node, and every fold re-sorting its target
+    /// block.
+    mod reference {
+        use crate::digraph::{Digraph, NodeId};
+        use crate::partition::Partitioning;
+        use crate::scc::Condensation;
+
+        fn recount_cut(g: &Digraph, p: &mut Partitioning) {
+            p.cut_edges = g
+                .edges()
+                .filter(|&(u, v)| p.part_of[u as usize] != p.part_of[v as usize])
+                .count();
+        }
+
+        /// Partitions `g` into blocks of at most `max_size` nodes.
+        ///
+        /// `max_size` must be at least 1. The result is deterministic.
+        pub(super) fn partition_greedy(g: &Digraph, max_size: usize) -> Partitioning {
+            assert!(max_size >= 1, "partition size cap must be positive");
+            let n = g.node_count();
+            let mut part_of = vec![u32::MAX; n];
+            let mut parts: Vec<Vec<NodeId>> = Vec::new();
+
+            // Seed order: ascending total degree, then id.
+            let mut seeds: Vec<NodeId> = (0..n as NodeId).collect();
+            seeds.sort_by_key(|&u| (g.out_degree(u) + g.in_degree(u), u));
+
+            let mut queue = std::collections::VecDeque::new();
+            for &seed in &seeds {
+                if part_of[seed as usize] != u32::MAX {
+                    continue;
+                }
+                let pid = parts.len() as u32;
+                let mut block = Vec::new();
+                part_of[seed as usize] = pid;
+                queue.clear();
+                queue.push_back(seed);
+                while let Some(u) = queue.pop_front() {
+                    block.push(u);
+                    if block.len() + queue.len() >= max_size {
+                        // Stop admitting once the block (plus already-claimed queue
+                        // entries) reaches the cap; drain the queue into the block.
+                        continue;
+                    }
+                    for &v in g.successors(u).iter().chain(g.predecessors(u)) {
+                        if part_of[v as usize] == u32::MAX && block.len() + queue.len() < max_size {
+                            part_of[v as usize] = pid;
+                            queue.push_back(v);
+                        }
+                    }
+                }
+                block.sort_unstable();
+                parts.push(block);
+            }
+
+            let mut p = Partitioning {
+                part_of,
+                parts,
+                cut_edges: 0,
+            };
+            consolidate_small_blocks(g, &mut p, max_size);
+            refine_boundary(g, &mut p, max_size);
+            recount_cut(g, &mut p);
+            p
+        }
+
+        /// Partitions `g` into blocks of at most `max_size` nodes that never split
+        /// a strongly connected component: blocks are unions of whole SCCs of the
+        /// supplied condensation, grown over the component DAG by weighted
+        /// undirected region growing (component weight = member count). HOPI's
+        /// staged cover builder relies on this so every cycle stays inside one
+        /// partition and only condensation (DAG) edges cross blocks.
+        ///
+        /// The cap is respected except when a single SCC alone exceeds it — such a
+        /// component keeps its own oversized block rather than being torn apart.
+        /// Deterministic for a given graph.
+        pub(super) fn partition_condensation(
+            g: &Digraph,
+            cond: &Condensation,
+            max_size: usize,
+        ) -> Partitioning {
+            assert!(max_size >= 1, "partition size cap must be positive");
+            let k = cond.component_count();
+            let dag = &cond.dag;
+            let weight: Vec<usize> = cond.members.iter().map(Vec::len).collect();
+            let mut block_of = vec![u32::MAX; k];
+            let mut comp_blocks: Vec<Vec<u32>> = Vec::new();
+            let mut block_weight: Vec<usize> = Vec::new();
+
+            // Seed order mirrors `partition_greedy`: peripheral components first.
+            let mut seeds: Vec<u32> = (0..k as u32).collect();
+            seeds.sort_by_key(|&c| (dag.out_degree(c) + dag.in_degree(c), c));
+
+            let mut queue = std::collections::VecDeque::new();
+            for &seed in &seeds {
+                if block_of[seed as usize] != u32::MAX {
+                    continue;
+                }
+                let pid = comp_blocks.len() as u32;
+                let mut w = weight[seed as usize];
+                let mut block = Vec::new();
+                block_of[seed as usize] = pid;
+                queue.clear();
+                queue.push_back(seed);
+                while let Some(c) = queue.pop_front() {
+                    block.push(c);
+                    for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
+                        if block_of[nb as usize] == u32::MAX && w + weight[nb as usize] <= max_size
+                        {
+                            block_of[nb as usize] = pid;
+                            w += weight[nb as usize];
+                            queue.push_back(nb);
+                        }
+                    }
+                }
+                comp_blocks.push(block);
+                block_weight.push(w);
+            }
+
+            // Fold small blocks into the neighbouring block with the most DAG
+            // adjacencies that still has room (same policy as the element-level
+            // consolidation above, but weighted by member counts).
+            let small_bar = (max_size / 4).max(1);
+            let mut order: Vec<usize> = (0..comp_blocks.len()).collect();
+            order.sort_by_key(|&b| (block_weight[b], b));
+            for &b in &order {
+                let wb = block_weight[b];
+                if wb == 0 || wb > small_bar {
+                    continue;
+                }
+                let mut tally: std::collections::HashMap<u32, usize> =
+                    std::collections::HashMap::new();
+                for &c in &comp_blocks[b] {
+                    for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
+                        let t = block_of[nb as usize];
+                        if t as usize != b {
+                            *tally.entry(t).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let target = tally
+                    .iter()
+                    .filter(|&(&t, _)| block_weight[t as usize] + wb <= max_size)
+                    .max_by_key(|&(&t, &c)| (c, std::cmp::Reverse(t)))
+                    .map(|(&t, _)| t);
+                if let Some(t) = target {
+                    let moved = std::mem::take(&mut comp_blocks[b]);
+                    block_weight[t as usize] += wb;
+                    block_weight[b] = 0;
+                    for &c in &moved {
+                        block_of[c as usize] = t;
+                    }
+                    comp_blocks[t as usize].extend(moved);
+                }
+            }
+
+            // Expand component blocks to element-level partitions, dropping the
+            // emptied ones and compacting partition ids.
+            let mut part_of = vec![u32::MAX; g.node_count()];
+            let mut parts: Vec<Vec<NodeId>> = Vec::new();
+            for block in comp_blocks.iter().filter(|b| !b.is_empty()) {
+                let pid = parts.len() as u32;
+                let mut nodes: Vec<NodeId> = Vec::new();
+                for &c in block {
+                    nodes.extend_from_slice(&cond.members[c as usize]);
+                }
+                nodes.sort_unstable();
+                for &u in &nodes {
+                    part_of[u as usize] = pid;
+                }
+                parts.push(nodes);
+            }
+            let mut p = Partitioning {
+                part_of,
+                parts,
+                cut_edges: 0,
+            };
+            recount_cut(g, &mut p);
+            p
+        }
+
+        /// Region growing leaves stragglers behind: once the early regions hit the
+        /// cap, nodes whose neighbours are all claimed end up as tiny blocks. Fold
+        /// each small block into the neighbouring partition with the most
+        /// connections that still has room; blocks with no such neighbour are
+        /// first-fit bin-packed together (they carry no internal edges worth
+        /// preserving).
+        fn consolidate_small_blocks(g: &Digraph, p: &mut Partitioning, max_size: usize) {
+            let small_bar = (max_size / 4).max(1);
+            let mut sizes: Vec<usize> = p.parts.iter().map(Vec::len).collect();
+            // Process ascending by size so the smallest fragments merge first.
+            let mut order: Vec<usize> = (0..p.parts.len()).collect();
+            order.sort_by_key(|&b| sizes[b]);
+            let mut orphans: Vec<usize> = Vec::new();
+            for &b in &order {
+                let size = p.parts[b].len();
+                if size == 0 || size > small_bar || sizes[b] != size {
+                    continue; // grown since, emptied, or big enough
+                }
+                let mut tally: std::collections::HashMap<u32, usize> =
+                    std::collections::HashMap::new();
+                for &u in &p.parts[b] {
+                    for &v in g.successors(u).iter().chain(g.predecessors(u)) {
+                        let pv = p.part_of[v as usize];
+                        if pv as usize != b {
+                            *tally.entry(pv).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let target = tally
+                    .iter()
+                    .filter(|&(&t, _)| sizes[t as usize] + size <= max_size)
+                    .max_by_key(|&(&t, &c)| (c, std::cmp::Reverse(t)))
+                    .map(|(&t, _)| t);
+                match target {
+                    Some(t) => {
+                        let moved = std::mem::take(&mut p.parts[b]);
+                        sizes[t as usize] += moved.len();
+                        sizes[b] = 0;
+                        for &u in &moved {
+                            p.part_of[u as usize] = t;
+                        }
+                        p.parts[t as usize].extend(moved);
+                        p.parts[t as usize].sort_unstable();
+                    }
+                    None => orphans.push(b),
+                }
+            }
+            // First-fit bin packing of the orphan blocks among themselves.
+            let mut bins: Vec<(usize, usize)> = Vec::new(); // (target block, size)
+            for b in orphans {
+                let size = p.parts[b].len();
+                if size == 0 {
+                    continue;
+                }
+                match bins
+                    .iter_mut()
+                    .find(|(t, s)| *t != b && s + size <= max_size)
+                {
+                    Some((t, s)) => {
+                        let moved = std::mem::take(&mut p.parts[b]);
+                        for &u in &moved {
+                            p.part_of[u as usize] = *t as u32;
+                        }
+                        let tb = *t;
+                        p.parts[tb].extend(moved);
+                        p.parts[tb].sort_unstable();
+                        *s += size;
+                    }
+                    None => bins.push((b, size)),
+                }
+            }
+            // Drop emptied blocks and compact partition ids.
+            let mut remap = vec![u32::MAX; p.parts.len()];
+            let mut new_parts = Vec::new();
+            for (old, block) in std::mem::take(&mut p.parts).into_iter().enumerate() {
+                if !block.is_empty() {
+                    remap[old] = new_parts.len() as u32;
+                    new_parts.push(block);
+                }
+            }
+            for pid in p.part_of.iter_mut() {
+                *pid = remap[*pid as usize];
+            }
+            p.parts = new_parts;
+        }
+
+        /// One sweep of boundary refinement: move a node to the neighbouring
+        /// partition that holds strictly more of its neighbours, when the target has
+        /// room. This is a light-weight stand-in for the paper's (unspecified)
+        /// partition post-processing.
+        fn refine_boundary(g: &Digraph, p: &mut Partitioning, max_size: usize) {
+            let n = g.node_count();
+            let mut sizes: Vec<usize> = p.parts.iter().map(Vec::len).collect();
+            let mut tally: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+            for u in 0..n as NodeId {
+                let home = p.part_of[u as usize];
+                if sizes[home as usize] <= 1 {
+                    continue; // never empty a partition
+                }
+                tally.clear();
+                for &v in g.successors(u).iter().chain(g.predecessors(u)) {
+                    *tally.entry(p.part_of[v as usize]).or_insert(0) += 1;
+                }
+                let home_links = tally.get(&home).copied().unwrap_or(0);
+                let best = tally
+                    .iter()
+                    .filter(|&(&pid, _)| pid != home && sizes[pid as usize] < max_size)
+                    .max_by_key(|&(&pid, &c)| (c, std::cmp::Reverse(pid)))
+                    .map(|(&pid, &c)| (pid, c));
+                if let Some((target, c)) = best {
+                    if c > home_links {
+                        p.part_of[u as usize] = target;
+                        sizes[home as usize] -= 1;
+                        sizes[target as usize] += 1;
+                    }
+                }
+            }
+            // Rebuild member lists from part_of, dropping empty blocks and
+            // compacting ids.
+            let mut remap = vec![u32::MAX; p.parts.len()];
+            let mut new_parts: Vec<Vec<NodeId>> = Vec::new();
+            for u in 0..n as NodeId {
+                let old = p.part_of[u as usize];
+                if remap[old as usize] == u32::MAX {
+                    remap[old as usize] = new_parts.len() as u32;
+                    new_parts.push(Vec::new());
+                }
+                let np = remap[old as usize];
+                p.part_of[u as usize] = np;
+                new_parts[np as usize].push(u);
+            }
+            p.parts = new_parts;
+        }
+    }
+
+    fn assert_same(p: &Partitioning, q: &Partitioning) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&p.part_of, &q.part_of);
+        prop_assert_eq!(&p.parts, &q.parts);
+        prop_assert_eq!(p.cut_edges, q.cut_edges);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn partitions_equal_the_hash_map_reference(
+            g in crate::testing::arb_graph(80),
+            pick in any::<u32>(),
+        ) {
+            let n = g.node_count();
+            let cap = 1 + pick as usize % (n + 1);
+            assert_same(&partition_greedy(&g, cap), &reference::partition_greedy(&g, cap))?;
+            let cond = crate::scc::condensation(&g);
+            assert_same(
+                &partition_condensation(&g, &cond, cap),
+                &reference::partition_condensation(&g, &cond, cap),
+            )?;
         }
     }
 }

@@ -8,12 +8,13 @@ use crate::digraph::{Digraph, DigraphBuilder, NodeId};
 
 /// Computes strongly connected components with an iterative Tarjan.
 ///
-/// Returns `comp_of`, mapping each node to its component id. Component ids
-/// are assigned in reverse topological order of the condensation (i.e. a
-/// component's id is **greater** than the ids of components it can reach
-/// through... actually: Tarjan emits sinks first, so `comp_of[u] <
-/// comp_of[v]` whenever the component of `u` is reachable *from* the
-/// component of `v` — callers should not rely on more than "sinks first").
+/// Returns `comp_of`, mapping each node to its component id. Ids are dense
+/// and assigned in the order Tarjan completes the components, sinks first:
+/// a component completes only after every component it reaches, so **every
+/// condensation edge goes from a larger component id to a smaller one**.
+/// Ascending ids are a reverse topological order of the condensation and
+/// descending ids a topological order; the reachable-set estimator and the
+/// closure oracle rely on this instead of sorting the condensation.
 pub fn tarjan_scc(g: &Digraph) -> Vec<u32> {
     let n = g.node_count();
     let mut index = vec![u32::MAX; n]; // discovery index
@@ -186,5 +187,19 @@ mod tests {
         let g = DigraphBuilder::new().build();
         let cond = condensation(&g);
         assert_eq!(cond.component_count(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn every_condensation_edge_runs_from_a_larger_id_to_a_smaller_one(
+            g in crate::testing::arb_graph(60),
+        ) {
+            let cond = condensation(&g);
+            for (c, s) in cond.dag.edges() {
+                proptest::prop_assert!(c > s, "condensation edge {} -> {}", c, s);
+            }
+        }
     }
 }
