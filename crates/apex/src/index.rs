@@ -172,16 +172,17 @@ impl ApexIndex {
         });
     }
 
-    /// [`Self::bfs`] collecting the elements `keep` admits, plus the number
-    /// of elements visited.
-    fn collect(
+    /// [`Self::bfs`] collecting the elements `keep` admits into `out`,
+    /// whose contents it replaces; returns the number of elements visited.
+    fn collect_into(
         &self,
         u: NodeId,
         forward: bool,
         enter: impl Fn(NodeId) -> bool,
         keep: impl Fn(NodeId) -> bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        let mut out = Vec::new();
+        out: &mut Vec<(NodeId, Distance)>,
+    ) -> usize {
+        out.clear();
         let mut visited = 0usize;
         self.bfs(u, forward, enter, |x, d| {
             visited += 1;
@@ -190,7 +191,7 @@ impl ApexIndex {
             }
             ControlFlow::Continue(())
         });
-        (out, visited)
+        visited
     }
 
     /// Descendants of `u` carrying `label`, ascending by distance.
@@ -215,8 +216,21 @@ impl ApexIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(NodeId, Distance)>, usize) {
+        graphcore::filled(|out| self.descendants_by_label_into(u, label, include_self, out))
+    }
+
+    /// [`Self::descendants_by_label_counted`] written into `out`, whose
+    /// contents it replaces; returns the elements visited.
+    pub fn descendants_by_label_into(
+        &self,
+        u: NodeId,
+        label: u32,
+        include_self: bool,
+        out: &mut Vec<(NodeId, Distance)>,
+    ) -> usize {
         if label > self.max_label {
-            return (Vec::new(), 0);
+            out.clear();
+            return 0;
         }
         // prune: enter a branch only while something with this label is
         // still reachable down there
@@ -225,27 +239,34 @@ impl ApexIndex {
             self.label_reach[class as usize].contains(label as usize)
         };
         let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
-        self.collect(u, true, can_reach, matches)
+        self.collect_into(u, true, can_reach, matches, out)
     }
 
     /// The members of `anchors` (ascending ids) among `u`'s descendants,
     /// `u` included, ascending by `(distance, element)` — a plain BFS: the
     /// anchors carry any label, so there is nothing to prune by.
     pub fn descendants_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        self.among(u, true, anchors)
+        graphcore::filled(|out| self.among_into(u, true, anchors, out)).0
     }
 
     /// The members of `anchors` (ascending ids) among `u`'s ancestors, `u`
     /// included, ascending by `(distance, element)`.
     pub fn ancestors_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        self.among(u, false, anchors)
+        graphcore::filled(|out| self.among_into(u, false, anchors, out)).0
     }
 
-    fn among(&self, u: NodeId, forward: bool, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
+    /// [`Self::descendants_among`] (`forward`) or [`Self::ancestors_among`]
+    /// written into `out`, whose contents it replaces.
+    pub fn among_into(
+        &self,
+        u: NodeId,
+        forward: bool,
+        anchors: &[NodeId],
+        out: &mut Vec<(NodeId, Distance)>,
+    ) {
         let is_anchor = |x: NodeId| anchors.binary_search(&x).is_ok();
-        let (mut out, _) = self.collect(u, forward, |_| true, is_anchor);
+        self.collect_into(u, forward, |_| true, is_anchor, out);
         out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out
     }
 
     /// Reachability with summary pruning. Distances come from the traversal
@@ -291,8 +312,20 @@ impl ApexIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(NodeId, Distance)>, usize) {
+        graphcore::filled(|out| self.ancestors_by_label_into(u, label, include_self, out))
+    }
+
+    /// [`Self::ancestors_by_label_counted`] written into `out`, whose
+    /// contents it replaces; returns the elements visited.
+    pub fn ancestors_by_label_into(
+        &self,
+        u: NodeId,
+        label: u32,
+        include_self: bool,
+        out: &mut Vec<(NodeId, Distance)>,
+    ) -> usize {
         let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
-        self.collect(u, false, |_| true, matches)
+        self.collect_into(u, false, |_| true, matches, out)
     }
 
     /// Approximate in-memory footprint: extents, summary edges, the

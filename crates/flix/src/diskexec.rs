@@ -41,7 +41,9 @@ pub struct DiskFlix {
     store: BlobStore,
     name: String,
     catalogue: Catalogue,
-    meta_count: usize,
+    /// The number of elements of each meta document, as the manifest
+    /// catalogues them: what a loaded image is checked against.
+    meta_lens: Vec<u32>,
     cache: Mutex<LruCache>,
     hits: flixobs::Counter,
     misses: flixobs::Counter,
@@ -95,12 +97,12 @@ impl DiskFlix {
     /// If `cache_capacity` is zero.
     pub fn open(store: BlobStore, name: &str, cache_capacity: usize) -> Result<Self, String> {
         assert!(cache_capacity >= 1, "cache needs at least one slot");
-        let manifest = persist::load_manifest(&store, name)?;
+        let (manifest, meta_lens) = persist::load_manifest(&store, name)?;
         Ok(Self {
             store,
             name: name.to_string(),
-            meta_count: manifest.meta_count,
             catalogue: manifest.into_catalogue(),
+            meta_lens,
             cache: Mutex::new(LruCache {
                 capacity: cache_capacity,
                 map: HashMap::new(),
@@ -141,7 +143,14 @@ impl DiskFlix {
             }
         }
         self.misses.inc();
-        let md = Arc::new(persist::load_meta(&self.store, &self.name, id as usize)?);
+        let &len = (self.meta_lens.get(id as usize))
+            .ok_or_else(|| format!("no meta document {id} in the manifest"))?;
+        let md = Arc::new(persist::load_meta(
+            &self.store,
+            &self.name,
+            id as usize,
+            len,
+        )?);
         // The guard is gone at the end of this statement; the victim is
         // freed after it.
         let evicted = self.cache.lock().admit(id, Arc::clone(&md));
@@ -220,7 +229,7 @@ impl MetaSpace for DiskFlix {
     }
 
     fn meta_count(&self) -> usize {
-        self.meta_count
+        self.meta_lens.len()
     }
 
     fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
@@ -614,7 +623,13 @@ mod tests {
             .unwrap();
         let locals = 0..flix.meta(id).len() as u32;
         let answers = |md: &MetaDocument| {
-            let up = |e| (0..4).map(move |label| md.answer_pop(Axis::Ancestors, e, label, true));
+            let up = |e| {
+                (0..4).map(move |label| {
+                    let mut pop = crate::meta::PopAnswer::default();
+                    md.answer_pop(Axis::Ancestors, e, label, true, &mut pop);
+                    pop
+                })
+            };
             let ups: Vec<_> = locals.clone().flat_map(up).collect();
             let distances: Vec<_> = locals.clone().map(|e| md.index.distance(e, 0)).collect();
             (ups, distances)

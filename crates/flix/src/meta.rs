@@ -111,10 +111,40 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(u32, Distance)>, usize) {
-        match self {
-            MetaIndex::Ppo(i) => i.descendants_by_label_counted(u, label, include_self),
-            MetaIndex::Hopi(i) => i.descendants_by_label_counted(u, label, include_self),
-            MetaIndex::Apex(i) => i.descendants_by_label_counted(u, label, include_self),
+        graphcore::filled(|out| self.block_into(Axis::Descendants, u, label, include_self, out))
+    }
+
+    /// The block of elements with `label` along `axis` from `u` — what
+    /// [`Self::descendants_by_label_counted`] and its ancestors mirror
+    /// answer — written into `out`, whose contents it replaces; returns
+    /// the rows (elements, for APEX) it cost.
+    fn block_into(
+        &self,
+        axis: Axis,
+        u: u32,
+        label: u32,
+        include_self: bool,
+        out: &mut Vec<(u32, Distance)>,
+    ) -> usize {
+        let s = include_self;
+        match (self, axis) {
+            (MetaIndex::Ppo(i), Axis::Descendants) => {
+                let forest = i.forest_index();
+                forest.descendants_with_label_into(u, forest.label_list(label), s, out)
+            }
+            (MetaIndex::Ppo(i), Axis::Ancestors) => {
+                i.forest_index().ancestors_by_label_into(u, label, s, out)
+            }
+            (MetaIndex::Hopi(i), Axis::Descendants) => {
+                i.descendants_by_label_and_anchors_into(u, label, s, out, &mut Vec::new())
+            }
+            (MetaIndex::Hopi(i), Axis::Ancestors) => {
+                i.ancestors_by_label_and_anchors_into(u, label, s, out, &mut Vec::new())
+            }
+            (MetaIndex::Apex(i), Axis::Descendants) => {
+                i.descendants_by_label_into(u, label, s, out)
+            }
+            (MetaIndex::Apex(i), Axis::Ancestors) => i.ancestors_by_label_into(u, label, s, out),
         }
     }
 
@@ -142,11 +172,7 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(u32, Distance)>, usize) {
-        match self {
-            MetaIndex::Ppo(i) => i.ancestors_by_label_counted(u, label, include_self),
-            MetaIndex::Hopi(i) => i.ancestors_by_label_counted(u, label, include_self),
-            MetaIndex::Apex(i) => i.ancestors_by_label_counted(u, label, include_self),
-        }
+        graphcore::filled(|out| self.block_into(Axis::Ancestors, u, label, include_self, out))
     }
 
     /// Distance from `u` to `v` within the meta document, if connected
@@ -217,7 +243,7 @@ pub struct MetaDocument {
 
 /// What one queue pop takes from a meta document — Fig. 4's per-entry
 /// step, see [`MetaDocument::answer_pop`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PopAnswer {
     /// Elements carrying the label, as `(local, in-meta distance)`
     /// ascending by distance.
@@ -296,18 +322,11 @@ impl MetaDocument {
     ///
     /// The access path is the strategy's own. Under PPO `e`'s subtree is an
     /// interval of preorder ranks and `link_sources` is in rank order, so
-    /// the answer is a slice found by two binary searches; HOPI joins the
+    /// the answer is a slice found by one binary search; HOPI joins the
     /// anchor prefixes of its inverted rows and nothing else of them; APEX
     /// runs one BFS, keeping the members of `L_i` it reaches.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
-        if self.link_sources.is_empty() {
-            return Vec::new();
-        }
-        match &self.index {
-            MetaIndex::Ppo(i) => i.descendants_among(e, &self.link_sources),
-            MetaIndex::Hopi(i) => i.link_sources_below(e),
-            MetaIndex::Apex(i) => i.descendants_among(e, &self.link_sources),
-        }
+        self.link_anchors(Axis::Descendants, e)
     }
 
     /// Mirror of [`Self::reachable_link_sources`] for ancestor queries:
@@ -315,54 +334,73 @@ impl MetaDocument {
     /// `e`, ascending by `(distance, local)`. Under PPO this walks `e`'s
     /// parent chain, looking each step up in the id-sorted target list.
     pub fn reaching_link_targets(&self, e: u32) -> Vec<(u32, Distance)> {
-        if self.link_targets.is_empty() {
-            return Vec::new();
-        }
-        match &self.index {
-            MetaIndex::Ppo(i) => i.ancestors_among(e, &self.link_targets),
-            MetaIndex::Hopi(i) => i.link_targets_above(e),
-            MetaIndex::Apex(i) => i.ancestors_among(e, &self.link_targets),
-        }
+        self.link_anchors(Axis::Ancestors, e)
     }
 
     /// The anchors of runtime links leaving this meta document along
     /// `axis` that entry `e` reaches: [`Self::reachable_link_sources`]
     /// going down, [`Self::reaching_link_targets`] going up.
     pub fn link_anchors(&self, axis: Axis, e: u32) -> Vec<(u32, Distance)> {
-        match axis {
-            Axis::Descendants => self.reachable_link_sources(e),
-            Axis::Ancestors => self.reaching_link_targets(e),
+        graphcore::filled(|out| self.link_anchors_into(axis, e, out)).0
+    }
+
+    /// [`Self::link_anchors`] written into `out`, whose contents it
+    /// replaces.
+    fn link_anchors_into(&self, axis: Axis, e: u32, out: &mut Vec<(u32, Distance)>) {
+        let anchors = match axis {
+            Axis::Descendants => &self.link_sources,
+            Axis::Ancestors => &self.link_targets,
+        };
+        if anchors.is_empty() {
+            out.clear();
+            return;
+        }
+        match (&self.index, axis) {
+            (MetaIndex::Ppo(i), Axis::Descendants) => {
+                i.forest_index().descendants_among_into(e, anchors, out)
+            }
+            (MetaIndex::Ppo(i), Axis::Ancestors) => {
+                i.forest_index().ancestors_among_into(e, anchors, out)
+            }
+            (MetaIndex::Hopi(i), Axis::Descendants) => i.link_sources_below_into(e, out),
+            (MetaIndex::Hopi(i), Axis::Ancestors) => i.link_targets_above_into(e, out),
+            (MetaIndex::Apex(i), axis) => i.among_into(e, axis == Axis::Descendants, anchors, out),
         }
     }
 
     /// Everything one queue pop of the evaluator needs from this meta
-    /// document: the block of elements with `label` along `axis` from
-    /// entry `e`, what the block cost, and the link anchors `e` reaches
-    /// (`e` itself counts as an anchor whatever `include_self` says).
+    /// document, written into `out` (every field replaced, so one answer
+    /// serves pop after pop without allocating once it has grown): the
+    /// block of elements with `label` along `axis` from entry `e`, what the
+    /// block cost, and the link anchors `e` reaches (`e` itself counts as
+    /// an anchor whatever `include_self` says).
     ///
     /// Equal to `descendants_by_label_counted` (or its ancestors mirror)
     /// plus [`Self::link_anchors`]. Under HOPI both come out of one label
     /// join over each center's anchor prefix and label run; PPO and APEX
     /// have nothing to share (an interval lookup beside a rank-list scan; a
     /// plain BFS beside a label-pruned one).
-    pub fn answer_pop(&self, axis: Axis, e: u32, label: u32, include_self: bool) -> PopAnswer {
-        let (block, work, links) = match (&self.index, axis) {
+    pub fn answer_pop(
+        &self,
+        axis: Axis,
+        e: u32,
+        label: u32,
+        include_self: bool,
+        out: &mut PopAnswer,
+    ) {
+        let PopAnswer { block, work, links } = out;
+        *work = match (&self.index, axis) {
             (MetaIndex::Hopi(i), Axis::Descendants) => {
-                i.descendants_by_label_and_anchors(e, label, include_self)
+                i.descendants_by_label_and_anchors_into(e, label, include_self, block, links)
             }
             (MetaIndex::Hopi(i), Axis::Ancestors) => {
-                i.ancestors_by_label_and_anchors(e, label, include_self)
+                i.ancestors_by_label_and_anchors_into(e, label, include_self, block, links)
             }
-            (index, Axis::Descendants) => {
-                let (block, work) = index.descendants_by_label_counted(e, label, include_self);
-                (block, work, self.reachable_link_sources(e))
-            }
-            (index, Axis::Ancestors) => {
-                let (block, work) = index.ancestors_by_label_counted(e, label, include_self);
-                (block, work, self.reaching_link_targets(e))
+            (index, axis) => {
+                self.link_anchors_into(axis, e, links);
+                index.block_into(axis, e, label, include_self, block)
             }
         };
-        PopAnswer { block, work, links }
     }
 
     /// Number of elements the index was built over.
@@ -551,10 +589,11 @@ mod tests {
             assert_eq!(md.reachable_link_sources(3), vec![(3, 0)]);
             assert_eq!(md.reaching_link_targets(1), vec![(2, 1), (0, 2)]);
             assert_eq!(md.reaching_link_targets(3), vec![(0, 1)]);
+            let mut pop = PopAnswer::default();
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 for e in 0..4 {
                     for include_self in [false, true] {
-                        let pop = md.answer_pop(axis, e, 1, include_self);
+                        md.answer_pop(axis, e, 1, include_self, &mut pop);
                         let (block, work) = match axis {
                             Axis::Descendants => {
                                 md.index.descendants_by_label_counted(e, 1, include_self)

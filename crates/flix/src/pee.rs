@@ -418,6 +418,9 @@ struct EvalScratch {
     queued: DistScratch,
     /// Number of nodes in the collection being evaluated over.
     nodes: usize,
+    /// The answer of the pop in progress, refilled by every pop
+    /// ([`MetaDocument::answer_pop`]).
+    pop: PopAnswer,
 }
 
 thread_local! {
@@ -830,15 +833,18 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         // work is charged up front.
         let include_self = if is_seed { opts.include_start } else { true };
         // One request per pop: the block and the reachable link anchors
-        // come out of the same index lookup where the strategy can share it.
-        let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
-        stats.block_results_scanned += work;
+        // come out of the same index lookup where the strategy can share it,
+        // into the scratch's answer — out of the scratch while the links are
+        // pushed into it, and back on every way out of this pop.
+        let mut pop = std::mem::take(&mut scratch.pop);
+        md.answer_pop(axis, local, target, include_self, &mut pop);
+        stats.block_results_scanned += pop.work;
         let mut capped = false;
         if !include_self && !opts.exact_order {
             // The one element this entry covers that its block leaves out.
             scratch.rows.insert(e);
         }
-        for (r, dr) in block {
+        for &(r, dr) in &pop.block {
             let node = md.nodes[r as usize];
             // §5.1 step 2: skip results an earlier entry already returned —
             // the rows of an answered block, kept or not. (Exact mode
@@ -872,18 +878,20 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
         }
         lap(ctx, &mut clock, SpanStage::BlockFetch);
         if capped {
+            scratch.pop = pop;
             break EvalEnd::Done { timed_out: false };
         }
 
         // Expand runtime links: queue the far end of every link hanging off
         // the anchors the lookup above found (Fig. 4's `findReachableLinks`),
         // repeats excepted.
-        for_each_link(space, &md, axis, &links, |hop, far| {
+        for_each_link(space, &md, axis, &pop.links, |hop, far| {
             stats.links_expanded += 1;
             if !scratch.push_link(far, d + hop, opts.max_distance) {
                 stats.entries_refused += 1;
             }
         });
+        scratch.pop = pop;
         scratch.entries.push(&md, axis, meta, local);
         lap(ctx, &mut clock, SpanStage::LinkExpand);
     };
@@ -1846,7 +1854,9 @@ mod tests {
             if !include_self {
                 silent_seeds.insert(e);
             }
-            let PopAnswer { block, work, links } = md.answer_pop(axis, local, target, include_self);
+            let mut pop = PopAnswer::default();
+            md.answer_pop(axis, local, target, include_self, &mut pop);
+            let PopAnswer { block, work, links } = pop;
             stats.block_results_scanned += work;
             for (r, dr) in block {
                 let node = md.nodes[r as usize];

@@ -91,44 +91,107 @@ impl Manifest {
     pub(crate) fn into_catalogue(self) -> Catalogue {
         Catalogue::new(self.meta_of, self.local_of, self.runtime_links)
     }
+
+    /// The number of elements each meta document holds, or the first way
+    /// the catalogue stored here would break a lookup, in one pass: both
+    /// maps cover the `node_count` nodes, every node names one of the
+    /// `meta_count` meta documents, and each meta document numbers its
+    /// nodes `0, 1, 2, …` in ascending global order — the order of
+    /// [`MetaDocument::nodes`], so a local past the document's end cannot
+    /// reach an index; the runtime links are strictly ascending — the run
+    /// index and the anchor sets are built on that order — and name nodes
+    /// of the collection.
+    fn meta_lens(&self) -> Result<Vec<u32>, String> {
+        let n = self.node_count;
+        let (metas, locals) = (self.meta_of.len(), self.local_of.len());
+        if metas != n || locals != n {
+            return Err(format!(
+                "{n} nodes, but meta_of holds {metas} and local_of {locals}"
+            ));
+        }
+        if self.meta_count > n.max(1) {
+            return Err(format!("{} meta documents of {n} nodes", self.meta_count));
+        }
+        let mut lens = vec![0u32; self.meta_count];
+        for (v, (&meta, &local)) in self.meta_of.iter().zip(&self.local_of).enumerate() {
+            let Some(len) = lens.get_mut(meta as usize) else {
+                let count = self.meta_count;
+                return Err(format!("node {v} is in meta document {meta} of {count}"));
+            };
+            if local != *len {
+                return Err(format!(
+                    "node {v} is local {local} of meta document {meta}, whose next local is {len}"
+                ));
+            }
+            *len += 1;
+        }
+        let links = &self.runtime_links;
+        if let Some(at) = links.windows(2).position(|w| w[0] >= w[1]) {
+            let (a, b) = (links[at], links[at + 1]);
+            return Err(format!("runtime link {b:?} follows {a:?}"));
+        }
+        let past = |&&(u, v): &&(NodeId, NodeId)| u as usize >= n || v as usize >= n;
+        if let Some(link) = links.iter().find(past) {
+            return Err(format!("runtime link {link:?} names a node past {n}"));
+        }
+        Ok(lens)
+    }
 }
 
-/// Reads the manifest of the framework saved under `name`.
+/// Reads the manifest of the framework saved under `name`, with the number
+/// of elements each meta document holds — what [`load_meta`] checks an
+/// image against.
 ///
 /// # Errors
 /// If there is none; as "stale or corrupt" if it is in another format than
-/// this build's or does not decode.
-pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<Manifest, String> {
+/// this build's, does not decode, or stores a catalogue a lookup would
+/// index out of bounds on or miss links in ([`Manifest::meta_lens`]).
+pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<(Manifest, Vec<u32>), String> {
     let blob = store
         .get(&format!("{name}/manifest"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no framework named {name:?} in store"))?;
-    decode(&blob).map_err(|fault| stale(format_args!("the manifest of {name:?}"), fault))
+    let refused = |fault| stale(format_args!("the manifest of {name:?}"), fault);
+    let manifest: Manifest = decode(&blob).map_err(refused)?;
+    let lens = manifest.meta_lens().map_err(refused)?;
+    Ok((manifest, lens))
 }
 
 /// Reads and decodes the index of meta document `id` of the framework
-/// saved under `name` — the one decode site behind [`load_flix`] and
-/// [`crate::diskexec::DiskFlix`].
+/// saved under `name`, which its manifest says holds `len` elements — the
+/// one decode site behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
 ///
 /// # Errors
 /// If the blob is missing; and, each as "stale or corrupt": if it does not
 /// begin with this build's [`FORMAT`] word — no store saved before the
-/// arrays were byte-prefixed does; if it does not decode; if it holds a
-/// HOPI index in another layout than this build's or with row offsets that
-/// are not well-formed — a lookup would search rows in another order or
-/// slice out of bounds; or if it holds link anchors that a HOPI index has
-/// not flagged, that are out of range or that are not in the order the
-/// index looks them up in — the evaluator would silently miss links, and a
-/// store saved before PPO anchors were kept in preorder-rank order looks
-/// exactly like that.
-pub(crate) fn load_meta(store: &BlobStore, name: &str, id: usize) -> Result<MetaDocument, String> {
+/// arrays were byte-prefixed does; if it does not decode; if it holds
+/// another number of elements than `len` — the catalogue's locals would
+/// index past its node map; if it holds a HOPI index in another layout
+/// than this build's or with row offsets that are not well-formed — a
+/// lookup would search rows in another order or slice out of bounds; or if
+/// it holds link anchors that a HOPI index has not flagged, that are out of
+/// range or that are not in the order the index looks them up in — the
+/// evaluator would silently miss links, and a store saved before PPO
+/// anchors were kept in preorder-rank order looks exactly like that.
+pub(crate) fn load_meta(
+    store: &BlobStore,
+    name: &str,
+    id: usize,
+    len: u32,
+) -> Result<MetaDocument, String> {
     let blob = store
         .get(&format!("{name}/meta-{id}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
     let refused = |fault| stale(format_args!("meta document {id}"), fault);
     let md: MetaDocument = decode(&blob).map_err(refused)?;
-    match md.index.layout_fault().or_else(|| md.anchor_fault()) {
+    let held = md.nodes.len();
+    let miscounted = (held != len as usize)
+        .then(|| format!("it holds {held} elements, the manifest catalogues {len}"));
+    match miscounted
+        .or_else(|| md.index.layout_fault())
+        .or_else(|| md.anchor_fault())
+    {
         Some(fault) => Err(refused(fault)),
         None => Ok(md),
     }
@@ -163,7 +226,7 @@ pub fn load_flix(
     name: &str,
     graph: Arc<CollectionGraph>,
 ) -> Result<Flix, String> {
-    let manifest = load_manifest(store, name)?;
+    let (manifest, lens) = load_manifest(store, name)?;
     if manifest.node_count != graph.node_count() {
         return Err(format!(
             "collection mismatch: framework built over {} nodes, graph has {}",
@@ -171,8 +234,8 @@ pub fn load_flix(
             graph.node_count()
         ));
     }
-    let metas = (0..manifest.meta_count)
-        .map(|mi| load_meta(store, name, mi))
+    let metas = (lens.iter().enumerate())
+        .map(|(mi, &len)| load_meta(store, name, mi, len))
         .collect::<Result<Vec<_>, _>>()?;
     // The report is a record of the build, not an index: no answer reads
     // it, so a store that lost the blob loads with a zeroed one. One that
@@ -387,6 +450,13 @@ pub(crate) mod mirror {
         link_sources: Vec<u32>,
         #[serde(with = "counted")]
         link_targets: Vec<u32>,
+    }
+
+    /// The stored manifest `blob` after `damage` edited it.
+    pub(crate) fn damaged_manifest(blob: &[u8], damage: impl FnOnce(&mut Manifest)) -> Vec<u8> {
+        let mut manifest: Manifest = decode(blob).unwrap();
+        damage(&mut manifest);
+        image(&manifest).unwrap()
     }
 
     /// A [`Manifest`].
@@ -836,9 +906,79 @@ mod tests {
         save_flix(&flix, &mut st, "fw").unwrap();
         assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
         st.put("twin/manifest", &bytes).unwrap();
-        let manifest = load_manifest(&st, "twin").unwrap();
+        let (manifest, lens) = load_manifest(&st, "twin").unwrap();
         assert_eq!(manifest.meta_count, flix.meta_count());
+        let held = (0..flix.meta_count() as u32).map(|m| flix.meta(m).len() as u32);
+        assert_eq!(lens, held.collect::<Vec<_>>());
         assert_eq!(manifest.into_catalogue(), *flix.catalogue());
+    }
+
+    /// A manifest whose catalogue would break a lookup — a link table the
+    /// run index and the anchor sets cannot be built on, a map that names
+    /// no meta document or a local past its document's end — is refused
+    /// by `load_flix` and by `DiskFlix::open`, by name, before any query
+    /// can index out of bounds or miss a link; and a meta document image
+    /// of another length than the manifest catalogues is refused on load.
+    #[test]
+    fn manifests_that_would_break_a_lookup_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        assert!(flix.runtime_links().len() >= 2 && flix.meta_count() >= 2);
+        // An edit of the stored manifest, and what its refusal says.
+        type Damage = (fn(&mut Manifest), &'static str);
+        let damage: [Damage; 8] = [
+            (|m| m.runtime_links.swap(0, 1), "follows"),
+            (|m| m.runtime_links.push(m.runtime_links[0]), "follows"),
+            (
+                |m| m.runtime_links.last_mut().unwrap().1 = m.node_count as NodeId,
+                "past",
+            ),
+            (|m| m.runtime_links[0].0 = NodeId::MAX, "follows"),
+            (
+                |m| m.local_of.truncate(m.node_count - 1),
+                "but meta_of holds",
+            ),
+            (
+                |m| m.meta_of[3] = m.meta_count as u32,
+                "is in meta document",
+            ),
+            (
+                |m| *m.local_of.last_mut().unwrap() += 1,
+                "whose next local is",
+            ),
+            (|m| m.meta_count = m.node_count + 1, "meta documents of"),
+        ];
+        for (damage, fault) in damage {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let good = st.get("fw/manifest").unwrap().unwrap();
+            st.put("fw/manifest", &mirror::damaged_manifest(&good, damage))
+                .unwrap();
+            let refused = |err: String| {
+                let named = "the manifest of \"fw\" is stale or corrupt (";
+                assert!(err.starts_with(named) && err.contains(fault), "{err}");
+            };
+            refused(load_flix(&st, "fw", cg.clone()).unwrap_err());
+            refused(crate::DiskFlix::open(st, "fw", 4).err().unwrap());
+        }
+
+        // Meta document 0's blob holds meta document 1's image: the
+        // manifest says how many elements meta document 0 holds.
+        let (a, b) = (flix.meta(0), flix.meta(1));
+        assert_ne!(a.len(), b.len());
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        st.put("fw/meta-0", &image(b).unwrap()).unwrap();
+        let fault = format!(
+            "meta document 0 is stale or corrupt (it holds {} elements, the manifest catalogues {})",
+            b.len(),
+            a.len()
+        );
+        let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+        assert!(err.starts_with(&fault), "{err}");
+        let dflix = crate::DiskFlix::open(st, "fw", 4).unwrap();
+        let err = dflix.find_descendants(a.nodes[0], 0, &QueryOptions::default());
+        assert!(err.unwrap_err().starts_with(&fault));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   a correctness oracle by tests and by the error-rate experiment,
 //! * [`bitset`]: a small fixed-size bitset backing the closure computation,
 //! * [`scratch`]: an epoch-stamped dense distance map the index crates
-//!   reuse across lookups instead of allocating visited sets,
+//!   reuse across lookups instead of allocating visited sets, and
+//!   [`filled`], which runs a buffer-filling lookup on a fresh `Vec`,
 //! * [`flat`]: the `#[serde(with = "graphcore::flat")]` module that writes
 //!   a `Vec<u32>`-shaped field of a persisted index as one little-endian
 //!   byte string instead of element by element.
@@ -63,7 +64,7 @@ pub use digraph::{Digraph, DigraphBuilder, NodeId};
 pub use estimate::{estimate_reach_counts, Reach};
 pub use partition::{partition_condensation, partition_greedy, Partitioning};
 pub use scc::{condensation, tarjan_scc, Condensation};
-pub use scratch::DistScratch;
+pub use scratch::{filled, DistScratch};
 pub use spanning::is_forest;
 pub use spanning::{spanning_forest, ForestCheck};
 pub use topo::topological_order;

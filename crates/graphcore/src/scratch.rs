@@ -95,6 +95,17 @@ impl DistScratch {
     }
 }
 
+/// Runs a lookup written in its buffer-filling form on a fresh `Vec`:
+/// `fill` replaces the contents of the `Vec` it is handed and returns
+/// whatever else the lookup answers (a row count, say), and both come back.
+/// A caller that answers many lookups in a row keeps one buffer and calls
+/// the filling form; this is the one line its `Vec`-returning wrapper is.
+pub fn filled<T, R>(fill: impl FnOnce(&mut Vec<T>) -> R) -> (Vec<T>, R) {
+    let mut out = Vec::new();
+    let answer = fill(&mut out);
+    (out, answer)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

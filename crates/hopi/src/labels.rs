@@ -490,17 +490,22 @@ impl HopiIndex {
     /// the node reaches is a link to follow, whatever its label — and, when
     /// `block` asks for a `(label, include_self)`, the run of that label in
     /// the remainder, found by one binary search and left at the first
-    /// other label. Returns the reached nodes carrying the label (`u`
-    /// itself only if `include_self`), the rows merged, and the reached
-    /// anchors (`u` counts whatever `include_self` says).
+    /// other label. Replaces the contents of `carrying` with the reached
+    /// nodes carrying the label (`u` itself only if `include_self`) and of
+    /// `links` with the reached anchors (`u` counts whatever `include_self`
+    /// says); returns the rows merged.
     fn block_and_anchors(
         &self,
         u: NodeId,
         (own, inverted, flag): JoinSide<'_>,
         block: Option<(u32, bool)>,
-    ) -> (Reached, usize, Reached) {
+        carrying: &mut Reached,
+        links: &mut Reached,
+    ) -> usize {
         let words = &self.node_labels;
         let word = |v: NodeId| words[v as usize];
+        carrying.clear();
+        links.clear();
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.begin(self.node_count());
@@ -519,7 +524,6 @@ impl HopiIndex {
                     scratch.relax(v, d1 + d2);
                 }
             }
-            let (mut carrying, mut links) = (Vec::new(), Vec::new());
             for (v, d) in scratch.entries() {
                 if word(v) & flag != 0 {
                     links.push((v, d));
@@ -532,20 +536,22 @@ impl HopiIndex {
             }
             carrying.sort_unstable_by_key(|&(v, d)| (d, v));
             links.sort_unstable_by_key(|&(v, d)| (d, v));
-            (carrying, work, links)
+            work
         })
     }
 
     /// The link sources among `u`'s descendants, `u` included, ascending by
-    /// `(distance, node)` — read off the anchor prefixes alone.
-    pub fn link_sources_below(&self, u: NodeId) -> Reached {
-        self.block_and_anchors(u, self.down(u), None).2
+    /// `(distance, node)` — read off the anchor prefixes alone — written
+    /// into `out`, whose contents it replaces.
+    pub fn link_sources_below_into(&self, u: NodeId, out: &mut Reached) {
+        self.block_and_anchors(u, self.down(u), None, &mut Vec::new(), out);
     }
 
     /// The link targets among `u`'s ancestors, `u` included, ascending by
-    /// `(distance, node)` — read off the anchor prefixes alone.
-    pub fn link_targets_above(&self, u: NodeId) -> Reached {
-        self.block_and_anchors(u, self.up(u), None).2
+    /// `(distance, node)` — read off the anchor prefixes alone — written
+    /// into `out`, whose contents it replaces.
+    pub fn link_targets_above_into(&self, u: NodeId, out: &mut Reached) {
+        self.block_and_anchors(u, self.up(u), None, &mut Vec::new(), out);
     }
 
     /// Descendants of `u` carrying `label`, ascending by distance.
@@ -562,19 +568,24 @@ impl HopiIndex {
         label: u32,
         include_self: bool,
     ) -> (Reached, usize) {
-        let (block, work, _) = self.descendants_by_label_and_anchors(u, label, include_self);
-        (block, work)
+        graphcore::filled(|block| {
+            self.descendants_by_label_and_anchors_into(u, label, include_self, block, &mut vec![])
+        })
     }
 
-    /// [`Self::descendants_by_label_counted`] and, out of the same label
-    /// join, [`Self::link_sources_below`].
-    pub fn descendants_by_label_and_anchors(
+    /// [`Self::descendants_by_label_counted`] into `block` and, out of the
+    /// same label join, [`Self::link_sources_below_into`] into `links`; the
+    /// contents of both are replaced. Returns the rows merged.
+    pub fn descendants_by_label_and_anchors_into(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> (Reached, usize, Reached) {
-        self.block_and_anchors(u, self.down(u), Some((label, include_self)))
+        block: &mut Reached,
+        links: &mut Reached,
+    ) -> usize {
+        let asked = Some((label, include_self));
+        self.block_and_anchors(u, self.down(u), asked, block, links)
     }
 
     /// Ancestors of `u` carrying `label`, ascending by distance.
@@ -591,19 +602,24 @@ impl HopiIndex {
         label: u32,
         include_self: bool,
     ) -> (Reached, usize) {
-        let (block, work, _) = self.ancestors_by_label_and_anchors(u, label, include_self);
-        (block, work)
+        graphcore::filled(|block| {
+            self.ancestors_by_label_and_anchors_into(u, label, include_self, block, &mut vec![])
+        })
     }
 
-    /// [`Self::ancestors_by_label_counted`] and, out of the same label
-    /// join, [`Self::link_targets_above`].
-    pub fn ancestors_by_label_and_anchors(
+    /// [`Self::ancestors_by_label_counted`] into `block` and, out of the
+    /// same label join, [`Self::link_targets_above_into`] into `links`; the
+    /// contents of both are replaced. Returns the rows merged.
+    pub fn ancestors_by_label_and_anchors_into(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> (Reached, usize, Reached) {
-        self.block_and_anchors(u, self.up(u), Some((label, include_self)))
+        block: &mut Reached,
+        links: &mut Reached,
+    ) -> usize {
+        let asked = Some((label, include_self));
+        self.block_and_anchors(u, self.up(u), asked, block, links)
     }
 
     /// Total label entries (the paper's size measure for HOPI).
@@ -1228,17 +1244,21 @@ mod tests {
                             })
                             .count()
                         };
-                        let (block, work, links) = idx.block_and_anchors(u, side, None);
-                        prop_assert_eq!((block, work), (Vec::new(), rows(None)));
+                        // One pair of buffers for every lookup of the node:
+                        // a longer earlier answer must not show through.
+                        let (mut block, mut links, mut reached) = (vec![], vec![], vec![]);
+                        let work = idx.block_and_anchors(u, side, None, &mut block, &mut links);
+                        prop_assert_eq!((&block, work), (&Vec::new(), rows(None)));
                         for label in 0..3 {
                             for include_self in [false, true] {
-                                let block = (label, include_self);
+                                let asked = (label, include_self);
                                 let want =
-                                    idx.block_and_anchors_of_whole_rows(u, whole, block, anchors);
-                                let (block, work, anchors) =
-                                    idx.block_and_anchors(u, side, Some(block));
-                                prop_assert_eq!(&anchors, &links);
-                                prop_assert_eq!((block, anchors), want, "{} label {}", u, label);
+                                    idx.block_and_anchors_of_whole_rows(u, whole, asked, anchors);
+                                let work =
+                                    idx.block_and_anchors(u, side, Some(asked), &mut block, &mut reached);
+                                prop_assert_eq!(&reached, &links);
+                                let got = (block.clone(), reached.clone());
+                                prop_assert_eq!(got, want, "{} label {}", u, label);
                                 prop_assert_eq!(work, rows(Some(label)));
                             }
                         }

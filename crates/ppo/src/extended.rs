@@ -73,17 +73,6 @@ impl ExtendedPpo {
         self.index.descendants_by_label(u, label, include_self)
     }
 
-    /// [`Self::descendants_by_label`] plus the index rows touched.
-    pub fn descendants_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        self.index
-            .descendants_with_label_counted(u, self.index.label_list(label), include_self)
-    }
-
     /// Forest-only ancestors with a label, ascending by distance.
     pub fn ancestors_by_label(
         &self,
@@ -92,29 +81,6 @@ impl ExtendedPpo {
         include_self: bool,
     ) -> Vec<(NodeId, Distance)> {
         self.index.ancestors_by_label(u, label, include_self)
-    }
-
-    /// [`Self::ancestors_by_label`] plus the parent-chain nodes probed.
-    pub fn ancestors_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        self.index
-            .ancestors_by_label_counted(u, label, include_self)
-    }
-
-    /// Forest-only [`PpoIndex::descendants_among`]: the members of
-    /// `ranked` (ascending preorder rank) in `u`'s subtree.
-    pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        self.index.descendants_among(u, ranked)
-    }
-
-    /// Forest-only [`PpoIndex::ancestors_among`]: the members of `sorted`
-    /// (ascending ids) on `u`'s parent chain.
-    pub fn ancestors_among(&self, u: NodeId, sorted: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        self.index.ancestors_among(u, sorted)
     }
 
     /// Approximate in-memory footprint in bytes.

@@ -205,32 +205,34 @@ impl PpoIndex {
         label_nodes: Option<&[(u32, NodeId)]>,
         include_self: bool,
     ) -> Vec<(NodeId, Distance)> {
-        self.descendants_with_label_counted(u, label_nodes, include_self)
+        graphcore::filled(|out| self.descendants_with_label_into(u, label_nodes, include_self, out))
             .0
     }
 
-    /// Like [`Self::descendants_with_label`], also reporting the number of
-    /// index rows touched (the scanned range of the per-label rank list) —
-    /// the unit a database-backed deployment pays per row fetch.
-    pub fn descendants_with_label_counted(
+    /// [`Self::descendants_with_label`] written into `out`, whose contents
+    /// it replaces, returning the number of index rows touched (the scanned
+    /// range of the per-label rank list) — the unit a database-backed
+    /// deployment pays per row fetch.
+    pub fn descendants_with_label_into(
         &self,
         u: NodeId,
         label_nodes: Option<&[(u32, NodeId)]>,
         include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
+        out: &mut Vec<(NodeId, Distance)>,
+    ) -> usize {
+        out.clear();
         let Some(list) = label_nodes else {
-            return (Vec::new(), 0);
+            return 0;
         };
         let (lo, hi) = self.subtree(u);
         let lo = lo + u32::from(!include_self);
+        // One search finds the range's start; reading the answer finds its end.
         let start = list.partition_point(|&(p, _)| p < lo);
-        let end = list.partition_point(|&(p, _)| p < hi);
-        let mut out: Vec<(NodeId, Distance)> = list[start..end]
-            .iter()
-            .map(|&(_, v)| (v, self.depth[v as usize] - self.depth[u as usize]))
-            .collect();
+        let inside = list[start..].iter().take_while(|&&(p, _)| p < hi);
+        let depth = |v: NodeId| self.depth[v as usize] - self.depth[u as usize];
+        out.extend(inside.map(|&(_, v)| (v, depth(v))));
         out.sort_unstable_by_key(|&(v, d)| (d, v));
-        (out, end - start)
+        out.len()
     }
 
     /// Convenience wrapper over [`Self::descendants_with_label`] using the
@@ -269,58 +271,83 @@ impl PpoIndex {
         label: u32,
         include_self: bool,
     ) -> Vec<(NodeId, Distance)> {
-        self.ancestors_by_label_counted(u, label, include_self).0
+        graphcore::filled(|out| self.ancestors_by_label_into(u, label, include_self, out)).0
     }
 
-    /// [`Self::ancestors_by_label`] plus the number of nodes probed on the
-    /// parent chain (each probe is one row fetch in a database-backed
-    /// deployment) — the ancestors mirror of
-    /// [`Self::descendants_with_label_counted`].
-    pub fn ancestors_by_label_counted(
+    /// [`Self::ancestors_by_label`] written into `out`, whose contents it
+    /// replaces, returning the number of nodes probed on the parent chain
+    /// (each probe is one row fetch in a database-backed deployment) — the
+    /// ancestors mirror of [`Self::descendants_with_label_into`].
+    pub fn ancestors_by_label_into(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        let mut out = Vec::new();
+        out: &mut Vec<(NodeId, Distance)>,
+    ) -> usize {
+        out.clear();
         let mut probed = 0usize;
-        if include_self {
-            probed += 1;
-            if self.node_label_matches(u, label) {
-                out.push((u, 0));
-            }
-        }
-        for (a, d) in self.ancestors(u) {
+        let (mut cur, mut d) = if include_self {
+            (Some(u), 0)
+        } else {
+            (self.parent(u), 1)
+        };
+        while let Some(a) = cur {
             probed += 1;
             if self.node_label_matches(a, label) {
                 out.push((a, d));
             }
+            cur = self.parent(a);
+            d += 1;
         }
-        (out, probed)
+        probed
     }
 
     /// The members of `ranked` — node ids in ascending *preorder rank* —
     /// inside `u`'s subtree (`u` included), with their depth below `u`,
     /// ascending by `(distance, node)`. A subtree is the rank interval
-    /// `[pre(u), pre(u) + size(u))`, so this is two binary searches plus
-    /// the answer, whatever the length of `ranked`.
+    /// `[pre(u), pre(u) + size(u))`, so this is one binary search plus the
+    /// answer, whatever the length of `ranked`.
     pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
+        graphcore::filled(|out| self.descendants_among_into(u, ranked, out)).0
+    }
+
+    /// [`Self::descendants_among`] written into `out`, whose contents it
+    /// replaces.
+    pub fn descendants_among_into(
+        &self,
+        u: NodeId,
+        ranked: &[NodeId],
+        out: &mut Vec<(NodeId, Distance)>,
+    ) {
         let (lo, hi) = self.subtree(u);
+        // One search finds the range's start; reading the answer finds its end.
         let start = ranked.partition_point(|&v| self.pre[v as usize] < lo);
-        let end = ranked.partition_point(|&v| self.pre[v as usize] < hi);
-        let mut out: Vec<(NodeId, Distance)> = ranked[start..end]
+        let inside = ranked[start..]
             .iter()
-            .map(|&v| (v, self.depth[v as usize] - self.depth[u as usize]))
-            .collect();
+            .take_while(|&&v| self.pre[v as usize] < hi);
+        let depth = |v: NodeId| self.depth[v as usize] - self.depth[u as usize];
+        out.clear();
+        out.extend(inside.map(|&v| (v, depth(v))));
         out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out
     }
 
     /// The members of `sorted` — node ids in ascending order — on the path
     /// from `u` (included) up to its root, nearest first: one binary search
     /// per step of the parent chain.
     pub fn ancestors_among(&self, u: NodeId, sorted: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        let mut out = Vec::new();
+        graphcore::filled(|out| self.ancestors_among_into(u, sorted, out)).0
+    }
+
+    /// [`Self::ancestors_among`] written into `out`, whose contents it
+    /// replaces.
+    pub fn ancestors_among_into(
+        &self,
+        u: NodeId,
+        sorted: &[NodeId],
+        out: &mut Vec<(NodeId, Distance)>,
+    ) {
+        out.clear();
         let (mut cur, mut d) = (Some(u), 0);
         while let Some(a) = cur {
             if sorted.binary_search(&a).is_ok() {
@@ -329,7 +356,6 @@ impl PpoIndex {
             cur = self.parent(a);
             d += 1;
         }
-        out
     }
 
     fn node_label_matches(&self, u: NodeId, label: u32) -> bool {

@@ -242,8 +242,12 @@ proptest! {
         picks in proptest::collection::vec(any::<bool>(), 60),
     ) {
         // Every access path behind Fig. 4's per-pop step, both axes, against
-        // the brute-force reference: probe every anchor with `distance`.
+        // the brute-force reference: probe every anchor with `distance`. One
+        // answer is reused for every pop of all three strategies, as the
+        // evaluator reuses its own: a longer earlier answer must not show
+        // through a shorter later one.
         use flix::{Axis, MetaDocument, MetaIndex, PopAnswer, StrategyKind};
+        let mut pop = PopAnswer::default();
         let labels = arb_labels(&g, 4);
         let n = g.node_count() as u32;
         let subset = |offset: usize| -> Vec<u32> {
@@ -270,17 +274,19 @@ proptest! {
                         let (block, work) =
                             md.index.descendants_by_label_counted(e, label, include_self);
                         let links = below.clone();
+                        md.answer_pop(Axis::Descendants, e, label, include_self, &mut pop);
                         prop_assert_eq!(
-                            md.answer_pop(Axis::Descendants, e, label, include_self),
-                            PopAnswer { block, work, links },
+                            &pop,
+                            &PopAnswer { block, work, links },
                             "{:?} down from {} label {}", kind, e, label
                         );
                         let (block, work) =
                             md.index.ancestors_by_label_counted(e, label, include_self);
                         let links = above.clone();
+                        md.answer_pop(Axis::Ancestors, e, label, include_self, &mut pop);
                         prop_assert_eq!(
-                            md.answer_pop(Axis::Ancestors, e, label, include_self),
-                            PopAnswer { block, work, links },
+                            &pop,
+                            &PopAnswer { block, work, links },
                             "{:?} up from {} label {}", kind, e, label
                         );
                     }
@@ -301,11 +307,9 @@ proptest! {
         use std::sync::Arc;
         type Pairs = Vec<(u32, u32)>;
         fn hopi_answers(i: &HopiIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize, Pairs)) {
-            (
-                i.descendants(u, true),
-                i.ancestors(u, false),
-                i.descendants_by_label_and_anchors(u, 1, false),
-            )
+            let (mut block, mut links) = (Vec::new(), Vec::new());
+            let work = i.descendants_by_label_and_anchors_into(u, 1, false, &mut block, &mut links);
+            (i.descendants(u, true), i.ancestors(u, false), (block, work, links))
         }
         fn apex_answers(i: &ApexIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize), Option<u32>) {
             let anchors: Vec<u32> = (0..i.summary().class_of.len() as u32).step_by(2).collect();
