@@ -332,15 +332,43 @@ mod tests {
                     }
                 }
             }
+            let loads = |s: DiskExecStats| s.cache_hits + s.cache_misses;
             for p in workloads::connection_pairs(&cg, 12, 9) {
-                for opts in [QueryOptions::default(), QueryOptions::within(3)] {
-                    assert_eq!(
-                        flix.connection_test(p.from, p.to, &opts),
-                        dflix.connection_test(p.from, p.to, &opts).unwrap(),
-                        "{config} cache={cache} {}->{}",
-                        p.from,
-                        p.to
-                    );
+                for opts in [
+                    QueryOptions::default(),
+                    QueryOptions::within(3),
+                    QueryOptions::default().with_deadline(Deadline::within_micros(0)),
+                ] {
+                    for both_ways in [false, true] {
+                        let case = format!(
+                            "{config} cache={cache} {}->{} {opts:?} both ways {both_ways}",
+                            p.from, p.to
+                        );
+                        let (from, to) = (p.from, p.to);
+                        let mem = connection_test_space(&flix, from, to, &opts, both_ways);
+                        let before = loads(dflix.stats());
+                        let dsk = connection_test_space(&dflix, from, to, &opts, both_ways);
+                        let (mem, dsk) = (crate::pee::never(mem), dsk.unwrap());
+                        assert_eq!(mem, dsk, "{case}");
+                        // Conservation, with one seed a side: an unconnected
+                        // pair drains a one-sided test; confirming, a bound, a
+                        // deadline or the other side ending first leaves
+                        // entries queued.
+                        let stats = dsk.stats;
+                        let heap_pops = stats.entries_popped + stats.entries_subsumed;
+                        let sides = 1 + usize::from(both_ways);
+                        let (left, queued) = (
+                            heap_pops + stats.entries_refused,
+                            sides + stats.links_expanded,
+                        );
+                        let drained = !both_ways && opts.max_distance.is_none() && !dsk.timed_out;
+                        if drained && dsk.distance.is_none() {
+                            assert_eq!(left, queued, "{case}: {stats:?}");
+                        } else {
+                            assert!(left <= queued, "{case}: {stats:?}");
+                        }
+                        assert_eq!(loads(dflix.stats()) - before, heap_pops as u64, "{case}");
+                    }
                 }
             }
         }

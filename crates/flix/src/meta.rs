@@ -250,8 +250,7 @@ pub struct PopAnswer {
     pub block: Vec<(u32, Distance)>,
     /// Index rows (elements, for APEX) the block cost.
     pub work: usize,
-    /// Link anchors the entry reaches, as [`MetaDocument::link_anchors`]
-    /// returns them.
+    /// Link anchors the entry reaches, ascending by `(distance, local)`.
     pub links: Vec<(u32, Distance)>,
 }
 
@@ -326,7 +325,7 @@ impl MetaDocument {
     /// anchor prefixes of its inverted rows and nothing else of them; APEX
     /// runs one BFS, keeping the members of `L_i` it reaches.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
-        self.link_anchors(Axis::Descendants, e)
+        graphcore::filled(|out| self.link_anchors_into(Axis::Descendants, e, out)).0
     }
 
     /// Mirror of [`Self::reachable_link_sources`] for ancestor queries:
@@ -334,19 +333,14 @@ impl MetaDocument {
     /// `e`, ascending by `(distance, local)`. Under PPO this walks `e`'s
     /// parent chain, looking each step up in the id-sorted target list.
     pub fn reaching_link_targets(&self, e: u32) -> Vec<(u32, Distance)> {
-        self.link_anchors(Axis::Ancestors, e)
+        graphcore::filled(|out| self.link_anchors_into(Axis::Ancestors, e, out)).0
     }
 
     /// The anchors of runtime links leaving this meta document along
-    /// `axis` that entry `e` reaches: [`Self::reachable_link_sources`]
-    /// going down, [`Self::reaching_link_targets`] going up.
-    pub fn link_anchors(&self, axis: Axis, e: u32) -> Vec<(u32, Distance)> {
-        graphcore::filled(|out| self.link_anchors_into(axis, e, out)).0
-    }
-
-    /// [`Self::link_anchors`] written into `out`, whose contents it
-    /// replaces.
-    fn link_anchors_into(&self, axis: Axis, e: u32, out: &mut Vec<(u32, Distance)>) {
+    /// `axis` that entry `e` reaches — [`Self::reachable_link_sources`]
+    /// going down, [`Self::reaching_link_targets`] going up — written into
+    /// `out`, whose contents it replaces.
+    pub(crate) fn link_anchors_into(&self, axis: Axis, e: u32, out: &mut Vec<(u32, Distance)>) {
         let anchors = match axis {
             Axis::Descendants => &self.link_sources,
             Axis::Ancestors => &self.link_targets,
@@ -376,10 +370,10 @@ impl MetaDocument {
     /// an anchor whatever `include_self` says).
     ///
     /// Equal to `descendants_by_label_counted` (or its ancestors mirror)
-    /// plus [`Self::link_anchors`]. Under HOPI both come out of one label
-    /// join over each center's anchor prefix and label run; PPO and APEX
-    /// have nothing to share (an interval lookup beside a rank-list scan; a
-    /// plain BFS beside a label-pruned one).
+    /// plus the link anchors `e` reaches. Under HOPI both come out of one
+    /// label join over each center's anchor prefix and label run; PPO and
+    /// APEX have nothing to share (an interval lookup beside a rank-list
+    /// scan; a plain BFS beside a label-pruned one).
     pub fn answer_pop(
         &self,
         axis: Axis,
@@ -602,7 +596,10 @@ mod tests {
                                 md.index.ancestors_by_label_counted(e, 1, include_self)
                             }
                         };
-                        let links = md.link_anchors(axis, e);
+                        let links = match axis {
+                            Axis::Descendants => md.reachable_link_sources(e),
+                            Axis::Ancestors => md.reaching_link_targets(e),
+                        };
                         assert_eq!(pop, PopAnswer { block, work, links }, "{kind} {axis:?} {e}");
                     }
                 }

@@ -22,10 +22,13 @@
 //! link push of a node the evaluation already queued no farther away is
 //! refused before it reaches the heap — it could only ever be subsumed.
 //!
-//! There is exactly one copy of each loop: [`evaluate_axis_space`] for the
-//! axis queries and [`ConnectionSearch`] for connection tests, both generic
-//! over the [`MetaSpace`] they run on — the in-memory framework, one shard
-//! of it, or the disk-resident engine.
+//! There is exactly one copy of the loop, [`Evaluation::step`], generic
+//! over the [`MetaSpace`] it runs on — the in-memory framework, one shard
+//! of it, or the disk-resident engine. Axis queries drain one evaluation;
+//! a connection test (§5.2) steps one, or two for a bidirectional test, and
+//! its pop probes the distance to its target instead of answering a block.
+//! Its rows, like exact order's (§7), are *held* at the smallest distance
+//! found until the queue's lower bound proves no entry left can beat them.
 
 use crate::catalogue::Catalogue;
 use crate::framework::Flix;
@@ -33,9 +36,9 @@ use crate::meta::{MetaDocument, MetaIndex, PopAnswer};
 use flixobs::journal::{EventKind, JournalHandle, SHARD_NONE};
 use flixobs::{Deadline, QueryTrace, SpanStage, Stopwatch};
 use graphcore::{DistScratch, Distance, NodeId};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::convert::Infallible;
 use std::ops::{ControlFlow, Deref};
 use xmlgraph::TagId;
@@ -64,8 +67,8 @@ pub struct QueryOptions {
     /// default approximate (block-streamed) order. This implements the
     /// paper's §7 optimisation sketch: results are held back until the
     /// queue's lower bound proves no shorter result can still appear. It
-    /// costs memory (buffered results plus an emitted set) and delays the
-    /// first results.
+    /// costs memory (the held results and a per-node best distance, in the
+    /// thread's scratch) and delays the first results.
     pub exact_order: bool,
     /// Per-request time budget, checked once per queue pop (no clock reads
     /// when unset). On expiry the evaluation stops and the results emitted
@@ -161,8 +164,12 @@ pub struct QueryOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectionOutcome {
     /// The (approximate) distance, or `None` when not connected within
-    /// `max_distance` (or the deadline).
+    /// `max_distance`. When `timed_out`, the best candidate found before
+    /// the deadline, unconfirmed: a shorter connection, or one where this
+    /// is `None`, may exist.
     pub distance: Option<Distance>,
+    /// True when the deadline expired before the test reached a verdict.
+    pub timed_out: bool,
     /// Evaluation counters, both directions combined.
     pub stats: PeeStats,
 }
@@ -171,9 +178,10 @@ pub struct ConnectionOutcome {
 /// models that emulate the paper's database-backed deployment (every heap
 /// pop — `entries_popped + entries_subsumed` — is one index lookup, a
 /// database round trip in the original implementation). Every entry an
-/// axis evaluation queues ends in exactly one of the three `entries_*`
-/// counts once the queue has drained: `entries_popped + entries_subsumed +
-/// entries_refused == seeds + links_expanded`.
+/// evaluation queues ends in exactly one of the three `entries_*` counts
+/// once the queue has drained: `entries_popped + entries_subsumed +
+/// entries_refused == seeds + links_expanded` (a connection test has one
+/// seed per side).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeeStats {
     /// Entries popped from the priority queue and answered (meta-document
@@ -186,7 +194,7 @@ pub struct PeeStats {
     /// evaluation had already queued the same node at an equal or smaller
     /// distance (within the query's distance bound, if it has one), so the
     /// entry could only have been popped to be subsumed. Costs no index
-    /// lookup. Connection tests refuse nothing.
+    /// lookup.
     pub entries_refused: usize,
     /// Index rows touched (or elements traversed, for APEX) while
     /// materialising meta-document blocks — row fetches in the paper's
@@ -213,8 +221,8 @@ impl PeeStats {
 
 /// The node universe an evaluation runs over: the full framework, one
 /// shard of it ([`crate::shard`]), or indexes resident in a blob store
-/// ([`crate::diskexec`]). Both evaluator loops are generic over this trait,
-/// so every path executes the *same* loop over the same meta-document data
+/// ([`crate::diskexec`]). The evaluator loop is generic over this trait, so
+/// every path executes the *same* loop over the same meta-document data
 /// and the same [`Catalogue`] — which is what makes their result streams
 /// byte-identical.
 pub(crate) trait MetaSpace {
@@ -267,11 +275,10 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 }
 
 /// §5.1's memory: per meta document of a space, the entries answered so
-/// far. Whether a popped entry (or a connection search's) is subsumed is
-/// one test against it; block rows are tested against [`RowMarks`]. Each
-/// meta document's list is kept in the form its index tests fastest (the
-/// strategy is read off [`MetaDocument::index`], the axis is the
-/// evaluation's):
+/// far. Whether a popped entry is subsumed is one test against it; block
+/// rows are tested against [`RowMarks`]. Each meta document's list is kept
+/// in the form its index tests fastest (the strategy is read off
+/// [`MetaDocument::index`], the axis is the evaluation's):
 ///
 /// * PPO going down — an entry reaches its subtree, an interval of preorder
 ///   ranks, so the list holds the union of the answered entries' intervals
@@ -333,8 +340,9 @@ impl Entries {
                 let (lo, hi) = ppo.forest_index().subtree(local);
                 let start = seen.partition_point(|&bound| bound < lo);
                 let end = seen.partition_point(|&bound| bound <= hi);
-                let ends = [(start % 2 == 0).then_some(lo), (end % 2 == 0).then_some(hi)];
-                seen.splice(start..end, ends.into_iter().flatten());
+                // From a slice, `splice` knows the length: no allocation.
+                let ends = [lo, hi];
+                seen.splice(start..end, ends[start % 2..2 - end % 2].iter().copied());
             }
             (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
                 let rank = ppo.forest_index().pre(local);
@@ -404,7 +412,7 @@ impl RowMarks {
     }
 }
 
-/// What an axis evaluation keeps from pop to pop, and a thread keeps from
+/// What an evaluation keeps from pop to pop, and a thread keeps from
 /// evaluation to evaluation: an evaluation allocates nothing once the
 /// scratch has grown to the largest framework the thread has queried.
 #[derive(Default)]
@@ -412,36 +420,30 @@ struct EvalScratch {
     /// Fig. 4's `IE`, ordered by `(distance, node, is a seed)`.
     queue: BinaryHeap<Reverse<(Distance, NodeId, bool)>>,
     entries: Entries,
+    /// Rows gone over (streamed order), or entries settled (exact order).
     rows: RowMarks,
     /// Per global node, the smallest distance at which this evaluation
     /// queued it through a link (seeds are not recorded).
     queued: DistScratch,
+    /// Held rows, ordered by `(distance, node)`. A row whose distance is no
+    /// longer its node's `best` is stale and dropped when it comes up.
+    hold: BinaryHeap<Reverse<(Distance, NodeId)>>,
+    /// Per global node, the smallest distance held; begun only to hold.
+    best: DistScratch,
     /// Number of nodes in the collection being evaluated over.
     nodes: usize,
-    /// The answer of the pop in progress, refilled by every pop
-    /// ([`MetaDocument::answer_pop`]).
+    /// The answer of the pop in progress, refilled by every pop.
     pop: PopAnswer,
 }
 
 thread_local! {
-    /// This thread's scratch. An evaluation takes it out of the cell for
-    /// its whole run and puts it back after, so an `emit` callback that
-    /// evaluates another query finds the cell empty and gets a fresh one.
-    static SCRATCH: Cell<EvalScratch> = Cell::default();
+    /// This thread's idle scratches. An evaluation takes one for its run,
+    /// so a bidirectional test holds two, and an `emit` callback that
+    /// evaluates another query gets one of its own.
+    static IDLE: RefCell<Vec<EvalScratch>> = const { RefCell::new(Vec::new()) };
 }
 
 impl EvalScratch {
-    /// This thread's scratch, emptied for an evaluation over `space`.
-    fn take<S: MetaSpace + ?Sized>(space: &S) -> Self {
-        let mut scratch = SCRATCH.take();
-        scratch.queue.clear();
-        scratch.entries.begin(space.meta_count());
-        scratch.nodes = space.catalogue().meta_of.len();
-        scratch.queued.begin(scratch.nodes);
-        scratch.rows.begin(scratch.nodes);
-        scratch
-    }
-
     /// Queues the far end of a link at distance `at` — unless this
     /// evaluation already queued `far` through a link at that distance or a
     /// smaller one, in which case the push is refused (`false`). The
@@ -455,8 +457,8 @@ impl EvalScratch {
     /// ends the evaluation, so nothing is ever popped to be dropped after
     /// it, and a bounded top-k query (most of whose pushes are these) does
     /// not pay a table access per link. And a node outside the collection,
-    /// which the table does not cover: its first pop ends the evaluation as
-    /// [`EvalEnd::Escaped`].
+    /// which the table does not cover: its first pop escapes
+    /// ([`EvalEnd::Escaped`]).
     fn push_link(&mut self, far: NodeId, at: Distance, bound: Option<Distance>) -> bool {
         if !bound.is_some_and(|m| at > m) {
             if self.queued.get(far).is_some_and(|earlier| earlier <= at) {
@@ -468,29 +470,6 @@ impl EvalScratch {
         }
         self.queue.push(Reverse((at, far, false)));
         true
-    }
-}
-
-/// Visits the far end of every runtime link hanging off `anchors` — what
-/// [`MetaDocument::link_anchors`] found reachable from an entry of `md`
-/// along `axis` (Fig. 4's `findReachableLinks`) — with the distance from
-/// the entry to that far end.
-fn for_each_link<S: MetaSpace + ?Sized>(
-    space: &S,
-    md: &MetaDocument,
-    axis: Axis,
-    anchors: &[(u32, Distance)],
-    mut visit: impl FnMut(Distance, NodeId),
-) {
-    for &(anchor, d) in anchors {
-        let node = md.nodes[anchor as usize];
-        let links = match axis {
-            Axis::Descendants => space.catalogue().links_out_of(node),
-            Axis::Ancestors => space.catalogue().links_into(node),
-        };
-        for &(_, far) in links {
-            visit(d + 1, far);
-        }
     }
 }
 
@@ -703,28 +682,8 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
     Ok((outcome, matches!(end, EvalEnd::Escaped)))
 }
 
-/// The one Fig. 4 loop, generalised over direction, multiple seeds, and
-/// the node universe. Returns how the evaluation ended and its counters.
-///
-/// With `ctx.trace` set, one clock is read at each stage boundary and the
-/// time since the previous read is recorded as a span of the stage that
-/// just ran — queue pop (the heap pop, the deadline and bound checks, the
-/// exact-order release, the §5.1 subsumption verdict), block fetch (the
-/// one [`MetaDocument::answer_pop`] lookup, the per-row §5.1 stamp test and
-/// handing the results to `emit`), link expansion (the queue pushes) — so
-/// the spans tile the evaluation from its first instruction to its last
-/// and their sum is its time. With
-/// `ctx.journal` set, a deadline cut is recorded as a flight-recorder
-/// event. Both are write-only from the evaluator's point of view — no
-/// branch of the algorithm consults them — so the emitted result stream
-/// is bit-identical with them on and off, and with neither set no clock
-/// is read and no journal touched.
-///
-/// The priority queue orders entries by `(distance, node)` — the heap is a
-/// *set* of keyed entries, so any space presenting the same meta documents
-/// and link tables drives the loop through the same pop sequence. A shard
-/// presents exactly the full framework's data for its own metas, which is
-/// why a run that never escapes is byte-identical to the unsharded one.
+/// Drains one evaluation from `seeds` for the elements with tag `target`
+/// into `emit` (see [`Evaluation::step`]): how it ended, and its counters.
 pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     space: &S,
     seeds: &[(NodeId, Distance)],
@@ -734,136 +693,244 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
     ctx: &mut QueryCtx<'_>,
     mut emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
 ) -> Result<(EvalEnd, PeeStats), S::Error> {
-    let mut stats = PeeStats::default();
-    let mut clock = ctx.trace.is_some().then(|| (Stopwatch::start(), 0));
-    let mut scratch = EvalScratch::take(space);
-    let mut returned = 0usize;
-    // Exact-order machinery (§7 optimisation): results are buffered and
-    // released only once the queue's lower bound proves them final.
-    // `best` deduplicates by node with the minimum distance; stale heap
-    // entries are dropped lazily.
-    let mut hold: BinaryHeap<Reverse<(Distance, NodeId)>> = BinaryHeap::new();
-    let mut best: HashMap<NodeId, Distance> = HashMap::new();
-    let mut emitted: HashSet<NodeId> = HashSet::new();
-    // Exact mode replaces §5.1 subsumption with Dijkstra-style entry
-    // settling: every entry node is processed once, at its minimal
-    // queue distance — reachability subsumption could hide shorter
-    // paths that enter a meta document through a different element.
-    let mut settled: HashSet<NodeId> = HashSet::new();
-    for &(s, d) in seeds {
-        // the bool marks seed entries, whose self-match behaviour is
-        // governed by `include_start`
-        scratch.queue.push(Reverse((d, s, true)));
+    let traced = ctx.trace.is_some();
+    let mut eval = Evaluation::new(space, axis, Goal::Tag(target), seeds, opts, traced);
+    let end = loop {
+        if let Some(end) = eval.step(ctx, &mut emit)? {
+            break end;
+        }
+    };
+    Ok((end, eval.finish(ctx)))
+}
+
+/// What a pop answers: a tag's block (an axis query), or the distance to
+/// one element, `None` outside the space (a connection test).
+#[derive(Clone, Copy)]
+enum Goal {
+    Tag(TagId),
+    Node(Option<(u32, u32)>),
+}
+
+/// One run of Fig. 4's loop, on a scratch taken from its thread and
+/// advanced one queue pop at a time by [`Self::step`].
+struct Evaluation<'s, S: MetaSpace + ?Sized> {
+    space: &'s S,
+    axis: Axis,
+    goal: Goal,
+    opts: QueryOptions,
+    /// Rows are held, under exact order and for a connection test.
+    hold: bool,
+    scratch: EvalScratch,
+    stats: PeeStats,
+    /// Results handed to the caller so far.
+    returned: usize,
+    /// A traced evaluation's clock and the nanoseconds charged so far.
+    clock: Option<(Stopwatch, u64)>,
+}
+
+impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
+    /// An evaluation from `seeds` on an idle scratch of this thread.
+    fn new(
+        space: &'s S,
+        axis: Axis,
+        goal: Goal,
+        seeds: &[(NodeId, Distance)],
+        opts: &QueryOptions,
+        traced: bool,
+    ) -> Self {
+        let clock = traced.then(|| (Stopwatch::start(), 0));
+        let hold = opts.exact_order || matches!(goal, Goal::Node(_));
+        let mut scratch = IDLE.with_borrow_mut(Vec::pop).unwrap_or_default();
+        scratch.queue.clear();
+        scratch.hold.clear();
+        scratch.entries.begin(space.meta_count());
+        scratch.nodes = space.catalogue().meta_of.len();
+        scratch.queued.begin(scratch.nodes);
+        scratch.rows.begin(scratch.nodes);
+        if hold {
+            scratch.best.begin(scratch.nodes);
+        }
+        for &(s, d) in seeds {
+            // the bool marks seed entries, whose self-match behaviour is
+            // governed by `include_start`
+            scratch.queue.push(Reverse((d, s, true)));
+        }
+        Self {
+            space,
+            axis,
+            goal,
+            opts: *opts,
+            hold,
+            scratch,
+            stats: PeeStats::default(),
+            returned: 0,
+            clock,
+        }
     }
-    // Hands one result to the caller; true when the evaluation must stop
-    // (the callback broke off, or the result cap is reached).
-    let mut deliver = |result: QueryResult, stats: &PeeStats| {
-        if emit(result, stats).is_break() {
+
+    /// Hands one result to the caller; true when the evaluation must stop
+    /// (the callback broke off, or the result cap is reached).
+    fn deliver(
+        &mut self,
+        result: QueryResult,
+        emit: &mut impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
+    ) -> bool {
+        if emit(result, &self.stats).is_break() {
             return true;
         }
-        returned += 1;
-        opts.max_results.is_some_and(|k| returned >= k)
-    };
-    let end = 'eval: loop {
-        let next = scratch.queue.pop();
+        self.returned += 1;
+        self.opts.max_results.is_some_and(|k| self.returned >= k)
+    }
+
+    /// One pop of Fig. 4's loop, generalised over direction, multiple seeds,
+    /// the node universe and the [`Goal`]: `None` while the evaluation goes
+    /// on, how it ended once it has. An end leaves nothing half done: after
+    /// [`EvalEnd::Escaped`] the next step pops the entry after the escaping
+    /// one.
+    ///
+    /// With `ctx.trace` set, one clock is read at each stage boundary and
+    /// the time since the previous read is recorded as a span of the stage
+    /// that just ran — queue pop (the heap pop, the deadline and bound
+    /// checks, the held rows' release, the §5.1 subsumption verdict), block
+    /// fetch (the one [`MetaDocument::answer_pop`] lookup, the per-row §5.1
+    /// stamp test and handing the results to `emit`), link expansion (the
+    /// queue pushes) — so with [`Self::finish`]'s closing lap the spans tile
+    /// the evaluation from its first instruction to its last and their sum
+    /// is its time. With `ctx.journal` set, a deadline cut is recorded as a
+    /// flight-recorder event. Both are write-only from the evaluator's point
+    /// of view — no branch of the algorithm consults them — so the emitted
+    /// result stream is bit-identical with them on and off, and with neither
+    /// set no clock is read and no journal touched.
+    ///
+    /// The priority queue orders entries by `(distance, node)` — the heap is
+    /// a *set* of keyed entries, so any space presenting the same meta
+    /// documents and link tables drives the loop through the same pop
+    /// sequence. A shard presents exactly the full framework's data for its
+    /// own metas, which is why a run that never escapes is byte-identical to
+    /// the unsharded one.
+    #[inline]
+    fn step(
+        &mut self,
+        ctx: &mut QueryCtx<'_>,
+        emit: &mut impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
+    ) -> Result<Option<EvalEnd>, S::Error> {
+        let (space, axis, opts, hold) = (self.space, self.axis, self.opts, self.hold);
+        let next = self.scratch.queue.pop();
         // Deadline check: one clock read per pop, none when unset. The
-        // emitted prefix stands; nothing buffered is released — a shorter
+        // emitted prefix stands; nothing held is released — a shorter
         // result could still have appeared.
         if next.is_some() && opts.deadline.is_some_and(|dl| dl.expired()) {
             ctx.event(EventKind::DeadlineExpired {
                 budget_micros: opts.deadline.map(|dl| dl.budget_micros()).unwrap_or(0),
             });
-            break EvalEnd::Done { timed_out: true };
+            return Ok(Some(EvalEnd::Done { timed_out: true }));
         }
         // An entry past the distance bound ends the evaluation exactly like
         // a drained queue.
         let next = next.filter(|&Reverse((d, ..))| !opts.max_distance.is_some_and(|m| d > m));
-        // Release buffered results that no future entry can beat: every
-        // path through a remaining entry costs at least its `d`; with no
-        // entry remaining, everything still buffered is final.
-        if opts.exact_order {
+        // Release held rows that no future entry can beat: every path
+        // through a remaining entry costs at least its `d`; with none left,
+        // everything held is final. A released node is never held again:
+        // that takes a strictly smaller distance, and later rows are no
+        // smaller than this bound.
+        if hold {
             let bound = next.map_or(Distance::MAX, |Reverse((d, ..))| d);
-            while let Some(&Reverse((bd, bn))) = hold.peek() {
+            while let Some(&Reverse((bd, bn))) = self.scratch.hold.peek() {
                 if bd > bound {
                     break;
                 }
-                hold.pop();
-                if best.get(&bn) != Some(&bd) || !emitted.insert(bn) {
-                    continue; // stale or already emitted
+                self.scratch.hold.pop();
+                if self.scratch.best.get(bn) != Some(bd) {
+                    continue; // stale
                 }
                 let result = QueryResult {
                     distance: bd,
                     node: bn,
                 };
-                if deliver(result, &stats) {
-                    break 'eval EvalEnd::Done { timed_out: false };
+                if self.deliver(result, emit) {
+                    return Ok(Some(EvalEnd::Done { timed_out: false }));
                 }
             }
         }
         let Some(Reverse((d, e, is_seed))) = next else {
-            break EvalEnd::Done { timed_out: false };
+            return Ok(Some(EvalEnd::Done { timed_out: false }));
         };
         let Some((meta, local)) = space.resolve(e) else {
             // The node lives outside this space: a shard chased a
             // cross-shard link. The caller falls back to a space that
             // covers it; nothing emitted so far may be kept.
-            break 'eval EvalEnd::Escaped;
+            return Ok(Some(EvalEnd::Escaped));
         };
         let md = space.meta(meta)?;
 
-        // §5.1 duplicate elimination, step 1: drop subsumed entries.
-        // (Exact mode settles per entry node instead — see above.)
+        // §5.1 duplicate elimination, step 1: drop subsumed entries. Exact
+        // order settles per entry node instead, Dijkstra-style: every entry
+        // node is processed once, at its minimal queue distance —
+        // reachability subsumption could hide shorter paths that enter a
+        // meta document through a different element.
         let subsumed = if opts.exact_order {
-            !settled.insert(e)
+            !self.scratch.rows.insert(e)
         } else {
-            scratch.entries.covered(&md, axis, meta, local)
+            self.scratch.entries.covered(&md, axis, meta, local)
         };
         if subsumed {
-            stats.entries_subsumed += 1;
+            self.stats.entries_subsumed += 1;
         } else {
-            stats.entries_popped += 1;
+            self.stats.entries_popped += 1;
         }
-        lap(ctx, &mut clock, SpanStage::QueuePop);
+        lap(ctx, &mut self.clock, SpanStage::QueuePop);
         if subsumed {
-            continue;
+            return Ok(None);
         }
 
-        // Answer the block within this meta document. The whole block
-        // is materialised before any result is emitted, so its lookup
-        // work is charged up front.
-        let include_self = if is_seed { opts.include_start } else { true };
-        // One request per pop: the block and the reachable link anchors
-        // come out of the same index lookup where the strategy can share it,
-        // into the scratch's answer — out of the scratch while the links are
-        // pushed into it, and back on every way out of this pop.
-        let mut pop = std::mem::take(&mut scratch.pop);
-        md.answer_pop(axis, local, target, include_self, &mut pop);
-        stats.block_results_scanned += pop.work;
-        let mut capped = false;
-        if !include_self && !opts.exact_order {
-            // The one element this entry covers that its block leaves out.
-            scratch.rows.insert(e);
+        // Answer the pop within this meta document, into the scratch's
+        // answer — out of the scratch while the links are pushed into it,
+        // and back on every way out of this pop. The whole block is
+        // materialised before any result is emitted, so its lookup work is
+        // charged up front. A tag's block and the reachable link anchors
+        // come out of one index lookup where the strategy can share it; a
+        // connection test's block is one distance probe, one row, when the
+        // target lies in this meta document.
+        let include_self = !is_seed || opts.include_start;
+        let mut pop = std::mem::take(&mut self.scratch.pop);
+        match self.goal {
+            Goal::Tag(tag) => md.answer_pop(axis, local, tag, include_self, &mut pop),
+            Goal::Node(target) => {
+                pop.block.clear();
+                pop.work = 0;
+                if let Some((_, t)) = target.filter(|&(t_meta, _)| t_meta == meta) {
+                    let found = match axis {
+                        Axis::Descendants => md.index.distance(local, t),
+                        Axis::Ancestors => md.index.distance(t, local),
+                    };
+                    pop.block.extend(found.map(|dt| (t, dt)));
+                    pop.work = 1;
+                }
+                md.link_anchors_into(axis, local, &mut pop.links);
+            }
         }
+        self.stats.block_results_scanned += pop.work;
+        if !include_self && !hold {
+            // The one element this entry covers that its block leaves out.
+            self.scratch.rows.insert(e);
+        }
+        let mut capped = false;
         for &(r, dr) in &pop.block {
             let node = md.nodes[r as usize];
             // §5.1 step 2: skip results an earlier entry already returned —
-            // the rows of an answered block, kept or not. (Exact mode
-            // dedups through the best map.)
-            if !opts.exact_order && !scratch.rows.insert(node) {
+            // the rows of an answered block, kept or not. (Held rows are
+            // deduplicated by their best distance.)
+            if !hold && !self.scratch.rows.insert(node) {
                 continue;
             }
             let total = d + dr;
             if opts.max_distance.is_some_and(|m| total > m) {
                 continue;
             }
-            if opts.exact_order {
-                if emitted.contains(&node) {
-                    continue;
-                }
-                let cur = best.entry(node).or_insert(Distance::MAX);
-                if total < *cur {
-                    *cur = total;
-                    hold.push(Reverse((total, node)));
+            if hold {
+                if self.scratch.best.get(node).map_or(true, |b| total < b) {
+                    self.scratch.best.relax(node, total);
+                    self.scratch.hold.push(Reverse((total, node)));
                 }
                 continue;
             }
@@ -871,137 +938,55 @@ pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
                 distance: total,
                 node,
             };
-            if deliver(result, &stats) {
+            if self.deliver(result, emit) {
                 capped = true;
                 break;
             }
         }
-        lap(ctx, &mut clock, SpanStage::BlockFetch);
+        lap(ctx, &mut self.clock, SpanStage::BlockFetch);
         if capped {
-            scratch.pop = pop;
-            break EvalEnd::Done { timed_out: false };
+            self.scratch.pop = pop;
+            return Ok(Some(EvalEnd::Done { timed_out: false }));
         }
 
         // Expand runtime links: queue the far end of every link hanging off
         // the anchors the lookup above found (Fig. 4's `findReachableLinks`),
-        // repeats excepted.
-        for_each_link(space, &md, axis, &pop.links, |hop, far| {
-            stats.links_expanded += 1;
-            if !scratch.push_link(far, d + hop, opts.max_distance) {
-                stats.entries_refused += 1;
-            }
-        });
-        scratch.pop = pop;
-        scratch.entries.push(&md, axis, meta, local);
-        lap(ctx, &mut clock, SpanStage::LinkExpand);
-    };
-    // The closing lap: whatever ended the evaluation — a drained queue, the
-    // deadline, the distance bound, a result cap reached while releasing
-    // buffered results, an escape — ended it inside a queue pop.
-    lap(ctx, &mut clock, SpanStage::QueuePop);
-    SCRATCH.set(scratch);
-    Ok((end, stats))
-}
-
-/// Outcome of one step of a [`ConnectionSearch`].
-enum SearchStep {
-    /// The search proved its best candidate distance cannot improve.
-    Confirmed(Distance),
-    /// The queue ran dry; `best` holds the final verdict for this side.
-    Exhausted,
-    /// One entry processed, keep stepping.
-    Progress,
-}
-
-/// One direction of a (possibly bidirectional) connection test, advanced
-/// one entry pop at a time: the Fig. 4 loop with the block lookup replaced
-/// by a single in-meta distance probe against the target.
-struct ConnectionSearch<'s, S: MetaSpace + ?Sized> {
-    space: &'s S,
-    /// `(meta, local)` of the element searched for.
-    target: Option<(u32, u32)>,
-    axis: Axis,
-    max_distance: Option<Distance>,
-    queue: BinaryHeap<Reverse<(Distance, NodeId)>>,
-    entries: Entries,
-    best: Option<Distance>,
-    stats: PeeStats,
-}
-
-impl<'s, S: MetaSpace + ?Sized> ConnectionSearch<'s, S> {
-    fn new(
-        space: &'s S,
-        start: NodeId,
-        target: NodeId,
-        axis: Axis,
-        max_distance: Option<Distance>,
-    ) -> Self {
-        let mut entries = Entries::default();
-        entries.begin(space.meta_count());
-        Self {
-            space,
-            target: space.resolve(target),
-            axis,
-            max_distance,
-            queue: BinaryHeap::from([Reverse((0, start))]),
-            entries,
-            best: None,
-            stats: PeeStats::default(),
-        }
-    }
-
-    fn step(&mut self) -> Result<SearchStep, S::Error> {
-        let Some(Reverse((d, e))) = self.queue.pop() else {
-            return Ok(SearchStep::Exhausted);
-        };
-        if let Some(b) = self.best {
-            if d >= b {
-                return Ok(SearchStep::Confirmed(b));
-            }
-        }
-        if self.max_distance.is_some_and(|m| d > m) {
-            return Ok(SearchStep::Exhausted);
-        }
-        let Some((meta, local)) = self.space.resolve(e) else {
-            return Ok(SearchStep::Progress); // outside the space: nothing to search
-        };
-        let md = self.space.meta(meta)?;
-        if self.entries.covered(&md, self.axis, meta, local) {
-            self.stats.entries_subsumed += 1;
-            return Ok(SearchStep::Progress);
-        }
-        self.stats.entries_popped += 1;
-        if let Some((_, t_local)) = self.target.filter(|&(t_meta, _)| t_meta == meta) {
-            // one in-meta distance probe = one row fetch
-            self.stats.block_results_scanned += 1;
-            let found = match self.axis {
-                Axis::Descendants => md.index.distance(local, t_local),
-                Axis::Ancestors => md.index.distance(t_local, local),
+        // one hop past the anchor, repeats excepted.
+        for &(anchor, da) in &pop.links {
+            let node = md.nodes[anchor as usize];
+            let links = match axis {
+                Axis::Descendants => space.catalogue().links_out_of(node),
+                Axis::Ancestors => space.catalogue().links_into(node),
             };
-            if let Some(dd) = found {
-                let cand = d + dd;
-                if self.max_distance.map_or(true, |m| cand <= m)
-                    && self.best.map_or(true, |b| cand < b)
-                {
-                    self.best = Some(cand);
+            for &(_, far) in links {
+                self.stats.links_expanded += 1;
+                if !self.scratch.push_link(far, d + da + 1, opts.max_distance) {
+                    self.stats.entries_refused += 1;
                 }
             }
         }
-        let links = md.link_anchors(self.axis, local);
-        for_each_link(self.space, &md, self.axis, &links, |hop, far| {
-            self.stats.links_expanded += 1;
-            self.queue.push(Reverse((d + hop, far)));
-        });
-        self.entries.push(&md, self.axis, meta, local);
-        Ok(SearchStep::Progress)
+        self.scratch.pop = pop;
+        self.scratch.entries.push(&md, axis, meta, local);
+        lap(ctx, &mut self.clock, SpanStage::LinkExpand);
+        Ok(None)
+    }
+
+    /// The closing lap — whatever ended the evaluation ended it inside a
+    /// queue pop — and the scratch back to the thread; returns the counters.
+    fn finish(mut self, ctx: &mut QueryCtx<'_>) -> PeeStats {
+        lap(ctx, &mut self.clock, SpanStage::QueuePop);
+        IDLE.with_borrow_mut(|idle| idle.push(self.scratch));
+        self.stats
     }
 }
 
-/// Connection test over any space: one forward search from `from`, plus —
-/// when `both_ways` — a backward search from `to`, stepped alternately
-/// until one side delivers a verdict. A spent deadline (checked before
-/// every step, no clock read when unset) reports the best unconfirmed
-/// candidate.
+/// Connection test over any space (§5.2): an evaluation from `from` probing
+/// for `to`, plus — when `both_ways` — one from `to` going up, stepped
+/// alternately. Each holds its best candidate until its queue's lower bound
+/// confirms it, and one result ends it: the first side to release one
+/// answers, a side that drains without one proves the pair unconnected, and
+/// an entry outside the space is stepped past. A spent deadline (checked at
+/// every pop) reports the smaller held candidate, unconfirmed.
 pub(crate) fn connection_test_space<S: MetaSpace + ?Sized>(
     space: &S,
     from: NodeId,
@@ -1012,33 +997,52 @@ pub(crate) fn connection_test_space<S: MetaSpace + ?Sized>(
     if from == to {
         return Ok(ConnectionOutcome {
             distance: Some(0),
+            timed_out: false,
             stats: PeeStats::default(),
         });
     }
-    let side =
-        |start, target, axis| ConnectionSearch::new(space, start, target, axis, opts.max_distance);
-    let mut sides = vec![side(from, to, Axis::Descendants)];
-    if both_ways {
-        sides.push(side(to, from, Axis::Ancestors));
-    }
-    let distance = 'search: loop {
-        for side in 0..sides.len() {
-            if opts.deadline.is_some_and(|dl| dl.expired()) {
-                break 'search sides.iter().filter_map(|s| s.best).min();
-            }
-            match sides[side].step()? {
-                SearchStep::Confirmed(d) => break 'search Some(d),
-                // this side saw everything reachable: its verdict is final
-                SearchStep::Exhausted => break 'search sides[side].best,
-                SearchStep::Progress => {}
+    let opts = QueryOptions {
+        max_results: Some(1),
+        exact_order: false,
+        ..*opts
+    };
+    let side = |start, target, axis| {
+        let goal = Goal::Node(space.resolve(target));
+        Evaluation::new(space, axis, goal, &[(start, 0)], &opts, false)
+    };
+    let mut sides = [
+        Some(side(from, to, Axis::Descendants)),
+        both_ways.then(|| side(to, from, Axis::Ancestors)),
+    ];
+    let (mut ctx, mut distance) = (QueryCtx::default(), None);
+    let mut confirm = |result: QueryResult, _: &PeeStats| {
+        distance = Some(result.distance);
+        ControlFlow::Continue(())
+    };
+    let timed_out = 'test: loop {
+        for eval in sides.iter_mut().flatten() {
+            if let Some(EvalEnd::Done { timed_out }) = eval.step(&mut ctx, &mut confirm)? {
+                break 'test timed_out;
             }
         }
     };
-    let mut stats = PeeStats::default();
-    for side in &sides {
-        stats.absorb(side.stats);
+    if timed_out {
+        let held = sides
+            .iter()
+            .flatten()
+            .filter_map(|eval| eval.scratch.hold.peek());
+        distance = held.map(|&Reverse((d, _))| d).min();
     }
-    Ok(ConnectionOutcome { distance, stats })
+    // Given back last side first: the next test's sides take the same ones.
+    let mut stats = PeeStats::default();
+    for eval in sides.into_iter().rev().flatten() {
+        stats.absorb(eval.finish(&mut ctx));
+    }
+    Ok(ConnectionOutcome {
+        distance,
+        timed_out,
+        stats,
+    })
 }
 
 /// A streamed result list, fed by a background evaluator thread.
@@ -1104,6 +1108,7 @@ mod tests {
     use super::*;
     use crate::config::{FlixConfig, StrategyKind};
     use proptest::prelude::*;
+    use std::collections::HashSet;
     use std::sync::Arc;
     use xmlgraph::{Collection, CollectionGraph, Document, LinkTarget};
 
@@ -1456,8 +1461,9 @@ mod tests {
             }
             let mut monitor = LoadMonitor::new();
 
-            let ConnectionOutcome { distance, stats } =
-                flix.connection_test(0, 6, &QueryOptions::default());
+            let ConnectionOutcome {
+                distance, stats, ..
+            } = flix.connection_test(0, 6, &QueryOptions::default());
             assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
@@ -1467,8 +1473,9 @@ mod tests {
             );
             monitor.record(stats, usize::from(distance.is_some()));
 
-            let ConnectionOutcome { distance, stats } =
-                flix.connection_test_bidirectional(0, 6, &QueryOptions::default());
+            let ConnectionOutcome {
+                distance, stats, ..
+            } = flix.connection_test_bidirectional(0, 6, &QueryOptions::default());
             assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
@@ -1646,16 +1653,24 @@ mod tests {
         let cg = chain3();
         let flix = Flix::build(cg, FlixConfig::Naive);
         let expired = QueryOptions::default().with_deadline(Deadline::within_micros(0));
-        let uni = |from, to, opts: &QueryOptions| flix.connection_test(from, to, opts).distance;
-        let bi = |opts: &QueryOptions| flix.connection_test_bidirectional(0, 6, opts).distance;
+        let uni = |from, to, opts: &QueryOptions| {
+            let out = flix.connection_test(from, to, opts);
+            (out.distance, out.timed_out)
+        };
+        let bi = |opts: &QueryOptions| {
+            let out = flix.connection_test_bidirectional(0, 6, opts);
+            (out.distance, out.timed_out)
+        };
         // from == to answers before the evaluation loop even starts
-        assert_eq!(uni(0, 0, &expired), Some(0));
-        // an expired budget yields no confirmed connection
-        assert_eq!(uni(0, 6, &expired), None);
-        assert_eq!(bi(&expired), None);
+        assert_eq!(uni(0, 0, &expired), (Some(0), false));
+        // an expired budget confirms nothing, and says so: no candidate is
+        // not "not connected"
+        assert_eq!(uni(0, 6, &expired), (None, true));
+        assert_eq!(bi(&expired), (None, true));
         let generous = QueryOptions::default().with_deadline(Deadline::within_micros(60_000_000));
-        assert_eq!(uni(0, 6, &generous), Some(6));
-        assert_eq!(bi(&generous), Some(6));
+        assert_eq!(uni(0, 6, &generous), (Some(6), false));
+        assert_eq!(bi(&generous), (Some(6), false));
+        assert_eq!(uni(6, 0, &generous), (None, false), "not connected");
     }
 
     /// DiskFlix answers this with a typed error; in memory the element
@@ -1877,12 +1892,19 @@ mod tests {
                     return (results, stats);
                 }
             }
-            for_each_link(flix, md, axis, &links, |hop, far| {
-                stats.links_expanded += 1;
-                if !scratch.push_link(far, d + hop, opts.max_distance) {
-                    stats.entries_refused += 1;
+            for (anchor, da) in links {
+                let node = md.nodes[anchor as usize];
+                let far_ends = match axis {
+                    Axis::Descendants => flix.catalogue().links_out_of(node),
+                    Axis::Ancestors => flix.catalogue().links_into(node),
+                };
+                for &(_, far) in far_ends {
+                    stats.links_expanded += 1;
+                    if !scratch.push_link(far, d + da + 1, opts.max_distance) {
+                        stats.entries_refused += 1;
+                    }
                 }
-            });
+            }
             seen.push(local);
         }
         (results, stats)
@@ -2065,6 +2087,72 @@ mod tests {
         }
     }
 
+    /// Evaluations that hold scratches at once on one thread — the two
+    /// sides of a bidirectional connection test, and an exact-order query —
+    /// run inside the `emit` callback of an evaluation over a framework of
+    /// another size, and every answer, inner and outer, equals the one a
+    /// thread that never evaluated anything gives.
+    #[test]
+    fn an_emit_callback_may_test_connections_and_order_exactly_on_the_same_thread() {
+        use workloads::{connection_pairs, descendant_queries, generate_dblp, DblpConfig};
+        let small = chain3();
+        let large = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
+        let b = small.collection.tags.get("b").unwrap();
+        let n = small.node_count() as NodeId;
+        let opts = QueryOptions::default();
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::Monolithic(StrategyKind::Apex),
+        ] {
+            let frameworks = [
+                Flix::build(small.clone(), config),
+                Flix::build(large.clone(), config),
+            ];
+            let queries = descendant_queries(&large, 6, 44);
+            let outer_query = [(0, b), (queries[0].start, queries[0].target_tag)];
+            // Alternating: small, large, small, large, ...
+            let mut jobs = Vec::new();
+            for (p, q) in connection_pairs(&large, 6, 9).into_iter().zip(&queries) {
+                jobs.push((0, (p.from % n, p.to % n), (q.start % n, b)));
+                jobs.push((1, (p.from, p.to), (q.start, q.target_tag)));
+            }
+            type Job = (usize, (NodeId, NodeId), (NodeId, TagId));
+            let answer = |&(which, (from, to), (start, tag)): &Job| {
+                let flix: &Flix = &frameworks[which];
+                let both = flix.connection_test_bidirectional(from, to, &opts);
+                let exact = flix.find_descendants_outcome(start, tag, &QueryOptions::exact());
+                (both, exact.results, exact.stats)
+            };
+            let fresh: Vec<_> = jobs
+                .iter()
+                .map(|job| on_a_fresh_thread(|| answer(job)))
+                .collect();
+            let mut reused = Vec::new();
+            for job in &jobs {
+                let host = 1 - job.0;
+                let (flix, (start, tag)) = (&frameworks[host], outer_query[host]);
+                let alone = flix.find_descendants_outcome(start, tag, &opts);
+                let (mut inner, mut outer) = (None, Vec::new());
+                let stats = flix.for_each_descendant(start, tag, &opts, |r, _| {
+                    inner.get_or_insert_with(|| answer(job));
+                    outer.push(r);
+                    ControlFlow::Continue(())
+                });
+                assert_eq!((outer, stats), (alone.results, alone.stats), "{config}");
+                reused.push(inner.expect("the outer query has results"));
+            }
+            assert_eq!(reused, fresh, "{config}");
+        }
+    }
+
+    /// An evaluation over `flix` with nothing queued, on this thread's
+    /// scratch.
+    fn idle_evaluation(flix: &Flix) -> Evaluation<'_, Flix> {
+        let opts = QueryOptions::default();
+        Evaluation::new(flix, Axis::Descendants, Goal::Tag(0), &[], &opts, false)
+    }
+
     /// When the stamp epoch wraps, a slot stamped 2³² evaluations ago must
     /// not read as "queued at distance 0" and refuse every link push.
     #[test]
@@ -2078,13 +2166,13 @@ mod tests {
         on_a_fresh_thread(|| {
             // Every node stamped in epoch 1 at distance 0, the counter at
             // its last value: the next evaluation wraps it back to 1.
-            let mut scratch = EvalScratch::take(&flix);
+            let mut eval = idle_evaluation(&flix);
             for v in 0..cg.node_count() as NodeId {
-                assert!(scratch.push_link(v, 0, None));
-                assert!(!scratch.push_link(v, 0, None));
+                assert!(eval.scratch.push_link(v, 0, None));
+                assert!(!eval.scratch.push_link(v, 0, None));
             }
-            scratch.queued.force_epoch(u32::MAX);
-            SCRATCH.set(scratch);
+            eval.scratch.queued.force_epoch(u32::MAX);
+            eval.finish(&mut QueryCtx::default());
             for _ in 0..3 {
                 let got = flix.find_descendants_outcome(0, b, &opts);
                 assert_eq!((got.results, got.stats), (want.results.clone(), want.stats));
@@ -2098,7 +2186,8 @@ mod tests {
     #[test]
     fn pushes_past_the_distance_bound_are_queued_unrecorded() {
         let flix = Flix::build(chain3(), FlixConfig::Naive);
-        let mut scratch = EvalScratch::take(&flix);
+        let mut eval = idle_evaluation(&flix);
+        let scratch = &mut eval.scratch;
         assert!(scratch.push_link(3, 5, Some(4)));
         assert!(scratch.push_link(3, 5, Some(4)));
         assert!(scratch.push_link(3, 4, Some(4)));

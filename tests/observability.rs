@@ -103,11 +103,11 @@ fn traced_results_identical_across_strategies() {
 fn every_queued_entry_is_popped_subsumed_or_refused() {
     let cg = corpus(5, 10);
     let queries = descendant_queries(&cg, 10, 3);
-    let ends = |stats: flix::PeeStats| {
+    let ends = |stats: flix::PeeStats, seeds: usize| {
         let left = stats.entries_popped + stats.entries_subsumed + stats.entries_refused;
-        (left, 1 + stats.links_expanded)
+        (left, seeds + stats.links_expanded)
     };
-    let mut refused = 0;
+    let (mut refused, mut drained_tests) = (0, 0);
     for config in strategies() {
         let flix = Flix::build(cg.clone(), config);
         for q in &queries {
@@ -120,7 +120,7 @@ fn every_queued_entry_is_popped_subsumed_or_refused() {
                 let what = format!("{config} {axis:?} start {}", q.start);
                 for drained in [QueryOptions::default(), QueryOptions::exact()] {
                     let stats = run(drained);
-                    let (left, queued) = ends(stats);
+                    let (left, queued) = ends(stats, 1);
                     assert_eq!(left, queued, "{what} {drained:?}: {stats:?}");
                     refused += stats.entries_refused;
                 }
@@ -130,13 +130,32 @@ fn every_queued_entry_is_popped_subsumed_or_refused() {
                     QueryOptions::default().with_deadline(Deadline::within_micros(0)),
                 ] {
                     let stats = run(cut);
-                    let (left, queued) = ends(stats);
+                    let (left, queued) = ends(stats, 1);
                     assert!(left <= queued, "{what} {cut:?}: {stats:?}");
                 }
             }
         }
+        // A connection test queues one seed a side. An unconnected pair
+        // drains a one-sided test; a confirmed distance, or the other side
+        // of a bidirectional test ending first, leaves entries queued.
+        for p in workloads::connection_pairs(&cg, 12, 3) {
+            let what = format!("{config} {} -> {}", p.from, p.to);
+            let opts = QueryOptions::default();
+            let one = flix.connection_test(p.from, p.to, &opts);
+            let (left, queued) = ends(one.stats, 1);
+            if one.distance.is_none() {
+                assert_eq!(left, queued, "{what}: {:?}", one.stats);
+                drained_tests += 1;
+            } else {
+                assert!(left <= queued, "{what}: {:?}", one.stats);
+            }
+            let both = flix.connection_test_bidirectional(p.from, p.to, &opts);
+            let (left, queued) = ends(both.stats, 2);
+            assert!(left <= queued, "{what} both ways: {:?}", both.stats);
+        }
     }
     assert!(refused > 0, "a linked web repeats link pushes");
+    assert!(drained_tests > 0, "some pairs are not connected");
 }
 
 /// Early termination sees the same prefix with and without a trace
