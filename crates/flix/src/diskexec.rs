@@ -606,6 +606,38 @@ mod tests {
         }
     }
 
+    /// Same for a PPO meta document as the parent build saved it — numbered
+    /// by element, six arrays, "FLT1" — and for one whose arrays would send
+    /// a lookup out of bounds: each is refused by name when a query pops
+    /// into it, and so is a connection test into it.
+    #[test]
+    fn ppo_images_that_cannot_be_read_mid_query_are_errors_not_partial_answers() {
+        use persist::mirror::{damaged_ppo_image, ppo_damage, six_array_image};
+        let flix = Flix::build(graph(), FlixConfig::MaximalPpo);
+        let (q, victim) = crossing_query(&flix);
+        let md = flix.meta(victim);
+        let twins = ppo_damage().map(|(damage, fault)| (damaged_ppo_image(md, damage), fault));
+        for (bytes, fault) in [(six_array_image(md), "image format")]
+            .into_iter()
+            .chain(twins)
+        {
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+            let err = got.expect_err("a partial answer was returned");
+            let named = format!("meta document {victim} is stale or corrupt (");
+            assert!(
+                err.starts_with(&named) && err.contains(fault),
+                "{fault}: {err}"
+            );
+            assert!(dflix
+                .connection_test(q.start, md.nodes[0], &QueryOptions::default())
+                .is_err());
+        }
+    }
+
     /// Same for a HOPI meta document whose inverted rows are in id order
     /// (a store saved before they were ordered anchors first, then by
     /// label): answering from it would silently miss links and results.

@@ -14,7 +14,8 @@ use xmlgraph::CollectionGraph;
 /// Output of one per-meta build job: everything `build_with` needs to merge
 /// the meta document into the framework, independent of build order.
 struct BuiltMeta {
-    /// Local-to-global node mapping of the meta document.
+    /// Local-to-global node mapping of the meta document, in the index's
+    /// numbering.
     mapping: Vec<NodeId>,
     index: MetaIndex,
     /// PPO-removed edges, already translated to global ids.
@@ -33,12 +34,13 @@ fn build_one(
     hopi_threads: usize,
 ) -> BuiltMeta {
     let started = Stopwatch::start();
-    let (sub, mapping) = graph.graph.induced_subgraph(nodes);
+    let (sub, mut mapping) = graph.graph.induced_subgraph(nodes);
     let labels: Vec<u32> = mapping.iter().map(|&g| graph.tag_of(g)).collect();
     let kind = pinned.unwrap_or_else(|| opts.selector.select(&sub));
     let edges = sub.edge_count();
+    let rounds = opts.apex_refine_rounds;
     let (index, extra, stages) =
-        MetaIndex::build_with_threads(kind, &sub, &labels, opts.apex_refine_rounds, hopi_threads);
+        MetaIndex::build_with_threads(kind, &sub, &labels, &mut mapping, rounds, hopi_threads);
     let extra_links: Vec<(NodeId, NodeId)> = extra
         .into_iter()
         .map(|(lu, lv)| (mapping[lu as usize], mapping[lv as usize]))

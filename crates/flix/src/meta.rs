@@ -23,19 +23,24 @@ pub enum MetaIndex {
 }
 
 impl MetaIndex {
-    /// Builds the index of `kind` over a meta document's subgraph.
+    /// Builds the index of `kind` over a meta document's subgraph, whose
+    /// local `u` is the element `nodes[u]`.
     ///
     /// Returns the index plus any *extra runtime links*: edges of the
     /// subgraph the index cannot answer (PPO's removed edges). The caller
-    /// must register those with the query evaluator.
+    /// must register those with the query evaluator. A PPO index numbers
+    /// the locals anew, in its spanning forest's preorder: `nodes` is
+    /// permuted to match, and the links are in the new numbering. HOPI and
+    /// APEX keep the numbering they are given.
     pub fn build(
         kind: StrategyKind,
         subgraph: &Digraph,
         labels: &[u32],
+        nodes: &mut [NodeId],
         apex_refine_rounds: usize,
     ) -> (Self, Vec<(u32, u32)>) {
         let (index, extra, _) =
-            Self::build_with_threads(kind, subgraph, labels, apex_refine_rounds, 1);
+            Self::build_with_threads(kind, subgraph, labels, nodes, apex_refine_rounds, 1);
         (index, extra)
     }
 
@@ -50,12 +55,17 @@ impl MetaIndex {
         kind: StrategyKind,
         subgraph: &Digraph,
         labels: &[u32],
+        nodes: &mut [NodeId],
         apex_refine_rounds: usize,
         hopi_threads: usize,
     ) -> (Self, Vec<(u32, u32)>, Option<hopi::StageReport>) {
         match kind {
             StrategyKind::Ppo => {
-                let idx = ExtendedPpo::build(subgraph, labels);
+                let (idx, order) = ExtendedPpo::build(subgraph, labels);
+                let given = nodes.to_vec();
+                for (node, &u) in nodes.iter_mut().zip(&order) {
+                    *node = given[u as usize];
+                }
                 let extra = idx.removed_edges().to_vec();
                 (MetaIndex::Ppo(Box::new(idx)), extra, None)
             }
@@ -104,20 +114,25 @@ impl MetaIndex {
 
     /// [`Self::descendants_by_label`] plus the number of index rows (or
     /// traversal steps, for APEX) the lookup touched — what a database-
-    /// backed deployment pays per block.
+    /// backed deployment pays per block. Equal distances come in the
+    /// strategy's own order: by local under PPO, where
+    /// [`MetaDocument::answer_pop`] orders them by element.
     pub fn descendants_by_label_counted(
         &self,
         u: u32,
         label: u32,
         include_self: bool,
     ) -> (Vec<(u32, Distance)>, usize) {
-        graphcore::filled(|out| self.block_into(Axis::Descendants, u, label, include_self, out))
+        graphcore::filled(|out| {
+            self.block_into(Axis::Descendants, u, label, include_self, out, |v| v)
+        })
     }
 
     /// The block of elements with `label` along `axis` from `u` — what
     /// [`Self::descendants_by_label_counted`] and its ancestors mirror
     /// answer — written into `out`, whose contents it replaces; returns
-    /// the rows (elements, for APEX) it cost.
+    /// the rows (elements, for APEX) it cost. A PPO block going down
+    /// orders equal distances by `tie` of the local.
     fn block_into(
         &self,
         axis: Axis,
@@ -125,12 +140,13 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
         out: &mut Vec<(u32, Distance)>,
+        tie: impl Fn(u32) -> u32,
     ) -> usize {
         let s = include_self;
         match (self, axis) {
             (MetaIndex::Ppo(i), Axis::Descendants) => {
                 let forest = i.forest_index();
-                forest.descendants_with_label_into(u, forest.label_list(label), s, out)
+                forest.descendants_among_into(u, forest.label_list(label), s, out, tie)
             }
             (MetaIndex::Ppo(i), Axis::Ancestors) => {
                 i.forest_index().ancestors_by_label_into(u, label, s, out)
@@ -172,7 +188,9 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
     ) -> (Vec<(u32, Distance)>, usize) {
-        graphcore::filled(|out| self.block_into(Axis::Ancestors, u, label, include_self, out))
+        graphcore::filled(|out| {
+            self.block_into(Axis::Ancestors, u, label, include_self, out, |v| v)
+        })
     }
 
     /// Distance from `u` to `v` within the meta document, if connected
@@ -193,8 +211,10 @@ impl MetaIndex {
     /// The index's size in the paper's Table 1 measure, in bytes — not
     /// what the struct holds: for HOPI every label entry twice, as the
     /// paper's label set and inverted tables hold it, where this build
-    /// stores one pair and derives the other
-    /// ([`HopiIndex::size_bytes`]).
+    /// stores one pair and derives the other ([`HopiIndex::size_bytes`]);
+    /// for PPO a full pre/post row and a label row per element, where this
+    /// build stores three numbers and a label entry
+    /// ([`ppo::PpoIndex::size_bytes`]).
     pub fn size_bytes(&self) -> usize {
         match self {
             MetaIndex::Ppo(i) => i.size_bytes(),
@@ -207,13 +227,16 @@ impl MetaIndex {
     /// index out of bounds or search rows that are not in its order, if it
     /// is: HOPI's flat label tables are sliced by stored offsets, their
     /// entries index by node and their inverted rows are binary-searched
-    /// ([`HopiIndex::layout_fault`]); PPO and APEX hold nothing of the
-    /// kind. [`crate::persist`] runs this on every meta document it
-    /// decodes, before [`MetaDocument::anchor_fault`].
+    /// ([`HopiIndex::layout_fault`]); PPO's label table likewise, its
+    /// ranks index its arrays and a parent chain must end
+    /// ([`ExtendedPpo::layout_fault`]); APEX holds nothing of the kind.
+    /// [`crate::persist`] runs this on every meta document it decodes,
+    /// before [`MetaDocument::anchor_fault`].
     pub(crate) fn layout_fault(&self) -> Option<String> {
         match self {
             MetaIndex::Hopi(i) => i.layout_fault(),
-            MetaIndex::Ppo(_) | MetaIndex::Apex(_) => None,
+            MetaIndex::Ppo(i) => i.layout_fault(),
+            MetaIndex::Apex(_) => None,
         }
     }
 }
@@ -221,17 +244,17 @@ impl MetaIndex {
 /// One meta document: a node set, its index, and its runtime-link anchors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetaDocument {
-    /// Local id -> global node id (ascending).
+    /// Local id -> global node id: ascending under HOPI and APEX; under
+    /// PPO the locals are the spanning forest's preorder ranks.
     #[serde(with = "graphcore::flat")]
     pub nodes: Vec<NodeId>,
     /// The index built for this meta document.
     pub index: MetaIndex,
     /// Locals with outgoing runtime links (the set `L_i` of §4.2), each
-    /// once, in the order the index looks them up in: ascending *preorder
-    /// rank* under PPO — the link sources below an element are then one
-    /// contiguous run of this list — and ascending local id under HOPI and
-    /// APEX. [`Self::set_anchors`] establishes the order. A HOPI index does
-    /// not read the list: it carries both anchor sets as flags, and its
+    /// once, ascending — under PPO, where locals are preorder ranks, the
+    /// link sources below an element are one contiguous run of this list.
+    /// [`Self::set_anchors`] establishes the order. A HOPI index does not
+    /// read the list: it carries both anchor sets as flags, and its
     /// inverted rows begin with the anchors.
     #[serde(with = "graphcore::flat")]
     pub(crate) link_sources: Vec<u32>,
@@ -265,15 +288,13 @@ impl MetaDocument {
         }
     }
 
-    /// Replaces the anchor sets, putting them into the index's lookup
-    /// order (see [`Self::link_sources`]); the input may be in any order
-    /// and hold duplicates. The order is a function of the set and the
-    /// index alone, so equal anchor sets compare equal as lists. A HOPI
-    /// index is handed the sets ([`HopiIndex::set_anchors`]) and re-inverts
-    /// the tables whose anchors changed — none, if the sets are the ones it
-    /// already had.
+    /// Replaces the anchor sets, sorting them (see [`Self::link_sources`]);
+    /// the input may be in any order and hold duplicates, and equal anchor
+    /// sets compare equal as lists. A HOPI index is handed the sets
+    /// ([`HopiIndex::set_anchors`]) and re-inverts the tables whose anchors
+    /// changed — none, if the sets are the ones it already had.
     pub fn set_anchors(&mut self, mut sources: Vec<u32>, mut targets: Vec<u32>) {
-        sources.sort_unstable_by_key(|&s| self.source_rank(s));
+        sources.sort_unstable();
         sources.dedup();
         targets.sort_unstable();
         targets.dedup();
@@ -284,16 +305,7 @@ impl MetaDocument {
         self.link_targets = targets;
     }
 
-    /// Position of link source `s` in the index's lookup order: its
-    /// preorder rank under PPO, its local id otherwise.
-    fn source_rank(&self, s: u32) -> u32 {
-        match &self.index {
-            MetaIndex::Ppo(i) => i.forest_index().pre(s),
-            _ => s,
-        }
-    }
-
-    /// Locals with outgoing runtime links, in the index's lookup order.
+    /// Locals with outgoing runtime links, ascending.
     pub fn link_sources(&self) -> &[u32] {
         &self.link_sources
     }
@@ -320,8 +332,8 @@ impl MetaDocument {
     /// `L_i`, §4.2).
     ///
     /// The access path is the strategy's own. Under PPO `e`'s subtree is an
-    /// interval of preorder ranks and `link_sources` is in rank order, so
-    /// the answer is a slice found by one binary search; HOPI joins the
+    /// interval of locals, preorder ranks, so the answer is a slice of the
+    /// ascending `link_sources` found by one binary search; HOPI joins the
     /// anchor prefixes of its inverted rows and nothing else of them; APEX
     /// runs one BFS, keeping the members of `L_i` it reaches.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
@@ -351,7 +363,8 @@ impl MetaDocument {
         }
         match (&self.index, axis) {
             (MetaIndex::Ppo(i), Axis::Descendants) => {
-                i.forest_index().descendants_among_into(e, anchors, out)
+                i.forest_index()
+                    .descendants_among_into(e, anchors, true, out, |v| v);
             }
             (MetaIndex::Ppo(i), Axis::Ancestors) => {
                 i.forest_index().ancestors_among_into(e, anchors, out)
@@ -370,7 +383,9 @@ impl MetaDocument {
     /// an anchor whatever `include_self` says).
     ///
     /// Equal to `descendants_by_label_counted` (or its ancestors mirror)
-    /// plus the link anchors `e` reaches. Under HOPI both come out of one
+    /// plus the link anchors `e` reaches, except that a PPO block orders
+    /// equal distances by element, not by local — the order they had when
+    /// locals ascended with the elements. Under HOPI both come out of one
     /// label join over each center's anchor prefix and label run; PPO and
     /// APEX have nothing to share (an interval lookup beside a rank-list
     /// scan; a plain BFS beside a label-pruned one).
@@ -392,7 +407,8 @@ impl MetaDocument {
             }
             (index, axis) => {
                 self.link_anchors_into(axis, e, links);
-                index.block_into(axis, e, label, include_self, block)
+                let nodes = &self.nodes;
+                index.block_into(axis, e, label, include_self, block, |v| nodes[v as usize])
             }
         };
     }
@@ -410,17 +426,16 @@ impl MetaDocument {
     /// each once, in the index's lookup order, and under HOPI the very
     /// nodes its index has flagged — if they do; one pass over both lists
     /// (and the flags). The lookups above silently miss links on lists in
-    /// any other order (a framework persisted before PPO anchors were kept
-    /// in rank order has exactly that) and on an index that flags other
-    /// nodes (one persisted before HOPI carried flags flags none), so
+    /// any other order and on an index that flags other nodes (one
+    /// persisted before HOPI carried flags flags none), so
     /// [`crate::persist`] runs this on every meta document it decodes.
     pub(crate) fn anchor_fault(&self) -> Option<String> {
         let n = self.nodes.len().min(self.indexed_nodes());
-        let fault = |what: &str, anchors: &[u32], rank: &dyn Fn(u32) -> u32| {
+        let fault = |what: &str, anchors: &[u32]| {
             if let Some(&a) = anchors.iter().find(|&&a| a as usize >= n) {
                 return Some(format!("{what} names local {a}, meta document holds {n}"));
             }
-            let at = anchors.windows(2).position(|w| rank(w[0]) >= rank(w[1]))?;
+            let at = anchors.windows(2).position(|w| w[0] >= w[1])?;
             Some(format!(
                 "{what} is not in index order at position {}: {} before {}",
                 at + 1,
@@ -428,8 +443,8 @@ impl MetaDocument {
                 anchors[at + 1]
             ))
         };
-        fault("link_sources", &self.link_sources, &|s| self.source_rank(s))
-            .or_else(|| fault("link_targets", &self.link_targets, &|t| t))
+        fault("link_sources", &self.link_sources)
+            .or_else(|| fault("link_targets", &self.link_targets))
             .or_else(|| {
                 let MetaIndex::Hopi(i) = &self.index else {
                     return None;
@@ -443,12 +458,15 @@ impl MetaDocument {
 
 #[cfg(test)]
 impl MetaDocument {
-    /// This meta document as a build from before the index-order rule
-    /// persisted it — link sources in id order — if that is a different
-    /// list (the stale-store tests need one where it is).
+    /// This meta document with its link sources in the order of their
+    /// elements' ids — the order a PPO meta document kept them in before
+    /// the index-order rule — if that is a different list (the stale-store
+    /// tests need one where it is).
     pub(crate) fn with_id_ordered_sources(&self) -> Option<Self> {
         let mut stale = self.clone();
-        stale.link_sources.sort_unstable();
+        stale
+            .link_sources
+            .sort_unstable_by_key(|&s| self.nodes[s as usize]);
         (stale.link_sources != self.link_sources).then_some(stale)
     }
 }
@@ -457,19 +475,13 @@ impl flixcheck::IntegrityCheck for MetaDocument {
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("MetaDocument");
         let n = self.nodes.len();
-        let first_unsorted = self
-            .nodes
-            .windows(2)
-            .position(|w| w[0] >= w[1])
-            .map(|i| (i, self.nodes[i], self.nodes[i + 1]));
+        let mut sorted = self.nodes.clone();
+        sorted.sort_unstable();
+        let repeated = sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
         audit.check(
-            "local->global node map is strictly ascending",
-            first_unsorted.is_none(),
-            || {
-                first_unsorted
-                    .map(|(i, a, b)| format!("nodes[{i}]={a} >= nodes[{}]={b}", i + 1))
-                    .unwrap_or_default()
-            },
+            "local->global node map is distinct",
+            repeated.is_none(),
+            || format!("global {} has two locals", repeated.unwrap_or_default()),
         );
         let index_n = self.indexed_nodes();
         audit.check(
@@ -514,12 +526,36 @@ mod tests {
         (g, vec![0, 1, 1, 2])
     }
 
+    /// A meta document of `kind` over `g`, whose node `u` is the element
+    /// `10 + u`, and the extra runtime links of its build.
+    fn meta(kind: StrategyKind, g: &Digraph, labels: &[u32]) -> (MetaDocument, Vec<(u32, u32)>) {
+        let mut nodes: Vec<NodeId> = (10..10 + g.node_count() as NodeId).collect();
+        let (index, extra) = MetaIndex::build(kind, g, labels, &mut nodes, 2);
+        (MetaDocument::new(nodes, index), extra)
+    }
+
+    impl MetaDocument {
+        /// The local of element `global`.
+        fn local(&self, global: NodeId) -> u32 {
+            self.nodes.iter().position(|&v| v == global).unwrap() as u32
+        }
+
+        /// `(element, distance)` pairs as `(local, distance)`, ascending.
+        fn locals(&self, pairs: &[(NodeId, Distance)]) -> Vec<(u32, Distance)> {
+            let mut out: Vec<_> = pairs.iter().map(|&(v, d)| (self.local(v), d)).collect();
+            out.sort_unstable_by_key(|&(v, d)| (d, v));
+            out
+        }
+    }
+
     #[test]
     fn all_strategies_answer_uniformly() {
         let (g, labels) = diamond();
         for kind in [StrategyKind::Hopi, StrategyKind::Apex] {
-            let (idx, extra) = MetaIndex::build(kind, &g, &labels, 1);
+            let (md, extra) = meta(kind, &g, &labels);
             assert!(extra.is_empty(), "{kind} should not drop edges");
+            assert_eq!(md.nodes, vec![10, 11, 12, 13], "{kind} keeps the numbering");
+            let idx = md.index;
             assert_eq!(idx.kind(), kind);
             assert_eq!(idx.distance(0, 3), Some(2), "{kind}");
             assert!(idx.is_reachable(0, 3));
@@ -534,26 +570,27 @@ mod tests {
     #[test]
     fn ppo_reports_dropped_edges() {
         let (g, labels) = diamond();
-        let (idx, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
-        // the diamond has one non-forest edge
-        assert_eq!(extra.len(), 1);
-        assert_eq!(idx.kind(), StrategyKind::Ppo);
+        let (md, extra) = meta(StrategyKind::Ppo, &g, &labels);
+        assert_eq!(md.nodes, vec![10, 11, 13, 12], "preorder 0, 1, 3, 2");
+        // the diamond has one non-forest edge, 2 -> 3, in the new numbering
+        assert_eq!(extra, vec![(3, 2)]);
+        assert_eq!(md.index.kind(), StrategyKind::Ppo);
         // forest still answers one side
-        assert!(idx.is_reachable(0, 3));
+        assert!(md.index.is_reachable(0, 2));
+        assert!(!md.index.is_reachable(3, 2));
     }
 
     #[test]
     fn meta_document_link_source_scan() {
         let (g, labels) = diamond();
-        let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
-        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index); // globals
+        let (mut md, extra) = meta(StrategyKind::Ppo, &g, &labels);
         md.set_anchors(
             extra.iter().map(|&(u, _)| u).collect(),
             extra.iter().map(|&(_, v)| v).collect(),
         );
-        let ls = md.reachable_link_sources(0);
+        let ls = md.reachable_link_sources(md.local(10));
         assert_eq!(ls.len(), 1, "one dropped edge, one source");
-        let lt = md.reaching_link_targets(3);
+        let lt = md.reaching_link_targets(md.local(13));
         assert_eq!(lt.len(), 1);
         assert!(!md.is_empty());
         assert_eq!(md.len(), 4);
@@ -569,20 +606,20 @@ mod tests {
     fn anchors_are_kept_in_index_order_and_pops_agree_with_the_parts() {
         let (g, labels) = crossed_tree();
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (index, _) = MetaIndex::build(kind, &g, &labels, 1);
-            let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
-            md.set_anchors(vec![3, 1, 2, 1], vec![2, 0, 2]);
-            let want: &[u32] = match kind {
-                StrategyKind::Ppo => &[2, 1, 3],
-                _ => &[1, 2, 3],
-            };
-            assert_eq!(md.link_sources(), want, "{kind}");
-            assert_eq!(md.link_targets(), &[0, 2], "{kind}");
-            assert_eq!(md.reachable_link_sources(0), vec![(2, 1), (3, 1), (1, 2)]);
-            assert_eq!(md.reachable_link_sources(2), vec![(2, 0), (1, 1)]);
-            assert_eq!(md.reachable_link_sources(3), vec![(3, 0)]);
-            assert_eq!(md.reaching_link_targets(1), vec![(2, 1), (0, 2)]);
-            assert_eq!(md.reaching_link_targets(3), vec![(0, 1)]);
+            let (mut md, _) = meta(kind, &g, &labels);
+            let l = |v| md.local(v);
+            md.set_anchors(vec![l(13), l(11), l(12), l(11)], vec![l(12), l(10), l(12)]);
+            assert_eq!(md.link_sources(), &[1, 2, 3], "{kind}");
+            let mut targets = vec![md.local(10), md.local(12)];
+            targets.sort_unstable();
+            assert_eq!(md.link_targets(), targets, "{kind}");
+            let below = |e| md.reachable_link_sources(md.local(e));
+            assert_eq!(below(10), md.locals(&[(12, 1), (13, 1), (11, 2)]));
+            assert_eq!(below(12), md.locals(&[(12, 0), (11, 1)]));
+            assert_eq!(below(13), md.locals(&[(13, 0)]));
+            let above = |e| md.reaching_link_targets(md.local(e));
+            assert_eq!(above(11), md.locals(&[(12, 1), (10, 2)]));
+            assert_eq!(above(13), md.locals(&[(10, 1)]));
             let mut pop = PopAnswer::default();
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 for e in 0..4 {
@@ -607,16 +644,34 @@ mod tests {
         }
     }
 
+    /// A PPO block orders equal distances by element, as it did when the
+    /// locals ascended with the elements; the index alone orders them by
+    /// local.
+    #[test]
+    fn ppo_pops_order_ties_by_element() {
+        // 0 -> {1, 2}, 1 -> 3 and a second parent 2 -> 3: all but the root
+        // carry label 1, and the elements run against the preorder.
+        let g = Digraph::from_edges(4, [(0, 1), (0, 2), (2, 3), (1, 3)]);
+        let mut nodes = vec![40, 30, 20, 10];
+        let (index, _) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes, 1);
+        let md = MetaDocument::new(nodes, index);
+        assert_eq!(md.nodes, vec![40, 30, 10, 20], "preorder 0, 1, 3, 2");
+        let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);
+        assert_eq!(by_local, vec![(1, 1), (3, 1), (2, 2)]);
+        let mut pop = PopAnswer::default();
+        md.answer_pop(Axis::Descendants, 0, 1, false, &mut pop);
+        assert_eq!(pop.block, vec![(3, 1), (1, 1), (2, 2)]);
+    }
+
     #[test]
     fn sizes_ranked_plausibly() {
         // On a pure tree PPO must be far smaller than HOPI's label sets.
         let g = Digraph::from_edges(50, (1..50u32).map(|i| (i / 2, i)));
         let labels = vec![0u32; 50];
-        let (p, _) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
-        let (h, _) = MetaIndex::build(StrategyKind::Hopi, &g, &labels, 1);
-        let (a, _) = MetaIndex::build(StrategyKind::Apex, &g, &labels, 1);
-        assert!(p.size_bytes() < h.size_bytes());
-        assert!(a.size_bytes() > 0);
+        let [p, h, a] = [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex]
+            .map(|kind| meta(kind, &g, &labels).0.index.size_bytes());
+        assert!(p < h);
+        assert!(a > 0);
     }
 
     #[test]
@@ -624,15 +679,14 @@ mod tests {
         use flixcheck::IntegrityCheck;
         let (g, labels) = diamond();
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (index, extra) = MetaIndex::build(kind, &g, &labels, 2);
-            let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+            let (mut md, extra) = meta(kind, &g, &labels);
             md.set_anchors(extra.iter().map(|&(u, _)| u).collect(), Vec::new());
             md.integrity_check().unwrap();
 
-            // Global node map out of order.
+            // One element on two locals.
             let mut bad = md.clone();
-            bad.nodes.swap(0, 1);
-            assert!(bad.integrity_check().is_err(), "{kind:?}: unsorted nodes");
+            bad.nodes[1] = bad.nodes[0];
+            assert!(bad.integrity_check().is_err(), "{kind:?}: repeated node");
 
             // Node map and index disagree about the document size.
             let mut bad = md.clone();
@@ -652,8 +706,7 @@ mod tests {
 
         // HOPI reads its anchors off the index's flags, not off the lists:
         // the two must name the same nodes.
-        let (index, _) = MetaIndex::build(StrategyKind::Hopi, &g, &labels, 1);
-        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+        let (mut md, _) = meta(StrategyKind::Hopi, &g, &labels);
         md.set_anchors(vec![3, 1], vec![2]);
         md.integrity_check().unwrap();
         let MetaIndex::Hopi(hopi) = &md.index else {
@@ -671,15 +724,17 @@ mod tests {
             assert!(err.to_string().contains("anchor flags"), "{err}");
         }
 
-        // PPO anchors in id order — what a framework persisted before the
-        // interval lookup holds — are out of *index* order.
+        // PPO anchors in element order — what a framework persisted before
+        // the interval lookup holds — are out of *index* order.
         let (g, labels) = crossed_tree();
-        let (index, _) = MetaIndex::build(StrategyKind::Ppo, &g, &labels, 1);
-        let mut md = MetaDocument::new(vec![10, 11, 12, 13], index);
+        let (mut md, _) = meta(StrategyKind::Ppo, &g, &labels);
         md.set_anchors(vec![1, 2, 3], Vec::new());
         md.integrity_check().unwrap();
-        md.link_sources.sort_unstable();
-        let err = md.integrity_check().unwrap_err();
+        let err = md
+            .with_id_ordered_sources()
+            .unwrap()
+            .integrity_check()
+            .unwrap_err();
         assert!(err.to_string().contains("index order"), "{err}");
     }
 }

@@ -280,13 +280,13 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 /// in the form its index tests fastest (the strategy is read off
 /// [`MetaDocument::index`], the axis is the evaluation's):
 ///
-/// * PPO going down — an entry reaches its subtree, an interval of preorder
-///   ranks, so the list holds the union of the answered entries' intervals
-///   as its boundaries `lo₀ < hi₀ < lo₁ < hi₁ < …` (half-open, disjoint,
-///   touching ones merged): a rank is covered iff an odd number of
-///   boundaries lie at or below it;
+/// * PPO going down — an entry reaches its subtree, an interval of locals
+///   (preorder ranks), so the list holds the union of the answered entries'
+///   intervals as its boundaries `lo₀ < hi₀ < lo₁ < hi₁ < …` (half-open,
+///   disjoint, touching ones merged): a local is covered iff an odd number
+///   of boundaries lie at or below it;
 /// * PPO going up — an entry is reached from its ancestors, so the list
-///   holds the answered entries' ranks, ascending: an element is covered
+///   holds the answered entries' locals, ascending: an element is covered
 ///   iff one of them falls inside its subtree's interval;
 /// * HOPI and APEX — the answered entries in the order they came, scanned
 ///   with an index probe each.
@@ -314,9 +314,8 @@ impl Entries {
     fn covered(&self, md: &MetaDocument, axis: Axis, meta: u32, later: u32) -> bool {
         let seen = &self.metas[meta as usize];
         match (&md.index, axis) {
-            (MetaIndex::Ppo(ppo), Axis::Descendants) => {
-                let rank = ppo.forest_index().pre(later);
-                seen.partition_point(|&bound| bound <= rank) % 2 == 1
+            (MetaIndex::Ppo(_), Axis::Descendants) => {
+                seen.partition_point(|&bound| bound <= later) % 2 == 1
             }
             (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
                 let (lo, hi) = ppo.forest_index().subtree(later);
@@ -344,9 +343,8 @@ impl Entries {
                 let ends = [lo, hi];
                 seen.splice(start..end, ends[start % 2..2 - end % 2].iter().copied());
             }
-            (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
-                let rank = ppo.forest_index().pre(local);
-                seen.insert(seen.partition_point(|&earlier| earlier < rank), rank);
+            (MetaIndex::Ppo(_), Axis::Ancestors) => {
+                seen.insert(seen.partition_point(|&earlier| earlier < local), local);
             }
             _ => seen.push(local),
         }
@@ -1705,9 +1703,10 @@ mod tests {
             .enumerate()
             .filter_map(|(i, p)| p.map(|p| (p % (i as u32 + 1), i as u32 + 1)));
         let g = graphcore::Digraph::from_edges(n, edges);
-        let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], 1);
+        let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
+        let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes, 1);
         assert!(extra.is_empty(), "a forest loses no edge");
-        MetaDocument::new((0..n as NodeId).collect(), index)
+        MetaDocument::new(nodes, index)
     }
 
     proptest! {
@@ -1760,17 +1759,18 @@ mod tests {
     /// any size after one of any other size.
     #[test]
     fn entries_are_forgotten_between_spaces_of_different_sizes() {
+        // 0 -> {1, 2}, 1 -> 3: ranks 0, 1, 3, 2
         let md = ppo_forest(&[Some(0), Some(0), Some(1)]);
         let mut entries = Entries::default();
         entries.begin(9);
         entries.push(&md, Axis::Descendants, 7, 1);
         entries.push(&md, Axis::Descendants, 2, 0);
-        assert!(entries.covered(&md, Axis::Descendants, 7, 3));
-        assert!(!entries.covered(&md, Axis::Descendants, 7, 2));
+        assert!(entries.covered(&md, Axis::Descendants, 7, 2));
+        assert!(!entries.covered(&md, Axis::Descendants, 7, 3));
         entries.begin(3);
         assert!(entries.touched.is_empty());
         assert!(entries.metas.iter().all(Vec::is_empty));
-        entries.push(&md, Axis::Ancestors, 2, 3);
+        entries.push(&md, Axis::Ancestors, 2, 2);
         assert!(entries.covered(&md, Axis::Ancestors, 2, 1));
         entries.begin(12);
         assert_eq!(entries.metas.len(), 12);

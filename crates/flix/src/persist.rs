@@ -14,23 +14,27 @@ use crate::config::FlixConfig;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
 use crate::report::BuildReport;
-use graphcore::NodeId;
+use graphcore::{BitSet, NodeId};
 use pagestore::BlobStore;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The format word every blob of a framework begins with ("FLT1"): behind
+/// The format word every blob of a framework begins with ("FLT2"): behind
 /// it, `pagestore::codec` bytes whose `u32`-shaped arrays are byte-prefixed
-/// ([`graphcore::flat`]). An image saved when they were count-prefixed is
-/// exactly as long and has no such word; read as this format it would take
-/// an element count for a byte length and derail from there — usually into
-/// a decode error, not provably. The word is checked before anything is
-/// decoded, so such an image fails typed whatever its bytes would have
-/// misparsed as. What [`hopi::HopiIndex`] keeps behind its own layout word
-/// is narrower: the *order* of its rows, which this word says nothing of.
-const FORMAT: u32 = u32::from_le_bytes(*b"FLT1");
+/// ([`graphcore::flat`]), and PPO meta documents numbered in preorder, their
+/// index three arrays and a flat label table ([`ppo::PpoIndex`]). An image
+/// saved when the arrays were count-prefixed is exactly as long and has no
+/// such word; read as this format it would take an element count for a
+/// byte length and derail from there — usually into a decode error, not
+/// provably. One saved under "FLT1" holds a PPO index of six arrays and a
+/// label map, which could decode as the three arrays and garbage. The word
+/// is checked before anything is decoded, so such images fail typed
+/// whatever their bytes would have misparsed as. What [`hopi::HopiIndex`]
+/// keeps behind its own layout word is narrower: the *order* of its rows,
+/// which this word says nothing of.
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT2");
 
 /// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
 /// (a tuple is its fields in order and nothing else).
@@ -93,12 +97,12 @@ impl Manifest {
     }
 
     /// The number of elements each meta document holds, or the first way
-    /// the catalogue stored here would break a lookup, in one pass: both
-    /// maps cover the `node_count` nodes, every node names one of the
-    /// `meta_count` meta documents, and each meta document numbers its
-    /// nodes `0, 1, 2, …` in ascending global order — the order of
-    /// [`MetaDocument::nodes`], so a local past the document's end cannot
-    /// reach an index; the runtime links are strictly ascending — the run
+    /// the catalogue stored here would break a lookup, in `O(n)`: both maps
+    /// cover the `node_count` nodes, every node names one of the
+    /// `meta_count` meta documents, and each meta document's locals are a
+    /// bijection onto `0..len` — a local past the document's end would
+    /// index past its node map, and two nodes on one local would resolve to
+    /// one element; the runtime links are strictly ascending — the run
     /// index and the anchor sets are built on that order — and name nodes
     /// of the collection.
     fn meta_lens(&self) -> Result<Vec<u32>, String> {
@@ -113,17 +117,33 @@ impl Manifest {
             return Err(format!("{} meta documents of {n} nodes", self.meta_count));
         }
         let mut lens = vec![0u32; self.meta_count];
-        for (v, (&meta, &local)) in self.meta_of.iter().zip(&self.local_of).enumerate() {
+        for (v, &meta) in self.meta_of.iter().enumerate() {
             let Some(len) = lens.get_mut(meta as usize) else {
                 let count = self.meta_count;
                 return Err(format!("node {v} is in meta document {meta} of {count}"));
             };
-            if local != *len {
+            *len += 1;
+        }
+        // Every meta document's locals at its own base: `n` distinct slots
+        // below the bases' ends are a bijection per meta document.
+        let base: Vec<usize> = (lens.iter())
+            .scan(0, |end, &len| {
+                Some(std::mem::replace(end, *end + len as usize))
+            })
+            .collect();
+        let mut taken = BitSet::new(n);
+        for (v, (&meta, &local)) in self.meta_of.iter().zip(&self.local_of).enumerate() {
+            let len = lens[meta as usize];
+            if local >= len {
                 return Err(format!(
-                    "node {v} is local {local} of meta document {meta}, whose next local is {len}"
+                    "node {v} is local {local} of meta document {meta}, which holds {len}"
                 ));
             }
-            *len += 1;
+            if !taken.insert(base[meta as usize] + local as usize) {
+                return Err(format!(
+                    "node {v} is local {local} of meta document {meta}, as is an earlier node"
+                ));
+            }
         }
         let links = &self.runtime_links;
         if let Some(at) = links.windows(2).position(|w| w[0] >= w[1]) {
@@ -167,12 +187,11 @@ pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<(Manifest, 
 /// arrays were byte-prefixed does; if it does not decode; if it holds
 /// another number of elements than `len` — the catalogue's locals would
 /// index past its node map; if it holds a HOPI index in another layout
-/// than this build's or with row offsets that are not well-formed — a
-/// lookup would search rows in another order or slice out of bounds; or if
-/// it holds link anchors that a HOPI index has not flagged, that are out of
-/// range or that are not in the order the index looks them up in — the
-/// evaluator would silently miss links, and a store saved before PPO
-/// anchors were kept in preorder-rank order looks exactly like that.
+/// than this build's or with row offsets that are not well-formed, or a
+/// PPO index whose arrays are not laid out for its lookups — a lookup would
+/// search rows in another order or slice out of bounds; or if it holds
+/// link anchors that a HOPI index has not flagged, that are out of range or
+/// that are not ascending — the evaluator would silently miss links.
 pub(crate) fn load_meta(
     store: &BlobStore,
     name: &str,
@@ -379,18 +398,17 @@ pub(crate) mod mirror {
     #[derive(Serialize, Deserialize)]
     struct CountedForest {
         #[serde(with = "counted")]
-        pre: Vec<u32>,
-        #[serde(with = "counted")]
-        post: Vec<u32>,
+        size: Vec<u32>,
         #[serde(with = "counted")]
         depth: Vec<u32>,
         #[serde(with = "counted")]
         parent: Vec<u32>,
         #[serde(with = "counted")]
-        size: Vec<u32>,
+        label_keys: Vec<u32>,
         #[serde(with = "counted")]
-        pre_to_node: Vec<u32>,
-        by_label: BTreeMap<u32, Vec<(u32, u32)>>,
+        label_offsets: Vec<u32>,
+        #[serde(with = "counted")]
+        label_ranks: Vec<u32>,
     }
 
     #[derive(Serialize, Deserialize)]
@@ -494,27 +512,195 @@ pub(crate) mod mirror {
         stats: hopi::BuildStats,
     }
 
-    /// The stored image of HOPI-backed `md` with its index's bytes replaced
-    /// by `reencode`'s: a meta document's image is the format word, its
-    /// node map, the `u32` variant of its index, the index, and the anchor
-    /// lists, end to end. Everything around the index stays as this build
-    /// writes it, so what refuses the result is a check on the index.
+    /// The stored image of HOPI- or PPO-backed `md` with its index's bytes
+    /// replaced by `reencode`'s: a meta document's image is the format
+    /// word, its node map, the `u32` variant of its index, the index, and
+    /// the anchor lists, end to end. Everything around the index stays as
+    /// this build writes it, so what refuses the result is a check on the
+    /// index.
     fn respliced<M: DeserializeOwned>(
         md: &MetaDocument,
         reencode: impl FnOnce(M) -> Vec<u8>,
     ) -> Vec<u8> {
-        let MetaIndex::Hopi(index) = &md.index else {
-            panic!("not a HOPI meta document");
+        let inner = match &md.index {
+            MetaIndex::Hopi(index) => pagestore::to_bytes(index).unwrap(),
+            MetaIndex::Ppo(index) => pagestore::to_bytes(index).unwrap(),
+            MetaIndex::Apex(_) => panic!("an APEX meta document"),
         };
-        let (whole, inner) = (image(md).unwrap(), pagestore::to_bytes(index).unwrap());
+        let whole = image(md).unwrap();
         let start = 4 + (8 + 4 * md.nodes.len()) + 4;
         let end = start + inner.len();
         assert!(
             whole[start..end] == inner,
             "the index is not where expected"
         );
-        let hopi = reencode(pagestore::from_bytes(&inner).unwrap());
-        [&whole[..start], &hopi, &whole[end..]].concat()
+        let index = reencode(pagestore::from_bytes(&inner).unwrap());
+        [&whole[..start], &index, &whole[end..]].concat()
+    }
+
+    /// An `ExtendedPpo` image: the forest index's three per-rank arrays and
+    /// its label table, then the removed edges.
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Ppo {
+        #[serde(with = "graphcore::flat")]
+        pub(crate) size: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) depth: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) parent: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) label_keys: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) label_offsets: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) label_ranks: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) removed: Vec<(u32, u32)>,
+    }
+
+    /// The image of PPO-backed `md` after `damage` edited its arrays.
+    pub(crate) fn damaged_ppo_image(md: &MetaDocument, damage: impl FnOnce(&mut Ppo)) -> Vec<u8> {
+        respliced(md, |mut ppo: Ppo| {
+            damage(&mut ppo);
+            pagestore::to_bytes(&ppo).unwrap()
+        })
+    }
+
+    /// An edit of a stored PPO index, and what its refusal names.
+    pub(crate) type PpoDamage = (fn(&mut Ppo), &'static str);
+
+    /// Edits of a PPO image that would send a lookup out of bounds or a
+    /// parent walk round forever.
+    pub(crate) fn ppo_damage() -> [PpoDamage; 7] {
+        [
+            (|p| p.depth.truncate(p.size.len() - 1), "depths"),
+            (
+                |p| {
+                    let off = &mut p.label_offsets;
+                    let at = off.windows(2).position(|w| w[0] < w[1]).unwrap();
+                    off.swap(at, at + 1);
+                },
+                "non-decreasing bounds",
+            ),
+            (|p| p.label_keys.swap(0, 1), "keys are not ascending"),
+            (|p| p.label_ranks[0] = p.size.len() as u32, "names rank"),
+            (|p| *p.size.last_mut().unwrap() = 2, "ends past"),
+            (
+                |p| {
+                    let r = p.parent.iter().rposition(|&q| q != u32::MAX).unwrap();
+                    p.parent[r] = r as u32;
+                },
+                "parent is rank",
+            ),
+            (
+                |p| p.removed.push((0, p.size.len() as u32)),
+                "names a rank past",
+            ),
+        ]
+    }
+
+    /// `PpoIndex` as builds before preorder numbering persisted it, by
+    /// local: six arrays, then each label's `(pre, local)` pairs.
+    #[derive(Serialize)]
+    struct SixArrayForest {
+        #[serde(with = "graphcore::flat")]
+        pre: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        post: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        depth: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        parent: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        size: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        pre_to_node: Vec<u32>,
+        by_label: BTreeMap<u32, Vec<(u32, u32)>>,
+    }
+
+    #[derive(Serialize)]
+    struct SixArrayPpo {
+        index: SixArrayForest,
+        #[serde(with = "graphcore::flat")]
+        removed: Vec<(u32, u32)>,
+    }
+
+    /// `MetaIndex` with its first variant, `Ppo`, only.
+    #[derive(Serialize)]
+    enum SixArrayIndex {
+        Ppo(SixArrayPpo),
+    }
+
+    #[derive(Serialize)]
+    struct SixArrayMeta {
+        #[serde(with = "graphcore::flat")]
+        nodes: Vec<u32>,
+        index: SixArrayIndex,
+        #[serde(with = "graphcore::flat")]
+        link_sources: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        link_targets: Vec<u32>,
+    }
+
+    /// The image of PPO-backed `md` as the build before preorder numbering
+    /// saved it, behind the format word "FLT1": locals ascending with the
+    /// elements, the index as six arrays by local and a per-label map, the
+    /// removed edges and the link targets by local, the link sources in
+    /// preorder-rank order.
+    pub(crate) fn six_array_image(md: &MetaDocument) -> Vec<u8> {
+        let MetaIndex::Ppo(index) = &md.index else {
+            panic!("not a PPO meta document");
+        };
+        let ppo: Ppo = pagestore::from_bytes(&pagestore::to_bytes(index).unwrap()).unwrap();
+        let mut nodes = md.nodes.clone();
+        nodes.sort_unstable();
+        // The local each rank had when locals ascended with the elements.
+        let old: Vec<u32> = (md.nodes.iter())
+            .map(|v| nodes.binary_search(v).unwrap() as u32)
+            .collect();
+        let n = nodes.len();
+        let mut forest = SixArrayForest {
+            pre: vec![0; n],
+            post: vec![0; n],
+            depth: vec![0; n],
+            parent: vec![u32::MAX; n],
+            size: vec![0; n],
+            pre_to_node: old.clone(),
+            by_label: BTreeMap::new(),
+        };
+        for (r, &u) in (0..).zip(&old) {
+            let (u, size, depth) = (u as usize, ppo.size[r as usize], ppo.depth[r as usize]);
+            forest.pre[u] = r;
+            forest.post[u] = r + size - 1 - depth;
+            forest.depth[u] = depth;
+            forest.size[u] = size;
+            if let Some(&p) = old.get(ppo.parent[r as usize] as usize) {
+                forest.parent[u] = p;
+            }
+        }
+        for (k, &label) in ppo.label_keys.iter().enumerate() {
+            let (lo, hi) = (ppo.label_offsets[k], ppo.label_offsets[k + 1]);
+            let ranks = &ppo.label_ranks[lo as usize..hi as usize];
+            let pairs = ranks.iter().map(|&r| (r, old[r as usize])).collect();
+            forest.by_label.insert(label, pairs);
+        }
+        let by_old = |ranks: &[u32]| ranks.iter().map(|&r| old[r as usize]).collect::<Vec<_>>();
+        let mut removed: Vec<(u32, u32)> = (ppo.removed.iter())
+            .map(|&(u, v)| (old[u as usize], old[v as usize]))
+            .collect();
+        removed.sort_unstable();
+        let mut link_targets = by_old(&md.link_targets);
+        link_targets.sort_unstable();
+        let meta = SixArrayMeta {
+            nodes,
+            index: SixArrayIndex::Ppo(SixArrayPpo {
+                index: forest,
+                removed,
+            }),
+            link_sources: by_old(&md.link_sources),
+            link_targets,
+        };
+        [b"FLT1".to_vec(), pagestore::to_bytes(&meta).unwrap()].concat()
     }
 
     /// The image of HOPI-backed `md` after `damage` edited its tables.
@@ -768,6 +954,55 @@ mod tests {
         assert!(err.contains("index order"), "{err}");
     }
 
+    /// A store the parent build saved holds PPO meta documents numbered by
+    /// element, their index six arrays and a label map, behind "FLT1": read
+    /// as this format the three arrays it keeps would decode from the old
+    /// image's first three. The word refuses each, by name.
+    #[test]
+    fn six_array_ppo_images_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        for victim in 0..flix.meta_count() as u32 {
+            let md = flix.meta(victim);
+            let (blob, old) = (format!("fw/meta-{victim}"), mirror::six_array_image(md));
+            let new = st.get(&blob).unwrap().unwrap();
+            // Per element two arrays and a label pair more; per label a key
+            // and a map length more, an offset less; one array prefix less.
+            let labels: std::collections::BTreeSet<_> =
+                md.nodes.iter().map(|&v| cg.tag_of(v)).collect();
+            let grown = 16 * md.len() + 4 * labels.len() + 4;
+            assert_eq!(old.len(), new.len() + grown, "meta {victim}");
+            st.put(&blob, &old).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = format!("meta document {victim} is stale or corrupt (image format");
+            assert!(err.starts_with(&named), "{err}");
+            st.put(&blob, &new).unwrap();
+        }
+        load_flix(&st, "fw", cg).unwrap();
+    }
+
+    /// A PPO image whose arrays would send a lookup out of bounds, or a
+    /// parent walk round forever, is refused on load, by name.
+    #[test]
+    fn damaged_ppo_images_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+        for (damage, fault) in mirror::ppo_damage() {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let bytes = mirror::damaged_ppo_image(flix.meta(0), damage);
+            st.put("fw/meta-0", &bytes).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = "meta document 0 is stale or corrupt (";
+            assert!(
+                err.starts_with(named) && err.contains(fault),
+                "{fault}: {err}"
+            );
+        }
+    }
+
     /// A store written before HOPI's label tables were flat holds one
     /// length-prefixed `Vec` per row. Read as the flat layout those bytes
     /// either run out or put row 0's length (every node has its self-entry,
@@ -901,7 +1136,7 @@ mod tests {
             local_of: nodes.map(|u| flix.local_of(u)).collect(),
             runtime_links: flix.runtime_links().to_vec(),
         };
-        let bytes = [b"FLT1".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
+        let bytes = [b"FLT2".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
         assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
@@ -915,7 +1150,8 @@ mod tests {
 
     /// A manifest whose catalogue would break a lookup — a link table the
     /// run index and the anchor sets cannot be built on, a map that names
-    /// no meta document or a local past its document's end — is refused
+    /// no meta document, a local past its document's end or one local for
+    /// two nodes — is refused
     /// by `load_flix` and by `DiskFlix::open`, by name, before any query
     /// can index out of bounds or miss a link; and a meta document image
     /// of another length than the manifest catalogues is refused on load.
@@ -926,7 +1162,7 @@ mod tests {
         assert!(flix.runtime_links().len() >= 2 && flix.meta_count() >= 2);
         // An edit of the stored manifest, and what its refusal says.
         type Damage = (fn(&mut Manifest), &'static str);
-        let damage: [Damage; 8] = [
+        let damage: [Damage; 10] = [
             (|m| m.runtime_links.swap(0, 1), "follows"),
             (|m| m.runtime_links.push(m.runtime_links[0]), "follows"),
             (
@@ -942,11 +1178,18 @@ mod tests {
                 |m| m.meta_of[3] = m.meta_count as u32,
                 "is in meta document",
             ),
-            (
-                |m| *m.local_of.last_mut().unwrap() += 1,
-                "whose next local is",
-            ),
+            (|m| *m.local_of.last_mut().unwrap() += 1, "which holds"),
             (|m| m.meta_count = m.node_count + 1, "meta documents of"),
+            // Nodes 0 and 1 are the root and the first child of one
+            // document, in one meta document.
+            (|m| m.local_of[1] = m.local_of[0], "as is an earlier node"),
+            (
+                |m| {
+                    let meta = m.meta_of[0];
+                    m.local_of[0] = m.meta_of.iter().filter(|&&of| of == meta).count() as u32;
+                },
+                "which holds",
+            ),
         ];
         for (damage, fault) in damage {
             let mut st = store();

@@ -193,20 +193,26 @@ impl Digraph {
     /// Extracts the node-induced subgraph on `keep`. Returns the subgraph and
     /// the mapping `local -> global` (index = local id).
     ///
-    /// `keep` may be in any order; it is deduplicated internally.
+    /// `keep` may be in any order; it is deduplicated internally. The
+    /// global-to-local map spans `keep`'s smallest to largest node, not the
+    /// graph: a subgraph costs its own span, however large the graph.
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (Digraph, Vec<NodeId>) {
         let mut locals = keep.to_vec();
         locals.sort_unstable();
         locals.dedup();
-        let mut global_to_local = vec![u32::MAX; self.node_count()];
+        let first = locals.first().copied().unwrap_or(0);
+        let span = locals.last().map_or(0, |&last| (last - first) as usize + 1);
+        let mut global_to_local = vec![u32::MAX; span];
         for (i, &g) in locals.iter().enumerate() {
-            global_to_local[g as usize] = i as u32;
+            global_to_local[(g - first) as usize] = i as u32;
         }
         let mut b = DigraphBuilder::with_nodes(locals.len());
         for (i, &g) in locals.iter().enumerate() {
             for &v in self.successors(g) {
-                let lv = global_to_local[v as usize];
-                if lv != u32::MAX {
+                let local = v
+                    .checked_sub(first)
+                    .and_then(|at| global_to_local.get(at as usize));
+                if let Some(&lv) = local.filter(|&&lv| lv != u32::MAX) {
                     b.add_edge(i as NodeId, lv);
                 }
             }
@@ -286,6 +292,17 @@ mod tests {
         assert_eq!(sub.successors(0), &[1]);
         assert_eq!(sub.successors(1), &[2]);
         assert_eq!(sub.successors(2), &[] as &[NodeId]);
+    }
+
+    #[test]
+    fn induced_subgraph_drops_edges_leaving_the_span() {
+        let g = diamond();
+        // 0 -> 1 enters from below the span, 1 -> 3 and 2 -> 3 leave above it
+        let (sub, map) = g.induced_subgraph(&[2, 1, 2]);
+        assert_eq!(map, vec![1, 2]);
+        assert_eq!(sub.edge_count(), 0);
+        let (sub, map) = g.induced_subgraph(&[]);
+        assert!(map.is_empty() && sub.node_count() == 0);
     }
 
     #[test]

@@ -24,8 +24,11 @@ pub struct ExtendedPpo {
 }
 
 impl ExtendedPpo {
-    /// Builds the extended index over any directed graph.
-    pub fn build(g: &Digraph, labels: &[u32]) -> Self {
+    /// Builds the extended index over any directed graph, numbering its
+    /// nodes in the spanning forest's preorder. Returns the index and that
+    /// numbering — `order[r]` is the node of `g` the index knows as `r`;
+    /// the removed edges are in the index's numbering too.
+    pub fn build(g: &Digraph, labels: &[u32]) -> (Self, Vec<NodeId>) {
         let check = spanning_forest(g);
         let mut kept = DigraphBuilder::with_nodes(g.node_count());
         for (u, v) in g.edges() {
@@ -34,12 +37,18 @@ impl ExtendedPpo {
             }
         }
         let forest = kept.build();
-        let index =
+        let (index, order) =
             // flixcheck: allow(unwrap-expect): PpoIndex::build over a spanning forest cannot fail: forest by construction
             PpoIndex::build(&forest, labels).expect("spanning forest is a forest by construction");
-        let mut removed = check.removed_edges;
+        let mut rank = vec![0; order.len()];
+        for (r, &u) in (0..).zip(&order) {
+            rank[u as usize] = r;
+        }
+        let mut removed: Vec<(NodeId, NodeId)> = (check.removed_edges.iter())
+            .map(|&(u, v)| (rank[u as usize], rank[v as usize]))
+            .collect();
         removed.sort_unstable();
-        Self { index, removed }
+        (Self { index, removed }, order)
     }
 
     /// The underlying forest index.
@@ -83,9 +92,21 @@ impl ExtendedPpo {
         self.index.ancestors_by_label(u, label, include_self)
     }
 
-    /// Approximate in-memory footprint in bytes.
+    /// The paper's Table 1 size of the index in bytes: the forest index's
+    /// ([`PpoIndex::size_bytes`]) plus a row per removed edge.
     pub fn size_bytes(&self) -> usize {
         self.index.size_bytes() + self.removed.len() * 8
+    }
+
+    /// The first way the stored index is laid out so that a lookup would
+    /// go out of bounds ([`PpoIndex::layout_fault`]), or a removed edge
+    /// names a node it does not hold, if either is.
+    pub fn layout_fault(&self) -> Option<String> {
+        let n = self.index.node_count() as NodeId;
+        self.index.layout_fault().or_else(|| {
+            let (u, v) = self.removed.iter().find(|&&(u, v)| u >= n || v >= n)?;
+            Some(format!("removed edge ({u}, {v}) names a rank past {n}"))
+        })
     }
 }
 
@@ -143,20 +164,22 @@ mod tests {
     #[test]
     fn forest_input_removes_nothing() {
         let g = Digraph::from_edges(4, [(0, 1), (0, 2), (1, 3)]);
-        let x = ExtendedPpo::build(&g, &[0; 4]);
+        let (x, order) = ExtendedPpo::build(&g, &[0; 4]);
         assert!(x.removed_edges().is_empty());
-        assert!(x.is_descendant_or_self(0, 3));
+        assert_eq!(order, vec![0, 1, 3, 2]);
+        assert!(x.is_descendant_or_self(1, 2));
+        assert!(!x.is_descendant_or_self(1, 3));
     }
 
     #[test]
     fn removed_edges_reported() {
         let g = linked_graph();
-        let x = ExtendedPpo::build(&g, &[0; 4]);
+        let (x, order) = ExtendedPpo::build(&g, &[0; 4]);
         // 2 and 3 both have in-degree 2 in the full graph... node 1: parents
         // {0, 2}; node 2: parents {0, 3}. Exactly two edges must go.
         assert_eq!(x.removed_edges().len(), 2);
         for &(u, v) in x.removed_edges() {
-            assert!(g.has_edge(u, v));
+            assert!(g.has_edge(order[u as usize], order[v as usize]));
             // removed edges are not answered by the forest test
             assert_ne!(x.index.parent(v), Some(u));
         }
@@ -165,15 +188,16 @@ mod tests {
     #[test]
     fn forest_distances_survive() {
         let g = linked_graph();
-        let x = ExtendedPpo::build(&g, &[0; 4]);
-        assert_eq!(x.distance(0, 3), Some(2));
-        assert_eq!(x.distance(1, 3), Some(1));
+        let (x, order) = ExtendedPpo::build(&g, &[0; 4]);
+        let rank = |u: NodeId| order.iter().position(|&v| v == u).unwrap() as NodeId;
+        assert_eq!(x.distance(rank(0), rank(3)), Some(2));
+        assert_eq!(x.distance(rank(1), rank(3)), Some(1));
     }
 
     #[test]
     fn label_queries_respect_forest() {
         let g = linked_graph();
-        let x = ExtendedPpo::build(&g, &[7, 8, 8, 8]);
+        let (x, _) = ExtendedPpo::build(&g, &[7, 8, 8, 8]);
         let r = x.descendants_by_label(0, 8, false);
         // all of 1, 2, 3 are forest descendants of 0
         assert_eq!(r.len(), 3);
@@ -183,7 +207,8 @@ mod tests {
     #[test]
     fn cycle_only_graph() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
-        let x = ExtendedPpo::build(&g, &[0; 3]);
+        let (x, order) = ExtendedPpo::build(&g, &[0; 3]);
+        assert_eq!(order, vec![0, 1, 2]);
         // the back edge is the one that goes
         assert_eq!(x.removed_edges(), &[(2, 0)]);
         // the spanning chain still answers within-forest queries
@@ -195,8 +220,9 @@ mod tests {
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
         let g = linked_graph();
-        let ext = ExtendedPpo::build(&g, &[0; 4]);
+        let (ext, _) = ExtendedPpo::build(&g, &[0; 4]);
         ext.integrity_check().unwrap();
+        assert_eq!(ext.layout_fault(), None);
         // an out-of-order removed list breaks the sort invariant
         let mut bad = ext.clone();
         if bad.removed.len() >= 2 {
@@ -211,5 +237,9 @@ mod tests {
             bad.removed.sort_unstable();
             assert!(bad.integrity_check().is_err());
         }
+        // a removed edge past the index is a layout fault
+        bad.removed.push((0, 4));
+        let fault = bad.layout_fault().unwrap_or_default();
+        assert!(fault.contains("names a rank past 4"), "{fault}");
     }
 }

@@ -2,7 +2,6 @@
 
 use graphcore::{Digraph, Distance, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Errors raised when the input graph is not a forest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,128 +23,113 @@ impl std::fmt::Display for PpoError {
 
 impl std::error::Error for PpoError {}
 
-/// Pre/postorder index over a forest with per-node labels.
+/// Pre/postorder index over a forest with per-node labels, numbered in
+/// preorder: the index's node ids *are* the forest's preorder ranks, so
+/// `u`'s subtree is the rank interval `[u, u + size(u))` and its postorder
+/// rank follows from its size and depth.
 ///
 /// Labels are opaque `u32`s (FliX passes interned tag ids). Per label the
-/// index keeps the preorder ranks of all nodes carrying it, so a
+/// index keeps the ranks carrying it, ascending, in one flat table, so a
 /// descendants-by-label query is a binary search plus a contiguous scan —
 /// the operation the paper's structural-vagueness queries hammer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PpoIndex {
-    /// Preorder rank per node.
-    #[serde(with = "graphcore::flat")]
-    pre: Vec<u32>,
-    /// Postorder rank per node.
-    #[serde(with = "graphcore::flat")]
-    post: Vec<u32>,
-    /// Depth per node (roots have depth 0).
-    #[serde(with = "graphcore::flat")]
-    depth: Vec<u32>,
-    /// Parent per node (`u32::MAX` for roots).
-    #[serde(with = "graphcore::flat")]
-    parent: Vec<NodeId>,
-    /// Subtree size per node (including the node).
+    /// Subtree size per rank (the node included).
     #[serde(with = "graphcore::flat")]
     size: Vec<u32>,
-    /// `pre_to_node[r]` = node with preorder rank `r`.
+    /// Depth per rank (roots have depth 0).
     #[serde(with = "graphcore::flat")]
-    pre_to_node: Vec<NodeId>,
-    /// label -> sorted `(pre, node)` pairs. A `BTreeMap` so the serialized
-    /// image is deterministic (persisted frameworks must be byte-identical
-    /// across builds of the same collection).
-    by_label: BTreeMap<u32, Vec<(u32, NodeId)>>,
+    depth: Vec<u32>,
+    /// The parent's rank per rank (`u32::MAX` for roots).
+    #[serde(with = "graphcore::flat")]
+    parent: Vec<NodeId>,
+    /// The labels some node carries, ascending.
+    #[serde(with = "graphcore::flat")]
+    label_keys: Vec<u32>,
+    /// Where each key's ranks begin in `label_ranks`, then its length.
+    #[serde(with = "graphcore::flat")]
+    label_offsets: Vec<u32>,
+    /// The ranks carrying each key, ascending, key after key.
+    #[serde(with = "graphcore::flat")]
+    label_ranks: Vec<u32>,
 }
 
 impl PpoIndex {
-    /// Builds the index over `g`, which must be a forest.
+    /// Builds the index over `g`, which must be a forest, numbering its
+    /// nodes in preorder: roots in id order, children in successor order.
+    /// Returns the index and that numbering — `order[r]` is the node of `g`
+    /// with rank `r`, the id the index knows it by.
     ///
-    /// `labels[u]` is the label of node `u` (`labels.len() == node count`).
-    pub fn build(g: &Digraph, labels: &[u32]) -> Result<Self, PpoError> {
+    /// `labels[u]` is the label of node `u` of `g` (`labels.len() == node
+    /// count`).
+    pub fn build(g: &Digraph, labels: &[u32]) -> Result<(Self, Vec<NodeId>), PpoError> {
         assert_eq!(labels.len(), g.node_count(), "one label per node");
         let n = g.node_count();
-        for u in g.nodes() {
-            if g.in_degree(u) > 1 {
-                return Err(PpoError::MultipleParents(u));
-            }
+        if let Some(u) = g.nodes().find(|&u| g.in_degree(u) > 1) {
+            return Err(PpoError::MultipleParents(u));
         }
-        let mut pre = vec![u32::MAX; n];
-        let mut post = vec![u32::MAX; n];
-        let mut depth = vec![0u32; n];
-        let mut parent = vec![u32::MAX; n];
-        let mut size = vec![1u32; n];
-        let mut pre_to_node = vec![0 as NodeId; n];
-        let mut next_pre = 0u32;
-        let mut next_post = 0u32;
-        // Iterative DFS per root; (node, child cursor).
-        let mut stack: Vec<(NodeId, usize)> = Vec::new();
-        for root in g.nodes() {
-            if g.in_degree(root) != 0 {
-                continue;
-            }
-            pre[root as usize] = next_pre;
-            pre_to_node[next_pre as usize] = root;
-            next_pre += 1;
-            stack.push((root, 0));
-            while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-                let kids = g.successors(u);
-                if *cursor < kids.len() {
-                    let v = kids[*cursor];
+        let mut order: Vec<NodeId> = Vec::with_capacity(n);
+        let (mut depth, mut parent) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut size = vec![0u32; n];
+        // Iterative DFS per root; (rank, child cursor).
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for root in g.nodes().filter(|&u| g.in_degree(u) == 0) {
+            stack.push((order.len() as u32, 0));
+            order.push(root);
+            depth.push(0);
+            parent.push(NodeId::MAX);
+            while let Some(&mut (r, ref mut cursor)) = stack.last_mut() {
+                if let Some(&v) = g.successors(order[r as usize]).get(*cursor) {
                     *cursor += 1;
-                    parent[v as usize] = u;
-                    depth[v as usize] = depth[u as usize] + 1;
-                    pre[v as usize] = next_pre;
-                    pre_to_node[next_pre as usize] = v;
-                    next_pre += 1;
-                    stack.push((v, 0));
+                    stack.push((order.len() as u32, 0));
+                    order.push(v);
+                    depth.push(depth[r as usize] + 1);
+                    parent.push(r);
                 } else {
-                    post[u as usize] = next_post;
-                    next_post += 1;
+                    size[r as usize] = order.len() as u32 - r;
                     stack.pop();
-                    if let Some(&(p, _)) = stack.last() {
-                        size[p as usize] += size[u as usize];
-                    }
                 }
             }
         }
-        if next_pre as usize != n {
+        if order.len() != n {
             // Some node was never reached from an in-degree-0 root, which in
             // an in-degree<=1 graph means a cycle.
             return Err(PpoError::Cyclic);
         }
-        let mut by_label: BTreeMap<u32, Vec<(u32, NodeId)>> = BTreeMap::new();
-        for u in 0..n {
-            by_label
-                .entry(labels[u])
-                .or_default()
-                .push((pre[u], u as NodeId));
-        }
-        for list in by_label.values_mut() {
-            list.sort_unstable();
-        }
-        Ok(Self {
-            pre,
-            post,
+        let mut rows: Vec<(u32, u32)> = (0..)
+            .zip(&order)
+            .map(|(r, &u)| (labels[u as usize], r))
+            .collect();
+        rows.sort_unstable();
+        let mut index = Self {
+            size,
             depth,
             parent,
-            size,
-            pre_to_node,
-            by_label,
-        })
+            label_keys: Vec::new(),
+            label_offsets: Vec::new(),
+            label_ranks: Vec::with_capacity(n),
+        };
+        for (at, &(label, r)) in (0..).zip(&rows) {
+            if index.label_keys.last() != Some(&label) {
+                index.label_keys.push(label);
+                index.label_offsets.push(at);
+            }
+            index.label_ranks.push(r);
+        }
+        index.label_offsets.push(n as u32);
+        Ok((index, order))
     }
 
     /// Number of indexed nodes.
     pub fn node_count(&self) -> usize {
-        self.pre.len()
+        self.size.len()
     }
 
-    /// Preorder rank of `u`.
-    pub fn pre(&self, u: NodeId) -> u32 {
-        self.pre[u as usize]
-    }
-
-    /// Postorder rank of `u`.
+    /// Postorder rank of `u`: of the nodes before `u` in preorder, all but
+    /// its `depth` ancestors come before it in postorder, and so do its
+    /// `size - 1` descendants.
     pub fn post(&self, u: NodeId) -> u32 {
-        self.post[u as usize]
+        u + self.size[u as usize] - 1 - self.depth[u as usize]
     }
 
     /// Depth of `u` (roots are 0).
@@ -159,25 +143,24 @@ impl PpoIndex {
         (p != u32::MAX).then_some(p)
     }
 
-    /// `u`'s subtree (`u` included) as the half-open interval of preorder
-    /// ranks `[pre(u), pre(u) + size(u))` — every subtree test and subtree
-    /// scan of this index is a comparison against it.
+    /// `u`'s subtree (`u` included) as the half-open interval of ranks
+    /// `[u, u + size(u))` — every subtree test and subtree scan of this
+    /// index is a comparison against it.
     pub fn subtree(&self, u: NodeId) -> (u32, u32) {
-        let lo = self.pre[u as usize];
-        (lo, lo + self.size[u as usize])
+        (u, u + self.size[u as usize])
     }
 
     /// True if `v` is a descendant of `u` (descendant-or-self: `u == v`
     /// also answers true).
     pub fn is_descendant_or_self(&self, u: NodeId, v: NodeId) -> bool {
         let (lo, hi) = self.subtree(u);
-        (lo..hi).contains(&self.pre[v as usize])
+        (lo..hi).contains(&v)
     }
 
     /// Classic pre/post formulation of the ancestor test (equivalent to the
     /// interval test; exposed for the paper-faithful axis checks).
     pub fn is_ancestor(&self, x: NodeId, y: NodeId) -> bool {
-        self.pre[x as usize] < self.pre[y as usize] && self.post[x as usize] > self.post[y as usize]
+        x < y && self.post(x) > self.post(y)
     }
 
     /// Hop distance from `u` down to `v`, if `v` is in `u`'s subtree.
@@ -187,68 +170,34 @@ impl PpoIndex {
     }
 
     /// All descendants of `u` (excluding `u`), in preorder.
-    pub fn descendants(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn descendants(&self, u: NodeId) -> impl Iterator<Item = NodeId> {
         let (lo, hi) = self.subtree(u);
-        self.pre_to_node[lo as usize + 1..hi as usize]
-            .iter()
-            .copied()
+        lo + 1..hi
     }
 
     /// Descendants of `u` carrying `label`, as `(node, distance)` sorted by
-    /// ascending distance (the contract FliX's evaluator relies on).
+    /// ascending distance, ties by rank (the contract FliX's evaluator
+    /// relies on).
     ///
     /// `include_self` controls whether `u` itself may qualify
     /// (descendant-or-self vs. strict descendant semantics).
-    pub fn descendants_with_label(
-        &self,
-        u: NodeId,
-        label_nodes: Option<&[(u32, NodeId)]>,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.descendants_with_label_into(u, label_nodes, include_self, out))
-            .0
-    }
-
-    /// [`Self::descendants_with_label`] written into `out`, whose contents
-    /// it replaces, returning the number of index rows touched (the scanned
-    /// range of the per-label rank list) — the unit a database-backed
-    /// deployment pays per row fetch.
-    pub fn descendants_with_label_into(
-        &self,
-        u: NodeId,
-        label_nodes: Option<&[(u32, NodeId)]>,
-        include_self: bool,
-        out: &mut Vec<(NodeId, Distance)>,
-    ) -> usize {
-        out.clear();
-        let Some(list) = label_nodes else {
-            return 0;
-        };
-        let (lo, hi) = self.subtree(u);
-        let lo = lo + u32::from(!include_self);
-        // One search finds the range's start; reading the answer finds its end.
-        let start = list.partition_point(|&(p, _)| p < lo);
-        let inside = list[start..].iter().take_while(|&&(p, _)| p < hi);
-        let depth = |v: NodeId| self.depth[v as usize] - self.depth[u as usize];
-        out.extend(inside.map(|&(_, v)| (v, depth(v))));
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
-        out.len()
-    }
-
-    /// Convenience wrapper over [`Self::descendants_with_label`] using the
-    /// index's own label table.
     pub fn descendants_by_label(
         &self,
         u: NodeId,
         label: u32,
         include_self: bool,
     ) -> Vec<(NodeId, Distance)> {
-        self.descendants_with_label(u, self.label_list(label), include_self)
+        let list = self.label_list(label);
+        graphcore::filled(|out| self.descendants_among_into(u, list, include_self, out, |v| v)).0
     }
 
-    /// The sorted `(pre, node)` list for a label, if any node carries it.
-    pub fn label_list(&self, label: u32) -> Option<&[(u32, NodeId)]> {
-        self.by_label.get(&label).map(Vec::as_slice)
+    /// The ranks carrying `label`, ascending; empty if no node does.
+    pub fn label_list(&self, label: u32) -> &[u32] {
+        let Ok(k) = self.label_keys.binary_search(&label) else {
+            return &[];
+        };
+        let (lo, hi) = (self.label_offsets[k], self.label_offsets[k + 1]);
+        &self.label_ranks[lo as usize..hi as usize]
     }
 
     /// Ancestors of `u` from parent to root, each with its distance.
@@ -277,7 +226,7 @@ impl PpoIndex {
     /// [`Self::ancestors_by_label`] written into `out`, whose contents it
     /// replaces, returning the number of nodes probed on the parent chain
     /// (each probe is one row fetch in a database-backed deployment) — the
-    /// ancestors mirror of [`Self::descendants_with_label_into`].
+    /// ancestors mirror of [`Self::descendants_among_into`].
     pub fn ancestors_by_label_into(
         &self,
         u: NodeId,
@@ -286,6 +235,7 @@ impl PpoIndex {
         out: &mut Vec<(NodeId, Distance)>,
     ) -> usize {
         out.clear();
+        let list = self.label_list(label);
         let mut probed = 0usize;
         let (mut cur, mut d) = if include_self {
             (Some(u), 0)
@@ -294,7 +244,7 @@ impl PpoIndex {
         };
         while let Some(a) = cur {
             probed += 1;
-            if self.node_label_matches(a, label) {
+            if list.binary_search(&a).is_ok() {
                 out.push((a, d));
             }
             cur = self.parent(a);
@@ -303,44 +253,37 @@ impl PpoIndex {
         probed
     }
 
-    /// The members of `ranked` — node ids in ascending *preorder rank* —
-    /// inside `u`'s subtree (`u` included), with their depth below `u`,
-    /// ascending by `(distance, node)`. A subtree is the rank interval
-    /// `[pre(u), pre(u) + size(u))`, so this is one binary search plus the
-    /// answer, whatever the length of `ranked`.
-    pub fn descendants_among(&self, u: NodeId, ranked: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.descendants_among_into(u, ranked, out)).0
-    }
-
-    /// [`Self::descendants_among`] written into `out`, whose contents it
-    /// replaces.
-    pub fn descendants_among_into(
+    /// The members of `ranked` — ranks, ascending — inside `u`'s subtree,
+    /// `u` itself only if `include_self`, with their depth below `u`,
+    /// written into `out` (its contents replaced) ascending by distance,
+    /// ties by `tie` of the rank; returns how many there are. A subtree is
+    /// a rank interval, so this is one binary search plus the answer,
+    /// whatever the length of `ranked` — and the answer is the run of
+    /// `ranked` read, the rows a database-backed deployment pays for.
+    pub fn descendants_among_into<K: Ord>(
         &self,
         u: NodeId,
-        ranked: &[NodeId],
+        ranked: &[u32],
+        include_self: bool,
         out: &mut Vec<(NodeId, Distance)>,
-    ) {
+        tie: impl Fn(NodeId) -> K,
+    ) -> usize {
         let (lo, hi) = self.subtree(u);
+        let lo = lo + u32::from(!include_self);
         // One search finds the range's start; reading the answer finds its end.
-        let start = ranked.partition_point(|&v| self.pre[v as usize] < lo);
-        let inside = ranked[start..]
-            .iter()
-            .take_while(|&&v| self.pre[v as usize] < hi);
-        let depth = |v: NodeId| self.depth[v as usize] - self.depth[u as usize];
+        let start = ranked.partition_point(|&v| v < lo);
+        let inside = ranked[start..].iter().take_while(|&&v| v < hi);
+        let top = self.depth[u as usize];
         out.clear();
-        out.extend(inside.map(|&v| (v, depth(v))));
-        out.sort_unstable_by_key(|&(v, d)| (d, v));
+        out.extend(inside.map(|&v| (v, self.depth[v as usize] - top)));
+        out.sort_unstable_by_key(|&(v, d)| (d, tie(v)));
+        out.len()
     }
 
-    /// The members of `sorted` — node ids in ascending order — on the path
-    /// from `u` (included) up to its root, nearest first: one binary search
-    /// per step of the parent chain.
-    pub fn ancestors_among(&self, u: NodeId, sorted: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.ancestors_among_into(u, sorted, out)).0
-    }
-
-    /// [`Self::ancestors_among`] written into `out`, whose contents it
-    /// replaces.
+    /// The members of `sorted` — ranks in ascending order — on the path
+    /// from `u` (included) up to its root, nearest first, written into
+    /// `out`, whose contents it replaces: one binary search per step of the
+    /// parent chain.
     pub fn ancestors_among_into(
         &self,
         u: NodeId,
@@ -358,144 +301,124 @@ impl PpoIndex {
         }
     }
 
-    fn node_label_matches(&self, u: NodeId, label: u32) -> bool {
-        self.by_label
-            .get(&label)
-            .is_some_and(|l| l.binary_search(&(self.pre[u as usize], u)).is_ok())
+    /// The paper's Table 1 size of the index in bytes: per element a
+    /// pre/post row of six `u32`s (pre, post, depth, parent, size, node)
+    /// and a label row of two, as the paper's database holds them. It is
+    /// not what this struct holds or persists — ranks are the ids, so pre
+    /// and node are implicit and post is derived — and it counts elements,
+    /// not the label table's bookkeeping, so the figure does not depend on
+    /// how the index is laid out.
+    pub fn size_bytes(&self) -> usize {
+        (6 * 4 + 8) * self.node_count()
     }
 
-    /// Approximate in-memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        let n = self.pre.len();
-        let label_entries: usize = self.by_label.values().map(Vec::len).sum();
-        6 * 4 * n + label_entries * 8
+    /// The first way the stored arrays are laid out so that a lookup would
+    /// index or slice out of bounds, or walk a parent chain without end, if
+    /// they are: the per-rank arrays and the labelled ranks all `n` long,
+    /// the label offsets non-decreasing from 0 up to `n` behind strictly
+    /// ascending keys, every labelled rank below `n`, every subtree inside
+    /// the index (`r + size[r] ≤ n`) and every parent before its child. One
+    /// pass over each array.
+    pub fn layout_fault(&self) -> Option<String> {
+        let n = self.node_count();
+        let (depths, parents, ranks) =
+            (self.depth.len(), self.parent.len(), self.label_ranks.len());
+        if depths != n || parents != n || ranks != n {
+            return Some(format!(
+                "{n} subtree sizes, {depths} depths, {parents} parents, {ranks} labelled ranks"
+            ));
+        }
+        let (keys, offsets) = (&self.label_keys, &self.label_offsets);
+        let bounded = offsets.first() == Some(&0) && offsets.last() == Some(&(n as u32));
+        if offsets.len() != keys.len() + 1 || !bounded || offsets.windows(2).any(|w| w[0] > w[1]) {
+            let bounds = keys.len() + 1;
+            return Some(format!(
+                "label offsets are not {bounds} non-decreasing bounds from 0 to {n}"
+            ));
+        }
+        if let Some(at) = keys.windows(2).position(|w| w[0] >= w[1]) {
+            return Some(format!(
+                "label keys are not ascending at position {}",
+                at + 1
+            ));
+        }
+        if let Some(r) = self.label_ranks.iter().find(|&&r| r as usize >= n) {
+            return Some(format!("a label list names rank {r} of {n}"));
+        }
+        let mut ranked = (0u32..).zip(self.size.iter().zip(&self.parent));
+        ranked.find_map(|(r, (&size, &p))| {
+            if u64::from(r) + u64::from(size) > n as u64 {
+                Some(format!("rank {r}'s subtree of {size} ends past {n}"))
+            } else {
+                (p >= r && p != NodeId::MAX).then(|| format!("rank {r}'s parent is rank {p}"))
+            }
+        })
     }
 }
 
 impl flixcheck::IntegrityCheck for PpoIndex {
-    /// Audits the interval structure: `pre`/`post` must be inverse-mapped
-    /// permutations, parent intervals must strictly nest child intervals,
-    /// depths must increase by one along parent edges, subtree sizes must
-    /// satisfy the size recurrence, and the per-label lists must cover
-    /// every node exactly once in strict preorder.
+    /// Audits the interval structure in rank form: the layout must be sound
+    /// ([`PpoIndex::layout_fault`]), parent intervals must nest child
+    /// intervals, depths must increase by one along parent edges, subtree
+    /// sizes must satisfy the size recurrence, and the label lists must
+    /// cover every rank exactly once, each ascending.
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("PpoIndex");
-        let n = self.pre.len();
-        audit.check(
-            "parallel arrays same length",
-            self.post.len() == n
-                && self.depth.len() == n
-                && self.parent.len() == n
-                && self.size.len() == n
-                && self.pre_to_node.len() == n,
-            || {
-                format!(
-                    "pre={n} post={} depth={} parent={} size={} pre_to_node={}",
-                    self.post.len(),
-                    self.depth.len(),
-                    self.parent.len(),
-                    self.size.len(),
-                    self.pre_to_node.len()
-                )
-            },
-        );
+        let fault = self.layout_fault();
+        audit.check("arrays are laid out for lookups", fault.is_none(), || {
+            fault.unwrap_or_default()
+        });
         if audit.violation_count() > 0 {
             return audit.finish();
         }
+        let n = self.node_count();
 
         let mut first = None;
-        for u in 0..n {
-            let r = self.pre[u] as usize;
-            if r >= n || self.pre_to_node[r] != u as NodeId {
-                first = Some(format!(
-                    "node {u}: pre rank {r} not inverted by pre_to_node"
-                ));
-                break;
-            }
-        }
-        audit.check("pre/pre_to_node inverse bijection", first.is_none(), || {
-            first.unwrap_or_default()
-        });
-
-        let mut seen = vec![false; n];
-        let mut first = None;
-        for u in 0..n {
-            let r = self.post[u] as usize;
-            if r >= n || seen[r] {
-                first = Some(format!(
-                    "node {u}: post rank {} out of range or duplicated",
-                    self.post[u]
-                ));
-                break;
-            }
-            seen[r] = true;
-        }
-        audit.check("post is a permutation of 0..n", first.is_none(), || {
-            first.unwrap_or_default()
-        });
-
-        let mut first = None;
-        for u in 0..n {
-            let p = self.parent[u];
+        for r in 0..n {
+            let (p, d) = (self.parent[r], self.depth[r]);
             if p == NodeId::MAX {
-                if self.depth[u] != 0 {
-                    first = Some(format!("root {u} has depth {}", self.depth[u]));
+                if d != 0 {
+                    first = Some(format!("root {r} has depth {d}"));
                     break;
                 }
                 continue;
             }
             let p = p as usize;
-            if p >= n || p == u {
-                first = Some(format!("node {u}: parent {p} invalid"));
-                break;
-            }
-            if self.depth[u] != self.depth[p] + 1 {
+            if d != self.depth[p] + 1 {
                 first = Some(format!(
-                    "node {u}: depth {} but parent {p} has depth {}",
-                    self.depth[u], self.depth[p]
+                    "rank {r}: depth {d} but parent {p} has depth {}",
+                    self.depth[p]
                 ));
                 break;
             }
-            let nested = self.pre[p] < self.pre[u]
-                && self.post[p] > self.post[u]
-                && self.pre[u] + self.size[u] <= self.pre[p] + self.size[p];
-            if !nested {
+            let (end, parent_end) = (r + self.size[r] as usize, p + self.size[p] as usize);
+            if end > parent_end {
                 first = Some(format!(
-                    "node {u}: interval [{}, {}) post {} escapes parent {p} [{}, {}) post {}",
-                    self.pre[u],
-                    self.pre[u] + self.size[u],
-                    self.post[u],
-                    self.pre[p],
-                    self.pre[p] + self.size[p],
-                    self.post[p]
+                    "rank {r}: interval [{r}, {end}) escapes parent {p} [{p}, {parent_end})"
                 ));
                 break;
             }
         }
         audit.check(
-            "parent intervals nest children (pre/post/depth consistent)",
+            "parent intervals nest children (rank/depth consistent)",
             first.is_none(),
             || first.unwrap_or_default(),
         );
 
         let mut child_sum = vec![0u64; n];
-        for u in 0..n {
-            let p = self.parent[u];
-            if p != NodeId::MAX && (p as usize) < n {
-                child_sum[p as usize] += u64::from(self.size[u]);
+        for r in 0..n {
+            if let Some(p) = self.parent(r as NodeId) {
+                child_sum[p as usize] += u64::from(self.size[r]);
             }
         }
-        let mut first = None;
-        for (u, &sum) in child_sum.iter().enumerate() {
-            if u64::from(self.size[u]) != sum + 1 {
-                first = Some(format!(
-                    "node {u}: size {} but 1 + children sizes = {}",
-                    self.size[u],
-                    sum + 1
-                ));
-                break;
-            }
-        }
+        let first = child_sum
+            .iter()
+            .zip(&self.size)
+            .position(|(&sum, &size)| u64::from(size) != sum + 1)
+            .map(|r| {
+                let (size, sum) = (self.size[r], child_sum[r] + 1);
+                format!("rank {r}: size {size} but 1 + children sizes = {sum}")
+            });
         audit.check(
             "subtree sizes satisfy the size recurrence",
             first.is_none(),
@@ -503,38 +426,25 @@ impl flixcheck::IntegrityCheck for PpoIndex {
         );
 
         let mut covered = vec![false; n];
-        let mut total = 0usize;
         let mut first = None;
-        'outer: for (label, list) in &self.by_label {
-            let mut prev: Option<u32> = None;
-            for &(r, v) in list {
-                total += 1;
-                if prev.is_some_and(|p| p >= r) {
-                    first = Some(format!(
-                        "label {label}: list not strictly sorted at pre {r}"
-                    ));
-                    break 'outer;
+        'lists: for (&label, w) in self.label_keys.iter().zip(self.label_offsets.windows(2)) {
+            let list = &self.label_ranks[w[0] as usize..w[1] as usize];
+            if let Some(at) = list.windows(2).position(|w| w[0] >= w[1]) {
+                first = Some(format!(
+                    "label {label}: list not ascending at rank {}",
+                    list[at + 1]
+                ));
+                break;
+            }
+            for &r in list {
+                if std::mem::replace(&mut covered[r as usize], true) {
+                    first = Some(format!("rank {r} appears under more than one label"));
+                    break 'lists;
                 }
-                prev = Some(r);
-                let vu = v as usize;
-                if vu >= n || self.pre[vu] != r {
-                    first = Some(format!(
-                        "label {label}: entry ({r}, {v}) disagrees with pre[]"
-                    ));
-                    break 'outer;
-                }
-                if covered[vu] {
-                    first = Some(format!("node {v} appears under more than one label"));
-                    break 'outer;
-                }
-                covered[vu] = true;
             }
         }
-        if first.is_none() && total != n {
-            first = Some(format!("label lists hold {total} entries for {n} nodes"));
-        }
         audit.check(
-            "label lists partition the nodes in strict preorder",
+            "label lists partition the ranks, each ascending",
             first.is_none(),
             || first.unwrap_or_default(),
         );
@@ -547,50 +457,45 @@ impl flixcheck::IntegrityCheck for PpoIndex {
 mod tests {
     use super::*;
 
-    /// The running example tree:
+    /// The running example tree, and its preorder:
     /// ```text
-    ///        0
-    ///      /   \
-    ///     1     2
-    ///    / \     \
-    ///   3   4     5
-    ///        \
-    ///         6
+    ///        0                      0
+    ///      /   \                  /   \
+    ///     1     2                1     5
+    ///    / \     \     ranks    / \     \
+    ///   3   4     5            2   3     6
+    ///        \                      \
+    ///         6                      4
     /// ```
-    fn tree() -> (Digraph, Vec<u32>) {
+    /// Labels by node: 0=A, 1=B, 2=B, 3=C, 4=C, 5=C, 6=B.
+    fn tree() -> (PpoIndex, Vec<NodeId>) {
         let g = Digraph::from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 6), (2, 5)]);
-        // labels: 0=A, 1=B, 2=B, 3=C, 4=C, 5=C, 6=B
-        (g, vec![0, 1, 1, 2, 2, 2, 1])
+        PpoIndex::build(&g, &[0, 1, 1, 2, 2, 2, 1]).unwrap()
     }
 
     #[test]
     fn pre_post_invariants() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        // all ranks distinct and within range
-        let mut pres: Vec<u32> = (0..7).map(|u| idx.pre(u)).collect();
-        pres.sort_unstable();
-        assert_eq!(pres, (0..7).collect::<Vec<_>>());
-        assert_eq!(idx.pre(0), 0);
-        assert_eq!(idx.depth(6), 3);
-        assert_eq!(idx.parent(6), Some(4));
+        let (idx, order) = tree();
+        assert_eq!(order, vec![0, 1, 3, 4, 6, 2, 5]);
+        assert_eq!(idx.depth(4), 3);
+        assert_eq!(idx.parent(4), Some(3));
         assert_eq!(idx.parent(0), None);
+        // postorder 3, 6, 4, 1, 5, 2, 0 — by rank 2, 4, 3, 1, 6, 5, 0
+        let post: Vec<u32> = (0..7).map(|r| idx.post(r)).collect();
+        assert_eq!(post, vec![6, 3, 0, 2, 1, 5, 4]);
     }
 
     #[test]
     fn ancestor_test_matches_paper_formula() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
+        let (idx, order) = tree();
+        let g = Digraph::from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 6), (2, 5)]);
         let oracle = graphcore::TransitiveClosure::build(&g);
         for u in 0..7u32 {
             for v in 0..7u32 {
-                assert_eq!(
-                    idx.is_descendant_or_self(u, v),
-                    oracle.reaches(u, v),
-                    "pair {u},{v}"
-                );
+                let reaches = oracle.reaches(order[u as usize], order[v as usize]);
+                assert_eq!(idx.is_descendant_or_self(u, v), reaches, "pair {u},{v}");
                 if u != v {
-                    assert_eq!(idx.is_ancestor(u, v), oracle.reaches(u, v));
+                    assert_eq!(idx.is_ancestor(u, v), reaches);
                 }
             }
         }
@@ -598,64 +503,57 @@ mod tests {
 
     #[test]
     fn distances_are_depth_differences() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        assert_eq!(idx.distance(0, 6), Some(3));
-        assert_eq!(idx.distance(1, 6), Some(2));
-        assert_eq!(idx.distance(6, 0), None);
-        assert_eq!(idx.distance(2, 2), Some(0));
+        let (idx, _) = tree();
+        assert_eq!(idx.distance(0, 4), Some(3));
+        assert_eq!(idx.distance(1, 4), Some(2));
+        assert_eq!(idx.distance(4, 0), None);
+        assert_eq!(idx.distance(5, 5), Some(0));
     }
 
     #[test]
     fn descendants_by_label_sorted_by_distance() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        // label 1 (B) under root: nodes 1 (d=1), 2 (d=1), 6 (d=3)
+        let (idx, _) = tree();
+        // label 1 (B) under the root: nodes 1, 2 (d=1), 6 (d=3) — ranks 1, 5, 4
         let r = idx.descendants_by_label(0, 1, false);
-        assert_eq!(r, vec![(1, 1), (2, 1), (6, 3)]);
+        assert_eq!(r, vec![(1, 1), (5, 1), (4, 3)]);
         // include_self on a B node
         let r = idx.descendants_by_label(1, 1, true);
-        assert_eq!(r, vec![(1, 0), (6, 2)]);
+        assert_eq!(r, vec![(1, 0), (4, 2)]);
         // no match
-        assert!(idx.descendants_by_label(5, 0, false).is_empty());
+        assert!(idx.descendants_by_label(6, 0, false).is_empty());
         // unknown label entirely
         assert!(idx.descendants_by_label(0, 99, true).is_empty());
+        assert_eq!(idx.label_list(1), &[1, 4, 5]);
+        assert!(idx.label_list(99).is_empty());
     }
 
     #[test]
     fn descendants_iterator_is_subtree() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        let mut d: Vec<NodeId> = idx.descendants(1).collect();
-        d.sort_unstable();
-        assert_eq!(d, vec![3, 4, 6]);
-        assert_eq!(idx.descendants(5).count(), 0);
-        assert_eq!(idx.subtree(1), (idx.pre(1), idx.pre(1) + 4));
-        assert_eq!(idx.subtree(5), (idx.pre(5), idx.pre(5) + 1));
+        let (idx, _) = tree();
+        assert_eq!(idx.descendants(1).collect::<Vec<_>>(), vec![2, 3, 4]);
+        assert_eq!(idx.descendants(6).count(), 0);
+        assert_eq!(idx.subtree(1), (1, 5));
+        assert_eq!(idx.subtree(6), (6, 7));
     }
 
     #[test]
     fn ancestors_walk() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        assert_eq!(idx.ancestors(6), vec![(4, 1), (1, 2), (0, 3)]);
-        // B-labelled ancestors of 6: node 1 at distance 2 (+ self at 0)
-        assert_eq!(idx.ancestors_by_label(6, 1, true), vec![(6, 0), (1, 2)]);
-        assert_eq!(idx.ancestors_by_label(6, 1, false), vec![(1, 2)]);
+        let (idx, _) = tree();
+        assert_eq!(idx.ancestors(4), vec![(3, 1), (1, 2), (0, 3)]);
+        // B-labelled ancestors of node 6 (rank 4): node 1 at distance 2 (+ self at 0)
+        assert_eq!(idx.ancestors_by_label(4, 1, true), vec![(4, 0), (1, 2)]);
+        assert_eq!(idx.ancestors_by_label(4, 1, false), vec![(1, 2)]);
     }
 
     #[test]
     fn anchored_lookups_match_the_distance_scan() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
+        let (idx, _) = tree();
         for anchors in [
             vec![],
-            vec![6],
-            vec![0, 2, 3, 6],
+            vec![4],
+            vec![0, 2, 4, 5],
             (0..7).collect::<Vec<_>>(),
         ] {
-            let mut ranked: Vec<NodeId> = anchors.clone();
-            ranked.sort_unstable_by_key(|&v| idx.pre(v));
             for u in 0..7u32 {
                 let scan = |pairs: &mut dyn Iterator<Item = (NodeId, Option<Distance>)>| {
                     let mut out: Vec<(NodeId, Distance)> =
@@ -663,18 +561,34 @@ mod tests {
                     out.sort_unstable_by_key(|&(v, d)| (d, v));
                     out
                 };
-                let below = scan(&mut anchors.iter().map(|&a| (a, idx.distance(u, a))));
-                assert_eq!(idx.descendants_among(u, &ranked), below, "{u} {anchors:?}");
+                for include_self in [false, true] {
+                    let below = scan(
+                        &mut anchors
+                            .iter()
+                            .map(|&a| (a, idx.distance(u, a).filter(|_| include_self || a != u))),
+                    );
+                    let (got, len) = graphcore::filled(|out| {
+                        idx.descendants_among_into(u, &anchors, include_self, out, |v| v)
+                    });
+                    assert_eq!((got, len), (below.clone(), below.len()), "{u} {anchors:?}");
+                }
                 let above = scan(&mut anchors.iter().map(|&a| (a, idx.distance(a, u))));
-                assert_eq!(idx.ancestors_among(u, &anchors), above, "{u} {anchors:?}");
+                let got = graphcore::filled(|out| idx.ancestors_among_into(u, &anchors, out)).0;
+                assert_eq!(got, above, "{u} {anchors:?}");
             }
         }
+        // Ties go by the caller's key: ranks 1 and 5 both lie one below the root.
+        let (got, _) = graphcore::filled(|out| {
+            idx.descendants_among_into(0, &[1, 5], false, out, std::cmp::Reverse)
+        });
+        assert_eq!(got, vec![(5, 1), (1, 1)]);
     }
 
     #[test]
     fn forest_with_multiple_roots() {
         let g = Digraph::from_edges(5, [(0, 1), (2, 3), (2, 4)]);
-        let idx = PpoIndex::build(&g, &[0; 5]).unwrap();
+        let (idx, order) = PpoIndex::build(&g, &[0; 5]).unwrap();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
         assert!(idx.is_descendant_or_self(2, 4));
         assert!(!idx.is_descendant_or_self(0, 3));
     }
@@ -696,35 +610,61 @@ mod tests {
 
     #[test]
     fn size_accounting_positive() {
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
-        assert!(idx.size_bytes() > 0);
+        let (idx, _) = tree();
+        assert_eq!(idx.size_bytes(), 7 * (6 * 4 + 8));
+    }
+
+    #[test]
+    fn layout_faults_are_named() {
+        let (idx, _) = tree();
+        assert_eq!(idx.layout_fault(), None);
+        type Damage = (fn(&mut PpoIndex), &'static str);
+        let damage: [Damage; 7] = [
+            (|i| i.parent.truncate(6), "6 parents"),
+            (|i| i.label_offsets[1] = 8, "non-decreasing bounds"),
+            (|i| i.label_offsets.truncate(3), "non-decreasing bounds"),
+            (|i| i.label_keys.swap(0, 1), "keys are not ascending"),
+            (|i| i.label_ranks[2] = 7, "names rank 7"),
+            (|i| i.size[5] = 3, "ends past 7"),
+            (|i| i.parent[2] = 2, "parent is rank 2"),
+        ];
+        for (damage, fault) in damage {
+            let mut bad = idx.clone();
+            damage(&mut bad);
+            let found = bad.layout_fault().unwrap_or_default();
+            assert!(found.contains(fault), "{fault}: {found}");
+        }
     }
 
     #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
-        let (g, labels) = tree();
-        let idx = PpoIndex::build(&g, &labels).unwrap();
+        let (idx, _) = tree();
         idx.integrity_check().unwrap();
-        // swapped preorder ranks break the inverse map
+        // a child interval that escapes its parent's
         let mut bad = idx.clone();
-        bad.pre.swap(0, 1);
+        bad.size[2] = 4;
         assert!(bad.integrity_check().is_err());
         // an inflated subtree size breaks the recurrence
         let mut bad = idx.clone();
-        bad.size[0] += 1;
+        bad.size[0] -= 1;
         assert!(bad.integrity_check().is_err());
-        // a dropped label entry breaks node coverage
+        // a rank under two labels
         let mut bad = idx.clone();
-        let k = *bad.by_label.keys().next().unwrap();
-        bad.by_label.get_mut(&k).unwrap().pop();
+        bad.label_ranks[0] = bad.label_ranks[1];
+        assert!(bad.integrity_check().is_err());
+        // a label list out of order
+        let mut bad = idx.clone();
+        bad.label_ranks.swap(1, 2);
         assert!(bad.integrity_check().is_err());
         // a corrupted depth breaks parent consistency
+        let mut bad = idx.clone();
+        bad.depth[4] += 7;
+        assert!(bad.integrity_check().is_err());
+        // a bad layout is reported on its own
         let mut bad = idx;
-        if let Some(u) = (0..bad.node_count() as NodeId).find(|&u| bad.parent(u).is_some()) {
-            bad.depth[u as usize] += 7;
-            assert!(bad.integrity_check().is_err());
-        }
+        bad.parent[2] = 2;
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("parent is rank 2"), "{err}");
     }
 }

@@ -3,7 +3,9 @@
 //!
 //! A depth-first traversal assigns every element a preorder and postorder
 //! rank; `x` is an ancestor of `y` iff `pre(x) < pre(y) && post(x) >
-//! post(y)`. All XPath axes reduce to rank comparisons, and the distance
+//! post(y)`. The index numbers the elements by their preorder rank, so
+//! post follows from size and depth and a subtree is a rank interval. All
+//! XPath axes reduce to rank comparisons, and the distance
 //! between an ancestor/descendant pair is the depth difference. Build time
 //! is `O(|E|)` and space `O(|V|)` — unbeatable when it applies, but it
 //! *only* applies to forests: that is the limitation FliX works around.

@@ -137,11 +137,12 @@ fn untouched_meta_documents_are_shared_not_rebuilt() {
     );
 }
 
-/// PPO meta documents keep their link sources in preorder-rank order, not
-/// id order. The order is canonical — a function of the anchor set and the
-/// index — so `extend`, which recomputes every anchor list from the grown
-/// link table, still recognises an untouched PPO meta document and hands
-/// back the very same `Arc`.
+/// PPO meta documents number their elements in preorder, so their link
+/// sources ascend by preorder rank, not by element id. The order is
+/// canonical — a function of the anchor set and the numbering — so
+/// `extend`, which recomputes every anchor list from the grown link table,
+/// still recognises an untouched PPO meta document and hands back the very
+/// same `Arc`.
 #[test]
 fn untouched_ppo_meta_documents_keep_their_arc() {
     let cg = base_corpus();
@@ -158,7 +159,13 @@ fn untouched_ppo_meta_documents_keep_their_arc() {
             untouched,
             "meta {i}: shared iff its anchor sets did not change"
         );
-        if untouched && old.link_sources().windows(2).any(|w| w[0] > w[1]) {
+        let element = |local: &u32| old.nodes[*local as usize];
+        if untouched
+            && old
+                .link_sources()
+                .windows(2)
+                .any(|w| element(&w[0]) > element(&w[1]))
+        {
             kept_out_of_id_order += 1;
         }
     }
@@ -204,4 +211,104 @@ fn extend_rejects_unrelated_graph() {
     let flix = Flix::build(cg, FlixConfig::Naive);
     let other = Arc::new(generate_dblp(&DblpConfig::tiny(89)).seal());
     assert!(flix.extend(other, &BuildOptions::default()).is_err());
+}
+
+/// One thread's evaluator scratch serves a MaximalPPO framework, then its
+/// extension — the old PPO meta documents kept, each new document numbered
+/// afresh in its own preorder — then a `DiskFlix` over the extension: every
+/// answer equals the one a fresh thread computes, and a full descendants
+/// answer holds the nodes the BFS oracle reaches.
+#[test]
+fn scratch_reuse_across_extend_and_disk_matches_fresh_threads() {
+    use flix::{Axis, DiskFlix, QueryCtx};
+    use pagestore::{BlobStore, BufferPool, MemDisk};
+    type Answers = Vec<(Vec<(u32, u32)>, bool)>;
+
+    let cg = base_corpus();
+    let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+    let grown = Arc::new(cg.extend(new_docs(&cg, 4)).unwrap());
+    let extended = flix
+        .extend(grown.clone(), &BuildOptions::default())
+        .unwrap();
+    let pool = BufferPool::new(Arc::new(MemDisk::new()), 64);
+    let disk = DiskFlix::save_and_open(&extended, BlobStore::new(Arc::new(pool)), "fw", 4).unwrap();
+    let title = grown.collection.tags.get("title").unwrap();
+    let mut queries: Vec<(u32, u32)> = descendant_queries(&cg, 10, 5)
+        .into_iter()
+        .map(|q| (q.start, q.target_tag))
+        .collect();
+    let new_roots = cg.collection.doc_count() as u32..grown.collection.doc_count() as u32;
+    queries.extend(new_roots.map(|d| (grown.doc_root(d), title)));
+    let opts = [
+        QueryOptions::default(),
+        QueryOptions::exact(),
+        QueryOptions::top_k(5),
+    ];
+    let cases: Vec<(Axis, u32, u32, QueryOptions)> = (queries.iter())
+        .flat_map(|&(start, tag)| {
+            [Axis::Descendants, Axis::Ancestors]
+                .into_iter()
+                .flat_map(move |axis| opts.map(|o| (axis, start, tag, o)))
+        })
+        .collect();
+    let base_cases: Vec<_> = (cases.iter().copied())
+        .filter(|&(_, start, ..)| (start as usize) < cg.node_count())
+        .collect();
+    let in_memory = |flix: &Flix, cases: &[(Axis, u32, u32, QueryOptions)]| -> Answers {
+        (cases.iter())
+            .map(|&(axis, start, tag, o)| {
+                let out = flix.evaluate(axis, start, tag, &o, &mut QueryCtx::default());
+                (
+                    out.results.iter().map(|r| (r.node, r.distance)).collect(),
+                    out.timed_out,
+                )
+            })
+            .collect()
+    };
+    let on_disk = |cases: &[(Axis, u32, u32, QueryOptions)]| -> Answers {
+        (cases.iter())
+            .map(|&(axis, start, tag, o)| {
+                let out = disk
+                    .evaluate(axis, start, tag, &o, &mut QueryCtx::default())
+                    .unwrap();
+                (
+                    out.results.iter().map(|r| (r.node, r.distance)).collect(),
+                    out.timed_out,
+                )
+            })
+            .collect()
+    };
+    let fresh =
+        |job: &(dyn Fn() -> Answers + Sync)| std::thread::scope(|s| s.spawn(job).join().unwrap());
+
+    // One thread, one scratch, three spaces of different sizes in turn.
+    let reused = [
+        in_memory(&flix, &base_cases),
+        in_memory(&extended, &cases),
+        on_disk(&cases),
+    ];
+    assert_eq!(reused[0], fresh(&|| in_memory(&flix, &base_cases)));
+    assert_eq!(reused[1], fresh(&|| in_memory(&extended, &cases)));
+    assert_eq!(reused[2], fresh(&|| on_disk(&cases)));
+    assert_eq!(reused[1], reused[2], "disk == memory");
+    assert!(
+        reused[1]
+            .iter()
+            .filter(|(answer, _)| answer.len() > 1)
+            .count()
+            > cases.len() / 4
+    );
+
+    for (&(axis, start, tag, o), (answer, _)) in cases.iter().zip(&reused[1]) {
+        if axis != Axis::Descendants || o.max_results.is_some() {
+            continue;
+        }
+        let dist = graphcore::bfs_distances(&grown.graph, start);
+        let reached = (0..grown.node_count() as u32).filter(|&v| {
+            v != start && grown.tag_of(v) == tag && dist[v as usize] != graphcore::INFINITE_DISTANCE
+        });
+        let mut got: Vec<u32> = answer.iter().map(|&(v, _)| v).collect();
+        got.sort_unstable();
+        assert_eq!(got, reached.collect::<Vec<_>>(), "{start}//{tag} {o:?}");
+    }
 }

@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn ppo_audit_holds_on_random_forests(g in arb_forest(60)) {
         let labels = arb_labels(&g, 6);
-        let idx = PpoIndex::build(&g, &labels).expect("forests always index");
+        let (idx, _) = PpoIndex::build(&g, &labels).expect("forests always index");
         let report = idx.integrity_check();
         prop_assert!(report.is_ok(), "{}", report.err().map(|e| e.to_string()).unwrap_or_default());
     }
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn extended_ppo_audit_holds_on_random_graphs(g in arb_graph(50, 140)) {
         let labels = arb_labels(&g, 6);
-        let idx = ExtendedPpo::build(&g, &labels);
+        let (idx, _) = ExtendedPpo::build(&g, &labels);
         let report = idx.integrity_check();
         prop_assert!(report.is_ok(), "{}", report.err().map(|e| e.to_string()).unwrap_or_default());
     }

@@ -107,13 +107,15 @@ proptest! {
     #[test]
     fn ppo_matches_closure_on_forests(g in arb_forest(60)) {
         let labels = arb_labels(&g, 6);
-        let idx = PpoIndex::build(&g, &labels).expect("forest");
+        // The index knows the forest's nodes by preorder rank: rank `r` is
+        // node `order[r]`.
+        let (idx, order) = PpoIndex::build(&g, &labels).expect("forest");
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
                 prop_assert_eq!(
                     idx.is_descendant_or_self(u, v),
-                    tc.reaches(u, v),
+                    tc.reaches(order[u as usize], order[v as usize]),
                     "{} -> {}", u, v
                 );
             }
@@ -123,8 +125,9 @@ proptest! {
     #[test]
     fn extended_ppo_plus_removed_edges_cover_graph(g in arb_graph(30, 60)) {
         // forest reachability + removed edges as extra hops must equal the
-        // full reachability of the graph (one BFS over a hybrid relation)
-        let x = ExtendedPpo::build(&g, &arb_labels(&g, 3));
+        // full reachability of the graph (one BFS over a hybrid relation);
+        // the index and its removed edges know node `order[r]` as `r`
+        let (x, order) = ExtendedPpo::build(&g, &arb_labels(&g, 3));
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             // closure over: forest-descendants + removed-edge jumps
@@ -145,7 +148,8 @@ proptest! {
                 }
             }
             for v in 0..g.node_count() as u32 {
-                prop_assert_eq!(seen[v as usize], tc.reaches(u, v), "{} -> {}", u, v);
+                let reaches = tc.reaches(order[u as usize], order[v as usize]);
+                prop_assert_eq!(seen[v as usize], reaches, "{} -> {}", u, v);
             }
         }
     }
@@ -214,7 +218,8 @@ proptest! {
         use flix::{MetaIndex, StrategyKind};
         let labels = arb_labels(&g, 4);
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, 1);
+            let mut nodes: Vec<u32> = (0..g.node_count() as u32).collect();
+            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
             for u in 0..g.node_count() as u32 {
                 for label in 0..4u32 {
                     for include_self in [false, true] {
@@ -254,8 +259,11 @@ proptest! {
             (0..n).filter(|&v| picks[v as usize + offset]).collect()
         };
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (index, _extra) = MetaIndex::build(kind, &g, &labels, 1);
-            let mut md = MetaDocument::new((0..n).collect(), index);
+            // Under PPO the locals are preorder ranks and `nodes` follows:
+            // the elements no longer ascend with the locals.
+            let mut nodes: Vec<u32> = (0..n).collect();
+            let (index, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let mut md = MetaDocument::new(nodes, index);
             md.set_anchors(subset(0), subset(30));
             prop_assert_eq!(md.link_sources().len(), subset(0).len());
             let scan = |anchors: &[u32], dist: &dyn Fn(u32) -> Option<u32>| {
@@ -271,8 +279,12 @@ proptest! {
                 prop_assert_eq!(&md.reaching_link_targets(e), &above, "{:?} above {}", kind, e);
                 for label in 0..4u32 {
                     for include_self in [false, true] {
-                        let (block, work) =
+                        let (mut block, work) =
                             md.index.descendants_by_label_counted(e, label, include_self);
+                        if kind == StrategyKind::Ppo {
+                            // a pop orders equal distances by element
+                            block.sort_unstable_by_key(|&(v, d)| (d, md.nodes[v as usize]));
+                        }
                         let links = below.clone();
                         md.answer_pop(Axis::Descendants, e, label, include_self, &mut pop);
                         prop_assert_eq!(
@@ -358,13 +370,16 @@ proptest! {
         let labels = arb_labels(&g, 4);
         let n = g.node_count() as u32;
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, 1);
+            // local `v` is node `nodes[v]` of `g`, and carries its label
+            let mut nodes: Vec<u32> = (0..n).collect();
+            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let label_of = |v: u32| labels[nodes[v as usize] as usize];
             for e in 0..n {
                 for label in 0..4u32 {
                     for include_self in [false, true] {
                         let scan = |dist: &dyn Fn(u32) -> Option<u32>| {
                             let mut out: Vec<(u32, u32)> = (0..n)
-                                .filter(|&v| labels[v as usize] == label && (include_self || v != e))
+                                .filter(|&v| label_of(v) == label && (include_self || v != e))
                                 .filter_map(|v| dist(v).map(|d| (v, d)))
                                 .collect();
                             out.sort_unstable_by_key(|&(v, d)| (d, v));
@@ -545,8 +560,9 @@ fn truncated_meta_document_images_are_decode_errors() {
     );
     let labels = arb_labels(&g, 4);
     for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-        let (index, _) = MetaIndex::build(kind, &g, &labels, 1);
-        let mut md = MetaDocument::new((100..124).collect(), index);
+        let mut nodes: Vec<u32> = (100..124).collect();
+        let (index, _) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+        let mut md = MetaDocument::new(nodes, index);
         md.set_anchors(vec![3, 11, 20], vec![5, 22]);
         let image = pagestore::to_bytes(&md).unwrap();
         let back: MetaDocument = pagestore::from_bytes(&image).unwrap();
