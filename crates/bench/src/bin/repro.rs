@@ -20,6 +20,8 @@
 //! whether one of the paper's relations holds on the rows above it. Timing
 //! is `flixbench/`'s job.
 
+#![forbid(unsafe_code)]
+
 use bench::{Paper, EXPERIMENTS};
 use flixcheck::IntegrityCheck;
 

@@ -3,8 +3,8 @@
 //! [`lex`] splits a source file into a complete token stream: every byte of
 //! the input belongs to exactly one token, so concatenating the token texts
 //! reproduces the file. It is flixcheck's only view of a source file: the
-//! parser in [`crate::parse`], the concurrency extractor in [`crate::conc`]
-//! and every rule in [`crate::lint`] work on this stream.
+//! parser in [`crate::parse`] and every rule in [`crate::lint`] work on this
+//! stream.
 
 /// What a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -10,8 +10,6 @@
 //!
 //! * `unwrap-expect` — no `.unwrap()` / `.expect(` outside tests.
 //! * `panic` — no `panic!` / `todo!` / `unimplemented!` in library code.
-//! * `unsafe` — no `unsafe` (the crate roots `forbid(unsafe_code)`;
-//!   examples and `repro` are roots without one).
 //! * `instant-now` — `Instant::now()` and `SystemTime::now()` only inside
 //!   the `obs` crate: all other code must time through
 //!   `flixobs::Stopwatch`, so measurements cannot bypass the
@@ -33,12 +31,12 @@
 //!   workspace fn that returns `Result`.
 //! * `atomic-ordering` — bare `Ordering::Relaxed` outside the `obs` crate
 //!   (whose counters are the sanctioned relaxed hot path).
-//! * `lock-order` / `blocking-while-locked` — the cross-file concurrency
-//!   model of [`crate::conc`]: lock-order-graph cycles and blocking
-//!   operations performed while a lock guard is live.
 //!
-//! Undocumented public items are the compiler's business: every crate root
-//! carries `#![deny(missing_docs)]`.
+//! Every rule looks at one file; the one thing shared across files is the
+//! registry of workspace fn names that return `Result`, which
+//! `swallowed-result` consults. What the compiler checks stays with the
+//! compiler: every crate root, binary and example carries
+//! `#![forbid(unsafe_code)]`, and every crate root `#![deny(missing_docs)]`.
 //!
 //! A finding is excused in one way, an **inline suppression** on the
 //! offending line or the line above:
@@ -50,10 +48,8 @@
 //! The reason is mandatory, and a suppression that matches no diagnostic
 //! is itself a `suppression` diagnostic, so stale ones cannot linger.
 //!
-//! Diagnostics are machine readable: `path:line: rule: message` (see also
-//! [`crate::sarif`] for SARIF 2.1.0 output).
+//! Diagnostics are machine readable: `path:line: rule: message`.
 
-use crate::conc;
 use crate::lex::{lex, line_of, TokKind, Token};
 use crate::parse::{parse, ParsedFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,7 +83,6 @@ const FORBIDDEN: &[(Rule, &[&str])] = &[
     (Rule::Panic, &["panic", "!"]),
     (Rule::Panic, &["todo", "!"]),
     (Rule::Panic, &["unimplemented", "!"]),
-    (Rule::Unsafe, &["unsafe"]),
     // Both raw clocks bypass the obs layer: `Instant::now()` dodges
     // `Stopwatch` (so the measurement is invisible to traces and the
     // flight recorder), and `SystemTime::now()` additionally isn't
@@ -118,13 +113,12 @@ fn forbidden_message(rule: Rule, pat: &str) -> String {
             "`{pat}` builds an unbounded channel; use a bounded queue so overload sheds \
              instead of buffering without limit"
         ),
-        Rule::UnsyncedWrite => format!(
+        // `Rule::UnsyncedWrite`, the last table rule.
+        _ => format!(
             "`{pat}..)` writes a file with no fsync or atomic-rename behind it; durable \
              state belongs in pagestore's disk/WAL/manifest layer — suppress with a \
              reason if this is a non-durable artifact"
         ),
-        // `Rule::Unsafe`, the one table rule left.
-        _ => format!("`{pat}` in a workspace whose crates forbid unsafe code"),
     }
 }
 
@@ -148,18 +142,12 @@ pub enum Rule {
     UnwrapExpect,
     /// `panic!` / `todo!` / `unimplemented!` in library code.
     Panic,
-    /// The `unsafe` keyword.
-    Unsafe,
     /// `Instant::now()` or `SystemTime::now()` outside the `obs` crate
     /// (use `flixobs::Stopwatch`).
     InstantNow,
     /// `unbounded()` / `mpsc::channel()` channel construction (bounded
     /// queues only on hot paths).
     UnboundedChannel,
-    /// Cycle in the workspace lock-order graph (potential deadlock).
-    LockOrder,
-    /// Blocking operation while a lock guard is live.
-    BlockingWhileLocked,
     /// Narrowing `as` cast on a length/index-shaped value.
     CastTruncation,
     /// `let _ =` discarding a known-fallible call's `Result`.
@@ -174,15 +162,12 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Every rule, in diagnostic-name order (used for SARIF metadata).
+    /// Every rule, in declaration order.
     pub const ALL: &'static [Rule] = &[
         Rule::UnwrapExpect,
         Rule::Panic,
-        Rule::Unsafe,
         Rule::InstantNow,
         Rule::UnboundedChannel,
-        Rule::LockOrder,
-        Rule::BlockingWhileLocked,
         Rule::CastTruncation,
         Rule::SwallowedResult,
         Rule::AtomicOrdering,
@@ -195,11 +180,8 @@ impl Rule {
         match self {
             Rule::UnwrapExpect => "unwrap-expect",
             Rule::Panic => "panic",
-            Rule::Unsafe => "unsafe",
             Rule::InstantNow => "instant-now",
             Rule::UnboundedChannel => "unbounded-channel",
-            Rule::LockOrder => "lock-order",
-            Rule::BlockingWhileLocked => "blocking-while-locked",
             Rule::CastTruncation => "cast-truncation",
             Rule::SwallowedResult => "swallowed-result",
             Rule::AtomicOrdering => "atomic-ordering",
@@ -254,10 +236,6 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// True if the workspace lock-order graph contains a cycle.
-    pub lock_graph_cyclic: bool,
-    /// Lock-order edges observed (for reporting/debugging).
-    pub lock_edges: Vec<conc::LockEdge>,
 }
 
 impl LintReport {
@@ -280,7 +258,7 @@ struct Suppression {
 }
 
 /// Locates the workspace root by walking up from `CARGO_MANIFEST_DIR`
-/// (set by cargo for both `cargo run` and `cargo test`) or the current
+/// (set by cargo under `cargo test`) or the current
 /// directory, whichever first contains `Cargo.toml` and a `crates/` dir.
 pub fn find_workspace_root() -> Option<PathBuf> {
     let mut candidates: Vec<PathBuf> = Vec::new();
@@ -320,25 +298,22 @@ pub fn run(root: &Path) -> Result<LintReport, io::Error> {
         let src = fs::read_to_string(file)?;
         sources.push((rel, src));
     }
-    let (diagnostics, cyclic, edges) = analyze_sources(&sources);
     Ok(LintReport {
-        diagnostics,
+        diagnostics: analyze_sources(&sources),
         files_scanned: files.len(),
-        lock_graph_cyclic: cyclic,
-        lock_edges: edges,
     })
 }
 
 /// Lints a single file given its workspace-relative path and raw source:
 /// the full pipeline of [`run`] over a workspace of one file.
 pub fn lint_file(rel_path: &str, src: &str) -> Vec<Diagnostic> {
-    analyze_sources(&[(rel_path.to_string(), src.to_string())]).0
+    analyze_sources(&[(rel_path.to_string(), src.to_string())])
 }
 
 /// The analysis core: every rule over every source, with inline
 /// suppressions applied. Returns the diagnostics, sorted by path then
-/// line, plus the lock-order graph verdict.
-fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<conc::LockEdge>) {
+/// line.
+fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
     struct Prepared {
         tokens: Vec<Token>,
         parsed: ParsedFile,
@@ -380,19 +355,6 @@ fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<
         );
     }
 
-    let units: Vec<conc::SourceUnit<'_>> = sources
-        .iter()
-        .zip(&prepared)
-        .map(|((rel, src), p)| conc::SourceUnit {
-            path: rel,
-            src,
-            tokens: &p.tokens,
-            parsed: &p.parsed,
-        })
-        .collect();
-    let conc_report = conc::analyze(&units);
-    diagnostics.extend(conc_report.diagnostics);
-
     // Apply inline suppressions: a comment on line L silences matching
     // diagnostics on lines L and L+1 of the same file.
     diagnostics.retain(|d| {
@@ -424,7 +386,7 @@ fn analyze_sources(sources: &[(String, String)]) -> (Vec<Diagnostic>, bool, Vec<
     }
 
     diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    (diagnostics, conc_report.cyclic, conc_report.edges)
+    diagnostics
 }
 
 /// Parses every `// flixcheck: allow(<rule>): <reason>` comment in the
@@ -778,14 +740,12 @@ mod tests {
 
     #[test]
     fn cfg_test_item_behind_restricted_visibility_is_test_code() {
-        let body = "pub struct S { a: Mutex<u32>, b: Mutex<u32>, tx: Sender<u32> }\n\
+        let body = "pub struct S { tx: Sender<u32> }\n\
                     impl S {\n\
-                    fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n\
-                    fn ba(&self) { let gb = self.b.lock(); let ga = self.a.lock(); }\n\
                     fn f(&self, x: R) { x.unwrap(); let _ = self.tx.send(1); }\n\
                     }\n";
         let fired = lint_file("crates/demo/src/lib.rs", body);
-        for rule in [Rule::UnwrapExpect, Rule::SwallowedResult, Rule::LockOrder] {
+        for rule in [Rule::UnwrapExpect, Rule::SwallowedResult] {
             assert!(fired.iter().any(|d| d.rule == rule), "{rule}: {fired:?}");
         }
         // Inside the module nothing fires, and a suppression there is
@@ -812,15 +772,6 @@ mod tests {
         let src = "// call .unwrap() never\nfn f() { let s = \"panic!\"; }\n";
         let diags = lint_file("crates/demo/src/lib.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn flags_unsafe_keyword_but_not_unsafe_code_ident() {
-        let src = "#![forbid(unsafe_code)]\nfn f() { unsafe { () } }\n";
-        let diags = lint_file("crates/demo/src/lib.rs", src);
-        let unsafes: Vec<_> = diags.iter().filter(|d| d.rule == Rule::Unsafe).collect();
-        assert_eq!(unsafes.len(), 1);
-        assert_eq!(unsafes[0].line, 2);
     }
 
     #[test]
@@ -1088,9 +1039,15 @@ mod tests {
 
     #[test]
     fn unknown_rule_in_suppression_is_a_diagnostic() {
-        // Twelve rules stay; a retired name is unknown like any other.
-        assert_eq!(Rule::ALL.len(), 12);
-        for name in ["no-such-rule", "missing-docs"] {
+        // Nine rules stay; a retired name is unknown like any other.
+        assert_eq!(Rule::ALL.len(), 9);
+        for name in [
+            "no-such-rule",
+            "missing-docs",
+            "unsafe",
+            "lock-order",
+            "blocking-while-locked",
+        ] {
             assert!(Rule::ALL.iter().all(|r| r.name() != name));
             let src = format!("// flixcheck: allow({name}): whatever\nfn f() {{}}\n");
             let diags = lint_file("crates/demo/src/lib.rs", &src);
@@ -1119,61 +1076,5 @@ mod tests {
                 .any(|d| d.rule == Rule::Suppression && d.message.contains("matched no")),
             "{diags:?}"
         );
-    }
-
-    // ------------------------------------------------------------------
-    // Concurrency rules through the full pipeline.
-
-    #[test]
-    fn lock_order_cycle_fires_and_suppression_silences_it() {
-        let bad = "pub struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
-                   impl S {\n\
-                   fn ab(&self) { let ga = self.a.lock(); let gb = self.b.lock(); }\n\
-                   fn ba(&self) { let gb = self.b.lock(); let ga = self.a.lock(); }\n\
-                   }\n";
-        let diags = lint_file("crates/demo/src/lib.rs", bad);
-        assert!(diags.iter().any(|d| d.rule == Rule::LockOrder), "{diags:?}");
-
-        let suppressed = "pub struct S { a: Mutex<u32>, b: Mutex<u32> }\n\
-                   impl S {\n\
-                   fn ab(&self) {\n\
-                   let ga = self.a.lock();\n\
-                   // flixcheck: allow(blocking-while-locked): startup only, single thread\n\
-                   // flixcheck: allow(lock-order): startup only, single thread\n\
-                   let gb = self.b.lock();\n\
-                   }\n\
-                   fn ba(&self) {\n\
-                   let gb = self.b.lock();\n\
-                   // flixcheck: allow(blocking-while-locked): startup only, single thread\n\
-                   // flixcheck: allow(lock-order): startup only, single thread\n\
-                   let ga = self.a.lock();\n\
-                   }\n\
-                   }\n";
-        let diags = lint_file("crates/demo/src/lib.rs", suppressed);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn blocking_while_locked_fires_and_suppression_silences_it() {
-        let bad = "pub struct S { m: Mutex<u32>, tx: Sender<u32> }\n\
-                   impl S {\n\
-                   fn f(&self) { let g = self.m.lock(); self.tx.send(1); }\n\
-                   }\n";
-        let diags = lint_file("crates/demo/src/lib.rs", bad);
-        assert!(
-            diags.iter().any(|d| d.rule == Rule::BlockingWhileLocked),
-            "{diags:?}"
-        );
-
-        let ok = "pub struct S { m: Mutex<u32>, tx: Sender<u32> }\n\
-                   impl S {\n\
-                   fn f(&self) {\n\
-                   let g = self.m.lock();\n\
-                   // flixcheck: allow(blocking-while-locked): channel has dedicated drainer\n\
-                   self.tx.send(1);\n\
-                   }\n\
-                   }\n";
-        let diags = lint_file("crates/demo/src/lib.rs", ok);
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

@@ -1,74 +1,29 @@
 //! A lightweight Rust item parser on top of [`crate::lex`].
 //!
 //! This is not a full grammar: it recognises exactly the structure the
-//! analysis passes need — `struct` fields (to find lock declarations),
-//! `static` items, `impl` blocks (to resolve `self.field`), and `fn`
-//! items with their body token ranges and test-ness (`#[cfg(test)]` /
-//! `#[test]`), tracking brace depth so nothing inside a body is mistaken
-//! for an item. Everything it cannot classify is skipped, never an error:
-//! the linter must degrade gracefully on code it does not understand.
+//! lint rules need — which bytes are test code (`#[cfg(test)]` items and
+//! `#[test]` fns) and which `fn` items return `Result` — tracking brace
+//! depth so nothing inside a body is mistaken for an item. Everything it
+//! cannot classify is skipped, never an error: the linter must degrade
+//! gracefully on code it does not understand.
 
-use crate::lex::{lex, line_of, Token};
+use crate::lex::{lex, Token};
 use std::ops::Range;
-
-/// A `Mutex`/`RwLock` kind, for lock-class bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// `std::sync::Mutex` or `parking_lot::Mutex`.
-    Mutex,
-    /// `std::sync::RwLock` or `parking_lot::RwLock`.
-    RwLock,
-}
-
-/// A struct field whose type embeds a lock.
-#[derive(Debug, Clone)]
-pub struct LockField {
-    /// Name of the struct declaring the field.
-    pub struct_name: String,
-    /// The field name.
-    pub field: String,
-    /// Mutex or RwLock.
-    pub kind: LockKind,
-    /// 1-indexed declaration line.
-    pub line: usize,
-}
-
-/// A `static` item whose type embeds a lock.
-#[derive(Debug, Clone)]
-pub struct LockStatic {
-    /// The static's name.
-    pub name: String,
-    /// Mutex or RwLock.
-    pub kind: LockKind,
-    /// 1-indexed declaration line.
-    pub line: usize,
-}
 
 /// A function item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
     /// The function name.
     pub name: String,
-    /// Enclosing `impl` type, if the fn sits in an impl block.
-    pub impl_type: Option<String>,
-    /// Token-index range (into the parse's token vec) of the body,
-    /// including the outer braces. `None` for trait-method signatures.
-    pub body: Option<(usize, usize)>,
     /// True if the fn (or an enclosing item) is test-only.
     pub in_test: bool,
     /// True if the declared return type mentions `Result`.
     pub returns_result: bool,
-    /// 1-indexed line of the `fn` keyword.
-    pub line: usize,
 }
 
 /// The parsed view of one source file.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedFile {
-    /// Lock-typed struct fields declared in this file.
-    pub lock_fields: Vec<LockField>,
-    /// Lock-typed statics declared in this file.
-    pub lock_statics: Vec<LockStatic>,
     /// Every `fn` item found.
     pub fns: Vec<FnItem>,
     /// Byte ranges covered by `#[cfg(test)]` items or `#[test]` fns.
@@ -131,7 +86,7 @@ impl<'s> Parser<'s> {
     fn run(mut self) -> ParsedFile {
         let len = self.sig.len();
         let mut cursor = 0usize;
-        self.items(&mut cursor, len, None, false);
+        self.items(&mut cursor, len, false);
         self.out
     }
 
@@ -143,13 +98,9 @@ impl<'s> Parser<'s> {
         self.tokens[self.sig[sig_idx]].start
     }
 
-    fn line(&self, sig_idx: usize) -> usize {
-        line_of(self.src, self.start(sig_idx))
-    }
-
-    /// Parses a run of items until `end` (significant-token index),
-    /// inside `impl_type` context, with `in_test` inherited.
-    fn items(&mut self, cursor: &mut usize, end: usize, impl_type: Option<&str>, in_test: bool) {
+    /// Parses a run of items until `end` (significant-token index), with
+    /// `in_test` inherited.
+    fn items(&mut self, cursor: &mut usize, end: usize, in_test: bool) {
         let mut attrs: Vec<Attr> = Vec::new();
         while *cursor < end {
             let t = self.text(*cursor);
@@ -166,27 +117,21 @@ impl<'s> Parser<'s> {
                     self.close_test_region(item_test, in_test, item_start, *cursor);
                     attrs.clear();
                 }
-                "impl" => {
-                    let item_test = in_test || attrs_mark_test(&attrs);
-                    let item_start = attrs.first().map_or(self.start(*cursor), |a| a.start);
-                    self.impl_item(cursor, end, item_test);
-                    self.close_test_region(item_test, in_test, item_start, *cursor);
-                    attrs.clear();
-                }
                 "fn" => {
                     let item_test = in_test || attrs_mark_test(&attrs);
                     let item_start = attrs.first().map_or(self.start(*cursor), |a| a.start);
-                    self.fn_item(cursor, end, impl_type, item_test);
+                    self.fn_item(cursor, end, item_test);
                     self.close_test_region(item_test, in_test, item_start, *cursor);
                     attrs.clear();
                 }
                 "static" | "const" => {
-                    self.static_item(cursor, end, t == "static");
+                    self.static_item(cursor, end);
                     attrs.clear();
                 }
-                "mod" | "trait" => {
-                    // `mod name { items }` / `trait T { sigs }`: recurse into
-                    // the braces with the same impl context cleared.
+                "mod" | "trait" | "impl" => {
+                    // `mod name { items }` / `trait T { sigs }` /
+                    // `impl [<..>] Type [for Type] { items }`: recurse into
+                    // the braces.
                     let item_test = in_test || attrs_mark_test(&attrs);
                     let item_start = attrs.first().map_or(self.start(*cursor), |a| a.start);
                     *cursor += 1;
@@ -194,7 +139,7 @@ impl<'s> Parser<'s> {
                     if *cursor < end && self.text(*cursor) == "{" {
                         let body_end = self.matching_brace(*cursor, end);
                         *cursor += 1;
-                        self.items(cursor, body_end, None, item_test);
+                        self.items(cursor, body_end, item_test);
                         *cursor = (body_end + 1).min(end);
                     }
                     self.close_test_region(item_test, in_test, item_start, *cursor);
@@ -279,164 +224,43 @@ impl<'s> Parser<'s> {
         out
     }
 
-    /// Parses `struct Name { fields }` (or tuple/unit structs), recording
-    /// lock-typed fields.
-    fn struct_item(&mut self, cursor: &mut usize, end: usize) {
+    /// Skips `struct Name { fields }`, a tuple struct or a unit struct.
+    fn struct_item(&self, cursor: &mut usize, end: usize) {
         *cursor += 1; // `struct`
-        if *cursor >= end {
-            return;
-        }
-        let name = self.text(*cursor).to_string();
-        *cursor += 1;
         self.skip_to_body_or_semi(cursor, end);
-        if *cursor >= end || self.text(*cursor) != "{" {
+        if *cursor < end && self.text(*cursor) == "{" {
+            *cursor = self.matching_brace(*cursor, end);
+        } else {
             // Tuple or unit struct: already positioned at `(`/`;`; skip on.
             while *cursor < end && self.text(*cursor) != ";" {
                 *cursor += 1;
             }
-            *cursor = (*cursor + 1).min(end);
-            return;
-        }
-        let body_end = self.matching_brace(*cursor, end);
-        let mut i = *cursor + 1;
-        // Fields: [attrs] [pub[(..)]] name : Type ,
-        while i < body_end {
-            let t = self.text(i);
-            if t == "#" {
-                let mut c = i;
-                self.attr_text(&mut c, body_end);
-                i = c;
-                continue;
-            }
-            if t == "pub" {
-                i += 1;
-                if i < body_end && self.text(i) == "(" {
-                    i = self.matching(i, body_end, "(", ")") + 1;
-                }
-                continue;
-            }
-            // Expect `name :`.
-            if i + 1 < body_end && self.text(i + 1) == ":" && is_ident(t) {
-                let field = t.to_string();
-                let line = self.line(i);
-                let mut j = i + 2;
-                let mut ty = String::new();
-                let mut depth = 0i32;
-                while j < body_end {
-                    let tt = self.text(j);
-                    match tt {
-                        "<" | "(" | "[" => depth += 1,
-                        ">" | ")" | "]" => depth -= 1,
-                        "," if depth <= 0 => break,
-                        _ => {}
-                    }
-                    ty.push_str(tt);
-                    ty.push(' ');
-                    j += 1;
-                }
-                if let Some(kind) = lock_kind_of(&ty) {
-                    self.out.lock_fields.push(LockField {
-                        struct_name: name.clone(),
-                        field,
-                        kind,
-                        line,
-                    });
-                }
-                i = (j + 1).min(body_end);
-            } else {
-                i += 1;
-            }
-        }
-        *cursor = (body_end + 1).min(end);
-    }
-
-    /// Parses `static NAME: Type = ...;` recording lock-typed statics;
-    /// `const` items are skipped the same way without recording.
-    fn static_item(&mut self, cursor: &mut usize, end: usize, record: bool) {
-        *cursor += 1; // `static` / `const`
-        if *cursor < end && self.text(*cursor) == "mut" {
-            *cursor += 1;
-        }
-        if *cursor >= end {
-            return;
-        }
-        let name = self.text(*cursor).to_string();
-        let line = self.line(*cursor);
-        *cursor += 1;
-        let mut ty = String::new();
-        if *cursor < end && self.text(*cursor) == ":" {
-            *cursor += 1;
-            let mut depth = 0i32;
-            while *cursor < end {
-                let t = self.text(*cursor);
-                match t {
-                    "<" | "(" | "[" => depth += 1,
-                    ">" | ")" | "]" => depth -= 1,
-                    "=" | ";" if depth <= 0 => break,
-                    _ => {}
-                }
-                ty.push_str(t);
-                ty.push(' ');
-                *cursor += 1;
-            }
-        }
-        while *cursor < end && self.text(*cursor) != ";" {
-            // Initializer expressions can contain braces (e.g. closures):
-            // skip balanced groups wholesale.
-            if self.text(*cursor) == "{" {
-                *cursor = self.matching_brace(*cursor, end);
-            }
-            *cursor += 1;
         }
         *cursor = (*cursor + 1).min(end);
-        if record {
-            if let Some(kind) = lock_kind_of(&ty) {
-                self.out.lock_statics.push(LockStatic { name, kind, line });
-            }
-        }
     }
 
-    /// Parses `impl [<..>] Type [for Type] { items }`.
-    fn impl_item(&mut self, cursor: &mut usize, end: usize, in_test: bool) {
-        *cursor += 1; // `impl`
-                      // Collect header tokens until the body `{` (or `;`), tracking the
-                      // last path segment seen and whether a `for` occurred: for trait
-                      // impls the *implementing* type follows `for`.
-        let mut last_seg: Option<String> = None;
+    /// Skips `static NAME: Type = ...;` and `const` items.
+    fn static_item(&self, cursor: &mut usize, end: usize) {
+        *cursor += 2; // `static` / `const` and the name (or `mut`)
         let mut depth = 0i32;
-        let mut in_where = false;
         while *cursor < end {
-            let t = self.text(*cursor);
-            match t {
-                "<" | "(" | "[" => depth += 1,
-                ">" | ")" | "]" => depth -= 1,
-                "{" if depth <= 0 => break,
-                ";" if depth <= 0 => {
-                    *cursor += 1;
-                    return;
-                }
-                "for" if depth <= 0 => last_seg = None,
-                "where" if depth <= 0 => in_where = true,
-                _ if depth <= 0 && !in_where && is_ident(t) && t != "dyn" => {
-                    last_seg = Some(t.to_string());
-                }
+            match self.text(*cursor) {
+                // Not `<`/`>`: an initializer may shift or compare.
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                // Initializer expressions can contain braces (e.g. closures):
+                // skip balanced groups wholesale.
+                "{" => *cursor = self.matching_brace(*cursor, end),
+                ";" if depth <= 0 => break,
                 _ => {}
             }
             *cursor += 1;
         }
-        if *cursor >= end {
-            return;
-        }
-        let body_end = self.matching_brace(*cursor, end);
-        *cursor += 1;
-        let ty = last_seg;
-        self.items(cursor, body_end, ty.as_deref(), in_test);
-        *cursor = (body_end + 1).min(end);
+        *cursor = (*cursor + 1).min(end);
     }
 
     /// Parses `fn name(..) -> Ret { body }`, recording the item.
-    fn fn_item(&mut self, cursor: &mut usize, end: usize, impl_type: Option<&str>, in_test: bool) {
-        let fn_line = self.line(*cursor);
+    fn fn_item(&mut self, cursor: &mut usize, end: usize, in_test: bool) {
         *cursor += 1; // `fn`
         if *cursor >= end {
             return;
@@ -464,11 +288,8 @@ impl<'s> Parser<'s> {
                 *cursor += 1;
                 self.out.fns.push(FnItem {
                     name,
-                    impl_type: impl_type.map(str::to_string),
-                    body: None,
                     in_test,
                     returns_result,
-                    line: fn_line,
                 });
                 return;
             }
@@ -487,22 +308,14 @@ impl<'s> Parser<'s> {
             return;
         }
         let body_end = self.matching_brace(*cursor, end);
-        let body = Some((
-            self.sig[*cursor],
-            self.sig[body_end.min(self.sig.len() - 1)],
-        ));
-        // Recurse for nested items (closures' fns, nested mods are rare but
-        // `impl` blocks never nest in bodies; nested `fn` items do appear).
+        // Recurse for nested items: nested `fn` items do appear in bodies.
         let mut inner = *cursor + 1;
-        self.items(&mut inner, body_end, impl_type, in_test);
+        self.items(&mut inner, body_end, in_test);
         *cursor = (body_end + 1).min(end);
         self.out.fns.push(FnItem {
             name,
-            impl_type: impl_type.map(str::to_string),
-            body,
             in_test,
             returns_result,
-            line: fn_line,
         });
     }
 
@@ -568,35 +381,6 @@ impl<'s> Parser<'s> {
     }
 }
 
-/// True if `t` looks like an identifier token.
-fn is_ident(t: &str) -> bool {
-    t.chars()
-        .next()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_')
-}
-
-/// Detects a lock type in rendered type text (`Mutex < .. >`).
-fn lock_kind_of(ty: &str) -> Option<LockKind> {
-    for (needle, kind) in [("Mutex", LockKind::Mutex), ("RwLock", LockKind::RwLock)] {
-        let mut search = 0;
-        while let Some(found) = ty[search..].find(needle) {
-            let at = search + found;
-            let before_ok = at == 0
-                || !ty[..at]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            let after = ty[at + needle.len()..].chars().next();
-            let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-            if before_ok && after_ok {
-                return Some(kind);
-            }
-            search = at + needle.len();
-        }
-    }
-    None
-}
-
 /// True if any attribute marks the item test-only.
 fn attrs_mark_test(attrs: &[Attr]) -> bool {
     attrs.iter().any(|a| {
@@ -612,57 +396,6 @@ fn attrs_mark_test(attrs: &[Attr]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn finds_lock_fields_and_statics() {
-        let src = "pub struct Pool {\n\
-                       inner: Mutex<PoolInner>,\n\
-                       pub map: RwLock<HashMap<u32, u32>>,\n\
-                       count: usize,\n\
-                   }\n\
-                   static REGISTRY: parking_lot::Mutex<Vec<u8>> = Mutex::new(Vec::new());\n";
-        let (_, parsed) = parse_source(src);
-        assert_eq!(parsed.lock_fields.len(), 2, "{:?}", parsed.lock_fields);
-        assert_eq!(parsed.lock_fields[0].struct_name, "Pool");
-        assert_eq!(parsed.lock_fields[0].field, "inner");
-        assert_eq!(parsed.lock_fields[0].kind, LockKind::Mutex);
-        assert_eq!(parsed.lock_fields[1].field, "map");
-        assert_eq!(parsed.lock_fields[1].kind, LockKind::RwLock);
-        assert_eq!(parsed.lock_statics.len(), 1);
-        assert_eq!(parsed.lock_statics[0].name, "REGISTRY");
-    }
-
-    #[test]
-    fn mutex_guard_field_is_not_a_lock() {
-        let src = "struct Held<'a> { g: MutexGuard<'a, u32>, r: RwLockReadGuard<'a, u8> }";
-        let (_, parsed) = parse_source(src);
-        assert!(parsed.lock_fields.is_empty(), "{:?}", parsed.lock_fields);
-    }
-
-    #[test]
-    fn resolves_impl_context_and_fn_bodies() {
-        let src = "impl Pool {\n\
-                       pub fn get(&self) -> u32 { self.inner.lock().n }\n\
-                       fn put(&self) {}\n\
-                   }\n\
-                   impl Drop for Pool { fn drop(&mut self) {} }\n\
-                   fn free() -> Result<(), E> { Ok(()) }\n";
-        let (_, parsed) = parse_source(src);
-        let names: Vec<_> = parsed
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.impl_type.as_deref()))
-            .collect();
-        assert!(names.contains(&("get", Some("Pool"))));
-        assert!(names.contains(&("put", Some("Pool"))));
-        assert!(names.contains(&("drop", Some("Pool"))));
-        assert!(names.contains(&("free", None)));
-        let free = parsed.fns.iter().find(|f| f.name == "free").expect("free");
-        assert!(free.returns_result);
-        let get = parsed.fns.iter().find(|f| f.name == "get").expect("get");
-        assert!(!get.returns_result);
-        assert!(get.body.is_some());
-    }
 
     #[test]
     fn cfg_test_items_marked() {
@@ -723,21 +456,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trait_impl_type_is_the_implementing_type() {
-        let src = "impl fmt::Display for Diagnostic { fn fmt(&self) {} }";
-        let (_, parsed) = parse_source(src);
-        assert_eq!(parsed.fns[0].impl_type.as_deref(), Some("Diagnostic"));
-    }
-
-    #[test]
-    fn generic_impl_resolves_base_type() {
-        let src = "impl<T: Clone> Cache<T> { fn get(&self) {} }";
-        let (_, parsed) = parse_source(src);
-        // The last depth-0 path segment before `{` wins; generics on the
-        // type are nested and skipped.
-        assert_eq!(parsed.fns[0].impl_type.as_deref(), Some("Cache"));
     }
 }

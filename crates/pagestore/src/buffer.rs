@@ -635,4 +635,84 @@ mod tests {
         }
         assert!(p.integrity_check().is_err());
     }
+
+    /// Four threads share one pool smaller than their pages, so eviction
+    /// write-back and `flush_all` run under the pool latch while the disk
+    /// takes its own lock (pool before disk, the order DESIGN.md §9
+    /// records). Each thread owns four pages and appends one record per
+    /// round to one of them; it also reads the others' pages and flushes
+    /// now and then. Every thread must finish, and after a final flush
+    /// every page must hold exactly its owner's records, in order.
+    #[test]
+    fn threads_share_a_pool_smaller_than_their_pages() {
+        const THREADS: usize = 4;
+        const PAGES_EACH: usize = 4;
+        const ROUNDS: usize = 60;
+
+        fn hammer(disk: Arc<dyn DiskManager>) {
+            let pool = Arc::new(BufferPool::new(disk.clone(), 3));
+            let ids: Arc<Vec<PageId>> =
+                Arc::new((0..THREADS * PAGES_EACH).map(|_| pool.allocate()).collect());
+            let (done_tx, done_rx) = std::sync::mpsc::sync_channel(THREADS);
+            let start = Arc::new(std::sync::Barrier::new(THREADS));
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (pool, ids, done_tx) = (pool.clone(), ids.clone(), done_tx.clone());
+                    let start = start.clone();
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for round in 0..ROUNDS {
+                            let own = ids[t * PAGES_EACH + round % PAGES_EACH];
+                            pool.with_page_mut(own, |pg| {
+                                pg.insert(format!("{t}:{round}").as_bytes()).unwrap();
+                            });
+                            let other = ids[(round * 7 + t) % ids.len()];
+                            pool.with_page(other, |pg| {
+                                assert!(pg.records().all(|(_, r)| r.contains(&b':')));
+                            });
+                            if round % 9 == t {
+                                pool.flush_all().unwrap();
+                            }
+                        }
+                        done_tx.send(t).unwrap();
+                    })
+                })
+                .collect();
+            drop(done_tx);
+            for _ in 0..THREADS {
+                use std::sync::mpsc::RecvTimeoutError;
+                match done_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+                    Ok(_) => {}
+                    Err(RecvTimeoutError::Timeout) => panic!("a thread did not finish: deadlock?"),
+                    // A worker panicked; its join below reports why.
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            pool.flush_all().unwrap();
+            assert!(pool.pool_stats().evictions > 0, "the pool never evicted");
+            for (i, &id) in ids.iter().enumerate() {
+                let (t, slot) = (i / PAGES_EACH, i % PAGES_EACH);
+                let want: Vec<Vec<u8>> = (slot..ROUNDS)
+                    .step_by(PAGES_EACH)
+                    .map(|round| format!("{t}:{round}").into_bytes())
+                    .collect();
+                let on_disk = disk.read_page(id);
+                let got: Vec<Vec<u8>> = on_disk.records().map(|(_, r)| r.to_vec()).collect();
+                assert_eq!(got, want, "page {id} on disk");
+                let last = pool.with_page(id, |pg| pg.records().last().map(|(_, r)| r.to_vec()));
+                assert_eq!(last.as_ref(), want.last(), "page {id} through the pool");
+            }
+        }
+
+        hammer(Arc::new(MemDisk::new()));
+        let dir = std::env::temp_dir().join(format!("pagestore-pool-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pool.db");
+        let _ = std::fs::remove_file(&path);
+        hammer(Arc::new(crate::disk::FileDisk::open(&path).unwrap()));
+        std::fs::remove_file(&path).unwrap();
+    }
 }

@@ -84,7 +84,7 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn expect(&mut self, s: &str) -> Result<(), ParseError> {
+    fn require(&mut self, s: &str) -> Result<(), ParseError> {
         if self.eat(s) {
             Ok(())
         } else {
@@ -250,8 +250,7 @@ pub fn parse_document(
         } else if sc.eat("</") {
             let tag = sc.name()?.to_string();
             sc.skip_ws();
-            // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
-            sc.expect(">")?;
+            sc.require(">")?;
             match stack.pop() {
                 Some((_, open)) if open == tag => {}
                 Some((_, open)) => {
@@ -281,15 +280,13 @@ pub fn parse_document(
                     }
                     Some(b'/') => {
                         sc.pos += 1;
-                        // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
-                        sc.expect(">")?;
+                        sc.require(">")?;
                         break;
                     }
                     Some(b) if is_name_start(b) => {
                         let attr = sc.name()?.to_string();
                         sc.skip_ws();
-                        // flixcheck: allow(unwrap-expect): false positive: the parser's own Scanner::expect, which returns a Result
-                        sc.expect("=")?;
+                        sc.require("=")?;
                         sc.skip_ws();
                         let quote = match sc.bump() {
                             Some(q @ (b'"' | b'\'')) => q,

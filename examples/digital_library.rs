@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example digital_library`
 
+#![forbid(unsafe_code)]
+
 use flix::{Flix, FlixConfig, QueryOptions, ResultStream, StrategyKind};
 use flixobs::Stopwatch;
 use std::sync::Arc;

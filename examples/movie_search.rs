@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --example movie_search`
 
+#![forbid(unsafe_code)]
+
 use flix::{Flix, FlixConfig, PathQuery, QueryEngine, TagSimilarity};
 use std::sync::Arc;
 use xmlgraph::{parse_document, Collection, LinkSpec};

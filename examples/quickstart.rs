@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+#![forbid(unsafe_code)]
+
 use flix::{Flix, FlixConfig, QueryOptions};
 use std::sync::Arc;
 use xmlgraph::{parse_document, Collection, LinkSpec};

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example search_engine`
 
+#![forbid(unsafe_code)]
+
 use flix::{
     CachedFlix, Flix, FlixConfig, LoadMonitor, PathQuery, QueryEngine, QueryOptions,
     Recommendation, TagSimilarity,

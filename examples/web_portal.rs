@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example web_portal`
 
+#![forbid(unsafe_code)]
+
 use flix::persist::{load_flix, save_flix};
 use flix::{Flix, FlixConfig, QueryOptions};
 use pagestore::{BlobStore, BufferPool, FileDisk};
