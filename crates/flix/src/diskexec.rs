@@ -443,9 +443,9 @@ mod tests {
         assert!(err.contains("index order"), "{err}");
     }
 
-    /// Same for a meta document as the parent build saved it — every array
-    /// behind an element count, no format word — under each strategy, and
-    /// for such a manifest at `open`.
+    /// Same for a meta document as builds before "FLT1" saved it — every
+    /// array behind an element count, no format word — under each
+    /// strategy, and for such a manifest at `open`.
     #[test]
     fn count_prefixed_image_mid_query_is_an_error_not_a_partial_answer() {
         use persist::mirror::{count_prefixed, CountedManifest, CountedMeta};
@@ -606,8 +606,8 @@ mod tests {
         }
     }
 
-    /// Same for a PPO meta document as the parent build saved it — numbered
-    /// by element, six arrays, "FLT1" — and for one whose arrays would send
+    /// Same for a PPO meta document as the "FLT1" build saved it — numbered
+    /// by element, six arrays — and for one whose arrays would send
     /// a lookup out of bounds: each is refused by name when a query pops
     /// into it, and so is a connection test into it.
     #[test]

@@ -21,20 +21,21 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The format word every blob of a framework begins with ("FLT2"): behind
-/// it, `pagestore::codec` bytes whose `u32`-shaped arrays are byte-prefixed
-/// ([`graphcore::flat`]), and PPO meta documents numbered in preorder, their
-/// index three arrays and a flat label table ([`ppo::PpoIndex`]). An image
-/// saved when the arrays were count-prefixed is exactly as long and has no
-/// such word; read as this format it would take an element count for a
-/// byte length and derail from there — usually into a decode error, not
-/// provably. One saved under "FLT1" holds a PPO index of six arrays and a
-/// label map, which could decode as the three arrays and garbage. The word
-/// is checked before anything is decoded, so such images fail typed
-/// whatever their bytes would have misparsed as. What [`hopi::HopiIndex`]
-/// keeps behind its own layout word is narrower: the *order* of its rows,
-/// which this word says nothing of.
-const FORMAT: u32 = u32::from_le_bytes(*b"FLT2");
+/// The format word every blob of a framework begins with ("FLT3"): behind
+/// it, `pagestore::codec` bytes whose `u32`-shaped arrays are each one byte
+/// string, a count, lane widths and the lanes packed to the bits of their
+/// largest values ([`graphcore::flat`]), and PPO meta documents numbered in
+/// preorder, their index three arrays and a flat label table
+/// ([`ppo::PpoIndex`]). An image saved under "FLT2" holds the same arrays
+/// at four bytes an element: read as this format its first element would
+/// be taken for a count and widths and derail from there. One saved under
+/// "FLT1" holds a PPO index of six arrays and a label map; one saved when
+/// the arrays were count-prefixed has no word at all. The word is checked
+/// before anything is decoded, so such images fail typed whatever their
+/// bytes would have misparsed as. What [`hopi::HopiIndex`] keeps behind its
+/// own layout word is narrower: the *order* of its rows, which this word
+/// says nothing of.
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT3");
 
 /// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
 /// (a tuple is its fields in order and nothing else).
@@ -354,11 +355,10 @@ pub(crate) mod mirror {
         [l_in, l_out, in_index, out_index]
     }
 
-    /// The `with` module of the `Counted*` mirrors below: an array is read
-    /// as this build writes it and written as every build before did, one
-    /// element at a time behind an element count. Decoding an image into
-    /// such a mirror and encoding the mirror again is that image in the
-    /// encoding builds before byte-prefixed arrays wrote.
+    /// The `with` module of the count-prefixed mirrors below: an array is
+    /// read as this build writes it and written as every build before
+    /// byte-string arrays did, one element at a time behind an element
+    /// count.
     mod counted {
         pub(super) use graphcore::flat::deserialize;
 
@@ -370,105 +370,162 @@ pub(crate) mod mirror {
         }
     }
 
-    #[derive(Serialize, Deserialize)]
-    struct CountedTable {
-        #[serde(with = "counted")]
-        offsets: Vec<u32>,
-        #[serde(with = "counted")]
-        entries: Vec<(u32, u32)>,
-    }
+    /// The `with` module of the "FLT2"- and "FLT1"-era mirrors below: an
+    /// array is read as this build writes it and written as the builds
+    /// behind those words did, one byte string of its elements at four
+    /// bytes each (a pair's two `u32`s back to back).
+    mod fixed {
+        pub(super) use graphcore::flat::deserialize;
+        use graphcore::flat::Element;
 
-    impl From<&Rows> for CountedTable {
-        fn from(rows: &Rows) -> Self {
-            let Table { offsets, entries } = Table::from_rows(rows);
-            Self { offsets, entries }
+        pub(super) fn serialize<E: Element, S: serde::Serializer>(
+            array: &[E],
+            serializer: S,
+        ) -> Result<S::Ok, S::Error> {
+            let lanes = |e: E| (0..E::LANES).flat_map(move |lane| e.lane(lane).to_le_bytes());
+            let image: Vec<u8> = array.iter().flat_map(|&e| lanes(e)).collect();
+            serializer.serialize_bytes(&image)
         }
     }
 
-    #[derive(Serialize, Deserialize)]
-    struct CountedHopi {
-        layout: u32,
-        l_out: CountedTable,
-        in_index: CountedTable,
-        #[serde(with = "counted")]
-        node_labels: Vec<u32>,
-        stats: hopi::BuildStats,
+    /// This build's layout of every persisted structure as module `$name`,
+    /// each array read as this build writes it and written by the `with`
+    /// module `$writer`: decoding an image into such a mirror and encoding
+    /// the mirror again is that image in an older build's array encoding.
+    macro_rules! twin_layout {
+        ($name:ident, $writer:ident) => {
+            pub(crate) mod $name {
+                use super::$writer as writer;
+                use super::*;
+
+                #[derive(Serialize, Deserialize)]
+                pub(crate) struct Table {
+                    #[serde(with = "writer")]
+                    offsets: Vec<u32>,
+                    #[serde(with = "writer")]
+                    entries: Vec<(u32, u32)>,
+                }
+
+                impl From<&Rows> for Table {
+                    fn from(rows: &Rows) -> Self {
+                        let super::Table { offsets, entries } = super::Table::from_rows(rows);
+                        Self { offsets, entries }
+                    }
+                }
+
+                #[derive(Serialize, Deserialize)]
+                pub(crate) struct Hopi {
+                    layout: u32,
+                    l_out: Table,
+                    in_index: Table,
+                    #[serde(with = "writer")]
+                    node_labels: Vec<u32>,
+                    stats: hopi::BuildStats,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                struct Forest {
+                    #[serde(with = "writer")]
+                    size: Vec<u32>,
+                    #[serde(with = "writer")]
+                    depth: Vec<u32>,
+                    #[serde(with = "writer")]
+                    parent: Vec<u32>,
+                    #[serde(with = "writer")]
+                    label_keys: Vec<u32>,
+                    #[serde(with = "writer")]
+                    label_offsets: Vec<u32>,
+                    #[serde(with = "writer")]
+                    label_ranks: Vec<u32>,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                struct Ppo {
+                    index: Forest,
+                    #[serde(with = "writer")]
+                    removed: Vec<(u32, u32)>,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                struct Graph {
+                    #[serde(with = "writer")]
+                    fwd_off: Vec<u32>,
+                    #[serde(with = "writer")]
+                    fwd: Vec<u32>,
+                    #[serde(with = "writer")]
+                    rev_off: Vec<u32>,
+                    #[serde(with = "writer")]
+                    rev: Vec<u32>,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                struct Summary {
+                    #[serde(with = "writer")]
+                    class_of: Vec<u32>,
+                    extents: Vec<Vec<u32>>,
+                    #[serde(with = "writer")]
+                    class_label: Vec<u32>,
+                    graph: Graph,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                struct Apex {
+                    graph: Graph,
+                    #[serde(with = "writer")]
+                    labels: Vec<u32>,
+                    summary: Summary,
+                    summary_closure: TransitiveClosure,
+                    label_reach: Vec<BitSet>,
+                    max_label: u32,
+                }
+
+                #[derive(Serialize, Deserialize)]
+                enum Index {
+                    Ppo(Ppo),
+                    Hopi(Hopi),
+                    Apex(Apex),
+                }
+
+                /// A [`MetaDocument`] of any strategy.
+                #[derive(Serialize, Deserialize)]
+                pub(crate) struct Meta {
+                    #[serde(with = "writer")]
+                    nodes: Vec<u32>,
+                    index: Index,
+                    #[serde(with = "writer")]
+                    link_sources: Vec<u32>,
+                    #[serde(with = "writer")]
+                    link_targets: Vec<u32>,
+                }
+
+                /// A [`Manifest`].
+                #[derive(Serialize, Deserialize)]
+                pub(crate) struct Manifest {
+                    config: FlixConfig,
+                    node_count: usize,
+                    meta_count: usize,
+                    #[serde(with = "writer")]
+                    meta_of: Vec<u32>,
+                    #[serde(with = "writer")]
+                    local_of: Vec<u32>,
+                    #[serde(with = "writer")]
+                    runtime_links: Vec<(u32, u32)>,
+                }
+            }
+        };
     }
 
-    #[derive(Serialize, Deserialize)]
-    struct CountedForest {
-        #[serde(with = "counted")]
-        size: Vec<u32>,
-        #[serde(with = "counted")]
-        depth: Vec<u32>,
-        #[serde(with = "counted")]
-        parent: Vec<u32>,
-        #[serde(with = "counted")]
-        label_keys: Vec<u32>,
-        #[serde(with = "counted")]
-        label_offsets: Vec<u32>,
-        #[serde(with = "counted")]
-        label_ranks: Vec<u32>,
-    }
+    twin_layout!(counted_twin, counted);
+    twin_layout!(fixed_twin, fixed);
 
-    #[derive(Serialize, Deserialize)]
-    struct CountedPpo {
-        index: CountedForest,
-        #[serde(with = "counted")]
-        removed: Vec<(u32, u32)>,
-    }
-
-    #[derive(Serialize, Deserialize)]
-    struct CountedGraph {
-        #[serde(with = "counted")]
-        fwd_off: Vec<u32>,
-        #[serde(with = "counted")]
-        fwd: Vec<u32>,
-        #[serde(with = "counted")]
-        rev_off: Vec<u32>,
-        #[serde(with = "counted")]
-        rev: Vec<u32>,
-    }
-
-    #[derive(Serialize, Deserialize)]
-    struct CountedSummary {
-        #[serde(with = "counted")]
-        class_of: Vec<u32>,
-        extents: Vec<Vec<u32>>,
-        #[serde(with = "counted")]
-        class_label: Vec<u32>,
-        graph: CountedGraph,
-    }
-
-    #[derive(Serialize, Deserialize)]
-    struct CountedApex {
-        graph: CountedGraph,
-        #[serde(with = "counted")]
-        labels: Vec<u32>,
-        summary: CountedSummary,
-        summary_closure: TransitiveClosure,
-        label_reach: Vec<BitSet>,
-        max_label: u32,
-    }
-
-    #[derive(Serialize, Deserialize)]
-    enum CountedIndex {
-        Ppo(CountedPpo),
-        Hopi(CountedHopi),
-        Apex(CountedApex),
-    }
-
-    /// A [`MetaDocument`] of any strategy.
-    #[derive(Serialize, Deserialize)]
-    pub(crate) struct CountedMeta {
-        #[serde(with = "counted")]
-        nodes: Vec<u32>,
-        index: CountedIndex,
-        #[serde(with = "counted")]
-        link_sources: Vec<u32>,
-        #[serde(with = "counted")]
-        link_targets: Vec<u32>,
-    }
+    /// A meta document as the builds before byte-string arrays wrote it.
+    pub(crate) type CountedMeta = counted_twin::Meta;
+    /// A manifest as the builds before byte-string arrays wrote it.
+    pub(crate) type CountedManifest = counted_twin::Manifest;
+    /// A meta document as the "FLT2" build wrote it.
+    pub(crate) type Flt2Meta = fixed_twin::Meta;
+    /// A manifest as the "FLT2" build wrote it.
+    pub(crate) type Flt2Manifest = fixed_twin::Manifest;
 
     /// The stored manifest `blob` after `damage` edited it.
     pub(crate) fn damaged_manifest(blob: &[u8], damage: impl FnOnce(&mut Manifest)) -> Vec<u8> {
@@ -477,27 +534,19 @@ pub(crate) mod mirror {
         image(&manifest).unwrap()
     }
 
-    /// A [`Manifest`].
-    #[derive(Serialize, Deserialize)]
-    pub(crate) struct CountedManifest {
-        config: FlixConfig,
-        node_count: usize,
-        meta_count: usize,
-        #[serde(with = "counted")]
-        meta_of: Vec<u32>,
-        #[serde(with = "counted")]
-        local_of: Vec<u32>,
-        #[serde(with = "counted")]
-        runtime_links: Vec<(u32, u32)>,
-    }
-
     /// The stored `blob` — a [`CountedMeta`] or a [`CountedManifest`] — in
-    /// the encoding of the builds before arrays were byte-prefixed: every
+    /// the encoding of the builds before arrays were byte strings: every
     /// array behind an element count, and no format word.
     pub(crate) fn count_prefixed<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
-        let twin = pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap();
-        assert_eq!(twin.len() + 4, blob.len(), "a prefix is a u64 either way");
-        twin
+        pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap()
+    }
+
+    /// The stored `blob` — an [`Flt2Meta`], an [`Flt2Manifest`] or a
+    /// [`BuildReport`] — as the "FLT2" build saved it: that word, then every
+    /// array at four bytes an element.
+    pub(crate) fn flt2<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
+        let old = pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap();
+        [b"FLT2".to_vec(), old].concat()
     }
 
     /// `HopiIndex` as builds before the flat label tables persisted it:
@@ -510,6 +559,13 @@ pub(crate) mod mirror {
         out_index: Vec<Vec<(u32, u32)>>,
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
+    }
+
+    /// A meta document's node map as its image holds it.
+    #[derive(Serialize)]
+    struct NodeMap {
+        #[serde(with = "graphcore::flat")]
+        nodes: Vec<u32>,
     }
 
     /// The stored image of HOPI- or PPO-backed `md` with its index's bytes
@@ -528,7 +584,10 @@ pub(crate) mod mirror {
             MetaIndex::Apex(_) => panic!("an APEX meta document"),
         };
         let whole = image(md).unwrap();
-        let start = 4 + (8 + 4 * md.nodes.len()) + 4;
+        let nodes = NodeMap {
+            nodes: md.nodes.clone(),
+        };
+        let start = 4 + pagestore::to_bytes(&nodes).unwrap().len() + 4;
         let end = start + inner.len();
         assert!(
             whole[start..end] == inner,
@@ -603,17 +662,17 @@ pub(crate) mod mirror {
     /// local: six arrays, then each label's `(pre, local)` pairs.
     #[derive(Serialize)]
     struct SixArrayForest {
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         pre: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         post: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         depth: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         parent: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         size: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         pre_to_node: Vec<u32>,
         by_label: BTreeMap<u32, Vec<(u32, u32)>>,
     }
@@ -621,7 +680,7 @@ pub(crate) mod mirror {
     #[derive(Serialize)]
     struct SixArrayPpo {
         index: SixArrayForest,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         removed: Vec<(u32, u32)>,
     }
 
@@ -633,12 +692,12 @@ pub(crate) mod mirror {
 
     #[derive(Serialize)]
     struct SixArrayMeta {
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         nodes: Vec<u32>,
         index: SixArrayIndex,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         link_sources: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(with = "fixed")]
         link_targets: Vec<u32>,
     }
 
@@ -703,6 +762,15 @@ pub(crate) mod mirror {
         [b"FLT1".to_vec(), pagestore::to_bytes(&meta).unwrap()].concat()
     }
 
+    /// The image of HOPI-backed `md` with its index's arrays at four bytes
+    /// an element, as "FLT2" wrote them: what the images of older layouts
+    /// below are measured against.
+    pub(crate) fn fixed_width_index_image(md: &MetaDocument) -> Vec<u8> {
+        respliced(md, |hopi: fixed_twin::Hopi| {
+            pagestore::to_bytes(&hopi).unwrap()
+        })
+    }
+
     /// The image of HOPI-backed `md` after `damage` edited its tables.
     pub(crate) fn damaged_image(md: &MetaDocument, damage: impl FnOnce(&mut Hopi)) -> Vec<u8> {
         respliced(md, |mut hopi: Hopi| {
@@ -716,10 +784,10 @@ pub(crate) mod mirror {
     /// anchor flags in the label words, every array behind an element count.
     #[derive(Serialize)]
     struct IdOrderedHopi {
-        l_in: CountedTable,
-        l_out: CountedTable,
-        in_index: CountedTable,
-        out_index: CountedTable,
+        l_in: counted_twin::Table,
+        l_out: counted_twin::Table,
+        in_index: counted_twin::Table,
+        out_index: counted_twin::Table,
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
     }
@@ -766,15 +834,15 @@ pub(crate) mod mirror {
     /// `HopiIndex` as the build before the ancestors pair was derived
     /// persisted it: layout word "ROW2", all four tables — the inverted
     /// ones in row order, anchors first, then by label, then by id — and
-    /// every array byte-prefixed.
+    /// every array a byte string of four-byte elements.
     #[derive(Serialize)]
     struct FourTableHopi {
         layout: u32,
-        l_in: Table,
-        l_out: Table,
-        in_index: Table,
-        out_index: Table,
-        #[serde(with = "graphcore::flat")]
+        l_in: fixed_twin::Table,
+        l_out: fixed_twin::Table,
+        in_index: fixed_twin::Table,
+        out_index: fixed_twin::Table,
+        #[serde(with = "fixed")]
         node_labels: Vec<u32>,
         stats: hopi::BuildStats,
     }
@@ -792,10 +860,10 @@ pub(crate) mod mirror {
             let [l_in, l_out, in_index, out_index] = four_tables(&hopi, row_key);
             let old = FourTableHopi {
                 layout: u32::from_le_bytes(*b"ROW2"),
-                l_in: Table::from_rows(&l_in),
-                l_out: Table::from_rows(&l_out),
-                in_index: Table::from_rows(&in_index),
-                out_index: Table::from_rows(&out_index),
+                l_in: (&l_in).into(),
+                l_out: (&l_out).into(),
+                in_index: (&in_index).into(),
+                out_index: (&out_index).into(),
                 node_labels: hopi.node_labels,
                 stats: hopi.stats,
             };
@@ -889,11 +957,11 @@ mod tests {
         );
     }
 
-    /// A store the parent build saved holds every array behind an element
-    /// count and no format word. Its images are exactly as long as this
-    /// build's behind the word, and read as them an element count would
-    /// pass for a byte length; the word is checked first, so each fails as
-    /// stale, by name, whatever the bytes behind it would have decoded to.
+    /// A store saved before arrays were byte strings holds every array
+    /// behind an element count and no format word; read as this build's
+    /// images an element count would pass for a byte length. The word is
+    /// checked first, so each fails as stale, by name, whatever the bytes
+    /// behind it would have decoded to.
     #[test]
     fn count_prefixed_images_are_rejected_on_load() {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
@@ -935,6 +1003,74 @@ mod tests {
         }
     }
 
+    /// A store saved under "FLT2" holds every array at four bytes an
+    /// element; read as this format an array's first element would be
+    /// taken for its count and widths. The word refuses every blob, by
+    /// name, in `load_flix` and — for the manifest — in `DiskFlix::open`.
+    /// Such an image is the count-prefixed one behind a format word: a
+    /// prefix is a `u64` either way.
+    #[test]
+    fn flt2_images_are_rejected_on_load() {
+        use mirror::{count_prefixed, flt2, CountedManifest, CountedMeta, Flt2Manifest, Flt2Meta};
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::Monolithic(crate::config::StrategyKind::Apex),
+        ] {
+            let flix = Flix::build(cg.clone(), config);
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let mut old = store();
+            let manifest = st.get("fw/manifest").unwrap().unwrap();
+            let twin = flt2::<Flt2Manifest>(&manifest);
+            assert_eq!(
+                twin.len(),
+                count_prefixed::<CountedManifest>(&manifest).len() + 4
+            );
+            old.put("fw/manifest", &twin).unwrap();
+            for mi in 0..flix.meta_count() {
+                let blob = format!("fw/meta-{mi}");
+                let new = st.get(&blob).unwrap().unwrap();
+                let twin = flt2::<Flt2Meta>(&new);
+                assert_eq!(twin.len(), count_prefixed::<CountedMeta>(&new).len() + 4);
+                assert!(twin.len() > new.len(), "{config}: meta {mi}");
+                old.put(&blob, &twin).unwrap();
+            }
+            let report = st.get("fw/report").unwrap().unwrap();
+            old.put("fw/report", &flt2::<BuildReport>(&report)).unwrap();
+
+            let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
+            let named = "the manifest of \"fw\" is stale or corrupt (image format";
+            assert!(err.starts_with(named), "{config}: {err}");
+            let Err(err) = crate::DiskFlix::open(old, "fw", 4) else {
+                panic!("{config}: opened over an FLT2 manifest");
+            };
+            assert!(err.starts_with(named), "{config}: {err}");
+            // Behind this build's manifest, the first meta document is
+            // refused, and so is the report once every meta document is
+            // this build's.
+            let mut old = store();
+            save_flix(&flix, &mut old, "fw").unwrap();
+            for mi in 0..flix.meta_count() {
+                let blob = format!("fw/meta-{mi}");
+                let new = st.get(&blob).unwrap().unwrap();
+                old.put(&blob, &flt2::<Flt2Meta>(&new)).unwrap();
+            }
+            let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
+            let named = "meta document 0 is stale or corrupt (image format";
+            assert!(err.starts_with(named), "{config}: {err}");
+            for mi in 0..flix.meta_count() {
+                let blob = format!("fw/meta-{mi}");
+                old.put(&blob, &st.get(&blob).unwrap().unwrap()).unwrap();
+            }
+            old.put("fw/report", &flt2::<BuildReport>(&report)).unwrap();
+            let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
+            let named = "the build report of \"fw\" is stale or corrupt (image format";
+            assert!(err.starts_with(named), "{config}: {err}");
+        }
+    }
+
     /// A store written before PPO anchors were kept in preorder-rank order
     /// holds them in id order; the interval lookup would miss links on it,
     /// so loading must fail instead.
@@ -954,8 +1090,8 @@ mod tests {
         assert!(err.contains("index order"), "{err}");
     }
 
-    /// A store the parent build saved holds PPO meta documents numbered by
-    /// element, their index six arrays and a label map, behind "FLT1": read
+    /// A store saved under "FLT1" holds PPO meta documents numbered by
+    /// element, their index six arrays and a label map: read
     /// as this format the three arrays it keeps would decode from the old
     /// image's first three. The word refuses each, by name.
     #[test]
@@ -968,12 +1104,14 @@ mod tests {
             let md = flix.meta(victim);
             let (blob, old) = (format!("fw/meta-{victim}"), mirror::six_array_image(md));
             let new = st.get(&blob).unwrap().unwrap();
-            // Per element two arrays and a label pair more; per label a key
-            // and a map length more, an offset less; one array prefix less.
+            // Against "FLT2", which wrote arrays as this one did: per
+            // element two arrays and a label pair more; per label a key and
+            // a map length more, an offset less; one array prefix less.
             let labels: std::collections::BTreeSet<_> =
                 md.nodes.iter().map(|&v| cg.tag_of(v)).collect();
             let grown = 16 * md.len() + 4 * labels.len() + 4;
-            assert_eq!(old.len(), new.len() + grown, "meta {victim}");
+            let flt2 = mirror::flt2::<mirror::Flt2Meta>(&new);
+            assert_eq!(old.len(), flt2.len() + grown, "meta {victim}");
             st.put(&blob, &old).unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt (image format");
@@ -1037,7 +1175,9 @@ mod tests {
     }
 
     /// Puts each meta document's image as `twin` makes it into a stored
-    /// HOPI framework in turn: loading must fail on it, by name.
+    /// HOPI framework in turn: loading must fail on it, by name. The twin is
+    /// `extra_bytes` and the ancestors pair longer than this build's index
+    /// with its arrays at four bytes an element.
     fn each_twin_is_refused(twin: fn(&MetaDocument) -> Vec<u8>, extra_bytes: isize) {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
         let flix = Flix::build(
@@ -1051,8 +1191,9 @@ mod tests {
             let md = flix.meta(victim);
             let old = twin(md);
             let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+            let fixed = mirror::fixed_width_index_image(md);
             let grown = ancestors_pair_bytes(md) as isize + extra_bytes;
-            assert_eq!(old.len() as isize, new.len() as isize + grown);
+            assert_eq!(old.len() as isize, fixed.len() as isize + grown);
             st.put(&format!("fw/meta-{victim}"), &old).unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt");
@@ -1136,7 +1277,7 @@ mod tests {
             local_of: nodes.map(|u| flix.local_of(u)).collect(),
             runtime_links: flix.runtime_links().to_vec(),
         };
-        let bytes = [b"FLT2".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
+        let bytes = [b"FLT3".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
         assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);

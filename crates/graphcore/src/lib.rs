@@ -23,8 +23,9 @@
 //!   reuse across lookups instead of allocating visited sets, and
 //!   [`filled`], which runs a buffer-filling lookup on a fresh `Vec`,
 //! * [`flat`]: the `#[serde(with = "graphcore::flat")]` module that writes
-//!   a `Vec<u32>`-shaped field of a persisted index as one little-endian
-//!   byte string instead of element by element.
+//!   a `Vec<u32>`-shaped field of a persisted index as one byte string,
+//!   each lane packed to the bits of its largest value, instead of element
+//!   by element.
 //!
 //! Nodes are dense `u32` indices (see [`NodeId`]); all algorithms are
 //! allocation-conscious and deterministic.
@@ -41,7 +42,8 @@ pub mod closure;
 pub mod digraph;
 /// Cheap estimators for descendant and ancestor counts.
 pub mod estimate;
-/// Flat little-endian `serde` form of `u32` and `(u32, u32)` arrays.
+/// Packed `serde` form of `u32` and `(u32, u32)` arrays: each lane at the
+/// bits of its largest value.
 pub mod flat;
 /// Greedy size-capped edge-cut graph partitioning.
 pub mod partition;

@@ -8,8 +8,11 @@
 //! know the type, exactly like a database row codec. A byte string
 //! (`serialize_bytes`) is its length in bytes and then the bytes, which is
 //! how the `u32`-shaped arrays of an index image travel: a field marked
-//! `#[serde(with = "graphcore::flat")]` is one byte string of little-endian
-//! elements, not a sequence of them, so its prefix counts bytes.
+//! `#[serde(with = "graphcore::flat")]` is one byte string — an element
+//! count, a width byte per lane and the lanes packed at the bits of their
+//! largest values — not a sequence of elements, so its prefix counts bytes.
+//! The codec neither knows nor checks what is inside a byte string; the
+//! `with` module does, and its errors come back as [`CodecError`]s.
 
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 use serde::ser::{self, Serialize};

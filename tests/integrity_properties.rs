@@ -47,6 +47,40 @@ fn arb_labels(g: &Digraph, tags: u32) -> Vec<u32> {
         .collect()
 }
 
+/// One label table of a HOPI image, as the codec reads it back.
+#[derive(serde::Deserialize)]
+struct Table {
+    #[serde(with = "graphcore::flat")]
+    offsets: Vec<u32>,
+    #[serde(with = "graphcore::flat")]
+    entries: Vec<(u32, u32)>,
+}
+
+/// The fields of a HOPI image, in order.
+#[derive(serde::Deserialize)]
+struct HopiTables {
+    _layout: u32,
+    l_out: Table,
+    in_index: Table,
+    #[serde(with = "graphcore::flat")]
+    node_labels: Vec<u32>,
+    _stats: hopi::BuildStats,
+}
+
+/// The bytes a flat array of `count` elements takes in an image: its byte
+/// count, its element count, a width byte per lane, and each lane packed at
+/// the bits of its largest value (`maxima`), at least one.
+fn packed(count: usize, maxima: &[u32]) -> usize {
+    let width = |max: u32| (32 - max.leading_zeros()).max(1) as usize;
+    let lanes: usize = maxima.iter().map(|&m| (count * width(m)).div_ceil(8)).sum();
+    8 + 4 + maxima.len() + lanes
+}
+
+/// The largest of `lane`, 0 if it is empty.
+fn max(lane: impl Iterator<Item = u32>) -> u32 {
+    lane.max().unwrap_or(0)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -77,20 +111,30 @@ proptest! {
     }
 
     /// A persisted HOPI image decodes to an equal index that passes the
-    /// load-time layout check, and costs what the flat tables say: the
-    /// layout word, five length-prefixed arrays — the descendants pair, two
-    /// tables of `n + 1` `u32` offsets and 8-byte entries (every entry
-    /// once: `l_out` holds the out-entries, `in_index` the in-entries), and
-    /// the node labels — plus the three build counters.
+    /// load-time layout check, and costs what the packed tables say: the
+    /// layout word, five arrays — the descendants pair, two tables of
+    /// `n + 1` offsets and `(node, distance)` entries (every entry once:
+    /// `l_out` holds the out-entries, `in_index` the in-entries), and the
+    /// node labels — each a byte count, an element count, a width byte per
+    /// lane and its lanes packed at their widths, plus the three build
+    /// counters.
     #[test]
     fn hopi_image_round_trips_to_an_equal_index(g in arb_graph(40, 110)) {
         let n = g.node_count();
         let idx = HopiIndex::build(&g, &arb_labels(&g, 5));
         let image = pagestore::to_bytes(&idx).unwrap();
-        prop_assert_eq!(
-            image.len(),
-            4 + 5 * 8 + 2 * 4 * (n + 1) + 8 * idx.label_entries() + 4 * n + 3 * 8
-        );
+        let tables: HopiTables = pagestore::from_bytes(&image).unwrap();
+        let (l_out, in_index) = (&tables.l_out, &tables.in_index);
+        prop_assert_eq!(l_out.offsets.len(), n + 1);
+        prop_assert_eq!(in_index.offsets.len(), n + 1);
+        prop_assert_eq!(tables.node_labels.len(), n);
+        prop_assert_eq!(l_out.entries.len() + in_index.entries.len(), idx.label_entries());
+        let table = |t: &Table| {
+            let entries = [max(t.entries.iter().map(|e| e.0)), max(t.entries.iter().map(|e| e.1))];
+            packed(n + 1, &[max(t.offsets.iter().copied())]) + packed(t.entries.len(), &entries)
+        };
+        let labels = packed(n, &[max(tables.node_labels.iter().copied())]);
+        prop_assert_eq!(image.len(), 4 + table(l_out) + table(in_index) + labels + 3 * 8);
         let back: HopiIndex = pagestore::from_bytes(&image).unwrap();
         prop_assert!(back == idx, "decoded index differs");
         prop_assert_eq!(back.layout_fault(), None);

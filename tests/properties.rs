@@ -460,11 +460,24 @@ struct PerElementArrays {
     tail: u8,
 }
 
-/// The flat image round-trips, decodes to what the per-element image of the
-/// same values decodes to, and is that image with each element count
-/// turned into a byte count: same length, same payload bytes.
-fn check_flat_against_per_element(singles: Vec<u32>, pairs: Vec<(u32, u32)>) {
+/// The bits of `max`, at least one: the width a lane holding it packs at.
+fn bits(max: u32) -> u8 {
+    (32 - max.leading_zeros()).max(1) as u8
+}
+
+/// The image of `singles` and `pairs` round-trips, decodes to what their
+/// per-element image decodes to, and is laid out as [`graphcore::flat`]
+/// says: per array a `u64` byte count, the element count, one width byte
+/// per lane — the bits of the lane's largest value — and each lane's
+/// `ceil(count·width / 8)` packed bytes. Returns the image's length.
+fn check_flat_against_per_element(singles: Vec<u32>, pairs: Vec<(u32, u32)>) -> usize {
     let (s, p) = (singles.len(), pairs.len());
+    let width = |lane: &mut dyn Iterator<Item = u32>| bits(lane.max().unwrap_or(0));
+    let widths = [
+        width(&mut singles.iter().copied()),
+        width(&mut pairs.iter().map(|e| e.0)),
+        width(&mut pairs.iter().map(|e| e.1)),
+    ];
     let twin = PerElementArrays {
         singles: singles.clone(),
         pairs: pairs.clone(),
@@ -484,16 +497,19 @@ fn check_flat_against_per_element(singles: Vec<u32>, pairs: Vec<(u32, u32)>) {
         (&back.singles, &back.pairs, back.tail),
         (&twin_back.singles, &twin_back.pairs, twin_back.tail)
     );
-    assert_eq!(bytes.len(), twin_bytes.len());
+    let lane = |count: usize, width: u8| (count * usize::from(width)).div_ceil(8);
+    let first = 4 + 1 + lane(s, widths[0]);
+    let second = 4 + 2 + lane(p, widths[1]) + lane(p, widths[2]);
     let prefix = |n: usize| (n as u64).to_le_bytes();
-    let (second, end) = (8 + 4 * s, 16 + 4 * s + 8 * p);
-    assert_eq!(bytes[..8], prefix(4 * s));
-    assert_eq!(twin_bytes[..8], prefix(s));
-    assert_eq!(bytes[8..second], twin_bytes[8..second]);
-    assert_eq!(bytes[second..second + 8], prefix(8 * p));
-    assert_eq!(twin_bytes[second..second + 8], prefix(p));
-    assert_eq!(bytes[second + 8..], twin_bytes[second + 8..]);
-    assert_eq!(bytes.len(), end + 1);
+    assert_eq!(bytes[..8], prefix(first));
+    assert_eq!(bytes[8..12], (s as u32).to_le_bytes());
+    assert_eq!(bytes[12], widths[0]);
+    let at = 8 + first;
+    assert_eq!(bytes[at..at + 8], prefix(second));
+    assert_eq!(bytes[at + 8..at + 12], (p as u32).to_le_bytes());
+    assert_eq!(bytes[at + 12..at + 14], widths[1..]);
+    assert_eq!(bytes.len(), at + 8 + second + 1);
+    bytes.len()
 }
 
 #[test]
@@ -504,14 +520,25 @@ fn flat_arrays_at_the_edges_of_their_range() {
             .collect::<Vec<_>>()
     };
     let zip = |a: Vec<u32>| a.iter().map(|&x| (x, !x)).collect::<Vec<_>>();
-    check_flat_against_per_element(vec![], vec![]);
-    check_flat_against_per_element(vec![7], vec![]);
-    check_flat_against_per_element(vec![], vec![(7, 9)]);
-    check_flat_against_per_element(
-        vec![u32::MAX, 0, u32::MAX],
-        vec![(u32::MAX, 0), (0, u32::MAX)],
+    // Two byte counts, two element counts, three width bytes and the tail:
+    // 28 bytes around the packed lanes; an empty lane packs at width 1.
+    assert_eq!(check_flat_against_per_element(vec![], vec![]), 28);
+    // 7 is 3 bits, 9 is 4: a byte each.
+    assert_eq!(check_flat_against_per_element(vec![7], vec![]), 28 + 1);
+    assert_eq!(check_flat_against_per_element(vec![], vec![(7, 9)]), 28 + 2);
+    // `u32::MAX` takes all 32 bits, and 0 beside it as many.
+    assert_eq!(
+        check_flat_against_per_element(
+            vec![u32::MAX, 0, u32::MAX],
+            vec![(u32::MAX, 0), (0, u32::MAX)],
+        ),
+        28 + 3 * 4 + 2 * 8
     );
-    check_flat_against_per_element(ramp(100_000), zip(ramp(100_000)));
+    // The ramp reaches past 2^31 in both lanes: four bytes an element.
+    assert_eq!(
+        check_flat_against_per_element(ramp(100_000), zip(ramp(100_000))),
+        28 + 100_000 * 4 + 100_000 * 8
+    );
 }
 
 /// One flat `u32` array and nothing else: `prefix` as its byte count, then
@@ -526,23 +553,58 @@ fn lone_flat_array(prefix: u64, payload: &[u8]) -> Result<Vec<u32>, pagestore::C
     pagestore::from_bytes::<Lone>(&image).map(|lone| lone.array)
 }
 
-/// A byte count that is no whole number of elements, one that no input
-/// could hold, and one that is a byte more than the input holds are each an
-/// error — raised from the count and the input's length, before the claimed
-/// length could be allocated (`u64::MAX` bytes cannot be).
+/// A `u32` array's byte string: `count`, the width byte `width`, then
+/// `packed`.
+fn packed_array(count: u32, width: u8, packed: &[u8]) -> Vec<u8> {
+    [&count.to_le_bytes()[..], &[width], packed].concat()
+}
+
+/// A lone array whose byte string is `payload`, prefixed with its length.
+fn lone(payload: &[u8]) -> Result<Vec<u32>, pagestore::CodecError> {
+    lone_flat_array(payload.len() as u64, payload)
+}
+
+/// A byte string too short for a count and a width, a width outside
+/// `1..=32`, packed lanes a byte shorter or longer than the count and the
+/// widths say, and a count no input could hold are each an error — raised
+/// from the header and the input's length, before the claimed count could
+/// be allocated (`u32::MAX` elements at width 1 are 512 MiB of packed bits;
+/// as `u32`s, 16 GiB). A byte count past the end of the input is the
+/// codec's own error.
 #[test]
 fn malformed_flat_arrays_are_decode_errors() {
-    assert_eq!(
-        lone_flat_array(8, &[1, 0, 0, 0, 2, 0, 0, 0]).unwrap(),
-        [1, 2]
+    // 1 and 2 at two bits each: 0b10_01.
+    let two = packed_array(2, 2, &[0b1001]);
+    assert_eq!(lone(&two).unwrap(), [1, 2]);
+    let fault = |payload: &[u8], says: &str| {
+        let err = lone(payload).unwrap_err().to_string();
+        assert!(err.contains(says), "{says}: {err}");
+    };
+    for short in [&[][..], &[2, 0, 0, 0], &two[..3]] {
+        fault(short, "holds no count and 1 lane widths");
+    }
+    for width in [0, 33, 255] {
+        fault(&packed_array(2, width, &[0b1001]), "outside 1..=32");
+    }
+    fault(
+        &packed_array(2, 2, &[]),
+        "2 elements at widths [2] pack into 1 bytes, not 0",
     );
-    let err = lone_flat_array(6, &[1, 0, 0, 0, 2, 0]).unwrap_err();
-    assert!(
-        err.to_string().contains("not whole 4-byte elements"),
-        "{err}"
+    fault(
+        &packed_array(2, 2, &[0b1001, 0]),
+        "pack into 1 bytes, not 2",
     );
-    for prefix in [u64::MAX, u64::MAX - 3, 9, 12] {
-        let err = lone_flat_array(prefix, &[1, 0, 0, 0, 2, 0, 0, 0]).unwrap_err();
+    fault(&packed_array(9, 1, &[0xFF]), "pack into 2 bytes, not 1");
+    fault(
+        &packed_array(u32::MAX, 1, &[0xFF, 0xFF]),
+        "4294967295 elements at widths [1] pack into 536870912 bytes, not 2",
+    );
+    fault(
+        &packed_array(u32::MAX, 32, &[0xFF, 0xFF]),
+        "pack into 17179869180 bytes, not 2",
+    );
+    for prefix in [u64::MAX, u64::MAX - 3, two.len() as u64 + 1, 64] {
+        let err = lone_flat_array(prefix, &two).unwrap_err();
         assert!(err.to_string().contains("unexpected end of input"), "{err}");
     }
 }
@@ -575,13 +637,40 @@ fn truncated_meta_document_images_are_decode_errors() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
+    /// Both element kinds at every width from 1 to 32, and every count
+    /// from 0 to 17 and either side of a multiple of 8: each array
+    /// round-trips to the plain `Vec` it was and is laid out as
+    /// [`graphcore::flat`] says. A lane's largest value has its top bit
+    /// set, so it packs at exactly that width.
     #[test]
     fn flat_arrays_round_trip_and_match_the_per_element_codec(
-        singles in proptest::collection::vec(any::<u32>(), 0..200),
-        pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..200),
+        seed in any::<u64>(),
+        k in 3usize..64,
     ) {
-        check_flat_against_per_element(singles, pairs);
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z ^ (z >> 31)) as u32
+        };
+        for width in 1..=32u32 {
+            let top = u32::MAX >> (32 - width);
+            let pair_width = 33 - width;
+            let pair_top = u32::MAX >> (32 - pair_width);
+            for count in (0..=17).chain([8 * k - 1, 8 * k + 1]) {
+                let mut singles: Vec<u32> = (0..count).map(|_| next() & top).collect();
+                let mut pairs: Vec<(u32, u32)> =
+                    (0..count).map(|_| (next() & top, next() & pair_top)).collect();
+                if count > 0 {
+                    let at = next() as usize % count;
+                    singles[at] = top;
+                    pairs[at].0 = top;
+                    pairs[count - 1 - at].1 = pair_top;
+                }
+                check_flat_against_per_element(singles, pairs);
+            }
+        }
     }
 }
