@@ -53,5 +53,6 @@ count_lines() {
 echo "workspace:   $(count_lines crates src tests examples vendor)"
 echo "crates/flix: $(count_lines crates/flix)"
 echo "crates/flixcheck: $(count_lines crates/flixcheck)"
+echo "crates/serve: $(count_lines crates/serve)"
 
 echo "CI green."

@@ -55,19 +55,6 @@ pub trait QueryBackend: Send + Sync {
     /// shard count and cache capacity.
     fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend>;
 
-    /// How many independently evaluated partitions the backend has (a
-    /// server gives each its own worker group).
-    fn partitions(&self) -> usize {
-        1
-    }
-
-    /// The partition evaluating queries that start at `start`. Callers
-    /// reduce it modulo their own group count, so an unpartitioned backend
-    /// spreads by start element.
-    fn partition_of(&self, start: NodeId) -> usize {
-        start as usize
-    }
-
     /// Binds the backend's live metric cells, if it has any, into
     /// `registry` under `labels`.
     fn publish_metrics(&self, _registry: &MetricsRegistry, _labels: &[(&str, &str)]) {}

@@ -577,14 +577,6 @@ impl QueryBackend for ShardedFlix {
         })
     }
 
-    fn partitions(&self) -> usize {
-        self.shard_count()
-    }
-
-    fn partition_of(&self, start: NodeId) -> usize {
-        self.shard_of(start) as usize
-    }
-
     /// Binds the per-shard routing counters (and cache counters, when
     /// enabled) into `registry` as
     /// `flix_shard_{direct,fanout,escaped}_total` plus the [`ResultCache`]
@@ -783,7 +775,7 @@ mod tests {
             ShardedFlix::new(Arc::clone(&flix), 3),
             ShardedFlix::new(Arc::clone(&flix), 3).with_caches(8),
         ] {
-            assert_eq!(sharded.partition_of(beyond), 0);
+            assert_eq!(sharded.shard_of(beyond), 0);
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 for opts in [QueryOptions::default(), QueryOptions::top_k(2)] {
                     let mut ctx = QueryCtx::default();

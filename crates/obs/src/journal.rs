@@ -43,8 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Minted at admission (`FlixServer::submit`) and threaded through the
 /// worker loop, shard routing, evaluator, and cache, so every journal
 /// event a request causes carries the same id. `RequestId::NONE` (raw 0)
-/// tags events not attributable to a request (drain, admission-limit
-/// changes).
+/// tags events not attributable to a request (drain, hot swaps).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(u64);
 
@@ -153,10 +152,10 @@ event_kinds! {
         /// In-flight requests observed when the shed decision was made.
         in_flight
     },
-    /// The request was enqueued for a worker.
+    /// The request was enqueued for the workers.
     2 Enqueued "enqueued" {
-        /// Index of the worker whose queue accepted the request.
-        worker
+        /// Requests in the job queue once this one was sent, itself included.
+        depth
     },
     /// A worker dequeued the request.
     3 Dequeued "dequeued" {
@@ -222,11 +221,8 @@ event_kinds! {
     },
     /// The server began draining.
     17 Drain "drain",
-    /// The adaptive admission controller changed the in-flight limit.
-    18 LimitChange "limit_change" {
-        /// The new admission limit.
-        limit
-    },
+    // 18 was `limit_change`, emitted by the adaptive admission controller,
+    // which is gone.
     /// A background index rebuild began.
     19 RebuildStart "rebuild_start" {
         /// Configuration discriminant chosen for the rebuild (serve-layer
@@ -761,7 +757,8 @@ mod tests {
             assert_eq!(EventKind::decode(disc, payload), Some(kind));
             assert!(names.insert(kind.name()), "{} named twice", kind.name());
         }
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 25);
+        assert_eq!(EventKind::decode(18, 6), None, "limit_change is gone");
         assert_eq!(EventKind::decode(22, 6), None, "recovery_replay is gone");
         assert_eq!(EventKind::decode(999, 0), None);
     }
@@ -771,20 +768,20 @@ mod tests {
         let ring = JournalRing::new(8);
         assert_eq!(ring.capacity(), 8);
         for i in 0..20u64 {
-            assert!(ring.append(i, RequestId::new(1), EventKind::LimitChange { limit: i }));
+            assert!(ring.append(i, RequestId::new(1), EventKind::Swap { generation: i }));
         }
         assert_eq!(ring.logged(), 20);
         assert_eq!(ring.dropped(), 12); // 20 appends into 8 slots
         assert_eq!(ring.contended(), 0);
         let events = ring.collect(0);
-        let limits: Vec<u64> = events
+        let generations: Vec<u64> = events
             .iter()
             .map(|(_, e)| match e.kind {
-                EventKind::LimitChange { limit } => limit,
+                EventKind::Swap { generation } => generation,
                 _ => u64::MAX,
             })
             .collect();
-        assert_eq!(limits, (12..20).collect::<Vec<u64>>());
+        assert_eq!(generations, (12..20).collect::<Vec<u64>>());
         // Tickets come back in append order.
         let tickets: Vec<u64> = events.iter().map(|(t, _)| *t).collect();
         assert_eq!(tickets, (12..20).collect::<Vec<u64>>());
@@ -796,7 +793,7 @@ mod tests {
         assert_eq!(rec.lanes(), 3);
         let id = RequestId::new(1);
         rec.record(0, id, EventKind::Admitted);
-        rec.record(0, id, EventKind::Enqueued { worker: 1 });
+        rec.record(0, id, EventKind::Enqueued { depth: 1 });
         rec.record(2, id, EventKind::Dequeued { worker: 1 });
         rec.record(2, id, EventKind::EvalStart { shard: SHARD_NONE });
         rec.record(2, id, EventKind::EvalEnd { results: 3 });
@@ -819,7 +816,7 @@ mod tests {
         let rec = FlightRecorder::for_workers(1, 64);
         let id = RequestId::new(7);
         rec.record(0, id, EventKind::Admitted);
-        rec.record(0, id, EventKind::Enqueued { worker: 0 });
+        rec.record(0, id, EventKind::Enqueued { depth: 1 });
         rec.record(1, id, EventKind::Dequeued { worker: 0 });
         rec.record(1, id, EventKind::EvalStart { shard: 2 });
         rec.record(1, id, EventKind::EvalEnd { results: 11 });

@@ -5,13 +5,12 @@
 //! `a//b` at a time. This crate turns an immutable [`flix::Flix`] (or a
 //! [`flix::CachedFlix`]) into a multi-client service:
 //!
-//! * **Worker pool with bounded queues** — [`FlixServer`] runs N worker
-//!   threads, each fed by a bounded channel. Nothing on the serving path
-//!   buffers without limit.
+//! * **Worker pool over one bounded queue** — [`FlixServer`] runs N
+//!   worker threads that take jobs from one bounded channel. Nothing on
+//!   the serving path buffers without limit.
 //! * **Admission control and load shedding** — once the in-flight count or
-//!   every worker queue is at capacity, new requests are rejected with a
-//!   typed [`ServeError::Overloaded`] instead of queuing into unbounded
-//!   latency.
+//!   the queue is at capacity, new requests are rejected with a typed
+//!   [`ServeError::Overloaded`] instead of queuing into unbounded latency.
 //! * **Per-request deadlines** — a [`flixobs::Deadline`] is threaded into
 //!   the evaluator's priority-queue loop; a query that exceeds its budget
 //!   returns the partial, distance-ordered prefix with a `timed_out`

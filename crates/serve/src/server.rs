@@ -1,26 +1,19 @@
 //! The worker-pool query server.
 //!
-//! A [`FlixServer`] owns N worker threads, each fed by its own *bounded*
-//! channel. [`FlixServer::submit`] is the admission controller: it rejects
-//! during drain, collapses duplicates of an in-flight query, enforces the
-//! in-flight ceiling, and round-robins the request over the worker queues
-//! with non-blocking sends — if every eligible queue is full the request
-//! is shed with [`ServeError::Overloaded`] rather than parked. Shedding
-//! keeps the latency of *admitted* requests bounded by queue capacity
-//! instead of growing with offered load, which is the whole point of
-//! bounding the queues (see DESIGN.md §8).
-//!
-//! With a partitioned backend ([`flix::ShardedFlix`]) the workers *own
-//! shards*: they are split into one group per shard (DESIGN.md §10), a
-//! request is routed to the group owning its start element's shard, and
-//! each group runs its own queue rotation, depth accounting, and
-//! `flixserve_shard_*` metrics. A group's queues filling up sheds only
-//! that shard's traffic — shards are independently admitted, exactly like
-//! their indexes are independently evaluated.
+//! A [`FlixServer`] owns N worker threads that take jobs from one
+//! *bounded* queue. [`FlixServer::submit`] is the admission controller: it
+//! rejects during drain, collapses duplicates of an in-flight query,
+//! enforces the in-flight ceiling, and hands the request to the queue with
+//! one non-blocking send — if the queue is full the request is shed with
+//! [`ServeError::Overloaded`] rather than parked. Shedding keeps the
+//! latency of *admitted* requests bounded by queue capacity instead of
+//! growing with offered load, which is the whole point of bounding the
+//! queue (see DESIGN.md §8). Whatever the backend — a
+//! [`flix::ShardedFlix`] included — every worker serves every request.
 
 use flix::{QueryBackend, QueryCtx, QueryOptions, QueryResult, SharedLoadMonitor};
 use flixobs::{
-    Counter, Deadline, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricCell,
+    Counter, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricCell,
     MetricsRegistry, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
 };
 use graphcore::{Distance, NodeId};
@@ -38,41 +31,24 @@ pub use flix::Axis as AxisKind;
 /// records on lane `w + 1` (see [`FlightRecorder::for_workers`]).
 const SUBMIT_LANE: usize = 0;
 
-/// How many completions the adaptive admission controller waits between
-/// looks at the latency histogram. Small enough to react within a burst,
-/// large enough that the p99 estimate has fresh samples behind it.
-const ADAPT_WINDOW: u64 = 32;
+/// Worst-request capacity of the server's slow-query log.
+const SLOW_LOG_CAPACITY: usize = 8;
 
 /// Server sizing and policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Worker threads answering queries.
     pub workers: usize,
-    /// Capacity of each worker's request queue. Bounded by construction:
-    /// the flixcheck `unbounded-channel` rule keeps it that way.
+    /// Queue slots per worker: the one job queue holds
+    /// `workers * queue_capacity` requests. Bounded by construction: the
+    /// flixcheck `unbounded-channel` rule keeps it that way.
     pub queue_capacity: usize,
     /// Ceiling on admitted-but-unfinished requests across all workers.
-    /// `0` means automatic: `workers * (queue_capacity + 1)` — every queue
+    /// `0` means automatic: `workers * (queue_capacity + 1)` — the queue
     /// full plus one request executing per worker.
     pub max_in_flight: usize,
-    /// Deadline budget applied to requests that do not carry their own.
-    /// `None` serves without a time budget. The clock starts at admission,
-    /// so queue wait counts against the budget.
-    pub default_deadline_micros: Option<u64>,
     /// Collapse identical in-flight queries onto one evaluation.
     pub single_flight: bool,
-    /// Worst-request capacity of the server's slow-query log.
-    pub slow_log_capacity: usize,
-    /// End-to-end p99 latency target for the adaptive admission
-    /// controller. `None` (the default) disables adaptation: the in-flight
-    /// ceiling stays at [`Self::effective_max_in_flight`]. `Some(target)`
-    /// runs AIMD over the live ceiling — every [`ADAPT_WINDOW`]
-    /// completions a worker compares the latency histogram's p99 against
-    /// the target and halves the ceiling (floor: one per worker) when
-    /// over, or raises it by one (cap: the configured ceiling) when at or
-    /// under. Every change lands in the journal as a
-    /// [`EventKind::LimitChange`] and in [`ServeStats::max_in_flight`].
-    pub latency_target_p99_micros: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -81,10 +57,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             max_in_flight: 0,
-            default_deadline_micros: None,
             single_flight: true,
-            slow_log_capacity: 8,
-            latency_target_p99_micros: None,
         }
     }
 }
@@ -94,8 +67,8 @@ impl ServeConfig {
         self.workers.max(1)
     }
 
-    /// The in-flight ceiling the admission controller actually enforces:
-    /// `max_in_flight`, or — when that is `0` (automatic) — every queue
+    /// The in-flight ceiling the admission controller enforces:
+    /// `max_in_flight`, or — when that is `0` (automatic) — the queue
     /// full plus one request executing per worker. Every
     /// [`ServeError::Overloaded`] reports an `in_flight` at or below this
     /// value (tested).
@@ -164,9 +137,9 @@ pub struct Response {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control shed the request: the in-flight ceiling was
-    /// reached or every worker queue was full.
+    /// reached or the job queue was full.
     Overloaded {
-        /// Requests queued across all workers at rejection time.
+        /// Requests queued at rejection time.
         queued: usize,
         /// Admitted-but-unfinished requests at rejection time.
         in_flight: usize,
@@ -199,9 +172,8 @@ impl std::error::Error for ServeError {}
 
 /// The query engine behind a server: any [`QueryBackend`] — a plain
 /// [`flix::Flix`], a [`flix::CachedFlix`] (descendants queries go through the
-/// result cache), or a [`flix::ShardedFlix`] (every query is routed to the
-/// shard owning its start element, and workers are partitioned into
-/// per-shard groups so shards share neither queues nor admission).
+/// result cache), or a [`flix::ShardedFlix`] (the worker's evaluation
+/// routes the query to the shard owning its start element).
 ///
 /// Cloning is an `Arc` clone — the handle is copied, the engine is
 /// shared. The server leans on this for hot swaps: each worker clones
@@ -282,7 +254,6 @@ pub(crate) struct ServeMetrics {
     timeouts: Counter,
     collapsed: Counter,
     worker_panics: Counter,
-    admission_limit: Gauge,
     /// Mirrors [`Shared::generation`] (`flixserve_generation`).
     generation: Gauge,
     /// Rebuild decisions taken by the online rebuilder: recommendations
@@ -306,33 +277,13 @@ pub struct ServeStats {
     pub timed_out: u64,
     /// Follower responses served by single-flight fan-out.
     pub collapsed: u64,
-    /// Requests currently queued across all workers.
+    /// Requests currently queued.
     pub queued: usize,
     /// Admitted-but-unfinished requests right now.
     pub in_flight: usize,
-    /// The in-flight ceiling admission enforces right now. Equal to
-    /// [`ServeConfig::effective_max_in_flight`] unless the adaptive
-    /// controller ([`ServeConfig::latency_target_p99_micros`]) has moved
-    /// it.
+    /// The in-flight ceiling admission enforces:
+    /// [`ServeConfig::effective_max_in_flight`].
     pub max_in_flight: usize,
-}
-
-/// One shard group's admission state: the queues of the workers that own
-/// a shard, their rotation cursor, and the per-shard metric cells
-/// (published as `flixserve_shard_*`). Unsharded backends run one group
-/// covering every worker.
-struct Group {
-    /// Worker indexes owned by this group (contiguous span).
-    workers: std::ops::Range<usize>,
-    /// Per-request rotation cursor: every submission starts its try_send
-    /// sweep one queue further, so under partial load the assignments
-    /// stay near-uniform instead of saturating the low-numbered queues.
-    next: AtomicUsize,
-    /// Requests queued in this group's queues right now.
-    queued: AtomicUsize,
-    submitted: Counter,
-    shed: Counter,
-    depth: Gauge,
 }
 
 struct Shared {
@@ -350,13 +301,13 @@ struct Shared {
     config: ServeConfig,
     draining: AtomicBool,
     in_flight: AtomicUsize,
+    /// Requests counted into the queue and not yet taken out by a worker.
+    /// `submit` counts a request before its send, so a worker's uncount
+    /// never runs ahead of it.
     queued: AtomicUsize,
-    /// One group per backend partition (shard), capped at the worker
-    /// count; a single group for an unpartitioned backend.
-    groups: Vec<Group>,
-    /// Per-worker-queue assignment counters (admission audit; see
-    /// [`FlixServer::queue_assignments`]).
-    assigned: Vec<Counter>,
+    /// The receiving end of the job queue. `std::mpsc` has one consumer,
+    /// so the workers share it behind this lock, held across `recv` only.
+    queue: Mutex<crossbeam::channel::Receiver<Job>>,
     single_flight: Mutex<HashMap<SfKey, SfEntry>>,
     metrics: ServeMetrics,
     slow_log: SlowQueryLog,
@@ -368,12 +319,6 @@ struct Shared {
     recorder: Option<Arc<FlightRecorder>>,
     /// Mints [`RequestId`]s; starts at 1 so id 0 stays [`RequestId::NONE`].
     next_request: AtomicU64,
-    /// The live in-flight ceiling. Fixed at
-    /// [`ServeConfig::effective_max_in_flight`] unless the adaptive
-    /// controller is on.
-    limit: AtomicUsize,
-    /// Completion counter driving the controller's sampling window.
-    completions: AtomicU64,
 }
 
 impl Shared {
@@ -387,14 +332,6 @@ impl Shared {
             queued: self.queued.load(SeqCst).min(in_flight),
             in_flight,
         }
-    }
-
-    /// The group a request for `start` is routed to: its backend
-    /// partition, modulo however many groups exist (the group topology is
-    /// fixed at start; after a swap to a backend of another shape any
-    /// group still answers correctly).
-    fn group_of(&self, start: NodeId) -> usize {
-        self.backend.read().0.partition_of(start) % self.groups.len()
     }
 
     /// Steps a finished (or failed) request out of the in-flight count.
@@ -460,15 +397,12 @@ impl Ticket {
 /// (or drop) drains them.
 pub struct FlixServer {
     shared: Arc<Shared>,
-    senders: RwLock<Option<Vec<crossbeam::channel::Sender<Job>>>>,
+    sender: RwLock<Option<crossbeam::channel::Sender<Job>>>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl FlixServer {
-    /// Starts `config.workers` worker threads over `backend`. A sharded
-    /// backend partitions the workers into one group per shard (capped at
-    /// the worker count — a group always has at least one worker), each
-    /// group serving only its shards' requests.
+    /// Starts `config.workers` worker threads over `backend`.
     pub fn start(backend: impl Into<Backend>, config: ServeConfig) -> Self {
         Self::start_with(backend.into(), config, None)
     }
@@ -497,24 +431,8 @@ impl FlixServer {
         config: ServeConfig,
         recorder: Option<Arc<FlightRecorder>>,
     ) -> Self {
-        let workers = config.effective_workers();
-        let group_count = backend.0.partitions().clamp(1, workers);
-        // Contiguous worker spans, remainder workers on the first groups.
-        let (base, extra) = (workers / group_count, workers % group_count);
-        let mut groups = Vec::with_capacity(group_count);
-        let mut start = 0;
-        for g in 0..group_count {
-            let len = base + usize::from(g < extra);
-            groups.push(Group {
-                workers: start..start + len,
-                next: AtomicUsize::new(0),
-                queued: AtomicUsize::new(0),
-                submitted: Counter::new(),
-                shed: Counter::new(),
-                depth: Gauge::new(),
-            });
-            start += len;
-        }
+        let slots = config.effective_workers() * config.queue_capacity.max(1);
+        let (sender, queue) = crossbeam::channel::bounded(slots);
         let shared = Arc::new(Shared {
             backend: RwLock::new(backend),
             generation: AtomicU64::new(1),
@@ -523,39 +441,24 @@ impl FlixServer {
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
-            groups,
-            assigned: (0..workers).map(|_| Counter::new()).collect(),
+            queue: Mutex::new(queue),
             single_flight: Mutex::new(HashMap::new()),
             metrics: ServeMetrics::default(),
-            slow_log: SlowQueryLog::new(config.slow_log_capacity.max(1)),
+            slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY),
             load: SharedLoadMonitor::new(),
             recorder,
             next_request: AtomicU64::new(1),
-            limit: AtomicUsize::new(config.effective_max_in_flight()),
-            completions: AtomicU64::new(0),
         });
-        shared
-            .metrics
-            .admission_limit
-            .set(config.effective_max_in_flight() as f64);
         shared.metrics.generation.set(1.0);
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let group = shared
-                .groups
-                .iter()
-                .position(|g| g.workers.contains(&w))
-                .unwrap_or(0);
-            let (tx, rx) = crossbeam::channel::bounded(config.queue_capacity.max(1));
-            let worker_shared = Arc::clone(&shared);
-            let handle = std::thread::spawn(move || worker_loop(&worker_shared, &rx, group, w));
-            senders.push(tx);
-            handles.push(handle);
-        }
+        let handles = (0..config.effective_workers())
+            .map(|w| {
+                let worker_shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&worker_shared, w))
+            })
+            .collect();
         Self {
             shared,
-            senders: RwLock::new(Some(senders)),
+            sender: RwLock::new(Some(sender)),
             handles: Mutex::new(handles),
         }
     }
@@ -565,19 +468,6 @@ impl FlixServer {
         self.shared.config.effective_workers()
     }
 
-    /// Number of shard groups the workers are partitioned into (1 for
-    /// unsharded backends).
-    pub fn shard_groups(&self) -> usize {
-        self.shared.groups.len()
-    }
-
-    /// How many requests each worker queue has been assigned, in worker
-    /// order — the admission audit behind the round-robin rotation test
-    /// (near-uniform under uniform load).
-    pub fn queue_assignments(&self) -> Vec<u64> {
-        self.shared.assigned.iter().map(Counter::get).collect()
-    }
-
     /// Submits a request through admission control. Returns a [`Ticket`]
     /// on admission (or single-flight attachment); sheds with a typed
     /// error otherwise. Never blocks on a full queue.
@@ -585,12 +475,6 @@ impl FlixServer {
         let shared = &self.shared;
         if shared.draining.load(SeqCst) {
             return Err(ServeError::ShuttingDown);
-        }
-        let mut request = request;
-        if request.opts.deadline.is_none() {
-            if let Some(budget) = shared.config.default_deadline_micros {
-                request.opts.deadline = Some(Deadline::within_micros(budget));
-            }
         }
         let id = shared.mint();
         let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
@@ -630,12 +514,10 @@ impl FlixServer {
             None
         };
 
-        // In-flight ceiling — the *live* one: the adaptive controller may
-        // have pulled it under the configured ceiling. The failed
-        // `fetch_update` hands back the count it observed — that value
-        // (< ceiling never rejects, so it is at the ceiling, never above)
-        // goes into the error verbatim.
-        let max = shared.limit.load(SeqCst);
+        // In-flight ceiling. The failed `fetch_update` hands back the count
+        // it observed — that value (< ceiling never rejects, so it is at the
+        // ceiling, never above) goes into the error verbatim.
+        let max = shared.config.effective_max_in_flight();
         if let Err(cur) = shared
             .in_flight
             .fetch_update(SeqCst, SeqCst, |cur| (cur < max).then_some(cur + 1))
@@ -658,64 +540,44 @@ impl FlixServer {
             .set(shared.in_flight.load(SeqCst) as f64);
         shared.journal(SUBMIT_LANE, id, EventKind::Admitted);
 
-        // Rotate over the owning group's worker queues with non-blocking
-        // sends. The sweep start advances per request, so a sweep that
-        // skips full queues does not pin later requests to the same
-        // low-numbered survivors.
-        let senders = self.senders.read();
-        let Some(senders) = senders.as_deref() else {
+        let sender = self.sender.read();
+        let Some(sender) = sender.as_ref() else {
             shared.in_flight.fetch_sub(1, SeqCst);
             shared.abort_single_flight(sf_key, &ServeError::ShuttingDown);
             return Err(ServeError::ShuttingDown);
         };
-        let group = &shared.groups[shared.group_of(request.start)];
-        let span = group.workers.clone();
-        let mut job = Job {
+        let job = Job {
             request,
             id,
             admitted: Stopwatch::start(),
             reply: reply_tx,
             sf_key,
         };
-        let first = group.next.fetch_add(1, SeqCst);
         // Timestamp the handoff *before* the send: the dequeuing worker's
         // own clock read then always sorts at-or-after it, so the merged
         // trace keeps Enqueued before Dequeued even when the worker wins
-        // the race to the journal.
+        // the race to the journal. Count the request in before the send for
+        // the same reason: the worker's uncount must find it there.
         let enqueue_micros = shared.recorder.as_ref().map(|r| r.now_micros());
-        for i in 0..span.len() {
-            let w = span.start + (first + i) % span.len();
-            match senders[w].try_send(job) {
-                Ok(()) => {
-                    shared.assigned[w].inc();
-                    shared.metrics.submitted.inc();
-                    group.submitted.inc();
-                    group
-                        .depth
-                        .set(group.queued.fetch_add(1, SeqCst) as f64 + 1.0);
-                    shared
-                        .metrics
-                        .queue_depth
-                        .set(shared.queued.fetch_add(1, SeqCst) as f64 + 1.0);
-                    if let (Some(recorder), Some(at)) = (&shared.recorder, enqueue_micros) {
-                        recorder.record_at(
-                            SUBMIT_LANE,
-                            at,
-                            id,
-                            EventKind::Enqueued { worker: w as u64 },
-                        );
-                    }
-                    return Ok(ticket);
-                }
-                Err(crossbeam::channel::TrySendError::Full(returned))
-                | Err(crossbeam::channel::TrySendError::Disconnected(returned)) => {
-                    job = returned;
-                }
+        let depth = shared.queued.fetch_add(1, SeqCst) + 1;
+        if sender.try_send(job).is_ok() {
+            shared.metrics.queue_depth.set(depth as f64);
+            shared.metrics.submitted.inc();
+            if let (Some(recorder), Some(at)) = (&shared.recorder, enqueue_micros) {
+                recorder.record_at(
+                    SUBMIT_LANE,
+                    at,
+                    id,
+                    EventKind::Enqueued {
+                        depth: depth as u64,
+                    },
+                );
             }
+            return Ok(ticket);
         }
-        // Every queue in the group full (or gone): shed. The decrement's
-        // return value is the coherent in-flight count after this request
-        // stepped back out.
+        // The queue is full: shed. The decrement's return value is the
+        // coherent in-flight count after this request stepped back out.
+        shared.queued.fetch_sub(1, SeqCst);
         let now = shared.in_flight.fetch_sub(1, SeqCst) - 1;
         shared.metrics.in_flight.set(now as f64);
         shared.journal(
@@ -727,7 +589,6 @@ impl FlixServer {
         );
         let err = shared.overloaded(now);
         shared.metrics.shed.inc();
-        group.shed.inc();
         shared.abort_single_flight(sf_key, &err);
         Err(err)
     }
@@ -747,10 +608,10 @@ impl FlixServer {
             self.shared
                 .journal(SUBMIT_LANE, RequestId::NONE, EventKind::Drain);
         }
-        // Dropping the senders closes the queues; the channel contract
+        // Dropping the sender closes the queue; the channel contract
         // delivers everything already buffered before the workers see the
         // disconnect, so admitted work always finishes.
-        drop(self.senders.write().take());
+        drop(self.sender.write().take());
         let handles = std::mem::take(&mut *self.handles.lock());
         for handle in handles {
             // flixcheck: allow(swallowed-result): shutdown is best-effort; a panicked worker already counted its job as failed
@@ -778,7 +639,7 @@ impl FlixServer {
             collapsed: m.collapsed.get(),
             queued: self.shared.queued.load(SeqCst),
             in_flight: self.shared.in_flight.load(SeqCst),
-            max_in_flight: self.shared.limit.load(SeqCst),
+            max_in_flight: self.shared.config.effective_max_in_flight(),
         }
     }
 
@@ -838,11 +699,8 @@ impl FlixServer {
     /// The swap is a write-lock store: requests admitted after it see the
     /// new backend; evaluations already running hold their own clone and
     /// finish — correctly — on the generation they started on. No request
-    /// is dropped, paused, or re-queued. The worker-group topology is
-    /// fixed at start, which stays correct across swaps (a [`flix::ShardedFlix`]
-    /// evaluates shards internally, so routing to any group only affects
-    /// locality, never answers). The `flixserve_generation` gauge moves
-    /// with the swap, and a traced server journals it as
+    /// is dropped, paused, or re-queued. The `flixserve_generation` gauge
+    /// moves with the swap, and a traced server journals it as
     /// [`EventKind::Swap`].
     pub fn swap_backend(&self, backend: impl Into<Backend>) -> u64 {
         *self.shared.backend.write() = backend.into();
@@ -887,7 +745,7 @@ impl FlixServer {
             &[
                 (
                     "flixserve_submitted_total",
-                    "Requests admitted past the controller and handed to a worker queue.",
+                    "Requests admitted past the controller and handed to the job queue.",
                     Cell::Counter(&m.submitted),
                 ),
                 (
@@ -897,7 +755,7 @@ impl FlixServer {
                 ),
                 (
                     "flixserve_shed_total",
-                    "Requests rejected by admission control (ceiling or full queues).",
+                    "Requests rejected by admission control (ceiling or full queue).",
                     Cell::Counter(&m.shed),
                 ),
                 (
@@ -917,18 +775,13 @@ impl FlixServer {
                 ),
                 (
                     "flixserve_queue_depth",
-                    "Requests sitting in worker queues right now.",
+                    "Requests sitting in the job queue right now.",
                     Cell::Gauge(&m.queue_depth),
                 ),
                 (
                     "flixserve_in_flight",
                     "Admitted-but-unfinished requests right now.",
                     Cell::Gauge(&m.in_flight),
-                ),
-                (
-                    "flixserve_admission_limit",
-                    "Live in-flight ceiling; moves only when adaptive admission is on.",
-                    Cell::Gauge(&m.admission_limit),
                 ),
                 (
                     "flixserve_generation",
@@ -962,35 +815,6 @@ impl FlixServer {
                 ),
             ],
         );
-        // Per-shard admission cells, one series per group, tagged with a
-        // `shard` label on top of the caller's.
-        if self.shared.groups.len() > 1 {
-            for (g, group) in self.shared.groups.iter().enumerate() {
-                let shard = g.to_string();
-                let mut shard_labels: Vec<(&str, &str)> = labels.to_vec();
-                shard_labels.push(("shard", &shard));
-                registry.publish(
-                    &shard_labels,
-                    &[
-                        (
-                            "flixserve_shard_submitted_total",
-                            "Requests admitted into this shard group's queues.",
-                            Cell::Counter(&group.submitted),
-                        ),
-                        (
-                            "flixserve_shard_shed_total",
-                            "Requests shed because this shard group's queues were full.",
-                            Cell::Counter(&group.shed),
-                        ),
-                        (
-                            "flixserve_shard_queue_depth",
-                            "Requests queued in this shard group right now.",
-                            Cell::Gauge(&group.depth),
-                        ),
-                    ],
-                );
-            }
-        }
         // Bind the *current* backend's cells. The binding captures the
         // backend live at publish time — after a hot swap, publish again
         // to bind the new generation's shard and cache metrics.
@@ -1005,18 +829,14 @@ impl Drop for FlixServer {
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    rx: &crossbeam::channel::Receiver<Job>,
-    group: usize,
-    worker: usize,
-) {
-    let group = &shared.groups[group];
+fn worker_loop(shared: &Shared, worker: usize) {
     let lane = worker + 1;
-    while let Ok(job) = rx.recv() {
-        group
-            .depth
-            .set(group.queued.fetch_sub(1, SeqCst) as f64 - 1.0);
+    loop {
+        // The lock guard is a temporary of this statement: it is released
+        // before the job runs, so the workers evaluate in parallel.
+        let Ok(job) = shared.queue.lock().recv() else {
+            return;
+        };
         shared
             .metrics
             .queue_depth
@@ -1120,43 +940,6 @@ fn worker_loop(
         // flixcheck: allow(swallowed-result): the client may have hung up after its deadline; dropping the reply is correct
         let _ = job.reply.send(Ok(response));
         shared.release_slot();
-        adapt_limit(shared, lane);
-    }
-}
-
-/// The AIMD admission controller, run once per completion by whichever
-/// worker finished the request. Off unless
-/// [`ServeConfig::latency_target_p99_micros`] is set. Every
-/// [`ADAPT_WINDOW`]-th completion compares the end-to-end latency
-/// histogram's p99 estimate to the target: over → multiplicative decrease
-/// (halve, floored at one in-flight slot per worker), at-or-under →
-/// additive increase (one slot, capped at the configured ceiling). The
-/// limit only tightens admission; it never grows past
-/// [`ServeConfig::effective_max_in_flight`], so an adaptive server under
-/// target behaves exactly like a fixed one.
-fn adapt_limit(shared: &Shared, lane: usize) {
-    let Some(target) = shared.config.latency_target_p99_micros else {
-        return;
-    };
-    let completion = shared.completions.fetch_add(1, SeqCst) + 1;
-    if completion % ADAPT_WINDOW != 0 {
-        return;
-    }
-    let p99 = shared.metrics.latency.snapshot().p99();
-    let cur = shared.limit.load(SeqCst);
-    let next = if p99 > target {
-        (cur / 2).max(shared.config.effective_workers())
-    } else {
-        (cur + 1).min(shared.config.effective_max_in_flight())
-    };
-    if next != cur {
-        shared.limit.store(next, SeqCst);
-        shared.metrics.admission_limit.set(next as f64);
-        shared.journal(
-            lane,
-            RequestId::NONE,
-            EventKind::LimitChange { limit: next as u64 },
-        );
     }
 }
 
@@ -1164,6 +947,7 @@ fn adapt_limit(shared: &Shared, lane: usize) {
 mod tests {
     use super::*;
     use flix::{Answer, CachedFlix, Flix, FlixConfig, ShardedFlix};
+    use flixobs::Deadline;
     use xmlgraph::{Collection, Document, LinkTarget};
 
     fn tiny() -> (Arc<Flix>, TagId) {
@@ -1229,14 +1013,9 @@ mod tests {
     #[test]
     fn default_deadline_is_applied_and_marked() {
         let (flix, t) = tiny();
-        let config = ServeConfig {
-            default_deadline_micros: Some(0),
-            ..ServeConfig::default()
-        };
-        let server = FlixServer::start(flix, config);
-        let response = server
-            .query(Request::descendants(0, t, QueryOptions::default()))
-            .unwrap();
+        let server = FlixServer::start(flix, ServeConfig::default());
+        let opts = QueryOptions::default().with_deadline(Deadline::within_micros(0));
+        let response = server.query(Request::descendants(0, t, opts)).unwrap();
         assert!(response.timed_out, "zero budget must expire in the queue");
         assert!(response.results.is_empty());
         assert_eq!(server.stats().timed_out, 1);
@@ -1300,8 +1079,7 @@ mod tests {
     fn sharded_backend_serves_oracle_answers_per_group() {
         let (flix, t) = tiny();
         let sharded = Arc::new(ShardedFlix::new(Arc::clone(&flix), 2));
-        let server = FlixServer::start(Arc::clone(&sharded), ServeConfig::default());
-        assert_eq!(server.shard_groups(), sharded.shard_count().min(4));
+        let server = FlixServer::start(sharded, ServeConfig::default());
         let nodes = flix.collection().node_count() as NodeId;
         for start in 0..nodes {
             for req in [
@@ -1316,13 +1094,16 @@ mod tests {
                 assert_eq!(*got.results, want, "start {start} {:?}", req.axis);
             }
         }
-        let assigned: u64 = server.queue_assignments().iter().sum();
-        assert_eq!(assigned, u64::from(nodes) * 2, "every request was assigned");
+        assert_eq!(
+            server.stats().submitted,
+            u64::from(nodes) * 2,
+            "every request was admitted"
+        );
         server.shutdown();
     }
 
-    /// Routing runs on the caller's thread under the backend read lock and
-    /// evaluation on a worker: neither may index the node maps with it.
+    /// Routing and evaluation both run on a worker: neither may index the
+    /// node maps with a start the collection does not hold.
     #[test]
     fn start_outside_the_collection_is_an_empty_answer_from_every_backend() {
         let (flix, t) = tiny();
@@ -1448,35 +1229,46 @@ mod tests {
         }
     }
 
+    /// A request is counted into the queue before its send, so a worker's
+    /// uncount never runs ahead of it and the depth never wraps below zero:
+    /// sampled under a submission storm, it stays within the in-flight
+    /// ceiling, which this configuration sets to the queue's capacity.
     #[test]
-    fn admission_rotation_spreads_sequential_load_evenly() {
+    fn queue_depth_never_wraps_under_concurrent_submission() {
         let (flix, t) = tiny();
         let config = ServeConfig {
-            workers: 4,
+            workers: 2,
+            queue_capacity: 2,
+            max_in_flight: 4,
             single_flight: false,
-            ..ServeConfig::default()
         };
+        let slots = config.workers * config.queue_capacity;
         let server = FlixServer::start(flix, config);
-        for _ in 0..100 {
-            server
-                .query(Request::descendants(0, t, QueryOptions::default()))
-                .unwrap();
-        }
-        let assigned = server.queue_assignments();
-        assert_eq!(assigned.len(), 4);
-        assert_eq!(assigned.iter().sum::<u64>(), 100);
-        let (lo, hi) = (
-            *assigned.iter().min().unwrap(),
-            *assigned.iter().max().unwrap(),
-        );
-        // Sequential submissions with idle queues land exactly round-robin;
-        // allow a whisker of slack for a sweep that skipped a busy queue.
-        assert!(
-            hi - lo <= 1,
-            "rotation failed to spread load: {assigned:?} (max-min {})",
-            hi - lo
-        );
+        std::thread::scope(|s| {
+            let submitters: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..500 {
+                            if let Ok(ticket) =
+                                server.submit(Request::descendants(0, t, QueryOptions::default()))
+                            {
+                                drop(ticket.wait());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Sample until every submitter is done, a panicked one included.
+            while submitters.iter().any(|h| !h.is_finished()) {
+                let queued = server.stats().queued;
+                assert!(queued <= slots, "queued read {queued} of {slots} slots");
+            }
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+        });
         server.shutdown();
+        assert_eq!(server.stats().queued, 0);
     }
 
     #[test]
@@ -1487,7 +1279,6 @@ mod tests {
             queue_capacity: 1,
             max_in_flight: 2,
             single_flight: false,
-            ..ServeConfig::default()
         };
         let server = Arc::new(FlixServer::start(flix, config));
         let ceiling = config.effective_max_in_flight();

@@ -244,7 +244,6 @@ fn overload_sheds_with_typed_errors() {
             queue_capacity: 1,
             max_in_flight: 1,
             single_flight: false,
-            ..ServeConfig::default()
         },
     );
     let q = descendant_queries(&cg, 1, 3)[0];
@@ -626,91 +625,4 @@ fn a_slow_requests_timeline_holds_its_stage_times() {
     assert!(timeline.contains("cache_hit"), "{timeline}");
     assert!(!timeline.contains("stage_"), "{timeline}");
     server.shutdown();
-}
-
-/// The adaptive admission controller (ISSUE 9 satellite, ROADMAP carry-
-/// over): an impossible latency target walks the live ceiling down to the
-/// per-worker floor — visible in [`flixserve::ServeStats::max_in_flight`]
-/// and journaled as `LimitChange` events — while a generous target leaves
-/// the configured ceiling untouched.
-#[test]
-fn adaptive_admission_tracks_the_latency_target() {
-    use flixobs::EventKind;
-    let cg = mixed_corpus();
-    let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
-    let queries = descendant_queries(&cg, 30, 3);
-    let base = ServeConfig {
-        workers: 2,
-        queue_capacity: 4,
-        single_flight: false,
-        ..ServeConfig::default()
-    };
-
-    // Impossible target: p99 of any real workload exceeds 0µs, so every
-    // window halves the limit until it hits the floor (one per worker).
-    let strict = FlixServer::start_traced(
-        flix.clone(),
-        ServeConfig {
-            latency_target_p99_micros: Some(0),
-            ..base
-        },
-        4096,
-    );
-    for _ in 0..8 {
-        for q in &queries {
-            // flixcheck: allow(swallowed-result): sheds are expected while the limit tightens
-            let _ = strict.query(Request::descendants(
-                q.start,
-                q.target_tag,
-                QueryOptions::default(),
-            ));
-        }
-    }
-    let stats = strict.stats();
-    assert_eq!(
-        stats.max_in_flight, 2,
-        "the limit must fall to the per-worker floor"
-    );
-    let snapshot = strict.journal_snapshot().unwrap();
-    let changes: Vec<u64> = snapshot
-        .events
-        .iter()
-        .filter_map(|e| match e.kind {
-            EventKind::LimitChange { limit } => Some(limit),
-            _ => None,
-        })
-        .collect();
-    assert!(!changes.is_empty(), "limit changes are journaled");
-    assert!(
-        changes.windows(2).all(|w| w[1] <= w[0]),
-        "under an impossible target the limit only falls: {changes:?}"
-    );
-    assert_eq!(*changes.last().unwrap(), 2);
-    strict.shutdown();
-
-    // Generous target: the limit never moves off the configured ceiling.
-    let relaxed = FlixServer::start(
-        flix.clone(),
-        ServeConfig {
-            latency_target_p99_micros: Some(u64::MAX),
-            ..base
-        },
-    );
-    for _ in 0..4 {
-        for q in &queries {
-            relaxed
-                .query(Request::descendants(
-                    q.start,
-                    q.target_tag,
-                    QueryOptions::default(),
-                ))
-                .unwrap();
-        }
-    }
-    assert_eq!(
-        relaxed.stats().max_in_flight,
-        base.effective_max_in_flight(),
-        "an achievable target leaves the ceiling alone"
-    );
-    relaxed.shutdown();
 }
