@@ -54,5 +54,6 @@ echo "workspace:   $(count_lines crates src tests examples vendor)"
 echo "crates/flix: $(count_lines crates/flix)"
 echo "crates/flixcheck: $(count_lines crates/flixcheck)"
 echo "crates/serve: $(count_lines crates/serve)"
+echo "crates/xmlgraph: $(count_lines crates/xmlgraph)"
 
 echo "CI green."

@@ -355,7 +355,7 @@ impl<'f> QueryEngine<'f> {
             if cg.tag_of(c) != child_tag {
                 continue;
             }
-            let text = &cg.element(c).text;
+            let text = cg.element(c).text();
             let s = match pred.op {
                 PredOp::Equals => {
                     if text.trim().eq_ignore_ascii_case(pred.value.trim()) {
@@ -585,7 +585,7 @@ mod tests {
         let q = PathQuery::parse(r#"/movie/cast/actor"#).unwrap();
         let res = engine.evaluate(&q);
         assert_eq!(res.len(), 1);
-        assert!(cg.element(res[0].node).text.contains("Keanu"));
+        assert!(cg.element(res[0].node).text().contains("Keanu"));
         assert!((res[0].score - 1.0).abs() < 1e-9);
     }
 

@@ -156,7 +156,7 @@ pub fn generate_dblp(cfg: &DblpConfig) -> Collection {
 
         let t_root = c.tags.intern(root_tag);
         let root = d.add_element(t_root, None);
-        d.set_attr(root, "id", format!("p{i}"));
+        d.set_attr(root, "id", &format!("p{i}"));
         d.set_attr(root, "key", name.trim_end_matches(".xml"));
 
         let n_authors = rng.gen_range(1..=cfg.max_authors);
@@ -266,7 +266,7 @@ pub fn generate_dblp(cfg: &DblpConfig) -> Collection {
                 d.set_attr(
                     cite,
                     "xlink:href",
-                    format!("{}#p{}", names[target].1, target),
+                    &format!("{}#p{}", names[target].1, target),
                 );
                 let lab = d.add_element(t_label, Some(cite));
                 d.append_text(lab, &format!("[{}]", cited.len()));
@@ -361,7 +361,7 @@ mod tests {
                     || !d.is_empty()
             );
             for (src, target) in d.links() {
-                assert!(d.element(*src).attr("xlink:href").is_some());
+                assert!(d.element(src).attr("xlink:href").is_some());
                 assert!(target.document.is_some());
             }
         }

@@ -48,15 +48,13 @@ pub fn generate_mixed(cfg: &MixedConfig) -> Collection {
                 let tag = c.tags.intern(src.tags.name(el.tag));
                 let id = nd.add_element(tag, el.parent);
                 debug_assert_eq!(id, local);
-                for (k, v) in &el.attrs {
-                    nd.set_attr(id, k.clone(), v.clone());
+                for (k, v) in el.attrs() {
+                    nd.set_attr(id, k, v);
                 }
-                if !el.text.is_empty() {
-                    nd.append_text(id, &el.text);
-                }
+                nd.append_text(id, el.text());
             }
             for (src_el, target) in d.links() {
-                nd.add_link(*src_el, target.clone());
+                nd.add_link(src_el, target.into());
             }
             for (frag, el) in d.anchors() {
                 nd.add_anchor(frag, el);
@@ -133,7 +131,7 @@ mod tests {
         let cg = generate_mixed(&cfg).seal();
         // Documents from the tree region have no intra-document links.
         for d in 0..cfg.trees.documents as u32 {
-            assert!(cg.collection.doc(d).links().is_empty());
+            assert!(cg.collection.doc(d).links().next().is_none());
         }
     }
 

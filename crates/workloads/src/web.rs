@@ -56,7 +56,7 @@ pub fn generate_web(cfg: &WebConfig) -> Collection {
         for el_i in 1..cfg.elements_per_doc {
             let parent = rng.gen_range(0..el_i) as u32;
             let el = d.add_element(tags[rng.gen_range(0..tags.len())], Some(parent));
-            d.add_anchor(format!("e{el_i}"), el);
+            d.add_anchor(&format!("e{el_i}"), el);
         }
         for _ in 0..cfg.intra_links_per_doc {
             let src = rng.gen_range(0..cfg.elements_per_doc) as u32;

@@ -8,7 +8,8 @@
 //!
 //! The crate provides:
 //!
-//! * [`model`]: tag interning, [`model::Document`] element trees,
+//! * [`model`]: tag interning, [`model::Document`] element trees (flat
+//!   arrays over one string pool per document),
 //!   [`model::Collection`] and the sealed [`model::CollectionGraph`] that
 //!   every index in the workspace consumes,
 //! * [`parser`]: a from-scratch, well-formedness-checking XML parser
@@ -31,7 +32,7 @@ pub mod parser;
 /// Serialisation of documents back to indented, escaped XML text.
 pub mod writer;
 
-pub use links::{LinkSpec, LinkTarget};
-pub use model::{Collection, CollectionGraph, Document, Element, LocalId, TagId, TagInterner};
+pub use links::{LinkRef, LinkSpec, LinkTarget};
+pub use model::{Collection, CollectionGraph, Document, ElementRef, LocalId, TagId, TagInterner};
 pub use parser::{parse_document, ParseError};
 pub use writer::write_document;

@@ -9,7 +9,9 @@
 use serde::{Deserialize, Serialize};
 
 /// Where a link points: a document (by name) and optionally a fragment
-/// (the value of an `id` attribute inside that document).
+/// (the value of an `id` attribute inside that document). The owned form
+/// [`crate::Document::add_link`] takes; a stored link reads back as a
+/// [`LinkRef`].
 ///
 /// `document == None` means "this same document".
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -20,25 +22,43 @@ pub struct LinkTarget {
     pub fragment: Option<String>,
 }
 
-impl LinkTarget {
-    /// Parses an href value of the form `doc`, `doc#frag`, or `#frag`.
+/// A link target borrowed from a document's string pool, or from the
+/// attribute value it was extracted from: the view [`crate::Document::links`]
+/// returns. `document == None` means "this same document".
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LinkRef<'a> {
+    /// Target document name, `None` for the containing document.
+    pub document: Option<&'a str>,
+    /// Fragment (anchor id); `None` addresses the document root.
+    pub fragment: Option<&'a str>,
+}
+
+impl<'a> LinkRef<'a> {
+    /// Parses an href value of the form `doc`, `doc#frag`, or `#frag`; both
+    /// parts are slices of `href`.
     ///
     /// Returns `None` for empty hrefs, which carry no link.
-    pub fn parse_href(href: &str) -> Option<Self> {
+    pub fn parse_href(href: &'a str) -> Option<Self> {
         let href = href.trim();
-        if href.is_empty() {
-            return None;
-        }
         let (doc, frag) = match href.split_once('#') {
             Some((d, f)) => (d, Some(f)),
             None => (href, None),
         };
-        let document = (!doc.is_empty()).then(|| doc.to_string());
-        let fragment = frag.filter(|f| !f.is_empty()).map(str::to_string);
+        let document = Some(doc).filter(|d| !d.is_empty());
+        let fragment = frag.filter(|f| !f.is_empty());
         if document.is_none() && fragment.is_none() {
             return None;
         }
         Some(Self { document, fragment })
+    }
+}
+
+impl From<LinkRef<'_>> for LinkTarget {
+    fn from(link: LinkRef<'_>) -> Self {
+        Self {
+            document: link.document.map(str::to_string),
+            fragment: link.fragment.map(str::to_string),
+        }
     }
 }
 
@@ -67,29 +87,25 @@ impl Default for LinkSpec {
 }
 
 impl LinkSpec {
-    /// Extracts all link targets an attribute contributes, if any.
-    pub fn targets_of(&self, attr_name: &str, attr_value: &str) -> Vec<LinkTarget> {
+    /// Extracts all link targets an attribute contributes, if any, as
+    /// slices of `attr_value`.
+    pub fn targets_of<'v>(&self, attr_name: &str, attr_value: &'v str) -> Vec<LinkRef<'v>> {
+        let local = |v: &'v str| LinkRef {
+            document: None,
+            fragment: Some(v),
+        };
         if self.idref_attrs.iter().any(|a| a == attr_name) {
             let v = attr_value.trim();
             if v.is_empty() {
                 return Vec::new();
             }
-            return vec![LinkTarget {
-                document: None,
-                fragment: Some(v.to_string()),
-            }];
+            return vec![local(v)];
         }
         if self.idrefs_attrs.iter().any(|a| a == attr_name) {
-            return attr_value
-                .split_whitespace()
-                .map(|v| LinkTarget {
-                    document: None,
-                    fragment: Some(v.to_string()),
-                })
-                .collect();
+            return attr_value.split_whitespace().map(local).collect();
         }
         if self.href_attrs.iter().any(|a| a == attr_name) {
-            return LinkTarget::parse_href(attr_value).into_iter().collect();
+            return LinkRef::parse_href(attr_value).into_iter().collect();
         }
         Vec::new()
     }
@@ -106,35 +122,26 @@ mod tests {
 
     #[test]
     fn parse_href_variants() {
+        let link = |document, fragment| Some(LinkRef { document, fragment });
         assert_eq!(
-            LinkTarget::parse_href("a.xml#e5"),
-            Some(LinkTarget {
-                document: Some("a.xml".into()),
-                fragment: Some("e5".into())
-            })
+            LinkRef::parse_href("a.xml#e5"),
+            link(Some("a.xml"), Some("e5"))
+        );
+        assert_eq!(LinkRef::parse_href("a.xml"), link(Some("a.xml"), None));
+        assert_eq!(LinkRef::parse_href("#frag"), link(None, Some("frag")));
+        assert_eq!(LinkRef::parse_href(""), None);
+        assert_eq!(LinkRef::parse_href("#"), None);
+        assert_eq!(
+            LinkRef::parse_href("  doc#f  "),
+            link(Some("doc"), Some("f"))
         );
         assert_eq!(
-            LinkTarget::parse_href("a.xml"),
-            Some(LinkTarget {
-                document: Some("a.xml".into()),
-                fragment: None
-            })
+            LinkTarget::from(LinkRef::parse_href("d.xml#x").unwrap()),
+            LinkTarget {
+                document: Some("d.xml".into()),
+                fragment: Some("x".into()),
+            }
         );
-        assert_eq!(
-            LinkTarget::parse_href("#frag"),
-            Some(LinkTarget {
-                document: None,
-                fragment: Some("frag".into())
-            })
-        );
-        assert_eq!(LinkTarget::parse_href(""), None);
-        assert_eq!(LinkTarget::parse_href("#"), None);
-        assert_eq!(LinkTarget::parse_href("  doc#f  "), {
-            Some(LinkTarget {
-                document: Some("doc".into()),
-                fragment: Some("f".into()),
-            })
-        });
     }
 
     #[test]
@@ -142,7 +149,7 @@ mod tests {
         let spec = LinkSpec::default();
         let t = spec.targets_of("idref", "x1");
         assert_eq!(t.len(), 1);
-        assert_eq!(t[0].fragment.as_deref(), Some("x1"));
+        assert_eq!(t[0].fragment, Some("x1"));
         assert_eq!(t[0].document, None);
         assert!(spec.targets_of("idref", "   ").is_empty());
     }
@@ -152,7 +159,7 @@ mod tests {
         let spec = LinkSpec::default();
         let t = spec.targets_of("idrefs", "a  b\tc");
         assert_eq!(t.len(), 3);
-        assert_eq!(t[2].fragment.as_deref(), Some("c"));
+        assert_eq!(t[2].fragment, Some("c"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Element trees, document collections, and the sealed union graph `G_X`.
 
-use crate::links::{LinkSpec, LinkTarget};
+use crate::links::{LinkRef, LinkSpec, LinkTarget};
 use graphcore::{Digraph, DigraphBuilder, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -67,40 +67,135 @@ impl TagInterner {
     }
 }
 
-/// One XML element: tag, parent pointer, attributes, and direct text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Element {
+/// A range `start..end` of a document's string pool (bytes) or of its
+/// attribute table (entries).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Self {
+        assert!(
+            end <= u32::MAX as usize,
+            "a document's pool or attribute table outgrows u32 offsets"
+        );
+        Self {
+            start: start as u32,
+            end: end as u32,
+        }
+    }
+
+    fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    fn of(self, pool: &str) -> &str {
+        &pool[self.range()]
+    }
+}
+
+/// Appends `s` to `pool` and returns where it landed.
+fn push(pool: &mut String, s: &str) -> Span {
+    let start = pool.len();
+    pool.push_str(s);
+    Span::new(start, pool.len())
+}
+
+/// The span of `part`, which must be a slice of `pool`.
+fn span_in(pool: &str, part: &str) -> Span {
+    let start = part.as_ptr() as usize - pool.as_ptr() as usize;
+    debug_assert!(start + part.len() <= pool.len(), "not a slice of the pool");
+    Span::new(start, start + part.len())
+}
+
+/// Groups `(key, value)` pairs by key with a counting sort: key `k`'s
+/// values are `values[start[k]..start[k + 1]]`, in input order.
+fn group_by_key(
+    keys: usize,
+    pairs: impl Iterator<Item = (u32, u32)> + Clone,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut start = vec![0u32; keys + 1];
+    for (k, _) in pairs.clone() {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        start[k + 1] += start[k];
+    }
+    let mut fill = start.clone();
+    let mut values = vec![0u32; start[keys] as usize];
+    for (k, v) in pairs {
+        values[fill[k as usize] as usize] = v;
+        fill[k as usize] += 1;
+    }
+    (start, values)
+}
+
+/// The parent entry of a document root.
+const NO_PARENT: LocalId = LocalId::MAX;
+
+/// One element of a [`Document`]: a `Copy` view over the document's arrays.
+#[derive(Clone, Copy)]
+pub struct ElementRef<'a> {
     /// Interned tag name.
     pub tag: TagId,
     /// Parent element, `None` for the document root.
     pub parent: Option<LocalId>,
-    /// Attributes in document order.
-    pub attrs: Vec<(String, String)>,
-    /// Concatenated direct text content (trimmed).
-    pub text: String,
+    text: &'a str,
+    attrs: &'a [(Span, Span)],
+    pool: &'a str,
 }
 
-impl Element {
-    /// Attribute value lookup.
-    pub fn attr(&self, name: &str) -> Option<&str> {
+impl<'a> ElementRef<'a> {
+    /// Concatenated direct text content: each appended piece trimmed, the
+    /// non-empty ones joined by one space.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// Attributes `(name, value)` in document order.
+    pub fn attrs(&self) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
+        let pool = self.pool;
         self.attrs
             .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+            .map(move |&(k, v)| (k.of(pool), v.of(pool)))
+    }
+
+    /// Attribute value lookup (the first attribute named `name`).
+    pub fn attr(&self, name: &str) -> Option<&'a str> {
+        self.attrs().find(|&(k, _)| k == name).map(|(_, v)| v)
     }
 }
 
-/// A single XML document: an element tree plus its extracted links.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A single XML document: an element tree plus its extracted links, kept as
+/// a few flat arrays over one string pool.
+///
+/// Element `i`'s tag, parent, text span and attribute range sit at index `i`
+/// of four parallel arrays; its attributes are a range of one flat table of
+/// `(name, value)` spans. Every string — texts, attribute names and values,
+/// anchor ids, link targets — lives in `pool`, so a document costs a fixed
+/// handful of allocations however many elements it has.
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Document name (unique within a collection), e.g. `conf/vldb/X.xml`.
     pub name: String,
-    elements: Vec<Element>,
-    children: Vec<Vec<LocalId>>,
-    /// Anchor id -> element carrying it.
-    anchors: HashMap<String, LocalId>,
-    /// Extracted links `(source element, target)`.
-    links: Vec<(LocalId, LinkTarget)>,
+    tag: Vec<TagId>,
+    /// [`NO_PARENT`] for the root.
+    parent: Vec<LocalId>,
+    text: Vec<Span>,
+    /// Each element's range of `attrs`.
+    attr_range: Vec<Span>,
+    attrs: Vec<(Span, Span)>,
+    /// `(anchor id, element)`, sorted by id, one entry per id.
+    anchors: Vec<(Span, LocalId)>,
+    /// Extracted links `(source element, target document, fragment)`.
+    links: Vec<(LocalId, Option<Span>, Option<Span>)>,
+    pool: String,
 }
 
 impl Document {
@@ -108,10 +203,14 @@ impl Document {
     pub fn new(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
-            elements: Vec::new(),
-            children: Vec::new(),
-            anchors: HashMap::new(),
+            tag: Vec::new(),
+            parent: Vec::new(),
+            text: Vec::new(),
+            attr_range: Vec::new(),
+            attrs: Vec::new(),
+            anchors: Vec::new(),
             links: Vec::new(),
+            pool: String::new(),
         }
     }
 
@@ -122,134 +221,223 @@ impl Document {
     /// On a second root or a dangling parent id.
     pub fn add_element(&mut self, tag: TagId, parent: Option<LocalId>) -> LocalId {
         match parent {
-            None => assert!(self.elements.is_empty(), "document already has a root"),
-            Some(p) => assert!(
-                (p as usize) < self.elements.len(),
-                "parent {p} does not exist"
-            ),
+            None => assert!(self.tag.is_empty(), "document already has a root"),
+            Some(p) => assert!((p as usize) < self.tag.len(), "parent {p} does not exist"),
         }
-        let id = self.elements.len() as LocalId;
-        self.elements.push(Element {
-            tag,
-            parent,
-            attrs: Vec::new(),
-            text: String::new(),
-        });
-        self.children.push(Vec::new());
-        if let Some(p) = parent {
-            self.children[p as usize].push(id);
-        }
+        let id = self.tag.len() as LocalId;
+        self.tag.push(tag);
+        self.parent.push(parent.unwrap_or(NO_PARENT));
+        self.text.push(Span::default());
+        self.attr_range.push(Span::default());
         id
     }
 
     /// Sets an attribute on an element (appends; duplicate names are the
     /// caller's responsibility, as in raw XML).
-    pub fn set_attr(&mut self, el: LocalId, name: impl Into<String>, value: impl Into<String>) {
-        self.elements[el as usize]
-            .attrs
-            .push((name.into(), value.into()));
+    ///
+    /// Costs O(1) when `el` is the last element given an attribute, as it
+    /// is while a parser or generator builds elements in order. Otherwise
+    /// `el`'s earlier attributes are first copied to the end of the table
+    /// (their old entries stay behind, unused), so interleaving `set_attr`
+    /// over many elements costs time and space linear in the attributes
+    /// moved.
+    pub fn set_attr(&mut self, el: LocalId, name: &str, value: &str) {
+        let range = &mut self.attr_range[el as usize];
+        if range.end as usize != self.attrs.len() {
+            let start = self.attrs.len();
+            self.attrs.extend_from_within(range.range());
+            *range = Span::new(start, self.attrs.len());
+        }
+        let entry = (push(&mut self.pool, name), push(&mut self.pool, value));
+        self.attrs.push(entry);
+        range.end += 1;
     }
 
-    /// Appends text content to an element.
+    /// Appends text content to an element: `text` is trimmed, and a
+    /// non-empty piece is joined to the element's earlier text by one space.
+    ///
+    /// Costs O(`text`) when `el`'s text ends the string pool, as it does when
+    /// each element's text is appended in one go or the appends to one
+    /// element are not interleaved with other strings. Otherwise `el`'s
+    /// text is first copied to the end of the pool (the old copy stays
+    /// behind, unused), so interleaved appends cost time and space linear
+    /// in the text moved.
     pub fn append_text(&mut self, el: LocalId, text: &str) {
-        let t = &mut self.elements[el as usize].text;
-        if !t.is_empty() && !text.is_empty() {
-            t.push(' ');
+        let piece = text.trim();
+        if piece.is_empty() {
+            return;
         }
-        t.push_str(text.trim());
+        let span = &mut self.text[el as usize];
+        if span.is_empty() {
+            *span = push(&mut self.pool, piece);
+            return;
+        }
+        let mut start = span.start as usize;
+        if span.end as usize != self.pool.len() {
+            start = self.pool.len();
+            let earlier = self.pool[span.range()].to_string();
+            self.pool.push_str(&earlier);
+        }
+        self.pool.push(' ');
+        self.pool.push_str(piece);
+        *span = Span::new(start, self.pool.len());
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.elements.len()
+        self.tag.len()
     }
 
     /// True if the document has no elements yet.
     pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
+        self.tag.is_empty()
     }
 
     /// The root element id (0). Panics on an empty document.
     pub fn root(&self) -> LocalId {
-        assert!(!self.elements.is_empty(), "empty document has no root");
+        assert!(!self.is_empty(), "empty document has no root");
         0
     }
 
     /// Element accessor.
-    pub fn element(&self, id: LocalId) -> &Element {
-        &self.elements[id as usize]
+    pub fn element(&self, id: LocalId) -> ElementRef<'_> {
+        let i = id as usize;
+        ElementRef {
+            tag: self.tag[i],
+            parent: Some(self.parent[i]).filter(|&p| p != NO_PARENT),
+            text: self.text[i].of(&self.pool),
+            attrs: &self.attrs[self.attr_range[i].range()],
+            pool: &self.pool,
+        }
     }
 
-    /// Children of an element in document order.
-    pub fn children(&self, id: LocalId) -> &[LocalId] {
-        &self.children[id as usize]
+    /// Children of an element in document order. A scan of every later
+    /// element: O(`len`) a call.
+    pub fn children(&self, id: LocalId) -> impl Iterator<Item = LocalId> + '_ {
+        (id + 1..self.len() as LocalId).filter(move |&c| self.parent[c as usize] == id)
+    }
+
+    /// Every element's children as CSR: element `p`'s are
+    /// `kids[first[p]..first[p + 1]]`, in document order. One pass over the
+    /// parent array.
+    pub(crate) fn children_csr(&self) -> (Vec<u32>, Vec<LocalId>) {
+        let edges = self.parent.iter().enumerate().skip(1);
+        group_by_key(self.len(), edges.map(|(c, &p)| (p, c as LocalId)))
     }
 
     /// All elements with their ids, in document (pre-)order.
-    pub fn elements(&self) -> impl Iterator<Item = (LocalId, &Element)> {
-        self.elements
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i as LocalId, e))
+    pub fn elements(&self) -> impl Iterator<Item = (LocalId, ElementRef<'_>)> {
+        (0..self.len() as LocalId).map(|i| (i, self.element(i)))
     }
 
-    /// Extracted links.
-    pub fn links(&self) -> &[(LocalId, LinkTarget)] {
-        &self.links
+    /// Extracted links `(source element, target)`.
+    pub fn links(&self) -> impl ExactSizeIterator<Item = (LocalId, LinkRef<'_>)> {
+        let pool = self.pool.as_str();
+        self.links.iter().map(move |&(source, document, fragment)| {
+            let link = LinkRef {
+                document: document.map(|s| s.of(pool)),
+                fragment: fragment.map(|s| s.of(pool)),
+            };
+            (source, link)
+        })
     }
 
     /// Element carrying anchor `id`, if any.
     pub fn anchor(&self, id: &str) -> Option<LocalId> {
-        self.anchors.get(id).copied()
+        self.anchor_slot(id).ok().map(|i| self.anchors[i].1)
     }
 
-    /// All registered anchors as `(id, element)` pairs (unordered).
+    /// The index of anchor `id` in `anchors`, or where it would go.
+    fn anchor_slot(&self, id: &str) -> Result<usize, usize> {
+        self.anchors
+            .binary_search_by(|&(k, _)| k.of(&self.pool).cmp(id))
+    }
+
+    /// All registered anchors as `(id, element)` pairs, ascending by id.
     pub fn anchors(&self) -> impl Iterator<Item = (&str, LocalId)> {
-        self.anchors.iter().map(|(k, &v)| (k.as_str(), v))
+        self.anchors.iter().map(|&(k, v)| (k.of(&self.pool), v))
     }
 
     /// Records a link explicitly (used by generators that do not go through
     /// attribute extraction).
     pub fn add_link(&mut self, source: LocalId, target: LinkTarget) {
-        assert!((source as usize) < self.elements.len());
-        self.links.push((source, target));
+        assert!((source as usize) < self.len());
+        let pool = &mut self.pool;
+        let document = target.document.map(|d| push(pool, &d));
+        let fragment = target.fragment.map(|f| push(pool, &f));
+        self.links.push((source, document, fragment));
     }
 
-    /// Registers an anchor explicitly.
-    pub fn add_anchor(&mut self, id: impl Into<String>, el: LocalId) {
-        self.anchors.insert(id.into(), el);
+    /// Registers an anchor explicitly; a repeated id moves to `el`.
+    pub fn add_anchor(&mut self, id: &str, el: LocalId) {
+        match self.anchor_slot(id) {
+            Ok(i) => self.anchors[i].1 = el,
+            Err(i) => {
+                let span = push(&mut self.pool, id);
+                self.anchors.insert(i, (span, el));
+            }
+        }
     }
 
-    /// Scans attributes with `spec` and (re)builds anchors and links.
+    /// Scans attributes with `spec` and (re)builds anchors and links. Both
+    /// point into the attribute values already in the pool; a repeated
+    /// anchor id keeps its last element.
     pub fn extract_links(&mut self, spec: &LinkSpec) {
         self.anchors.clear();
         self.links.clear();
-        let mut found: Vec<(LocalId, LinkTarget)> = Vec::new();
-        for (i, el) in self.elements.iter().enumerate() {
-            for (name, value) in &el.attrs {
+        let pool = self.pool.as_str();
+        for (el, range) in self.attr_range.iter().enumerate() {
+            let el = el as LocalId;
+            for &(name, value) in &self.attrs[range.range()] {
+                let (name, value_str) = (name.of(pool), value.of(pool));
                 if spec.is_anchor(name) {
-                    self.anchors.insert(value.clone(), i as LocalId);
+                    self.anchors.push((value, el));
                 }
-                for t in spec.targets_of(name, value) {
-                    found.push((i as LocalId, t));
+                for t in spec.targets_of(name, value_str) {
+                    let document = t.document.map(|d| span_in(pool, d));
+                    let fragment = t.fragment.map(|f| span_in(pool, f));
+                    self.links.push((el, document, fragment));
                 }
             }
         }
-        self.links = found;
+        // Stable, so equal ids stay in document order; each run then keeps
+        // its last element.
+        self.anchors.sort_by(|a, b| a.0.of(pool).cmp(b.0.of(pool)));
+        self.anchors.dedup_by(|later, kept| {
+            let same = later.0.of(pool) == kept.0.of(pool);
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
     }
 
     /// Total bytes of text + attribute payload (used for corpus-size stats).
     pub fn payload_bytes(&self) -> usize {
-        self.elements
+        let text: usize = self.text.iter().map(|s| s.range().len()).sum();
+        let attrs: usize = self
+            .attr_range
             .iter()
-            .map(|e| {
-                e.text.len()
-                    + e.attrs
-                        .iter()
-                        .map(|(k, v)| k.len() + v.len())
-                        .sum::<usize>()
-            })
-            .sum()
+            .flat_map(|r| &self.attrs[r.range()])
+            .map(|(k, v)| k.range().len() + v.range().len())
+            .sum();
+        text + attrs
+    }
+
+    /// Moves every array into an allocation of its exact length once the
+    /// document is built. Copying, not `shrink_to_fit`: a `realloc` that
+    /// shrinks in place leaves a small free fragment behind each array, and
+    /// the paper-scale corpus's ~50,000 of them slowed the next index build
+    /// by a quarter.
+    fn compact(&mut self) {
+        self.tag = self.tag.to_vec();
+        self.parent = self.parent.to_vec();
+        self.text = self.text.to_vec();
+        self.attr_range = self.attr_range.to_vec();
+        self.attrs = self.attrs.to_vec();
+        self.anchors = self.anchors.to_vec();
+        self.links = self.links.to_vec();
+        self.pool = self.pool.as_str().to_owned();
     }
 }
 
@@ -269,10 +457,11 @@ impl Collection {
     }
 
     /// Adds a document. Returns its id, or an error on a duplicate name.
-    pub fn add_document(&mut self, doc: Document) -> Result<u32, String> {
+    pub fn add_document(&mut self, mut doc: Document) -> Result<u32, String> {
         if self.doc_index.contains_key(&doc.name) {
             return Err(format!("duplicate document name {:?}", doc.name));
         }
+        doc.compact();
         let id = self.docs.len() as u32;
         self.doc_index.insert(doc.name.clone(), id);
         self.docs.push(doc);
@@ -302,7 +491,8 @@ impl Collection {
     /// Resolves all links and freezes the collection into a
     /// [`CollectionGraph`]. Links to unknown documents or anchors are
     /// counted as dangling and dropped.
-    pub fn seal(self) -> CollectionGraph {
+    pub fn seal(mut self) -> CollectionGraph {
+        self.docs.shrink_to_fit();
         let n_docs = self.docs.len();
         let mut node_base = Vec::with_capacity(n_docs + 1);
         let mut total = 0u32;
@@ -318,12 +508,12 @@ impl Collection {
         let mut builder = DigraphBuilder::with_nodes(n);
         for (d, doc) in self.docs.iter().enumerate() {
             let base = node_base[d];
-            for (local, el) in doc.elements() {
-                let g = base + local;
+            for (local, (&tag, &parent)) in doc.tag.iter().zip(&doc.parent).enumerate() {
+                let g = base + local as u32;
                 node_doc[g as usize] = d as u32;
-                node_tag[g as usize] = el.tag;
-                if let Some(p) = el.parent {
-                    builder.add_edge(base + p, g);
+                node_tag[g as usize] = tag;
+                if parent != NO_PARENT {
+                    builder.add_edge(base + parent, g);
                 }
             }
         }
@@ -334,7 +524,7 @@ impl Collection {
         for (d, doc) in self.docs.iter().enumerate() {
             let base = node_base[d];
             for (src_local, target) in doc.links() {
-                let target_doc = match &target.document {
+                let target_doc = match target.document {
                     None => d as u32,
                     Some(name) => match self.doc_index.get(name) {
                         Some(&t) => t,
@@ -349,7 +539,7 @@ impl Collection {
                     dangling += 1;
                     continue;
                 }
-                let target_local = match &target.fragment {
+                let target_local = match target.fragment {
                     None => tdoc.root(),
                     Some(frag) => match tdoc.anchor(frag) {
                         Some(l) => l,
@@ -373,10 +563,10 @@ impl Collection {
         link_edges.sort_unstable();
         link_edges.dedup();
 
-        let mut nodes_by_tag: Vec<Vec<NodeId>> = vec![Vec::new(); self.tags.len()];
-        for (i, &t) in node_tag.iter().enumerate() {
-            nodes_by_tag[t as usize].push(i as NodeId);
-        }
+        let (tag_start, tag_nodes) = group_by_key(
+            self.tags.len(),
+            node_tag.iter().enumerate().map(|(v, &t)| (t, v as NodeId)),
+        );
 
         let doc_graph = Digraph::from_edges(n_docs, doc_links);
 
@@ -385,7 +575,8 @@ impl Collection {
             node_base,
             node_doc,
             node_tag,
-            nodes_by_tag,
+            tag_start,
+            tag_nodes,
             link_edges,
             doc_graph,
             dangling_links: dangling,
@@ -411,8 +602,10 @@ pub struct CollectionGraph {
     pub node_doc: Vec<u32>,
     /// Tag of each global node.
     pub node_tag: Vec<TagId>,
-    /// Global nodes per tag, ascending.
-    pub nodes_by_tag: Vec<Vec<NodeId>>,
+    /// `tag_start[t]..tag_start[t + 1]` is tag `t`'s range of `tag_nodes`.
+    tag_start: Vec<u32>,
+    /// Global nodes grouped by tag, each group ascending.
+    tag_nodes: Vec<NodeId>,
     /// Resolved link edges (sorted). A link edge may coincide with a tree
     /// edge; the union graph stores it once.
     pub link_edges: Vec<(NodeId, NodeId)>,
@@ -452,7 +645,7 @@ impl CollectionGraph {
     }
 
     /// The element data behind a node.
-    pub fn element(&self, node: NodeId) -> &Element {
+    pub fn element(&self, node: NodeId) -> ElementRef<'_> {
         let (doc, local) = self.local_of(node);
         self.collection.doc(doc).element(local)
     }
@@ -464,10 +657,11 @@ impl CollectionGraph {
 
     /// All nodes carrying `tag`, ascending.
     pub fn nodes_with_tag(&self, tag: TagId) -> &[NodeId] {
-        self.nodes_by_tag
-            .get(tag as usize)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let t = tag as usize;
+        if t + 1 >= self.tag_start.len() {
+            return &[];
+        }
+        &self.tag_nodes[self.tag_start[t] as usize..self.tag_start[t + 1] as usize]
     }
 
     /// True if `u -> v` is a link edge (rather than a pure tree edge).
@@ -594,8 +788,9 @@ mod tests {
         let k2 = d.add_element(tag, Some(r));
         let k3 = d.add_element(tag, Some(k1));
         assert_eq!(d.root(), r);
-        assert_eq!(d.children(r), &[k1, k2]);
-        assert_eq!(d.children(k1), &[k3]);
+        assert!(d.children(r).eq([k1, k2]));
+        assert!(d.children(k1).eq([k3]));
+        assert_eq!(d.children(k3).count(), 0);
         assert_eq!(d.element(k3).parent, Some(k1));
         assert_eq!(d.len(), 4);
     }
@@ -614,7 +809,56 @@ mod tests {
         let r = d.add_element(0, None);
         d.append_text(r, "  hello ");
         d.append_text(r, "world");
-        assert_eq!(d.element(r).text, "hello world");
+        assert_eq!(d.element(r).text(), "hello world");
+    }
+
+    #[test]
+    fn blank_pieces_add_no_separator() {
+        let mut d = Document::new("t.xml");
+        let r = d.add_element(0, None);
+        let k = d.add_element(0, Some(r));
+        d.append_text(r, " \n ");
+        assert_eq!(d.element(r).text(), "");
+        d.append_text(r, "x");
+        d.append_text(r, "   ");
+        assert_eq!(d.element(r).text(), "x");
+        // `k`'s text now ends the pool, so `r`'s is copied past it.
+        d.append_text(k, "inner");
+        d.append_text(r, " y ");
+        assert_eq!(d.element(r).text(), "x y");
+        assert_eq!(d.element(k).text(), "inner");
+        assert_eq!(d.payload_bytes(), "x y".len() + "inner".len());
+    }
+
+    #[test]
+    fn interleaved_attributes_keep_each_elements_order() {
+        let mut d = Document::new("t.xml");
+        let r = d.add_element(0, None);
+        let k = d.add_element(0, Some(r));
+        d.set_attr(r, "a", "1");
+        d.set_attr(k, "b", "2");
+        d.set_attr(r, "c", "3");
+        assert!(d.element(r).attrs().eq([("a", "1"), ("c", "3")]));
+        assert!(d.element(k).attrs().eq([("b", "2")]));
+        assert_eq!(d.element(r).attr("c"), Some("3"));
+        assert_eq!(d.payload_bytes(), 6);
+    }
+
+    #[test]
+    fn repeated_anchor_ids_keep_the_last_element() {
+        let mut d = Document::new("t.xml");
+        let r = d.add_element(0, None);
+        let k = d.add_element(0, Some(r));
+        d.set_attr(r, "id", "x");
+        d.set_attr(k, "id", "x");
+        d.set_attr(r, "id", "a");
+        d.extract_links(&LinkSpec::default());
+        assert_eq!(d.anchor("x"), Some(k));
+        assert!(d.anchors().eq([("a", r), ("x", k)]));
+        d.add_anchor("x", r);
+        d.add_anchor("b", k);
+        assert!(d.anchors().eq([("a", r), ("b", k), ("x", r)]));
+        assert_eq!(d.anchor("nope"), None);
     }
 
     #[test]

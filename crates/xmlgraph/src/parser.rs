@@ -8,7 +8,8 @@
 //! the link extraction requires.
 
 use crate::links::LinkSpec;
-use crate::model::{Document, LocalId, TagInterner};
+use crate::model::{Document, LocalId, TagId, TagInterner};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Parse failure with position information.
@@ -134,10 +135,11 @@ fn is_name_char(b: u8) -> bool {
     is_name_start(b) || b.is_ascii_digit() || matches!(b, b'-' | b'.' | b':')
 }
 
-/// Decodes entity and character references in `raw`.
-fn decode_entities(raw: &str, sc: &Scanner<'_>) -> Result<String, ParseError> {
+/// Decodes entity and character references in `raw`; borrows `raw` when
+/// it holds none.
+fn decode_entities<'r>(raw: &'r str, sc: &Scanner<'_>) -> Result<Cow<'r, str>, ParseError> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -176,13 +178,36 @@ fn decode_entities(raw: &str, sc: &Scanner<'_>) -> Result<String, ParseError> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
+}
+
+/// An element whose close tag has not been read yet.
+struct Open {
+    el: LocalId,
+    tag: TagId,
+    /// Where the element's own text starts in the parser's text buffer.
+    text_start: usize,
+}
+
+/// Adds a piece of `open`'s direct text to `buffer`, where the open
+/// elements' texts are stacked: trimmed, and joined to the element's
+/// earlier pieces by one space, as [`Document::append_text`] joins them.
+fn buffer_text(buffer: &mut String, open: &Open, piece: &str) {
+    let piece = piece.trim();
+    if piece.is_empty() {
+        return;
+    }
+    if buffer.len() > open.text_start {
+        buffer.push(' ');
+    }
+    buffer.push_str(piece);
 }
 
 /// Parses one XML document named `name` from `input`.
 ///
 /// Tag names are interned into `tags`; anchors and links are extracted with
-/// `spec`.
+/// `spec`. An element's text is collected while it is open and appended to
+/// the document once, when it closes, so mixed content costs linear time.
 pub fn parse_document(
     name: impl Into<String>,
     input: &str,
@@ -191,7 +216,8 @@ pub fn parse_document(
 ) -> Result<Document, ParseError> {
     let mut sc = Scanner::new(input);
     let mut doc = Document::new(name);
-    let mut stack: Vec<(LocalId, String)> = Vec::new();
+    let mut stack: Vec<Open> = Vec::new();
+    let mut text = String::new();
     let mut seen_root = false;
 
     loop {
@@ -204,10 +230,9 @@ pub fn parse_document(
             let raw = std::str::from_utf8(&sc.input[text_start..sc.pos])
                 .map_err(|_| sc.error("invalid UTF-8"))?;
             let decoded = decode_entities(raw, &sc)?;
-            let trimmed = decoded.trim();
-            if !trimmed.is_empty() {
+            if !decoded.trim().is_empty() {
                 match stack.last() {
-                    Some(&(el, _)) => doc.append_text(el, trimmed),
+                    Some(open) => buffer_text(&mut text, open, &decoded),
                     None => return Err(sc.error("text outside the root element")),
                 }
             }
@@ -221,7 +246,7 @@ pub fn parse_document(
         } else if sc.eat("<![CDATA[") {
             let cdata = sc.take_until("]]>")?;
             match stack.last() {
-                Some(&(el, _)) => doc.append_text(el, cdata),
+                Some(open) => buffer_text(&mut text, open, cdata),
                 None => {
                     if !cdata.trim().is_empty() {
                         return Err(sc.error("CDATA outside the root element"));
@@ -248,34 +273,42 @@ pub fn parse_document(
         } else if sc.eat("<?") {
             sc.take_until("?>")?;
         } else if sc.eat("</") {
-            let tag = sc.name()?.to_string();
+            let tag = sc.name()?;
             sc.skip_ws();
             sc.require(">")?;
             match stack.pop() {
-                Some((_, open)) if open == tag => {}
-                Some((_, open)) => {
-                    return Err(sc.error(format!("mismatched close: <{open}> vs </{tag}>")))
+                Some(open) if tags.get(tag) == Some(open.tag) => {
+                    doc.append_text(open.el, &text[open.text_start..]);
+                    text.truncate(open.text_start);
+                }
+                Some(open) => {
+                    let open = tags.name(open.tag);
+                    return Err(sc.error(format!("mismatched close: <{open}> vs </{tag}>")));
                 }
                 None => return Err(sc.error(format!("unmatched closing tag </{tag}>"))),
             }
         } else if sc.eat("<") {
-            let tag = sc.name()?.to_string();
-            let parent = stack.last().map(|&(el, _)| el);
+            let name = sc.name()?;
+            let parent = stack.last().map(|open| open.el);
             if parent.is_none() {
                 if seen_root {
                     return Err(sc.error("multiple root elements"));
                 }
                 seen_root = true;
             }
-            let tag_id = tags.intern(&tag);
-            let el = doc.add_element(tag_id, parent);
+            let tag = tags.intern(name);
+            let el = doc.add_element(tag, parent);
             // Attributes.
             loop {
                 sc.skip_ws();
                 match sc.peek() {
                     Some(b'>') => {
                         sc.pos += 1;
-                        stack.push((el, tag));
+                        stack.push(Open {
+                            el,
+                            tag,
+                            text_start: text.len(),
+                        });
                         break;
                     }
                     Some(b'/') => {
@@ -284,7 +317,7 @@ pub fn parse_document(
                         break;
                     }
                     Some(b) if is_name_start(b) => {
-                        let attr = sc.name()?.to_string();
+                        let attr = sc.name()?;
                         sc.skip_ws();
                         sc.require("=")?;
                         sc.skip_ws();
@@ -295,7 +328,7 @@ pub fn parse_document(
                         let marker = if quote == b'"' { "\"" } else { "'" };
                         let raw = sc.take_until(marker)?;
                         let value = decode_entities(raw, &sc)?;
-                        doc.set_attr(el, attr, value);
+                        doc.set_attr(el, attr, &value);
                     }
                     _ => return Err(sc.error("malformed start tag")),
                 }
@@ -317,7 +350,7 @@ pub fn parse_document(
     }
 
     if !stack.is_empty() {
-        let open: Vec<&str> = stack.iter().map(|(_, t)| t.as_str()).collect();
+        let open: Vec<&str> = stack.iter().map(|open| tags.name(open.tag)).collect();
         return Err(sc.error(format!("unclosed elements: {}", open.join(", "))));
     }
     if !seen_root {
@@ -348,10 +381,10 @@ mod tests {
     fn nested_elements_and_text() {
         let (doc, tags) = parse("<a><b>hello</b><c>world</c></a>").unwrap();
         assert_eq!(doc.len(), 3);
-        assert_eq!(doc.children(0).len(), 2);
-        let b = doc.children(0)[0];
+        assert_eq!(doc.children(0).count(), 2);
+        let b = doc.children(0).next().unwrap();
         assert_eq!(tags.name(doc.element(b).tag), "b");
-        assert_eq!(doc.element(b).text, "hello");
+        assert_eq!(doc.element(b).text(), "hello");
     }
 
     #[test]
@@ -373,13 +406,24 @@ mod tests {
     fn entities_decoded_in_text_and_attrs() {
         let (doc, _) = parse(r#"<a t="&lt;x&gt; &amp; &#65;&#x42;">a &quot;b&apos;</a>"#).unwrap();
         assert_eq!(doc.element(0).attr("t"), Some("<x> & AB"));
-        assert_eq!(doc.element(0).text, "a \"b'");
+        assert_eq!(doc.element(0).text(), "a \"b'");
     }
 
     #[test]
     fn cdata_kept_verbatim() {
         let (doc, _) = parse("<a><![CDATA[1 < 2 && x]]></a>").unwrap();
-        assert_eq!(doc.element(0).text, "1 < 2 && x");
+        assert_eq!(doc.element(0).text(), "1 < 2 && x");
+    }
+
+    #[test]
+    fn whitespace_only_cdata_and_mixed_content() {
+        let (doc, _) = parse("<a>x<![CDATA[   ]]></a>").unwrap();
+        assert_eq!(doc.element(0).text(), "x");
+        let (doc, _) = parse("<a> x <b>in</b><![CDATA[ ]]> y <c/>\n z&amp; </a>").unwrap();
+        assert_eq!(doc.element(0).text(), "x y z&");
+        assert_eq!(doc.element(1).text(), "in");
+        let (doc, _) = parse("<a><![CDATA[ ]]>\n</a>").unwrap();
+        assert_eq!(doc.element(0).text(), "");
     }
 
     #[test]
@@ -394,7 +438,9 @@ mod tests {
     #[test]
     fn mismatched_tags_rejected() {
         let err = parse("<a><b></a></b>").unwrap_err();
-        assert!(err.message.contains("mismatched"), "{err}");
+        assert_eq!(err.message, "mismatched close: <b> vs </a>");
+        let err = parse("<a></unseen>").unwrap_err();
+        assert_eq!(err.message, "mismatched close: <a> vs </unseen>");
     }
 
     #[test]
@@ -441,6 +487,6 @@ mod tests {
     #[test]
     fn whitespace_only_text_ignored() {
         let (doc, _) = parse("<a>\n  <b/>\n  \n</a>").unwrap();
-        assert_eq!(doc.element(0).text, "");
+        assert_eq!(doc.element(0).text(), "");
     }
 }

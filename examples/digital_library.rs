@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             i + 1,
             r.distance,
             graph.collection.doc(doc).name,
-            graph.element(r.node).text
+            graph.element(r.node).text()
         );
     }
     Ok(())

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  score {:.2}  <{}> {:?}",
             r.score,
             matched_tag(r.node),
-            graph.element(r.node).text
+            graph.element(r.node).text()
         );
     }
 
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `appears-in` links, with `science-fiction` matching `~movie`.
     let keanu = actors
         .iter()
-        .find(|r| graph.element(r.node).text.contains("Keanu"))
+        .find(|r| graph.element(r.node).text().contains("Keanu"))
         .ok_or("Keanu not found")?;
     println!("\n~movie descendants of that actor (films via links):");
     let movies = engine.evaluate_from(keanu.node, &PathQuery::parse("//~movie")?);
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let title = flix
             .find_descendants(r.node, title_tag, &flix::QueryOptions::default())
             .first()
-            .map(|t| graph.element(t.node).text.clone())
+            .map(|t| graph.element(t.node).text().to_string())
             .unwrap_or_default();
         println!(
             "  score {:.2}  <{}> {}",

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  dist {:>2}  [{}] {:?}",
             r.distance,
             graph.collection.doc(doc).name,
-            graph.element(r.node).text
+            graph.element(r.node).text()
         );
     }
 

@@ -21,7 +21,7 @@ fn new_docs(cg: &CollectionGraph, count: usize) -> Vec<Document> {
         .map(|i| {
             let mut d = Document::new(format!("new/extension{i}.xml"));
             let r = d.add_element(article, None);
-            d.add_anchor(format!("n{i}"), r);
+            d.add_anchor(&format!("n{i}"), r);
             let t = d.add_element(title, Some(r));
             d.append_text(t, &format!("Extension Paper {i}"));
             // cite two existing papers and (for i > 0) the previous new one

@@ -10,7 +10,8 @@ fn arb_name() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9-]{0,8}".prop_map(|s| s)
 }
 
-/// Strategy for text content (printable, including XML-hostile chars).
+/// Strategy for one text piece or attribute value (printable, including
+/// XML-hostile chars and whitespace; may be empty or blank).
 fn arb_text() -> impl Strategy<Value = String> {
     proptest::collection::vec(
         prop_oneof![
@@ -22,40 +23,43 @@ fn arb_text() -> impl Strategy<Value = String> {
             Just('"'),
             Just('\''),
             Just(' '),
+            Just('\n'),
+            Just('\t'),
             Just('ß'),
             Just('€'),
         ],
-        1..20,
+        0..20,
     )
     .prop_map(|cs| cs.into_iter().collect::<String>())
-    .prop_filter("keep non-blank after trim", |s| !s.trim().is_empty())
 }
 
-/// Builds a random document: a tree of up to `n` elements with random
-/// attributes and texts.
+/// Builds a random document: a tree of up to 25 elements, then attributes
+/// and `append_text` pieces on any of them, interleaved, so one element
+/// can get several pieces (blank ones included) around other elements'.
 fn arb_document() -> impl Strategy<Value = (Document, TagInterner)> {
     (
-        proptest::collection::vec((arb_name(), proptest::option::of(arb_text())), 1..25),
-        proptest::collection::vec((arb_name(), arb_text()), 0..10),
+        proptest::collection::vec(arb_name(), 1..25),
+        proptest::collection::vec((any::<bool>(), 0usize..25, arb_name(), arb_text()), 0..40),
     )
-        .prop_map(|(elements, attrs)| {
+        .prop_map(|(elements, edits)| {
             let mut tags = TagInterner::new();
             let mut doc = Document::new("prop.xml");
-            for (i, (name, text)) in elements.iter().enumerate() {
+            for (i, name) in elements.iter().enumerate() {
                 let tag = tags.intern(name);
                 let parent = if i == 0 {
                     None
                 } else {
                     Some(((i as u32).wrapping_mul(7919)) % i as u32)
                 };
-                let el = doc.add_element(tag, parent);
-                if let Some(t) = text {
-                    doc.append_text(el, t);
-                }
+                doc.add_element(tag, parent);
             }
-            for (j, (k, v)) in attrs.iter().enumerate() {
-                let el = (j % doc.len()) as u32;
-                doc.set_attr(el, k.clone(), v.clone());
+            for (is_attr, el, name, value) in &edits {
+                let el = (el % doc.len()) as u32;
+                if *is_attr {
+                    doc.set_attr(el, name, value);
+                } else {
+                    doc.append_text(el, value);
+                }
             }
             (doc, tags)
         })
@@ -74,10 +78,8 @@ proptest! {
             let pel = parsed.element(i);
             prop_assert_eq!(tags.name(el.tag), tags.name(pel.tag));
             prop_assert_eq!(el.parent, pel.parent);
-            prop_assert_eq!(&el.attrs, &pel.attrs);
-            // writer normalises whitespace; compare collapsed text
-            let norm = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
-            prop_assert_eq!(norm(&el.text), norm(&pel.text));
+            prop_assert_eq!(el.attrs().collect::<Vec<_>>(), pel.attrs().collect::<Vec<_>>());
+            prop_assert_eq!(el.text(), pel.text());
         }
         // second round trip is a fixpoint
         let text2 = write_document(&parsed, &tags);

@@ -79,5 +79,5 @@ fn written_xml_is_well_formed_with_escapes() {
     let parsed =
         parse_document("tricky.xml", &text, &mut fresh.tags, &LinkSpec::default()).unwrap();
     assert_eq!(parsed.element(0).attr("id"), Some(r#"a"b<c>&d"#));
-    assert_eq!(parsed.element(1).text, "P < NP & other \"claims\"");
+    assert_eq!(parsed.element(1).text(), "P < NP & other \"claims\"");
 }
