@@ -52,6 +52,9 @@ count_lines() {
 }
 echo "workspace:   $(count_lines crates src tests examples vendor)"
 echo "crates/flix: $(count_lines crates/flix)"
+echo "crates/ppo: $(count_lines crates/ppo)"
+echo "crates/hopi: $(count_lines crates/hopi)"
+echo "crates/apex: $(count_lines crates/apex)"
 echo "crates/flixcheck: $(count_lines crates/flixcheck)"
 echo "crates/serve: $(count_lines crates/serve)"
 echo "crates/xmlgraph: $(count_lines crates/xmlgraph)"

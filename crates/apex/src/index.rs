@@ -1,7 +1,7 @@
 //! The queryable APEX index.
 
 use crate::summary::StructuralSummary;
-use graphcore::{BitSet, Digraph, DistScratch, Distance, NodeId, TransitiveClosure};
+use graphcore::{Axis, BitSet, Digraph, DistScratch, Distance, NodeId, TransitiveClosure};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -17,10 +17,9 @@ thread_local! {
 
 /// APEX index: a structural summary over a retained element graph.
 ///
-/// Label-path queries (`/a/b`) run on the summary alone. Descendants-or-
-/// self queries traverse the element graph, pruned by summary-level
-/// reachability — correct, but per-element work, which is what makes APEX
-/// the slow baseline in the paper's experiments.
+/// Descendants-or-self queries traverse the element graph, pruned by
+/// summary-level reachability — correct, but per-element work, which is
+/// what makes APEX the slow baseline in the paper's experiments.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ApexIndex {
     graph: Digraph,
@@ -36,19 +35,9 @@ pub struct ApexIndex {
 }
 
 impl ApexIndex {
-    /// Builds APEX-0 refined `k` rounds over `g`.
+    /// Builds APEX-0 refined `refine_rounds` rounds over `g`.
     pub fn build(g: &Digraph, labels: &[u32], refine_rounds: usize) -> Self {
         let summary = StructuralSummary::apex0(g, labels).refine(g, labels, refine_rounds);
-        Self::from_summary(g.clone(), labels.to_vec(), summary)
-    }
-
-    /// Builds APEX-0 refined adaptively for a workload of frequent paths.
-    pub fn build_adaptive(g: &Digraph, labels: &[u32], paths: &[Vec<u32>]) -> Self {
-        let summary = StructuralSummary::apex0(g, labels).refine_for_paths(g, labels, paths);
-        Self::from_summary(g.clone(), labels.to_vec(), summary)
-    }
-
-    fn from_summary(graph: Digraph, labels: Vec<u32>, summary: StructuralSummary) -> Self {
         let summary_closure = TransitiveClosure::build(&summary.graph);
         let max_label = labels.iter().copied().max().unwrap_or(0);
         let mut label_reach = Vec::with_capacity(summary.class_count());
@@ -60,8 +49,8 @@ impl ApexIndex {
             label_reach.push(set);
         }
         Self {
-            graph,
-            labels,
+            graph: g.clone(),
+            labels: labels.to_vec(),
             summary,
             summary_closure,
             label_reach,
@@ -74,76 +63,15 @@ impl ApexIndex {
         &self.summary
     }
 
-    /// Elements matched by an absolute child-axis label path `/p0/p1/.../pk`
-    /// (p0 must label a root-class element). Runs on the summary, then
-    /// verifies each extent element against the element graph, so refined
-    /// and coarse summaries answer identically.
-    pub fn elements_with_path(&self, path: &[u32]) -> Vec<NodeId> {
-        if path.is_empty() {
-            return Vec::new();
-        }
-        // Candidate classes per step through the summary graph.
-        let mut classes: Vec<u32> = self
-            .summary
-            .classes_with_label(path[0])
-            .into_iter()
-            .filter(|&c| {
-                self.summary.extents[c as usize]
-                    .iter()
-                    .any(|&u| self.graph.in_degree(u) == 0)
-            })
-            .collect();
-        for &label in &path[1..] {
-            let mut next: Vec<u32> = Vec::new();
-            for &c in &classes {
-                for &s in self.summary.graph.successors(c) {
-                    if self.summary.class_label[s as usize] == label {
-                        next.push(s);
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            classes = next;
-        }
-        // Verify elements: walk the concrete parent chain backwards.
-        let mut out: Vec<NodeId> = Vec::new();
-        for &c in &classes {
-            'candidate: for &u in &self.summary.extents[c as usize] {
-                // match path suffix-first from u upwards
-                let mut frontier = vec![u];
-                for step in (0..path.len() - 1).rev() {
-                    let mut parents = Vec::new();
-                    for &f in &frontier {
-                        for &p in self.graph.predecessors(f) {
-                            if self.labels[p as usize] == path[step] {
-                                parents.push(p);
-                            }
-                        }
-                    }
-                    if parents.is_empty() {
-                        continue 'candidate;
-                    }
-                    frontier = parents;
-                }
-                if frontier.iter().any(|&r| self.graph.in_degree(r) == 0) {
-                    out.push(u);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The one traversal: BFS from `u` over successors (`forward`) or
-    /// predecessors, entering only the neighbours `enter` admits. `visit`
-    /// sees every reached element with its distance, `u` first, in BFS
-    /// order (ascending distance), and may end the walk.
+    /// The one traversal: BFS from `u` along `axis` — over successors
+    /// going down, predecessors going up — entering only the neighbours
+    /// `enter` admits. `visit` sees every reached element with its
+    /// distance, `u` first, in BFS order (ascending distance), and may end
+    /// the walk.
     fn bfs(
         &self,
         u: NodeId,
-        forward: bool,
+        axis: Axis,
         enter: impl Fn(NodeId) -> bool,
         mut visit: impl FnMut(NodeId, Distance) -> ControlFlow<()>,
     ) {
@@ -158,10 +86,9 @@ impl ApexIndex {
                 if visit(x, d).is_break() {
                     return;
                 }
-                let next = if forward {
-                    self.graph.successors(x)
-                } else {
-                    self.graph.predecessors(x)
+                let next = match axis {
+                    Axis::Descendants => self.graph.successors(x),
+                    Axis::Ancestors => self.graph.predecessors(x),
                 };
                 for &v in next {
                     if scratch.get(v).is_none() && enter(v) {
@@ -177,14 +104,14 @@ impl ApexIndex {
     fn collect_into(
         &self,
         u: NodeId,
-        forward: bool,
+        axis: Axis,
         enter: impl Fn(NodeId) -> bool,
         keep: impl Fn(NodeId) -> bool,
         out: &mut Vec<(NodeId, Distance)>,
     ) -> usize {
         out.clear();
         let mut visited = 0usize;
-        self.bfs(u, forward, enter, |x, d| {
+        self.bfs(u, axis, enter, |x, d| {
             visited += 1;
             if keep(x) {
                 out.push((x, d));
@@ -194,78 +121,54 @@ impl ApexIndex {
         visited
     }
 
-    /// Descendants of `u` carrying `label`, ascending by distance.
+    /// The elements carrying `label` along `axis` from `u` (`u` itself
+    /// only if `include_self`), ascending by distance, written into `out`,
+    /// whose contents it replaces; returns the number of elements the
+    /// traversal visited — the per-element table accesses a
+    /// database-backed APEX pays, and the reason it loses Figure 5 in the
+    /// paper.
     ///
-    /// Summary-pruned BFS over the element graph: a branch is only expanded
-    /// while its summary class can still reach the target label.
-    pub fn descendants_by_label(
+    /// Going down the BFS is summary-pruned: a branch is only expanded
+    /// while its summary class can still reach the label. Going up it is
+    /// plain.
+    pub fn block_into(
         &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
-        self.descendants_by_label_counted(u, label, include_self).0
-    }
-
-    /// [`Self::descendants_by_label`] plus the number of elements visited
-    /// by the traversal — the per-element table accesses a database-backed
-    /// APEX pays, and the reason it loses Figure 5 in the paper.
-    pub fn descendants_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        graphcore::filled(|out| self.descendants_by_label_into(u, label, include_self, out))
-    }
-
-    /// [`Self::descendants_by_label_counted`] written into `out`, whose
-    /// contents it replaces; returns the elements visited.
-    pub fn descendants_by_label_into(
-        &self,
+        axis: Axis,
         u: NodeId,
         label: u32,
         include_self: bool,
         out: &mut Vec<(NodeId, Distance)>,
     ) -> usize {
-        if label > self.max_label {
-            out.clear();
-            return 0;
-        }
-        // prune: enter a branch only while something with this label is
-        // still reachable down there
-        let can_reach = |v: NodeId| {
-            let class = self.summary.class_of[v as usize];
-            self.label_reach[class as usize].contains(label as usize)
-        };
         let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
-        self.collect_into(u, true, can_reach, matches, out)
+        match axis {
+            Axis::Descendants if label > self.max_label => {
+                out.clear();
+                0
+            }
+            Axis::Descendants => {
+                let can_reach = |v: NodeId| {
+                    let class = self.summary.class_of[v as usize];
+                    self.label_reach[class as usize].contains(label as usize)
+                };
+                self.collect_into(u, axis, can_reach, matches, out)
+            }
+            Axis::Ancestors => self.collect_into(u, axis, |_| true, matches, out),
+        }
     }
 
-    /// The members of `anchors` (ascending ids) among `u`'s descendants,
-    /// `u` included, ascending by `(distance, element)` — a plain BFS: the
-    /// anchors carry any label, so there is nothing to prune by.
-    pub fn descendants_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.among_into(u, true, anchors, out)).0
-    }
-
-    /// The members of `anchors` (ascending ids) among `u`'s ancestors, `u`
-    /// included, ascending by `(distance, element)`.
-    pub fn ancestors_among(&self, u: NodeId, anchors: &[NodeId]) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.among_into(u, false, anchors, out)).0
-    }
-
-    /// [`Self::descendants_among`] (`forward`) or [`Self::ancestors_among`]
-    /// written into `out`, whose contents it replaces.
+    /// The members of `anchors` (ascending ids) along `axis` from `u`, `u`
+    /// included, ascending by `(distance, element)`, written into `out`,
+    /// whose contents it replaces — a plain BFS: the anchors carry any
+    /// label, so there is nothing to prune by.
     pub fn among_into(
         &self,
+        axis: Axis,
         u: NodeId,
-        forward: bool,
         anchors: &[NodeId],
         out: &mut Vec<(NodeId, Distance)>,
     ) {
         let is_anchor = |x: NodeId| anchors.binary_search(&x).is_ok();
-        self.collect_into(u, forward, |_| true, is_anchor, out);
+        self.collect_into(u, axis, |_| true, is_anchor, out);
         out.sort_unstable_by_key(|&(v, d)| (d, v));
     }
 
@@ -278,7 +181,7 @@ impl ApexIndex {
                 .reaches(self.summary.class_of[w as usize], target_class)
         };
         let mut found = None;
-        self.bfs(u, true, can_reach, |x, d| {
+        self.bfs(u, Axis::Descendants, can_reach, |x, d| {
             if x == v {
                 found = Some(d);
                 return ControlFlow::Break(());
@@ -286,46 +189,6 @@ impl ApexIndex {
             ControlFlow::Continue(())
         });
         found
-    }
-
-    /// Reachability test.
-    pub fn is_reachable(&self, u: NodeId, v: NodeId) -> bool {
-        self.distance(u, v).is_some()
-    }
-
-    /// Ancestors of `u` carrying `label` (reverse BFS), ascending distance.
-    pub fn ancestors_by_label(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
-        self.ancestors_by_label_counted(u, label, include_self).0
-    }
-
-    /// [`Self::ancestors_by_label`] plus the number of elements the reverse
-    /// BFS visited — the ancestors mirror of
-    /// [`Self::descendants_by_label_counted`].
-    pub fn ancestors_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Vec<(NodeId, Distance)>, usize) {
-        graphcore::filled(|out| self.ancestors_by_label_into(u, label, include_self, out))
-    }
-
-    /// [`Self::ancestors_by_label_counted`] written into `out`, whose
-    /// contents it replaces; returns the elements visited.
-    pub fn ancestors_by_label_into(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-        out: &mut Vec<(NodeId, Distance)>,
-    ) -> usize {
-        let matches = |x: NodeId| self.labels[x as usize] == label && (include_self || x != u);
-        self.collect_into(u, false, |_| true, matches, out)
     }
 
     /// Approximate in-memory footprint: extents, summary edges, the
@@ -338,41 +201,81 @@ impl ApexIndex {
             + self.summary.class_count() * (self.max_label as usize + 1) / 8
             + self.graph.size_bytes()
     }
+
+    /// The first way the stored index is laid out so that a lookup would
+    /// index or slice out of bounds, if it is: both graphs' CSR arrays
+    /// sound ([`Digraph::layout_fault`]), `labels` and `class_of` one entry
+    /// per element, every class id below the class count, `class_label`,
+    /// `label_reach`, the summary graph and its closure one entry per
+    /// class, and every `label_reach` row a set of `max_label + 1` labels.
+    /// A built index never has one; a decoded image can (a damaged blob),
+    /// so whoever decodes one checks before the first lookup. One pass
+    /// over each array; that the summary *is* the element graph's is
+    /// [`flixcheck::IntegrityCheck`]'s to audit.
+    pub fn layout_fault(&self) -> Option<String> {
+        if let Some(fault) = self.graph.layout_fault() {
+            return Some(format!("element graph: {fault}"));
+        }
+        let (n, summary) = (self.graph.node_count(), &self.summary);
+        let (labels, class_ids) = (self.labels.len(), summary.class_of.len());
+        if labels != n || class_ids != n {
+            return Some(format!(
+                "{n} elements, {labels} labels, {class_ids} class ids"
+            ));
+        }
+        let classes = summary.class_count();
+        if let Some(c) = summary.class_of.iter().find(|&&c| c as usize >= classes) {
+            return Some(format!("an element is in class {c} of {classes}"));
+        }
+        if let Some(fault) = summary.graph.layout_fault() {
+            return Some(format!("summary graph: {fault}"));
+        }
+        let closure = &self.summary_closure;
+        let counts = [
+            summary.class_label.len(),
+            self.label_reach.len(),
+            summary.graph.node_count(),
+            closure.node_count(),
+        ];
+        if counts.iter().any(|&count| count != classes) {
+            let [labels, reach, graph, closed] = counts;
+            return Some(format!(
+                "{classes} classes, {labels} class labels, {reach} label sets, \
+                 a summary graph of {graph} and a closure of {closed}"
+            ));
+        }
+        if let Some(fault) = closure.layout_fault() {
+            return Some(format!("summary closure {fault}"));
+        }
+        let width = self.max_label as usize + 1;
+        (self.label_reach.iter().enumerate()).find_map(|(c, set)| {
+            Some(format!(
+                "class {c}'s label set is {}",
+                set.layout_fault(width)?
+            ))
+        })
+    }
 }
 
 impl flixcheck::IntegrityCheck for ApexIndex {
-    /// Audits the summary against the stored element graph: extents must
-    /// partition the node set in agreement with `class_of`, every class
-    /// must be label-homogeneous, the quotient graph must simulate the
-    /// element graph (every inter-class element edge has a summary edge
-    /// and every summary edge a witness), and `label_reach` must equal the labels of
-    /// the closure-reachable classes.
+    /// Audits the summary against the stored element graph: the layout
+    /// must be sound ([`ApexIndex::layout_fault`]; nothing else is looked
+    /// at if not), extents must partition the node set in agreement with
+    /// `class_of`, every class must be label-homogeneous, the quotient
+    /// graph must simulate the element graph (every inter-class element
+    /// edge has a summary edge and every summary edge a witness), and
+    /// `label_reach` must equal the labels of the closure-reachable
+    /// classes.
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("ApexIndex");
-        let n = self.graph.node_count();
-        let classes = self.summary.extents.len();
-        audit.check(
-            "summary shape matches element graph",
-            self.labels.len() == n
-                && self.summary.class_of.len() == n
-                && self.summary.class_label.len() == classes
-                && self.summary.graph.node_count() == classes
-                && self.label_reach.len() == classes,
-            || {
-                format!(
-                    "n={n} labels={} class_of={} classes={classes} class_label={} \
-                     summary graph={} label_reach={}",
-                    self.labels.len(),
-                    self.summary.class_of.len(),
-                    self.summary.class_label.len(),
-                    self.summary.graph.node_count(),
-                    self.label_reach.len()
-                )
-            },
-        );
+        let fault = self.layout_fault();
+        audit.check("arrays are laid out for lookups", fault.is_none(), || {
+            fault.unwrap_or_default()
+        });
         if audit.violation_count() > 0 {
             return audit.finish();
         }
+        let (n, classes) = (self.graph.node_count(), self.summary.class_count());
 
         let mut seen = vec![false; n];
         let mut first = None;
@@ -496,28 +399,16 @@ mod tests {
         (g, vec![0, 1, 2, 3, 0, 1]) // article=0 title=1 sec=2 cite=3
     }
 
-    #[test]
-    fn path_lookup_on_summary() {
-        let (g, labels) = sample();
-        let idx = ApexIndex::build(&g, &labels, 2);
-        assert_eq!(idx.elements_with_path(&[0, 1]), vec![1]);
-        assert_eq!(idx.elements_with_path(&[0, 2, 3]), vec![3]);
-        assert!(idx.elements_with_path(&[1, 0]).is_empty());
-        assert!(idx.elements_with_path(&[]).is_empty());
-    }
-
-    #[test]
-    fn path_lookup_same_on_coarse_summary() {
-        let (g, labels) = sample();
-        let coarse = ApexIndex::build(&g, &labels, 0);
-        let fine = ApexIndex::build(&g, &labels, 8);
-        for path in [vec![0, 1], vec![0, 2], vec![0, 2, 3], vec![2, 3]] {
-            assert_eq!(
-                coarse.elements_with_path(&path),
-                fine.elements_with_path(&path),
-                "path {path:?}"
-            );
-        }
+    /// The elements along `axis` from `u` carrying `label`, and the
+    /// elements visited.
+    fn block(
+        idx: &ApexIndex,
+        axis: Axis,
+        u: NodeId,
+        label: u32,
+        include_self: bool,
+    ) -> (Vec<(NodeId, Distance)>, usize) {
+        graphcore::filled(|out| idx.block_into(axis, u, label, include_self, out))
     }
 
     #[test]
@@ -527,7 +418,8 @@ mod tests {
         let oracle = DistanceOracle::new(&g);
         for u in 0..6u32 {
             for label in 0..4u32 {
-                let got = idx.descendants_by_label(u, label, true);
+                let (got, visited) = block(&idx, Axis::Descendants, u, label, true);
+                assert!(visited >= got.len());
                 let mut want: Vec<(NodeId, Distance)> = (0..6u32)
                     .filter(|&v| labels[v as usize] == label)
                     .filter_map(|v| {
@@ -566,23 +458,26 @@ mod tests {
     fn ancestors_by_label() {
         let (g, labels) = sample();
         let idx = ApexIndex::build(&g, &labels, 1);
-        let a = idx.ancestors_by_label(5, 0, false);
-        assert_eq!(a, vec![(4, 1), (0, 4)]);
+        let a = block(&idx, Axis::Ancestors, 5, 0, false);
+        // the reverse BFS visits 5 and its four ancestors
+        assert_eq!(a, (vec![(4, 1), (0, 4)], 5));
     }
 
     #[test]
     fn unknown_label_is_empty() {
         let (g, labels) = sample();
         let idx = ApexIndex::build(&g, &labels, 1);
-        assert!(idx.descendants_by_label(0, 99, true).is_empty());
+        assert_eq!(block(&idx, Axis::Descendants, 0, 99, true), (vec![], 0));
     }
 
     #[test]
-    fn adaptive_build_answers_same_queries() {
+    fn link_anchors_along_both_axes() {
         let (g, labels) = sample();
-        let idx = ApexIndex::build_adaptive(&g, &labels, &[vec![0, 2, 3]]);
-        assert_eq!(idx.elements_with_path(&[0, 2, 3]), vec![3]);
-        assert_eq!(idx.descendants_by_label(0, 1, false).len(), 2);
+        let idx = ApexIndex::build(&g, &labels, 1);
+        let among = |axis, u| graphcore::filled(|out| idx.among_into(axis, u, &[1, 3, 4], out)).0;
+        assert_eq!(among(Axis::Descendants, 0), vec![(1, 1), (3, 2), (4, 3)]);
+        assert_eq!(among(Axis::Descendants, 4), vec![(4, 0)]);
+        assert_eq!(among(Axis::Ancestors, 5), vec![(4, 1), (3, 2)]);
     }
 
     #[test]
@@ -590,6 +485,38 @@ mod tests {
         let (g, labels) = sample();
         let idx = ApexIndex::build(&g, &labels, 1);
         assert!(idx.size_bytes() >= g.size_bytes());
+    }
+
+    /// Every way a damaged image can send a lookup out of bounds is named
+    /// before the first lookup.
+    #[test]
+    fn layout_faults_are_named() {
+        let (g, labels) = sample();
+        let idx = ApexIndex::build(&g, &labels, 1);
+        assert_eq!(idx.layout_fault(), None);
+        let empty = ApexIndex::build(&Digraph::from_edges(0, []), &[], 1);
+        assert_eq!(empty.layout_fault(), None);
+        type Damage = (fn(&mut ApexIndex), &'static str);
+        let damage: [Damage; 9] = [
+            (|i| i.summary.class_of.truncate(5), "5 class ids"),
+            (|i| i.labels.truncate(5), "5 labels"),
+            (|i| i.label_reach.clear(), "0 label sets"),
+            (|i| i.summary.class_of[2] = 999, "in class 999"),
+            (|i| i.summary.class_label.truncate(1), "1 class labels"),
+            (|i| i.graph = Digraph::from_edges(5, []), "5 elements"),
+            (
+                |i| i.summary.graph = Digraph::from_edges(1, []),
+                "summary graph of 1",
+            ),
+            (|i| i.label_reach[1] = BitSet::new(2), "class 1's label set"),
+            (|i| i.max_label += 64, "label set is a set of 4 values"),
+        ];
+        for (damage, fault) in damage {
+            let mut bad = idx.clone();
+            damage(&mut bad);
+            let found = bad.layout_fault().unwrap_or_default();
+            assert!(found.contains(fault), "{fault}: {found}");
+        }
     }
 
     #[test]
@@ -608,6 +535,11 @@ mod tests {
         let mut bad = idx.clone();
         bad.summary.class_label[0] = bad.summary.class_label[0].wrapping_add(1);
         assert!(bad.integrity_check().is_err());
+        // a bad layout is reported on its own, before anything indexes by it
+        let mut bad = idx.clone();
+        bad.summary.class_of[0] = 999;
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("in class 999"), "{err}");
         // clearing a reach bitset breaks the closure agreement
         let mut bad = idx;
         bad.label_reach[0] = graphcore::BitSet::new(bad.max_label as usize + 1);

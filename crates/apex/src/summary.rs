@@ -81,49 +81,6 @@ impl StructuralSummary {
         cur
     }
 
-    /// Refines only the classes touched by `paths` (label paths, root-ward).
-    /// This is APEX's adaptive step: classes on a frequent path are split by
-    /// parent classes; everything else stays coarse.
-    pub fn refine_for_paths(self, g: &Digraph, labels: &[u32], paths: &[Vec<u32>]) -> Self {
-        // Collect the labels that occur in any frequent path.
-        let hot: std::collections::HashSet<u32> =
-            paths.iter().flat_map(|p| p.iter().copied()).collect();
-        let mut cur = self;
-        // Refine up to the longest path; only hot-labelled classes split.
-        let rounds = paths.iter().map(Vec::len).max().unwrap_or(0);
-        for _ in 0..rounds.saturating_sub(1) {
-            let mut key_to_class: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut class_of = Vec::with_capacity(labels.len());
-            let mut class_label = Vec::new();
-            for (u, &label) in labels.iter().enumerate() {
-                let key = if hot.contains(&label) {
-                    let mut parents: Vec<u32> = g
-                        .predecessors(u as NodeId)
-                        .iter()
-                        .map(|&p| cur.class_of[p as usize])
-                        .collect();
-                    parents.sort_unstable();
-                    parents.dedup();
-                    (cur.class_of[u], parents)
-                } else {
-                    (cur.class_of[u], Vec::new())
-                };
-                let next = key_to_class.len() as u32;
-                let c = *key_to_class.entry(key).or_insert(next);
-                if c as usize == class_label.len() {
-                    class_label.push(label);
-                }
-                class_of.push(c);
-            }
-            let changed = class_label.len() != cur.extents.len();
-            cur = Self::finish(g, class_of, class_label);
-            if !changed {
-                break;
-            }
-        }
-        cur
-    }
-
     fn finish(g: &Digraph, class_of: Vec<u32>, class_label: Vec<u32>) -> Self {
         let count = class_label.len();
         let mut extents = vec![Vec::new(); count];
@@ -148,13 +105,6 @@ impl StructuralSummary {
     /// Number of summary classes.
     pub fn class_count(&self) -> usize {
         self.extents.len()
-    }
-
-    /// Classes whose elements carry `label`.
-    pub fn classes_with_label(&self, label: u32) -> Vec<u32> {
-        (0..self.class_count() as u32)
-            .filter(|&c| self.class_label[c as usize] == label)
-            .collect()
     }
 }
 
@@ -207,26 +157,6 @@ mod tests {
         let s = StructuralSummary::apex0(&g, &labels).refine(&g, &labels, 10);
         let (_, changed) = s.refine_step(&g, &labels);
         assert!(!changed);
-    }
-
-    #[test]
-    fn adaptive_refinement_only_splits_hot_labels() {
-        let (g, labels) = sample();
-        // frequent path c/b -> only label-20 and label-30 classes may split
-        let s =
-            StructuralSummary::apex0(&g, &labels).refine_for_paths(&g, &labels, &[vec![30, 20]]);
-        assert_ne!(s.class_of[1], s.class_of[3]);
-    }
-
-    #[test]
-    fn classes_with_label_lookup() {
-        let (g, labels) = sample();
-        let s = StructuralSummary::apex0(&g, &labels).refine(&g, &labels, 10);
-        let classes = s.classes_with_label(20);
-        assert_eq!(classes.len(), 2);
-        for c in classes {
-            assert_eq!(s.class_label[c as usize], 20);
-        }
     }
 
     #[test]

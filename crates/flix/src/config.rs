@@ -117,8 +117,6 @@ pub struct BuildOptions {
     /// The strategy selector used where a configuration leaves the choice
     /// open.
     pub selector: StrategySelector,
-    /// Refinement rounds for APEX-backed meta documents.
-    pub apex_refine_rounds: usize,
     /// Total worker-thread budget for the build. `0` means "one per
     /// available core"; `1` forces a fully sequential build. The budget is
     /// split between the per-meta build stage and each HOPI meta document's
@@ -159,7 +157,6 @@ impl Default for BuildOptions {
             .unwrap_or(0);
         Self {
             selector: StrategySelector::default(),
-            apex_refine_rounds: 1,
             build_threads,
         }
     }

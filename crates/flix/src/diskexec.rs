@@ -612,11 +612,11 @@ mod tests {
     /// into it, and so is a connection test into it.
     #[test]
     fn ppo_images_that_cannot_be_read_mid_query_are_errors_not_partial_answers() {
-        use persist::mirror::{damaged_ppo_image, ppo_damage, six_array_image};
+        use persist::mirror::{damaged_image, ppo_damage, six_array_image};
         let flix = Flix::build(graph(), FlixConfig::MaximalPpo);
         let (q, victim) = crossing_query(&flix);
         let md = flix.meta(victim);
-        let twins = ppo_damage().map(|(damage, fault)| (damaged_ppo_image(md, damage), fault));
+        let twins = ppo_damage().map(|(damage, fault)| (damaged_image(md, damage), fault));
         for (bytes, fault) in [(six_array_image(md), "image format")]
             .into_iter()
             .chain(twins)
@@ -635,6 +635,29 @@ mod tests {
             assert!(dflix
                 .connection_test(q.start, md.nodes[0], &QueryOptions::default())
                 .is_err());
+        }
+    }
+
+    /// Same for an APEX meta document whose arrays would send a lookup out
+    /// of bounds: the query that loads it fails by name, where it used to
+    /// load and panic.
+    #[test]
+    fn damaged_apex_images_mid_query_are_errors_not_panics() {
+        use persist::mirror::{apex_damage, damaged_image};
+        let flix = Flix::build(graph(), FlixConfig::Monolithic(StrategyKind::Apex));
+        let md = flix.meta(0);
+        for (damage, fault) in apex_damage() {
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            store.put("fw/meta-0", &damaged_image(md, damage)).unwrap();
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(md.nodes[0], 0, &QueryOptions::default());
+            let err = got.expect_err("a damaged APEX image answered");
+            let named = "meta document 0 is stale or corrupt (";
+            assert!(
+                err.starts_with(named) && err.contains(fault),
+                "{fault}: {err}"
+            );
         }
     }
 

@@ -38,9 +38,7 @@ fn build_one(
     let labels: Vec<u32> = mapping.iter().map(|&g| graph.tag_of(g)).collect();
     let kind = pinned.unwrap_or_else(|| opts.selector.select(&sub));
     let edges = sub.edge_count();
-    let rounds = opts.apex_refine_rounds;
-    let (index, extra, stages) =
-        MetaIndex::build_with_threads(kind, &sub, &labels, &mut mapping, rounds, hopi_threads);
+    let (index, extra, stages) = MetaIndex::build(kind, &sub, &labels, &mut mapping, hopi_threads);
     let extra_links: Vec<(NodeId, NodeId)> = extra
         .into_iter()
         .map(|(lu, lv)| (mapping[lu as usize], mapping[lv as usize]))

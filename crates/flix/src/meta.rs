@@ -1,12 +1,15 @@
 //! Meta documents and their per-strategy indexes.
 
 use crate::config::StrategyKind;
-use crate::pee::Axis;
 use apex::ApexIndex;
-use graphcore::{Digraph, Distance, NodeId};
+use graphcore::{Axis, Digraph, Distance, NodeId};
 use hopi::HopiIndex;
-use ppo::ExtendedPpo;
+use ppo::PpoIndex;
 use serde::{Deserialize, Serialize};
+
+/// Refinement rounds of an APEX-backed meta document's summary: APEX-0
+/// split once by parent class.
+const APEX_REFINE_ROUNDS: usize = 1;
 
 /// The index backing one meta document, behind a uniform query surface.
 ///
@@ -15,7 +18,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum MetaIndex {
     /// Extended pre/postorder index (forest + runtime links).
-    Ppo(Box<ExtendedPpo>),
+    Ppo(Box<PpoIndex>),
     /// HOPI 2-hop labels.
     Hopi(Box<HopiIndex>),
     /// APEX structural summary.
@@ -24,11 +27,16 @@ pub enum MetaIndex {
 
 impl MetaIndex {
     /// Builds the index of `kind` over a meta document's subgraph, whose
-    /// local `u` is the element `nodes[u]`.
+    /// local `u` is the element `nodes[u]`, with `hopi_threads` threads for
+    /// a HOPI build (PPO and APEX builds are sequential either way). The
+    /// thread count never changes the built index — HOPI's staged pipeline
+    /// is deterministic by construction — so callers can hand whatever
+    /// budget [`graphcore::pool::split_budget`] grants them.
     ///
-    /// Returns the index plus any *extra runtime links*: edges of the
-    /// subgraph the index cannot answer (PPO's removed edges). The caller
-    /// must register those with the query evaluator. A PPO index numbers
+    /// Returns the index, any *extra runtime links* — edges of the
+    /// subgraph the index cannot answer (PPO's removed edges), which the
+    /// caller must register with the query evaluator — and the staged
+    /// pipeline's [`hopi::StageReport`] when HOPI ran. A PPO index numbers
     /// the locals anew, in its spanning forest's preorder: `nodes` is
     /// permuted to match, and the links are in the new numbering. HOPI and
     /// APEX keep the numbering they are given.
@@ -37,31 +45,11 @@ impl MetaIndex {
         subgraph: &Digraph,
         labels: &[u32],
         nodes: &mut [NodeId],
-        apex_refine_rounds: usize,
-    ) -> (Self, Vec<(u32, u32)>) {
-        let (index, extra, _) =
-            Self::build_with_threads(kind, subgraph, labels, nodes, apex_refine_rounds, 1);
-        (index, extra)
-    }
-
-    /// [`Self::build`] with an intra-build thread budget for HOPI-backed
-    /// meta documents (PPO and APEX builds are sequential either way), plus
-    /// the staged pipeline's [`hopi::StageReport`] when HOPI ran.
-    ///
-    /// The thread count never changes the built index — HOPI's staged
-    /// pipeline is deterministic by construction — so callers can hand
-    /// whatever budget [`graphcore::pool::split_budget`] grants them.
-    pub fn build_with_threads(
-        kind: StrategyKind,
-        subgraph: &Digraph,
-        labels: &[u32],
-        nodes: &mut [NodeId],
-        apex_refine_rounds: usize,
         hopi_threads: usize,
     ) -> (Self, Vec<(u32, u32)>, Option<hopi::StageReport>) {
         match kind {
             StrategyKind::Ppo => {
-                let (idx, order) = ExtendedPpo::build(subgraph, labels);
+                let (idx, order) = PpoIndex::build(subgraph, labels);
                 let given = nodes.to_vec();
                 for (node, &u) in nodes.iter_mut().zip(&order) {
                     *node = given[u as usize];
@@ -77,15 +65,10 @@ impl MetaIndex {
                 let (idx, stages) = HopiIndex::build_staged(subgraph, labels, &opts);
                 (MetaIndex::Hopi(Box::new(idx)), Vec::new(), Some(stages))
             }
-            StrategyKind::Apex => (
-                MetaIndex::Apex(Box::new(ApexIndex::build(
-                    subgraph,
-                    labels,
-                    apex_refine_rounds,
-                ))),
-                Vec::new(),
-                None,
-            ),
+            StrategyKind::Apex => {
+                let idx = ApexIndex::build(subgraph, labels, APEX_REFINE_ROUNDS);
+                (MetaIndex::Apex(Box::new(idx)), Vec::new(), None)
+            }
         }
     }
 
@@ -105,11 +88,7 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
     ) -> Vec<(u32, Distance)> {
-        match self {
-            MetaIndex::Ppo(i) => i.descendants_by_label(u, label, include_self),
-            MetaIndex::Hopi(i) => i.descendants_by_label(u, label, include_self),
-            MetaIndex::Apex(i) => i.descendants_by_label(u, label, include_self),
-        }
+        self.descendants_by_label_counted(u, label, include_self).0
     }
 
     /// [`Self::descendants_by_label`] plus the number of index rows (or
@@ -128,42 +107,6 @@ impl MetaIndex {
         })
     }
 
-    /// The block of elements with `label` along `axis` from `u` — what
-    /// [`Self::descendants_by_label_counted`] and its ancestors mirror
-    /// answer — written into `out`, whose contents it replaces; returns
-    /// the rows (elements, for APEX) it cost. A PPO block going down
-    /// orders equal distances by `tie` of the local.
-    fn block_into(
-        &self,
-        axis: Axis,
-        u: u32,
-        label: u32,
-        include_self: bool,
-        out: &mut Vec<(u32, Distance)>,
-        tie: impl Fn(u32) -> u32,
-    ) -> usize {
-        let s = include_self;
-        match (self, axis) {
-            (MetaIndex::Ppo(i), Axis::Descendants) => {
-                let forest = i.forest_index();
-                forest.descendants_among_into(u, forest.label_list(label), s, out, tie)
-            }
-            (MetaIndex::Ppo(i), Axis::Ancestors) => {
-                i.forest_index().ancestors_by_label_into(u, label, s, out)
-            }
-            (MetaIndex::Hopi(i), Axis::Descendants) => {
-                i.descendants_by_label_and_anchors_into(u, label, s, out, &mut Vec::new())
-            }
-            (MetaIndex::Hopi(i), Axis::Ancestors) => {
-                i.ancestors_by_label_and_anchors_into(u, label, s, out, &mut Vec::new())
-            }
-            (MetaIndex::Apex(i), Axis::Descendants) => {
-                i.descendants_by_label_into(u, label, s, out)
-            }
-            (MetaIndex::Apex(i), Axis::Ancestors) => i.ancestors_by_label_into(u, label, s, out),
-        }
-    }
-
     /// Ancestors of `u` with `label`, ascending by distance.
     pub fn ancestors_by_label(
         &self,
@@ -171,11 +114,7 @@ impl MetaIndex {
         label: u32,
         include_self: bool,
     ) -> Vec<(u32, Distance)> {
-        match self {
-            MetaIndex::Ppo(i) => i.ancestors_by_label(u, label, include_self),
-            MetaIndex::Hopi(i) => i.ancestors_by_label(u, label, include_self),
-            MetaIndex::Apex(i) => i.ancestors_by_label(u, label, include_self),
-        }
+        self.ancestors_by_label_counted(u, label, include_self).0
     }
 
     /// [`Self::ancestors_by_label`] plus the number of index rows (or
@@ -191,6 +130,35 @@ impl MetaIndex {
         graphcore::filled(|out| {
             self.block_into(Axis::Ancestors, u, label, include_self, out, |v| v)
         })
+    }
+
+    /// The block of elements with `label` along `axis` from `u` (`u` itself
+    /// only if `include_self`) — what every lookup above answers — written
+    /// into `out`, whose contents it replaces; returns the rows (elements,
+    /// for APEX) it cost. A PPO block going down orders equal distances by
+    /// `tie` of the local.
+    fn block_into(
+        &self,
+        axis: Axis,
+        u: u32,
+        label: u32,
+        include_self: bool,
+        out: &mut Vec<(u32, Distance)>,
+        tie: impl Fn(u32) -> u32,
+    ) -> usize {
+        let s = include_self;
+        match (self, axis) {
+            (MetaIndex::Ppo(i), Axis::Descendants) => {
+                i.descendants_among_into(u, i.label_list(label), s, out, tie)
+            }
+            (MetaIndex::Ppo(i), Axis::Ancestors) => {
+                i.ancestors_among_into(u, i.label_list(label), s, out)
+            }
+            (MetaIndex::Hopi(i), axis) => {
+                i.answer_into(axis, u, Some((label, s)), out, &mut vec![])
+            }
+            (MetaIndex::Apex(i), axis) => i.block_into(axis, u, label, s, out),
+        }
     }
 
     /// Distance from `u` to `v` within the meta document, if connected
@@ -229,14 +197,15 @@ impl MetaIndex {
     /// entries index by node and their inverted rows are binary-searched
     /// ([`HopiIndex::layout_fault`]); PPO's label table likewise, its
     /// ranks index its arrays and a parent chain must end
-    /// ([`ExtendedPpo::layout_fault`]); APEX holds nothing of the kind.
-    /// [`crate::persist`] runs this on every meta document it decodes,
-    /// before [`MetaDocument::anchor_fault`].
+    /// ([`PpoIndex::layout_fault`]); APEX's graphs are sliced by stored
+    /// offsets and its class ids index its per-class tables
+    /// ([`ApexIndex::layout_fault`]). [`crate::persist`] runs this on every
+    /// meta document it decodes, before [`MetaDocument::anchor_fault`].
     pub(crate) fn layout_fault(&self) -> Option<String> {
         match self {
             MetaIndex::Hopi(i) => i.layout_fault(),
             MetaIndex::Ppo(i) => i.layout_fault(),
-            MetaIndex::Apex(_) => None,
+            MetaIndex::Apex(i) => i.layout_fault(),
         }
     }
 }
@@ -363,15 +332,15 @@ impl MetaDocument {
         }
         match (&self.index, axis) {
             (MetaIndex::Ppo(i), Axis::Descendants) => {
-                i.forest_index()
-                    .descendants_among_into(e, anchors, true, out, |v| v);
+                i.descendants_among_into(e, anchors, true, out, |v| v);
             }
             (MetaIndex::Ppo(i), Axis::Ancestors) => {
-                i.forest_index().ancestors_among_into(e, anchors, out)
+                i.ancestors_among_into(e, anchors, true, out);
             }
-            (MetaIndex::Hopi(i), Axis::Descendants) => i.link_sources_below_into(e, out),
-            (MetaIndex::Hopi(i), Axis::Ancestors) => i.link_targets_above_into(e, out),
-            (MetaIndex::Apex(i), axis) => i.among_into(e, axis == Axis::Descendants, anchors, out),
+            (MetaIndex::Hopi(i), axis) => {
+                i.answer_into(axis, e, None, &mut vec![], out);
+            }
+            (MetaIndex::Apex(i), axis) => i.among_into(axis, e, anchors, out),
         }
     }
 
@@ -398,14 +367,9 @@ impl MetaDocument {
         out: &mut PopAnswer,
     ) {
         let PopAnswer { block, work, links } = out;
-        *work = match (&self.index, axis) {
-            (MetaIndex::Hopi(i), Axis::Descendants) => {
-                i.descendants_by_label_and_anchors_into(e, label, include_self, block, links)
-            }
-            (MetaIndex::Hopi(i), Axis::Ancestors) => {
-                i.ancestors_by_label_and_anchors_into(e, label, include_self, block, links)
-            }
-            (index, axis) => {
+        *work = match &self.index {
+            MetaIndex::Hopi(i) => i.answer_into(axis, e, Some((label, include_self)), block, links),
+            index => {
                 self.link_anchors_into(axis, e, links);
                 let nodes = &self.nodes;
                 index.block_into(axis, e, label, include_self, block, |v| nodes[v as usize])
@@ -416,7 +380,7 @@ impl MetaDocument {
     /// Number of elements the index was built over.
     fn indexed_nodes(&self) -> usize {
         match &self.index {
-            MetaIndex::Ppo(i) => i.forest_index().node_count(),
+            MetaIndex::Ppo(i) => i.node_count(),
             MetaIndex::Hopi(i) => i.node_count(),
             MetaIndex::Apex(i) => i.summary().class_of.len(),
         }
@@ -530,7 +494,7 @@ mod tests {
     /// `10 + u`, and the extra runtime links of its build.
     fn meta(kind: StrategyKind, g: &Digraph, labels: &[u32]) -> (MetaDocument, Vec<(u32, u32)>) {
         let mut nodes: Vec<NodeId> = (10..10 + g.node_count() as NodeId).collect();
-        let (index, extra) = MetaIndex::build(kind, g, labels, &mut nodes, 2);
+        let (index, extra, _) = MetaIndex::build(kind, g, labels, &mut nodes, 1);
         (MetaDocument::new(nodes, index), extra)
     }
 
@@ -653,7 +617,7 @@ mod tests {
         // carry label 1, and the elements run against the preorder.
         let g = Digraph::from_edges(4, [(0, 1), (0, 2), (2, 3), (1, 3)]);
         let mut nodes = vec![40, 30, 20, 10];
-        let (index, _) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes, 1);
+        let (index, ..) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes, 1);
         let md = MetaDocument::new(nodes, index);
         assert_eq!(md.nodes, vec![40, 30, 10, 20], "preorder 0, 1, 3, 2");
         let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);

@@ -111,14 +111,8 @@ impl QueryOptions {
     }
 }
 
-/// Direction of an axis evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Axis {
-    /// Forward reachability (`a//B`).
-    Descendants,
-    /// Backward reachability: elements from which the start is reachable.
-    Ancestors,
-}
+/// Direction of an axis evaluation — the one every index lookup follows.
+pub use graphcore::Axis;
 
 /// Who, besides the caller, observes an evaluation. Both observers are
 /// write-only — no branch of the evaluator consults them, so the result
@@ -318,7 +312,7 @@ impl Entries {
                 seen.partition_point(|&bound| bound <= later) % 2 == 1
             }
             (MetaIndex::Ppo(ppo), Axis::Ancestors) => {
-                let (lo, hi) = ppo.forest_index().subtree(later);
+                let (lo, hi) = ppo.subtree(later);
                 let next = seen.partition_point(|&rank| rank < lo);
                 seen.get(next).is_some_and(|&rank| rank < hi)
             }
@@ -336,7 +330,7 @@ impl Entries {
             (MetaIndex::Ppo(ppo), Axis::Descendants) => {
                 // Interval union: the boundaries inside `[lo, hi]` go, and
                 // each end stays a boundary iff it lies outside the others.
-                let (lo, hi) = ppo.forest_index().subtree(local);
+                let (lo, hi) = ppo.subtree(local);
                 let start = seen.partition_point(|&bound| bound < lo);
                 let end = seen.partition_point(|&bound| bound <= hi);
                 // From a slice, `splice` knows the length: no allocation.
@@ -1704,7 +1698,7 @@ mod tests {
             .filter_map(|(i, p)| p.map(|p| (p % (i as u32 + 1), i as u32 + 1)));
         let g = graphcore::Digraph::from_edges(n, edges);
         let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
-        let (index, extra) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes, 1);
+        let (index, extra, _) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes, 1);
         assert!(extra.is_empty(), "a forest loses no edge");
         MetaDocument::new(nodes, index)
     }

@@ -568,21 +568,21 @@ pub(crate) mod mirror {
         nodes: Vec<u32>,
     }
 
-    /// The stored image of HOPI- or PPO-backed `md` with its index's bytes
-    /// replaced by `reencode`'s: a meta document's image is the format
-    /// word, its node map, the `u32` variant of its index, the index, and
-    /// the anchor lists, end to end. Everything around the index stays as
-    /// this build writes it, so what refuses the result is a check on the
-    /// index.
+    /// The stored image of `md` with its index's bytes replaced by
+    /// `reencode`'s: a meta document's image is the format word, its node
+    /// map, the `u32` variant of its index, the index, and the anchor
+    /// lists, end to end. Everything around the index stays as this build
+    /// writes it, so what refuses the result is a check on the index.
     fn respliced<M: DeserializeOwned>(
         md: &MetaDocument,
         reencode: impl FnOnce(M) -> Vec<u8>,
     ) -> Vec<u8> {
         let inner = match &md.index {
-            MetaIndex::Hopi(index) => pagestore::to_bytes(index).unwrap(),
-            MetaIndex::Ppo(index) => pagestore::to_bytes(index).unwrap(),
-            MetaIndex::Apex(_) => panic!("an APEX meta document"),
-        };
+            MetaIndex::Hopi(index) => pagestore::to_bytes(index),
+            MetaIndex::Ppo(index) => pagestore::to_bytes(index),
+            MetaIndex::Apex(index) => pagestore::to_bytes(index),
+        }
+        .unwrap();
         let whole = image(md).unwrap();
         let nodes = NodeMap {
             nodes: md.nodes.clone(),
@@ -597,8 +597,8 @@ pub(crate) mod mirror {
         [&whole[..start], &index, &whole[end..]].concat()
     }
 
-    /// An `ExtendedPpo` image: the forest index's three per-rank arrays and
-    /// its label table, then the removed edges.
+    /// A `PpoIndex` image: the three per-rank arrays and the label table,
+    /// then the removed edges.
     #[derive(Serialize, Deserialize)]
     pub(crate) struct Ppo {
         #[serde(with = "graphcore::flat")]
@@ -617,11 +617,15 @@ pub(crate) mod mirror {
         pub(crate) removed: Vec<(u32, u32)>,
     }
 
-    /// The image of PPO-backed `md` after `damage` edited its arrays.
-    pub(crate) fn damaged_ppo_image(md: &MetaDocument, damage: impl FnOnce(&mut Ppo)) -> Vec<u8> {
-        respliced(md, |mut ppo: Ppo| {
-            damage(&mut ppo);
-            pagestore::to_bytes(&ppo).unwrap()
+    /// The image of `md` after `damage` edited its index, read as `M`: the
+    /// mirror of its strategy's index ([`Hopi`], [`Ppo`] or [`Apex`]).
+    pub(crate) fn damaged_image<M: Serialize + DeserializeOwned>(
+        md: &MetaDocument,
+        damage: impl FnOnce(&mut M),
+    ) -> Vec<u8> {
+        respliced(md, |mut index: M| {
+            damage(&mut index);
+            pagestore::to_bytes(&index).unwrap()
         })
     }
 
@@ -655,6 +659,56 @@ pub(crate) mod mirror {
                 |p| p.removed.push((0, p.size.len() as u32)),
                 "names a rank past",
             ),
+        ]
+    }
+
+    /// A `Digraph` image: its four CSR arrays.
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Graph {
+        #[serde(with = "graphcore::flat")]
+        fwd_off: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        fwd: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        rev_off: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        rev: Vec<u32>,
+    }
+
+    /// A `StructuralSummary` image.
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Summary {
+        #[serde(with = "graphcore::flat")]
+        pub(crate) class_of: Vec<u32>,
+        extents: Vec<Vec<u32>>,
+        #[serde(with = "graphcore::flat")]
+        class_label: Vec<u32>,
+        graph: Graph,
+    }
+
+    /// An `ApexIndex` image: the element graph and labels, the summary, its
+    /// closure and the per-class label sets.
+    #[derive(Serialize, Deserialize)]
+    pub(crate) struct Apex {
+        graph: Graph,
+        #[serde(with = "graphcore::flat")]
+        pub(crate) labels: Vec<u32>,
+        pub(crate) summary: Summary,
+        summary_closure: TransitiveClosure,
+        pub(crate) label_reach: Vec<BitSet>,
+        max_label: u32,
+    }
+
+    /// An edit of a stored APEX index, and what its refusal names.
+    pub(crate) type ApexDamage = (fn(&mut Apex), &'static str);
+
+    /// Edits of an APEX image that would send a lookup out of bounds.
+    pub(crate) fn apex_damage() -> [ApexDamage; 4] {
+        [
+            (|a| a.summary.class_of.truncate(1), " 1 class ids"),
+            (|a| a.labels.truncate(1), " 1 labels"),
+            (|a| a.label_reach.clear(), " 0 label sets"),
+            (|a| a.summary.class_of[0] = 999, "in class 999"),
         ]
     }
 
@@ -767,14 +821,6 @@ pub(crate) mod mirror {
     /// below are measured against.
     pub(crate) fn fixed_width_index_image(md: &MetaDocument) -> Vec<u8> {
         respliced(md, |hopi: fixed_twin::Hopi| {
-            pagestore::to_bytes(&hopi).unwrap()
-        })
-    }
-
-    /// The image of HOPI-backed `md` after `damage` edited its tables.
-    pub(crate) fn damaged_image(md: &MetaDocument, damage: impl FnOnce(&mut Hopi)) -> Vec<u8> {
-        respliced(md, |mut hopi: Hopi| {
-            damage(&mut hopi);
             pagestore::to_bytes(&hopi).unwrap()
         })
     }
@@ -1130,7 +1176,29 @@ mod tests {
         for (damage, fault) in mirror::ppo_damage() {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
-            let bytes = mirror::damaged_ppo_image(flix.meta(0), damage);
+            let bytes = mirror::damaged_image(flix.meta(0), damage);
+            st.put("fw/meta-0", &bytes).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = "meta document 0 is stale or corrupt (";
+            assert!(
+                err.starts_with(named) && err.contains(fault),
+                "{fault}: {err}"
+            );
+        }
+    }
+
+    /// An APEX image whose arrays would send a lookup out of bounds is
+    /// refused on load, by name, instead of loading and panicking at the
+    /// first query.
+    #[test]
+    fn damaged_apex_images_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let apex = FlixConfig::Monolithic(crate::config::StrategyKind::Apex);
+        let flix = Flix::build(cg.clone(), apex);
+        for (damage, fault) in mirror::apex_damage() {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let bytes = mirror::damaged_image(flix.meta(0), damage);
             st.put("fw/meta-0", &bytes).unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = "meta document 0 is stale or corrupt (";

@@ -23,6 +23,17 @@ impl BitSet {
         self.capacity
     }
 
+    /// The first way the set fails to hold `capacity` values in the words
+    /// that takes, if it does — a lookup below the capacity indexes a word,
+    /// so a decoded set with fewer would panic.
+    pub fn layout_fault(&self, capacity: usize) -> Option<String> {
+        let words = self.words.len();
+        (self.capacity != capacity || words != capacity.div_ceil(64)).then(|| {
+            let held = self.capacity;
+            format!("a set of {held} values in {words} words, not of {capacity}")
+        })
+    }
+
     /// Inserts `i`; returns true if it was newly inserted.
     pub fn insert(&mut self, i: usize) -> bool {
         debug_assert!(
@@ -126,6 +137,16 @@ mod tests {
         assert!(s.remove(0));
         assert!(!s.remove(0));
         assert!(!s.contains(0));
+    }
+
+    #[test]
+    fn layout_fault_names_a_set_of_another_size() {
+        let s = BitSet::new(70);
+        assert_eq!(s.layout_fault(70), None);
+        assert!(s.layout_fault(71).is_some());
+        let mut short = s;
+        short.words.pop();
+        assert!(short.layout_fault(70).unwrap().contains("in 1 words"));
     }
 
     #[test]

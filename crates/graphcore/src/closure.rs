@@ -57,6 +57,14 @@ impl TransitiveClosure {
         self.rows.len()
     }
 
+    /// The first row that fails to be a set over the closure's nodes
+    /// ([`BitSet::layout_fault`]), if one does.
+    pub fn layout_fault(&self) -> Option<String> {
+        let n = self.rows.len();
+        (self.rows.iter().enumerate())
+            .find_map(|(u, row)| Some(format!("row {u} is {}", row.layout_fault(n)?)))
+    }
+
     /// True if `v` is reachable from `u` (including `u == v`).
     pub fn reaches(&self, u: NodeId, v: NodeId) -> bool {
         self.rows[u as usize].contains(v as usize)
@@ -155,6 +163,14 @@ mod tests {
         assert_eq!(tc.descendants(0), vec![0, 1, 2, 3, 4]);
         assert_eq!(tc.descendants(4), vec![4]);
         assert_eq!(tc.descendants(5), vec![5]);
+    }
+
+    #[test]
+    fn layout_fault_names_a_short_row() {
+        let mut tc = TransitiveClosure::build(&sample());
+        assert_eq!(tc.layout_fault(), None);
+        tc.rows[1] = BitSet::new(2);
+        assert!(tc.layout_fault().unwrap().starts_with("row 1 is"));
     }
 
     #[test]

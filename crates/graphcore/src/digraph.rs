@@ -224,6 +224,32 @@ impl Digraph {
     pub fn size_bytes(&self) -> usize {
         4 * (self.fwd_off.len() + self.fwd.len() + self.rev_off.len() + self.rev.len())
     }
+
+    /// The first way the CSR arrays are laid out so that an adjacency
+    /// lookup would slice or index out of bounds, if they are: both offset
+    /// arrays `n + 1` long, non-decreasing from 0 up to the edge count,
+    /// and every neighbour below `n`. A built graph never has one; a
+    /// decoded image can, so whoever decodes one checks before the first
+    /// lookup. One pass over each array.
+    pub fn layout_fault(&self) -> Option<String> {
+        let rows = self.fwd_off.len();
+        let halves = [
+            ("forward", &self.fwd_off, &self.fwd),
+            ("reverse", &self.rev_off, &self.rev),
+        ];
+        halves.into_iter().find_map(|(name, off, targets)| {
+            let bounded = off.first() == Some(&0) && off.last() == Some(&(targets.len() as u32));
+            if off.len() != rows || !bounded || off.windows(2).any(|w| w[0] > w[1]) {
+                let edges = targets.len();
+                return Some(format!(
+                    "{name} offsets are not {rows} non-decreasing bounds from 0 to {edges}"
+                ));
+            }
+            let n = rows - 1;
+            let v = targets.iter().find(|&&v| v as usize >= n)?;
+            Some(format!("a {name} edge names node {v} of {n}"))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -315,6 +341,27 @@ mod tests {
         let g = b.build();
         assert_eq!(g.node_count(), 7);
         assert!(g.has_edge(5, 2));
+    }
+
+    #[test]
+    fn layout_faults_are_named() {
+        assert_eq!(diamond().layout_fault(), None);
+        assert_eq!(DigraphBuilder::new().build().layout_fault(), None);
+        type Damage = (fn(&mut Digraph), &'static str);
+        let damage: [Damage; 6] = [
+            (|g| g.fwd_off.clear(), "forward offsets"),
+            (|g| g.fwd_off[0] = 1, "forward offsets"),
+            (|g| g.fwd_off.swap(1, 2), "forward offsets"),
+            (|g| g.rev_off.truncate(4), "reverse offsets"),
+            (|g| g.fwd[0] = 4, "forward edge names node 4 of 4"),
+            (|g| g.rev[3] = 9, "reverse edge names node 9"),
+        ];
+        for (damage, fault) in damage {
+            let mut bad = diamond();
+            damage(&mut bad);
+            let found = bad.layout_fault().unwrap_or_default();
+            assert!(found.contains(fault), "{fault}: {found}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! * a compact [`Digraph`] (CSR adjacency with forward and reverse edges),
 //! * classic traversals ([`traversal`]): BFS order, unit-weight shortest
-//!   paths, and the plain reachability baseline,
+//!   paths, the plain reachability baseline, and the [`Axis`] every index
+//!   lookup follows,
 //! * [`scc`]: Tarjan strongly-connected components and graph condensation,
 //! * [`topo`]: topological ordering of DAGs,
 //! * [`spanning`]: spanning forests, tree/forest detection, and the
@@ -70,7 +71,7 @@ pub use scratch::{filled, DistScratch};
 pub use spanning::is_forest;
 pub use spanning::{spanning_forest, ForestCheck};
 pub use topo::topological_order;
-pub use traversal::{bfs_distances, bfs_from, is_reachable, Distance, INFINITE_DISTANCE};
+pub use traversal::{bfs_distances, bfs_from, is_reachable, Axis, Distance, INFINITE_DISTANCE};
 
 /// Random graphs shared by the crate's property tests.
 #[cfg(test)]

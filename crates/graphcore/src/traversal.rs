@@ -11,6 +11,15 @@ pub type Distance = u32;
 /// Sentinel for "unreachable".
 pub const INFINITE_DISTANCE: Distance = u32::MAX;
 
+/// Which way along the edges a lookup reaches: every index answers both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Axis {
+    /// Forward reachability (`a//B`).
+    Descendants,
+    /// Backward reachability: elements from which the start is reachable.
+    Ancestors,
+}
+
 /// Returns all nodes reachable from `start` (including `start`) in BFS order.
 pub fn bfs_from(g: &Digraph, start: NodeId) -> Vec<NodeId> {
     let mut seen = vec![false; g.node_count()];

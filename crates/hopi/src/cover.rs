@@ -54,20 +54,10 @@ pub struct CoverOptions {
     /// (one partition, no merge stage), large graphs split into a few
     /// dozen blocks. The cap is a function of the graph alone — never of
     /// the thread count — so the partitioning, and with it the index, is
-    /// identical however many workers run.
+    /// identical however many workers run. Only tests set it: a small cap
+    /// is what makes the merge stage run on a graph small enough to check
+    /// against the closure.
     pub partition_cap: usize,
-    /// Rounds for Cohen's reachable-set estimator in the ranking stage
-    /// (values below 2 are clamped to 2). More rounds tighten the
-    /// estimate, but the cover they rank is not monotone in them: on the
-    /// full-scale DBLP corpus (seed 2004) an Unconnected HOPI-5000
-    /// framework counts 12,190,676 index bytes (`BuildReport::index_bytes`)
-    /// at 2 rounds, 12,145,284 at 4, 12,266,708 at 8 and 12,198,404 at 16.
-    /// The default of 8 is kept because any other value rewrites every HOPI
-    /// image.
-    pub rank_rounds: usize,
-    /// Seed for the ranking estimator. Fixed by default so builds are
-    /// reproducible run to run.
-    pub rank_seed: u64,
 }
 
 impl Default for CoverOptions {
@@ -75,11 +65,21 @@ impl Default for CoverOptions {
         Self {
             threads: 1,
             partition_cap: 0,
-            rank_rounds: 8,
-            rank_seed: 0xF11C,
         }
     }
 }
+
+/// Rounds of Cohen's reachable-set estimator in the ranking stage. More
+/// rounds tighten the estimate, but the cover they rank is not monotone in
+/// them: on the full-scale DBLP corpus (seed 2004) an Unconnected HOPI-5000
+/// framework counts 12,190,676 index bytes (`BuildReport::index_bytes`) at
+/// 2 rounds, 12,145,284 at 4, 12,266,708 at 8 and 12,198,404 at 16. It
+/// stays 8 because any other value rewrites every HOPI image.
+const RANK_ROUNDS: usize = 8;
+
+/// Seed of the ranking estimator, fixed so builds are reproducible run to
+/// run.
+const RANK_SEED: u64 = 0xF11C;
 
 /// Out-of-band record of one staged build: per-stage wall clock plus the
 /// shape of the pipeline.
@@ -148,7 +148,7 @@ pub(crate) fn build_cover(g: &Digraph, opts: &CoverOptions) -> CoverLabels {
     // ---- Stage 1+2: rank centers, plan partitions. ----
     let started = Stopwatch::start();
     let cond = condensation(g);
-    let rank_pos = rank_positions(g, &cond, opts);
+    let rank_pos = rank_positions(g, &cond);
     let cap = if opts.partition_cap > 0 {
         opts.partition_cap
     } else {
@@ -220,15 +220,14 @@ pub(crate) fn build_cover(g: &Digraph, opts: &CoverOptions) -> CoverLabels {
 /// the bit-reversed id — which approximates the balanced middle-first order
 /// on score-uniform regions such as long chains, and is distinct per node.
 /// Both estimates run over `cond`, the condensation of `g`.
-fn rank_positions(g: &Digraph, cond: &Condensation, opts: &CoverOptions) -> Vec<u32> {
+fn rank_positions(g: &Digraph, cond: &Condensation) -> Vec<u32> {
     let n = g.node_count();
-    let rounds = opts.rank_rounds.max(2);
-    let desc = estimate_reach_counts(cond, Reach::Descendants, rounds, opts.rank_seed);
+    let desc = estimate_reach_counts(cond, Reach::Descendants, RANK_ROUNDS, RANK_SEED);
     let anc = estimate_reach_counts(
         cond,
         Reach::Ancestors,
-        rounds,
-        opts.rank_seed ^ 0x9E37_79B9_7F4A_7C15,
+        RANK_ROUNDS,
+        RANK_SEED ^ 0x9E37_79B9_7F4A_7C15,
     );
     let score: Vec<f64> = desc.iter().zip(&anc).map(|(d, a)| d * a).collect();
     let degree: Vec<usize> = g
@@ -469,7 +468,6 @@ mod tests {
                     &CoverOptions {
                         threads,
                         partition_cap: cap,
-                        ..CoverOptions::default()
                     },
                 );
             }
@@ -505,7 +503,6 @@ mod tests {
         let opts = |threads| CoverOptions {
             threads,
             partition_cap: 3,
-            ..CoverOptions::default()
         };
         let base = build_cover(&g, &opts(1));
         for threads in [2, 8] {

@@ -1,4 +1,4 @@
-//! The 2-hop label index: construction, queries, enumeration.
+//! The 2-hop label index: construction, distance and the one lookup.
 //!
 //! Construction runs the staged pipeline in [`crate::cover`] (rank →
 //! partition → merge → parallel per-partition cover) and finishes the raw
@@ -8,16 +8,16 @@
 //! first use.
 
 use crate::cover::{self, CoverOptions, StageReport};
-use graphcore::{Digraph, DistScratch, Distance, NodeId, INFINITE_DISTANCE};
+use graphcore::{Axis, Digraph, DistScratch, Distance, NodeId, INFINITE_DISTANCE};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 thread_local! {
     /// This thread's label-join scratch, shared by every [`HopiIndex`] the
-    /// thread queries. Borrowed only inside [`HopiIndex::join`], which runs
-    /// nothing but this module's own filters while it holds the borrow, so
-    /// a lookup can never re-enter it.
+    /// thread queries. Borrowed only inside [`HopiIndex::answer_into`],
+    /// which runs nothing but this module's own filters while it holds the
+    /// borrow, so a lookup can never re-enter it.
     static SCRATCH: RefCell<DistScratch> = const { RefCell::new(DistScratch::new()) };
 }
 
@@ -273,16 +273,12 @@ impl HopiIndex {
     }
 
     /// [`Self::build`] with explicit pipeline options (thread count,
-    /// partition cap, ranking rounds). The produced index is identical for
-    /// every `threads` value — see the determinism notes on [`crate::cover`].
-    pub fn build_with(g: &Digraph, node_labels: &[u32], opts: &CoverOptions) -> Self {
-        Self::build_staged(g, node_labels, opts).0
-    }
-
-    /// Runs the staged pipeline and additionally returns its out-of-band
+    /// partition cap), additionally returning the pipeline's out-of-band
     /// [`StageReport`] (per-stage timings, partition/border counts). The
-    /// report is *not* part of the index, so serialized indexes stay
-    /// byte-identical across runs and thread counts.
+    /// index is identical for every `threads` value — see the determinism
+    /// notes on [`crate::cover`] — and the report is *not* part of it, so
+    /// serialized indexes stay byte-identical across runs and thread
+    /// counts.
     pub fn build_staged(
         g: &Digraph,
         node_labels: &[u32],
@@ -436,72 +432,37 @@ impl HopiIndex {
         (best != INFINITE_DISTANCE).then_some(best)
     }
 
-    /// Reachability test `u -> v` (descendant-or-self: true for `u == v`).
-    pub fn is_reachable(&self, u: NodeId, v: NodeId) -> bool {
-        self.distance(u, v).is_some()
+    /// The two halves of a label join along `axis` from `u`: its own
+    /// centers, the inverted table to merge rows of for them, and the flag
+    /// of the anchors that table's rows begin with.
+    fn side(&self, axis: Axis, u: NodeId) -> JoinSide<'_> {
+        match axis {
+            Axis::Descendants => (self.l_out.row(u), &self.in_index, SOURCE),
+            Axis::Ancestors => (self.l_in().row(u), self.out_index(), TARGET),
+        }
     }
 
-    /// All descendants of `u` with exact distances, ascending by distance.
-    ///
-    /// `include_self` selects descendant-or-self vs. strict semantics.
-    pub fn descendants(&self, u: NodeId, include_self: bool) -> Reached {
-        self.join(self.down(u), |v| include_self || v != u)
-    }
-
-    /// All ancestors of `u` with exact distances, ascending by distance.
-    pub fn ancestors(&self, u: NodeId, include_self: bool) -> Reached {
-        self.join(self.up(u), |v| include_self || v != u)
-    }
-
-    /// The two halves of a label join going down from `u`: its own centers
-    /// and the inverted table to merge rows of for them.
-    fn down(&self, u: NodeId) -> JoinSide<'_> {
-        (self.l_out.row(u), &self.in_index, SOURCE)
-    }
-
-    /// [`Self::down`] for the ancestors direction.
-    fn up(&self, u: NodeId) -> JoinSide<'_> {
-        (self.l_in().row(u), self.out_index(), TARGET)
-    }
-
-    /// The whole-row label join behind the unfiltered enumerations: merges
-    /// the inverted row of each of `own`'s centers into this thread's
-    /// scratch, keeping the minimum distance per reached node (the node
-    /// `own` belongs to is always among them, at distance 0), and returns
-    /// the reached nodes `admits` lets through.
-    fn join(&self, (own, inverted, _): JoinSide<'_>, admits: impl Fn(NodeId) -> bool) -> Reached {
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            scratch.begin(self.node_count());
-            for &(w, d1) in own {
-                for &(v, d2) in inverted.row(w) {
-                    scratch.relax(v, d1 + d2);
-                }
-            }
-            let mut reached: Reached = scratch.entries().filter(|&(v, _)| admits(v)).collect();
-            reached.sort_unstable_by_key(|&(v, d)| (d, v));
-            reached
-        })
-    }
-
-    /// The label join read as one queue pop of FliX's evaluator, over the
-    /// rows that can answer it. Of each center's inverted row it merges the
-    /// anchor prefix — one binary search on the flag ends it; every anchor
-    /// the node reaches is a link to follow, whatever its label — and, when
-    /// `block` asks for a `(label, include_self)`, the run of that label in
-    /// the remainder, found by one binary search and left at the first
-    /// other label. Replaces the contents of `carrying` with the reached
-    /// nodes carrying the label (`u` itself only if `include_self`) and of
-    /// `links` with the reached anchors (`u` counts whatever `include_self`
-    /// says); returns the rows merged.
-    fn block_and_anchors(
+    /// The label join along `axis` from `u` read as one queue pop of
+    /// FliX's evaluator, over the rows that can answer it — the index's one
+    /// lookup. Of each center's inverted row it merges the anchor prefix —
+    /// one binary search on the flag ends it; every anchor the node reaches
+    /// is a link to follow, whatever its label — and, when `block` asks for
+    /// a `(label, include_self)`, the run of that label in the remainder,
+    /// found by one binary search and left at the first other label.
+    /// Replaces the contents of `carrying` with the reached nodes carrying
+    /// the label (`u` itself only if `include_self`) and of `links` with the
+    /// reached anchors (`u` counts whatever `include_self` says), each
+    /// ascending by `(distance, node)`; returns the rows merged — the joins
+    /// a database-backed HOPI pays per lookup.
+    pub fn answer_into(
         &self,
+        axis: Axis,
         u: NodeId,
-        (own, inverted, flag): JoinSide<'_>,
         block: Option<(u32, bool)>,
         carrying: &mut Reached,
         links: &mut Reached,
     ) -> usize {
+        let (own, inverted, flag) = self.side(axis, u);
         let words = &self.node_labels;
         let word = |v: NodeId| words[v as usize];
         carrying.clear();
@@ -538,88 +499,6 @@ impl HopiIndex {
             links.sort_unstable_by_key(|&(v, d)| (d, v));
             work
         })
-    }
-
-    /// The link sources among `u`'s descendants, `u` included, ascending by
-    /// `(distance, node)` — read off the anchor prefixes alone — written
-    /// into `out`, whose contents it replaces.
-    pub fn link_sources_below_into(&self, u: NodeId, out: &mut Reached) {
-        self.block_and_anchors(u, self.down(u), None, &mut Vec::new(), out);
-    }
-
-    /// The link targets among `u`'s ancestors, `u` included, ascending by
-    /// `(distance, node)` — read off the anchor prefixes alone — written
-    /// into `out`, whose contents it replaces.
-    pub fn link_targets_above_into(&self, u: NodeId, out: &mut Reached) {
-        self.block_and_anchors(u, self.up(u), None, &mut Vec::new(), out);
-    }
-
-    /// Descendants of `u` carrying `label`, ascending by distance.
-    pub fn descendants_by_label(&self, u: NodeId, label: u32, include_self: bool) -> Reached {
-        self.descendants_by_label_counted(u, label, include_self).0
-    }
-
-    /// [`Self::descendants_by_label`] plus the label-table rows merged to
-    /// answer it — the joins a database-backed HOPI pays per query: per
-    /// center, the anchor prefix and the run of `label`.
-    pub fn descendants_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Reached, usize) {
-        graphcore::filled(|block| {
-            self.descendants_by_label_and_anchors_into(u, label, include_self, block, &mut vec![])
-        })
-    }
-
-    /// [`Self::descendants_by_label_counted`] into `block` and, out of the
-    /// same label join, [`Self::link_sources_below_into`] into `links`; the
-    /// contents of both are replaced. Returns the rows merged.
-    pub fn descendants_by_label_and_anchors_into(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-        block: &mut Reached,
-        links: &mut Reached,
-    ) -> usize {
-        let asked = Some((label, include_self));
-        self.block_and_anchors(u, self.down(u), asked, block, links)
-    }
-
-    /// Ancestors of `u` carrying `label`, ascending by distance.
-    pub fn ancestors_by_label(&self, u: NodeId, label: u32, include_self: bool) -> Reached {
-        self.ancestors_by_label_counted(u, label, include_self).0
-    }
-
-    /// [`Self::ancestors_by_label`] plus the label-table rows merged to
-    /// answer it — the ancestors mirror of
-    /// [`Self::descendants_by_label_counted`].
-    pub fn ancestors_by_label_counted(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> (Reached, usize) {
-        graphcore::filled(|block| {
-            self.ancestors_by_label_and_anchors_into(u, label, include_self, block, &mut vec![])
-        })
-    }
-
-    /// [`Self::ancestors_by_label_counted`] into `block` and, out of the
-    /// same label join, [`Self::link_targets_above_into`] into `links`; the
-    /// contents of both are replaced. Returns the rows merged.
-    pub fn ancestors_by_label_and_anchors_into(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-        block: &mut Reached,
-        links: &mut Reached,
-    ) -> usize {
-        let asked = Some((label, include_self));
-        self.block_and_anchors(u, self.up(u), asked, block, links)
     }
 
     /// Total label entries (the paper's size measure for HOPI).
@@ -774,7 +653,27 @@ impl flixcheck::IntegrityCheck for HopiIndex {
 
 #[cfg(test)]
 impl HopiIndex {
-    /// [`Self::block_and_anchors`] as it was before rows were ordered: the
+    /// The whole-row label join: merges the inverted row of each of `own`'s
+    /// centers into this thread's scratch, keeping the minimum distance per
+    /// reached node (the node `own` belongs to is always among them, at
+    /// distance 0), and returns the reached nodes `admits` lets through,
+    /// ascending by `(distance, node)`.
+    fn join(&self, (own, inverted, _): JoinSide<'_>, admits: impl Fn(NodeId) -> bool) -> Reached {
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            scratch.begin(self.node_count());
+            for &(w, d1) in own {
+                for &(v, d2) in inverted.row(w) {
+                    scratch.relax(v, d1 + d2);
+                }
+            }
+            let mut reached: Reached = scratch.entries().filter(|&(v, _)| admits(v)).collect();
+            reached.sort_unstable_by_key(|&(v, d)| (d, v));
+            reached
+        })
+    }
+
+    /// [`Self::answer_into`] as it was before rows were ordered: the
     /// whole-row join, filtered by label and by membership in `anchors` —
     /// the oracle the partitioned join is tested against.
     fn block_and_anchors_of_whole_rows(
@@ -818,6 +717,12 @@ mod tests {
     use graphcore::{DistanceOracle, TransitiveClosure};
     use proptest::prelude::*;
 
+    /// The nodes along `axis` from `u` carrying `label`, nearest first.
+    fn block(idx: &HopiIndex, axis: Axis, u: NodeId, label: u32, include_self: bool) -> Reached {
+        let asked = Some((label, include_self));
+        graphcore::filled(|out| idx.answer_into(axis, u, asked, out, &mut vec![])).0
+    }
+
     fn check_exact(g: &Digraph, labels: &[u32]) {
         let idx = HopiIndex::build(g, labels);
         let tc = TransitiveClosure::build(g);
@@ -825,7 +730,11 @@ mod tests {
         let n = g.node_count() as NodeId;
         for u in 0..n {
             for v in 0..n {
-                assert_eq!(idx.is_reachable(u, v), tc.reaches(u, v), "reach {u}->{v}");
+                assert_eq!(
+                    idx.distance(u, v).is_some(),
+                    tc.reaches(u, v),
+                    "reach {u}->{v}"
+                );
                 let d = oracle.distance(u, v);
                 let got = idx.distance(u, v).unwrap_or(INFINITE_DISTANCE);
                 assert_eq!(got, d, "dist {u}->{v}");
@@ -861,7 +770,7 @@ mod tests {
     fn descendants_sorted_and_complete() {
         let g = Digraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]);
         let idx = HopiIndex::build(&g, &[0; 6]);
-        let d = idx.descendants(0, false);
+        let d = block(&idx, Axis::Descendants, 0, 0, false);
         let nodes: Vec<NodeId> = d.iter().map(|&(v, _)| v).collect();
         let mut sorted_nodes = nodes.clone();
         sorted_nodes.sort_unstable();
@@ -871,7 +780,7 @@ mod tests {
         assert!(d.contains(&(3, 1)));
         assert!(d.contains(&(4, 2)));
         // include_self
-        let ds = idx.descendants(0, true);
+        let ds = block(&idx, Axis::Descendants, 0, 0, true);
         assert_eq!(ds[0], (0, 0));
     }
 
@@ -879,7 +788,7 @@ mod tests {
     fn ancestors_mirror_descendants() {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (3, 2), (2, 4)]);
         let idx = HopiIndex::build(&g, &[0; 5]);
-        let a = idx.ancestors(4, false);
+        let a = block(&idx, Axis::Ancestors, 4, 0, false);
         let nodes: Vec<NodeId> = a.iter().map(|&(v, _)| v).collect();
         let mut s = nodes.clone();
         s.sort_unstable();
@@ -893,12 +802,12 @@ mod tests {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let labels = [9, 7, 9, 7, 7];
         let idx = HopiIndex::build(&g, &labels);
-        let r = idx.descendants_by_label(0, 7, false);
+        let r = block(&idx, Axis::Descendants, 0, 7, false);
         assert_eq!(r, vec![(1, 1), (3, 3), (4, 4)]);
-        let r = idx.ancestors_by_label(4, 9, false);
+        let r = block(&idx, Axis::Ancestors, 4, 9, false);
         assert_eq!(r, vec![(2, 2), (0, 4)]);
         // include_self respects the node's own label
-        let r = idx.descendants_by_label(0, 9, true);
+        let r = block(&idx, Axis::Descendants, 0, 9, true);
         assert_eq!(r[0], (0, 0));
     }
 
@@ -1192,7 +1101,7 @@ mod tests {
             [&self.l_in, &self.l_out, &self.in_index, &self.out_index]
         }
 
-        /// [`HopiIndex::down`] and [`HopiIndex::up`] over these tables.
+        /// [`HopiIndex::side`] of both axes over these tables.
         fn sides(&self, u: NodeId) -> [JoinSide<'_>; 2] {
             [
                 (self.l_out.row(u), &self.in_index, SOURCE),
@@ -1234,8 +1143,9 @@ mod tests {
                 prop_assert_eq!(idx.layout_fault(), None);
                 prop_assert_eq!(tables(&idx), oracle.tables());
                 for u in 0..g.node_count() as NodeId {
-                    let sides = [(idx.down(u), sources), (idx.up(u), targets)];
-                    for ((side, anchors), whole) in sides.into_iter().zip(oracle.sides(u)) {
+                    let axes = [(Axis::Descendants, sources), (Axis::Ancestors, targets)];
+                    for ((axis, anchors), whole) in axes.into_iter().zip(oracle.sides(u)) {
+                        let side = idx.side(axis, u);
                         // the rows a lookup may read: anchors, and `label`'s
                         let rows = |label: Option<u32>| {
                             let rows = side.0.iter().flat_map(|&(w, _)| side.1.row(w));
@@ -1247,7 +1157,7 @@ mod tests {
                         // One pair of buffers for every lookup of the node:
                         // a longer earlier answer must not show through.
                         let (mut block, mut links, mut reached) = (vec![], vec![], vec![]);
-                        let work = idx.block_and_anchors(u, side, None, &mut block, &mut links);
+                        let work = idx.answer_into(axis, u, None, &mut block, &mut links);
                         prop_assert_eq!((&block, work), (&Vec::new(), rows(None)));
                         for label in 0..3 {
                             for include_self in [false, true] {
@@ -1255,7 +1165,7 @@ mod tests {
                                 let want =
                                     idx.block_and_anchors_of_whole_rows(u, whole, asked, anchors);
                                 let work =
-                                    idx.block_and_anchors(u, side, Some(asked), &mut block, &mut reached);
+                                    idx.answer_into(axis, u, Some(asked), &mut block, &mut reached);
                                 prop_assert_eq!(&reached, &links);
                                 let got = (block.clone(), reached.clone());
                                 prop_assert_eq!(got, want, "{} label {}", u, label);

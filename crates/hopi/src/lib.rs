@@ -4,9 +4,10 @@
 //! Every node `v` carries two label sets `L_in(v)` and `L_out(v)` of
 //! *(center, distance)* pairs such that there is a path `u -> v` iff
 //! `L_out(u) ∩ L_in(v) ≠ ∅`, and the path length is the minimum of
-//! `d(u,w) + d(w,v)` over the common centers `w`. Reachability and distance
-//! queries are label-set merges; descendant enumerations use an inverted
-//! center index.
+//! `d(u,w) + d(w,v)` over the common centers `w`. A distance query is a
+//! label-set merge; the one lookup, a block of labelled descendants or
+//! ancestors with the link anchors reached, joins over an inverted center
+//! index.
 //!
 //! **Construction substitution (documented in DESIGN.md):** the original
 //! HOPI computes an approximate minimum 2-hop cover with a set-cover greedy
@@ -24,7 +25,8 @@
 //!
 //! * [`cover`] — the staged (rank / partition / merge / parallel cover)
 //!   construction pipeline and its [`StageReport`].
-//! * [`labels::HopiIndex`] — the index: build, query, enumerate, size.
+//! * [`labels::HopiIndex`] — the index: build, distance, the one lookup
+//!   ([`HopiIndex::answer_into`]), size.
 //!
 //! The paper's §4.3 *Unconnected HOPI* (one index per partition,
 //! partition-crossing edges chased at run time) is a framework
@@ -37,7 +39,7 @@
 
 /// Staged divide-and-conquer construction of the 2-hop cover.
 pub mod cover;
-/// The 2-hop label index: construction, queries, enumeration.
+/// The 2-hop label index: construction, distance and the one lookup.
 pub mod labels;
 
 pub use cover::{CoverOptions, StageReport};

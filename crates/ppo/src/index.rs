@@ -1,37 +1,22 @@
-//! The classic pre/postorder index over a forest.
+//! The pre/postorder index over a graph's spanning forest.
 
-use graphcore::{Digraph, Distance, NodeId};
+use graphcore::{spanning_forest, Digraph, Distance, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Errors raised when the input graph is not a forest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PpoError {
-    /// A node has more than one parent.
-    MultipleParents(NodeId),
-    /// The graph contains a cycle.
-    Cyclic,
-}
-
-impl std::fmt::Display for PpoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PpoError::MultipleParents(n) => write!(f, "node {n} has multiple parents"),
-            PpoError::Cyclic => write!(f, "graph contains a cycle"),
-        }
-    }
-}
-
-impl std::error::Error for PpoError {}
-
-/// Pre/postorder index over a forest with per-node labels, numbered in
-/// preorder: the index's node ids *are* the forest's preorder ranks, so
-/// `u`'s subtree is the rank interval `[u, u + size(u))` and its postorder
-/// rank follows from its size and depth.
+/// Pre/postorder index over the spanning forest of a graph with per-node
+/// labels, numbered in preorder: the index's node ids *are* the forest's
+/// preorder ranks, so `u`'s subtree is the rank interval `[u, u + size(u))`
+/// and its postorder rank follows from its size and depth.
 ///
 /// Labels are opaque `u32`s (FliX passes interned tag ids). Per label the
 /// index keeps the ranks carrying it, ascending, in one flat table, so a
 /// descendants-by-label query is a binary search plus a contiguous scan —
 /// the operation the paper's structural-vagueness queries hammer.
+///
+/// The edges of the graph its forest leaves out are kept too
+/// ([`Self::removed_edges`]): the index answers reachability through the
+/// forest alone, and the caller (FliX's path-expression evaluator) chases
+/// those edges with its priority queue.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PpoIndex {
     /// Subtree size per rank (the node included).
@@ -52,37 +37,45 @@ pub struct PpoIndex {
     /// The ranks carrying each key, ascending, key after key.
     #[serde(with = "graphcore::flat")]
     label_ranks: Vec<u32>,
+    /// Edges of the graph the forest leaves out, as rank pairs, ascending.
+    #[serde(with = "graphcore::flat")]
+    removed: Vec<(NodeId, NodeId)>,
 }
 
 impl PpoIndex {
-    /// Builds the index over `g`, which must be a forest, numbering its
-    /// nodes in preorder: roots in id order, children in successor order.
-    /// Returns the index and that numbering — `order[r]` is the node of `g`
-    /// with rank `r`, the id the index knows it by.
+    /// Builds the index over any directed graph: takes its
+    /// [`spanning_forest`] and numbers the forest's nodes in preorder,
+    /// roots in id order, children in successor order. Returns the index
+    /// and that numbering — `order[r]` is the node of `g` with rank `r`,
+    /// the id the index knows it by; the removed edges are in it too.
     ///
     /// `labels[u]` is the label of node `u` of `g` (`labels.len() == node
     /// count`).
-    pub fn build(g: &Digraph, labels: &[u32]) -> Result<(Self, Vec<NodeId>), PpoError> {
+    pub fn build(g: &Digraph, labels: &[u32]) -> (Self, Vec<NodeId>) {
         assert_eq!(labels.len(), g.node_count(), "one label per node");
         let n = g.node_count();
-        if let Some(u) = g.nodes().find(|&u| g.in_degree(u) > 1) {
-            return Err(PpoError::MultipleParents(u));
-        }
+        let forest = spanning_forest(g);
+        let kept = |u: NodeId, v: &NodeId| forest.parent[*v as usize] == u;
         let mut order: Vec<NodeId> = Vec::with_capacity(n);
         let (mut depth, mut parent) = (Vec::with_capacity(n), Vec::with_capacity(n));
         let mut size = vec![0u32; n];
-        // Iterative DFS per root; (rank, child cursor).
+        // Iterative DFS per root; (rank, successor cursor).
         let mut stack: Vec<(u32, usize)> = Vec::new();
-        for root in g.nodes().filter(|&u| g.in_degree(u) == 0) {
+        for root in g
+            .nodes()
+            .filter(|&u| forest.parent[u as usize] == NodeId::MAX)
+        {
             stack.push((order.len() as u32, 0));
             order.push(root);
             depth.push(0);
             parent.push(NodeId::MAX);
             while let Some(&mut (r, ref mut cursor)) = stack.last_mut() {
-                if let Some(&v) = g.successors(order[r as usize]).get(*cursor) {
-                    *cursor += 1;
+                let u = order[r as usize];
+                let rest = &g.successors(u)[*cursor..];
+                if let Some(at) = rest.iter().position(|v| kept(u, v)) {
+                    *cursor += at + 1;
                     stack.push((order.len() as u32, 0));
-                    order.push(v);
+                    order.push(rest[at]);
                     depth.push(depth[r as usize] + 1);
                     parent.push(r);
                 } else {
@@ -91,11 +84,14 @@ impl PpoIndex {
                 }
             }
         }
-        if order.len() != n {
-            // Some node was never reached from an in-degree-0 root, which in
-            // an in-degree<=1 graph means a cycle.
-            return Err(PpoError::Cyclic);
+        let mut rank = vec![0; n];
+        for (r, &u) in (0..).zip(&order) {
+            rank[u as usize] = r;
         }
+        let mut removed: Vec<(NodeId, NodeId)> = (forest.removed_edges.iter())
+            .map(|&(u, v)| (rank[u as usize], rank[v as usize]))
+            .collect();
+        removed.sort_unstable();
         let mut rows: Vec<(u32, u32)> = (0..)
             .zip(&order)
             .map(|(r, &u)| (labels[u as usize], r))
@@ -108,6 +104,7 @@ impl PpoIndex {
             label_keys: Vec::new(),
             label_offsets: Vec::new(),
             label_ranks: Vec::with_capacity(n),
+            removed,
         };
         for (at, &(label, r)) in (0..).zip(&rows) {
             if index.label_keys.last() != Some(&label) {
@@ -117,7 +114,7 @@ impl PpoIndex {
             index.label_ranks.push(r);
         }
         index.label_offsets.push(n as u32);
-        Ok((index, order))
+        (index, order)
     }
 
     /// Number of indexed nodes.
@@ -125,20 +122,8 @@ impl PpoIndex {
         self.size.len()
     }
 
-    /// Postorder rank of `u`: of the nodes before `u` in preorder, all but
-    /// its `depth` ancestors come before it in postorder, and so do its
-    /// `size - 1` descendants.
-    pub fn post(&self, u: NodeId) -> u32 {
-        u + self.size[u as usize] - 1 - self.depth[u as usize]
-    }
-
-    /// Depth of `u` (roots are 0).
-    pub fn depth(&self, u: NodeId) -> u32 {
-        self.depth[u as usize]
-    }
-
-    /// Parent of `u`, `None` for roots.
-    pub fn parent(&self, u: NodeId) -> Option<NodeId> {
+    /// Parent of `u` in the forest, `None` for roots.
+    fn parent(&self, u: NodeId) -> Option<NodeId> {
         let p = self.parent[u as usize];
         (p != u32::MAX).then_some(p)
     }
@@ -150,45 +135,14 @@ impl PpoIndex {
         (u, u + self.size[u as usize])
     }
 
-    /// True if `v` is a descendant of `u` (descendant-or-self: `u == v`
-    /// also answers true).
-    pub fn is_descendant_or_self(&self, u: NodeId, v: NodeId) -> bool {
-        let (lo, hi) = self.subtree(u);
-        (lo..hi).contains(&v)
-    }
-
-    /// Classic pre/post formulation of the ancestor test (equivalent to the
-    /// interval test; exposed for the paper-faithful axis checks).
-    pub fn is_ancestor(&self, x: NodeId, y: NodeId) -> bool {
-        x < y && self.post(x) > self.post(y)
-    }
-
-    /// Hop distance from `u` down to `v`, if `v` is in `u`'s subtree.
+    /// Hop distance from `u` down to `v` through the forest, if `v` is in
+    /// `u`'s subtree (`u` itself at 0). A pair connected only through a
+    /// removed edge answers `None`: the caller chases those.
     pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
-        self.is_descendant_or_self(u, v)
-            .then(|| self.depth[v as usize] - self.depth[u as usize])
-    }
-
-    /// All descendants of `u` (excluding `u`), in preorder.
-    pub fn descendants(&self, u: NodeId) -> impl Iterator<Item = NodeId> {
         let (lo, hi) = self.subtree(u);
-        lo + 1..hi
-    }
-
-    /// Descendants of `u` carrying `label`, as `(node, distance)` sorted by
-    /// ascending distance, ties by rank (the contract FliX's evaluator
-    /// relies on).
-    ///
-    /// `include_self` controls whether `u` itself may qualify
-    /// (descendant-or-self vs. strict descendant semantics).
-    pub fn descendants_by_label(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
-        let list = self.label_list(label);
-        graphcore::filled(|out| self.descendants_among_into(u, list, include_self, out, |v| v)).0
+        (lo..hi)
+            .contains(&v)
+            .then(|| self.depth[v as usize] - self.depth[u as usize])
     }
 
     /// The ranks carrying `label`, ascending; empty if no node does.
@@ -200,57 +154,10 @@ impl PpoIndex {
         &self.label_ranks[lo as usize..hi as usize]
     }
 
-    /// Ancestors of `u` from parent to root, each with its distance.
-    pub fn ancestors(&self, u: NodeId) -> Vec<(NodeId, Distance)> {
-        let mut out = Vec::new();
-        let mut cur = u;
-        let mut d = 0;
-        while let Some(p) = self.parent(cur) {
-            d += 1;
-            out.push((p, d));
-            cur = p;
-        }
-        out
-    }
-
-    /// Ancestors of `u` carrying `label`, nearest first.
-    pub fn ancestors_by_label(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-    ) -> Vec<(NodeId, Distance)> {
-        graphcore::filled(|out| self.ancestors_by_label_into(u, label, include_self, out)).0
-    }
-
-    /// [`Self::ancestors_by_label`] written into `out`, whose contents it
-    /// replaces, returning the number of nodes probed on the parent chain
-    /// (each probe is one row fetch in a database-backed deployment) — the
-    /// ancestors mirror of [`Self::descendants_among_into`].
-    pub fn ancestors_by_label_into(
-        &self,
-        u: NodeId,
-        label: u32,
-        include_self: bool,
-        out: &mut Vec<(NodeId, Distance)>,
-    ) -> usize {
-        out.clear();
-        let list = self.label_list(label);
-        let mut probed = 0usize;
-        let (mut cur, mut d) = if include_self {
-            (Some(u), 0)
-        } else {
-            (self.parent(u), 1)
-        };
-        while let Some(a) = cur {
-            probed += 1;
-            if list.binary_search(&a).is_ok() {
-                out.push((a, d));
-            }
-            cur = self.parent(a);
-            d += 1;
-        }
-        probed
+    /// Edges of the graph that are *not* represented in the forest, as
+    /// rank pairs, ascending.
+    pub fn removed_edges(&self) -> &[(NodeId, NodeId)] {
+        &self.removed
     }
 
     /// The members of `ranked` — ranks, ascending — inside `u`'s subtree,
@@ -280,45 +187,56 @@ impl PpoIndex {
         out.len()
     }
 
-    /// The members of `sorted` — ranks in ascending order — on the path
-    /// from `u` (included) up to its root, nearest first, written into
-    /// `out`, whose contents it replaces: one binary search per step of the
-    /// parent chain.
+    /// The members of `ranked` — ranks, ascending — on the parent chain
+    /// from `u` up to its root, `u` itself only if `include_self`, with
+    /// their distance from `u`, written into `out` (its contents replaced)
+    /// nearest first; returns the number of chain nodes probed, one binary
+    /// search of `ranked` each (and one row fetch each in a database-backed
+    /// deployment) — the ancestors mirror of [`Self::descendants_among_into`].
     pub fn ancestors_among_into(
         &self,
         u: NodeId,
-        sorted: &[NodeId],
+        ranked: &[u32],
+        include_self: bool,
         out: &mut Vec<(NodeId, Distance)>,
-    ) {
+    ) -> usize {
         out.clear();
-        let (mut cur, mut d) = (Some(u), 0);
+        let mut probed = 0usize;
+        let (mut cur, mut d) = if include_self {
+            (Some(u), 0)
+        } else {
+            (self.parent(u), 1)
+        };
         while let Some(a) = cur {
-            if sorted.binary_search(&a).is_ok() {
+            probed += 1;
+            if ranked.binary_search(&a).is_ok() {
                 out.push((a, d));
             }
             cur = self.parent(a);
             d += 1;
         }
+        probed
     }
 
     /// The paper's Table 1 size of the index in bytes: per element a
     /// pre/post row of six `u32`s (pre, post, depth, parent, size, node)
-    /// and a label row of two, as the paper's database holds them. It is
-    /// not what this struct holds or persists — ranks are the ids, so pre
-    /// and node are implicit and post is derived — and it counts elements,
-    /// not the label table's bookkeeping, so the figure does not depend on
-    /// how the index is laid out.
+    /// and a label row of two, as the paper's database holds them, plus a
+    /// row of two per removed edge. It is not what this struct holds or
+    /// persists — ranks are the ids, so pre and node are implicit and post
+    /// is derived — and it counts elements, not the label table's
+    /// bookkeeping, so the figure does not depend on how the index is laid
+    /// out.
     pub fn size_bytes(&self) -> usize {
-        (6 * 4 + 8) * self.node_count()
+        (6 * 4 + 8) * self.node_count() + self.removed.len() * 8
     }
 
     /// The first way the stored arrays are laid out so that a lookup would
     /// index or slice out of bounds, or walk a parent chain without end, if
     /// they are: the per-rank arrays and the labelled ranks all `n` long,
     /// the label offsets non-decreasing from 0 up to `n` behind strictly
-    /// ascending keys, every labelled rank below `n`, every subtree inside
-    /// the index (`r + size[r] ≤ n`) and every parent before its child. One
-    /// pass over each array.
+    /// ascending keys, every labelled rank and removed-edge end below `n`,
+    /// every subtree inside the index (`r + size[r] ≤ n`) and every parent
+    /// before its child. One pass over each array.
     pub fn layout_fault(&self) -> Option<String> {
         let n = self.node_count();
         let (depths, parents, ranks) =
@@ -345,6 +263,10 @@ impl PpoIndex {
         if let Some(r) = self.label_ranks.iter().find(|&&r| r as usize >= n) {
             return Some(format!("a label list names rank {r} of {n}"));
         }
+        let past = |r: NodeId| r as usize >= n;
+        if let Some((u, v)) = self.removed.iter().find(|&&(u, v)| past(u) || past(v)) {
+            return Some(format!("removed edge ({u}, {v}) names a rank past {n}"));
+        }
         let mut ranked = (0u32..).zip(self.size.iter().zip(&self.parent));
         ranked.find_map(|(r, (&size, &p))| {
             if u64::from(r) + u64::from(size) > n as u64 {
@@ -360,8 +282,9 @@ impl flixcheck::IntegrityCheck for PpoIndex {
     /// Audits the interval structure in rank form: the layout must be sound
     /// ([`PpoIndex::layout_fault`]), parent intervals must nest child
     /// intervals, depths must increase by one along parent edges, subtree
-    /// sizes must satisfy the size recurrence, and the label lists must
-    /// cover every rank exactly once, each ascending.
+    /// sizes must satisfy the size recurrence, the label lists must cover
+    /// every rank exactly once, each ascending, and the removed edges must
+    /// be sorted and none of them a forest edge.
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("PpoIndex");
         let fault = self.layout_fault();
@@ -449,6 +372,21 @@ impl flixcheck::IntegrityCheck for PpoIndex {
             || first.unwrap_or_default(),
         );
 
+        audit.check(
+            "removed edges sorted by source",
+            self.removed.windows(2).all(|w| w[0] <= w[1]),
+            || "removed edge list out of order".to_string(),
+        );
+        let forest_edge = (self.removed.iter()).find(|&&(u, v)| self.parent(v) == Some(u));
+        audit.check(
+            "removed edges are residual (absent from the forest)",
+            forest_edge.is_none(),
+            || {
+                let (u, v) = forest_edge.copied().unwrap_or_default();
+                format!("removed edge ({u}, {v}) is also a forest edge")
+            },
+        );
+
         audit.finish()
     }
 }
@@ -456,6 +394,7 @@ impl flixcheck::IntegrityCheck for PpoIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The running example tree, and its preorder:
     /// ```text
@@ -470,18 +409,36 @@ mod tests {
     /// Labels by node: 0=A, 1=B, 2=B, 3=C, 4=C, 5=C, 6=B.
     fn tree() -> (PpoIndex, Vec<NodeId>) {
         let g = Digraph::from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (4, 6), (2, 5)]);
-        PpoIndex::build(&g, &[0, 1, 1, 2, 2, 2, 1]).unwrap()
+        PpoIndex::build(&g, &[0, 1, 1, 2, 2, 2, 1])
+    }
+
+    /// Tree 0->{1,2}, 1->3 plus a cross link 3 -> 2 and an up link 2 -> 1.
+    fn linked_graph() -> Digraph {
+        Digraph::from_edges(4, [(0, 1), (0, 2), (1, 3), (3, 2), (2, 1)])
+    }
+
+    /// The descendants of `u` carrying `label`, nearest first, ties by rank.
+    fn block(idx: &PpoIndex, u: NodeId, label: u32, include_self: bool) -> Vec<(NodeId, Distance)> {
+        let list = idx.label_list(label);
+        graphcore::filled(|out| idx.descendants_among_into(u, list, include_self, out, |v| v)).0
+    }
+
+    /// The paper's postorder rank of `u`: of the nodes before `u` in
+    /// preorder, all but its `depth` ancestors come before it in postorder,
+    /// and so do its `size - 1` descendants.
+    fn post(idx: &PpoIndex, u: NodeId) -> u32 {
+        u + idx.size[u as usize] - 1 - idx.depth[u as usize]
     }
 
     #[test]
     fn pre_post_invariants() {
         let (idx, order) = tree();
         assert_eq!(order, vec![0, 1, 3, 4, 6, 2, 5]);
-        assert_eq!(idx.depth(4), 3);
+        assert_eq!(idx.depth[4], 3);
         assert_eq!(idx.parent(4), Some(3));
         assert_eq!(idx.parent(0), None);
         // postorder 3, 6, 4, 1, 5, 2, 0 — by rank 2, 4, 3, 1, 6, 5, 0
-        let post: Vec<u32> = (0..7).map(|r| idx.post(r)).collect();
+        let post: Vec<u32> = (0..7).map(|r| post(&idx, r)).collect();
         assert_eq!(post, vec![6, 3, 0, 2, 1, 5, 4]);
     }
 
@@ -493,9 +450,9 @@ mod tests {
         for u in 0..7u32 {
             for v in 0..7u32 {
                 let reaches = oracle.reaches(order[u as usize], order[v as usize]);
-                assert_eq!(idx.is_descendant_or_self(u, v), reaches, "pair {u},{v}");
+                assert_eq!(idx.distance(u, v).is_some(), reaches, "pair {u},{v}");
                 if u != v {
-                    assert_eq!(idx.is_ancestor(u, v), reaches);
+                    assert_eq!(u < v && post(&idx, u) > post(&idx, v), reaches);
                 }
             }
         }
@@ -514,15 +471,13 @@ mod tests {
     fn descendants_by_label_sorted_by_distance() {
         let (idx, _) = tree();
         // label 1 (B) under the root: nodes 1, 2 (d=1), 6 (d=3) — ranks 1, 5, 4
-        let r = idx.descendants_by_label(0, 1, false);
-        assert_eq!(r, vec![(1, 1), (5, 1), (4, 3)]);
+        assert_eq!(block(&idx, 0, 1, false), vec![(1, 1), (5, 1), (4, 3)]);
         // include_self on a B node
-        let r = idx.descendants_by_label(1, 1, true);
-        assert_eq!(r, vec![(1, 0), (4, 2)]);
+        assert_eq!(block(&idx, 1, 1, true), vec![(1, 0), (4, 2)]);
         // no match
-        assert!(idx.descendants_by_label(6, 0, false).is_empty());
+        assert!(block(&idx, 6, 0, false).is_empty());
         // unknown label entirely
-        assert!(idx.descendants_by_label(0, 99, true).is_empty());
+        assert!(block(&idx, 0, 99, true).is_empty());
         assert_eq!(idx.label_list(1), &[1, 4, 5]);
         assert!(idx.label_list(99).is_empty());
     }
@@ -530,19 +485,25 @@ mod tests {
     #[test]
     fn descendants_iterator_is_subtree() {
         let (idx, _) = tree();
-        assert_eq!(idx.descendants(1).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(idx.descendants(6).count(), 0);
         assert_eq!(idx.subtree(1), (1, 5));
         assert_eq!(idx.subtree(6), (6, 7));
+        assert_eq!(idx.subtree(0), (0, 7));
     }
 
     #[test]
     fn ancestors_walk() {
         let (idx, _) = tree();
-        assert_eq!(idx.ancestors(4), vec![(3, 1), (1, 2), (0, 3)]);
-        // B-labelled ancestors of node 6 (rank 4): node 1 at distance 2 (+ self at 0)
-        assert_eq!(idx.ancestors_by_label(4, 1, true), vec![(4, 0), (1, 2)]);
-        assert_eq!(idx.ancestors_by_label(4, 1, false), vec![(1, 2)]);
+        let walk = |u, ranked: &[u32], include_self| {
+            graphcore::filled(|out| idx.ancestors_among_into(u, ranked, include_self, out))
+        };
+        let every: Vec<u32> = (0..7).collect();
+        assert_eq!(walk(4, &every, false), (vec![(3, 1), (1, 2), (0, 3)], 3));
+        // B-labelled ancestors of node 6 (rank 4): node 1 at distance 2 (+
+        // self at 0); every step of the chain is one probe
+        let b = idx.label_list(1);
+        assert_eq!(walk(4, b, true), (vec![(4, 0), (1, 2)], 4));
+        assert_eq!(walk(4, b, false), (vec![(1, 2)], 3));
+        assert_eq!(walk(0, b, false), (vec![], 0));
     }
 
     #[test]
@@ -571,10 +532,18 @@ mod tests {
                         idx.descendants_among_into(u, &anchors, include_self, out, |v| v)
                     });
                     assert_eq!((got, len), (below.clone(), below.len()), "{u} {anchors:?}");
+                    let above = scan(
+                        &mut anchors
+                            .iter()
+                            .map(|&a| (a, idx.distance(a, u).filter(|_| include_self || a != u))),
+                    );
+                    let (got, probed) = graphcore::filled(|out| {
+                        idx.ancestors_among_into(u, &anchors, include_self, out)
+                    });
+                    assert_eq!(got, above, "{u} {anchors:?}");
+                    let chain = idx.depth[u as usize] as usize + usize::from(include_self);
+                    assert_eq!(probed, chain);
                 }
-                let above = scan(&mut anchors.iter().map(|&a| (a, idx.distance(a, u))));
-                let got = graphcore::filled(|out| idx.ancestors_among_into(u, &anchors, out)).0;
-                assert_eq!(got, above, "{u} {anchors:?}");
             }
         }
         // Ties go by the caller's key: ranks 1 and 5 both lie one below the root.
@@ -587,31 +556,97 @@ mod tests {
     #[test]
     fn forest_with_multiple_roots() {
         let g = Digraph::from_edges(5, [(0, 1), (2, 3), (2, 4)]);
-        let (idx, order) = PpoIndex::build(&g, &[0; 5]).unwrap();
+        let (idx, order) = PpoIndex::build(&g, &[0; 5]);
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert!(idx.is_descendant_or_self(2, 4));
-        assert!(!idx.is_descendant_or_self(0, 3));
+        assert!(idx.distance(2, 4).is_some());
+        assert!(idx.distance(0, 3).is_none());
     }
 
+    #[test]
+    fn forest_input_removes_nothing() {
+        let g = Digraph::from_edges(4, [(0, 1), (0, 2), (1, 3)]);
+        let (x, order) = PpoIndex::build(&g, &[0; 4]);
+        assert!(x.removed_edges().is_empty());
+        assert_eq!(order, vec![0, 1, 3, 2]);
+        assert!(x.distance(1, 2).is_some());
+        assert!(x.distance(1, 3).is_none());
+    }
+
+    /// A node with two parents keeps its first BFS parent; the edge from
+    /// the other is rejected from the forest and kept as removed.
     #[test]
     fn rejects_dag() {
         let g = Digraph::from_edges(3, [(0, 2), (1, 2)]);
-        assert_eq!(
-            PpoIndex::build(&g, &[0; 3]).unwrap_err(),
-            PpoError::MultipleParents(2)
-        );
+        let (x, order) = PpoIndex::build(&g, &[0; 3]);
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(x.removed_edges(), &[(2, 1)]);
+        assert_eq!(x.distance(0, 1), Some(1));
+        assert_eq!(x.distance(2, 1), None);
+    }
+
+    /// A cycle entered from a root: the edge that closes it is rejected
+    /// from the forest and kept as removed.
+    #[test]
+    fn rejects_cycle() {
+        let g = Digraph::from_edges(3, [(0, 1), (1, 2), (2, 1)]);
+        let (x, order) = PpoIndex::build(&g, &[0; 3]);
+        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(x.removed_edges(), &[(2, 1)]);
+        assert_eq!(x.distance(1, 2), Some(1));
+        assert_eq!(x.distance(2, 1), None);
     }
 
     #[test]
-    fn rejects_cycle() {
+    fn removed_edges_reported() {
+        let g = linked_graph();
+        let (x, order) = PpoIndex::build(&g, &[0; 4]);
+        // 2 and 3 both have in-degree 2 in the full graph... node 1: parents
+        // {0, 2}; node 2: parents {0, 3}. Exactly two edges must go.
+        assert_eq!(x.removed_edges().len(), 2);
+        for &(u, v) in x.removed_edges() {
+            assert!(g.has_edge(order[u as usize], order[v as usize]));
+            // removed edges are not answered by the forest test
+            assert_ne!(x.parent(v), Some(u));
+        }
+    }
+
+    #[test]
+    fn forest_distances_survive() {
+        let g = linked_graph();
+        let (x, order) = PpoIndex::build(&g, &[0; 4]);
+        let rank = |u: NodeId| order.iter().position(|&v| v == u).unwrap() as NodeId;
+        assert_eq!(x.distance(rank(0), rank(3)), Some(2));
+        assert_eq!(x.distance(rank(1), rank(3)), Some(1));
+    }
+
+    #[test]
+    fn label_queries_respect_forest() {
+        let g = linked_graph();
+        let (x, _) = PpoIndex::build(&g, &[7, 8, 8, 8]);
+        let r = block(&x, 0, 8, false);
+        // all of 1, 2, 3 are forest descendants of 0
+        assert_eq!(r.len(), 3);
+        assert_eq!(r[0].1, 1);
+    }
+
+    #[test]
+    fn cycle_only_graph() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(PpoIndex::build(&g, &[0; 3]).unwrap_err(), PpoError::Cyclic);
+        let (x, order) = PpoIndex::build(&g, &[0; 3]);
+        assert_eq!(order, vec![0, 1, 2]);
+        // the back edge is the one that goes
+        assert_eq!(x.removed_edges(), &[(2, 0)]);
+        // the spanning chain still answers within-forest queries
+        assert!(x.distance(0, 2).is_some());
+        assert!(x.distance(2, 0).is_none());
     }
 
     #[test]
     fn size_accounting_positive() {
         let (idx, _) = tree();
         assert_eq!(idx.size_bytes(), 7 * (6 * 4 + 8));
+        let (x, _) = PpoIndex::build(&linked_graph(), &[0; 4]);
+        assert_eq!(x.size_bytes(), 4 * (6 * 4 + 8) + 2 * 8);
     }
 
     #[test]
@@ -619,7 +654,7 @@ mod tests {
         let (idx, _) = tree();
         assert_eq!(idx.layout_fault(), None);
         type Damage = (fn(&mut PpoIndex), &'static str);
-        let damage: [Damage; 7] = [
+        let damage: [Damage; 8] = [
             (|i| i.parent.truncate(6), "6 parents"),
             (|i| i.label_offsets[1] = 8, "non-decreasing bounds"),
             (|i| i.label_offsets.truncate(3), "non-decreasing bounds"),
@@ -627,6 +662,7 @@ mod tests {
             (|i| i.label_ranks[2] = 7, "names rank 7"),
             (|i| i.size[5] = 3, "ends past 7"),
             (|i| i.parent[2] = 2, "parent is rank 2"),
+            (|i| i.removed.push((0, 7)), "names a rank past 7"),
         ];
         for (damage, fault) in damage {
             let mut bad = idx.clone();
@@ -666,5 +702,144 @@ mod tests {
         bad.parent[2] = 2;
         let err = bad.integrity_check().unwrap_err();
         assert!(err.to_string().contains("parent is rank 2"), "{err}");
+    }
+
+    #[test]
+    fn integrity_detects_removed_edge_corruption() {
+        use flixcheck::IntegrityCheck;
+        let (ext, _) = PpoIndex::build(&linked_graph(), &[0; 4]);
+        ext.integrity_check().unwrap();
+        assert_eq!(ext.layout_fault(), None);
+        // an out-of-order removed list breaks the sort invariant
+        let mut bad = ext.clone();
+        bad.removed.swap(0, 1);
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("out of order"), "{err}");
+        // a forest edge smuggled into the removed list breaks residency
+        let mut bad = ext;
+        let v = (0..4).find(|&v| bad.parent(v).is_some()).unwrap();
+        bad.removed.push((bad.parent(v).unwrap(), v));
+        bad.removed.sort_unstable();
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("also a forest edge"), "{err}");
+        // a removed edge past the index is a layout fault
+        bad.removed.push((0, 4));
+        let fault = bad.layout_fault().unwrap_or_default();
+        assert!(fault.contains("names a rank past 4"), "{fault}");
+    }
+
+    /// The arrays of the forest-only index builds before any graph was
+    /// accepted persisted, in their order.
+    #[derive(Serialize)]
+    struct ForestIndex {
+        #[serde(with = "graphcore::flat")]
+        size: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        depth: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        parent: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_keys: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_offsets: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_ranks: Vec<u32>,
+    }
+
+    /// The wrapper those builds persisted: the forest index, then the
+    /// removed edges.
+    #[derive(Serialize)]
+    struct TwoStep {
+        index: ForestIndex,
+        #[serde(with = "graphcore::flat")]
+        removed: Vec<(NodeId, NodeId)>,
+    }
+
+    /// The build before the index accepted any graph, in its two steps:
+    /// the spanning forest as a `Digraph` of the kept edges, the forest-only
+    /// index over it (roots are the nodes without an edge in, children
+    /// come in successor order), then the removed edges renumbered — the
+    /// oracle [`PpoIndex::build`] is tested against.
+    fn two_step_build(g: &Digraph, labels: &[u32]) -> (TwoStep, Vec<NodeId>) {
+        let check = spanning_forest(g);
+        let kept = g.edges().filter(|&(u, v)| check.parent[v as usize] == u);
+        let forest = Digraph::from_edges(g.node_count(), kept);
+        let n = forest.node_count();
+        let mut order: Vec<NodeId> = Vec::new();
+        let (mut depth, mut parent, mut size) = (Vec::new(), Vec::new(), vec![0u32; n]);
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for root in forest.nodes().filter(|&u| forest.in_degree(u) == 0) {
+            stack.push((order.len() as u32, 0));
+            order.push(root);
+            depth.push(0);
+            parent.push(NodeId::MAX);
+            while let Some(&mut (r, ref mut cursor)) = stack.last_mut() {
+                if let Some(&v) = forest.successors(order[r as usize]).get(*cursor) {
+                    *cursor += 1;
+                    stack.push((order.len() as u32, 0));
+                    order.push(v);
+                    depth.push(depth[r as usize] + 1);
+                    parent.push(r);
+                } else {
+                    size[r as usize] = order.len() as u32 - r;
+                    stack.pop();
+                }
+            }
+        }
+        assert_eq!(order.len(), n, "a spanning forest is a forest");
+        let mut rows: Vec<(u32, u32)> = (0..)
+            .zip(&order)
+            .map(|(r, &u)| (labels[u as usize], r))
+            .collect();
+        rows.sort_unstable();
+        let (mut label_keys, mut label_offsets, mut label_ranks) = (vec![], vec![], vec![]);
+        for (at, &(label, r)) in (0..).zip(&rows) {
+            if label_keys.last() != Some(&label) {
+                label_keys.push(label);
+                label_offsets.push(at);
+            }
+            label_ranks.push(r);
+        }
+        label_offsets.push(n as u32);
+        let mut rank = vec![0; n];
+        for (r, &u) in (0..).zip(&order) {
+            rank[u as usize] = r;
+        }
+        let mut removed: Vec<(NodeId, NodeId)> = (check.removed_edges.iter())
+            .map(|&(u, v)| (rank[u as usize], rank[v as usize]))
+            .collect();
+        removed.sort_unstable();
+        let index = ForestIndex {
+            size,
+            depth,
+            parent,
+            label_keys,
+            label_offsets,
+            label_ranks,
+        };
+        (TwoStep { index, removed }, order)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One pass over any graph — cycles, self loops, repeated edges,
+        /// nodes with several parents — numbers it, removes edges and
+        /// writes image bytes exactly as the two-step build did.
+        #[test]
+        fn the_graph_build_equals_the_two_step_build(
+            (g, labels) in (1usize..24).prop_flat_map(|n| (
+                proptest::collection::vec((0..n as NodeId, 0..n as NodeId), 0..3 * n),
+                proptest::collection::vec(0u32..4, n),
+            ).prop_map(move |(edges, labels)| (Digraph::from_edges(n, edges), labels)))
+        ) {
+            let (idx, order) = PpoIndex::build(&g, &labels);
+            let (old, old_order) = two_step_build(&g, &labels);
+            prop_assert_eq!(&order, &old_order);
+            prop_assert_eq!(&idx.removed, &old.removed);
+            let image = pagestore::to_bytes(&idx).unwrap();
+            prop_assert_eq!(image, pagestore::to_bytes(&old).unwrap());
+            prop_assert_eq!(idx.layout_fault(), None);
+        }
     }
 }

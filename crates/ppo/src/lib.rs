@@ -1,5 +1,5 @@
 //! Pre/postorder (PPO) XPath accelerator — Grust's index ([10, 11] in the
-//! paper) plus FliX's extension to documents with links.
+//! paper) with FliX's extension to documents with links.
 //!
 //! A depth-first traversal assigns every element a preorder and postorder
 //! rank; `x` is an ancestor of `y` iff `pre(x) < pre(y) && post(x) >
@@ -10,19 +10,16 @@
 //! is `O(|E|)` and space `O(|V|)` — unbeatable when it applies, but it
 //! *only* applies to forests: that is the limitation FliX works around.
 //!
-//! * [`index::PpoIndex`] — the classic index over a forest.
-//! * [`extended::ExtendedPpo`] — the paper's §4.3 extension: accepts any
-//!   graph, indexes a spanning forest, and reports the removed edges so the
-//!   caller (FliX's query evaluator) can chase them at run time.
+//! [`index::PpoIndex`] is the paper's §4.3 extended PPO: it accepts any
+//! graph, indexes a spanning forest of it, and keeps the edges that forest
+//! leaves out so the caller (FliX's query evaluator) can chase them at run
+//! time. Over a forest nothing is left out and it is the classic index.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![deny(missing_docs)]
 
-/// Extended PPO: pre/postorder adapted to graphs with links.
-pub mod extended;
-/// The classic pre/postorder interval index over a forest.
+/// The pre/postorder interval index over a spanning forest.
 pub mod index;
 
-pub use extended::ExtendedPpo;
-pub use index::{PpoError, PpoIndex};
+pub use index::PpoIndex;

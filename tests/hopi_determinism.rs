@@ -47,7 +47,6 @@ fn assert_thread_invariant(
     let opts = |threads| CoverOptions {
         threads,
         partition_cap: cap,
-        ..CoverOptions::default()
     };
     let (base, report) = HopiIndex::build_staged(g, labels, &opts(1));
     let base_image = pagestore::to_bytes(&base).unwrap();

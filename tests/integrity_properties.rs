@@ -11,7 +11,7 @@ use flix::{Flix, FlixConfig};
 use flixcheck::IntegrityCheck;
 use graphcore::Digraph;
 use hopi::HopiIndex;
-use ppo::{ExtendedPpo, PpoIndex};
+use ppo::PpoIndex;
 use proptest::prelude::*;
 use std::sync::Arc;
 use workloads::{generate_mixed, MixedConfig, TreeConfig, WebConfig};
@@ -87,7 +87,8 @@ proptest! {
     #[test]
     fn ppo_audit_holds_on_random_forests(g in arb_forest(60)) {
         let labels = arb_labels(&g, 6);
-        let (idx, _) = PpoIndex::build(&g, &labels).expect("forests always index");
+        let (idx, _) = PpoIndex::build(&g, &labels);
+        prop_assert!(idx.removed_edges().is_empty(), "a forest loses no edge");
         let report = idx.integrity_check();
         prop_assert!(report.is_ok(), "{}", report.err().map(|e| e.to_string()).unwrap_or_default());
     }
@@ -95,7 +96,7 @@ proptest! {
     #[test]
     fn extended_ppo_audit_holds_on_random_graphs(g in arb_graph(50, 140)) {
         let labels = arb_labels(&g, 6);
-        let (idx, _) = ExtendedPpo::build(&g, &labels);
+        let (idx, _) = PpoIndex::build(&g, &labels);
         let report = idx.integrity_check();
         prop_assert!(report.is_ok(), "{}", report.err().map(|e| e.to_string()).unwrap_or_default());
     }

@@ -1,11 +1,11 @@
 //! Property-based tests over the core data structures and invariants.
 
 use graphcore::{
-    bfs_distances, is_forest, partition_greedy, spanning_forest, tarjan_scc, Digraph,
+    bfs_distances, is_forest, partition_greedy, spanning_forest, tarjan_scc, Axis, Digraph,
     DistanceOracle, TransitiveClosure, INFINITE_DISTANCE,
 };
 use hopi::HopiIndex;
-use ppo::{ExtendedPpo, PpoIndex};
+use ppo::PpoIndex;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -71,7 +71,6 @@ proptest! {
         let opts = hopi::CoverOptions {
             threads,
             partition_cap: cap,
-            ..hopi::CoverOptions::default()
         };
         let (idx, report) = HopiIndex::build_staged(&g, &labels, &opts);
         let tc = TransitiveClosure::build(&g);
@@ -79,7 +78,7 @@ proptest! {
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
                 prop_assert_eq!(
-                    idx.is_reachable(u, v), tc.reaches(u, v),
+                    idx.distance(u, v).is_some(), tc.reaches(u, v),
                     "reach {} -> {} (cap {}, {} partitions, {} borders)",
                     u, v, cap, report.partitions, report.border_centers
                 );
@@ -92,11 +91,15 @@ proptest! {
 
     #[test]
     fn hopi_descendants_sorted_and_complete(g in arb_graph(30, 80)) {
-        let labels = arb_labels(&g, 4);
-        let idx = HopiIndex::build(&g, &labels);
+        // one label for every node: the block of that label is every
+        // descendant
+        let idx = HopiIndex::build(&g, &vec![0; g.node_count()]);
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
-            let d = idx.descendants(u, true);
+            let everything = Some((0, true));
+            let (d, _) = graphcore::filled(|out| {
+                idx.answer_into(Axis::Descendants, u, everything, out, &mut vec![])
+            });
             prop_assert!(d.windows(2).all(|w| w[0].1 <= w[1].1), "unsorted from {}", u);
             let mut nodes: Vec<u32> = d.iter().map(|&(v, _)| v).collect();
             nodes.sort_unstable();
@@ -109,12 +112,13 @@ proptest! {
         let labels = arb_labels(&g, 6);
         // The index knows the forest's nodes by preorder rank: rank `r` is
         // node `order[r]`.
-        let (idx, order) = PpoIndex::build(&g, &labels).expect("forest");
+        let (idx, order) = PpoIndex::build(&g, &labels);
+        prop_assert!(idx.removed_edges().is_empty(), "a forest loses no edge");
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
                 prop_assert_eq!(
-                    idx.is_descendant_or_self(u, v),
+                    idx.distance(u, v).is_some(),
                     tc.reaches(order[u as usize], order[v as usize]),
                     "{} -> {}", u, v
                 );
@@ -127,7 +131,7 @@ proptest! {
         // forest reachability + removed edges as extra hops must equal the
         // full reachability of the graph (one BFS over a hybrid relation);
         // the index and its removed edges know node `order[r]` as `r`
-        let (x, order) = ExtendedPpo::build(&g, &arb_labels(&g, 3));
+        let (x, order) = PpoIndex::build(&g, &arb_labels(&g, 3));
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             // closure over: forest-descendants + removed-edge jumps
@@ -137,12 +141,12 @@ proptest! {
                 if seen[x0 as usize] { continue; }
                 seen[x0 as usize] = true;
                 for v in 0..g.node_count() as u32 {
-                    if !seen[v as usize] && x.is_descendant_or_self(x0, v) {
+                    if !seen[v as usize] && x.distance(x0, v).is_some() {
                         stack.push(v);
                     }
                 }
                 for &(s, t) in x.removed_edges() {
-                    if x.is_descendant_or_self(x0, s) && !seen[t as usize] {
+                    if x.distance(x0, s).is_some() && !seen[t as usize] {
                         stack.push(t);
                     }
                 }
@@ -219,7 +223,7 @@ proptest! {
         let labels = arb_labels(&g, 4);
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             let mut nodes: Vec<u32> = (0..g.node_count() as u32).collect();
-            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
             for u in 0..g.node_count() as u32 {
                 for label in 0..4u32 {
                     for include_self in [false, true] {
@@ -251,7 +255,7 @@ proptest! {
         // answer is reused for every pop of all three strategies, as the
         // evaluator reuses its own: a longer earlier answer must not show
         // through a shorter later one.
-        use flix::{Axis, MetaDocument, MetaIndex, PopAnswer, StrategyKind};
+        use flix::{MetaDocument, MetaIndex, PopAnswer, StrategyKind};
         let mut pop = PopAnswer::default();
         let labels = arb_labels(&g, 4);
         let n = g.node_count() as u32;
@@ -262,7 +266,7 @@ proptest! {
             // Under PPO the locals are preorder ranks and `nodes` follows:
             // the elements no longer ascend with the locals.
             let mut nodes: Vec<u32> = (0..n).collect();
-            let (index, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
             let mut md = MetaDocument::new(nodes, index);
             md.set_anchors(subset(0), subset(30));
             prop_assert_eq!(md.link_sources().len(), subset(0).len());
@@ -318,17 +322,25 @@ proptest! {
         use apex::ApexIndex;
         use std::sync::Arc;
         type Pairs = Vec<(u32, u32)>;
-        fn hopi_answers(i: &HopiIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize, Pairs)) {
-            let (mut block, mut links) = (Vec::new(), Vec::new());
-            let work = i.descendants_by_label_and_anchors_into(u, 1, false, &mut block, &mut links);
-            (i.descendants(u, true), i.ancestors(u, false), (block, work, links))
+        fn hopi_answers(i: &HopiIndex, u: u32) -> [(Pairs, usize, Pairs); 3] {
+            let answer = |axis, block| {
+                let (mut carrying, mut links) = (Vec::new(), Vec::new());
+                let work = i.answer_into(axis, u, block, &mut carrying, &mut links);
+                (carrying, work, links)
+            };
+            [
+                answer(Axis::Descendants, Some((0, true))),
+                answer(Axis::Ancestors, Some((2, false))),
+                answer(Axis::Descendants, Some((1, false))),
+            ]
         }
         fn apex_answers(i: &ApexIndex, u: u32) -> (Pairs, Pairs, (Pairs, usize), Option<u32>) {
             let anchors: Vec<u32> = (0..i.summary().class_of.len() as u32).step_by(2).collect();
+            let among = |axis| graphcore::filled(|out| i.among_into(axis, u, &anchors, out)).0;
             (
-                i.descendants_among(u, &anchors),
-                i.ancestors_among(u, &anchors),
-                i.descendants_by_label_counted(u, 1, true),
+                among(Axis::Descendants),
+                among(Axis::Ancestors),
+                graphcore::filled(|out| i.block_into(Axis::Descendants, u, 1, true, out)),
                 i.distance(u, 0),
             )
         }
@@ -372,7 +384,7 @@ proptest! {
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             // local `v` is node `nodes[v]` of `g`, and carries its label
             let mut nodes: Vec<u32> = (0..n).collect();
-            let (idx, _extra) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
             let label_of = |v: u32| labels[nodes[v as usize] as usize];
             for e in 0..n {
                 for label in 0..4u32 {
@@ -623,7 +635,7 @@ fn truncated_meta_document_images_are_decode_errors() {
     let labels = arb_labels(&g, 4);
     for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
         let mut nodes: Vec<u32> = (100..124).collect();
-        let (index, _) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+        let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
         let mut md = MetaDocument::new(nodes, index);
         md.set_anchors(vec![3, 11, 20], vec![5, 22]);
         let image = pagestore::to_bytes(&md).unwrap();
