@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full local CI gate: formatting, clippy, the test suite, the benchmark
+# Full local CI gate: formatting, clippy, rustdoc, the test suite, the benchmark
 # package and the recorded reproduction. The flixcheck static-analysis gate
 # is `tests/static_analysis.rs`, which runs inside both `cargo test
 # --workspace` passes below. Everything runs offline (dependencies are
@@ -13,6 +13,9 @@ cargo fmt --all --check
 
 echo "== cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (workspace, no dependencies, warnings are errors: no broken or private intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test (workspace, sequential builds: FLIX_BUILD_THREADS=1)"
 FLIX_BUILD_THREADS=1 cargo test -q --workspace

@@ -1,4 +1,4 @@
-//! APEX-style structural-summary path index ([4] in the FliX paper).
+//! APEX-style structural-summary path index (\[4\] in the FliX paper).
 //!
 //! APEX maintains a *structural summary*: elements are grouped into summary
 //! nodes by their incoming label paths, each summary node stores its extent

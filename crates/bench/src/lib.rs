@@ -12,7 +12,7 @@
 #![deny(missing_docs)]
 
 use flix::{DiskExecStats, DiskFlix, Flix, FlixConfig, FlixStats, MetaIndex, PeeStats};
-use flix::{QueryOptions, QueryOutcome, QueryResult, StrategyKind};
+use flix::{Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult, StrategyKind};
 use graphcore::{bfs_distances, NodeId};
 use pagestore::{BlobStore, BufferPool, DiskManager, MemDisk};
 use std::cmp::Reverse;
@@ -137,7 +137,7 @@ pub struct Paper {
 }
 
 impl Paper {
-    /// Builds the corpus at `scale` (see [`paper_corpus`]) and the six
+    /// Builds the corpus at `scale` (see `paper_corpus`) and the six
     /// frameworks over it.
     pub fn new(scale: f64) -> Self {
         let cg = paper_corpus(scale);
@@ -195,8 +195,8 @@ impl Paper {
     fn figure5_curves(&self) -> Vec<Vec<PeeStats>> {
         let curve = |flix: &Flix| {
             let mut at = Vec::new();
-            let opts = QueryOptions::default();
-            let total = flix.for_each_descendant(self.start.0, self.tag, &opts, |_, st| {
+            let query = Query::descendants(self.start.0, self.tag, QueryOptions::default());
+            let total = flix.for_each(&query, &mut QueryCtx::default(), |_, st| {
                 at.push(*st);
                 ControlFlow::Continue(())
             });
@@ -256,14 +256,16 @@ impl Paper {
 
     /// Runs every pair through each framework, forward and bidirectionally.
     fn connection_rows(&self, pairs: &[ConnectionPair]) -> Vec<ConnectionRow> {
-        let opts = QueryOptions::default();
         let row = |flix: &Flix| {
             let mut row = ConnectionRow::default();
             for p in pairs {
-                let uni = flix.connection_test(p.from, p.to, &opts);
-                let bi = flix.connection_test_bidirectional(p.from, p.to, &opts);
-                row.uni_correct += usize::from(uni.distance.is_some() == p.reachable);
-                row.bi_correct += usize::from(bi.distance.is_some() == p.reachable);
+                let test = |both_ways| {
+                    let query = Query::connection(p.from, p.to, both_ways, QueryOptions::default());
+                    flix.evaluate(&query, &mut QueryCtx::default())
+                };
+                let (uni, bi) = (test(false), test(true));
+                row.uni_correct += usize::from(uni.distance().is_some() == p.reachable);
+                row.bi_correct += usize::from(bi.distance().is_some() == p.reachable);
                 row.uni.absorb(uni.stats);
                 row.bi.absorb(bi.stats);
             }

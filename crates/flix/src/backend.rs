@@ -5,11 +5,9 @@
 //! test substitute a fake one.
 
 use crate::framework::Flix;
-use crate::pee::{Axis, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
+use crate::pee::{PeeStats, Query, QueryCtx, QueryOutcome, QueryResult};
 use flixobs::MetricsRegistry;
-use graphcore::NodeId;
 use std::sync::Arc;
-use xmlgraph::TagId;
 
 /// A backend's answer to one query.
 #[derive(Debug, Clone)]
@@ -36,16 +34,9 @@ impl From<QueryOutcome> for Answer {
 
 /// An evaluation stack a server can run queries on and rebuild under.
 pub trait QueryBackend: Send + Sync {
-    /// Evaluates `start // target` along `axis`, honouring every option in
-    /// `opts` and reporting to the observers in `ctx`.
-    fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Answer;
+    /// Evaluates `query`, honouring every option in it and reporting to
+    /// the observers in `ctx`.
+    fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Answer;
 
     /// The framework the backend evaluates on.
     fn framework(self: Arc<Self>) -> Arc<Flix>;
@@ -61,15 +52,8 @@ pub trait QueryBackend: Send + Sync {
 }
 
 impl QueryBackend for Flix {
-    fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Answer {
-        Flix::evaluate(self, axis, start, target, opts, ctx).into()
+    fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Answer {
+        Flix::evaluate(self, query, ctx).into()
     }
 
     fn framework(self: Arc<Self>) -> Arc<Flix> {

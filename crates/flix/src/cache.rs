@@ -1,9 +1,10 @@
 //! Result caching for frequent (sub-)queries — the paper's §7 sketch
 //! "caching results of frequent (sub-)queries".
 //!
-//! [`ResultCache`] is an LRU cache keyed on the query semantics (start
-//! element, target tag, distance bound, ordering flags) whose single entry
-//! point, [`ResultCache::get_or_evaluate`], owns the whole
+//! [`ResultCache`] is an LRU cache keyed on the query semantics — `(from,
+//! to, axis, max_distance, include_start, exact_order)` of a [`Query`], so
+//! every mode on both axes is cached — whose single entry point,
+//! `ResultCache::get_or_evaluate`, owns the whole
 //! lookup → evaluate-uncapped → admit sequence; [`CachedFlix`] pairs one
 //! with a framework slot, and [`crate::shard::ShardedFlix`] holds one per
 //! shard.
@@ -22,36 +23,34 @@
 
 use crate::backend::{Answer, QueryBackend};
 use crate::framework::Flix;
-use crate::pee::{Axis, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
+use crate::pee::{Axis, Goal, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult, Start};
 use flixobs::journal::{EventKind, SHARD_NONE};
 use flixobs::{Counter, MetricCell, MetricsRegistry};
 use graphcore::{Distance, NodeId};
 use parking_lot::Mutex;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xmlgraph::TagId;
 
-/// Hashable image of the semantically relevant part of [`QueryOptions`].
-/// `max_results` is excluded: it selects a prefix of the same answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OptsKey {
-    max_distance: Option<Distance>,
-    include_start: bool,
-    exact_order: bool,
-}
+/// Everything of a [`Query`] that determines its answer: `(from, to, axis,
+/// max_distance, include_start, exact_order)`. `max_results` is left out —
+/// it selects a prefix of the same answer — and so is the deadline.
+type Key = (Start, Goal, Axis, Option<Distance>, bool, bool);
 
-impl From<&QueryOptions> for OptsKey {
-    fn from(o: &QueryOptions) -> Self {
-        Self {
-            max_distance: o.max_distance,
-            include_start: o.include_start,
-            exact_order: o.exact_order,
-        }
-    }
+fn key(q: &Query) -> Key {
+    let o = &q.opts;
+    (
+        q.from,
+        q.to,
+        q.axis,
+        o.max_distance,
+        o.include_start,
+        o.exact_order,
+    )
 }
-
-type Key = (NodeId, TagId, OptsKey);
 
 const SKETCH_ROWS: usize = 4;
 /// Counters saturate at 15 (4-bit TinyLFU counters); periodic halving keeps
@@ -73,8 +72,11 @@ struct FrequencySketch {
 impl FrequencySketch {
     fn new(capacity: usize) -> Self {
         // Width ~4x the cache capacity keeps collision noise low while the
-        // whole sketch stays a few cache lines for small capacities.
-        let width = (capacity.max(1) * 4).next_power_of_two();
+        // whole sketch stays a few cache lines for small capacities. The
+        // floor keeps a tiny cache's sketch from saturating: at capacity 2
+        // an 8-counter row is full after a handful of one-off keys, and
+        // whether a hot key still outranks them depends on its hash.
+        let width = (capacity.max(16) * 4).next_power_of_two();
         Self {
             rows: std::array::from_fn(|_| vec![0u8; width]),
             mask: width - 1,
@@ -83,18 +85,18 @@ impl FrequencySketch {
         }
     }
 
-    fn slot(&self, key: &Key, row: usize) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        row.hash(&mut h);
-        key.hash(&mut h);
-        (h.finish() as usize) & self.mask
+    /// The key's counter in each row: the key is hashed once, and each
+    /// row's index is a hash of that and the row.
+    fn slots(&self, key: &Key) -> [usize; SKETCH_ROWS] {
+        let sip = BuildHasherDefault::<DefaultHasher>::default();
+        let hashed = sip.hash_one(key);
+        std::array::from_fn(|row| sip.hash_one((row, hashed)) as usize & self.mask)
     }
 
     fn record(&mut self, key: &Key) {
-        for row in 0..SKETCH_ROWS {
-            let i = self.slot(key, row);
-            let c = &mut self.rows[row][i];
+        let slots = self.slots(key);
+        for (row, slot) in self.rows.iter_mut().zip(slots) {
+            let c = &mut row[slot];
             if *c < SKETCH_CAP {
                 *c += 1;
             }
@@ -106,10 +108,8 @@ impl FrequencySketch {
     }
 
     fn estimate(&self, key: &Key) -> u8 {
-        (0..SKETCH_ROWS)
-            .map(|row| self.rows[row][self.slot(key, row)])
-            .min()
-            .unwrap_or(0)
+        let slots = self.rows.iter().zip(self.slots(key));
+        slots.map(|(row, slot)| row[slot]).min().unwrap_or(0)
     }
 
     fn halve(&mut self) {
@@ -217,10 +217,10 @@ impl ResultCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The cached `start // target`: a hit serves the complete stored
-    /// answer clipped to `opts.max_results` (`stats: None` — no evaluator
-    /// ran). A miss calls `evaluate` with `opts` minus the result cap, so
-    /// one entry serves every `max_results`, and stores the answer subject
+    /// The cached `query`: a hit serves the complete stored answer clipped
+    /// to its `max_results` (`stats: None` — no evaluator ran). A miss
+    /// calls `evaluate` with the query minus the result cap, so one entry
+    /// serves every `max_results`, and stores the answer subject
     /// to the TinyLFU gate — unless the deadline cut it: a partial answer
     /// is returned with `timed_out` but never cached, or it would be
     /// served as complete later. The verdict and the admission outcome
@@ -228,19 +228,18 @@ impl ResultCache {
     /// handle.
     pub(crate) fn get_or_evaluate(
         &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
+        query: &Query,
         shard_tag: u64,
         ctx: &mut QueryCtx<'_>,
-        evaluate: impl FnOnce(&QueryOptions, &mut QueryCtx<'_>) -> QueryOutcome,
+        evaluate: impl FnOnce(&Query, &mut QueryCtx<'_>) -> QueryOutcome,
     ) -> Answer {
         // Capture the generation before `evaluate` reads the framework: if
         // an `attach` lands in between, the fresh results are tagged with
         // the older generation and correctly discarded on the next lookup —
         // never old-framework results under the new generation.
         let generation = self.generation();
-        let key: Key = (start, target, OptsKey::from(opts));
+        let key = key(query);
+        let max_results = query.opts.max_results;
         {
             let mut inner = self.inner.lock();
             inner.tick += 1;
@@ -254,7 +253,7 @@ impl ResultCache {
                     self.hits.inc();
                     ctx.event(EventKind::CacheHit { shard: shard_tag });
                     return Answer {
-                        results: clip(Arc::clone(&entry.results), opts.max_results),
+                        results: clip(Arc::clone(&entry.results), max_results),
                         timed_out: false,
                         stats: None,
                     };
@@ -269,14 +268,17 @@ impl ResultCache {
         }
         self.misses.inc();
         ctx.event(EventKind::CacheMiss { shard: shard_tag });
-        let uncapped = QueryOptions {
-            max_results: None,
-            ..*opts
+        let uncapped = Query {
+            opts: QueryOptions {
+                max_results: None,
+                ..query.opts
+            },
+            ..*query
         };
         let outcome = evaluate(&uncapped, ctx);
         let fresh = Arc::new(outcome.results);
         let answer = Answer {
-            results: clip(Arc::clone(&fresh), opts.max_results),
+            results: clip(Arc::clone(&fresh), max_results),
             timed_out: outcome.timed_out,
             stats: Some(outcome.stats),
         };
@@ -398,8 +400,7 @@ impl ResultCache {
 
 /// A FliX framework behind a [`ResultCache`] (whose counters and
 /// inspection methods it derefs to) that survives framework rebuilds (see
-/// [`CachedFlix::attach`]). The cache keys the descendants axis only;
-/// ancestors queries evaluate on the framework directly.
+/// [`CachedFlix::attach`]). Every query goes through the cache.
 pub struct CachedFlix {
     flix: Mutex<Arc<Flix>>,
     cache: ResultCache,
@@ -442,54 +443,25 @@ impl CachedFlix {
         self.cache.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Cached `a//B` evaluation. Any deadline in `opts` is stripped: this
-    /// entry point always returns (and caches) the complete answer.
-    pub fn find_descendants(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Arc<Vec<QueryResult>> {
-        let full_opts = QueryOptions {
-            deadline: None,
-            ..*opts
-        };
-        self.find_descendants_deadline(start, target, &full_opts).0
-    }
-
-    /// Deadline-aware cached `a//B` evaluation: the results and the
-    /// `timed_out` marker of [`QueryBackend::evaluate`] on the descendants
-    /// axis, observing nothing.
+    /// Cached `a//B`: the results and the `timed_out` marker of
+    /// [`QueryBackend::evaluate`], observing nothing.
     pub fn find_descendants_deadline(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> (Arc<Vec<QueryResult>>, bool) {
-        let mut ctx = QueryCtx::default();
-        let answer = QueryBackend::evaluate(self, Axis::Descendants, start, target, opts, &mut ctx);
+        let query = Query::descendants(start, target, *opts);
+        let answer = QueryBackend::evaluate(self, &query, &mut QueryCtx::default());
         (answer.results, answer.timed_out)
     }
 }
 
 impl QueryBackend for CachedFlix {
-    fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Answer {
-        if axis == Axis::Ancestors {
-            return self
-                .framework()
-                .evaluate(axis, start, target, opts, ctx)
-                .into();
-        }
+    fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Answer {
         self.cache
-            .get_or_evaluate(start, target, opts, SHARD_NONE, ctx, |opts, ctx| {
-                self.framework().evaluate(axis, start, target, opts, ctx)
+            .get_or_evaluate(query, SHARD_NONE, ctx, |query, ctx| {
+                self.framework().evaluate(query, ctx)
             })
     }
 
@@ -541,12 +513,23 @@ mod tests {
         (Arc::new(Flix::build(cg, FlixConfig::Naive)), t)
     }
 
+    /// `start // t` through the cache.
+    fn find(
+        cached: &CachedFlix,
+        start: NodeId,
+        t: TagId,
+        opts: &QueryOptions,
+    ) -> Arc<Vec<QueryResult>> {
+        let query = Query::descendants(start, t, *opts);
+        cached.evaluate(&query, &mut QueryCtx::default()).results
+    }
+
     #[test]
     fn repeat_query_hits_cache_with_same_answer() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix.clone(), 8);
-        let a = cached.find_descendants(0, t, &QueryOptions::default());
-        let b = cached.find_descendants(0, t, &QueryOptions::default());
+        let a = find(&cached, 0, t, &QueryOptions::default());
+        let b = find(&cached, 0, t, &QueryOptions::default());
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cached.stats(), (1, 1));
         assert_eq!(*a, flix.find_descendants(0, t, &QueryOptions::default()));
@@ -558,8 +541,11 @@ mod tests {
         let beyond = flix.collection().node_count() as NodeId + 5;
         let cached = CachedFlix::new(flix, 8);
         for axis in [Axis::Descendants, Axis::Ancestors] {
-            let opts = QueryOptions::default();
-            let got = cached.evaluate(axis, beyond, t, &opts, &mut QueryCtx::default());
+            let query = Query {
+                axis,
+                ..Query::descendants(beyond, t, QueryOptions::default())
+            };
+            let got = cached.evaluate(&query, &mut QueryCtx::default());
             assert!(got.results.is_empty() && !got.timed_out, "{axis:?}");
         }
     }
@@ -568,8 +554,8 @@ mod tests {
     fn different_options_are_different_entries() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix, 8);
-        cached.find_descendants(0, t, &QueryOptions::default());
-        cached.find_descendants(0, t, &QueryOptions::within(1));
+        find(&cached, 0, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::within(1));
         assert_eq!(cached.len(), 2);
         assert_eq!(cached.stats(), (0, 2));
     }
@@ -578,9 +564,9 @@ mod tests {
     fn max_results_shares_one_entry() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix.clone(), 8);
-        let ten = cached.find_descendants(0, t, &QueryOptions::top_k(10));
+        let ten = find(&cached, 0, t, &QueryOptions::top_k(10));
         // A smaller k on the same query must be a HIT, served by slicing.
-        let five = cached.find_descendants(0, t, &QueryOptions::top_k(5));
+        let five = find(&cached, 0, t, &QueryOptions::top_k(5));
         assert_eq!(cached.len(), 1, "one entry serves every k");
         assert_eq!(cached.stats(), (1, 1));
         assert_eq!(
@@ -594,7 +580,7 @@ mod tests {
             "sliced k=5 answers match the uncached evaluation"
         );
         // And the unrestricted query is also served from the same entry.
-        let all = cached.find_descendants(0, t, &QueryOptions::default());
+        let all = find(&cached, 0, t, &QueryOptions::default());
         assert_eq!(cached.stats(), (2, 1));
         assert_eq!(*all, flix.find_descendants(0, t, &QueryOptions::default()));
     }
@@ -603,7 +589,7 @@ mod tests {
     fn attach_invalidates_stale_answers() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix, 8);
-        let before = cached.find_descendants(0, t, &QueryOptions::default());
+        let before = find(&cached, 0, t, &QueryOptions::default());
         assert_eq!(before.len(), 2, "own child plus the linked root");
 
         // Rebuild over a grown collection: same query, more answers.
@@ -628,7 +614,7 @@ mod tests {
 
         // The old entry must NOT be served: the lookup sees the generation
         // mismatch, drops it, and re-evaluates on the new framework.
-        let after = cached.find_descendants(0, t, &QueryOptions::default());
+        let after = find(&cached, 0, t, &QueryOptions::default());
         assert_eq!(
             *after,
             rebuilt.find_descendants(0, t, &QueryOptions::default())
@@ -640,7 +626,7 @@ mod tests {
         assert_eq!(s.invalidations, 1, "stale entry dropped on lookup");
         assert_eq!(s.evictions, 0, "no capacity pressure in this test");
         // ... and the re-cached entry serves hits again.
-        cached.find_descendants(0, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::default());
         assert_eq!(cached.stats(), (1, 2));
     }
 
@@ -648,16 +634,16 @@ mod tests {
     fn lru_eviction_at_capacity() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix, 2);
-        cached.find_descendants(0, t, &QueryOptions::default()); // A
-        cached.find_descendants(1, t, &QueryOptions::default()); // B
-        cached.find_descendants(0, t, &QueryOptions::default()); // touch A
-        cached.find_descendants(2, t, &QueryOptions::default()); // evicts B
+        find(&cached, 0, t, &QueryOptions::default()); // A
+        find(&cached, 1, t, &QueryOptions::default()); // B
+        find(&cached, 0, t, &QueryOptions::default()); // touch A
+        find(&cached, 2, t, &QueryOptions::default()); // evicts B
         assert_eq!(cached.len(), 2);
         assert_eq!(cached.cache_stats().evictions, 1, "B displaced by LRU");
         let (h0, _) = cached.stats();
-        cached.find_descendants(0, t, &QueryOptions::default()); // A still hot
+        find(&cached, 0, t, &QueryOptions::default()); // A still hot
         assert_eq!(cached.stats().0, h0 + 1);
-        cached.find_descendants(1, t, &QueryOptions::default()); // B gone: miss
+        find(&cached, 1, t, &QueryOptions::default()); // B gone: miss
         assert_eq!(cached.stats().1, 4);
         // Re-inserting B at capacity displaces another victim.
         let s = cached.cache_stats();
@@ -671,8 +657,8 @@ mod tests {
         let cached = CachedFlix::new(flix, 2);
         let registry = MetricsRegistry::new();
         cached.publish_metrics(&registry, &[("cache", "query")]);
-        cached.find_descendants(0, t, &QueryOptions::default());
-        cached.find_descendants(0, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::default());
         // Counters bound before the traffic still see it: they share cells.
         let text = registry.snapshot().to_prometheus();
         assert!(
@@ -704,21 +690,21 @@ mod tests {
         let cached = CachedFlix::new(flix, 2);
         // Heat up two keys well past any scan key's frequency.
         for _ in 0..8 {
-            cached.find_descendants(0, t, &QueryOptions::default());
-            cached.find_descendants(1, t, &QueryOptions::default());
+            find(&cached, 0, t, &QueryOptions::default());
+            find(&cached, 1, t, &QueryOptions::default());
         }
         let hits_before = cached.cache_stats().hits;
         // One-off scan over fresh keys: each is seen once, the gate must
         // keep them out of the full cache.
         for start in 2..40 {
-            cached.find_descendants(start, t, &QueryOptions::default());
+            find(&cached, start, t, &QueryOptions::default());
         }
         let s = cached.cache_stats();
         assert!(s.rejected > 0, "scan keys must be rejected: {s:?}");
         assert_eq!(s.evictions, 0, "hot entries survive the scan: {s:?}");
         // The hot keys still hit.
-        cached.find_descendants(0, t, &QueryOptions::default());
-        cached.find_descendants(1, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::default());
+        find(&cached, 1, t, &QueryOptions::default());
         assert_eq!(cached.cache_stats().hits, hits_before + 2);
     }
 
@@ -746,22 +732,10 @@ mod tests {
     }
 
     #[test]
-    fn plain_lookup_strips_deadlines() {
-        use flixobs::Deadline;
-        let (flix, t) = small();
-        let cached = CachedFlix::new(flix.clone(), 8);
-        let opts = QueryOptions::default().with_deadline(Deadline::within_micros(0));
-        // find_descendants always answers in full, deadline or not.
-        let res = cached.find_descendants(0, t, &opts);
-        assert_eq!(*res, flix.find_descendants(0, t, &QueryOptions::default()));
-        assert_eq!(cached.len(), 1);
-    }
-
-    #[test]
     fn sketch_estimates_track_recorded_frequency() {
         let mut sketch = FrequencySketch::new(8);
-        let hot: Key = (0, 1, OptsKey::from(&QueryOptions::default()));
-        let cold: Key = (9, 1, OptsKey::from(&QueryOptions::default()));
+        let hot = key(&Query::descendants(0, 1, QueryOptions::default()));
+        let cold = key(&Query::descendants(9, 1, QueryOptions::default()));
         for _ in 0..10 {
             sketch.record(&hot);
         }
@@ -781,7 +755,7 @@ mod tests {
     fn invalidate_clears() {
         let (flix, t) = small();
         let cached = CachedFlix::new(flix, 4);
-        cached.find_descendants(0, t, &QueryOptions::default());
+        find(&cached, 0, t, &QueryOptions::default());
         assert!(!cached.is_empty());
         cached.invalidate();
         assert!(cached.is_empty());

@@ -13,10 +13,7 @@
 use crate::catalogue::Catalogue;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
-use crate::pee::{
-    collect_axis_space, connection_test_space, Axis, ConnectionOutcome, MetaSpace, QueryCtx,
-    QueryOptions, QueryOutcome, QueryResult,
-};
+use crate::pee::{collect, MetaSpace, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
 use crate::persist;
 use graphcore::NodeId;
 use pagestore::BlobStore;
@@ -35,7 +32,7 @@ pub struct DiskExecStats {
 }
 
 /// A query engine over indexes resident in a blob store: a
-/// [`MetaSpace`] whose `meta` faults the index in, so the shared evaluator
+/// `MetaSpace` whose `meta` faults the index in, so the shared evaluator
 /// loops run on it unchanged.
 pub struct DiskFlix {
     store: BlobStore,
@@ -167,25 +164,20 @@ impl DiskFlix {
     }
 
     /// The collected entry point over disk-resident indexes — the same
-    /// evaluation as [`Flix::evaluate`], every option included, with each
-    /// entry pop loading its meta document through the cache.
+    /// evaluation as [`Flix::evaluate`], every mode and option included,
+    /// with each entry pop loading its meta document through the cache.
     ///
     /// # Errors
-    /// If a meta-document blob is missing or corrupt, or `start` is not an
+    /// If a meta-document blob is missing or corrupt, the query starts at a
+    /// tag (the store keeps no tag lists), or a tag query's start is not an
     /// element of the stored collection. A failure mid-query discards the
     /// partial answer.
-    pub fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Result<QueryOutcome, String> {
-        match collect_axis_space(self, axis, &[(start, 0)], target, opts, ctx)? {
+    pub fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Result<QueryOutcome, String> {
+        match collect(self, query, ctx)? {
             (outcome, false) => Ok(outcome),
             (_, true) => Err(format!(
-                "element {start} leads outside the stored collection"
+                "{:?} leads outside the stored collection",
+                query.from
             )),
         }
     }
@@ -200,23 +192,8 @@ impl DiskFlix {
         target: TagId,
         opts: &QueryOptions,
     ) -> Result<Vec<QueryResult>, String> {
-        let mut ctx = QueryCtx::default();
-        Ok(self
-            .evaluate(Axis::Descendants, start, target, opts, &mut ctx)?
-            .results)
-    }
-
-    /// Connection test over disk-resident indexes.
-    ///
-    /// # Errors
-    /// If a meta-document blob is missing or corrupt.
-    pub fn connection_test(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        opts: &QueryOptions,
-    ) -> Result<ConnectionOutcome, String> {
-        connection_test_space(self, from, to, opts, false)
+        let query = Query::descendants(start, target, *opts);
+        Ok(self.evaluate(&query, &mut QueryCtx::default())?.results)
     }
 }
 
@@ -235,12 +212,19 @@ impl MetaSpace for DiskFlix {
     fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
         self.load_meta(id)
     }
+
+    fn nodes_with_tag(&self, tag: TagId) -> Result<&[NodeId], String> {
+        Err(format!(
+            "cannot start at tag {tag}: the store keeps no tag lists"
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FlixConfig, StrategyKind};
+    use crate::pee::{Axis, Start};
     use flixobs::Deadline;
     use pagestore::{BufferPool, DiskManager, DiskStats, MemDisk, Page, PageId};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -256,6 +240,17 @@ mod tests {
         let disk = Arc::new(MemDisk::new());
         let pool = Arc::new(BufferPool::new(disk.clone(), 4));
         (BlobStore::new(pool), disk)
+    }
+
+    /// The one-sided connection test `from // to` on disk.
+    fn connect(
+        dflix: &DiskFlix,
+        from: NodeId,
+        to: NodeId,
+        opts: &QueryOptions,
+    ) -> Result<QueryOutcome, String> {
+        let query = Query::connection(from, to, false, *opts);
+        dflix.evaluate(&query, &mut QueryCtx::default())
     }
 
     fn setup(config: FlixConfig, cache: usize) -> (Flix, DiskFlix, Arc<MemDisk>) {
@@ -301,12 +296,14 @@ mod tests {
                         QueryOptions::default().with_deadline(Deadline::within_micros(0)),
                     ] {
                         let mut ctx = QueryCtx::default();
-                        let mem = flix.evaluate(axis, q.start, q.target_tag, &opts, &mut ctx);
+                        let query = Query {
+                            axis,
+                            ..Query::descendants(q.start, q.target_tag, opts)
+                        };
+                        let mem = flix.evaluate(&query, &mut ctx);
                         let loads = |s: DiskExecStats| s.cache_hits + s.cache_misses;
                         let before = loads(dflix.stats());
-                        let dsk = dflix
-                            .evaluate(axis, q.start, q.target_tag, &opts, &mut ctx)
-                            .unwrap();
+                        let dsk = dflix.evaluate(&query, &mut ctx).unwrap();
                         let case = format!("{config} cache={cache} {axis:?} {opts:?}");
                         assert_eq!(mem.results, dsk.results, "{case}");
                         assert_eq!(mem.timed_out, dsk.timed_out, "{case}");
@@ -332,6 +329,16 @@ mod tests {
                     }
                 }
             }
+            // The store keeps no tag lists: a tag start is refused, typed.
+            let q = descendant_queries(&cg, 1, 44)[0];
+            let query = Query {
+                from: Start::Tag(q.target_tag),
+                ..Query::descendants(q.start, q.target_tag, QueryOptions::default())
+            };
+            let err = dflix
+                .evaluate(&query, &mut QueryCtx::default())
+                .unwrap_err();
+            assert!(err.contains("keeps no tag lists"), "{err}");
             let loads = |s: DiskExecStats| s.cache_hits + s.cache_misses;
             for p in workloads::connection_pairs(&cg, 12, 9) {
                 for opts in [
@@ -344,12 +351,13 @@ mod tests {
                             "{config} cache={cache} {}->{} {opts:?} both ways {both_ways}",
                             p.from, p.to
                         );
-                        let (from, to) = (p.from, p.to);
-                        let mem = connection_test_space(&flix, from, to, &opts, both_ways);
+                        let query = Query::connection(p.from, p.to, both_ways, opts);
+                        let mem = flix.evaluate(&query, &mut QueryCtx::default());
                         let before = loads(dflix.stats());
-                        let dsk = connection_test_space(&dflix, from, to, &opts, both_ways);
-                        let (mem, dsk) = (crate::pee::never(mem), dsk.unwrap());
-                        assert_eq!(mem, dsk, "{case}");
+                        let dsk = dflix.evaluate(&query, &mut QueryCtx::default()).unwrap();
+                        assert_eq!(mem.results, dsk.results, "{case}");
+                        assert_eq!(mem.timed_out, dsk.timed_out, "{case}");
+                        assert_eq!(mem.stats, dsk.stats, "{case}");
                         // Conservation, with one seed a side: an unconnected
                         // pair drains a one-sided test; confirming, a bound, a
                         // deadline or the other side ending first leaves
@@ -362,7 +370,7 @@ mod tests {
                             sides + stats.links_expanded,
                         );
                         let drained = !both_ways && opts.max_distance.is_none() && !dsk.timed_out;
-                        if drained && dsk.distance.is_none() {
+                        if drained && dsk.distance().is_none() {
                             assert_eq!(left, queued, "{case}: {stats:?}");
                         } else {
                             assert!(left <= queued, "{case}: {stats:?}");
@@ -380,10 +388,8 @@ mod tests {
         let q = descendant_queries(&graph(), 1, 44)[0];
         for opts in [QueryOptions::default(), QueryOptions::exact()] {
             let opts = opts.with_deadline(Deadline::within_micros(0));
-            let mut ctx = QueryCtx::default();
-            let out = dflix
-                .evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx)
-                .unwrap();
+            let query = Query::descendants(q.start, q.target_tag, opts);
+            let out = dflix.evaluate(&query, &mut QueryCtx::default()).unwrap();
             assert!(out.timed_out);
             assert!(out.results.is_empty());
         }
@@ -408,9 +414,7 @@ mod tests {
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             assert!(got.is_err(), "partial answer returned: {got:?}");
             let to = flix.meta(victim).nodes[0];
-            assert!(dflix
-                .connection_test(q.start, to, &QueryOptions::default())
-                .is_err());
+            assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
         }
     }
 
@@ -485,9 +489,7 @@ mod tests {
             let named = format!("meta document {victim} is stale or corrupt (image format");
             assert!(err.contains(&named), "{config}: {err}");
             let to = flix.meta(victim).nodes[0];
-            assert!(dflix
-                .connection_test(q.start, to, &QueryOptions::default())
-                .is_err());
+            assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
         }
     }
 
@@ -552,7 +554,7 @@ mod tests {
         let got = dflix.find_descendants(q.start, q.target_tag, &opts);
         let err = got.expect_err("a partial answer was returned");
         assert!(err.contains("holds no chunk record"), "{err}");
-        let err = dflix.connection_test(q.start, to, &opts).unwrap_err();
+        let err = connect(&dflix, q.start, to, &opts).unwrap_err();
         assert!(err.contains("holds no chunk record"), "{err}");
 
         // The pool cannot tell an empty page it was handed from a page
@@ -562,17 +564,15 @@ mod tests {
         for other in (0..flix.meta_count() as u32).filter(|&id| id != victim) {
             dflix.meta(other).unwrap();
         }
-        let mut ctx = QueryCtx::default();
-        let mem = flix.evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx);
-        let dsk = dflix
-            .evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx)
-            .unwrap();
-        assert_eq!(mem.results, dsk.results);
-        assert_eq!(mem.stats, dsk.stats);
-        assert_eq!(
-            flix.connection_test(q.start, to, &opts),
-            dflix.connection_test(q.start, to, &opts).unwrap()
-        );
+        for query in [
+            Query::descendants(q.start, q.target_tag, opts),
+            Query::connection(q.start, to, false, opts),
+        ] {
+            let mem = flix.evaluate(&query, &mut QueryCtx::default());
+            let dsk = dflix.evaluate(&query, &mut QueryCtx::default()).unwrap();
+            assert_eq!(mem.results, dsk.results);
+            assert_eq!(mem.stats, dsk.stats);
+        }
     }
 
     /// Same for a HOPI meta document whose label-table offsets are not
@@ -600,9 +600,7 @@ mod tests {
             let err = got.expect_err("a partial answer was returned");
             assert!(err.contains("label table"), "{err}");
             let to = flix.meta(victim).nodes[0];
-            assert!(dflix
-                .connection_test(q.start, to, &QueryOptions::default())
-                .is_err());
+            assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
         }
     }
 
@@ -632,9 +630,7 @@ mod tests {
                 err.starts_with(&named) && err.contains(fault),
                 "{fault}: {err}"
             );
-            assert!(dflix
-                .connection_test(q.start, md.nodes[0], &QueryOptions::default())
-                .is_err());
+            assert!(connect(&dflix, q.start, md.nodes[0], &QueryOptions::default()).is_err());
         }
     }
 
@@ -690,9 +686,7 @@ mod tests {
         let err = got.expect_err("a partial answer was returned");
         assert!(err.contains("stale or corrupt"), "{err}");
         let to = flix.meta(victim).nodes[0];
-        assert!(dflix
-            .connection_test(q.start, to, &QueryOptions::default())
-            .is_err());
+        assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
     }
 
     /// Four threads first-use the ancestors pair of one freshly loaded HOPI

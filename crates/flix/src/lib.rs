@@ -98,8 +98,8 @@ pub use diskexec::{DiskExecStats, DiskFlix};
 pub use framework::{Flix, FlixStats, MetaDocStats};
 pub use meta::{MetaDocument, MetaIndex, PopAnswer};
 pub use pee::{
-    Axis, ConnectionOutcome, PeeStats, QueryCtx, QueryOptions, QueryOutcome, QueryResult,
-    ResultStream,
+    Axis, Goal, PeeStats, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult, ResultStream,
+    Start,
 };
 pub use query::{PathQuery, QueryBinding, QueryEngine, TagSimilarity};
 pub use report::{BuildReport, MetaBuildReport};

@@ -378,7 +378,7 @@ impl MetaDocument {
     }
 
     /// Number of elements the index was built over.
-    fn indexed_nodes(&self) -> usize {
+    pub(crate) fn indexed_nodes(&self) -> usize {
         match &self.index {
             MetaIndex::Ppo(i) => i.node_count(),
             MetaIndex::Hopi(i) => i.node_count(),

@@ -14,19 +14,21 @@
 //! entry reachable from an earlier entry of the same meta document is
 //! subsumed and dropped; a result reachable from an earlier entry has
 //! already been returned and is skipped. Under PPO an entry's reach is a
-//! preorder interval, so that memory ([`Entries`]) is a union of intervals
+//! preorder interval, so that memory (`Entries`) is a union of intervals
 //! and the entry test one binary search. The result test runs once per
 //! block row, so it is kept by its consequence instead: a row is reachable
 //! from an earlier entry exactly when an answered block held it, and one
-//! bit per element ([`RowMarks`]) says so without an index probe. And a
+//! bit per element (`RowMarks`) says so without an index probe. And a
 //! link push of a node the evaluation already queued no farther away is
 //! refused before it reaches the heap — it could only ever be subsumed.
 //!
-//! There is exactly one copy of the loop, [`Evaluation::step`], generic
-//! over the [`MetaSpace`] it runs on — the in-memory framework, one shard
-//! of it, or the disk-resident engine. Axis queries drain one evaluation;
-//! a connection test (§5.2) steps one, or two for a bidirectional test, and
-//! its pop probes the distance to its target instead of answering a block.
+//! Every query mode is one value, [`Query`], and one driver, `run`,
+//! answers it: there is exactly one copy of the loop, `Evaluation::step`,
+//! generic over the `MetaSpace` it runs on — the in-memory framework, one
+//! shard of it, or the disk-resident engine. Axis queries drain one
+//! evaluation; a connection test (§5.2) steps one, or two for a
+//! bidirectional test, and its pop probes the distance to its target
+//! instead of answering a block.
 //! Its rows, like exact order's (§7), are *held* at the smallest distance
 //! found until the queue's lower bound proves no entry left can beat them.
 
@@ -114,6 +116,85 @@ impl QueryOptions {
 /// Direction of an axis evaluation — the one every index lookup follows.
 pub use graphcore::Axis;
 
+/// Where a [`Query`] starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Start {
+    /// One element, at distance 0.
+    Node(NodeId),
+    /// Every element with this tag, each at distance 0 — §5.2's `A//B`;
+    /// a match's distance is the minimum over the starts.
+    Tag(TagId),
+}
+
+/// What a [`Query`] looks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Goal {
+    /// Every element with this tag: an axis query.
+    Tag(TagId),
+    /// One element: a connection test (§5.2). Its answer is at most one
+    /// result, naming `node`, at the (approximate) distance found.
+    Node {
+        /// The element sought.
+        node: NodeId,
+        /// §5.2's sketched optimisation: a second side walks back from
+        /// `node` along the other axis (see `pee::run`). Depending on the
+        /// fan-in and fan-out around the endpoints either side may finish
+        /// orders of magnitude earlier.
+        both_ways: bool,
+    },
+}
+
+/// One query, whatever its mode: descendants or ancestors of an element
+/// or of a tag's elements, or a connection test. Every backend answers it
+/// through one call; result caches and single-flight key on it.
+#[derive(Debug, Clone, Copy)]
+pub struct Query {
+    /// Where the evaluation starts.
+    pub from: Start,
+    /// What it looks for.
+    pub to: Goal,
+    /// Which way it walks ([`Axis::Ancestors`]: the elements from which
+    /// the start is reachable).
+    pub axis: Axis,
+    /// Bounds, ordering and deadline.
+    pub opts: QueryOptions,
+}
+
+impl Query {
+    /// `from // target`: the elements with tag `target` below `from`.
+    pub fn descendants(from: NodeId, target: TagId, opts: QueryOptions) -> Self {
+        Self {
+            from: Start::Node(from),
+            to: Goal::Tag(target),
+            axis: Axis::Descendants,
+            opts,
+        }
+    }
+
+    /// The elements with tag `target` from which `from` is reachable.
+    pub fn ancestors(from: NodeId, target: TagId, opts: QueryOptions) -> Self {
+        Self {
+            axis: Axis::Ancestors,
+            ..Self::descendants(from, target, opts)
+        }
+    }
+
+    /// Connection test `from // to` (§5.2): is `to` reachable from `from`,
+    /// and at what (approximate) distance? Result caps and exact order do
+    /// not apply.
+    pub fn connection(from: NodeId, to: NodeId, both_ways: bool, opts: QueryOptions) -> Self {
+        Self {
+            from: Start::Node(from),
+            to: Goal::Node {
+                node: to,
+                both_ways,
+            },
+            axis: Axis::Descendants,
+            opts,
+        }
+    }
+}
+
 /// Who, besides the caller, observes an evaluation. Both observers are
 /// write-only — no branch of the evaluator consults them, so the result
 /// stream is byte-identical with and without them — and the default
@@ -152,20 +233,15 @@ pub struct QueryOutcome {
     pub stats: PeeStats,
 }
 
-/// The verdict of a connection test `a//b` plus the work it took, so the
-/// §7 load monitor can account connection workloads like axis queries
-/// (every pop is an index lookup, every distance probe a row fetch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnectionOutcome {
-    /// The (approximate) distance, or `None` when not connected within
-    /// `max_distance`. When `timed_out`, the best candidate found before
-    /// the deadline, unconfirmed: a shorter connection, or one where this
-    /// is `None`, may exist.
-    pub distance: Option<Distance>,
-    /// True when the deadline expired before the test reached a verdict.
-    pub timed_out: bool,
-    /// Evaluation counters, both directions combined.
-    pub stats: PeeStats,
+impl QueryOutcome {
+    /// A connection test's verdict: the distance of its one result, or
+    /// `None` when the pair is not connected within `max_distance`. When
+    /// `timed_out`, the best candidate found before the deadline,
+    /// unconfirmed: a shorter connection, or one where this is `None`,
+    /// may exist.
+    pub fn distance(&self) -> Option<Distance> {
+        self.results.first().map(|r| r.distance)
+    }
 }
 
 /// Evaluation counters, exposed for the benchmark harness and for cost
@@ -174,8 +250,8 @@ pub struct ConnectionOutcome {
 /// database round trip in the original implementation). Every entry an
 /// evaluation queues ends in exactly one of the three `entries_*` counts
 /// once the queue has drained: `entries_popped + entries_subsumed +
-/// entries_refused == seeds + links_expanded` (a connection test has one
-/// seed per side).
+/// entries_refused == seeds + links_expanded` (a [`Start::Tag`] seeds
+/// every element with its tag, the far side of a two-way test its goal).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeeStats {
     /// Entries popped from the priority queue and answered (meta-document
@@ -241,6 +317,8 @@ pub(crate) trait MetaSpace {
     }
     /// Meta document accessor (ids are space-local); called once per pop.
     fn meta(&self, id: u32) -> Result<Self::Meta<'_>, Self::Error>;
+    /// The elements with tag `tag`, ascending: a [`Start::Tag`]'s seeds.
+    fn nodes_with_tag(&self, tag: TagId) -> Result<&[NodeId], Self::Error>;
 }
 
 impl MetaSpace for Flix {
@@ -257,6 +335,10 @@ impl MetaSpace for Flix {
 
     fn meta(&self, id: u32) -> Result<&MetaDocument, Infallible> {
         Ok(Flix::meta(self, id))
+    }
+
+    fn nodes_with_tag(&self, tag: TagId) -> Result<&[NodeId], Infallible> {
+        Ok(self.collection().nodes_with_tag(tag))
     }
 }
 
@@ -468,7 +550,7 @@ impl EvalScratch {
 /// One lap of a traced evaluation's clock: a single read, and everything
 /// since the previous read (`charged`, nanoseconds) goes to `stage`, which
 /// just ran. Untraced, `clock` is `None` and nothing is read.
-fn lap(ctx: &mut QueryCtx<'_>, clock: &mut Option<(Stopwatch, u64)>, stage: SpanStage) {
+fn lap(ctx: &mut QueryCtx<'_>, clock: &mut Clock, stage: SpanStage) {
     if let (Some(trace), Some((watch, charged))) = (ctx.trace.as_deref_mut(), clock) {
         let now = watch.elapsed_nanos();
         trace.record(stage, now.saturating_sub(*charged));
@@ -492,57 +574,34 @@ pub(crate) enum EvalEnd {
 }
 
 impl Flix {
-    /// The collected entry point: evaluates `start // target` along `axis`
-    /// (for [`Axis::Ancestors`]: all elements with tag `target` from which
-    /// `start` is reachable) and returns the results with the `timed_out`
-    /// marker and the evaluation counters. A `start` that is not an element
-    /// of the collection reaches nothing: the answer is empty and not timed
-    /// out. With a journal in `ctx` the evaluation is bracketed by
-    /// `eval_start`/`eval_end` events.
-    pub fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> QueryOutcome {
+    /// The collected entry point: evaluates `query` and returns its results
+    /// with the `timed_out` marker and the evaluation counters. A start
+    /// that is not an element of the collection reaches nothing: the
+    /// answer is empty and not timed out. With a journal in `ctx` the
+    /// evaluation is bracketed by `eval_start`/`eval_end` events.
+    pub fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> QueryOutcome {
         ctx.event(EventKind::EvalStart { shard: SHARD_NONE });
         // A full framework resolves every element, so only a start outside
         // the collection escapes — with nothing emitted.
-        let seeds = [(start, 0)];
-        let (outcome, _) = never(collect_axis_space(self, axis, &seeds, target, opts, ctx));
+        let (outcome, _) = never(collect(self, query, ctx));
         ctx.event(EventKind::EvalEnd {
             results: outcome.results.len() as u64,
         });
         outcome
     }
 
-    /// `a//B`: all descendants of `start` with tag `target`, streamed to
-    /// `emit` in approximately ascending distance order together with the
-    /// evaluation counters at emission time (the paper's deployment paid
-    /// one database round trip per entry pop, so the harness attributes
-    /// per-result costs from them). `emit` may stop the evaluation early
-    /// by returning [`ControlFlow::Break`]. Returns the final counters.
-    pub fn for_each_descendant(
+    /// The streaming entry point: `query`'s results go to `emit` as they
+    /// are found, with the counters at emission time (the paper's
+    /// deployment paid one database round trip per entry pop, so the
+    /// harness attributes per-result costs from them). `emit` may stop the
+    /// evaluation by returning [`ControlFlow::Break`]. Returns the counters.
+    pub fn for_each(
         &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
+        query: &Query,
+        ctx: &mut QueryCtx<'_>,
         emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
     ) -> PeeStats {
-        let seeds = [(start, 0)];
-        let mut ctx = QueryCtx::default();
-        never(evaluate_axis_space(
-            self,
-            &seeds,
-            target,
-            opts,
-            Axis::Descendants,
-            &mut ctx,
-            emit,
-        ))
-        .1
+        never(run(self, query, ctx, emit)).1
     }
 
     /// `a//B` collected into a vector.
@@ -555,20 +614,18 @@ impl Flix {
         self.find_descendants_outcome(start, target, opts).results
     }
 
-    /// `a//B` collected into a vector along with the `timed_out` marker and
-    /// the evaluation counters.
+    /// `a//B` collected with the `timed_out` marker and the counters.
     pub fn find_descendants_outcome(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> QueryOutcome {
-        let mut ctx = QueryCtx::default();
-        self.evaluate(Axis::Descendants, start, target, opts, &mut ctx)
+        let query = Query::descendants(start, target, *opts);
+        self.evaluate(&query, &mut QueryCtx::default())
     }
 
-    /// `a//B` collected into a vector, with a full per-query trace and the
-    /// final evaluation counters.
+    /// `a//B` collected with a full per-query trace and the counters.
     pub fn find_descendants_with_trace(
         &self,
         start: NodeId,
@@ -580,89 +637,21 @@ impl Flix {
             trace: Some(trace),
             journal: None,
         };
-        let outcome = self.evaluate(Axis::Descendants, start, target, opts, &mut ctx);
+        let outcome = self.evaluate(&Query::descendants(start, target, *opts), &mut ctx);
         (outcome.results, outcome.stats)
-    }
-
-    /// Ancestors variant: all elements with tag `target` from which `start`
-    /// is reachable.
-    pub fn find_ancestors(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Vec<QueryResult> {
-        let mut ctx = QueryCtx::default();
-        self.evaluate(Axis::Ancestors, start, target, opts, &mut ctx)
-            .results
-    }
-
-    /// `A//B` (§5.2): descendants with tag `target` of *any* element with
-    /// tag `source`. Every source element seeds the queue at priority 0;
-    /// distances are minima over the seeds. A match may be a (non-strict)
-    /// descendant of a *different* source element; whether a source matches
-    /// itself is governed by `include_start` like any seed.
-    pub fn find_descendants_of_type(
-        &self,
-        source: TagId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Vec<QueryResult> {
-        let seeds: Vec<(NodeId, Distance)> = self
-            .collection()
-            .nodes_with_tag(source)
-            .iter()
-            .map(|&u| (u, 0))
-            .collect();
-        let mut ctx = QueryCtx::default();
-        let collected = collect_axis_space(self, Axis::Descendants, &seeds, target, opts, &mut ctx);
-        never(collected).0.results
-    }
-
-    /// Connection test `a//b` (§5.2): is `to` reachable from `from`, and at
-    /// what (approximate) distance? Stops as soon as the queue's lower
-    /// bound proves no shorter connection exists, or the threshold in
-    /// `opts.max_distance` is passed.
-    pub fn connection_test(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        opts: &QueryOptions,
-    ) -> ConnectionOutcome {
-        never(connection_test_space(self, from, to, opts, false))
-    }
-
-    /// Bidirectional connection test (§5.2's sketched optimisation): one
-    /// search walks forward from `from` over descendants, a second walks
-    /// backward from `to` over ancestors, popping entries alternately. The
-    /// first side to *confirm* a connection (its queue lower bound can no
-    /// longer improve its best candidate) answers; if either exhausts
-    /// without finding one, the elements are not connected. Depending on
-    /// the fan-in and fan-out around the endpoints either side may finish
-    /// orders of magnitude earlier than a one-sided search.
-    pub fn connection_test_bidirectional(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        opts: &QueryOptions,
-    ) -> ConnectionOutcome {
-        never(connection_test_space(self, from, to, opts, true))
     }
 }
 
-/// Runs one evaluation from `seeds` and collects it. The flag is true
-/// when the evaluation escaped the space (see [`EvalEnd::Escaped`]): the
-/// caller must then discard the outcome.
-pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
+/// Runs `query` over `space` and collects it. The flag is true when the
+/// evaluation escaped the space (see [`EvalEnd::Escaped`]): the caller
+/// must then discard the outcome.
+pub(crate) fn collect<S: MetaSpace + ?Sized>(
     space: &S,
-    axis: Axis,
-    seeds: &[(NodeId, Distance)],
-    target: TagId,
-    opts: &QueryOptions,
+    query: &Query,
     ctx: &mut QueryCtx<'_>,
 ) -> Result<(QueryOutcome, bool), S::Error> {
     let mut results = Vec::new();
-    let (end, stats) = evaluate_axis_space(space, seeds, target, opts, axis, ctx, |r, _| {
+    let (end, stats) = run(space, query, ctx, |r, _| {
         results.push(r);
         ControlFlow::Continue(())
     })?;
@@ -674,31 +663,99 @@ pub(crate) fn collect_axis_space<S: MetaSpace + ?Sized>(
     Ok((outcome, matches!(end, EvalEnd::Escaped)))
 }
 
-/// Drains one evaluation from `seeds` for the elements with tag `target`
-/// into `emit` (see [`Evaluation::step`]): how it ended, and its counters.
-pub(crate) fn evaluate_axis_space<S: MetaSpace + ?Sized>(
+/// The one driver: runs `query` over `space` into `emit` — how it ended,
+/// and its counters. An axis query ([`Goal::Tag`]) drains one evaluation
+/// (see [`Evaluation::step`]). A connection test ([`Goal::Node`]) steps one
+/// evaluation from `from` probing for the goal, plus — when `both_ways` —
+/// one from the goal along the other axis, alternately. Each side holds its
+/// best candidate until its queue's lower bound confirms it, and one
+/// result ends it: the first side to release one answers, a side that
+/// drains without one proves the pair unconnected, and an entry outside
+/// the space is stepped past. A spent deadline (checked at every pop)
+/// reports the smaller held candidate, unconfirmed. The verdict is emitted
+/// once, naming the goal. One clock, shared by both sides, times a traced
+/// run, so the spans tile it.
+pub(crate) fn run<S: MetaSpace + ?Sized>(
     space: &S,
-    seeds: &[(NodeId, Distance)],
-    target: TagId,
-    opts: &QueryOptions,
-    axis: Axis,
+    query: &Query,
     ctx: &mut QueryCtx<'_>,
     mut emit: impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
 ) -> Result<(EvalEnd, PeeStats), S::Error> {
-    let traced = ctx.trace.is_some();
-    let mut eval = Evaluation::new(space, axis, Goal::Tag(target), seeds, opts, traced);
-    let end = loop {
-        if let Some(end) = eval.step(ctx, &mut emit)? {
-            break end;
+    let mut clock = ctx.trace.is_some().then(|| (Stopwatch::start(), 0));
+    let seeds = match &query.from {
+        Start::Node(node) => std::slice::from_ref(node),
+        Start::Tag(tag) => space.nodes_with_tag(*tag)?,
+    };
+    let seeds = seeds.iter().map(|&seed| (seed, 0));
+    let (to, both_ways) = match query.to {
+        Goal::Tag(tag) => {
+            let mut eval = Evaluation::new(space, query.axis, Seek::Tag(tag), seeds, &query.opts);
+            let end = loop {
+                if let Some(end) = eval.step(ctx, &mut clock, &mut emit)? {
+                    break end;
+                }
+            };
+            return Ok((end, eval.finish(ctx, &mut clock)));
+        }
+        Goal::Node { node, both_ways } => (node, both_ways),
+    };
+    let found = |distance| QueryResult { distance, node: to };
+    if query.from == Start::Node(to) {
+        let _ = emit(found(0), &PeeStats::default());
+        return Ok((EvalEnd::Done { timed_out: false }, PeeStats::default()));
+    }
+    let opts = QueryOptions {
+        max_results: Some(1),
+        exact_order: false,
+        ..query.opts
+    };
+    let back = match query.from {
+        Start::Node(from) => Seek::Node(space.resolve(from)),
+        Start::Tag(tag) => Seek::Tag(tag),
+    };
+    let reverse = match query.axis {
+        Axis::Descendants => Axis::Ancestors,
+        Axis::Ancestors => Axis::Descendants,
+    };
+    let seek = Seek::Node(space.resolve(to));
+    let mut sides = [
+        Some(Evaluation::new(space, query.axis, seek, seeds, &opts)),
+        both_ways.then(|| Evaluation::new(space, reverse, back, [(to, 0)], &opts)),
+    ];
+    let mut distance = None;
+    let mut confirm = |result: QueryResult, _: &PeeStats| {
+        distance = Some(result.distance);
+        ControlFlow::Continue(())
+    };
+    let timed_out = 'test: loop {
+        for eval in sides.iter_mut().flatten() {
+            if let Some(EvalEnd::Done { timed_out }) = eval.step(ctx, &mut clock, &mut confirm)? {
+                break 'test timed_out;
+            }
         }
     };
-    Ok((end, eval.finish(ctx)))
+    if timed_out {
+        let held = sides
+            .iter()
+            .flatten()
+            .filter_map(|eval| eval.scratch.hold.peek());
+        distance = held.map(|&Reverse((d, _))| d).min();
+    }
+    // Given back last side first: the next test's sides take the same ones.
+    let mut stats = PeeStats::default();
+    for eval in sides.into_iter().rev().flatten() {
+        stats.absorb(eval.finish(ctx, &mut clock));
+    }
+    if let Some(distance) = distance {
+        let _ = emit(found(distance), &stats);
+    }
+    Ok((EvalEnd::Done { timed_out }, stats))
 }
 
 /// What a pop answers: a tag's block (an axis query), or the distance to
 /// one element, `None` outside the space (a connection test).
 #[derive(Clone, Copy)]
-enum Goal {
+enum Seek {
     Tag(TagId),
     Node(Option<(u32, u32)>),
 }
@@ -708,7 +765,7 @@ enum Goal {
 struct Evaluation<'s, S: MetaSpace + ?Sized> {
     space: &'s S,
     axis: Axis,
-    goal: Goal,
+    seek: Seek,
     opts: QueryOptions,
     /// Rows are held, under exact order and for a connection test.
     hold: bool,
@@ -716,22 +773,23 @@ struct Evaluation<'s, S: MetaSpace + ?Sized> {
     stats: PeeStats,
     /// Results handed to the caller so far.
     returned: usize,
-    /// A traced evaluation's clock and the nanoseconds charged so far.
-    clock: Option<(Stopwatch, u64)>,
 }
 
+/// A traced run's clock and the nanoseconds charged so far; `None`
+/// untraced.
+type Clock = Option<(Stopwatch, u64)>;
+
 impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
-    /// An evaluation from `seeds` on an idle scratch of this thread.
+    /// An evaluation from `seeds`, each at its distance, on an idle scratch
+    /// of this thread.
     fn new(
         space: &'s S,
         axis: Axis,
-        goal: Goal,
-        seeds: &[(NodeId, Distance)],
+        seek: Seek,
+        seeds: impl IntoIterator<Item = (NodeId, Distance)>,
         opts: &QueryOptions,
-        traced: bool,
     ) -> Self {
-        let clock = traced.then(|| (Stopwatch::start(), 0));
-        let hold = opts.exact_order || matches!(goal, Goal::Node(_));
+        let hold = opts.exact_order || matches!(seek, Seek::Node(_));
         let mut scratch = IDLE.with_borrow_mut(Vec::pop).unwrap_or_default();
         scratch.queue.clear();
         scratch.hold.clear();
@@ -742,7 +800,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         if hold {
             scratch.best.begin(scratch.nodes);
         }
-        for &(s, d) in seeds {
+        for (s, d) in seeds {
             // the bool marks seed entries, whose self-match behaviour is
             // governed by `include_start`
             scratch.queue.push(Reverse((d, s, true)));
@@ -750,13 +808,12 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         Self {
             space,
             axis,
-            goal,
+            seek,
             opts: *opts,
             hold,
             scratch,
             stats: PeeStats::default(),
             returned: 0,
-            clock,
         }
     }
 
@@ -775,7 +832,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
     }
 
     /// One pop of Fig. 4's loop, generalised over direction, multiple seeds,
-    /// the node universe and the [`Goal`]: `None` while the evaluation goes
+    /// the node universe and what it seeks: `None` while the evaluation goes
     /// on, how it ended once it has. An end leaves nothing half done: after
     /// [`EvalEnd::Escaped`] the next step pops the entry after the escaping
     /// one.
@@ -804,6 +861,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
     fn step(
         &mut self,
         ctx: &mut QueryCtx<'_>,
+        clock: &mut Clock,
         emit: &mut impl FnMut(QueryResult, &PeeStats) -> ControlFlow<()>,
     ) -> Result<Option<EvalEnd>, S::Error> {
         let (space, axis, opts, hold) = (self.space, self.axis, self.opts, self.hold);
@@ -870,7 +928,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         } else {
             self.stats.entries_popped += 1;
         }
-        lap(ctx, &mut self.clock, SpanStage::QueuePop);
+        lap(ctx, clock, SpanStage::QueuePop);
         if subsumed {
             return Ok(None);
         }
@@ -885,9 +943,9 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         // target lies in this meta document.
         let include_self = !is_seed || opts.include_start;
         let mut pop = std::mem::take(&mut self.scratch.pop);
-        match self.goal {
-            Goal::Tag(tag) => md.answer_pop(axis, local, tag, include_self, &mut pop),
-            Goal::Node(target) => {
+        match self.seek {
+            Seek::Tag(tag) => md.answer_pop(axis, local, tag, include_self, &mut pop),
+            Seek::Node(target) => {
                 pop.block.clear();
                 pop.work = 0;
                 if let Some((_, t)) = target.filter(|&(t_meta, _)| t_meta == meta) {
@@ -935,7 +993,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
                 break;
             }
         }
-        lap(ctx, &mut self.clock, SpanStage::BlockFetch);
+        lap(ctx, clock, SpanStage::BlockFetch);
         if capped {
             self.scratch.pop = pop;
             return Ok(Some(EvalEnd::Done { timed_out: false }));
@@ -959,82 +1017,17 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         }
         self.scratch.pop = pop;
         self.scratch.entries.push(&md, axis, meta, local);
-        lap(ctx, &mut self.clock, SpanStage::LinkExpand);
+        lap(ctx, clock, SpanStage::LinkExpand);
         Ok(None)
     }
 
     /// The closing lap — whatever ended the evaluation ended it inside a
     /// queue pop — and the scratch back to the thread; returns the counters.
-    fn finish(mut self, ctx: &mut QueryCtx<'_>) -> PeeStats {
-        lap(ctx, &mut self.clock, SpanStage::QueuePop);
+    fn finish(self, ctx: &mut QueryCtx<'_>, clock: &mut Clock) -> PeeStats {
+        lap(ctx, clock, SpanStage::QueuePop);
         IDLE.with_borrow_mut(|idle| idle.push(self.scratch));
         self.stats
     }
-}
-
-/// Connection test over any space (§5.2): an evaluation from `from` probing
-/// for `to`, plus — when `both_ways` — one from `to` going up, stepped
-/// alternately. Each holds its best candidate until its queue's lower bound
-/// confirms it, and one result ends it: the first side to release one
-/// answers, a side that drains without one proves the pair unconnected, and
-/// an entry outside the space is stepped past. A spent deadline (checked at
-/// every pop) reports the smaller held candidate, unconfirmed.
-pub(crate) fn connection_test_space<S: MetaSpace + ?Sized>(
-    space: &S,
-    from: NodeId,
-    to: NodeId,
-    opts: &QueryOptions,
-    both_ways: bool,
-) -> Result<ConnectionOutcome, S::Error> {
-    if from == to {
-        return Ok(ConnectionOutcome {
-            distance: Some(0),
-            timed_out: false,
-            stats: PeeStats::default(),
-        });
-    }
-    let opts = QueryOptions {
-        max_results: Some(1),
-        exact_order: false,
-        ..*opts
-    };
-    let side = |start, target, axis| {
-        let goal = Goal::Node(space.resolve(target));
-        Evaluation::new(space, axis, goal, &[(start, 0)], &opts, false)
-    };
-    let mut sides = [
-        Some(side(from, to, Axis::Descendants)),
-        both_ways.then(|| side(to, from, Axis::Ancestors)),
-    ];
-    let (mut ctx, mut distance) = (QueryCtx::default(), None);
-    let mut confirm = |result: QueryResult, _: &PeeStats| {
-        distance = Some(result.distance);
-        ControlFlow::Continue(())
-    };
-    let timed_out = 'test: loop {
-        for eval in sides.iter_mut().flatten() {
-            if let Some(EvalEnd::Done { timed_out }) = eval.step(&mut ctx, &mut confirm)? {
-                break 'test timed_out;
-            }
-        }
-    };
-    if timed_out {
-        let held = sides
-            .iter()
-            .flatten()
-            .filter_map(|eval| eval.scratch.hold.peek());
-        distance = held.map(|&Reverse((d, _))| d).min();
-    }
-    // Given back last side first: the next test's sides take the same ones.
-    let mut stats = PeeStats::default();
-    for eval in sides.into_iter().rev().flatten() {
-        stats.absorb(eval.finish(&mut ctx));
-    }
-    Ok(ConnectionOutcome {
-        distance,
-        timed_out,
-        stats,
-    })
 }
 
 /// A streamed result list, fed by a background evaluator thread.
@@ -1048,18 +1041,13 @@ pub struct ResultStream {
 }
 
 impl ResultStream {
-    /// Spawns a background evaluation of `start // target`.
-    pub fn spawn(
-        flix: std::sync::Arc<Flix>,
-        start: NodeId,
-        target: TagId,
-        opts: QueryOptions,
-    ) -> Self {
+    /// Spawns a background evaluation of `query`.
+    pub fn spawn(flix: std::sync::Arc<Flix>, query: Query) -> Self {
         // Bounded so a slow client applies backpressure to the evaluator
         // instead of buffering an arbitrarily large result list.
         let (tx, rx) = crossbeam::channel::bounded(1024);
         let handle = std::thread::spawn(move || {
-            flix.for_each_descendant(start, target, &opts, |r, _| {
+            flix.for_each(&query, &mut QueryCtx::default(), |r, _| {
                 if tx.send(r).is_err() {
                     ControlFlow::Break(()) // client hung up: cancel
                 } else {
@@ -1144,6 +1132,53 @@ mod tests {
         c.add_document(d1).unwrap();
         c.add_document(d2).unwrap();
         Arc::new(c.seal())
+    }
+
+    /// `query` collected, observing nothing.
+    fn eval(flix: &Flix, query: Query) -> QueryOutcome {
+        flix.evaluate(&query, &mut QueryCtx::default())
+    }
+
+    /// The connection test `from // to`, one-sided or both ways.
+    fn connect(
+        flix: &Flix,
+        from: NodeId,
+        to: NodeId,
+        both_ways: bool,
+        opts: &QueryOptions,
+    ) -> QueryOutcome {
+        eval(flix, Query::connection(from, to, both_ways, *opts))
+    }
+
+    /// An axis query from `seeds` at their own distances — a start no
+    /// [`Query`] names, which the §5.1 tests still exercise — collected,
+    /// and whether it escaped.
+    fn collect_from(
+        flix: &Flix,
+        axis: Axis,
+        seeds: &[(NodeId, Distance)],
+        tag: TagId,
+        opts: &QueryOptions,
+    ) -> (QueryOutcome, bool) {
+        let mut eval = Evaluation::new(flix, axis, Seek::Tag(tag), seeds.iter().copied(), opts);
+        let (mut ctx, mut results) = (QueryCtx::default(), Vec::new());
+        let mut emit = |r, _: &PeeStats| {
+            results.push(r);
+            ControlFlow::Continue(())
+        };
+        let end = loop {
+            if let Some(end) = never(eval.step(&mut ctx, &mut None, &mut emit)) {
+                break end;
+            }
+        };
+        let stats = eval.finish(&mut ctx, &mut None);
+        let timed_out = matches!(end, EvalEnd::Done { timed_out: true });
+        let outcome = QueryOutcome {
+            results,
+            timed_out,
+            stats,
+        };
+        (outcome, matches!(end, EvalEnd::Escaped))
     }
 
     fn all_configs() -> Vec<FlixConfig> {
@@ -1250,7 +1285,7 @@ mod tests {
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
             let test =
-                |from, to, opts: &QueryOptions| flix.connection_test(from, to, opts).distance;
+                |from, to, opts: &QueryOptions| connect(&flix, from, to, false, opts).distance();
             assert_eq!(
                 test(0, 6, &QueryOptions::default()),
                 Some(6),
@@ -1276,7 +1311,7 @@ mod tests {
         let a = cg.collection.tags.get("a").unwrap();
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
-            let res = flix.find_ancestors(5, a, &QueryOptions::default());
+            let res = eval(&flix, Query::ancestors(5, a, QueryOptions::default())).results;
             let mut nodes: Vec<NodeId> = res.iter().map(|r| r.node).collect();
             nodes.sort_unstable();
             assert_eq!(nodes, vec![0, 3], "config {config}");
@@ -1290,7 +1325,11 @@ mod tests {
         let ct = cg.collection.tags.get("c").unwrap();
         let flix = Flix::build(cg.clone(), FlixConfig::Naive);
         // A//C: only d0's c element qualifies, reachable from a(0)
-        let res = flix.find_descendants_of_type(a, ct, &QueryOptions::default());
+        let query = Query {
+            from: Start::Tag(a),
+            ..Query::descendants(0, ct, QueryOptions::default())
+        };
+        let res = eval(&flix, query).results;
         assert_eq!(res.len(), 1);
         assert_eq!(res[0].node, 2);
     }
@@ -1331,11 +1370,12 @@ mod tests {
         let cg = chain3();
         let b = cg.collection.tags.get("b").unwrap();
         let flix = Arc::new(Flix::build(cg, FlixConfig::Naive));
-        let stream = ResultStream::spawn(flix.clone(), 0, b, QueryOptions::default());
+        let query = Query::descendants(0, b, QueryOptions::default());
+        let stream = ResultStream::spawn(flix.clone(), query);
         let collected: Vec<QueryResult> = stream.collect();
         assert_eq!(collected.len(), 3);
         // early cancel: take one result and drop the stream
-        let mut stream = ResultStream::spawn(flix, 0, b, QueryOptions::default());
+        let mut stream = ResultStream::spawn(flix, query);
         let first = stream.next().unwrap();
         assert_eq!(first.node, 1);
         drop(stream); // must not hang
@@ -1428,8 +1468,8 @@ mod tests {
             for from in 0..7u32 {
                 for to in 0..7u32 {
                     let opts = QueryOptions::default();
-                    let uni = flix.connection_test(from, to, &opts).distance;
-                    let bi = flix.connection_test_bidirectional(from, to, &opts).distance;
+                    let uni = connect(&flix, from, to, false, &opts).distance();
+                    let bi = connect(&flix, from, to, true, &opts).distance();
                     assert_eq!(uni.is_some(), bi.is_some(), "{from}->{to} under {config}");
                     if let (Some(a), Some(b)) = (uni, bi) {
                         // both are approximate; they must agree on the
@@ -1453,9 +1493,8 @@ mod tests {
             }
             let mut monitor = LoadMonitor::new();
 
-            let ConnectionOutcome {
-                distance, stats, ..
-            } = flix.connection_test(0, 6, &QueryOptions::default());
+            let one = connect(&flix, 0, 6, false, &QueryOptions::default());
+            let (distance, stats) = (one.distance(), one.stats);
             assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
@@ -1465,9 +1504,8 @@ mod tests {
             );
             monitor.record(stats, usize::from(distance.is_some()));
 
-            let ConnectionOutcome {
-                distance, stats, ..
-            } = flix.connection_test_bidirectional(0, 6, &QueryOptions::default());
+            let both = connect(&flix, 0, 6, true, &QueryOptions::default());
+            let (distance, stats) = (both.distance(), both.stats);
             assert_eq!(distance, Some(6), "config {config}");
             assert!(stats.entries_popped > 0, "config {config}: {stats:?}");
             assert!(stats.links_expanded > 0, "config {config}: {stats:?}");
@@ -1485,12 +1523,11 @@ mod tests {
         let a = cg.collection.tags.get("a").unwrap();
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
-            let mut ctx = QueryCtx::default();
             let QueryOutcome {
                 results: out,
                 stats,
                 ..
-            } = flix.evaluate(Axis::Ancestors, 5, a, &QueryOptions::default(), &mut ctx);
+            } = eval(&flix, Query::ancestors(5, a, QueryOptions::default()));
             assert_eq!(out.len(), 2, "config {config}");
             // counted symmetry: the work charged covers at least the rows
             // returned, exactly like the descendants direction
@@ -1511,21 +1548,29 @@ mod tests {
             let flix = Flix::build(cg.clone(), config);
             // Full evaluation, for reference.
             let mut full = PeeStats::default();
-            flix.for_each_descendant(0, b, &QueryOptions::default(), |_, s| {
-                full = *s;
-                ControlFlow::Continue(())
-            });
+            flix.for_each(
+                &Query::descendants(0, b, QueryOptions::default()),
+                &mut QueryCtx::default(),
+                |_, s| {
+                    full = *s;
+                    ControlFlow::Continue(())
+                },
+            );
             // Break after the first result: counters must reflect the work
             // actually performed up to the break — at least one pop and the
             // rows of the first materialised block — but no more than the
             // full run, and critically *not* zero.
             let mut early = PeeStats::default();
             let mut seen = 0usize;
-            flix.for_each_descendant(0, b, &QueryOptions::default(), |_, s| {
-                early = *s;
-                seen += 1;
-                ControlFlow::Break(())
-            });
+            flix.for_each(
+                &Query::descendants(0, b, QueryOptions::default()),
+                &mut QueryCtx::default(),
+                |_, s| {
+                    early = *s;
+                    seen += 1;
+                    ControlFlow::Break(())
+                },
+            );
             assert_eq!(seen, 1, "config {config}");
             assert!(early.entries_popped >= 1, "config {config}: {early:?}");
             assert!(
@@ -1559,11 +1604,15 @@ mod tests {
             };
             let mut stats = PeeStats::default();
             let mut results = Vec::new();
-            flix.for_each_descendant(0, b, &opts, |r, s| {
-                stats = *s;
-                results.push(r);
-                ControlFlow::Continue(())
-            });
+            flix.for_each(
+                &Query::descendants(0, b, opts),
+                &mut QueryCtx::default(),
+                |r, s| {
+                    stats = *s;
+                    results.push(r);
+                    ControlFlow::Continue(())
+                },
+            );
             assert_eq!(results.len(), 1, "config {config}");
             assert!(stats.entries_popped >= 1, "config {config}: {stats:?}");
             assert!(
@@ -1634,8 +1683,8 @@ mod tests {
         assert!(out.stats.entries_popped > 0);
 
         let a = cg.collection.tags.get("a").unwrap();
-        let anc = flix.find_ancestors(5, a, &QueryOptions::default());
-        let out = flix.evaluate(Axis::Ancestors, 5, a, &opts, &mut QueryCtx::default());
+        let anc = eval(&flix, Query::ancestors(5, a, QueryOptions::default())).results;
+        let out = eval(&flix, Query::ancestors(5, a, opts));
         assert!(!out.timed_out);
         assert_eq!(out.results, anc);
     }
@@ -1646,12 +1695,12 @@ mod tests {
         let flix = Flix::build(cg, FlixConfig::Naive);
         let expired = QueryOptions::default().with_deadline(Deadline::within_micros(0));
         let uni = |from, to, opts: &QueryOptions| {
-            let out = flix.connection_test(from, to, opts);
-            (out.distance, out.timed_out)
+            let out = connect(&flix, from, to, false, opts);
+            (out.distance(), out.timed_out)
         };
         let bi = |opts: &QueryOptions| {
-            let out = flix.connection_test_bidirectional(0, 6, opts);
-            (out.distance, out.timed_out)
+            let out = connect(&flix, 0, 6, true, opts);
+            (out.distance(), out.timed_out)
         };
         // from == to answers before the evaluation loop even starts
         assert_eq!(uni(0, 0, &expired), (Some(0), false));
@@ -1675,16 +1724,19 @@ mod tests {
         let beyond = cg.node_count() as NodeId + 5;
         for axis in [Axis::Descendants, Axis::Ancestors] {
             for opts in [QueryOptions::default(), QueryOptions::exact()] {
-                let out = flix.evaluate(axis, beyond, b, &opts, &mut QueryCtx::default());
+                let query = Query {
+                    axis,
+                    ..Query::descendants(beyond, b, opts)
+                };
+                let out = eval(&flix, query);
                 assert!(out.results.is_empty() && !out.timed_out, "{axis:?}");
                 assert_eq!(out.stats, PeeStats::default(), "{axis:?}");
             }
         }
         let opts = QueryOptions::default();
-        assert_eq!(flix.connection_test(beyond, 0, &opts).distance, None);
-        assert_eq!(flix.connection_test(0, beyond, &opts).distance, None);
-        let both = flix.connection_test_bidirectional(0, beyond, &opts);
-        assert_eq!(both.distance, None);
+        assert_eq!(connect(&flix, beyond, 0, false, &opts).distance(), None);
+        assert_eq!(connect(&flix, 0, beyond, false, &opts).distance(), None);
+        assert_eq!(connect(&flix, 0, beyond, true, &opts).distance(), None);
     }
 
     /// A forest over `parents.len() + 1` nodes as one PPO meta document:
@@ -1921,9 +1973,7 @@ mod tests {
             let mut witness = RowScanWitness::default();
             let mut check = |axis, seeds: &[(NodeId, Distance)], tag, opts: &QueryOptions| {
                 let want = evaluate_with_row_scan(&flix, axis, seeds, tag, opts, &mut witness);
-                let mut ctx = QueryCtx::default();
-                let (got, escaped) =
-                    never(collect_axis_space(&flix, axis, seeds, tag, opts, &mut ctx));
+                let (got, escaped) = collect_from(&flix, axis, seeds, tag, opts);
                 assert!(!escaped);
                 let case = format!("{config} {axis:?} {seeds:?} tag {tag} {opts:?}");
                 assert_eq!((got.results, got.stats), want, "{case}");
@@ -1962,24 +2012,16 @@ mod tests {
             // Two seeds, the later one covering the earlier: 1 is answered
             // first, then 0, whose block holds 1.
             let seeds = [(0, 1), (1, 0)];
-            let mut ctx = QueryCtx::default();
-            let (out, _) = never(collect_axis_space(
-                &flix,
-                Axis::Descendants,
-                &seeds,
-                tags[0],
-                &opts,
-                &mut ctx,
-            ));
+            let (out, _) = collect_from(&flix, Axis::Descendants, &seeds, tags[0], &opts);
             assert!(out.results.iter().all(|r| r.node != 1), "{config}");
             // A row dropped past the bound is not returned when a later
             // entry reaches it within the bound: going up within 1 of 9 and
             // of 10, d2's root lies 2 above 9 — dropped — and 1 above 10.
             let up = |seeds: &[(NodeId, Distance)]| {
-                let (opts, mut ctx) = (QueryOptions::within(1), QueryCtx::default());
-                let collected =
-                    collect_axis_space(&flix, Axis::Ancestors, seeds, tags[0], &opts, &mut ctx);
-                never(collected).0.results
+                let opts = QueryOptions::within(1);
+                collect_from(&flix, Axis::Ancestors, seeds, tags[0], &opts)
+                    .0
+                    .results
             };
             // (Where a partition cuts d2 apart the root is a link away.)
             if [9, 10].iter().all(|&v| flix.meta_of(v) == flix.meta_of(7)) {
@@ -1999,11 +2041,15 @@ mod tests {
                 &mut witness,
             );
             let mut outer = Vec::new();
-            let stats = flix.for_each_descendant(1, tags[0], &opts, |r, _| {
-                flix.find_descendants(0, tags[0], &opts);
-                outer.push(r);
-                ControlFlow::Continue(())
-            });
+            let stats = flix.for_each(
+                &Query::descendants(1, tags[0], opts),
+                &mut QueryCtx::default(),
+                |r, _| {
+                    flix.find_descendants(0, tags[0], &opts);
+                    outer.push(r);
+                    ControlFlow::Continue(())
+                },
+            );
             assert_eq!((outer, stats), want, "{config}");
         }
     }
@@ -2021,11 +2067,15 @@ mod tests {
             let outer_alone = flix.find_descendants_outcome(0, b, &opts);
             let inner_alone = flix.find_descendants(0, a, &opts);
             let mut outer = Vec::new();
-            let stats = flix.for_each_descendant(0, b, &opts, |r, _| {
-                assert_eq!(flix.find_descendants(0, a, &opts), inner_alone, "{config}");
-                outer.push(r);
-                ControlFlow::Continue(())
-            });
+            let stats = flix.for_each(
+                &Query::descendants(0, b, opts),
+                &mut QueryCtx::default(),
+                |r, _| {
+                    assert_eq!(flix.find_descendants(0, a, &opts), inner_alone, "{config}");
+                    outer.push(r);
+                    ControlFlow::Continue(())
+                },
+            );
             assert_eq!(outer.len(), 3, "the callback ran");
             assert_eq!(outer, outer_alone.results, "{config}");
             assert_eq!(stats, outer_alone.stats, "{config}");
@@ -2061,8 +2111,11 @@ mod tests {
             let answer = |&(which, start, tag): &(usize, NodeId, TagId)| {
                 let flix: &Flix = &frameworks[which];
                 [Axis::Descendants, Axis::Ancestors].map(|axis| {
-                    let opts = QueryOptions::default();
-                    let out = flix.evaluate(axis, start, tag, &opts, &mut QueryCtx::default());
+                    let query = Query {
+                        axis,
+                        ..Query::descendants(start, tag, QueryOptions::default())
+                    };
+                    let out = eval(flix, query);
                     (out.results, out.stats)
                 })
             };
@@ -2114,9 +2167,9 @@ mod tests {
             type Job = (usize, (NodeId, NodeId), (NodeId, TagId));
             let answer = |&(which, (from, to), (start, tag)): &Job| {
                 let flix: &Flix = &frameworks[which];
-                let both = flix.connection_test_bidirectional(from, to, &opts);
+                let both = connect(flix, from, to, true, &opts);
                 let exact = flix.find_descendants_outcome(start, tag, &QueryOptions::exact());
-                (both, exact.results, exact.stats)
+                (both.results, both.stats, exact.results, exact.stats)
             };
             let fresh: Vec<_> = jobs
                 .iter()
@@ -2128,11 +2181,15 @@ mod tests {
                 let (flix, (start, tag)) = (&frameworks[host], outer_query[host]);
                 let alone = flix.find_descendants_outcome(start, tag, &opts);
                 let (mut inner, mut outer) = (None, Vec::new());
-                let stats = flix.for_each_descendant(start, tag, &opts, |r, _| {
-                    inner.get_or_insert_with(|| answer(job));
-                    outer.push(r);
-                    ControlFlow::Continue(())
-                });
+                let stats = flix.for_each(
+                    &Query::descendants(start, tag, opts),
+                    &mut QueryCtx::default(),
+                    |r, _| {
+                        inner.get_or_insert_with(|| answer(job));
+                        outer.push(r);
+                        ControlFlow::Continue(())
+                    },
+                );
                 assert_eq!((outer, stats), (alone.results, alone.stats), "{config}");
                 reused.push(inner.expect("the outer query has results"));
             }
@@ -2144,7 +2201,7 @@ mod tests {
     /// scratch.
     fn idle_evaluation(flix: &Flix) -> Evaluation<'_, Flix> {
         let opts = QueryOptions::default();
-        Evaluation::new(flix, Axis::Descendants, Goal::Tag(0), &[], &opts, false)
+        Evaluation::new(flix, Axis::Descendants, Seek::Tag(0), [], &opts)
     }
 
     /// When the stamp epoch wraps, a slot stamped 2³² evaluations ago must
@@ -2166,7 +2223,7 @@ mod tests {
                 assert!(!eval.scratch.push_link(v, 0, None));
             }
             eval.scratch.queued.force_epoch(u32::MAX);
-            eval.finish(&mut QueryCtx::default());
+            eval.finish(&mut QueryCtx::default(), &mut None);
             for _ in 0..3 {
                 let got = flix.find_descendants_outcome(0, b, &opts);
                 assert_eq!((got.results, got.stats), (want.results.clone(), want.stats));
@@ -2217,15 +2274,8 @@ mod tests {
             built.build_report().clone(),
         );
         for opts in [QueryOptions::default(), QueryOptions::exact()] {
-            let mut ctx = QueryCtx::default();
-            let (out, escaped) = never(collect_axis_space(
-                &flix,
-                Axis::Descendants,
-                &[(0, 0)],
-                b,
-                &opts,
-                &mut ctx,
-            ));
+            let query = Query::descendants(0, b, opts);
+            let (out, escaped) = never(collect(&flix, &query, &mut QueryCtx::default()));
             assert!(escaped, "{opts:?}");
             // d0 and d1 were answered (3 and 4 links pushed, none refused)
             // before the stray end, queued at distance 3, popped.
@@ -2234,7 +2284,7 @@ mod tests {
             assert_eq!(out.stats.entries_refused, 0, "{opts:?}");
         }
         let opts = QueryOptions::default();
-        assert_eq!(flix.connection_test(0, 6, &opts).distance, Some(6));
+        assert_eq!(connect(&flix, 0, 6, false, &opts).distance(), Some(6));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! tables; this module plays that role. A framework is stored as one
 //! manifest blob (configuration, node→meta maps, runtime link table) plus
 //! one blob per meta document (its index image) and one for the build
-//! report, each behind the [`FORMAT`] word. Loading needs the sealed
+//! report, each behind the `FORMAT` word. Loading needs the sealed
 //! collection graph the framework was built over — the store holds indexes,
 //! not documents, exactly like the paper's setup where the XML data and the
 //! index tables live side by side.
@@ -205,11 +205,16 @@ pub(crate) fn load_meta(
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
     let refused = |fault| stale(format_args!("meta document {id}"), fault);
     let md: MetaDocument = decode(&blob).map_err(refused)?;
-    let held = md.nodes.len();
+    let (held, indexed) = (md.nodes.len(), md.indexed_nodes());
     let miscounted = (held != len as usize)
         .then(|| format!("it holds {held} elements, the manifest catalogues {len}"));
+    // A sound index over fewer elements than the node map would be indexed
+    // past its end by a query at the map's last locals.
+    let short =
+        || (indexed != held).then(|| format!("its index covers {indexed} elements, not {held}"));
     match miscounted
         .or_else(|| md.index.layout_fault())
+        .or_else(short)
         .or_else(|| md.anchor_fault())
     {
         Some(fault) => Err(refused(fault)),
@@ -1184,6 +1189,41 @@ mod tests {
                 err.starts_with(named) && err.contains(fault),
                 "{fault}: {err}"
             );
+        }
+    }
+
+    /// A meta document whose index is one element short of its node map —
+    /// here another meta document's index, with its anchors, so the index
+    /// and the anchors are sound on their own — is refused on load, by
+    /// name: a query at its last local would index past the index.
+    #[test]
+    fn indexes_shorter_than_their_node_map_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        for config in [
+            FlixConfig::MaximalPpo,
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        ] {
+            let flix = Flix::build(cg.clone(), config);
+            let metas: Vec<&MetaDocument> = (0..flix.meta_count() as u32)
+                .map(|m| flix.meta(m))
+                .collect();
+            let (victim, short) = (0..metas.len())
+                .find_map(|v| {
+                    let short = metas.iter().find(|md| md.len() + 1 == metas[v].len())?;
+                    Some((v, *short))
+                })
+                .expect("two meta documents one element apart");
+            let planted = MetaDocument {
+                nodes: metas[victim].nodes.clone(),
+                ..short.clone()
+            };
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            st.put(&format!("fw/meta-{victim}"), &image(&planted).unwrap())
+                .unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = format!("meta document {victim} is stale or corrupt (its index covers");
+            assert!(err.starts_with(&named), "{config}: {err}");
         }
     }
 

@@ -23,7 +23,7 @@
 //! match scoring higher than `movie/follows/movie/cast/actor`).
 
 use crate::framework::Flix;
-use crate::pee::QueryOptions;
+use crate::pee::{Query, QueryCtx, QueryOptions};
 use graphcore::NodeId;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -455,7 +455,9 @@ impl<'f> QueryEngine<'f> {
                                 max_distance,
                                 ..QueryOptions::default()
                             };
-                            self.flix.for_each_descendant(node, tag, &opts, |r, _| {
+                            let query = Query::descendants(node, tag, opts);
+                            let ctx = &mut QueryCtx::default();
+                            self.flix.for_each(&query, ctx, |r, _| {
                                 let s = score
                                     * sim
                                     * self

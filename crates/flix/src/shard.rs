@@ -11,9 +11,9 @@
 //!    `N` shards by balanced prefix splitting in meta order, keeping
 //!    link-connected and link-adjacent meta documents together so most
 //!    link chases stay shard-local.
-//! 2. A shard is a borrowed [`ShardSpace`] `{ parent, plan, shard }`: the
+//! 2. A shard is a borrowed `ShardSpace` `{ parent, plan, shard }`: the
 //!    parent's meta documents and its one catalogue (node→meta maps,
-//!    runtime link table — [`crate::catalogue`]), with `resolve` filtered
+//!    runtime link table — `crate::catalogue`), with `resolve` filtered
 //!    by [`ShardPlan::shard_of_meta`] and renumbered to the shard's member
 //!    list, so the evaluator's per-query entries table scales with the
 //!    shard's meta count. Nothing is copied per shard. A cross-shard link
@@ -46,8 +46,8 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::catalogue::Catalogue;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
-use crate::pee::{collect_axis_space, never, Axis, MetaSpace, QueryCtx};
-use crate::pee::{QueryOptions, QueryOutcome, QueryResult};
+use crate::pee::{collect, never, Axis, Goal, MetaSpace, Query, QueryCtx};
+use crate::pee::{QueryOptions, QueryOutcome, QueryResult, Start};
 use flixobs::journal::{EventKind, SHARD_MERGE};
 use flixobs::{Counter, MetricCell, MetricsRegistry};
 use graphcore::{partition_greedy, Digraph, NodeId};
@@ -291,7 +291,8 @@ pub struct ShardedFlix {
     parent: Arc<Flix>,
     plan: ShardPlan,
     /// Per-shard result caches (optional). Each key's start element pins
-    /// it to exactly one shard, so entries are never duplicated.
+    /// it to exactly one shard (a tag start to shard 0), so entries are
+    /// never duplicated.
     caches: Option<Vec<ResultCache>>,
     cells: Vec<ShardCell>,
 }
@@ -317,8 +318,8 @@ impl ShardedFlix {
     }
 
     /// Adds one result cache of `per_shard_capacity` entries per shard,
-    /// consulted by the descendants axis of [`QueryBackend::evaluate`]
-    /// (and so by [`Self::find_descendants_deadline`]). A sharded backend
+    /// consulted by [`QueryBackend::evaluate`] (and so by
+    /// [`Self::find_descendants_deadline`]). A sharded backend
     /// is immutable — a rebuild makes a new one with fresh caches — so
     /// their generation never moves (see DESIGN.md §10).
     ///
@@ -377,44 +378,34 @@ impl ShardedFlix {
     /// framework, which holds every shard (module docs).
     /// With a journal, the merge pass is bracketed by
     /// `eval_start`/`eval_end` events under the [`SHARD_MERGE`] sentinel.
-    fn fanout_outcome(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> QueryOutcome {
+    fn fanout_outcome(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> QueryOutcome {
         ctx.event(EventKind::EvalStart { shard: SHARD_MERGE });
         // The parent resolves every element: the merge cannot escape.
-        let seeds = [(start, 0)];
-        let merged = collect_axis_space(&*self.parent, axis, &seeds, target, opts, ctx);
-        let (outcome, _) = never(merged);
+        let (outcome, _) = never(collect(&*self.parent, query, ctx));
         ctx.event(EventKind::EvalEnd {
             results: outcome.results.len() as u64,
         });
         outcome
     }
 
-    /// The routed axis evaluation. Uncapped queries whose start can reach
-    /// the shard boundary go straight to the cross-shard merge (the local
-    /// attempt would be futile). Everything else runs *optimistically*
-    /// inside the start element's shard — capped queries usually
-    /// exhaust their budget before chasing a cross-shard link, and when
-    /// the plan can prove shard-locality ([`Self::proven_local`]) the
-    /// attempt is guaranteed to complete. An attempt that does pop a
-    /// foreign node *escapes* and re-runs over the merge. Byte-identical
-    /// to the parent in every case (module docs). The routing verdict
+    /// The routed evaluation. A tag start or a connection test has no home
+    /// shard and goes to the merge without a routing count. An uncapped tag
+    /// query whose start can reach the shard boundary goes there as a
+    /// fan-out (the local attempt would be futile). Everything else runs
+    /// *optimistically* inside the
+    /// start element's shard — capped queries usually exhaust their budget
+    /// before chasing a cross-shard link, and when the plan can prove
+    /// shard-locality ([`Self::proven_local`]) the attempt is guaranteed to
+    /// complete. An attempt that does pop a foreign node *escapes* and
+    /// re-runs over the merge. Byte-identical to the parent in every case
+    /// (module docs). The routing verdict
     /// (`route_direct`/`route_fanout`/`route_escaped`) and the evaluator
     /// pass boundaries are journaled when `ctx` carries a handle.
-    fn axis_outcome(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> QueryOutcome {
+    fn routed(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> QueryOutcome {
+        let (Start::Node(start), Goal::Tag(_)) = (query.from, query.to) else {
+            return self.fanout_outcome(query, ctx);
+        };
+        let (axis, opts) = (query.axis, &query.opts);
         let s = self.shard_of(start) as usize;
         let shard = s as u64;
         // An uncapped query (no result cap, no distance bound) walks its
@@ -424,7 +415,7 @@ impl ShardedFlix {
         if uncapped && !self.proven_local(start, opts, axis) {
             self.cells[s].fanout.inc();
             ctx.event(EventKind::RouteFanout { shard });
-            return self.fanout_outcome(axis, start, target, opts, ctx);
+            return self.fanout_outcome(query, ctx);
         }
         ctx.event(EventKind::EvalStart { shard });
         let space = ShardSpace {
@@ -432,9 +423,7 @@ impl ShardedFlix {
             plan: &self.plan,
             shard: s as u32,
         };
-        let seeds = [(start, 0)];
-        let local = collect_axis_space(&space, axis, &seeds, target, opts, ctx);
-        let (outcome, escaped) = never(local);
+        let (outcome, escaped) = never(collect(&space, query, ctx));
         if !escaped {
             self.cells[s].direct.inc();
             ctx.event(EventKind::EvalEnd {
@@ -451,7 +440,7 @@ impl ShardedFlix {
         self.cells[s].escaped.inc();
         ctx.event(EventKind::EvalEnd { results: 0 });
         ctx.event(EventKind::RouteEscaped { shard });
-        self.fanout_outcome(axis, start, target, opts, ctx)
+        self.fanout_outcome(query, ctx)
     }
 
     /// `a//B` with outcome, routed through the shards (never through the
@@ -463,33 +452,20 @@ impl ShardedFlix {
         target: TagId,
         opts: &QueryOptions,
     ) -> QueryOutcome {
-        let mut ctx = QueryCtx::default();
-        self.axis_outcome(Axis::Descendants, start, target, opts, &mut ctx)
+        let query = Query::descendants(start, target, *opts);
+        self.routed(&query, &mut QueryCtx::default())
     }
 
-    /// `a//B` collected into a vector, routed through the shards.
-    pub fn find_descendants(
-        &self,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-    ) -> Vec<QueryResult> {
-        self.find_descendants_outcome(start, target, opts).results
-    }
-
-    /// Deadline-aware `a//B`: the results and the `timed_out` marker of
-    /// [`QueryBackend::evaluate`] on the descendants axis, observing
-    /// nothing. With caches enabled the owning shard's cache is consulted
-    /// first and complete answers are stored uncapped (partial answers
-    /// never are).
+    /// `a//B`: the results and the `timed_out` marker of
+    /// [`QueryBackend::evaluate`], observing nothing.
     pub fn find_descendants_deadline(
         &self,
         start: NodeId,
         target: TagId,
         opts: &QueryOptions,
     ) -> (Arc<Vec<QueryResult>>, bool) {
-        let mut ctx = QueryCtx::default();
-        let answer = self.evaluate(Axis::Descendants, start, target, opts, &mut ctx);
+        let query = Query::descendants(start, target, *opts);
+        let answer = self.evaluate(&query, &mut QueryCtx::default());
         (answer.results, answer.timed_out)
     }
 
@@ -537,29 +513,19 @@ impl ShardedFlix {
 }
 
 impl QueryBackend for ShardedFlix {
-    fn evaluate(
-        &self,
-        axis: Axis,
-        start: NodeId,
-        target: TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Answer {
-        match (&self.caches, axis) {
-            (Some(caches), Axis::Descendants) => {
-                let shard = self.shard_of(start);
-                let tag = u64::from(shard);
-                caches[shard as usize].get_or_evaluate(
-                    start,
-                    target,
-                    opts,
-                    tag,
-                    ctx,
-                    |opts, ctx| self.axis_outcome(axis, start, target, opts, ctx),
-                )
-            }
-            _ => self.axis_outcome(axis, start, target, opts, ctx).into(),
-        }
+    /// With caches enabled the owning shard's cache is consulted first and
+    /// complete answers are stored uncapped (partial answers never are).
+    fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Answer {
+        let Some(caches) = &self.caches else {
+            return self.routed(query, ctx).into();
+        };
+        let shard = match query.from {
+            Start::Node(start) => self.shard_of(start),
+            Start::Tag(_) => 0,
+        };
+        caches[shard as usize].get_or_evaluate(query, u64::from(shard), ctx, |query, ctx| {
+            self.routed(query, ctx)
+        })
     }
 
     fn framework(self: Arc<Self>) -> Arc<Flix> {
@@ -658,6 +624,11 @@ impl MetaSpace for ShardSpace<'_> {
         let parent_id = self.plan.members[self.shard as usize][id as usize];
         Ok(self.parent.meta(parent_id))
     }
+
+    /// The parent's list: a seed of another shard escapes when it pops.
+    fn nodes_with_tag(&self, tag: TagId) -> Result<&[NodeId], Infallible> {
+        self.parent.nodes_with_tag(tag)
+    }
 }
 
 #[cfg(test)]
@@ -693,6 +664,16 @@ mod tests {
         lone.add_element(b, Some(r));
         c.add_document(lone).unwrap();
         Arc::new(c.seal())
+    }
+
+    /// `start // t`, routed through the shards.
+    fn find(
+        sharded: &ShardedFlix,
+        start: NodeId,
+        t: TagId,
+        opts: &QueryOptions,
+    ) -> Vec<QueryResult> {
+        sharded.find_descendants_outcome(start, t, opts).results
     }
 
     fn tags(cg: &CollectionGraph) -> (TagId, TagId) {
@@ -750,8 +731,9 @@ mod tests {
                     assert_eq!(got.results, want.results, "{case}");
                     assert_eq!(got.stats, want.stats, "{case}");
                     let mut ctx = QueryCtx::default();
-                    let want = flix.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
-                    let got = sharded.evaluate(Axis::Ancestors, start, a, &opts, &mut ctx);
+                    let query = Query::ancestors(start, a, opts);
+                    let want = flix.evaluate(&query, &mut ctx);
+                    let got = sharded.evaluate(&query, &mut ctx);
                     assert_eq!(*got.results, want.results, "ancestors {case}");
                     assert_eq!(got.stats, Some(want.stats), "ancestors {case}");
                 }
@@ -778,8 +760,11 @@ mod tests {
             assert_eq!(sharded.shard_of(beyond), 0);
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 for opts in [QueryOptions::default(), QueryOptions::top_k(2)] {
-                    let mut ctx = QueryCtx::default();
-                    let got = sharded.evaluate(axis, beyond, b, &opts, &mut ctx);
+                    let query = Query {
+                        axis,
+                        ..Query::descendants(beyond, b, opts)
+                    };
+                    let got = sharded.evaluate(&query, &mut QueryCtx::default());
                     assert!(got.results.is_empty() && !got.timed_out, "{axis:?}");
                 }
             }
@@ -794,14 +779,14 @@ mod tests {
         // Per-document shards: every cross-doc link is cross-shard.
         let sharded = ShardedFlix::new(Arc::clone(&flix), flix.meta_count());
         let chain_root = cg.doc_root(0);
-        sharded.find_descendants(chain_root, b, &QueryOptions::default());
+        find(&sharded, chain_root, b, &QueryOptions::default());
         let stats = sharded.stats();
         assert_eq!(
             stats.fanout, 1,
             "uncapped chain query routes to the cross-shard merge"
         );
         let lone_root = cg.doc_root(6);
-        sharded.find_descendants(lone_root, b, &QueryOptions::default());
+        find(&sharded, lone_root, b, &QueryOptions::default());
         let stats = sharded.stats();
         assert_eq!(stats.direct, 1, "lone document answers shard-locally");
         assert_eq!(stats.escaped, 0, "proven routing never escapes");
@@ -824,7 +809,7 @@ mod tests {
             if hops == u32::MAX {
                 // Shard-closed: even an unbounded query stays direct.
                 let before = sharded.stats().direct;
-                let got = sharded.find_descendants(start, b, &QueryOptions::default());
+                let got = find(&sharded, start, b, &QueryOptions::default());
                 assert_eq!(
                     got,
                     flix.find_descendants(start, b, &QueryOptions::default())
@@ -835,13 +820,13 @@ mod tests {
                 if hops > 1 {
                     let opts = QueryOptions::within(hops - 1);
                     let before = sharded.stats().direct;
-                    let got = sharded.find_descendants(start, b, &opts);
+                    let got = find(&sharded, start, b, &opts);
                     assert_eq!(got, flix.find_descendants(start, b, &opts));
                     assert_eq!(sharded.stats().direct, before + 1, "doc {d}");
                 }
                 // ...and an uncapped one routes to the fan-out merge.
                 let before = sharded.stats().fanout;
-                let got = sharded.find_descendants(start, b, &QueryOptions::default());
+                let got = find(&sharded, start, b, &QueryOptions::default());
                 assert_eq!(
                     got,
                     flix.find_descendants(start, b, &QueryOptions::default())
@@ -862,7 +847,7 @@ mod tests {
         // foreign link target, and exercises the escape fallback.
         let sharded = ShardedFlix::new(Arc::clone(&flix), flix.meta_count());
         let opts = QueryOptions::top_k(10);
-        let got = sharded.find_descendants(cg.doc_root(0), b, &opts);
+        let got = find(&sharded, cg.doc_root(0), b, &opts);
         assert_eq!(got, flix.find_descendants(cg.doc_root(0), b, &opts));
         let stats = sharded.stats();
         assert_eq!(stats.escaped, 1, "the capped chain query escapes");
@@ -925,7 +910,7 @@ mod tests {
         let sharded = ShardedFlix::new(Arc::clone(&flix), 2);
         let registry = MetricsRegistry::new();
         sharded.publish_metrics(&registry, &[("backend", "test")]);
-        sharded.find_descendants(cg.doc_root(0), b, &QueryOptions::top_k(1));
+        find(&sharded, cg.doc_root(0), b, &QueryOptions::top_k(1));
         let s = sharded.stats();
         let routed = [
             "flix_shard_direct_total",

@@ -6,7 +6,7 @@
 //! one token stream. Test code — whatever [`ParsedFile::in_test`] says is
 //! under `#[cfg(test)]` or `#[test]` — is exempt from all of them.
 //!
-//! Forbidden token sequences (the [`FORBIDDEN`] table):
+//! Forbidden token sequences (the `FORBIDDEN` table):
 //!
 //! * `unwrap-expect` — no `.unwrap()` / `.expect(` outside tests.
 //! * `panic` — no `panic!` / `todo!` / `unimplemented!` in library code.
@@ -18,7 +18,7 @@
 //!   construction: the serving path must use bounded queues so overload
 //!   sheds instead of buffering without limit.
 //! * `unsynced-write` — no raw `fs::write(` / `File::create(` outside
-//!   pagestore's durability layer ([`DURABILITY_FILES`]): durable state
+//!   pagestore's durability layer (`DURABILITY_FILES`): durable state
 //!   must go through the disk/WAL/manifest protocol, which pairs every
 //!   write with its fsync or atomic rename.
 //!

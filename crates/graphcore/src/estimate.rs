@@ -1,4 +1,4 @@
-//! Cohen's randomised size estimation for reachability sets ([5] in the
+//! Cohen's randomised size estimation for reachability sets (\[5\] in the
 //! FliX paper: E. Cohen, "Size-estimation framework with applications to
 //! transitive closure and reachability", JCSS 1997).
 //!

@@ -20,7 +20,7 @@
 //! its image holds the bits they need, not four bytes each; element `i` of
 //! a lane still sits at a fixed bit, so a reader can go straight to it.
 //! Eight values at width `w` are exactly `w` bytes: a lane is read eight
-//! values at a time by one loop per width, the `match` in [`unpack`], and
+//! values at a time by one loop per width, the `match` in `unpack`, and
 //! its last `count mod 8` values one at a time.
 
 use serde::de::{self, Deserializer, Visitor};

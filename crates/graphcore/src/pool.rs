@@ -4,9 +4,9 @@
 //! stage of HOPI's staged cover pipeline pull their jobs through this
 //! module, so one `build_threads` budget governs the whole build instead of
 //! each layer spawning its own workers and oversubscribing the machine
-//! (see [`split_budget`]).
+//! (see `split_budget`).
 //!
-//! [`run_scheduled`] always returns results in ascending job-id order, no
+//! `run_scheduled` always returns results in ascending job-id order, no
 //! matter the schedule or thread count. As long as the jobs themselves are
 //! pure functions of their id, a caller that merges results sequentially is
 //! oblivious to scheduling: any thread count produces identical — for

@@ -208,11 +208,11 @@ type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable, u32);
 /// anchors is declared with [`Self::set_anchors`]; an index nobody declared
 /// any for is simply label-ordered.
 ///
-/// The label sets and their inversions are [`LabelTable`]s — flat arrays
+/// The label sets and their inversions are `LabelTable`s — flat arrays
 /// with `u32` row offsets. Only the *descendants pair* is stored: `l_out`
 /// and `in_index`, what every descendants-axis join reads. The *ancestors
 /// pair*, `l_in` and `out_index`, is a function of it, derived on first use
-/// ([`Self::l_in`], [`Self::out_index`]) and never persisted, so an image
+/// (`l_in`, `out_index`) and never persisted, so an image
 /// is five arrays whatever the node count and holds every label entry
 /// once, and loading or evicting one costs what its bytes cost.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

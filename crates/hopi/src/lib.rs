@@ -1,5 +1,5 @@
-//! HOPI — a two-hop-cover connection index with distance labels ([18] in
-//! the FliX paper, building on Cohen et al.'s 2-hop labels [6]).
+//! HOPI — a two-hop-cover connection index with distance labels (\[18\] in
+//! the FliX paper, building on Cohen et al.'s 2-hop labels \[6\]).
 //!
 //! Every node `v` carries two label sets `L_in(v)` and `L_out(v)` of
 //! *(center, distance)* pairs such that there is a path `u -> v` iff

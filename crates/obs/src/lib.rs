@@ -1,6 +1,6 @@
 //! `flixobs` — query-path observability for the FliX framework.
 //!
-//! The build phase has had a report layer ([`flix::report`]) since the
+//! The build phase has had a report layer (`flix::report`) since the
 //! parallel-build work; this crate gives the *serving* side the same
 //! visibility, which the paper's §7 self-tuning loop ("take statistics on
 //! the query load into account") depends on:

@@ -11,6 +11,8 @@
 //! * **Admission control and load shedding** — once the in-flight count or
 //!   the queue is at capacity, new requests are rejected with a typed
 //!   [`ServeError::Overloaded`] instead of queuing into unbounded latency.
+//! * **Every query mode** — a [`Request`] is a [`flix::Query`]: a
+//!   descendants or ancestors query, `A//B`, or a connection test.
 //! * **Per-request deadlines** — a [`flixobs::Deadline`] is threaded into
 //!   the evaluator's priority-queue loop; a query that exceeds its budget
 //!   returns the partial, distance-ordered prefix with a `timed_out`
@@ -60,5 +62,5 @@ pub mod server;
 
 pub use rebuild::{RebuildConfig, RebuildOutcome, Rebuilder};
 pub use server::{
-    AxisKind, Backend, FlixServer, Request, Response, ServeConfig, ServeError, ServeStats, Ticket,
+    Backend, FlixServer, Request, Response, ServeConfig, ServeError, ServeStats, Ticket,
 };

@@ -11,21 +11,22 @@
 //! queue (see DESIGN.md §8). Whatever the backend — a
 //! [`flix::ShardedFlix`] included — every worker serves every request.
 
-use flix::{QueryBackend, QueryCtx, QueryOptions, QueryResult, SharedLoadMonitor};
+use flix::{Axis, Goal, QueryBackend, QueryCtx, QueryResult, SharedLoadMonitor, Start};
 use flixobs::{
     Counter, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricCell,
     MetricsRegistry, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
 };
-use graphcore::{Distance, NodeId};
+use graphcore::Distance;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use xmlgraph::TagId;
 
-/// Which axis a request evaluates — the evaluator's own [`flix::Axis`].
-pub use flix::Axis as AxisKind;
+/// One query request: the evaluator's own [`flix::Query`], every mode —
+/// descendants, ancestors, `A//B`, connection tests — and its options,
+/// the deadline included if the client sets one.
+pub use flix::Query as Request;
 
 /// The submit path records its journal events on lane 0; worker `w`
 /// records on lane `w + 1` (see [`FlightRecorder::for_workers`]).
@@ -77,41 +78,6 @@ impl ServeConfig {
             self.max_in_flight
         } else {
             self.effective_workers() * (self.queue_capacity.max(1) + 1)
-        }
-    }
-}
-
-/// One query request.
-#[derive(Debug, Clone, Copy)]
-pub struct Request {
-    /// Start element (global id).
-    pub start: NodeId,
-    /// Target tag.
-    pub target: TagId,
-    /// Evaluation direction.
-    pub axis: AxisKind,
-    /// Evaluation options (deadline included, if the client sets one).
-    pub opts: QueryOptions,
-}
-
-impl Request {
-    /// A descendants query `start // target`.
-    pub fn descendants(start: NodeId, target: TagId, opts: QueryOptions) -> Self {
-        Self {
-            start,
-            target,
-            axis: AxisKind::Descendants,
-            opts,
-        }
-    }
-
-    /// An ancestors query.
-    pub fn ancestors(start: NodeId, target: TagId, opts: QueryOptions) -> Self {
-        Self {
-            start,
-            target,
-            axis: AxisKind::Ancestors,
-            opts,
         }
     }
 }
@@ -196,9 +162,9 @@ impl<B: QueryBackend + 'static> From<Arc<B>> for Backend {
 /// evaluation; the collapsed one inherits the leader's cut, if any).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SfKey {
-    start: NodeId,
-    target: TagId,
-    axis: AxisKind,
+    from: Start,
+    to: Goal,
+    axis: Axis,
     max_distance: Option<Distance>,
     max_results: Option<usize>,
     include_start: bool,
@@ -209,8 +175,8 @@ struct SfKey {
 impl SfKey {
     fn of(req: &Request) -> Self {
         Self {
-            start: req.start,
-            target: req.target,
+            from: req.from,
+            to: req.to,
             axis: req.axis,
             max_distance: req.opts.max_distance,
             max_results: req.opts.max_results,
@@ -868,11 +834,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // A panicking evaluation must cost one answer, not one worker.
         // Nothing is left half-updated: indexes are immutable, and a result
         // cache runs the evaluation outside its (non-poisoning) lock.
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            backend
-                .0
-                .evaluate(req.axis, req.start, req.target, &req.opts, &mut ctx)
-        }));
+        let evaluated = catch_unwind(AssertUnwindSafe(|| backend.0.evaluate(req, &mut ctx)));
         let Ok(answer) = evaluated else {
             shared.journal(lane, job.id, EventKind::WorkerPanicked);
             shared.metrics.worker_panics.inc();
@@ -899,7 +861,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // Only pay for the label (a format! per query) when the latency
         // could actually displace a slow-log entry.
         if shared.slow_log.would_retain(total_micros) {
-            let label = format!("{}//{:?} ({:?})", req.start, req.target, req.axis);
+            let label = format!("{:?}//{:?} ({:?})", req.from, req.to, req.axis);
             shared.slow_log.offer(job.id, label, total_micros);
         }
 
@@ -946,8 +908,10 @@ fn worker_loop(shared: &Shared, worker: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flix::{Answer, CachedFlix, Flix, FlixConfig, ShardedFlix};
+    use flix::{Answer, CachedFlix, Flix, FlixConfig, QueryOptions, ShardedFlix};
     use flixobs::Deadline;
+    use graphcore::NodeId;
+    use xmlgraph::TagId;
     use xmlgraph::{Collection, Document, LinkTarget};
 
     fn tiny() -> (Arc<Flix>, TagId) {
@@ -1050,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_backend_serves_and_ancestors_bypass_cache() {
+    fn cached_backend_serves_and_caches_both_axes() {
         let (flix, t) = tiny();
         let cached = Arc::new(CachedFlix::new(flix.clone(), 8));
         let server = FlixServer::start(Arc::clone(&cached), ServeConfig::default());
@@ -1064,14 +1028,16 @@ mod tests {
             );
         }
         assert_eq!(cached.stats(), (2, 1), "two hits after the first miss");
-        let anc = server
-            .query(Request::ancestors(1, t, QueryOptions::default()))
-            .unwrap();
-        assert_eq!(
-            *anc.results,
-            flix.find_ancestors(1, t, &QueryOptions::default())
-        );
-        assert_eq!(cached.len(), 1, "ancestors do not populate the cache");
+        let up = Request::ancestors(1, t, QueryOptions::default());
+        for _ in 0..2 {
+            let anc = server.query(up).unwrap();
+            assert_eq!(
+                *anc.results,
+                flix.evaluate(&up, &mut QueryCtx::default()).results
+            );
+        }
+        assert_eq!(cached.len(), 2, "ancestors populate the cache too");
+        assert_eq!(cached.stats(), (3, 2), "and hit it");
         server.shutdown();
     }
 
@@ -1087,10 +1053,7 @@ mod tests {
                 Request::ancestors(start, t, QueryOptions::default()),
             ] {
                 let got = server.query(req).unwrap();
-                let want = match req.axis {
-                    AxisKind::Descendants => flix.find_descendants(start, t, &req.opts),
-                    AxisKind::Ancestors => flix.find_ancestors(start, t, &req.opts),
-                };
+                let want = flix.evaluate(&req, &mut QueryCtx::default()).results;
                 assert_eq!(*got.results, want, "start {start} {:?}", req.axis);
             }
         }
@@ -1137,20 +1100,13 @@ mod tests {
     }
 
     impl QueryBackend for Panicky {
-        fn evaluate(
-            &self,
-            axis: AxisKind,
-            start: NodeId,
-            target: TagId,
-            opts: &QueryOptions,
-            ctx: &mut QueryCtx<'_>,
-        ) -> Answer {
-            if start == self.poison {
+        fn evaluate(&self, query: &Request, ctx: &mut QueryCtx<'_>) -> Answer {
+            if query.from == Start::Node(self.poison) {
                 self.entered.wait();
                 self.release.wait();
-                panic!("poisoned start {start}");
+                panic!("poisoned start {:?}", query.from);
             }
-            self.inner.evaluate(axis, start, target, opts, ctx).into()
+            self.inner.evaluate(query, ctx).into()
         }
 
         fn framework(self: Arc<Self>) -> Arc<Flix> {

@@ -41,7 +41,7 @@ fn indent(depth: usize) -> &'static str {
 }
 
 /// Serialises a document to XML text with two-space indentation (up to
-/// [`MAX_INDENT_DEPTH`] levels).
+/// `MAX_INDENT_DEPTH` levels).
 ///
 /// The tree is walked with an explicit stack, so any depth the parser
 /// accepts can be written.

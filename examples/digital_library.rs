@@ -6,7 +6,7 @@
 
 #![forbid(unsafe_code)]
 
-use flix::{Flix, FlixConfig, QueryOptions, ResultStream, StrategyKind};
+use flix::{Flix, FlixConfig, Query, QueryOptions, ResultStream, StrategyKind};
 use flixobs::Stopwatch;
 use std::sync::Arc;
 use workloads::{generate_dblp, DblpConfig};
@@ -76,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a channel while the evaluator keeps working; we stop after ten.
     println!("\nstreaming the ten nearest results:");
     let flix = Arc::new(Flix::build(graph.clone(), FlixConfig::MaximalPpo));
-    let stream = ResultStream::spawn(flix, start, title, QueryOptions::default());
+    let query = Query::descendants(start, title, QueryOptions::default());
+    let stream = ResultStream::spawn(flix, query);
     for (i, r) in stream.take(10).enumerate() {
         let (doc, _) = graph.local_of(r.node);
         println!(

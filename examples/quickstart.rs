@@ -5,7 +5,7 @@
 
 #![forbid(unsafe_code)]
 
-use flix::{Flix, FlixConfig, QueryOptions};
+use flix::{Flix, FlixConfig, Query, QueryCtx, QueryOptions};
 use std::sync::Arc;
 use xmlgraph::{parse_document, Collection, LinkSpec};
 
@@ -94,15 +94,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .anchor("ch2")
             .ok_or("anchor ch2 missing")?,
     );
-    let forward = flix.connection_test(thesis_root, ch2, &QueryOptions::default());
-    match forward.distance {
+    let connect = |from, to| Query::connection(from, to, false, QueryOptions::default());
+    let forward = flix.evaluate(&connect(thesis_root, ch2), &mut QueryCtx::default());
+    match forward.distance() {
         Some(d) => println!("\nthesis //=> book#ch2: connected at distance {d}"),
         None => println!("\nthesis //=> book#ch2: not connected"),
     }
     // ...and the reverse direction is not:
     assert!(flix
-        .connection_test(ch2, thesis_root, &QueryOptions::default())
-        .distance
+        .evaluate(&connect(ch2, thesis_root), &mut QueryCtx::default())
+        .distance()
         .is_none());
     println!("book#ch2 //=> thesis: not connected (as expected)");
     Ok(())

@@ -7,8 +7,8 @@
 #![forbid(unsafe_code)]
 
 use flix::{
-    CachedFlix, Flix, FlixConfig, LoadMonitor, PathQuery, QueryEngine, QueryOptions,
-    Recommendation, TagSimilarity,
+    CachedFlix, Flix, FlixConfig, LoadMonitor, PathQuery, Query, QueryBackend, QueryCtx,
+    QueryEngine, QueryOptions, Recommendation, TagSimilarity,
 };
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -60,8 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cached = CachedFlix::new(flix.clone(), 128);
     let title = graph.collection.tags.get("title").ok_or("no title tag")?;
     let hot_start = graph.doc_root(0);
+    let hot = Query::descendants(hot_start, title, QueryOptions::default());
     for _ in 0..50 {
-        let _warm = cached.find_descendants(hot_start, title, &QueryOptions::default());
+        let _warm = cached.evaluate(&hot, &mut QueryCtx::default());
     }
     let (hits, misses) = cached.stats();
     println!("\nquery cache after 50 repeats of one hot query: {hits} hits, {misses} miss(es)");
@@ -72,7 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for d in (0..graph.collection.doc_count() as u32).rev().take(30) {
         let start = graph.doc_root(d);
         let mut results = 0usize;
-        let stats = flix.for_each_descendant(start, title, &QueryOptions::default(), |_, _| {
+        let query = Query::descendants(start, title, QueryOptions::default());
+        let stats = flix.for_each(&query, &mut QueryCtx::default(), |_, _| {
             results += 1;
             ControlFlow::Continue(())
         });

@@ -2,7 +2,7 @@
 //! the reachable elements with the requested tag, on every corpus family,
 //! agreeing with a plain BFS oracle over the union graph.
 
-use flix::{Flix, FlixConfig, QueryOptions, StrategyKind};
+use flix::{Flix, FlixConfig, Query, QueryCtx, QueryOptions, StrategyKind};
 use graphcore::bfs_distances;
 use std::sync::Arc;
 use workloads::{
@@ -138,9 +138,8 @@ fn connection_tests_match_oracle_reachability() {
         for config in configs() {
             let flix = Flix::build(cg.clone(), config);
             for p in &pairs {
-                let got = flix
-                    .connection_test(p.from, p.to, &QueryOptions::default())
-                    .distance;
+                let query = Query::connection(p.from, p.to, false, QueryOptions::default());
+                let got = flix.evaluate(&query, &mut QueryCtx::default()).distance();
                 assert_eq!(
                     got.is_some(),
                     p.reachable,
@@ -187,7 +186,8 @@ fn ancestors_are_inverse_of_descendants() {
             let desc = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let start_tag = cg.tag_of(q.start);
             for r in desc.iter().take(5) {
-                let anc = flix.find_ancestors(r.node, start_tag, &QueryOptions::default());
+                let query = Query::ancestors(r.node, start_tag, QueryOptions::default());
+                let anc = flix.evaluate(&query, &mut QueryCtx::default()).results;
                 assert!(
                     anc.iter().any(|a| a.node == q.start),
                     "{name}: {} should be an ancestor of {}",

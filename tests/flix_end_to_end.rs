@@ -3,7 +3,7 @@
 
 use flix::persist::{load_flix, save_flix};
 use flix::{
-    Flix, FlixConfig, PathQuery, QueryEngine, QueryOptions, ResultStream, StrategyKind,
+    Flix, FlixConfig, PathQuery, Query, QueryEngine, QueryOptions, ResultStream, StrategyKind,
     TagSimilarity,
 };
 use graphcore::bfs_distances;
@@ -68,8 +68,8 @@ fn streaming_equals_batch() {
     let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::MaximalPpo));
     for q in descendant_queries(&cg, 4, 10) {
         let batch = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-        let stream =
-            ResultStream::spawn(flix.clone(), q.start, q.target_tag, QueryOptions::default());
+        let query = Query::descendants(q.start, q.target_tag, QueryOptions::default());
+        let stream = ResultStream::spawn(flix.clone(), query);
         let streamed: Vec<_> = stream.collect();
         assert_eq!(batch, streamed);
     }

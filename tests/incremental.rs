@@ -220,7 +220,7 @@ fn extend_rejects_unrelated_graph() {
 /// answer holds the nodes the BFS oracle reaches.
 #[test]
 fn scratch_reuse_across_extend_and_disk_matches_fresh_threads() {
-    use flix::{Axis, DiskFlix, QueryCtx};
+    use flix::{Axis, DiskFlix, Query, QueryCtx};
     use pagestore::{BlobStore, BufferPool, MemDisk};
     type Answers = Vec<(Vec<(u32, u32)>, bool)>;
 
@@ -257,7 +257,11 @@ fn scratch_reuse_across_extend_and_disk_matches_fresh_threads() {
     let in_memory = |flix: &Flix, cases: &[(Axis, u32, u32, QueryOptions)]| -> Answers {
         (cases.iter())
             .map(|&(axis, start, tag, o)| {
-                let out = flix.evaluate(axis, start, tag, &o, &mut QueryCtx::default());
+                let query = Query {
+                    axis,
+                    ..Query::descendants(start, tag, o)
+                };
+                let out = flix.evaluate(&query, &mut QueryCtx::default());
                 (
                     out.results.iter().map(|r| (r.node, r.distance)).collect(),
                     out.timed_out,
@@ -268,9 +272,11 @@ fn scratch_reuse_across_extend_and_disk_matches_fresh_threads() {
     let on_disk = |cases: &[(Axis, u32, u32, QueryOptions)]| -> Answers {
         (cases.iter())
             .map(|&(axis, start, tag, o)| {
-                let out = disk
-                    .evaluate(axis, start, tag, &o, &mut QueryCtx::default())
-                    .unwrap();
+                let query = Query {
+                    axis,
+                    ..Query::descendants(start, tag, o)
+                };
+                let out = disk.evaluate(&query, &mut QueryCtx::default()).unwrap();
                 (
                     out.results.iter().map(|r| (r.node, r.distance)).collect(),
                     out.timed_out,

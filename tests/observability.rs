@@ -9,12 +9,13 @@
 //! pass or several; the counts in turn account for every entry queued. The last test is the metric catalog: everything the
 //! `publish*` functions export has HELP text and a row in DESIGN.md §7.
 
-use flix::{Axis, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions, StrategyKind};
+use flix::StrategyKind;
+use flix::{Axis, Flix, FlixConfig, Query, QueryBackend, QueryCtx, QueryOptions, Start};
 use flixobs::{Deadline, QueryTrace, SpanStage};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use workloads::{descendant_queries, generate_web, WebConfig};
+use workloads::{connection_pairs, descendant_queries, generate_web, WebConfig};
 use xmlgraph::CollectionGraph;
 
 fn corpus(seed: u64, docs: usize) -> Arc<CollectionGraph> {
@@ -90,6 +91,36 @@ fn traced_results_identical_across_strategies() {
                 assert_eq!(spans(SpanStage::LinkExpand), links, "{what}");
             }
         }
+        // A connection test both ways and an `A//B` query: the same bytes
+        // and counters, and spans that tile — one closing lap a side.
+        let p = connection_pairs(&cg, 4, 3)
+            .into_iter()
+            .find(|p| p.from != p.to)
+            .unwrap();
+        let a_b = Query {
+            from: Start::Tag(queries[0].target_tag),
+            ..Query::descendants(0, queries[1].target_tag, QueryOptions::default())
+        };
+        let connection = Query::connection(p.from, p.to, true, QueryOptions::default());
+        for (query, sides) in [(connection, 2), (a_b, 1)] {
+            let plain = flix.evaluate(&query, &mut QueryCtx::default());
+            let mut trace = QueryTrace::new("t");
+            let mut ctx = QueryCtx {
+                trace: Some(&mut trace),
+                journal: None,
+            };
+            let traced = flix.evaluate(&query, &mut ctx);
+            let what = format!("{config} {query:?}");
+            assert_eq!(plain.results, traced.results, "{what}");
+            assert_eq!(plain.stats, traced.stats, "{what}");
+            assert_total_is_the_stage_sum(&trace, &what);
+            let spans = |stage| trace.stage_totals(stage).spans as usize;
+            let stats = traced.stats;
+            let processed = stats.entries_popped + stats.entries_subsumed;
+            assert_eq!(spans(SpanStage::QueuePop), processed + sides, "{what}");
+            assert_eq!(spans(SpanStage::BlockFetch), stats.entries_popped, "{what}");
+            assert_eq!(spans(SpanStage::LinkExpand), stats.entries_popped, "{what}");
+        }
     }
 }
 
@@ -112,10 +143,12 @@ fn every_queued_entry_is_popped_subsumed_or_refused() {
         let flix = Flix::build(cg.clone(), config);
         for q in &queries {
             for axis in [Axis::Descendants, Axis::Ancestors] {
-                let run = |opts: QueryOptions| {
-                    let mut ctx = QueryCtx::default();
-                    flix.evaluate(axis, q.start, q.target_tag, &opts, &mut ctx)
-                        .stats
+                let run = |opts| {
+                    let query = Query {
+                        axis,
+                        ..Query::descendants(q.start, q.target_tag, opts)
+                    };
+                    flix.evaluate(&query, &mut QueryCtx::default()).stats
                 };
                 let what = format!("{config} {axis:?} start {}", q.start);
                 for drained in [QueryOptions::default(), QueryOptions::exact()] {
@@ -140,16 +173,19 @@ fn every_queued_entry_is_popped_subsumed_or_refused() {
         // of a bidirectional test ending first, leaves entries queued.
         for p in workloads::connection_pairs(&cg, 12, 3) {
             let what = format!("{config} {} -> {}", p.from, p.to);
-            let opts = QueryOptions::default();
-            let one = flix.connection_test(p.from, p.to, &opts);
+            let test = |both_ways| {
+                let query = Query::connection(p.from, p.to, both_ways, QueryOptions::default());
+                flix.evaluate(&query, &mut QueryCtx::default())
+            };
+            let one = test(false);
             let (left, queued) = ends(one.stats, 1);
-            if one.distance.is_none() {
+            if one.distance().is_none() {
                 assert_eq!(left, queued, "{what}: {:?}", one.stats);
                 drained_tests += 1;
             } else {
                 assert!(left <= queued, "{what}: {:?}", one.stats);
             }
-            let both = flix.connection_test_bidirectional(p.from, p.to, &opts);
+            let both = test(true);
             let (left, queued) = ends(both.stats, 2);
             assert!(left <= queued, "{what} both ways: {:?}", both.stats);
         }
@@ -170,19 +206,15 @@ fn early_break_prefix_identical() {
         for q in &queries {
             for cutoff in [1usize, 2, 5] {
                 let mut plain = Vec::new();
-                flix.for_each_descendant(
-                    q.start,
-                    q.target_tag,
-                    &QueryOptions::default(),
-                    |r, _| {
-                        plain.push(r);
-                        if plain.len() >= cutoff {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    },
-                );
+                let query = Query::descendants(q.start, q.target_tag, QueryOptions::default());
+                flix.for_each(&query, &mut QueryCtx::default(), |r, _| {
+                    plain.push(r);
+                    if plain.len() >= cutoff {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
                 let mut trace = QueryTrace::new("t");
                 let (traced, _) = flix.find_descendants_with_trace(
                     q.start,
@@ -252,7 +284,8 @@ fn an_escaped_query_is_one_trace_over_both_passes() {
             trace: Some(&mut trace),
             journal: None,
         };
-        let answer = sharded.evaluate(Axis::Descendants, q.start, q.target_tag, &opts, &mut ctx);
+        let query = Query::descendants(q.start, q.target_tag, opts);
+        let answer = sharded.evaluate(&query, &mut ctx);
         assert_eq!(
             *answer.results,
             flix.find_descendants(q.start, q.target_tag, &opts),

@@ -3,7 +3,7 @@
 //! and persists to byte-identical index blobs.
 
 use flix::persist::save_flix;
-use flix::{BuildOptions, Flix, FlixConfig, QueryOptions};
+use flix::{BuildOptions, Flix, FlixConfig, Query, QueryCtx, QueryOptions};
 use pagestore::{BlobStore, BufferPool, MemDisk};
 use std::sync::Arc;
 use workloads::{connection_pairs, descendant_queries, generate_mixed, MixedConfig};
@@ -126,9 +126,12 @@ fn parallel_build_answers_queries_identically() {
             }
         }
         for p in connection_pairs(&cg, 20, 13) {
-            let a = seq.connection_test(p.from, p.to, &QueryOptions::default());
-            let b = par.connection_test(p.from, p.to, &QueryOptions::default());
-            assert_eq!(a, b, "{config}: connection {} -> {}", p.from, p.to);
+            let query = Query::connection(p.from, p.to, false, QueryOptions::default());
+            let a = seq.evaluate(&query, &mut QueryCtx::default());
+            let b = par.evaluate(&query, &mut QueryCtx::default());
+            let what = format!("{config}: connection {} -> {}", p.from, p.to);
+            assert_eq!((a.results, a.timed_out), (b.results, b.timed_out), "{what}");
+            assert_eq!(a.stats, b.stats, "{what}");
         }
     }
 }

@@ -3,8 +3,8 @@
 //! realistic corpora.
 
 use flix::{
-    CachedFlix, DiskFlix, Flix, FlixConfig, LoadMonitor, PathQuery, QueryEngine, QueryOptions,
-    Recommendation, StrategyKind, TagSimilarity,
+    CachedFlix, DiskFlix, Flix, FlixConfig, LoadMonitor, PathQuery, Query, QueryBackend, QueryCtx,
+    QueryEngine, QueryOptions, Recommendation, Start, StrategyKind, TagSimilarity,
 };
 use pagestore::{BlobStore, BufferPool, MemDisk};
 use std::ops::ControlFlow;
@@ -52,8 +52,11 @@ fn descendant_step_equals_pee_results() {
     via_engine.sort_unstable();
     let article = cg.collection.tags.get("article").unwrap();
     let cite = cg.collection.tags.get("cite").unwrap();
-    let mut via_pee: Vec<u32> = flix
-        .find_descendants_of_type(article, cite, &QueryOptions::default())
+    let query = Query {
+        from: Start::Tag(article),
+        ..Query::descendants(0, cite, QueryOptions::default())
+    };
+    let mut via_pee: Vec<u32> = (flix.evaluate(&query, &mut QueryCtx::default()).results)
         .iter()
         .map(|r| r.node)
         .collect();
@@ -95,10 +98,11 @@ fn cached_framework_transparent() {
         queries.iter().map(|q| (q.start, q.target_tag)).collect();
     for q in &queries {
         let direct = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-        let via_cache = cached.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+        let query = Query::descendants(q.start, q.target_tag, QueryOptions::default());
+        let via_cache = cached.evaluate(&query, &mut QueryCtx::default()).results;
         assert_eq!(direct, *via_cache);
         // second fetch must hit
-        let again = cached.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+        let again = cached.evaluate(&query, &mut QueryCtx::default()).results;
         assert!(Arc::ptr_eq(&via_cache, &again));
     }
     let (hits, misses) = cached.stats();
@@ -143,7 +147,8 @@ fn tuning_workflow_improves_lookup_count() {
         .collect();
     for &s in &starts {
         let mut n = 0usize;
-        let st = flix.for_each_descendant(s, title, &QueryOptions::default(), |_, _| {
+        let query = Query::descendants(s, title, QueryOptions::default());
+        let st = flix.for_each(&query, &mut QueryCtx::default(), |_, _| {
             n += 1;
             ControlFlow::Continue(())
         });
@@ -157,7 +162,8 @@ fn tuning_workflow_improves_lookup_count() {
     let mut monitor2 = LoadMonitor::new();
     for &s in &starts {
         let mut n = 0usize;
-        let st = rebuilt.for_each_descendant(s, title, &QueryOptions::default(), |_, _| {
+        let query = Query::descendants(s, title, QueryOptions::default());
+        let st = rebuilt.for_each(&query, &mut QueryCtx::default(), |_, _| {
             n += 1;
             ControlFlow::Continue(())
         });

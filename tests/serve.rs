@@ -4,13 +4,14 @@
 //! prefixes of the oracle's distance-ordered result — and a drain must
 //! finish admitted work while refusing new work with typed errors.
 
-use flix::{Answer, Axis, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions, ShardedFlix};
+use flix::{Answer, CachedFlix, Flix, FlixConfig, QueryBackend, QueryCtx, QueryOptions};
+use flix::{ShardedFlix, Start};
 use flixobs::Deadline;
 use flixserve::{FlixServer, Request, ServeConfig, ServeError};
 use std::sync::{Arc, Condvar, Mutex};
 use workloads::{
-    descendant_queries, generate_dblp, generate_mixed, generate_web, DblpConfig, MixedConfig,
-    WebConfig,
+    connection_pairs, descendant_queries, generate_dblp, generate_mixed, generate_web, DblpConfig,
+    MixedConfig, WebConfig,
 };
 use xmlgraph::CollectionGraph;
 
@@ -44,11 +45,13 @@ fn web_corpus() -> Arc<CollectionGraph> {
 
 /// A randomized mix of descendants and ancestors requests under the four
 /// standard option shapes (the last one — top-k within a distance — is what
-/// shard routing can prove local), paired with the single-threaded oracle
-/// answer.
+/// shard routing can prove local), then connection tests one-sided and
+/// both ways and `A//B` queries, each paired with the single-threaded
+/// oracle answer.
 fn oracle_mix(flix: &Flix, cg: &CollectionGraph) -> Vec<(Request, Vec<flix::QueryResult>)> {
     let mut mix = Vec::new();
-    for (i, q) in descendant_queries(cg, 40, 7).into_iter().enumerate() {
+    let queries = descendant_queries(cg, 40, 7);
+    for (i, q) in queries.iter().enumerate() {
         let opts = match i % 4 {
             0 => QueryOptions::default(),
             1 => QueryOptions::top_k(5),
@@ -60,14 +63,28 @@ fn oracle_mix(flix: &Flix, cg: &CollectionGraph) -> Vec<(Request, Vec<flix::Quer
         };
         // Each shape alternates between the two axes.
         if (i / 4) % 2 == 0 {
-            let oracle = flix.find_descendants(q.start, q.target_tag, &opts);
-            mix.push((Request::descendants(q.start, q.target_tag, opts), oracle));
+            mix.push(Request::descendants(q.start, q.target_tag, opts));
         } else {
-            let oracle = flix.find_ancestors(q.start, q.target_tag, &opts);
-            mix.push((Request::ancestors(q.start, q.target_tag, opts), oracle));
+            mix.push(Request::ancestors(q.start, q.target_tag, opts));
         }
     }
-    mix
+    for (i, p) in connection_pairs(cg, 8, 7).into_iter().enumerate() {
+        let both_ways = i % 2 == 1;
+        mix.push(Request::connection(
+            p.from,
+            p.to,
+            both_ways,
+            QueryOptions::default(),
+        ));
+    }
+    for pair in queries.windows(2).take(4) {
+        let opts = QueryOptions::top_k(10);
+        let request = Request::descendants(pair[0].start, pair[1].target_tag, opts);
+        let from = Start::Tag(pair[0].target_tag);
+        mix.push(Request { from, ..request });
+    }
+    let oracle = |request: &Request| flix.evaluate(request, &mut QueryCtx::default()).results;
+    mix.into_iter().map(|r| (r, oracle(&r))).collect()
 }
 
 #[test]
@@ -99,8 +116,7 @@ fn concurrent_answers_match_the_single_threaded_oracle() {
                             assert!(!response.timed_out, "{config}: no deadline was set");
                             assert_eq!(
                                 *response.results, *oracle,
-                                "{config}: {workers} workers, start {}",
-                                request.start
+                                "{config}: {workers} workers, {request:?}"
                             );
                         }
                     });
@@ -211,17 +227,10 @@ impl Latched {
 }
 
 impl QueryBackend for Latched {
-    fn evaluate(
-        &self,
-        axis: Axis,
-        start: graphcore::NodeId,
-        target: xmlgraph::TagId,
-        opts: &QueryOptions,
-        ctx: &mut QueryCtx<'_>,
-    ) -> Answer {
+    fn evaluate(&self, query: &flix::Query, ctx: &mut QueryCtx<'_>) -> Answer {
         let open = self.open.lock().unwrap();
         drop(self.opened.wait_while(open, |open| !*open).unwrap());
-        self.inner.evaluate(axis, start, target, opts, ctx).into()
+        self.inner.evaluate(query, ctx).into()
     }
 
     fn framework(self: Arc<Self>) -> Arc<Flix> {
@@ -356,8 +365,7 @@ fn sharded_serving_matches_the_unsharded_oracle_at_every_shard_count() {
                             assert!(!response.timed_out, "{name}: no deadline was set");
                             assert_eq!(
                                 *response.results, *oracle,
-                                "{name}: {shards} shards, start {}",
-                                request.start
+                                "{name}: {shards} shards, {request:?}"
                             );
                         }
                     });
@@ -417,7 +425,6 @@ fn sharded_deadline_cuts_are_prefixes_of_the_unsharded_oracle() {
 /// while actually journaling events.
 #[test]
 fn traced_server_answers_are_bit_identical_to_untraced() {
-    use flix::CachedFlix;
     let cg = dblp_corpus();
     let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
     let mix = oracle_mix(&flix, &cg);
@@ -442,6 +449,16 @@ fn traced_server_answers_are_bit_identical_to_untraced() {
             Box::new({
                 let flix = flix.clone();
                 move || flixserve::Backend::from(Arc::new(ShardedFlix::new(flix.clone(), 3)))
+            }),
+        ),
+        (
+            "sharded, cached",
+            Box::new({
+                let flix = flix.clone();
+                move || {
+                    let sharded = ShardedFlix::new(flix.clone(), 3).with_caches(16);
+                    flixserve::Backend::from(Arc::new(sharded))
+                }
             }),
         ),
     ];
