@@ -61,5 +61,7 @@ echo "crates/apex: $(count_lines crates/apex)"
 echo "crates/flixcheck: $(count_lines crates/flixcheck)"
 echo "crates/serve: $(count_lines crates/serve)"
 echo "crates/xmlgraph: $(count_lines crates/xmlgraph)"
+echo "crates/obs: $(count_lines crates/obs)"
+echo "crates/pagestore: $(count_lines crates/pagestore)"
 
 echo "CI green."

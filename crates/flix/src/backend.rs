@@ -6,7 +6,6 @@
 
 use crate::framework::Flix;
 use crate::pee::{PeeStats, Query, QueryCtx, QueryOutcome, QueryResult};
-use flixobs::MetricsRegistry;
 use std::sync::Arc;
 
 /// A backend's answer to one query.
@@ -45,10 +44,6 @@ pub trait QueryBackend: Send + Sync {
     /// plain, a cached backend keeps its cache object, a sharded one its
     /// shard count and cache capacity.
     fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend>;
-
-    /// Binds the backend's live metric cells, if it has any, into
-    /// `registry` under `labels`.
-    fn publish_metrics(&self, _registry: &MetricsRegistry, _labels: &[(&str, &str)]) {}
 }
 
 impl QueryBackend for Flix {

@@ -25,7 +25,7 @@ use crate::backend::{Answer, QueryBackend};
 use crate::framework::Flix;
 use crate::pee::{Axis, Goal, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult, Start};
 use flixobs::journal::{EventKind, SHARD_NONE};
-use flixobs::{Counter, MetricCell, MetricsRegistry};
+use flixobs::Counter;
 use graphcore::{Distance, NodeId};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -320,12 +320,6 @@ impl ResultCache {
         answer
     }
 
-    /// Drops every cached result immediately (entries from superseded
-    /// frameworks are also dropped lazily, on lookup).
-    pub fn invalidate(&self) {
-        self.inner.lock().map.clear();
-    }
-
     /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
@@ -341,50 +335,6 @@ impl ResultCache {
             admitted: self.admitted.get(),
             rejected: self.rejected.get(),
         }
-    }
-
-    /// Binds the cache's live counters into `registry` as
-    /// `flix_cache_{hits,misses,evictions,invalidations,admitted,rejected}_total`, tagged
-    /// with the given labels. The counters keep accumulating in place —
-    /// later snapshots see later values without re-binding.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        registry.publish(
-            labels,
-            &[
-                (
-                    "flix_cache_hits_total",
-                    "Query-cache lookups served from a stored result.",
-                    MetricCell::Counter(&self.hits),
-                ),
-                (
-                    "flix_cache_misses_total",
-                    "Query-cache lookups that had to evaluate the query.",
-                    MetricCell::Counter(&self.misses),
-                ),
-                (
-                    "flix_cache_evictions_total",
-                    "Cache entries displaced by LRU pressure at capacity.",
-                    MetricCell::Counter(&self.evictions),
-                ),
-                (
-                    "flix_cache_invalidations_total",
-                    "Cache entries dropped on lookup for being computed under an \
-                     older framework generation.",
-                    MetricCell::Counter(&self.invalidations),
-                ),
-                (
-                    "flix_cache_admitted_total",
-                    "At-capacity insertions the TinyLFU gate admitted.",
-                    MetricCell::Counter(&self.admitted),
-                ),
-                (
-                    "flix_cache_rejected_total",
-                    "At-capacity insertions the TinyLFU gate rejected in favour \
-                     of the incumbent victim.",
-                    MetricCell::Counter(&self.rejected),
-                ),
-            ],
-        );
     }
 
     /// Number of cached queries.
@@ -474,10 +424,6 @@ impl QueryBackend for CachedFlix {
     fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
         self.attach(rebuilt);
         self
-    }
-
-    fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        self.cache.publish_metrics(registry, labels);
     }
 }
 
@@ -652,26 +598,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_exports_live_counters() {
-        let (flix, t) = small();
-        let cached = CachedFlix::new(flix, 2);
-        let registry = MetricsRegistry::new();
-        cached.publish_metrics(&registry, &[("cache", "query")]);
-        find(&cached, 0, t, &QueryOptions::default());
-        find(&cached, 0, t, &QueryOptions::default());
-        // Counters bound before the traffic still see it: they share cells.
-        let text = registry.snapshot().to_prometheus();
-        assert!(
-            text.contains("flix_cache_hits_total{cache=\"query\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("flix_cache_misses_total{cache=\"query\"} 1"),
-            "{text}"
-        );
-    }
-
-    #[test]
     fn admission_gate_protects_hot_entries_from_one_off_scans() {
         let cg = {
             // A corpus with many elements so a scan has many distinct keys.
@@ -749,15 +675,5 @@ mod tests {
         // Halving decays, preserving the ordering.
         sketch.halve();
         assert!(sketch.estimate(&hot) >= sketch.estimate(&cold));
-    }
-
-    #[test]
-    fn invalidate_clears() {
-        let (flix, t) = small();
-        let cached = CachedFlix::new(flix, 4);
-        find(&cached, 0, t, &QueryOptions::default());
-        assert!(!cached.is_empty());
-        cached.invalidate();
-        assert!(cached.is_empty());
     }
 }

@@ -137,12 +137,6 @@ impl BuildOptions {
             self.build_threads
         }
     }
-
-    /// [`Self::resolved_build_threads`] clamped to the number of build
-    /// jobs (spawning idle workers is pure overhead).
-    pub fn effective_build_threads(&self, jobs: usize) -> usize {
-        self.resolved_build_threads().min(jobs).max(1)
-    }
 }
 
 impl Default for BuildOptions {
@@ -201,19 +195,6 @@ mod tests {
     fn empty_graph_gets_ppo() {
         let g = Digraph::from_edges(3, []);
         assert_eq!(StrategySelector::default().select(&g), StrategyKind::Ppo);
-    }
-
-    #[test]
-    fn effective_threads_clamp_to_jobs_and_floor_at_one() {
-        let opts = BuildOptions {
-            build_threads: 8,
-            ..BuildOptions::default()
-        };
-        assert_eq!(opts.effective_build_threads(3), 3);
-        assert_eq!(opts.effective_build_threads(0), 1);
-        // auto (0): at least one, at most `jobs`
-        let auto = BuildOptions::default().effective_build_threads(2);
-        assert!((1..=2).contains(&auto));
     }
 
     #[test]

@@ -751,10 +751,6 @@ mod tests {
         assert_eq!(r.runtime_links, flix.runtime_links().len());
         let s = flix.stats();
         assert_eq!(
-            r.strategy_counts(),
-            (s.ppo_metas, s.hopi_metas, s.apex_metas)
-        );
-        assert_eq!(
             r.index_bytes() + flix.runtime_links().len() * 16,
             s.index_bytes,
             "report and stats agree on the index footprint"

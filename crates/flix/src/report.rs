@@ -122,19 +122,6 @@ impl BuildReport {
         }
         total
     }
-
-    /// `(ppo, hopi, apex)` meta-document counts.
-    pub fn strategy_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for m in &self.per_meta {
-            match m.strategy {
-                StrategyKind::Ppo => counts.0 += 1,
-                StrategyKind::Hopi => counts.1 += 1,
-                StrategyKind::Apex => counts.2 += 1,
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +170,6 @@ mod tests {
         assert_eq!(r.cpu_micros(), 120);
         assert_eq!(r.critical_path_micros(), 70);
         assert_eq!(r.index_bytes(), 300);
-        assert_eq!(r.strategy_counts(), (1, 1, 1));
         let (idx, costliest) = r.costliest_meta().unwrap();
         assert_eq!(idx, 1);
         assert_eq!(costliest.strategy, StrategyKind::Hopi);

@@ -49,7 +49,7 @@ use crate::meta::MetaDocument;
 use crate::pee::{collect, never, Axis, Goal, MetaSpace, Query, QueryCtx};
 use crate::pee::{QueryOptions, QueryOutcome, QueryResult, Start};
 use flixobs::journal::{EventKind, SHARD_MERGE};
-use flixobs::{Counter, MetricCell, MetricsRegistry};
+use flixobs::Counter;
 use graphcore::{partition_greedy, Digraph, NodeId};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -236,8 +236,7 @@ impl ShardPlan {
     }
 }
 
-/// Per-shard routing counters (live cells, shared with the registry when
-/// published).
+/// Per-shard routing counters, read back by [`ShardedFlix::stats`].
 struct ShardCell {
     /// Queries answered entirely inside this shard.
     direct: Counter,
@@ -541,42 +540,6 @@ impl QueryBackend for ShardedFlix {
             Some(caches) => next.with_caches(caches[0].capacity()),
             None => next,
         })
-    }
-
-    /// Binds the per-shard routing counters (and cache counters, when
-    /// enabled) into `registry` as
-    /// `flix_shard_{direct,fanout,escaped}_total` plus the [`ResultCache`]
-    /// names, each tagged with a `shard` label on top of `labels`.
-    fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        for (s, cell) in self.cells.iter().enumerate() {
-            let shard = s.to_string();
-            let mut with_shard: Vec<(&str, &str)> = labels.to_vec();
-            with_shard.push(("shard", &shard));
-            registry.publish(
-                &with_shard,
-                &[
-                    (
-                        "flix_shard_direct_total",
-                        "Queries answered entirely inside one shard.",
-                        MetricCell::Counter(&cell.direct),
-                    ),
-                    (
-                        "flix_shard_fanout_total",
-                        "Queries routed straight to the cross-shard fan-out merge.",
-                        MetricCell::Counter(&cell.fanout),
-                    ),
-                    (
-                        "flix_shard_escaped_total",
-                        "Optimistic local attempts that popped a foreign node and re-ran \
-                         over the cross-shard merge.",
-                        MetricCell::Counter(&cell.escaped),
-                    ),
-                ],
-            );
-            if let Some(caches) = &self.caches {
-                caches[s].publish_metrics(registry, &with_shard);
-            }
-        }
     }
 }
 
@@ -903,30 +866,20 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_exports_per_shard_counters() {
+    fn stats_count_each_query_once_on_the_shard_that_routed_it() {
         let cg = chain(4);
         let (_, b) = tags(&cg);
         let flix = Arc::new(Flix::build(cg.clone(), FlixConfig::Naive));
         let sharded = ShardedFlix::new(Arc::clone(&flix), 2);
-        let registry = MetricsRegistry::new();
-        sharded.publish_metrics(&registry, &[("backend", "test")]);
         find(&sharded, cg.doc_root(0), b, &QueryOptions::top_k(1));
         let s = sharded.stats();
-        let routed = [
-            "flix_shard_direct_total",
-            "flix_shard_fanout_total",
-            "flix_shard_escaped_total",
-        ];
-        let snapshot = registry.snapshot();
-        let per_shard: Vec<u64> = snapshot
-            .counters
+        assert_eq!(s.per_shard.len(), sharded.shard_count());
+        let per_shard: u64 = s
+            .per_shard
             .iter()
-            .filter(|(id, _)| routed.contains(&id.name.as_str()))
-            .map(|(_, v)| *v)
-            .collect();
-        assert_eq!(per_shard.len(), routed.len() * sharded.shard_count());
-        let total: u64 = per_shard.iter().sum();
-        assert_eq!(total, s.direct + s.fanout + s.escaped);
-        assert_eq!(total, 1);
+            .map(|c| c.direct + c.fanout + c.escaped)
+            .sum();
+        assert_eq!(per_shard, s.direct + s.fanout + s.escaped);
+        assert_eq!(per_shard, 1);
     }
 }

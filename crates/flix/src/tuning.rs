@@ -15,7 +15,6 @@
 use crate::config::{FlixConfig, StrategyKind};
 use crate::pee::PeeStats;
 use crate::report::BuildReport;
-use flixobs::{MetricCell, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
 /// Aggregated query-load statistics.
@@ -136,42 +135,6 @@ impl LoadMonitor {
         }
     }
 
-    /// Publishes the monitor's aggregates as `flix_load_*` gauges, so a
-    /// metrics snapshot carries the same signals [`Self::recommend`] acts
-    /// on.
-    pub fn publish(&self, registry: &MetricsRegistry) {
-        registry.publish(
-            &[],
-            &[
-                (
-                    "flix_load_queries",
-                    "Queries the load monitor has recorded.",
-                    MetricCell::Value(self.queries as f64),
-                ),
-                (
-                    "flix_load_avg_lookups",
-                    "Mean meta-document index lookups (entries popped) per query.",
-                    MetricCell::Value(self.avg_lookups()),
-                ),
-                (
-                    "flix_load_avg_links",
-                    "Mean runtime links followed per query.",
-                    MetricCell::Value(self.avg_links()),
-                ),
-                (
-                    "flix_load_avg_rows_scanned",
-                    "Mean index rows scanned per query.",
-                    MetricCell::Value(self.avg_rows_scanned()),
-                ),
-                (
-                    "flix_load_rows_per_result",
-                    "Index rows scanned per returned result (per query when nothing was returned).",
-                    MetricCell::Value(self.rows_per_result()),
-                ),
-            ],
-        );
-    }
-
     /// Verdict for the current configuration.
     ///
     /// `min_queries` guards against deciding on too small a sample.
@@ -271,7 +234,7 @@ impl LoadMonitor {
 /// A [`LoadMonitor`] that server workers can feed concurrently: each
 /// counter is an atomic cell, so recording a query is a handful of relaxed
 /// adds with no `&mut` access or lock. [`SharedLoadMonitor::snapshot`]
-/// materialises a plain [`LoadMonitor`] for `recommend`/`publish`.
+/// materialises a plain [`LoadMonitor`] for `recommend`.
 #[derive(Debug, Default)]
 pub struct SharedLoadMonitor {
     queries: flixobs::Counter,
@@ -482,6 +445,8 @@ mod tests {
         let mut m = LoadMonitor::new();
         m.record(stats_rows(1, 100), 2);
         m.record(stats_rows(1, 50), 1);
+        assert_eq!(m.queries(), 2);
+        assert!((m.avg_lookups() - 1.0).abs() < 1e-9);
         assert!((m.avg_rows_scanned() - 75.0).abs() < 1e-9);
         assert!((m.rows_per_result() - 50.0).abs() < 1e-9);
         // Result-less load: normalise per query, so waste still shows.
@@ -559,22 +524,5 @@ mod tests {
         assert_eq!(snap.avg_lookups(), sequential.avg_lookups());
         assert_eq!(snap.avg_rows_scanned(), sequential.avg_rows_scanned());
         assert_eq!(snap.rows_per_result(), sequential.rows_per_result());
-    }
-
-    #[test]
-    fn publish_exports_load_gauges() {
-        let mut m = LoadMonitor::new();
-        m.record(stats_rows(4, 80), 2);
-        let registry = MetricsRegistry::new();
-        m.publish(&registry);
-        let text = registry.snapshot().to_prometheus();
-        for sample in [
-            "flix_load_queries 1",
-            "flix_load_avg_lookups 4",
-            "flix_load_avg_rows_scanned 80",
-            "flix_load_rows_per_result 40",
-        ] {
-            assert!(text.lines().any(|line| line == sample), "{sample}: {text}");
-        }
     }
 }

@@ -90,14 +90,6 @@ impl BitSet {
         changed
     }
 
-    /// True if the two sets share at least one element.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     /// Iterator over set elements in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -166,16 +158,6 @@ mod tests {
         assert!(!a.union_with(&b));
         assert!(a.contains(77));
         assert_eq!(a.len(), 2);
-    }
-
-    #[test]
-    fn intersects_detects_overlap() {
-        let mut a = BitSet::new(200);
-        let mut b = BitSet::new(200);
-        a.insert(150);
-        assert!(!a.intersects(&b));
-        b.insert(150);
-        assert!(a.intersects(&b));
     }
 
     #[test]

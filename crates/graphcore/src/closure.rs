@@ -80,12 +80,6 @@ impl TransitiveClosure {
     pub fn pair_count(&self) -> usize {
         self.rows.iter().map(BitSet::len).sum()
     }
-
-    /// Approximate storage footprint of materialising the closure as pair
-    /// lists of two u32 each (what a database table would hold).
-    pub fn materialized_bytes(&self) -> usize {
-        self.pair_count() * 8
-    }
 }
 
 /// All-pairs shortest distances, computed lazily per source node.
@@ -179,7 +173,6 @@ mod tests {
         let tc = TransitiveClosure::build(&g);
         // rows: {0,1,2}, {1,2}, {2} -> 6 pairs
         assert_eq!(tc.pair_count(), 6);
-        assert_eq!(tc.materialized_bytes(), 48);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl DigraphBuilder {
         self.edges.len()
     }
 
-    /// Adds a fresh node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.edges.push(Vec::new());
-        (self.edges.len() - 1) as NodeId
-    }
-
     /// Ensures nodes `0..=id` exist.
     pub fn ensure_node(&mut self, id: NodeId) {
         if (id as usize) >= self.edges.len() {
@@ -336,10 +330,8 @@ mod tests {
         let mut b = DigraphBuilder::new();
         b.add_edge(5, 2);
         assert_eq!(b.node_count(), 6);
-        let id = b.add_node();
-        assert_eq!(id, 6);
         let g = b.build();
-        assert_eq!(g.node_count(), 7);
+        assert_eq!(g.node_count(), 6);
         assert!(g.has_edge(5, 2));
     }
 

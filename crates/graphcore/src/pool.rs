@@ -119,16 +119,6 @@ where
     tagged.into_iter().map(|(_, out)| out).collect()
 }
 
-/// [`run_scheduled`] over the identity schedule `0..jobs`.
-pub fn run_jobs<T, F>(threads: usize, jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let schedule: Vec<usize> = (0..jobs).collect();
-    run_scheduled(threads, &schedule, job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,7 +126,8 @@ mod tests {
     #[test]
     fn results_come_back_in_job_order() {
         for threads in [1, 2, 8] {
-            let out = run_jobs(threads, 20, |i| i * i);
+            let schedule: Vec<usize> = (0..20).collect();
+            let out = run_scheduled(threads, &schedule, |i| i * i);
             assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -155,9 +146,9 @@ mod tests {
 
     #[test]
     fn empty_and_single_job() {
-        let out: Vec<u32> = run_jobs(4, 0, |_| unreachable!());
+        let out: Vec<u32> = run_scheduled(4, &[], |_| unreachable!());
         assert!(out.is_empty());
-        assert_eq!(run_jobs(4, 1, |i| i + 1), vec![1]);
+        assert_eq!(run_scheduled(4, &[0], |i| i + 1), vec![1]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The flight recorder: per-lane lock-free event journals with causal
 //! request stitching and Chrome-trace export.
 //!
-//! Aggregate metrics ([`crate::registry`]) answer "how is the system
-//! doing"; the slow-query log answers "which queries were worst". Neither
-//! can answer "what happened to *that* request, across which shards, in
+//! Each owner's counters (its `*Stats` snapshot) answer "how is the
+//! system doing"; the slow-query log answers "which queries were worst".
+//! Neither can answer "what happened to *that* request, across which shards, in
 //! what order" once the serve path makes per-request decisions (admit vs
 //! shed, queue choice, direct/fanout/escaped routing, single-flight
 //! collapse, deadline cuts). The journal records those decisions as

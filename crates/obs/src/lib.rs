@@ -5,10 +5,10 @@
 //! visibility, which the paper's §7 self-tuning loop ("take statistics on
 //! the query load into account") depends on:
 //!
-//! * [`MetricsRegistry`] — a registry of named [`Counter`]s, [`Gauge`]s,
-//!   and log2-bucketed latency [`Histogram`]s. Handles are `Arc`-backed
-//!   atomics: updating a metric is a single wait-free atomic operation;
-//!   the registry mutex is touched only at registration and snapshot time.
+//! * [`Counter`] — the atomic cell a component counts in. Each owner reads
+//!   its counters back as its own `*Stats` snapshot (`ServeStats`,
+//!   `CacheStats`, `PoolStats`, …); that snapshot is the one record of a
+//!   count.
 //! * [`QueryTrace`] — per-query stage clocks (queue pop → meta-index block
 //!   fetch → link expansion) whose spans tile the evaluation.
 //! * [`SlowQueryLog`] — a fixed-capacity buffer that retains the ids of
@@ -26,9 +26,6 @@
 //!   lint flags `Instant::now()` anywhere else in the workspace, so ad-hoc
 //!   timing cannot bypass this layer. [`Deadline`] builds per-request time
 //!   budgets on top of it for the serving path.
-//!
-//! Snapshots export through [`MetricsSnapshot::to_prometheus`], a
-//! Prometheus-style text exposition.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -39,7 +36,7 @@ pub mod clock;
 /// The flight recorder: per-lane event journals with causal request
 /// stitching, Chrome-trace export, and text timelines.
 pub mod journal;
-/// Counters, gauges, histograms, the registry, and snapshot export.
+/// The counter cell, and JSON string escaping.
 pub mod registry;
 /// The fixed-capacity worst-N slow-query log.
 pub mod slowlog;
@@ -51,9 +48,6 @@ pub use journal::{
     EventKind, FlightRecorder, JournalEvent, JournalHandle, JournalRing, JournalSnapshot,
     RequestId, SHARD_MERGE, SHARD_NONE,
 };
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricCell, MetricId, MetricsRegistry,
-    MetricsSnapshot,
-};
+pub use registry::Counter;
 pub use slowlog::{SlowQuery, SlowQueryLog};
 pub use trace::{QueryTrace, Span, SpanStage, StageTotals};

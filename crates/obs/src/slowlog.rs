@@ -1,6 +1,6 @@
 //! The slow-query log: a fixed-capacity buffer of the worst requests.
 //!
-//! Aggregates (histograms) tell you *that* the tail is bad; the slow-query
+//! Aggregates (a percentile) tell you *that* the tail is bad; the slow-query
 //! log keeps *which* requests are behind the tail — their [`RequestId`]s,
 //! not a copy of what happened to them: that is on the flight recorder's
 //! journal, under the id (`JournalSnapshot::timeline`). The buffer holds

@@ -6,7 +6,7 @@
 //! the stage that just ran, so a span starts where the one before it ended
 //! and the stages add up to the evaluation. Spans are capped at a fixed
 //! capacity (queries can pop thousands of entries); once full, new spans
-//! only bump a dropped-span count — but per-stage *totals* are accumulated
+//! are not retained — but per-stage *totals* are accumulated
 //! unconditionally, so [`StageTotals`] stays exact no matter how long the
 //! query ran, and the total is derived from them.
 //!
@@ -32,7 +32,7 @@ pub enum SpanStage {
 }
 
 impl SpanStage {
-    /// Stable lower-case name (used in exports and metric labels).
+    /// Stable lower-case name (used in exports).
     pub fn name(self) -> &'static str {
         match self {
             SpanStage::QueuePop => "queue_pop",
@@ -85,7 +85,6 @@ pub struct QueryTrace {
     pub label: String,
     spans: Vec<Span>,
     capacity: usize,
-    dropped: u64,
     totals: [StageTotals; 3],
 }
 
@@ -101,7 +100,6 @@ impl QueryTrace {
             label: label.to_string(),
             spans: Vec::new(),
             capacity,
-            dropped: 0,
             totals: [StageTotals::default(); 3],
         }
     }
@@ -110,8 +108,7 @@ impl QueryTrace {
     /// at the running total — which keeps counting across the passes of a
     /// query that is evaluated more than once (a shard-local attempt that
     /// escapes and re-runs as a fan-out). Past capacity the span itself is
-    /// dropped (the dropped count grows), but the stage totals always
-    /// absorb it.
+    /// dropped, but the stage totals always absorb it.
     pub fn record(&mut self, stage: SpanStage, nanos: u64) {
         let t = &mut self.totals[stage as usize];
         t.spans += 1;
@@ -123,8 +120,6 @@ impl QueryTrace {
                 start_micros: (self.total_nanos() - nanos) / 1_000,
                 duration_micros: nanos / 1_000,
             });
-        } else {
-            self.dropped += 1;
         }
     }
 
@@ -141,11 +136,6 @@ impl QueryTrace {
     /// Retained spans, in record order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
-    }
-
-    /// Spans recorded past capacity (not retained, still in the totals).
-    pub fn dropped_spans(&self) -> u64 {
-        self.dropped
     }
 
     /// Exact totals for one stage.
@@ -205,7 +195,6 @@ mod tests {
             trace.record(SpanStage::QueuePop, 1_000);
         }
         assert_eq!(trace.spans().len(), 2);
-        assert_eq!(trace.dropped_spans(), 3);
         let pops = trace.stage_totals(SpanStage::QueuePop);
         assert_eq!(pops.spans, 5);
         assert_eq!(pops.micros, 5);

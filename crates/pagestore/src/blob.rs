@@ -178,11 +178,6 @@ impl BlobStore {
         v
     }
 
-    /// Size of a blob in bytes, if present.
-    pub fn len_of(&self, name: &str) -> Option<u64> {
-        self.directory.get(name).map(|e| e.len)
-    }
-
     /// Serialises the directory (name -> page list) for cataloguing.
     pub fn export_directory(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -305,7 +300,6 @@ mod tests {
         let mut s = store();
         s.put("a", b"hello blob").unwrap();
         assert_eq!(s.get("a").unwrap().as_deref(), Some(&b"hello blob"[..]));
-        assert_eq!(s.len_of("a"), Some(10));
         assert_eq!(s.get("missing").unwrap(), None);
     }
 

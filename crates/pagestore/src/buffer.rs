@@ -15,7 +15,7 @@
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
-use flixobs::{Counter, MetricCell, MetricsRegistry};
+use flixobs::Counter;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -231,12 +231,6 @@ impl BufferPool {
         Ok(written)
     }
 
-    /// `(hits, misses)` since creation (kept for callers that predate
-    /// [`Self::pool_stats`]).
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
     /// All pool counters, including LRU evictions and write errors.
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
@@ -245,40 +239,6 @@ impl BufferPool {
             evictions: self.evictions.get(),
             write_errors: self.write_errors.get(),
         }
-    }
-
-    /// Binds the pool's live counters into `registry` as
-    /// `pagestore_pool_{hits,misses,evictions,write_errors}_total` under
-    /// `labels`, and publishes the backing disk's I/O counters via
-    /// [`crate::disk::DiskStats::publish`]. The counters keep accumulating
-    /// in place, so later snapshots see later values.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        registry.publish(
-            labels,
-            &[
-                (
-                    "pagestore_pool_hits_total",
-                    "Page requests answered from a resident frame.",
-                    MetricCell::Counter(&self.hits),
-                ),
-                (
-                    "pagestore_pool_misses_total",
-                    "Page requests that read the page from the backing store.",
-                    MetricCell::Counter(&self.misses),
-                ),
-                (
-                    "pagestore_pool_evictions_total",
-                    "Resident frames displaced by LRU pressure at capacity.",
-                    MetricCell::Counter(&self.evictions),
-                ),
-                (
-                    "pagestore_pool_write_errors_total",
-                    "Dirty-frame write-backs the backing store refused.",
-                    MetricCell::Counter(&self.write_errors),
-                ),
-            ],
-        );
-        self.disk.stats().publish(registry, labels);
     }
 }
 
@@ -358,9 +318,9 @@ mod tests {
         });
         let got = p.with_page(id, |pg| pg.get(0).map(<[u8]>::to_vec));
         assert_eq!(got.as_deref(), Some(&b"cached"[..]));
-        let (hits, misses) = p.hit_stats();
-        assert_eq!(misses, 1); // only the first touch
-        assert_eq!(hits, 1);
+        let s = p.pool_stats();
+        assert_eq!(s.misses, 1); // only the first touch
+        assert_eq!(s.hits, 1);
     }
 
     #[test]
@@ -395,10 +355,10 @@ mod tests {
         });
         p.with_page(a, |_| {}); // touch a: b is now LRU
         p.with_page(c, |_| {}); // evicts b
-        let before = p.hit_stats();
+        let before = p.pool_stats();
         p.with_page(a, |_| {}); // must be a hit
-        let after = p.hit_stats();
-        assert_eq!(after.0, before.0 + 1);
+        let after = p.pool_stats();
+        assert_eq!(after.hits, before.hits + 1);
     }
 
     #[test]
@@ -539,49 +499,20 @@ mod tests {
 
     #[test]
     fn evictions_are_counted_next_to_hits_and_misses() {
-        let p = pool(2);
+        let disk = Arc::new(MemDisk::new());
+        let p = BufferPool::new(disk.clone(), 2);
         let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
         for &id in &ids {
             p.with_page(id, |_| {});
         }
         let s = p.pool_stats();
         assert_eq!(s.misses, 4, "every first touch misses");
+        assert_eq!(disk.stats().reads, 4, "and reads its page from disk");
         assert_eq!(s.hits, 0);
         assert_eq!(s.evictions, 2, "4 pages through 2 frames displace 2");
         p.with_page(ids[3], |_| {}); // still resident
         assert_eq!(p.pool_stats().hits, 1);
         assert_eq!(p.pool_stats().evictions, 2, "hits never evict");
-    }
-
-    #[test]
-    fn publish_metrics_exports_pool_and_disk_counters() {
-        let disk = Arc::new(MemDisk::new());
-        let p = BufferPool::new(disk, 2);
-        let registry = MetricsRegistry::new();
-        p.publish_metrics(&registry, &[("store", "test")]);
-        let ids: Vec<PageId> = (0..3).map(|_| p.allocate()).collect();
-        for &id in &ids {
-            p.with_page(id, |_| {});
-        }
-        // Bound counters share cells with the pool: no re-publish needed
-        // for the counter side.
-        let text = registry.snapshot().to_prometheus();
-        for sample in [
-            "pagestore_pool_misses_total{store=\"test\"} 3",
-            "pagestore_pool_evictions_total{store=\"test\"} 1",
-        ] {
-            assert!(text.lines().any(|line| line == sample), "{sample}: {text}");
-        }
-        // Disk gauges are snapshots: publish again to refresh.
-        p.publish_metrics(&registry, &[("store", "test")]);
-        let text = registry.snapshot().to_prometheus();
-        let bytes = 3 * crate::page::PAGE_SIZE;
-        for sample in [
-            "pagestore_disk_read_pages{store=\"test\"} 3".to_string(),
-            format!("pagestore_disk_read_bytes{{store=\"test\"}} {bytes}"),
-        ] {
-            assert!(text.lines().any(|line| line == sample), "{sample}: {text}");
-        }
     }
 
     #[test]

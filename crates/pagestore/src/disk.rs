@@ -14,7 +14,7 @@
 //! data file has been fsynced.
 
 use crate::page::{Page, PageId, PAGE_SIZE};
-use flixobs::{Counter, MetricCell, MetricsRegistry};
+use flixobs::Counter;
 use parking_lot::Mutex;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,55 +30,6 @@ pub struct DiskStats {
     /// them without doing anything, so tests can assert sync *ordering*
     /// (e.g. "the data disk was synced before the WAL was truncated").
     pub syncs: u64,
-}
-
-impl DiskStats {
-    /// Bytes read from the backing store (pages × page size).
-    pub fn read_bytes(&self) -> u64 {
-        self.reads * PAGE_SIZE as u64
-    }
-
-    /// Bytes written to the backing store (pages × page size).
-    pub fn write_bytes(&self) -> u64 {
-        self.writes * PAGE_SIZE as u64
-    }
-
-    /// Publishes this snapshot as `pagestore_disk_*` gauges (page, byte, and
-    /// sync granularity) under `labels`. Gauges, not counters: `DiskStats`
-    /// is a point-in-time copy, so each publish overwrites the previous one.
-    pub fn publish(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        let value = |v: u64| MetricCell::Value(v as f64);
-        registry.publish(
-            labels,
-            &[
-                (
-                    "pagestore_disk_read_pages",
-                    "Pages read from the backing store.",
-                    value(self.reads),
-                ),
-                (
-                    "pagestore_disk_write_pages",
-                    "Pages written to the backing store.",
-                    value(self.writes),
-                ),
-                (
-                    "pagestore_disk_read_bytes",
-                    "Bytes read from the backing store (pages x page size).",
-                    value(self.read_bytes()),
-                ),
-                (
-                    "pagestore_disk_write_bytes",
-                    "Bytes written to the backing store (pages x page size).",
-                    value(self.write_bytes()),
-                ),
-                (
-                    "pagestore_disk_syncs",
-                    "Durability barriers (fsync) issued to the backing store.",
-                    value(self.syncs),
-                ),
-            ],
-        );
-    }
 }
 
 /// A page-granular backing store.
@@ -300,20 +251,6 @@ mod tests {
         disk.write_page(id, &page2).unwrap();
         assert_eq!(copy.read_page(id).get(0), Some(&b"frozen"[..]));
         assert_eq!(copy.page_count(), 1);
-    }
-
-    #[test]
-    fn sync_counter_is_surfaced_through_publish() {
-        let disk = MemDisk::new();
-        disk.sync().unwrap();
-        disk.sync().unwrap();
-        let registry = MetricsRegistry::new();
-        disk.stats().publish(&registry, &[("store", "t")]);
-        let text = registry.snapshot().to_prometheus();
-        assert!(
-            text.contains("pagestore_disk_syncs{store=\"t\"} 2\n"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!   result cache.
 //! * **Graceful drain** — [`FlixServer::shutdown`] finishes every admitted
 //!   request, rejects new ones with [`ServeError::ShuttingDown`], and
-//!   leaves the metrics and the slow-query log intact for scraping.
+//!   leaves [`FlixServer::stats`], the load monitor and the slow-query log
+//!   readable.
 //! * **Online rebuild and hot swap** — [`FlixServer::swap_backend`]
 //!   replaces the engine under live traffic (in-flight queries finish on
 //!   the old generation, new admissions see the new one), and

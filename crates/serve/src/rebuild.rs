@@ -16,9 +16,9 @@
 //! [`Rebuilder`] runs that tick on a background thread so a deployment
 //! gets the loop without scheduling it: spawn it next to the server,
 //! drop it (or call [`Rebuilder::stop`]) to stop. Every decision is
-//! observable — `flix_rebuild_*` counters, the `flixserve_generation`
-//! gauge, and (on a traced server) `rebuild_start` / `rebuild_finish` /
-//! `swap` journal events.
+//! observable: [`FlixServer::generation`] counts the completed swaps,
+//! each tick returns its [`RebuildOutcome`], and a traced server journals
+//! `rebuild_start` / `rebuild_finish` / `swap` events.
 
 use crate::server::{Backend, FlixServer};
 use flix::{BuildOptions, Flix, FlixConfig, Recommendation};
@@ -124,10 +124,8 @@ impl FlixServer {
             framework.build_report(),
         );
         let Recommendation::Rebuild { suggestion, reason } = verdict else {
-            self.serve_metrics().rebuilds_kept.inc();
             return RebuildOutcome::Keep;
         };
-        self.serve_metrics().rebuilds_started.inc();
         self.journal_control(EventKind::RebuildStart {
             config: config_code(suggestion),
         });
@@ -145,7 +143,6 @@ impl FlixServer {
             micros: build_micros,
         });
         let generation = self.swap_backend(Backend(backend.0.over(rebuilt)));
-        self.serve_metrics().rebuilds_completed.inc();
         // New baseline: the monitor judged everything up to `snapshot`;
         // the next window starts from here (queries answered on the old
         // generation between snapshot and swap bleed in — harmless, the
@@ -188,7 +185,7 @@ impl Rebuilder {
                     break;
                 }
                 let outcome = server.maybe_rebuild(&config);
-                drop(outcome); // every outcome is observable via metrics and journal
+                drop(outcome); // every outcome is observable via `generation()` and the journal
             }
         });
         Self {

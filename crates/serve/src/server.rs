@@ -13,8 +13,8 @@
 
 use flix::{Axis, Goal, QueryBackend, QueryCtx, QueryResult, SharedLoadMonitor, Start};
 use flixobs::{
-    Counter, EventKind, FlightRecorder, Gauge, Histogram, JournalSnapshot, MetricCell,
-    MetricsRegistry, RequestId, SlowQuery, SlowQueryLog, Stopwatch,
+    Counter, EventKind, FlightRecorder, JournalSnapshot, RequestId, SlowQuery, SlowQueryLog,
+    Stopwatch,
 };
 use graphcore::Distance;
 use parking_lot::{Mutex, RwLock};
@@ -205,29 +205,15 @@ struct Job {
     sf_key: Option<SfKey>,
 }
 
-/// Component-owned metric cells for the serving path. End-to-end latency
-/// (`flixserve_latency_micros`) is distinct from the evaluator-only
-/// `flix_query_latency_micros`: it includes queue wait and fan-out.
+/// The serving path's counters, read back by [`FlixServer::stats`].
 #[derive(Default)]
-pub(crate) struct ServeMetrics {
-    latency: Histogram,
-    queue_wait: Histogram,
-    queue_depth: Gauge,
-    in_flight: Gauge,
+struct ServeMetrics {
     submitted: Counter,
     completed: Counter,
     shed: Counter,
     timeouts: Counter,
     collapsed: Counter,
     worker_panics: Counter,
-    /// Mirrors [`Shared::generation`] (`flixserve_generation`).
-    generation: Gauge,
-    /// Rebuild decisions taken by the online rebuilder: recommendations
-    /// acted on, rebuilds that swapped in, and verdicts that kept the
-    /// current configuration (`flix_rebuild_*`).
-    pub(crate) rebuilds_started: Counter,
-    pub(crate) rebuilds_completed: Counter,
-    pub(crate) rebuilds_kept: Counter,
 }
 
 /// Point-in-time serving counters.
@@ -243,7 +229,10 @@ pub struct ServeStats {
     pub timed_out: u64,
     /// Follower responses served by single-flight fan-out.
     pub collapsed: u64,
-    /// Requests currently queued.
+    /// Evaluations that panicked; the worker answered with
+    /// [`ServeError::WorkerPanicked`] and kept serving.
+    pub worker_panics: u64,
+    /// Requests currently queued, never more than [`Self::in_flight`].
     pub queued: usize,
     /// Admitted-but-unfinished requests right now.
     pub in_flight: usize,
@@ -258,7 +247,7 @@ struct Shared {
     /// admissions while in-flight work finishes on the old generation.
     backend: RwLock<Backend>,
     /// Backend generation: `1` for the backend the server started with,
-    /// bumped by every swap. Mirrored by the `flixserve_generation` gauge.
+    /// bumped by every swap.
     generation: AtomicU64,
     /// The load-monitor baseline the online rebuilder diffs against
     /// (see [`FlixServer::maybe_rebuild`]): a rebuild decision looks only
@@ -298,13 +287,6 @@ impl Shared {
             queued: self.queued.load(SeqCst).min(in_flight),
             in_flight,
         }
-    }
-
-    /// Steps a finished (or failed) request out of the in-flight count.
-    fn release_slot(&self) {
-        self.metrics
-            .in_flight
-            .set(self.in_flight.fetch_sub(1, SeqCst) as f64 - 1.0);
     }
 
     /// Removes a single-flight registration and fails any followers that
@@ -352,7 +334,7 @@ impl std::fmt::Debug for Ticket {
 impl Ticket {
     /// Blocks until the answer (or rejection) arrives. Dropping a ticket
     /// without waiting is allowed — the evaluation still completes and
-    /// feeds the metrics (open-loop load generation relies on this).
+    /// feeds the counters (open-loop load generation relies on this).
     pub fn wait(self) -> Result<Response, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
     }
@@ -415,7 +397,6 @@ impl FlixServer {
             recorder,
             next_request: AtomicU64::new(1),
         });
-        shared.metrics.generation.set(1.0);
         let handles = (0..config.effective_workers())
             .map(|w| {
                 let worker_shared = Arc::clone(&shared);
@@ -500,10 +481,6 @@ impl FlixServer {
             shared.abort_single_flight(sf_key, &err);
             return Err(err);
         }
-        shared
-            .metrics
-            .in_flight
-            .set(shared.in_flight.load(SeqCst) as f64);
         shared.journal(SUBMIT_LANE, id, EventKind::Admitted);
 
         let sender = self.sender.read();
@@ -527,7 +504,6 @@ impl FlixServer {
         let enqueue_micros = shared.recorder.as_ref().map(|r| r.now_micros());
         let depth = shared.queued.fetch_add(1, SeqCst) + 1;
         if sender.try_send(job).is_ok() {
-            shared.metrics.queue_depth.set(depth as f64);
             shared.metrics.submitted.inc();
             if let (Some(recorder), Some(at)) = (&shared.recorder, enqueue_micros) {
                 recorder.record_at(
@@ -545,7 +521,6 @@ impl FlixServer {
         // coherent in-flight count after this request stepped back out.
         shared.queued.fetch_sub(1, SeqCst);
         let now = shared.in_flight.fetch_sub(1, SeqCst) - 1;
-        shared.metrics.in_flight.set(now as f64);
         shared.journal(
             SUBMIT_LANE,
             id,
@@ -565,7 +540,7 @@ impl FlixServer {
     }
 
     /// Drains the server: new submissions are rejected, every admitted
-    /// request completes, the workers exit, and the metrics and slow-query
+    /// request completes, the workers exit, and the counters and slow-query
     /// log remain readable. Idempotent.
     pub fn shutdown(&self) {
         if !self.shared.draining.swap(true, SeqCst) {
@@ -587,24 +562,29 @@ impl FlixServer {
 
     /// Blocks until no request is queued or executing. Used after
     /// open-loop (fire-and-forget) load generation to let the tail drain
-    /// before reading the latency histogram.
+    /// before reading the counters.
     pub fn wait_idle(&self) {
         while self.shared.in_flight.load(SeqCst) > 0 {
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
     }
 
-    /// Point-in-time serving counters.
+    /// Point-in-time serving counters. `queued` and `in_flight` are two
+    /// loads; a request can be dequeued and finished between them, so
+    /// `queued` is clamped to `in_flight` (every queued request is in
+    /// flight), as a shed error's snapshot is.
     pub fn stats(&self) -> ServeStats {
         let m = &self.shared.metrics;
+        let in_flight = self.shared.in_flight.load(SeqCst);
         ServeStats {
             submitted: m.submitted.get(),
             completed: m.completed.get(),
             shed: m.shed.get(),
             timed_out: m.timeouts.get(),
             collapsed: m.collapsed.get(),
-            queued: self.shared.queued.load(SeqCst),
-            in_flight: self.shared.in_flight.load(SeqCst),
+            worker_panics: m.worker_panics.get(),
+            queued: self.shared.queued.load(SeqCst).min(in_flight),
+            in_flight,
             max_in_flight: self.shared.config.effective_max_in_flight(),
         }
     }
@@ -621,16 +601,6 @@ impl FlixServer {
     /// snapshot are either fully visible or fully absent, never torn.
     pub fn journal_snapshot(&self) -> Option<JournalSnapshot> {
         self.shared.recorder.as_ref().map(|r| r.snapshot())
-    }
-
-    /// End-to-end latency histogram (admission to completion).
-    pub fn latency(&self) -> &Histogram {
-        &self.shared.metrics.latency
-    }
-
-    /// Queue-wait histogram (admission to worker pickup).
-    pub fn queue_wait(&self) -> &Histogram {
-        &self.shared.metrics.queue_wait
     }
 
     /// The worst retained requests, slowest first. On a traced server
@@ -665,22 +635,14 @@ impl FlixServer {
     /// The swap is a write-lock store: requests admitted after it see the
     /// new backend; evaluations already running hold their own clone and
     /// finish — correctly — on the generation they started on. No request
-    /// is dropped, paused, or re-queued. The `flixserve_generation` gauge
-    /// moves with the swap, and a traced server journals it as
-    /// [`EventKind::Swap`].
+    /// is dropped, paused, or re-queued. A traced server journals the swap
+    /// as [`EventKind::Swap`].
     pub fn swap_backend(&self, backend: impl Into<Backend>) -> u64 {
         *self.shared.backend.write() = backend.into();
         let generation = self.shared.generation.fetch_add(1, SeqCst) + 1;
-        self.shared.metrics.generation.set(generation as f64);
         self.shared
             .journal(SUBMIT_LANE, RequestId::NONE, EventKind::Swap { generation });
         generation
-    }
-
-    /// The serve-path metric cells (rebuild counters included) for
-    /// crate-internal components that feed them.
-    pub(crate) fn serve_metrics(&self) -> &ServeMetrics {
-        &self.shared.metrics
     }
 
     /// Journals a control-plane event (no owning request) on the submit
@@ -698,95 +660,6 @@ impl FlixServer {
     pub(crate) fn is_draining(&self) -> bool {
         self.shared.draining.load(SeqCst)
     }
-
-    /// Binds the server's live metric cells into `registry` under
-    /// `flixserve_*` names tagged with `labels`: queue-depth and in-flight
-    /// gauges, shed/timeout/collapse/submitted/completed counters, and the
-    /// end-to-end latency and queue-wait histograms.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        let m = &self.shared.metrics;
-        use MetricCell as Cell;
-        registry.publish(
-            labels,
-            &[
-                (
-                    "flixserve_submitted_total",
-                    "Requests admitted past the controller and handed to the job queue.",
-                    Cell::Counter(&m.submitted),
-                ),
-                (
-                    "flixserve_completed_total",
-                    "Requests a worker finished answering (leaders only).",
-                    Cell::Counter(&m.completed),
-                ),
-                (
-                    "flixserve_shed_total",
-                    "Requests rejected by admission control (ceiling or full queue).",
-                    Cell::Counter(&m.shed),
-                ),
-                (
-                    "flixserve_timeout_total",
-                    "Answers cut short by their deadline (distance-ordered prefixes).",
-                    Cell::Counter(&m.timeouts),
-                ),
-                (
-                    "flixserve_collapsed_total",
-                    "Follower responses served by single-flight fan-out.",
-                    Cell::Counter(&m.collapsed),
-                ),
-                (
-                    "flixserve_worker_panics_total",
-                    "Evaluations that panicked; the worker answered with an error and kept serving.",
-                    Cell::Counter(&m.worker_panics),
-                ),
-                (
-                    "flixserve_queue_depth",
-                    "Requests sitting in the job queue right now.",
-                    Cell::Gauge(&m.queue_depth),
-                ),
-                (
-                    "flixserve_in_flight",
-                    "Admitted-but-unfinished requests right now.",
-                    Cell::Gauge(&m.in_flight),
-                ),
-                (
-                    "flixserve_generation",
-                    "Backend generation: 1 at start, bumped by every hot swap.",
-                    Cell::Gauge(&m.generation),
-                ),
-                (
-                    "flixserve_latency_micros",
-                    "End-to-end request latency: admission to completion, queue wait included.",
-                    Cell::Histogram(&m.latency),
-                ),
-                (
-                    "flixserve_queue_micros",
-                    "Queue wait: admission to worker pickup.",
-                    Cell::Histogram(&m.queue_wait),
-                ),
-                (
-                    "flix_rebuild_started_total",
-                    "Rebuild recommendations the online rebuilder acted on.",
-                    Cell::Counter(&m.rebuilds_started),
-                ),
-                (
-                    "flix_rebuild_completed_total",
-                    "Rebuilds that finished and hot-swapped into the server.",
-                    Cell::Counter(&m.rebuilds_completed),
-                ),
-                (
-                    "flix_rebuild_kept_total",
-                    "Rebuild checks that kept the current configuration.",
-                    Cell::Counter(&m.rebuilds_kept),
-                ),
-            ],
-        );
-        // Bind the *current* backend's cells. The binding captures the
-        // backend live at publish time — after a hot swap, publish again
-        // to bind the new generation's shard and cache metrics.
-        let backend = self.shared.backend.read().clone();
-        backend.0.publish_metrics(registry, labels);
-    }
 }
 
 impl Drop for FlixServer {
@@ -803,10 +676,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         let Ok(job) = shared.queue.lock().recv() else {
             return;
         };
-        shared
-            .metrics
-            .queue_depth
-            .set(shared.queued.fetch_sub(1, SeqCst) as f64 - 1.0);
+        shared.queued.fetch_sub(1, SeqCst);
         shared.journal(
             lane,
             job.id,
@@ -841,7 +711,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             shared.abort_single_flight(job.sf_key, &ServeError::WorkerPanicked);
             // flixcheck: allow(swallowed-result): the client may have hung up; dropping the reply is correct
             let _ = job.reply.send(Err(ServeError::WorkerPanicked));
-            shared.release_slot();
+            shared.in_flight.fetch_sub(1, SeqCst);
             continue;
         };
         let total_micros = job.admitted.elapsed_micros();
@@ -849,8 +719,6 @@ fn worker_loop(shared: &Shared, worker: usize) {
             stages.stage_events().for_each(|kind| handle.event(kind));
         }
 
-        shared.metrics.queue_wait.record(queue_micros);
-        shared.metrics.latency.record(total_micros);
         shared.metrics.completed.inc();
         if answer.timed_out {
             shared.metrics.timeouts.inc();
@@ -901,7 +769,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         }
         // flixcheck: allow(swallowed-result): the client may have hung up after its deadline; dropping the reply is correct
         let _ = job.reply.send(Ok(response));
-        shared.release_slot();
+        shared.in_flight.fetch_sub(1, SeqCst);
     }
 }
 
@@ -969,8 +837,11 @@ mod tests {
             .submit(Request::descendants(0, t, QueryOptions::default()))
             .unwrap_err();
         assert_eq!(err, ServeError::ShuttingDown);
-        assert_eq!(server.stats().completed, 1);
-        assert_eq!(server.latency().count(), 1);
+        let stats = server.stats();
+        assert_eq!(stats.completed, 1);
+        // A worker replies before it steps out of the in-flight count;
+        // joining the workers is what makes the 0 observable.
+        assert_eq!(stats.in_flight, 0);
         assert_eq!(server.slow_queries().len(), 1);
     }
 
@@ -984,33 +855,6 @@ mod tests {
         assert!(response.results.is_empty());
         assert_eq!(server.stats().timed_out, 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn metrics_publish_under_flixserve_names() {
-        let (flix, t) = tiny();
-        let server = FlixServer::start(flix, ServeConfig::default());
-        let registry = MetricsRegistry::new();
-        server.publish_metrics(&registry, &[("pool", "test")]);
-        server
-            .query(Request::descendants(0, t, QueryOptions::default()))
-            .unwrap();
-        // A worker replies before it steps out of the in-flight count;
-        // joining the workers is what makes the gauge's 0 observable.
-        server.shutdown();
-        let text = registry.snapshot().to_prometheus();
-        assert!(
-            text.contains("flixserve_completed_total{pool=\"test\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("flixserve_latency_micros_count{pool=\"test\"} 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("flixserve_in_flight{pool=\"test\"} 0"),
-            "{text}"
-        );
     }
 
     #[test]
@@ -1137,8 +981,6 @@ mod tests {
             } else {
                 FlixServer::start(Arc::clone(&backend), config)
             };
-            let registry = MetricsRegistry::new();
-            server.publish_metrics(&registry, &[]);
             let poisoned = Request::descendants(1, t, QueryOptions::default());
             let leader = server.submit(poisoned).unwrap();
             // The leader is inside the backend: an identical request now
@@ -1157,17 +999,9 @@ mod tests {
                 flix.find_descendants(0, t, &QueryOptions::default())
             );
             server.shutdown();
-            assert_eq!(
-                server.stats().in_flight,
-                0,
-                "the panicked slot was released"
-            );
-            let text = registry.snapshot().to_prometheus();
-            assert!(text.contains("flixserve_worker_panics_total 1"), "{text}");
-            assert!(
-                text.contains("# HELP flixserve_worker_panics_total"),
-                "{text}"
-            );
+            let stats = server.stats();
+            assert_eq!(stats.in_flight, 0, "the panicked slot was released");
+            assert_eq!(stats.worker_panics, 1);
             // Traced, the panic is on the leader's timeline — the last thing
             // that happened to it — and the follower's says whom it followed.
             let Some(journal) = server.journal_snapshot() else {
@@ -1188,7 +1022,8 @@ mod tests {
     /// A request is counted into the queue before its send, so a worker's
     /// uncount never runs ahead of it and the depth never wraps below zero:
     /// sampled under a submission storm, it stays within the in-flight
-    /// ceiling, which this configuration sets to the queue's capacity.
+    /// ceiling, which this configuration sets to the queue's capacity, and
+    /// every snapshot has `queued <= in_flight <= max_in_flight`.
     #[test]
     fn queue_depth_never_wraps_under_concurrent_submission() {
         let (flix, t) = tiny();
@@ -1216,8 +1051,16 @@ mod tests {
                 .collect();
             // Sample until every submitter is done, a panicked one included.
             while submitters.iter().any(|h| !h.is_finished()) {
-                let queued = server.stats().queued;
-                assert!(queued <= slots, "queued read {queued} of {slots} slots");
+                let s = server.stats();
+                assert!(
+                    s.queued <= slots,
+                    "queued read {} of {slots} slots",
+                    s.queued
+                );
+                assert!(
+                    s.queued <= s.in_flight && s.in_flight <= s.max_in_flight,
+                    "incoherent snapshot {s:?}"
+                );
             }
             for submitter in submitters {
                 submitter.join().unwrap();

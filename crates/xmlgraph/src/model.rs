@@ -664,11 +664,6 @@ impl CollectionGraph {
         &self.tag_nodes[self.tag_start[t] as usize..self.tag_start[t + 1] as usize]
     }
 
-    /// True if `u -> v` is a link edge (rather than a pure tree edge).
-    pub fn is_link_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.link_edges.binary_search(&(u, v)).is_ok()
-    }
-
     /// Number of resolved link edges.
     pub fn link_count(&self) -> usize {
         self.link_edges.len()
@@ -867,7 +862,7 @@ mod tests {
         assert_eq!(cg.node_count(), 7);
         // d1's cite (global 2) -> d2's sec2 element (global 3 + 2 = 5... d2
         // base is 3; sec2 is d2-local element 2 -> global 5)
-        assert!(cg.is_link_edge(2, 5));
+        assert!(cg.link_edges.contains(&(2, 5)));
         assert!(cg.graph.has_edge(2, 5));
         // intra-doc idref to a missing anchor is dangling
         assert_eq!(cg.dangling_links, 1);
@@ -934,6 +929,6 @@ mod tests {
         c.add_document(d1).unwrap();
         c.add_document(d2).unwrap();
         let cg = c.seal();
-        assert!(cg.is_link_edge(0, 1));
+        assert!(cg.link_edges.contains(&(0, 1)));
     }
 }

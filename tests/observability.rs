@@ -558,50 +558,3 @@ proptest! {
         prop_assert_eq!(exported_spans, expected_spans);
     }
 }
-
-/// The metric catalog: every name the `publish*` functions register — a
-/// traced server over cached shards, a durable store (which publishes its
-/// pool and disk) and a load monitor, into one registry — has HELP text and
-/// a row in DESIGN.md §7's metric table.
-#[test]
-fn every_published_metric_has_help_and_a_documented_row() {
-    use pagestore::{DurableStore, MemDisk, MemLog, MemManifests};
-    let flix = Arc::new(Flix::build(corpus(5, 10), FlixConfig::Naive));
-    let sharded = Arc::new(flix::ShardedFlix::new(flix, 2).with_caches(8));
-    let server = flixserve::FlixServer::start_traced(sharded, Default::default(), 64);
-    let (store, _) = DurableStore::open(
-        Arc::new(MemDisk::new()),
-        Arc::new(MemLog::new()),
-        Arc::new(MemManifests::new()),
-        8,
-    )
-    .expect("a fresh in-memory store opens");
-    let registry = flixobs::MetricsRegistry::new();
-    server.publish_metrics(&registry, &[("pool", "catalog")]);
-    store.publish_metrics(&registry, &[("store", "catalog")]);
-    server.load().publish(&registry);
-    server.shutdown();
-
-    let snapshot = registry.snapshot();
-    let names: std::collections::BTreeSet<&str> =
-        (snapshot.counters.iter().map(|(id, _)| &id.name))
-            .chain(snapshot.gauges.iter().map(|(id, _)| &id.name))
-            .chain(snapshot.histograms.iter().map(|(id, _)| &id.name))
-            .map(String::as_str)
-            .collect();
-    // 39: the three `flixserve_shard_*` cells and `flixserve_admission_limit`
-    // went with the server's worker groups and adaptive admission.
-    assert!(names.len() >= 39, "the catalog shrank: {names:?}");
-    let design = include_str!("../DESIGN.md");
-    for name in names {
-        let help = snapshot.help.iter().find(|(n, _)| n == name);
-        assert!(
-            help.is_some_and(|(_, text)| !text.is_empty()),
-            "{name} has no HELP text"
-        );
-        assert!(
-            design.contains(&format!("| `{name}` |")),
-            "{name} has no row in DESIGN.md §7's metric table"
-        );
-    }
-}
