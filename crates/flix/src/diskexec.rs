@@ -226,7 +226,7 @@ mod tests {
     use crate::config::{FlixConfig, StrategyKind};
     use crate::pee::{Axis, Start};
     use flixobs::Deadline;
-    use pagestore::{BufferPool, DiskManager, DiskStats, MemDisk, Page, PageId};
+    use pagestore::{BufferPool, DiskManager, DiskStats, MemDisk, Page, PageId, PAGE_SIZE};
     use std::sync::atomic::{AtomicBool, Ordering};
     use workloads::{descendant_queries, generate_dblp, DblpConfig};
 
@@ -797,5 +797,33 @@ mod tests {
     #[test]
     fn open_missing_name_errors() {
         assert!(DiskFlix::open(store().0, "nope", 4).is_err());
+    }
+
+    /// A saved framework with one damaged data page, its chunk length
+    /// running one byte past the frame, answers a query that reads that
+    /// page with an error, not a panic.
+    #[test]
+    fn a_damaged_data_page_is_an_error_not_a_panic() {
+        let flix = Flix::build(graph(), FlixConfig::Monolithic(StrategyKind::Ppo));
+        let disk = Arc::new(MemDisk::new());
+        let pool = Arc::new(BufferPool::new(disk.clone(), 4));
+        let mut store = BlobStore::new(pool.clone());
+        persist::save_flix(&flix, &mut store, "fw").unwrap();
+        pool.flush_all().unwrap();
+        // Page 0 holds the manifest, page 1 the one meta document's index.
+        let mut frames = disk.snapshot_frames();
+        let page = frames[1].as_mut().unwrap();
+        let off = usize::from(u16::from_le_bytes([page[4], page[5]]));
+        let past = (PAGE_SIZE - off + 1) as u16;
+        page[6..8].copy_from_slice(&past.to_le_bytes());
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::from_frames(frames)), 4));
+        let damaged = BlobStore::import_directory(pool, &store.export_directory()).unwrap();
+        let dflix = DiskFlix::open(damaged, "fw", 4).unwrap();
+        let q = descendant_queries(flix.collection(), 1, 44)[0];
+        let query = Query::descendants(q.start, q.target_tag, QueryOptions::default());
+        let err = dflix
+            .evaluate(&query, &mut QueryCtx::default())
+            .unwrap_err();
+        assert!(err.contains("holds no chunk record"), "{err}");
     }
 }

@@ -6,7 +6,7 @@
 //! what was checked or a list of concrete violations. The checks are meant
 //! to be cheap enough to run in tests and behind `repro --check`, and
 //! precise enough that a corrupted structure (a swapped interval bound, a
-//! dropped 2-hop entry, a broken slot directory) is pinpointed rather than
+//! dropped 2-hop entry, a damaged page header) is pinpointed rather than
 //! surfacing later as a wrong query result.
 
 use std::error::Error;

@@ -19,7 +19,7 @@
 //! 2. The [`IntegrityCheck`] trait ([`integrity`]) implemented by every
 //!    index/storage structure in the workspace, so a built index can be
 //!    deeply audited (interval nesting, 2-hop cover soundness, extent
-//!    partitions, slot directories, ...) in tests and via `repro --check`.
+//!    partitions, page headers, ...) in tests and via `repro --check`.
 //!
 //! This crate is a dependency leaf: it uses only `std`, so every other
 //! crate can depend on it without cycles.

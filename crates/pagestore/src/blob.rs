@@ -6,20 +6,21 @@
 //! persist it.
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{Page, PageId, PAGE_SIZE};
 use bytes::{Buf, BufMut};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// Maximum chunk payload per page (leave room for the slot machinery).
+/// Bytes of a blob per page. A page could hold 56 more; this width keeps
+/// every stored page, and so every page count, where it has always been.
 const CHUNK: usize = PAGE_SIZE - 64;
 
 /// Failures of blob I/O against the underlying pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlobError {
-    /// A chunk did not fit into a freshly allocated page.
+    /// A chunk did not fit into a page ([`Page::holding`] refused it).
     ChunkOverflow {
         /// Blob being written.
         name: String,
@@ -28,8 +29,8 @@ pub enum BlobError {
         /// Bytes the chunk needed.
         chunk_len: usize,
     },
-    /// A page listed in the directory no longer holds its chunk record —
-    /// the store is corrupt (e.g. the page was reused or zeroed).
+    /// A page listed in the directory holds no well-formed chunk — the
+    /// store is corrupt (e.g. the page was zeroed or its header damaged).
     MissingChunk {
         /// Blob being read.
         name: String,
@@ -101,21 +102,19 @@ impl BlobStore {
     /// Writes (or overwrites) blob `name`.
     ///
     /// # Errors
-    /// [`BlobError::ChunkOverflow`] if a chunk does not fit a fresh page
-    /// (cannot happen while `CHUNK < PAGE_SIZE - ` slot overhead, but the
-    /// store reports it rather than trusting the arithmetic).
+    /// [`BlobError::ChunkOverflow`] if a chunk does not fit a page (cannot
+    /// happen while `CHUNK` leaves room for the page header, but the store
+    /// reports it rather than trusting the arithmetic).
     pub fn put(&mut self, name: &str, data: &[u8]) -> Result<(), BlobError> {
         let mut pages = Vec::with_capacity(data.len().div_ceil(CHUNK));
-        for chunk in data.chunks(CHUNK.max(1)) {
+        for chunk in data.chunks(CHUNK) {
             let id = self.pool.allocate();
-            let inserted = self.pool.with_page_mut(id, |pg| pg.insert(chunk).is_some());
-            if !inserted {
-                return Err(BlobError::ChunkOverflow {
-                    name: name.to_string(),
-                    page: id,
-                    chunk_len: chunk.len(),
-                });
-            }
+            let page = Page::holding(chunk).ok_or_else(|| BlobError::ChunkOverflow {
+                name: name.to_string(),
+                page: id,
+                chunk_len: chunk.len(),
+            })?;
+            self.pool.write(id, page);
             pages.push(id);
         }
         self.directory.insert(
@@ -131,7 +130,7 @@ impl BlobStore {
     /// Reads blob `name`; `Ok(None)` if no such blob exists.
     ///
     /// # Errors
-    /// [`BlobError::MissingChunk`] if a directory page lost its record;
+    /// [`BlobError::MissingChunk`] if a directory page holds no chunk;
     /// [`BlobError::LengthMismatch`] if the pages hold another number of
     /// bytes than the directory records.
     pub fn get(&self, name: &str) -> Result<Option<Vec<u8>>, BlobError> {
@@ -142,7 +141,7 @@ impl BlobStore {
         let most = entry.pages.len() * CHUNK;
         let mut out = Vec::with_capacity(most.min(entry.len as usize));
         for &page in &entry.pages {
-            let present = self.pool.with_page(page, |pg| match pg.get(0) {
+            let present = self.pool.with_page(page, |pg| match pg.chunk() {
                 Some(chunk) => {
                     out.extend_from_slice(chunk);
                     true
@@ -254,7 +253,7 @@ impl flixcheck::IntegrityCheck for BlobStore {
                 let mut total = 0u64;
                 let mut missing = None;
                 for &page in &entry.pages {
-                    match self.pool.with_page(page, |pg| pg.get(0).map(<[u8]>::len)) {
+                    match self.pool.with_page(page, |pg| pg.chunk().map(<[u8]>::len)) {
                         Some(len) => total += len as u64,
                         None => {
                             missing = Some(page);
@@ -410,5 +409,25 @@ mod tests {
         let extra = s.pool.allocate();
         s.directory.get_mut("big").unwrap().pages.push(extra);
         assert!(s.integrity_check().is_err());
+    }
+
+    /// A data page whose chunk length runs past its frame reads as a
+    /// missing chunk: a typed error, not an out-of-bounds slice.
+    #[test]
+    fn a_damaged_page_on_disk_is_a_missing_chunk() {
+        let disk = Arc::new(MemDisk::new());
+        let pool = Arc::new(BufferPool::new(disk.clone(), 16));
+        let mut s = BlobStore::new(pool.clone());
+        s.put("a", b"payload").unwrap();
+        pool.flush_all().unwrap();
+        let mut frames = disk.snapshot_frames();
+        frames[0].as_mut().unwrap()[6..8].copy_from_slice(&2000u16.to_le_bytes());
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::from_frames(frames)), 16));
+        let damaged = BlobStore::import_directory(pool, &s.export_directory()).unwrap();
+        let missing = BlobError::MissingChunk {
+            name: "a".into(),
+            page: 0,
+        };
+        assert_eq!(damaged.get("a"), Err(missing));
     }
 }

@@ -1,17 +1,20 @@
 //! Buffer pool: a fixed number of page frames over a [`DiskManager`],
 //! with LRU eviction and dirty-page write-back.
 //!
-//! Access is closure-based (`with_page` / `with_page_mut`) so pages cannot
-//! outlive their frame; the pool latch (`parking_lot::Mutex`) is held for
-//! the duration of the closure, which is fine for the short record-level
-//! operations the index layers perform.
+//! Reads are closure-based ([`BufferPool::with_page`]) so a page cannot
+//! outlive its frame; the pool latch (`parking_lot::Mutex`) is held for
+//! the duration of the closure, which is fine for the short chunk-level
+//! operations the index layers perform. Writes take a whole page
+//! ([`BufferPool::write`]): the pool installs it without reading the page
+//! it replaces.
 //!
 //! For the durability layer the pool additionally tracks the set of page
-//! ids *modified since the last [`BufferPool::take_modified`]* — a strict
-//! superset of the currently-dirty frames, because a dirty frame may have
-//! been evicted (written back) in between. Commit uses that set to decide
-//! which page images go into the WAL; checkpoints therefore only rewrite
-//! pages touched since the previous checkpoint instead of the whole store.
+//! ids *modified since they were last cleared* ([`BufferPool::modified_pages`],
+//! [`BufferPool::clear_modified`]) — a strict superset of the
+//! currently-dirty frames, because a dirty frame may have been evicted
+//! (written back) in between. Commit uses that set to decide which page
+//! images go into the WAL; checkpoints therefore only rewrite pages
+//! touched since the previous checkpoint instead of the whole store.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
@@ -29,12 +32,12 @@ struct Frame {
 struct PoolInner {
     frames: HashMap<PageId, Frame>,
     tick: u64,
-    /// Page ids written through [`BufferPool::with_page_mut`] since the last
-    /// [`BufferPool::take_modified`]. Survives eviction of the frame.
+    /// Page ids written through [`BufferPool::write`] and not yet cleared
+    /// by [`BufferPool::clear_modified`]. Survives eviction of the frame.
     modified: BTreeSet<PageId>,
     /// First write-back error since the last [`BufferPool::flush_all`].
-    /// Eviction happens inside `with_page*` closures whose return type is
-    /// caller-chosen, so the error is parked here and surfaced at the next
+    /// Eviction happens inside `with_page` and `write`, whose callers get
+    /// no I/O result, so the error is parked here and surfaced at the next
     /// flush instead of being silently dropped.
     deferred_error: Option<String>,
 }
@@ -92,35 +95,42 @@ impl BufferPool {
         &self.disk
     }
 
-    fn load<'a>(&self, inner: &'a mut PoolInner, id: PageId) -> &'a mut Frame {
+    /// Evicts the least recently used frame if the pool is full, writing
+    /// it back first if it is dirty.
+    fn make_room(&self, inner: &mut PoolInner) {
+        if inner.frames.len() < self.capacity {
+            return;
+        }
+        // Present whenever the pool is at capacity, since capacity > 0.
+        let victim = inner
+            .frames
+            .iter()
+            .min_by_key(|(_, f)| f.last_used)
+            .map(|(&pid, _)| pid);
+        let Some((victim, frame)) = victim.and_then(|pid| inner.frames.remove_entry(&pid)) else {
+            return;
+        };
+        self.evictions.inc();
+        if frame.dirty {
+            if let Err(err) = self.disk.write_page(victim, &frame.page) {
+                self.write_errors.inc();
+                inner
+                    .deferred_error
+                    .get_or_insert(format!("write-back of page {victim}: {err}"));
+            }
+        }
+    }
+
+    /// Runs `f` with read access to page `id`.
+    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> R {
+        let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if inner.frames.contains_key(&id) {
             self.hits.inc();
         } else {
             self.misses.inc();
-            if inner.frames.len() >= self.capacity {
-                // Evict the least recently used frame (present whenever the
-                // pool is at capacity, since capacity > 0).
-                let victim = inner
-                    .frames
-                    .iter()
-                    .min_by_key(|(_, f)| f.last_used)
-                    .map(|(&pid, _)| pid);
-                if let Some(victim) = victim {
-                    if let Some(frame) = inner.frames.remove(&victim) {
-                        self.evictions.inc();
-                        if frame.dirty {
-                            if let Err(err) = self.disk.write_page(victim, &frame.page) {
-                                self.write_errors.inc();
-                                inner
-                                    .deferred_error
-                                    .get_or_insert(format!("write-back of page {victim}: {err}"));
-                            }
-                        }
-                    }
-                }
-            }
+            self.make_room(&mut inner);
         }
         // Hit or miss, the entry API ensures the frame in one lookup.
         let frame = inner.frames.entry(id).or_insert_with(|| Frame {
@@ -129,25 +139,26 @@ impl BufferPool {
             last_used: 0,
         });
         frame.last_used = tick;
-        frame
-    }
-
-    /// Runs `f` with read access to page `id`.
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> R {
-        let mut inner = self.inner.lock();
-        let frame = self.load(&mut inner, id);
         f(&frame.page)
     }
 
-    /// Runs `f` with write access to page `id`; the frame is marked dirty
-    /// and the page joins the modified set (see [`Self::take_modified`]).
-    pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> R {
+    /// Makes `page` the content of page `id`: the frame is marked dirty and
+    /// the page joins the modified set. The page it replaces is not read;
+    /// a write counts as neither a hit nor a miss.
+    pub fn write(&self, id: PageId, page: Page) {
         let mut inner = self.inner.lock();
-        let frame = self.load(&mut inner, id);
-        frame.dirty = true;
-        let out = f(&mut frame.page);
+        if !inner.frames.contains_key(&id) {
+            self.make_room(&mut inner);
+        }
+        inner.tick += 1;
+        let last_used = inner.tick;
+        let frame = Frame {
+            page,
+            dirty: true,
+            last_used,
+        };
+        inner.frames.insert(id, frame);
         inner.modified.insert(id);
-        out
     }
 
     /// Allocates a fresh page on the backing disk.
@@ -155,25 +166,18 @@ impl BufferPool {
         self.disk.allocate()
     }
 
-    /// Drains and returns the ids of every page modified since the last
-    /// call (in ascending order). This is the commit granule: the WAL
-    /// records a page image for each id returned here, whether or not the
-    /// frame is still resident.
-    pub fn take_modified(&self) -> Vec<PageId> {
-        let mut inner = self.inner.lock();
-        std::mem::take(&mut inner.modified).into_iter().collect()
-    }
-
-    /// Ids of pages modified since the last [`Self::take_modified`],
-    /// without draining the set.
+    /// Ids of pages written since they were last cleared by
+    /// [`Self::clear_modified`], in ascending order. This is the commit
+    /// granule: the WAL records a page image for each id returned here,
+    /// whether or not the frame is still resident.
     pub fn modified_pages(&self) -> Vec<PageId> {
         self.inner.lock().modified.iter().copied().collect()
     }
 
-    /// Removes exactly `ids` from the modified set. The commit path uses
-    /// this instead of [`Self::take_modified`] so that a failed commit
-    /// leaves the set intact (nothing is forgotten) and pages modified
-    /// concurrently with the commit stay tracked for the next one.
+    /// Removes exactly `ids` from the modified set. The commit path calls
+    /// this only once its batch is durable, so a failed commit leaves the
+    /// set intact (nothing is forgotten) and pages modified concurrently
+    /// with the commit stay tracked for the next one.
     pub fn clear_modified(&self, ids: &[PageId]) {
         let mut inner = self.inner.lock();
         for id in ids {
@@ -309,18 +313,45 @@ mod tests {
         BufferPool::new(Arc::new(MemDisk::new()), cap)
     }
 
+    fn holding(chunk: &[u8]) -> Page {
+        Page::holding(chunk).unwrap()
+    }
+
+    fn chunk_of(pg: &Page) -> Option<Vec<u8>> {
+        pg.chunk().map(<[u8]>::to_vec)
+    }
+
     #[test]
     fn read_through_and_cache() {
-        let p = pool(4);
+        let disk = Arc::new(MemDisk::new());
+        let p = BufferPool::new(disk.clone(), 4);
         let id = p.allocate();
-        p.with_page_mut(id, |pg| {
-            pg.insert(b"cached").unwrap();
-        });
-        let got = p.with_page(id, |pg| pg.get(0).map(<[u8]>::to_vec));
-        assert_eq!(got.as_deref(), Some(&b"cached"[..]));
+        disk.write_page(id, &holding(b"cached")).unwrap();
+        for _ in 0..2 {
+            assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"cached"[..]));
+        }
         let s = p.pool_stats();
         assert_eq!(s.misses, 1); // only the first touch
         assert_eq!(s.hits, 1);
+        assert_eq!(disk.stats().reads, 1);
+    }
+
+    /// A write installs the whole page: it reads nothing from disk and
+    /// counts as neither a hit nor a miss, and a read after it is a hit.
+    #[test]
+    fn write_reads_nothing_it_replaces() {
+        let disk = Arc::new(MemDisk::new());
+        let p = BufferPool::new(disk.clone(), 4);
+        let id = p.allocate();
+        p.write(id, holding(b"fresh"));
+        assert_eq!(p.pool_stats(), PoolStats::default());
+        assert_eq!(disk.stats().reads, 0);
+        assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"fresh"[..]));
+        assert_eq!(p.pool_stats().hits, 1);
+        p.write(id, holding(b"again"));
+        assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"again"[..]));
+        assert_eq!(p.pool_stats().misses, 0);
+        assert_eq!(disk.stats().reads, 0);
     }
 
     #[test]
@@ -329,14 +360,12 @@ mod tests {
         let p = BufferPool::new(disk.clone(), 2);
         let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
         for (i, &id) in ids.iter().enumerate() {
-            p.with_page_mut(id, |pg| {
-                pg.insert(format!("rec{i}").as_bytes()).unwrap();
-            });
+            p.write(id, holding(format!("rec{i}").as_bytes()));
         }
         // Pool held only 2 frames; earlier pages must have been evicted and
         // written back, so reading them again returns the data.
         for (i, &id) in ids.iter().enumerate() {
-            let got = p.with_page(id, |pg| pg.get(0).map(<[u8]>::to_vec));
+            let got = p.with_page(id, chunk_of);
             assert_eq!(got, Some(format!("rec{i}").into_bytes()));
         }
     }
@@ -347,12 +376,8 @@ mod tests {
         let a = p.allocate();
         let b = p.allocate();
         let c = p.allocate();
-        p.with_page_mut(a, |pg| {
-            pg.insert(b"a").unwrap();
-        });
-        p.with_page_mut(b, |pg| {
-            pg.insert(b"b").unwrap();
-        });
+        p.write(a, holding(b"a"));
+        p.write(b, holding(b"b"));
         p.with_page(a, |_| {}); // touch a: b is now LRU
         p.with_page(c, |_| {}); // evicts b
         let before = p.pool_stats();
@@ -366,12 +391,10 @@ mod tests {
         let disk = Arc::new(MemDisk::new());
         let p = BufferPool::new(disk.clone(), 8);
         let id = p.allocate();
-        p.with_page_mut(id, |pg| {
-            pg.insert(b"flushed").unwrap();
-        });
+        p.write(id, holding(b"flushed"));
         assert_eq!(p.flush_all().unwrap(), 1);
         // Read directly from disk, bypassing the pool.
-        assert_eq!(disk.read_page(id).get(0), Some(&b"flushed"[..]));
+        assert_eq!(disk.read_page(id).chunk(), Some(&b"flushed"[..]));
         // Nothing dirty remains, so a second flush writes nothing.
         assert_eq!(p.flush_all().unwrap(), 0);
     }
@@ -381,19 +404,19 @@ mod tests {
         let p = pool(2);
         let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
         for (i, &id) in ids.iter().enumerate() {
-            p.with_page_mut(id, |pg| {
-                pg.insert(format!("m{i}").as_bytes()).unwrap();
-            });
+            p.write(id, holding(format!("m{i}").as_bytes()));
         }
         // Two of the four were evicted (and written back), but all four are
-        // still reported as modified since the last drain.
+        // still reported as modified until cleared.
         assert_eq!(p.modified_pages(), ids);
-        assert_eq!(p.take_modified(), ids);
-        assert!(p.take_modified().is_empty(), "drain resets the set");
+        p.clear_modified(&ids[..1]);
+        assert_eq!(p.modified_pages(), ids[1..], "only the ids given clear");
+        p.clear_modified(&ids);
+        assert!(p.modified_pages().is_empty());
         p.with_page(ids[0], |_| {});
-        assert!(p.take_modified().is_empty(), "reads do not mark pages");
-        p.with_page_mut(ids[1], |_| {});
-        assert_eq!(p.take_modified(), vec![ids[1]]);
+        assert!(p.modified_pages().is_empty(), "reads do not mark pages");
+        p.write(ids[1], holding(b"m1 again"));
+        assert_eq!(p.modified_pages(), vec![ids[1]]);
     }
 
     /// A disk that fails every write after the first `ok_writes`.
@@ -440,9 +463,7 @@ mod tests {
         });
         let p = BufferPool::new(disk, 8);
         let id = p.allocate();
-        p.with_page_mut(id, |pg| {
-            pg.insert(b"doomed").unwrap();
-        });
+        p.write(id, holding(b"doomed"));
         let err = p.flush_all().unwrap_err();
         assert!(err.to_string().contains("disk full"), "{err}");
         assert_eq!(p.pool_stats().write_errors, 1);
@@ -457,9 +478,7 @@ mod tests {
         let p = BufferPool::new(disk, 1);
         let a = p.allocate();
         let b = p.allocate();
-        p.with_page_mut(a, |pg| {
-            pg.insert(b"a").unwrap();
-        });
+        p.write(a, holding(b"a"));
         // Touching b evicts dirty a; the write-back fails silently at the
         // call site but is deferred...
         p.with_page(b, |_| {});
@@ -483,9 +502,7 @@ mod tests {
         let p = BufferPool::new(disk, 1);
         let a = p.allocate();
         let b = p.allocate();
-        p.with_page_mut(a, |pg| {
-            pg.insert(b"a").unwrap();
-        });
+        p.write(a, holding(b"a"));
         p.with_page(b, |_| {}); // evicts dirty a, write fails
         assert!(p.check_write_health().is_err());
         assert!(p.check_write_health().is_ok(), "error is consumed");
@@ -520,9 +537,7 @@ mod tests {
         use flixcheck::IntegrityCheck;
         let p = pool(2);
         let a = p.allocate();
-        p.with_page_mut(a, |pg| {
-            pg.insert(b"live").unwrap();
-        });
+        p.write(a, holding(b"live"));
         p.integrity_check().unwrap();
 
         // An LRU stamp from the future.
@@ -570,10 +585,10 @@ mod tests {
     /// Four threads share one pool smaller than their pages, so eviction
     /// write-back and `flush_all` run under the pool latch while the disk
     /// takes its own lock (pool before disk, the order DESIGN.md §9
-    /// records). Each thread owns four pages and appends one record per
-    /// round to one of them; it also reads the others' pages and flushes
-    /// now and then. Every thread must finish, and after a final flush
-    /// every page must hold exactly its owner's records, in order.
+    /// records). Each thread owns four pages and rewrites one of them per
+    /// round; it also reads the others' pages and flushes now and then.
+    /// Every thread must finish, and after a final flush every page must
+    /// hold the chunk its owner wrote to it last.
     #[test]
     fn threads_share_a_pool_smaller_than_their_pages() {
         const THREADS: usize = 4;
@@ -594,13 +609,14 @@ mod tests {
                         start.wait();
                         for round in 0..ROUNDS {
                             let own = ids[t * PAGES_EACH + round % PAGES_EACH];
-                            pool.with_page_mut(own, |pg| {
-                                pg.insert(format!("{t}:{round}").as_bytes()).unwrap();
-                            });
+                            pool.write(own, holding(format!("{t}:{round}").as_bytes()));
                             let other = ids[(round * 7 + t) % ids.len()];
-                            pool.with_page(other, |pg| {
-                                assert!(pg.records().all(|(_, r)| r.contains(&b':')));
-                            });
+                            // Blank until its owner first writes it.
+                            let chunk = pool.with_page(other, chunk_of);
+                            assert!(
+                                chunk.as_ref().is_none_or(|c| c.contains(&b':')),
+                                "{chunk:?}"
+                            );
                             if round % 9 == t {
                                 pool.flush_all().unwrap();
                             }
@@ -626,15 +642,14 @@ mod tests {
             assert!(pool.pool_stats().evictions > 0, "the pool never evicted");
             for (i, &id) in ids.iter().enumerate() {
                 let (t, slot) = (i / PAGES_EACH, i % PAGES_EACH);
-                let want: Vec<Vec<u8>> = (slot..ROUNDS)
-                    .step_by(PAGES_EACH)
-                    .map(|round| format!("{t}:{round}").into_bytes())
-                    .collect();
-                let on_disk = disk.read_page(id);
-                let got: Vec<Vec<u8>> = on_disk.records().map(|(_, r)| r.to_vec()).collect();
-                assert_eq!(got, want, "page {id} on disk");
-                let last = pool.with_page(id, |pg| pg.records().last().map(|(_, r)| r.to_vec()));
-                assert_eq!(last.as_ref(), want.last(), "page {id} through the pool");
+                let last = (slot..ROUNDS).step_by(PAGES_EACH).next_back().unwrap();
+                let want = Some(format!("{t}:{last}").into_bytes());
+                assert_eq!(chunk_of(&disk.read_page(id)), want, "page {id} on disk");
+                assert_eq!(
+                    pool.with_page(id, chunk_of),
+                    want,
+                    "page {id} through the pool"
+                );
             }
         }
 

@@ -216,14 +216,12 @@ mod tests {
         let p0 = disk.allocate();
         let p1 = disk.allocate();
         assert_ne!(p0, p1);
-        let mut page = Page::new();
-        page.insert(b"page-one").unwrap();
+        let page = Page::holding(b"page-one").unwrap();
         disk.write_page(p1, &page).unwrap();
         let back = disk.read_page(p1);
-        assert_eq!(back.get(0), Some(&b"page-one"[..]));
-        // unwritten page reads as empty
-        let empty = disk.read_page(p0);
-        assert_eq!(empty.slot_count(), 0);
+        assert_eq!(back.chunk(), Some(&b"page-one"[..]));
+        // unwritten page reads as blank
+        assert_eq!(disk.read_page(p0), Page::new());
         disk.sync().unwrap();
         let s = disk.stats();
         assert_eq!(s.reads, 2);
@@ -241,15 +239,13 @@ mod tests {
     fn mem_disk_frame_snapshot_round_trip() {
         let disk = MemDisk::new();
         let id = disk.allocate();
-        let mut page = Page::new();
-        page.insert(b"frozen").unwrap();
-        disk.write_page(id, &page).unwrap();
+        disk.write_page(id, &Page::holding(b"frozen").unwrap())
+            .unwrap();
         let copy = MemDisk::from_frames(disk.snapshot_frames());
         // Mutating the original does not leak into the copy.
-        let mut page2 = Page::new();
-        page2.insert(b"mutated").unwrap();
-        disk.write_page(id, &page2).unwrap();
-        assert_eq!(copy.read_page(id).get(0), Some(&b"frozen"[..]));
+        disk.write_page(id, &Page::holding(b"mutated").unwrap())
+            .unwrap();
+        assert_eq!(copy.read_page(id).chunk(), Some(&b"frozen"[..]));
         assert_eq!(copy.page_count(), 1);
     }
 
@@ -272,15 +268,14 @@ mod tests {
         {
             let disk = FileDisk::open(&path).unwrap();
             let id = disk.allocate();
-            let mut page = Page::new();
-            page.insert(b"durable").unwrap();
-            disk.write_page(id, &page).unwrap();
+            disk.write_page(id, &Page::holding(b"durable").unwrap())
+                .unwrap();
             disk.sync().unwrap();
         }
         {
             let disk = FileDisk::open(&path).unwrap();
             assert_eq!(disk.page_count(), 1);
-            assert_eq!(disk.read_page(0).get(0), Some(&b"durable"[..]));
+            assert_eq!(disk.read_page(0).chunk(), Some(&b"durable"[..]));
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,8 +1,9 @@
 //! Page-based storage engine backing the FliX indexes.
 //!
 //! The paper's prototype stored every index in Oracle tables; this crate is
-//! the equivalent substrate: slotted pages ([`page`]), a disk abstraction
-//! with I/O accounting ([`disk`]), a latching buffer pool with LRU eviction
+//! the equivalent substrate: 8 KiB pages that each hold one chunk of a blob
+//! ([`page`]), a disk abstraction with I/O accounting ([`disk`]), a
+//! latching buffer pool with LRU eviction that takes writes as whole pages
 //! ([`buffer`]), and a named blob store for serialised index images
 //! ([`blob`]).
 //!
@@ -28,7 +29,7 @@ pub mod buffer;
 pub mod codec;
 /// Disk abstraction with I/O accounting (memory- and file-backed).
 pub mod disk;
-/// Slotted 8 KiB pages with tombstoning and compaction.
+/// 8 KiB pages, each blank or holding one chunk of a blob.
 pub mod page;
 /// Crash recovery and the durable store lifecycle (commit / checkpoint).
 pub mod recovery;
@@ -41,7 +42,7 @@ pub use blob::{BlobError, BlobStore};
 pub use buffer::{BufferPool, PoolStats};
 pub use codec::{from_bytes, to_bytes, CodecError};
 pub use disk::{DiskManager, DiskStats, FileDisk, MemDisk};
-pub use page::{Page, PageId, SlotId, PAGE_SIZE};
+pub use page::{Page, PageId, PAGE_SIZE};
 pub use recovery::{CommitReceipt, DurableStore, RecoveryReport};
 pub use snapshot::{FileManifests, ManifestStore, MemManifests, SnapshotManifest};
 pub use wal::{

@@ -1,14 +1,17 @@
-//! Slotted pages: variable-length records inside fixed 8 KiB frames.
+//! Pages: fixed 8 KiB frames, each holding at most one chunk of a blob.
 //!
-//! Layout (all offsets little-endian `u16`):
+//! A written page begins with four little-endian `u16`s, then zeroes, then
+//! the chunk, which ends at the end of the frame:
 //!
 //! ```text
-//! [slot_count][free_end][slot 0 off][slot 0 len] ... | free | records...]
+//! [count = 1][free_end][off][len] | zeroes | chunk ]      off = free_end = PAGE_SIZE − len
 //! ```
 //!
-//! Slots grow from the front, record payloads from the back; a slot with
-//! `len == TOMBSTONE` marks a deleted record. Page bytes are plain `Vec<u8>`
-//! so they move through the disk layer without copies beyond the pool frame.
+//! These are the bytes a one-record slotted page held, so a data file
+//! reads the same as before pages were cut down to one chunk. A frame
+//! whose header describes anything else — an unwritten (all-zero) frame,
+//! or a damaged one — holds no chunk. Page bytes are plain `Vec<u8>` so
+//! they move through the disk layer without copies beyond the pool frame.
 
 /// Fixed page size (8 KiB, a common DBMS default).
 pub const PAGE_SIZE: usize = 8192;
@@ -16,14 +19,9 @@ pub const PAGE_SIZE: usize = 8192;
 /// Page identifier within one disk file.
 pub type PageId = u32;
 
-/// Slot index inside one page.
-pub type SlotId = u16;
+const HEADER: usize = 8;
 
-const HEADER: usize = 4;
-const SLOT_BYTES: usize = 4;
-const TOMBSTONE: u16 = u16::MAX;
-
-/// An 8 KiB slotted page.
+/// An 8 KiB page: blank, or holding one chunk.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
     data: Vec<u8>,
@@ -32,8 +30,7 @@ pub struct Page {
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Page")
-            .field("slots", &self.slot_count())
-            .field("free", &self.free_space())
+            .field("chunk_len", &self.chunk().map(<[u8]>::len))
             .finish()
     }
 }
@@ -45,24 +42,33 @@ impl Default for Page {
 }
 
 impl Page {
-    /// A fresh, empty page.
+    /// A blank (all-zero) page: what an unwritten frame reads as.
     pub fn new() -> Self {
-        let mut data = vec![0u8; PAGE_SIZE];
-        write_u16(&mut data, 2, PAGE_SIZE as u16); // free_end
-        Self { data }
+        Self {
+            data: vec![0u8; PAGE_SIZE],
+        }
     }
 
-    /// Wraps raw page bytes read from disk. An all-zero frame (a page that
-    /// was allocated but never written, e.g. read back from a sparse file)
-    /// is normalised into a fresh empty page.
+    /// A page holding `chunk`, or `None` if the chunk does not fit behind
+    /// the header.
+    pub fn holding(chunk: &[u8]) -> Option<Self> {
+        let off = PAGE_SIZE
+            .checked_sub(chunk.len())
+            .filter(|&off| off >= HEADER)?;
+        let mut data = vec![0u8; PAGE_SIZE];
+        for (at, word) in [1, off, off, chunk.len()].into_iter().enumerate() {
+            data[2 * at..2 * at + 2].copy_from_slice(&(word as u16).to_le_bytes());
+        }
+        data[off..].copy_from_slice(chunk);
+        Some(Self { data })
+    }
+
+    /// Wraps raw page bytes read from disk.
     ///
     /// # Panics
     /// If `data` is not exactly [`PAGE_SIZE`] bytes.
-    pub fn from_bytes(mut data: Vec<u8>) -> Self {
+    pub fn from_bytes(data: Vec<u8>) -> Self {
         assert_eq!(data.len(), PAGE_SIZE, "page must be {PAGE_SIZE} bytes");
-        if read_u16(&data, 0) == 0 && read_u16(&data, 2) == 0 {
-            write_u16(&mut data, 2, PAGE_SIZE as u16);
-        }
         Self { data }
     }
 
@@ -71,74 +77,13 @@ impl Page {
         &self.data
     }
 
-    /// Number of slots ever allocated (including tombstones).
-    pub fn slot_count(&self) -> u16 {
-        read_u16(&self.data, 0)
-    }
-
-    fn free_end(&self) -> u16 {
-        read_u16(&self.data, 2)
-    }
-
-    /// Contiguous free bytes available for one more record + slot.
-    pub fn free_space(&self) -> usize {
-        let slots_end = HEADER + self.slot_count() as usize * SLOT_BYTES;
-        (self.free_end() as usize).saturating_sub(slots_end)
-    }
-
-    /// True if a record of `len` bytes fits.
-    pub fn fits(&self, len: usize) -> bool {
-        len < u16::MAX as usize && self.free_space() >= len + SLOT_BYTES
-    }
-
-    /// Inserts a record, returning its slot, or `None` if it does not fit.
-    pub fn insert(&mut self, record: &[u8]) -> Option<SlotId> {
-        if !self.fits(record.len()) {
-            return None;
-        }
-        let slot = self.slot_count();
-        let new_end = self.free_end() as usize - record.len();
-        self.data[new_end..new_end + record.len()].copy_from_slice(record);
-        let slot_off = HEADER + slot as usize * SLOT_BYTES;
-        write_u16(&mut self.data, slot_off, new_end as u16);
-        // flixcheck: allow(cast-truncation): fits() already rejected records longer than the page, so len < PAGE_SIZE < 64Ki
-        write_u16(&mut self.data, slot_off + 2, record.len() as u16);
-        write_u16(&mut self.data, 0, slot + 1);
-        write_u16(&mut self.data, 2, new_end as u16);
-        Some(slot)
-    }
-
-    /// Reads a record. `None` for out-of-range or deleted slots.
-    pub fn get(&self, slot: SlotId) -> Option<&[u8]> {
-        if slot >= self.slot_count() {
-            return None;
-        }
-        let slot_off = HEADER + slot as usize * SLOT_BYTES;
-        let off = read_u16(&self.data, slot_off) as usize;
-        let len = read_u16(&self.data, slot_off + 2);
-        if len == TOMBSTONE {
-            return None;
-        }
-        Some(&self.data[off..off + len as usize])
-    }
-
-    /// Tombstones a record; returns true if it was live. Space is not
-    /// reclaimed (rebuild-only workloads never need compaction).
-    pub fn delete(&mut self, slot: SlotId) -> bool {
-        if slot >= self.slot_count() {
-            return false;
-        }
-        let slot_off = HEADER + slot as usize * SLOT_BYTES;
-        if read_u16(&self.data, slot_off + 2) == TOMBSTONE {
-            return false;
-        }
-        write_u16(&mut self.data, slot_off + 2, TOMBSTONE);
-        true
-    }
-
-    /// Iterates over live `(slot, record)` pairs.
-    pub fn records(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|r| (s, r)))
+    /// The chunk this page holds; `None` unless the header describes
+    /// exactly the layout [`Self::holding`] writes.
+    pub fn chunk(&self) -> Option<&[u8]> {
+        let [count, free_end, off, len] = [0, 2, 4, 6]
+            .map(|at| usize::from(u16::from_le_bytes([self.data[at], self.data[at + 1]])));
+        let well_formed = count == 1 && off == free_end && off >= HEADER && off + len == PAGE_SIZE;
+        well_formed.then(|| &self.data[off..])
     }
 }
 
@@ -153,63 +98,13 @@ impl flixcheck::IntegrityCheck for Page {
         if self.data.len() != PAGE_SIZE {
             return audit.finish();
         }
-        let slots_end = HEADER + self.slot_count() as usize * SLOT_BYTES;
-        let free_end = self.free_end() as usize;
         audit.check(
-            "free_end sits between the slot directory and the frame end",
-            slots_end <= free_end && free_end <= PAGE_SIZE,
-            || format!("free_end={free_end}, slot directory ends at {slots_end}"),
-        );
-        // Collect live-record extents; they must sit inside the record area
-        // (past free_end) and must not overlap one another.
-        let mut extents: Vec<(usize, usize, u16)> = Vec::new();
-        let mut oob = None;
-        for slot in 0..self.slot_count() {
-            let slot_off = HEADER + slot as usize * SLOT_BYTES;
-            let off = read_u16(&self.data, slot_off) as usize;
-            let len = read_u16(&self.data, slot_off + 2);
-            if len == TOMBSTONE {
-                continue;
-            }
-            let end = off + len as usize;
-            if (off < free_end || end > PAGE_SIZE) && oob.is_none() {
-                oob = Some(format!(
-                    "slot {slot}: record [{off}, {end}) outside [{free_end}, {PAGE_SIZE})"
-                ));
-            }
-            extents.push((off, end, slot));
-        }
-        audit.check(
-            "live records lie inside the record area",
-            oob.is_none(),
-            || oob.unwrap_or_default(),
-        );
-        extents.sort_unstable();
-        let mut overlap = None;
-        for w in extents.windows(2) {
-            if w[1].0 < w[0].1 {
-                overlap = Some(format!(
-                    "slots {} and {} overlap: [{}, {}) vs [{}, {})",
-                    w[0].2, w[1].2, w[0].0, w[0].1, w[1].0, w[1].1
-                ));
-                break;
-            }
-        }
-        audit.check(
-            "live record extents are pairwise disjoint",
-            overlap.is_none(),
-            || overlap.unwrap_or_default(),
+            "frame is blank or holds one well-formed chunk",
+            self.data.iter().all(|&b| b == 0) || self.chunk().is_some(),
+            || format!("header {:?} describes no chunk", &self.data[..HEADER]),
         );
         audit.finish()
     }
-}
-
-fn read_u16(data: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes([data[off], data[off + 1]])
-}
-
-fn write_u16(data: &mut [u8], off: usize, v: u16) {
-    data[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -217,101 +112,89 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_and_get() {
-        let mut p = Page::new();
-        let a = p.insert(b"hello").unwrap();
-        let b = p.insert(b"world!").unwrap();
-        assert_eq!(p.get(a), Some(&b"hello"[..]));
-        assert_eq!(p.get(b), Some(&b"world!"[..]));
-        assert_eq!(p.slot_count(), 2);
+    fn holding_writes_the_one_record_layout() {
+        let p = Page::holding(b"hello").unwrap();
+        let off = (PAGE_SIZE - 5) as u16;
+        let header: Vec<u8> = [1, off, off, 5]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        assert_eq!(&p.bytes()[..HEADER], &header[..]);
+        assert!(p.bytes()[HEADER..PAGE_SIZE - 5].iter().all(|&b| b == 0));
+        assert_eq!(p.chunk(), Some(&b"hello"[..]));
     }
 
     #[test]
     fn empty_record_allowed() {
-        let mut p = Page::new();
-        let s = p.insert(b"").unwrap();
-        assert_eq!(p.get(s), Some(&b""[..]));
-    }
-
-    #[test]
-    fn delete_tombstones() {
-        let mut p = Page::new();
-        let a = p.insert(b"abc").unwrap();
-        assert!(p.delete(a));
-        assert!(!p.delete(a));
-        assert_eq!(p.get(a), None);
-        assert_eq!(p.records().count(), 0);
-    }
-
-    #[test]
-    fn fills_up_and_rejects() {
-        let mut p = Page::new();
-        let rec = vec![7u8; 1000];
-        let mut n = 0;
-        while p.insert(&rec).is_some() {
-            n += 1;
-        }
-        // 8 pages of ~1004 bytes each fit in 8188 usable bytes
-        assert_eq!(n, 8);
-        assert!(!p.fits(1000));
-        assert!(p.fits(10)); // small records still fit
-    }
-
-    #[test]
-    fn out_of_range_get() {
-        let p = Page::new();
-        assert_eq!(p.get(0), None);
-        assert_eq!(p.get(999), None);
+        let p = Page::holding(b"").unwrap();
+        assert_eq!(p.chunk(), Some(&b""[..]));
     }
 
     #[test]
     fn round_trip_through_bytes() {
-        let mut p = Page::new();
-        p.insert(b"persisted").unwrap();
-        let q = Page::from_bytes(p.bytes().to_vec());
-        assert_eq!(q.get(0), Some(&b"persisted"[..]));
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn records_skips_tombstones() {
-        let mut p = Page::new();
-        p.insert(b"a").unwrap();
-        let b = p.insert(b"b").unwrap();
-        p.insert(b"c").unwrap();
-        p.delete(b);
-        let live: Vec<_> = p.records().map(|(_, r)| r.to_vec()).collect();
-        assert_eq!(live, vec![b"a".to_vec(), b"c".to_vec()]);
+        for len in [1, PAGE_SIZE - 64, PAGE_SIZE - HEADER] {
+            let chunk: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let p = Page::holding(&chunk).unwrap();
+            let q = Page::from_bytes(p.bytes().to_vec());
+            assert_eq!(q.chunk(), Some(&chunk[..]), "len {len}");
+            assert_eq!(p, q);
+        }
     }
 
     #[test]
     fn oversized_record_rejected() {
-        let mut p = Page::new();
-        assert!(p.insert(&vec![0u8; PAGE_SIZE]).is_none());
+        assert!(Page::holding(&[0u8; PAGE_SIZE - HEADER + 1]).is_none());
+        assert!(Page::holding(&vec![0u8; PAGE_SIZE]).is_none());
+    }
+
+    #[test]
+    fn a_blank_page_holds_no_chunk() {
+        assert_eq!(Page::new().chunk(), None);
+        assert_eq!(Page::from_bytes(vec![0; PAGE_SIZE]), Page::new());
+    }
+
+    /// Every header byte flipped every way reads as no chunk: a damaged
+    /// header never slices outside the frame or hands back other bytes.
+    #[test]
+    fn every_damaged_header_byte_reads_as_no_chunk() {
+        for chunk in [&b""[..], b"x", b"hello", &[9u8; PAGE_SIZE - 64]] {
+            let page = Page::holding(chunk).unwrap();
+            for at in 0..HEADER {
+                for flip in [0x01, 0x80, 0xFF] {
+                    let mut bytes = page.bytes().to_vec();
+                    bytes[at] ^= flip;
+                    let damaged = Page::from_bytes(bytes);
+                    assert_eq!(
+                        damaged.chunk(),
+                        None,
+                        "len {}: byte {at} ^ {flip:#x}",
+                        chunk.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
-        let mut p = Page::new();
-        p.insert(b"first").unwrap();
-        p.insert(b"second").unwrap();
+        Page::new().integrity_check().unwrap();
+        let p = Page::holding(b"first").unwrap();
         p.integrity_check().unwrap();
 
-        // free_end pushed into the slot directory.
+        // The chunk length running past the frame end.
         let mut bad = p.clone();
-        write_u16(&mut bad.data, 2, 2);
+        bad.data[6..8].copy_from_slice(&2000u16.to_le_bytes());
         assert!(bad.integrity_check().is_err());
 
-        // Slot 0's record relocated on top of slot 1's.
+        // free_end pushed into the header.
         let mut bad = p.clone();
-        let other = read_u16(&bad.data, HEADER + SLOT_BYTES);
-        write_u16(&mut bad.data, HEADER, other);
+        bad.data[2..4].copy_from_slice(&2u16.to_le_bytes());
         assert!(bad.integrity_check().is_err());
 
-        // Record length running past the frame end.
-        let mut bad = p.clone();
-        write_u16(&mut bad.data, HEADER + 2, PAGE_SIZE as u16 - 1);
+        // A stray byte in an otherwise blank frame.
+        let mut bad = Page::new();
+        bad.data[100] = 1;
         assert!(bad.integrity_check().is_err());
     }
 }

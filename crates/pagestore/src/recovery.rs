@@ -502,4 +502,28 @@ mod tests {
         assert_eq!(store.generation(), 1, "only a checkpoint moves it");
         assert!(log.len().unwrap() > 0, "the commit is in the log");
     }
+
+    /// A CRC-valid page image that is not a page long, sealed by a commit,
+    /// is a torn record: recovery keeps the batches before it and drops it
+    /// and what follows, instead of panicking on a frame that is no page.
+    #[test]
+    fn a_page_image_of_the_wrong_length_is_a_torn_tail() {
+        let (disk, log, manifests) = fresh();
+        {
+            let (mut store, _) = open(&disk, &log, &manifests);
+            store.put_blob("a", b"kept").unwrap();
+            store.commit().unwrap();
+            let wal = Wal::new(log.clone());
+            let short = WalRecord::PageImage {
+                id: 0,
+                bytes: vec![7; 100],
+            };
+            wal.append(&short).unwrap();
+            wal.commit(store.generation(), 1).unwrap();
+        }
+        let (store, report) = open(&disk, &log, &manifests);
+        assert!(report.torn_tail);
+        assert_eq!(report.batches_replayed, 1);
+        assert_eq!(store.get_blob("a").unwrap().as_deref(), Some(&b"kept"[..]));
+    }
 }

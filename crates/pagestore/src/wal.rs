@@ -20,7 +20,7 @@
 //! acknowledged as committed, and everything before the tail is protected
 //! by its own commit marker and sync.
 
-use crate::page::PageId;
+use crate::page::{PageId, PAGE_SIZE};
 use flixobs::Counter;
 use parking_lot::Mutex;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -89,7 +89,8 @@ pub trait LogDevice: Send + Sync {
 }
 
 /// In-memory log device. Memory is its stable storage, so `sync` only
-/// counts; [`MemLog::truncate_to`] exists for kill-point simulations.
+/// counts; [`MemLog::from_bytes`] over a cut [`MemLog::snapshot`] is how
+/// kill-point simulations crash it.
 #[derive(Default)]
 pub struct MemLog {
     bytes: Mutex<Vec<u8>>,
@@ -114,15 +115,6 @@ impl MemLog {
     /// A copy of the current log contents.
     pub fn snapshot(&self) -> Vec<u8> {
         self.bytes.lock().clone()
-    }
-
-    /// Cuts the log to its first `len` bytes (no-op if already shorter).
-    /// This is the kill switch for crash simulations.
-    pub fn truncate_to(&self, len: usize) {
-        let mut bytes = self.bytes.lock();
-        if bytes.len() > len {
-            bytes.truncate(len);
-        }
     }
 }
 
@@ -220,7 +212,8 @@ pub enum WalRecord {
     PageImage {
         /// The page this image belongs to.
         id: PageId,
-        /// Raw page bytes (page-size length).
+        /// Raw page bytes, exactly [`PAGE_SIZE`] of them: a record holding
+        /// any other number does not decode.
         bytes: Vec<u8>,
     },
     /// A blob-directory snapshot ([`crate::BlobStore::export_directory`]).
@@ -270,8 +263,11 @@ impl WalRecord {
     pub fn decode_payload(payload: &[u8]) -> Result<Self, String> {
         match payload.first() {
             Some(&TAG_PAGE) => {
-                if payload.len() < 5 {
-                    return Err("page-image record too short".into());
+                if payload.len() != 5 + PAGE_SIZE {
+                    return Err(format!(
+                        "page image of {} bytes is not a {PAGE_SIZE}-byte page",
+                        payload.len().saturating_sub(5)
+                    ));
                 }
                 let id = u32::from_le_bytes([payload[1], payload[2], payload[3], payload[4]]);
                 Ok(WalRecord::PageImage {
@@ -468,7 +464,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
 
     fn sample_batches() -> (Arc<MemLog>, Vec<WalBatch>) {
         let dev = Arc::new(MemLog::new());
@@ -522,7 +517,7 @@ mod tests {
         for record in [
             WalRecord::PageImage {
                 id: 42,
-                bytes: vec![1, 2, 3],
+                bytes: vec![3; PAGE_SIZE],
             },
             WalRecord::Directory(vec![]),
             WalRecord::Commit { epoch: 7, seq: 99 },
@@ -531,6 +526,14 @@ mod tests {
             assert_eq!(WalRecord::decode_payload(&payload).unwrap(), record);
         }
         assert!(WalRecord::decode_payload(&[]).is_err());
+        for len in [0, 3, PAGE_SIZE - 1, PAGE_SIZE + 1] {
+            let short = WalRecord::PageImage {
+                id: 42,
+                bytes: vec![3; len],
+            };
+            let err = WalRecord::decode_payload(&short.encode_payload()).unwrap_err();
+            assert!(err.contains("is not a 8192-byte page"), "{len}: {err}");
+        }
         assert!(WalRecord::decode_payload(&[200]).is_err());
         assert!(WalRecord::decode_payload(&[TAG_COMMIT, 1, 2]).is_err());
     }

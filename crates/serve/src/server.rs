@@ -560,15 +560,6 @@ impl FlixServer {
         }
     }
 
-    /// Blocks until no request is queued or executing. Used after
-    /// open-loop (fire-and-forget) load generation to let the tail drain
-    /// before reading the counters.
-    pub fn wait_idle(&self) {
-        while self.shared.in_flight.load(SeqCst) > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }
-
     /// Point-in-time serving counters. `queued` and `in_flight` are two
     /// loads; a request can be dequeued and finished between them, so
     /// `queued` is clamped to `in_flight` (every queued request is in
@@ -1121,6 +1112,5 @@ mod tests {
             );
         }
         server.shutdown();
-        server.wait_idle();
     }
 }

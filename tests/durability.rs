@@ -4,7 +4,7 @@
 //! file-backed crash round trips, and the serve layer's hot swap under
 //! concurrent closed-loop traffic.
 
-use flix::{Flix, FlixConfig, QueryOptions};
+use flix::{persist, Flix, FlixConfig, QueryOptions, StrategyKind};
 use flixserve::{FlixServer, Request, ServeConfig};
 use pagestore::{
     BlobStore, BufferPool, DiskManager, DurableStore, FileDisk, FileLog, FileManifests, LogDevice,
@@ -13,6 +13,7 @@ use pagestore::{
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use workloads::{generate_dblp, DblpConfig};
 use xmlgraph::{Collection, Document, LinkTarget, TagId};
 
 /// Oracle state after a commit: the exported directory bytes plus every
@@ -407,4 +408,83 @@ fn hot_swap_under_concurrent_traffic_drops_nothing_and_changes_no_answer() {
         "every swap bumped the generation"
     );
     server.shutdown();
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The data file `flix` saves to: every blob of its save but the build
+/// report (it carries wall-clock timings), re-put in name order into a
+/// fresh store and flushed, its frames folded in page order. Returns the
+/// digest and the page count.
+fn data_file_digest(flix: &Flix) -> (u64, usize) {
+    let mut saved = BlobStore::new(Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64)));
+    persist::save_flix(flix, &mut saved, "fw").expect("save");
+    let disk = Arc::new(MemDisk::new());
+    let pool = Arc::new(BufferPool::new(disk.clone(), 64));
+    let mut store = BlobStore::new(pool.clone());
+    for name in saved
+        .names()
+        .into_iter()
+        .filter(|n| !n.ends_with("/report"))
+    {
+        let blob = saved.get(name).expect("readable").expect("present");
+        store.put(name, &blob).expect("put");
+    }
+    pool.flush_all().expect("flush");
+    let frames = disk.snapshot_frames();
+    let digest = frames.iter().fold(0u64, |acc, frame| {
+        let frame = frame.as_deref().expect("every allocated page is written");
+        acc.rotate_left(5) ^ fnv1a64(frame)
+    });
+    (digest, frames.len())
+}
+
+/// Pins every byte of the data file, page headers and padding included,
+/// not only the blobs read back through the store: a change to how a page
+/// lays out its chunk moves these digests.
+#[test]
+fn every_configuration_writes_the_pinned_data_file() {
+    let cg = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
+    let pinned = [
+        (FlixConfig::Naive, 0x9c98_1f85_cf41_4d8d, 61),
+        (FlixConfig::MaximalPpo, 0x8f46_bf78_c37c_6eb0, 13),
+        (
+            FlixConfig::UnconnectedHopi {
+                partition_size: 5000,
+            },
+            0x94c9_3da8_49dd_9451,
+            4,
+        ),
+        (
+            FlixConfig::Hybrid {
+                partition_size: 5000,
+            },
+            0x99f8_46aa_8272_531c,
+            13,
+        ),
+        (
+            FlixConfig::Monolithic(StrategyKind::Ppo),
+            0x8daf_fd46_397e_7955,
+            3,
+        ),
+        (
+            FlixConfig::Monolithic(StrategyKind::Hopi),
+            0xdcca_0804_ef26_85c6,
+            4,
+        ),
+        (
+            FlixConfig::Monolithic(StrategyKind::Apex),
+            0x3672_845b_a2fc_b172,
+            4,
+        ),
+    ];
+    for (config, want, pages) in pinned {
+        let got = data_file_digest(&Flix::build(cg.clone(), config));
+        assert_eq!(got, (want, pages), "{config}: {:016x}", got.0);
+    }
 }

@@ -434,20 +434,21 @@ proptest! {
         prop_assert_eq!(v, back);
     }
 
+    /// A written chunk reads back exactly, and with a random 8-byte header
+    /// written over it the page reads as that chunk or as none: never past
+    /// the frame, never into the header. (A random header that describes
+    /// another well-formed chunk is a draw of about 2⁻⁵⁰.)
     #[test]
-    fn slotted_page_retains_all_records(
-        recs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..30)
+    fn a_page_reads_its_chunk_or_none(
+        chunk in proptest::collection::vec(any::<u8>(), 0..=pagestore::PAGE_SIZE - 8),
+        header in proptest::collection::vec(any::<u8>(), 8),
     ) {
-        let mut page = pagestore::Page::new();
-        let mut stored = Vec::new();
-        for r in &recs {
-            if let Some(slot) = page.insert(r) {
-                stored.push((slot, r.clone()));
-            }
-        }
-        for (slot, rec) in &stored {
-            prop_assert_eq!(page.get(*slot), Some(rec.as_slice()));
-        }
+        let page = pagestore::Page::holding(&chunk).unwrap();
+        prop_assert_eq!(page.chunk(), Some(chunk.as_slice()));
+        let mut bytes = page.bytes().to_vec();
+        bytes[..8].copy_from_slice(&header);
+        let damaged = pagestore::Page::from_bytes(bytes);
+        prop_assert!(damaged.chunk().is_none_or(|got| got == chunk.as_slice()));
     }
 }
 
