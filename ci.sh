@@ -32,6 +32,11 @@ echo "== flixbench (the benchmark package builds against crates/, passes its tes
 cargo test --offline --manifest-path flixbench/Cargo.toml
 bash flixbench/run.sh --smoke
 
+echo "== flixbench at full scale, one second a workload (every answer fingerprint pinned in flixbench/baseline.json must hold; --smoke pins none)"
+for workload in linkchase labeljoin served rebuild; do
+    bash flixbench/run.sh --workload "$workload" --seconds 1 > /dev/null
+done
+
 echo "== perf ledger (every committed result document parses and compares clean against itself)"
 for entry in bench/ledger/*.json; do
     bash flixbench/run.sh compare "$entry" "$entry" > /dev/null

@@ -493,18 +493,16 @@ mod tests {
         }
     }
 
-    /// A disk that hands back empty pages while `failing` is set: what a
-    /// lost page looks like to a pool whose `read_page` has no error to
-    /// pass on.
+    /// A disk whose reads fail while `failing` is set.
     struct FlakyDisk {
         disk: MemDisk,
         failing: AtomicBool,
     }
 
     impl DiskManager for FlakyDisk {
-        fn read_page(&self, id: PageId) -> Page {
+        fn read_page(&self, id: PageId) -> std::io::Result<Page> {
             if self.failing.load(Ordering::SeqCst) {
-                return Page::new();
+                return Err(std::io::Error::other("injected read fault"));
             }
             self.disk.read_page(id)
         }
@@ -531,9 +529,10 @@ mod tests {
     }
 
     /// Page reads that start failing between two pops of a query fail the
-    /// query as a whole, with the blob store's error; and nothing of the
-    /// failed load stays behind in the index cache — once reads work again
-    /// the same engine answers like memory.
+    /// query as a whole, with the blob store's I/O error naming the page;
+    /// and nothing of the failed load stays behind, in the index cache or
+    /// the buffer pool — once reads work again the same engine answers
+    /// the same queries like memory.
     #[test]
     fn failed_page_read_mid_query_is_an_error_not_a_partial_answer() {
         let flix = Flix::build(graph(), FlixConfig::Naive);
@@ -552,18 +551,16 @@ mod tests {
         dflix.meta(flix.meta_of(q.start)).unwrap();
         disk.failing.store(true, Ordering::SeqCst);
         let got = dflix.find_descendants(q.start, q.target_tag, &opts);
+        let named = format!("blob \"fw/meta-{victim}\": I/O error reading page");
         let err = got.expect_err("a partial answer was returned");
-        assert!(err.contains("holds no chunk record"), "{err}");
+        assert!(
+            err.contains(&named) && err.contains("injected read fault"),
+            "{err}"
+        );
         let err = connect(&dflix, q.start, to, &opts).unwrap_err();
-        assert!(err.contains("holds no chunk record"), "{err}");
+        assert!(err.contains(&named), "{err}");
 
-        // The pool cannot tell an empty page it was handed from a page
-        // that is empty, and keeps it until other reads push it out of
-        // its four frames.
         disk.failing.store(false, Ordering::SeqCst);
-        for other in (0..flix.meta_count() as u32).filter(|&id| id != victim) {
-            dflix.meta(other).unwrap();
-        }
         for query in [
             Query::descendants(q.start, q.target_tag, opts),
             Query::connection(q.start, to, false, opts),
@@ -703,7 +700,7 @@ mod tests {
             let up = |e| {
                 (0..4).map(move |label| {
                     let mut pop = crate::meta::PopAnswer::default();
-                    md.answer_pop(Axis::Ancestors, e, label, true, &mut pop);
+                    md.answer_pop(Axis::Ancestors, e, label, true, None, &mut pop);
                     pop
                 })
             };

@@ -155,7 +155,8 @@ impl MetaIndex {
                 i.ancestors_among_into(u, i.label_list(label), s, out)
             }
             (MetaIndex::Hopi(i), axis) => {
-                i.answer_into(axis, u, Some((label, s)), out, &mut vec![])
+                let asked = Some((label, s));
+                i.answer_into(axis, u, asked, None, out, &mut vec![]).0
             }
             (MetaIndex::Apex(i), axis) => i.block_into(axis, u, label, s, out),
         }
@@ -244,6 +245,10 @@ pub struct PopAnswer {
     pub work: usize,
     /// Link anchors the entry reaches, ascending by `(distance, local)`.
     pub links: Vec<(u32, Distance)>,
+    /// Whether the pop's distance budget may have left out rows the whole
+    /// block holds: a HOPI join the budget cut
+    /// ([`HopiIndex::answer_into`]).
+    pub partial: bool,
 }
 
 impl MetaDocument {
@@ -306,7 +311,7 @@ impl MetaDocument {
     /// anchor prefixes of its inverted rows and nothing else of them; APEX
     /// runs one BFS, keeping the members of `L_i` it reaches.
     pub fn reachable_link_sources(&self, e: u32) -> Vec<(u32, Distance)> {
-        graphcore::filled(|out| self.link_anchors_into(Axis::Descendants, e, out)).0
+        graphcore::filled(|out| self.link_anchors_into(Axis::Descendants, e, None, out)).0
     }
 
     /// Mirror of [`Self::reachable_link_sources`] for ancestor queries:
@@ -314,14 +319,22 @@ impl MetaDocument {
     /// `e`, ascending by `(distance, local)`. Under PPO this walks `e`'s
     /// parent chain, looking each step up in the id-sorted target list.
     pub fn reaching_link_targets(&self, e: u32) -> Vec<(u32, Distance)> {
-        graphcore::filled(|out| self.link_anchors_into(Axis::Ancestors, e, out)).0
+        graphcore::filled(|out| self.link_anchors_into(Axis::Ancestors, e, None, out)).0
     }
 
     /// The anchors of runtime links leaving this meta document along
     /// `axis` that entry `e` reaches — [`Self::reachable_link_sources`]
     /// going down, [`Self::reaching_link_targets`] going up — written into
-    /// `out`, whose contents it replaces.
-    pub(crate) fn link_anchors_into(&self, axis: Axis, e: u32, out: &mut Vec<(u32, Distance)>) {
+    /// `out`, whose contents it replaces. HOPI reads only the rows within
+    /// `budget` of `e` (see [`HopiIndex::answer_into`]), so it leaves out
+    /// the anchors past it; PPO and APEX ignore the budget.
+    pub(crate) fn link_anchors_into(
+        &self,
+        axis: Axis,
+        e: u32,
+        budget: Option<Distance>,
+        out: &mut Vec<(u32, Distance)>,
+    ) {
         let anchors = match axis {
             Axis::Descendants => &self.link_sources,
             Axis::Ancestors => &self.link_targets,
@@ -338,7 +351,7 @@ impl MetaDocument {
                 i.ancestors_among_into(e, anchors, true, out);
             }
             (MetaIndex::Hopi(i), axis) => {
-                i.answer_into(axis, e, None, &mut vec![], out);
+                i.answer_into(axis, e, None, budget, &mut vec![], out);
             }
             (MetaIndex::Apex(i), axis) => i.among_into(axis, e, anchors, out),
         }
@@ -358,21 +371,37 @@ impl MetaDocument {
     /// label join over each center's anchor prefix and label run; PPO and
     /// APEX have nothing to share (an interval lookup beside a rank-list
     /// scan; a plain BFS beside a label-pruned one).
+    ///
+    /// `budget` is the in-meta distance the pop may still cover. HOPI
+    /// answers only block rows and anchors within it and reads only the
+    /// rows that can ([`HopiIndex::answer_into`]), and says whether that
+    /// left a row of the whole block out (`partial`); PPO and APEX ignore
+    /// the budget and answer in full.
     pub fn answer_pop(
         &self,
         axis: Axis,
         e: u32,
         label: u32,
         include_self: bool,
+        budget: Option<Distance>,
         out: &mut PopAnswer,
     ) {
-        let PopAnswer { block, work, links } = out;
-        *work = match &self.index {
-            MetaIndex::Hopi(i) => i.answer_into(axis, e, Some((label, include_self)), block, links),
+        let PopAnswer {
+            block,
+            work,
+            links,
+            partial,
+        } = out;
+        (*work, *partial) = match &self.index {
+            MetaIndex::Hopi(i) => {
+                i.answer_into(axis, e, Some((label, include_self)), budget, block, links)
+            }
             index => {
-                self.link_anchors_into(axis, e, links);
+                self.link_anchors_into(axis, e, budget, links);
                 let nodes = &self.nodes;
-                index.block_into(axis, e, label, include_self, block, |v| nodes[v as usize])
+                let work =
+                    index.block_into(axis, e, label, include_self, block, |v| nodes[v as usize]);
+                (work, false)
             }
         };
     }
@@ -588,7 +617,7 @@ mod tests {
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 for e in 0..4 {
                     for include_self in [false, true] {
-                        md.answer_pop(axis, e, 1, include_self, &mut pop);
+                        md.answer_pop(axis, e, 1, include_self, None, &mut pop);
                         let (block, work) = match axis {
                             Axis::Descendants => {
                                 md.index.descendants_by_label_counted(e, 1, include_self)
@@ -601,7 +630,13 @@ mod tests {
                             Axis::Descendants => md.reachable_link_sources(e),
                             Axis::Ancestors => md.reaching_link_targets(e),
                         };
-                        assert_eq!(pop, PopAnswer { block, work, links }, "{kind} {axis:?} {e}");
+                        let whole = PopAnswer {
+                            block,
+                            work,
+                            links,
+                            partial: false,
+                        };
+                        assert_eq!(pop, whole, "{kind} {axis:?} {e}");
                     }
                 }
             }
@@ -623,7 +658,7 @@ mod tests {
         let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);
         assert_eq!(by_local, vec![(1, 1), (3, 1), (2, 2)]);
         let mut pop = PopAnswer::default();
-        md.answer_pop(Axis::Descendants, 0, 1, false, &mut pop);
+        md.answer_pop(Axis::Descendants, 0, 1, false, None, &mut pop);
         assert_eq!(pop.block, vec![(3, 1), (1, 1), (2, 2)]);
     }
 

@@ -369,6 +369,12 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 #[derive(Default)]
 struct Entries {
     metas: Vec<Vec<u32>>,
+    /// Per meta document, whether an answered block of it may have left
+    /// rows out: a HOPI pop whose distance budget cut its join
+    /// ([`PopAnswer::partial`]) reads no row past the budget, so
+    /// [`RowMarks`] never marks the rows of its block that lie past it. A
+    /// budget that cut nothing leaves the block whole and the flag unset.
+    partial: Vec<bool>,
     /// The meta documents with a non-empty list: what [`Self::begin`]
     /// clears, so a query costs the metas it entered, not the space's.
     touched: Vec<u32>,
@@ -379,9 +385,11 @@ impl Entries {
     fn begin(&mut self, meta_count: usize) {
         for meta in self.touched.drain(..) {
             self.metas[meta as usize].clear();
+            self.partial[meta as usize] = false;
         }
         if self.metas.len() < meta_count {
             self.metas.resize_with(meta_count, Vec::new);
+            self.partial.resize(meta_count, false);
         }
     }
 
@@ -402,8 +410,10 @@ impl Entries {
         }
     }
 
-    /// Records `local` as an answered entry of `meta`.
-    fn push(&mut self, md: &MetaDocument, axis: Axis, meta: u32, local: u32) {
+    /// Records `local` as an answered entry of `meta`, whose block left
+    /// rows out if `partial`.
+    fn push(&mut self, md: &MetaDocument, axis: Axis, meta: u32, local: u32, partial: bool) {
+        self.partial[meta as usize] |= partial;
         let seen = &mut self.metas[meta as usize];
         if seen.is_empty() {
             self.touched.push(meta);
@@ -443,12 +453,24 @@ fn covered_by_scan(index: &MetaIndex, axis: Axis, seen: &[u32], later: u32) -> b
 /// wrote — a query costs the rows it saw, not the collection's size.
 ///
 /// A row is a duplicate iff an answered entry of its meta document covers
-/// it ([`Entries::covered`]), and that is the same as "it was a row of an
-/// answered block": a row carries the query's label, so the block of an
-/// entry that reaches it held it, and every row of an answered block is
-/// gone over. The one element an entry reaches without its block holding
-/// it is a seed left out by `include_start == false`; the evaluator marks
-/// that seed when it answers it. The test needs no index.
+/// it ([`Entries::covered`]). Where every answered block of the meta
+/// document was whole, that is the same as "it was a row of an answered
+/// block": a row carries the query's label, so the block of an entry that
+/// reaches it held it, and every row of an answered block is gone over. The
+/// one element an entry reaches without its block holding it is a seed
+/// left out by `include_start == false`; the evaluator marks that seed when
+/// it answers it. That test needs no index.
+///
+/// A block whose distance budget cut its join (HOPI,
+/// [`MetaDocument::answer_pop`]) holds only its rows within the budget, so
+/// the rows past it — which the evaluator would have gone over and dropped
+/// past the query's bound — are never marked, and a later entry may meet
+/// one of them within the bound. In a meta document where such a block was
+/// answered ([`Entries::partial`]), a mark still proves a duplicate, and an
+/// unmarked row is one iff [`Entries::covered`] finds an answered entry
+/// that reaches it: the same verdict the whole blocks' marks gave. A
+/// budgeted block the budget did not cut is whole, and leaves the bit test
+/// alone in charge.
 #[derive(Default)]
 struct RowMarks {
     bits: Vec<u64>,
@@ -508,6 +530,23 @@ struct EvalScratch {
     nodes: usize,
     /// The answer of the pop in progress, refilled by every pop.
     pop: PopAnswer,
+}
+
+impl EvalScratch {
+    /// §5.1 step 2 for row `r` of `meta` (global `node`) in streamed order:
+    /// marks it and says whether it is met for the first time — neither
+    /// marked already nor, where an answered block of `meta` left rows
+    /// out, covered by an answered entry (see [`RowMarks`]).
+    fn first_meeting(
+        &mut self,
+        md: &MetaDocument,
+        axis: Axis,
+        (meta, r): (u32, u32),
+        node: NodeId,
+    ) -> bool {
+        self.rows.insert(node)
+            && !(self.entries.partial[meta as usize] && self.entries.covered(md, axis, meta, r))
+    }
 }
 
 thread_local! {
@@ -942,12 +981,16 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         // connection test's block is one distance probe, one row, when the
         // target lies in this meta document.
         let include_self = !is_seed || opts.include_start;
+        // What the pop may still cover: HOPI reads no row past it, and says
+        // whether that left rows of the whole block out.
+        let budget = opts.max_distance.map(|m| m.saturating_sub(d));
         let mut pop = std::mem::take(&mut self.scratch.pop);
         match self.seek {
-            Seek::Tag(tag) => md.answer_pop(axis, local, tag, include_self, &mut pop),
+            Seek::Tag(tag) => md.answer_pop(axis, local, tag, include_self, budget, &mut pop),
             Seek::Node(target) => {
                 pop.block.clear();
                 pop.work = 0;
+                pop.partial = false;
                 if let Some((_, t)) = target.filter(|&(t_meta, _)| t_meta == meta) {
                     let found = match axis {
                         Axis::Descendants => md.index.distance(local, t),
@@ -956,7 +999,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
                     pop.block.extend(found.map(|dt| (t, dt)));
                     pop.work = 1;
                 }
-                md.link_anchors_into(axis, local, &mut pop.links);
+                md.link_anchors_into(axis, local, budget, &mut pop.links);
             }
         }
         self.stats.block_results_scanned += pop.work;
@@ -970,7 +1013,7 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
             // §5.1 step 2: skip results an earlier entry already returned —
             // the rows of an answered block, kept or not. (Held rows are
             // deduplicated by their best distance.)
-            if !hold && !self.scratch.rows.insert(node) {
+            if !hold && !self.scratch.first_meeting(&md, axis, (meta, r), node) {
                 continue;
             }
             let total = d + dr;
@@ -1015,8 +1058,10 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
                 }
             }
         }
+        self.scratch
+            .entries
+            .push(&md, axis, meta, local, pop.partial);
         self.scratch.pop = pop;
-        self.scratch.entries.push(&md, axis, meta, local);
         lap(ctx, clock, SpanStage::LinkExpand);
         Ok(None)
     }
@@ -1776,7 +1821,7 @@ mod tests {
                 entries.begin(1);
                 let mut raw = Vec::new();
                 for &local in &pushes {
-                    entries.push(&md, axis, 0, local);
+                    entries.push(&md, axis, 0, local, false);
                     raw.push(local);
                     let list = &entries.metas[0];
                     prop_assert!(list.windows(2).all(|w| match axis {
@@ -1801,22 +1846,24 @@ mod tests {
         }
     }
 
-    /// `begin` clears exactly the lists that were written, for a space of
-    /// any size after one of any other size.
+    /// `begin` clears exactly the lists (and partial-block flags) that were
+    /// written, for a space of any size after one of any other size.
     #[test]
     fn entries_are_forgotten_between_spaces_of_different_sizes() {
         // 0 -> {1, 2}, 1 -> 3: ranks 0, 1, 3, 2
         let md = ppo_forest(&[Some(0), Some(0), Some(1)]);
         let mut entries = Entries::default();
         entries.begin(9);
-        entries.push(&md, Axis::Descendants, 7, 1);
-        entries.push(&md, Axis::Descendants, 2, 0);
+        entries.push(&md, Axis::Descendants, 7, 1, true);
+        entries.push(&md, Axis::Descendants, 2, 0, false);
         assert!(entries.covered(&md, Axis::Descendants, 7, 2));
         assert!(!entries.covered(&md, Axis::Descendants, 7, 3));
+        assert_eq!((entries.partial[7], entries.partial[2]), (true, false));
         entries.begin(3);
         assert!(entries.touched.is_empty());
         assert!(entries.metas.iter().all(Vec::is_empty));
-        entries.push(&md, Axis::Ancestors, 2, 2);
+        assert!(!entries.partial.contains(&true));
+        entries.push(&md, Axis::Ancestors, 2, 2, false);
         assert!(entries.covered(&md, Axis::Ancestors, 2, 1));
         entries.begin(12);
         assert_eq!(entries.metas.len(), 12);
@@ -1879,13 +1926,16 @@ mod tests {
     /// states it: the popped entry *and every block row* are probed against
     /// the answered entries of their meta document, one reachability test
     /// each ([`covered_by_scan`]). The pushes go through a scratch of their
-    /// own, so refusals are counted as the evaluator counts them.
+    /// own, so refusals are counted as the evaluator counts them. A pop is
+    /// answered whole, or — `budgeted` — within what the query's bound
+    /// leaves it, as the evaluator asks.
     fn evaluate_with_row_scan(
         flix: &Flix,
         axis: Axis,
         seeds: &[(NodeId, Distance)],
         target: TagId,
         opts: &QueryOptions,
+        budgeted: bool,
         witness: &mut RowScanWitness,
     ) -> (Vec<QueryResult>, PeeStats) {
         let (mut results, mut stats) = (Vec::new(), PeeStats::default());
@@ -1916,8 +1966,11 @@ mod tests {
                 silent_seeds.insert(e);
             }
             let mut pop = PopAnswer::default();
-            md.answer_pop(axis, local, target, include_self, &mut pop);
-            let PopAnswer { block, work, links } = pop;
+            let budget = opts.max_distance.filter(|_| budgeted).map(|m| m - d);
+            md.answer_pop(axis, local, target, include_self, budget, &mut pop);
+            let PopAnswer {
+                block, work, links, ..
+            } = pop;
             stats.block_results_scanned += work;
             for (r, dr) in block {
                 let node = md.nodes[r as usize];
@@ -1960,7 +2013,10 @@ mod tests {
     /// results, their order and every counter, for one seed and for two at
     /// any distances, bounded and capped, both axes, with and without the
     /// seeds' own match — the cases where "was a row of an answered block"
-    /// and "is reachable from an answered entry" could part included.
+    /// and "is reachable from an answered entry" could part included. The
+    /// results are those of the probe over whole blocks; the counters those
+    /// of the probe over blocks answered within the budget the evaluator
+    /// gives each pop, which reads fewer rows and follows fewer links.
     #[test]
     fn row_stamps_answer_as_the_per_row_scan() {
         let cg = ring();
@@ -1968,14 +2024,21 @@ mod tests {
         let tags = ["t", "b"].map(|tag| cg.collection.tags.get(tag).unwrap());
         let mut bounds = vec![QueryOptions::default(), QueryOptions::top_k(3)];
         bounds.extend((1..6).map(QueryOptions::within));
+        // The HOPI configurations the named "dropped, then met again within
+        // the bound" case ran on.
+        let mut met_again_on_hopi = Vec::new();
         for config in all_configs() {
             let flix = Flix::build(cg.clone(), config);
             let mut witness = RowScanWitness::default();
             let mut check = |axis, seeds: &[(NodeId, Distance)], tag, opts: &QueryOptions| {
-                let want = evaluate_with_row_scan(&flix, axis, seeds, tag, opts, &mut witness);
+                let whole =
+                    evaluate_with_row_scan(&flix, axis, seeds, tag, opts, false, &mut witness);
+                let want =
+                    evaluate_with_row_scan(&flix, axis, seeds, tag, opts, true, &mut witness);
                 let (got, escaped) = collect_from(&flix, axis, seeds, tag, opts);
                 assert!(!escaped);
                 let case = format!("{config} {axis:?} {seeds:?} tag {tag} {opts:?}");
+                assert_eq!(got.results, whole.0, "{case}");
                 assert_eq!((got.results, got.stats), want, "{case}");
             };
             for axis in [Axis::Descendants, Axis::Ancestors] {
@@ -2028,6 +2091,10 @@ mod tests {
                 assert!(up(&[(10, 0)]).iter().any(|r| r.node == 7), "{config}");
                 let both = up(&[(9, 0), (10, 0)]);
                 assert!(both.iter().all(|r| r.node != 7), "{config}");
+                let (meta, _) = MetaSpace::resolve(&flix, 7).unwrap();
+                if matches!(flix.meta(meta).index, MetaIndex::Hopi(_)) {
+                    met_again_on_hopi.push(config);
+                }
             }
 
             // An `emit` that evaluates on this thread leaves the outer
@@ -2038,6 +2105,7 @@ mod tests {
                 &[(1, 0)],
                 tags[0],
                 &opts,
+                true,
                 &mut witness,
             );
             let mut outer = Vec::new();
@@ -2052,6 +2120,10 @@ mod tests {
             );
             assert_eq!((outer, stats), want, "{config}");
         }
+        assert!(
+            !met_again_on_hopi.is_empty(),
+            "no HOPI configuration met the case"
+        );
     }
 
     #[test]

@@ -882,6 +882,29 @@ pub(crate) mod mirror {
         })
     }
 
+    /// The image of HOPI-backed `md` as a build whose inverted rows were
+    /// not ordered by distance persisted it: layout word "ROW3", the same
+    /// arrays, each `in_index` row ascending by (not a link source, label,
+    /// id) — a permutation of every row, so the image is as long as this
+    /// build's.
+    pub(crate) fn row3_image(md: &MetaDocument) -> Vec<u8> {
+        respliced(md, |mut hopi: Hopi| {
+            const SOURCE: u32 = 1 << 31;
+            let word = |v: u32| hopi.node_labels[v as usize];
+            let row_key = |v: u32| {
+                let (not_source, label) = (word(v) & SOURCE == 0, word(v) & ((1 << 30) - 1));
+                u64::from(not_source) << 62 | u64::from(label) << 32 | u64::from(v)
+            };
+            let mut rows = hopi.in_index.rows();
+            for row in &mut rows {
+                row.sort_unstable_by_key(|&(v, _)| row_key(v));
+            }
+            hopi.in_index = Table::from_rows(&rows);
+            hopi.layout = u32::from_le_bytes(*b"ROW3");
+            pagestore::to_bytes(&hopi).unwrap()
+        })
+    }
+
     /// `HopiIndex` as the build before the ancestors pair was derived
     /// persisted it: layout word "ROW2", all four tables — the inverted
     /// ones in row order, anchors first, then by label, then by id — and
@@ -1326,6 +1349,38 @@ mod tests {
     #[test]
     fn four_table_hopi_images_are_rejected_on_load() {
         each_twin_is_refused(mirror::four_table_image, 0);
+    }
+
+    /// A store written while HOPI's inverted rows were ordered anchors
+    /// first, then by label, then by id holds the same arrays behind the
+    /// "ROW3" layout word. A join within a budget would stop at a far row
+    /// with nearer ones behind it, so loading must fail, by name, before
+    /// the first lookup.
+    #[test]
+    fn row3_hopi_images_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(
+            cg.clone(),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        );
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        let mut reordered = 0;
+        for victim in 0..flix.meta_count() as u32 {
+            let old = mirror::row3_image(flix.meta(victim));
+            let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+            assert_eq!(old.len(), new.len());
+            let layout_at = old.windows(4).position(|w| w == b"ROW3").unwrap();
+            reordered += usize::from(old[layout_at + 4..] != new[layout_at + 4..]);
+            st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named =
+                format!("meta document {victim} is stale or corrupt (label tables in layout");
+            assert!(err.starts_with(&named), "{err}");
+            st.put(&format!("fw/meta-{victim}"), &new).unwrap();
+        }
+        assert!(reordered > 0, "no row of any image changed order");
+        load_flix(&st, "fw", cg).unwrap();
     }
 
     /// A HOPI image whose label entries name a node the index does not hold

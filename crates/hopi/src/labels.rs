@@ -125,11 +125,22 @@ impl LabelTable {
         Self { offsets, entries }
     }
 
-    /// Sorts the entries of every row, in place, by `key` of their node.
-    fn sort_rows_by_key(&mut self, key: impl Fn(NodeId) -> u64) {
+    /// The table turned around in the row order of the anchors that carry
+    /// `flag` in `words` (one `node_labels` word per node): the inversion
+    /// visits the rows in [`row_order`], which lists each row's anchors by
+    /// id and the rest by `(label, id)`, and one stable sort per row by
+    /// [`row_key`] of the distance puts the distance in before the id.
+    fn inverted_in_row_order(&self, words: &[u32], flag: u32) -> Self {
+        let mut table = self.inverted(&row_order(words, flag));
+        table.sort_rows_by_key(|(v, d)| row_key(words[v as usize], flag, d));
+        table
+    }
+
+    /// Sorts the entries of every row, in place and stably, by `key`.
+    fn sort_rows_by_key<K: Ord>(&mut self, key: impl Fn((NodeId, Distance)) -> K) {
         for row in self.offsets.windows(2) {
             let row = &mut self.entries[row[0] as usize..row[1] as usize];
-            row.sort_unstable_by_key(|&(v, _)| key(v));
+            row.sort_by_key(|&entry| key(entry));
         }
     }
 
@@ -183,15 +194,17 @@ const SOURCE: u32 = 1 << 31;
 const TARGET: u32 = 1 << 30;
 const LABEL: u32 = TARGET - 1;
 
-/// The layout word of an image that holds the descendants pair alone, its
-/// inverted rows in anchor-then-label order ("ROW3"). An image saved when
-/// they were in id order has the same arrays and would decode into them
-/// cleanly — to rows a lookup's binary searches silently miss links and
-/// results on; it has no such word. One saved with all four tables
+/// The layout word of an image that holds the descendants pair alone, each
+/// inverted row its anchors by `(distance, id)`, then the rest by `(label,
+/// distance, id)` ("ROW4"). An image saved with rows in an older order has
+/// the same arrays and would decode into them cleanly — to rows a lookup's
+/// searches silently miss links and results on: in id order (no word), in
+/// `(anchor, label, id)` order ("ROW3"), where a budgeted join stops at a
+/// far row with nearer ones behind it. One saved with all four tables
 /// ("ROW2") carries `l_in` where `l_out` belongs. A word costs a load
 /// nothing, where checking every row's order was measured at 7 % of it
 /// (DESIGN.md).
-const LAYOUT: u32 = u32::from_le_bytes(*b"ROW3");
+const LAYOUT: u32 = u32::from_le_bytes(*b"ROW4");
 
 /// One direction of a label join: a node's own `(center, distance)` set,
 /// the inverted table to merge rows of for those centers, and the flag of
@@ -202,11 +215,13 @@ type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a LabelTable, u32);
 ///
 /// `labels[u]` (passed at build time) is an opaque per-node label below
 /// 2³⁰ (FliX passes interned tag ids). Every row of the two inverted tables
-/// is ordered *anchors first, then by label, then by node id*, so a lookup
-/// for one label reads a row's anchor prefix and that label's run — found
-/// by two binary searches — and nothing else of it. Which nodes are
-/// anchors is declared with [`Self::set_anchors`]; an index nobody declared
-/// any for is simply label-ordered.
+/// is ordered *anchors first, by distance, then by node id; then the rest
+/// by label, then by distance, then by node id*, so a lookup for one label
+/// reads a row's anchor prefix and that label's run — found by two binary
+/// searches — and nothing else of it, and a lookup within a distance reads
+/// each only up to its first row past it. Which nodes are anchors is
+/// declared with [`Self::set_anchors`]; an index nobody declared any for is
+/// simply label-ordered.
 ///
 /// The label sets and their inversions are `LabelTable`s — flat arrays
 /// with `u32` row offsets. Only the *descendants pair* is stored: `l_out`
@@ -222,7 +237,8 @@ pub struct HopiIndex {
     /// Row `u` = (center, d(u, center)), sorted by center id.
     l_out: LabelTable,
     /// `L_in` inverted: row `w` = nodes v with w ∈ L_in(v), as (v, d(w,v)),
-    /// ascending by (v is not a link source, label(v), v).
+    /// ascending by [`row_key`]: (v is not a link source, label(v) unless
+    /// it is one, d(w,v), v).
     in_index: LabelTable,
     /// Per node, its label and anchor flags (see [`SOURCE`]).
     #[serde(with = "graphcore::flat")]
@@ -232,7 +248,8 @@ pub struct HopiIndex {
     #[serde(skip)]
     l_in: Derived,
     /// `l_out` inverted: row `w` = nodes u with w ∈ L_out(u), as
-    /// (u, d(u,w)), ascending by (u is not a link target, label(u), u).
+    /// (u, d(u,w)), ascending by (u is not a link target, label(u) unless
+    /// it is one, d(u,w), u).
     #[serde(skip)]
     out_index: Derived,
 }
@@ -251,14 +268,19 @@ impl PartialEq for Derived {
 
 impl Eq for Derived {}
 
-/// Sort key of node `v`, whose `node_labels` word is `word`, in a row of the
-/// inverted table whose anchors carry `flag`: (not an anchor, label, id).
-fn row_key(word: u32, flag: u32, v: NodeId) -> u64 {
-    u64::from(word & flag == 0) << 62 | u64::from(word & LABEL) << 32 | u64::from(v)
+/// Sort key of an entry for a node whose `node_labels` word is `word`, in a
+/// row of the inverted table whose anchors carry `flag`: anchors first, the
+/// rest by label, and `x` — the node's id, or the entry's distance — inside
+/// that. An anchor's label takes no part: the anchor prefix is one segment.
+fn row_key(word: u32, flag: u32, x: u32) -> u64 {
+    let anchor = word & flag != 0;
+    let label = if anchor { 0 } else { word & LABEL };
+    u64::from(!anchor) << 62 | u64::from(label) << 32 | u64::from(x)
 }
 
-/// The nodes of `words` (one `node_labels` word each) in the order a row of
-/// the inverted table whose anchors carry `flag` lists them.
+/// The nodes of `words` (one `node_labels` word each) by [`row_key`] of
+/// their id: anchors by id, then the rest by `(label, id)` — the order the
+/// inversion visits them in, before the distances are sorted in.
 fn row_order(words: &[u32], flag: u32) -> Vec<NodeId> {
     let mut order: Vec<NodeId> = (0..words.len() as NodeId).collect();
     order.sort_unstable_by_key(|&v| row_key(words[v as usize], flag, v));
@@ -298,7 +320,8 @@ impl HopiIndex {
         let mut l_out = cover.l_out;
         l_out.iter_mut().for_each(|list| list.sort_unstable());
         let l_out = LabelTable::from_rows(&l_out);
-        let in_index = LabelTable::from_rows(&cover.l_in).inverted(&row_order(node_labels, SOURCE));
+        let in_index =
+            LabelTable::from_rows(&cover.l_in).inverted_in_row_order(node_labels, SOURCE);
 
         let stats = BuildStats {
             in_entries: in_index.entries.len(),
@@ -339,7 +362,9 @@ impl HopiIndex {
             |flag| (words.iter().zip(&self.node_labels)).any(|(a, b)| (a ^ b) & flag != 0);
         let (down, up) = (differs(SOURCE), differs(TARGET));
         if down {
-            let key = |v: NodeId| row_key(words[v as usize], SOURCE, v);
+            // The whole key: rows in the old anchors' order are in no
+            // order a stable sort by part of it could finish.
+            let key = |(v, d)| (row_key(words[v as usize], SOURCE, d), v);
             self.in_index.sort_rows_by_key(key);
         }
         if up {
@@ -405,7 +430,7 @@ impl HopiIndex {
     fn out_index(&self) -> &LabelTable {
         self.out_index
             .0
-            .get_or_init(|| self.l_out.inverted(&row_order(&self.node_labels, TARGET)))
+            .get_or_init(|| self.l_out.inverted_in_row_order(&self.node_labels, TARGET))
     }
 
     /// Construction statistics.
@@ -448,37 +473,62 @@ impl HopiIndex {
     /// one binary search on the flag ends it; every anchor the node reaches
     /// is a link to follow, whatever its label — and, when `block` asks for
     /// a `(label, include_self)`, the run of that label in the remainder,
-    /// found by one binary search and left at the first other label.
+    /// found by one binary search.
+    ///
+    /// `budget` is the distance the pop may still cover (`None`:
+    /// unbounded). A center farther than it is skipped, and each segment —
+    /// the anchor prefix and the label run, both ascending by distance —
+    /// is read up to its first row past what the budget leaves beyond the
+    /// center, so the join reads nothing that can only answer past it.
+    ///
     /// Replaces the contents of `carrying` with the reached nodes carrying
     /// the label (`u` itself only if `include_self`) and of `links` with the
     /// reached anchors (`u` counts whatever `include_self` says), each
-    /// ascending by `(distance, node)`; returns the rows merged — the joins
-    /// a database-backed HOPI pays per lookup.
+    /// ascending by `(distance, node)` and each exactly the unbudgeted
+    /// answer's entries within `budget`. Returns the rows merged — the joins
+    /// a database-backed HOPI pays per lookup — and whether the budget cut
+    /// the join: it skipped a center or stopped a segment at a row past it.
+    /// An uncut join's answer is the unbudgeted one, whole.
     pub fn answer_into(
         &self,
         axis: Axis,
         u: NodeId,
         block: Option<(u32, bool)>,
+        budget: Option<Distance>,
         carrying: &mut Reached,
         links: &mut Reached,
-    ) -> usize {
+    ) -> (usize, bool) {
         let (own, inverted, flag) = self.side(axis, u);
         let words = &self.node_labels;
         let word = |v: NodeId| words[v as usize];
+        let budget = budget.unwrap_or(Distance::MAX);
         carrying.clear();
         links.clear();
         SCRATCH.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.begin(self.node_count());
-            let mut work = 0usize;
+            let (mut work, mut cut) = (0usize, false);
             for &(w, d1) in own {
+                let Some(left) = budget.checked_sub(d1) else {
+                    cut = true;
+                    continue;
+                };
+                // The segment's rows within `left`: up to its end, its first
+                // row of another label, or its first row past `left` — a cut.
+                let mut within = |segment: &[(NodeId, Distance)], label: Option<u32>| {
+                    let labelled = |v: NodeId| label.map_or(true, |label| word(v) & LABEL == label);
+                    let stops = |&(v, d2): &(NodeId, Distance)| d2 > left || !labelled(v);
+                    let end = segment.iter().position(stops).unwrap_or(segment.len());
+                    cut |= segment.get(end).is_some_and(|&(v, _)| labelled(v));
+                    end
+                };
                 let row = inverted.row(w);
                 let (anchors, rest) =
                     row.split_at(row.partition_point(|&(v, _)| word(v) & flag != 0));
+                let anchors = &anchors[..within(anchors, None)];
                 let run = block.map_or(&[][..], |(label, _)| {
                     let run = &rest[rest.partition_point(|&(v, _)| word(v) & LABEL < label)..];
-                    let carrying = run.iter().take_while(|&&(v, _)| word(v) & LABEL == label);
-                    &run[..carrying.count()]
+                    &run[..within(run, Some(label))]
                 });
                 work += anchors.len() + run.len();
                 for &(v, d2) in anchors.iter().chain(run) {
@@ -497,7 +547,7 @@ impl HopiIndex {
             }
             carrying.sort_unstable_by_key(|&(v, d)| (d, v));
             links.sort_unstable_by_key(|&(v, d)| (d, v));
-            work
+            (work, cut)
         })
     }
 
@@ -565,7 +615,8 @@ impl flixcheck::IntegrityCheck for HopiIndex {
     /// every node carries its zero-distance self-entry in both label sets,
     /// center lists are strictly sorted, the inverted tables are exactly
     /// the label sets inverted in row order — so every inverted row lists
-    /// anchors first, then by label, then by id; for the stored `in_index`
+    /// its anchors by `(distance, id)`, then the rest by `(label, distance,
+    /// id)`; for the stored `in_index`
     /// that checks its rows (`L_in` is derived from them), for `out_index`
     /// the table this index derived, which a stale one fails — and the
     /// build statistics match the stored entry counts.
@@ -624,7 +675,7 @@ impl flixcheck::IntegrityCheck for HopiIndex {
         ]
         .into_iter()
         .find(|(_, inverted, labels, flag)| {
-            **inverted != labels.inverted(&row_order(&self.node_labels, *flag))
+            **inverted != labels.inverted_in_row_order(&self.node_labels, *flag)
         });
         audit.check(
             "inverted tables mirror the label sets, in row order",
@@ -705,8 +756,24 @@ impl HopiIndex {
     /// held them: `in_index` rows ascending by node id, no flags.
     fn with_id_ordered_rows(&self) -> Self {
         let mut stale = self.stored();
-        stale.in_index.sort_rows_by_key(u64::from);
+        stale.in_index.sort_rows_by_key(|(v, _)| u64::from(v));
         stale.node_labels.iter_mut().for_each(|word| *word &= LABEL);
+        stale
+    }
+
+    /// This index's stored fields as a "ROW3" build held them: `in_index`
+    /// rows ascending by (not a link source, label, id), no distance in the
+    /// key.
+    fn with_row3_rows(&self) -> Self {
+        let mut stale = self.stored();
+        let words = &self.node_labels;
+        let key = |v: NodeId| {
+            u64::from(words[v as usize] & SOURCE == 0) << 62
+                | u64::from(words[v as usize] & LABEL) << 32
+                | u64::from(v)
+        };
+        stale.in_index.sort_rows_by_key(|(v, _)| key(v));
+        stale.layout = u32::from_le_bytes(*b"ROW3");
         stale
     }
 }
@@ -720,7 +787,7 @@ mod tests {
     /// The nodes along `axis` from `u` carrying `label`, nearest first.
     fn block(idx: &HopiIndex, axis: Axis, u: NodeId, label: u32, include_self: bool) -> Reached {
         let asked = Some((label, include_self));
-        graphcore::filled(|out| idx.answer_into(axis, u, asked, out, &mut vec![])).0
+        graphcore::filled(|out| idx.answer_into(axis, u, asked, None, out, &mut vec![])).0
     }
 
     fn check_exact(g: &Digraph, labels: &[u32]) {
@@ -842,15 +909,16 @@ mod tests {
             .collect()
     }
 
-    /// Every row of both inverted tables lists anchors first, then by
-    /// label, then by id.
+    /// Every row of both inverted tables lists its anchors by distance,
+    /// then id, then the rest by label, then distance, then id.
     fn assert_rows_in_key_order(idx: &HopiIndex) {
         for (table, flag) in [(&idx.in_index, SOURCE), (idx.out_index(), TARGET)] {
             for w in 0..idx.node_count() as NodeId {
                 let keys: Vec<_> = (table.row(w).iter())
-                    .map(|&(v, _)| {
+                    .map(|&(v, d)| {
                         let word = idx.node_labels[v as usize];
-                        (word & flag == 0, word & LABEL, v)
+                        let anchor = word & flag != 0;
+                        (!anchor, if anchor { 0 } else { word & LABEL }, d, v)
                     })
                     .collect();
                 assert!(keys.windows(2).all(|k| k[0] < k[1]), "row {w}: {keys:?}");
@@ -861,10 +929,11 @@ mod tests {
     #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
-        let g = Digraph::from_edges(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+        let g = Digraph::from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 4), (4, 3)]);
         // labels descend with the id and the last node is an anchor, so row
-        // order is nowhere id order
-        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 0]);
+        // order is nowhere id order; anchor 4 lies above anchor 3, so the
+        // anchor prefix is not in id order either
+        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 1]);
         assert_rows_in_key_order(&idx);
         idx.integrity_check().unwrap();
         assert!(idx.set_anchors(&[4, 3], &[2]));
@@ -897,10 +966,15 @@ mod tests {
             err
         };
         assert!(order_fault(&idx.with_id_ordered_rows()).contains("in_index"));
+        let mut row3 = idx.with_row3_rows();
+        assert!(row3.layout_fault().unwrap().contains("layout"));
+        row3.layout = LAYOUT;
+        assert_ne!(row3.in_index, idx.in_index);
+        assert!(order_fault(&row3).contains("in_index"));
         let mut bad = idx.stored();
         bad.node_labels[0] |= SOURCE;
         assert!(order_fault(&bad).contains("in_index"));
-        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 0]);
+        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 1]);
         let mut stale = idx.stored();
         stale.out_index = Derived(OnceLock::from(undeclared.out_index().clone()));
         assert!(order_fault(&stale).contains("out_index"));
@@ -923,7 +997,7 @@ mod tests {
         assert!(bad.integrity_check().is_err());
         // an index in any other layout — the parent's four tables included —
         // is not looked at further
-        for word in [*b"ROW1", *b"ROW2"] {
+        for word in [*b"ROW1", *b"ROW2", *b"ROW3"] {
             let mut bad = idx.stored();
             bad.layout = u32::from_le_bytes(word);
             assert!(bad.layout_fault().unwrap().contains("layout"));
@@ -1090,8 +1164,8 @@ mod tests {
                 }
             }
             Self {
-                in_index: l_in.inverted(&row_order(&words, SOURCE)),
-                out_index: l_out.inverted(&row_order(&words, TARGET)),
+                in_index: l_in.inverted_in_row_order(&words, SOURCE),
+                out_index: l_out.inverted_in_row_order(&words, TARGET),
                 l_in,
                 l_out,
             }
@@ -1157,20 +1231,84 @@ mod tests {
                         // One pair of buffers for every lookup of the node:
                         // a longer earlier answer must not show through.
                         let (mut block, mut links, mut reached) = (vec![], vec![], vec![]);
-                        let work = idx.answer_into(axis, u, None, &mut block, &mut links);
-                        prop_assert_eq!((&block, work), (&Vec::new(), rows(None)));
+                        let work = idx.answer_into(axis, u, None, None, &mut block, &mut links);
+                        prop_assert_eq!((&block, work), (&Vec::new(), (rows(None), false)));
                         for label in 0..3 {
                             for include_self in [false, true] {
                                 let asked = (label, include_self);
                                 let want =
                                     idx.block_and_anchors_of_whole_rows(u, whole, asked, anchors);
-                                let work =
-                                    idx.answer_into(axis, u, Some(asked), &mut block, &mut reached);
+                                let work = idx.answer_into(
+                                    axis,
+                                    u,
+                                    Some(asked),
+                                    None,
+                                    &mut block,
+                                    &mut reached,
+                                );
                                 prop_assert_eq!(&reached, &links);
                                 let got = (block.clone(), reached.clone());
                                 prop_assert_eq!(got, want, "{} label {}", u, label);
-                                prop_assert_eq!(work, rows(Some(label)));
+                                prop_assert_eq!(work, (rows(Some(label)), false));
                             }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A join within a budget answers what the unbudgeted join answers
+        /// within it — blocks and links, in the same order — and reads no
+        /// more rows; one the budget did not cut answers the whole join, and
+        /// a budget no row lies past cuts nothing: both directions, every
+        /// label, with and without the start, every budget from 0 past the
+        /// largest distance, with anchors declared once and declared again
+        /// over other ones.
+        #[test]
+        fn a_budgeted_join_equals_the_unbudgeted_join_within_the_budget(
+            (g, labels, a, b) in arb_labelled_graph()
+        ) {
+            let mut idx = HopiIndex::build(&g, &labels);
+            let (a, b) = (anchor_sets(&a), anchor_sets(&b));
+            idx.set_anchors(&a.0, &a.1);
+            let redeclared = {
+                let mut idx = idx.clone();
+                idx.set_anchors(&b.0, &b.1);
+                idx
+            };
+            let within = |reached: &Reached, budget| -> Reached {
+                reached.iter().copied().filter(|&(_, d)| d <= budget).collect()
+            };
+            for idx in [idx, redeclared] {
+                for u in 0..g.node_count() as NodeId {
+                    for axis in [Axis::Descendants, Axis::Ancestors] {
+                        let asks = (0..3).flat_map(|label| [Some((label, false)), Some((label, true))]);
+                        for asked in asks.chain([None]) {
+                            let (mut block, mut links) = (vec![], vec![]);
+                            let (work, cut) = idx.answer_into(axis, u, asked, None, &mut block, &mut links);
+                            prop_assert!(!cut);
+                            let top = block.iter().chain(&links).map(|&(_, d)| d).max().unwrap_or(0);
+                            // past every center's distance too, so that budgets
+                            // skipping no center are tried
+                            let (own, ..) = idx.side(axis, u);
+                            let far = own.iter().map(|&(_, d1)| d1).max().unwrap_or(0);
+                            for budget in 0..=top.max(far) + 1 {
+                                let (mut b, mut l) = (vec![], vec![]);
+                                let (w, cut) = idx.answer_into(axis, u, asked, Some(budget), &mut b, &mut l);
+                                prop_assert_eq!(&b, &within(&block, budget), "{} {:?} {}", u, asked, budget);
+                                prop_assert_eq!(&l, &within(&links, budget), "{} {:?} {}", u, asked, budget);
+                                prop_assert!(w <= work, "{} > {}", w, work);
+                                // an uncut join is the whole one; one that
+                                // reads fewer rows was cut
+                                if !cut {
+                                    prop_assert_eq!((&b, &l, w), (&block, &links, work), "{} {:?} {}", u, asked, budget);
+                                }
+                            }
+                            // no row lies farther than the node count on either hop
+                            let far_enough = 2 * g.node_count() as Distance;
+                            let (mut b, mut l) = (vec![], vec![]);
+                            let got = idx.answer_into(axis, u, asked, Some(far_enough), &mut b, &mut l);
+                            prop_assert_eq!(got, (work, false));
                         }
                     }
                 }

@@ -37,6 +37,15 @@ pub enum BlobError {
         /// The directory page whose record is gone.
         page: PageId,
     },
+    /// The disk failed to read a page listed in the directory.
+    Io {
+        /// Blob being read.
+        name: String,
+        /// The page whose read failed.
+        page: PageId,
+        /// The disk's error, as text.
+        error: String,
+    },
     /// The pages listed in the directory hold another number of bytes
     /// than it records for the blob — the store is corrupt.
     LengthMismatch {
@@ -64,6 +73,9 @@ impl fmt::Display for BlobError {
                 f,
                 "blob {name:?}: page {page} holds no chunk record (store corrupt)"
             ),
+            BlobError::Io { name, page, error } => {
+                write!(f, "blob {name:?}: I/O error reading page {page}: {error}")
+            }
             BlobError::LengthMismatch {
                 name,
                 expected,
@@ -130,7 +142,8 @@ impl BlobStore {
     /// Reads blob `name`; `Ok(None)` if no such blob exists.
     ///
     /// # Errors
-    /// [`BlobError::MissingChunk`] if a directory page holds no chunk;
+    /// [`BlobError::Io`] if the disk fails to read a directory page;
+    /// [`BlobError::MissingChunk`] if one holds no chunk;
     /// [`BlobError::LengthMismatch`] if the pages hold another number of
     /// bytes than the directory records.
     pub fn get(&self, name: &str) -> Result<Option<Vec<u8>>, BlobError> {
@@ -148,6 +161,11 @@ impl BlobStore {
                 }
                 None => false,
             });
+            let present = present.map_err(|err| BlobError::Io {
+                name: name.to_string(),
+                page,
+                error: err.to_string(),
+            })?;
             if !present {
                 return Err(BlobError::MissingChunk {
                     name: name.to_string(),
@@ -254,15 +272,19 @@ impl flixcheck::IntegrityCheck for BlobStore {
                 let mut missing = None;
                 for &page in &entry.pages {
                     match self.pool.with_page(page, |pg| pg.chunk().map(<[u8]>::len)) {
-                        Some(len) => total += len as u64,
-                        None => {
-                            missing = Some(page);
+                        Ok(Some(len)) => total += len as u64,
+                        Ok(None) => {
+                            missing = Some(format!("page {page} holds no chunk record"));
+                            break;
+                        }
+                        Err(err) => {
+                            missing = Some(format!("page {page} does not read: {err}"));
                             break;
                         }
                     }
                 }
-                if let Some(page) = missing {
-                    bad_bytes = Some(format!("blob {name:?}: page {page} holds no chunk record"));
+                if let Some(fault) = missing {
+                    bad_bytes = Some(format!("blob {name:?}: {fault}"));
                 } else if total != entry.len {
                     bad_bytes = Some(format!(
                         "blob {name:?}: chunks sum to {total} bytes, directory says {}",

@@ -121,25 +121,31 @@ impl BufferPool {
         }
     }
 
-    /// Runs `f` with read access to page `id`.
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> R {
+    /// Runs `f` with read access to page `id`, reading it from the disk
+    /// first if no frame holds it.
+    ///
+    /// # Errors
+    /// If the disk fails to read the page. The read comes before any
+    /// eviction, so a failed one leaves the pool as it found it: no frame
+    /// for `id`, and none pushed out for it.
+    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> std::io::Result<R> {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.frames.contains_key(&id) {
+        if let Some(frame) = inner.frames.get_mut(&id) {
             self.hits.inc();
-        } else {
-            self.misses.inc();
-            self.make_room(&mut inner);
+            frame.last_used = tick;
+            return Ok(f(&frame.page));
         }
-        // Hit or miss, the entry API ensures the frame in one lookup.
-        let frame = inner.frames.entry(id).or_insert_with(|| Frame {
-            page: self.disk.read_page(id),
+        self.misses.inc();
+        let page = self.disk.read_page(id)?;
+        self.make_room(&mut inner);
+        let frame = inner.frames.entry(id).or_insert(Frame {
+            page,
             dirty: false,
-            last_used: 0,
+            last_used: tick,
         });
-        frame.last_used = tick;
-        f(&frame.page)
+        Ok(f(&frame.page))
     }
 
     /// Makes `page` the content of page `id`: the frame is marked dirty and
@@ -328,7 +334,10 @@ mod tests {
         let id = p.allocate();
         disk.write_page(id, &holding(b"cached")).unwrap();
         for _ in 0..2 {
-            assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"cached"[..]));
+            assert_eq!(
+                p.with_page(id, chunk_of).unwrap().as_deref(),
+                Some(&b"cached"[..])
+            );
         }
         let s = p.pool_stats();
         assert_eq!(s.misses, 1); // only the first touch
@@ -346,10 +355,16 @@ mod tests {
         p.write(id, holding(b"fresh"));
         assert_eq!(p.pool_stats(), PoolStats::default());
         assert_eq!(disk.stats().reads, 0);
-        assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"fresh"[..]));
+        assert_eq!(
+            p.with_page(id, chunk_of).unwrap().as_deref(),
+            Some(&b"fresh"[..])
+        );
         assert_eq!(p.pool_stats().hits, 1);
         p.write(id, holding(b"again"));
-        assert_eq!(p.with_page(id, chunk_of).as_deref(), Some(&b"again"[..]));
+        assert_eq!(
+            p.with_page(id, chunk_of).unwrap().as_deref(),
+            Some(&b"again"[..])
+        );
         assert_eq!(p.pool_stats().misses, 0);
         assert_eq!(disk.stats().reads, 0);
     }
@@ -365,7 +380,7 @@ mod tests {
         // Pool held only 2 frames; earlier pages must have been evicted and
         // written back, so reading them again returns the data.
         for (i, &id) in ids.iter().enumerate() {
-            let got = p.with_page(id, chunk_of);
+            let got = p.with_page(id, chunk_of).unwrap();
             assert_eq!(got, Some(format!("rec{i}").into_bytes()));
         }
     }
@@ -378,10 +393,10 @@ mod tests {
         let c = p.allocate();
         p.write(a, holding(b"a"));
         p.write(b, holding(b"b"));
-        p.with_page(a, |_| {}); // touch a: b is now LRU
-        p.with_page(c, |_| {}); // evicts b
+        p.with_page(a, |_| {}).unwrap(); // touch a: b is now LRU
+        p.with_page(c, |_| {}).unwrap(); // evicts b
         let before = p.pool_stats();
-        p.with_page(a, |_| {}); // must be a hit
+        p.with_page(a, |_| {}).unwrap(); // must be a hit
         let after = p.pool_stats();
         assert_eq!(after.hits, before.hits + 1);
     }
@@ -394,7 +409,7 @@ mod tests {
         p.write(id, holding(b"flushed"));
         assert_eq!(p.flush_all().unwrap(), 1);
         // Read directly from disk, bypassing the pool.
-        assert_eq!(disk.read_page(id).chunk(), Some(&b"flushed"[..]));
+        assert_eq!(disk.read_page(id).unwrap().chunk(), Some(&b"flushed"[..]));
         // Nothing dirty remains, so a second flush writes nothing.
         assert_eq!(p.flush_all().unwrap(), 0);
     }
@@ -413,20 +428,26 @@ mod tests {
         assert_eq!(p.modified_pages(), ids[1..], "only the ids given clear");
         p.clear_modified(&ids);
         assert!(p.modified_pages().is_empty());
-        p.with_page(ids[0], |_| {});
+        p.with_page(ids[0], |_| {}).unwrap();
         assert!(p.modified_pages().is_empty(), "reads do not mark pages");
         p.write(ids[1], holding(b"m1 again"));
         assert_eq!(p.modified_pages(), vec![ids[1]]);
     }
 
-    /// A disk that fails every write after the first `ok_writes`.
+    /// A disk that fails every write after the first `ok_writes`, and
+    /// every read while `failing_reads` is set.
+    #[derive(Default)]
     struct FlakyDisk {
         inner: MemDisk,
         ok_writes: std::sync::atomic::AtomicU64,
+        failing_reads: std::sync::atomic::AtomicBool,
     }
 
     impl DiskManager for FlakyDisk {
-        fn read_page(&self, id: PageId) -> Page {
+        fn read_page(&self, id: PageId) -> std::io::Result<Page> {
+            if self.failing_reads.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(std::io::Error::other("unreadable sector"));
+            }
             self.inner.read_page(id)
         }
         fn write_page(&self, id: PageId, page: &Page) -> std::io::Result<()> {
@@ -455,12 +476,39 @@ mod tests {
         }
     }
 
+    /// A failed read is the caller's error, counted as a miss; it leaves
+    /// no frame behind and pushes none out, so the page is read again,
+    /// and read right, once the disk recovers.
+    #[test]
+    fn a_failed_read_is_an_error_and_leaves_no_frame() {
+        use std::sync::atomic::Ordering;
+        let disk = Arc::new(FlakyDisk::default());
+        disk.ok_writes.store(u64::MAX, Ordering::SeqCst);
+        let p = BufferPool::new(disk.clone(), 2);
+        let ids: Vec<PageId> = (0..3).map(|_| p.allocate()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            p.write(id, holding(format!("p{i}").as_bytes()));
+        }
+        p.flush_all().unwrap();
+        let resident = |p: &BufferPool| p.inner.lock().frames.keys().copied().collect::<Vec<_>>();
+        let before = resident(&p);
+        assert!(!before.contains(&ids[0]), "written first, evicted first");
+        disk.failing_reads.store(true, Ordering::SeqCst);
+        let err = p.with_page(ids[0], chunk_of).unwrap_err();
+        assert!(err.to_string().contains("unreadable sector"), "{err}");
+        assert_eq!(resident(&p), before);
+        assert_eq!(p.pool_stats().evictions, 1);
+        disk.failing_reads.store(false, Ordering::SeqCst);
+        assert_eq!(
+            p.with_page(ids[0], chunk_of).unwrap().as_deref(),
+            Some(&b"p0"[..])
+        );
+        assert_eq!(p.pool_stats().misses, 2);
+    }
+
     #[test]
     fn flush_all_propagates_write_errors() {
-        let disk = Arc::new(FlakyDisk {
-            inner: MemDisk::new(),
-            ok_writes: std::sync::atomic::AtomicU64::new(0),
-        });
+        let disk = Arc::new(FlakyDisk::default());
         let p = BufferPool::new(disk, 8);
         let id = p.allocate();
         p.write(id, holding(b"doomed"));
@@ -471,17 +519,14 @@ mod tests {
 
     #[test]
     fn eviction_write_errors_surface_at_next_flush() {
-        let disk = Arc::new(FlakyDisk {
-            inner: MemDisk::new(),
-            ok_writes: std::sync::atomic::AtomicU64::new(0),
-        });
+        let disk = Arc::new(FlakyDisk::default());
         let p = BufferPool::new(disk, 1);
         let a = p.allocate();
         let b = p.allocate();
         p.write(a, holding(b"a"));
         // Touching b evicts dirty a; the write-back fails silently at the
         // call site but is deferred...
-        p.with_page(b, |_| {});
+        p.with_page(b, |_| {}).unwrap();
         assert_eq!(p.pool_stats().write_errors, 1);
         // ...and surfaces at the next flush.
         let err = p.flush_all().unwrap_err();
@@ -495,15 +540,12 @@ mod tests {
 
     #[test]
     fn check_write_health_consumes_deferred_errors() {
-        let disk = Arc::new(FlakyDisk {
-            inner: MemDisk::new(),
-            ok_writes: std::sync::atomic::AtomicU64::new(0),
-        });
+        let disk = Arc::new(FlakyDisk::default());
         let p = BufferPool::new(disk, 1);
         let a = p.allocate();
         let b = p.allocate();
         p.write(a, holding(b"a"));
-        p.with_page(b, |_| {}); // evicts dirty a, write fails
+        p.with_page(b, |_| {}).unwrap(); // evicts dirty a, write fails
         assert!(p.check_write_health().is_err());
         assert!(p.check_write_health().is_ok(), "error is consumed");
     }
@@ -520,14 +562,14 @@ mod tests {
         let p = BufferPool::new(disk.clone(), 2);
         let ids: Vec<PageId> = (0..4).map(|_| p.allocate()).collect();
         for &id in &ids {
-            p.with_page(id, |_| {});
+            p.with_page(id, |_| {}).unwrap();
         }
         let s = p.pool_stats();
         assert_eq!(s.misses, 4, "every first touch misses");
         assert_eq!(disk.stats().reads, 4, "and reads its page from disk");
         assert_eq!(s.hits, 0);
         assert_eq!(s.evictions, 2, "4 pages through 2 frames displace 2");
-        p.with_page(ids[3], |_| {}); // still resident
+        p.with_page(ids[3], |_| {}).unwrap(); // still resident
         assert_eq!(p.pool_stats().hits, 1);
         assert_eq!(p.pool_stats().evictions, 2, "hits never evict");
     }
@@ -612,7 +654,7 @@ mod tests {
                             pool.write(own, holding(format!("{t}:{round}").as_bytes()));
                             let other = ids[(round * 7 + t) % ids.len()];
                             // Blank until its owner first writes it.
-                            let chunk = pool.with_page(other, chunk_of);
+                            let chunk = pool.with_page(other, chunk_of).unwrap();
                             assert!(
                                 chunk.as_ref().is_none_or(|c| c.contains(&b':')),
                                 "{chunk:?}"
@@ -644,9 +686,13 @@ mod tests {
                 let (t, slot) = (i / PAGES_EACH, i % PAGES_EACH);
                 let last = (slot..ROUNDS).step_by(PAGES_EACH).next_back().unwrap();
                 let want = Some(format!("{t}:{last}").into_bytes());
-                assert_eq!(chunk_of(&disk.read_page(id)), want, "page {id} on disk");
                 assert_eq!(
-                    pool.with_page(id, chunk_of),
+                    chunk_of(&disk.read_page(id).unwrap()),
+                    want,
+                    "page {id} on disk"
+                );
+                assert_eq!(
+                    pool.with_page(id, chunk_of).unwrap(),
                     want,
                     "page {id} through the pool"
                 );

@@ -7,7 +7,9 @@
 //! the paper's absolute numbers are dominated by database round trips, and
 //! the I/O counters are our substitute signal for that cost.
 //!
-//! Writes are fallible (`io::Result`) so the durability layer above
+//! Reads and writes are fallible (`io::Result`): a page the disk could not
+//! read is an error, never a page of zeroes, and writes are fallible so the
+//! durability layer above
 //! ([`crate::recovery::DurableStore`]) can distinguish "durable" from
 //! "probably fine". [`DiskManager::sync`] is the barrier the checkpoint
 //! protocol leans on: a checkpoint manifest is only published after the
@@ -35,7 +37,10 @@ pub struct DiskStats {
 /// A page-granular backing store.
 pub trait DiskManager: Send + Sync {
     /// Reads page `id`. Reading a never-written page yields a zero page.
-    fn read_page(&self, id: PageId) -> Page;
+    ///
+    /// # Errors
+    /// If the backing store fails to read the page.
+    fn read_page(&self, id: PageId) -> std::io::Result<Page>;
     /// Writes page `id`. The write may sit in an OS cache until
     /// [`Self::sync`]; an `Ok` here means "accepted", not "durable".
     fn write_page(&self, id: PageId, page: &Page) -> std::io::Result<()>;
@@ -83,13 +88,13 @@ impl MemDisk {
 }
 
 impl DiskManager for MemDisk {
-    fn read_page(&self, id: PageId) -> Page {
+    fn read_page(&self, id: PageId) -> std::io::Result<Page> {
         self.reads.inc();
         let frames = self.frames.lock();
-        match frames.get(id as usize).and_then(|f| f.as_ref()) {
+        Ok(match frames.get(id as usize).and_then(|f| f.as_ref()) {
             Some(bytes) => Page::from_bytes(bytes.clone()),
             None => Page::new(),
-        }
+        })
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> std::io::Result<()> {
@@ -156,23 +161,25 @@ impl FileDisk {
 }
 
 impl DiskManager for FileDisk {
-    fn read_page(&self, id: PageId) -> Page {
+    fn read_page(&self, id: PageId) -> std::io::Result<Page> {
         self.reads.inc();
         let mut file = self.file.lock();
         let mut buf = vec![0u8; PAGE_SIZE];
         let off = id as u64 * PAGE_SIZE as u64;
-        if file.seek(SeekFrom::Start(off)).is_ok() {
-            // Short reads (past EOF) leave the zero prefix, matching the
-            // "never written page reads as zeroes" contract.
-            let mut filled = 0;
-            while filled < PAGE_SIZE {
-                match file.read(&mut buf[filled..]) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => filled += n,
-                }
+        file.seek(SeekFrom::Start(off))?;
+        // A short read (past EOF) leaves the zero suffix, matching the
+        // "never written page reads as zeroes" contract; a failed one is
+        // the caller's to handle.
+        let mut filled = 0;
+        while filled < PAGE_SIZE {
+            match file.read(&mut buf[filled..]) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err),
             }
         }
-        Page::from_bytes(buf)
+        Ok(Page::from_bytes(buf))
     }
 
     fn write_page(&self, id: PageId, page: &Page) -> std::io::Result<()> {
@@ -218,10 +225,10 @@ mod tests {
         assert_ne!(p0, p1);
         let page = Page::holding(b"page-one").unwrap();
         disk.write_page(p1, &page).unwrap();
-        let back = disk.read_page(p1);
+        let back = disk.read_page(p1).unwrap();
         assert_eq!(back.chunk(), Some(&b"page-one"[..]));
         // unwritten page reads as blank
-        assert_eq!(disk.read_page(p0), Page::new());
+        assert_eq!(disk.read_page(p0).unwrap(), Page::new());
         disk.sync().unwrap();
         let s = disk.stats();
         assert_eq!(s.reads, 2);
@@ -245,7 +252,7 @@ mod tests {
         // Mutating the original does not leak into the copy.
         disk.write_page(id, &Page::holding(b"mutated").unwrap())
             .unwrap();
-        assert_eq!(copy.read_page(id).chunk(), Some(&b"frozen"[..]));
+        assert_eq!(copy.read_page(id).unwrap().chunk(), Some(&b"frozen"[..]));
         assert_eq!(copy.page_count(), 1);
     }
 
@@ -275,7 +282,7 @@ mod tests {
         {
             let disk = FileDisk::open(&path).unwrap();
             assert_eq!(disk.page_count(), 1);
-            assert_eq!(disk.read_page(0).chunk(), Some(&b"durable"[..]));
+            assert_eq!(disk.read_page(0).unwrap().chunk(), Some(&b"durable"[..]));
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -229,7 +229,7 @@ impl DurableStore {
         }
         let mut bytes = 0u64;
         for &id in &pages {
-            let image = self.pool.with_page(id, |pg| pg.bytes().to_vec());
+            let image = self.pool.with_page(id, |pg| pg.bytes().to_vec())?;
             bytes += self
                 .wal
                 .append(&WalRecord::PageImage { id, bytes: image })? as u64;

@@ -457,7 +457,7 @@ fn every_configuration_writes_the_pinned_data_file() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0x94c9_3da8_49dd_9451,
+            0xf652_b6fb_6a8e_1fc5,
             4,
         ),
         (
@@ -474,7 +474,7 @@ fn every_configuration_writes_the_pinned_data_file() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xdcca_0804_ef26_85c6,
+            0xbe51_8357_cc75_0e52,
             4,
         ),
         (

@@ -37,7 +37,7 @@ fn every_configuration_saves_the_pinned_bytes() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0xf869_1d37_fe9e_f00c,
+            0x90f5_bc83_cf01_23ee,
         ),
         (
             FlixConfig::Hybrid {
@@ -51,7 +51,7 @@ fn every_configuration_saves_the_pinned_bytes() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xae41_1b00_7e9d_ead3,
+            0xc6dd_bab4_4f02_3931,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),

@@ -98,7 +98,7 @@ proptest! {
         for u in 0..g.node_count() as u32 {
             let everything = Some((0, true));
             let (d, _) = graphcore::filled(|out| {
-                idx.answer_into(Axis::Descendants, u, everything, out, &mut vec![])
+                idx.answer_into(Axis::Descendants, u, everything, None, out, &mut vec![])
             });
             prop_assert!(d.windows(2).all(|w| w[0].1 <= w[1].1), "unsorted from {}", u);
             let mut nodes: Vec<u32> = d.iter().map(|&(v, _)| v).collect();
@@ -290,19 +290,19 @@ proptest! {
                             block.sort_unstable_by_key(|&(v, d)| (d, md.nodes[v as usize]));
                         }
                         let links = below.clone();
-                        md.answer_pop(Axis::Descendants, e, label, include_self, &mut pop);
+                        md.answer_pop(Axis::Descendants, e, label, include_self, None, &mut pop);
                         prop_assert_eq!(
                             &pop,
-                            &PopAnswer { block, work, links },
+                            &PopAnswer { block, work, links, partial: false },
                             "{:?} down from {} label {}", kind, e, label
                         );
                         let (block, work) =
                             md.index.ancestors_by_label_counted(e, label, include_self);
                         let links = above.clone();
-                        md.answer_pop(Axis::Ancestors, e, label, include_self, &mut pop);
+                        md.answer_pop(Axis::Ancestors, e, label, include_self, None, &mut pop);
                         prop_assert_eq!(
                             &pop,
-                            &PopAnswer { block, work, links },
+                            &PopAnswer { block, work, links, partial: false },
                             "{:?} up from {} label {}", kind, e, label
                         );
                     }
@@ -325,7 +325,7 @@ proptest! {
         fn hopi_answers(i: &HopiIndex, u: u32) -> [(Pairs, usize, Pairs); 3] {
             let answer = |axis, block| {
                 let (mut carrying, mut links) = (Vec::new(), Vec::new());
-                let work = i.answer_into(axis, u, block, &mut carrying, &mut links);
+                let (work, _) = i.answer_into(axis, u, block, None, &mut carrying, &mut links);
                 (carrying, work, links)
             };
             [
