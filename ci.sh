@@ -60,6 +60,7 @@ count_lines() {
 }
 echo "workspace:   $(count_lines crates src tests examples vendor)"
 echo "crates/flix: $(count_lines crates/flix)"
+echo "crates/graphcore: $(count_lines crates/graphcore)"
 echo "crates/ppo: $(count_lines crates/ppo)"
 echo "crates/hopi: $(count_lines crates/hopi)"
 echo "crates/apex: $(count_lines crates/apex)"

@@ -1363,6 +1363,48 @@ mod tests {
         }
     }
 
+    /// A tag no element carries — one past the interned tags, or
+    /// `u32::MAX` — is outside input a query may name: as the goal along
+    /// either axis, as the start of an axis query or of a connection test
+    /// either way, every configuration answers it empty.
+    #[test]
+    fn a_tag_no_element_carries_answers_empty() {
+        let cg = chain3();
+        let a = cg.collection.tags.get("a").unwrap();
+        let past = cg.collection.tags.len() as TagId;
+        let opts = QueryOptions::default();
+        for config in all_configs() {
+            let flix = Flix::build(cg.clone(), config);
+            for tag in [past, u32::MAX] {
+                let from = Start::Tag(tag);
+                let queries = [
+                    Query::descendants(0, tag, opts),
+                    Query::ancestors(5, tag, opts),
+                    Query {
+                        from,
+                        ..Query::descendants(0, a, opts)
+                    },
+                    Query {
+                        from,
+                        ..Query::ancestors(5, a, opts)
+                    },
+                    Query {
+                        from,
+                        ..Query::connection(0, 5, false, opts)
+                    },
+                    Query {
+                        from,
+                        ..Query::connection(0, 5, true, opts)
+                    },
+                ];
+                for query in queries {
+                    let results = eval(&flix, query).results;
+                    assert!(results.is_empty(), "{config} tag {tag}: {results:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn type_query_spans_all_starts() {
         let cg = chain3();

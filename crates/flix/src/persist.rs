@@ -648,10 +648,13 @@ pub(crate) mod mirror {
                     let at = off.windows(2).position(|w| w[0] < w[1]).unwrap();
                     off.swap(at, at + 1);
                 },
-                "non-decreasing bounds",
+                "label lists: first offset is",
             ),
             (|p| p.label_keys.swap(0, 1), "keys are not ascending"),
-            (|p| p.label_ranks[0] = p.size.len() as u32, "names rank"),
+            (
+                |p| p.label_ranks[0] = p.size.len() as u32,
+                "label lists: entry 0 names node",
+            ),
             (|p| *p.size.last_mut().unwrap() = 2, "ends past"),
             (
                 |p| {

@@ -2,9 +2,10 @@
 //!
 //! Graphs are constructed through [`DigraphBuilder`] (cheap edge appends,
 //! duplicate tolerance) and then frozen into a [`Digraph`] that stores both
-//! forward and reverse adjacency as two flat arrays each. All index
+//! forward and reverse adjacency as a [`Rows`] table each. All index
 //! structures in the workspace operate on frozen graphs.
 
+use crate::Rows;
 use serde::{Deserialize, Serialize};
 
 /// Dense node identifier. Nodes of a graph with `n` nodes are `0..n`.
@@ -52,64 +53,28 @@ impl DigraphBuilder {
     /// removed; adjacency lists come out sorted, which makes neighbour scans
     /// cache-friendly and deterministic.
     pub fn build(mut self) -> Digraph {
-        let n = self.edges.len();
-        let mut edge_count = 0usize;
-        for list in &mut self.edges {
+        for (u, list) in (0..).zip(&mut self.edges) {
             list.sort_unstable();
             list.dedup();
-            edge_count += list.len();
+            list.retain(|&v| v != u);
         }
-        let mut fwd_off = Vec::with_capacity(n + 1);
-        let mut fwd = Vec::with_capacity(edge_count);
-        fwd_off.push(0u32);
-        for (u, list) in self.edges.iter().enumerate() {
-            for &v in list {
-                if v as usize != u {
-                    fwd.push(v);
-                }
-            }
-            fwd_off.push(fwd.len() as u32);
-        }
-        // Reverse adjacency via counting sort over target ids.
-        let mut indeg = vec![0u32; n];
-        for &v in &fwd {
-            indeg[v as usize] += 1;
-        }
-        let mut rev_off = Vec::with_capacity(n + 1);
-        rev_off.push(0u32);
-        for &d in &indeg {
-            let prev = rev_off.last().copied().unwrap_or(0);
-            rev_off.push(prev + d);
-        }
-        let mut rev = vec![0 as NodeId; fwd.len()];
-        let mut cursor: Vec<u32> = rev_off[..n].to_vec();
-        for u in 0..n {
-            let (s, e) = (fwd_off[u] as usize, fwd_off[u + 1] as usize);
-            for &v in &fwd[s..e] {
-                rev[cursor[v as usize] as usize] = u as NodeId;
-                cursor[v as usize] += 1;
-            }
-        }
-        Digraph {
-            fwd_off,
-            fwd,
-            rev_off,
-            rev,
-        }
+        let fwd = Rows::from_rows(&self.edges);
+        // Every edge keyed by its target, visited by source: each reverse
+        // row ascends too.
+        let edges = (0..).zip(&self.edges);
+        let reversed = edges.flat_map(|(u, list)| list.iter().map(move |&v| (v, u)));
+        let rev = Rows::grouped(self.edges.len(), fwd.entries.iter().copied(), reversed);
+        Digraph { fwd, rev }
     }
 }
 
 /// Immutable CSR digraph with forward and reverse adjacency.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 pub struct Digraph {
-    #[serde(with = "crate::flat")]
-    fwd_off: Vec<u32>,
-    #[serde(with = "crate::flat")]
-    fwd: Vec<NodeId>,
-    #[serde(with = "crate::flat")]
-    rev_off: Vec<u32>,
-    #[serde(with = "crate::flat")]
-    rev: Vec<NodeId>,
+    /// Row `u`: the out-neighbours of `u`, ascending.
+    fwd: Rows<NodeId>,
+    /// Row `v`: the in-neighbours of `v`, ascending.
+    rev: Rows<NodeId>,
 }
 
 impl Digraph {
@@ -124,24 +89,22 @@ impl Digraph {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.fwd_off.len() - 1
+        self.fwd.rows()
     }
 
     /// Number of (deduplicated) directed edges.
     pub fn edge_count(&self) -> usize {
-        self.fwd.len()
+        self.fwd.entries.len()
     }
 
     /// Out-neighbours of `u`, sorted ascending.
     pub fn successors(&self, u: NodeId) -> &[NodeId] {
-        let (s, e) = (self.fwd_off[u as usize], self.fwd_off[u as usize + 1]);
-        &self.fwd[s as usize..e as usize]
+        self.fwd.row(u)
     }
 
     /// In-neighbours of `u`.
     pub fn predecessors(&self, u: NodeId) -> &[NodeId] {
-        let (s, e) = (self.rev_off[u as usize], self.rev_off[u as usize + 1]);
-        &self.rev[s as usize..e as usize]
+        self.rev.row(u)
     }
 
     /// Out-degree of `u`.
@@ -170,16 +133,11 @@ impl Digraph {
         self.successors(u).binary_search(&v).is_ok()
     }
 
-    /// A graph with all edges reversed. The reverse CSR arrays are reused.
+    /// A graph with all edges reversed: the two tables swapped, each of
+    /// whose rows ascends.
     pub fn reversed(&self) -> Digraph {
-        // Reversed graph: swap forward/reverse arrays, but reverse adjacency
-        // lists are grouped by target already, and within a group ordered by
-        // source ascending (counting-sort order), so they are valid sorted
-        // CSR lists.
         Digraph {
-            fwd_off: self.rev_off.clone(),
             fwd: self.rev.clone(),
-            rev_off: self.fwd_off.clone(),
             rev: self.fwd.clone(),
         }
     }
@@ -216,33 +174,20 @@ impl Digraph {
 
     /// Approximate in-memory footprint in bytes (CSR arrays only).
     pub fn size_bytes(&self) -> usize {
-        4 * (self.fwd_off.len() + self.fwd.len() + self.rev_off.len() + self.rev.len())
+        let table = |rows: &Rows<NodeId>| 4 * (rows.offsets.len() + rows.entries.len());
+        table(&self.fwd) + table(&self.rev)
     }
 
-    /// The first way the CSR arrays are laid out so that an adjacency
-    /// lookup would slice or index out of bounds, if they are: both offset
-    /// arrays `n + 1` long, non-decreasing from 0 up to the edge count,
-    /// and every neighbour below `n`. A built graph never has one; a
-    /// decoded image can, so whoever decodes one checks before the first
-    /// lookup. One pass over each array.
+    /// The first way the two tables are laid out so that an adjacency
+    /// lookup would slice or index out of bounds, if they are
+    /// ([`Rows::fault`]): both `n` rows of neighbours below `n`. A built
+    /// graph never has one; a decoded image can, so whoever decodes one
+    /// checks before the first lookup. One pass over each array.
     pub fn layout_fault(&self) -> Option<String> {
-        let rows = self.fwd_off.len();
-        let halves = [
-            ("forward", &self.fwd_off, &self.fwd),
-            ("reverse", &self.rev_off, &self.rev),
-        ];
-        halves.into_iter().find_map(|(name, off, targets)| {
-            let bounded = off.first() == Some(&0) && off.last() == Some(&(targets.len() as u32));
-            if off.len() != rows || !bounded || off.windows(2).any(|w| w[0] > w[1]) {
-                let edges = targets.len();
-                return Some(format!(
-                    "{name} offsets are not {rows} non-decreasing bounds from 0 to {edges}"
-                ));
-            }
-            let n = rows - 1;
-            let v = targets.iter().find(|&&v| v as usize >= n)?;
-            Some(format!("a {name} edge names node {v} of {n}"))
-        })
+        let n = self.node_count();
+        [("forward", &self.fwd), ("reverse", &self.rev)]
+            .into_iter()
+            .find_map(|(name, rows)| Some(format!("{name} adjacency: {}", rows.fault(n, n)?)))
     }
 }
 
@@ -340,19 +285,20 @@ mod tests {
         assert_eq!(diamond().layout_fault(), None);
         assert_eq!(DigraphBuilder::new().build().layout_fault(), None);
         type Damage = (fn(&mut Digraph), &'static str);
-        let damage: [Damage; 6] = [
-            (|g| g.fwd_off.clear(), "forward offsets"),
-            (|g| g.fwd_off[0] = 1, "forward offsets"),
-            (|g| g.fwd_off.swap(1, 2), "forward offsets"),
-            (|g| g.rev_off.truncate(4), "reverse offsets"),
-            (|g| g.fwd[0] = 4, "forward edge names node 4 of 4"),
-            (|g| g.rev[3] = 9, "reverse edge names node 9"),
+        let damage: [Damage; 2] = [
+            (
+                |g| g.fwd.entries[0] = 4,
+                "forward adjacency: entry 0 names node 4 of 4",
+            ),
+            (
+                |g| g.rev.offsets.truncate(4),
+                "reverse adjacency: 4 offsets for 4 rows",
+            ),
         ];
         for (damage, fault) in damage {
             let mut bad = diamond();
             damage(&mut bad);
-            let found = bad.layout_fault().unwrap_or_default();
-            assert!(found.contains(fault), "{fault}: {found}");
+            assert_eq!(bad.layout_fault().as_deref(), Some(fault));
         }
     }
 

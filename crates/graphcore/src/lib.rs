@@ -26,7 +26,11 @@
 //! * [`flat`]: the `#[serde(with = "graphcore::flat")]` module that writes
 //!   a `Vec<u32>`-shaped field of a persisted index as one byte string,
 //!   each lane packed to the bits of its largest value, instead of element
-//!   by element.
+//!   by element,
+//! * [`Rows`]: the one compressed-sparse-row table — `u32` offsets over
+//!   packed entries, built from rows in order or grouped by a dense key,
+//!   and checked in one place — behind the graph's adjacency and every
+//!   index's row tables.
 //!
 //! Nodes are dense `u32` indices (see [`NodeId`]); all algorithms are
 //! allocation-conscious and deterministic.
@@ -50,6 +54,8 @@ pub mod flat;
 pub mod partition;
 /// Scoped worker pool with deterministic, job-ordered results.
 pub mod pool;
+/// Compressed-sparse-row tables: offsets over packed entries.
+pub mod rows;
 /// Tarjan strongly-connected components and condensation.
 pub mod scc;
 /// Reusable epoch-stamped traversal scratch.
@@ -66,6 +72,7 @@ pub use closure::{DistanceOracle, TransitiveClosure};
 pub use digraph::{Digraph, DigraphBuilder, NodeId};
 pub use estimate::{estimate_reach_counts, Reach};
 pub use partition::{partition_condensation, partition_greedy, Partitioning};
+pub use rows::Rows;
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use scratch::{filled, DistScratch};
 pub use spanning::is_forest;

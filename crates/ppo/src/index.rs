@@ -1,7 +1,8 @@
 //! The pre/postorder index over a graph's spanning forest.
 
-use graphcore::{spanning_forest, Digraph, Distance, NodeId};
+use graphcore::{spanning_forest, Digraph, Distance, NodeId, Rows};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// Pre/postorder index over the spanning forest of a graph with per-node
 /// labels, numbered in preorder: the index's node ids *are* the forest's
@@ -31,12 +32,8 @@ pub struct PpoIndex {
     /// The labels some node carries, ascending.
     #[serde(with = "graphcore::flat")]
     label_keys: Vec<u32>,
-    /// Where each key's ranks begin in `label_ranks`, then its length.
-    #[serde(with = "graphcore::flat")]
-    label_offsets: Vec<u32>,
-    /// The ranks carrying each key, ascending, key after key.
-    #[serde(with = "graphcore::flat")]
-    label_ranks: Vec<u32>,
+    /// Row `k`: the ranks carrying `label_keys[k]`, ascending.
+    labels: Rows<u32>,
     /// Edges of the graph the forest leaves out, as rank pairs, ascending.
     #[serde(with = "graphcore::flat")]
     removed: Vec<(NodeId, NodeId)>,
@@ -92,28 +89,21 @@ impl PpoIndex {
             .map(|&(u, v)| (rank[u as usize], rank[v as usize]))
             .collect();
         removed.sort_unstable();
-        let mut rows: Vec<(u32, u32)> = (0..)
+        let label_keys: Vec<u32> = BTreeSet::from_iter(labels).into_iter().copied().collect();
+        // Each rank under its label's key, visited in rank order.
+        let key = |label: u32| label_keys.partition_point(|&k| k < label) as u32;
+        let keys = labels.iter().map(|&label| key(label));
+        let ranked = (0..)
             .zip(&order)
-            .map(|(r, &u)| (labels[u as usize], r))
-            .collect();
-        rows.sort_unstable();
-        let mut index = Self {
+            .map(|(r, &u)| (key(labels[u as usize]), r));
+        let index = Self {
             size,
             depth,
             parent,
-            label_keys: Vec::new(),
-            label_offsets: Vec::new(),
-            label_ranks: Vec::with_capacity(n),
+            labels: Rows::grouped(label_keys.len(), keys, ranked),
+            label_keys,
             removed,
         };
-        for (at, &(label, r)) in (0..).zip(&rows) {
-            if index.label_keys.last() != Some(&label) {
-                index.label_keys.push(label);
-                index.label_offsets.push(at);
-            }
-            index.label_ranks.push(r);
-        }
-        index.label_offsets.push(n as u32);
         (index, order)
     }
 
@@ -150,8 +140,7 @@ impl PpoIndex {
         let Ok(k) = self.label_keys.binary_search(&label) else {
             return &[];
         };
-        let (lo, hi) = (self.label_offsets[k], self.label_offsets[k + 1]);
-        &self.label_ranks[lo as usize..hi as usize]
+        self.labels.row(k as u32)
     }
 
     /// Edges of the graph that are *not* represented in the forest, as
@@ -233,35 +222,31 @@ impl PpoIndex {
     /// The first way the stored arrays are laid out so that a lookup would
     /// index or slice out of bounds, or walk a parent chain without end, if
     /// they are: the per-rank arrays and the labelled ranks all `n` long,
-    /// the label offsets non-decreasing from 0 up to `n` behind strictly
-    /// ascending keys, every labelled rank and removed-edge end below `n`,
+    /// the label lists one row of ranks below `n` per key ([`Rows::fault`])
+    /// behind strictly ascending keys, every removed-edge end below `n`,
     /// every subtree inside the index (`r + size[r] ≤ n`) and every parent
     /// before its child. One pass over each array.
     pub fn layout_fault(&self) -> Option<String> {
         let n = self.node_count();
-        let (depths, parents, ranks) =
-            (self.depth.len(), self.parent.len(), self.label_ranks.len());
+        let (depths, parents, ranks) = (
+            self.depth.len(),
+            self.parent.len(),
+            self.labels.entries().len(),
+        );
         if depths != n || parents != n || ranks != n {
             return Some(format!(
                 "{n} subtree sizes, {depths} depths, {parents} parents, {ranks} labelled ranks"
             ));
         }
-        let (keys, offsets) = (&self.label_keys, &self.label_offsets);
-        let bounded = offsets.first() == Some(&0) && offsets.last() == Some(&(n as u32));
-        if offsets.len() != keys.len() + 1 || !bounded || offsets.windows(2).any(|w| w[0] > w[1]) {
-            let bounds = keys.len() + 1;
-            return Some(format!(
-                "label offsets are not {bounds} non-decreasing bounds from 0 to {n}"
-            ));
+        let keys = &self.label_keys;
+        if let Some(fault) = self.labels.fault(keys.len(), n) {
+            return Some(format!("label lists: {fault}"));
         }
         if let Some(at) = keys.windows(2).position(|w| w[0] >= w[1]) {
             return Some(format!(
                 "label keys are not ascending at position {}",
                 at + 1
             ));
-        }
-        if let Some(r) = self.label_ranks.iter().find(|&&r| r as usize >= n) {
-            return Some(format!("a label list names rank {r} of {n}"));
         }
         let past = |r: NodeId| r as usize >= n;
         if let Some((u, v)) = self.removed.iter().find(|&&(u, v)| past(u) || past(v)) {
@@ -350,8 +335,8 @@ impl flixcheck::IntegrityCheck for PpoIndex {
 
         let mut covered = vec![false; n];
         let mut first = None;
-        'lists: for (&label, w) in self.label_keys.iter().zip(self.label_offsets.windows(2)) {
-            let list = &self.label_ranks[w[0] as usize..w[1] as usize];
+        'lists: for (k, &label) in (0..).zip(&self.label_keys) {
+            let list = self.labels.row(k);
             if let Some(at) = list.windows(2).position(|w| w[0] >= w[1]) {
                 first = Some(format!(
                     "label {label}: list not ascending at rank {}",
@@ -649,17 +634,30 @@ mod tests {
         assert_eq!(x.size_bytes(), 4 * (6 * 4 + 8) + 2 * 8);
     }
 
+    /// `idx` with the ranks of its `k`th label replaced by `list`.
+    fn relisted(idx: &PpoIndex, k: usize, list: &[u32]) -> PpoIndex {
+        let keys = 0..idx.label_keys.len() as u32;
+        let mut lists: Vec<Vec<u32>> = keys.map(|j| idx.labels.row(j).to_vec()).collect();
+        lists[k] = list.to_vec();
+        PpoIndex {
+            labels: Rows::from_rows(&lists),
+            ..idx.clone()
+        }
+    }
+
     #[test]
     fn layout_faults_are_named() {
         let (idx, _) = tree();
         assert_eq!(idx.layout_fault(), None);
+        assert_eq!(idx.label_list(1), &[1, 4, 5]);
         type Damage = (fn(&mut PpoIndex), &'static str);
-        let damage: [Damage; 8] = [
+        let damage: [Damage; 6] = [
             (|i| i.parent.truncate(6), "6 parents"),
-            (|i| i.label_offsets[1] = 8, "non-decreasing bounds"),
-            (|i| i.label_offsets.truncate(3), "non-decreasing bounds"),
             (|i| i.label_keys.swap(0, 1), "keys are not ascending"),
-            (|i| i.label_ranks[2] = 7, "names rank 7"),
+            (
+                |i| *i = relisted(i, 1, &[1, 7, 5]),
+                "label lists: entry 2 names node 7 of 7",
+            ),
             (|i| i.size[5] = 3, "ends past 7"),
             (|i| i.parent[2] = 2, "parent is rank 2"),
             (|i| i.removed.push((0, 7)), "names a rank past 7"),
@@ -686,12 +684,10 @@ mod tests {
         bad.size[0] -= 1;
         assert!(bad.integrity_check().is_err());
         // a rank under two labels
-        let mut bad = idx.clone();
-        bad.label_ranks[0] = bad.label_ranks[1];
+        let bad = relisted(&idx, 0, &[1]);
         assert!(bad.integrity_check().is_err());
         // a label list out of order
-        let mut bad = idx.clone();
-        bad.label_ranks.swap(1, 2);
+        let bad = relisted(&idx, 1, &[4, 1, 5]);
         assert!(bad.integrity_check().is_err());
         // a corrupted depth breaks parent consistency
         let mut bad = idx.clone();

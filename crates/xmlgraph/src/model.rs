@@ -1,7 +1,7 @@
 //! Element trees, document collections, and the sealed union graph `G_X`.
 
 use crate::links::{LinkRef, LinkSpec, LinkTarget};
-use graphcore::{Digraph, DigraphBuilder, NodeId};
+use graphcore::{Digraph, DigraphBuilder, NodeId, Rows};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -112,28 +112,6 @@ fn span_in(pool: &str, part: &str) -> Span {
     let start = part.as_ptr() as usize - pool.as_ptr() as usize;
     debug_assert!(start + part.len() <= pool.len(), "not a slice of the pool");
     Span::new(start, start + part.len())
-}
-
-/// Groups `(key, value)` pairs by key with a counting sort: key `k`'s
-/// values are `values[start[k]..start[k + 1]]`, in input order.
-fn group_by_key(
-    keys: usize,
-    pairs: impl Iterator<Item = (u32, u32)> + Clone,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut start = vec![0u32; keys + 1];
-    for (k, _) in pairs.clone() {
-        start[k as usize + 1] += 1;
-    }
-    for k in 0..keys {
-        start[k + 1] += start[k];
-    }
-    let mut fill = start.clone();
-    let mut values = vec![0u32; start[keys] as usize];
-    for (k, v) in pairs {
-        values[fill[k as usize] as usize] = v;
-        fill[k as usize] += 1;
-    }
-    (start, values)
 }
 
 /// The parent entry of a document root.
@@ -317,12 +295,12 @@ impl Document {
         (id + 1..self.len() as LocalId).filter(move |&c| self.parent[c as usize] == id)
     }
 
-    /// Every element's children as CSR: element `p`'s are
-    /// `kids[first[p]..first[p + 1]]`, in document order. One pass over the
-    /// parent array.
-    pub(crate) fn children_csr(&self) -> (Vec<u32>, Vec<LocalId>) {
+    /// Every element's children as CSR: row `p` holds element `p`'s, in
+    /// document order. Two passes over the parent array.
+    pub(crate) fn children_csr(&self) -> Rows<LocalId> {
         let edges = self.parent.iter().enumerate().skip(1);
-        group_by_key(self.len(), edges.map(|(c, &p)| (p, c as LocalId)))
+        let parents = self.parent.iter().copied().skip(1);
+        Rows::grouped(self.len(), parents, edges.map(|(c, &p)| (p, c as LocalId)))
     }
 
     /// All elements with their ids, in document (pre-)order.
@@ -563,8 +541,9 @@ impl Collection {
         link_edges.sort_unstable();
         link_edges.dedup();
 
-        let (tag_start, tag_nodes) = group_by_key(
+        let tag_nodes = Rows::grouped(
             self.tags.len(),
+            node_tag.iter().copied(),
             node_tag.iter().enumerate().map(|(v, &t)| (t, v as NodeId)),
         );
 
@@ -575,7 +554,6 @@ impl Collection {
             node_base,
             node_doc,
             node_tag,
-            tag_start,
             tag_nodes,
             link_edges,
             doc_graph,
@@ -602,10 +580,8 @@ pub struct CollectionGraph {
     pub node_doc: Vec<u32>,
     /// Tag of each global node.
     pub node_tag: Vec<TagId>,
-    /// `tag_start[t]..tag_start[t + 1]` is tag `t`'s range of `tag_nodes`.
-    tag_start: Vec<u32>,
-    /// Global nodes grouped by tag, each group ascending.
-    tag_nodes: Vec<NodeId>,
+    /// Row `t`: the global nodes carrying tag `t`, ascending.
+    tag_nodes: Rows<NodeId>,
     /// Resolved link edges (sorted). A link edge may coincide with a tree
     /// edge; the union graph stores it once.
     pub link_edges: Vec<(NodeId, NodeId)>,
@@ -655,13 +631,13 @@ impl CollectionGraph {
         self.node_base[doc as usize]
     }
 
-    /// All nodes carrying `tag`, ascending.
+    /// All nodes carrying `tag`, ascending; none for a tag past the
+    /// interned ones.
     pub fn nodes_with_tag(&self, tag: TagId) -> &[NodeId] {
-        let t = tag as usize;
-        if t + 1 >= self.tag_start.len() {
+        if tag as usize >= self.tag_nodes.rows() {
             return &[];
         }
-        &self.tag_nodes[self.tag_start[t] as usize..self.tag_start[t + 1] as usize]
+        self.tag_nodes.row(tag)
     }
 
     /// Number of resolved link edges.

@@ -51,7 +51,7 @@ pub fn write_document(doc: &Document, tags: &TagInterner) -> String {
     if doc.is_empty() {
         return out;
     }
-    let (first, kids) = doc.children_csr();
+    let kids = doc.children_csr();
     // `(element, depth, close)`: a `close` entry writes the end tag of an
     // element whose children have been written.
     let mut stack = vec![(doc.root(), 0usize, false)];
@@ -68,7 +68,7 @@ pub fn write_document(doc: &Document, tags: &TagInterner) -> String {
             push_attr(&mut out, v);
             out.push('"');
         }
-        let children = &kids[first[el as usize] as usize..first[el as usize + 1] as usize];
+        let children = kids.row(el);
         if children.is_empty() && e.text().is_empty() {
             out.push_str("/>\n");
             continue;
