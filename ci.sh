@@ -28,7 +28,8 @@ for _ in 1 2 3 4 5 6 7 8 9 10; do
     cargo test -q --test serve
 done
 
-echo "== flixbench (the benchmark package builds against crates/, passes its tests, and smoke-runs)"
+echo "== flixbench (the benchmark package builds against crates/, is clippy-clean, passes its tests, and smoke-runs)"
+cargo clippy --offline --manifest-path flixbench/Cargo.toml --all-targets -- -D warnings
 cargo test --offline --manifest-path flixbench/Cargo.toml
 bash flixbench/run.sh --smoke
 

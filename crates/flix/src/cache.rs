@@ -27,9 +27,9 @@ use crate::pee::{Axis, Goal, Query, QueryCtx, QueryOptions, QueryOutcome, QueryR
 use flixobs::journal::{EventKind, SHARD_NONE};
 use flixobs::Counter;
 use graphcore::{Distance, NodeId};
+use pagestore::Lru;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,13 +127,10 @@ struct Entry {
     results: Arc<Vec<QueryResult>>,
     /// Framework generation the results were computed under.
     generation: u64,
-    /// LRU stamp.
-    stamp: u64,
 }
 
 struct CacheInner {
-    map: HashMap<Key, Entry>,
-    tick: u64,
+    entries: Lru<Key, Entry>,
     sketch: FrequencySketch,
 }
 
@@ -189,13 +186,11 @@ impl ResultCache {
     /// # Panics
     /// If `capacity` is zero.
     pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache needs capacity");
         Self {
             generation: AtomicU64::new(0),
             capacity,
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                tick: 0,
+                entries: Lru::new(capacity),
                 sketch: FrequencySketch::new(capacity),
             }),
             hits: Counter::new(),
@@ -242,14 +237,11 @@ impl ResultCache {
         let max_results = query.opts.max_results;
         {
             let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
             // Every lookup feeds the admission sketch, hits included: the
             // gate needs to know which keys are actually popular.
             inner.sketch.record(&key);
-            match inner.map.get_mut(&key) {
+            match inner.entries.get(&key) {
                 Some(entry) if entry.generation == generation => {
-                    entry.stamp = tick;
                     self.hits.inc();
                     ctx.event(EventKind::CacheHit { shard: shard_tag });
                     return Answer {
@@ -260,7 +252,7 @@ impl ResultCache {
                 }
                 Some(_) => {
                     // Computed under an older framework: never serve it.
-                    inner.map.remove(&key);
+                    inner.entries.remove(&key);
                     self.invalidations.inc();
                 }
                 None => {}
@@ -286,37 +278,26 @@ impl ResultCache {
             return answer;
         }
         let mut inner = self.inner.lock();
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
-            if let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(k, _)| *k)
-            {
-                // TinyLFU admission (ties go to the newcomer, so a cold
-                // cache still fills and recency breaks frequency ties).
-                if inner.sketch.estimate(&key) >= inner.sketch.estimate(&victim) {
-                    inner.map.remove(&victim);
-                    self.evictions.inc();
-                    self.admitted.inc();
-                    ctx.event(EventKind::CacheEvict);
-                    ctx.event(EventKind::CacheAdmit);
-                } else {
-                    self.rejected.inc();
-                    ctx.event(EventKind::CacheReject);
-                    return answer;
-                }
+        if let Some(victim) = inner.entries.victim_for(&key) {
+            // TinyLFU admission (ties go to the newcomer, so a cold cache
+            // still fills and recency breaks frequency ties).
+            if inner.sketch.estimate(&key) < inner.sketch.estimate(&victim) {
+                self.rejected.inc();
+                ctx.event(EventKind::CacheReject);
+                return answer;
             }
+            // The slot is freed here, so the insert below scans for no victim.
+            inner.entries.remove(&victim);
+            self.evictions.inc();
+            self.admitted.inc();
+            ctx.event(EventKind::CacheEvict);
+            ctx.event(EventKind::CacheAdmit);
         }
-        let stamp = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                results: fresh,
-                generation,
-                stamp,
-            },
-        );
+        let entry = Entry {
+            results: fresh,
+            generation,
+        };
+        inner.entries.insert(key, entry);
         answer
     }
 
@@ -339,7 +320,7 @@ impl ResultCache {
 
     /// Number of cached queries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().entries.len()
     }
 
     /// True if nothing is cached.

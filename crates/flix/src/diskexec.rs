@@ -16,9 +16,8 @@ use crate::meta::MetaDocument;
 use crate::pee::{collect, MetaSpace, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
 use crate::persist;
 use graphcore::NodeId;
-use pagestore::BlobStore;
+use pagestore::{BlobStore, Lru};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use xmlgraph::TagId;
 
@@ -41,35 +40,9 @@ pub struct DiskFlix {
     /// The number of elements of each meta document, as the manifest
     /// catalogues them: what a loaded image is checked against.
     meta_lens: Vec<u32>,
-    cache: Mutex<LruCache>,
+    cache: Mutex<Lru<u32, Arc<MetaDocument>>>,
     hits: flixobs::Counter,
     misses: flixobs::Counter,
-}
-
-struct LruCache {
-    capacity: usize,
-    map: HashMap<u32, (Arc<MetaDocument>, u64)>,
-    tick: u64,
-}
-
-impl LruCache {
-    /// Caches `md` under `id`, stamped with the current tick, and returns
-    /// what left the cache for it. A slot is freed — the least recently
-    /// used entry evicted — only if `id` is not cached: another thread may
-    /// have loaded it since the caller missed, and replacing an entry takes
-    /// no room. Dropping an index frees every array it holds, so the caller
-    /// drops the returned one after releasing the cache lock.
-    #[must_use]
-    fn admit(&mut self, id: u32, md: Arc<MetaDocument>) -> Option<Arc<MetaDocument>> {
-        let evicted = if self.map.len() >= self.capacity && !self.map.contains_key(&id) {
-            let lru = self.map.iter().min_by_key(|(_, (_, stamp))| *stamp);
-            lru.map(|(&k, _)| k).and_then(|k| self.map.remove(&k))
-        } else {
-            None
-        };
-        let replaced = self.map.insert(id, (md, self.tick));
-        evicted.or(replaced).map(|(md, _)| md)
-    }
 }
 
 impl DiskFlix {
@@ -100,11 +73,7 @@ impl DiskFlix {
             name: name.to_string(),
             catalogue: manifest.into_catalogue(),
             meta_lens,
-            cache: Mutex::new(LruCache {
-                capacity: cache_capacity,
-                map: HashMap::new(),
-                tick: 0,
-            }),
+            cache: Mutex::new(Lru::new(cache_capacity)),
             hits: flixobs::Counter::new(),
             misses: flixobs::Counter::new(),
         })
@@ -129,15 +98,9 @@ impl DiskFlix {
     /// to an index a lookup cannot trust ([`persist::load_meta`]) — each
     /// means the persisted framework is stale or corrupt.
     fn load_meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
-        {
-            let mut cache = self.cache.lock();
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some((md, stamp)) = cache.map.get_mut(&id) {
-                *stamp = tick;
-                self.hits.inc();
-                return Ok(Arc::clone(md));
-            }
+        if let Some(md) = self.cache.lock().get(&id).map(Arc::clone) {
+            self.hits.inc();
+            return Ok(md);
         }
         self.misses.inc();
         let &len = (self.meta_lens.get(id as usize))
@@ -148,10 +111,11 @@ impl DiskFlix {
             id as usize,
             len,
         )?);
-        // The guard is gone at the end of this statement; the victim is
-        // freed after it.
-        let evicted = self.cache.lock().admit(id, Arc::clone(&md));
-        drop(evicted);
+        // If another thread loaded `id` since this one missed, its copy is
+        // replaced and nothing evicted. Freeing an index is not work to do
+        // under the guard, which is gone at the end of this statement.
+        let left = self.cache.lock().insert(id, Arc::clone(&md));
+        drop(left);
         Ok(md)
     }
 
@@ -725,38 +689,6 @@ mod tests {
                 assert!(thread.join().unwrap() == want);
             }
         });
-    }
-
-    /// Two threads can miss on the same id at once; the second to finish
-    /// loading finds it cached and must not cost another entry its slot.
-    #[test]
-    fn admitting_a_cached_id_evicts_nothing() {
-        let flix = Flix::build(graph(), FlixConfig::Naive);
-        let md = |id: u32| Arc::new(flix.meta(id).clone());
-        let mut cache = LruCache {
-            capacity: 2,
-            map: HashMap::new(),
-            tick: 0,
-        };
-        for id in [0, 1] {
-            cache.tick += 1;
-            assert!(cache.admit(id, md(id)).is_none());
-        }
-        cache.tick += 1;
-        let (again, first) = (md(1), Arc::clone(&cache.map[&1].0));
-        let replaced = cache
-            .admit(1, Arc::clone(&again))
-            .expect("the earlier copy");
-        assert!(Arc::ptr_eq(&replaced, &first));
-        assert!(Arc::ptr_eq(&cache.map[&1].0, &again));
-        assert_eq!(cache.map.len(), 2, "full, and meta 0 kept its slot");
-        assert!(cache.map.contains_key(&0));
-        // A new id at capacity does evict: the least recently used.
-        cache.tick += 1;
-        let evicted = cache.admit(2, md(2)).expect("a victim");
-        assert_eq!(evicted.nodes, flix.meta(0).nodes);
-        assert_eq!(cache.map.len(), 2);
-        assert!(cache.map.contains_key(&1) && cache.map.contains_key(&2));
     }
 
     #[test]

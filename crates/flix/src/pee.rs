@@ -121,8 +121,10 @@ pub use graphcore::Axis;
 pub enum Start {
     /// One element, at distance 0.
     Node(NodeId),
-    /// Every element with this tag, each at distance 0 — §5.2's `A//B`;
-    /// a match's distance is the minimum over the starts.
+    /// Every element with this tag, each at distance 0 — §5.2's `A//B`. A
+    /// match's distance is the minimum over the starts in exact order; in
+    /// approximate order it may be more (§5.1's entry test skips a start
+    /// that an entry popped before it reaches).
     Tag(TagId),
 }
 
@@ -1400,6 +1402,41 @@ mod tests {
                 for query in queries {
                     let results = eval(&flix, query).results;
                     assert!(results.is_empty(), "{config} tag {tag}: {results:?}");
+                }
+            }
+        }
+    }
+
+    /// In `<a><x><a><b/></a></x></a>` the inner `a` is one step above `b`
+    /// and the outer one three. Exact order answers the minimum over the
+    /// starts; approximate order answers once, at a distance of at least
+    /// that (the outer `a`'s entry reaches the inner one).
+    #[test]
+    fn a_tag_start_answers_at_the_minimum_in_exact_order() {
+        let mut c = Collection::new();
+        let (a, x, b) = (c.tags.intern("a"), c.tags.intern("x"), c.tags.intern("b"));
+        let mut d = Document::new("nest.xml");
+        let outer = d.add_element(a, None);
+        let middle = d.add_element(x, Some(outer));
+        let inner = d.add_element(a, Some(middle));
+        d.add_element(b, Some(inner));
+        c.add_document(d).unwrap();
+        let cg = Arc::new(c.seal());
+        for config in all_configs() {
+            let flix = Flix::build(cg.clone(), config);
+            for opts in [QueryOptions::exact(), QueryOptions::default()] {
+                let query = Query {
+                    from: Start::Tag(a),
+                    ..Query::descendants(0, b, opts)
+                };
+                let results = eval(&flix, query).results;
+                let case = format!("{config} exact {}: {results:?}", opts.exact_order);
+                assert_eq!(results.len(), 1, "{case}");
+                assert_eq!(results[0].node, 3, "{case}");
+                if opts.exact_order {
+                    assert_eq!(results[0].distance, 1, "{case}");
+                } else {
+                    assert!(results[0].distance >= 1, "{case}");
                 }
             }
         }

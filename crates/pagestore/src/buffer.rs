@@ -17,21 +17,20 @@
 //! touched since the previous checkpoint instead of the whole store.
 
 use crate::disk::DiskManager;
+use crate::lru::Lru;
 use crate::page::{Page, PageId};
 use flixobs::Counter;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 struct Frame {
     page: Page,
     dirty: bool,
-    last_used: u64,
 }
 
 struct PoolInner {
-    frames: HashMap<PageId, Frame>,
-    tick: u64,
+    frames: Lru<PageId, Frame>,
     /// Page ids written through [`BufferPool::write`] and not yet cleared
     /// by [`BufferPool::clear_modified`]. Survives eviction of the frame.
     modified: BTreeSet<PageId>,
@@ -59,7 +58,6 @@ pub struct PoolStats {
 /// A latching LRU buffer pool.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
-    capacity: usize,
     inner: Mutex<PoolInner>,
     hits: Counter,
     misses: Counter,
@@ -76,10 +74,8 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         Self {
             disk,
-            capacity,
             inner: Mutex::new(PoolInner {
-                frames: HashMap::new(),
-                tick: 0,
+                frames: Lru::new(capacity),
                 modified: BTreeSet::new(),
                 deferred_error: None,
             }),
@@ -95,19 +91,11 @@ impl BufferPool {
         &self.disk
     }
 
-    /// Evicts the least recently used frame if the pool is full, writing
-    /// it back first if it is dirty.
-    fn make_room(&self, inner: &mut PoolInner) {
-        if inner.frames.len() < self.capacity {
-            return;
-        }
-        // Present whenever the pool is at capacity, since capacity > 0.
-        let victim = inner
-            .frames
-            .iter()
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(&pid, _)| pid);
-        let Some((victim, frame)) = victim.and_then(|pid| inner.frames.remove_entry(&pid)) else {
+    /// Makes `frame` the most recently used frame of page `id`. A dirty
+    /// frame evicted for it is written back; a frame it replaces under the
+    /// same id is dropped, since `frame` supersedes it.
+    fn install(&self, inner: &mut PoolInner, id: PageId, frame: Frame) {
+        let Some((victim, frame)) = inner.frames.insert(id, frame).filter(|&(v, _)| v != id) else {
             return;
         };
         self.evictions.inc();
@@ -130,22 +118,15 @@ impl BufferPool {
     /// for `id`, and none pushed out for it.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> std::io::Result<R> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(frame) = inner.frames.get_mut(&id) {
+        if let Some(frame) = inner.frames.get(&id) {
             self.hits.inc();
-            frame.last_used = tick;
             return Ok(f(&frame.page));
         }
         self.misses.inc();
         let page = self.disk.read_page(id)?;
-        self.make_room(&mut inner);
-        let frame = inner.frames.entry(id).or_insert(Frame {
-            page,
-            dirty: false,
-            last_used: tick,
-        });
-        Ok(f(&frame.page))
+        let out = f(&page);
+        self.install(&mut inner, id, Frame { page, dirty: false });
+        Ok(out)
     }
 
     /// Makes `page` the content of page `id`: the frame is marked dirty and
@@ -153,17 +134,7 @@ impl BufferPool {
     /// a write counts as neither a hit nor a miss.
     pub fn write(&self, id: PageId, page: Page) {
         let mut inner = self.inner.lock();
-        if !inner.frames.contains_key(&id) {
-            self.make_room(&mut inner);
-        }
-        inner.tick += 1;
-        let last_used = inner.tick;
-        let frame = Frame {
-            page,
-            dirty: true,
-            last_used,
-        };
-        inner.frames.insert(id, frame);
+        self.install(&mut inner, id, Frame { page, dirty: true });
         inner.modified.insert(id);
     }
 
@@ -218,19 +189,10 @@ impl BufferPool {
         }
         let mut written = 0;
         // Deterministic order so a partial flush is reproducible in tests.
-        let mut dirty: Vec<PageId> = inner
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&id, _)| id)
-            .collect();
-        dirty.sort_unstable();
-        for id in dirty {
-            // The id came out of `frames` under the same lock; absence is
-            // unreachable, so skipping is strictly safer than panicking.
-            let Some(frame) = inner.frames.get_mut(&id) else {
-                continue;
-            };
+        let mut dirty: Vec<(PageId, &mut Frame)> =
+            inner.frames.iter_mut().filter(|(_, f)| f.dirty).collect();
+        dirty.sort_unstable_by_key(|&(id, _)| id);
+        for (id, frame) in dirty {
             if let Err(err) = self.disk.write_page(id, &frame.page) {
                 self.write_errors.inc();
                 return Err(err);
@@ -256,34 +218,14 @@ impl flixcheck::IntegrityCheck for BufferPool {
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("BufferPool");
         let inner = self.inner.lock();
+        let fault = inner.frames.fault();
         audit.check(
-            "resident frames never exceed capacity",
-            inner.frames.len() <= self.capacity,
-            || {
-                format!(
-                    "{} frames resident, capacity {}",
-                    inner.frames.len(),
-                    self.capacity
-                )
-            },
-        );
-        let mut ahead = None;
-        for (&id, frame) in &inner.frames {
-            if frame.last_used > inner.tick {
-                ahead = Some(format!(
-                    "page {id} last used at tick {} but the pool clock is {}",
-                    frame.last_used, inner.tick
-                ));
-                break;
-            }
-        }
-        audit.check(
-            "frame LRU stamps never run ahead of the pool clock",
-            ahead.is_none(),
-            || ahead.unwrap_or_default(),
+            "the frame table holds at most its capacity, none ahead of its clock",
+            fault.is_none(),
+            || fault.unwrap_or_default(),
         );
         let mut untracked = None;
-        for (&id, frame) in &inner.frames {
+        for (id, frame) in inner.frames.iter() {
             if frame.dirty && !inner.modified.contains(&id) {
                 untracked = Some(format!("page {id} is dirty but not in the modified set"));
                 break;
@@ -295,7 +237,7 @@ impl flixcheck::IntegrityCheck for BufferPool {
             || untracked.unwrap_or_default(),
         );
         let mut bad_page = None;
-        for (&id, frame) in &inner.frames {
+        for (id, frame) in inner.frames.iter() {
             if let Err(err) = frame.page.integrity_check() {
                 bad_page = Some(format!("page {id}: {err}"));
                 break;
@@ -490,7 +432,10 @@ mod tests {
             p.write(id, holding(format!("p{i}").as_bytes()));
         }
         p.flush_all().unwrap();
-        let resident = |p: &BufferPool| p.inner.lock().frames.keys().copied().collect::<Vec<_>>();
+        let resident = |p: &BufferPool| {
+            let inner = p.inner.lock();
+            inner.frames.iter().map(|(id, _)| id).collect::<Vec<_>>()
+        };
         let before = resident(&p);
         assert!(!before.contains(&ids[0]), "written first, evicted first");
         disk.failing_reads.store(true, Ordering::SeqCst);
@@ -582,19 +527,6 @@ mod tests {
         p.write(a, holding(b"live"));
         p.integrity_check().unwrap();
 
-        // An LRU stamp from the future.
-        {
-            let mut inner = p.inner.lock();
-            inner.frames.get_mut(&a).unwrap().last_used = u64::MAX;
-        }
-        assert!(p.integrity_check().is_err());
-        {
-            let mut inner = p.inner.lock();
-            let tick = inner.tick;
-            inner.frames.get_mut(&a).unwrap().last_used = tick;
-        }
-        p.integrity_check().unwrap();
-
         // A dirty frame missing from the modified set.
         {
             let mut inner = p.inner.lock();
@@ -606,22 +538,6 @@ mod tests {
             inner.modified.insert(a);
         }
         p.integrity_check().unwrap();
-
-        // More resident frames than the pool has capacity for.
-        {
-            let mut inner = p.inner.lock();
-            for id in 100..103u32 {
-                inner.frames.insert(
-                    id,
-                    Frame {
-                        page: Page::new(),
-                        dirty: false,
-                        last_used: 0,
-                    },
-                );
-            }
-        }
-        assert!(p.integrity_check().is_err());
     }
 
     /// Four threads share one pool smaller than their pages, so eviction

@@ -4,7 +4,8 @@
 //! the equivalent substrate: 8 KiB pages that each hold one chunk of a blob
 //! ([`page`]), a disk abstraction with I/O accounting ([`disk`]), a
 //! latching buffer pool with LRU eviction that takes writes as whole pages
-//! ([`buffer`]), and a named blob store for serialised index images
+//! ([`buffer`]), the least-recently-used table it and `flix`'s caches evict
+//! through ([`lru`]), and a named blob store for serialised index images
 //! ([`blob`]).
 //!
 //! Everything is synchronous and latch-based (`parking_lot`). Durability
@@ -29,6 +30,8 @@ pub mod buffer;
 pub mod codec;
 /// Disk abstraction with I/O accounting (memory- and file-backed).
 pub mod disk;
+/// The least-recently-used table every cache evicts through.
+pub mod lru;
 /// 8 KiB pages, each blank or holding one chunk of a blob.
 pub mod page;
 /// Crash recovery and the durable store lifecycle (commit / checkpoint).
@@ -42,6 +45,7 @@ pub use blob::{BlobError, BlobStore};
 pub use buffer::{BufferPool, PoolStats};
 pub use codec::{from_bytes, to_bytes, CodecError};
 pub use disk::{DiskManager, DiskStats, FileDisk, MemDisk};
+pub use lru::Lru;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use recovery::{CommitReceipt, DurableStore, RecoveryReport};
 pub use snapshot::{FileManifests, ManifestStore, MemManifests, SnapshotManifest};

@@ -156,6 +156,8 @@ impl PpoIndex {
     /// a rank interval, so this is one binary search plus the answer,
     /// whatever the length of `ranked` — and the answer is the run of
     /// `ranked` read, the rows a database-backed deployment pays for.
+    // Inlined into `flix::meta` (as a codegen-unit split may choose), ×0.88 on `linkchase`.
+    #[inline(never)]
     pub fn descendants_among_into<K: Ord>(
         &self,
         u: NodeId,
