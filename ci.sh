@@ -43,8 +43,9 @@ for entry in bench/ledger/*.json; do
     bash flixbench/run.sh compare "$entry" "$entry" > /dev/null
 done
 
-echo "== repro (the integrity audit at 1/50 scale, then the recorded full-scale run: bench/repro.txt must not move)"
+echo "== repro (the integrity audit at 1/50 scale and at full scale, where every HOPI cover is checked against BFS, then the recorded full-scale run: bench/repro.txt must not move)"
 cargo run -q -p bench --bin repro -- --check --scale 0.02
+cargo run -q --release -p bench --bin repro -- --check
 cargo run -q --release -p bench --bin repro -- all > bench/repro.txt
 git diff --exit-code -- bench/repro.txt
 

@@ -117,30 +117,17 @@ pub struct BuildOptions {
     /// The strategy selector used where a configuration leaves the choice
     /// open.
     pub selector: StrategySelector,
-    /// Total worker-thread budget for the build. `0` means "one per
-    /// available core"; `1` forces a fully sequential build. The budget is
-    /// split between the per-meta build stage and each HOPI meta document's
-    /// intra-build parallelism (see [`graphcore::pool::split_budget`]), so
-    /// the two layers together never oversubscribe it. Either way the built
-    /// framework is byte-identical — threads only change wall clock.
+    /// Worker threads for the per-meta-document build stage, resolved by
+    /// [`graphcore::pool::effective_threads`]: `0` means "one per available
+    /// core", `1` forces a fully sequential build, and no more workers run
+    /// than there are meta documents. Each meta document's index builds on
+    /// one thread. Either way the built framework is byte-identical —
+    /// threads only change wall clock.
     pub build_threads: usize,
 }
 
-impl BuildOptions {
-    /// Resolves [`Self::build_threads`] against the host: `0` becomes the
-    /// core count; anything else is taken as-is. This is the total budget
-    /// the build splits across its stages.
-    pub fn resolved_build_threads(&self) -> usize {
-        if self.build_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.build_threads
-        }
-    }
-}
-
 impl Default for BuildOptions {
-    /// The default thread budget honours the `FLIX_BUILD_THREADS`
+    /// The default thread count honours the `FLIX_BUILD_THREADS`
     /// environment variable (unset or unparsable means `0` = one thread
     /// per core), so test suites and CI can pin the build shape without
     /// touching call sites.

@@ -31,14 +31,13 @@ fn build_one(
     nodes: &[NodeId],
     pinned: Option<StrategyKind>,
     opts: &BuildOptions,
-    hopi_threads: usize,
 ) -> BuiltMeta {
     let started = Stopwatch::start();
     let (sub, mut mapping) = graph.graph.induced_subgraph(nodes);
     let labels: Vec<u32> = mapping.iter().map(|&g| graph.tag_of(g)).collect();
     let kind = pinned.unwrap_or_else(|| opts.selector.select(&sub));
     let edges = sub.edge_count();
-    let (index, extra, stages) = MetaIndex::build(kind, &sub, &labels, &mut mapping, hopi_threads);
+    let (index, extra, stages) = MetaIndex::build(kind, &sub, &labels, &mut mapping);
     let extra_links: Vec<(NodeId, NodeId)> = extra
         .into_iter()
         .map(|(lu, lv)| (mapping[lu as usize], mapping[lv as usize]))
@@ -87,16 +86,9 @@ impl Flix {
     /// Per-meta jobs touch disjoint node sets and only read the shared
     /// collection graph, so [`BuildOptions::build_threads`] changes wall
     /// clock but never the result: the merged framework (and its persisted
-    /// image) is byte-identical to a sequential build.
-    ///
-    /// The thread budget is split between this per-meta stage and each
-    /// HOPI meta document's staged cover pipeline with
-    /// [`pool::split_budget`]: a monolithic plan hands the whole budget to
-    /// HOPI's intra-build parallelism, many small metas saturate the
-    /// budget at the per-meta level, and in between every outer worker
-    /// carries its own inner share so no part of the budget is stranded.
-    /// The inner share only changes wall clock, never output: HOPI covers
-    /// are byte-identical at any thread count.
+    /// image) is byte-identical to a sequential build. Each job builds its
+    /// index on the worker that claimed it, so a monolithic plan builds on
+    /// one thread.
     pub fn build_with(
         graph: Arc<CollectionGraph>,
         config: FlixConfig,
@@ -107,16 +99,13 @@ impl Flix {
         let planning_micros = started.elapsed_micros();
 
         let indexing_started = Stopwatch::start();
-        // Split the budget between the per-meta level and HOPI's staged
-        // pipeline: a monolithic plan keeps everything for the latter.
-        let (threads, shares) = pool::split_budget(opts.resolved_build_threads(), plans.len());
+        let threads = pool::effective_threads(opts.build_threads, plans.len());
         // Workers pull jobs largest-first off a shared cursor; the pool
         // returns finished metas in plan order, so scheduling is invisible.
-        let built =
-            pool::run_scheduled_budgeted(&shares, &plan_build_order(&plans), |mi, inner| {
-                let plan = &plans[mi];
-                build_one(&graph, &plan.nodes, plan.strategy, opts, inner)
-            });
+        let built = pool::run_scheduled(threads, &plan_build_order(&plans), |mi| {
+            let plan = &plans[mi];
+            build_one(&graph, &plan.nodes, plan.strategy, opts)
+        });
         let indexing_micros = indexing_started.elapsed_micros();
 
         let wiring_started = Stopwatch::start();
@@ -230,7 +219,7 @@ impl Flix {
         for d in old_docs..new_graph.collection.doc_count() as u32 {
             let nodes: Vec<NodeId> =
                 (new_graph.node_base[d as usize]..new_graph.node_base[d as usize + 1]).collect();
-            let job = build_one(&new_graph, &nodes, None, opts, 1);
+            let job = build_one(&new_graph, &nodes, None, opts);
             in_meta_links.extend(job.extra_links);
             per_meta.push(job.report);
             metas.push(MetaDocument::new(job.mapping, job.index));
@@ -395,6 +384,10 @@ impl Flix {
     }
 }
 
+/// Sources the integrity audit runs BFS from in each HOPI meta document:
+/// each costs one BFS and one label merge per node of the meta document.
+const COVER_AUDIT_SOURCES: usize = 4;
+
 impl flixcheck::IntegrityCheck for Flix {
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("Flix");
@@ -529,6 +522,26 @@ impl flixcheck::IntegrityCheck for Flix {
             "per-meta anchor sets match the runtime link table",
             bad_anchor.is_none(),
             || bad_anchor.unwrap_or_default(),
+        );
+
+        // Every HOPI cover answers its meta document's graph exactly, by BFS
+        // from a few sampled sources. A HOPI meta document keeps the
+        // ascending numbering `induced_subgraph` returns, so the ids agree.
+        let mut wrong_cover = None;
+        for (mi, md) in self.metas.iter().enumerate() {
+            let MetaIndex::Hopi(index) = &md.index else {
+                continue;
+            };
+            let (sub, _) = self.graph.graph.induced_subgraph(&md.nodes);
+            if let Err(err) = index.verify_against_graph(&sub, COVER_AUDIT_SOURCES) {
+                wrong_cover = Some(format!("meta {mi}: {err}"));
+                break;
+            }
+        }
+        audit.check(
+            "every HOPI cover agrees with BFS over its meta document",
+            wrong_cover.is_none(),
+            || wrong_cover.unwrap_or_default(),
         );
 
         // Finally, every meta document must pass its own (deep) audit.
@@ -823,5 +836,32 @@ mod tests {
         bad.metas[mi] = Arc::new(md);
         let err = bad.integrity_check().unwrap_err();
         assert!(err.to_string().contains("anchor sets"), "{err}");
+    }
+
+    #[test]
+    fn integrity_detects_a_hopi_cover_of_another_graph() {
+        use flixcheck::IntegrityCheck;
+        let cg = sample();
+        let flix = Flix::build(cg.clone(), FlixConfig::Monolithic(StrategyKind::Hopi));
+        flix.integrity_check().unwrap();
+
+        // A well-formed cover, but of the graph plus an edge from node 0 (a
+        // sampled source) to every node: it answers distances of 1 the
+        // collection does not have.
+        let md = &flix.metas[0];
+        let (sub, _) = cg.graph.induced_subgraph(&md.nodes);
+        let n = sub.node_count() as NodeId;
+        let edges = sub.edges().chain((1..n).map(|v| (0, v)));
+        let labels: Vec<u32> = md.nodes.iter().map(|&g| cg.tag_of(g)).collect();
+        let (index, _) =
+            hopi::HopiIndex::build(&graphcore::Digraph::from_edges(n as usize, edges), &labels);
+        let mut bad = flix.clone();
+        bad.metas[0] = Arc::new(MetaDocument::new(
+            md.nodes.clone(),
+            MetaIndex::Hopi(Box::new(index)),
+        ));
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("agrees with BFS"), "{err}");
+        assert_eq!(err.violations.len(), 1, "{err}");
     }
 }

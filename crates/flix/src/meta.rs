@@ -27,16 +27,12 @@ pub enum MetaIndex {
 
 impl MetaIndex {
     /// Builds the index of `kind` over a meta document's subgraph, whose
-    /// local `u` is the element `nodes[u]`, with `hopi_threads` threads for
-    /// a HOPI build (PPO and APEX builds are sequential either way). The
-    /// thread count never changes the built index — HOPI's staged pipeline
-    /// is deterministic by construction — so callers can hand whatever
-    /// budget [`graphcore::pool::split_budget`] grants them.
+    /// local `u` is the element `nodes[u]`.
     ///
     /// Returns the index, any *extra runtime links* — edges of the
     /// subgraph the index cannot answer (PPO's removed edges), which the
-    /// caller must register with the query evaluator — and the staged
-    /// pipeline's [`hopi::StageReport`] when HOPI ran. A PPO index numbers
+    /// caller must register with the query evaluator — and the HOPI
+    /// cover's [`hopi::StageReport`] when HOPI ran. A PPO index numbers
     /// the locals anew, in its spanning forest's preorder: `nodes` is
     /// permuted to match, and the links are in the new numbering. HOPI and
     /// APEX keep the numbering they are given.
@@ -45,7 +41,6 @@ impl MetaIndex {
         subgraph: &Digraph,
         labels: &[u32],
         nodes: &mut [NodeId],
-        hopi_threads: usize,
     ) -> (Self, Vec<(u32, u32)>, Option<hopi::StageReport>) {
         match kind {
             StrategyKind::Ppo => {
@@ -58,11 +53,7 @@ impl MetaIndex {
                 (MetaIndex::Ppo(Box::new(idx)), extra, None)
             }
             StrategyKind::Hopi => {
-                let opts = hopi::CoverOptions {
-                    threads: hopi_threads,
-                    ..hopi::CoverOptions::default()
-                };
-                let (idx, stages) = HopiIndex::build_staged(subgraph, labels, &opts);
+                let (idx, stages) = HopiIndex::build(subgraph, labels);
                 (MetaIndex::Hopi(Box::new(idx)), Vec::new(), Some(stages))
             }
             StrategyKind::Apex => {
@@ -523,7 +514,7 @@ mod tests {
     /// `10 + u`, and the extra runtime links of its build.
     fn meta(kind: StrategyKind, g: &Digraph, labels: &[u32]) -> (MetaDocument, Vec<(u32, u32)>) {
         let mut nodes: Vec<NodeId> = (10..10 + g.node_count() as NodeId).collect();
-        let (index, extra, _) = MetaIndex::build(kind, g, labels, &mut nodes, 1);
+        let (index, extra, _) = MetaIndex::build(kind, g, labels, &mut nodes);
         (MetaDocument::new(nodes, index), extra)
     }
 
@@ -652,7 +643,7 @@ mod tests {
         // carry label 1, and the elements run against the preorder.
         let g = Digraph::from_edges(4, [(0, 1), (0, 2), (2, 3), (1, 3)]);
         let mut nodes = vec![40, 30, 20, 10];
-        let (index, ..) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes, 1);
+        let (index, ..) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes);
         let md = MetaDocument::new(nodes, index);
         assert_eq!(md.nodes, vec![40, 30, 10, 20], "preorder 0, 1, 3, 2");
         let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);

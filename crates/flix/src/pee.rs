@@ -1874,7 +1874,7 @@ mod tests {
             .filter_map(|(i, p)| p.map(|p| (p % (i as u32 + 1), i as u32 + 1)));
         let g = graphcore::Digraph::from_edges(n, edges);
         let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
-        let (index, extra, _) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes, 1);
+        let (index, extra, _) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes);
         assert!(extra.is_empty(), "a forest loses no edge");
         MetaDocument::new(nodes, index)
     }

@@ -1148,6 +1148,99 @@ mod tests {
         }
     }
 
+    /// A build report as builds wrote it while the HOPI cover cut each meta
+    /// document into partitions: its stages also held `partitions`,
+    /// `border_centers` and `threads`. With a HOPI meta document in it,
+    /// such a report is refused by name rather than read into other fields;
+    /// without one, it is this build's bytes and loads equal.
+    #[test]
+    fn reports_with_partitioned_cover_stages_are_rejected_on_load() {
+        use crate::config::StrategyKind;
+        #[derive(Serialize)]
+        struct Stages {
+            rank_micros: u64,
+            merge_micros: u64,
+            cover_micros: u64,
+            partitions: usize,
+            border_centers: usize,
+            threads: usize,
+        }
+        #[derive(Serialize)]
+        struct Meta {
+            strategy: StrategyKind,
+            nodes: usize,
+            edges: usize,
+            build_micros: u64,
+            index_bytes: usize,
+            dropped_links: usize,
+            stages: Option<Stages>,
+        }
+        #[derive(Serialize)]
+        struct Report {
+            config: FlixConfig,
+            threads: usize,
+            planning_micros: u64,
+            indexing_micros: u64,
+            wiring_micros: u64,
+            total_micros: u64,
+            runtime_links: usize,
+            per_meta: Vec<Meta>,
+        }
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        for config in [
+            FlixConfig::Monolithic(StrategyKind::Hopi),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+            FlixConfig::MaximalPpo,
+        ] {
+            let flix = Flix::build(cg.clone(), config);
+            let r = flix.build_report();
+            let old = Report {
+                config: r.config,
+                threads: r.threads,
+                planning_micros: r.planning_micros,
+                indexing_micros: r.indexing_micros,
+                wiring_micros: r.wiring_micros,
+                total_micros: r.total_micros,
+                runtime_links: r.runtime_links,
+                per_meta: (r.per_meta.iter())
+                    .map(|m| Meta {
+                        strategy: m.strategy,
+                        nodes: m.nodes,
+                        edges: m.edges,
+                        build_micros: m.build_micros,
+                        index_bytes: m.index_bytes,
+                        dropped_links: m.dropped_links,
+                        stages: m.stages.map(|s| Stages {
+                            rank_micros: s.rank_micros,
+                            merge_micros: s.merge_micros,
+                            cover_micros: s.cover_micros,
+                            partitions: 1,
+                            border_centers: 0,
+                            threads: 1,
+                        }),
+                    })
+                    .collect(),
+            };
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let old = image(&old).unwrap();
+            st.put("fw/report", &old).unwrap();
+            let hopi_metas = r.per_meta.iter().filter(|m| m.stages.is_some()).count();
+            if hopi_metas == 0 {
+                assert!(old == image(r).unwrap(), "{config}");
+                let back = load_flix(&st, "fw", cg.clone()).unwrap();
+                assert_eq!(back.build_report(), r, "{config}");
+                continue;
+            }
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = "the build report of \"fw\" is stale or corrupt (does not decode";
+            assert!(
+                err.starts_with(named),
+                "{config}, {hopi_metas} HOPI metas: {err}"
+            );
+        }
+    }
+
     /// A store written before PPO anchors were kept in preorder-rank order
     /// holds them in id order; the interval lookup would miss links on it,
     /// so loading must fail instead.

@@ -28,8 +28,7 @@ pub struct MetaBuildReport {
     pub index_bytes: usize,
     /// Runtime links this meta document contributed (PPO-removed edges).
     pub dropped_links: usize,
-    /// Per-stage breakdown of the staged HOPI cover pipeline (rank /
-    /// merge / cover timings, partition and border counts). `None` for
+    /// Per-stage timings of the HOPI cover (rank, then sweep). `None` for
     /// PPO- and APEX-backed meta documents.
     pub stages: Option<hopi::StageReport>,
 }
@@ -108,9 +107,8 @@ impl BuildReport {
         self.per_meta.iter().map(|m| m.index_bytes).sum()
     }
 
-    /// Staged-pipeline totals across every HOPI-backed meta document
-    /// (timings and partition counts summed, threads maxed), or `None` if
-    /// no meta document went through the staged builder.
+    /// Cover stage timings summed across every HOPI-backed meta document,
+    /// or `None` if no meta document is HOPI-backed.
     pub fn hopi_stage_totals(&self) -> Option<hopi::StageReport> {
         let mut total: Option<hopi::StageReport> = None;
         for m in &self.per_meta {
@@ -140,9 +138,6 @@ mod tests {
                 rank_micros: 3,
                 merge_micros: 4,
                 cover_micros: 5,
-                partitions: 2,
-                border_centers: 1,
-                threads: 2,
             }),
         }
     }
@@ -193,16 +188,11 @@ mod tests {
                 rank_micros: 3,
                 merge_micros: 4,
                 cover_micros: 5,
-                partitions: 2,
-                border_centers: 1,
-                threads: 2,
             })
         );
         r.per_meta.push(meta(StrategyKind::Hopi, 10));
         let total = r.hopi_stage_totals().unwrap();
         assert_eq!(total.rank_micros, 6);
-        assert_eq!(total.partitions, 4);
-        assert_eq!(total.threads, 2, "threads are maxed, not summed");
         r.per_meta.retain(|m| m.strategy != StrategyKind::Hopi);
         assert_eq!(r.hopi_stage_totals(), None);
     }

@@ -29,7 +29,7 @@ pub enum Reach {
 /// propagations. Larger `rounds` tightens the estimate (relative error
 /// ~ `1/sqrt(rounds)`).
 ///
-/// HOPI's staged cover builder ranks centers by the product of the two
+/// HOPI's cover builder ranks centers by the product of the two
 /// estimates — a node can serve as the 2-hop midpoint for (up to) one pair
 /// per (ancestor, descendant) combination, so the product approximates a
 /// center's covering power far better than raw degree.

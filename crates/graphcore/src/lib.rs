@@ -11,12 +11,10 @@
 //! * [`spanning`]: spanning forests, tree/forest detection, and the
 //!   "almost a tree" edge-removal analysis used by FliX's *Maximal PPO*
 //!   configuration,
-//! * [`partition`]: the greedy size-capped edge-cut partitioner used by
-//!   HOPI's divide-and-conquer index builder, plus a condensation-aware
-//!   variant that never splits an SCC,
+//! * [`partition`]: the greedy size-capped edge-cut partitioner behind
+//!   FliX's *Unconnected HOPI* meta documents and its shard plans,
 //! * [`pool`]: a scoped worker pool with deterministic job-ordered results,
-//!   shared by every parallel build stage so one thread budget governs the
-//!   whole build,
+//!   which runs a framework build's per-meta-document jobs,
 //! * [`closure`]: exact transitive closure and all-pairs distances, used as
 //!   a correctness oracle by tests and by the error-rate experiment,
 //! * [`bitset`]: a small fixed-size bitset backing the closure computation,
@@ -71,7 +69,7 @@ pub use bitset::BitSet;
 pub use closure::{DistanceOracle, TransitiveClosure};
 pub use digraph::{Digraph, DigraphBuilder, NodeId};
 pub use estimate::{estimate_reach_counts, Reach};
-pub use partition::{partition_condensation, partition_greedy, Partitioning};
+pub use partition::{partition_greedy, Partitioning};
 pub use rows::Rows;
 pub use scc::{condensation, tarjan_scc, Condensation};
 pub use scratch::{filled, DistScratch};

@@ -11,7 +11,6 @@
 //! cut and respects the size cap.
 
 use crate::digraph::{Digraph, NodeId};
-use crate::scc::Condensation;
 
 /// A partitioning of a graph's nodes into size-capped blocks.
 #[derive(Debug, Clone)]
@@ -93,109 +92,6 @@ pub fn partition_greedy(g: &Digraph, max_size: usize) -> Partitioning {
     let mut tally = Tally::new(p.parts.len());
     consolidate_small_blocks(g, &mut p, max_size, &mut tally);
     refine_boundary(g, &mut p, max_size, &mut tally);
-    p.recount_cut(g);
-    p
-}
-
-/// Partitions `g` into blocks of at most `max_size` nodes that never split
-/// a strongly connected component: blocks are unions of whole SCCs of the
-/// supplied condensation, grown over the component DAG by weighted
-/// undirected region growing (component weight = member count). HOPI's
-/// staged cover builder relies on this so every cycle stays inside one
-/// partition and only condensation (DAG) edges cross blocks.
-///
-/// The cap is respected except when a single SCC alone exceeds it — such a
-/// component keeps its own oversized block rather than being torn apart.
-/// Deterministic for a given graph.
-pub fn partition_condensation(g: &Digraph, cond: &Condensation, max_size: usize) -> Partitioning {
-    assert!(max_size >= 1, "partition size cap must be positive");
-    let k = cond.component_count();
-    let dag = &cond.dag;
-    let weight: Vec<usize> = cond.members.iter().map(Vec::len).collect();
-    let mut block_of = vec![u32::MAX; k];
-    let mut comp_blocks: Vec<Vec<u32>> = Vec::new();
-    let mut block_weight: Vec<usize> = Vec::new();
-
-    // Seed order mirrors `partition_greedy`: peripheral components first.
-    let mut seeds: Vec<u32> = (0..k as u32).collect();
-    seeds.sort_by_key(|&c| (dag.out_degree(c) + dag.in_degree(c), c));
-
-    let mut queue = std::collections::VecDeque::new();
-    for &seed in &seeds {
-        if block_of[seed as usize] != u32::MAX {
-            continue;
-        }
-        let pid = comp_blocks.len() as u32;
-        let mut w = weight[seed as usize];
-        let mut block = Vec::new();
-        block_of[seed as usize] = pid;
-        queue.clear();
-        queue.push_back(seed);
-        while let Some(c) = queue.pop_front() {
-            block.push(c);
-            for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
-                if block_of[nb as usize] == u32::MAX && w + weight[nb as usize] <= max_size {
-                    block_of[nb as usize] = pid;
-                    w += weight[nb as usize];
-                    queue.push_back(nb);
-                }
-            }
-        }
-        comp_blocks.push(block);
-        block_weight.push(w);
-    }
-
-    // Fold small blocks into the neighbouring block with the most DAG
-    // adjacencies that still has room (same policy as the element-level
-    // consolidation below, but weighted by member counts).
-    let small_bar = (max_size / 4).max(1);
-    let mut order: Vec<usize> = (0..comp_blocks.len()).collect();
-    order.sort_by_key(|&b| (block_weight[b], b));
-    let mut tally = Tally::new(comp_blocks.len());
-    for &b in &order {
-        let wb = block_weight[b];
-        if wb == 0 || wb > small_bar {
-            continue;
-        }
-        for &c in &comp_blocks[b] {
-            for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
-                tally.add(block_of[nb as usize]);
-            }
-        }
-        let target =
-            tally.take_best(|t| t as usize != b && block_weight[t as usize] + wb <= max_size);
-        if let Some((t, _)) = target {
-            let moved = std::mem::take(&mut comp_blocks[b]);
-            block_weight[t as usize] += wb;
-            block_weight[b] = 0;
-            for &c in &moved {
-                block_of[c as usize] = t;
-            }
-            comp_blocks[t as usize].extend(moved);
-        }
-    }
-
-    // Expand component blocks to element-level partitions, dropping the
-    // emptied ones and compacting partition ids.
-    let mut part_of = vec![u32::MAX; g.node_count()];
-    let mut parts: Vec<Vec<NodeId>> = Vec::new();
-    for block in comp_blocks.iter().filter(|b| !b.is_empty()) {
-        let pid = parts.len() as u32;
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for &c in block {
-            nodes.extend_from_slice(&cond.members[c as usize]);
-        }
-        nodes.sort_unstable();
-        for &u in &nodes {
-            part_of[u as usize] = pid;
-        }
-        parts.push(nodes);
-    }
-    let mut p = Partitioning {
-        part_of,
-        parts,
-        cut_edges: 0,
-    };
     p.recount_cut(g);
     p
 }
@@ -451,109 +347,12 @@ mod tests {
         assert_eq!(p.cut_edges, 0);
     }
 
-    mod condensation_blocks {
-        use super::*;
-        use crate::scc::condensation;
-
-        fn assert_scc_intact(p: &Partitioning, comp_of: &[u32]) {
-            // No SCC may be split across blocks.
-            for (u, &cu) in comp_of.iter().enumerate() {
-                for (v, &cv) in comp_of.iter().enumerate() {
-                    if cu == cv {
-                        assert_eq!(
-                            p.part_of[u], p.part_of[v],
-                            "SCC of {u},{v} split across partitions"
-                        );
-                    }
-                }
-            }
-        }
-
-        #[test]
-        fn respects_cap_and_keeps_sccs_whole() {
-            // Three 3-cycles chained by single edges, plus a tail.
-            let mut edges = Vec::new();
-            for base in [0u32, 3, 6] {
-                edges.extend([(base, base + 1), (base + 1, base + 2), (base + 2, base)]);
-            }
-            edges.extend([(2, 3), (5, 6), (8, 9), (9, 10)]);
-            let g = Digraph::from_edges(11, edges);
-            let cond = condensation(&g);
-            for cap in [3, 4, 6, 11] {
-                let p = partition_condensation(&g, &cond, cap);
-                assert_valid(&g, &p, cap.max(3));
-                assert_scc_intact(&p, &cond.comp_of);
-                for block in &p.parts {
-                    assert!(block.len() <= cap, "cap {cap} violated: {}", block.len());
-                }
-            }
-        }
-
-        #[test]
-        fn oversized_scc_gets_its_own_block() {
-            // A 5-cycle cannot fit a cap of 3; it must stay whole anyway.
-            let g =
-                Digraph::from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6)]);
-            let cond = condensation(&g);
-            let p = partition_condensation(&g, &cond, 3);
-            assert_scc_intact(&p, &cond.comp_of);
-            let cycle_part = p.part_of[0];
-            let cycle_block: usize = p.parts[cycle_part as usize].len();
-            assert!(cycle_block >= 5, "cycle torn apart");
-        }
-
-        #[test]
-        fn cut_counts_only_cross_block_edges() {
-            let g =
-                Digraph::from_edges(6, [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (1, 2), (3, 4)]);
-            let cond = condensation(&g);
-            let p = partition_condensation(&g, &cond, 2);
-            let manual = g
-                .edges()
-                .filter(|&(u, v)| p.part_of[u as usize] != p.part_of[v as usize])
-                .count();
-            assert_eq!(p.cut_edges, manual);
-        }
-
-        #[test]
-        fn deterministic_and_total() {
-            let n = 120u32;
-            let edges: Vec<(u32, u32)> = (0..n)
-                .flat_map(|i| [(i, (i * 7 + 1) % n), ((i * 13 + 5) % n, i)])
-                .collect();
-            let g = Digraph::from_edges(n as usize, edges);
-            let cond = condensation(&g);
-            let a = partition_condensation(&g, &cond, 30);
-            let b = partition_condensation(&g, &cond, 30);
-            assert_eq!(a.part_of, b.part_of);
-            assert_eq!(a.parts, b.parts);
-            assert_eq!(a.cut_edges, b.cut_edges);
-            let mut seen = vec![false; n as usize];
-            for block in &a.parts {
-                for &u in block {
-                    assert!(!seen[u as usize]);
-                    seen[u as usize] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "every node assigned");
-        }
-
-        #[test]
-        fn empty_graph() {
-            let g = Digraph::from_edges(0, []);
-            let cond = condensation(&g);
-            let p = partition_condensation(&g, &cond, 4);
-            assert!(p.is_empty());
-        }
-    }
-
-    /// The partitioners as they were before the dense tally: a `HashMap`
+    /// The partitioner as it was before the dense tally: a `HashMap`
     /// tally per fold and per node, and every fold re-sorting its target
     /// block.
     mod reference {
         use crate::digraph::{Digraph, NodeId};
         use crate::partition::Partitioning;
-        use crate::scc::Condensation;
 
         fn recount_cut(g: &Digraph, p: &mut Partitioning) {
             p.cut_edges = g
@@ -610,121 +409,6 @@ mod tests {
             };
             consolidate_small_blocks(g, &mut p, max_size);
             refine_boundary(g, &mut p, max_size);
-            recount_cut(g, &mut p);
-            p
-        }
-
-        /// Partitions `g` into blocks of at most `max_size` nodes that never split
-        /// a strongly connected component: blocks are unions of whole SCCs of the
-        /// supplied condensation, grown over the component DAG by weighted
-        /// undirected region growing (component weight = member count). HOPI's
-        /// staged cover builder relies on this so every cycle stays inside one
-        /// partition and only condensation (DAG) edges cross blocks.
-        ///
-        /// The cap is respected except when a single SCC alone exceeds it — such a
-        /// component keeps its own oversized block rather than being torn apart.
-        /// Deterministic for a given graph.
-        pub(super) fn partition_condensation(
-            g: &Digraph,
-            cond: &Condensation,
-            max_size: usize,
-        ) -> Partitioning {
-            assert!(max_size >= 1, "partition size cap must be positive");
-            let k = cond.component_count();
-            let dag = &cond.dag;
-            let weight: Vec<usize> = cond.members.iter().map(Vec::len).collect();
-            let mut block_of = vec![u32::MAX; k];
-            let mut comp_blocks: Vec<Vec<u32>> = Vec::new();
-            let mut block_weight: Vec<usize> = Vec::new();
-
-            // Seed order mirrors `partition_greedy`: peripheral components first.
-            let mut seeds: Vec<u32> = (0..k as u32).collect();
-            seeds.sort_by_key(|&c| (dag.out_degree(c) + dag.in_degree(c), c));
-
-            let mut queue = std::collections::VecDeque::new();
-            for &seed in &seeds {
-                if block_of[seed as usize] != u32::MAX {
-                    continue;
-                }
-                let pid = comp_blocks.len() as u32;
-                let mut w = weight[seed as usize];
-                let mut block = Vec::new();
-                block_of[seed as usize] = pid;
-                queue.clear();
-                queue.push_back(seed);
-                while let Some(c) = queue.pop_front() {
-                    block.push(c);
-                    for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
-                        if block_of[nb as usize] == u32::MAX && w + weight[nb as usize] <= max_size
-                        {
-                            block_of[nb as usize] = pid;
-                            w += weight[nb as usize];
-                            queue.push_back(nb);
-                        }
-                    }
-                }
-                comp_blocks.push(block);
-                block_weight.push(w);
-            }
-
-            // Fold small blocks into the neighbouring block with the most DAG
-            // adjacencies that still has room (same policy as the element-level
-            // consolidation above, but weighted by member counts).
-            let small_bar = (max_size / 4).max(1);
-            let mut order: Vec<usize> = (0..comp_blocks.len()).collect();
-            order.sort_by_key(|&b| (block_weight[b], b));
-            for &b in &order {
-                let wb = block_weight[b];
-                if wb == 0 || wb > small_bar {
-                    continue;
-                }
-                let mut tally: std::collections::HashMap<u32, usize> =
-                    std::collections::HashMap::new();
-                for &c in &comp_blocks[b] {
-                    for &nb in dag.successors(c).iter().chain(dag.predecessors(c)) {
-                        let t = block_of[nb as usize];
-                        if t as usize != b {
-                            *tally.entry(t).or_insert(0) += 1;
-                        }
-                    }
-                }
-                let target = tally
-                    .iter()
-                    .filter(|&(&t, _)| block_weight[t as usize] + wb <= max_size)
-                    .max_by_key(|&(&t, &c)| (c, std::cmp::Reverse(t)))
-                    .map(|(&t, _)| t);
-                if let Some(t) = target {
-                    let moved = std::mem::take(&mut comp_blocks[b]);
-                    block_weight[t as usize] += wb;
-                    block_weight[b] = 0;
-                    for &c in &moved {
-                        block_of[c as usize] = t;
-                    }
-                    comp_blocks[t as usize].extend(moved);
-                }
-            }
-
-            // Expand component blocks to element-level partitions, dropping the
-            // emptied ones and compacting partition ids.
-            let mut part_of = vec![u32::MAX; g.node_count()];
-            let mut parts: Vec<Vec<NodeId>> = Vec::new();
-            for block in comp_blocks.iter().filter(|b| !b.is_empty()) {
-                let pid = parts.len() as u32;
-                let mut nodes: Vec<NodeId> = Vec::new();
-                for &c in block {
-                    nodes.extend_from_slice(&cond.members[c as usize]);
-                }
-                nodes.sort_unstable();
-                for &u in &nodes {
-                    part_of[u as usize] = pid;
-                }
-                parts.push(nodes);
-            }
-            let mut p = Partitioning {
-                part_of,
-                parts,
-                cut_edges: 0,
-            };
             recount_cut(g, &mut p);
             p
         }
@@ -882,11 +566,6 @@ mod tests {
             let n = g.node_count();
             let cap = 1 + pick as usize % (n + 1);
             assert_same(&partition_greedy(&g, cap), &reference::partition_greedy(&g, cap))?;
-            let cond = crate::scc::condensation(&g);
-            assert_same(
-                &partition_condensation(&g, &cond, cap),
-                &reference::partition_condensation(&g, &cond, cap),
-            )?;
         }
     }
 }

@@ -1,10 +1,8 @@
 //! A small scoped worker pool for deterministic parallel builds.
 //!
-//! Both the per-meta-document build stage in `flix` and the per-partition
-//! stage of HOPI's staged cover pipeline pull their jobs through this
-//! module, so one `build_threads` budget governs the whole build instead of
-//! each layer spawning its own workers and oversubscribing the machine
-//! (see `split_budget`).
+//! A framework build's per-meta-document jobs run through this module, on
+//! as many workers as `effective_threads` resolves `build_threads` to.
+//! Each job runs sequentially inside: nothing nests a second pool.
 //!
 //! `run_scheduled` always returns results in ascending job-id order, no
 //! matter the schedule or thread count. As long as the jobs themselves are
@@ -27,29 +25,6 @@ pub fn effective_threads(requested: usize, jobs: usize) -> usize {
     threads.min(jobs).max(1)
 }
 
-/// Splits a resolved thread budget between an outer stage running
-/// `outer_jobs` concurrent jobs and the nested parallelism each job may run
-/// itself. Returns `(outer_workers, inner_shares)` where `inner_shares[w]`
-/// is the inner thread budget of outer worker `w`.
-///
-/// A monolithic outer stage (`outer_jobs == 1`) hands the whole budget to
-/// the single job's inner stages; many small outer jobs saturate the budget
-/// at the outer level and get one inner thread each. In between, the
-/// budget is distributed *exactly*: a flooring split used to strand part
-/// of it (total=8 over 3 workers gave 3×2 = 6 threads), so the remainder
-/// now goes one-each to the first workers. The shares always satisfy
-/// `shares.len() == outer_workers`, `sum(shares) == max(total, 1)`, every
-/// share is at least 1, and no two shares differ by more than 1 — the two
-/// layers together use the whole budget and never oversubscribe it.
-pub fn split_budget(total: usize, outer_jobs: usize) -> (usize, Vec<usize>) {
-    let total = total.max(1);
-    let outer = total.min(outer_jobs).max(1);
-    let base = total / outer;
-    let extra = total % outer;
-    let shares = (0..outer).map(|w| base + usize::from(w < extra)).collect();
-    (outer, shares)
-}
-
 /// Runs the jobs named by `schedule` (a permutation of `0..n`) on `threads`
 /// scoped workers and returns one result per job, in **ascending job-id
 /// order** regardless of schedule or thread count.
@@ -63,40 +38,24 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_scheduled_budgeted(&vec![1; threads.max(1)], schedule, |id, _| job(id))
-}
-
-/// [`run_scheduled`] with one worker per entry of `shares`, each passing
-/// its own inner thread budget (`shares[w]`) to the jobs it claims — the
-/// consumption side of [`split_budget`]. Jobs must produce output
-/// independent of the inner budget they are handed (wall clock may vary,
-/// results may not), which keeps the ascending-job-id return order the
-/// only scheduling contract, exactly as for [`run_scheduled`].
-pub fn run_scheduled_budgeted<T, F>(shares: &[usize], schedule: &[usize], job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
     let mut tagged: Vec<(usize, T)> = Vec::with_capacity(schedule.len());
-    if shares.len() <= 1 || schedule.len() <= 1 {
-        // Inline: the single worker owns the whole budget.
-        let inner = shares.iter().sum::<usize>().max(1);
+    if threads <= 1 || schedule.len() <= 1 {
         for &id in schedule {
-            tagged.push((id, job(id, inner)));
+            tagged.push((id, job(id)));
         }
     } else {
         let cursor = AtomicUsize::new(0);
         // flixcheck: allow(unbounded-channel): build-time pipeline: filled by a fixed fan-out and drained before the builder returns, never on a serving path
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
-            for &share in shares {
+            for _ in 0..threads {
                 let tx = tx.clone();
                 let (cursor, job) = (&cursor, &job);
                 s.spawn(move || loop {
                     // flixcheck: allow(atomic-ordering): the cursor only needs RMW uniqueness to claim slots; no data is published through it
                     let slot = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&id) = schedule.get(slot) else { break };
-                    let out = job(id, share.max(1));
+                    let out = job(id);
                     if tx.send((id, out)).is_err() {
                         break;
                     }
@@ -159,60 +118,5 @@ mod tests {
         // auto (0): at least one, at most `jobs`
         let auto = effective_threads(0, 2);
         assert!((1..=2).contains(&auto));
-    }
-
-    #[test]
-    fn budget_split_is_exact_and_never_oversubscribes() {
-        assert_eq!(
-            split_budget(8, 1),
-            (1, vec![8]),
-            "monolithic keeps the budget"
-        );
-        assert_eq!(
-            split_budget(8, 100),
-            (8, vec![1; 8]),
-            "wide stages get the budget"
-        );
-        // The flooring split used to strand 2 of 8 threads here (3×2 = 6);
-        // the remainder now lands on the first workers.
-        assert_eq!(split_budget(8, 3), (3, vec![3, 3, 2]));
-        assert_eq!(split_budget(0, 5), (1, vec![1]));
-        assert_eq!(split_budget(1, 1), (1, vec![1]));
-        for total in 0..24 {
-            for jobs in 1..24 {
-                let (outer, shares) = split_budget(total, jobs);
-                assert_eq!(shares.len(), outer, "{total}/{jobs}");
-                assert!(
-                    outer >= 1 && shares.iter().all(|&s| s >= 1),
-                    "{total}/{jobs}"
-                );
-                // No oversubscription AND no stranded budget: the shares
-                // sum to exactly the (clamped) total, which is tighter
-                // than the old `outer × inner ≥ total − outer + 1` bound.
-                assert_eq!(shares.iter().sum::<usize>(), total.max(1), "{total}/{jobs}");
-                let (lo, hi) = (shares.iter().min(), shares.iter().max());
-                assert!(
-                    hi.unwrap() - lo.unwrap() <= 1,
-                    "{total}/{jobs}: uneven shares {shares:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_workers_hand_their_share_to_jobs() {
-        let (outer, shares) = split_budget(8, 3);
-        assert_eq!(outer, 3);
-        let seen = run_scheduled_budgeted(&shares, &[0, 1, 2, 3, 4, 5], |id, inner| (id, inner));
-        for (i, &(id, inner)) in seen.iter().enumerate() {
-            assert_eq!(id, i, "job-id return order");
-            assert!(
-                shares.contains(&inner),
-                "job {id} ran with a budget ({inner}) no worker owns"
-            );
-        }
-        // A single job gets the whole budget, whatever the worker count.
-        let solo = run_scheduled_budgeted(&shares, &[0], |_, inner| inner);
-        assert_eq!(solo, vec![8]);
     }
 }

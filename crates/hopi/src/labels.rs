@@ -1,13 +1,13 @@
 //! The 2-hop label index: construction, distance and the one lookup.
 //!
-//! Construction runs the staged pipeline in [`crate::cover`] (rank →
-//! partition → merge → parallel per-partition cover) and finishes the raw
-//! label sets into a queryable index here: flattening them, inverting
-//! `L_in` into the one stored inverted table, and computing [`BuildStats`].
+//! Construction runs the cover in [`crate::cover`] (rank, then one pruned
+//! sweep) and finishes the raw label sets into a queryable index here:
+//! flattening them, inverting `L_in` into the one stored inverted table,
+//! and computing [`BuildStats`].
 //! The ancestors direction's two tables are derived from the stored two on
 //! first use.
 
-use crate::cover::{self, CoverOptions, StageReport};
+use crate::cover::{self, StageReport};
 use graphcore::{Axis, Digraph, DistScratch, Distance, NodeId, Rows, INFINITE_DISTANCE};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -181,30 +181,17 @@ fn row_order(words: &[u32], flag: u32) -> Vec<NodeId> {
 }
 
 impl HopiIndex {
-    /// Builds the index over `g` with one opaque label per node, using the
-    /// default (sequential, auto-partitioned) staged pipeline.
-    pub fn build(g: &Digraph, node_labels: &[u32]) -> Self {
-        Self::build_staged(g, node_labels, &CoverOptions::default()).0
-    }
-
-    /// [`Self::build`] with explicit pipeline options (thread count,
-    /// partition cap), additionally returning the pipeline's out-of-band
-    /// [`StageReport`] (per-stage timings, partition/border counts). The
-    /// index is identical for every `threads` value — see the determinism
-    /// notes on [`crate::cover`] — and the report is *not* part of it, so
-    /// serialized indexes stay byte-identical across runs and thread
-    /// counts.
-    pub fn build_staged(
-        g: &Digraph,
-        node_labels: &[u32],
-        opts: &CoverOptions,
-    ) -> (Self, StageReport) {
+    /// Builds the index over `g` with one opaque label per node, and
+    /// returns it with the cover's out-of-band [`StageReport`] (per-stage
+    /// timings). The report is *not* part of the index, so serialized
+    /// indexes stay byte-identical run to run.
+    pub fn build(g: &Digraph, node_labels: &[u32]) -> (Self, StageReport) {
         assert_eq!(node_labels.len(), g.node_count(), "one label per node");
         assert!(
             node_labels.iter().all(|&label| label <= LABEL),
             "a node label must lie below 2^30: the two bits above it hold the anchor flags"
         );
-        let cover = cover::build_cover(g, opts);
+        let cover = cover::build_cover(g);
         let report = cover.report;
 
         // Label lists were appended in center-rank order; the merge
@@ -683,7 +670,7 @@ mod tests {
     }
 
     fn check_exact(g: &Digraph, labels: &[u32]) {
-        let idx = HopiIndex::build(g, labels);
+        let idx = HopiIndex::build(g, labels).0;
         let tc = TransitiveClosure::build(g);
         let oracle = DistanceOracle::new(g);
         let n = g.node_count() as NodeId;
@@ -728,7 +715,7 @@ mod tests {
     #[test]
     fn descendants_sorted_and_complete() {
         let g = Digraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]);
-        let idx = HopiIndex::build(&g, &[0; 6]);
+        let idx = HopiIndex::build(&g, &[0; 6]).0;
         let d = block(&idx, Axis::Descendants, 0, 0, false);
         let nodes: Vec<NodeId> = d.iter().map(|&(v, _)| v).collect();
         let mut sorted_nodes = nodes.clone();
@@ -746,7 +733,7 @@ mod tests {
     #[test]
     fn ancestors_mirror_descendants() {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (3, 2), (2, 4)]);
-        let idx = HopiIndex::build(&g, &[0; 5]);
+        let idx = HopiIndex::build(&g, &[0; 5]).0;
         let a = block(&idx, Axis::Ancestors, 4, 0, false);
         let nodes: Vec<NodeId> = a.iter().map(|&(v, _)| v).collect();
         let mut s = nodes.clone();
@@ -760,7 +747,7 @@ mod tests {
     fn label_filtering() {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let labels = [9, 7, 9, 7, 7];
-        let idx = HopiIndex::build(&g, &labels);
+        let idx = HopiIndex::build(&g, &labels).0;
         let r = block(&idx, Axis::Descendants, 0, 7, false);
         assert_eq!(r, vec![(1, 1), (3, 3), (4, 4)]);
         let r = block(&idx, Axis::Ancestors, 4, 9, false);
@@ -776,7 +763,7 @@ mod tests {
         // everything; labels should stay near-linear, far below n^2.
         let n = 200u32;
         let g = Digraph::from_edges(n as usize, (0..n - 1).map(|i| (i, i + 1)));
-        let idx = HopiIndex::build(&g, &vec![0; n as usize]);
+        let idx = HopiIndex::build(&g, &vec![0; n as usize]).0;
         // Naive (unpruned or badly ordered) labelling would cost ~n²/2 =
         // 20 000 entries; the pruned, balanced order stays near n·log n.
         assert!(
@@ -790,7 +777,7 @@ mod tests {
     #[test]
     fn size_accounting() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
-        let idx = HopiIndex::build(&g, &[0; 3]);
+        let idx = HopiIndex::build(&g, &[0; 3]).0;
         assert!(idx.size_bytes() > 0);
         assert!(idx.stats().visits > 0);
     }
@@ -825,7 +812,7 @@ mod tests {
         // labels descend with the id and the last node is an anchor, so row
         // order is nowhere id order; anchor 4 lies above anchor 3, so the
         // anchor prefix is not in id order either
-        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 1]);
+        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 1]).0;
         assert_rows_in_key_order(&idx);
         idx.integrity_check().unwrap();
         assert!(idx.set_anchors(&[4, 3], &[2]));
@@ -866,7 +853,7 @@ mod tests {
         let mut bad = idx.stored();
         bad.node_labels[0] |= SOURCE;
         assert!(order_fault(&bad).contains("in_index"));
-        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 1]);
+        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 1]).0;
         let mut stale = idx.stored();
         stale.out_index = Derived(OnceLock::from(undeclared.out_index().clone()));
         assert!(order_fault(&stale).contains("out_index"));
@@ -927,7 +914,7 @@ mod tests {
     #[test]
     fn layout_fault_names_the_layout_word_and_each_table() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
-        let idx = HopiIndex::build(&g, &[0; 3]);
+        let idx = HopiIndex::build(&g, &[0; 3]).0;
         assert_eq!(idx.layout_fault(), None);
         type Damage = (fn(&mut HopiIndex), &'static str);
         let damage: [Damage; 4] = [
@@ -951,12 +938,12 @@ mod tests {
             let found = bad.layout_fault().unwrap_or_default();
             assert!(found.starts_with(fault), "{fault}: {found}");
         }
-        let empty = HopiIndex::build(&Digraph::from_edges(0, []), &[]);
+        let empty = HopiIndex::build(&Digraph::from_edges(0, []), &[]).0;
         assert_eq!(empty.layout_fault(), None);
         assert_eq!(empty.node_count(), 0);
     }
 
-    /// The inversion `build_staged` ran before the tables were flat: push
+    /// The inversion `build` ran before the tables were flat: push
     /// `(v, d)` onto row `w`, rows visited in `order`.
     fn pushed_inversion(
         rows: &[Vec<(NodeId, Distance)>],
@@ -1043,7 +1030,7 @@ mod tests {
             labels: &[u32],
             (sources, targets): &(Vec<NodeId>, Vec<NodeId>),
         ) -> Self {
-            let cover = cover::build_cover(g, &CoverOptions::default());
+            let cover = cover::build_cover(g);
             let sorted_flat = |mut rows: Vec<Vec<_>>| {
                 rows.iter_mut().for_each(|list| list.sort_unstable());
                 Table::from_rows(&rows)
@@ -1103,7 +1090,7 @@ mod tests {
             let declared = anchor_sets(&flags);
             let (sources, targets) = &declared;
             let oracle = FourTables::build(&g, &labels, &declared);
-            let mut built = HopiIndex::build(&g, &labels);
+            let mut built = HopiIndex::build(&g, &labels).0;
             built.set_anchors(sources, targets);
             for idx in [decoded(&built), built] {
                 prop_assert_eq!(idx.layout_fault(), None);
@@ -1160,7 +1147,7 @@ mod tests {
         fn a_budgeted_join_equals_the_unbudgeted_join_within_the_budget(
             (g, labels, a, b) in arb_labelled_graph()
         ) {
-            let mut idx = HopiIndex::build(&g, &labels);
+            let mut idx = HopiIndex::build(&g, &labels).0;
             let (a, b) = (anchor_sets(&a), anchor_sets(&b));
             idx.set_anchors(&a.0, &a.1);
             let redeclared = {
@@ -1217,7 +1204,7 @@ mod tests {
         fn redeclared_anchors_equal_a_fresh_build_with_them(
             (g, labels, a, b) in arb_labelled_graph()
         ) {
-            let fresh = HopiIndex::build(&g, &labels);
+            let fresh = HopiIndex::build(&g, &labels).0;
             let (a, b) = (anchor_sets(&a), anchor_sets(&b));
             let mut want = fresh.clone();
             prop_assert_eq!(want.set_anchors(&b.0, &b.1), !(b.0.is_empty() && b.1.is_empty()));

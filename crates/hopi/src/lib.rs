@@ -14,17 +14,17 @@
 //! over densest subgraphs of the transitive closure, made tractable by a
 //! divide-and-conquer partitioning step. We build the same label structure
 //! with pruned breadth-first searches from ranked centers (the technique
-//! later formalised as pruned landmark labelling), staged over the SCC
-//! condensation exactly as the paper's divide-and-conquer prescribes:
-//! partition, cover each partition (in parallel), merge across
-//! partition-crossing edges (see [`cover`]). The resulting index has
-//! identical query semantics, *exact* distances, and the same asymptotic
-//! size behaviour (small for tree-like data, growing with link density),
-//! while being robustly fast to build — which is what the paper's
-//! experiments need from the HOPI building block.
+//! later formalised as pruned landmark labelling): rank every node, then
+//! sweep from each in rank order over the whole graph (see [`cover`]).
+//! Pruned sweeps scale without that partitioning step, so the cover makes
+//! no cut of its own: FliX's Unconnected HOPI (below) is the one cut. The
+//! resulting index has identical query semantics, *exact* distances, and
+//! the same asymptotic size behaviour (small for tree-like data, growing
+//! with link density), while being robustly fast to build — which is what
+//! the paper's experiments need from the HOPI building block.
 //!
-//! * [`cover`] — the staged (rank / partition / merge / parallel cover)
-//!   construction pipeline and its [`StageReport`].
+//! * [`cover`] — the construction (rank, then one pruned sweep) and its
+//!   [`StageReport`].
 //! * [`labels::HopiIndex`] — the index: build, distance, the one lookup
 //!   ([`HopiIndex::answer_into`]), size.
 //!
@@ -37,10 +37,10 @@
 #![deny(rust_2018_idioms)]
 #![deny(missing_docs)]
 
-/// Staged divide-and-conquer construction of the 2-hop cover.
+/// Construction of the 2-hop cover: rank, then one pruned sweep.
 pub mod cover;
 /// The 2-hop label index: construction, distance and the one lookup.
 pub mod labels;
 
-pub use cover::{CoverOptions, StageReport};
+pub use cover::StageReport;
 pub use labels::{BuildStats, HopiIndex, Reached};

@@ -36,9 +36,9 @@ pub struct RebuildConfig {
     /// How often the background [`Rebuilder`] ticks
     /// [`FlixServer::maybe_rebuild`].
     pub interval: Duration,
-    /// Thread budget for the rebuild itself ([`BuildOptions::build_threads`]
+    /// Worker threads for the rebuild itself ([`BuildOptions::build_threads`]
     /// semantics: `0` = one per core). The built framework is
-    /// byte-identical at any budget — threads only change wall clock.
+    /// byte-identical at any thread count — threads only change wall clock.
     pub build_threads: usize,
 }
 

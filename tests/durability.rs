@@ -457,7 +457,7 @@ fn every_configuration_writes_the_pinned_data_file() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0xf652_b6fb_6a8e_1fc5,
+            0xf80e_3352_586c_48c3,
             4,
         ),
         (
@@ -474,7 +474,7 @@ fn every_configuration_writes_the_pinned_data_file() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xbe51_8357_cc75_0e52,
+            0xb00d_06fe_fe97_5954,
             4,
         ),
         (

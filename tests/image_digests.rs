@@ -37,7 +37,7 @@ fn every_configuration_saves_the_pinned_bytes() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0x90f5_bc83_cf01_23ee,
+            0x9005_32c5_c996_60f9,
         ),
         (
             FlixConfig::Hybrid {
@@ -51,7 +51,7 @@ fn every_configuration_saves_the_pinned_bytes() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xc6dd_bab4_4f02_3931,
+            0xc62d_34f2_4995_7a26,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn hopi_matches_oracle_on_random_graphs(g in arb_graph(40, 120)) {
         let labels = arb_labels(&g, 5);
-        let idx = HopiIndex::build(&g, &labels);
+        let idx = HopiIndex::build(&g, &labels).0;
         let oracle = DistanceOracle::new(&g);
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
@@ -59,41 +59,10 @@ proptest! {
     }
 
     #[test]
-    fn staged_hopi_cover_matches_oracle_across_partitions(
-        g in arb_graph(40, 120),
-        cap in 2usize..10,
-        threads in 1usize..5,
-    ) {
-        // Tiny partition caps guarantee the staged pipeline's merge stage
-        // (border sweeps over partition-crossing edges) does real work:
-        // correctness of the merged cover is exactly what's under test.
-        let labels = arb_labels(&g, 5);
-        let opts = hopi::CoverOptions {
-            threads,
-            partition_cap: cap,
-        };
-        let (idx, report) = HopiIndex::build_staged(&g, &labels, &opts);
-        let tc = TransitiveClosure::build(&g);
-        let oracle = DistanceOracle::new(&g);
-        for u in 0..g.node_count() as u32 {
-            for v in 0..g.node_count() as u32 {
-                prop_assert_eq!(
-                    idx.distance(u, v).is_some(), tc.reaches(u, v),
-                    "reach {} -> {} (cap {}, {} partitions, {} borders)",
-                    u, v, cap, report.partitions, report.border_centers
-                );
-                let want = oracle.distance(u, v);
-                let got = idx.distance(u, v).unwrap_or(INFINITE_DISTANCE);
-                prop_assert_eq!(got, want, "distance {} -> {} (cap {})", u, v, cap);
-            }
-        }
-    }
-
-    #[test]
     fn hopi_descendants_sorted_and_complete(g in arb_graph(30, 80)) {
         // one label for every node: the block of that label is every
         // descendant
-        let idx = HopiIndex::build(&g, &vec![0; g.node_count()]);
+        let idx = HopiIndex::build(&g, &vec![0; g.node_count()]).0;
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             let everything = Some((0, true));
@@ -223,7 +192,7 @@ proptest! {
         let labels = arb_labels(&g, 4);
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             let mut nodes: Vec<u32> = (0..g.node_count() as u32).collect();
-            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
             for u in 0..g.node_count() as u32 {
                 for label in 0..4u32 {
                     for include_self in [false, true] {
@@ -266,7 +235,7 @@ proptest! {
             // Under PPO the locals are preorder ranks and `nodes` follows:
             // the elements no longer ascend with the locals.
             let mut nodes: Vec<u32> = (0..n).collect();
-            let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
             let mut md = MetaDocument::new(nodes, index);
             md.set_anchors(subset(0), subset(30));
             prop_assert_eq!(md.link_sources().len(), subset(0).len());
@@ -357,7 +326,7 @@ proptest! {
         let graphs = [&small, &large];
         let sizes = graphs.map(Digraph::node_count);
         let hopi = graphs.map(|g| {
-            let mut index = HopiIndex::build(g, &arb_labels(g, 3));
+            let mut index = HopiIndex::build(g, &arb_labels(g, 3)).0;
             let anchors: Vec<u32> = (0..g.node_count() as u32).step_by(2).collect();
             index.set_anchors(&anchors, &[]);
             Arc::new(index)
@@ -384,7 +353,7 @@ proptest! {
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             // local `v` is node `nodes[v]` of `g`, and carries its label
             let mut nodes: Vec<u32> = (0..n).collect();
-            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
             let label_of = |v: u32| labels[nodes[v as usize] as usize];
             for e in 0..n {
                 for label in 0..4u32 {
@@ -636,7 +605,7 @@ fn truncated_meta_document_images_are_decode_errors() {
     let labels = arb_labels(&g, 4);
     for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
         let mut nodes: Vec<u32> = (100..124).collect();
-        let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes, 1);
+        let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
         let mut md = MetaDocument::new(nodes, index);
         md.set_anchors(vec![3, 11, 20], vec![5, 22]);
         let image = pagestore::to_bytes(&md).unwrap();
