@@ -33,9 +33,10 @@ cargo clippy --offline --manifest-path flixbench/Cargo.toml --all-targets -- -D 
 cargo test --offline --manifest-path flixbench/Cargo.toml
 bash flixbench/run.sh --smoke
 
-echo "== flixbench at full scale, one second a workload (every answer fingerprint pinned in flixbench/baseline.json must hold; --smoke pins none)"
+echo "== flixbench at full scale, one second a workload, untraced and traced (every answer fingerprint pinned in flixbench/baseline.json must hold on both evaluator passes; --smoke pins none)"
 for workload in linkchase labeljoin served rebuild; do
     bash flixbench/run.sh --workload "$workload" --seconds 1 > /dev/null
+    bash flixbench/run.sh --workload "$workload" --seconds 1 --trace 1 > /dev/null
 done
 
 echo "== perf ledger (every committed result document parses and compares clean against itself)"

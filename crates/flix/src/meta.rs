@@ -163,9 +163,13 @@ impl MetaIndex {
         }
     }
 
-    /// Reachability within the meta document.
+    /// Reachability within the meta document; HOPI stops at the first
+    /// center the two label rows share.
     pub fn is_reachable(&self, u: u32, v: u32) -> bool {
-        self.distance(u, v).is_some()
+        match self {
+            MetaIndex::Hopi(i) => i.reaches(u, v),
+            _ => self.distance(u, v).is_some(),
+        }
     }
 
     /// The index's size in the paper's Table 1 measure, in bytes — not

@@ -366,11 +366,17 @@ pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
 /// * PPO going up — an entry is reached from its ancestors, so the list
 ///   holds the answered entries' locals, ascending: an element is covered
 ///   iff one of them falls inside its subtree's interval;
-/// * HOPI and APEX — the answered entries in the order they came, scanned
-///   with an index probe each.
+/// * HOPI — the answered entries, and one set of their centers on the
+///   axis's side (global ids: a center is a node of one meta document). In
+///   a 2-hop cover an entry covers an element iff they share a center: the
+///   test walks the element's other label row to its first marked center;
+/// * APEX — the answered entries in the order they came, scanned with an
+///   index probe each.
 #[derive(Default)]
 struct Entries {
     metas: Vec<Vec<u32>>,
+    /// The centers of the answered HOPI entries (see above).
+    centers: RowMarks,
     /// Per meta document, whether an answered block of it may have left
     /// rows out: a HOPI pop whose distance budget cut its join
     /// ([`PopAnswer::partial`]) reads no row past the budget, so
@@ -383,8 +389,9 @@ struct Entries {
 }
 
 impl Entries {
-    /// Forgets every entry and makes room for `meta_count` meta documents.
-    fn begin(&mut self, meta_count: usize) {
+    /// Forgets every entry; makes room for `meta_count` metas over nodes `0..nodes`.
+    fn begin(&mut self, meta_count: usize, nodes: usize) {
+        self.centers.begin(nodes);
         for meta in self.touched.drain(..) {
             self.metas[meta as usize].clear();
             self.partial[meta as usize] = false;
@@ -407,6 +414,11 @@ impl Entries {
                 let (lo, hi) = ppo.subtree(later);
                 let next = seen.partition_point(|&rank| rank < lo);
                 seen.get(next).is_some_and(|&rank| rank < hi)
+            }
+            (MetaIndex::Hopi(hopi), _) => {
+                // An empty list reads no row: `L_in` stays underived.
+                let row = || hopi.centers(axis.reversed(), later).iter();
+                !seen.is_empty() && row().any(|&(c, _)| self.centers.contains(md.nodes[c as usize]))
             }
             (index, _) => covered_by_scan(index, axis, seen, later),
         }
@@ -434,15 +446,21 @@ impl Entries {
             (MetaIndex::Ppo(_), Axis::Ancestors) => {
                 seen.insert(seen.partition_point(|&earlier| earlier < local), local);
             }
+            (MetaIndex::Hopi(hopi), _) => {
+                seen.push(local);
+                for &(c, _) in hopi.centers(axis, local) {
+                    self.centers.insert(md.nodes[c as usize]);
+                }
+            }
             _ => seen.push(local),
         }
     }
 }
 
 /// §5.1's duplicate test as the paper states it — one reachability probe
-/// per earlier entry — over `seen`, the locals of the answered entries. The
-/// strategies without a rank order answer [`Entries::covered`] with it, and
-/// it is the oracle the interval forms are tested against.
+/// per earlier entry — over `seen`, the locals of the answered entries.
+/// APEX answers [`Entries::covered`] with it, and it is the oracle the
+/// interval forms and HOPI's center set are tested against.
 fn covered_by_scan(index: &MetaIndex, axis: Axis, seen: &[u32], later: u32) -> bool {
     seen.iter().any(|&seen| match axis {
         Axis::Descendants => index.is_reachable(seen, later),
@@ -453,6 +471,7 @@ fn covered_by_scan(index: &MetaIndex, axis: Axis, seen: &[u32], later: u32) -> b
 /// §5.1 step 2's memory: the block rows an evaluation has gone over, as a
 /// bitset over global node ids, emptied through the list of the words it
 /// wrote — a query costs the rows it saw, not the collection's size.
+/// [`Entries`] keeps its HOPI centers in one too.
 ///
 /// A row is a duplicate iff an answered entry of its meta document covers
 /// it ([`Entries::covered`]). Where every answered block of the meta
@@ -507,6 +526,12 @@ impl RowMarks {
         }
         *word |= bit;
         true
+    }
+
+    /// Whether `node` is marked.
+    fn contains(&self, node: NodeId) -> bool {
+        let word = self.bits.get((node / 64) as usize);
+        word.is_some_and(|word| word & (1u64 << (node % 64)) != 0)
     }
 }
 
@@ -754,11 +779,8 @@ pub(crate) fn run<S: MetaSpace + ?Sized>(
         Start::Node(from) => Seek::Node(space.resolve(from)),
         Start::Tag(tag) => Seek::Tag(tag),
     };
-    let reverse = match query.axis {
-        Axis::Descendants => Axis::Ancestors,
-        Axis::Ancestors => Axis::Descendants,
-    };
     let seek = Seek::Node(space.resolve(to));
+    let reverse = query.axis.reversed();
     let mut sides = [
         Some(Evaluation::new(space, query.axis, seek, seeds, &opts)),
         both_ways.then(|| Evaluation::new(space, reverse, back, [(to, 0)], &opts)),
@@ -834,8 +856,8 @@ impl<'s, S: MetaSpace + ?Sized> Evaluation<'s, S> {
         let mut scratch = IDLE.with_borrow_mut(Vec::pop).unwrap_or_default();
         scratch.queue.clear();
         scratch.hold.clear();
-        scratch.entries.begin(space.meta_count());
         scratch.nodes = space.catalogue().meta_of.len();
+        scratch.entries.begin(space.meta_count(), scratch.nodes);
         scratch.queued.begin(scratch.nodes);
         scratch.rows.begin(scratch.nodes);
         if hold {
@@ -1879,6 +1901,17 @@ mod tests {
         MetaDocument::new(nodes, index)
     }
 
+    /// A HOPI meta document over the digraph of `edges` (taken modulo `n`:
+    /// cycles and self-loops welcome), its locals the global ids
+    /// `first..first + n`.
+    fn hopi_graph(n: usize, edges: &[(u32, u32)], first: NodeId) -> MetaDocument {
+        let m = n as u32;
+        let g = graphcore::Digraph::from_edges(n, edges.iter().map(|&(u, v)| (u % m, v % m)));
+        let mut nodes: Vec<NodeId> = (first..first + m).collect();
+        let (index, _, _) = MetaIndex::build(StrategyKind::Hopi, &g, &vec![0; n], &mut nodes);
+        MetaDocument::new(nodes, index)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1897,7 +1930,7 @@ mod tests {
             let md = ppo_forest(&parents);
             for axis in [Axis::Descendants, Axis::Ancestors] {
                 let mut entries = Entries::default();
-                entries.begin(1);
+                entries.begin(1, md.len());
                 let mut raw = Vec::new();
                 for &local in &pushes {
                     entries.push(&md, axis, 0, local, false);
@@ -1919,8 +1952,48 @@ mod tests {
                         );
                     }
                 }
-                entries.begin(1);
+                entries.begin(1, md.len());
                 prop_assert!((0..md.len() as u32).all(|v| !entries.covered(&md, axis, 0, v)));
+            }
+        }
+
+        /// Two HOPI meta documents over random cyclic graphs push into one
+        /// `Entries` — whatever is pushed, repeats and covered entries
+        /// included — on both axes, one after the other: after every push,
+        /// each answers `covered` for every node as the scan over its raw
+        /// entry list does. So a center of one never covers a node of the
+        /// other, and `begin` forgets the centers of the axis before.
+        #[test]
+        fn hopi_entries_answer_as_the_scan_on_random_graphs(
+            sizes in (1usize..12, 1usize..12),
+            edges in proptest::collection::vec((0..u32::MAX, 0..u32::MAX), 0..36),
+            pushes in proptest::collection::vec((any::<bool>(), 0..u32::MAX), 0..24),
+        ) {
+            let half = edges.len() / 2;
+            let mds = [
+                hopi_graph(sizes.0, &edges[..half], 0),
+                hopi_graph(sizes.1, &edges[half..], sizes.0 as NodeId),
+            ];
+            let mut entries = Entries::default();
+            for axis in [Axis::Descendants, Axis::Ancestors] {
+                entries.begin(2, sizes.0 + sizes.1);
+                let mut raw = [Vec::new(), Vec::new()];
+                for &(second, x) in &pushes {
+                    let meta = usize::from(second);
+                    let local = x % mds[meta].len() as u32;
+                    entries.push(&mds[meta], axis, meta as u32, local, false);
+                    raw[meta].push(local);
+                    for (meta, md) in (0..).zip(&mds) {
+                        let seen = &raw[meta as usize];
+                        for later in 0..md.len() as u32 {
+                            prop_assert_eq!(
+                                entries.covered(md, axis, meta, later),
+                                covered_by_scan(&md.index, axis, seen, later),
+                                "{:?} meta {} entries {:?} later {}", axis, meta, seen, later
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -1931,20 +2004,28 @@ mod tests {
     fn entries_are_forgotten_between_spaces_of_different_sizes() {
         // 0 -> {1, 2}, 1 -> 3: ranks 0, 1, 3, 2
         let md = ppo_forest(&[Some(0), Some(0), Some(1)]);
+        // globals 4 -> 5, 6 alone
+        let hopi = hopi_graph(3, &[(0, 1)], 4);
         let mut entries = Entries::default();
-        entries.begin(9);
+        entries.begin(9, 7);
         entries.push(&md, Axis::Descendants, 7, 1, true);
         entries.push(&md, Axis::Descendants, 2, 0, false);
+        entries.push(&hopi, Axis::Descendants, 5, 0, false);
         assert!(entries.covered(&md, Axis::Descendants, 7, 2));
         assert!(!entries.covered(&md, Axis::Descendants, 7, 3));
+        assert!(entries.covered(&hopi, Axis::Descendants, 5, 1));
         assert_eq!((entries.partial[7], entries.partial[2]), (true, false));
-        entries.begin(3);
+        entries.begin(3, 7);
         assert!(entries.touched.is_empty());
         assert!(entries.metas.iter().all(Vec::is_empty));
         assert!(!entries.partial.contains(&true));
+        assert!(entries.centers.touched.is_empty());
+        assert!(entries.centers.bits.iter().all(|&word| word == 0));
         entries.push(&md, Axis::Ancestors, 2, 2, false);
         assert!(entries.covered(&md, Axis::Ancestors, 2, 1));
-        entries.begin(12);
+        entries.push(&hopi, Axis::Descendants, 1, 2, false);
+        assert!(!entries.covered(&hopi, Axis::Descendants, 1, 1));
+        entries.begin(12, 7);
         assert_eq!(entries.metas.len(), 12);
         assert!(!entries.covered(&md, Axis::Ancestors, 2, 1));
     }

@@ -20,6 +20,16 @@ pub enum Axis {
     Ancestors,
 }
 
+impl Axis {
+    /// The other way along the edges.
+    pub fn reversed(self) -> Axis {
+        match self {
+            Axis::Descendants => Axis::Ancestors,
+            Axis::Ancestors => Axis::Descendants,
+        }
+    }
+}
+
 /// Returns all nodes reachable from `start` (including `start`) in BFS order.
 pub fn bfs_from(g: &Digraph, start: NodeId) -> Vec<NodeId> {
     let mut seen = vec![false; g.node_count()];

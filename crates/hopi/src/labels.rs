@@ -8,7 +8,7 @@
 //! first use.
 
 use crate::cover::{self, StageReport};
-use graphcore::{Axis, Digraph, DistScratch, Distance, NodeId, Rows, INFINITE_DISTANCE};
+use graphcore::{Axis, Digraph, DistScratch, Distance, NodeId, Rows};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -317,33 +317,56 @@ impl HopiIndex {
         self.stats
     }
 
-    /// Exact hop distance from `u` to `v`, or `None` if unreachable.
-    pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
+    /// `u`'s own `(center, distance)` set along `axis`, ascending by
+    /// center: `L_out(u)` going down, `L_in(u)` going up. In a 2-hop cover
+    /// `u` reaches `v` iff `L_out(u)` and `L_in(v)` share a center.
+    pub fn centers(&self, axis: Axis, u: NodeId) -> &[(NodeId, Distance)] {
+        match axis {
+            Axis::Descendants => self.l_out.row(u),
+            Axis::Ancestors => self.l_in().row(u),
+        }
+    }
+
+    /// `d(u, w) + d(w, v)` for each center `w` that `L_out(u)` and `L_in(v)`
+    /// share, ascending by `w`: one sorted merge, run as far as it is read.
+    fn meetings(&self, u: NodeId, v: NodeId) -> impl Iterator<Item = Distance> + '_ {
         let (a, b) = (self.l_out.row(u), self.l_in().row(v));
         let (mut i, mut j) = (0, 0);
-        let mut best = INFINITE_DISTANCE;
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    best = best.min(a[i].1 + b[j].1);
-                    i += 1;
-                    j += 1;
+        std::iter::from_fn(move || {
+            while let (Some(&(x, dx)), Some(&(y, dy))) = (a.get(i), b.get(j)) {
+                match x.cmp(&y) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        return Some(dx + dy);
+                    }
                 }
             }
-        }
-        (best != INFINITE_DISTANCE).then_some(best)
+            None
+        })
+    }
+
+    /// Exact hop distance from `u` to `v`, or `None` if unreachable.
+    pub fn distance(&self, u: NodeId, v: NodeId) -> Option<Distance> {
+        self.meetings(u, v).min()
+    }
+
+    /// Whether `u` reaches `v`: [`Self::distance`]'s merge, stopped at the
+    /// first center the two rows share.
+    pub fn reaches(&self, u: NodeId, v: NodeId) -> bool {
+        self.meetings(u, v).next().is_some()
     }
 
     /// The two halves of a label join along `axis` from `u`: its own
     /// centers, the inverted table to merge rows of for them, and the flag
     /// of the anchors that table's rows begin with.
     fn side(&self, axis: Axis, u: NodeId) -> JoinSide<'_> {
-        match axis {
-            Axis::Descendants => (self.l_out.row(u), &self.in_index, SOURCE),
-            Axis::Ancestors => (self.l_in().row(u), self.out_index(), TARGET),
-        }
+        let (table, flag) = match axis {
+            Axis::Descendants => (&self.in_index, SOURCE),
+            Axis::Ancestors => (self.out_index(), TARGET),
+        };
+        (self.centers(axis, u), table, flag)
     }
 
     /// The label join along `axis` from `u` read as one queue pop of
@@ -660,7 +683,7 @@ impl HopiIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphcore::{DistanceOracle, TransitiveClosure};
+    use graphcore::{DistanceOracle, TransitiveClosure, INFINITE_DISTANCE};
     use proptest::prelude::*;
 
     /// The nodes along `axis` from `u` carrying `label`, nearest first.
@@ -1076,6 +1099,17 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The merge that stops at the first shared center answers every
+        /// pair as the full distance merge does.
+        #[test]
+        fn reaches_is_distance_found((g, labels, _, _) in arb_labelled_graph()) {
+            let idx = HopiIndex::build(&g, &labels).0;
+            let n = g.node_count() as NodeId;
+            for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
+                prop_assert_eq!(idx.reaches(u, v), idx.distance(u, v).is_some(), "{} {}", u, v);
+            }
+        }
 
         /// Reading the anchor prefix and the label run of each row gives
         /// what reading whole rows of the four-table build and filtering
