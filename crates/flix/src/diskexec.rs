@@ -84,14 +84,15 @@ impl DiskFlix {
     /// A miss is [`persist::load_meta`]: one blob get, the format-word
     /// check, one decode, then the two fault checks, then admitting the
     /// index and dropping the cache's victim. Measured in situ on
-    /// flixbench's `rebuild` workload (128 frames, 8 slots; a 2-vCPU Xeon
-    /// at 2.1 GHz), a miss reads a HOPI image of 266 kB on average — the
-    /// descendants pair; the ancestors pair is derived only if a lookup
-    /// asks for it — in ≈ 144 µs: get 89, decode 22, the fault checks 33.
-    /// With all four label tables stored (488 kB) it was 243 µs: get 165,
-    /// decode 41, fault checks 37. The stand-alone probe behind
-    /// `diskexec.load_us` times the same get and decode back to back and
-    /// leaves the fault checks out.
+    /// flixbench's `rebuild` workload (HOPI-5000, 8 slots for 31 meta
+    /// documents; a 2-vCPU Xeon at 2.1 GHz), a miss reads a HOPI image —
+    /// the descendants pair; the ancestors pair is derived only if a lookup
+    /// asks for it — with get 41–49 µs, decode 55–69 and the fault checks,
+    /// which run over the decoded arrays and build nothing, 16–20. About
+    /// one load in three then derives `l_in` for §5.1's entry test,
+    /// 80–101 µs. The stand-alone probe behind `diskexec.load_us` times
+    /// the same get and decode back to back and leaves the fault checks
+    /// out.
     ///
     /// # Errors
     /// If the blob is missing from the store, fails to decode, or decodes
@@ -560,6 +561,31 @@ mod tests {
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
             assert!(err.contains("label table"), "{err}");
+            let to = flix.meta(victim).nodes[0];
+            assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
+        }
+    }
+
+    /// Same for a HOPI meta document whose anchor flags are not its anchor
+    /// lists: a lookup would stop at the wrong nodes to leave the index,
+    /// so the load refuses it by name.
+    #[test]
+    fn hopi_anchor_flags_off_the_lists_mid_query_are_errors_not_partial_answers() {
+        let flix = Flix::build(graph(), FlixConfig::UnconnectedHopi { partition_size: 40 });
+        let (q, victim) = crossing_query(&flix);
+        for damage in persist::mirror::hopi_flag_damage() {
+            let (mut store, _) = store();
+            persist::save_flix(&flix, &mut store, "fw").unwrap();
+            let bytes = persist::mirror::damaged_image(flix.meta(victim), damage);
+            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            let dflix = DiskFlix::open(store, "fw", 4).unwrap();
+            let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
+            let err = got.expect_err("a partial answer was returned");
+            let named = format!("meta document {victim} is stale or corrupt (");
+            assert!(
+                err.starts_with(&named) && err.contains("anchor flags"),
+                "{err}"
+            );
             let to = flix.meta(victim).nodes[0];
             assert!(connect(&dflix, q.start, to, &QueryOptions::default()).is_err());
         }

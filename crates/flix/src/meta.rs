@@ -437,8 +437,7 @@ impl MetaDocument {
                 let MetaIndex::Hopi(i) = &self.index else {
                     return None;
                 };
-                let (sources, targets) = i.anchors();
-                (sources != self.link_sources || targets != self.link_targets)
+                (!i.anchors_are(&self.link_sources, &self.link_targets))
                     .then(|| "the HOPI index's anchor flags are not the anchor lists".to_string())
             })
     }
@@ -706,7 +705,9 @@ mod tests {
         let MetaIndex::Hopi(hopi) = &md.index else {
             panic!("built as HOPI");
         };
-        assert_eq!(hopi.anchors(), (vec![1, 3], vec![2]));
+        assert!(hopi.anchors_are(&[1, 3], &[2]));
+        assert!(!hopi.anchors_are(&[1, 2], &[2]) && !hopi.anchors_are(&[1, 3], &[]));
+        assert!(!hopi.anchors_are(&[3, 1], &[2]));
         for forget in [
             (|md| md.link_sources.truncate(1)) as fn(&mut MetaDocument),
             |md| md.link_targets.clear(),

@@ -309,8 +309,33 @@ pub(crate) mod mirror {
         pub(crate) l_out: Table,
         pub(crate) in_index: Table,
         #[serde(with = "graphcore::flat")]
-        node_labels: Vec<u32>,
+        pub(crate) node_labels: Vec<u32>,
         stats: hopi::BuildStats,
+    }
+
+    /// Edits of a HOPI image's anchor flags — the top two bits of a label
+    /// word, a link source's and a link target's — that leave them
+    /// disagreeing with the anchor lists: one extra source flag on a node
+    /// that is not a source, and one target flag moved to a node that is
+    /// not a target, so the target count stays. The image needs a target.
+    pub(crate) fn hopi_flag_damage() -> [fn(&mut Hopi); 2] {
+        const SOURCE: u32 = 1 << 31;
+        const TARGET: u32 = 1 << 30;
+        fn first(words: &[u32], flag: u32, on: bool) -> usize {
+            words.iter().position(|&w| (w & flag != 0) == on).unwrap()
+        }
+        [
+            |hopi| {
+                let v = first(&hopi.node_labels, SOURCE, false);
+                hopi.node_labels[v] |= SOURCE;
+            },
+            |hopi| {
+                let words = &mut hopi.node_labels;
+                let (from, to) = (first(words, TARGET, true), first(words, TARGET, false));
+                words[from] &= !TARGET;
+                words[to] |= TARGET;
+            },
+        ]
     }
 
     type Rows = Vec<Vec<(u32, u32)>>;
@@ -1503,6 +1528,33 @@ mod tests {
             assert!(err.contains("meta document 0 is stale or corrupt"), "{err}");
             assert!(
                 err.contains(&format!("label table {table}: entry")),
+                "{err}"
+            );
+        }
+    }
+
+    /// A HOPI image whose anchor flags disagree with its anchor lists —
+    /// a lookup would stop at nodes no link leaves, or pass ones one does —
+    /// is refused on load, by name.
+    #[test]
+    fn hopi_flags_that_are_not_the_anchor_lists_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(
+            cg.clone(),
+            FlixConfig::UnconnectedHopi { partition_size: 40 },
+        );
+        let victim = (0..flix.meta_count() as u32)
+            .find(|&m| !flix.meta(m).link_targets.is_empty())
+            .expect("a meta document some link arrives at");
+        for damage in mirror::hopi_flag_damage() {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let bytes = mirror::damaged_image(flix.meta(victim), damage);
+            st.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            let named = format!("meta document {victim} is stale or corrupt (");
+            assert!(
+                err.starts_with(&named) && err.contains("anchor flags"),
                 "{err}"
             );
         }

@@ -28,6 +28,25 @@ fn offset(entries: usize) -> u32 {
     u32::try_from(entries).expect("a row table holds fewer than 2^32 entries")
 }
 
+/// The offsets of `rows` rows holding one entry per key of `keys`: the
+/// counting pass of a counting sort.
+///
+/// # Panics
+/// If a key is not below `rows`, or if there are 2³² keys or more.
+fn counted(rows: usize, keys: impl IntoIterator<Item = u32>) -> Vec<u32> {
+    let (mut offsets, mut total) = (vec![0u32; rows + 1], 0);
+    for k in keys {
+        offsets[k as usize + 1] += 1;
+        total += 1;
+    }
+    // Below 2^32 in all, so no count or running sum wrapped.
+    offset(total);
+    for k in 0..rows {
+        offsets[k + 1] += offsets[k];
+    }
+    offsets
+}
+
 impl<T: Element> Rows<T> {
     /// `rows`, in order, each keeping its entries' order.
     ///
@@ -59,18 +78,9 @@ impl<T: Element> Rows<T> {
         keys: impl IntoIterator<Item = u32>,
         pairs: impl IntoIterator<Item = (u32, T)>,
     ) -> Self {
-        let (mut offsets, mut total) = (vec![0u32; rows + 1], 0);
-        for k in keys {
-            offsets[k as usize + 1] += 1;
-            total += 1;
-        }
-        // Below 2^32 in all, so no count or running sum wrapped.
-        offset(total);
-        for k in 0..rows {
-            offsets[k + 1] += offsets[k];
-        }
+        let offsets = counted(rows, keys);
         let mut cursor = offsets[..rows].to_vec();
-        let mut entries = vec![T::default(); total];
+        let mut entries = vec![T::default(); offsets[rows] as usize];
         // Internal iteration: a flattened iterator walks each inner slice
         // in a loop of its own.
         pairs.into_iter().for_each(|(k, value)| {
@@ -123,7 +133,11 @@ impl<T: Element> Rows<T> {
         if off[0] != 0 {
             return Some(format!("first offset is {}, not 0", off[0]));
         }
-        if let Some(i) = off.windows(2).position(|w| w[0] > w[1]) {
+        // Branch-free, as the entries' maximum below, then the search only
+        // to name the row.
+        let decreases = off.windows(2).fold(false, |bad, w| bad | (w[0] > w[1]));
+        if decreases {
+            let i = off.windows(2).position(|w| w[0] > w[1])?;
             let (a, b) = (off[i], off[i + 1]);
             return Some(format!("offsets decrease at row {i}: {a} then {b}"));
         }
@@ -143,6 +157,36 @@ impl<T: Element> Rows<T> {
         let at = (self.entries.iter()).position(|e| e.lane(0) as usize >= bound)?;
         let v = self.entries[at].lane(0);
         Some(format!("entry {at} names node {v} of {bound}"))
+    }
+}
+
+impl Rows<(u32, u32)> {
+    /// The table turned around as a square one: entry `(w, x)` of row `v`
+    /// becomes entry `(v, x)` of row `w`, visiting the rows in `order`
+    /// (every row index once), so every row of the result lists its `v`s
+    /// in the order `order` does, whatever order this table's rows are in
+    /// — one counting pass over the flat entries, then one scatter. HOPI
+    /// derives each of its inverted tables, and `L_in`, so.
+    ///
+    /// # Panics
+    /// If an entry's first lane or a row in `order` is not below
+    /// [`Self::rows`] — a decoded table is inverted only after
+    /// [`Self::fault`] with that bound cleared it — or if the rows `order`
+    /// visits do not hold, key by key, as many entries as the table.
+    pub fn inverted(&self, order: impl IntoIterator<Item = u32>) -> Self {
+        let rows = self.rows();
+        let offsets = counted(rows, self.entries.iter().map(|&(w, _)| w));
+        let mut cursor = offsets[..rows].to_vec();
+        let mut entries = vec![(0, 0); self.entries.len()];
+        for v in order {
+            for &(w, x) in self.row(v) {
+                let at = &mut cursor[w as usize];
+                entries[*at as usize] = (v, x);
+                *at += 1;
+            }
+        }
+        assert!(cursor == offsets[1..], "the order visits every row once");
+        Self { offsets, entries }
     }
 }
 
@@ -205,11 +249,17 @@ mod tests {
         let table = Table::from_rows(&[vec![(0, 7)], vec![], vec![(2, 1), (1, 0)]]);
         assert_eq!(table.fault(3, 3), None);
         type Damage = (fn(&mut Table), &'static str);
-        let damage: [Damage; 6] = [
+        let damage: [Damage; 8] = [
             (|t| t.offsets.clear(), "0 offsets for 3 rows"),
             (|t| t.offsets.push(3), "5 offsets for 3 rows"),
             (|t| t.offsets[0] = 1, "first offset is 1, not 0"),
             (|t| t.offsets[1] = 2, "offsets decrease at row 1: 2 then 1"),
+            // the first of two decreases, then one at the last row
+            (
+                |t| t.offsets[1..].copy_from_slice(&[3, 1, 0]),
+                "offsets decrease at row 1: 3 then 1",
+            ),
+            (|t| t.offsets[2] = 4, "offsets decrease at row 2: 4 then 3"),
             (
                 |t| t.offsets[3] = 2,
                 "last offset is 2, the table holds 3 entries",
@@ -240,6 +290,12 @@ mod tests {
     #[should_panic(expected = "the pairs' keys")]
     fn keys_that_are_not_the_pairs_keys_panic() {
         Rows::<u32>::grouped(2, [0, 1], [(0, 7), (0, 8)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every row once")]
+    fn an_inversion_order_that_skips_a_row_panics() {
+        Table::from_rows(&[vec![(0, 7)], vec![]]).inverted([1]);
     }
 
     #[test]

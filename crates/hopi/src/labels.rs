@@ -55,25 +55,13 @@ pub type Reached = Vec<(NodeId, Distance)>;
 /// table is only sliced or inverted after [`Rows::fault`] cleared it.
 type Table = Rows<(NodeId, Distance)>;
 
-/// `table` turned around: entry `(w, d)` of row `v` becomes entry `(v, d)`
-/// of row `w`, by one grouping that visits `table`'s rows in `order` (every
-/// row index once) — so every row of the result lists its `v`s in the order
-/// `order` does, whatever order `table`'s rows are in.
-fn inverted(table: &Table, order: &[NodeId]) -> Table {
-    let keys = table.entries().iter().map(|&(w, _)| w);
-    let entries = order
-        .iter()
-        .flat_map(|&v| table.row(v).iter().map(move |&(w, d)| (w, (v, d))));
-    Table::grouped(table.rows(), keys, entries)
-}
-
 /// `table` turned around in the row order of the anchors that carry `flag`
 /// in `words` (one `node_labels` word per node): the inversion visits the
 /// rows in [`row_order`], which lists each row's anchors by id and the rest
 /// by `(label, id)`, and one stable sort per row by [`row_key`] of the
 /// distance puts the distance in before the id.
 fn inverted_in_row_order(table: &Table, words: &[u32], flag: u32) -> Table {
-    let mut inverted = inverted(table, &row_order(words, flag));
+    let mut inverted = table.inverted(row_order(words, flag));
     inverted.sort_rows_by_key(|(v, d)| row_key(words[v as usize], flag, d));
     inverted
 }
@@ -253,15 +241,27 @@ impl HopiIndex {
         down || up
     }
 
-    /// The declared anchors, `(sources, targets)`, each ascending by id.
-    pub fn anchors(&self) -> (Vec<NodeId>, Vec<NodeId>) {
-        let flagged = |flag| {
-            let nodes = 0..self.node_labels.len() as NodeId;
-            nodes
-                .filter(|&v| self.node_labels[v as usize] & flag != 0)
-                .collect()
+    /// Whether the declared anchors are exactly `sources` and `targets`:
+    /// each list ascends strictly, as the declared ones do, every listed
+    /// node carries its flag, and each flag is on as many nodes as its list
+    /// is long — one pass over the label words that builds nothing, which
+    /// is how a load checks a decoded image's flags against its anchor
+    /// lists.
+    pub fn anchors_are(&self, sources: &[NodeId], targets: &[NodeId]) -> bool {
+        let words = &self.node_labels;
+        // Branch-free, so it vectorises.
+        let (s, t) = words.iter().fold((0, 0), |(s, t), &word| {
+            (s + (word >> 31) as usize, t + (word >> 30 & 1) as usize)
+        });
+        // Ascending, so no node is counted twice against its flag.
+        let flagged = |list: &[NodeId], flag| {
+            list.windows(2).all(|w| w[0] < w[1])
+                && (list.iter())
+                    .all(|&v| words.get(v as usize).is_some_and(|&word| word & flag != 0))
         };
-        (flagged(SOURCE), flagged(TARGET))
+        (s, t) == (sources.len(), targets.len())
+            && flagged(sources, SOURCE)
+            && flagged(targets, TARGET)
     }
 
     /// Number of indexed nodes.
@@ -297,10 +297,8 @@ impl HopiIndex {
     /// each row lists its centers ascending — derived on first use and
     /// kept. `distance` reads it, and so does every ancestors-axis join.
     fn l_in(&self) -> &Table {
-        self.l_in.0.get_or_init(|| {
-            let ids: Vec<NodeId> = (0..self.node_count() as NodeId).collect();
-            inverted(&self.in_index, &ids)
-        })
+        let ids = 0..self.node_count() as NodeId;
+        self.l_in.0.get_or_init(|| self.in_index.inverted(ids))
     }
 
     /// `out_index`: `l_out` inverted in the row order of the link targets —
@@ -606,6 +604,18 @@ impl flixcheck::IntegrityCheck for HopiIndex {
 
 #[cfg(test)]
 impl HopiIndex {
+    /// The declared anchors, `(sources, targets)`, each ascending by id:
+    /// the oracle [`Self::anchors_are`] is tested against.
+    fn anchors(&self) -> (Vec<NodeId>, Vec<NodeId>) {
+        let flagged = |flag| {
+            let nodes = 0..self.node_labels.len() as NodeId;
+            nodes
+                .filter(|&v| self.node_labels[v as usize] & flag != 0)
+                .collect()
+        };
+        (flagged(SOURCE), flagged(TARGET))
+    }
+
     /// The whole-row label join: merges the inverted row of each of `own`'s
     /// centers into this thread's scratch, keeping the minimum distance per
     /// reached node (the node `own` belongs to is always among them, at
@@ -992,7 +1002,7 @@ mod tests {
         odd_first.sort_by_key(|v| v % 2 == 0);
         let descending = ascending.iter().rev().copied().collect();
         for order in [ascending, descending, odd_first] {
-            let inverted = inverted(&table, &order);
+            let inverted = table.inverted(order.iter().copied());
             assert_eq!(inverted.fault(rows.len(), rows.len()), None);
             let pushed = pushed_inversion(rows, &order);
             assert_eq!(inverted, Table::from_rows(&pushed), "{order:?}");
@@ -1005,6 +1015,8 @@ mod tests {
         check_table(&[vec![]]);
         check_table(&[vec![], vec![(2, 1), (0, 3)], vec![], vec![(1, 0)], vec![]]);
         check_table(&[vec![(0, 0)], vec![(0, 1), (1, 0)]]);
+        // a center repeated within a row and across rows
+        check_table(&[vec![(1, 2), (1, 0)], vec![], vec![(1, 1), (0, 4), (1, 1)]]);
     }
 
     #[test]
@@ -1263,15 +1275,53 @@ mod tests {
             }
         }
 
-        /// Rows of any shape — unsorted, repeated centers, empty — come
-        /// back as they went in, and invert as pushing did.
+        /// `anchors_are` is equality with the declared anchors, for the
+        /// declared lists and for lists one edit off them: a node added,
+        /// one dropped, one moved to another node, which keeps the count,
+        /// or one replaced by a repeat of its neighbour, which keeps the
+        /// count and every listed node flagged.
+        #[test]
+        fn anchors_are_holds_exactly_for_the_declared_lists(
+            (g, labels, flags, _) in arb_labelled_graph(),
+            (edit, targets, at, to) in (0u8..5, any::<bool>(), 0usize..64, 0usize..64),
+        ) {
+            let mut idx = HopiIndex::build(&g, &labels).0;
+            let declared = anchor_sets(&flags);
+            idx.set_anchors(&declared.0, &declared.1);
+            let mut lists = declared.clone();
+            let list = if targets { &mut lists.1 } else { &mut lists.0 };
+            let nodes = 0..idx.node_count() as NodeId;
+            let others: Vec<NodeId> = nodes.filter(|v| !list.contains(v)).collect();
+            let (len, other) = (list.len(), others.get(to % others.len().max(1)));
+            match (edit, other) {
+                (1, Some(&v)) => list.push(v),
+                (2, _) if len > 0 => drop(list.remove(at % len)),
+                (3, Some(&v)) if len > 0 => list[at % len] = v,
+                (4, _) if len > 1 => list[at % len] = list[(at + 1) % len],
+                _ => {}
+            }
+            list.sort_unstable();
+            prop_assert_eq!(idx.anchors_are(&lists.0, &lists.1), idx.anchors() == lists);
+        }
+
+        /// Rows of any shape — unsorted, repeated centers within and
+        /// across rows, empty — come back as they went in, and invert as
+        /// pushing did; with `hollow` the first, a middle and the last row
+        /// are empty.
         #[test]
         fn table_matches_its_rows_and_the_pushed_inversion(
-            rows in (0usize..12).prop_flat_map(|n| {
+            (mut rows, hollow) in (0usize..12).prop_flat_map(|n| {
                 let entry = (0..n.max(1) as NodeId, 0..9 as Distance);
-                proptest::collection::vec(proptest::collection::vec(entry, 0..5), n)
+                let rows = proptest::collection::vec(proptest::collection::vec(entry, 0..5), n);
+                (rows, any::<bool>())
             })
         ) {
+            if hollow && !rows.is_empty() {
+                let n = rows.len();
+                for at in [0, n / 2, n - 1] {
+                    rows[at].clear();
+                }
+            }
             check_table(&rows);
         }
     }
