@@ -38,6 +38,9 @@ for workload in linkchase labeljoin served rebuild; do
     bash flixbench/run.sh --workload "$workload" --seconds 1 > /dev/null
     bash flixbench/run.sh --workload "$workload" --seconds 1 --trace 1 > /dev/null
 done
+# HOPI-5000 built, persisted and recovered on a corpus its center rank was
+# not sized on (no fingerprint is pinned for this seed)
+bash flixbench/run.sh --workload labeljoin --seconds 1 --corpus-seed 1999 > /dev/null
 
 echo "== perf ledger (every committed result document parses and compares clean against itself)"
 for entry in bench/ledger/*.json; do

@@ -43,8 +43,6 @@ pub mod bitset;
 pub mod closure;
 /// The compact CSR digraph and its builder.
 pub mod digraph;
-/// Cheap estimators for descendant and ancestor counts.
-pub mod estimate;
 /// Packed `serde` form of `u32` and `(u32, u32)` arrays: each lane at the
 /// bits of its largest value.
 pub mod flat;
@@ -68,7 +66,6 @@ pub mod traversal;
 pub use bitset::BitSet;
 pub use closure::{DistanceOracle, TransitiveClosure};
 pub use digraph::{Digraph, DigraphBuilder, NodeId};
-pub use estimate::{estimate_reach_counts, Reach};
 pub use partition::{partition_greedy, Partitioning};
 pub use rows::Rows;
 pub use scc::{condensation, tarjan_scc, Condensation};

@@ -37,14 +37,6 @@ impl BuildStats {
     pub fn total_entries(&self) -> usize {
         self.in_entries + self.out_entries
     }
-
-    /// Accumulates another build's statistics (used by the partitioned
-    /// builder to aggregate over its per-partition indexes).
-    pub fn absorb(&mut self, other: BuildStats) {
-        self.in_entries += other.in_entries;
-        self.out_entries += other.out_entries;
-        self.visits += other.visits;
-    }
 }
 
 /// Nodes reached by an enumeration, as `(node, exact distance)` ascending

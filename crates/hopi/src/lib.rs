@@ -14,8 +14,10 @@
 //! over densest subgraphs of the transitive closure, made tractable by a
 //! divide-and-conquer partitioning step. We build the same label structure
 //! with pruned breadth-first searches from ranked centers (the technique
-//! later formalised as pruned landmark labelling): rank every node, then
-//! sweep from each in rank order over the whole graph (see [`cover`]).
+//! later formalised as pruned landmark labelling): rank every node by the
+//! walks of up to three edges through it, down times up, then sweep from
+//! each in rank order over the whole graph (see [`cover`]). The sweep is
+//! exact in any order; the rank only keeps the labels small.
 //! Pruned sweeps scale without that partitioning step, so the cover makes
 //! no cut of its own: FliX's Unconnected HOPI (below) is the one cut. The
 //! resulting index has identical query semantics, *exact* distances, and

@@ -457,7 +457,7 @@ fn every_configuration_writes_the_pinned_data_file() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0xf80e_3352_586c_48c3,
+            0xbc66_be32_a2ab_a734,
             4,
         ),
         (
@@ -474,7 +474,7 @@ fn every_configuration_writes_the_pinned_data_file() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xb00d_06fe_fe97_5954,
+            0xf465_8b9e_0450_b6a3,
             4,
         ),
         (

@@ -37,7 +37,7 @@ fn every_configuration_saves_the_pinned_bytes() {
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0x9005_32c5_c996_60f9,
+            0x09db_3b98_759f_115b,
         ),
         (
             FlixConfig::Hybrid {
@@ -51,7 +51,7 @@ fn every_configuration_saves_the_pinned_bytes() {
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xc62d_34f2_4995_7a26,
+            0x5ff3_3daf_f59c_0b84,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),
