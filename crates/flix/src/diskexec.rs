@@ -37,9 +37,9 @@ pub struct DiskFlix {
     store: BlobStore,
     name: String,
     catalogue: Catalogue,
-    /// The number of elements of each meta document, as the manifest
-    /// catalogues them: what a loaded image is checked against.
-    meta_lens: Vec<u32>,
+    /// Each meta document's node map, as the manifest catalogues it: what
+    /// a loaded image is completed with, since it holds none.
+    node_maps: Vec<Vec<NodeId>>,
     cache: Mutex<Lru<u32, Arc<MetaDocument>>>,
     hits: flixobs::Counter,
     misses: flixobs::Counter,
@@ -60,19 +60,24 @@ impl DiskFlix {
     }
 
     /// Opens a disk-resident engine over a framework saved with
-    /// [`persist::save_flix`]. Only the manifest is read; indexes are
-    /// loaded on demand.
+    /// [`persist::save_flix`]. Only the manifest is read, and each meta
+    /// document's node map grouped out of it; indexes are loaded on demand.
     ///
-    /// # Panics
-    /// If `cache_capacity` is zero.
+    /// # Errors
+    /// If `cache_capacity` is zero — the index cache needs a slot for the
+    /// index a pop reads — or if the manifest is missing, in another format
+    /// than this build's, or stores a catalogue a lookup would index out of
+    /// bounds on.
     pub fn open(store: BlobStore, name: &str, cache_capacity: usize) -> Result<Self, String> {
-        assert!(cache_capacity >= 1, "cache needs at least one slot");
-        let (manifest, meta_lens) = persist::load_manifest(&store, name)?;
+        if cache_capacity == 0 {
+            return Err("an index cache of 0 slots holds no index: give it at least 1".into());
+        }
+        let (manifest, node_maps) = persist::load_manifest(&store, name)?;
         Ok(Self {
             store,
             name: name.to_string(),
             catalogue: manifest.into_catalogue(),
-            meta_lens,
+            node_maps,
             cache: Mutex::new(Lru::new(cache_capacity)),
             hits: flixobs::Counter::new(),
             misses: flixobs::Counter::new(),
@@ -81,18 +86,21 @@ impl DiskFlix {
 
     /// Loads (or fetches from cache) one meta document's index.
     ///
-    /// A miss is [`persist::load_meta`]: one blob get, the format-word
-    /// check, one decode, then the two fault checks, then admitting the
-    /// index and dropping the cache's victim. Measured in situ on
-    /// flixbench's `rebuild` workload (HOPI-5000, 8 slots for 31 meta
-    /// documents; a 2-vCPU Xeon at 2.1 GHz), a miss reads a HOPI image —
-    /// the descendants pair; the ancestors pair is derived only if a lookup
-    /// asks for it — with get 41–49 µs, decode 55–69 and the fault checks,
-    /// which run over the decoded arrays and build nothing, 16–20. About
-    /// one load in three then derives `l_in` for §5.1's entry test,
-    /// 80–101 µs. The stand-alone probe behind `diskexec.load_us` times
-    /// the same get and decode back to back and leaves the fault checks
-    /// out.
+    /// A miss is a copy of the meta document's node map and
+    /// [`persist::load_meta`]: one blob get, the format-word check, one
+    /// decode, then completing the image — checks over the decoded arrays
+    /// that build nothing, and HOPI's anchor flags set from its lists —
+    /// then admitting the index and dropping the cache's victim. Measured
+    /// in situ in the cold phase of flixbench's `rebuild` workload
+    /// (HOPI-5000, 8 slots for 31 meta documents; a 2-vCPU Xeon at 2.1
+    /// GHz), a miss reads a HOPI image — the descendants pair; the
+    /// ancestors pair is derived only if a lookup asks for it — with the
+    /// node-map copy 1.7–2.0 µs, get 11–15, decode 29–38 (the zero-filled
+    /// allocation 8–10 of it, unpacking 18–26), the layout, count and list
+    /// checks 6.7–8.5 and the flags 3.1–4.3. About 0.3 loads then derive
+    /// `l_in` for §5.1's entry test, 51–61 µs each. The stand-alone probe
+    /// behind `diskexec.load_us` times the same get and decode back to
+    /// back and leaves the rest out.
     ///
     /// # Errors
     /// If the blob is missing from the store, fails to decode, or decodes
@@ -104,13 +112,13 @@ impl DiskFlix {
             return Ok(md);
         }
         self.misses.inc();
-        let &len = (self.meta_lens.get(id as usize))
+        let nodes = (self.node_maps.get(id as usize))
             .ok_or_else(|| format!("no meta document {id} in the manifest"))?;
         let md = Arc::new(persist::load_meta(
             &self.store,
             &self.name,
             id as usize,
-            len,
+            nodes.clone(),
         )?);
         // If another thread loaded `id` since this one missed, its copy is
         // replaced and nothing evicted. Freeing an index is not work to do
@@ -171,7 +179,7 @@ impl MetaSpace for DiskFlix {
     }
 
     fn meta_count(&self) -> usize {
-        self.meta_lens.len()
+        self.node_maps.len()
     }
 
     fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
@@ -414,7 +422,8 @@ mod tests {
 
     /// Same for a meta document as builds before "FLT1" saved it — every
     /// array behind an element count, no format word — under each
-    /// strategy, and for such a manifest at `open`.
+    /// strategy, and for such a manifest at `open`. (Those builds' meta
+    /// documents held what an "FLT3" image holds.)
     #[test]
     fn count_prefixed_image_mid_query_is_an_error_not_a_partial_answer() {
         use persist::mirror::{count_prefixed, CountedManifest, CountedMeta};
@@ -446,8 +455,9 @@ mod tests {
             let (mut store, _) = self::store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
             assert_eq!(store.get("fw/manifest").unwrap().unwrap(), manifest);
-            let blob = format!("fw/meta-{victim}");
-            swap(&mut store, &blob, count_prefixed::<CountedMeta>);
+            let old =
+                count_prefixed::<CountedMeta>(&persist::mirror::flt3_image(flix.meta(victim)));
+            store.put(&format!("fw/meta-{victim}"), &old).unwrap();
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
@@ -566,9 +576,9 @@ mod tests {
         }
     }
 
-    /// Same for a HOPI meta document whose anchor flags are not its anchor
-    /// lists: a lookup would stop at the wrong nodes to leave the index,
-    /// so the load refuses it by name.
+    /// Same for a HOPI meta document whose stored label words carry anchor
+    /// flags beside its anchor lists: a lookup would stop at the wrong
+    /// nodes to leave the index, so the load refuses it by name.
     #[test]
     fn hopi_anchor_flags_off_the_lists_mid_query_are_errors_not_partial_answers() {
         let flix = Flix::build(graph(), FlixConfig::UnconnectedHopi { partition_size: 40 });
@@ -752,6 +762,24 @@ mod tests {
     #[test]
     fn open_missing_name_errors() {
         assert!(DiskFlix::open(store().0, "nope", 4).is_err());
+    }
+
+    /// An index cache without a slot is refused, typed, by `open` and by
+    /// `save_and_open`, which still saves the framework.
+    #[test]
+    fn an_index_cache_of_no_slots_is_an_error_not_a_panic() {
+        let flix = Flix::build(graph(), FlixConfig::Naive);
+        let (mut store, _) = store();
+        persist::save_flix(&flix, &mut store, "fw").unwrap();
+        let refused = "an index cache of 0 slots holds no index: give it at least 1";
+        let Err(err) = DiskFlix::open(store, "fw", 0) else {
+            panic!("opened with no cache slot");
+        };
+        assert_eq!(err, refused);
+        let Err(err) = DiskFlix::save_and_open(&flix, self::store().0, "fw", 0) else {
+            panic!("opened with no cache slot");
+        };
+        assert_eq!(err, refused);
     }
 
     /// A saved framework with one damaged data page, its chunk length

@@ -191,12 +191,12 @@ impl MetaIndex {
     /// index out of bounds or search rows that are not in its order, if it
     /// is: HOPI's flat label tables are sliced by stored offsets, their
     /// entries index by node and their inverted rows are binary-searched
-    /// ([`HopiIndex::layout_fault`]); PPO's label table likewise, its
-    /// ranks index its arrays and a parent chain must end
-    /// ([`PpoIndex::layout_fault`]); APEX's graphs are sliced by stored
-    /// offsets and its class ids index its per-class tables
-    /// ([`ApexIndex::layout_fault`]). [`crate::persist`] runs this on every
-    /// meta document it decodes, before [`MetaDocument::anchor_fault`].
+    /// ([`HopiIndex::layout_fault`]); PPO's label table likewise, and its
+    /// ranks index its arrays ([`PpoIndex::layout_fault`]); APEX's graphs
+    /// are sliced by stored offsets and its class ids index its per-class
+    /// tables ([`ApexIndex::layout_fault`]). [`MetaDocument::complete`] runs this
+    /// on every meta document [`crate::persist`] decodes — under PPO once
+    /// the subtree sizes proved a forest.
     pub(crate) fn layout_fault(&self) -> Option<String> {
         match self {
             MetaIndex::Hopi(i) => i.layout_fault(),
@@ -207,11 +207,19 @@ impl MetaIndex {
 }
 
 /// One meta document: a node set, its index, and its runtime-link anchors.
+///
+/// Its image ([`crate::persist`]) holds the index and the two anchor lists
+/// and nothing any of them, or the manifest, determines: not the node map,
+/// which the manifest's catalogue holds, nor HOPI's anchor flags, which are
+/// the anchor lists, nor PPO's depths and parents, which are the subtree
+/// sizes'. Loading an image derives them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetaDocument {
     /// Local id -> global node id: ascending under HOPI and APEX; under
-    /// PPO the locals are the spanning forest's preorder ranks.
-    #[serde(with = "graphcore::flat")]
+    /// PPO the locals are the spanning forest's preorder ranks. Not in the
+    /// image: the manifest maps every element to its meta document and
+    /// local.
+    #[serde(skip)]
     pub nodes: Vec<NodeId>,
     /// The index built for this meta document.
     pub index: MetaIndex,
@@ -220,7 +228,8 @@ pub struct MetaDocument {
     /// link sources below an element are one contiguous run of this list.
     /// [`Self::set_anchors`] establishes the order. A HOPI index does not
     /// read the list: it carries both anchor sets as flags, and its
-    /// inverted rows begin with the anchors.
+    /// inverted rows begin with the anchors; an image holds the lists and
+    /// not the flags.
     #[serde(with = "graphcore::flat")]
     pub(crate) link_sources: Vec<u32>,
     /// Locals that are targets of runtime links (for ancestor queries),
@@ -410,14 +419,46 @@ impl MetaDocument {
         }
     }
 
-    /// The first way the anchor sets break their contract — valid locals,
-    /// each once, in the index's lookup order, and under HOPI the very
-    /// nodes its index has flagged — if they do; one pass over both lists
-    /// (and the flags). The lookups above silently miss links on lists in
-    /// any other order and on an index that flags other nodes (one
-    /// persisted before HOPI carried flags flags none), so
-    /// [`crate::persist`] runs this on every meta document it decodes.
-    pub(crate) fn anchor_fault(&self) -> Option<String> {
+    /// Completes a decoded image into the meta document that was saved —
+    /// `nodes`, the manifest's node map of it, becomes its node map, PPO's
+    /// depths and parents are derived from its subtree sizes
+    /// ([`PpoIndex::derive_forest`]) and HOPI's anchor flags set from the
+    /// anchor lists ([`HopiIndex::flag_anchors`]) — or says why a lookup
+    /// could not trust it, checking what it derives from on the way: an
+    /// index laid out so that a lookup would index out of bounds or search
+    /// rows out of order ([`MetaIndex::layout_fault`]), or PPO sizes that
+    /// are no preorder forest; an index over another number of elements
+    /// than the map; anchor lists that are not valid locals in index
+    /// order ([`Self::list_fault`]); a HOPI image whose label words carry
+    /// flags. One pass over each array, and the flags equal the lists by
+    /// construction. [`crate::persist`] runs this on every meta document
+    /// it decodes.
+    pub(crate) fn complete(&mut self, nodes: Vec<NodeId>) -> Option<String> {
+        self.nodes = nodes;
+        let fault = match &mut self.index {
+            MetaIndex::Ppo(i) => i.derive_forest().or_else(|| i.layout_fault()),
+            index => index.layout_fault(),
+        };
+        let (len, indexed) = (self.nodes.len(), self.indexed_nodes());
+        let miscounted = || {
+            (indexed != len).then(|| {
+                format!("its index covers {indexed} elements, the manifest catalogues {len}")
+            })
+        };
+        if let Some(fault) = fault.or_else(miscounted).or_else(|| self.list_fault()) {
+            return Some(fault);
+        }
+        let MetaIndex::Hopi(i) = &mut self.index else {
+            return None;
+        };
+        i.flag_anchors(&self.link_sources, &self.link_targets)
+    }
+
+    /// The first way the anchor lists break their contract — valid locals,
+    /// each once, in the index's lookup order — if they do; one pass over
+    /// both. The lookups above silently miss links on lists in any other
+    /// order.
+    fn list_fault(&self) -> Option<String> {
         let n = self.nodes.len().min(self.indexed_nodes());
         let fault = |what: &str, anchors: &[u32]| {
             if let Some(&a) = anchors.iter().find(|&&a| a as usize >= n) {
@@ -433,13 +474,19 @@ impl MetaDocument {
         };
         fault("link_sources", &self.link_sources)
             .or_else(|| fault("link_targets", &self.link_targets))
-            .or_else(|| {
-                let MetaIndex::Hopi(i) = &self.index else {
-                    return None;
-                };
-                (!i.anchors_are(&self.link_sources, &self.link_targets))
-                    .then(|| "the HOPI index's anchor flags are not the anchor lists".to_string())
-            })
+    }
+
+    /// [`Self::list_fault`], and under HOPI whether the index flags the
+    /// very nodes the lists name: the lookups pass a node the index flags
+    /// none for, or stop at one it flags that no link leaves.
+    fn anchor_fault(&self) -> Option<String> {
+        self.list_fault().or_else(|| {
+            let MetaIndex::Hopi(i) = &self.index else {
+                return None;
+            };
+            (!i.anchors_are(&self.link_sources, &self.link_targets))
+                .then(|| "the HOPI index's anchor flags are not the anchor lists".to_string())
+        })
     }
 }
 

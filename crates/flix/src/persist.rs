@@ -14,28 +14,33 @@ use crate::config::FlixConfig;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
 use crate::report::BuildReport;
-use graphcore::{BitSet, NodeId};
+use graphcore::NodeId;
 use pagestore::BlobStore;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The format word every blob of a framework begins with ("FLT3"): behind
+/// The format word every blob of a framework begins with ("FLT4"): behind
 /// it, `pagestore::codec` bytes whose `u32`-shaped arrays are each one byte
 /// string, a count, lane widths and the lanes packed to the bits of their
 /// largest values ([`graphcore::flat`]), and PPO meta documents numbered in
 /// preorder, their index three arrays and a flat label table
-/// ([`ppo::PpoIndex`]). An image saved under "FLT2" holds the same arrays
-/// at four bytes an element: read as this format its first element would
-/// be taken for a count and widths and derail from there. One saved under
+/// ([`ppo::PpoIndex`]). A meta document's image holds what nothing else
+/// determines: its index and its anchor lists, but not its node map (the
+/// manifest's catalogue holds it), HOPI's anchor flags (the lists are
+/// them: the label words are stored bare) or PPO's depths and parents (the
+/// subtree sizes give them); [`load_meta`] derives those. An image saved
+/// under "FLT3" holds all three: read as this format its node map would be
+/// taken for the index's variant and derail from there. One saved under
+/// "FLT2" holds the same arrays at four bytes an element; one saved under
 /// "FLT1" holds a PPO index of six arrays and a label map; one saved when
 /// the arrays were count-prefixed has no word at all. The word is checked
 /// before anything is decoded, so such images fail typed whatever their
 /// bytes would have misparsed as. What [`hopi::HopiIndex`] keeps behind its
 /// own layout word is narrower: the *order* of its rows, which this word
 /// says nothing of.
-const FORMAT: u32 = u32::from_le_bytes(*b"FLT3");
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT4");
 
 /// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
 /// (a tuple is its fields in order and nothing else).
@@ -97,16 +102,16 @@ impl Manifest {
         Catalogue::new(self.meta_of, self.local_of, self.runtime_links)
     }
 
-    /// The number of elements each meta document holds, or the first way
-    /// the catalogue stored here would break a lookup, in `O(n)`: both maps
-    /// cover the `node_count` nodes, every node names one of the
-    /// `meta_count` meta documents, and each meta document's locals are a
-    /// bijection onto `0..len` — a local past the document's end would
-    /// index past its node map, and two nodes on one local would resolve to
-    /// one element; the runtime links are strictly ascending — the run
-    /// index and the anchor sets are built on that order — and name nodes
-    /// of the collection.
-    fn meta_lens(&self) -> Result<Vec<u32>, String> {
+    /// Each meta document's node map — local → global, what its image
+    /// does not hold — or the first way the catalogue stored here would
+    /// break a lookup, in `O(n)`: both maps cover the `node_count` nodes,
+    /// every node names one of the `meta_count` meta documents, and each
+    /// meta document's locals are a bijection onto `0..len` — a local past
+    /// the document's end would index past its node map, and two nodes on
+    /// one local would resolve to one element; the runtime links are
+    /// strictly ascending — the run index and the anchor sets are built on
+    /// that order — and name nodes of the collection.
+    fn node_maps(&self) -> Result<Vec<Vec<NodeId>>, String> {
         let n = self.node_count;
         let (metas, locals) = (self.meta_of.len(), self.local_of.len());
         if metas != n || locals != n {
@@ -117,7 +122,7 @@ impl Manifest {
         if self.meta_count > n.max(1) {
             return Err(format!("{} meta documents of {n} nodes", self.meta_count));
         }
-        let mut lens = vec![0u32; self.meta_count];
+        let mut lens = vec![0usize; self.meta_count];
         for (v, &meta) in self.meta_of.iter().enumerate() {
             let Some(len) = lens.get_mut(meta as usize) else {
                 let count = self.meta_count;
@@ -125,26 +130,22 @@ impl Manifest {
             };
             *len += 1;
         }
-        // Every meta document's locals at its own base: `n` distinct slots
-        // below the bases' ends are a bijection per meta document.
-        let base: Vec<usize> = (lens.iter())
-            .scan(0, |end, &len| {
-                Some(std::mem::replace(end, *end + len as usize))
-            })
-            .collect();
-        let mut taken = BitSet::new(n);
-        for (v, (&meta, &local)) in self.meta_of.iter().zip(&self.local_of).enumerate() {
-            let len = lens[meta as usize];
-            if local >= len {
+        // No node is `NodeId::MAX`, so a slot still holding it is free.
+        let mut maps: Vec<Vec<NodeId>> = lens.iter().map(|&len| vec![NodeId::MAX; len]).collect();
+        for (v, (&meta, &local)) in (0..).zip(self.meta_of.iter().zip(&self.local_of)) {
+            let map = &mut maps[meta as usize];
+            let len = map.len();
+            let Some(slot) = map.get_mut(local as usize) else {
                 return Err(format!(
                     "node {v} is local {local} of meta document {meta}, which holds {len}"
                 ));
-            }
-            if !taken.insert(base[meta as usize] + local as usize) {
+            };
+            if *slot != NodeId::MAX {
                 return Err(format!(
                     "node {v} is local {local} of meta document {meta}, as is an earlier node"
                 ));
             }
+            *slot = v;
         }
         let links = &self.runtime_links;
         if let Some(at) = links.windows(2).position(|w| w[0] >= w[1]) {
@@ -155,68 +156,60 @@ impl Manifest {
         if let Some(link) = links.iter().find(past) {
             return Err(format!("runtime link {link:?} names a node past {n}"));
         }
-        Ok(lens)
+        Ok(maps)
     }
 }
 
-/// Reads the manifest of the framework saved under `name`, with the number
-/// of elements each meta document holds — what [`load_meta`] checks an
-/// image against.
+/// Reads the manifest of the framework saved under `name`, with each meta
+/// document's node map — what [`load_meta`] completes an image with.
 ///
 /// # Errors
 /// If there is none; as "stale or corrupt" if it is in another format than
 /// this build's, does not decode, or stores a catalogue a lookup would
-/// index out of bounds on or miss links in ([`Manifest::meta_lens`]).
-pub(crate) fn load_manifest(store: &BlobStore, name: &str) -> Result<(Manifest, Vec<u32>), String> {
+/// index out of bounds on or miss links in ([`Manifest::node_maps`]).
+pub(crate) fn load_manifest(
+    store: &BlobStore,
+    name: &str,
+) -> Result<(Manifest, Vec<Vec<NodeId>>), String> {
     let blob = store
         .get(&format!("{name}/manifest"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no framework named {name:?} in store"))?;
     let refused = |fault| stale(format_args!("the manifest of {name:?}"), fault);
     let manifest: Manifest = decode(&blob).map_err(refused)?;
-    let lens = manifest.meta_lens().map_err(refused)?;
-    Ok((manifest, lens))
+    let maps = manifest.node_maps().map_err(refused)?;
+    Ok((manifest, maps))
 }
 
 /// Reads and decodes the index of meta document `id` of the framework
-/// saved under `name`, which its manifest says holds `len` elements — the
-/// one decode site behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
+/// saved under `name`, and completes it with `nodes`, its node map as the
+/// manifest catalogues it ([`MetaDocument::complete`]) — the one decode
+/// site behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
 ///
 /// # Errors
 /// If the blob is missing; and, each as "stale or corrupt": if it does not
 /// begin with this build's [`FORMAT`] word — no store saved before the
-/// arrays were byte-prefixed does; if it does not decode; if it holds
-/// another number of elements than `len` — the catalogue's locals would
-/// index past its node map; if it holds a HOPI index in another layout
-/// than this build's or with row offsets that are not well-formed, or a
-/// PPO index whose arrays are not laid out for its lookups — a lookup would
-/// search rows in another order or slice out of bounds; or if it holds
-/// link anchors that a HOPI index has not flagged, that are out of range or
-/// that are not ascending — the evaluator would silently miss links.
+/// derived fields left the image does; if it does not decode; or if the
+/// decoded image cannot be completed into an index a lookup can trust: an
+/// index over another number of elements than `nodes`, a HOPI index in
+/// another layout than this build's or with row offsets that are not
+/// well-formed, a PPO index whose arrays are not laid out for its lookups
+/// or whose subtree sizes do not nest, link anchors that are out of range
+/// or not ascending — the evaluator would silently miss links — or HOPI
+/// label words stored with anchor flags.
 pub(crate) fn load_meta(
     store: &BlobStore,
     name: &str,
     id: usize,
-    len: u32,
+    nodes: Vec<NodeId>,
 ) -> Result<MetaDocument, String> {
     let blob = store
         .get(&format!("{name}/meta-{id}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
     let refused = |fault| stale(format_args!("meta document {id}"), fault);
-    let md: MetaDocument = decode(&blob).map_err(refused)?;
-    let (held, indexed) = (md.nodes.len(), md.indexed_nodes());
-    let miscounted = (held != len as usize)
-        .then(|| format!("it holds {held} elements, the manifest catalogues {len}"));
-    // A sound index over fewer elements than the node map would be indexed
-    // past its end by a query at the map's last locals.
-    let short =
-        || (indexed != held).then(|| format!("its index covers {indexed} elements, not {held}"));
-    match miscounted
-        .or_else(|| md.index.layout_fault())
-        .or_else(short)
-        .or_else(|| md.anchor_fault())
-    {
+    let mut md: MetaDocument = decode(&blob).map_err(refused)?;
+    match md.complete(nodes) {
         Some(fault) => Err(refused(fault)),
         None => Ok(md),
     }
@@ -251,7 +244,7 @@ pub fn load_flix(
     name: &str,
     graph: Arc<CollectionGraph>,
 ) -> Result<Flix, String> {
-    let (manifest, lens) = load_manifest(store, name)?;
+    let (manifest, maps) = load_manifest(store, name)?;
     if manifest.node_count != graph.node_count() {
         return Err(format!(
             "collection mismatch: framework built over {} nodes, graph has {}",
@@ -259,8 +252,8 @@ pub fn load_flix(
             graph.node_count()
         ));
     }
-    let metas = (lens.iter().enumerate())
-        .map(|(mi, &len)| load_meta(store, name, mi, len))
+    let metas = (maps.into_iter().enumerate())
+        .map(|(mi, nodes)| load_meta(store, name, mi, nodes))
         .collect::<Result<Vec<_>, _>>()?;
     // The report is a record of the build, not an index: no answer reads
     // it, so a store that lost the blob loads with a zeroed one. One that
@@ -313,29 +306,46 @@ pub(crate) mod mirror {
         stats: hopi::BuildStats,
     }
 
-    /// Edits of a HOPI image's anchor flags — the top two bits of a label
-    /// word, a link source's and a link target's — that leave them
-    /// disagreeing with the anchor lists: one extra source flag on a node
-    /// that is not a source, and one target flag moved to a node that is
-    /// not a target, so the target count stays. The image needs a target.
+    /// Edits of a HOPI image's label words that set an anchor flag — bit
+    /// 31, a link source's, or bit 30, a link target's — where an image
+    /// holds bare labels: the flags are its anchor lists.
     pub(crate) fn hopi_flag_damage() -> [fn(&mut Hopi); 2] {
-        const SOURCE: u32 = 1 << 31;
-        const TARGET: u32 = 1 << 30;
-        fn first(words: &[u32], flag: u32, on: bool) -> usize {
-            words.iter().position(|&w| (w & flag != 0) == on).unwrap()
-        }
         [
-            |hopi| {
-                let v = first(&hopi.node_labels, SOURCE, false);
-                hopi.node_labels[v] |= SOURCE;
-            },
-            |hopi| {
-                let words = &mut hopi.node_labels;
-                let (from, to) = (first(words, TARGET, true), first(words, TARGET, false));
-                words[from] &= !TARGET;
-                words[to] |= TARGET;
-            },
+            |hopi| hopi.node_labels[0] |= SOURCE,
+            |hopi| *hopi.node_labels.last_mut().unwrap() |= TARGET,
         ]
+    }
+
+    const SOURCE: u32 = 1 << 31;
+    const TARGET: u32 = 1 << 30;
+
+    /// `hopi`'s label words flagged with `md`'s anchors, as the builds that
+    /// stored the flags held them.
+    fn flagged(mut hopi: Hopi, md: &MetaDocument) -> Hopi {
+        for (flag, anchors) in [(SOURCE, &md.link_sources), (TARGET, &md.link_targets)] {
+            for &a in anchors {
+                hopi.node_labels[a as usize] |= flag;
+            }
+        }
+        hopi
+    }
+
+    /// Depth and parent per rank of the preorder forest whose subtree sizes
+    /// are `size`: a rank's parent is the nearest rank before it whose
+    /// subtree holds it, found by walking up from the rank before — what
+    /// the builds that stored them held.
+    fn forest(size: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let (mut depth, mut parent) = (vec![0; size.len()], vec![u32::MAX; size.len()]);
+        for r in 1..size.len() {
+            let mut p = r as u32 - 1;
+            while p != u32::MAX && p + size[p as usize] <= r as u32 {
+                p = parent[p as usize];
+            }
+            if p != u32::MAX {
+                (parent[r], depth[r]) = (p, depth[p as usize] + 1);
+            }
+        }
+        (depth, parent)
     }
 
     type Rows = Vec<Vec<(u32, u32)>>;
@@ -418,10 +428,12 @@ pub(crate) mod mirror {
         }
     }
 
-    /// This build's layout of every persisted structure as module `$name`,
-    /// each array read as this build writes it and written by the `with`
-    /// module `$writer`: decoding an image into such a mirror and encoding
-    /// the mirror again is that image in an older build's array encoding.
+    /// The "FLT3" layout of every persisted structure — a meta document
+    /// with its node map, a PPO index with its depths and parents — as
+    /// module `$name`, each array read as this build writes it and written
+    /// by the `with` module `$writer`: decoding an "FLT3" image
+    /// ([`flt3_image`]) into such a mirror and encoding the mirror again is
+    /// that image in an older build's array encoding.
     macro_rules! twin_layout {
         ($name:ident, $writer:ident) => {
             pub(crate) mod $name {
@@ -564,19 +576,27 @@ pub(crate) mod mirror {
         image(&manifest).unwrap()
     }
 
-    /// The stored `blob` — a [`CountedMeta`] or a [`CountedManifest`] — in
-    /// the encoding of the builds before arrays were byte strings: every
-    /// array behind an element count, and no format word.
+    /// `blob` — an "FLT3" image ([`flt3_image`]) read as a [`CountedMeta`],
+    /// or this build's manifest, read as a [`CountedManifest`] — in the
+    /// encoding of the builds before arrays were byte strings: every array
+    /// behind an element count, and no format word.
     pub(crate) fn count_prefixed<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
-        pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap()
+        pagestore::to_bytes(&body::<M>(blob)).unwrap()
     }
 
-    /// The stored `blob` — an [`Flt2Meta`], an [`Flt2Manifest`] or a
-    /// [`BuildReport`] — as the "FLT2" build saved it: that word, then every
-    /// array at four bytes an element.
+    /// `blob` — an "FLT3" image read as an [`Flt2Meta`], or this build's
+    /// manifest or [`BuildReport`] read as an [`Flt2Manifest`] or itself —
+    /// as the "FLT2" build saved it: that word, then every array at four
+    /// bytes an element.
     pub(crate) fn flt2<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
-        let old = pagestore::to_bytes(&decode::<M>(blob).unwrap()).unwrap();
+        let old = pagestore::to_bytes(&body::<M>(blob)).unwrap();
         [b"FLT2".to_vec(), old].concat()
+    }
+
+    /// The codec bytes behind `blob`'s format word, whichever it is, read
+    /// as `M`.
+    fn body<M: DeserializeOwned>(blob: &[u8]) -> M {
+        pagestore::from_bytes(&blob[4..]).unwrap()
     }
 
     /// `HopiIndex` as builds before the flat label tables persisted it:
@@ -591,7 +611,7 @@ pub(crate) mod mirror {
         stats: hopi::BuildStats,
     }
 
-    /// A meta document's node map as its image holds it.
+    /// A meta document's node map as an "FLT3" image holds it.
     #[derive(Serialize)]
     struct NodeMap {
         #[serde(with = "graphcore::flat")]
@@ -599,10 +619,10 @@ pub(crate) mod mirror {
     }
 
     /// The stored image of `md` with its index's bytes replaced by
-    /// `reencode`'s: a meta document's image is the format word, its node
-    /// map, the `u32` variant of its index, the index, and the anchor
-    /// lists, end to end. Everything around the index stays as this build
-    /// writes it, so what refuses the result is a check on the index.
+    /// `reencode`'s: a meta document's image is the format word, the `u32`
+    /// variant of its index, the index, and the anchor lists, end to end.
+    /// Everything around the index stays as this build writes it, so what
+    /// refuses the result is a check on the index.
     fn respliced<M: DeserializeOwned>(
         md: &MetaDocument,
         reencode: impl FnOnce(M) -> Vec<u8>,
@@ -614,11 +634,7 @@ pub(crate) mod mirror {
         }
         .unwrap();
         let whole = image(md).unwrap();
-        let nodes = NodeMap {
-            nodes: md.nodes.clone(),
-        };
-        let start = 4 + pagestore::to_bytes(&nodes).unwrap().len() + 4;
-        let end = start + inner.len();
+        let (start, end) = (4 + 4, 4 + 4 + inner.len());
         assert!(
             whole[start..end] == inner,
             "the index is not where expected"
@@ -627,16 +643,12 @@ pub(crate) mod mirror {
         [&whole[..start], &index, &whole[end..]].concat()
     }
 
-    /// A `PpoIndex` image: the three per-rank arrays and the label table,
-    /// then the removed edges.
+    /// A `PpoIndex` image: the subtree sizes and the label table, then the
+    /// removed edges.
     #[derive(Serialize, Deserialize)]
     pub(crate) struct Ppo {
         #[serde(with = "graphcore::flat")]
         pub(crate) size: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
-        pub(crate) depth: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
-        pub(crate) parent: Vec<u32>,
         #[serde(with = "graphcore::flat")]
         pub(crate) label_keys: Vec<u32>,
         #[serde(with = "graphcore::flat")]
@@ -645,6 +657,56 @@ pub(crate) mod mirror {
         pub(crate) label_ranks: Vec<u32>,
         #[serde(with = "graphcore::flat")]
         pub(crate) removed: Vec<(u32, u32)>,
+    }
+
+    /// A `PpoIndex` as "FLT3" stored it: the depths and parents behind the
+    /// subtree sizes.
+    #[derive(Serialize)]
+    struct Flt3Ppo {
+        #[serde(with = "graphcore::flat")]
+        size: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        depth: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        parent: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_keys: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_offsets: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        label_ranks: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        removed: Vec<(u32, u32)>,
+    }
+
+    /// The image of `md` as the "FLT3" build saved it: that word, the node
+    /// map, then the index — a PPO one with its depths and parents, a HOPI
+    /// one with its anchor flags in its label words — and the anchor lists.
+    pub(crate) fn flt3_image(md: &MetaDocument) -> Vec<u8> {
+        let new = match &md.index {
+            MetaIndex::Hopi(_) => respliced(md, |hopi: Hopi| {
+                pagestore::to_bytes(&flagged(hopi, md)).unwrap()
+            }),
+            MetaIndex::Ppo(_) => respliced(md, |ppo: Ppo| {
+                let (depth, parent) = forest(&ppo.size);
+                let old = Flt3Ppo {
+                    size: ppo.size,
+                    depth,
+                    parent,
+                    label_keys: ppo.label_keys,
+                    label_offsets: ppo.label_offsets,
+                    label_ranks: ppo.label_ranks,
+                    removed: ppo.removed,
+                };
+                pagestore::to_bytes(&old).unwrap()
+            }),
+            MetaIndex::Apex(_) => image(md).unwrap(),
+        };
+        let nodes = NodeMap {
+            nodes: md.nodes.clone(),
+        };
+        let nodes = pagestore::to_bytes(&nodes).unwrap();
+        [b"FLT3", &nodes[..], &new[4..]].concat()
     }
 
     /// The image of `md` after `damage` edited its index, read as `M`: the
@@ -662,11 +724,26 @@ pub(crate) mod mirror {
     /// An edit of a stored PPO index, and what its refusal names.
     pub(crate) type PpoDamage = (fn(&mut Ppo), &'static str);
 
-    /// Edits of a PPO image that would send a lookup out of bounds or a
-    /// parent walk round forever.
+    /// Edits of a PPO image that would send a lookup out of bounds or leave
+    /// its depths and parents underivable.
     pub(crate) fn ppo_damage() -> [PpoDamage; 7] {
         [
-            (|p| p.depth.truncate(p.size.len() - 1), "depths"),
+            (
+                |p| {
+                    // A rank whose parent's subtree ends before the index
+                    // does, grown one past that end.
+                    let (n, (_, parent)) = (p.size.len() as u32, forest(&p.size));
+                    let end = |r: u32| r + p.size[r as usize];
+                    let (r, up) = (0..n)
+                        .find_map(|r| {
+                            let q = parent[r as usize];
+                            (q != u32::MAX && end(q) < n).then(|| (r, end(q)))
+                        })
+                        .unwrap();
+                    p.size[r as usize] = up + 1 - r;
+                },
+                "does not nest in its parent",
+            ),
             (
                 |p| {
                     let off = &mut p.label_offsets;
@@ -681,13 +758,7 @@ pub(crate) mod mirror {
                 "label lists: entry 0 names node",
             ),
             (|p| *p.size.last_mut().unwrap() = 2, "ends past"),
-            (
-                |p| {
-                    let r = p.parent.iter().rposition(|&q| q != u32::MAX).unwrap();
-                    p.parent[r] = r as u32;
-                },
-                "parent is rank",
-            ),
+            (|p| *p.size.last_mut().unwrap() = 0, "subtree is empty"),
             (
                 |p| p.removed.push((0, p.size.len() as u32)),
                 "names a rank past",
@@ -798,6 +869,7 @@ pub(crate) mod mirror {
             panic!("not a PPO meta document");
         };
         let ppo: Ppo = pagestore::from_bytes(&pagestore::to_bytes(index).unwrap()).unwrap();
+        let (depth, parent) = forest(&ppo.size);
         let mut nodes = md.nodes.clone();
         nodes.sort_unstable();
         // The local each rank had when locals ascended with the elements.
@@ -815,12 +887,12 @@ pub(crate) mod mirror {
             by_label: BTreeMap::new(),
         };
         for (r, &u) in (0..).zip(&old) {
-            let (u, size, depth) = (u as usize, ppo.size[r as usize], ppo.depth[r as usize]);
+            let (u, size, depth) = (u as usize, ppo.size[r as usize], depth[r as usize]);
             forest.pre[u] = r;
             forest.post[u] = r + size - 1 - depth;
             forest.depth[u] = depth;
             forest.size[u] = size;
-            if let Some(&p) = old.get(ppo.parent[r as usize] as usize) {
+            if let Some(&p) = old.get(parent[r as usize] as usize) {
                 forest.parent[u] = p;
             }
         }
@@ -913,15 +985,14 @@ pub(crate) mod mirror {
     /// The image of HOPI-backed `md` as a build whose inverted rows were
     /// not ordered by distance persisted it: layout word "ROW3", the same
     /// arrays, each `in_index` row ascending by (not a link source, label,
-    /// id) — a permutation of every row, so the image is as long as this
-    /// build's.
+    /// id) — a permutation of every row behind this build's bare labels,
+    /// so the image is as long as this build's.
     pub(crate) fn row3_image(md: &MetaDocument) -> Vec<u8> {
         respliced(md, |mut hopi: Hopi| {
-            const SOURCE: u32 = 1 << 31;
-            let word = |v: u32| hopi.node_labels[v as usize];
+            let labels = &hopi.node_labels;
             let row_key = |v: u32| {
-                let (not_source, label) = (word(v) & SOURCE == 0, word(v) & ((1 << 30) - 1));
-                u64::from(not_source) << 62 | u64::from(label) << 32 | u64::from(v)
+                let not_source = md.link_sources.binary_search(&v).is_err();
+                u64::from(not_source) << 62 | u64::from(labels[v as usize]) << 32 | u64::from(v)
             };
             let mut rows = hopi.in_index.rows();
             for row in &mut rows {
@@ -953,7 +1024,7 @@ pub(crate) mod mirror {
     /// persisted it.
     pub(crate) fn four_table_image(md: &MetaDocument) -> Vec<u8> {
         respliced(md, |hopi: Hopi| {
-            const TARGET: u32 = 1 << 30;
+            let hopi = flagged(hopi, md);
             let word = |v: u32| hopi.node_labels[v as usize];
             let row_key = |v: u32| {
                 let (not_target, label) = (word(v) & TARGET == 0, word(v) & (TARGET - 1));
@@ -1075,9 +1146,10 @@ mod tests {
             let flix = Flix::build(cg.clone(), config);
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
-            let mut swap = |blob: &str, twin: fn(&[u8]) -> Vec<u8>| {
+            let manifest = st.get("fw/manifest").unwrap().unwrap();
+            let mut swap = |blob: &str, old: Vec<u8>| {
                 let new = st.get(blob).unwrap().unwrap();
-                st.put(blob, &twin(&new)).unwrap();
+                st.put(blob, &old).unwrap();
                 let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
                 st.put(blob, &new).unwrap();
                 assert!(
@@ -1087,19 +1159,16 @@ mod tests {
                 err
             };
             for victim in 0..flix.meta_count() {
-                let err = swap(
-                    &format!("fw/meta-{victim}"),
-                    mirror::count_prefixed::<mirror::CountedMeta>,
-                );
+                let flt3 = mirror::flt3_image(flix.meta(victim as u32));
+                let old = mirror::count_prefixed::<mirror::CountedMeta>(&flt3);
+                let err = swap(&format!("fw/meta-{victim}"), old);
                 assert!(
                     err.starts_with(&format!("meta document {victim} is")),
                     "{err}"
                 );
             }
-            let err = swap(
-                "fw/manifest",
-                mirror::count_prefixed::<mirror::CountedManifest>,
-            );
+            let old = mirror::count_prefixed::<mirror::CountedManifest>(&manifest);
+            let err = swap("fw/manifest", old);
             assert!(err.starts_with("the manifest of \"fw\" is"), "{err}");
             load_flix(&st, "fw", cg.clone()).unwrap();
         }
@@ -1134,9 +1203,11 @@ mod tests {
             for mi in 0..flix.meta_count() {
                 let blob = format!("fw/meta-{mi}");
                 let new = st.get(&blob).unwrap().unwrap();
-                let twin = flt2::<Flt2Meta>(&new);
-                assert_eq!(twin.len(), count_prefixed::<CountedMeta>(&new).len() + 4);
-                assert!(twin.len() > new.len(), "{config}: meta {mi}");
+                let flt3 = mirror::flt3_image(flix.meta(mi as u32));
+                let twin = flt2::<Flt2Meta>(&flt3);
+                assert_eq!(twin.len(), count_prefixed::<CountedMeta>(&flt3).len() + 4);
+                assert!(twin.len() > flt3.len(), "{config}: meta {mi}");
+                assert!(flt3.len() >= new.len(), "{config}: meta {mi}");
                 old.put(&blob, &twin).unwrap();
             }
             let report = st.get("fw/report").unwrap().unwrap();
@@ -1155,9 +1226,9 @@ mod tests {
             let mut old = store();
             save_flix(&flix, &mut old, "fw").unwrap();
             for mi in 0..flix.meta_count() {
-                let blob = format!("fw/meta-{mi}");
-                let new = st.get(&blob).unwrap().unwrap();
-                old.put(&blob, &flt2::<Flt2Meta>(&new)).unwrap();
+                let flt3 = mirror::flt3_image(flix.meta(mi as u32));
+                old.put(&format!("fw/meta-{mi}"), &flt2::<Flt2Meta>(&flt3))
+                    .unwrap();
             }
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
             let named = "meta document 0 is stale or corrupt (image format";
@@ -1305,7 +1376,7 @@ mod tests {
             let labels: std::collections::BTreeSet<_> =
                 md.nodes.iter().map(|&v| cg.tag_of(v)).collect();
             let grown = 16 * md.len() + 4 * labels.len() + 4;
-            let flt2 = mirror::flt2::<mirror::Flt2Meta>(&new);
+            let flt2 = mirror::flt2::<mirror::Flt2Meta>(&mirror::flt3_image(md));
             assert_eq!(old.len(), flt2.len() + grown, "meta {victim}");
             st.put(&blob, &old).unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
@@ -1336,10 +1407,12 @@ mod tests {
         }
     }
 
-    /// A meta document whose index is one element short of its node map —
-    /// here another meta document's index, with its anchors, so the index
-    /// and the anchors are sound on their own — is refused on load, by
-    /// name: a query at its last local would index past the index.
+    /// A meta document whose index is one element short of the node map
+    /// the manifest catalogues for it — here another meta document's index,
+    /// with its anchors, so the index and the anchors are sound on their
+    /// own; the node map planted beside it is not in the image — is refused
+    /// on load, by name: a query at its last local would index past the
+    /// index.
     #[test]
     fn indexes_shorter_than_their_node_map_are_rejected_on_load() {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
@@ -1533,9 +1606,9 @@ mod tests {
         }
     }
 
-    /// A HOPI image whose anchor flags disagree with its anchor lists —
-    /// a lookup would stop at nodes no link leaves, or pass ones one does —
-    /// is refused on load, by name.
+    /// A HOPI image whose label words carry anchor flags — which an image
+    /// leaves to its anchor lists: flags set beside them would stop a
+    /// lookup at nodes no link leaves — is refused on load, by name.
     #[test]
     fn hopi_flags_that_are_not_the_anchor_lists_are_rejected_on_load() {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
@@ -1588,15 +1661,15 @@ mod tests {
             local_of: nodes.map(|u| flix.local_of(u)).collect(),
             runtime_links: flix.runtime_links().to_vec(),
         };
-        let bytes = [b"FLT3".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
+        let bytes = [b"FLT4".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
         assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
         st.put("twin/manifest", &bytes).unwrap();
-        let (manifest, lens) = load_manifest(&st, "twin").unwrap();
+        let (manifest, maps) = load_manifest(&st, "twin").unwrap();
         assert_eq!(manifest.meta_count, flix.meta_count());
-        let held = (0..flix.meta_count() as u32).map(|m| flix.meta(m).len() as u32);
-        assert_eq!(lens, held.collect::<Vec<_>>());
+        let held = (0..flix.meta_count() as u32).map(|m| flix.meta(m).nodes.clone());
+        assert_eq!(maps, held.collect::<Vec<_>>());
         assert_eq!(manifest.into_catalogue(), *flix.catalogue());
     }
 
@@ -1665,7 +1738,7 @@ mod tests {
         save_flix(&flix, &mut st, "fw").unwrap();
         st.put("fw/meta-0", &image(b).unwrap()).unwrap();
         let fault = format!(
-            "meta document 0 is stale or corrupt (it holds {} elements, the manifest catalogues {})",
+            "meta document 0 is stale or corrupt (its index covers {} elements, the manifest catalogues {})",
             b.len(),
             a.len()
         );
@@ -1674,6 +1747,158 @@ mod tests {
         let dflix = crate::DiskFlix::open(st, "fw", 4).unwrap();
         let err = dflix.find_descendants(a.nodes[0], 0, &QueryOptions::default());
         assert!(err.unwrap_err().starts_with(&fault));
+    }
+
+    /// 64-bit FNV-1a of `bytes`.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// A store saved under "FLT3" holds every meta document with its node
+    /// map, PPO's depths and parents and HOPI's anchor flags. The mirror's
+    /// "FLT3" images are that build's bytes — folded as
+    /// `tests/image_digests.rs` folds a store, they give the digests it
+    /// pinned for "FLT3" — and the word refuses each blob, by name, in
+    /// `load_flix` and at the `DiskFlix` miss that reads it.
+    #[test]
+    fn flt3_images_are_rejected_on_load() {
+        use crate::config::StrategyKind;
+        use crate::pee::MetaSpace;
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let pinned = [
+            (FlixConfig::Naive, 0x52b7_24b0_5d1f_9e91),
+            (FlixConfig::MaximalPpo, 0xaa34_1272_00de_d424),
+            (
+                FlixConfig::UnconnectedHopi {
+                    partition_size: 5000,
+                },
+                0x09db_3b98_759f_115b,
+            ),
+            (
+                FlixConfig::Hybrid {
+                    partition_size: 5000,
+                },
+                0x7e0d_e58b_3786_c37f,
+            ),
+            (
+                FlixConfig::Monolithic(StrategyKind::Ppo),
+                0x512c_32e5_5e7c_1265,
+            ),
+            (
+                FlixConfig::Monolithic(StrategyKind::Hopi),
+                0x5ff3_3daf_f59c_0b84,
+            ),
+            (
+                FlixConfig::Monolithic(StrategyKind::Apex),
+                0xffbd_d407_7a6a_bd02,
+            ),
+        ];
+        for (config, flt3_digest) in pinned {
+            let flix = Flix::build(cg.clone(), config);
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let manifest = st.get("fw/manifest").unwrap().unwrap();
+            let mut old = store();
+            old.put("fw/manifest", &[b"FLT3", &manifest[4..]].concat())
+                .unwrap();
+            for mi in 0..flix.meta_count() as u32 {
+                let blob = format!("fw/meta-{mi}");
+                old.put(&blob, &mirror::flt3_image(flix.meta(mi))).unwrap();
+            }
+            let digest = old.names().iter().fold(0u64, |acc, name| {
+                acc.rotate_left(5) ^ fnv1a64(&old.get(name).unwrap().unwrap())
+            });
+            assert_eq!(digest, flt3_digest, "{config}: {digest:016x}");
+
+            let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
+            let named = "the manifest of \"fw\" is stale or corrupt (image format 0x33544c46";
+            assert!(err.starts_with(named), "{config}: {err}");
+            old.put("fw/manifest", &manifest).unwrap();
+            let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
+            let named = "meta document 0 is stale or corrupt (image format 0x33544c46";
+            assert!(err.starts_with(named), "{config}: {err}");
+            let dflix = crate::DiskFlix::open(old, "fw", 4).unwrap();
+            for mi in 0..flix.meta_count() as u32 {
+                let Err(err) = dflix.meta(mi) else {
+                    panic!("{config}: meta document {mi} loaded from an FLT3 image");
+                };
+                let named = format!("meta document {mi} is stale or corrupt (image format");
+                assert!(err.starts_with(&named), "{config}: {err}");
+            }
+        }
+    }
+
+    /// The round-trip oracle of the fields an image leaves out: every meta
+    /// document that `load_flix` or a `DiskFlix` miss reads back equals the
+    /// built one field by field — node map, anchor lists, and the index
+    /// whole, HOPI's label words with their flags and PPO's depths and
+    /// parents included — and both answer as the built framework does;
+    /// every configuration, two corpora.
+    #[test]
+    fn every_meta_document_loads_as_it_was_built() {
+        use crate::config::StrategyKind;
+        use crate::meta::MetaIndex;
+        use crate::pee::{MetaSpace, Query, QueryCtx};
+        for seed in [33, 7] {
+            let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(seed)).seal());
+            let queries = workloads::descendant_queries(&cg, 6, 44);
+            for config in [
+                FlixConfig::Naive,
+                FlixConfig::MaximalPpo,
+                FlixConfig::UnconnectedHopi {
+                    partition_size: 5000,
+                },
+                FlixConfig::Hybrid {
+                    partition_size: 5000,
+                },
+                FlixConfig::Hybrid { partition_size: 40 },
+                FlixConfig::Monolithic(StrategyKind::Ppo),
+                FlixConfig::Monolithic(StrategyKind::Hopi),
+                FlixConfig::Monolithic(StrategyKind::Apex),
+            ] {
+                let flix = Flix::build(cg.clone(), config);
+                let mut st = store();
+                save_flix(&flix, &mut st, "fw").unwrap();
+                let loaded = load_flix(&st, "fw", cg.clone()).unwrap();
+                let dflix = crate::DiskFlix::open(st, "fw", 2).unwrap();
+                for mi in 0..flix.meta_count() as u32 {
+                    let built = flix.meta(mi);
+                    let from_disk = dflix.meta(mi).unwrap();
+                    for md in [loaded.meta(mi), &from_disk] {
+                        let case = format!("seed {seed}, {config}, meta document {mi}");
+                        assert_eq!(md.nodes, built.nodes, "{case}");
+                        assert_eq!(md.link_sources, built.link_sources, "{case}");
+                        assert_eq!(md.link_targets, built.link_targets, "{case}");
+                        let same = match (&md.index, &built.index) {
+                            (MetaIndex::Ppo(a), MetaIndex::Ppo(b)) => a == b,
+                            (MetaIndex::Hopi(a), MetaIndex::Hopi(b)) => a == b,
+                            (MetaIndex::Apex(a), MetaIndex::Apex(b)) => {
+                                pagestore::to_bytes(&**a).unwrap()
+                                    == pagestore::to_bytes(&**b).unwrap()
+                            }
+                            _ => false,
+                        };
+                        assert!(same, "{case}: the index differs");
+                    }
+                }
+                for q in &queries {
+                    for axis in [crate::Axis::Descendants, crate::Axis::Ancestors] {
+                        let query = Query {
+                            axis,
+                            ..Query::descendants(q.start, q.target_tag, QueryOptions::default())
+                        };
+                        let want = flix.evaluate(&query, &mut QueryCtx::default());
+                        let got = loaded.evaluate(&query, &mut QueryCtx::default());
+                        let disk = dflix.evaluate(&query, &mut QueryCtx::default()).unwrap();
+                        assert_eq!(got.results, want.results, "seed {seed}, {config}");
+                        assert_eq!(disk.results, want.results, "seed {seed}, {config}");
+                        assert_eq!((got.stats, disk.stats), (want.stats, want.stats));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,11 +61,28 @@ fn inverted_in_row_order(table: &Table, words: &[u32], flag: u32) -> Table {
 /// A `node_labels` word is the node's label in its low 30 bits and the two
 /// anchor flags above them: the node is a link source (the descendants
 /// direction stops there to leave the index), a link target (the ancestors
-/// direction does). A row lookup reads label and flag in one load, and the
-/// persisted image carries them in bytes it already had.
+/// direction does). A row lookup reads label and flag in one load. The
+/// flags are the anchor lists, which whoever declares them keeps: an image
+/// holds the bare labels ([`bare`]), and a load sets the flags again from
+/// the lists ([`HopiIndex::flag_anchors`]).
 const SOURCE: u32 = 1 << 31;
 const TARGET: u32 = 1 << 30;
 const LABEL: u32 = TARGET - 1;
+
+/// The `with` module of `node_labels`: each word is written without its
+/// anchor flags, so the array packs to the bits of the largest label, and
+/// read back as written.
+mod bare {
+    pub(super) use graphcore::flat::deserialize;
+
+    pub(super) fn serialize<S: serde::Serializer>(
+        words: &[u32],
+        serializer: S,
+    ) -> Result<S::Ok, S::Error> {
+        let labels: Vec<u32> = words.iter().map(|word| word & super::LABEL).collect();
+        graphcore::flat::serialize(&labels, serializer)
+    }
+}
 
 /// The layout word of an image that holds the descendants pair alone, each
 /// inverted row its anchors by `(distance, id)`, then the rest by `(label,
@@ -113,8 +130,9 @@ pub struct HopiIndex {
     /// ascending by [`row_key`]: (v is not a link source, label(v) unless
     /// it is one, d(w,v), v).
     in_index: Table,
-    /// Per node, its label and anchor flags (see [`SOURCE`]).
-    #[serde(with = "graphcore::flat")]
+    /// Per node, its label and anchor flags (see [`SOURCE`]); an image
+    /// holds the labels alone.
+    #[serde(with = "bare")]
     node_labels: Vec<u32>,
     stats: BuildStats,
     /// `L_in`: row `v` = (center, d(center, v)), sorted by center id.
@@ -233,12 +251,41 @@ impl HopiIndex {
         down || up
     }
 
+    /// Flags `sources` and `targets` — the anchors declared when the image
+    /// this index was decoded from was saved — on the bare labels an image
+    /// holds, or says why not: a stored word already carries a flag, or an
+    /// anchor is not a node of the index. The rows were put in the order of
+    /// these anchors when they were declared, so none is re-sorted: O(nodes
+    /// + anchors), where [`Self::set_anchors`] may re-sort every row.
+    pub fn flag_anchors(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Option<String> {
+        let n = self.node_count();
+        let words = &mut self.node_labels;
+        let flagged = |word: &u32| word & !LABEL != 0;
+        // Branch-free, so it vectorises; the search only names the word.
+        if flagged(&words.iter().fold(0, |any, word| any | word)) {
+            if let Some(v) = words.iter().position(flagged) {
+                let word = words[v];
+                return Some(format!(
+                    "node {v}'s stored label word {word:#010x} carries anchor flags"
+                ));
+            }
+        }
+        for (flag, anchors) in [(SOURCE, sources), (TARGET, targets)] {
+            for &a in anchors {
+                let Some(word) = words.get_mut(a as usize) else {
+                    return Some(format!("anchor {a} names no node of {n}"));
+                };
+                *word |= flag;
+            }
+        }
+        None
+    }
+
     /// Whether the declared anchors are exactly `sources` and `targets`:
     /// each list ascends strictly, as the declared ones do, every listed
     /// node carries its flag, and each flag is on as many nodes as its list
     /// is long — one pass over the label words that builds nothing, which
-    /// is how a load checks a decoded image's flags against its anchor
-    /// lists.
+    /// is how an audit checks the flags against the anchor lists.
     pub fn anchors_are(&self, sources: &[NodeId], targets: &[NodeId]) -> bool {
         let words = &self.node_labels;
         // Branch-free, so it vectorises.
@@ -1011,6 +1058,28 @@ mod tests {
         check_table(&[vec![(1, 2), (1, 0)], vec![], vec![(1, 1), (0, 4), (1, 1)]]);
     }
 
+    /// An image holds each node's label without its flags, and flagging it
+    /// with the anchors declared when it was saved gives the index back;
+    /// a stored word with a flag, or an anchor past the index, is refused.
+    #[test]
+    fn an_image_holds_bare_labels_and_a_load_flags_them() {
+        let g = Digraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+        let mut idx = HopiIndex::build(&g, &[3, 2, 1, 0]).0;
+        idx.set_anchors(&[1, 3], &[0, 3]);
+        let image = pagestore::to_bytes(&idx).unwrap();
+        let mut back: HopiIndex = pagestore::from_bytes(&image).unwrap();
+        assert_eq!(back.node_labels, [3, 2, 1, 0]);
+        assert_eq!(pagestore::to_bytes(&back).unwrap(), image);
+        let mut flagged = back.clone();
+        flagged.node_labels[2] |= TARGET;
+        let fault = "node 2's stored label word 0x40000001 carries anchor flags";
+        assert_eq!(flagged.flag_anchors(&[], &[]).unwrap(), fault);
+        let past = back.clone().flag_anchors(&[1], &[4]);
+        assert_eq!(past.unwrap(), "anchor 4 names no node of 4");
+        assert_eq!(back.flag_anchors(&[1, 3], &[0, 3]), None);
+        assert_eq!(back, idx);
+    }
+
     #[test]
     #[should_panic(expected = "2^30")]
     fn a_label_that_reaches_the_flag_bits_panics_at_build() {
@@ -1096,9 +1165,15 @@ mod tests {
         [idx.l_in(), &idx.l_out, &idx.in_index, idx.out_index()]
     }
 
-    /// `idx` through its persisted image: what a store hands back.
+    /// `idx` through its persisted image, flagged with its anchors as a
+    /// load flags it with the lists saved beside it: what a store hands
+    /// back.
     fn decoded(idx: &HopiIndex) -> HopiIndex {
-        pagestore::from_bytes(&pagestore::to_bytes(idx).unwrap()).unwrap()
+        let mut back: HopiIndex =
+            pagestore::from_bytes(&pagestore::to_bytes(idx).unwrap()).unwrap();
+        let (sources, targets) = idx.anchors();
+        assert_eq!(back.flag_anchors(&sources, &targets), None);
+        back
     }
 
     proptest! {

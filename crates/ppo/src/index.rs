@@ -18,16 +18,21 @@ use std::collections::BTreeSet;
 /// ([`Self::removed_edges`]): the index answers reachability through the
 /// forest alone, and the caller (FliX's path-expression evaluator) chases
 /// those edges with its priority queue.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// An image holds the subtree sizes, the label table and the removed
+/// edges. Depth and parent are a function of the sizes — in preorder a
+/// rank's parent is the nearest earlier rank whose subtree holds it — so
+/// an image leaves them out and [`Self::derive_forest`] rebuilds them.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PpoIndex {
     /// Subtree size per rank (the node included).
     #[serde(with = "graphcore::flat")]
     size: Vec<u32>,
-    /// Depth per rank (roots have depth 0).
-    #[serde(with = "graphcore::flat")]
+    /// Depth per rank (roots have depth 0); not in the image.
+    #[serde(skip)]
     depth: Vec<u32>,
-    /// The parent's rank per rank (`u32::MAX` for roots).
-    #[serde(with = "graphcore::flat")]
+    /// The parent's rank per rank (`u32::MAX` for roots); not in the image.
+    #[serde(skip)]
     parent: Vec<NodeId>,
     /// The labels some node carries, ascending.
     #[serde(with = "graphcore::flat")]
@@ -221,24 +226,27 @@ impl PpoIndex {
         (6 * 4 + 8) * self.node_count() + self.removed.len() * 8
     }
 
+    /// Rebuilds depth and parent from the subtree sizes, which is how a
+    /// decoded image, which holds neither, becomes an index a lookup can
+    /// read; or says why the sizes are no preorder forest: a subtree that
+    /// holds not even its root, ends past the index or does not nest inside
+    /// its parent's. Until it succeeds, no lookup may run.
+    pub fn derive_forest(&mut self) -> Option<String> {
+        let derived = forest(&self.size).map(|forest| (self.depth, self.parent) = forest);
+        derived.err()
+    }
+
     /// The first way the stored arrays are laid out so that a lookup would
-    /// index or slice out of bounds, or walk a parent chain without end, if
-    /// they are: the per-rank arrays and the labelled ranks all `n` long,
-    /// the label lists one row of ranks below `n` per key ([`Rows::fault`])
-    /// behind strictly ascending keys, every removed-edge end below `n`,
-    /// every subtree inside the index (`r + size[r] ≤ n`) and every parent
-    /// before its child. One pass over each array.
+    /// index or slice out of bounds, if they are: the labelled ranks `n`
+    /// long, the label lists one row of ranks below `n` per key
+    /// ([`Rows::fault`]) behind strictly ascending keys, and every
+    /// removed-edge end below `n`. One pass over each array; the sizes are
+    /// [`Self::derive_forest`]'s to check.
     pub fn layout_fault(&self) -> Option<String> {
         let n = self.node_count();
-        let (depths, parents, ranks) = (
-            self.depth.len(),
-            self.parent.len(),
-            self.labels.entries().len(),
-        );
-        if depths != n || parents != n || ranks != n {
-            return Some(format!(
-                "{n} subtree sizes, {depths} depths, {parents} parents, {ranks} labelled ranks"
-            ));
+        let ranks = self.labels.entries().len();
+        if ranks != n {
+            return Some(format!("{n} subtree sizes, {ranks} labelled ranks"));
         }
         let keys = &self.label_keys;
         if let Some(fault) = self.labels.fault(keys.len(), n) {
@@ -251,25 +259,51 @@ impl PpoIndex {
             ));
         }
         let past = |r: NodeId| r as usize >= n;
-        if let Some((u, v)) = self.removed.iter().find(|&&(u, v)| past(u) || past(v)) {
-            return Some(format!("removed edge ({u}, {v}) names a rank past {n}"));
-        }
-        let mut ranked = (0u32..).zip(self.size.iter().zip(&self.parent));
-        ranked.find_map(|(r, (&size, &p))| {
-            if u64::from(r) + u64::from(size) > n as u64 {
-                Some(format!("rank {r}'s subtree of {size} ends past {n}"))
-            } else {
-                (p >= r && p != NodeId::MAX).then(|| format!("rank {r}'s parent is rank {p}"))
-            }
-        })
+        let (u, v) = *self.removed.iter().find(|&&(u, v)| past(u) || past(v))?;
+        Some(format!("removed edge ({u}, {v}) names a rank past {n}"))
     }
+}
+
+/// Depth and parent per rank of the preorder forest whose subtree sizes are
+/// `size`, or the first rank whose subtree holds not even itself, ends past
+/// the forest or ends past its parent's: one pass, keeping the subtrees
+/// still open at each rank on a stack.
+fn forest(size: &[u32]) -> Result<(Vec<u32>, Vec<NodeId>), String> {
+    let n = size.len() as u64;
+    let (mut depth, mut parent) = (
+        Vec::with_capacity(size.len()),
+        Vec::with_capacity(size.len()),
+    );
+    // The open subtrees around rank `r`, outermost first, as (rank, end).
+    let mut open: Vec<(NodeId, u64)> = Vec::new();
+    for (r, &s) in (0..).zip(size) {
+        while open.last().is_some_and(|&(_, end)| end <= u64::from(r)) {
+            open.pop();
+        }
+        if s == 0 {
+            return Err(format!("rank {r}'s subtree is empty"));
+        }
+        let end = u64::from(r) + u64::from(s);
+        if end > n {
+            return Err(format!("rank {r}'s subtree of {s} ends past {n}"));
+        }
+        if let Some(&(p, up)) = open.last().filter(|&&(_, up)| end > up) {
+            return Err(format!(
+                "rank {r}'s subtree of {s} does not nest in its parent {p}'s, which ends at {up}"
+            ));
+        }
+        depth.push(open.len() as u32);
+        parent.push(open.last().map_or(NodeId::MAX, |&(p, _)| p));
+        open.push((r, end));
+    }
+    Ok((depth, parent))
 }
 
 impl flixcheck::IntegrityCheck for PpoIndex {
     /// Audits the interval structure in rank form: the layout must be sound
-    /// ([`PpoIndex::layout_fault`]), parent intervals must nest child
-    /// intervals, depths must increase by one along parent edges, subtree
-    /// sizes must satisfy the size recurrence, the label lists must cover
+    /// ([`PpoIndex::layout_fault`]), the subtree sizes a preorder forest
+    /// whose depths and parents are the ones held — which is what an image
+    /// loads ([`PpoIndex::derive_forest`]) — the label lists must cover
     /// every rank exactly once, each ascending, and the removed edges must
     /// be sorted and none of them a forest edge.
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
@@ -283,54 +317,13 @@ impl flixcheck::IntegrityCheck for PpoIndex {
         }
         let n = self.node_count();
 
-        let mut first = None;
-        for r in 0..n {
-            let (p, d) = (self.parent[r], self.depth[r]);
-            if p == NodeId::MAX {
-                if d != 0 {
-                    first = Some(format!("root {r} has depth {d}"));
-                    break;
-                }
-                continue;
-            }
-            let p = p as usize;
-            if d != self.depth[p] + 1 {
-                first = Some(format!(
-                    "rank {r}: depth {d} but parent {p} has depth {}",
-                    self.depth[p]
-                ));
-                break;
-            }
-            let (end, parent_end) = (r + self.size[r] as usize, p + self.size[p] as usize);
-            if end > parent_end {
-                first = Some(format!(
-                    "rank {r}: interval [{r}, {end}) escapes parent {p} [{p}, {parent_end})"
-                ));
-                break;
-            }
-        }
+        let first = match forest(&self.size) {
+            Err(fault) => Some(fault),
+            Ok((depth, parent)) => (depth != self.depth || parent != self.parent)
+                .then(|| "the depths and parents held are not the ones the sizes give".to_string()),
+        };
         audit.check(
-            "parent intervals nest children (rank/depth consistent)",
-            first.is_none(),
-            || first.unwrap_or_default(),
-        );
-
-        let mut child_sum = vec![0u64; n];
-        for r in 0..n {
-            if let Some(p) = self.parent(r as NodeId) {
-                child_sum[p as usize] += u64::from(self.size[r]);
-            }
-        }
-        let first = child_sum
-            .iter()
-            .zip(&self.size)
-            .position(|(&sum, &size)| u64::from(size) != sum + 1)
-            .map(|r| {
-                let (size, sum) = (self.size[r], child_sum[r] + 1);
-                format!("rank {r}: size {size} but 1 + children sizes = {sum}")
-            });
-        audit.check(
-            "subtree sizes satisfy the size recurrence",
+            "subtree sizes nest, and determine the depths and parents",
             first.is_none(),
             || first.unwrap_or_default(),
         );
@@ -653,15 +646,16 @@ mod tests {
         assert_eq!(idx.layout_fault(), None);
         assert_eq!(idx.label_list(1), &[1, 4, 5]);
         type Damage = (fn(&mut PpoIndex), &'static str);
-        let damage: [Damage; 6] = [
-            (|i| i.parent.truncate(6), "6 parents"),
+        let damage: [Damage; 4] = [
+            (
+                |i| *i = relisted(i, 2, &[2, 3]),
+                "7 subtree sizes, 6 labelled ranks",
+            ),
             (|i| i.label_keys.swap(0, 1), "keys are not ascending"),
             (
                 |i| *i = relisted(i, 1, &[1, 7, 5]),
                 "label lists: entry 2 names node 7 of 7",
             ),
-            (|i| i.size[5] = 3, "ends past 7"),
-            (|i| i.parent[2] = 2, "parent is rank 2"),
             (|i| i.removed.push((0, 7)), "names a rank past 7"),
         ];
         for (damage, fault) in damage {
@@ -669,6 +663,21 @@ mod tests {
             damage(&mut bad);
             let found = bad.layout_fault().unwrap_or_default();
             assert!(found.contains(fault), "{fault}: {found}");
+        }
+        // Sizes that are no preorder forest give no depths and parents.
+        let damage: [Damage; 3] = [
+            (|i| i.size[5] = 3, "rank 5's subtree of 3 ends past 7"),
+            (
+                |i| i.size[2] = 4,
+                "rank 2's subtree of 4 does not nest in its parent 1's, which ends at 5",
+            ),
+            (|i| i.size[6] = 0, "rank 6's subtree is empty"),
+        ];
+        for (damage, fault) in damage {
+            let mut bad = idx.clone();
+            damage(&mut bad);
+            let found = bad.derive_forest().unwrap_or_default();
+            assert_eq!(found, fault);
         }
     }
 
@@ -695,11 +704,19 @@ mod tests {
         let mut bad = idx.clone();
         bad.depth[4] += 7;
         assert!(bad.integrity_check().is_err());
-        // a bad layout is reported on its own
-        let mut bad = idx;
+        // a parent the sizes do not give
+        let mut bad = idx.clone();
         bad.parent[2] = 2;
         let err = bad.integrity_check().unwrap_err();
-        assert!(err.to_string().contains("parent is rank 2"), "{err}");
+        assert!(
+            err.to_string().contains("not the ones the sizes give"),
+            "{err}"
+        );
+        // a bad layout is reported on its own
+        let mut bad = idx;
+        bad.label_keys.swap(0, 1);
+        let err = bad.integrity_check().unwrap_err();
+        assert!(err.to_string().contains("keys are not ascending"), "{err}");
     }
 
     #[test]
@@ -727,14 +744,15 @@ mod tests {
     }
 
     /// The arrays of the forest-only index builds before any graph was
-    /// accepted persisted, in their order.
+    /// accepted held, in their order; an image holds all but the depths and
+    /// parents.
     #[derive(Serialize)]
     struct ForestIndex {
         #[serde(with = "graphcore::flat")]
         size: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(skip)]
         depth: Vec<u32>,
-        #[serde(with = "graphcore::flat")]
+        #[serde(skip)]
         parent: Vec<u32>,
         #[serde(with = "graphcore::flat")]
         label_keys: Vec<u32>,
@@ -822,8 +840,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// One pass over any graph — cycles, self loops, repeated edges,
-        /// nodes with several parents — numbers it, removes edges and
-        /// writes image bytes exactly as the two-step build did.
+        /// nodes with several parents — numbers it, removes edges, sets
+        /// depths and parents and writes image bytes exactly as the
+        /// two-step build did; the image decodes to the built index once
+        /// its depths and parents are derived from its sizes.
         #[test]
         fn the_graph_build_equals_the_two_step_build(
             (g, labels) in (1usize..24).prop_flat_map(|n| (
@@ -835,9 +855,13 @@ mod tests {
             let (old, old_order) = two_step_build(&g, &labels);
             prop_assert_eq!(&order, &old_order);
             prop_assert_eq!(&idx.removed, &old.removed);
+            prop_assert_eq!((&idx.depth, &idx.parent), (&old.index.depth, &old.index.parent));
             let image = pagestore::to_bytes(&idx).unwrap();
-            prop_assert_eq!(image, pagestore::to_bytes(&old).unwrap());
+            prop_assert_eq!(&image, &pagestore::to_bytes(&old).unwrap());
             prop_assert_eq!(idx.layout_fault(), None);
+            let mut back: PpoIndex = pagestore::from_bytes(&image).unwrap();
+            prop_assert_eq!(back.derive_forest(), None);
+            prop_assert_eq!(back, idx);
         }
     }
 }

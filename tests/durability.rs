@@ -451,36 +451,36 @@ fn data_file_digest(flix: &Flix) -> (u64, usize) {
 fn every_configuration_writes_the_pinned_data_file() {
     let cg = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
     let pinned = [
-        (FlixConfig::Naive, 0x9c98_1f85_cf41_4d8d, 61),
-        (FlixConfig::MaximalPpo, 0x8f46_bf78_c37c_6eb0, 13),
+        (FlixConfig::Naive, 0x3f03_1b12_f84c_b283, 61),
+        (FlixConfig::MaximalPpo, 0xddfb_2230_91bb_9083, 13),
         (
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0xbc66_be32_a2ab_a734,
+            0x2249_47cc_27e0_0594,
             4,
         ),
         (
             FlixConfig::Hybrid {
                 partition_size: 5000,
             },
-            0x99f8_46aa_8272_531c,
+            0x083c_0974_d9ce_65d5,
             13,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Ppo),
-            0x8daf_fd46_397e_7955,
-            3,
+            0x3bf1_72c1_0150_c22c,
+            2,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xf465_8b9e_0450_b6a3,
+            0xdef3_20ce_5e23_02f7,
             4,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),
-            0x3672_845b_a2fc_b172,
-            4,
+            0xf218_7dff_3444_4af9,
+            3,
         ),
     ];
     for (config, want, pages) in pinned {
