@@ -11,8 +11,9 @@
 //! paper's scale (6,210 documents); `--scale F` shrinks it.
 //!
 //! `--check` runs the deep [`flixcheck::IntegrityCheck`] audit over every
-//! built framework (alone or alongside experiments) and exits non-zero if
-//! any invariant is violated.
+//! built framework — the six over the paper's corpus and the Hybrid
+//! experiment's four over its mixed one — (alone or alongside experiments)
+//! and exits non-zero if any invariant is violated.
 //!
 //! Every number printed is a count, or the emulated database price of one,
 //! so the output is the same on every run and at every build thread count:
@@ -72,13 +73,16 @@ fn main() {
     if check {
         let mut failed = false;
         println!("== integrity audit ==");
-        for flix in &paper.built {
-            let config = flix.config().to_string();
+        let (mixed, _) = paper.hybrid_frameworks();
+        let audited = (paper.built.iter().map(|flix| (flix, "")))
+            .chain(mixed.iter().map(|flix| (flix, " (mixed)")));
+        for (flix, corpus) in audited {
+            let config = format!("{}{corpus}", flix.config());
             match flix.integrity_check() {
-                Ok(report) => println!("{config:<12} OK ({report})"),
+                Ok(report) => println!("{config:<20} OK ({report})"),
                 Err(err) => {
                     failed = true;
-                    println!("{config:<12} FAILED\n{err}");
+                    println!("{config:<20} FAILED\n{err}");
                 }
             }
         }

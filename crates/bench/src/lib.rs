@@ -306,11 +306,12 @@ impl Paper {
         print_shapes(&[connections_agree(&rows, 24), backward_search_wins(&rows)]);
     }
 
-    /// The Hybrid experiment's frameworks over a mixed collection — tree
-    /// documents beside a densely linked web region, with bridges — each
-    /// with the counters of `t0` descendants of document 0's root; and the
-    /// collection's tree-document count.
-    fn hybrid_rows(&self) -> (Vec<(FlixStats, PeeStats)>, usize) {
+    /// The Hybrid experiment's frameworks — Hybrid, MaximalPPO, Unconnected
+    /// HOPI and Naive — over a mixed collection: tree documents beside a
+    /// densely linked web region, with bridges; and the collection's
+    /// tree-document count. Hybrid is the one plan that puts PPO and HOPI
+    /// meta documents side by side, so `--check` audits these too.
+    pub fn hybrid_frameworks(&self) -> (Vec<Flix>, usize) {
         let cfg = MixedConfig {
             trees: workloads::TreeConfig {
                 documents: ((200.0 * self.scale) as usize).max(20),
@@ -326,14 +327,6 @@ impl Paper {
             seed: 3,
         };
         let cg = Arc::new(generate_mixed(&cfg).seal());
-        // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
-        let tag = cg.collection.tags.get("t0").unwrap();
-        let opts = QueryOptions::default();
-        let row = |config| {
-            let flix = Flix::build(cg.clone(), config);
-            let query = flix.find_descendants_outcome(cg.doc_root(0), tag, &opts);
-            (flix.stats(), query.stats)
-        };
         let partition_size = 5_000;
         let configs = [
             FlixConfig::Hybrid { partition_size },
@@ -341,7 +334,23 @@ impl Paper {
             FlixConfig::UnconnectedHopi { partition_size },
             FlixConfig::Naive,
         ];
-        (configs.map(row).into(), cfg.trees.documents)
+        let built = configs.map(|config| Flix::build(cg.clone(), config));
+        (built.into(), cfg.trees.documents)
+    }
+
+    /// [`Self::hybrid_frameworks`], each with the counters of `t0`
+    /// descendants of document 0's root, and the tree-document count.
+    fn hybrid_rows(&self) -> (Vec<(FlixStats, PeeStats)>, usize) {
+        let (built, tree_docs) = self.hybrid_frameworks();
+        let row = |flix: &Flix| {
+            let cg = flix.collection();
+            // flixcheck: allow(unwrap-expect): repro harness: panicking on a malformed corpus is acceptable here
+            let tag = cg.collection.tags.get("t0").unwrap();
+            let query =
+                flix.find_descendants_outcome(cg.doc_root(0), tag, &QueryOptions::default());
+            (flix.stats(), query.stats)
+        };
+        (built.iter().map(row).collect(), tree_docs)
     }
 
     /// Figure 1/3 on a mixed collection.

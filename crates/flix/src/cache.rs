@@ -16,8 +16,8 @@
 //!
 //! A generation counter guards correctness across rebuilds: [`CachedFlix::
 //! attach`] swaps in a new framework and bumps the generation, and every
-//! lookup rejects entries from older generations, so a rebuilt (or
-//! extended) framework can never serve answers computed over the old one.
+//! lookup rejects entries from older generations, so a rebuilt framework
+//! can never serve answers computed over the old one.
 //! The cache is latch-protected and safe to share across the client threads
 //! of the paper's multithreaded architecture.
 
@@ -362,9 +362,9 @@ impl CachedFlix {
         Arc::clone(&self.flix.lock())
     }
 
-    /// Swaps in a rebuilt (or extended) framework. All entries cached for
-    /// the previous framework become unservable immediately: the generation
-    /// bump outlives them, and lookups drop stale-generation entries.
+    /// Swaps in a rebuilt framework. All entries cached for the previous
+    /// framework become unservable immediately: the generation bump
+    /// outlives them, and lookups drop stale-generation entries.
     pub fn attach(&self, flix: Arc<Flix>) {
         // Order matters: swap the framework first, then bump. A racing
         // query can then at worst insert results from the *old* framework
@@ -414,7 +414,9 @@ mod tests {
     use crate::config::{BuildOptions, FlixConfig};
     use xmlgraph::{Collection, CollectionGraph, Document, LinkTarget};
 
-    fn small_graph() -> Arc<CollectionGraph> {
+    /// `a.xml`, whose second element links `b.xml`, then `more`: every
+    /// element tagged `t`, the first tag interned.
+    fn small_graph(more: Vec<Document>) -> Arc<CollectionGraph> {
         let mut c = Collection::new();
         let t = c.tags.intern("t");
         let mut d0 = Document::new("a.xml");
@@ -431,11 +433,14 @@ mod tests {
         d1.add_element(t, None);
         c.add_document(d0).unwrap();
         c.add_document(d1).unwrap();
+        for d in more {
+            c.add_document(d).unwrap();
+        }
         Arc::new(c.seal())
     }
 
     fn small() -> (Arc<Flix>, TagId) {
-        let cg = small_graph();
+        let cg = small_graph(Vec::new());
         let t = cg.collection.tags.get("t").unwrap();
         (Arc::new(Flix::build(cg, FlixConfig::Naive)), t)
     }
@@ -521,14 +526,12 @@ mod tests {
 
         // Rebuild over a grown collection: same query, more answers.
         let grown = {
-            let cg = cached.framework().collection_arc();
-            let tag = cg.collection.tags.get("t").unwrap();
             let mut d = Document::new("c.xml");
-            d.add_element(tag, None);
+            d.add_element(t, None);
             let mut linked = Document::new("b2.xml");
-            let r = linked.add_element(tag, None);
-            linked.add_element(tag, Some(r));
-            Arc::new(cg.extend(vec![d, linked]).unwrap())
+            let r = linked.add_element(t, None);
+            linked.add_element(t, Some(r));
+            small_graph(vec![d, linked])
         };
         let rebuilt = Arc::new(Flix::build_with(
             grown,

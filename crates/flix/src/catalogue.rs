@@ -106,13 +106,14 @@ impl Catalogue {
     }
 
     /// The one wiring step of a build: catalogues `metas` (which must
-    /// partition `graph`'s nodes) and gives each its anchor sets — the
-    /// per-meta `L_i` and their ancestor-query mirrors. The runtime links
-    /// are `links` as passed in (edges a meta document's index dropped,
-    /// global ids) plus every edge of `graph` that crosses meta documents.
+    /// partition `graph`'s nodes, each built with its anchors). The runtime
+    /// links are `links` as passed in (edges a meta document's index
+    /// dropped, global ids) plus every edge of `graph` that crosses meta
+    /// documents — the links whose endpoints the metas' anchor sets are,
+    /// as [`crate::Flix`]'s integrity audit checks.
     pub(crate) fn wire(
         graph: &CollectionGraph,
-        metas: &mut [MetaDocument],
+        metas: &[MetaDocument],
         mut links: Vec<(NodeId, NodeId)>,
     ) -> Self {
         let n = graph.node_count();
@@ -127,16 +128,6 @@ impl Catalogue {
         links.extend(graph.graph.edges().filter(crossing));
         links.sort_unstable();
         links.dedup();
-
-        let mut anchors: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); metas.len()];
-        for &(u, v) in &links {
-            let (mu, mv) = (meta_of[u as usize], meta_of[v as usize]);
-            anchors[mu as usize].0.push(local_of[u as usize]);
-            anchors[mv as usize].1.push(local_of[v as usize]);
-        }
-        for (md, (sources, targets)) in metas.iter_mut().zip(anchors) {
-            md.set_anchors(sources, targets);
-        }
         Self::new(meta_of, local_of, links)
     }
 

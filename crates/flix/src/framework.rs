@@ -6,7 +6,7 @@ use crate::mdb::{build_meta_documents, plan_build_order};
 use crate::meta::{MetaDocument, MetaIndex};
 use crate::report::{BuildReport, MetaBuildReport};
 use flixobs::Stopwatch;
-use graphcore::{pool, NodeId};
+use graphcore::{pool, Digraph, NodeId};
 use std::sync::Arc;
 use std::time::Duration;
 use xmlgraph::CollectionGraph;
@@ -14,18 +14,20 @@ use xmlgraph::CollectionGraph;
 /// Output of one per-meta build job: everything `build_with` needs to merge
 /// the meta document into the framework, independent of build order.
 struct BuiltMeta {
-    /// Local-to-global node mapping of the meta document, in the index's
-    /// numbering.
-    mapping: Vec<NodeId>,
-    index: MetaIndex,
+    meta: MetaDocument,
     /// PPO-removed edges, already translated to global ids.
     extra_links: Vec<(NodeId, NodeId)>,
     report: MetaBuildReport,
 }
 
-/// Builds one meta document's index. Pure with respect to the framework:
-/// reads only the shared collection graph, so jobs for disjoint node sets
-/// can run on any thread in any order and still produce identical output.
+/// Builds one meta document whole: its numbering, its index and its
+/// anchors. A local is a link source (target) iff it has more out-edges
+/// (in-edges) in the collection graph than in the meta document's induced
+/// subgraph — an edge crossing to another meta document leaves (enters)
+/// it — and under PPO the build adds the endpoints of the edges its
+/// forest drops. Pure with respect to the framework: reads only the shared
+/// collection graph, so jobs for disjoint node sets can run on any thread
+/// in any order and still produce identical output.
 fn build_one(
     graph: &CollectionGraph,
     nodes: &[NodeId],
@@ -33,27 +35,33 @@ fn build_one(
     opts: &BuildOptions,
 ) -> BuiltMeta {
     let started = Stopwatch::start();
-    let (sub, mut mapping) = graph.graph.induced_subgraph(nodes);
+    let (sub, mapping) = graph.graph.induced_subgraph(nodes);
     let labels: Vec<u32> = mapping.iter().map(|&g| graph.tag_of(g)).collect();
     let kind = pinned.unwrap_or_else(|| opts.selector.select(&sub));
     let edges = sub.edge_count();
-    let (index, extra, stages) = MetaIndex::build(kind, &sub, &labels, &mut mapping);
+    let crossing = |degree: fn(&Digraph, NodeId) -> usize| -> Vec<u32> {
+        let locals = 0..mapping.len() as u32;
+        locals
+            .filter(|&u| degree(&graph.graph, mapping[u as usize]) > degree(&sub, u))
+            .collect()
+    };
+    let (sources, targets) = (crossing(Digraph::out_degree), crossing(Digraph::in_degree));
+    let (meta, extra, stages) = MetaDocument::build(kind, &sub, &labels, mapping, sources, targets);
     let extra_links: Vec<(NodeId, NodeId)> = extra
         .into_iter()
-        .map(|(lu, lv)| (mapping[lu as usize], mapping[lv as usize]))
+        .map(|(lu, lv)| (meta.nodes[lu as usize], meta.nodes[lv as usize]))
         .collect();
     let report = MetaBuildReport {
-        strategy: index.kind(),
-        nodes: mapping.len(),
+        strategy: meta.index.kind(),
+        nodes: meta.len(),
         edges,
         build_micros: started.elapsed_micros(),
-        index_bytes: index.size_bytes(),
+        index_bytes: meta.index.size_bytes(),
         dropped_links: extra_links.len(),
         stages,
     };
     BuiltMeta {
-        mapping,
-        index,
+        meta,
         extra_links,
         report,
     }
@@ -116,9 +124,9 @@ impl Flix {
         for job in built {
             in_meta_links.extend(job.extra_links);
             per_meta.push(job.report);
-            metas.push(MetaDocument::new(job.mapping, job.index));
+            metas.push(job.meta);
         }
-        let catalogue = Catalogue::wire(&graph, &mut metas, in_meta_links);
+        let catalogue = Catalogue::wire(&graph, &metas, in_meta_links);
         let wiring_micros = wiring_started.elapsed_micros();
 
         let build_time = started.elapsed();
@@ -158,110 +166,6 @@ impl Flix {
             build_time: Duration::ZERO,
             report,
         }
-    }
-
-    /// Incrementally extends the framework to a grown collection (built
-    /// with [`CollectionGraph::extend`]): every *new* document becomes its
-    /// own meta document with a selector-chosen index, existing meta
-    /// documents keep their indexes untouched (only their runtime-link
-    /// anchor sets are refreshed, including links from new documents into
-    /// old ones and previously dangling links the new documents resolve).
-    ///
-    /// Grouping configurations (Maximal PPO, Unconnected HOPI) are *not*
-    /// re-planned for the new documents — the paper's §7 self-tuning loop
-    /// is the mechanism that decides when a full rebuild pays off; see
-    /// [`crate::tuning`].
-    ///
-    /// # Errors
-    /// If `new_graph` is not an extension of this framework's collection.
-    pub fn extend(
-        &self,
-        new_graph: Arc<CollectionGraph>,
-        opts: &BuildOptions,
-    ) -> Result<Flix, String> {
-        let old_n = self.graph.node_count();
-        let new_n = new_graph.node_count();
-        if new_n < old_n
-            || new_graph.node_base[..self.graph.node_base.len()] != self.graph.node_base[..]
-        {
-            return Err("new graph is not an extension of the indexed collection".into());
-        }
-        let started = Stopwatch::start();
-        let mut metas: Vec<MetaDocument> = self.metas.iter().map(|m| (**m).clone()).collect();
-        // PPO-removed edges of existing metas stay runtime links; the rest
-        // of the table is recomputed from the extended graph.
-        let in_meta = |&(u, v): &(NodeId, NodeId)| self.meta_of(u) == self.meta_of(v);
-        let mut in_meta_links: Vec<(NodeId, NodeId)> = self
-            .runtime_links()
-            .iter()
-            .copied()
-            .filter(in_meta)
-            .collect();
-
-        // Carry the per-meta records of the kept metas forward so report
-        // indices keep matching meta-document ids; frameworks loaded from a
-        // store without report blobs get zero-cost placeholder entries.
-        let mut per_meta = self.report.per_meta.clone();
-        per_meta.truncate(metas.len());
-        while per_meta.len() < metas.len() {
-            let m = &metas[per_meta.len()];
-            per_meta.push(MetaBuildReport {
-                strategy: m.index.kind(),
-                nodes: m.len(),
-                edges: 0,
-                build_micros: 0,
-                index_bytes: m.index.size_bytes(),
-                dropped_links: 0,
-                stages: None,
-            });
-        }
-        let old_docs = self.graph.collection.doc_count() as u32;
-        for d in old_docs..new_graph.collection.doc_count() as u32 {
-            let nodes: Vec<NodeId> =
-                (new_graph.node_base[d as usize]..new_graph.node_base[d as usize + 1]).collect();
-            let job = build_one(&new_graph, &nodes, None, opts);
-            in_meta_links.extend(job.extra_links);
-            per_meta.push(job.report);
-            metas.push(MetaDocument::new(job.mapping, job.index));
-        }
-        let catalogue = Catalogue::wire(&new_graph, &mut metas, in_meta_links);
-        let arcs: Vec<Arc<MetaDocument>> = metas
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| match self.metas.get(i) {
-                // Reuse the existing Arc when nothing about the meta changed
-                // (the common case: untouched region of the collection).
-                // Anchor order is canonical, so equal sets are equal lists.
-                Some(old)
-                    if old.link_sources == m.link_sources && old.link_targets == m.link_targets =>
-                {
-                    Arc::clone(old)
-                }
-                // Otherwise `m` is the old (expensive) index, cloned above,
-                // with refreshed anchor lists — or a new meta document.
-                _ => Arc::new(m),
-            })
-            .collect();
-
-        let build_time = started.elapsed();
-        let report = BuildReport {
-            config: self.config,
-            threads: 1,
-            planning_micros: 0,
-            indexing_micros: build_time.as_micros() as u64,
-            wiring_micros: 0,
-            total_micros: build_time.as_micros() as u64,
-            runtime_links: catalogue.links().len(),
-            per_meta,
-        };
-        Ok(Flix {
-            graph: new_graph,
-            config: self.config,
-            metas: arcs,
-            catalogue,
-            build_time,
-            report,
-        })
     }
 
     /// The underlying collection graph.
@@ -775,26 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_carries_report_forward() {
-        let cg = sample();
-        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
-        let t = cg.collection.tags.get("a").unwrap();
-        let mut d = Document::new("d3.xml");
-        let r = d.add_element(t, None);
-        d.add_element(t, Some(r));
-        let grown = Arc::new(cg.extend(vec![d]).unwrap());
-        let bigger = flix.extend(grown, &BuildOptions::default()).unwrap();
-        let report = bigger.build_report();
-        assert_eq!(report.per_meta.len(), bigger.meta_count());
-        assert_eq!(
-            report.per_meta[..flix.meta_count()],
-            flix.build_report().per_meta[..],
-            "kept metas keep their original build records"
-        );
-        assert_eq!(report.runtime_links, bigger.runtime_links().len());
-    }
-
-    #[test]
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
         let cg = sample();
@@ -853,13 +737,12 @@ mod tests {
         let n = sub.node_count() as NodeId;
         let edges = sub.edges().chain((1..n).map(|v| (0, v)));
         let labels: Vec<u32> = md.nodes.iter().map(|&g| cg.tag_of(g)).collect();
-        let (index, _) =
-            hopi::HopiIndex::build(&graphcore::Digraph::from_edges(n as usize, edges), &labels);
+        let other = Digraph::from_edges(n as usize, edges);
+        let nodes = md.nodes.clone();
+        let (wrong, ..) =
+            MetaDocument::build(StrategyKind::Hopi, &other, &labels, nodes, vec![], vec![]);
         let mut bad = flix.clone();
-        bad.metas[0] = Arc::new(MetaDocument::new(
-            md.nodes.clone(),
-            MetaIndex::Hopi(Box::new(index)),
-        ));
+        bad.metas[0] = Arc::new(wrong);
         let err = bad.integrity_check().unwrap_err();
         assert!(err.to_string().contains("agrees with BFS"), "{err}");
         assert_eq!(err.violations.len(), 1, "{err}");

@@ -26,43 +26,6 @@ pub enum MetaIndex {
 }
 
 impl MetaIndex {
-    /// Builds the index of `kind` over a meta document's subgraph, whose
-    /// local `u` is the element `nodes[u]`.
-    ///
-    /// Returns the index, any *extra runtime links* — edges of the
-    /// subgraph the index cannot answer (PPO's removed edges), which the
-    /// caller must register with the query evaluator — and the HOPI
-    /// cover's [`hopi::StageReport`] when HOPI ran. A PPO index numbers
-    /// the locals anew, in its spanning forest's preorder: `nodes` is
-    /// permuted to match, and the links are in the new numbering. HOPI and
-    /// APEX keep the numbering they are given.
-    pub fn build(
-        kind: StrategyKind,
-        subgraph: &Digraph,
-        labels: &[u32],
-        nodes: &mut [NodeId],
-    ) -> (Self, Vec<(u32, u32)>, Option<hopi::StageReport>) {
-        match kind {
-            StrategyKind::Ppo => {
-                let (idx, order) = PpoIndex::build(subgraph, labels);
-                let given = nodes.to_vec();
-                for (node, &u) in nodes.iter_mut().zip(&order) {
-                    *node = given[u as usize];
-                }
-                let extra = idx.removed_edges().to_vec();
-                (MetaIndex::Ppo(Box::new(idx)), extra, None)
-            }
-            StrategyKind::Hopi => {
-                let (idx, stages) = HopiIndex::build(subgraph, labels);
-                (MetaIndex::Hopi(Box::new(idx)), Vec::new(), Some(stages))
-            }
-            StrategyKind::Apex => {
-                let idx = ApexIndex::build(subgraph, labels, APEX_REFINE_ROUNDS);
-                (MetaIndex::Apex(Box::new(idx)), Vec::new(), None)
-            }
-        }
-    }
-
     /// Which strategy this is.
     pub fn kind(&self) -> StrategyKind {
         match self {
@@ -226,10 +189,9 @@ pub struct MetaDocument {
     /// Locals with outgoing runtime links (the set `L_i` of §4.2), each
     /// once, ascending — under PPO, where locals are preorder ranks, the
     /// link sources below an element are one contiguous run of this list.
-    /// [`Self::set_anchors`] establishes the order. A HOPI index does not
-    /// read the list: it carries both anchor sets as flags, and its
-    /// inverted rows begin with the anchors; an image holds the lists and
-    /// not the flags.
+    /// Fixed at [`Self::build`]. A HOPI index does not read the list: it
+    /// was built with both anchor sets as flags, and its inverted rows
+    /// begin with the anchors; an image holds the lists and not the flags.
     #[serde(with = "graphcore::flat")]
     pub(crate) link_sources: Vec<u32>,
     /// Locals that are targets of runtime links (for ancestor queries),
@@ -256,31 +218,68 @@ pub struct PopAnswer {
 }
 
 impl MetaDocument {
-    /// A meta document without runtime-link anchors (yet).
-    pub fn new(nodes: Vec<NodeId>, index: MetaIndex) -> Self {
-        Self {
+    /// Builds the meta document of `kind` over `subgraph`, whose local `u`
+    /// is the element `nodes[u]`, whole: its index and its runtime-link
+    /// anchors — `sources`, the locals links leave (`L_i`), and `targets`,
+    /// the locals they arrive at, in the numbering given (any order,
+    /// repeats allowed). A HOPI index is built with them
+    /// ([`HopiIndex::build`]).
+    ///
+    /// Returns the meta document, its *extra runtime links* — edges of the
+    /// subgraph the index cannot answer (PPO's removed edges), whose
+    /// endpoints it counts among its anchors and which the caller must
+    /// register with the query evaluator — and the HOPI cover's
+    /// [`hopi::StageReport`] when HOPI ran. A PPO index numbers the locals
+    /// anew, in its spanning forest's preorder: the node map and the
+    /// anchors are renumbered to match, and the links are in the new
+    /// numbering. HOPI and APEX keep the numbering they are given.
+    ///
+    /// # Panics
+    /// If an anchor is not a local of `subgraph`.
+    pub fn build(
+        kind: StrategyKind,
+        subgraph: &Digraph,
+        labels: &[u32],
+        mut nodes: Vec<NodeId>,
+        mut sources: Vec<u32>,
+        mut targets: Vec<u32>,
+    ) -> (Self, Vec<(u32, u32)>, Option<hopi::StageReport>) {
+        let (index, extra, stages) = match kind {
+            StrategyKind::Ppo => {
+                let (idx, order) = PpoIndex::build(subgraph, labels);
+                let mut rank = vec![0; order.len()];
+                for (r, &u) in (0..).zip(&order) {
+                    rank[u as usize] = r;
+                }
+                nodes = order.iter().map(|&u| nodes[u as usize]).collect();
+                for a in sources.iter_mut().chain(&mut targets) {
+                    *a = rank[*a as usize];
+                }
+                let extra = idx.removed_edges().to_vec();
+                sources.extend(extra.iter().map(|&(u, _)| u));
+                targets.extend(extra.iter().map(|&(_, v)| v));
+                (MetaIndex::Ppo(Box::new(idx)), extra, None)
+            }
+            StrategyKind::Hopi => {
+                let (idx, stages) = HopiIndex::build(subgraph, labels, &sources, &targets);
+                (MetaIndex::Hopi(Box::new(idx)), Vec::new(), Some(stages))
+            }
+            StrategyKind::Apex => {
+                let idx = ApexIndex::build(subgraph, labels, APEX_REFINE_ROUNDS);
+                (MetaIndex::Apex(Box::new(idx)), Vec::new(), None)
+            }
+        };
+        for anchors in [&mut sources, &mut targets] {
+            anchors.sort_unstable();
+            anchors.dedup();
+        }
+        let md = Self {
             nodes,
             index,
-            link_sources: Vec::new(),
-            link_targets: Vec::new(),
-        }
-    }
-
-    /// Replaces the anchor sets, sorting them (see [`Self::link_sources`]);
-    /// the input may be in any order and hold duplicates, and equal anchor
-    /// sets compare equal as lists. A HOPI index is handed the sets
-    /// ([`HopiIndex::set_anchors`]) and re-inverts the tables whose anchors
-    /// changed — none, if the sets are the ones it already had.
-    pub fn set_anchors(&mut self, mut sources: Vec<u32>, mut targets: Vec<u32>) {
-        sources.sort_unstable();
-        sources.dedup();
-        targets.sort_unstable();
-        targets.dedup();
-        if let MetaIndex::Hopi(i) = &mut self.index {
-            i.set_anchors(&sources, &targets);
-        }
-        self.link_sources = sources;
-        self.link_targets = targets;
+            link_sources: sources,
+            link_targets: targets,
+        };
+        (md, extra, stages)
     }
 
     /// Locals with outgoing runtime links, ascending.
@@ -561,11 +560,23 @@ mod tests {
     }
 
     /// A meta document of `kind` over `g`, whose node `u` is the element
-    /// `10 + u`, and the extra runtime links of its build.
+    /// `10 + u`, with no anchors but what its build adds, and the extra
+    /// runtime links of its build.
     fn meta(kind: StrategyKind, g: &Digraph, labels: &[u32]) -> (MetaDocument, Vec<(u32, u32)>) {
-        let mut nodes: Vec<NodeId> = (10..10 + g.node_count() as NodeId).collect();
-        let (index, extra, _) = MetaIndex::build(kind, g, labels, &mut nodes);
-        (MetaDocument::new(nodes, index), extra)
+        anchored(kind, g, labels, Vec::new(), Vec::new())
+    }
+
+    /// [`meta`] with the given anchors, in `g`'s numbering.
+    fn anchored(
+        kind: StrategyKind,
+        g: &Digraph,
+        labels: &[u32],
+        sources: Vec<u32>,
+        targets: Vec<u32>,
+    ) -> (MetaDocument, Vec<(u32, u32)>) {
+        let nodes: Vec<NodeId> = (10..10 + g.node_count() as NodeId).collect();
+        let (md, extra, _) = MetaDocument::build(kind, g, labels, nodes, sources, targets);
+        (md, extra)
     }
 
     impl MetaDocument {
@@ -617,11 +628,10 @@ mod tests {
     #[test]
     fn meta_document_link_source_scan() {
         let (g, labels) = diamond();
-        let (mut md, extra) = meta(StrategyKind::Ppo, &g, &labels);
-        md.set_anchors(
-            extra.iter().map(|&(u, _)| u).collect(),
-            extra.iter().map(|&(_, v)| v).collect(),
-        );
+        let (md, extra) = meta(StrategyKind::Ppo, &g, &labels);
+        // the dropped edge's endpoints are anchors of the build
+        assert_eq!((md.link_sources(), md.link_targets()), (&[3][..], &[2][..]));
+        assert_eq!(extra, vec![(3, 2)]);
         let ls = md.reachable_link_sources(md.local(10));
         assert_eq!(ls.len(), 1, "one dropped edge, one source");
         let lt = md.reaching_link_targets(md.local(13));
@@ -640,9 +650,8 @@ mod tests {
     fn anchors_are_kept_in_index_order_and_pops_agree_with_the_parts() {
         let (g, labels) = crossed_tree();
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (mut md, _) = meta(kind, &g, &labels);
-            let l = |v| md.local(v);
-            md.set_anchors(vec![l(13), l(11), l(12), l(11)], vec![l(12), l(10), l(12)]);
+            // elements 13, 11, 12, 11 and 12, 10, 12, given in `g`'s numbering
+            let (md, _) = anchored(kind, &g, &labels, vec![3, 1, 2, 1], vec![2, 0, 2]);
             assert_eq!(md.link_sources(), &[1, 2, 3], "{kind}");
             let mut targets = vec![md.local(10), md.local(12)];
             targets.sort_unstable();
@@ -692,9 +701,9 @@ mod tests {
         // 0 -> {1, 2}, 1 -> 3 and a second parent 2 -> 3: all but the root
         // carry label 1, and the elements run against the preorder.
         let g = Digraph::from_edges(4, [(0, 1), (0, 2), (2, 3), (1, 3)]);
-        let mut nodes = vec![40, 30, 20, 10];
-        let (index, ..) = MetaIndex::build(StrategyKind::Ppo, &g, &[0, 1, 1, 1], &mut nodes);
-        let md = MetaDocument::new(nodes, index);
+        let nodes = vec![40, 30, 20, 10];
+        let labels = [0, 1, 1, 1];
+        let (md, ..) = MetaDocument::build(StrategyKind::Ppo, &g, &labels, nodes, vec![], vec![]);
         assert_eq!(md.nodes, vec![40, 30, 10, 20], "preorder 0, 1, 3, 2");
         let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);
         assert_eq!(by_local, vec![(1, 1), (3, 1), (2, 2)]);
@@ -719,8 +728,7 @@ mod tests {
         use flixcheck::IntegrityCheck;
         let (g, labels) = diamond();
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let (mut md, extra) = meta(kind, &g, &labels);
-            md.set_anchors(extra.iter().map(|&(u, _)| u).collect(), Vec::new());
+            let (md, _) = meta(kind, &g, &labels);
             md.integrity_check().unwrap();
 
             // One element on two locals.
@@ -746,8 +754,7 @@ mod tests {
 
         // HOPI reads its anchors off the index's flags, not off the lists:
         // the two must name the same nodes.
-        let (mut md, _) = meta(StrategyKind::Hopi, &g, &labels);
-        md.set_anchors(vec![3, 1], vec![2]);
+        let (md, _) = anchored(StrategyKind::Hopi, &g, &labels, vec![3, 1], vec![2]);
         md.integrity_check().unwrap();
         let MetaIndex::Hopi(hopi) = &md.index else {
             panic!("built as HOPI");
@@ -769,8 +776,8 @@ mod tests {
         // PPO anchors in element order — what a framework persisted before
         // the interval lookup holds — are out of *index* order.
         let (g, labels) = crossed_tree();
-        let (mut md, _) = meta(StrategyKind::Ppo, &g, &labels);
-        md.set_anchors(vec![1, 2, 3], Vec::new());
+        let (md, _) = anchored(StrategyKind::Ppo, &g, &labels, vec![1, 2, 3], Vec::new());
+        assert_eq!(md.link_sources(), &[1, 2, 3]);
         md.integrity_check().unwrap();
         let err = md
             .with_id_ordered_sources()

@@ -1895,10 +1895,12 @@ mod tests {
             .enumerate()
             .filter_map(|(i, p)| p.map(|p| (p % (i as u32 + 1), i as u32 + 1)));
         let g = graphcore::Digraph::from_edges(n, edges);
-        let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
-        let (index, extra, _) = MetaIndex::build(StrategyKind::Ppo, &g, &vec![0; n], &mut nodes);
+        let nodes: Vec<NodeId> = (0..n as NodeId).collect();
+        let labels = vec![0; n];
+        let (md, extra, _) =
+            MetaDocument::build(StrategyKind::Ppo, &g, &labels, nodes, vec![], vec![]);
         assert!(extra.is_empty(), "a forest loses no edge");
-        MetaDocument::new(nodes, index)
+        md
     }
 
     /// A HOPI meta document over the digraph of `edges` (taken modulo `n`:
@@ -1907,9 +1909,9 @@ mod tests {
     fn hopi_graph(n: usize, edges: &[(u32, u32)], first: NodeId) -> MetaDocument {
         let m = n as u32;
         let g = graphcore::Digraph::from_edges(n, edges.iter().map(|&(u, v)| (u % m, v % m)));
-        let mut nodes: Vec<NodeId> = (first..first + m).collect();
-        let (index, _, _) = MetaIndex::build(StrategyKind::Hopi, &g, &vec![0; n], &mut nodes);
-        MetaDocument::new(nodes, index)
+        let nodes: Vec<NodeId> = (first..first + m).collect();
+        let labels = vec![0; n];
+        MetaDocument::build(StrategyKind::Hopi, &g, &labels, nodes, vec![], vec![]).0
     }
 
     proptest! {

@@ -62,7 +62,7 @@ fn inverted_in_row_order(table: &Table, words: &[u32], flag: u32) -> Table {
 /// anchor flags above them: the node is a link source (the descendants
 /// direction stops there to leave the index), a link target (the ancestors
 /// direction does). A row lookup reads label and flag in one load. The
-/// flags are the anchor lists, which whoever declares them keeps: an image
+/// flags are the anchor lists, which whoever builds the index keeps: an image
 /// holds the bare labels ([`bare`]), and a load sets the flags again from
 /// the lists ([`HopiIndex::flag_anchors`]).
 const SOURCE: u32 = 1 << 31;
@@ -110,8 +110,8 @@ type JoinSide<'a> = (&'a [(NodeId, Distance)], &'a Table, u32);
 /// reads a row's anchor prefix and that label's run — found by two binary
 /// searches — and nothing else of it, and a lookup within a distance reads
 /// each only up to its first row past it. Which nodes are anchors is
-/// declared with [`Self::set_anchors`]; an index nobody declared any for is
-/// simply label-ordered.
+/// fixed at [`Self::build`]; an index built without any is simply
+/// label-ordered.
 ///
 /// The label sets and their inversions are [`Rows`] tables — flat arrays
 /// with `u32` row offsets. Only the *descendants pair* is stored: `l_out`
@@ -179,84 +179,61 @@ fn row_order(words: &[u32], flag: u32) -> Vec<NodeId> {
 }
 
 impl HopiIndex {
-    /// Builds the index over `g` with one opaque label per node, and
-    /// returns it with the cover's out-of-band [`StageReport`] (per-stage
-    /// timings). The report is *not* part of the index, so serialized
-    /// indexes stay byte-identical run to run.
-    pub fn build(g: &Digraph, node_labels: &[u32]) -> (Self, StageReport) {
+    /// Builds the index over `g` with one opaque label per node and its
+    /// anchors — `sources`, the nodes runtime links leave from, and
+    /// `targets`, the nodes they arrive at (any order, repeats allowed) —
+    /// and returns it with the cover's out-of-band [`StageReport`]
+    /// (per-stage timings). The flags are set as a load sets them
+    /// ([`Self::flag_anchors`]), and `L_in` is inverted once, in the row
+    /// order of those anchors. The report is *not* part of the index, so
+    /// serialized indexes stay byte-identical run to run.
+    ///
+    /// # Panics
+    /// If a label reaches the flag bits, or an anchor is not a node of `g`.
+    pub fn build(
+        g: &Digraph,
+        node_labels: &[u32],
+        sources: &[NodeId],
+        targets: &[NodeId],
+    ) -> (Self, StageReport) {
         assert_eq!(node_labels.len(), g.node_count(), "one label per node");
-        assert!(
-            node_labels.iter().all(|&label| label <= LABEL),
-            "a node label must lie below 2^30: the two bits above it hold the anchor flags"
-        );
         let cover = cover::build_cover(g);
-        let report = cover.report;
-
         // Label lists were appended in center-rank order; the merge
         // intersection of `distance` needs `L_out` sorted by center id.
         // `L_in` is only inverted, which orders rows by itself.
         let mut l_out = cover.l_out;
         l_out.iter_mut().for_each(|list| list.sort_unstable());
-        let l_out = Table::from_rows(&l_out);
-        let in_index = inverted_in_row_order(&Table::from_rows(&cover.l_in), node_labels, SOURCE);
-
-        let stats = BuildStats {
-            in_entries: in_index.entries().len(),
-            out_entries: l_out.entries().len(),
-            visits: cover.visits,
-        };
-        let index = Self {
+        let mut index = Self {
             layout: LAYOUT,
-            l_out,
-            in_index,
+            l_out: Table::from_rows(&l_out),
+            // `L_in` itself until the flags are set, then inverted once
+            in_index: Table::from_rows(&cover.l_in),
             node_labels: node_labels.to_vec(),
-            stats,
+            stats: BuildStats::default(),
             l_in: Derived::default(),
             out_index: Derived::default(),
         };
-        (index, report)
+        // A label of 2^30 or more would carry the flag bits.
+        let fault = index.flag_anchors(sources, targets);
+        assert!(
+            fault.is_none(),
+            "a label past 2^30 or an anchor past the nodes: {fault:?}"
+        );
+        index.in_index = inverted_in_row_order(&index.in_index, &index.node_labels, SOURCE);
+        index.stats = BuildStats {
+            in_entries: index.in_index.entries().len(),
+            out_entries: index.l_out.entries().len(),
+            visits: cover.visits,
+        };
+        (index, cover.report)
     }
 
-    /// Declares the index's anchors — `sources`, the nodes runtime links
-    /// leave from, and `targets`, the nodes they arrive at (any order,
-    /// repeats allowed) — replacing whatever was declared before: sets the
-    /// flags, re-sorts every `in_index` row in place if the sources changed,
-    /// so its rows list the new anchors first, and drops the derived
-    /// `out_index` if the targets did. The result is a function of the
-    /// built index and the two sets alone. Returns whether anything
-    /// changed; an unchanged set costs O(nodes), not O(entries).
-    ///
-    /// # Panics
-    /// If an anchor is not a node of the index.
-    pub fn set_anchors(&mut self, sources: &[NodeId], targets: &[NodeId]) -> bool {
-        let mut words: Vec<u32> = self.node_labels.iter().map(|word| word & LABEL).collect();
-        for (flag, anchors) in [(SOURCE, sources), (TARGET, targets)] {
-            for &a in anchors {
-                words[a as usize] |= flag;
-            }
-        }
-        let differs =
-            |flag| (words.iter().zip(&self.node_labels)).any(|(a, b)| (a ^ b) & flag != 0);
-        let (down, up) = (differs(SOURCE), differs(TARGET));
-        if down {
-            // The whole key: rows in the old anchors' order are in no
-            // order a stable sort by part of it could finish.
-            let key = |(v, d)| (row_key(words[v as usize], SOURCE, d), v);
-            self.in_index.sort_rows_by_key(key);
-        }
-        if up {
-            self.out_index = Derived::default();
-        }
-        self.node_labels = words;
-        down || up
-    }
-
-    /// Flags `sources` and `targets` — the anchors declared when the image
-    /// this index was decoded from was saved — on the bare labels an image
-    /// holds, or says why not: a stored word already carries a flag, or an
-    /// anchor is not a node of the index. The rows were put in the order of
-    /// these anchors when they were declared, so none is re-sorted: O(nodes
-    /// + anchors), where [`Self::set_anchors`] may re-sort every row.
+    /// Flags `sources` and `targets` — the anchors the index was built
+    /// with, at build and, on the bare labels an image holds, again at load
+    /// from the lists saved beside it — or says why not: a word already
+    /// carries a flag, or an anchor is not a node of the index. The rows
+    /// are in the order of these anchors from the build on, so none is
+    /// re-sorted: O(nodes + anchors).
     pub fn flag_anchors(&mut self, sources: &[NodeId], targets: &[NodeId]) -> Option<String> {
         let n = self.node_count();
         let words = &mut self.node_labels;
@@ -341,8 +318,8 @@ impl HopiIndex {
     }
 
     /// `out_index`: `l_out` inverted in the row order of the link targets —
-    /// derived on first use and kept until [`Self::set_anchors`] changes
-    /// the targets. Every ancestors-axis join reads it.
+    /// derived on first use and kept: the anchors never change after
+    /// [`Self::build`]. Every ancestors-axis join reads it.
     fn out_index(&self) -> &Table {
         self.out_index
             .0
@@ -742,7 +719,7 @@ mod tests {
     }
 
     fn check_exact(g: &Digraph, labels: &[u32]) {
-        let idx = HopiIndex::build(g, labels).0;
+        let idx = HopiIndex::build(g, labels, &[], &[]).0;
         let tc = TransitiveClosure::build(g);
         let oracle = DistanceOracle::new(g);
         let n = g.node_count() as NodeId;
@@ -787,7 +764,7 @@ mod tests {
     #[test]
     fn descendants_sorted_and_complete() {
         let g = Digraph::from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)]);
-        let idx = HopiIndex::build(&g, &[0; 6]).0;
+        let idx = HopiIndex::build(&g, &[0; 6], &[], &[]).0;
         let d = block(&idx, Axis::Descendants, 0, 0, false);
         let nodes: Vec<NodeId> = d.iter().map(|&(v, _)| v).collect();
         let mut sorted_nodes = nodes.clone();
@@ -805,7 +782,7 @@ mod tests {
     #[test]
     fn ancestors_mirror_descendants() {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (3, 2), (2, 4)]);
-        let idx = HopiIndex::build(&g, &[0; 5]).0;
+        let idx = HopiIndex::build(&g, &[0; 5], &[], &[]).0;
         let a = block(&idx, Axis::Ancestors, 4, 0, false);
         let nodes: Vec<NodeId> = a.iter().map(|&(v, _)| v).collect();
         let mut s = nodes.clone();
@@ -819,7 +796,7 @@ mod tests {
     fn label_filtering() {
         let g = Digraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let labels = [9, 7, 9, 7, 7];
-        let idx = HopiIndex::build(&g, &labels).0;
+        let idx = HopiIndex::build(&g, &labels, &[], &[]).0;
         let r = block(&idx, Axis::Descendants, 0, 7, false);
         assert_eq!(r, vec![(1, 1), (3, 3), (4, 4)]);
         let r = block(&idx, Axis::Ancestors, 4, 9, false);
@@ -835,7 +812,7 @@ mod tests {
         // everything; labels should stay near-linear, far below n^2.
         let n = 200u32;
         let g = Digraph::from_edges(n as usize, (0..n - 1).map(|i| (i, i + 1)));
-        let idx = HopiIndex::build(&g, &vec![0; n as usize]).0;
+        let idx = HopiIndex::build(&g, &vec![0; n as usize], &[], &[]).0;
         // Naive (unpruned or badly ordered) labelling would cost ~n²/2 =
         // 20 000 entries; the pruned, balanced order stays near n·log n.
         assert!(
@@ -849,7 +826,7 @@ mod tests {
     #[test]
     fn size_accounting() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
-        let idx = HopiIndex::build(&g, &[0; 3]).0;
+        let idx = HopiIndex::build(&g, &[0; 3], &[], &[]).0;
         assert!(idx.size_bytes() > 0);
         assert!(idx.stats().visits > 0);
     }
@@ -881,13 +858,13 @@ mod tests {
     fn integrity_detects_corruption() {
         use flixcheck::IntegrityCheck;
         let g = Digraph::from_edges(5, [(0, 1), (0, 2), (1, 4), (2, 4), (4, 3)]);
-        // labels descend with the id and the last node is an anchor, so row
-        // order is nowhere id order; anchor 4 lies above anchor 3, so the
-        // anchor prefix is not in id order either
-        let mut idx = HopiIndex::build(&g, &[4, 3, 2, 1, 1]).0;
-        assert_rows_in_key_order(&idx);
-        idx.integrity_check().unwrap();
-        assert!(idx.set_anchors(&[4, 3], &[2]));
+        // labels descend with the id, so row order is nowhere id order;
+        // built with anchors, the last node is one, and anchor 4 lies above
+        // anchor 3, so the anchor prefix is not in id order either
+        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 1], &[], &[]).0;
+        assert_rows_in_key_order(&undeclared);
+        undeclared.integrity_check().unwrap();
+        let idx = HopiIndex::build(&g, &[4, 3, 2, 1, 1], &[4, 3], &[2]).0;
         assert_eq!(idx.anchors(), (vec![3, 4], vec![2]));
         assert_rows_in_key_order(&idx);
         idx.integrity_check().unwrap();
@@ -908,8 +885,8 @@ mod tests {
         let err = bad.integrity_check().unwrap_err().to_string();
         assert!(err.contains("build stats"), "{err}");
         // stored rows in id order — what a build before the row order held
-        // — a flag the rows were not ordered by, and a derived table left
-        // from other anchors (what `set_anchors` drops) break the mirror
+        // — a flag the rows were not ordered by, and a derived table of a
+        // build with other anchors break the mirror
         let order_fault = |bad: &HopiIndex| {
             assert_eq!(bad.layout_fault(), None);
             let err = bad.integrity_check().unwrap_err().to_string();
@@ -925,7 +902,6 @@ mod tests {
         let mut bad = idx.stored();
         bad.node_labels[0] |= SOURCE;
         assert!(order_fault(&bad).contains("in_index"));
-        let undeclared = HopiIndex::build(&g, &[4, 3, 2, 1, 1]).0;
         let mut stale = idx.stored();
         stale.out_index = Derived(OnceLock::from(undeclared.out_index().clone()));
         assert!(order_fault(&stale).contains("out_index"));
@@ -986,7 +962,7 @@ mod tests {
     #[test]
     fn layout_fault_names_the_layout_word_and_each_table() {
         let g = Digraph::from_edges(3, [(0, 1), (1, 2)]);
-        let idx = HopiIndex::build(&g, &[0; 3]).0;
+        let idx = HopiIndex::build(&g, &[0; 3], &[], &[]).0;
         assert_eq!(idx.layout_fault(), None);
         type Damage = (fn(&mut HopiIndex), &'static str);
         let damage: [Damage; 4] = [
@@ -1010,7 +986,7 @@ mod tests {
             let found = bad.layout_fault().unwrap_or_default();
             assert!(found.starts_with(fault), "{fault}: {found}");
         }
-        let empty = HopiIndex::build(&Digraph::from_edges(0, []), &[]).0;
+        let empty = HopiIndex::build(&Digraph::from_edges(0, []), &[], &[], &[]).0;
         assert_eq!(empty.layout_fault(), None);
         assert_eq!(empty.node_count(), 0);
     }
@@ -1064,8 +1040,7 @@ mod tests {
     #[test]
     fn an_image_holds_bare_labels_and_a_load_flags_them() {
         let g = Digraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let mut idx = HopiIndex::build(&g, &[3, 2, 1, 0]).0;
-        idx.set_anchors(&[1, 3], &[0, 3]);
+        let idx = HopiIndex::build(&g, &[3, 2, 1, 0], &[1, 3], &[0, 3]).0;
         let image = pagestore::to_bytes(&idx).unwrap();
         let mut back: HopiIndex = pagestore::from_bytes(&image).unwrap();
         assert_eq!(back.node_labels, [3, 2, 1, 0]);
@@ -1084,7 +1059,7 @@ mod tests {
     #[should_panic(expected = "2^30")]
     fn a_label_that_reaches_the_flag_bits_panics_at_build() {
         let g = Digraph::from_edges(2, [(0, 1)]);
-        HopiIndex::build(&g, &[LABEL, LABEL + 1]);
+        HopiIndex::build(&g, &[LABEL, LABEL + 1], &[], &[]);
     }
 
     /// `flags[v]` bit 0 makes `v` a link source, bit 1 a link target.
@@ -1183,7 +1158,7 @@ mod tests {
         /// pair as the full distance merge does.
         #[test]
         fn reaches_is_distance_found((g, labels, _, _) in arb_labelled_graph()) {
-            let idx = HopiIndex::build(&g, &labels).0;
+            let idx = HopiIndex::build(&g, &labels, &[], &[]).0;
             let n = g.node_count() as NodeId;
             for (u, v) in (0..n).flat_map(|u| (0..n).map(move |v| (u, v))) {
                 prop_assert_eq!(idx.reaches(u, v), idx.distance(u, v).is_some(), "{} {}", u, v);
@@ -1203,8 +1178,7 @@ mod tests {
             let declared = anchor_sets(&flags);
             let (sources, targets) = &declared;
             let oracle = FourTables::build(&g, &labels, &declared);
-            let mut built = HopiIndex::build(&g, &labels).0;
-            built.set_anchors(sources, targets);
+            let built = HopiIndex::build(&g, &labels, sources, targets).0;
             for idx in [decoded(&built), built] {
                 prop_assert_eq!(idx.layout_fault(), None);
                 prop_assert_eq!(tables(&idx), oracle.tables());
@@ -1254,24 +1228,19 @@ mod tests {
         /// more rows; one the budget did not cut answers the whole join, and
         /// a budget no row lies past cuts nothing: both directions, every
         /// label, with and without the start, every budget from 0 past the
-        /// largest distance, with anchors declared once and declared again
-        /// over other ones.
+        /// largest distance, under two draws of anchors.
         #[test]
         fn a_budgeted_join_equals_the_unbudgeted_join_within_the_budget(
             (g, labels, a, b) in arb_labelled_graph()
         ) {
-            let mut idx = HopiIndex::build(&g, &labels).0;
-            let (a, b) = (anchor_sets(&a), anchor_sets(&b));
-            idx.set_anchors(&a.0, &a.1);
-            let redeclared = {
-                let mut idx = idx.clone();
-                idx.set_anchors(&b.0, &b.1);
-                idx
-            };
+            let [a, b] = [a, b].map(|flags| anchor_sets(&flags));
+            let [idx, other] = [a, b].map(|(sources, targets)| {
+                HopiIndex::build(&g, &labels, &sources, &targets).0
+            });
             let within = |reached: &Reached, budget| -> Reached {
                 reached.iter().copied().filter(|&(_, d)| d <= budget).collect()
             };
-            for idx in [idx, redeclared] {
+            for idx in [idx, other] {
                 for u in 0..g.node_count() as NodeId {
                     for axis in [Axis::Descendants, Axis::Ancestors] {
                         let asks = (0..3).flat_map(|label| [Some((label, false)), Some((label, true))]);
@@ -1307,41 +1276,6 @@ mod tests {
             }
         }
 
-        /// Declaring anchors is a function of the built index and the sets:
-        /// declaring `a` and then `b` leaves what a fresh build declared `b`
-        /// has — stored tables, and derived ones equal to the four-table
-        /// build's under `b` whatever was derived under `a` — and declaring
-        /// `b` again re-inverts nothing; from the built index and from its
-        /// decoded image alike.
-        #[test]
-        fn redeclared_anchors_equal_a_fresh_build_with_them(
-            (g, labels, a, b) in arb_labelled_graph()
-        ) {
-            let fresh = HopiIndex::build(&g, &labels).0;
-            let (a, b) = (anchor_sets(&a), anchor_sets(&b));
-            let mut want = fresh.clone();
-            prop_assert_eq!(want.set_anchors(&b.0, &b.1), !(b.0.is_empty() && b.1.is_empty()));
-            let (under_b, bare) = (
-                FourTables::build(&g, &labels, &b),
-                FourTables::build(&g, &labels, &Default::default()),
-            );
-            for mut idx in [decoded(&fresh), fresh.clone()] {
-                idx.set_anchors(&a.0, &a.1);
-                tables(&idx);
-                prop_assert_eq!(idx.set_anchors(&b.0, &b.1), a != b);
-                prop_assert_eq!(&idx, &want);
-                prop_assert_eq!(tables(&idx), under_b.tables());
-                prop_assert_eq!(idx.anchors(), b.clone());
-                // repeats and any order declare the same sets
-                let twice = |set: &[NodeId]| set.iter().rev().chain(set).copied().collect::<Vec<_>>();
-                prop_assert!(!idx.set_anchors(&twice(&b.0), &twice(&b.1)));
-                prop_assert_eq!(&idx, &want);
-                prop_assert_eq!(idx.set_anchors(&[], &[]), b != (Vec::new(), Vec::new()));
-                prop_assert_eq!(&idx, &fresh);
-                prop_assert_eq!(tables(&idx), bare.tables());
-            }
-        }
-
         /// `anchors_are` is equality with the declared anchors, for the
         /// declared lists and for lists one edit off them: a node added,
         /// one dropped, one moved to another node, which keeps the count,
@@ -1352,9 +1286,8 @@ mod tests {
             (g, labels, flags, _) in arb_labelled_graph(),
             (edit, targets, at, to) in (0u8..5, any::<bool>(), 0usize..64, 0usize..64),
         ) {
-            let mut idx = HopiIndex::build(&g, &labels).0;
             let declared = anchor_sets(&flags);
-            idx.set_anchors(&declared.0, &declared.1);
+            let idx = HopiIndex::build(&g, &labels, &declared.0, &declared.1).0;
             let mut lists = declared.clone();
             let list = if targets { &mut lists.1 } else { &mut lists.0 };
             let nodes = 0..idx.node_count() as NodeId;

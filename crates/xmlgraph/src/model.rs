@@ -12,10 +12,9 @@ pub type TagId = u32;
 pub type LocalId = u32;
 
 /// Bidirectional interner for element tag names.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TagInterner {
     names: Vec<String>,
-    #[serde(skip)]
     map: HashMap<String, TagId>,
 }
 
@@ -54,16 +53,6 @@ impl TagInterner {
     /// True if no tag has been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Rebuilds the lookup map after deserialisation.
-    pub fn rebuild_map(&mut self) {
-        self.map = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i as TagId))
-            .collect();
     }
 }
 
@@ -645,30 +634,6 @@ impl CollectionGraph {
         self.link_edges.len()
     }
 
-    /// Extends the collection with additional documents and re-seals.
-    ///
-    /// Existing global node ids, document ids, and tag ids are stable:
-    /// node ids are dense per document in document order, and new
-    /// documents only append. Previously dangling links that the new
-    /// documents resolve become real edges.
-    ///
-    /// # Errors
-    /// On duplicate document names.
-    pub fn extend(&self, new_docs: Vec<Document>) -> Result<CollectionGraph, String> {
-        let mut collection = self.collection.clone();
-        collection.tags.rebuild_map();
-        for d in new_docs {
-            collection.add_document(d)?;
-        }
-        let extended = collection.seal();
-        debug_assert_eq!(
-            &extended.node_base[..self.node_base.len()],
-            &self.node_base[..],
-            "existing node ids must be stable under extension"
-        );
-        Ok(extended)
-    }
-
     /// Corpus statistics used in §6-style reporting.
     pub fn stats(&self) -> CollectionStats {
         CollectionStats {
@@ -885,6 +850,35 @@ mod tests {
         let mut c = Collection::new();
         c.add_document(Document::new("a.xml")).unwrap();
         assert!(c.add_document(Document::new("a.xml")).is_err());
+    }
+
+    /// A link to a document the collection does not hold is counted as
+    /// dangling and adds no edge; one to a document added after its
+    /// source resolves at seal time, as one to an earlier document does.
+    #[test]
+    fn seal_counts_missing_targets_and_resolves_later_documents() {
+        let mut c = Collection::new();
+        let t = c.tags.intern("x");
+        let to = |name: &str| LinkTarget {
+            document: Some(name.into()),
+            fragment: None,
+        };
+        let mut old = Document::new("old.xml");
+        let r = old.add_element(t, None);
+        let k = old.add_element(t, Some(r));
+        old.add_link(r, to("missing.xml"));
+        old.add_link(k, to("later.xml"));
+        c.add_document(old).unwrap();
+        let mut later = Document::new("later.xml");
+        let l = later.add_element(t, None);
+        later.add_link(l, to("old.xml"));
+        c.add_document(later).unwrap();
+        let cg = c.seal();
+        assert_eq!(cg.dangling_links, 1);
+        assert_eq!(cg.link_edges, vec![(1, 2), (2, 0)]);
+        // the tree edge 0 -> 1 and the two resolved links, nothing else
+        assert!(cg.graph.edges().eq([(0, 1), (1, 2), (2, 0)]));
+        assert_eq!(cg.doc_graph.edge_count(), 2);
     }
 
     #[test]

@@ -164,3 +164,95 @@ fn all_configs_build_on_paper_shaped_corpus() {
         }
     }
 }
+
+/// One thread's evaluator scratch serves a MaximalPPO framework over a
+/// small corpus, then one over a corpus nearly twice its size, then a
+/// `DiskFlix` over the larger: every answer equals the one a fresh thread
+/// computes, disk answers as memory does, and a full descendants answer
+/// holds the nodes the BFS oracle reaches.
+#[test]
+fn scratch_reuse_across_builds_and_disk_matches_fresh_threads() {
+    use flix::{Axis, DiskFlix, QueryCtx};
+    type Answers = Vec<(Vec<(u32, u32)>, bool)>;
+    type Case = (Axis, u32, u32, QueryOptions);
+
+    let corpus = |documents| {
+        let config = DblpConfig {
+            documents,
+            ..DblpConfig::tiny(88)
+        };
+        Arc::new(generate_dblp(&config).seal())
+    };
+    let (small, large) = (corpus(60), corpus(110));
+    let [in_small, in_large] =
+        [&small, &large].map(|cg| Flix::build(cg.clone(), FlixConfig::MaximalPpo));
+    let pool = BufferPool::new(Arc::new(MemDisk::new()), 64);
+    let disk = DiskFlix::save_and_open(&in_large, BlobStore::new(Arc::new(pool)), "fw", 4).unwrap();
+    let opts = [
+        QueryOptions::default(),
+        QueryOptions::exact(),
+        QueryOptions::top_k(5),
+    ];
+    let cases = |cg: &xmlgraph::CollectionGraph, seed| -> Vec<Case> {
+        (descendant_queries(cg, 14, seed).into_iter())
+            .flat_map(|q| {
+                [Axis::Descendants, Axis::Ancestors]
+                    .into_iter()
+                    .flat_map(move |axis| opts.map(|o| (axis, q.start, q.target_tag, o)))
+            })
+            .collect()
+    };
+    let (small_cases, large_cases) = (cases(&small, 5), cases(&large, 6));
+    let query = |&(axis, start, tag, o): &Case| Query {
+        axis,
+        ..Query::descendants(start, tag, o)
+    };
+    let in_memory = |flix: &Flix, cases: &[Case]| -> Answers {
+        (cases.iter())
+            .map(|case| {
+                let out = flix.evaluate(&query(case), &mut QueryCtx::default());
+                let answer = out.results.iter().map(|r| (r.node, r.distance));
+                (answer.collect(), out.timed_out)
+            })
+            .collect()
+    };
+    let on_disk = |cases: &[Case]| -> Answers {
+        (cases.iter())
+            .map(|case| {
+                let out = disk
+                    .evaluate(&query(case), &mut QueryCtx::default())
+                    .unwrap();
+                let answer = out.results.iter().map(|r| (r.node, r.distance));
+                (answer.collect(), out.timed_out)
+            })
+            .collect()
+    };
+    let fresh =
+        |job: &(dyn Fn() -> Answers + Sync)| std::thread::scope(|s| s.spawn(job).join().unwrap());
+
+    // One thread, one scratch, three spaces of different sizes in turn.
+    let reused = [
+        in_memory(&in_small, &small_cases),
+        in_memory(&in_large, &large_cases),
+        on_disk(&large_cases),
+    ];
+    assert_eq!(reused[0], fresh(&|| in_memory(&in_small, &small_cases)));
+    assert_eq!(reused[1], fresh(&|| in_memory(&in_large, &large_cases)));
+    assert_eq!(reused[2], fresh(&|| on_disk(&large_cases)));
+    assert_eq!(reused[1], reused[2], "disk == memory");
+    let answered = reused[1].iter().filter(|(answer, _)| answer.len() > 1);
+    assert!(answered.count() > large_cases.len() / 4);
+
+    for (&(axis, start, tag, o), (answer, _)) in large_cases.iter().zip(&reused[1]) {
+        if axis != Axis::Descendants || o.max_results.is_some() {
+            continue;
+        }
+        let dist = bfs_distances(&large.graph, start);
+        let reached = (0..large.node_count() as u32).filter(|&v| {
+            v != start && large.tag_of(v) == tag && dist[v as usize] != graphcore::INFINITE_DISTANCE
+        });
+        let mut got: Vec<u32> = answer.iter().map(|&(v, _)| v).collect();
+        got.sort_unstable();
+        assert_eq!(got, reached.collect::<Vec<_>>(), "{start}//{tag} {o:?}");
+    }
+}

@@ -43,14 +43,14 @@ fn random_cyclic_graph(n: usize, edges: usize, seed: u64) -> (Digraph, Vec<u32>)
 fn dblp_workload_cover_is_exact() {
     let (g, labels) = dblp_graph();
     assert!(g.node_count() > 200, "workload too small to be meaningful");
-    let (idx, _) = HopiIndex::build(&g, &labels);
+    let (idx, _) = HopiIndex::build(&g, &labels, &[], &[]);
     idx.verify_against_graph(&g, 12).unwrap();
 }
 
 #[test]
 fn random_cyclic_workload_cover_is_exact() {
     let (g, labels) = random_cyclic_graph(400, 900, 0xD5EE);
-    let (idx, _) = HopiIndex::build(&g, &labels);
+    let (idx, _) = HopiIndex::build(&g, &labels, &[], &[]);
     idx.verify_against_graph(&g, 10).unwrap();
 }
 

@@ -104,7 +104,7 @@ proptest! {
     #[test]
     fn hopi_audit_and_graph_oracle_hold_on_random_graphs(g in arb_graph(40, 110)) {
         let labels = arb_labels(&g, 5);
-        let idx = HopiIndex::build(&g, &labels).0;
+        let idx = HopiIndex::build(&g, &labels, &[], &[]).0;
         let report = idx.integrity_check();
         prop_assert!(report.is_ok(), "{}", report.err().map(|e| e.to_string()).unwrap_or_default());
         let oracle = idx.verify_against_graph(&g, 12);
@@ -122,7 +122,7 @@ proptest! {
     #[test]
     fn hopi_image_round_trips_to_an_equal_index(g in arb_graph(40, 110)) {
         let n = g.node_count();
-        let idx = HopiIndex::build(&g, &arb_labels(&g, 5)).0;
+        let idx = HopiIndex::build(&g, &arb_labels(&g, 5), &[], &[]).0;
         let image = pagestore::to_bytes(&idx).unwrap();
         let tables: HopiTables = pagestore::from_bytes(&image).unwrap();
         let (l_out, in_index) = (&tables.l_out, &tables.in_index);
@@ -154,7 +154,7 @@ proptest! {
 }
 
 proptest! {
-    // Framework audits build four configurations per case, so fewer cases.
+    // Framework audits build five configurations per case, so fewer cases.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
@@ -190,6 +190,7 @@ proptest! {
             FlixConfig::Naive,
             FlixConfig::MaximalPpo,
             FlixConfig::UnconnectedHopi { partition_size: 20 },
+            FlixConfig::Hybrid { partition_size: 20 },
             FlixConfig::Monolithic(flix::StrategyKind::Apex),
         ] {
             let flix = Flix::build(cg.clone(), config);

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn hopi_matches_oracle_on_random_graphs(g in arb_graph(40, 120)) {
         let labels = arb_labels(&g, 5);
-        let idx = HopiIndex::build(&g, &labels).0;
+        let idx = HopiIndex::build(&g, &labels, &[], &[]).0;
         let oracle = DistanceOracle::new(&g);
         for u in 0..g.node_count() as u32 {
             for v in 0..g.node_count() as u32 {
@@ -62,7 +62,7 @@ proptest! {
     fn hopi_descendants_sorted_and_complete(g in arb_graph(30, 80)) {
         // one label for every node: the block of that label is every
         // descendant
-        let idx = HopiIndex::build(&g, &vec![0; g.node_count()]).0;
+        let idx = HopiIndex::build(&g, &vec![0; g.node_count()], &[], &[]).0;
         let tc = TransitiveClosure::build(&g);
         for u in 0..g.node_count() as u32 {
             let everything = Some((0, true));
@@ -188,11 +188,12 @@ proptest! {
         // Work accounting must be symmetric with the descendants axis: the
         // counted variant agrees with the plain one and never reports less
         // work than results returned, for every backend.
-        use flix::{MetaIndex, StrategyKind};
+        use flix::{MetaDocument, StrategyKind};
         let labels = arb_labels(&g, 4);
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            let mut nodes: Vec<u32> = (0..g.node_count() as u32).collect();
-            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
+            let nodes: Vec<u32> = (0..g.node_count() as u32).collect();
+            let (md, ..) = MetaDocument::build(kind, &g, &labels, nodes, vec![], vec![]);
+            let idx = md.index;
             for u in 0..g.node_count() as u32 {
                 for label in 0..4u32 {
                     for include_self in [false, true] {
@@ -224,7 +225,7 @@ proptest! {
         // answer is reused for every pop of all three strategies, as the
         // evaluator reuses its own: a longer earlier answer must not show
         // through a shorter later one.
-        use flix::{MetaDocument, MetaIndex, PopAnswer, StrategyKind};
+        use flix::{MetaDocument, PopAnswer, StrategyKind};
         let mut pop = PopAnswer::default();
         let labels = arb_labels(&g, 4);
         let n = g.node_count() as u32;
@@ -232,13 +233,18 @@ proptest! {
             (0..n).filter(|&v| picks[v as usize + offset]).collect()
         };
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-            // Under PPO the locals are preorder ranks and `nodes` follows:
-            // the elements no longer ascend with the locals.
-            let mut nodes: Vec<u32> = (0..n).collect();
-            let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
-            let mut md = MetaDocument::new(nodes, index);
-            md.set_anchors(subset(0), subset(30));
-            prop_assert_eq!(md.link_sources().len(), subset(0).len());
+            // Under PPO the locals are preorder ranks and `nodes` and the
+            // anchors follow: the elements no longer ascend with the
+            // locals, and the dropped edges' endpoints join the anchors.
+            let nodes: Vec<u32> = (0..n).collect();
+            let (md, extra, _) = MetaDocument::build(kind, &g, &labels, nodes, subset(0), subset(30));
+            let dropped: Vec<u32> = extra.iter().map(|&(u, _)| md.nodes[u as usize]).collect();
+            let mut sources: Vec<u32> = subset(0).into_iter().chain(dropped).collect();
+            sources.sort_unstable();
+            sources.dedup();
+            let mut elements: Vec<u32> = md.link_sources().iter().map(|&s| md.nodes[s as usize]).collect();
+            elements.sort_unstable();
+            prop_assert_eq!(elements, sources);
             let scan = |anchors: &[u32], dist: &dyn Fn(u32) -> Option<u32>| {
                 let mut out: Vec<(u32, u32)> =
                     anchors.iter().filter_map(|&a| dist(a).map(|d| (a, d))).collect();
@@ -326,10 +332,8 @@ proptest! {
         let graphs = [&small, &large];
         let sizes = graphs.map(Digraph::node_count);
         let hopi = graphs.map(|g| {
-            let mut index = HopiIndex::build(g, &arb_labels(g, 3)).0;
             let anchors: Vec<u32> = (0..g.node_count() as u32).step_by(2).collect();
-            index.set_anchors(&anchors, &[]);
-            Arc::new(index)
+            Arc::new(HopiIndex::build(g, &arb_labels(g, 3), &anchors, &[]).0)
         });
         let apex = graphs.map(|g| Arc::new(ApexIndex::build(g, &arb_labels(g, 3), 1)));
         let hopi_fresh = [0, 1].map(|k| on_a_fresh_thread(&hopi[k], sizes[k], hopi_answers));
@@ -347,13 +351,14 @@ proptest! {
     fn label_blocks_match_the_distance_scan(g in arb_graph(30, 80)) {
         // The counted block lookups of every strategy against the same
         // reference: every element carrying the label, probed by `distance`.
-        use flix::{MetaIndex, StrategyKind};
+        use flix::{MetaDocument, StrategyKind};
         let labels = arb_labels(&g, 4);
         let n = g.node_count() as u32;
         for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
             // local `v` is node `nodes[v]` of `g`, and carries its label
-            let mut nodes: Vec<u32> = (0..n).collect();
-            let (idx, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
+            let given: Vec<u32> = (0..n).collect();
+            let (md, ..) = MetaDocument::build(kind, &g, &labels, given, vec![], vec![]);
+            let (nodes, idx) = (md.nodes, md.index);
             let label_of = |v: u32| labels[nodes[v as usize] as usize];
             for e in 0..n {
                 for label in 0..4u32 {
@@ -595,7 +600,7 @@ fn malformed_flat_arrays_are_decode_errors() {
 /// is a decode error, never a panic and never a value.
 #[test]
 fn truncated_meta_document_images_are_decode_errors() {
-    use flix::{MetaDocument, MetaIndex, StrategyKind};
+    use flix::{MetaDocument, StrategyKind};
     let g = Digraph::from_edges(
         24,
         (1..24u32)
@@ -604,10 +609,8 @@ fn truncated_meta_document_images_are_decode_errors() {
     );
     let labels = arb_labels(&g, 4);
     for kind in [StrategyKind::Ppo, StrategyKind::Hopi, StrategyKind::Apex] {
-        let mut nodes: Vec<u32> = (100..124).collect();
-        let (index, ..) = MetaIndex::build(kind, &g, &labels, &mut nodes);
-        let mut md = MetaDocument::new(nodes, index);
-        md.set_anchors(vec![3, 11, 20], vec![5, 22]);
+        let nodes: Vec<u32> = (100..124).collect();
+        let (md, ..) = MetaDocument::build(kind, &g, &labels, nodes, vec![3, 11, 20], vec![5, 22]);
         let image = pagestore::to_bytes(&md).unwrap();
         let back: MetaDocument = pagestore::from_bytes(&image).unwrap();
         assert_eq!(pagestore::to_bytes(&back).unwrap(), image, "{kind}");
