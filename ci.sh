@@ -23,9 +23,10 @@ FLIX_BUILD_THREADS=1 cargo test -q --workspace
 echo "== cargo test (workspace, parallel builds: FLIX_BUILD_THREADS=0)"
 FLIX_BUILD_THREADS=0 cargo test -q --workspace
 
-echo "== tests/serve.rs ten times over (a test that races its worker shows here, not once a week)"
+echo "== tests/serve.rs and the flixserve unit tests ten times over (a test that races its worker or a swap shows here, not once a week)"
 for _ in 1 2 3 4 5 6 7 8 9 10; do
     cargo test -q --test serve
+    cargo test -q -p flixserve
 done
 
 echo "== flixbench (the benchmark package builds against crates/, is clippy-clean, passes its tests, and smoke-runs)"

@@ -40,9 +40,10 @@ pub trait QueryBackend: Send + Sync {
     /// The framework the backend evaluates on.
     fn framework(self: Arc<Self>) -> Arc<Flix>;
 
-    /// A backend of the same shape over a rebuilt framework: plain stays
-    /// plain, a cached backend keeps its cache object, a sharded one its
-    /// shard count and cache capacity.
+    /// A backend of the same shape over a rebuilt framework, sharing no
+    /// state with this one: plain stays plain, a cached backend gets an
+    /// empty cache of the same capacity, a sharded one the same shard
+    /// count and empty caches of the same per-shard capacity.
     fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend>;
 }
 

@@ -14,10 +14,10 @@
 //! any `k` by slicing. Cached vectors are shared (`Arc`), so repeated hot
 //! queries cost one map lookup and at worst one prefix copy.
 //!
-//! A generation counter guards correctness across rebuilds: [`CachedFlix::
-//! attach`] swaps in a new framework and bumps the generation, and every
-//! lookup rejects entries from older generations, so a rebuilt framework
-//! can never serve answers computed over the old one.
+//! A cache belongs to one framework: [`CachedFlix`] holds an immutable
+//! `Arc<Flix>`, and a rebuild ([`QueryBackend::over`]) makes a new
+//! `CachedFlix` over the rebuilt framework with an empty cache of the same
+//! capacity, so no entry outlives the framework it was computed on.
 //! The cache is latch-protected and safe to share across the client threads
 //! of the paper's multithreaded architecture.
 
@@ -31,7 +31,6 @@ use pagestore::Lru;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{BuildHasher, BuildHasherDefault};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use xmlgraph::TagId;
 
@@ -122,29 +121,19 @@ impl FrequencySketch {
     }
 }
 
-struct Entry {
-    /// Full (uncapped) result vector for the keyed query.
-    results: Arc<Vec<QueryResult>>,
-    /// Framework generation the results were computed under.
-    generation: u64,
-}
-
 struct CacheInner {
-    entries: Lru<Key, Entry>,
+    /// Each key's full (uncapped) result vector.
+    entries: Lru<Key, Arc<Vec<QueryResult>>>,
     sketch: FrequencySketch,
 }
 
-/// An LRU descendants-result cache with TinyLFU admission and a generation
-/// counter that invalidates everything computed before the last
-/// [`CachedFlix::attach`].
+/// An LRU query-result cache with TinyLFU admission, over one framework.
 pub struct ResultCache {
-    generation: AtomicU64,
     capacity: usize,
     inner: Mutex<CacheInner>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    invalidations: Counter,
     admitted: Counter,
     rejected: Counter,
 }
@@ -159,9 +148,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by LRU pressure at capacity.
     pub evictions: u64,
-    /// Entries dropped on lookup because they were computed under an
-    /// older framework generation (see [`CachedFlix::attach`]).
-    pub invalidations: u64,
     /// At-capacity insertions the TinyLFU gate admitted (displacing the
     /// LRU victim). Free-slot insertions need no admission decision and
     /// count in neither bucket.
@@ -187,7 +173,6 @@ impl ResultCache {
     /// If `capacity` is zero.
     pub(crate) fn new(capacity: usize) -> Self {
         Self {
-            generation: AtomicU64::new(0),
             capacity,
             inner: Mutex::new(CacheInner {
                 entries: Lru::new(capacity),
@@ -196,7 +181,6 @@ impl ResultCache {
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
-            invalidations: Counter::new(),
             admitted: Counter::new(),
             rejected: Counter::new(),
         }
@@ -205,11 +189,6 @@ impl ResultCache {
     /// The cache's entry capacity (fixed at construction).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The current framework generation (bumped by [`CachedFlix::attach`]).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
     }
 
     /// The cached `query`: a hit serves the complete stored answer clipped
@@ -228,11 +207,6 @@ impl ResultCache {
         ctx: &mut QueryCtx<'_>,
         evaluate: impl FnOnce(&Query, &mut QueryCtx<'_>) -> QueryOutcome,
     ) -> Answer {
-        // Capture the generation before `evaluate` reads the framework: if
-        // an `attach` lands in between, the fresh results are tagged with
-        // the older generation and correctly discarded on the next lookup —
-        // never old-framework results under the new generation.
-        let generation = self.generation();
         let key = key(query);
         let max_results = query.opts.max_results;
         {
@@ -240,22 +214,14 @@ impl ResultCache {
             // Every lookup feeds the admission sketch, hits included: the
             // gate needs to know which keys are actually popular.
             inner.sketch.record(&key);
-            match inner.entries.get(&key) {
-                Some(entry) if entry.generation == generation => {
-                    self.hits.inc();
-                    ctx.event(EventKind::CacheHit { shard: shard_tag });
-                    return Answer {
-                        results: clip(Arc::clone(&entry.results), max_results),
-                        timed_out: false,
-                        stats: None,
-                    };
-                }
-                Some(_) => {
-                    // Computed under an older framework: never serve it.
-                    inner.entries.remove(&key);
-                    self.invalidations.inc();
-                }
-                None => {}
+            if let Some(full) = inner.entries.get(&key) {
+                self.hits.inc();
+                ctx.event(EventKind::CacheHit { shard: shard_tag });
+                return Answer {
+                    results: clip(Arc::clone(full), max_results),
+                    timed_out: false,
+                    stats: None,
+                };
             }
         }
         self.misses.inc();
@@ -293,11 +259,7 @@ impl ResultCache {
             ctx.event(EventKind::CacheEvict);
             ctx.event(EventKind::CacheAdmit);
         }
-        let entry = Entry {
-            results: fresh,
-            generation,
-        };
-        inner.entries.insert(key, entry);
+        inner.entries.insert(key, fresh);
         answer
     }
 
@@ -312,7 +274,6 @@ impl ResultCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            invalidations: self.invalidations.get(),
             admitted: self.admitted.get(),
             rejected: self.rejected.get(),
         }
@@ -330,10 +291,9 @@ impl ResultCache {
 }
 
 /// A FliX framework behind a [`ResultCache`] (whose counters and
-/// inspection methods it derefs to) that survives framework rebuilds (see
-/// [`CachedFlix::attach`]). Every query goes through the cache.
+/// inspection methods it derefs to). Every query goes through the cache.
 pub struct CachedFlix {
-    flix: Mutex<Arc<Flix>>,
+    flix: Arc<Flix>,
     cache: ResultCache,
 }
 
@@ -352,26 +312,14 @@ impl CachedFlix {
     /// If `capacity` is zero.
     pub fn new(flix: Arc<Flix>, capacity: usize) -> Self {
         Self {
-            flix: Mutex::new(flix),
+            flix,
             cache: ResultCache::new(capacity),
         }
     }
 
-    /// The currently attached framework.
+    /// The framework the cache answers from.
     pub fn framework(&self) -> Arc<Flix> {
-        Arc::clone(&self.flix.lock())
-    }
-
-    /// Swaps in a rebuilt framework. All entries cached for the previous
-    /// framework become unservable immediately: the generation bump
-    /// outlives them, and lookups drop stale-generation entries.
-    pub fn attach(&self, flix: Arc<Flix>) {
-        // Order matters: swap the framework first, then bump. A racing
-        // query can then at worst insert results from the *old* framework
-        // under the *old* generation — already unservable — never results
-        // from the old framework under the new generation.
-        *self.flix.lock() = flix;
-        self.cache.generation.fetch_add(1, Ordering::Release);
+        Arc::clone(&self.flix)
     }
 
     /// Cached `a//B`: the results and the `timed_out` marker of
@@ -392,7 +340,7 @@ impl QueryBackend for CachedFlix {
     fn evaluate(&self, query: &Query, ctx: &mut QueryCtx<'_>) -> Answer {
         self.cache
             .get_or_evaluate(query, SHARD_NONE, ctx, |query, ctx| {
-                self.framework().evaluate(query, ctx)
+                self.flix.evaluate(query, ctx)
             })
     }
 
@@ -400,11 +348,10 @@ impl QueryBackend for CachedFlix {
         CachedFlix::framework(&self)
     }
 
-    /// The same cache object, re-attached: hit/miss history survives and
-    /// stale entries fall to the generation check.
+    /// A new cached backend over `rebuilt`, its cache empty at this one's
+    /// capacity.
     fn over(self: Arc<Self>, rebuilt: Arc<Flix>) -> Arc<dyn QueryBackend> {
-        self.attach(rebuilt);
-        self
+        Arc::new(CachedFlix::new(rebuilt, self.capacity()))
     }
 }
 
@@ -518,13 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn attach_invalidates_stale_answers() {
+    fn a_rebuilt_cached_backend_answers_from_the_rebuilt_framework_with_an_empty_cache() {
         let (flix, t) = small();
-        let cached = CachedFlix::new(flix, 8);
+        let cached = Arc::new(CachedFlix::new(flix, 8));
         let before = find(&cached, 0, t, &QueryOptions::default());
         assert_eq!(before.len(), 2, "own child plus the linked root");
 
-        // Rebuild over a grown collection: same query, more answers.
+        // Rebuild over a grown collection.
         let grown = {
             let mut d = Document::new("c.xml");
             d.add_element(t, None);
@@ -538,26 +485,24 @@ mod tests {
             FlixConfig::Naive,
             &BuildOptions::default(),
         ));
-        let gen_before = cached.generation();
-        cached.attach(rebuilt.clone());
-        assert_eq!(cached.generation(), gen_before + 1);
+        let next = Arc::clone(&cached).over(Arc::clone(&rebuilt));
+        assert!(Arc::ptr_eq(&Arc::clone(&next).framework(), &rebuilt));
 
-        // The old entry must NOT be served: the lookup sees the generation
-        // mismatch, drops it, and re-evaluates on the new framework.
-        let after = find(&cached, 0, t, &QueryOptions::default());
+        // The first lookup evaluates on the rebuilt framework: the old
+        // entry is not consulted, and the old cache is left as it was.
+        let query = Query::descendants(0, t, QueryOptions::default());
+        let after = next.evaluate(&query, &mut QueryCtx::default());
+        assert!(after.stats.is_some(), "post-rebuild lookup is a miss");
         assert_eq!(
-            *after,
+            *after.results,
             rebuilt.find_descendants(0, t, &QueryOptions::default())
         );
-        assert_eq!(cached.stats(), (0, 2), "post-attach lookup is a miss");
-        // The stale entry is counted as a generation-mismatch invalidation,
-        // distinct from LRU evictions.
-        let s = cached.cache_stats();
-        assert_eq!(s.invalidations, 1, "stale entry dropped on lookup");
-        assert_eq!(s.evictions, 0, "no capacity pressure in this test");
-        // ... and the re-cached entry serves hits again.
-        find(&cached, 0, t, &QueryOptions::default());
-        assert_eq!(cached.stats(), (1, 2));
+        assert_eq!(cached.stats(), (0, 1), "the old cache saw no lookup");
+        assert_eq!(cached.len(), 1);
+        // ... and the new cache serves hits from its own entry.
+        let again = next.evaluate(&query, &mut QueryCtx::default());
+        assert!(again.stats.is_none(), "second lookup is a hit");
+        assert!(Arc::ptr_eq(&again.results, &after.results));
     }
 
     #[test]
@@ -578,7 +523,6 @@ mod tests {
         // Re-inserting B at capacity displaces another victim.
         let s = cached.cache_stats();
         assert_eq!(s.evictions, 2);
-        assert_eq!(s.invalidations, 0, "no generation changes in this test");
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl std::fmt::Display for FlixConfig {
 
 /// The Indexing Strategy Selector: picks the best strategy for one meta
 /// document from its structure (paper §4.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategySelector {
     /// Use (extended) PPO when at most this fraction of edges must be
     /// removed to make the meta document a forest.
@@ -112,7 +112,7 @@ impl StrategySelector {
 }
 
 /// Build-phase knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// The strategy selector used where a configuration leaves the choice
     /// open.

@@ -319,8 +319,8 @@ impl ShardedFlix {
     /// Adds one result cache of `per_shard_capacity` entries per shard,
     /// consulted by [`QueryBackend::evaluate`] (and so by
     /// [`Self::find_descendants_deadline`]). A sharded backend
-    /// is immutable — a rebuild makes a new one with fresh caches — so
-    /// their generation never moves (see DESIGN.md §10).
+    /// is immutable: a rebuild makes a new one with fresh caches
+    /// ([`QueryBackend::over`]).
     ///
     /// # Panics
     /// If `per_shard_capacity` is zero.
@@ -503,7 +503,6 @@ impl ShardedFlix {
             total.hits += s.hits;
             total.misses += s.misses;
             total.evictions += s.evictions;
-            total.invalidations += s.invalidations;
             total.admitted += s.admitted;
             total.rejected += s.rejected;
         }

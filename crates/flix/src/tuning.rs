@@ -15,10 +15,9 @@
 use crate::config::{FlixConfig, StrategyKind};
 use crate::pee::PeeStats;
 use crate::report::BuildReport;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated query-load statistics.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LoadMonitor {
     queries: u64,
     entries_popped: u64,
@@ -61,28 +60,6 @@ impl LoadMonitor {
     /// Number of queries observed.
     pub fn queries(&self) -> u64 {
         self.queries
-    }
-
-    /// The load observed since `baseline` was captured: every counter is
-    /// the saturating difference between `self` and `baseline`. This is how
-    /// a long-running server windows its monitor without resetting it —
-    /// snapshot once, keep serving, and ask `current.since(&snapshot)` for
-    /// the traffic that arrived in between. Saturation (rather than
-    /// wrap-around) means a stale baseline from before a monitor swap
-    /// degrades to "no load observed" instead of garbage averages.
-    pub fn since(&self, baseline: &LoadMonitor) -> LoadMonitor {
-        LoadMonitor {
-            queries: self.queries.saturating_sub(baseline.queries),
-            entries_popped: self.entries_popped.saturating_sub(baseline.entries_popped),
-            entries_subsumed: self
-                .entries_subsumed
-                .saturating_sub(baseline.entries_subsumed),
-            block_results_scanned: self
-                .block_results_scanned
-                .saturating_sub(baseline.block_results_scanned),
-            links_expanded: self.links_expanded.saturating_sub(baseline.links_expanded),
-            results: self.results.saturating_sub(baseline.results),
-        }
     }
 
     /// Mean meta-document lookups per query: heap pops, answered

@@ -5,9 +5,9 @@
 //! re-organising the meta-document layout when the observed query load
 //! stops fitting the configuration that built it. The evaluator side of
 //! that loop already exists ([`flix::LoadMonitor::recommend_with_report`]);
-//! this module closes it: [`FlixServer::maybe_rebuild`] diffs the
-//! server's monitor against the baseline captured at the last swap, asks
-//! the monitor for a verdict on *that window* of traffic, builds the
+//! this module closes it: [`FlixServer::maybe_rebuild`] asks the live
+//! backend's monitor — every generation has its own, so it holds exactly
+//! the traffic since the last swap — for a verdict, builds the
 //! recommended configuration on the configured thread budget, and
 //! hot-swaps it in with [`FlixServer::swap_backend`] — in-flight queries
 //! finish on the old generation, new admissions see the new one, and no
@@ -91,32 +91,33 @@ fn config_code(config: FlixConfig) -> u64 {
 }
 
 impl FlixServer {
-    /// One tick of the self-tuning loop: judge the traffic observed since
-    /// the last swap, and rebuild + hot-swap if the monitor recommends a
-    /// different configuration.
+    /// One tick of the self-tuning loop: judge the live backend's own load
+    /// monitor — the traffic it evaluated since it was swapped in — and
+    /// rebuild + hot-swap if the monitor recommends a different
+    /// configuration.
     ///
-    /// The replacement backend keeps the current one's shape
-    /// ([`flix::QueryBackend::over`]): a plain
-    /// framework stays plain; a cached backend keeps its cache *object*
-    /// (hit/miss history included) and re-attaches the rebuilt framework,
-    /// so every stale entry is invalidated by the cache's generation
-    /// check rather than by flushing; a sharded backend is re-sharded to
-    /// the same shard count (and per-shard cache capacity). The build
-    /// runs entirely off the serving path — queries are answered by the
-    /// old generation until the one-pointer swap.
+    /// The replacement backend has the current one's shape and none of
+    /// its state ([`flix::QueryBackend::over`]): a plain framework stays
+    /// plain, a cached backend gets an empty cache of the same capacity,
+    /// a sharded one the same shard count and empty per-shard caches. The
+    /// swap gives it a fresh monitor, so the next tick judges only its
+    /// traffic. The build runs entirely off the serving path — queries are
+    /// answered by the old generation until the one-pointer swap.
     ///
     /// Safe to call from any thread, but not designed for concurrent
-    /// callers: two simultaneous ticks would race the same baseline and
-    /// could build twice. [`Rebuilder`] serialises ticks by owning them.
+    /// callers: two simultaneous ticks could judge the same window and
+    /// build twice. [`Rebuilder`] serialises ticks by owning them.
     pub fn maybe_rebuild(&self, config: &RebuildConfig) -> RebuildOutcome {
-        let snapshot = self.load();
-        let window = snapshot.since(&self.rebuild_baseline().lock());
+        // One read: the window and the backend it is judged against belong
+        // to one generation, even when a swap lands during this tick.
+        let live = self.live();
+        let window = live.load.snapshot();
         if window.queries() < config.min_queries {
             return RebuildOutcome::Quiet {
                 queries: window.queries(),
             };
         }
-        let backend = self.backend();
+        let backend = live.backend;
         let framework = Arc::clone(&backend.0).framework();
         let verdict = window.recommend_with_report(
             framework.config(),
@@ -143,11 +144,6 @@ impl FlixServer {
             micros: build_micros,
         });
         let generation = self.swap_backend(Backend(backend.0.over(rebuilt)));
-        // New baseline: the monitor judged everything up to `snapshot`;
-        // the next window starts from here (queries answered on the old
-        // generation between snapshot and swap bleed in — harmless, the
-        // monitor's thresholds are averages).
-        *self.rebuild_baseline().lock() = snapshot;
         RebuildOutcome::Rebuilt {
             generation,
             config: suggestion,
@@ -311,9 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_backend_keeps_its_cache_object_across_rebuild() {
+    fn a_rebuilt_cached_backend_starts_with_an_empty_cache_and_load_window() {
         let (flix, t) = chain(24);
-        let cached = Arc::new(CachedFlix::new(Arc::clone(&flix), 8));
+        let cached = Arc::new(CachedFlix::new(Arc::clone(&flix), 32));
         let server = FlixServer::start(
             Arc::clone(&cached),
             ServeConfig {
@@ -328,23 +324,60 @@ mod tests {
                 .query(Request::descendants(start, t, QueryOptions::default()))
                 .unwrap();
         }
-        let before_generation = cached.generation();
         let outcome = server.maybe_rebuild(&RebuildConfig {
             min_queries: 8,
             build_threads: 1,
             ..RebuildConfig::default()
         });
-        assert!(
-            matches!(outcome, RebuildOutcome::Rebuilt { .. }),
-            "deep descendant chains must trigger a rebuild, got {outcome:?}"
+        let RebuildOutcome::Rebuilt { config, .. } = outcome else {
+            panic!("deep descendant chains must trigger a rebuild, got {outcome:?}");
+        };
+        assert_eq!(server.load().queries(), 0, "the new generation's window");
+        let framework = Arc::clone(&server.backend().0).framework();
+        assert_eq!(framework.config(), config, "serves the rebuilt framework");
+        // The old cache holds all 16 answers, but the new backend consults
+        // none of them: every repeat is a miss, answered by the rebuild.
+        let old = cached.cache_stats();
+        for start in 0..16 {
+            let response = server
+                .query(Request::descendants(start, t, QueryOptions::default()))
+                .unwrap();
+            let oracle = flix.find_descendants(start, t, &QueryOptions::default());
+            assert_eq!(*response.results, oracle);
+        }
+        assert_eq!(cached.cache_stats(), old, "the old cache saw no lookup");
+        assert_eq!(server.load().queries(), 16, "every repeat was a miss");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_manual_swap_starts_a_fresh_load_window() {
+        let (flix, t) = chain(24);
+        let server = FlixServer::start(
+            Arc::new(CachedFlix::new(Arc::clone(&flix), 32)),
+            ServeConfig {
+                single_flight: false,
+                ..ServeConfig::default()
+            },
         );
-        // Same cache object, bumped generation: stale entries are
-        // invalidated lazily, history survives.
-        assert!(std::ptr::addr_eq(
-            Arc::as_ptr(&server.backend().0),
-            Arc::as_ptr(&cached)
-        ));
-        assert_eq!(cached.generation(), before_generation + 1);
+        let policy = RebuildConfig {
+            min_queries: 8,
+            build_threads: 1,
+            ..RebuildConfig::default()
+        };
+        for start in 0..12 {
+            server
+                .query(Request::descendants(start, t, QueryOptions::default()))
+                .unwrap();
+        }
+        assert_eq!(server.load().queries(), 12, "enough misses to judge");
+        server.swap_backend(Arc::clone(&flix));
+        // The old backend's traffic says nothing about the new one.
+        assert_eq!(
+            server.maybe_rebuild(&policy),
+            RebuildOutcome::Quiet { queries: 0 }
+        );
+        assert_eq!(server.generation(), 2);
         server.shutdown();
     }
 

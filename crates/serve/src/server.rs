@@ -241,18 +241,33 @@ pub struct ServeStats {
     pub max_in_flight: usize,
 }
 
+/// One backend generation: the engine and the load monitor fed by the
+/// queries it evaluates. A swap replaces both at once, so a monitor
+/// counts the traffic of exactly one backend.
+#[derive(Clone)]
+pub(crate) struct Live {
+    pub(crate) backend: Backend,
+    pub(crate) load: Arc<SharedLoadMonitor>,
+}
+
+impl Live {
+    fn new(backend: Backend) -> Self {
+        Self {
+            backend,
+            load: Arc::default(),
+        }
+    }
+}
+
 struct Shared {
-    /// The live backend. Workers clone it (an `Arc` clone) out of a brief
-    /// read lock per job, so [`FlixServer::swap_backend`] retargets new
-    /// admissions while in-flight work finishes on the old generation.
-    backend: RwLock<Backend>,
+    /// The live generation. Workers clone it (two `Arc` clones) out of a
+    /// brief read lock per job, so [`FlixServer::swap_backend`] retargets
+    /// new admissions while in-flight work finishes, and records its load,
+    /// on the old generation.
+    live: RwLock<Live>,
     /// Backend generation: `1` for the backend the server started with,
     /// bumped by every swap.
     generation: AtomicU64,
-    /// The load-monitor baseline the online rebuilder diffs against
-    /// (see [`FlixServer::maybe_rebuild`]): a rebuild decision looks only
-    /// at traffic that arrived since the last swap.
-    rebuild_baseline: Mutex<flix::LoadMonitor>,
     config: ServeConfig,
     draining: AtomicBool,
     in_flight: AtomicUsize,
@@ -266,7 +281,6 @@ struct Shared {
     single_flight: Mutex<HashMap<SfKey, SfEntry>>,
     metrics: ServeMetrics,
     slow_log: SlowQueryLog,
-    load: SharedLoadMonitor,
     /// The flight recorder, when this server was started traced
     /// ([`FlixServer::start_traced`]). `None` adds zero clock reads to the
     /// serve path: every journal site goes through [`Shared::journal`] or
@@ -382,9 +396,8 @@ impl FlixServer {
         let slots = config.effective_workers() * config.queue_capacity.max(1);
         let (sender, queue) = crossbeam::channel::bounded(slots);
         let shared = Arc::new(Shared {
-            backend: RwLock::new(backend),
+            live: RwLock::new(Live::new(backend)),
             generation: AtomicU64::new(1),
-            rebuild_baseline: Mutex::new(flix::LoadMonitor::new()),
             config,
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
@@ -393,7 +406,6 @@ impl FlixServer {
             single_flight: Mutex::new(HashMap::new()),
             metrics: ServeMetrics::default(),
             slow_log: SlowQueryLog::new(SLOW_LOG_CAPACITY),
-            load: SharedLoadMonitor::new(),
             recorder,
             next_request: AtomicU64::new(1),
         });
@@ -600,18 +612,25 @@ impl FlixServer {
         self.shared.slow_log.worst()
     }
 
-    /// Snapshot of the load monitor the workers feed: every query an
-    /// evaluator ran for, cache misses included (a cache hit does no
-    /// evaluator work and records nothing).
+    /// Snapshot of the live backend generation's load monitor: every
+    /// query an evaluator ran for on that backend since it was swapped in,
+    /// cache misses included (a cache hit does no evaluator work and
+    /// records nothing).
     pub fn load(&self) -> flix::LoadMonitor {
-        self.shared.load.snapshot()
+        self.shared.live.read().load.snapshot()
     }
 
     /// The live backend — an `Arc`-cheap clone of the handle, sharing the
     /// engine. Queries evaluated on the clone answer identically to
     /// queries served through the server (until a swap retargets it).
     pub fn backend(&self) -> Backend {
-        self.shared.backend.read().clone()
+        self.shared.live.read().backend.clone()
+    }
+
+    /// The live generation: its backend and its load monitor, read
+    /// together.
+    pub(crate) fn live(&self) -> Live {
+        self.shared.live.read().clone()
     }
 
     /// The backend generation: `1` for the backend the server started
@@ -623,13 +642,15 @@ impl FlixServer {
     /// Atomically replaces the serving backend under live traffic and
     /// returns the new generation.
     ///
-    /// The swap is a write-lock store: requests admitted after it see the
-    /// new backend; evaluations already running hold their own clone and
-    /// finish — correctly — on the generation they started on. No request
-    /// is dropped, paused, or re-queued. A traced server journals the swap
-    /// as [`EventKind::Swap`].
+    /// The swap is a write-lock store of the backend and a fresh load
+    /// monitor: requests admitted after it see the new backend and feed
+    /// the new monitor; evaluations already running hold their own clone
+    /// and finish — correctly — on the generation they started on,
+    /// recording into its monitor. No request is dropped, paused, or
+    /// re-queued. A traced server journals the swap as [`EventKind::Swap`].
     pub fn swap_backend(&self, backend: impl Into<Backend>) -> u64 {
-        *self.shared.backend.write() = backend.into();
+        let live = Live::new(backend.into());
+        *self.shared.live.write() = live;
         let generation = self.shared.generation.fetch_add(1, SeqCst) + 1;
         self.shared
             .journal(SUBMIT_LANE, RequestId::NONE, EventKind::Swap { generation });
@@ -640,11 +661,6 @@ impl FlixServer {
     /// lane of a traced server; a no-op otherwise.
     pub(crate) fn journal_control(&self, kind: EventKind) {
         self.shared.journal(SUBMIT_LANE, RequestId::NONE, kind);
-    }
-
-    /// The load-monitor baseline the online rebuilder diffs against.
-    pub(crate) fn rebuild_baseline(&self) -> &Mutex<flix::LoadMonitor> {
-        &self.shared.rebuild_baseline
     }
 
     /// Whether the server is draining (shutdown has begun).
@@ -687,15 +703,16 @@ fn worker_loop(shared: &Shared, worker: usize) {
             trace: stages.as_mut(),
             journal: handle.as_ref(),
         };
-        // Clone the live backend out of a brief read lock: the job runs
-        // entirely on the generation it picked up here, so a concurrent
-        // swap never changes an evaluation mid-flight.
-        let backend = shared.backend.read().clone();
+        // Clone the live generation out of a brief read lock: the job runs
+        // entirely on the generation it picked up here, and records its
+        // load there, so a concurrent swap never changes an evaluation
+        // mid-flight.
+        let live = shared.live.read().clone();
         let req = &job.request;
         // A panicking evaluation must cost one answer, not one worker.
         // Nothing is left half-updated: indexes are immutable, and a result
         // cache runs the evaluation outside its (non-poisoning) lock.
-        let evaluated = catch_unwind(AssertUnwindSafe(|| backend.0.evaluate(req, &mut ctx)));
+        let evaluated = catch_unwind(AssertUnwindSafe(|| live.backend.0.evaluate(req, &mut ctx)));
         let Ok(answer) = evaluated else {
             shared.journal(lane, job.id, EventKind::WorkerPanicked);
             shared.metrics.worker_panics.inc();
@@ -715,7 +732,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
             shared.metrics.timeouts.inc();
         }
         if let Some(stats) = answer.stats {
-            shared.load.record(stats, answer.results.len());
+            live.load.record(stats, answer.results.len());
         }
         // Only pay for the label (a format! per query) when the latency
         // could actually displace a slow-log entry.

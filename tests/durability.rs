@@ -4,8 +4,8 @@
 //! file-backed crash round trips, and the serve layer's hot swap under
 //! concurrent closed-loop traffic.
 
-use flix::{persist, Flix, FlixConfig, QueryOptions, StrategyKind};
-use flixserve::{FlixServer, Request, ServeConfig};
+use flix::{persist, CachedFlix, Flix, FlixConfig, QueryOptions, StrategyKind};
+use flixserve::{Backend, FlixServer, Request, ServeConfig};
 use pagestore::{
     BlobStore, BufferPool, DiskManager, DurableStore, FileDisk, FileLog, FileManifests, LogDevice,
     MemDisk, MemLog, MemManifests,
@@ -342,8 +342,9 @@ fn chain(docs: usize) -> (Arc<Flix>, TagId) {
 }
 
 /// Concurrent closed-loop clients while the backend is swapped under
-/// them repeatedly: zero dropped queries, every answer byte-identical to
-/// the single-generation oracle.
+/// them repeatedly, starting from a plain and from a cached backend, each
+/// swap going through `QueryBackend::over`: zero dropped queries, every
+/// answer byte-identical to the single-generation oracle.
 #[test]
 fn hot_swap_under_concurrent_traffic_drops_nothing_and_changes_no_answer() {
     use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -364,50 +365,61 @@ fn hot_swap_under_concurrent_traffic_drops_nothing_and_changes_no_answer() {
         "both generations agree before serving"
     );
 
-    let server = Arc::new(FlixServer::start(
-        Arc::clone(&naive),
-        ServeConfig {
-            workers: 4,
-            single_flight: false,
-            ..ServeConfig::default()
-        },
-    ));
-    let stop = AtomicBool::new(false);
-    let swaps = 40u64;
-    std::thread::scope(|s| {
-        // Swapper: flip between the two engines as fast as possible.
-        s.spawn(|| {
-            for i in 0..swaps {
-                if i % 2 == 0 {
-                    server.swap_backend(Arc::clone(&grown));
-                } else {
-                    server.swap_backend(Arc::clone(&naive));
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            stop.store(true, SeqCst);
-        });
-        // Clients: closed-loop queries across every swap.
-        for _ in 0..3 {
+    let backends: [(&str, Backend); 2] = [
+        ("plain", Arc::clone(&naive).into()),
+        (
+            "cached",
+            Arc::new(CachedFlix::new(Arc::clone(&naive), 8)).into(),
+        ),
+    ];
+    for (name, backend) in backends {
+        let server = Arc::new(FlixServer::start(
+            backend,
+            ServeConfig {
+                workers: 4,
+                single_flight: false,
+                ..ServeConfig::default()
+            },
+        ));
+        let stop = AtomicBool::new(false);
+        let swaps = 40u64;
+        std::thread::scope(|s| {
+            // Swapper: flip between the two engines as fast as possible,
+            // keeping the backend's shape.
             s.spawn(|| {
-                let mut answered = 0u64;
-                while !stop.load(SeqCst) {
-                    let response = server
-                        .query(Request::descendants(0, tag, QueryOptions::default()))
-                        .expect("hot swap must not drop queries");
-                    assert_eq!(*response.results, oracle, "answer changed across a swap");
-                    answered += 1;
+                for i in 0..swaps {
+                    let rebuilt = if i % 2 == 0 { &grown } else { &naive };
+                    let next = server.backend().0.over(Arc::clone(rebuilt));
+                    server.swap_backend(Backend(next));
+                    std::thread::sleep(std::time::Duration::from_micros(200));
                 }
-                assert!(answered > 0, "client made progress");
+                stop.store(true, SeqCst);
             });
-        }
-    });
-    assert_eq!(
-        server.generation(),
-        1 + swaps,
-        "every swap bumped the generation"
-    );
-    server.shutdown();
+            // Clients: closed-loop queries across every swap.
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let mut answered = 0u64;
+                    while !stop.load(SeqCst) {
+                        let response = server
+                            .query(Request::descendants(0, tag, QueryOptions::default()))
+                            .expect("hot swap must not drop queries");
+                        assert_eq!(
+                            *response.results, oracle,
+                            "{name}: answer changed across a swap"
+                        );
+                        answered += 1;
+                    }
+                    assert!(answered > 0, "{name}: client made progress");
+                });
+            }
+        });
+        assert_eq!(
+            server.generation(),
+            1 + swaps,
+            "{name}: every swap bumped the generation"
+        );
+        server.shutdown();
+    }
 }
 
 /// 64-bit FNV-1a of `bytes`.
