@@ -45,6 +45,11 @@ done
 # this seed)
 bash flixbench/run.sh --workload labeljoin --seconds 1 --corpus-seed 1999 > /dev/null
 bash flixbench/run.sh --workload rebuild --seconds 1 --corpus-seed 1999 > /dev/null
+# MaximalPPO, whose manifest still stores a local numbering (its preorder
+# groups are not in id order), built, persisted and queried on the same
+# second corpus, untraced and traced
+bash flixbench/run.sh --workload linkchase --seconds 1 --corpus-seed 1999 > /dev/null
+bash flixbench/run.sh --workload linkchase --seconds 1 --corpus-seed 1999 --trace 1 > /dev/null
 
 echo "== perf ledger (every committed result document parses and compares clean against itself)"
 for entry in bench/ledger/*.json; do

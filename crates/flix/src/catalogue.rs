@@ -8,7 +8,19 @@
 use crate::meta::MetaDocument;
 use graphcore::NodeId;
 use std::ops::Range;
+use std::sync::Arc;
 use xmlgraph::CollectionGraph;
+
+/// What the catalogue determines of a meta document and its image leaves
+/// out — its node map and anchor lists ([`Catalogue::metas`]) — derived once
+/// when a manifest is read and shared with every meta document loaded from
+/// it: [`MetaDocument::complete`] copies none of it.
+#[derive(Debug, Clone)]
+pub(crate) struct Catalogued {
+    pub(crate) nodes: Arc<[NodeId]>,
+    pub(crate) link_sources: Arc<[u32]>,
+    pub(crate) link_targets: Arc<[u32]>,
+}
 
 /// Node→meta maps and the runtime link table with its reverse.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +141,60 @@ impl Catalogue {
         links.sort_unstable();
         links.dedup();
         Self::new(meta_of, local_of, links)
+    }
+
+    /// What the catalogue determines of each of `meta_count` meta
+    /// documents, or the first way its maps are no partition into node
+    /// maps: a node in no meta document below `meta_count`, a local past
+    /// its document's end or one local for two nodes, or a runtime link
+    /// naming a node the maps do not hold. The anchor lists are §4.2's
+    /// `L_i`, each local once, ascending, as a build makes them. `O(n)`
+    /// and a sort of the anchors.
+    pub(crate) fn metas(&self, meta_count: usize) -> Result<Vec<Catalogued>, String> {
+        let (mut lens, count) = (vec![0usize; meta_count], meta_count);
+        for (v, &meta) in self.meta_of.iter().enumerate() {
+            let Some(len) = lens.get_mut(meta as usize) else {
+                return Err(format!("node {v} is in meta document {meta} of {count}"));
+            };
+            *len += 1;
+        }
+        // No node is `NodeId::MAX`, so a slot still holding it is free.
+        let mut maps: Vec<Vec<NodeId>> = lens.iter().map(|&len| vec![NodeId::MAX; len]).collect();
+        for (v, (&meta, &local)) in (0..).zip(self.meta_of.iter().zip(&self.local_of)) {
+            let map = &mut maps[meta as usize];
+            let len = map.len();
+            let Some(slot) = map.get_mut(local as usize) else {
+                return Err(format!(
+                    "node {v} is local {local} of meta document {meta}, which holds {len}"
+                ));
+            };
+            if *slot != NodeId::MAX {
+                return Err(format!(
+                    "node {v} is local {local} of meta document {meta}, as is an earlier node"
+                ));
+            }
+            *slot = v;
+        }
+        let mut lists = vec![[Vec::new(), Vec::new()]; meta_count];
+        for &link in &self.links {
+            for (side, v) in [link.0, link.1].into_iter().enumerate() {
+                let Some((meta, local)) = self.resolve(v) else {
+                    let n = self.meta_of.len();
+                    return Err(format!("runtime link {link:?} names a node past {n}"));
+                };
+                lists[meta as usize][side].push(local);
+            }
+        }
+        for list in lists.iter_mut().flatten() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let parts = |(nodes, [sources, targets]): (Vec<_>, [Vec<_>; 2])| Catalogued {
+            nodes: nodes.into(),
+            link_sources: sources.into(),
+            link_targets: targets.into(),
+        };
+        Ok(maps.into_iter().zip(lists).map(parts).collect())
     }
 
     /// `(meta, local)` of a global node, or `None` when the node is not an

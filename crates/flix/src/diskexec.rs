@@ -10,7 +10,7 @@
 //! through the buffer pool, so the experiment harness can report true I/O
 //! counts instead of a cost model.
 
-use crate::catalogue::Catalogue;
+use crate::catalogue::{Catalogue, Catalogued};
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
 use crate::pee::{collect, MetaSpace, Query, QueryCtx, QueryOptions, QueryOutcome, QueryResult};
@@ -37,9 +37,10 @@ pub struct DiskFlix {
     store: BlobStore,
     name: String,
     catalogue: Catalogue,
-    /// Each meta document's node map, as the manifest catalogues it: what
-    /// a loaded image is completed with, since it holds none.
-    node_maps: Vec<Vec<NodeId>>,
+    /// What the catalogue determines of each meta document — its node map
+    /// and anchor lists — derived once at [`Self::open`]: what a loaded
+    /// image is completed with, since it holds none of them.
+    metas: Vec<Catalogued>,
     cache: Mutex<Lru<u32, Arc<MetaDocument>>>,
     hits: flixobs::Counter,
     misses: flixobs::Counter,
@@ -61,7 +62,8 @@ impl DiskFlix {
 
     /// Opens a disk-resident engine over a framework saved with
     /// [`persist::save_flix`]. Only the manifest is read, and each meta
-    /// document's node map grouped out of it; indexes are loaded on demand.
+    /// document's node map and anchor lists derived from it; indexes are
+    /// loaded on demand.
     ///
     /// # Errors
     /// If `cache_capacity` is zero — the index cache needs a slot for the
@@ -72,12 +74,12 @@ impl DiskFlix {
         if cache_capacity == 0 {
             return Err("an index cache of 0 slots holds no index: give it at least 1".into());
         }
-        let (manifest, node_maps) = persist::load_manifest(&store, name)?;
+        let (_, catalogue, metas) = persist::load_manifest(&store, name)?;
         Ok(Self {
             store,
             name: name.to_string(),
-            catalogue: manifest.into_catalogue(),
-            node_maps,
+            catalogue,
+            metas,
             cache: Mutex::new(Lru::new(cache_capacity)),
             hits: flixobs::Counter::new(),
             misses: flixobs::Counter::new(),
@@ -86,21 +88,13 @@ impl DiskFlix {
 
     /// Loads (or fetches from cache) one meta document's index.
     ///
-    /// A miss is a copy of the meta document's node map and
-    /// [`persist::load_meta`]: one blob get, the format-word check, one
-    /// decode, then completing the image — checks over the decoded arrays
-    /// that build nothing, and HOPI's anchor flags set from its lists —
-    /// then admitting the index and dropping the cache's victim. Measured
-    /// in situ in the cold phase of flixbench's `rebuild` workload
-    /// (HOPI-5000, 8 slots for 31 meta documents; a 2-vCPU Xeon at 2.1
-    /// GHz), a miss reads a HOPI image — the descendants pair; the
-    /// ancestors pair is derived only if a lookup asks for it — with the
-    /// node-map copy 1.7–2.0 µs, get 11–15, decode 29–38 (the zero-filled
-    /// allocation 8–10 of it, unpacking 18–26), the layout, count and list
-    /// checks 6.7–8.5 and the flags 3.1–4.3. About 0.3 loads then derive
-    /// `l_in` for §5.1's entry test, 51–61 µs each. The stand-alone probe
-    /// behind `diskexec.load_us` times the same get and decode back to
-    /// back and leaves the rest out.
+    /// A miss is [`persist::load_meta`] with the meta document's shared
+    /// node map and anchor lists (three reference counts, no copy): one
+    /// blob get, the format-word check, one decode of the index alone, then
+    /// completing it — checks over the decoded arrays and HOPI's anchor
+    /// flags set from the lists. In situ in `rebuild`'s cold phase (three
+    /// 8 s passes, 2-vCPU Xeon at 2.1 GHz) a miss is get 9.6–10.2 µs,
+    /// decode 25.2–25.6 and completion 8.3–8.7; DESIGN.md has the rest.
     ///
     /// # Errors
     /// If the blob is missing from the store, fails to decode, or decodes
@@ -112,14 +106,10 @@ impl DiskFlix {
             return Ok(md);
         }
         self.misses.inc();
-        let nodes = (self.node_maps.get(id as usize))
+        let parts = (self.metas.get(id as usize))
             .ok_or_else(|| format!("no meta document {id} in the manifest"))?;
-        let md = Arc::new(persist::load_meta(
-            &self.store,
-            &self.name,
-            id as usize,
-            nodes.clone(),
-        )?);
+        let md = persist::load_meta(&self.store, &self.name, id as usize, parts.clone())?;
+        let md = Arc::new(md);
         // If another thread loaded `id` since this one missed, its copy is
         // replaced and nothing evicted. Freeing an index is not work to do
         // under the guard, which is gone at the end of this statement.
@@ -179,7 +169,7 @@ impl MetaSpace for DiskFlix {
     }
 
     fn meta_count(&self) -> usize {
-        self.node_maps.len()
+        self.metas.len()
     }
 
     fn meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
@@ -391,42 +381,13 @@ mod tests {
         }
     }
 
-    /// Same for a meta document that decodes but whose link anchors are
-    /// not in its index's lookup order (a store saved before PPO anchors
-    /// were rank-ordered): answering from it would silently miss links.
-    #[test]
-    fn stale_anchor_order_mid_query_is_an_error_not_a_partial_answer() {
-        let cg = graph();
-        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
-        // A query that pops into such a meta document after its first.
-        let (q, victim, md) = descendant_queries(&cg, 40, 44)
-            .into_iter()
-            .find_map(|q| {
-                let res = flix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-                let first = flix.meta_of(q.start);
-                res.iter()
-                    .map(|r| flix.meta_of(r.node))
-                    .filter(|&mi| mi != first)
-                    .find_map(|mi| Some((q, mi, flix.meta(mi).with_id_ordered_sources()?)))
-            })
-            .expect("some query enters a PPO meta whose preorder is not its id order");
-        let (mut store, _) = store();
-        persist::save_flix(&flix, &mut store, "fw").unwrap();
-        let bytes = persist::image(&md).unwrap();
-        store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
-        let dflix = DiskFlix::open(store, "fw", 4).unwrap();
-        let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
-        let err = got.expect_err("a partial answer was returned");
-        assert!(err.contains("index order"), "{err}");
-    }
-
     /// Same for a meta document as builds before "FLT1" saved it — every
     /// array behind an element count, no format word — under each
     /// strategy, and for such a manifest at `open`. (Those builds' meta
     /// documents held what an "FLT3" image holds.)
     #[test]
     fn count_prefixed_image_mid_query_is_an_error_not_a_partial_answer() {
-        use persist::mirror::{count_prefixed, CountedManifest, CountedMeta};
+        use persist::mirror::{count_prefixed, flt4_manifest, CountedManifest, CountedMeta};
         for config in [
             FlixConfig::MaximalPpo,
             FlixConfig::UnconnectedHopi { partition_size: 40 },
@@ -441,12 +402,8 @@ mod tests {
             };
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
-            let swap = |store: &mut BlobStore, blob: &str, twin: fn(&[u8]) -> Vec<u8>| {
-                let new = store.get(blob).unwrap().unwrap();
-                store.put(blob, &twin(&new)).unwrap();
-                new
-            };
-            let manifest = swap(&mut store, "fw/manifest", count_prefixed::<CountedManifest>);
+            let old = count_prefixed::<CountedManifest>(&flt4_manifest(&flix, b"FLT4"));
+            store.put("fw/manifest", &old).unwrap();
             let Err(err) = DiskFlix::open(store, "fw", 4) else {
                 panic!("{config}: opened over a count-prefixed manifest");
             };
@@ -454,7 +411,6 @@ mod tests {
 
             let (mut store, _) = self::store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
-            assert_eq!(store.get("fw/manifest").unwrap().unwrap(), manifest);
             let old =
                 count_prefixed::<CountedMeta>(&persist::mirror::flt3_image(flix.meta(victim)));
             store.put(&format!("fw/meta-{victim}"), &old).unwrap();

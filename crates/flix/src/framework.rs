@@ -1,6 +1,6 @@
 //! The build phase: from a sealed collection to a queryable framework.
 
-use crate::catalogue::Catalogue;
+use crate::catalogue::{Catalogue, Catalogued};
 use crate::config::{BuildOptions, FlixConfig, StrategyKind};
 use crate::mdb::{build_meta_documents, plan_build_order};
 use crate::meta::{MetaDocument, MetaIndex};
@@ -193,11 +193,6 @@ impl Flix {
         &self.metas[id as usize]
     }
 
-    /// Shared handle to a meta document.
-    pub fn meta_arc(&self, id: u32) -> Arc<MetaDocument> {
-        Arc::clone(&self.metas[id as usize])
-    }
-
     /// The node→meta maps and the runtime link table.
     pub(crate) fn catalogue(&self) -> &Catalogue {
         &self.catalogue
@@ -313,32 +308,24 @@ impl flixcheck::IntegrityCheck for Flix {
             return audit.finish();
         }
 
-        // The per-meta node lists and the global maps must be mutually
-        // inverse: metas[meta_of[g]].nodes[local_of[g]] == g, with every
-        // global node appearing in exactly one meta document.
-        let mut covered = 0usize;
-        let mut mismatch = None;
-        for (mi, md) in self.metas.iter().enumerate() {
-            for (local, &global) in md.nodes.iter().enumerate() {
-                covered += 1;
-                let found = self.catalogue.resolve(global);
-                if mismatch.is_none() && found != Some((mi as u32, local as u32)) {
-                    mismatch = Some(format!(
-                        "meta {mi} local {local} maps to global {global}, but the \
-                         global maps say {found:?}"
-                    ));
-                }
-            }
-        }
+        // Each meta document's node map and anchor lists are what the
+        // catalogue determines of it — what a load derives them as — so the
+        // node maps invert `meta_of` and `local_of` and partition the
+        // collection, and the anchors are the runtime links projected.
+        let differs = |(mi, (md, parts)): (usize, (&Arc<MetaDocument>, Catalogued))| {
+            let same = md.nodes == parts.nodes
+                && md.link_sources == parts.link_sources
+                && md.link_targets == parts.link_targets;
+            (!same).then(|| format!("meta {mi} differs"))
+        };
+        let mismatch = match self.catalogue.metas(self.metas.len()) {
+            Err(fault) => Some(fault),
+            Ok(parts) => self.metas.iter().zip(parts).enumerate().find_map(differs),
+        };
         audit.check(
-            "meta node lists and global maps are mutually inverse",
+            "meta node maps and anchor lists are the ones the catalogue determines",
             mismatch.is_none(),
             || mismatch.unwrap_or_default(),
-        );
-        audit.check(
-            "meta documents partition the collection",
-            covered == n,
-            || format!("meta documents hold {covered} nodes in total, collection has {n}"),
         );
 
         let unsorted = links.windows(2).any(|w| w[0] >= w[1]);
@@ -392,40 +379,6 @@ impl flixcheck::IntegrityCheck for Flix {
             "every graph edge is indexed or catalogued as a runtime link",
             lost.is_none(),
             || lost.unwrap_or_default(),
-        );
-
-        // The per-meta anchor sets are exactly the runtime-link endpoints
-        // translated to local ids.
-        let mut want_sources: Vec<Vec<u32>> = vec![Vec::new(); self.metas.len()];
-        let mut want_targets: Vec<Vec<u32>> = vec![Vec::new(); self.metas.len()];
-        for &(u, v) in links {
-            want_sources[meta_of[u as usize] as usize].push(local_of[u as usize]);
-            want_targets[meta_of[v as usize] as usize].push(local_of[v as usize]);
-        }
-        let mut bad_anchor = None;
-        for (mi, md) in self.metas.iter().enumerate() {
-            for (what, have, want) in [
-                ("link_sources", &md.link_sources, &mut want_sources[mi]),
-                ("link_targets", &md.link_targets, &mut want_targets[mi]),
-            ] {
-                // Compared as sets; each meta's own audit checks the order.
-                want.sort_unstable();
-                want.dedup();
-                let mut have = have.clone();
-                have.sort_unstable();
-                if have != *want && bad_anchor.is_none() {
-                    bad_anchor = Some(format!(
-                        "meta {mi} {what}: {} anchors recorded, link table implies {}",
-                        have.len(),
-                        want.len()
-                    ));
-                }
-            }
-        }
-        audit.check(
-            "per-meta anchor sets match the runtime link table",
-            bad_anchor.is_none(),
-            || bad_anchor.unwrap_or_default(),
         );
 
         // Every HOPI cover answers its meta document's graph exactly, by BFS
@@ -689,7 +642,10 @@ mod tests {
         let mut bad = flix.clone();
         bad.catalogue.meta_of[0] = bad.catalogue.meta_of[0].wrapping_add(1);
         let err = bad.integrity_check().unwrap_err();
-        assert!(err.to_string().contains("mutually inverse"), "{err}");
+        assert!(
+            err.to_string().contains("the catalogue determines"),
+            "{err}"
+        );
 
         // A cross-meta edge the link table lost.
         let maps = &flix.catalogue;
@@ -712,14 +668,27 @@ mod tests {
         let err = with_links(links).integrity_check().unwrap_err();
         assert!(err.to_string().contains("not a graph edge"), "{err}");
 
-        // An anchor set that forgot a link source.
-        let mut bad = flix.clone();
-        let mi = bad.meta_of(bad.runtime_links()[0].0) as usize;
-        let mut md = (*bad.metas[mi]).clone();
-        md.link_sources.clear();
-        bad.metas[mi] = Arc::new(md);
-        let err = bad.integrity_check().unwrap_err();
-        assert!(err.to_string().contains("anchor sets"), "{err}");
+        // An anchor list that forgot a link source, and one that holds
+        // them all but not in ascending order.
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg, FlixConfig::Naive);
+        let mi = (0..flix.metas.len())
+            .find(|&mi| flix.metas[mi].link_sources.len() >= 2)
+            .expect("a meta document two links leave");
+        let sources = &flix.metas[mi].link_sources;
+        let reversed: Vec<u32> = sources.iter().rev().copied().collect();
+        for list in [Vec::new(), reversed] {
+            let mut bad = flix.clone();
+            bad.metas[mi] = Arc::new(MetaDocument {
+                link_sources: list.into(),
+                ..(*flix.metas[mi]).clone()
+            });
+            let err = bad.integrity_check().unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("meta {mi} differs")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -738,7 +707,7 @@ mod tests {
         let edges = sub.edges().chain((1..n).map(|v| (0, v)));
         let labels: Vec<u32> = md.nodes.iter().map(|&g| cg.tag_of(g)).collect();
         let other = Digraph::from_edges(n as usize, edges);
-        let nodes = md.nodes.clone();
+        let nodes = md.nodes.to_vec();
         let (wrong, ..) =
             MetaDocument::build(StrategyKind::Hopi, &other, &labels, nodes, vec![], vec![]);
         let mut bad = flix.clone();

@@ -1,11 +1,13 @@
 //! Meta documents and their per-strategy indexes.
 
+use crate::catalogue::Catalogued;
 use crate::config::StrategyKind;
 use apex::ApexIndex;
 use graphcore::{Axis, Digraph, Distance, NodeId};
 use hopi::HopiIndex;
 use ppo::PpoIndex;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Refinement rounds of an APEX-backed meta document's summary: APEX-0
 /// split once by parent class.
@@ -171,19 +173,14 @@ impl MetaIndex {
 
 /// One meta document: a node set, its index, and its runtime-link anchors.
 ///
-/// Its image ([`crate::persist`]) holds the index and the two anchor lists
-/// and nothing any of them, or the manifest, determines: not the node map,
-/// which the manifest's catalogue holds, nor HOPI's anchor flags, which are
-/// the anchor lists, nor PPO's depths and parents, which are the subtree
-/// sizes'. Loading an image derives them.
+/// Its image ([`crate::persist`]) is the index: loading it derives the rest
+/// from the manifest's catalogue and the index itself.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetaDocument {
     /// Local id -> global node id: ascending under HOPI and APEX; under
-    /// PPO the locals are the spanning forest's preorder ranks. Not in the
-    /// image: the manifest maps every element to its meta document and
-    /// local.
+    /// PPO the locals are the spanning forest's preorder ranks.
     #[serde(skip)]
-    pub nodes: Vec<NodeId>,
+    pub nodes: Arc<[NodeId]>,
     /// The index built for this meta document.
     pub index: MetaIndex,
     /// Locals with outgoing runtime links (the set `L_i` of §4.2), each
@@ -191,13 +188,13 @@ pub struct MetaDocument {
     /// link sources below an element are one contiguous run of this list.
     /// Fixed at [`Self::build`]. A HOPI index does not read the list: it
     /// was built with both anchor sets as flags, and its inverted rows
-    /// begin with the anchors; an image holds the lists and not the flags.
-    #[serde(with = "graphcore::flat")]
-    pub(crate) link_sources: Vec<u32>,
+    /// begin with the anchors.
+    #[serde(skip)]
+    pub(crate) link_sources: Arc<[u32]>,
     /// Locals that are targets of runtime links (for ancestor queries),
     /// each once, ascending by local id under every strategy.
-    #[serde(with = "graphcore::flat")]
-    pub(crate) link_targets: Vec<u32>,
+    #[serde(skip)]
+    pub(crate) link_targets: Arc<[u32]>,
 }
 
 /// What one queue pop takes from a meta document — Fig. 4's per-entry
@@ -274,10 +271,10 @@ impl MetaDocument {
             anchors.dedup();
         }
         let md = Self {
-            nodes,
+            nodes: nodes.into(),
             index,
-            link_sources: sources,
-            link_targets: targets,
+            link_sources: sources.into(),
+            link_targets: targets.into(),
         };
         (md, extra, stages)
     }
@@ -419,21 +416,19 @@ impl MetaDocument {
     }
 
     /// Completes a decoded image into the meta document that was saved —
-    /// `nodes`, the manifest's node map of it, becomes its node map, PPO's
-    /// depths and parents are derived from its subtree sizes
-    /// ([`PpoIndex::derive_forest`]) and HOPI's anchor flags set from the
-    /// anchor lists ([`HopiIndex::flag_anchors`]) — or says why a lookup
-    /// could not trust it, checking what it derives from on the way: an
-    /// index laid out so that a lookup would index out of bounds or search
-    /// rows out of order ([`MetaIndex::layout_fault`]), or PPO sizes that
-    /// are no preorder forest; an index over another number of elements
-    /// than the map; anchor lists that are not valid locals in index
-    /// order ([`Self::list_fault`]); a HOPI image whose label words carry
-    /// flags. One pass over each array, and the flags equal the lists by
-    /// construction. [`crate::persist`] runs this on every meta document
-    /// it decodes.
-    pub(crate) fn complete(&mut self, nodes: Vec<NodeId>) -> Option<String> {
-        self.nodes = nodes;
+    /// `parts` become its node map and anchor lists, PPO's depths and
+    /// parents are derived ([`PpoIndex::derive_forest`]), HOPI's anchor
+    /// flags set ([`HopiIndex::flag_anchors`]) — or says why a lookup could
+    /// not trust it: a layout a lookup would index out of bounds or search
+    /// out of order in ([`MetaIndex::layout_fault`]), PPO sizes that are no
+    /// forest, another element count than the node map, flagged HOPI label
+    /// words. The lists come from a validated catalogue, unchecked.
+    pub(crate) fn complete(&mut self, parts: Catalogued) -> Option<String> {
+        Catalogued {
+            nodes: self.nodes,
+            link_sources: self.link_sources,
+            link_targets: self.link_targets,
+        } = parts;
         let fault = match &mut self.index {
             MetaIndex::Ppo(i) => i.derive_forest().or_else(|| i.layout_fault()),
             index => index.layout_fault(),
@@ -444,7 +439,7 @@ impl MetaDocument {
                 format!("its index covers {indexed} elements, the manifest catalogues {len}")
             })
         };
-        if let Some(fault) = fault.or_else(miscounted).or_else(|| self.list_fault()) {
+        if let Some(fault) = fault.or_else(miscounted) {
             return Some(fault);
         }
         let MetaIndex::Hopi(i) = &mut self.index else {
@@ -452,63 +447,13 @@ impl MetaDocument {
         };
         i.flag_anchors(&self.link_sources, &self.link_targets)
     }
-
-    /// The first way the anchor lists break their contract — valid locals,
-    /// each once, in the index's lookup order — if they do; one pass over
-    /// both. The lookups above silently miss links on lists in any other
-    /// order.
-    fn list_fault(&self) -> Option<String> {
-        let n = self.nodes.len().min(self.indexed_nodes());
-        let fault = |what: &str, anchors: &[u32]| {
-            if let Some(&a) = anchors.iter().find(|&&a| a as usize >= n) {
-                return Some(format!("{what} names local {a}, meta document holds {n}"));
-            }
-            let at = anchors.windows(2).position(|w| w[0] >= w[1])?;
-            Some(format!(
-                "{what} is not in index order at position {}: {} before {}",
-                at + 1,
-                anchors[at],
-                anchors[at + 1]
-            ))
-        };
-        fault("link_sources", &self.link_sources)
-            .or_else(|| fault("link_targets", &self.link_targets))
-    }
-
-    /// [`Self::list_fault`], and under HOPI whether the index flags the
-    /// very nodes the lists name: the lookups pass a node the index flags
-    /// none for, or stop at one it flags that no link leaves.
-    fn anchor_fault(&self) -> Option<String> {
-        self.list_fault().or_else(|| {
-            let MetaIndex::Hopi(i) = &self.index else {
-                return None;
-            };
-            (!i.anchors_are(&self.link_sources, &self.link_targets))
-                .then(|| "the HOPI index's anchor flags are not the anchor lists".to_string())
-        })
-    }
-}
-
-#[cfg(test)]
-impl MetaDocument {
-    /// This meta document with its link sources in the order of their
-    /// elements' ids — the order a PPO meta document kept them in before
-    /// the index-order rule — if that is a different list (the stale-store
-    /// tests need one where it is).
-    pub(crate) fn with_id_ordered_sources(&self) -> Option<Self> {
-        let mut stale = self.clone();
-        stale
-            .link_sources
-            .sort_unstable_by_key(|&s| self.nodes[s as usize]);
-        (stale.link_sources != self.link_sources).then_some(stale)
-    }
 }
 
 impl flixcheck::IntegrityCheck for MetaDocument {
     fn integrity_check(&self) -> Result<flixcheck::IntegrityReport, flixcheck::IntegrityError> {
         let mut audit = flixcheck::IntegrityChecker::new("MetaDocument");
         let n = self.nodes.len();
-        let mut sorted = self.nodes.clone();
+        let mut sorted = self.nodes.to_vec();
         sorted.sort_unstable();
         let repeated = sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
         audit.check(
@@ -521,12 +466,6 @@ impl flixcheck::IntegrityCheck for MetaDocument {
             "index covers exactly the meta document's nodes",
             index_n == n,
             || format!("index built over {index_n} nodes, meta document holds {n}"),
-        );
-        let fault = self.anchor_fault();
-        audit.check(
-            "runtime-link anchors are valid local ids in index order",
-            fault.is_none(),
-            || fault.unwrap_or_default(),
         );
         let inner = match &self.index {
             MetaIndex::Ppo(i) => i.integrity_check(),
@@ -599,7 +538,7 @@ mod tests {
         for kind in [StrategyKind::Hopi, StrategyKind::Apex] {
             let (md, extra) = meta(kind, &g, &labels);
             assert!(extra.is_empty(), "{kind} should not drop edges");
-            assert_eq!(md.nodes, vec![10, 11, 12, 13], "{kind} keeps the numbering");
+            assert_eq!(*md.nodes, [10, 11, 12, 13], "{kind} keeps the numbering");
             let idx = md.index;
             assert_eq!(idx.kind(), kind);
             assert_eq!(idx.distance(0, 3), Some(2), "{kind}");
@@ -616,7 +555,7 @@ mod tests {
     fn ppo_reports_dropped_edges() {
         let (g, labels) = diamond();
         let (md, extra) = meta(StrategyKind::Ppo, &g, &labels);
-        assert_eq!(md.nodes, vec![10, 11, 13, 12], "preorder 0, 1, 3, 2");
+        assert_eq!(*md.nodes, [10, 11, 13, 12], "preorder 0, 1, 3, 2");
         // the diamond has one non-forest edge, 2 -> 3, in the new numbering
         assert_eq!(extra, vec![(3, 2)]);
         assert_eq!(md.index.kind(), StrategyKind::Ppo);
@@ -704,7 +643,7 @@ mod tests {
         let nodes = vec![40, 30, 20, 10];
         let labels = [0, 1, 1, 1];
         let (md, ..) = MetaDocument::build(StrategyKind::Ppo, &g, &labels, nodes, vec![], vec![]);
-        assert_eq!(md.nodes, vec![40, 30, 10, 20], "preorder 0, 1, 3, 2");
+        assert_eq!(*md.nodes, [40, 30, 10, 20], "preorder 0, 1, 3, 2");
         let (by_local, _) = md.index.descendants_by_label_counted(0, 1, false);
         assert_eq!(by_local, vec![(1, 1), (3, 1), (2, 2)]);
         let mut pop = PopAnswer::default();
@@ -732,58 +671,20 @@ mod tests {
             md.integrity_check().unwrap();
 
             // One element on two locals.
-            let mut bad = md.clone();
-            bad.nodes[1] = bad.nodes[0];
+            let mut nodes = md.nodes.to_vec();
+            nodes[1] = nodes[0];
+            let bad = MetaDocument {
+                nodes: nodes.into(),
+                ..md.clone()
+            };
             assert!(bad.integrity_check().is_err(), "{kind:?}: repeated node");
 
             // Node map and index disagree about the document size.
-            let mut bad = md.clone();
-            bad.nodes.push(14);
+            let bad = MetaDocument {
+                nodes: [&md.nodes[..], &[14]].concat().into(),
+                ..md.clone()
+            };
             assert!(bad.integrity_check().is_err(), "{kind:?}: size mismatch");
-
-            // A link anchor outside the local id space.
-            let mut bad = md.clone();
-            bad.link_targets = vec![99];
-            assert!(bad.integrity_check().is_err(), "{kind:?}: stray anchor");
-
-            // An anchor listed twice.
-            let mut bad = md.clone();
-            bad.link_targets = vec![1, 1];
-            assert!(bad.integrity_check().is_err(), "{kind:?}: repeated anchor");
         }
-
-        // HOPI reads its anchors off the index's flags, not off the lists:
-        // the two must name the same nodes.
-        let (md, _) = anchored(StrategyKind::Hopi, &g, &labels, vec![3, 1], vec![2]);
-        md.integrity_check().unwrap();
-        let MetaIndex::Hopi(hopi) = &md.index else {
-            panic!("built as HOPI");
-        };
-        assert!(hopi.anchors_are(&[1, 3], &[2]));
-        assert!(!hopi.anchors_are(&[1, 2], &[2]) && !hopi.anchors_are(&[1, 3], &[]));
-        assert!(!hopi.anchors_are(&[3, 1], &[2]));
-        for forget in [
-            (|md| md.link_sources.truncate(1)) as fn(&mut MetaDocument),
-            |md| md.link_targets.clear(),
-            |md| md.link_targets = vec![1],
-        ] {
-            let mut bad = md.clone();
-            forget(&mut bad);
-            let err = bad.integrity_check().unwrap_err();
-            assert!(err.to_string().contains("anchor flags"), "{err}");
-        }
-
-        // PPO anchors in element order — what a framework persisted before
-        // the interval lookup holds — are out of *index* order.
-        let (g, labels) = crossed_tree();
-        let (md, _) = anchored(StrategyKind::Ppo, &g, &labels, vec![1, 2, 3], Vec::new());
-        assert_eq!(md.link_sources(), &[1, 2, 3]);
-        md.integrity_check().unwrap();
-        let err = md
-            .with_id_ordered_sources()
-            .unwrap()
-            .integrity_check()
-            .unwrap_err();
-        assert!(err.to_string().contains("index order"), "{err}");
     }
 }

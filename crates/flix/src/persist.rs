@@ -9,7 +9,7 @@
 //! not documents, exactly like the paper's setup where the XML data and the
 //! index tables live side by side.
 
-use crate::catalogue::Catalogue;
+use crate::catalogue::{Catalogue, Catalogued};
 use crate::config::FlixConfig;
 use crate::framework::Flix;
 use crate::meta::MetaDocument;
@@ -21,26 +21,22 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The format word every blob of a framework begins with ("FLT4"): behind
+/// The format word every blob of a framework begins with ("FLT5"): behind
 /// it, `pagestore::codec` bytes whose `u32`-shaped arrays are each one byte
 /// string, a count, lane widths and the lanes packed to the bits of their
 /// largest values ([`graphcore::flat`]), and PPO meta documents numbered in
 /// preorder, their index three arrays and a flat label table
-/// ([`ppo::PpoIndex`]). A meta document's image holds what nothing else
-/// determines: its index and its anchor lists, but not its node map (the
-/// manifest's catalogue holds it), HOPI's anchor flags (the lists are
-/// them: the label words are stored bare) or PPO's depths and parents (the
-/// subtree sizes give them); [`load_meta`] derives those. An image saved
-/// under "FLT3" holds all three: read as this format its node map would be
-/// taken for the index's variant and derail from there. One saved under
-/// "FLT2" holds the same arrays at four bytes an element; one saved under
-/// "FLT1" holds a PPO index of six arrays and a label map; one saved when
-/// the arrays were count-prefixed has no word at all. The word is checked
-/// before anything is decoded, so such images fail typed whatever their
-/// bytes would have misparsed as. What [`hopi::HopiIndex`] keeps behind its
-/// own layout word is narrower: the *order* of its rows, which this word
-/// says nothing of.
-const FORMAT: u32 = u32::from_le_bytes(*b"FLT4");
+/// ([`ppo::PpoIndex`]). A meta document's image is its index and nothing
+/// the index or the manifest determines: its node map and anchor lists
+/// ([`Catalogued`]), HOPI's anchor flags (the lists) and PPO's depths and
+/// parents (the subtree sizes) are derived on load. Images under an older
+/// word ("FLT4" stored the anchor lists and every local, "FLT3" the node
+/// map and flags, "FLT2" four bytes an element, "FLT1" six PPO arrays;
+/// before those, no word) would misparse as this one, so the word is
+/// checked before anything is decoded and they fail typed. What
+/// [`hopi::HopiIndex`] keeps behind its own layout word is narrower: the
+/// *order* of its rows, which this word says nothing of.
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT5");
 
 /// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
 /// (a tuple is its fields in order and nothing else).
@@ -68,17 +64,25 @@ fn stale(what: std::fmt::Arguments<'_>, fault: String) -> String {
     format!("{what} is stale or corrupt ({fault}); rebuild and save the framework")
 }
 
-/// The stored form of a framework's [`Catalogue`] (the reverse link table
-/// is derived on load) behind a three-field header. The one on-disk
-/// framework layout: [`load_flix`] reads every index behind it eagerly,
-/// [`crate::diskexec::DiskFlix`] faults them in per lookup.
+/// The stored form of a framework's [`Catalogue`] behind a three-field
+/// header. A local is stored only for the elements of the meta documents
+/// not numbered in id order (a PPO one whose preorder is not); any other
+/// element's local is its rank by id in its meta document, which
+/// `meta_of` fixes. The one on-disk framework layout: [`load_flix`] reads
+/// every index behind it eagerly, [`crate::diskexec::DiskFlix`] faults
+/// them in per lookup.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct Manifest {
-    pub(crate) config: FlixConfig,
-    pub(crate) node_count: usize,
-    pub(crate) meta_count: usize,
+    config: FlixConfig,
+    node_count: usize,
+    meta_count: usize,
     #[serde(with = "graphcore::flat")]
     meta_of: Vec<u32>,
+    /// The meta documents not numbered in id order.
+    #[serde(with = "graphcore::flat")]
+    renumbered: Vec<u32>,
+    /// The local of each element of a `renumbered` meta document, in
+    /// element order.
     #[serde(with = "graphcore::flat")]
     local_of: Vec<u32>,
     #[serde(with = "graphcore::flat")]
@@ -88,120 +92,109 @@ pub(crate) struct Manifest {
 impl Manifest {
     fn of(flix: &Flix) -> Self {
         let catalogue = flix.catalogue();
+        let renumbered: Vec<u32> = (0..flix.meta_count() as u32)
+            .filter(|&m| flix.meta(m).nodes.windows(2).any(|w| w[0] > w[1]))
+            .collect();
+        let stored = |v: &usize| renumbered.binary_search(&catalogue.meta_of[*v]).is_ok();
+        let local_of = (0..catalogue.meta_of.len()).filter(stored);
         Self {
             config: flix.config(),
             node_count: flix.collection().node_count(),
             meta_count: flix.meta_count(),
             meta_of: catalogue.meta_of.clone(),
-            local_of: catalogue.local_of.clone(),
+            local_of: local_of.map(|v| catalogue.local_of[v]).collect(),
+            renumbered,
             runtime_links: catalogue.links().to_vec(),
         }
     }
 
-    pub(crate) fn into_catalogue(self) -> Catalogue {
-        Catalogue::new(self.meta_of, self.local_of, self.runtime_links)
-    }
-
-    /// Each meta document's node map — local → global, what its image
-    /// does not hold — or the first way the catalogue stored here would
-    /// break a lookup, in `O(n)`: both maps cover the `node_count` nodes,
-    /// every node names one of the `meta_count` meta documents, and each
-    /// meta document's locals are a bijection onto `0..len` — a local past
-    /// the document's end would index past its node map, and two nodes on
-    /// one local would resolve to one element; the runtime links are
-    /// strictly ascending — the run index and the anchor sets are built on
-    /// that order — and name nodes of the collection.
-    fn node_maps(&self) -> Result<Vec<Vec<NodeId>>, String> {
-        let n = self.node_count;
-        let (metas, locals) = (self.meta_of.len(), self.local_of.len());
-        if metas != n || locals != n {
+    /// The catalogue stored here and what it determines of each meta
+    /// document ([`Catalogue::metas`]), or the first way it would break a
+    /// lookup: `meta_of` covers the `node_count` nodes, `local_of` holds a
+    /// local for each element of the `renumbered` meta documents, the node
+    /// maps are a partition, and the runtime links ascend strictly, as the
+    /// run index and the anchor lists need. `O(n)` and a sort of the anchors.
+    fn catalogue(self) -> Result<(Catalogue, Vec<Catalogued>), String> {
+        let (n, count) = (self.node_count, self.meta_count);
+        if self.meta_of.len() != n {
             return Err(format!(
-                "{n} nodes, but meta_of holds {metas} and local_of {locals}"
+                "{n} nodes, but meta_of holds {}",
+                self.meta_of.len()
             ));
         }
-        if self.meta_count > n.max(1) {
-            return Err(format!("{} meta documents of {n} nodes", self.meta_count));
+        if count > n.max(1) {
+            return Err(format!("{count} meta documents of {n} nodes"));
         }
-        let mut lens = vec![0usize; self.meta_count];
-        for (v, &meta) in self.meta_of.iter().enumerate() {
-            let Some(len) = lens.get_mut(meta as usize) else {
-                let count = self.meta_count;
-                return Err(format!("node {v} is in meta document {meta} of {count}"));
-            };
-            *len += 1;
+        // Per meta document, the next rank by id, or `None` if renumbered.
+        let mut ranks = vec![Some(0u32); count];
+        for &m in &self.renumbered {
+            let rank = ranks.get_mut(m as usize);
+            *rank.ok_or_else(|| format!("meta document {m} of {count} is renumbered"))? = None;
         }
-        // No node is `NodeId::MAX`, so a slot still holding it is free.
-        let mut maps: Vec<Vec<NodeId>> = lens.iter().map(|&len| vec![NodeId::MAX; len]).collect();
-        for (v, (&meta, &local)) in (0..).zip(self.meta_of.iter().zip(&self.local_of)) {
-            let map = &mut maps[meta as usize];
-            let len = map.len();
-            let Some(slot) = map.get_mut(local as usize) else {
-                return Err(format!(
-                    "node {v} is local {local} of meta document {meta}, which holds {len}"
-                ));
-            };
-            if *slot != NodeId::MAX {
-                return Err(format!(
-                    "node {v} is local {local} of meta document {meta}, as is an earlier node"
-                ));
-            }
-            *slot = v;
+        let (mut local_of, mut held) = (Vec::with_capacity(n), self.local_of.iter());
+        for &meta in &self.meta_of {
+            local_of.push(match ranks.get_mut(meta as usize) {
+                Some(Some(rank)) => {
+                    *rank += 1;
+                    *rank - 1
+                }
+                Some(None) => *held
+                    .next()
+                    .ok_or("local_of holds too few for the renumbered")?,
+                // Not a meta document: `Catalogue::metas` names it.
+                None => 0,
+            });
+        }
+        if held.len() > 0 {
+            return Err(format!("local_of holds {} past the renumbered", held.len()));
         }
         let links = &self.runtime_links;
         if let Some(at) = links.windows(2).position(|w| w[0] >= w[1]) {
             let (a, b) = (links[at], links[at + 1]);
             return Err(format!("runtime link {b:?} follows {a:?}"));
         }
-        let past = |&&(u, v): &&(NodeId, NodeId)| u as usize >= n || v as usize >= n;
-        if let Some(link) = links.iter().find(past) {
-            return Err(format!("runtime link {link:?} names a node past {n}"));
-        }
-        Ok(maps)
+        let catalogue = Catalogue::new(self.meta_of, local_of, self.runtime_links);
+        let metas = catalogue.metas(count)?;
+        Ok((catalogue, metas))
     }
 }
 
-/// Reads the manifest of the framework saved under `name`, with each meta
-/// document's node map — what [`load_meta`] completes an image with.
+/// Reads the manifest of the framework saved under `name`: the
+/// configuration, the catalogue and, by id, what [`load_meta`] completes
+/// each image with.
 ///
 /// # Errors
-/// If there is none; as "stale or corrupt" if it is in another format than
-/// this build's, does not decode, or stores a catalogue a lookup would
-/// index out of bounds on or miss links in ([`Manifest::node_maps`]).
+/// If there is none; as "stale or corrupt" in another format than this
+/// build's, undecodable, or unsound ([`Manifest::catalogue`]).
 pub(crate) fn load_manifest(
     store: &BlobStore,
     name: &str,
-) -> Result<(Manifest, Vec<Vec<NodeId>>), String> {
+) -> Result<(FlixConfig, Catalogue, Vec<Catalogued>), String> {
     let blob = store
         .get(&format!("{name}/manifest"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("no framework named {name:?} in store"))?;
     let refused = |fault| stale(format_args!("the manifest of {name:?}"), fault);
     let manifest: Manifest = decode(&blob).map_err(refused)?;
-    let maps = manifest.node_maps().map_err(refused)?;
-    Ok((manifest, maps))
+    let config = manifest.config;
+    let (catalogue, metas) = manifest.catalogue().map_err(refused)?;
+    Ok((config, catalogue, metas))
 }
 
 /// Reads and decodes the index of meta document `id` of the framework
-/// saved under `name`, and completes it with `nodes`, its node map as the
-/// manifest catalogues it ([`MetaDocument::complete`]) — the one decode
-/// site behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
+/// saved under `name`, and completes it with `parts`, what the manifest
+/// determines of it ([`MetaDocument::complete`]) — the one decode site
+/// behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
 ///
 /// # Errors
 /// If the blob is missing; and, each as "stale or corrupt": if it does not
-/// begin with this build's [`FORMAT`] word — no store saved before the
-/// derived fields left the image does; if it does not decode; or if the
-/// decoded image cannot be completed into an index a lookup can trust: an
-/// index over another number of elements than `nodes`, a HOPI index in
-/// another layout than this build's or with row offsets that are not
-/// well-formed, a PPO index whose arrays are not laid out for its lookups
-/// or whose subtree sizes do not nest, link anchors that are out of range
-/// or not ascending — the evaluator would silently miss links — or HOPI
-/// label words stored with anchor flags.
+/// begin with this build's [`FORMAT`] word, does not decode, or cannot be
+/// completed into an index a lookup can trust.
 pub(crate) fn load_meta(
     store: &BlobStore,
     name: &str,
     id: usize,
-    nodes: Vec<NodeId>,
+    parts: Catalogued,
 ) -> Result<MetaDocument, String> {
     let blob = store
         .get(&format!("{name}/meta-{id}"))
@@ -209,7 +202,7 @@ pub(crate) fn load_meta(
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
     let refused = |fault| stale(format_args!("meta document {id}"), fault);
     let mut md: MetaDocument = decode(&blob).map_err(refused)?;
-    match md.complete(nodes) {
+    match md.complete(parts) {
         Some(fault) => Err(refused(fault)),
         None => Ok(md),
     }
@@ -244,16 +237,15 @@ pub fn load_flix(
     name: &str,
     graph: Arc<CollectionGraph>,
 ) -> Result<Flix, String> {
-    let (manifest, maps) = load_manifest(store, name)?;
-    if manifest.node_count != graph.node_count() {
+    let (config, catalogue, metas) = load_manifest(store, name)?;
+    let (built, graph_has) = (catalogue.meta_of.len(), graph.node_count());
+    if built != graph_has {
         return Err(format!(
-            "collection mismatch: framework built over {} nodes, graph has {}",
-            manifest.node_count,
-            graph.node_count()
+            "collection mismatch: framework built over {built} nodes, graph has {graph_has}"
         ));
     }
-    let metas = (maps.into_iter().enumerate())
-        .map(|(mi, nodes)| load_meta(store, name, mi, nodes))
+    let metas = (metas.into_iter().enumerate())
+        .map(|(mi, parts)| load_meta(store, name, mi, parts))
         .collect::<Result<Vec<_>, _>>()?;
     // The report is a record of the build, not an index: no answer reads
     // it, so a store that lost the blob loads with a zeroed one. One that
@@ -264,14 +256,10 @@ pub fn load_flix(
     {
         Some(blob) => decode(&blob)
             .map_err(|fault| stale(format_args!("the build report of {name:?}"), fault))?,
-        None => BuildReport::empty(manifest.config),
+        None => BuildReport::empty(config),
     };
     Ok(Flix::from_raw_parts(
-        graph,
-        manifest.config,
-        metas,
-        manifest.into_catalogue(),
-        report,
+        graph, config, metas, catalogue, report,
     ))
 }
 
@@ -323,7 +311,7 @@ pub(crate) mod mirror {
     /// stored the flags held them.
     fn flagged(mut hopi: Hopi, md: &MetaDocument) -> Hopi {
         for (flag, anchors) in [(SOURCE, &md.link_sources), (TARGET, &md.link_targets)] {
-            for &a in anchors {
+            for &a in anchors.iter() {
                 hopi.node_labels[a as usize] |= flag;
             }
         }
@@ -577,15 +565,16 @@ pub(crate) mod mirror {
     }
 
     /// `blob` — an "FLT3" image ([`flt3_image`]) read as a [`CountedMeta`],
-    /// or this build's manifest, read as a [`CountedManifest`] — in the
+    /// or an "FLT4" manifest ([`flt4_manifest`]), read as a
+    /// [`CountedManifest`] — in the
     /// encoding of the builds before arrays were byte strings: every array
     /// behind an element count, and no format word.
     pub(crate) fn count_prefixed<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
         pagestore::to_bytes(&body::<M>(blob)).unwrap()
     }
 
-    /// `blob` — an "FLT3" image read as an [`Flt2Meta`], or this build's
-    /// manifest or [`BuildReport`] read as an [`Flt2Manifest`] or itself —
+    /// `blob` — an "FLT3" image read as an [`Flt2Meta`], an "FLT4" manifest
+    /// read as an [`Flt2Manifest`], or this build's [`BuildReport`] —
     /// as the "FLT2" build saved it: that word, then every array at four
     /// bytes an element.
     pub(crate) fn flt2<M: Serialize + DeserializeOwned>(blob: &[u8]) -> Vec<u8> {
@@ -618,11 +607,64 @@ pub(crate) mod mirror {
         nodes: Vec<u32>,
     }
 
+    /// A meta document's anchor lists as the images before "FLT5" held
+    /// them, behind the index.
+    #[derive(Serialize)]
+    struct Anchors {
+        #[serde(with = "graphcore::flat")]
+        sources: Vec<u32>,
+        #[serde(with = "graphcore::flat")]
+        targets: Vec<u32>,
+    }
+
+    /// The bytes of `md`'s anchor lists in such an image.
+    fn anchor_bytes(md: &MetaDocument) -> Vec<u8> {
+        let anchors = Anchors {
+            sources: md.link_sources.to_vec(),
+            targets: md.link_targets.to_vec(),
+        };
+        pagestore::to_bytes(&anchors).unwrap()
+    }
+
+    /// The image of `md` as the "FLT4" build saved it: that word, the
+    /// index, then the anchor lists.
+    pub(crate) fn flt4_image(md: &MetaDocument) -> Vec<u8> {
+        [b"FLT4", &image(md).unwrap()[4..], &anchor_bytes(md)].concat()
+    }
+
+    /// The manifest of `flix` as the "FLT4" build saved it — every local
+    /// stored — under the format word `word`: the "FLT3" build saved the
+    /// same fields.
+    pub(crate) fn flt4_manifest(flix: &Flix, word: &[u8; 4]) -> Vec<u8> {
+        #[derive(Serialize)]
+        struct Flt4Manifest {
+            config: FlixConfig,
+            node_count: usize,
+            meta_count: usize,
+            #[serde(with = "graphcore::flat")]
+            meta_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            local_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            runtime_links: Vec<(NodeId, NodeId)>,
+        }
+        let catalogue = flix.catalogue();
+        let manifest = Flt4Manifest {
+            config: flix.config(),
+            node_count: flix.collection().node_count(),
+            meta_count: flix.meta_count(),
+            meta_of: catalogue.meta_of.clone(),
+            local_of: catalogue.local_of.clone(),
+            runtime_links: catalogue.links().to_vec(),
+        };
+        [&word[..], &pagestore::to_bytes(&manifest).unwrap()].concat()
+    }
+
     /// The stored image of `md` with its index's bytes replaced by
     /// `reencode`'s: a meta document's image is the format word, the `u32`
-    /// variant of its index, the index, and the anchor lists, end to end.
-    /// Everything around the index stays as this build writes it, so what
-    /// refuses the result is a check on the index.
+    /// variant of its index and the index, end to end. Everything around
+    /// the index stays as this build writes it, so what refuses the result
+    /// is a check on the index.
     fn respliced<M: DeserializeOwned>(
         md: &MetaDocument,
         reencode: impl FnOnce(M) -> Vec<u8>,
@@ -703,10 +745,10 @@ pub(crate) mod mirror {
             MetaIndex::Apex(_) => image(md).unwrap(),
         };
         let nodes = NodeMap {
-            nodes: md.nodes.clone(),
+            nodes: md.nodes.to_vec(),
         };
         let nodes = pagestore::to_bytes(&nodes).unwrap();
-        [b"FLT3", &nodes[..], &new[4..]].concat()
+        [b"FLT3", &nodes[..], &new[4..], &anchor_bytes(md)].concat()
     }
 
     /// The image of `md` after `damage` edited its index, read as `M`: the
@@ -870,7 +912,7 @@ pub(crate) mod mirror {
         };
         let ppo: Ppo = pagestore::from_bytes(&pagestore::to_bytes(index).unwrap()).unwrap();
         let (depth, parent) = forest(&ppo.size);
-        let mut nodes = md.nodes.clone();
+        let mut nodes = md.nodes.to_vec();
         nodes.sort_unstable();
         // The local each rank had when locals ascended with the elements.
         let old: Vec<u32> = (md.nodes.iter())
@@ -1146,7 +1188,7 @@ mod tests {
             let flix = Flix::build(cg.clone(), config);
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
-            let manifest = st.get("fw/manifest").unwrap().unwrap();
+            let manifest = mirror::flt4_manifest(&flix, b"FLT4");
             let mut swap = |blob: &str, old: Vec<u8>| {
                 let new = st.get(blob).unwrap().unwrap();
                 st.put(blob, &old).unwrap();
@@ -1193,7 +1235,7 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let mut old = store();
-            let manifest = st.get("fw/manifest").unwrap().unwrap();
+            let manifest = mirror::flt4_manifest(&flix, b"FLT4");
             let twin = flt2::<Flt2Manifest>(&manifest);
             assert_eq!(
                 twin.len(),
@@ -1337,25 +1379,6 @@ mod tests {
         }
     }
 
-    /// A store written before PPO anchors were kept in preorder-rank order
-    /// holds them in id order; the interval lookup would miss links on it,
-    /// so loading must fail instead.
-    #[test]
-    fn stale_anchor_order_is_rejected_on_load() {
-        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
-        let flix = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
-        let (victim, stale) = (0..flix.meta_count() as u32)
-            .find_map(|mi| Some((mi, flix.meta(mi).with_id_ordered_sources()?)))
-            .expect("some PPO meta document's preorder differs from its id order");
-        let mut st = store();
-        save_flix(&flix, &mut st, "fw").unwrap();
-        load_flix(&st, "fw", cg.clone()).unwrap();
-        st.put(&format!("fw/meta-{victim}"), &image(&stale).unwrap())
-            .unwrap();
-        let err = load_flix(&st, "fw", cg).unwrap_err();
-        assert!(err.contains("index order"), "{err}");
-    }
-
     /// A store saved under "FLT1" holds PPO meta documents numbered by
     /// element, their index six arrays and a label map: read
     /// as this format the three arrays it keeps would decode from the old
@@ -1409,10 +1432,8 @@ mod tests {
 
     /// A meta document whose index is one element short of the node map
     /// the manifest catalogues for it — here another meta document's index,
-    /// with its anchors, so the index and the anchors are sound on their
-    /// own; the node map planted beside it is not in the image — is refused
-    /// on load, by name: a query at its last local would index past the
-    /// index.
+    /// sound on its own — is refused on load, by name: a query at its last
+    /// local would index past the index.
     #[test]
     fn indexes_shorter_than_their_node_map_are_rejected_on_load() {
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
@@ -1430,13 +1451,9 @@ mod tests {
                     Some((v, *short))
                 })
                 .expect("two meta documents one element apart");
-            let planted = MetaDocument {
-                nodes: metas[victim].nodes.clone(),
-                ..short.clone()
-            };
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
-            st.put(&format!("fw/meta-{victim}"), &image(&planted).unwrap())
+            st.put(&format!("fw/meta-{victim}"), &image(short).unwrap())
                 .unwrap();
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt (its index covers");
@@ -1633,9 +1650,12 @@ mod tests {
         }
     }
 
-    /// Pins the manifest's on-disk layout: the format word, then six
+    /// Pins the manifest's on-disk layout: the format word, then seven
     /// fields, flat, in this order (the codec writes a struct as its fields
-    /// and nothing else), the three arrays byte-prefixed.
+    /// and nothing else), the four arrays byte-prefixed; a local is stored
+    /// for each element of a meta document whose locals are not its
+    /// elements' ranks by id, and for no other. Read back, it gives the
+    /// built catalogue, node maps and anchor lists.
     #[test]
     fn manifest_keeps_the_flat_field_order() {
         #[derive(Serialize)]
@@ -1646,79 +1666,75 @@ mod tests {
             #[serde(with = "graphcore::flat")]
             meta_of: Vec<u32>,
             #[serde(with = "graphcore::flat")]
+            renumbered: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
             local_of: Vec<u32>,
             #[serde(with = "graphcore::flat")]
             runtime_links: Vec<(NodeId, NodeId)>,
         }
-        let cg = sample();
-        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
-        let nodes = 0..cg.node_count() as NodeId;
-        let flat = FlatManifest {
-            config: flix.config(),
-            node_count: cg.node_count(),
-            meta_count: flix.meta_count(),
-            meta_of: nodes.clone().map(|u| flix.meta_of(u)).collect(),
-            local_of: nodes.map(|u| flix.local_of(u)).collect(),
-            runtime_links: flix.runtime_links().to_vec(),
-        };
-        let bytes = [b"FLT4".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
-        let mut st = store();
-        save_flix(&flix, &mut st, "fw").unwrap();
-        assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes);
-        st.put("twin/manifest", &bytes).unwrap();
-        let (manifest, maps) = load_manifest(&st, "twin").unwrap();
-        assert_eq!(manifest.meta_count, flix.meta_count());
-        let held = (0..flix.meta_count() as u32).map(|m| flix.meta(m).nodes.clone());
-        assert_eq!(maps, held.collect::<Vec<_>>());
-        assert_eq!(manifest.into_catalogue(), *flix.catalogue());
-    }
-
-    /// A manifest whose catalogue would break a lookup — a link table the
-    /// run index and the anchor sets cannot be built on, a map that names
-    /// no meta document, a local past its document's end or one local for
-    /// two nodes — is refused
-    /// by `load_flix` and by `DiskFlix::open`, by name, before any query
-    /// can index out of bounds or miss a link; and a meta document image
-    /// of another length than the manifest catalogues is refused on load.
-    #[test]
-    fn manifests_that_would_break_a_lookup_are_rejected_on_load() {
-        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
-        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
-        assert!(flix.runtime_links().len() >= 2 && flix.meta_count() >= 2);
-        // An edit of the stored manifest, and what its refusal says.
-        type Damage = (fn(&mut Manifest), &'static str);
-        let damage: [Damage; 10] = [
-            (|m| m.runtime_links.swap(0, 1), "follows"),
-            (|m| m.runtime_links.push(m.runtime_links[0]), "follows"),
+        let dblp = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        for (cg, config, renumbered) in [
+            (sample(), FlixConfig::Naive, false),
             (
-                |m| m.runtime_links.last_mut().unwrap().1 = m.node_count as NodeId,
-                "past",
+                dblp.clone(),
+                FlixConfig::UnconnectedHopi { partition_size: 40 },
+                false,
             ),
-            (|m| m.runtime_links[0].0 = NodeId::MAX, "follows"),
-            (
-                |m| m.local_of.truncate(m.node_count - 1),
-                "but meta_of holds",
-            ),
-            (
-                |m| m.meta_of[3] = m.meta_count as u32,
-                "is in meta document",
-            ),
-            (|m| *m.local_of.last_mut().unwrap() += 1, "which holds"),
-            (|m| m.meta_count = m.node_count + 1, "meta documents of"),
-            // Nodes 0 and 1 are the root and the first child of one
-            // document, in one meta document.
-            (|m| m.local_of[1] = m.local_of[0], "as is an earlier node"),
-            (
-                |m| {
-                    let meta = m.meta_of[0];
-                    m.local_of[0] = m.meta_of.iter().filter(|&&of| of == meta).count() as u32;
-                },
-                "which holds",
-            ),
-        ];
-        for (damage, fault) in damage {
+            (dblp, FlixConfig::MaximalPpo, true),
+        ] {
+            let flix = Flix::build(cg.clone(), config);
+            let nodes = 0..cg.node_count() as NodeId;
+            let meta_of: Vec<u32> = nodes.clone().map(|u| flix.meta_of(u)).collect();
+            // Each element's rank by id within its meta document.
+            let mut seen = vec![0; flix.meta_count()];
+            let ranks = meta_of.iter().map(|&m| {
+                seen[m as usize] += 1;
+                seen[m as usize] - 1
+            });
+            let mut stored = vec![false; flix.meta_count()];
+            for (u, rank) in nodes.clone().zip(ranks.collect::<Vec<u32>>()) {
+                stored[meta_of[u as usize] as usize] |= flix.local_of(u) != rank;
+            }
+            let flat = FlatManifest {
+                config: flix.config(),
+                node_count: cg.node_count(),
+                meta_count: flix.meta_count(),
+                renumbered: (0..flix.meta_count() as u32)
+                    .filter(|&m| stored[m as usize])
+                    .collect(),
+                local_of: (nodes.filter(|&u| stored[meta_of[u as usize] as usize]))
+                    .map(|u| flix.local_of(u))
+                    .collect(),
+                meta_of,
+                runtime_links: flix.runtime_links().to_vec(),
+            };
+            assert_eq!(!flat.renumbered.is_empty(), renumbered, "{config}");
+            let bytes = [b"FLT5".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
+            assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes, "{config}");
+            st.put("twin/manifest", &bytes).unwrap();
+            let (read, catalogue, metas) = load_manifest(&st, "twin").unwrap();
+            assert_eq!((read, metas.len()), (config, flix.meta_count()));
+            for (mi, parts) in metas.iter().enumerate() {
+                let built = flix.meta(mi as u32);
+                assert_eq!(parts.nodes, built.nodes, "{config} meta {mi}");
+                assert_eq!(parts.link_sources, built.link_sources, "{config} meta {mi}");
+                assert_eq!(parts.link_targets, built.link_targets, "{config} meta {mi}");
+            }
+            assert_eq!(catalogue, *flix.catalogue(), "{config}");
+        }
+    }
+
+    /// An edit of a stored manifest, and what its refusal says.
+    type ManifestDamage = (fn(&mut Manifest), &'static str);
+
+    /// Saves `flix` with each `damage` done to its manifest in turn: each
+    /// is refused by `load_flix` and by `DiskFlix::open`, by name.
+    fn each_damaged_manifest_is_refused(flix: &Flix, damage: &[ManifestDamage]) {
+        for &(damage, fault) in damage {
+            let mut st = store();
+            save_flix(flix, &mut st, "fw").unwrap();
             let good = st.get("fw/manifest").unwrap().unwrap();
             st.put("fw/manifest", &mirror::damaged_manifest(&good, damage))
                 .unwrap();
@@ -1726,9 +1742,73 @@ mod tests {
                 let named = "the manifest of \"fw\" is stale or corrupt (";
                 assert!(err.starts_with(named) && err.contains(fault), "{err}");
             };
-            refused(load_flix(&st, "fw", cg.clone()).unwrap_err());
+            refused(load_flix(&st, "fw", flix.collection_arc()).unwrap_err());
             refused(crate::DiskFlix::open(st, "fw", 4).err().unwrap());
         }
+    }
+
+    /// A manifest whose catalogue would break a lookup — a link table the
+    /// run index and the anchor sets cannot be built on, a map that names
+    /// no meta document, a stored numbering that does not fit the meta
+    /// documents it names, a local past its document's end or one local for
+    /// two nodes — is refused by `load_flix` and by `DiskFlix::open`, by
+    /// name, before any query can index out of bounds or miss a link; and
+    /// a meta document image of another length than the manifest
+    /// catalogues is refused on load.
+    #[test]
+    fn manifests_that_would_break_a_lookup_are_rejected_on_load() {
+        let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
+        let flix = Flix::build(cg.clone(), FlixConfig::Naive);
+        assert!(flix.runtime_links().len() >= 2 && flix.meta_count() >= 2);
+        each_damaged_manifest_is_refused(
+            &flix,
+            &[
+                (|m| m.runtime_links.swap(0, 1), "follows"),
+                (|m| m.runtime_links.push(m.runtime_links[0]), "follows"),
+                (
+                    |m| m.runtime_links.last_mut().unwrap().1 = m.node_count as NodeId,
+                    "past",
+                ),
+                (|m| m.runtime_links[0].0 = NodeId::MAX, "follows"),
+                (
+                    |m| m.meta_of.truncate(m.node_count - 1),
+                    "but meta_of holds",
+                ),
+                (
+                    |m| m.meta_of[3] = m.meta_count as u32,
+                    "is in meta document",
+                ),
+                (|m| m.meta_count = m.node_count + 1, "meta documents of"),
+                // Every meta document of this framework is in id order.
+                (|m| m.renumbered.push(0), "too few for the renumbered"),
+                (|m| m.local_of.push(0), "past the renumbered"),
+            ],
+        );
+        let ppo = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
+        each_damaged_manifest_is_refused(
+            &ppo,
+            &[
+                (|m| m.renumbered.push(m.meta_count as u32), "is renumbered"),
+                (|m| m.local_of[0] = u32::MAX, "which holds"),
+                (
+                    |m| {
+                        // The meta document of each stored local, and a
+                        // later local of the first one's.
+                        let stored = |meta: &u32| m.renumbered.binary_search(meta).is_ok();
+                        let metas: Vec<u32> = m.meta_of.iter().copied().filter(stored).collect();
+                        let again = (1..metas.len()).find(|&j| metas[j] == metas[0]).unwrap();
+                        m.local_of[again] = m.local_of[0];
+                    },
+                    "as is an earlier node",
+                ),
+                (
+                    |m| {
+                        m.local_of.pop();
+                    },
+                    "too few for the renumbered",
+                ),
+            ],
+        );
 
         // Meta document 0's blob holds meta document 1's image: the
         // manifest says how many elements meta document 0 holds.
@@ -1756,86 +1836,171 @@ mod tests {
         })
     }
 
-    /// A store saved under "FLT3" holds every meta document with its node
-    /// map, PPO's depths and parents and HOPI's anchor flags. The mirror's
-    /// "FLT3" images are that build's bytes — folded as
-    /// `tests/image_digests.rs` folds a store, they give the digests it
-    /// pinned for "FLT3" — and the word refuses each blob, by name, in
+    /// Every configuration, and the digest `tests/image_digests.rs` pinned
+    /// for its store under the format named in the test using it.
+    type Pinned = [(FlixConfig, u64); 7];
+
+    /// Saves each configuration of `pinned` over the tiny corpus as an
+    /// older build did — `manifest` and `image` make its blobs — checks
+    /// that the store folds to the digest that build's bytes were pinned
+    /// at, and that its format word `word` refuses each blob, by name: the
+    /// manifest in `load_manifest`, `load_flix` and `DiskFlix::open`, each
+    /// meta document, behind this build's manifest, in `load_meta`,
     /// `load_flix` and at the `DiskFlix` miss that reads it.
-    #[test]
-    fn flt3_images_are_rejected_on_load() {
-        use crate::config::StrategyKind;
+    fn each_older_store_is_refused(
+        word: &[u8; 4],
+        manifest: fn(&Flix) -> Vec<u8>,
+        old_image: fn(&MetaDocument) -> Vec<u8>,
+        pinned: Pinned,
+    ) {
         use crate::pee::MetaSpace;
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
-        let pinned = [
-            (FlixConfig::Naive, 0x52b7_24b0_5d1f_9e91),
-            (FlixConfig::MaximalPpo, 0xaa34_1272_00de_d424),
-            (
-                FlixConfig::UnconnectedHopi {
-                    partition_size: 5000,
-                },
-                0x09db_3b98_759f_115b,
-            ),
-            (
-                FlixConfig::Hybrid {
-                    partition_size: 5000,
-                },
-                0x7e0d_e58b_3786_c37f,
-            ),
-            (
-                FlixConfig::Monolithic(StrategyKind::Ppo),
-                0x512c_32e5_5e7c_1265,
-            ),
-            (
-                FlixConfig::Monolithic(StrategyKind::Hopi),
-                0x5ff3_3daf_f59c_0b84,
-            ),
-            (
-                FlixConfig::Monolithic(StrategyKind::Apex),
-                0xffbd_d407_7a6a_bd02,
-            ),
-        ];
-        for (config, flt3_digest) in pinned {
+        let found = format!("image format {:#010x}", u32::from_le_bytes(*word));
+        for (config, old_digest) in pinned {
             let flix = Flix::build(cg.clone(), config);
-            let mut st = store();
-            save_flix(&flix, &mut st, "fw").unwrap();
-            let manifest = st.get("fw/manifest").unwrap().unwrap();
-            let mut old = store();
-            old.put("fw/manifest", &[b"FLT3", &manifest[4..]].concat())
-                .unwrap();
-            for mi in 0..flix.meta_count() as u32 {
-                let blob = format!("fw/meta-{mi}");
-                old.put(&blob, &mirror::flt3_image(flix.meta(mi))).unwrap();
-            }
+            // The old meta documents behind `manifest`.
+            let saved = |manifest: Vec<u8>| {
+                let mut st = store();
+                st.put("fw/manifest", &manifest).unwrap();
+                for mi in 0..flix.meta_count() as u32 {
+                    st.put(&format!("fw/meta-{mi}"), &old_image(flix.meta(mi)))
+                        .unwrap();
+                }
+                st
+            };
+            let old = saved(manifest(&flix));
             let digest = old.names().iter().fold(0u64, |acc, name| {
                 acc.rotate_left(5) ^ fnv1a64(&old.get(name).unwrap().unwrap())
             });
-            assert_eq!(digest, flt3_digest, "{config}: {digest:016x}");
+            assert_eq!(digest, old_digest, "{config}: {digest:016x}");
 
+            let named = format!("the manifest of \"fw\" is stale or corrupt ({found}");
+            let Err(err) = load_manifest(&old, "fw") else {
+                panic!("{config}: read an old manifest");
+            };
+            assert!(err.starts_with(&named), "{config}: {err}");
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
-            let named = "the manifest of \"fw\" is stale or corrupt (image format 0x33544c46";
-            assert!(err.starts_with(named), "{config}: {err}");
-            old.put("fw/manifest", &manifest).unwrap();
+            assert!(err.starts_with(&named), "{config}: {err}");
+            let Err(err) = crate::DiskFlix::open(old, "fw", 4) else {
+                panic!("{config}: opened over an old manifest");
+            };
+            assert!(err.starts_with(&named), "{config}: {err}");
+
+            let old = saved(image(&Manifest::of(&flix)).unwrap());
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
-            let named = "meta document 0 is stale or corrupt (image format 0x33544c46";
-            assert!(err.starts_with(named), "{config}: {err}");
+            let named = format!("meta document 0 is stale or corrupt ({found}");
+            assert!(err.starts_with(&named), "{config}: {err}");
+            let (.., metas) = load_manifest(&old, "fw").unwrap();
+            for (mi, parts) in metas.into_iter().enumerate() {
+                let named = format!("meta document {mi} is stale or corrupt ({found}");
+                let err = load_meta(&old, "fw", mi, parts).unwrap_err();
+                assert!(err.starts_with(&named), "{config}: {err}");
+            }
             let dflix = crate::DiskFlix::open(old, "fw", 4).unwrap();
-            for mi in 0..flix.meta_count() as u32 {
-                let Err(err) = dflix.meta(mi) else {
-                    panic!("{config}: meta document {mi} loaded from an FLT3 image");
+            for mi in 0..flix.meta_count() {
+                let named = format!("meta document {mi} is stale or corrupt ({found}");
+                let Err(err) = dflix.meta(mi as u32) else {
+                    panic!("{config}: meta document {mi} loaded from an old image");
                 };
-                let named = format!("meta document {mi} is stale or corrupt (image format");
                 assert!(err.starts_with(&named), "{config}: {err}");
             }
         }
     }
 
-    /// The round-trip oracle of the fields an image leaves out: every meta
-    /// document that `load_flix` or a `DiskFlix` miss reads back equals the
-    /// built one field by field — node map, anchor lists, and the index
-    /// whole, HOPI's label words with their flags and PPO's depths and
-    /// parents included — and both answer as the built framework does;
-    /// every configuration, two corpora.
+    /// A store saved under "FLT4" holds each meta document's anchor lists
+    /// behind its index and every element's local in its manifest. The
+    /// mirror's "FLT4" blobs are that build's bytes — folded as
+    /// `tests/image_digests.rs` folds a store, they give the digests it
+    /// pinned for "FLT4" — and the word refuses each.
+    #[test]
+    fn flt4_images_are_rejected_on_load() {
+        use crate::config::StrategyKind;
+        each_older_store_is_refused(
+            b"FLT4",
+            |flix| mirror::flt4_manifest(flix, b"FLT4"),
+            mirror::flt4_image,
+            [
+                (FlixConfig::Naive, 0x47e4_543e_58c7_b199),
+                (FlixConfig::MaximalPpo, 0xba02_25f4_c168_959e),
+                (
+                    FlixConfig::UnconnectedHopi {
+                        partition_size: 5000,
+                    },
+                    0x7657_1f08_9679_466d,
+                ),
+                (
+                    FlixConfig::Hybrid {
+                        partition_size: 5000,
+                    },
+                    0xa817_a7dc_7b8e_b2b0,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Ppo),
+                    0x1090_633b_85af_e3bf,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Hopi),
+                    0x1e8f_5ac4_dfbb_40bb,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Apex),
+                    0x55ed_6c89_7c18_3d26,
+                ),
+            ],
+        );
+    }
+
+    /// A store saved under "FLT3" holds every meta document with its node
+    /// map, PPO's depths and parents, HOPI's anchor flags and the anchor
+    /// lists, behind the "FLT4" manifest. The mirror's "FLT3" blobs are
+    /// that build's bytes — they fold to the digests pinned for "FLT3" —
+    /// and the word refuses each.
+    #[test]
+    fn flt3_images_are_rejected_on_load() {
+        use crate::config::StrategyKind;
+        each_older_store_is_refused(
+            b"FLT3",
+            |flix| mirror::flt4_manifest(flix, b"FLT3"),
+            mirror::flt3_image,
+            [
+                (FlixConfig::Naive, 0x52b7_24b0_5d1f_9e91),
+                (FlixConfig::MaximalPpo, 0xaa34_1272_00de_d424),
+                (
+                    FlixConfig::UnconnectedHopi {
+                        partition_size: 5000,
+                    },
+                    0x09db_3b98_759f_115b,
+                ),
+                (
+                    FlixConfig::Hybrid {
+                        partition_size: 5000,
+                    },
+                    0x7e0d_e58b_3786_c37f,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Ppo),
+                    0x512c_32e5_5e7c_1265,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Hopi),
+                    0x5ff3_3daf_f59c_0b84,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Apex),
+                    0xffbd_d407_7a6a_bd02,
+                ),
+            ],
+        );
+    }
+
+    /// The round-trip oracle of the fields an image or the manifest leaves
+    /// out: every meta document that `load_flix` or a `DiskFlix` miss reads
+    /// back equals the built one field by field — the node map, derived
+    /// from `meta_of` alone where the numbering is id order, the anchor
+    /// lists, derived from the runtime links, and the index whole, HOPI's
+    /// label words with their flags and PPO's depths and parents included
+    /// — and both answer as the built framework does; every configuration,
+    /// two corpora.
     #[test]
     fn every_meta_document_loads_as_it_was_built() {
         use crate::config::StrategyKind;
@@ -1861,6 +2026,17 @@ mod tests {
                 let flix = Flix::build(cg.clone(), config);
                 let mut st = store();
                 save_flix(&flix, &mut st, "fw").unwrap();
+                // A local is stored for the elements of the meta documents
+                // not numbered in id order, and only PPO renumbers.
+                let manifest: Manifest = decode(&st.get("fw/manifest").unwrap().unwrap()).unwrap();
+                let metas = (0..flix.meta_count() as u32).map(|mi| flix.meta(mi));
+                let renumbered = metas.filter(|md| md.nodes.windows(2).any(|w| w[0] > w[1]));
+                let ppo = renumbered
+                    .clone()
+                    .all(|md| md.index.kind() == StrategyKind::Ppo);
+                assert!(ppo, "seed {seed}, {config}");
+                let stored: usize = renumbered.map(|md| md.len()).sum();
+                assert_eq!(manifest.local_of.len(), stored, "seed {seed}, {config}");
                 let loaded = load_flix(&st, "fw", cg.clone()).unwrap();
                 let dflix = crate::DiskFlix::open(st, "fw", 2).unwrap();
                 for mi in 0..flix.meta_count() as u32 {

@@ -463,35 +463,35 @@ fn data_file_digest(flix: &Flix) -> (u64, usize) {
 fn every_configuration_writes_the_pinned_data_file() {
     let cg = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
     let pinned = [
-        (FlixConfig::Naive, 0x3f03_1b12_f84c_b283, 61),
-        (FlixConfig::MaximalPpo, 0xddfb_2230_91bb_9083, 13),
+        (FlixConfig::Naive, 0x85df_5761_76aa_31e0, 61),
+        (FlixConfig::MaximalPpo, 0x38c8_ec69_eedb_4f08, 13),
         (
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0x2249_47cc_27e0_0594,
+            0x6104_1f42_c4d6_25c8,
             4,
         ),
         (
             FlixConfig::Hybrid {
                 partition_size: 5000,
             },
-            0x083c_0974_d9ce_65d5,
+            0x83b2_7d77_e501_d3c2,
             13,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Ppo),
-            0x3bf1_72c1_0150_c22c,
+            0xa21a_8a61_3022_b7cd,
             2,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0xdef3_20ce_5e23_02f7,
+            0x4f4e_48d4_fea3_7857,
             4,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),
-            0xf218_7dff_3444_4af9,
+            0xbcbb_7102_0653_957a,
             3,
         ),
     ];
