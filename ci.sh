@@ -45,9 +45,10 @@ done
 # this seed)
 bash flixbench/run.sh --workload labeljoin --seconds 1 --corpus-seed 1999 > /dev/null
 bash flixbench/run.sh --workload rebuild --seconds 1 --corpus-seed 1999 > /dev/null
-# MaximalPPO, whose manifest still stores a local numbering (its preorder
-# groups are not in id order), built, persisted and queried on the same
-# second corpus, untraced and traced
+# MaximalPPO, whose manifest stores a local numbering as runs (its
+# preorder groups are not in id order) and whose small images share
+# segment pages, built, persisted and queried on the same second corpus,
+# untraced and traced
 bash flixbench/run.sh --workload linkchase --seconds 1 --corpus-seed 1999 > /dev/null
 bash flixbench/run.sh --workload linkchase --seconds 1 --corpus-seed 1999 --trace 1 > /dev/null
 

@@ -14,12 +14,16 @@ use xmlgraph::CollectionGraph;
 /// What the catalogue determines of a meta document and its image leaves
 /// out — its node map and anchor lists ([`Catalogue::metas`]) — derived once
 /// when a manifest is read and shared with every meta document loaded from
-/// it: [`MetaDocument::complete`] copies none of it.
+/// it: [`MetaDocument::complete`] copies none of it. A manifest also says
+/// where the image is stored: in the segment named by its first meta
+/// document, at `image` (a build's catalogue leaves both empty).
 #[derive(Debug, Clone)]
 pub(crate) struct Catalogued {
     pub(crate) nodes: Arc<[NodeId]>,
     pub(crate) link_sources: Arc<[u32]>,
     pub(crate) link_targets: Arc<[u32]>,
+    pub(crate) segment: u32,
+    pub(crate) image: Range<usize>,
 }
 
 /// Node→meta maps and the runtime link table with its reverse.
@@ -193,6 +197,8 @@ impl Catalogue {
             nodes: nodes.into(),
             link_sources: sources.into(),
             link_targets: targets.into(),
+            segment: 0,
+            image: 0..0,
         };
         Ok(maps.into_iter().zip(lists).map(parts).collect())
     }

@@ -89,15 +89,15 @@ impl DiskFlix {
     /// Loads (or fetches from cache) one meta document's index.
     ///
     /// A miss is [`persist::load_meta`] with the meta document's shared
-    /// node map and anchor lists (three reference counts, no copy): one
-    /// blob get, the format-word check, one decode of the index alone, then
+    /// node map and anchor lists (three reference counts, no copy): one get
+    /// of its segment (one page, shared with its neighbours, for an image
+    /// under a chunk), the format-word check, one decode of its slice, then
     /// completing it — checks over the decoded arrays and HOPI's anchor
-    /// flags set from the lists. In situ in `rebuild`'s cold phase (three
-    /// 8 s passes, 2-vCPU Xeon at 2.1 GHz) a miss is get 9.6–10.2 µs,
-    /// decode 25.2–25.6 and completion 8.3–8.7; DESIGN.md has the rest.
+    /// flags set from the lists. Timed under "FLT5" in `rebuild`'s cold
+    /// phase (2-vCPU Xeon at 2.1 GHz), see DESIGN.md.
     ///
     /// # Errors
-    /// If the blob is missing from the store, fails to decode, or decodes
+    /// If the segment is missing, or the image fails to decode or decodes
     /// to an index a lookup cannot trust ([`persist::load_meta`]) — each
     /// means the persisted framework is stale or corrupt.
     fn load_meta(&self, id: u32) -> Result<Arc<MetaDocument>, String> {
@@ -197,11 +197,11 @@ mod tests {
         Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal())
     }
 
-    /// A store over a deliberately tiny pool, so blob reloads must touch
-    /// the disk.
+    /// A store over a one-frame pool, so blob reloads must touch the disk:
+    /// at this scale a framework's segments take a few pages.
     fn store() -> (BlobStore, Arc<MemDisk>) {
         let disk = Arc::new(MemDisk::new());
-        let pool = Arc::new(BufferPool::new(disk.clone(), 4));
+        let pool = Arc::new(BufferPool::new(disk.clone(), 1));
         (BlobStore::new(pool), disk)
     }
 
@@ -245,6 +245,7 @@ mod tests {
             (FlixConfig::Naive, 16),
             (FlixConfig::Naive, 1),
             (FlixConfig::MaximalPpo, 16),
+            (FlixConfig::MaximalPpo, 1),
             (FlixConfig::UnconnectedHopi { partition_size: 40 }, 16),
             (FlixConfig::Monolithic(StrategyKind::Apex), 16),
         ] {
@@ -365,14 +366,14 @@ mod tests {
     fn corrupt_meta_blob_mid_query_is_an_error_not_a_partial_answer() {
         let flix = Flix::build(graph(), FlixConfig::Naive);
         let (q, victim) = crossing_query(&flix);
-        let damage: [fn(&mut BlobStore, &str); 2] = [
-            |store, blob| assert!(store.remove(blob)),
-            |store, blob| store.put(blob, b"not a meta document").unwrap(),
-        ];
-        for damage in damage {
+        let image = persist::image(flix.meta(victim)).unwrap();
+        for (bytes, removed) in [(&image[..], true), (b"not a meta document", false)] {
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
-            damage(&mut store, &format!("fw/meta-{victim}"));
+            persist::mirror::put_image(&mut store, "fw", victim as usize, bytes);
+            if removed {
+                assert!(store.remove(&format!("fw/meta-{victim}")));
+            }
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             assert!(got.is_err(), "partial answer returned: {got:?}");
@@ -413,7 +414,7 @@ mod tests {
             persist::save_flix(&flix, &mut store, "fw").unwrap();
             let old =
                 count_prefixed::<CountedMeta>(&persist::mirror::flt3_image(flix.meta(victim)));
-            store.put(&format!("fw/meta-{victim}"), &old).unwrap();
+            persist::mirror::put_image(&mut store, "fw", victim as usize, &old);
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
@@ -463,17 +464,27 @@ mod tests {
     /// query as a whole, with the blob store's I/O error naming the page;
     /// and nothing of the failed load stays behind, in the index cache or
     /// the buffer pool — once reads work again the same engine answers
-    /// the same queries like memory.
+    /// the same queries like memory. The last meta document the query
+    /// enters is a segment of its own, so the pop into it reads a page no
+    /// earlier pop did.
     #[test]
     fn failed_page_read_mid_query_is_an_error_not_a_partial_answer() {
         let flix = Flix::build(graph(), FlixConfig::Naive);
         let (q, victim) = crossing_query(&flix);
+        let written = Arc::new(MemDisk::new());
+        let pool = Arc::new(BufferPool::new(written.clone(), 4));
+        let mut saved = BlobStore::new(pool.clone());
+        persist::save_flix(&flix, &mut saved, "fw").unwrap();
+        let image = persist::image(flix.meta(victim)).unwrap();
+        persist::mirror::put_image(&mut saved, "fw", victim as usize, &image);
+        pool.flush_all().unwrap();
         let disk = Arc::new(FlakyDisk {
-            disk: MemDisk::new(),
+            disk: MemDisk::from_frames(written.snapshot_frames()),
             failing: AtomicBool::new(false),
         });
-        let store = BlobStore::new(Arc::new(BufferPool::new(disk.clone(), 4)));
-        let dflix = DiskFlix::save_and_open(&flix, store, "fw", 4).unwrap();
+        let pool = Arc::new(BufferPool::new(disk.clone(), 4));
+        let store = BlobStore::import_directory(pool, &saved.export_directory()).unwrap();
+        let dflix = DiskFlix::open(store, "fw", 4).unwrap();
         let opts = QueryOptions::default();
         let to = flix.meta(victim).nodes[0];
 
@@ -522,7 +533,7 @@ mod tests {
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
             let bytes = persist::mirror::damaged_image(flix.meta(victim), damage);
-            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            persist::mirror::put_image(&mut store, "fw", victim as usize, &bytes);
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
@@ -543,7 +554,7 @@ mod tests {
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
             let bytes = persist::mirror::damaged_image(flix.meta(victim), damage);
-            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            persist::mirror::put_image(&mut store, "fw", victim as usize, &bytes);
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
@@ -574,7 +585,7 @@ mod tests {
         {
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
-            store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            persist::mirror::put_image(&mut store, "fw", victim as usize, &bytes);
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
             let err = got.expect_err("a partial answer was returned");
@@ -598,7 +609,7 @@ mod tests {
         for (damage, fault) in apex_damage() {
             let (mut store, _) = store();
             persist::save_flix(&flix, &mut store, "fw").unwrap();
-            store.put("fw/meta-0", &damaged_image(md, damage)).unwrap();
+            persist::mirror::put_image(&mut store, "fw", 0, &damaged_image(md, damage));
             let dflix = DiskFlix::open(store, "fw", 4).unwrap();
             let got = dflix.find_descendants(md.nodes[0], 0, &QueryOptions::default());
             let err = got.expect_err("a damaged APEX image answered");
@@ -633,7 +644,7 @@ mod tests {
         let (mut store, _) = store();
         persist::save_flix(&flix, &mut store, "fw").unwrap();
         let bytes = twin(flix.meta(victim));
-        store.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+        persist::mirror::put_image(&mut store, "fw", victim as usize, &bytes);
         let dflix = DiskFlix::open(store, "fw", 4).unwrap();
         let got = dflix.find_descendants(q.start, q.target_tag, &QueryOptions::default());
         let err = got.expect_err("a partial answer was returned");

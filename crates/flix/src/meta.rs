@@ -428,6 +428,7 @@ impl MetaDocument {
             nodes: self.nodes,
             link_sources: self.link_sources,
             link_targets: self.link_targets,
+            ..
         } = parts;
         let fault = match &mut self.index {
             MetaIndex::Ppo(i) => i.derive_forest().or_else(|| i.layout_fault()),

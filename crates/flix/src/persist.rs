@@ -1,13 +1,14 @@
 //! Persistence of built frameworks into a [`pagestore::BlobStore`].
 //!
 //! The paper's implementation keeps all index structures in database
-//! tables; this module plays that role. A framework is stored as one
-//! manifest blob (configuration, node→meta maps, runtime link table) plus
-//! one blob per meta document (its index image) and one for the build
-//! report, each behind the `FORMAT` word. Loading needs the sealed
-//! collection graph the framework was built over — the store holds indexes,
-//! not documents, exactly like the paper's setup where the XML data and the
-//! index tables live side by side.
+//! tables, whose rows share pages; this module plays that role. A framework
+//! is stored as one manifest blob (configuration, node→meta maps, runtime
+//! link table, image lengths), its meta documents' index images packed
+//! into segments (`segments`) and one blob for the build report, each
+//! behind the `FORMAT` word. Loading needs the sealed collection graph the
+//! framework was built over — the store holds indexes, not documents,
+//! exactly like the paper's setup where the XML data and the index tables
+//! live side by side.
 
 use crate::catalogue::{Catalogue, Catalogued};
 use crate::config::FlixConfig;
@@ -21,22 +22,25 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xmlgraph::CollectionGraph;
 
-/// The format word every blob of a framework begins with ("FLT5"): behind
+/// The format word every blob of a framework begins with ("FLT6"): behind
 /// it, `pagestore::codec` bytes whose `u32`-shaped arrays are each one byte
 /// string, a count, lane widths and the lanes packed to the bits of their
 /// largest values ([`graphcore::flat`]), and PPO meta documents numbered in
 /// preorder, their index three arrays and a flat label table
-/// ([`ppo::PpoIndex`]). A meta document's image is its index and nothing
-/// the index or the manifest determines: its node map and anchor lists
-/// ([`Catalogued`]), HOPI's anchor flags (the lists) and PPO's depths and
-/// parents (the subtree sizes) are derived on load. Images under an older
-/// word ("FLT4" stored the anchor lists and every local, "FLT3" the node
-/// map and flags, "FLT2" four bytes an element, "FLT1" six PPO arrays;
-/// before those, no word) would misparse as this one, so the word is
-/// checked before anything is decoded and they fail typed. What
+/// ([`ppo::PpoIndex`]); a segment holds its images end to end behind one
+/// word. An image is its index and nothing the index or the manifest
+/// determines: its node map and anchor lists ([`Catalogued`]), HOPI's
+/// anchor flags (the lists) and PPO's depths and parents (the subtree
+/// sizes) are derived on load. Blobs under an older word ("FLT5" had a blob
+/// an image and flat maps, "FLT4" stored the anchor lists and every local,
+/// "FLT3" the node map and flags, "FLT2" four bytes an element, "FLT1" six
+/// PPO arrays; before those, no word) would misparse as this one, so the
+/// word is checked before anything is decoded and they fail typed. What
 /// [`hopi::HopiIndex`] keeps behind its own layout word is narrower: the
 /// *order* of its rows, which this word says nothing of.
-const FORMAT: u32 = u32::from_le_bytes(*b"FLT5");
+const FORMAT: u32 = u32::from_le_bytes(*b"FLT6");
+/// Bytes of [`FORMAT`] at the head of every blob.
+const WORD: usize = 4;
 
 /// `value` as a framework blob holds it: [`FORMAT`], then the codec's bytes
 /// (a tuple is its fields in order and nothing else).
@@ -44,9 +48,8 @@ pub(crate) fn image<T: Serialize>(value: &T) -> Result<Vec<u8>, String> {
     pagestore::to_bytes(&(FORMAT, value)).map_err(|e| e.to_string())
 }
 
-/// Decodes a blob written by [`image`], or says why not: another format
-/// word (or none), then whatever the codec finds.
-fn decode<T: DeserializeOwned>(blob: &[u8]) -> Result<T, String> {
+/// The bytes behind `blob`'s format word, or why not: another word or none.
+fn body(blob: &[u8]) -> Result<&[u8], String> {
     let [a, b, c, d, bytes @ ..] = blob else {
         return Err(format!("{} bytes hold no format word", blob.len()));
     };
@@ -56,7 +59,13 @@ fn decode<T: DeserializeOwned>(blob: &[u8]) -> Result<T, String> {
             "image format {found:#010x}, this build reads {FORMAT:#010x}"
         ));
     }
-    pagestore::from_bytes(bytes).map_err(|e| format!("does not decode: {e}"))
+    Ok(bytes)
+}
+
+/// Decodes a blob written by [`image`], or says why not: another format
+/// word (or none), then whatever the codec finds.
+fn decode<T: DeserializeOwned>(blob: &[u8]) -> Result<T, String> {
+    pagestore::from_bytes(body(blob)?).map_err(|e| format!("does not decode: {e}"))
 }
 
 /// What a blob [`decode`] refused is reported as.
@@ -65,103 +74,156 @@ fn stale(what: std::fmt::Arguments<'_>, fault: String) -> String {
 }
 
 /// The stored form of a framework's [`Catalogue`] behind a three-field
-/// header. A local is stored only for the elements of the meta documents
-/// not numbered in id order (a PPO one whose preorder is not); any other
-/// element's local is its rank by id in its meta document, which
-/// `meta_of` fixes. The one on-disk framework layout: [`load_flix`] reads
-/// every index behind it eagerly, [`crate::diskexec::DiskFlix`] faults
-/// them in per lookup.
+/// header, and each image's length. `meta_of` is runs ([`runs`]), as are,
+/// ascending by one, the locals of the meta documents not numbered in id
+/// order (a PPO one whose preorder is not); any other local is its
+/// element's rank by id in its meta document. The one on-disk framework
+/// layout: [`load_flix`] reads every index eagerly, `DiskFlix` per lookup.
 #[derive(Serialize, Deserialize)]
 pub(crate) struct Manifest {
     config: FlixConfig,
     node_count: usize,
     meta_count: usize,
     #[serde(with = "graphcore::flat")]
-    meta_of: Vec<u32>,
+    meta_of: Vec<(u32, u32)>,
     /// The meta documents not numbered in id order.
     #[serde(with = "graphcore::flat")]
     renumbered: Vec<u32>,
-    /// The local of each element of a `renumbered` meta document, in
-    /// element order.
+    /// The locals of the elements of the `renumbered` meta documents.
     #[serde(with = "graphcore::flat")]
-    local_of: Vec<u32>,
+    local_of: Vec<(u32, u32)>,
     #[serde(with = "graphcore::flat")]
     runtime_links: Vec<(NodeId, NodeId)>,
+    /// The first meta document of each segment.
+    #[serde(with = "graphcore::flat")]
+    segments: Vec<u32>,
+    #[serde(with = "graphcore::flat")]
+    image_len: Vec<u32>,
+}
+
+/// `values` as runs `(start, value)`: the positions from `start` to the
+/// next run's hold `value`, `value + step`, … — what [`expand`] reads back.
+fn runs(values: &[u32], step: u32) -> Vec<(u32, u32)> {
+    let starts_run = |&i: &usize| i == 0 || values[i] != values[i - 1].wrapping_add(step);
+    let starts = (0..values.len()).filter(starts_run);
+    starts.map(|i| (i as u32, values[i])).collect()
+}
+
+/// The `len` values `runs` hold ([`runs`]), or the first way they do not
+/// cover `0..len` once; nothing past `len` is allocated. A run of locals
+/// past `u32` wraps through `u32::MAX`, which [`Catalogue::metas`] refuses.
+fn expand(runs: &[(u32, u32)], len: usize, step: u32, what: &str) -> Result<Vec<u32>, String> {
+    let mut values = Vec::with_capacity(len);
+    for (i, &(start, value)) in runs.iter().enumerate() {
+        let (at, end) = (values.len(), runs.get(i + 1).map_or(len, |r| r.0 as usize));
+        if start as usize != at || end.min(len) <= at {
+            return Err(format!("{what} run {i} at {start}..{end}, not {at}"));
+        }
+        values.extend((0..(end.min(len) - at) as u32).map(|k| value.wrapping_add(step * k)));
+    }
+    match values.len() {
+        covered if covered < len => Err(format!("{what} runs cover {covered} of {len}")),
+        _ => Ok(values),
+    }
+}
+
+/// The first meta document of each segment: images in id order share one
+/// while it, word included, fits a page's chunk ([`pagestore::CHUNK`]); a
+/// larger image is a segment of its own. It is stored under its first's id.
+fn segments(image_len: &[u32]) -> Vec<u32> {
+    let (mut firsts, mut used) = (Vec::new(), 0);
+    for (mi, &len) in (0..).zip(image_len) {
+        if firsts.is_empty() || used + len as usize > pagestore::CHUNK {
+            firsts.push(mi);
+            used = WORD;
+        }
+        used += len as usize;
+    }
+    firsts
 }
 
 impl Manifest {
-    fn of(flix: &Flix) -> Self {
+    fn of(flix: &Flix, image_len: Vec<u32>) -> Self {
         let catalogue = flix.catalogue();
         let renumbered: Vec<u32> = (0..flix.meta_count() as u32)
             .filter(|&m| flix.meta(m).nodes.windows(2).any(|w| w[0] > w[1]))
             .collect();
         let stored = |v: &usize| renumbered.binary_search(&catalogue.meta_of[*v]).is_ok();
-        let local_of = (0..catalogue.meta_of.len()).filter(stored);
+        let local_of: Vec<u32> = (0..catalogue.meta_of.len())
+            .filter(stored)
+            .map(|v| catalogue.local_of[v])
+            .collect();
         Self {
             config: flix.config(),
             node_count: flix.collection().node_count(),
             meta_count: flix.meta_count(),
-            meta_of: catalogue.meta_of.clone(),
-            local_of: local_of.map(|v| catalogue.local_of[v]).collect(),
+            meta_of: runs(&catalogue.meta_of, 0),
+            local_of: runs(&local_of, 1),
             renumbered,
             runtime_links: catalogue.links().to_vec(),
+            segments: segments(&image_len),
+            image_len,
         }
     }
 
-    /// The catalogue stored here and what it determines of each meta
-    /// document ([`Catalogue::metas`]), or the first way it would break a
-    /// lookup: `meta_of` covers the `node_count` nodes, `local_of` holds a
-    /// local for each element of the `renumbered` meta documents, the node
-    /// maps are a partition, and the runtime links ascend strictly, as the
-    /// run index and the anchor lists need. `O(n)` and a sort of the anchors.
+    /// The catalogue stored here, what it determines of each meta document
+    /// ([`Catalogue::metas`]) and where its image lies, or the first way it
+    /// would break a lookup: runs of `meta_of`, `local_of` or segments that
+    /// do not cover what they map, node maps that are no partition, runtime
+    /// links that do not ascend strictly, as the run index and the anchor
+    /// lists need. `O(n)` and a sort of the anchors.
     fn catalogue(self) -> Result<(Catalogue, Vec<Catalogued>), String> {
-        let (n, count) = (self.node_count, self.meta_count);
-        if self.meta_of.len() != n {
-            return Err(format!(
-                "{n} nodes, but meta_of holds {}",
-                self.meta_of.len()
-            ));
+        let (n, count, lens) = (self.node_count, self.meta_count, &self.image_len);
+        if n > NodeId::MAX as usize || count > n.max(1) || lens.len() != count {
+            let held = lens.len();
+            return Err(format!("{count} meta documents, {held} images, {n} nodes"));
         }
-        if count > n.max(1) {
-            return Err(format!("{count} meta documents of {n} nodes"));
-        }
+        let meta_of = expand(&self.meta_of, n, 0, "meta_of")?;
         // Per meta document, the next rank by id, or `None` if renumbered.
         let mut ranks = vec![Some(0u32); count];
         for &m in &self.renumbered {
             let rank = ranks.get_mut(m as usize);
             *rank.ok_or_else(|| format!("meta document {m} of {count} is renumbered"))? = None;
         }
-        let (mut local_of, mut held) = (Vec::with_capacity(n), self.local_of.iter());
-        for &meta in &self.meta_of {
-            local_of.push(match ranks.get_mut(meta as usize) {
+        let renumbered = |&&m: &&u32| ranks.get(m as usize) == Some(&None);
+        let held = meta_of.iter().filter(renumbered).count();
+        let mut held = expand(&self.local_of, held, 1, "local_of")?.into_iter();
+        let local_of = (meta_of.iter())
+            .map(|&meta| match ranks.get_mut(meta as usize) {
                 Some(Some(rank)) => {
                     *rank += 1;
                     *rank - 1
                 }
-                Some(None) => *held
-                    .next()
-                    .ok_or("local_of holds too few for the renumbered")?,
+                // `expand` gave one local per such element.
+                Some(None) => held.next().unwrap_or_default(),
                 // Not a meta document: `Catalogue::metas` names it.
                 None => 0,
-            });
-        }
-        if held.len() > 0 {
-            return Err(format!("local_of holds {} past the renumbered", held.len()));
-        }
+            })
+            .collect();
         let links = &self.runtime_links;
         if let Some(at) = links.windows(2).position(|w| w[0] >= w[1]) {
             let (a, b) = (links[at], links[at + 1]);
             return Err(format!("runtime link {b:?} follows {a:?}"));
         }
-        let catalogue = Catalogue::new(self.meta_of, local_of, self.runtime_links);
-        let metas = catalogue.metas(count)?;
+        let catalogue = Catalogue::new(meta_of, local_of, self.runtime_links);
+        let mut metas = catalogue.metas(count)?;
+        // Each meta document's segment is its run of the segments' firsts.
+        let firsts: Vec<(u32, u32)> = self.segments.iter().map(|&s| (s, s)).collect();
+        let segment_of = expand(&firsts, count, 0, "segment")?;
+        let mut at = WORD;
+        for (mi, parts) in metas.iter_mut().enumerate() {
+            let (first, len) = (segment_of[mi] as usize == mi, lens[mi] as usize);
+            at = if first { WORD } else { at };
+            (parts.segment, parts.image) = (segment_of[mi], at..at.saturating_add(len));
+            at = parts.image.end;
+        }
         Ok((catalogue, metas))
     }
 }
 
 /// Reads the manifest of the framework saved under `name`: the
 /// configuration, the catalogue and, by id, what [`load_meta`] completes
-/// each image with.
+/// each image with and where it reads it.
 ///
 /// # Errors
 /// If there is none; as "stale or corrupt" in another format than this
@@ -181,27 +243,42 @@ pub(crate) fn load_manifest(
     Ok((config, catalogue, metas))
 }
 
-/// Reads and decodes the index of meta document `id` of the framework
-/// saved under `name`, and completes it with `parts`, what the manifest
-/// determines of it ([`MetaDocument::complete`]) — the one decode site
-/// behind [`load_flix`] and [`crate::diskexec::DiskFlix`].
+/// Reads meta document `id` of the framework saved under `name` — one get of
+/// its segment, one page for a small image — and completes it with `parts`.
 ///
 /// # Errors
-/// If the blob is missing; and, each as "stale or corrupt": if it does not
-/// begin with this build's [`FORMAT`] word, does not decode, or cannot be
-/// completed into an index a lookup can trust.
+/// If the blob is missing; and, each as "stale or corrupt": if the segment
+/// is in another format than this build's or ends before the image, or the
+/// image does not decode or complete into an index a lookup can trust.
 pub(crate) fn load_meta(
     store: &BlobStore,
     name: &str,
     id: usize,
     parts: Catalogued,
 ) -> Result<MetaDocument, String> {
+    decode_meta(&read_segment(store, name, id, parts.segment)?, id, parts)
+}
+
+/// Segment blob `segment`, checked to begin with [`FORMAT`]; a refusal
+/// names meta document `id`.
+fn read_segment(store: &BlobStore, name: &str, id: usize, segment: u32) -> Result<Vec<u8>, String> {
     let blob = store
-        .get(&format!("{name}/meta-{id}"))
+        .get(&format!("{name}/meta-{segment}"))
         .map_err(|e| e.to_string())?
         .ok_or_else(|| format!("missing blob for meta document {id}"))?;
+    body(&blob).map_err(|fault| stale(format_args!("meta document {id}"), fault))?;
+    Ok(blob)
+}
+
+/// Decodes meta document `id`'s image from its `segment` and completes it
+/// with `parts`; a refusal is "stale or corrupt".
+fn decode_meta(segment: &[u8], id: usize, parts: Catalogued) -> Result<MetaDocument, String> {
     let refused = |fault| stale(format_args!("meta document {id}"), fault);
-    let mut md: MetaDocument = decode(&blob).map_err(refused)?;
+    let len = segment.len();
+    let image = (segment.get(parts.image.clone()))
+        .ok_or_else(|| refused(format!("its image ends past its segment's {len} bytes")))?;
+    let decoded = pagestore::from_bytes(image);
+    let mut md: MetaDocument = decoded.map_err(|e| refused(format!("does not decode: {e}")))?;
     match md.complete(parts) {
         Some(fault) => Err(refused(fault)),
         None => Ok(md),
@@ -210,21 +287,27 @@ pub(crate) fn load_meta(
 
 /// Saves a built framework under `name`.
 pub fn save_flix(flix: &Flix, store: &mut BlobStore, name: &str) -> Result<(), String> {
-    store
-        .put(&format!("{name}/manifest"), &image(&Manifest::of(flix))?)
-        .map_err(|e| e.to_string())?;
-    for mi in 0..flix.meta_count() as u32 {
-        store
-            .put(&format!("{name}/meta-{mi}"), &image(flix.meta(mi))?)
-            .map_err(|e| e.to_string())?;
+    let mut put = |blob: &str, bytes: &[u8]| {
+        (store.put(&format!("{name}/{blob}"), bytes)).map_err(|e| e.to_string())
+    };
+    let images = (0..flix.meta_count() as u32)
+        .map(|mi| pagestore::to_bytes(flix.meta(mi)).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let lens = images.iter().map(|image| u32::try_from(image.len()));
+    let lens = lens.collect::<Result<_, _>>().map_err(|e| e.to_string())?;
+    let manifest = Manifest::of(flix, lens);
+    put("manifest", &image(&manifest)?)?;
+    let firsts = &manifest.segments;
+    for (k, &first) in firsts.iter().enumerate() {
+        let end = firsts.get(k + 1).map_or(images.len(), |&s| s as usize);
+        let mut segment = FORMAT.to_le_bytes().to_vec();
+        segment.extend(images[first as usize..end].concat());
+        put(&format!("meta-{first}"), &segment)?;
     }
     // The build report lives in its own blob: it carries wall-clock timings
     // that differ between otherwise identical builds, and keeping it out of
     // the manifest keeps persisted index images byte-comparable.
-    store
-        .put(&format!("{name}/report"), &image(flix.build_report())?)
-        .map_err(|e| e.to_string())?;
-    Ok(())
+    put("report", &image(flix.build_report())?)
 }
 
 /// Loads a framework saved under `name`, reattaching it to `graph`.
@@ -244,9 +327,14 @@ pub fn load_flix(
             "collection mismatch: framework built over {built} nodes, graph has {graph_has}"
         ));
     }
-    let metas = (metas.into_iter().enumerate())
-        .map(|(mi, parts)| load_meta(store, name, mi, parts))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (mut loaded, mut segment) = (Vec::with_capacity(metas.len()), Vec::new());
+    for (mi, parts) in metas.into_iter().enumerate() {
+        // Images are in id order: each segment is read at its first.
+        if parts.image.start == WORD {
+            segment = read_segment(store, name, mi, parts.segment)?;
+        }
+        loaded.push(decode_meta(&segment, mi, parts)?);
+    }
     // The report is a record of the build, not an index: no answer reads
     // it, so a store that lost the blob loads with a zeroed one. One that
     // is there goes through the format check like every other blob.
@@ -259,7 +347,7 @@ pub fn load_flix(
         None => BuildReport::empty(config),
     };
     Ok(Flix::from_raw_parts(
-        graph, config, metas, catalogue, report,
+        graph, config, loaded, catalogue, report,
     ))
 }
 
@@ -562,6 +650,93 @@ pub(crate) mod mirror {
         let mut manifest: Manifest = decode(blob).unwrap();
         damage(&mut manifest);
         image(&manifest).unwrap()
+    }
+
+    /// Makes `bytes` — a blob as [`image`] writes one, or as an older build
+    /// did — meta document `id`'s image in the framework saved under
+    /// `name`: its segment is split so that the image is a segment of its
+    /// own, whose blob is `bytes`, and the manifest records the split and
+    /// the image's length behind the word. A load of `id` then checks
+    /// `bytes`' own word, as when each meta document had a blob; the other
+    /// images of the segment are spliced unchanged into the ones around it.
+    pub(crate) fn put_image(store: &mut BlobStore, name: &str, id: usize, bytes: &[u8]) {
+        let key = format!("{name}/manifest");
+        let mut manifest: Manifest = decode(&store.get(&key).unwrap().unwrap()).unwrap();
+        let (segments, count) = (&mut manifest.segments, manifest.meta_count);
+        let k = segments.partition_point(|&s| s as usize <= id) - 1;
+        let first = segments[k] as usize;
+        let end = segments.get(k + 1).map_or(count, |&s| s as usize);
+        let old = store.get(&format!("{name}/meta-{first}")).unwrap().unwrap();
+        let mut at = WORD;
+        let images: Vec<&[u8]> = (manifest.image_len[first..end].iter())
+            .map(|&len| {
+                at += len as usize;
+                &old[at - len as usize..at]
+            })
+            .collect();
+        for ids in [first..id, id + 1..end]
+            .into_iter()
+            .filter(|ids| !ids.is_empty())
+        {
+            let images = images[ids.start - first..ids.end - first].concat();
+            let segment = [&FORMAT.to_le_bytes()[..], &images].concat();
+            store
+                .put(&format!("{name}/meta-{}", ids.start), &segment)
+                .unwrap();
+        }
+        store.put(&format!("{name}/meta-{id}"), bytes).unwrap();
+        segments.extend(
+            [id as u32, id as u32 + 1]
+                .iter()
+                .filter(|&&s| (s as usize) < count),
+        );
+        segments.sort_unstable();
+        segments.dedup();
+        manifest.image_len[id] = bytes.len().saturating_sub(WORD) as u32;
+        store.put(&key, &image(&manifest).unwrap()).unwrap();
+    }
+
+    /// The image of `md` as the "FLT5" build saved it, a blob of its own:
+    /// that word, then the bytes this build's segments hold of it.
+    pub(crate) fn flt5_image(md: &MetaDocument) -> Vec<u8> {
+        [b"FLT5".to_vec(), pagestore::to_bytes(md).unwrap()].concat()
+    }
+
+    /// The manifest of `flix` as the "FLT5" build saved it: `meta_of` flat,
+    /// the locals of the renumbered meta documents flat, and no segments.
+    pub(crate) fn flt5_manifest(flix: &Flix) -> Vec<u8> {
+        #[derive(Serialize)]
+        struct Flt5Manifest {
+            config: FlixConfig,
+            node_count: usize,
+            meta_count: usize,
+            #[serde(with = "graphcore::flat")]
+            meta_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            renumbered: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            local_of: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            runtime_links: Vec<(NodeId, NodeId)>,
+        }
+        let catalogue = flix.catalogue();
+        let renumbered: Vec<u32> = (0..flix.meta_count() as u32)
+            .filter(|&m| flix.meta(m).nodes.windows(2).any(|w| w[0] > w[1]))
+            .collect();
+        let stored = |v: &usize| renumbered.binary_search(&catalogue.meta_of[*v]).is_ok();
+        let manifest = Flt5Manifest {
+            config: flix.config(),
+            node_count: flix.collection().node_count(),
+            meta_count: flix.meta_count(),
+            meta_of: catalogue.meta_of.clone(),
+            local_of: (0..catalogue.meta_of.len())
+                .filter(stored)
+                .map(|v| catalogue.local_of[v])
+                .collect(),
+            renumbered,
+            runtime_links: catalogue.links().to_vec(),
+        };
+        [b"FLT5".to_vec(), pagestore::to_bytes(&manifest).unwrap()].concat()
     }
 
     /// `blob` — an "FLT3" image ([`flt3_image`]) read as a [`CountedMeta`],
@@ -1189,11 +1364,8 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let manifest = mirror::flt4_manifest(&flix, b"FLT4");
-            let mut swap = |blob: &str, old: Vec<u8>| {
-                let new = st.get(blob).unwrap().unwrap();
-                st.put(blob, &old).unwrap();
-                let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
-                st.put(blob, &new).unwrap();
+            let refused = |st: &BlobStore| {
+                let err = load_flix(st, "fw", cg.clone()).unwrap_err();
                 assert!(
                     err.contains("is stale or corrupt (image format"),
                     "{config}: {err}"
@@ -1201,16 +1373,21 @@ mod tests {
                 err
             };
             for victim in 0..flix.meta_count() {
-                let flt3 = mirror::flt3_image(flix.meta(victim as u32));
-                let old = mirror::count_prefixed::<mirror::CountedMeta>(&flt3);
-                let err = swap(&format!("fw/meta-{victim}"), old);
+                let md = flix.meta(victim as u32);
+                let old = mirror::count_prefixed::<mirror::CountedMeta>(&mirror::flt3_image(md));
+                mirror::put_image(&mut st, "fw", victim, &old);
+                let err = refused(&st);
+                mirror::put_image(&mut st, "fw", victim, &image(md).unwrap());
                 assert!(
                     err.starts_with(&format!("meta document {victim} is")),
                     "{err}"
                 );
             }
+            let new = st.get("fw/manifest").unwrap().unwrap();
             let old = mirror::count_prefixed::<mirror::CountedManifest>(&manifest);
-            let err = swap("fw/manifest", old);
+            st.put("fw/manifest", &old).unwrap();
+            let err = refused(&st);
+            st.put("fw/manifest", &new).unwrap();
             assert!(err.starts_with("the manifest of \"fw\" is"), "{err}");
             load_flix(&st, "fw", cg.clone()).unwrap();
         }
@@ -1243,14 +1420,13 @@ mod tests {
             );
             old.put("fw/manifest", &twin).unwrap();
             for mi in 0..flix.meta_count() {
-                let blob = format!("fw/meta-{mi}");
-                let new = st.get(&blob).unwrap().unwrap();
+                let new = image(flix.meta(mi as u32)).unwrap();
                 let flt3 = mirror::flt3_image(flix.meta(mi as u32));
                 let twin = flt2::<Flt2Meta>(&flt3);
                 assert_eq!(twin.len(), count_prefixed::<CountedMeta>(&flt3).len() + 4);
                 assert!(twin.len() > flt3.len(), "{config}: meta {mi}");
                 assert!(flt3.len() >= new.len(), "{config}: meta {mi}");
-                old.put(&blob, &twin).unwrap();
+                old.put(&format!("fw/meta-{mi}"), &twin).unwrap();
             }
             let report = st.get("fw/report").unwrap().unwrap();
             old.put("fw/report", &flt2::<BuildReport>(&report)).unwrap();
@@ -1269,16 +1445,13 @@ mod tests {
             save_flix(&flix, &mut old, "fw").unwrap();
             for mi in 0..flix.meta_count() {
                 let flt3 = mirror::flt3_image(flix.meta(mi as u32));
-                old.put(&format!("fw/meta-{mi}"), &flt2::<Flt2Meta>(&flt3))
-                    .unwrap();
+                mirror::put_image(&mut old, "fw", mi, &flt2::<Flt2Meta>(&flt3));
             }
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
             let named = "meta document 0 is stale or corrupt (image format";
             assert!(err.starts_with(named), "{config}: {err}");
-            for mi in 0..flix.meta_count() {
-                let blob = format!("fw/meta-{mi}");
-                old.put(&blob, &st.get(&blob).unwrap().unwrap()).unwrap();
-            }
+            let mut old = store();
+            save_flix(&flix, &mut old, "fw").unwrap();
             old.put("fw/report", &flt2::<BuildReport>(&report)).unwrap();
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
             let named = "the build report of \"fw\" is stale or corrupt (image format";
@@ -1391,8 +1564,7 @@ mod tests {
         save_flix(&flix, &mut st, "fw").unwrap();
         for victim in 0..flix.meta_count() as u32 {
             let md = flix.meta(victim);
-            let (blob, old) = (format!("fw/meta-{victim}"), mirror::six_array_image(md));
-            let new = st.get(&blob).unwrap().unwrap();
+            let old = mirror::six_array_image(md);
             // Against "FLT2", which wrote arrays as this one did: per
             // element two arrays and a label pair more; per label a key and
             // a map length more, an offset less; one array prefix less.
@@ -1401,11 +1573,11 @@ mod tests {
             let grown = 16 * md.len() + 4 * labels.len() + 4;
             let flt2 = mirror::flt2::<mirror::Flt2Meta>(&mirror::flt3_image(md));
             assert_eq!(old.len(), flt2.len() + grown, "meta {victim}");
-            st.put(&blob, &old).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &old);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt (image format");
             assert!(err.starts_with(&named), "{err}");
-            st.put(&blob, &new).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &image(md).unwrap());
         }
         load_flix(&st, "fw", cg).unwrap();
     }
@@ -1420,7 +1592,7 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let bytes = mirror::damaged_image(flix.meta(0), damage);
-            st.put("fw/meta-0", &bytes).unwrap();
+            mirror::put_image(&mut st, "fw", 0, &bytes);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = "meta document 0 is stale or corrupt (";
             assert!(
@@ -1453,8 +1625,7 @@ mod tests {
                 .expect("two meta documents one element apart");
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
-            st.put(&format!("fw/meta-{victim}"), &image(short).unwrap())
-                .unwrap();
+            mirror::put_image(&mut st, "fw", victim, &image(short).unwrap());
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt (its index covers");
             assert!(err.starts_with(&named), "{config}: {err}");
@@ -1473,7 +1644,7 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let bytes = mirror::damaged_image(flix.meta(0), damage);
-            st.put("fw/meta-0", &bytes).unwrap();
+            mirror::put_image(&mut st, "fw", 0, &bytes);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = "meta document 0 is stale or corrupt (";
             assert!(
@@ -1499,9 +1670,9 @@ mod tests {
         load_flix(&st, "fw", cg.clone()).unwrap();
         let victim = flix.meta_count() as u32 - 1;
         let old = mirror::old_layout_image(flix.meta(victim));
-        let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+        let new = image(flix.meta(victim)).unwrap();
         assert!(old.len() > new.len(), "one u64 per row against one u32");
-        st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+        mirror::put_image(&mut st, "fw", victim as usize, &old);
         let err = load_flix(&st, "fw", cg).unwrap_err();
         assert!(err.contains(&format!("meta document {victim}")), "{err}");
     }
@@ -1532,15 +1703,14 @@ mod tests {
         for victim in 0..flix.meta_count() as u32 {
             let md = flix.meta(victim);
             let old = twin(md);
-            let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
             let fixed = mirror::fixed_width_index_image(md);
             let grown = ancestors_pair_bytes(md) as isize + extra_bytes;
             assert_eq!(old.len() as isize, fixed.len() as isize + grown);
-            st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &old);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt");
             assert!(err.contains(&named), "{err}");
-            st.put(&format!("fw/meta-{victim}"), &new).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &image(md).unwrap());
         }
         load_flix(&st, "fw", cg).unwrap();
     }
@@ -1578,17 +1748,17 @@ mod tests {
         save_flix(&flix, &mut st, "fw").unwrap();
         let mut reordered = 0;
         for victim in 0..flix.meta_count() as u32 {
-            let old = mirror::row3_image(flix.meta(victim));
-            let new = st.get(&format!("fw/meta-{victim}")).unwrap().unwrap();
+            let md = flix.meta(victim);
+            let (old, new) = (mirror::row3_image(md), image(md).unwrap());
             assert_eq!(old.len(), new.len());
             let layout_at = old.windows(4).position(|w| w == b"ROW3").unwrap();
             reordered += usize::from(old[layout_at + 4..] != new[layout_at + 4..]);
-            st.put(&format!("fw/meta-{victim}"), &old).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &old);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named =
                 format!("meta document {victim} is stale or corrupt (label tables in layout");
             assert!(err.starts_with(&named), "{err}");
-            st.put(&format!("fw/meta-{victim}"), &new).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &new);
         }
         assert!(reordered > 0, "no row of any image changed order");
         load_flix(&st, "fw", cg).unwrap();
@@ -1613,7 +1783,7 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let bytes = mirror::damaged_image(flix.meta(0), damage);
-            st.put("fw/meta-0", &bytes).unwrap();
+            mirror::put_image(&mut st, "fw", 0, &bytes);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             assert!(err.contains("meta document 0 is stale or corrupt"), "{err}");
             assert!(
@@ -1640,7 +1810,7 @@ mod tests {
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             let bytes = mirror::damaged_image(flix.meta(victim), damage);
-            st.put(&format!("fw/meta-{victim}"), &bytes).unwrap();
+            mirror::put_image(&mut st, "fw", victim as usize, &bytes);
             let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document {victim} is stale or corrupt (");
             assert!(
@@ -1650,12 +1820,14 @@ mod tests {
         }
     }
 
-    /// Pins the manifest's on-disk layout: the format word, then seven
+    /// Pins the manifest's on-disk layout: the format word, then nine
     /// fields, flat, in this order (the codec writes a struct as its fields
-    /// and nothing else), the four arrays byte-prefixed; a local is stored
-    /// for each element of a meta document whose locals are not its
-    /// elements' ranks by id, and for no other. Read back, it gives the
-    /// built catalogue, node maps and anchor lists.
+    /// and nothing else), the six arrays byte-prefixed: `meta_of` as runs
+    /// of one meta document; the meta documents whose locals are not their
+    /// elements' ranks by id, and their elements' locals as runs ascending
+    /// by one; the runtime links; the first meta document of each segment,
+    /// packed while it fits a chunk; each image's length. Read back, it
+    /// gives the built catalogue, node maps and anchor lists.
     #[test]
     fn manifest_keeps_the_flat_field_order() {
         #[derive(Serialize)]
@@ -1664,23 +1836,40 @@ mod tests {
             node_count: usize,
             meta_count: usize,
             #[serde(with = "graphcore::flat")]
-            meta_of: Vec<u32>,
+            meta_of: Vec<(u32, u32)>,
             #[serde(with = "graphcore::flat")]
             renumbered: Vec<u32>,
             #[serde(with = "graphcore::flat")]
-            local_of: Vec<u32>,
+            local_of: Vec<(u32, u32)>,
             #[serde(with = "graphcore::flat")]
             runtime_links: Vec<(NodeId, NodeId)>,
+            #[serde(with = "graphcore::flat")]
+            segments: Vec<u32>,
+            #[serde(with = "graphcore::flat")]
+            image_len: Vec<u32>,
+        }
+        /// `values` as `(position, value)` where a value is not its run's
+        /// first plus `step` per position since.
+        fn cut(values: &[u32], step: u32) -> Vec<(u32, u32)> {
+            let mut runs: Vec<(u32, u32)> = Vec::new();
+            for (i, &v) in (0u32..).zip(values) {
+                match runs.last() {
+                    Some(&(start, first)) if first + step * (i - start) == v => {}
+                    _ => runs.push((i, v)),
+                }
+            }
+            runs
         }
         let dblp = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
-        for (cg, config, renumbered) in [
-            (sample(), FlixConfig::Naive, false),
+        for (cg, config, renumbered, segments) in [
+            (sample(), FlixConfig::Naive, false, 1),
             (
                 dblp.clone(),
                 FlixConfig::UnconnectedHopi { partition_size: 40 },
                 false,
+                2,
             ),
-            (dblp, FlixConfig::MaximalPpo, true),
+            (dblp, FlixConfig::MaximalPpo, true, 1),
         ] {
             let flix = Flix::build(cg.clone(), config);
             let nodes = 0..cg.node_count() as NodeId;
@@ -1695,6 +1884,23 @@ mod tests {
             for (u, rank) in nodes.clone().zip(ranks.collect::<Vec<u32>>()) {
                 stored[meta_of[u as usize] as usize] |= flix.local_of(u) != rank;
             }
+            let locals: Vec<u32> = (nodes.filter(|&u| stored[meta_of[u as usize] as usize]))
+                .map(|u| flix.local_of(u))
+                .collect();
+            let image_len: Vec<u32> = (0..flix.meta_count() as u32)
+                .map(|mi| pagestore::to_bytes(flix.meta(mi)).unwrap().len() as u32)
+                .collect();
+            let mut firsts = Vec::new();
+            let mut room = 0;
+            for (mi, &len) in (0u32..).zip(&image_len) {
+                if len as usize > room {
+                    firsts.push(mi);
+                    room = (pagestore::CHUNK - 4).saturating_sub(len as usize);
+                } else {
+                    room -= len as usize;
+                }
+            }
+            assert_eq!(firsts.len(), segments, "{config}");
             let flat = FlatManifest {
                 config: flix.config(),
                 node_count: cg.node_count(),
@@ -1702,14 +1908,14 @@ mod tests {
                 renumbered: (0..flix.meta_count() as u32)
                     .filter(|&m| stored[m as usize])
                     .collect(),
-                local_of: (nodes.filter(|&u| stored[meta_of[u as usize] as usize]))
-                    .map(|u| flix.local_of(u))
-                    .collect(),
-                meta_of,
+                meta_of: cut(&meta_of, 0),
+                local_of: cut(&locals, 1),
                 runtime_links: flix.runtime_links().to_vec(),
+                segments: firsts,
+                image_len,
             };
             assert_eq!(!flat.renumbered.is_empty(), renumbered, "{config}");
-            let bytes = [b"FLT5".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
+            let bytes = [b"FLT6".to_vec(), pagestore::to_bytes(&flat).unwrap()].concat();
             let mut st = store();
             save_flix(&flix, &mut st, "fw").unwrap();
             assert_eq!(st.get("fw/manifest").unwrap().unwrap(), bytes, "{config}");
@@ -1757,6 +1963,7 @@ mod tests {
     /// catalogues is refused on load.
     #[test]
     fn manifests_that_would_break_a_lookup_are_rejected_on_load() {
+        use crate::pee::MetaSpace;
         let cg = Arc::new(workloads::generate_dblp(&workloads::DblpConfig::tiny(33)).seal());
         let flix = Flix::build(cg.clone(), FlixConfig::Naive);
         assert!(flix.runtime_links().len() >= 2 && flix.meta_count() >= 2);
@@ -1770,18 +1977,30 @@ mod tests {
                     "past",
                 ),
                 (|m| m.runtime_links[0].0 = NodeId::MAX, "follows"),
+                (|m| m.meta_of[0].0 = 1, "meta_of run 0 at 1.."),
+                (|m| m.meta_of.swap(1, 2), "meta_of run 1 at"),
+                (|m| m.meta_of.push((m.node_count as u32, 0)), ", not "),
                 (
-                    |m| m.meta_of.truncate(m.node_count - 1),
-                    "but meta_of holds",
-                ),
-                (
-                    |m| m.meta_of[3] = m.meta_count as u32,
+                    |m| m.meta_of[1].1 = m.meta_count as u32,
                     "is in meta document",
                 ),
-                (|m| m.meta_count = m.node_count + 1, "meta documents of"),
+                (
+                    |m| m.node_count = NodeId::MAX as usize + 1,
+                    "4294967296 nodes",
+                ),
+                (|m| m.meta_count = m.node_count + 1, "meta documents, "),
+                (
+                    |m| {
+                        m.image_len.pop();
+                    },
+                    "images, ",
+                ),
                 // Every meta document of this framework is in id order.
-                (|m| m.renumbered.push(0), "too few for the renumbered"),
-                (|m| m.local_of.push(0), "past the renumbered"),
+                (|m| m.renumbered.push(0), "local_of runs cover 0 of"),
+                (|m| m.local_of.push((0, 0)), "local_of run 0 at 0..0, not 0"),
+                (|m| m.segments[0] = 1, "segment run 0 at 1.."),
+                (|m| m.segments.push(m.segments[0]), "segment run"),
+                (|m| m.segments.push(m.meta_count as u32), "segment run"),
             ],
         );
         let ppo = Flix::build(cg.clone(), FlixConfig::MaximalPpo);
@@ -1789,26 +2008,70 @@ mod tests {
             &ppo,
             &[
                 (|m| m.renumbered.push(m.meta_count as u32), "is renumbered"),
-                (|m| m.local_of[0] = u32::MAX, "which holds"),
+                (|m| m.local_of[0].1 = m.node_count as u32, "which holds"),
+                // A run counting past `u32` wraps through `u32::MAX`.
+                (|m| m.local_of[0].1 = u32::MAX, "is local 4294967295"),
                 (
-                    |m| {
-                        // The meta document of each stored local, and a
-                        // later local of the first one's.
-                        let stored = |meta: &u32| m.renumbered.binary_search(meta).is_ok();
-                        let metas: Vec<u32> = m.meta_of.iter().copied().filter(stored).collect();
-                        let again = (1..metas.len()).find(|&j| metas[j] == metas[0]).unwrap();
-                        m.local_of[again] = m.local_of[0];
-                    },
+                    |m| m.local_of.insert(1, (1, m.local_of[0].1)),
                     "as is an earlier node",
                 ),
+                (|m| m.local_of.swap(1, 2), "local_of run 1 at"),
                 (
                     |m| {
-                        m.local_of.pop();
+                        m.local_of.remove(0);
                     },
-                    "too few for the renumbered",
+                    "local_of run 0 at",
                 ),
             ],
         );
+
+        // Image lengths that overrun their segment, or cut an image short
+        // of where the next one begins or the segment ends, refuse the meta
+        // document when it is loaded, by name.
+        let mut st = store();
+        save_flix(&flix, &mut st, "fw").unwrap();
+        let good = st.get("fw/manifest").unwrap().unwrap();
+        // The image length of the last meta document of the first segment.
+        fn last_len(m: &mut Manifest) -> &mut u32 {
+            let last = m.segments.get(1).map_or(m.meta_count, |&s| s as usize) - 1;
+            &mut m.image_len[last]
+        }
+        let m: Manifest = decode(&good).unwrap();
+        let last = m.segments.get(1).map_or(m.meta_count, |&s| s as usize) - 1;
+        assert!(last > 0, "meta documents 0 and 1 share a segment");
+        let damage: [(bool, ManifestDamage); 4] = [
+            (true, (|m| *last_len(m) += 1, "ends past its segment's")),
+            (
+                false,
+                (|m| m.image_len[0] += 1 << 30, "ends past its segment's"),
+            ),
+            (true, (|m| *last_len(m) -= 1, "does not decode")),
+            (
+                false,
+                (
+                    |m| {
+                        m.image_len[0] -= 1;
+                        m.image_len[1] += 1;
+                    },
+                    "does not decode",
+                ),
+            ),
+        ];
+        for (at_last, (damage, fault)) in damage {
+            let mut st = store();
+            save_flix(&flix, &mut st, "fw").unwrap();
+            let bytes = mirror::damaged_manifest(&good, damage);
+            st.put("fw/manifest", &bytes).unwrap();
+            let victim = if at_last { last } else { 0 };
+            let named = format!("meta document {victim} is stale or corrupt (");
+            let err = load_flix(&st, "fw", cg.clone()).unwrap_err();
+            assert!(err.starts_with(&named) && err.contains(fault), "{err}");
+            let dflix = crate::DiskFlix::open(st, "fw", 4).unwrap();
+            let Err(err) = dflix.meta(victim as u32) else {
+                panic!("{fault}: loaded");
+            };
+            assert!(err.starts_with(&named) && err.contains(fault), "{err}");
+        }
 
         // Meta document 0's blob holds meta document 1's image: the
         // manifest says how many elements meta document 0 holds.
@@ -1816,7 +2079,7 @@ mod tests {
         assert_ne!(a.len(), b.len());
         let mut st = store();
         save_flix(&flix, &mut st, "fw").unwrap();
-        st.put("fw/meta-0", &image(b).unwrap()).unwrap();
+        mirror::put_image(&mut st, "fw", 0, &image(b).unwrap());
         let fault = format!(
             "meta document 0 is stale or corrupt (its index covers {} elements, the manifest catalogues {})",
             b.len(),
@@ -1845,8 +2108,9 @@ mod tests {
     /// that the store folds to the digest that build's bytes were pinned
     /// at, and that its format word `word` refuses each blob, by name: the
     /// manifest in `load_manifest`, `load_flix` and `DiskFlix::open`, each
-    /// meta document, behind this build's manifest, in `load_meta`,
-    /// `load_flix` and at the `DiskFlix` miss that reads it.
+    /// meta document, put behind this build's manifest
+    /// ([`mirror::put_image`]), in `load_meta`, `load_flix` and at the
+    /// `DiskFlix` miss that reads it.
     fn each_older_store_is_refused(
         word: &[u8; 4],
         manifest: fn(&Flix) -> Vec<u8>,
@@ -1858,17 +2122,12 @@ mod tests {
         let found = format!("image format {:#010x}", u32::from_le_bytes(*word));
         for (config, old_digest) in pinned {
             let flix = Flix::build(cg.clone(), config);
-            // The old meta documents behind `manifest`.
-            let saved = |manifest: Vec<u8>| {
-                let mut st = store();
-                st.put("fw/manifest", &manifest).unwrap();
-                for mi in 0..flix.meta_count() as u32 {
-                    st.put(&format!("fw/meta-{mi}"), &old_image(flix.meta(mi)))
-                        .unwrap();
-                }
-                st
-            };
-            let old = saved(manifest(&flix));
+            let mut old = store();
+            old.put("fw/manifest", &manifest(&flix)).unwrap();
+            for mi in 0..flix.meta_count() as u32 {
+                old.put(&format!("fw/meta-{mi}"), &old_image(flix.meta(mi)))
+                    .unwrap();
+            }
             let digest = old.names().iter().fold(0u64, |acc, name| {
                 acc.rotate_left(5) ^ fnv1a64(&old.get(name).unwrap().unwrap())
             });
@@ -1886,7 +2145,11 @@ mod tests {
             };
             assert!(err.starts_with(&named), "{config}: {err}");
 
-            let old = saved(image(&Manifest::of(&flix)).unwrap());
+            let mut old = store();
+            save_flix(&flix, &mut old, "fw").unwrap();
+            for mi in 0..flix.meta_count() {
+                mirror::put_image(&mut old, "fw", mi, &old_image(flix.meta(mi as u32)));
+            }
             let err = load_flix(&old, "fw", cg.clone()).unwrap_err();
             let named = format!("meta document 0 is stale or corrupt ({found}");
             assert!(err.starts_with(&named), "{config}: {err}");
@@ -1905,6 +2168,49 @@ mod tests {
                 assert!(err.starts_with(&named), "{config}: {err}");
             }
         }
+    }
+
+    /// A store saved under "FLT5" holds each meta document's image in a blob
+    /// of its own and `meta_of` and the stored locals flat in its manifest.
+    /// The mirror's "FLT5" blobs are that build's bytes — folded as
+    /// `tests/image_digests.rs` folds a store, they give the digests it
+    /// pinned for "FLT5" — and the word refuses each.
+    #[test]
+    fn flt5_images_are_rejected_on_load() {
+        use crate::config::StrategyKind;
+        each_older_store_is_refused(
+            b"FLT5",
+            mirror::flt5_manifest,
+            mirror::flt5_image,
+            [
+                (FlixConfig::Naive, 0x9c98_ca2f_bbd9_cfd5),
+                (FlixConfig::MaximalPpo, 0x8224_44bd_f6d5_51a0),
+                (
+                    FlixConfig::UnconnectedHopi {
+                        partition_size: 5000,
+                    },
+                    0x8b4d_f136_4ec5_78f3,
+                ),
+                (
+                    FlixConfig::Hybrid {
+                        partition_size: 5000,
+                    },
+                    0x7677_cc14_0eac_5aaf,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Ppo),
+                    0x0757_fe71_625e_549b,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Hopi),
+                    0xc7cf_f1e5_4f92_8a35,
+                ),
+                (
+                    FlixConfig::Monolithic(StrategyKind::Apex),
+                    0x7894_e513_86e8_b6af,
+                ),
+            ],
+        );
     }
 
     /// A store saved under "FLT4" holds each meta document's anchor lists
@@ -2026,17 +2332,16 @@ mod tests {
                 let flix = Flix::build(cg.clone(), config);
                 let mut st = store();
                 save_flix(&flix, &mut st, "fw").unwrap();
-                // A local is stored for the elements of the meta documents
+                // Locals are stored for the elements of the meta documents
                 // not numbered in id order, and only PPO renumbers.
                 let manifest: Manifest = decode(&st.get("fw/manifest").unwrap().unwrap()).unwrap();
-                let metas = (0..flix.meta_count() as u32).map(|mi| flix.meta(mi));
-                let renumbered = metas.filter(|md| md.nodes.windows(2).any(|w| w[0] > w[1]));
-                let ppo = renumbered
-                    .clone()
-                    .all(|md| md.index.kind() == StrategyKind::Ppo);
+                let renumbered: Vec<u32> = (0..flix.meta_count() as u32)
+                    .filter(|&mi| flix.meta(mi).nodes.windows(2).any(|w| w[0] > w[1]))
+                    .collect();
+                let ppo =
+                    (renumbered.iter()).all(|&mi| flix.meta(mi).index.kind() == StrategyKind::Ppo);
                 assert!(ppo, "seed {seed}, {config}");
-                let stored: usize = renumbered.map(|md| md.len()).sum();
-                assert_eq!(manifest.local_of.len(), stored, "seed {seed}, {config}");
+                assert_eq!(manifest.renumbered, renumbered, "seed {seed}, {config}");
                 let loaded = load_flix(&st, "fw", cg.clone()).unwrap();
                 let dflix = crate::DiskFlix::open(st, "fw", 2).unwrap();
                 for mi in 0..flix.meta_count() as u32 {

@@ -1,9 +1,11 @@
 //! Named blob store: arbitrarily large byte strings chunked across pages.
 //!
 //! Index images (a serialised HOPI label set, a PPO number table, ...) are
-//! written as one blob per meta document. The directory itself lives in
-//! memory and is exported/imported as bytes so a catalogue page or file can
-//! persist it.
+//! written into blobs by their owner: `flix`'s persistence packs the small
+//! images of consecutive meta documents into one blob of at most
+//! [`CHUNK`] bytes, so they share a page, and gives each larger image a
+//! blob of its own. The directory itself lives in memory and is
+//! exported/imported as bytes so a catalogue page or file can persist it.
 
 use crate::buffer::BufferPool;
 use crate::page::{Page, PageId, PAGE_SIZE};
@@ -13,9 +15,10 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-/// Bytes of a blob per page. A page could hold 56 more; this width keeps
-/// every stored page, and so every page count, where it has always been.
-const CHUNK: usize = PAGE_SIZE - 64;
+/// Bytes of a blob per page: a blob of at most this many bytes is one page.
+/// A page could hold 56 more; this width keeps every stored page, and so
+/// every page count, where it has always been.
+pub const CHUNK: usize = PAGE_SIZE - 64;
 
 /// Failures of blob I/O against the underlying pages.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -41,7 +41,7 @@ pub mod snapshot;
 /// Write-ahead log: CRC-framed records with commit markers.
 pub mod wal;
 
-pub use blob::{BlobError, BlobStore};
+pub use blob::{BlobError, BlobStore, CHUNK};
 pub use buffer::{BufferPool, PoolStats};
 pub use codec::{from_bytes, to_bytes, CodecError};
 pub use disk::{DiskManager, DiskStats, FileDisk, MemDisk};

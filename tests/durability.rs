@@ -463,35 +463,35 @@ fn data_file_digest(flix: &Flix) -> (u64, usize) {
 fn every_configuration_writes_the_pinned_data_file() {
     let cg = Arc::new(generate_dblp(&DblpConfig::tiny(33)).seal());
     let pinned = [
-        (FlixConfig::Naive, 0x85df_5761_76aa_31e0, 61),
-        (FlixConfig::MaximalPpo, 0x38c8_ec69_eedb_4f08, 13),
+        (FlixConfig::Naive, 0x532d_3114_5992_91ac, 2),
+        (FlixConfig::MaximalPpo, 0x918e_e71c_6ba5_763a, 2),
         (
             FlixConfig::UnconnectedHopi {
                 partition_size: 5000,
             },
-            0x6104_1f42_c4d6_25c8,
+            0xa482_9a91_ae64_ec21,
             4,
         ),
         (
             FlixConfig::Hybrid {
                 partition_size: 5000,
             },
-            0x83b2_7d77_e501_d3c2,
-            13,
+            0x06ad_15ef_a2cc_cad1,
+            2,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Ppo),
-            0xa21a_8a61_3022_b7cd,
+            0x64a9_2ab0_dd3c_e0b8,
             2,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Hopi),
-            0x4f4e_48d4_fea3_7857,
+            0x034d_c0bd_68ad_b21d,
             4,
         ),
         (
             FlixConfig::Monolithic(StrategyKind::Apex),
-            0xbcbb_7102_0653_957a,
+            0x24a6_c9f1_7278_6098,
             3,
         ),
     ];
